@@ -2,7 +2,7 @@
 // against the committed baseline (BENCH_sim.json) and fails on regression.
 // CI runs it on every PR:
 //
-//	pie-bench -quick -cluster -json-out fresh_bench.json
+//	pie-bench -quick -exp cluster -json-out fresh_bench.json
 //	bench-gate -baseline BENCH_sim.json -fresh fresh_bench.json
 //
 // Two kinds of checks, with different physics:
@@ -260,7 +260,7 @@ func main() {
 			fmt.Println("  -", v)
 		}
 		fmt.Println("(intentional behavior changes must regenerate BENCH_sim.json in the same PR:" +
-			" GOMAXPROCS=1 go run ./cmd/pie-bench -quick -cluster -offload -coldstart -faults -slo -pd -shard -fleet -json-out BENCH_sim.json)")
+			" GOMAXPROCS=1 go run ./cmd/pie-bench -quick -json-out BENCH_sim.json)")
 		os.Exit(1)
 	}
 	fmt.Println("bench-gate: OK")

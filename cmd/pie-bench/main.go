@@ -5,7 +5,7 @@
 //
 //	pie-bench                  # run everything at full scale
 //	pie-bench -quick           # CI-sized workloads
-//	pie-bench -exp fig7,table5 # selected experiments
+//	pie-bench -exp fig7,slo    # selected experiments (-exp is the only selector)
 //	pie-bench -seed 7          # different deterministic seed
 //	pie-bench -json            # also write BENCH_sim.json (perf trajectory)
 //
@@ -36,14 +36,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run CI-sized workloads")
 	seed := flag.Uint64("seed", 42, "deterministic seed for every experiment")
 	exps := flag.String("exp", "all", "comma-separated experiment ids (table2,fig6,fig7,fig8,fig9,fig10,fig11,table3,table4,table5,cluster,offload,coldstart,faults,slo,pd,shard,fleet)")
-	clusterExp := flag.Bool("cluster", false, "also run the replica-scaling cluster sweep (experiment id: cluster)")
-	offloadExp := flag.Bool("offload", false, "also run the tiered-KV host-offload oversubscription sweep (experiment id: offload)")
-	coldstartExp := flag.Bool("coldstart", false, "also run the deployable-artifact cold/warm launch sweep (experiment id: coldstart)")
-	faultsExp := flag.Bool("faults", false, "also run the fault-tolerance chaos experiment (experiment id: faults)")
-	sloExp := flag.Bool("slo", false, "also run the SLO-aware service-class scaling experiment (experiment id: slo)")
-	pdExp := flag.Bool("pd", false, "also run the prefill/decode disaggregation sweep (experiment id: pd)")
-	shardExp := flag.Bool("shard", false, "also run the sharded-core fleet scaling sweep, 1 to 128 replicas (experiment id: shard)")
-	fleetExp := flag.Bool("fleet", false, "also run the fleet-manifest rolling-upgrade and hot-reload experiment (experiment id: fleet)")
 	jsonOut := flag.Bool("json", false, "write BENCH_sim.json with wall time and events/sec per experiment")
 	jsonPath := flag.String("json-out", defaultJSONPath, "path for the -json report (implies -json)")
 	flag.Parse()
@@ -59,30 +51,6 @@ func main() {
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
 		want[strings.TrimSpace(e)] = true
-	}
-	if *clusterExp {
-		want["cluster"] = true
-	}
-	if *offloadExp {
-		want["offload"] = true
-	}
-	if *coldstartExp {
-		want["coldstart"] = true
-	}
-	if *faultsExp {
-		want["faults"] = true
-	}
-	if *sloExp {
-		want["slo"] = true
-	}
-	if *pdExp {
-		want["pd"] = true
-	}
-	if *shardExp {
-		want["shard"] = true
-	}
-	if *fleetExp {
-		want["fleet"] = true
 	}
 	all := want["all"]
 
@@ -209,33 +177,15 @@ func main() {
 		}
 		return r.Table(), h
 	})
-	if want["cluster"] {
-		// The replica-scaling and offload sweeps are opt-in (-cluster /
-		// -offload or -exp): they are the experiments beyond the paper's
-		// own evaluation.
-		run("cluster", clusterRun(o))
-	}
-	if want["offload"] {
-		run("offload", offloadRun(o))
-	}
-	if want["coldstart"] {
-		run("coldstart", coldstartRun(o))
-	}
-	if want["faults"] {
-		run("faults", faultsRun(o))
-	}
-	if want["slo"] {
-		run("slo", sloRun(o))
-	}
-	if want["pd"] {
-		run("pd", pdRun(o))
-	}
-	if want["shard"] {
-		run("shard", shardRun(o))
-	}
-	if want["fleet"] {
-		run("fleet", fleetRun(o))
-	}
+	// The experiments beyond the paper's own evaluation.
+	run("cluster", clusterRun(o))
+	run("offload", offloadRun(o))
+	run("coldstart", coldstartRun(o))
+	run("faults", faultsRun(o))
+	run("slo", sloRun(o))
+	run("pd", pdRun(o))
+	run("shard", shardRun(o))
+	run("fleet", fleetRun(o))
 
 	if len(rep.Experiments) == 0 {
 		fmt.Fprintln(os.Stderr, "no experiments selected")

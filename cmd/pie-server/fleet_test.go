@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pie"
 )
@@ -35,15 +36,17 @@ func writeManifest(t *testing.T, doc string) string {
 	return path
 }
 
-// TestBuildConfigManifestPrecedence is the flag/manifest precedence
-// regression: explicitly set flags override manifest values; flags left
-// at their defaults never do.
-func TestBuildConfigManifestPrecedence(t *testing.T) {
-	fs := func() *flag.FlagSet { return flag.NewFlagSet("test", flag.ContinueOnError) }
+// TestBuildConfigManifest: the manifest is the only description of fleet
+// shape, and the flags that remain are orthogonal to it — each applies the
+// same way with or without -config.
+func TestBuildConfigManifest(t *testing.T) {
+	fs := func() *flag.FlagSet {
+		f := flag.NewFlagSet("test", flag.ContinueOnError)
+		f.SetOutput(io.Discard)
+		return f
+	}
 	path := writeManifest(t, testManifest)
 
-	// Manifest alone: every value comes from the document, including the
-	// seed — the -seed flag's default (42) must NOT clobber manifest seed 7.
 	opts, err := buildConfig(fs(), []string{"-config", path})
 	if err != nil {
 		t.Fatal(err)
@@ -59,41 +62,63 @@ func TestBuildConfigManifestPrecedence(t *testing.T) {
 		t.Fatalf("manifest classes lost: %+v", cfg.Classes)
 	}
 
-	// Explicitly set scalar flags win over the manifest.
-	opts, err = buildConfig(fs(), []string{"-config", path, "-seed", "99", "-placement", "rr", "-host-kv-ratio", "3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = opts.Cfg
-	if cfg.Seed != 99 || cfg.Placement != pie.PlaceRoundRobin || cfg.HostKVRatio != 3 {
-		t.Fatalf("explicit flags must override the manifest: seed=%d placement=%v kv=%v",
-			cfg.Seed, cfg.Placement, cfg.HostKVRatio)
-	}
-	// The manifest snapshot keeps its own values: the flag override is a
-	// runtime layer, not a rewrite of desired state.
-	if cfg.Fleet.Seed != 7 {
-		t.Fatalf("flag override mutated the manifest: %+v", cfg.Fleet)
+	// A manifest that names no seed boots at the same default as a server
+	// without -config; the document itself is not rewritten.
+	seedless := writeManifest(t, strings.Replace(testManifest, `"seed": 7,`, ``, 1))
+	opts, err = buildConfig(fs(), []string{"-config", seedless, "-fault-rate", "0.1"})
+	if err != nil || opts.Cfg.Seed != defaultSeed || opts.Cfg.Faults.Seed != defaultSeed || opts.Cfg.Fleet.Seed != 0 {
+		t.Fatalf("seedless manifest: seed=%d fault seed=%d doc seed=%d err=%v",
+			opts.Cfg.Seed, opts.Cfg.Faults.Seed, opts.Cfg.Fleet.Seed, err)
 	}
 
-	// Topology flags conflict with -config outright.
-	for _, args := range [][]string{
-		{"-config", path, "-replicas", "4"},
-		{"-config", path, "-variants", "l4:cost=1"},
-		{"-config", path, "-roles", "prefill:count=1;decode"},
-		{"-config", path, "-classes", "gold:prio=1"},
-		{"-config", path, "-scaler-max", "4"},
-		{"-config", path, "-autoscale-max", "4"},
-	} {
-		if _, err := buildConfig(fs(), args); err == nil || !strings.Contains(err.Error(), "conflicts with -config") {
-			t.Fatalf("%v: err = %v, want topology conflict", args, err)
+	orthogonal := []struct {
+		name string
+		args []string
+		ok   func(pie.Config) bool
+	}{
+		// Regression: -handoff-budget used to be dropped under -config.
+		{"handoff-budget", []string{"-handoff-budget", "3"},
+			func(c pie.Config) bool { return c.HandoffBudget == 3 }},
+		{"artifact-cache", []string{"-artifact-cache", "4096"},
+			func(c pie.Config) bool { return c.ArtifactCacheBytes == 4096 }},
+		{"health", []string{"-health-interval", "5ms", "-hang-timeout", "80ms"},
+			func(c pie.Config) bool {
+				return c.Health == pie.HealthConfig{Enabled: true, Interval: 5 * time.Millisecond, HangTimeout: 80 * time.Millisecond}
+			}},
+		{"shed", []string{"-shed-watermark", "0.85", "-shed-queue", "6.5"},
+			func(c pie.Config) bool {
+				return c.Shed == pie.ShedConfig{Enabled: true, KVWatermark: 0.85, QueueDepth: 6.5}
+			}},
+		{"faults", []string{"-fault-plan", "crash:1@200ms", "-fault-rate", "0.01"},
+			func(c pie.Config) bool {
+				return len(c.Faults.Events) == 1 && c.Faults.CallFailRate == 0.01 && c.Faults.Seed == c.Seed
+			}},
+		{"fault-seed", []string{"-fault-rate", "0.01", "-fault-seed", "99"},
+			func(c pie.Config) bool { return c.Faults.Seed == 99 }},
+		{"retry", []string{"-retry-attempts", "4", "-retry-budget", "250ms"},
+			func(c pie.Config) bool {
+				return c.DefaultRetry.MaxAttempts == 4 && c.DefaultRetry.Budget == 250*time.Millisecond
+			}},
+	}
+	for _, tc := range orthogonal {
+		for _, base := range [][]string{nil, {"-config", path}} {
+			opts, err := buildConfig(fs(), append(base, tc.args...))
+			if err != nil || !tc.ok(opts.Cfg) {
+				t.Errorf("%s with %v: cfg=%+v err=%v", tc.name, base, opts.Cfg, err)
+			}
 		}
 	}
 
-	// Unknown flags surface the flag package's own error.
-	badFS := flag.NewFlagSet("test", flag.ContinueOnError)
-	badFS.SetOutput(io.Discard)
-	if _, err := buildConfig(badFS, []string{"-no-such-flag"}); err == nil {
-		t.Fatal("unknown flag accepted")
+	// The fleet-shaped flags are gone: the flag package rejects them.
+	for _, name := range []string{
+		"seed", "replicas", "placement", "variants", "roles", "classes",
+		"scaler-max", "scaler-min", "scale-to-zero", "autoscale-max", "autoscale-min",
+		"host-kv-ratio", "kv-evict",
+	} {
+		_, err := buildConfig(fs(), []string{"-" + name, "1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("-%s: err = %v, want an undefined-flag error", name, err)
+		}
 	}
 
 	// Bad documents fail typed at build time.
@@ -184,16 +209,17 @@ func TestFleetEndpoint(t *testing.T) {
 	}
 }
 
-// TestFleetEndpointNotManaged: a flag-booted server answers 404 typed.
+// TestFleetEndpointNotManaged: a server booted without a manifest answers
+// 404 typed.
 func TestFleetEndpointNotManaged(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 1, Replicas: 1})
 	resp := getJSON(t, ts.URL+"/v1/fleet", nil)
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/fleet on flag-booted server: %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /v1/fleet without a manifest: %d, want 404", resp.StatusCode)
 	}
 	resp, err := http.Post(ts.URL+"/v1/fleet", "application/json", strings.NewReader(testManifest))
 	if err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /v1/fleet on flag-booted server: %v %v", resp, err)
+		t.Fatalf("POST /v1/fleet without a manifest: %v %v", resp, err)
 	}
 }
 
@@ -234,5 +260,41 @@ func TestReloadFleet(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/fleet", &st)
 	if st.Fleet["generation"] != float64(1) {
 		t.Fatalf("failed reload changed generation: %v", st.Fleet["generation"])
+	}
+}
+
+// TestExampleManifestsServe boots every committed example manifest the way
+// main does and serves one launch on it: the fleets the removed flags used
+// to describe must boot and serve from their documents, not merely parse.
+func TestExampleManifestsServe(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/fleet/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example manifests found: %v", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			opts, err := buildConfig(flag.NewFlagSet("test", flag.ContinueOnError), []string{"-config", path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := startTestServer(t, opts.Cfg)
+			resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":4}`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("launch: status %d: %s", resp.StatusCode, blob)
+			}
+			var waited struct {
+				OutputTokens int    `json:"outputTokens"`
+				Error        string `json:"error"`
+			}
+			getJSON(t, ts.URL+"/v1/wait?id=1", &waited)
+			if waited.Error != "" || waited.OutputTokens != 4 {
+				t.Fatalf("wait: %+v", waited)
+			}
+		})
 	}
 }

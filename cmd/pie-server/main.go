@@ -5,19 +5,20 @@
 // in external mode: real HTTP requests inject work, simulated time
 // advances instantly between them, and responses report virtual timings.
 //
-// The HTTP surface is versioned under /v1/ with structured JSON errors
-// ({"error":{"code","message"}}); the original unversioned paths remain
-// as deprecated aliases. Completed runs are evicted from the handle table
-// by /v1/wait and /v1/close, so long-lived servers do not accumulate
-// finished runs.
+// The HTTP surface lives under /v1/ with structured JSON errors
+// ({"error":{"code","message"}}). Completed runs are evicted from the
+// handle table by /v1/wait and /v1/close, so long-lived servers do not
+// accumulate finished runs.
 //
-// Cluster mode fronts N backend replicas behind the placement router:
+// Without -config the server runs one default replica. Anything
+// fleet-shaped (replica pools, variants, roles, placement, service
+// classes, the SLO scaler, KV tiering, the seed) is declared in a fleet
+// manifest (internal/fleet, examples/fleet/):
 //
 //	pie-server -addr :8080
-//	pie-server -replicas 4 -placement kv-affinity
-//	pie-server -replicas 1 -autoscale-max 8 -placement least
-//	curl -X POST 'localhost:8080/v1/launch?program=text_completion' \
-//	     -d '{"prompt":"Hello, ","max_tokens":8}'
+//	pie-server -config examples/fleet/kv-affinity.json
+//	curl -X POST localhost:8080/v1/launch -d '{"program":"text_completion",
+//	     "args":["{\"prompt\":\"Hello, \",\"max_tokens\":8}"]}'
 //	curl 'localhost:8080/v1/recv?id=1'
 //	curl -N 'localhost:8080/v1/stream?id=1'   # SSE message stream
 //	curl 'localhost:8080/v1/wait?id=1'        # waits, reports, evicts
@@ -42,8 +43,6 @@ import (
 
 	"pie"
 	"pie/apps"
-	"pie/internal/cluster"
-	"pie/internal/core"
 	"pie/internal/fleet"
 	"pie/internal/metrics"
 )
@@ -77,36 +76,20 @@ func newServer(e *pie.Engine) *server {
 	return &server{engine: e, runs: make(map[int]*pie.Handle)}
 }
 
-// mux routes the HTTP API: versioned paths first, then the legacy
-// unversioned aliases (deprecated; they answer with a Deprecation header).
+// mux routes the HTTP API.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	routes := map[string]http.HandlerFunc{
-		"/launch":   s.launch,
-		"/send":     s.send,
-		"/recv":     s.recv,
-		"/wait":     s.wait,
-		"/close":    s.close,
-		"/abort":    s.abort,
-		"/stream":   s.stream,
-		"/stats":    s.stats,
-		"/programs": s.programs,
-		"/fleet":    s.fleet,
-	}
-	for path, h := range routes {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, deprecated("/v1"+path, h))
-	}
+	mux.HandleFunc("/v1/launch", s.launch)
+	mux.HandleFunc("/v1/send", s.send)
+	mux.HandleFunc("/v1/recv", s.recv)
+	mux.HandleFunc("/v1/wait", s.wait)
+	mux.HandleFunc("/v1/close", s.close)
+	mux.HandleFunc("/v1/abort", s.abort)
+	mux.HandleFunc("/v1/stream", s.stream)
+	mux.HandleFunc("/v1/stats", s.stats)
+	mux.HandleFunc("/v1/programs", s.programs)
+	mux.HandleFunc("/v1/fleet", s.fleet)
 	return mux
-}
-
-// deprecated wraps a handler for a legacy alias path.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // serverOptions is everything buildConfig decides: the engine config plus
@@ -115,47 +98,27 @@ func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
 type serverOptions struct {
 	Addr       string
 	Cfg        pie.Config
-	ConfigPath string // fleet manifest the engine was built from ("" = flags only)
+	ConfigPath string // fleet manifest the engine was built from ("" = one default replica)
 	Validate   bool   // parse/validate the manifest and exit
 }
 
-// topologyFlags shape the replica fleet. With -config, topology belongs
-// to the manifest; setting any of these explicitly alongside it is a
-// conflict, not an override.
-var topologyFlags = []string{
-	"replicas", "variants", "roles", "classes",
-	"scaler-max", "scaler-min", "scale-to-zero",
-	"autoscale-max", "autoscale-min",
-}
+// defaultSeed is the engine seed when no manifest names one (no -config,
+// or a manifest whose seed is 0 or absent).
+const defaultSeed = 42
 
 // buildConfig defines the CLI surface on fs, parses args, and assembles
 // the engine config. Split from main so tests can drive the same flag
-// wiring (notably the fault-injection, health, shedding, and retry knobs)
-// without exec'ing the binary.
+// wiring without exec'ing the binary.
 //
-// Precedence with -config: the manifest is the base, and only flags
-// explicitly present on the command line override it — a flag left at
-// its default does not (fs.Visit distinguishes the two). Topology flags
-// conflict with -config outright (topologyFlags above).
+// The fleet manifest (-config) is the only description of fleet shape.
+// Every other flag sets something the manifest has no field for, so it
+// applies the same way with or without -config.
 func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	fail := func(err error) (serverOptions, error) { return serverOptions{}, err }
 	addrFlag := fs.String("addr", ":8080", "listen address")
-	configPath := fs.String("config", "", "fleet manifest path (declarative pools, pins, policies); explicitly set flags override manifest values, defaults do not")
+	configPath := fs.String("config", "", "fleet manifest path: pools, variants, roles, placement, classes, scaler, KV policy, seed (empty: one default replica)")
 	validate := fs.Bool("validate", false, "with -config: parse and validate the manifest, report, and exit")
-	seed := fs.Uint64("seed", 42, "deterministic seed")
-	replicas := fs.Int("replicas", 1, "backend replicas behind the cluster router")
-	placement := fs.String("placement", "round-robin", "placement policy: round-robin | least-outstanding-tokens | kv-affinity | program-affinity")
-	autoMax := fs.Int("autoscale-max", 0, "enable the autoscaler with this max replica bound (0 disables)")
-	autoMin := fs.Int("autoscale-min", 1, "autoscaler min replica bound")
-	classes := fs.String("classes", "", "service-class registry, e.g. 'interactive:ttft=250ms,itl=50ms,prio=10;batch:degradable' (empty: no classes)")
-	variants := fs.String("variants", "", "heterogeneous replica pool, e.g. 'l4:cost=1,count=4;l4e:cost=0.6,slow=1.4' (empty: homogeneous)")
-	roles := fs.String("roles", "", "prefill/decode disaggregated pool, e.g. 'prefill:count=2;decode' (empty: unified)")
 	handoffBudget := fs.Int("handoff-budget", 0, "max concurrent prefill->decode KV transfers (0: default)")
-	scalerMax := fs.Int("scaler-max", 0, "enable the SLO scaler with this max replica bound (0 disables; supersedes -autoscale-max)")
-	scalerMin := fs.Int("scaler-min", 1, "SLO scaler min replica bound")
-	scaleToZero := fs.Bool("scale-to-zero", false, "let the SLO scaler drain an idle fleet to zero replicas")
-	hostKV := fs.Float64("host-kv-ratio", 0, "host-memory KV tier size as a multiple of device page capacity (0 disables offload)")
-	kvEvict := fs.String("kv-evict", "lru", "KV offload eviction policy: lru | priority")
 	artCache := fs.Int64("artifact-cache", 0, "per-replica warm-artifact cache capacity in bytes (0: device default, <0: unbounded)")
 	healthEvery := fs.Duration("health-interval", 0, "replica health-check interval (0 disables the health monitor)")
 	hangTimeout := fs.Duration("hang-timeout", 0, "declare a silent replica dead after this much virtual time without progress (0: default)")
@@ -163,26 +126,15 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	shedQueue := fs.Float64("shed-queue", 0, "shed best-effort launches above this mean per-replica queue depth (0: default)")
 	faultPlan := fs.String("fault-plan", "", "injected fault schedule, e.g. 'crash:1@200ms,hang:2@300ms,slow:3@100ms*4'")
 	faultRate := fs.Float64("fault-rate", 0, "per-launch transient fault probability (0 disables)")
-	faultSeed := fs.Uint64("fault-seed", 0, "seed for the transient-fault stream (default: -seed)")
+	faultSeed := fs.Uint64("fault-seed", 0, "seed for the transient-fault stream (0: the engine seed)")
 	retryAttempts := fs.Int("retry-attempts", 0, "default launch retry attempts, including the first (<=1 disables retries)")
 	retryBudget := fs.Duration("retry-budget", 0, "default cumulative backoff budget per launch (0: unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return fail(err)
 	}
 
-	// Which flags the command line actually set: the precedence boundary.
-	// Explicitly set flags override the manifest; defaults never do.
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	var cfg pie.Config
-	fromManifest := *configPath != ""
-	if fromManifest {
-		for _, name := range topologyFlags {
-			if set[name] {
-				return fail(fmt.Errorf("-%s conflicts with -config: declare fleet topology in the manifest", name))
-			}
-		}
+	cfg := pie.Config{Replicas: 1}
+	if *configPath != "" {
 		m, err := fleet.ParseFile(*configPath)
 		if err != nil {
 			return fail(err)
@@ -192,62 +144,11 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 			return fail(err)
 		}
 	}
-	// useFlag: apply the flag's value when it may speak — always without a
-	// manifest, only when explicitly set with one.
-	useFlag := func(name string) bool { return !fromManifest || set[name] }
-
-	if useFlag("seed") {
-		cfg.Seed = *seed
+	if cfg.Seed == 0 {
+		cfg.Seed = defaultSeed
 	}
-	if useFlag("placement") {
-		pol, err := cluster.ParsePlacement(*placement)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Placement = pol
-	}
-	if useFlag("host-kv-ratio") {
-		cfg.HostKVRatio = *hostKV
-	}
-	if useFlag("kv-evict") {
-		evict, err := core.ParseEviction(*kvEvict)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.KVEviction = evict
-	}
+	cfg.HandoffBudget = *handoffBudget
 	cfg.ArtifactCacheBytes = *artCache
-	if !fromManifest {
-		cfg.Replicas = *replicas
-		if *autoMax > 0 {
-			cfg.Autoscale = pie.AutoscaleConfig{Enabled: true, Min: *autoMin, Max: *autoMax}
-		}
-		if *classes != "" {
-			var err error
-			cfg.Classes, err = pie.ParseServiceClasses(*classes)
-			if err != nil {
-				return fail(err)
-			}
-		}
-		if *variants != "" {
-			var err error
-			cfg.Variants, err = pie.ParseReplicaVariants(*variants)
-			if err != nil {
-				return fail(err)
-			}
-		}
-		if *roles != "" {
-			var err error
-			cfg.Roles, err = pie.ParseRoles(*roles)
-			if err != nil {
-				return fail(err)
-			}
-			cfg.HandoffBudget = *handoffBudget
-		}
-		if *scalerMax > 0 {
-			cfg.Scaler = pie.ScalerConfig{Enabled: true, Min: *scalerMin, Max: *scalerMax, ScaleToZero: *scaleToZero}
-		}
-	}
 	if *healthEvery > 0 {
 		cfg.Health = pie.HealthConfig{Enabled: true, Interval: *healthEvery, HangTimeout: *hangTimeout}
 	}
@@ -255,9 +156,9 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 		cfg.Shed = pie.ShedConfig{Enabled: true, KVWatermark: *shedWatermark, QueueDepth: *shedQueue}
 	}
 	if *faultPlan != "" || *faultRate > 0 {
-		plan, perr := pie.ParseFaultPlan(*faultPlan)
-		if perr != nil {
-			return fail(perr)
+		plan, err := pie.ParseFaultPlan(*faultPlan)
+		if err != nil {
+			return fail(err)
 		}
 		plan.CallFailRate = *faultRate
 		plan.Seed = *faultSeed
@@ -369,9 +270,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	})
 }
 
-// launchBody is the /v1/launch request: a wire-form pie.LaunchSpec. The
-// legacy form (?program= query parameter, body as the single launch
-// argument) keeps working — presence of the query parameter selects it.
+// launchBody is the /v1/launch request: a wire-form pie.LaunchSpec.
 type launchBody struct {
 	Program    string   `json:"program"` // "name" or "name@version"
 	Args       []string `json:"args"`
@@ -382,38 +281,27 @@ type launchBody struct {
 }
 
 func (s *server) launch(w http.ResponseWriter, r *http.Request) {
-	program := r.URL.Query().Get("program")
 	body, _ := io.ReadAll(r.Body)
-	var spec pie.LaunchSpec
-	if program != "" {
-		// Legacy form: the body is the program's single JSON argument.
-		spec = pie.Spec(program)
-		if len(body) > 0 {
-			spec.Args = []string{string(body)}
-		}
-	} else {
-		var lb launchBody
-		if err := json.Unmarshal(body, &lb); err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_argument",
-				"body must be a JSON launch spec (or pass ?program=)")
-			return
-		}
-		if lb.Program == "" {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", "launch spec needs a program")
-			return
-		}
-		if lb.DeadlineMS < 0 {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", "deadline_ms must be >= 0")
-			return
-		}
-		spec = pie.LaunchSpec{
-			Program:   lb.Program,
-			Args:      lb.Args,
-			Class:     lb.Class,
-			Priority:  lb.Priority,
-			Deadline:  time.Duration(lb.DeadlineMS) * time.Millisecond,
-			ClientTag: lb.ClientTag,
-		}
+	var lb launchBody
+	if err := json.Unmarshal(body, &lb); err != nil {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "body must be a JSON launch spec")
+		return
+	}
+	if lb.Program == "" {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "launch spec needs a program")
+		return
+	}
+	if lb.DeadlineMS < 0 {
+		writeErr(w, http.StatusBadRequest, "invalid_argument", "deadline_ms must be >= 0")
+		return
+	}
+	spec := pie.LaunchSpec{
+		Program:   lb.Program,
+		Args:      lb.Args,
+		Class:     lb.Class,
+		Priority:  lb.Priority,
+		Deadline:  time.Duration(lb.DeadlineMS) * time.Millisecond,
+		ClientTag: lb.ClientTag,
 	}
 	var h *pie.Handle
 	var err error

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -43,11 +44,17 @@ func getJSON(t *testing.T, url string, out interface{}) *http.Response {
 	return resp
 }
 
+// postLaunch sends a /v1/launch spec running program with one JSON
+// argument.
+func postLaunch(ts *httptest.Server, program, arg string) (*http.Response, error) {
+	spec, _ := json.Marshal(launchBody{Program: program, Args: []string{arg}})
+	return http.Post(ts.URL+"/v1/launch", "application/json", bytes.NewReader(spec))
+}
+
 func TestLaunchRecvWaitRoundTrip(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	resp, err := http.Post(ts.URL+"/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hello, ","max_tokens":4,"first_token_ack":true}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hello, ","max_tokens":4,"first_token_ack":true}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -71,13 +78,13 @@ func TestLaunchRecvWaitRoundTrip(t *testing.T) {
 	var msg struct {
 		Message string `json:"message"`
 	}
-	if resp := getJSON(t, fmt.Sprintf("%s/recv?id=%d", ts.URL, launched.ID), &msg); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, fmt.Sprintf("%s/v1/recv?id=%d", ts.URL, launched.ID), &msg); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recv: status %d", resp.StatusCode)
 	}
 	if msg.Message != "first-token" {
 		t.Fatalf("recv: got %q, want first-token ack", msg.Message)
 	}
-	if resp := getJSON(t, fmt.Sprintf("%s/recv?id=%d", ts.URL, launched.ID), &msg); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, fmt.Sprintf("%s/v1/recv?id=%d", ts.URL, launched.ID), &msg); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recv 2: status %d", resp.StatusCode)
 	}
 	if msg.Message == "" {
@@ -90,7 +97,7 @@ func TestLaunchRecvWaitRoundTrip(t *testing.T) {
 		VirtualTime  string `json:"virtualTime"`
 		Error        string `json:"error"`
 	}
-	if resp := getJSON(t, fmt.Sprintf("%s/wait?id=%d", ts.URL, launched.ID), &waited); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, fmt.Sprintf("%s/v1/wait?id=%d", ts.URL, launched.ID), &waited); resp.StatusCode != http.StatusOK {
 		t.Fatalf("wait: status %d", resp.StatusCode)
 	}
 	if waited.Error != "" {
@@ -109,8 +116,7 @@ func TestSendRecvEcho(t *testing.T) {
 
 	// agent_react waits for a task message before acting; use
 	// text_completion's ack probe instead: Ack sends before generation.
-	resp, err := http.Post(ts.URL+"/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hi","max_tokens":2,"ack":true}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":2,"ack":true}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -120,13 +126,13 @@ func TestSendRecvEcho(t *testing.T) {
 	var msg struct {
 		Message string `json:"message"`
 	}
-	getJSON(t, ts.URL+"/recv?id=1", &msg)
+	getJSON(t, ts.URL+"/v1/recv?id=1", &msg)
 	if msg.Message != "ack" {
 		t.Fatalf("recv: got %q, want ack", msg.Message)
 	}
 	// Send is fire-and-forget into the inferlet mailbox; the handler must
 	// still return OK even though text_completion never reads it.
-	sresp, err := http.Post(ts.URL+"/send?id=1", "text/plain", strings.NewReader("ping"))
+	sresp, err := http.Post(ts.URL+"/v1/send?id=1", "text/plain", strings.NewReader("ping"))
 	if err != nil || sresp.StatusCode != http.StatusOK {
 		t.Fatalf("send: %v status %v", err, sresp.Status)
 	}
@@ -143,16 +149,15 @@ func TestStatsReportsReplicas(t *testing.T) {
 
 	// Two launches round-robin across both replicas.
 	for i := 0; i < 2; i++ {
-		resp, err := http.Post(ts.URL+"/launch?program=text_completion", "application/json",
-			strings.NewReader(`{"prompt":"Hi","max_tokens":2}`))
+		resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":2}`)
 		if err != nil {
 			t.Fatalf("launch %d: %v", i, err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-	getJSON(t, ts.URL+"/wait?id=1", nil)
-	getJSON(t, ts.URL+"/wait?id=2", nil)
+	getJSON(t, ts.URL+"/v1/wait?id=1", nil)
+	getJSON(t, ts.URL+"/v1/wait?id=2", nil)
 
 	var stats struct {
 		Engine struct {
@@ -168,7 +173,7 @@ func TestStatsReportsReplicas(t *testing.T) {
 			Batches    int    `json:"batches"`
 		} `json:"replicas"`
 	}
-	if resp := getJSON(t, ts.URL+"/stats", &stats); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, ts.URL+"/v1/stats", &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
 	if stats.Engine.Launches != 2 || stats.Engine.ActiveReplicas != 2 {
@@ -201,7 +206,7 @@ type errBody struct {
 func TestErrorPaths(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	resp, err := http.Post(ts.URL+"/v1/launch?program=no_such_program", "application/json", nil)
+	resp, err := postLaunch(ts, "no_such_program", "")
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -220,45 +225,73 @@ func TestErrorPaths(t *testing.T) {
 	if resp := getJSON(t, ts.URL+"/v1/wait?id=notanumber", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wait bad id: status %d, want 400", resp.StatusCode)
 	}
+	for _, path := range []string{"/v1/send?id=99", "/v1/stream?id=99", "/v1/close?id=99"} {
+		if resp := getJSON(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
 	if resp := getJSON(t, ts.URL+"/v1/programs", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("programs: status %d", resp.StatusCode)
 	}
 }
 
-// TestLegacyAliasDeprecated: the unversioned paths keep working, answer
-// identically to /v1/, and carry the Deprecation header.
-func TestLegacyAliasDeprecated(t *testing.T) {
+// TestOneWireSurface: /v1/ with a JSON launch spec is the only way in. The
+// unversioned paths are gone (404), and the old ?program= query form is
+// not a launch spec: its body lacks a program and fails typed.
+func TestOneWireSurface(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	resp, err := http.Post(ts.URL+"/launch?program=text_completion", "application/json",
+	for _, path := range []string{"/launch", "/send", "/recv", "/wait", "/close", "/abort", "/stream", "/stats", "/programs", "/fleet"} {
+		if resp := getJSON(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if resp := getJSON(t, ts.URL+"/v1/stats", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d, want 200", resp.StatusCode)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
 		strings.NewReader(`{"prompt":"Hi","max_tokens":2}`))
 	if err != nil {
-		t.Fatalf("legacy launch: %v", err)
+		t.Fatalf("launch: %v", err)
 	}
-	var launched struct {
-		ID int `json:"id"`
-	}
+	var eb errBody
 	blob, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy launch: status %d: %s", resp.StatusCode, blob)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("?program= launch: status %d, want 400 (%s)", resp.StatusCode, blob)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy alias missing Deprecation header")
+	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != "invalid_argument" {
+		t.Fatalf("?program= launch: error body %s, want invalid_argument", blob)
 	}
-	if !strings.Contains(resp.Header.Get("Link"), "/v1/launch") {
-		t.Fatalf("legacy alias Link header %q lacks successor", resp.Header.Get("Link"))
+}
+
+// TestToolCallingAgent: the server installs the tool services the agent
+// programs call; a one-step ReACT agent reaches search.api from inside the
+// inferlet and the call shows up in the engine stats.
+func TestToolCallingAgent(t *testing.T) {
+	_, ts := startTestServer(t, pie.Config{Seed: 7})
+
+	resp, err := postLaunch(ts, "agent_react", `{"steps":1,"think_tokens":2,"obs_tokens":4,"final_tokens":2}`)
+	if err != nil {
+		t.Fatalf("launch: %v", err)
 	}
-	if err := json.Unmarshal(blob, &launched); err != nil || launched.ID != 1 {
-		t.Fatalf("legacy launch body %s", blob)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	var waited struct {
+		Error string `json:"error"`
 	}
-	// Legacy error paths share the structured bodies.
-	resp = getJSON(t, ts.URL+"/recv?id=99", nil)
-	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Deprecation") != "true" {
-		t.Fatalf("legacy recv unknown id: status %d, deprecation %q",
-			resp.StatusCode, resp.Header.Get("Deprecation"))
+	getJSON(t, ts.URL+"/v1/wait?id=1", &waited)
+	if waited.Error != "" {
+		t.Fatalf("wait: inferlet error %q", waited.Error)
 	}
-	getJSON(t, ts.URL+"/wait?id=1", nil)
+	var stats struct {
+		Engine struct{ ToolCalls int } `json:"engine"`
+	}
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	if stats.Engine.ToolCalls != 1 {
+		t.Fatalf("engine tool calls = %d, want 1", stats.Engine.ToolCalls)
+	}
 }
 
 // TestRecvAfterFinishGone covers the message path on a finished inferlet:
@@ -267,8 +300,7 @@ func TestLegacyAliasDeprecated(t *testing.T) {
 func TestRecvAfterFinishGone(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hi","max_tokens":2}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":2}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -301,8 +333,7 @@ func TestRunTableEviction(t *testing.T) {
 	s, ts := startTestServer(t, pie.Config{Seed: 7})
 
 	for i := 0; i < 3; i++ {
-		resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-			strings.NewReader(`{"prompt":"Hi","max_tokens":2}`))
+		resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":2}`)
 		if err != nil {
 			t.Fatalf("launch %d: %v", i, err)
 		}
@@ -344,8 +375,7 @@ func TestRunTableEviction(t *testing.T) {
 func TestSSEStream(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hello, ","max_tokens":4,"first_token_ack":true}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hello, ","max_tokens":4,"first_token_ack":true}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -429,8 +459,8 @@ func TestProgramsManifestListing(t *testing.T) {
 	}
 }
 
-// TestLaunchSpecBody: /v1/launch without ?program= takes a JSON launch
-// spec (program reference, args, client tag), resolving name@version.
+// TestLaunchSpecBody: /v1/launch takes a JSON launch spec (program
+// reference, args, client tag), resolving name@version.
 func TestLaunchSpecBody(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
@@ -494,8 +524,7 @@ func TestAbortEndpoint(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
 	// A long generation so the abort lands mid-run.
-	resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hello, ","max_tokens":512}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hello, ","max_tokens":512}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -531,17 +560,20 @@ func TestAbortEndpoint(t *testing.T) {
 	}
 
 	// Aborting a finished run is a structured conflict.
-	resp, err = http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hi","max_tokens":2}`))
+	resp, err = postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":2}`)
 	if err != nil {
 		t.Fatalf("launch 2: %v", err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	var msg struct {
-		Message string `json:"message"`
+	// The stream ends only once the run is done; waiting for the text
+	// message alone would race the inferlet's last steps against the abort.
+	sresp, err := http.Get(ts.URL + "/v1/stream?id=2")
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
-	getJSON(t, ts.URL+"/v1/recv?id=2", &msg) // generation done once the text arrives
+	io.Copy(io.Discard, sresp.Body)
+	sresp.Body.Close()
 	var eb errBody
 	resp = getJSON(t, ts.URL+"/v1/abort?id=2", nil)
 	blob, _ := io.ReadAll(resp.Body)
@@ -561,9 +593,9 @@ func TestAbortEndpoint(t *testing.T) {
 }
 
 // waitReplicasLost polls /v1/stats until the health monitor has declared
-// at least n replicas dead. The external-mode clock free-runs between
-// requests, so scheduled faults and their detection complete within a few
-// wall milliseconds; the poll only absorbs scheduler jitter.
+// at least n replicas dead. An idle external-mode clock runs its daemons at
+// wall-clock pace, so scheduled faults and their detection complete within
+// a few health intervals of wall time.
 func waitReplicasLost(t *testing.T, ts *httptest.Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -652,8 +684,7 @@ func TestWaitReportsReplicaLost(t *testing.T) {
 		Faults: plan,
 	})
 
-	resp, err := http.Post(ts.URL+"/v1/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hi","max_tokens":4}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":4}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -703,22 +734,22 @@ func TestErrCodeClassification(t *testing.T) {
 
 // TestServiceClassLaunchAndStats drives the SLO surface end to end over
 // HTTP: a classed launch admits and samples into the class tracker, an
-// unknown class fails typed at the API boundary, and /stats reports the
+// unknown class fails typed at the API boundary, and /v1/stats reports the
 // per-class attainment block plus per-replica variant/cost columns.
 func TestServiceClassLaunchAndStats(t *testing.T) {
-	classes, err := pie.ParseServiceClasses("interactive:ttft=250ms,itl=50ms,prio=10;batch:degradable")
-	if err != nil {
-		t.Fatal(err)
+	classes := []pie.ServiceClass{
+		{Name: "interactive", TTFTTarget: 250 * time.Millisecond, ITLTarget: 50 * time.Millisecond, Priority: 10},
+		{Name: "batch", Degradable: true},
 	}
-	variants, err := pie.ParseReplicaVariants("l4:cost=1,count=1;l4e:cost=0.5,slow=1.2")
-	if err != nil {
-		t.Fatal(err)
+	variants := []pie.ReplicaVariant{
+		{Name: "l4", CostRate: 1, Count: 1},
+		{Name: "l4e", CostRate: 0.5, Slowdown: 1.2},
 	}
 	_, ts := startTestServer(t, pie.Config{Seed: 7, Replicas: 2, Classes: classes, Variants: variants})
 
 	launch := func(body string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/launch", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/launch", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,7 +768,7 @@ func TestServiceClassLaunchAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &launched); err != nil {
 		t.Fatal(err)
 	}
-	if resp := getJSON(t, fmt.Sprintf("%s/wait?id=%d", ts.URL, launched.ID), nil); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, fmt.Sprintf("%s/v1/wait?id=%d", ts.URL, launched.ID), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("wait: status %d", resp.StatusCode)
 	}
 
@@ -761,7 +792,7 @@ func TestServiceClassLaunchAndStats(t *testing.T) {
 			CostRate float64 `json:"cost_rate"`
 		} `json:"replicas"`
 	}
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if len(st.Engine.Classes) != 2 || st.Engine.Classes[0].Class != "batch" || st.Engine.Classes[1].Class != "interactive" {
 		t.Fatalf("class stats = %+v, want sorted [batch interactive]", st.Engine.Classes)
 	}
@@ -775,26 +806,22 @@ func TestServiceClassLaunchAndStats(t *testing.T) {
 }
 
 // TestDisaggregatedStatsReportRoles serves a prefill/decode pool and
-// checks the /stats wire form: every replica row names its role, and the
+// checks the /v1/stats wire form: every replica row names its role, and the
 // handoff traffic a session generates shows up as handoffs_out on the
 // prefill replica and handoffs_in on a decode one.
 func TestDisaggregatedStatsReportRoles(t *testing.T) {
-	roles, err := pie.ParseRoles("prefill:count=1;decode")
-	if err != nil {
-		t.Fatal(err)
-	}
+	roles := []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}}
 	_, ts := startTestServer(t, pie.Config{
 		Seed: 7, Replicas: 3, Placement: pie.PlaceLeastLoaded, Roles: roles,
 	})
 
-	resp, err := http.Post(ts.URL+"/launch?program=text_completion", "application/json",
-		strings.NewReader(`{"prompt":"Hi","max_tokens":12}`))
+	resp, err := postLaunch(ts, "text_completion", `{"prompt":"Hi","max_tokens":12}`)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	getJSON(t, ts.URL+"/wait?id=1", nil)
+	getJSON(t, ts.URL+"/v1/wait?id=1", nil)
 
 	var st struct {
 		Engine struct {
@@ -808,7 +835,7 @@ func TestDisaggregatedStatsReportRoles(t *testing.T) {
 			HandoffsOut int    `json:"handoffs_out"`
 		} `json:"replicas"`
 	}
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if len(st.Replicas) != 3 {
 		t.Fatalf("stats: %d replica entries, want 3", len(st.Replicas))
 	}
@@ -826,8 +853,10 @@ func TestDisaggregatedStatsReportRoles(t *testing.T) {
 	}
 }
 
-// TestBuildConfig drives the CLI wiring main uses: defaults, the fault-
-// tolerance knobs, and rejection of malformed flag values.
+// TestBuildConfig covers the boot without -config: one plain replica at
+// the default seed, nothing armed, and malformed flag values rejected.
+// (TestBuildConfigManifest covers each remaining flag with and without a
+// manifest.)
 func TestBuildConfig(t *testing.T) {
 	fs := func() *flag.FlagSet { return flag.NewFlagSet("test", flag.ContinueOnError) }
 
@@ -836,91 +865,14 @@ func TestBuildConfig(t *testing.T) {
 		t.Fatalf("defaults: addr=%q err=%v", opts.Addr, err)
 	}
 	cfg := opts.Cfg
-	if cfg.Seed != 42 || cfg.Replicas != 1 || cfg.Health.Enabled || cfg.Shed.Enabled ||
+	if cfg.Seed != defaultSeed || cfg.Replicas != 1 || cfg.Fleet != nil || cfg.Health.Enabled || cfg.Shed.Enabled ||
 		!cfg.Faults.Empty() || cfg.DefaultRetry.Enabled() {
-		t.Fatalf("default config armed fault machinery: %+v", cfg)
+		t.Fatalf("default config is not one plain replica at seed %d: %+v", defaultSeed, cfg)
 	}
-
-	opts, err = buildConfig(fs(), []string{
-		"-addr", ":0", "-seed", "7", "-replicas", "8",
-		"-autoscale-max", "12", "-autoscale-min", "2",
-		"-health-interval", "5ms", "-hang-timeout", "80ms",
-		"-shed-watermark", "0.85", "-shed-queue", "6.5",
-		"-fault-plan", "crash:1@200ms,slow:2@100ms*3", "-fault-rate", "0.01",
-		"-retry-attempts", "4", "-retry-budget", "250ms",
-	})
-	if err != nil {
-		t.Fatal(err)
+	if opts, err = buildConfig(fs(), []string{"-addr", ":0"}); err != nil || opts.Addr != ":0" {
+		t.Fatalf("-addr: %q, %v", opts.Addr, err)
 	}
-	cfg = opts.Cfg
-	if !cfg.Health.Enabled || cfg.Health.Interval != 5*time.Millisecond || cfg.Health.HangTimeout != 80*time.Millisecond {
-		t.Fatalf("health wiring: %+v", cfg.Health)
-	}
-	if !cfg.Shed.Enabled || cfg.Shed.KVWatermark != 0.85 || cfg.Shed.QueueDepth != 6.5 {
-		t.Fatalf("shed wiring: %+v", cfg.Shed)
-	}
-	if len(cfg.Faults.Events) != 2 || cfg.Faults.CallFailRate != 0.01 || cfg.Faults.Seed != 7 {
-		t.Fatalf("fault wiring (seed should default to -seed): %+v", cfg.Faults)
-	}
-	if cfg.DefaultRetry.MaxAttempts != 4 || cfg.DefaultRetry.Budget != 250*time.Millisecond {
-		t.Fatalf("retry wiring: %+v", cfg.DefaultRetry)
-	}
-	if !cfg.Autoscale.Enabled || cfg.Autoscale.Min != 2 || cfg.Autoscale.Max != 12 {
-		t.Fatalf("autoscale wiring: %+v", cfg.Autoscale)
-	}
-
-	// An explicit fault seed overrides the engine seed.
-	opts, err = buildConfig(fs(), []string{"-fault-rate", "0.5", "-fault-seed", "99"})
-	cfg = opts.Cfg
-	if err != nil || cfg.Faults.Seed != 99 {
-		t.Fatalf("fault-seed override: %+v, %v", cfg.Faults, err)
-	}
-
-	// SLO surface: classes, heterogeneous variants, and the scaler.
-	opts, err = buildConfig(fs(), []string{
-		"-classes", "interactive:ttft=250ms,prio=10;batch:degradable",
-		"-variants", "l4:cost=1,count=2;l4e:cost=0.6,slow=1.4",
-		"-scaler-max", "6", "-scaler-min", "2", "-scale-to-zero",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = opts.Cfg
-	if len(cfg.Classes) != 2 || cfg.Classes[0].TTFTTarget != 250*time.Millisecond || !cfg.Classes[1].Degradable {
-		t.Fatalf("class wiring: %+v", cfg.Classes)
-	}
-	if len(cfg.Variants) != 2 || cfg.Variants[1].CostRate != 0.6 || cfg.Variants[1].Slowdown != 1.4 {
-		t.Fatalf("variant wiring: %+v", cfg.Variants)
-	}
-	if !cfg.Scaler.Enabled || cfg.Scaler.Min != 2 || cfg.Scaler.Max != 6 || !cfg.Scaler.ScaleToZero {
-		t.Fatalf("scaler wiring: %+v", cfg.Scaler)
-	}
-
-	// Disaggregation surface: the roles spec piggybacks the -variants
-	// syntax, and the transfer budget rides along with it.
-	opts, err = buildConfig(fs(), []string{
-		"-replicas", "4", "-roles", "prefill:count=1;decode", "-handoff-budget", "3",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = opts.Cfg
-	if len(cfg.Roles) != 2 || cfg.Roles[0].Role != pie.RolePrefill || cfg.Roles[0].Count != 1 ||
-		cfg.Roles[1].Role != pie.RoleDecode || cfg.HandoffBudget != 3 {
-		t.Fatalf("roles wiring: %+v budget=%d", cfg.Roles, cfg.HandoffBudget)
-	}
-
-	for _, bad := range [][]string{
-		{"-placement", "bogus"},
-		{"-kv-evict", "bogus"},
-		{"-fault-plan", "explode:1@5ms"},
-		{"-classes", "interactive:ttft=soon"},
-		{"-variants", "l4:price=1"},
-		{"-roles", "frontend"},
-		{"-roles", "prefill:shards=2"},
-	} {
-		if _, err := buildConfig(fs(), bad); err == nil {
-			t.Errorf("buildConfig(%v) accepted malformed flags", bad)
-		}
+	if _, err := buildConfig(fs(), []string{"-fault-plan", "explode:1@5ms"}); err == nil {
+		t.Error("malformed -fault-plan accepted")
 	}
 }

@@ -136,17 +136,3 @@ func TestFleetSurfaceOnPlainEngine(t *testing.T) {
 		t.Fatalf("ApplyFleet = %v, want ErrNotFleetManaged", err)
 	}
 }
-
-// TestParseRoles covers the re-exported role-spec parser.
-func TestParseRoles(t *testing.T) {
-	roles, err := pie.ParseRoles("prefill:count=2;decode")
-	if err != nil || len(roles) != 2 {
-		t.Fatalf("ParseRoles = %v, %v", roles, err)
-	}
-	if roles[0].Role != pie.RolePrefill || roles[0].Count != 2 || roles[1].Role != pie.RoleDecode {
-		t.Fatalf("ParseRoles = %+v", roles)
-	}
-	if _, err := pie.ParseRoles("warmer:count=1"); err == nil {
-		t.Fatal("unknown role accepted")
-	}
-}

@@ -307,22 +307,6 @@ func TestScalerGrowsStarvedRoleTier(t *testing.T) {
 	}
 }
 
-func TestParseRoles(t *testing.T) {
-	got, err := cluster.ParseRoles("prefill:count=2;decode")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []cluster.RoleSpec{{Role: cluster.RolePrefill, Count: 2}, {Role: cluster.RoleDecode}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("ParseRoles = %+v, want %+v", got, want)
-	}
-	for _, bad := range []string{"", "frontend", "prefill:shards=2"} {
-		if _, err := cluster.ParseRoles(bad); err == nil {
-			t.Fatalf("ParseRoles(%q) succeeded", bad)
-		}
-	}
-}
-
 func TestExpandRoles(t *testing.T) {
 	got := cluster.ExpandRoles([]cluster.RoleSpec{
 		{Role: cluster.RolePrefill, Count: 2}, {Role: cluster.RoleDecode},

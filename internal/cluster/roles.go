@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -90,49 +89,4 @@ func ExpandRoles(roles []RoleSpec, total int) []Role {
 		out = append(out, roles[len(roles)-1].Role)
 	}
 	return out
-}
-
-// ParseRoles parses a compact role-pool spec (CLI flags), piggybacking on
-// the -variants syntax: semicolon-separated roles, each
-// "role:key=value,...", e.g.
-//
-//	prefill:count=2;decode:count=6
-//
-// Keys: count (int replicas; the last role may omit it to cover the
-// remainder).
-func ParseRoles(spec string) ([]RoleSpec, error) {
-	var out []RoleSpec
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, _ := strings.Cut(part, ":")
-		role, err := ParseRole(name)
-		if err != nil {
-			return nil, err
-		}
-		rs := RoleSpec{Role: role}
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, _ := strings.Cut(kv, "=")
-			switch strings.TrimSpace(key) {
-			case "count":
-				rs.Count, err = strconv.Atoi(val)
-			default:
-				err = fmt.Errorf("unknown key %q", key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: role %q: %v", role, err)
-			}
-		}
-		out = append(out, rs)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: empty role spec %q", spec)
-	}
-	return out, nil
 }

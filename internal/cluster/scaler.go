@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -472,55 +470,6 @@ func ExpandVariants(variants []ReplicaVariant, total int) []ReplicaVariant {
 		out = append(out, variants[len(variants)-1].withDefaults())
 	}
 	return out
-}
-
-// ParseReplicaVariants parses a compact heterogeneous-pool spec (CLI
-// flags): semicolon-separated variants, each "name:key=value,...", e.g.
-//
-//	l4:cost=1,count=4;l4e:cost=0.6,slow=1.4
-//
-// Keys: cost (float units/sec), slow (float kernel multiplier), count
-// (int replicas; the last variant may omit it to cover the remainder).
-func ParseReplicaVariants(spec string) ([]ReplicaVariant, error) {
-	var out []ReplicaVariant
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, _ := strings.Cut(part, ":")
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("cluster: replica variant with empty name in %q", part)
-		}
-		v := ReplicaVariant{Name: name}
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, _ := strings.Cut(kv, "=")
-			var err error
-			switch strings.TrimSpace(key) {
-			case "cost":
-				v.CostRate, err = strconv.ParseFloat(val, 64)
-			case "slow", "slowdown":
-				v.Slowdown, err = strconv.ParseFloat(val, 64)
-			case "count":
-				v.Count, err = strconv.Atoi(val)
-			default:
-				err = fmt.Errorf("unknown key %q", key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: replica variant %q: %v", name, err)
-			}
-		}
-		out = append(out, v.withDefaults())
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: empty replica-variant spec %q", spec)
-	}
-	return out, nil
 }
 
 // --- Cost accounting and the decision log -------------------------------

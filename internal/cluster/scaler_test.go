@@ -313,46 +313,3 @@ func TestExpandVariants(t *testing.T) {
 		t.Fatalf("oversized count = %+v", out)
 	}
 }
-
-func TestParseReplicaVariants(t *testing.T) {
-	vs, err := ParseReplicaVariants("l4:cost=1,count=4;l4e:cost=0.6,slow=1.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []ReplicaVariant{
-		{Name: "l4", CostRate: 1, Slowdown: 1, Count: 4},
-		{Name: "l4e", CostRate: 0.6, Slowdown: 1.4},
-	}
-	if len(vs) != 2 || vs[0] != want[0] || vs[1] != want[1] {
-		t.Fatalf("parsed %+v, want %+v", vs, want)
-	}
-	for _, bad := range []string{"", "  ", ":cost=1", "l4:price=1", "l4:cost=abc", "l4:count=x"} {
-		if _, err := ParseReplicaVariants(bad); err == nil {
-			t.Errorf("ParseReplicaVariants(%q) succeeded, want error", bad)
-		}
-	}
-}
-
-func TestParseServiceClasses(t *testing.T) {
-	cs, err := ParseServiceClasses("interactive:ttft=250ms,itl=50ms,prio=10;batch:tps=40,degradable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []api.ServiceClass{
-		{Name: "interactive", TTFTTarget: 250 * time.Millisecond, ITLTarget: 50 * time.Millisecond, Priority: 10},
-		{Name: "batch", MinTokensPerSec: 40, Degradable: true},
-	}
-	if len(cs) != 2 || cs[0] != want[0] || cs[1] != want[1] {
-		t.Fatalf("parsed %+v, want %+v", cs, want)
-	}
-	// degradable accepts an explicit boolean.
-	cs, err = ParseServiceClasses("b:degradable=false")
-	if err != nil || cs[0].Degradable {
-		t.Fatalf("degradable=false parsed as %+v (%v)", cs, err)
-	}
-	for _, bad := range []string{"", ":ttft=1ms", "a:ttft=soon", "a:prio=x", "a:bogus=1", "a:ttft=1ms;a:itl=2ms"} {
-		if _, err := ParseServiceClasses(bad); err == nil {
-			t.Errorf("ParseServiceClasses(%q) succeeded, want error", bad)
-		}
-	}
-}

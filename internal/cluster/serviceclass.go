@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"pie/api"
@@ -326,65 +323,4 @@ func (c *Cluster) ClassStats() []ClassStat {
 		out = append(out, s)
 	}
 	return out
-}
-
-// ParseServiceClasses parses a compact class-registry spec (CLI flags):
-// semicolon-separated classes, each "name:key=value,...", e.g.
-//
-//	interactive:ttft=250ms,itl=50ms,prio=10;batch:tps=40,prio=0,degradable
-//
-// Keys: ttft/itl (durations), tps (float), prio (int), degradable (flag or
-// bool).
-func ParseServiceClasses(spec string) ([]api.ServiceClass, error) {
-	var out []api.ServiceClass
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, _ := strings.Cut(part, ":")
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("cluster: service class with empty name in %q", part)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("cluster: duplicate service class %q", name)
-		}
-		seen[name] = true
-		cl := api.ServiceClass{Name: name}
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			key, val, hasVal := strings.Cut(kv, "=")
-			var err error
-			switch strings.TrimSpace(key) {
-			case "ttft":
-				cl.TTFTTarget, err = time.ParseDuration(val)
-			case "itl":
-				cl.ITLTarget, err = time.ParseDuration(val)
-			case "tps":
-				cl.MinTokensPerSec, err = strconv.ParseFloat(val, 64)
-			case "prio", "priority":
-				cl.Priority, err = strconv.Atoi(val)
-			case "degradable":
-				cl.Degradable = true
-				if hasVal {
-					cl.Degradable, err = strconv.ParseBool(val)
-				}
-			default:
-				err = fmt.Errorf("unknown key %q", key)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("cluster: service class %q: %v", name, err)
-			}
-		}
-		out = append(out, cl)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: empty service-class spec %q", spec)
-	}
-	return out, nil
 }

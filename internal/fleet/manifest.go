@@ -9,8 +9,8 @@
 //
 // The manifest is the write path for cluster state: pie-server loads one
 // via -config at startup and hot-reloads it on SIGHUP or POST /v1/fleet.
-// Every field the controller acts on is declared intent; flags explicitly
-// set on the command line override manifest values, defaults do not.
+// Every field the controller acts on is declared intent, and pie-server
+// has no flag that says the same thing a second way.
 package fleet
 
 import (
@@ -90,7 +90,8 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 type Manifest struct {
 	// Schema is the document schema version; must be CurrentSchema.
 	Schema int `json:"schema"`
-	// Seed drives every random stream; 0 takes the server default.
+	// Seed drives every random stream; 0 (or absent) takes the server
+	// default, the same seed pie-server boots at without -config.
 	Seed uint64 `json:"seed,omitempty"`
 	// Models restricts validation to catalog ids the deployment relies
 	// on; empty accepts the full standard catalog.

@@ -115,6 +115,13 @@ type Clock struct {
 	shutdown bool
 	running  bool // Run has been entered (guards against nested Run)
 
+	// Idle-server pacing (external mode, only daemons left): the daemon
+	// event at virtual time idleFor may run once the wall clock reaches
+	// idleUntil. A zero idleUntil means no wait is armed. See
+	// idleWaitLocked.
+	idleFor   time.Duration
+	idleUntil time.Time
+
 	// Windowed (sharded) mode: RunWindow drives the clock only up to
 	// horizon, then parks the loop at the barrier instead of finishing.
 	// Cross-shard coordination (ShardGroup) injects messages between
@@ -268,6 +275,15 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 			// here and hand control back to the barrier.
 			break
 		}
+		if c.external && c.live == 0 {
+			if c.shutdown {
+				break // only daemons remain: nothing left to shut down for
+			}
+			if !c.idleWaitLocked(c.heap.min().t) {
+				c.current = nil
+				return nil, false
+			}
+		}
 		ev := c.heap.pop()
 		if ev.t > c.now {
 			c.now = ev.t
@@ -302,6 +318,47 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 	}
 	c.finishClockLocked()
 	return nil, false
+}
+
+// idleWaitLocked keeps an idle server from free-running its periodic
+// daemons (health checks, reconcile ticks): with no live process there is
+// nobody to serve by racing ahead, and a daemon that sleeps in a loop would
+// otherwise spin a core. It reports whether the next daemon event, due at
+// virtual time t, may run now. The first call for an event arms a wall
+// timer as long as its virtual distance and answers no; the timer's kick
+// (or any later dispatch attempt past the deadline) answers yes. The wait
+// belongs to the event, not to the idle spell: requests that come and go
+// meanwhile run at once (Inject makes the clock live) and do not push the
+// deadline back, so frequent polling cannot starve the daemons.
+func (c *Clock) idleWaitLocked(t time.Duration) bool {
+	if t <= c.now {
+		return true
+	}
+	if c.idleUntil.IsZero() || c.idleFor != t {
+		c.idleFor = t
+		c.idleUntil = time.Now().Add(t - c.now)
+		time.AfterFunc(t-c.now, c.kick)
+		return false
+	}
+	if time.Now().Before(c.idleUntil) {
+		return false
+	}
+	c.idleUntil = time.Time{}
+	return true
+}
+
+// kick dispatches the next event if the scheduler is idle.
+func (c *Clock) kick() {
+	c.mu.Lock()
+	var next *Proc
+	var killed bool
+	if c.current == nil && !c.finished && !c.windowed {
+		next, killed = c.dispatchNextLocked()
+	}
+	c.mu.Unlock()
+	if next != nil {
+		next.wake <- killed
+	}
 }
 
 // finishClockLocked marks the simulation over and publishes its event count
@@ -496,25 +553,17 @@ func (c *Clock) Inject(name string, fn func()) *Proc {
 	}()
 
 	if idle {
-		c.mu.Lock()
-		var next *Proc
-		var killed bool
-		if c.current == nil && !c.finished {
-			next, killed = c.dispatchNextLocked()
-		}
-		c.mu.Unlock()
-		if next != nil {
-			next.wake <- killed
-		}
+		c.kick()
 	}
 	return p
 }
 
-// Shutdown ends an external-mode simulation once it next goes idle.
+// Shutdown ends an external-mode simulation once it next goes idle: no
+// process running and nothing pending but daemon wakes.
 func (c *Clock) Shutdown() {
 	c.mu.Lock()
 	c.shutdown = true
-	if c.current == nil && c.heap.live() == 0 && !c.finished {
+	if c.current == nil && (c.heap.live() == 0 || c.live == 0) && !c.finished {
 		c.finishClockLocked()
 	}
 	c.mu.Unlock()
@@ -558,9 +607,10 @@ func (c *Clock) Sleep(d time.Duration) {
 // replaces the heap minimum in one sift instead of a push followed by a
 // pop.
 func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) (next *Proc, killed bool) {
-	if c.finished || (c.live == 0 && !c.external && !c.windowed) {
-		// Clock teardown (only daemons remain): take the generic path,
-		// which finishes the simulation and abandons p in place.
+	if c.finished || (c.live == 0 && !c.windowed) {
+		// Only daemons remain: take the generic path, which finishes the
+		// simulation and abandons p in place — or, in external mode, paces
+		// p's wake to the wall clock (idleWaitLocked).
 		c.pushLocked(t, p)
 		return c.dispatchNextLocked()
 	}

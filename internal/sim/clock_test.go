@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -459,5 +460,92 @@ func TestExternalModeInjectAfterIdle(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after Shutdown")
+	}
+}
+
+// startExternalTicker runs an external-mode clock whose only process is a
+// daemon sleeping tick in a loop, like pie-server's health monitor or fleet
+// reconciler. Cleanup shuts the clock down and waits for Run to return.
+func startExternalTicker(t *testing.T, tick time.Duration) (*Clock, *atomic.Int64) {
+	t.Helper()
+	c := NewClock()
+	c.EnableExternal()
+	ticks := new(atomic.Int64)
+	c.GoDaemon("ticker", func() {
+		for {
+			c.Sleep(tick)
+			ticks.Add(1)
+		}
+	})
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run() }()
+	t.Cleanup(func() {
+		c.Shutdown()
+		select {
+		case err := <-runDone:
+			if err != nil {
+				t.Errorf("Run: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("Run did not return after Shutdown")
+		}
+	})
+	return c, ticks
+}
+
+// TestExternalModeIdleDaemonsPaceToWallClock: an idle server must not
+// free-run its periodic daemons. A 10ms ticker over 200ms of wall time is
+// about 20 events; unpaced it was millions (and a spinning core).
+func TestExternalModeIdleDaemonsPaceToWallClock(t *testing.T) {
+	c, _ := startExternalTicker(t, 10*time.Millisecond)
+	time.Sleep(200 * time.Millisecond)
+	if _, _, _, events := c.Stats(); events > 50 {
+		t.Fatalf("idle clock ran %d events in 200ms of wall time, want <= 50", events)
+	}
+	if now := c.Now(); now > 500*time.Millisecond {
+		t.Fatalf("idle clock advanced to %v of virtual time in 200ms of wall time", now)
+	}
+}
+
+// TestExternalModeInjectDuringIdleWait: the idle wait is for daemons only.
+// With the next daemon wake an hour away, injected work still runs at
+// once, and free-runs past daemon wakes while it is live.
+func TestExternalModeInjectDuringIdleWait(t *testing.T) {
+	c, _ := startExternalTicker(t, time.Hour)
+	// Let the ticker reach its first sleep, so the idle wait is armed.
+	for i := 0; i < 5000; i++ {
+		if _, _, _, events := c.Stats(); events >= 1 && c.Current() == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan time.Duration, 1)
+	c.Inject("work", func() {
+		c.Sleep(90 * time.Minute) // crosses the ticker's wake
+		done <- c.Now()
+	})
+	select {
+	case now := <-done:
+		if now != 90*time.Minute {
+			t.Fatalf("injected work finished at %v, want 1h30m", now)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("injected work waited on the idle daemon timer")
+	}
+}
+
+// TestExternalModePollingDoesNotStarveDaemons: requests that arrive more
+// often than a daemon ticks (a client polling /v1/fleet for convergence)
+// must not keep pushing the daemon's wake back.
+func TestExternalModePollingDoesNotStarveDaemons(t *testing.T) {
+	c, ticks := startExternalTicker(t, 10*time.Millisecond)
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
+		done := make(chan struct{})
+		c.Inject("poll", func() { close(done) })
+		<-done
+		time.Sleep(time.Millisecond)
+	}
+	if n := ticks.Load(); n < 5 || n > 50 {
+		t.Fatalf("ticker ran %d times under 200ms of 1ms polling, want about 20", n)
 	}
 }

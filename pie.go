@@ -165,24 +165,6 @@ const (
 	RoleDecode  = cluster.RoleDecode
 )
 
-// ParseRoles parses a compact role-pool spec, e.g.
-// "prefill:count=2;decode" (CLI flags); it piggybacks on the -variants
-// syntax.
-func ParseRoles(spec string) ([]RoleSpec, error) { return cluster.ParseRoles(spec) }
-
-// ParseServiceClasses parses a compact class-registry spec, e.g.
-// "interactive:ttft=250ms,itl=50ms,prio=10;batch:tps=40,degradable"
-// (CLI flags).
-func ParseServiceClasses(spec string) ([]ServiceClass, error) {
-	return cluster.ParseServiceClasses(spec)
-}
-
-// ParseReplicaVariants parses a compact heterogeneous-pool spec, e.g.
-// "l4:cost=1,count=4;l4e:cost=0.6,slow=1.4" (CLI flags).
-func ParseReplicaVariants(spec string) ([]ReplicaVariant, error) {
-	return cluster.ParseReplicaVariants(spec)
-}
-
 // Fault-tolerance configuration (internal/cluster, internal/ilm): replica
 // health checking, saturation load shedding, deterministic fault
 // injection, and launch retry policies.
@@ -346,7 +328,7 @@ type Config struct {
 // service classes, the SLO scaler, and KV policy, with Fleet set so New
 // starts the reconciling controller. Caller-side fields the manifest does
 // not speak to (Mode, ClientRTT, retry policy, ...) keep their zero
-// values — set them after, or let explicit server flags override.
+// values — set them after, as pie-server does from its flags.
 func ConfigFromManifest(m *fleet.Manifest) (Config, error) {
 	if err := m.Validate(); err != nil {
 		return Config{}, err
@@ -636,8 +618,7 @@ func (h *Handle) Degraded() bool { return h.h.Degraded() }
 // Launch starts an inferlet described by a LaunchSpec over the client
 // link (one half RTT out; the full acknowledgement round trip is visible
 // through Wait/Recv). Must be called from a sim process. The common case
-// reads e.Launch(pie.Spec("name", args...)); legacy call sites keep the
-// old positional signature through inferlet/compat.Launch.
+// reads e.Launch(pie.Spec("name", args...)).
 func (e *Engine) Launch(spec LaunchSpec) (*Handle, error) {
 	e.clock.Sleep(e.cfg.ClientRTT / 2)
 	h, err := e.ilm.Launch(spec)

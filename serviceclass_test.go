@@ -10,17 +10,17 @@ import (
 )
 
 // TestServiceClassSurface exercises the public service-class surface end
-// to end: the compact parsers, classed launches on a heterogeneous pool
-// under the SLO scaler, handle-level class/degradation reporting, and the
-// per-class attainment block in Stats.
+// to end: classed launches on a heterogeneous pool under the SLO scaler,
+// handle-level class/degradation reporting, and the per-class attainment
+// block in Stats.
 func TestServiceClassSurface(t *testing.T) {
-	classes, err := pie.ParseServiceClasses("interactive:ttft=150ms,itl=60ms,prio=10;batch:tps=40,degradable")
-	if err != nil {
-		t.Fatal(err)
+	classes := []pie.ServiceClass{
+		{Name: "interactive", TTFTTarget: 150 * time.Millisecond, ITLTarget: 60 * time.Millisecond, Priority: 10},
+		{Name: "batch", MinTokensPerSec: 40, Degradable: true},
 	}
-	variants, err := pie.ParseReplicaVariants("ref:cost=1,count=1;eco:cost=0.6,slow=1.3")
-	if err != nil {
-		t.Fatal(err)
+	variants := []pie.ReplicaVariant{
+		{Name: "ref", CostRate: 1, Count: 1},
+		{Name: "eco", CostRate: 0.6, Slowdown: 1.3},
 	}
 	e := pie.New(pie.Config{
 		Mode:     pie.ModeTiming,
@@ -37,7 +37,7 @@ func TestServiceClassSurface(t *testing.T) {
 	e.MustRegister(apps.All()...)
 
 	degraded := 0
-	err = e.RunClient(func() {
+	err := e.RunClient(func() {
 		var hs []*pie.Handle
 		for i := 0; i < 8; i++ {
 			sp := pie.Spec("text_completion", `{"prompt":"class test prompt","max_tokens":12}`)
