@@ -40,6 +40,7 @@ import (
 	"sync"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"pie"
 	"pie/apps"
@@ -204,7 +205,40 @@ func main() {
 		}()
 	}
 	log.Printf("pie-server listening on %s (%v)", opts.Addr, s.engine)
-	log.Fatal(http.ListenAndServe(opts.Addr, s.mux()))
+	log.Fatal(s.httpServer(opts.Addr).ListenAndServe())
+}
+
+// httpServer bounds what an idle or stalling client can hold: the time to
+// send request headers and the life of an idle keep-alive connection.
+// There is no WriteTimeout, which would cut every SSE stream and every
+// /v1/wait on a long run.
+func (s *server) httpServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.mux(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
+// maxBodyBytes caps the launch, send and fleet request bodies.
+const maxBodyBytes = 1 << 20
+
+// readBody reads a request body of at most maxBodyBytes, or answers 413
+// payload_too_large (400 for a body that cannot be read) and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "payload_too_large",
+				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		} else {
+			writeErr(w, http.StatusBadRequest, "invalid_argument", "unreadable body")
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 // reloadFleet re-reads the boot manifest and applies it to the running
@@ -281,7 +315,10 @@ type launchBody struct {
 }
 
 func (s *server) launch(w http.ResponseWriter, r *http.Request) {
-	body, _ := io.ReadAll(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var lb launchBody
 	if err := json.Unmarshal(body, &lb); err != nil {
 		writeErr(w, http.StatusBadRequest, "invalid_argument", "body must be a JSON launch spec")
@@ -394,7 +431,10 @@ func (s *server) send(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, _ := io.ReadAll(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	s.inject("http:send", func() { h.Send(string(body)) })
 	writeJSON(w, map[string]string{"status": "sent"})
 }
@@ -464,39 +504,66 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	// Poll with TryRecv instead of parking a sim process in a blocking
-	// Recv: an abandoned connection must neither leak a goroutine stuck
-	// in inject nor consume a message a live consumer was waiting for.
+	// Drain with TryRecv and sleep on the OnReadable hook instead of
+	// parking a sim process in a blocking Recv: an abandoned connection
+	// must neither leak a goroutine stuck in inject nor consume a message
+	// a live consumer was waiting for. A hook left behind fires into the
+	// buffered channel at the run's next message or end and is gone.
+	wake := make(chan struct{}, 1)
 	for {
-		var msg string
-		var got, finished bool
+		var msgs []string
+		var finished bool
 		s.inject("http:stream", func() {
-			msg, got = h.TryRecv()
-			if !got {
-				// Messages enqueue before the run resolves done, so
-				// done + drained means nothing more will ever arrive.
-				finished = h.Done()
+			for {
+				msg, ok := h.TryRecv()
+				if !ok {
+					break
+				}
+				msgs = append(msgs, msg)
+			}
+			// Messages enqueue before the run resolves done, so done +
+			// drained means nothing more will ever arrive.
+			if finished = h.Done(); !finished {
+				h.OnReadable(func() {
+					select {
+					case wake <- struct{}{}:
+					default:
+					}
+				})
 			}
 		})
-		switch {
-		case got:
-			for _, line := range strings.Split(msg, "\n") {
+		for _, msg := range msgs {
+			for _, line := range strings.Split(jsonUTF8(msg), "\n") {
 				fmt.Fprintf(w, "data: %s\n", line)
 			}
 			fmt.Fprint(w, "\n")
-			fl.Flush()
-		case finished:
+		}
+		if finished {
 			fmt.Fprint(w, "event: end\ndata: closed\n\n")
-			fl.Flush()
+		}
+		fl.Flush()
+		if finished {
 			return
-		default:
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(20 * time.Millisecond):
-			}
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-wake:
 		}
 	}
+}
+
+// jsonUTF8 returns s the way encoding/json carries a string, and so the
+// way /v1/recv delivers the same message: every byte that is not part of a
+// valid UTF-8 sequence becomes one U+FFFD. (The functional model's greedy
+// text is not always UTF-8, and raw invalid bytes are not legal SSE.) The
+// string -> []rune conversion is defined to do exactly that, byte for
+// byte; strings.ToValidUTF8 would collapse a run into one.
+func jsonUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 // stats reports engine totals plus per-replica counters. The snapshot
@@ -594,9 +661,8 @@ func fleetErrStatus(err error) (int, string) {
 func (s *server) fleet(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "invalid_argument", "unreadable body")
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		m, err := fleet.Parse(body)

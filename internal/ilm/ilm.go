@@ -403,6 +403,11 @@ func (h *Handle) Recv() *sim.Future[string] { return h.toUser.RecvFuture() }
 // TryRecv drains one queued message without blocking.
 func (h *Handle) TryRecv() (string, bool) { return h.toUser.TryRecv() }
 
+// OnReadable runs fn once when TryRecv would next succeed or the inferlet
+// has finished and will send no more (sim.Mailbox.OnReadable on the
+// client-bound mailbox): at once if that already holds.
+func (h *Handle) OnReadable(fn func()) { h.toUser.OnReadable(fn) }
+
 // Wait blocks until the inferlet finishes and returns its error result.
 func (h *Handle) Wait() error {
 	err, _ := h.done.Get()

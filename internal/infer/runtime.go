@@ -31,6 +31,10 @@ type ModelRuntime struct {
 	EmbedCapacity int
 	pages         []*model.KvPage    // grown lazily up to PageCapacity
 	embeds        []*model.EmbedSlot // grown lazily up to EmbedCapacity
+
+	// scratch is the tensor kernels' working memory. Calls execute one at
+	// a time on the owning clock's event loop, so one set serves them all.
+	scratch model.Scratch
 }
 
 // NewModelRuntime sizes the physical pools from the GPU memory geometry.
@@ -188,7 +192,7 @@ func (rt *ModelRuntime) execForward(c *Call) error {
 		}
 	}
 	if rt.Mode == ExecFull {
-		if _, err := rt.Model.Forward(c.CtxPages, inputs, c.OutPages, c.Outputs, c.Mask, c.Adapter); err != nil {
+		if _, err := rt.Model.ForwardScratch(&rt.scratch, c.CtxPages, inputs, c.OutPages, c.Outputs, c.Mask, c.Adapter); err != nil {
 			return err
 		}
 	} else {
@@ -259,7 +263,7 @@ func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 	toks := make([]int, len(c.Outputs))
 	for i, slot := range c.Outputs {
 		if rt.Mode == ExecFull {
-			ids, probs, err := rt.Model.NextDist(slot)
+			ids, probs, err := rt.Model.NextDistScratch(&rt.scratch, slot)
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +277,7 @@ func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 
 func (rt *ModelRuntime) execNextDist(c *Call) error {
 	if rt.Mode == ExecFull {
-		toks, probs, err := rt.Model.NextDist(c.DistOf)
+		toks, probs, err := rt.Model.NextDistScratch(&rt.scratch, c.DistOf)
 		if err != nil {
 			return err
 		}

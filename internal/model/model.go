@@ -297,8 +297,7 @@ type kvRef struct {
 	slot int
 }
 
-func gatherContext(pages []*KvPage) []kvRef {
-	var refs []kvRef
+func gatherContext(refs []kvRef, pages []*KvPage) []kvRef {
 	for _, p := range pages {
 		for s, used := range p.Used {
 			if used && !p.Masked[s] {
@@ -309,11 +308,41 @@ func gatherContext(pages []*KvPage) []kvRef {
 	return refs
 }
 
+// Scratch is the working memory of Forward and NextDist, kept between calls
+// so a decode step allocates nothing but its results. The zero value is
+// ready to use. A Scratch serves one call at a time: its owner is a single
+// goroutine (the inference layer's ModelRuntime) or a single call.
+type Scratch struct {
+	refs, dstRefs []kvRef
+	pos           []int     // input positions
+	colPos        []int     // position of every attention column
+	vis           []int32   // visible columns of every input, concatenated
+	visEnd        []int     // input i sees vis[visEnd[i-1]:visEnd[i]]
+	sin, cos      []float32 // RoPE angles, HeadDim/2 per input
+	h, xn, q      []float32 // n x Dim: residual stream, normed input, queries
+	attn, proj    []float32 // n x Dim
+	k, v          []float32 // Layers x n x Dim: the inputs' new KV
+	ff1, ff3      []float32 // n x FFDim
+	kcols, vcols  [][]float32
+	scores        []float32
+	low, delta    []float32 // LoRA: Rank and Dim
+	logits        []float32 // vocabulary
+	keys          []uint64  // 2 x vocabulary: TopK's scratch
+}
+
+// grow returns buf resized to n elements, reallocating only when it is too
+// small. Contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // ForwardResult reports what a forward pass produced.
 type ForwardResult struct {
-	// Outputs holds the final-norm hidden states for the last len(OutputEmb)
-	// input tokens; written into the provided slots by the caller-visible
-	// contract, returned here for inspection.
+	// Outputs holds the final-norm hidden states for the last len(outEmb)
+	// input tokens: the Vec of each output slot, returned for inspection.
 	Outputs [][]float32
 }
 
@@ -329,6 +358,16 @@ type ForwardResult struct {
 //     position.
 //   - adapter: optional LoRA adapter name ("" for none).
 func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) (*ForwardResult, error) {
+	return m.ForwardScratch(new(Scratch), ctx, inputs, outKv, outEmb, mask, adapterName)
+}
+
+// ForwardScratch is Forward working in s instead of fresh memory.
+//
+// Every token's arithmetic is the sequence Forward has always run: the
+// pass is only regrouped so that each weight matrix meets all n tokens at
+// once, each token is normalised once per layer, and the visible-column
+// lists and RoPE angles are worked out once per call.
+func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) (*ForwardResult, error) {
 	n := len(inputs)
 	if n == 0 {
 		return nil, fmt.Errorf("model: Forward with no input embeddings")
@@ -349,7 +388,8 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 		}
 		adapter = a
 	}
-	refs := gatherContext(ctx)
+	s.refs = gatherContext(s.refs[:0], ctx)
+	refs := s.refs
 	nc := len(refs)
 	if mask != nil {
 		if len(mask) != n {
@@ -362,144 +402,129 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 		}
 	}
 	// Reserve output KV slots up front.
-	var dstRefs []kvRef
+	dstRefs := s.dstRefs[:0]
 	if len(outKv) > 0 {
+	reserve:
 		for _, p := range outKv {
-			for s := range p.Used {
-				if !p.Used[s] {
-					dstRefs = append(dstRefs, kvRef{p, s})
+			for slot, used := range p.Used {
+				if !used {
+					dstRefs = append(dstRefs, kvRef{p, slot})
 					if len(dstRefs) == n {
-						break
+						break reserve
 					}
 				}
 			}
-			if len(dstRefs) == n {
-				break
-			}
 		}
+		s.dstRefs = dstRefs
 		if len(dstRefs) < n {
 			return nil, fmt.Errorf("model: output pages have %d free slots for %d tokens", len(dstRefs), n)
 		}
 	}
 
-	d, hd, heads, L := m.cfg.Dim, m.cfg.HeadDim, m.cfg.Heads, m.cfg.Layers
-	h := make([][]float32, n) // residual stream
-	for i := range h {
-		h[i] = tensor.Copy(inputs[i].Vec)
-	}
-	// Per-input per-layer new KV (needed for intra-batch attention).
-	newK := make([][][]float32, n)
-	newV := make([][][]float32, n)
-	for i := range newK {
-		newK[i] = make([][]float32, L)
-		newV[i] = make([][]float32, L)
-	}
+	d, hd, heads, L, ff := m.cfg.Dim, m.cfg.HeadDim, m.cfg.Heads, m.cfg.Layers, m.cfg.FFDim
+	half := hd / 2
 
-	allow := func(i int, col int) bool { // col < nc: context; else input index col-nc
+	// Attention columns are the context entries (in gather order) followed
+	// by the inputs. Resolve what each input may see once.
+	s.pos, s.colPos = grow(s.pos, n), grow(s.colPos, nc+n)
+	for c, r := range refs {
+		s.colPos[c] = r.page.Pos[r.slot]
+	}
+	for i, in := range inputs {
+		s.pos[i], s.colPos[nc+i] = in.Pos, in.Pos
+	}
+	s.vis, s.visEnd = grow(s.vis, n*(nc+n))[:0], grow(s.visEnd, n)
+	for i := range inputs {
 		if mask != nil {
-			return mask[i][col]
+			for c, ok := range mask[i] {
+				if ok {
+					s.vis = append(s.vis, int32(c))
+				}
+			}
+		} else {
+			for c, p := range s.colPos {
+				if p <= s.pos[i] {
+					s.vis = append(s.vis, int32(c))
+				}
+			}
 		}
-		pi := inputs[i].Pos
-		if col < nc {
-			r := refs[col]
-			return r.page.Pos[r.slot] <= pi
-		}
-		return inputs[col-nc].Pos <= pi
+		s.visEnd[i] = len(s.vis)
 	}
+	s.sin, s.cos = grow(s.sin, n*half), grow(s.cos, n*half)
+	tensor.RopeTable(hd, m.cfg.RopeBase, s.pos, s.sin, s.cos)
 
-	xn := make([]float32, d)
-	q := make([]float32, d)
-	scores := make([]float32, nc+n)
-	attnOut := make([]float32, d)
-	proj := make([]float32, d)
-	ff1 := make([]float32, m.cfg.FFDim)
-	ff3 := make([]float32, m.cfg.FFDim)
-	lowQ := make([]float32, 64)
+	s.h, s.xn, s.q = grow(s.h, n*d), grow(s.xn, n*d), grow(s.q, n*d)
+	s.attn, s.proj = grow(s.attn, n*d), grow(s.proj, n*d)
+	s.k, s.v = grow(s.k, L*n*d), grow(s.v, L*n*d)
+	s.ff1, s.ff3 = grow(s.ff1, n*ff), grow(s.ff3, n*ff)
+	s.kcols, s.vcols = grow(s.kcols, nc+n), grow(s.vcols, nc+n)
+	s.scores = grow(s.scores, nc+n)
+	h, xn := s.h, s.xn
+	for i, in := range inputs {
+		copy(h[i*d:(i+1)*d], in.Vec)
+	}
+	norm := func(w []float32) {
+		for i := 0; i < n; i++ {
+			tensor.RMSNorm(h[i*d:(i+1)*d], w, xn[i*d:(i+1)*d], 1e-5)
+		}
+	}
 	invSqrt := 1 / float32(math.Sqrt(float64(hd)))
 
 	for l := 0; l < L; l++ {
 		lw := &m.layers[l]
-		// Compute k,v for every input token first (post-RoPE keys).
+		k, v := s.k[l*n*d:(l+1)*n*d], s.v[l*n*d:(l+1)*n*d]
+		norm(lw.norm1)
+		tensor.MatMul(lw.wq, d, d, xn, n, s.q)
+		tensor.MatMul(lw.wk, d, d, xn, n, k)
+		tensor.MatMul(lw.wv, d, d, xn, n, v)
 		for i := 0; i < n; i++ {
-			tensor.RMSNorm(h[i], lw.norm1, xn, 1e-5)
-			k := make([]float32, d)
-			v := make([]float32, d)
-			tensor.MatVec(lw.wk, d, d, xn, k)
-			tensor.MatVec(lw.wv, d, d, xn, v)
+			lo, hi := i*d, (i+1)*d
 			if adapter != nil {
-				applyLoRA(adapter.av[l], adapter.bv[l], adapter.Rank, adapter.Scale, xn, v, lowQ)
+				s.applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn[lo:hi], s.q[lo:hi])
+				s.applyLoRA(adapter.av[l], adapter.bv[l], adapter.Rank, adapter.Scale, xn[lo:hi], v[lo:hi])
 			}
-			tensor.Rope(k, hd, inputs[i].Pos, m.cfg.RopeBase)
-			newK[i][l], newV[i][l] = k, v
+			sin, cos := s.sin[i*half:(i+1)*half], s.cos[i*half:(i+1)*half]
+			tensor.Rope(s.q[lo:hi], sin, cos)
+			tensor.Rope(k[lo:hi], sin, cos) // keys are stored post-RoPE
+		}
+		for c, r := range refs {
+			s.kcols[c] = r.page.K[r.slot][l*d : (l+1)*d]
+			s.vcols[c] = r.page.V[r.slot][l*d : (l+1)*d]
 		}
 		for i := 0; i < n; i++ {
-			tensor.RMSNorm(h[i], lw.norm1, xn, 1e-5)
-			tensor.MatVec(lw.wq, d, d, xn, q)
-			if adapter != nil {
-				applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn, q, lowQ)
-			}
-			tensor.Rope(q, hd, inputs[i].Pos, m.cfg.RopeBase)
+			s.kcols[nc+i], s.vcols[nc+i] = k[i*d:(i+1)*d], v[i*d:(i+1)*d]
+		}
+		start := 0
+		for i := 0; i < n; i++ {
+			vis := s.vis[start:s.visEnd[i]]
+			start = s.visEnd[i]
+			scores := s.scores[:len(vis)]
 			for hh := 0; hh < heads; hh++ {
-				qh := q[hh*hd : (hh+1)*hd]
-				cols := 0
-				scores = scores[:0]
-				colIdx := make([]int, 0, nc+n)
-				for cIdx := 0; cIdx < nc+n; cIdx++ {
-					if !allow(i, cIdx) {
-						continue
-					}
-					var kvec []float32
-					if cIdx < nc {
-						r := refs[cIdx]
-						kvec = r.page.K[r.slot][l*d : (l+1)*d]
-					} else {
-						kvec = newK[cIdx-nc][l]
-					}
-					scores = append(scores, tensor.Dot(qh, kvec[hh*hd:(hh+1)*hd])*invSqrt)
-					colIdx = append(colIdx, cIdx)
-					cols++
-				}
-				for j := range attnOut[hh*hd : (hh+1)*hd] {
-					attnOut[hh*hd+j] = 0
-				}
-				if cols == 0 {
-					continue
-				}
+				off := hh * hd
+				tensor.GatherDot(s.kcols, vis, off, s.q[i*d+off:][:hd], invSqrt, scores)
 				tensor.Softmax(scores)
-				for sIdx, cIdx := range colIdx {
-					var vvec []float32
-					if cIdx < nc {
-						r := refs[cIdx]
-						vvec = r.page.V[r.slot][l*d : (l+1)*d]
-					} else {
-						vvec = newV[cIdx-nc][l]
-					}
-					w := scores[sIdx]
-					for j := 0; j < hd; j++ {
-						attnOut[hh*hd+j] += w * vvec[hh*hd+j]
-					}
-				}
+				tensor.GatherAxpy(s.vcols, vis, off, scores, s.attn[i*d+off:][:hd])
 			}
-			tensor.MatVec(lw.wo, d, d, attnOut, proj)
-			tensor.AddInPlace(h[i], proj)
-			// MLP (SwiGLU).
-			tensor.RMSNorm(h[i], lw.norm2, xn, 1e-5)
-			tensor.MatVec(lw.w1, m.cfg.FFDim, d, xn, ff1)
-			tensor.MatVec(lw.w3, m.cfg.FFDim, d, xn, ff3)
-			tensor.SiLU(ff1)
-			for j := range ff1 {
-				ff1[j] *= ff3[j]
-			}
-			tensor.MatVec(lw.w2, d, m.cfg.FFDim, ff1, proj)
-			tensor.AddInPlace(h[i], proj)
 		}
+		tensor.MatMul(lw.wo, d, d, s.attn, n, s.proj)
+		tensor.AddInPlace(h, s.proj)
+		// MLP (SwiGLU).
+		norm(lw.norm2)
+		tensor.MatMul(lw.w1, ff, d, xn, n, s.ff1)
+		tensor.MatMul(lw.w3, ff, d, xn, n, s.ff3)
+		tensor.SiLU(s.ff1)
+		for j, up := range s.ff3 {
+			s.ff1[j] *= up
+		}
+		tensor.MatMul(lw.w2, d, ff, s.ff1, n, s.proj)
+		tensor.AddInPlace(h, s.proj)
 	}
 
 	// Persist KV.
 	for i, ref := range dstRefs {
 		for l := 0; l < L; l++ {
-			copy(ref.page.K[ref.slot][l*d:(l+1)*d], newK[i][l])
-			copy(ref.page.V[ref.slot][l*d:(l+1)*d], newV[i][l])
+			copy(ref.page.K[ref.slot][l*d:(l+1)*d], s.k[(l*n+i)*d:][:d])
+			copy(ref.page.V[ref.slot][l*d:(l+1)*d], s.v[(l*n+i)*d:][:d])
 		}
 		ref.page.Pos[ref.slot] = inputs[i].Pos
 		ref.page.Used[ref.slot] = true
@@ -507,73 +532,62 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 	}
 
 	// Final norm on the last len(outEmb) tokens.
-	res := &ForwardResult{}
-	start := n - len(outEmb)
+	res := &ForwardResult{Outputs: make([][]float32, len(outEmb))}
+	first := n - len(outEmb)
 	for i, slot := range outEmb {
-		out := make([]float32, d)
-		tensor.RMSNorm(h[start+i], m.normF, out, 1e-5)
-		copy(slot.Vec, out)
-		slot.Pos = inputs[start+i].Pos
+		tensor.RMSNorm(h[(first+i)*d:][:d], m.normF, slot.Vec, 1e-5)
+		slot.Pos = inputs[first+i].Pos
 		slot.Valid = true
-		res.Outputs = append(res.Outputs, out)
+		res.Outputs[i] = slot.Vec
 	}
 	return res, nil
 }
 
-func applyLoRA(a, b []float32, rank int, scale float32, x, dst, scratch []float32) {
-	low := scratch[:rank]
-	tensor.MatVec(a, rank, len(x), x, low)
-	d := len(dst)
-	for r := 0; r < d; r++ {
-		var s float32
-		for c := 0; c < rank; c++ {
-			s += b[r*rank+c] * low[c]
-		}
-		dst[r] += scale * s
+// applyLoRA adds scale · B·(A·x) to dst.
+func (s *Scratch) applyLoRA(a, b []float32, rank int, scale float32, x, dst []float32) {
+	s.low, s.delta = grow(s.low, rank), grow(s.delta, len(dst))
+	tensor.MatVec(a, rank, len(x), x, s.low)
+	tensor.MatVec(b, len(dst), rank, s.low, s.delta)
+	for r, dv := range s.delta {
+		dst[r] += scale * dv
 	}
 }
 
-// Logits projects a hidden state onto the (tied) output vocabulary.
-func (m *Model) Logits(hidden []float32) []float32 {
-	v := m.VocabSize()
-	out := make([]float32, v)
-	tensor.MatVec(m.embed, v, m.cfg.Dim, hidden, out)
-	return out
+// Logits projects a hidden state onto the (tied) output vocabulary; out
+// holds VocabSize elements.
+func (m *Model) Logits(hidden, out []float32) {
+	tensor.MatVec(m.embed, m.VocabSize(), m.cfg.Dim, hidden, out)
 }
 
 // NextDist computes the top-K next-token distribution for an output
 // embedding produced by Forward (the get_next_dist API). Probabilities are
-// renormalized over the truncated support, descending.
+// renormalized over the truncated support, descending (equal probabilities
+// by ascending token id).
 func (m *Model) NextDist(slot *EmbedSlot) (tokens []int, probs []float32, err error) {
+	return m.NextDistScratch(new(Scratch), slot)
+}
+
+// NextDistScratch is NextDist working in s instead of fresh memory.
+func (m *Model) NextDistScratch(s *Scratch, slot *EmbedSlot) (tokens []int, probs []float32, err error) {
 	if !slot.Valid {
 		return nil, nil, fmt.Errorf("model: NextDist on uninitialized embed")
 	}
-	logits := m.Logits(slot.Vec)
-	tensor.Softmax(logits)
+	s.logits = grow(s.logits, m.VocabSize())
+	m.Logits(slot.Vec, s.logits)
+	tensor.Softmax(s.logits)
 	k := m.cfg.TopK
-	if k > len(logits) {
-		k = len(logits)
+	if k > len(s.logits) {
+		k = len(s.logits)
 	}
-	idx := make([]int, len(logits))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if logits[idx[a]] != logits[idx[b]] {
-			return logits[idx[a]] > logits[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	idx = idx[:k]
+	s.keys = grow(s.keys, 2*len(s.logits))
+	tokens = tensor.TopK(s.logits, k, s.keys, make([]int, k))
 	var sum float32
-	for _, i := range idx {
-		sum += logits[i]
+	for _, i := range tokens {
+		sum += s.logits[i]
 	}
-	tokens = make([]int, k)
 	probs = make([]float32, k)
-	for j, i := range idx {
-		tokens[j] = i
-		probs[j] = logits[i] / sum
+	for j, i := range tokens {
+		probs[j] = s.logits[i] / sum
 	}
 	return tokens, probs, nil
 }

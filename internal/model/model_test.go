@@ -409,26 +409,67 @@ func TestPageReset(t *testing.T) {
 	}
 }
 
+// The benchmarks run the way the inference layer does: one Scratch kept
+// across calls.
+
 func BenchmarkForwardDecodeStep(b *testing.B) {
 	m := StandardCatalog(42).Models["llama-1b"]
 	ids := m.Tokenizer().Encode("a reasonably long prompt for benchmarking the decode path of the model ")
-	pages := []*KvPage{m.NewKvPage(), m.NewKvPage(), m.NewKvPage(), m.NewKvPage()}
-	in := make([]*EmbedSlot, len(ids))
-	pos := make([]int, len(ids))
-	for i := range ids {
-		in[i] = m.NewEmbedSlot()
-		pos[i] = i
-	}
-	m.EmbedTokens(ids, pos, in)
-	if _, err := m.Forward(nil, in, pages, nil, nil, ""); err != nil {
+	pages := newPages(m, 4)
+	var s Scratch
+	if _, err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), pages, nil, nil, ""); err != nil {
 		b.Fatal(err)
 	}
-	q := m.NewEmbedSlot()
-	m.EmbedTokens([]int{ids[0]}, []int{len(ids)}, []*EmbedSlot{q})
-	out := m.NewEmbedSlot()
+	q := embedPrompt(b, m, ids[:1], len(ids))
+	out := []*EmbedSlot{m.NewEmbedSlot()}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Forward(pages, []*EmbedSlot{q}, nil, []*EmbedSlot{out}, nil, ""); err != nil {
+		if _, err := m.ForwardScratch(&s, pages, q, nil, out, nil, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkForwardPrefill32(b *testing.B) {
+	m := StandardCatalog(42).Models["llama-1b"]
+	in := make([]*EmbedSlot, 32)
+	ids, pos := make([]int, len(in)), make([]int, len(in))
+	for i := range in {
+		in[i], ids[i], pos[i] = m.NewEmbedSlot(), 300+7*i, i
+	}
+	if err := m.EmbedTokens(ids, pos, in); err != nil {
+		b.Fatal(err)
+	}
+	out := []*EmbedSlot{m.NewEmbedSlot()}
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.ForwardScratch(&s, nil, in, nil, out, nil, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNextDist cycles through the output embeddings of many positions:
+// top-K selection is data-dependent, and one input repeated would let the
+// branch predictor learn it.
+func BenchmarkNextDist(b *testing.B) {
+	m := StandardCatalog(42).Models["llama-1b"]
+	ids := m.Tokenizer().Encode(goldenPrompt + goldenPrompt)
+	outs := make([]*EmbedSlot, len(ids))
+	for i := range outs {
+		outs[i] = m.NewEmbedSlot()
+	}
+	var s Scratch
+	if _, err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), nil, outs, nil, ""); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := m.NextDistScratch(&s, outs[i%len(outs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

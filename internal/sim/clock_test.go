@@ -213,6 +213,67 @@ func TestMailboxTryRecv(t *testing.T) {
 	}
 }
 
+// OnReadable is a one-shot, non-consuming watch: it fires from the Send
+// that queues a message or from Close, at once if either already happened,
+// never for a message handed to a parked receiver, and a registration made
+// after it has fired works like the first.
+func TestMailboxOnReadable(t *testing.T) {
+	c := NewClock()
+	c.Go("p", func() {
+		m := NewMailbox[int](c)
+		fired := 0
+		hook := func() { fired++ }
+
+		m.OnReadable(hook)
+		if fired != 0 {
+			t.Error("hook fired on an empty, open mailbox")
+		}
+		m.Send(1)
+		m.Send(2)
+		if fired != 1 {
+			t.Errorf("two sends after one registration fired the hook %d times, want once", fired)
+		}
+		if m.Len() != 2 {
+			t.Errorf("the hook consumed a message: Len = %d, want 2", m.Len())
+		}
+
+		m.OnReadable(hook) // messages are queued: fires at once
+		if fired != 2 {
+			t.Errorf("registration with a message queued: fired %d times in all, want 2", fired)
+		}
+		m.TryRecv()
+		m.TryRecv()
+
+		m.OnReadable(hook) // empty again: waits for the next send
+		if fired != 2 {
+			t.Error("a registration after firing fired on an empty mailbox")
+		}
+		m.Send(3)
+		if v, ok := m.TryRecv(); fired != 3 || !ok || v != 3 {
+			t.Errorf("second registration: fired %d times, TryRecv = %d,%v; want 3 and 3,true", fired, v, ok)
+		}
+
+		// A message a parked receiver takes never becomes readable.
+		m.OnReadable(hook)
+		got := m.RecvFuture()
+		m.Send(4)
+		if v, _ := got.Get(); v != 4 || fired != 3 {
+			t.Errorf("parked receiver got %d and the hook fired %d times, want 4 and 3", v, fired)
+		}
+		m.Close()
+		if fired != 4 {
+			t.Errorf("Close fired the pending hook %d times in all, want 4", fired)
+		}
+		m.OnReadable(hook) // closed: fires at once
+		if fired != 5 {
+			t.Errorf("registration on a closed mailbox: fired %d times in all, want 5", fired)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMailboxClose(t *testing.T) {
 	c := NewClock()
 	m := NewMailbox[int](c)

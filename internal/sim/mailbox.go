@@ -7,6 +7,9 @@ type Mailbox[T any] struct {
 	buf     []T
 	waiters []*mboxWaiter[T]
 	closed  bool
+	// readable holds the one-shot OnReadable hooks waiting for the next
+	// buffered message or Close.
+	readable []func()
 }
 
 type mboxWaiter[T any] struct {
@@ -31,6 +34,30 @@ func (m *Mailbox[T]) Send(v T) {
 		return
 	}
 	m.buf = append(m.buf, v)
+	m.fireReadable()
+}
+
+// OnReadable runs fn once, the next time a receive would not block: from
+// inside the Send that queues a message (one handed straight to a parked
+// receiver does not count) or from inside Close, and at once if a message
+// is already queued or the mailbox is closed. It consumes nothing and parks
+// no process, so a watcher that goes away leaves the mailbox as it found
+// it; to keep watching, register again after fn has run. fn runs on the
+// simulation's goroutine and must not block.
+func (m *Mailbox[T]) OnReadable(fn func()) {
+	if len(m.buf) > 0 || m.closed {
+		fn()
+		return
+	}
+	m.readable = append(m.readable, fn)
+}
+
+func (m *Mailbox[T]) fireReadable() {
+	fns := m.readable
+	m.readable = nil
+	for _, fn := range fns {
+		fn()
+	}
 }
 
 // RecvFuture returns a future that resolves with the next message. If a
@@ -79,6 +106,7 @@ func (m *Mailbox[T]) Close() {
 	for _, w := range ws {
 		w.f.Fail(ErrMailboxClosed)
 	}
+	m.fireReadable()
 }
 
 // ErrMailboxClosed is returned by receives on a closed, drained mailbox.

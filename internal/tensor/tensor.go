@@ -1,21 +1,51 @@
 // Package tensor provides the small float32 linear-algebra kernels used by
 // the functional transformer model. Matrices are flat row-major slices.
+//
+// The kernels are blocked for instruction-level parallelism only: several
+// output elements are accumulated side by side, but every one of them is
+// still summed in index order from zero, so each result is bit-identical
+// to the one-accumulator loop it replaces (kept in the tests as the
+// oracle). Nothing here reassociates a floating-point sum.
 package tensor
 
 import "math"
 
 // MatVec computes out = W·x for a rows×cols matrix W.
 func MatVec(w []float32, rows, cols int, x, out []float32) {
-	if len(w) != rows*cols || len(x) != cols || len(out) != rows {
-		panic("tensor: MatVec dimension mismatch")
+	MatMul(w, rows, cols, x, 1, out)
+}
+
+// MatMul computes out[t] = W·x[t] for the n vectors of cols elements packed
+// in x; out packs the n results of rows elements each. Four rows of W are
+// held against every vector before moving on, one accumulator per row.
+func MatMul(w []float32, rows, cols int, x []float32, n int, out []float32) {
+	if len(w) != rows*cols || len(x) != n*cols || len(out) != n*rows {
+		panic("tensor: MatMul dimension mismatch")
 	}
-	for r := 0; r < rows; r++ {
-		row := w[r*cols : (r+1)*cols]
-		var s float32
-		for c, v := range row {
-			s += v * x[c]
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		for t := 0; t < n; t++ {
+			xt := x[t*cols:][:cols]
+			w0 := w[r*cols:][:len(xt)]
+			w1 := w[(r+1)*cols:][:len(xt)]
+			w2 := w[(r+2)*cols:][:len(xt)]
+			w3 := w[(r+3)*cols:][:len(xt)]
+			var s0, s1, s2, s3 float32
+			for c, xv := range xt {
+				s0 += w0[c] * xv
+				s1 += w1[c] * xv
+				s2 += w2[c] * xv
+				s3 += w3[c] * xv
+			}
+			o := out[t*rows+r:][:4]
+			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 		}
-		out[r] = s
+	}
+	for ; r < rows; r++ {
+		row := w[r*cols:][:cols]
+		for t := 0; t < n; t++ {
+			out[t*rows+r] = Dot(row, x[t*cols:][:cols])
+		}
 	}
 }
 
@@ -31,18 +61,71 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
-// AddInPlace sets dst += src.
-func AddInPlace(dst, src []float32) {
-	for i := range dst {
-		dst[i] += src[i]
+// GatherDot computes out[j] = scale · Dot(x, rows[idx[j]][off:off+len(x)]):
+// the attention scores of one head against the key vectors picked by idx.
+// Four keys are scored per pass, each product summed in order.
+func GatherDot(rows [][]float32, idx []int32, off int, x []float32, scale float32, out []float32) {
+	out = out[:len(idx)]
+	j := 0
+	for ; j+4 <= len(idx); j += 4 {
+		k0 := rows[idx[j]][off:][:len(x)]
+		k1 := rows[idx[j+1]][off:][:len(x)]
+		k2 := rows[idx[j+2]][off:][:len(x)]
+		k3 := rows[idx[j+3]][off:][:len(x)]
+		var s0, s1, s2, s3 float32
+		for c, xv := range x {
+			s0 += xv * k0[c]
+			s1 += xv * k1[c]
+			s2 += xv * k2[c]
+			s3 += xv * k3[c]
+		}
+		o := out[j:][:4]
+		o[0], o[1], o[2], o[3] = s0*scale, s1*scale, s2*scale, s3*scale
+	}
+	for ; j < len(idx); j++ {
+		out[j] = Dot(x, rows[idx[j]][off:][:len(x)]) * scale
 	}
 }
 
-// Copy duplicates x.
-func Copy(x []float32) []float32 {
-	y := make([]float32, len(x))
-	copy(y, x)
-	return y
+// GatherAxpy computes out = Σ_j wts[j] · rows[idx[j]][off:off+len(out)],
+// adding the terms to zero in j order: the attention-weighted sum of the
+// value vectors picked by idx. Four values are folded in per pass so each
+// output element is loaded and stored once per four terms.
+func GatherAxpy(rows [][]float32, idx []int32, off int, wts, out []float32) {
+	wts = wts[:len(idx)]
+	for i := range out {
+		out[i] = 0
+	}
+	j := 0
+	for ; j+4 <= len(idx); j += 4 {
+		v0 := rows[idx[j]][off:][:len(out)]
+		v1 := rows[idx[j+1]][off:][:len(out)]
+		v2 := rows[idx[j+2]][off:][:len(out)]
+		v3 := rows[idx[j+3]][off:][:len(out)]
+		a0, a1, a2, a3 := wts[j], wts[j+1], wts[j+2], wts[j+3]
+		for i, o := range out {
+			o += a0 * v0[i]
+			o += a1 * v1[i]
+			o += a2 * v2[i]
+			o += a3 * v3[i]
+			out[i] = o
+		}
+	}
+	for ; j < len(idx); j++ {
+		v := rows[idx[j]][off:][:len(out)]
+		a := wts[j]
+		for i := range out {
+			out[i] += a * v[i]
+		}
+	}
+}
+
+// AddInPlace sets dst += src.
+func AddInPlace(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }
 
 // RMSNorm writes weight ⊙ x/rms(x) into out (out may alias x).
@@ -52,6 +135,7 @@ func RMSNorm(x, weight, out []float32, eps float32) {
 		ss += v * v
 	}
 	inv := 1 / float32(math.Sqrt(float64(ss/float32(len(x))+eps)))
+	weight, out = weight[:len(x)], out[:len(x)]
 	for i := range x {
 		out[i] = x[i] * inv * weight[i]
 	}
@@ -89,21 +173,123 @@ func SiLU(x []float32) {
 	}
 }
 
-// Rope applies rotary position embedding to v (a concatenation of heads of
-// size headDim) for absolute position pos, in place.
-func Rope(v []float32, headDim, pos int, base float64) {
+// RopeTable fills the rotary-embedding angle tables for the given absolute
+// positions: sin and cos hold headDim/2 entries per position, the float32
+// roundings of the float64 sin and cos of pos / base^(2i/headDim).
+func RopeTable(headDim int, base float64, positions []int, sin, cos []float32) {
 	if headDim%2 != 0 {
 		panic("tensor: Rope requires even headDim")
 	}
-	for h := 0; h < len(v); h += headDim {
-		for i := 0; i < headDim/2; i++ {
-			theta := float64(pos) / math.Pow(base, 2*float64(i)/float64(headDim))
-			sin, cos := math.Sincos(theta)
-			a, b := v[h+2*i], v[h+2*i+1]
-			v[h+2*i] = a*float32(cos) - b*float32(sin)
-			v[h+2*i+1] = a*float32(sin) + b*float32(cos)
+	half := headDim / 2
+	if len(sin) != len(positions)*half || len(cos) != len(sin) {
+		panic("tensor: RopeTable dimension mismatch")
+	}
+	for i := 0; i < half; i++ {
+		freq := math.Pow(base, 2*float64(i)/float64(headDim))
+		for p, pos := range positions {
+			s, c := math.Sincos(float64(pos) / freq)
+			sin[p*half+i], cos[p*half+i] = float32(s), float32(c)
 		}
 	}
+}
+
+// Rope applies rotary position embedding in place to v, a concatenation of
+// heads of size 2·len(sin), by one position's RopeTable angles.
+func Rope(v, sin, cos []float32) {
+	half := len(sin)
+	cos = cos[:half]
+	for h := 0; h+2*half <= len(v); h += 2 * half {
+		head := v[h:][:2*half]
+		for i, s := range sin {
+			c := cos[i]
+			a, b := head[2*i], head[2*i+1]
+			head[2*i] = a*c - b*s
+			head[2*i+1] = a*s + b*c
+		}
+	}
+}
+
+// TopK selects the k largest elements of x under the total order "value
+// descending, then index ascending". It writes their indices, best first,
+// into idx and returns idx[:min(k, len(x))]; idx must be at least that
+// long, and keys is scratch of at least 2·len(x) elements. x must not
+// contain NaN.
+//
+// Each element becomes one uint64 whose unsigned order is that total order
+// (rank bits of the value above the index). One counting pass over the top
+// topKDigit rank bits finds the bucket holding the k-th best; the keys up
+// to and including that bucket — k of them plus a few bucket-mates — are
+// compacted in index order and radix-sorted, and the first k are the
+// answer: O(n + k) when values are spread. No step branches on the data,
+// which matters more than the operation count: every call sees different
+// logits, so a comparison sort or heap mispredicts about every other
+// comparison.
+func TopK(x []float32, k int, keys []uint64, idx []int) []int {
+	n := len(x)
+	if k > n {
+		k = n
+	}
+	if k <= 0 {
+		return idx[:0]
+	}
+	keys, tmp := keys[:n], keys[n:2*n]
+	var count [1 << topKDigit]int32
+	for i, v := range x {
+		r := rankBits(v)
+		keys[i] = uint64(r)<<32 | uint64(i)
+		count[r>>(32-topKDigit)]++
+	}
+	cut, seen := 0, int(count[0])
+	for seen < k {
+		cut++
+		seen += int(count[cut])
+	}
+	m := 0
+	for _, key := range keys {
+		keys[m] = key // m never passes the read position
+		digit := int(key >> (64 - topKDigit))
+		m += int(uint64(digit-cut-1) >> 63) // 1 when digit <= cut
+	}
+	// Stable byte-wise radix sort of the rank bits; the index order the
+	// compaction kept breaks ties.
+	src, dst := keys[:m], tmp[:m]
+	for shift := 32; shift < 64; shift += 8 {
+		var start [257]int32
+		for _, key := range src {
+			start[(key>>shift&0xFF)+1]++
+		}
+		for b := 1; b < 256; b++ {
+			start[b] += start[b-1]
+		}
+		for _, key := range src {
+			b := key >> shift & 0xFF
+			dst[start[b]] = key
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	idx = idx[:k]
+	for i, key := range src[:k] {
+		idx[i] = int(uint32(key))
+	}
+	return idx
+}
+
+// topKDigit is how many leading rank bits TopK buckets by: sign, exponent
+// and three mantissa bits, an eighth of an octave per bucket.
+const topKDigit = 12
+
+// rankBits maps v to a uint32 that is smaller the larger v is, and equal
+// exactly when the values compare equal (-0 and +0 share a rank).
+func rankBits(v float32) uint32 {
+	b := math.Float32bits(v)
+	switch {
+	case v == 0:
+		return 1<<31 - 1 // either zero: the last non-negative rank
+	case b>>31 != 0:
+		return b // negative: a larger magnitude ranks later, as its bits do
+	}
+	return ^b &^ (1 << 31) // positive: a larger value ranks earlier, ahead of every negative
 }
 
 // ArgMax returns the index of the largest element (first on ties), or -1

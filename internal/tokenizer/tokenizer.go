@@ -23,16 +23,24 @@ const (
 // Tokenizer converts between byte strings and token ids via greedy
 // longest-match over its lexicon with byte fallback.
 type Tokenizer struct {
-	lexicon []string       // id - lexBase -> token text
-	trie    map[string]int // exact string -> id, for all lexicon entries
-	maxLen  int
-	// first-byte index: candidate lexicon strings by first byte, longest first
-	byFirst [256][]int
+	lexicon []string // id - lexBase -> token text
+	// nodes is a byte trie over the lexicon. Node 0 is the root; a node's
+	// children are the contiguous run nodes[lo:hi], ascending by edge byte.
+	// root indexes the root's children by byte (0: no lexicon entry starts
+	// with it), the one fan-out wide enough to be worth a table.
+	nodes []trieNode
+	root  [256]int32
+}
+
+type trieNode struct {
+	edge   byte  // byte on the edge from the parent
+	id     int32 // token whose text ends here, 0 if none
+	lo, hi int32 // children
 }
 
 // New builds the standard tokenizer shared by all models in the catalog.
 func New() *Tokenizer {
-	t := &Tokenizer{trie: make(map[string]int)}
+	t := &Tokenizer{}
 	seen := make(map[string]bool)
 	add := func(s string) {
 		if s == "" || seen[s] {
@@ -58,22 +66,39 @@ func New() *Tokenizer {
 		}
 	}
 	sort.Strings(t.lexicon) // stable id assignment independent of list order
-	for i, s := range t.lexicon {
-		id := lexBase + i
-		t.trie[s] = id
-		if len(s) > t.maxLen {
-			t.maxLen = len(s)
-		}
-		t.byFirst[s[0]] = append(t.byFirst[s[0]], id)
-	}
-	// Longest-first per first byte for greedy matching.
-	for b := range t.byFirst {
-		ids := t.byFirst[b]
-		sort.Slice(ids, func(i, j int) bool {
-			return len(t.lexicon[ids[i]-lexBase]) > len(t.lexicon[ids[j]-lexBase])
-		})
-	}
+	t.buildTrie()
 	return t
+}
+
+// buildTrie lays the sorted lexicon out breadth-first: the entries sharing
+// a prefix are a contiguous range, and so are the children of its node.
+func (t *Tokenizer) buildTrie() {
+	type span struct{ node, lo, hi, depth int } // lexicon[lo:hi] share their first depth bytes
+	t.nodes = []trieNode{{}}
+	queue := []span{{0, 0, len(t.lexicon), 0}}
+	for qi := 0; qi < len(queue); qi++ {
+		sp := queue[qi]
+		lo := sp.lo
+		if len(t.lexicon[lo]) == sp.depth { // the prefix itself is an entry; it sorts first
+			t.nodes[sp.node].id = int32(lexBase + lo)
+			lo++
+		}
+		t.nodes[sp.node].lo = int32(len(t.nodes))
+		for lo < sp.hi {
+			edge := t.lexicon[lo][sp.depth]
+			end := lo
+			for end < sp.hi && t.lexicon[end][sp.depth] == edge {
+				end++
+			}
+			queue = append(queue, span{len(t.nodes), lo, end, sp.depth + 1})
+			t.nodes = append(t.nodes, trieNode{edge: edge})
+			lo = end
+		}
+		t.nodes[sp.node].hi = int32(len(t.nodes))
+	}
+	for c := t.nodes[0].lo; c < t.nodes[0].hi; c++ {
+		t.root[t.nodes[c].edge] = c
+	}
 }
 
 // VocabSize returns the total number of token ids.
@@ -82,22 +107,29 @@ func (t *Tokenizer) VocabSize() int { return lexBase + len(t.lexicon) }
 // Encode tokenizes s greedily: at each position the longest lexicon match
 // wins; otherwise a single byte token is emitted.
 func (t *Tokenizer) Encode(s string) []int {
-	var out []int
+	out := make([]int, 0, len(s)/3+8)
 	for i := 0; i < len(s); {
-		matched := false
-		for _, id := range t.byFirst[s[i]] {
-			lex := t.lexicon[id-lexBase]
-			if len(lex) <= len(s)-i && s[i:i+len(lex)] == lex {
-				out = append(out, id)
-				i += len(lex)
-				matched = true
+		// Walk the trie from s[i], remembering the last entry passed.
+		id, next := ByteBase+int(s[i]), i+1
+		n := t.root[s[i]]
+		for j := i + 1; n != 0; j++ {
+			nd := &t.nodes[n]
+			if nd.id != 0 {
+				id, next = int(nd.id), j
+			}
+			if j == len(s) {
 				break
 			}
+			n = 0
+			for c := nd.lo; c < nd.hi; c++ {
+				if t.nodes[c].edge == s[j] {
+					n = c
+					break
+				}
+			}
 		}
-		if !matched {
-			out = append(out, ByteBase+int(s[i]))
-			i++
-		}
+		out = append(out, id)
+		i = next
 	}
 	return out
 }

@@ -578,6 +578,15 @@ func (h *Handle) Recv() api.Future[string] { return h.h.Recv() }
 // TryRecv drains one queued message without blocking.
 func (h *Handle) TryRecv() (string, bool) { return h.h.TryRecv() }
 
+// OnReadable runs fn once, on the engine's goroutine, the next time the
+// inferlet queues a message for the client or finishes — immediately if a
+// message is already queued or it has finished. It consumes no message and
+// parks no process: a watcher (pie-server's SSE handler) sleeps on it until
+// TryRecv has something to drain, and may simply walk away. fn must not
+// block. Call it from a sim process, and again after fn has run to keep
+// watching.
+func (h *Handle) OnReadable(fn func()) { h.h.OnReadable(fn) }
+
 // Wait blocks the calling process until the inferlet finishes.
 func (h *Handle) Wait() error { return h.h.Wait() }
 

@@ -1,0 +1,94 @@
+#!/bin/sh
+# Per-layer micro-benchmarks: ns/op and allocs/op of the tensor kernels, the
+# model's forward/decode/top-K path, the sim clock, the grammar matcher and
+# the tokenizer, as the minimum over $count runs of `go test -bench`.
+#
+#   scripts/microbench.sh          measure this tree and rewrite the "change"
+#                                  block of BENCH_micro.json; the "parent"
+#                                  block (the tree the last kernel PR started
+#                                  from, measured with the same benchmark
+#                                  bodies) is kept as it is
+#   scripts/microbench.sh -check   measure this tree and compare it with the
+#                                  committed "change" block: ns/op is printed
+#                                  only (shared runners are too noisy to gate
+#                                  on); allocs/op must not rise. The rule is
+#                                  exact for the single-goroutine benchmarks;
+#                                  the two Clock* ones get 2 %, because there
+#                                  the Go scheduler's own allocations vary
+#                                  from run to run
+set -eu
+cd "$(dirname "$0")/.."
+file=BENCH_micro.json
+count=5
+fresh="$(mktemp)"
+trap 'rm -f "$fresh"' EXIT
+
+# bench <benchtime> <regexp> <package>: min ns/op and min allocs/op per
+# benchmark, one `"Name": {...}` line each.
+bench() {
+	go test -run '^$' -bench "$2" -benchmem -benchtime "$1" -count "$count" "$3" | awk '
+		/^Benchmark/ {
+			name = $1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
+			for (i = 2; i <= NF; i++) {
+				if ($i == "ns/op") ns = $(i-1)
+				if ($i == "allocs/op") al = $(i-1)
+			}
+			if (!(name in minns) || ns + 0 < minns[name] + 0) minns[name] = ns
+			if (!(name in minal) || al + 0 < minal[name] + 0) minal[name] = al
+			if (!(name in seen)) { seen[name] = 1; order[++n] = name }
+		}
+		END {
+			for (i = 1; i <= n; i++)
+				printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}\n", order[i], minns[order[i]], minal[order[i]]
+		}'
+}
+
+{
+	bench 5000x '^Benchmark(MatVec64|LogitsHead)$' ./internal/tensor
+	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
+	bench 5x '^BenchmarkClock(EventLoop|SparseTicker)$' ./internal/sim
+	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
+	bench 200x '^BenchmarkEncode$' ./internal/tokenizer
+} > "$fresh"
+
+# block <name>: the lines of one top-level block of the committed file.
+block() {
+	[ -f "$file" ] || return 0
+	awk -v want="  \"$1\": {" '$0 == want { on = 1; next } on && /^  }/ { exit } on' "$file" | sed 's/,$//'
+}
+
+# commas joins block lines into JSON members.
+commas() { sed '$!s/$/,/'; }
+
+if [ "${1:-}" = "-check" ]; then
+	block change > "$fresh.want"
+	trap 'rm -f "$fresh" "$fresh.want"' EXIT
+	awk '
+		function field(line, key,    s) { s = line; sub(".*\"" key "\": ", "", s); sub(/[,}].*/, "", s); return s + 0 }
+		function name(line,    s) { s = line; sub(/^ *"/, "", s); sub(/".*/, "", s); return s }
+		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); next }
+		{
+			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op")
+			if (!(n in al)) { printf "microbench: %-20s not in the committed file: run scripts/microbench.sh\n", n; bad = 1; next }
+			limit = (n ~ /^Clock/) ? al[n] * 1.02 : al[n]
+			verdict = (gotal > limit) ? "FAIL allocs/op rose" : "ok"
+			if (gotal > limit) bad = 1
+			printf "microbench: %-20s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
+		}
+		END { exit bad }' "$fresh.want" "$fresh"
+	exit
+fi
+
+{
+	echo '{'
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"200x (tensor kernels: 5000x, Clock*: 5x)\", \"command\": \"scripts/microbench.sh\"},"
+	echo '  "parent": {'
+	block parent | commas
+	echo '  },'
+	echo '  "change": {'
+	commas < "$fresh"
+	echo '  }'
+	echo '}'
+} > "$file.tmp"
+mv "$file.tmp" "$file"
+echo "wrote $file"
