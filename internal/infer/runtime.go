@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pie/api"
 	"pie/internal/gpu"
@@ -35,6 +36,11 @@ type ModelRuntime struct {
 	// scratch is the tensor kernels' working memory. Calls execute one at
 	// a time on the owning clock's event loop, so one set serves them all.
 	scratch model.Scratch
+
+	// Timing mode's stand-in distribution: the token hash's modulus with
+	// its reciprocal, and the TopK halving probabilities every call copies.
+	pseudo      pseudoMod
+	pseudoProbs []float32
 }
 
 // NewModelRuntime sizes the physical pools from the GPU memory geometry.
@@ -49,10 +55,18 @@ func NewModelRuntime(m *model.Model, mode ExecMode) *ModelRuntime {
 	if m.Config().Multimodal {
 		traits = append(traits, api.TraitInputImage)
 	}
+	pseudoProbs := make([]float32, m.Config().TopK)
+	var mass float32 = 0.5
+	for i := range pseudoProbs {
+		pseudoProbs[i] = mass
+		mass *= 0.5
+	}
 	return &ModelRuntime{
-		Model: m,
-		Spec:  spec,
-		Mode:  mode,
+		Model:       m,
+		Spec:        spec,
+		Mode:        mode,
+		pseudo:      newPseudoMod(m.VocabSize()),
+		pseudoProbs: pseudoProbs,
 		Info: api.ModelInfo{
 			ID:        api.ModelID(m.Config().Name),
 			Params:    m.Config().ParamLabel,
@@ -269,7 +283,7 @@ func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 			}
 			toks[i] = sampleFrom(ids, probs, c.Sample, uint64(c.Seq)+uint64(i))
 		} else {
-			toks[i] = pseudoToken(rt.Model.VocabSize(), c.Inst, c.Seq, i)
+			toks[i] = rt.pseudo.token(pseudoBase(c.Inst, c.Seq), i)
 		}
 	}
 	return toks, nil
@@ -290,15 +304,12 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 	// Timing mode: a deterministic pseudo-distribution. Scripted workloads
 	// ignore its content; its shape (TopK entries) keeps transfer costs
 	// honest.
-	k := rt.Model.Config().TopK
-	v := rt.Model.VocabSize()
-	toks := make([]int, k)
-	probs := make([]float32, k)
-	var mass float32 = 0.5
-	for i := 0; i < k; i++ {
-		toks[i] = pseudoToken(v, c.Inst, c.Seq, i)
-		probs[i] = mass
-		mass *= 0.5
+	toks := make([]int, len(rt.pseudoProbs))
+	probs := make([]float32, len(rt.pseudoProbs))
+	copy(probs, rt.pseudoProbs)
+	base := pseudoBase(c.Inst, c.Seq)
+	for i := range toks {
+		toks[i] = rt.pseudo.token(base, i)
 	}
 	c.DistFut.Resolve(DistResult{Tokens: toks, Probs: probs})
 	return nil
@@ -342,12 +353,37 @@ func sampleFrom(ids []int, probs []float32, s *SampleSpec, salt uint64) int {
 	return ids[k-1]
 }
 
-// pseudoToken generates the timing-mode stand-in token stream.
-func pseudoToken(vocab int, inst, seq uint64, i int) int {
-	x := inst*0x9E3779B97F4A7C15 ^ seq*0xD6E8FEB86659FD93 ^ uint64(i)*0xCA5A826395121157
+// pseudoMod generates the timing-mode stand-in token stream: a 64-bit mix
+// of (inst, seq, i) reduced into the vocabulary past the four special
+// tokens. The reduction is an exact x % d by multiplying with the
+// precomputed m = floor((2^64-1)/d): the high word of x*m is floor(x/d) or
+// one less, so one conditional subtraction finishes it.
+type pseudoMod struct{ d, m uint64 }
+
+func newPseudoMod(vocab int) pseudoMod {
+	d := uint64(vocab - 4)
+	return pseudoMod{d: d, m: ^uint64(0) / d}
+}
+
+// pseudoBase is the part of the mix that is the same for every i of a call.
+func pseudoBase(inst, seq uint64) uint64 {
+	return inst*0x9E3779B97F4A7C15 ^ seq*0xD6E8FEB86659FD93
+}
+
+func (p pseudoMod) token(base uint64, i int) int {
+	x := base ^ uint64(i)*0xCA5A826395121157
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 33
-	// Skip special tokens.
-	return 4 + int(x%uint64(vocab-4))
+	return 4 + int(p.rem(x))
+}
+
+// rem is x % p.d.
+func (p pseudoMod) rem(x uint64) uint64 {
+	q, _ := bits.Mul64(x, p.m)
+	r := x - q*p.d
+	if r >= p.d {
+		r -= p.d
+	}
+	return r
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"pie/internal/sim"
 	"pie/internal/tensor"
@@ -61,14 +62,20 @@ type Adapter struct {
 	Name  string
 	Rank  int
 	Scale float32
+	seed  uint64
+	once  sync.Once
 	// per layer: aq,bq and av,bv with shapes Rank x Dim and Dim x Rank.
 	aq, bq, av, bv [][]float32
 }
 
-// Model is an immutable set of weights plus the shared tokenizer.
+// Model is an immutable set of weights plus the shared tokenizer. The
+// weights are deterministic functions of the seeds and are generated on
+// first use (ensureWeights): an engine that only keeps time never pays for
+// them.
 type Model struct {
 	cfg      Config
 	tok      *tokenizer.Tokenizer
+	once     sync.Once
 	embed    []float32 // vocab x dim, tied with the output head
 	layers   []layer
 	normF    []float32
@@ -80,36 +87,56 @@ func New(cfg Config, tok *tokenizer.Tokenizer) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	r := sim.NewRNG(cfg.Seed)
-	vocab := tok.VocabSize()
-	m := &Model{cfg: cfg, tok: tok, adapters: make(map[string]*Adapter)}
-	scale := 1 / math.Sqrt(float64(cfg.Dim))
-	randMat := func(rows, cols int) []float32 {
-		w := make([]float32, rows*cols)
-		for i := range w {
-			w[i] = float32(r.NormFloat64() * scale)
+	return &Model{cfg: cfg, tok: tok, adapters: make(map[string]*Adapter)}
+}
+
+// randMat draws a rows x cols matrix of N(0, 1/dim) weights from r.
+func (c Config) randMat(r *sim.RNG, rows, cols int) []float32 {
+	scale := 1 / math.Sqrt(float64(c.Dim))
+	w := make([]float32, rows*cols)
+	for i := range w {
+		w[i] = float32(r.NormFloat64() * scale)
+	}
+	return w
+}
+
+// ensureWeights generates the model's weights, and a's when an adapter is
+// in use, the first time anything reads them. Each has its own seeded
+// stream, so the values do not depend on who asks first or when.
+func (m *Model) ensureWeights(a *Adapter) {
+	m.once.Do(func() {
+		cfg, r := m.cfg, sim.NewRNG(m.cfg.Seed)
+		ones := func(n int) []float32 {
+			w := make([]float32, n)
+			for i := range w {
+				w[i] = 1
+			}
+			return w
 		}
-		return w
-	}
-	ones := func(n int) []float32 {
-		w := make([]float32, n)
-		for i := range w {
-			w[i] = 1
+		m.embed = cfg.randMat(r, m.VocabSize(), cfg.Dim)
+		m.normF = ones(cfg.Dim)
+		for l := 0; l < cfg.Layers; l++ {
+			m.layers = append(m.layers, layer{
+				wq: cfg.randMat(r, cfg.Dim, cfg.Dim), wk: cfg.randMat(r, cfg.Dim, cfg.Dim),
+				wv: cfg.randMat(r, cfg.Dim, cfg.Dim), wo: cfg.randMat(r, cfg.Dim, cfg.Dim),
+				w1: cfg.randMat(r, cfg.FFDim, cfg.Dim), w3: cfg.randMat(r, cfg.FFDim, cfg.Dim),
+				w2:    cfg.randMat(r, cfg.Dim, cfg.FFDim),
+				norm1: ones(cfg.Dim), norm2: ones(cfg.Dim),
+			})
 		}
-		return w
+	})
+	if a == nil {
+		return
 	}
-	m.embed = randMat(vocab, cfg.Dim)
-	m.normF = ones(cfg.Dim)
-	for l := 0; l < cfg.Layers; l++ {
-		m.layers = append(m.layers, layer{
-			wq: randMat(cfg.Dim, cfg.Dim), wk: randMat(cfg.Dim, cfg.Dim),
-			wv: randMat(cfg.Dim, cfg.Dim), wo: randMat(cfg.Dim, cfg.Dim),
-			w1: randMat(cfg.FFDim, cfg.Dim), w3: randMat(cfg.FFDim, cfg.Dim),
-			w2:    randMat(cfg.Dim, cfg.FFDim),
-			norm1: ones(cfg.Dim), norm2: ones(cfg.Dim),
-		})
-	}
-	return m
+	a.once.Do(func() {
+		cfg, r := m.cfg, sim.NewRNG(a.seed)
+		for l := 0; l < cfg.Layers; l++ {
+			a.aq = append(a.aq, cfg.randMat(r, a.Rank, cfg.Dim))
+			a.bq = append(a.bq, cfg.randMat(r, cfg.Dim, a.Rank))
+			a.av = append(a.av, cfg.randMat(r, a.Rank, cfg.Dim))
+			a.bv = append(a.bv, cfg.randMat(r, cfg.Dim, a.Rank))
+		}
+	})
 }
 
 // Config returns the model configuration.
@@ -123,22 +150,7 @@ func (m *Model) VocabSize() int { return m.tok.VocabSize() }
 
 // RegisterAdapter creates and installs a deterministic adapter under name.
 func (m *Model) RegisterAdapter(name string, rank int, scale float32, seed uint64) *Adapter {
-	r := sim.NewRNG(seed)
-	a := &Adapter{Name: name, Rank: rank, Scale: scale}
-	s := 1 / math.Sqrt(float64(m.cfg.Dim))
-	mat := func(rows, cols int) []float32 {
-		w := make([]float32, rows*cols)
-		for i := range w {
-			w[i] = float32(r.NormFloat64() * s)
-		}
-		return w
-	}
-	for l := 0; l < m.cfg.Layers; l++ {
-		a.aq = append(a.aq, mat(rank, m.cfg.Dim))
-		a.bq = append(a.bq, mat(m.cfg.Dim, rank))
-		a.av = append(a.av, mat(rank, m.cfg.Dim))
-		a.bv = append(a.bv, mat(m.cfg.Dim, rank))
-	}
+	a := &Adapter{Name: name, Rank: rank, Scale: scale, seed: seed}
 	m.adapters[name] = a
 	return a
 }
@@ -243,6 +255,7 @@ func (m *Model) EmbedTokens(ids []int, positions []int, dst []*EmbedSlot) error 
 		return fmt.Errorf("model: EmbedTokens length mismatch: %d ids, %d pos, %d dst",
 			len(ids), len(positions), len(dst))
 	}
+	m.ensureWeights(nil)
 	for i, id := range ids {
 		if id < 0 || id >= m.VocabSize() {
 			return fmt.Errorf("model: token id %d out of vocab", id)
@@ -388,6 +401,7 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 		}
 		adapter = a
 	}
+	m.ensureWeights(adapter)
 	s.refs = gatherContext(s.refs[:0], ctx)
 	refs := s.refs
 	nc := len(refs)
@@ -556,6 +570,7 @@ func (s *Scratch) applyLoRA(a, b []float32, rank int, scale float32, x, dst []fl
 // Logits projects a hidden state onto the (tied) output vocabulary; out
 // holds VocabSize elements.
 func (m *Model) Logits(hidden, out []float32) {
+	m.ensureWeights(nil)
 	tensor.MatVec(m.embed, m.VocabSize(), m.cfg.Dim, hidden, out)
 }
 

@@ -12,16 +12,23 @@
 // channel receives, sync.WaitGroup); it must use the Clock's primitives so
 // the scheduler can observe the block and advance virtual time.
 //
-// The event loop is the hottest path in the repository: every virtual
-// event is one heap push, one heap pop, and one cross-goroutine handoff.
-// It is kept lean by an inlined 4-ary heap (heap.go), a free list that
-// recycles event records, delivering the killed flag on the wake channel
-// itself (no re-lock after waking), and a fast path that skips the handoff
-// entirely when a process's own event is the next to run.
+// The event loop is the hottest path in the repository. One goroutine —
+// the caller of Run or RunWindow — owns dispatch; every process is a
+// coroutine (iter.Pull) that the loop resumes with a direct switch: no
+// channel, no scheduler, no futex. A process that blocks picks its
+// successor itself under the clock lock (one heap push and one pop, fused
+// into a single sift for Sleep), yields it to the loop and is suspended;
+// when its own event is the next to run it never leaves its coroutine at
+// all. Coroutines cost more to make than goroutines, so a finished
+// process's coroutine is pooled for the next spawn, and when the clock
+// finishes the loop unwinds whatever is still suspended (daemons, waiters
+// nobody resolved): a finished clock leaves no goroutine behind. The rest
+// is an inlined 4-ary heap (heap.go) and a free list of event records.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,15 +46,13 @@ const (
 )
 
 // Proc is a simulated process. Procs are created with Clock.Go and are
-// scheduled cooperatively; a Proc's goroutine runs only while it is the
+// scheduled cooperatively; a Proc's coroutine runs only while it is the
 // clock's current process.
 type Proc struct {
-	id   uint64
-	name string
-	// wake delivers control to the process; the value is the killed flag at
-	// dispatch time, so a woken process never has to re-acquire the clock
-	// lock just to learn whether it should unwind.
-	wake   chan bool
+	id     uint64
+	name   string
+	fn     func()  // the body, until the process finishes
+	w      *worker // the coroutine hosting it, from first dispatch to finish
 	state  procState
 	killed bool
 	daemon bool
@@ -74,6 +79,24 @@ type event struct {
 	cancelled bool
 }
 
+// worker is a pooled coroutine hosting one process at a time. The loop
+// resumes it with next; it suspends by yielding the process the loop should
+// resume in its place (nil when there is none).
+type worker struct {
+	p     *Proc
+	next  func() (*Proc, bool)
+	stop  func()
+	yield func(*Proc) bool
+}
+
+// block suspends the running process p, naming next as its successor, and
+// returns when p is dispatched again. It reports whether p must unwind:
+// killed (nothing runs between a dispatch and the resume, so the flag is
+// the one the dispatcher saw), or the clock finished and is reaping.
+func (p *Proc) block(next *Proc) bool {
+	return !p.w.yield(next) || p.killed
+}
+
 // Killed is the panic value delivered to a process that was terminated with
 // Clock.Kill while blocked. Runtimes hosting user code recover it at the
 // process boundary.
@@ -94,7 +117,6 @@ func TotalEvents() uint64 { return totalEvents.Load() }
 // NewClock.
 type Clock struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	now      time.Duration
 	seq      uint64
 	heap     eventHeap
@@ -104,7 +126,11 @@ type Clock struct {
 	parked   int // processes in stateParked
 	finished bool
 	err      error
-	doneCh   chan struct{}
+
+	// Every coroutine made and not yet reaped, and those among them whose
+	// process has finished. Owned by the goroutine driving the loop.
+	workers []*worker
+	idle    []*worker
 
 	// events is atomic (not mu-guarded) so cross-shard aggregation —
 	// ShardGroup progress probes, eval harness stats — can read counters
@@ -114,6 +140,9 @@ type Clock struct {
 	external bool // keep running while idle, waiting for Inject
 	shutdown bool
 	running  bool // Run has been entered (guards against nested Run)
+	// wakeCh rouses the idle loop in external mode: signalled by Inject, an
+	// unpark from outside the simulation, Shutdown and the idle-pacing timer.
+	wakeCh chan struct{}
 
 	// Idle-server pacing (external mode, only daemons left): the daemon
 	// event at virtual time idleFor may run once the wall clock reaches
@@ -123,20 +152,15 @@ type Clock struct {
 	idleUntil time.Time
 
 	// Windowed (sharded) mode: RunWindow drives the clock only up to
-	// horizon, then parks the loop at the barrier instead of finishing.
+	// horizon, then returns to the barrier instead of finishing.
 	// Cross-shard coordination (ShardGroup) injects messages between
 	// windows and decides global termination/deadlock.
 	windowed bool
 	horizon  time.Duration
-	pauseCh  chan struct{} // buffered(1); signalled when a window completes
 }
 
 // NewClock returns a fresh virtual clock at time zero.
-func NewClock() *Clock {
-	c := &Clock{doneCh: make(chan struct{})}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
+func NewClock() *Clock { return &Clock{} }
 
 // EnableExternal puts the clock in server mode: when the event heap drains
 // while processes remain parked, Run waits for Inject or Shutdown instead of
@@ -144,7 +168,17 @@ func NewClock() *Clock {
 func (c *Clock) EnableExternal() {
 	c.mu.Lock()
 	c.external = true
+	c.wakeCh = make(chan struct{}, 1)
 	c.mu.Unlock()
+}
+
+// wake rouses the loop if it is idle in external mode; otherwise the
+// signal is dropped or costs one empty dispatch attempt later.
+func (c *Clock) wake() {
+	select {
+	case c.wakeCh <- struct{}{}:
+	default:
+	}
 }
 
 // Now returns the current virtual time.
@@ -192,78 +226,153 @@ func (c *Clock) recycleLocked(ev *event) {
 // time. It may be called from inside a process or from the coordinator
 // before Run.
 func (c *Clock) Go(name string, fn func()) *Proc {
-	return c.spawn(name, fn, false)
+	return c.spawnAt(0, name, fn, false, "Go")
 }
 
 // GoDaemon spawns a service process (device loops, schedulers, network
 // servers). Daemons run like ordinary processes but do not keep the
 // simulation alive: Run returns once every non-daemon process finishes.
 func (c *Clock) GoDaemon(name string, fn func()) *Proc {
-	return c.spawn(name, fn, true)
+	return c.spawnAt(0, name, fn, true, "Go")
 }
 
-func (c *Clock) spawn(name string, fn func(), daemon bool) *Proc {
+// spawnAt queues a new process for its first dispatch at virtual time t
+// (clamped to now). It gets a coroutine when the loop first resumes it.
+func (c *Clock) spawnAt(t time.Duration, name string, fn func(), daemon bool, api string) *Proc {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.finished {
-		c.mu.Unlock()
-		panic("sim: Go after clock finished")
+		panic("sim: " + api + " after clock finished")
+	}
+	if t < c.now {
+		t = c.now
 	}
 	c.seq++
-	p := &Proc{id: c.seq, name: name, wake: make(chan bool, 1), state: stateReady, daemon: daemon}
+	p := &Proc{id: c.seq, name: name, fn: fn, state: stateReady, daemon: daemon}
 	if !daemon {
 		c.live++
 	}
-	c.pushLocked(c.now, p)
-	c.mu.Unlock()
-
-	go func() {
-		// A process killed before its first dispatch still runs fn and
-		// unwinds at its first blocking call, so the flag is dropped here.
-		<-p.wake
-		defer c.finish(p)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(Killed); ok {
-					return // killed processes unwind silently
-				}
-				panic(r)
-			}
-		}()
-		fn()
-	}()
+	c.pushLocked(t, p)
 	return p
 }
 
-// finish retires the current process and dispatches the next event.
-func (c *Clock) finish(p *Proc) {
-	c.mu.Lock()
-	p.state = stateDead
-	if !p.daemon {
-		c.live--
-	}
-	next, killed := c.dispatchNextLocked()
-	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
+// loop is the event loop. It resumes one process at a time; each hands
+// back its successor when it blocks or finishes. A nil successor means the
+// clock finished, the window closed, or (external mode) the clock is idle,
+// in which case the loop sleeps until wake.
+func (c *Clock) loop() {
+	for idle := false; ; idle = true {
+		if idle {
+			<-c.wakeCh
+		}
+		c.mu.Lock()
+		p := c.dispatchNextLocked()
+		c.mu.Unlock()
+		for p != nil {
+			p = c.resume(p)
+		}
+		c.mu.Lock()
+		done := c.finished || !c.external
+		c.mu.Unlock()
+		if done {
+			return
+		}
 	}
 }
 
+// resume switches to p's coroutine — on p's first dispatch a pooled one,
+// or a new one — and returns the successor p yields. A process killed
+// before its first dispatch still runs to its first blocking call. A panic
+// in the process other than Killed propagates to the loop's caller.
+func (c *Clock) resume(p *Proc) *Proc {
+	w := p.w
+	if w == nil {
+		if n := len(c.idle); n > 0 {
+			w, c.idle = c.idle[n-1], c.idle[:n-1]
+		} else {
+			w = c.newWorker()
+		}
+		w.p, p.w = p, w
+	}
+	next, _ := w.next()
+	return next
+}
+
+// newWorker makes a coroutine that runs one process after another: each
+// body under the Killed recover, then finish, then back in the pool until
+// resume gives it a new tenant or reap stops it.
+func (c *Clock) newWorker() *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(*Proc) bool) {
+		w.yield = yield
+		for {
+			runBody(w.p.fn)
+			if !yield(c.finish(w)) {
+				return
+			}
+		}
+	})
+	c.workers = append(c.workers, w)
+	return w
+}
+
+func runBody(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(Killed); !ok {
+				panic(r)
+			}
+			// killed processes unwind silently
+		}
+	}()
+	fn()
+}
+
+// finish retires w's process, pools w, and picks the next event.
+func (c *Clock) finish(w *worker) *Proc {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := w.p
+	p.state, p.fn, p.w, w.p = stateDead, nil, nil, nil
+	if !p.daemon {
+		c.live--
+	}
+	c.idle = append(c.idle, w)
+	return c.dispatchNextLocked()
+}
+
+// reap runs after the clock finishes: it unwinds every process still
+// suspended (daemons, waiters nobody resolved) and frees the pooled
+// coroutines. stop makes a suspended yield return false, so the process
+// panics Killed at its block site and runs its defers; a blocking call it
+// makes while unwinding fails the same way at once.
+func (c *Clock) reap() {
+	for _, w := range c.workers {
+		c.mu.Lock()
+		c.current = w.p
+		c.mu.Unlock()
+		w.stop()
+	}
+	c.workers, c.idle = nil, nil // an unwound process's worker pooled itself
+	c.mu.Lock()
+	c.current = nil
+	c.mu.Unlock()
+}
+
 // dispatchNextLocked selects the earliest pending event, marks its process
-// running, and returns it for the caller to wake (outside the lock, so the
-// woken goroutine never contends with its waker on c.mu). It returns nil
-// when there is nothing to wake: the simulation finished, went idle in
-// external mode, or deadlocked. The returned killed flag is the process's
-// kill state at dispatch time; it rides the wake channel to the process.
+// running, and returns it for the loop to resume. It returns nil when there
+// is nothing to resume: the simulation finished or deadlocked, the window
+// closed, or the clock went idle in external mode.
 //
 // The simulation is over when every non-daemon process has finished;
-// daemon service loops are then abandoned in place.
-func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
+// daemon service loops are then unwound by reap.
+func (c *Clock) dispatchNextLocked() *Proc {
 	if c.finished {
-		return nil, false
+		return nil
 	}
 	if c.live == 0 && !c.external && !c.windowed {
 		c.finishClockLocked()
-		return nil, false
+		return nil
 	}
 	for c.heap.len() > 0 {
 		if c.heap.min().ev.cancelled {
@@ -281,7 +390,7 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 			}
 			if !c.idleWaitLocked(c.heap.min().t) {
 				c.current = nil
-				return nil, false
+				return nil
 			}
 		}
 		ev := c.heap.pop()
@@ -294,15 +403,14 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 		p.state = stateRunning
 		c.current = p
 		c.events.Add(1)
-		return p, p.killed
+		return p
 	}
 	c.current = nil
 	if c.windowed {
 		// A windowed clock never finishes or deadlocks on its own — shards
-		// with no local work may still receive cross-shard messages. Park
-		// at the barrier; the ShardGroup decides termination.
-		c.pauseWindowLocked()
-		return nil, false
+		// with no local work may still receive cross-shard messages. Back
+		// to the barrier; the ShardGroup decides termination.
+		return nil
 	}
 	if c.external && !c.shutdown {
 		// Server mode: stay alive waiting for injected work — even with no
@@ -310,14 +418,13 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 		// clock the moment the startup daemons went idle, so the first
 		// Inject from an HTTP handler panicked with "Inject after clock
 		// finished".)
-		c.cond.Broadcast()
-		return nil, false
+		return nil
 	}
 	if c.live > 0 {
 		c.err = fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", c.now, c.live)
 	}
 	c.finishClockLocked()
-	return nil, false
+	return nil
 }
 
 // idleWaitLocked keeps an idle server from free-running its periodic
@@ -325,7 +432,7 @@ func (c *Clock) dispatchNextLocked() (next *Proc, killed bool) {
 // nobody to serve by racing ahead, and a daemon that sleeps in a loop would
 // otherwise spin a core. It reports whether the next daemon event, due at
 // virtual time t, may run now. The first call for an event arms a wall
-// timer as long as its virtual distance and answers no; the timer's kick
+// timer as long as its virtual distance and answers no; the timer's wake
 // (or any later dispatch attempt past the deadline) answers yes. The wait
 // belongs to the event, not to the idle spell: requests that come and go
 // meanwhile run at once (Inject makes the clock live) and do not push the
@@ -337,7 +444,7 @@ func (c *Clock) idleWaitLocked(t time.Duration) bool {
 	if c.idleUntil.IsZero() || c.idleFor != t {
 		c.idleFor = t
 		c.idleUntil = time.Now().Add(t - c.now)
-		time.AfterFunc(t-c.now, c.kick)
+		time.AfterFunc(t-c.now, c.wake)
 		return false
 	}
 	if time.Now().Before(c.idleUntil) {
@@ -345,20 +452,6 @@ func (c *Clock) idleWaitLocked(t time.Duration) bool {
 	}
 	c.idleUntil = time.Time{}
 	return true
-}
-
-// kick dispatches the next event if the scheduler is idle.
-func (c *Clock) kick() {
-	c.mu.Lock()
-	var next *Proc
-	var killed bool
-	if c.current == nil && !c.finished && !c.windowed {
-		next, killed = c.dispatchNextLocked()
-	}
-	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
-	}
 }
 
 // finishClockLocked marks the simulation over and publishes its event count
@@ -369,16 +462,6 @@ func (c *Clock) finishClockLocked() {
 	}
 	c.finished = true
 	totalEvents.Add(c.events.Load())
-	close(c.doneCh)
-}
-
-// pauseWindowLocked signals RunWindow that the current window is complete.
-// The channel is buffered so the signal never blocks the scheduler.
-func (c *Clock) pauseWindowLocked() {
-	select {
-	case c.pauseCh <- struct{}{}:
-	default:
-	}
 }
 
 // RunWindow drives the simulation until every pending event before horizon
@@ -398,17 +481,10 @@ func (c *Clock) RunWindow(horizon time.Duration) error {
 		c.mu.Unlock()
 		return err
 	}
-	if c.pauseCh == nil {
-		c.pauseCh = make(chan struct{}, 1)
-	}
 	c.windowed = true
 	c.horizon = horizon
-	next, killed := c.dispatchNextLocked()
 	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
-	}
-	<-c.pauseCh
+	c.loop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
@@ -416,10 +492,10 @@ func (c *Clock) RunWindow(horizon time.Duration) error {
 
 // InjectAt schedules fn as a new process with its first dispatch at virtual
 // time t (clamped to now). It is the cross-shard delivery primitive: the
-// ShardGroup calls it between windows, in deterministic merge order, so it
-// never kicks the scheduler itself — the next RunWindow runs the event.
+// ShardGroup calls it between windows, in deterministic merge order; the
+// next RunWindow runs the event.
 func (c *Clock) InjectAt(t time.Duration, name string, fn func()) *Proc {
-	return c.injectAt(t, name, fn, false)
+	return c.spawnAt(t, name, fn, false, "InjectAt")
 }
 
 // InjectDaemonAt is InjectAt for service messages (heartbeats, monitoring
@@ -427,40 +503,7 @@ func (c *Clock) InjectAt(t time.Duration, name string, fn func()) *Proc {
 // simulation alive, so a periodic cross-shard beat stream never blocks
 // group termination.
 func (c *Clock) InjectDaemonAt(t time.Duration, name string, fn func()) *Proc {
-	return c.injectAt(t, name, fn, true)
-}
-
-func (c *Clock) injectAt(t time.Duration, name string, fn func(), daemon bool) *Proc {
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		panic("sim: InjectAt after clock finished")
-	}
-	if t < c.now {
-		t = c.now
-	}
-	c.seq++
-	p := &Proc{id: c.seq, name: name, wake: make(chan bool, 1), state: stateReady, daemon: daemon}
-	if !daemon {
-		c.live++
-	}
-	c.pushLocked(t, p)
-	c.mu.Unlock()
-
-	go func() {
-		<-p.wake
-		defer c.finish(p)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(Killed); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		fn()
-	}()
-	return p
+	return c.spawnAt(t, name, fn, true, "InjectAt")
 }
 
 // pendingMin reports the earliest non-cancelled pending event, if any.
@@ -493,14 +536,13 @@ func (c *Clock) finishWindowed(err error) {
 	}
 	c.finishClockLocked()
 	c.mu.Unlock()
+	c.reap()
 }
 
 // Run drives the simulation until every process has finished (or, in
-// external mode, until Shutdown). It returns a non-nil error if the
-// simulation deadlocked. Run must be called from outside the simulation.
-// In external mode an Inject may have kicked the scheduler before Run is
-// reached (the server starts its event loop on a goroutine); that is not
-// re-entrancy — Run then skips the initial dispatch and just waits.
+// external mode, until Shutdown), on the calling goroutine. It returns a
+// non-nil error if the simulation deadlocked. Run must be called from
+// outside the simulation.
 func (c *Clock) Run() error {
 	c.mu.Lock()
 	if c.running {
@@ -508,53 +550,20 @@ func (c *Clock) Run() error {
 		panic("sim: Run called re-entrantly")
 	}
 	c.running = true
-	var next *Proc
-	var killed bool
-	if c.current == nil {
-		next, killed = c.dispatchNextLocked()
-	}
 	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
-	}
-	<-c.doneCh
+	c.loop()
+	c.reap()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
 }
 
 // Inject schedules fn as a new process from outside the simulation (e.g. a
-// real HTTP handler in server mode) and kicks the scheduler if it is idle.
+// real HTTP handler in server mode) and wakes the loop if it is idle. The
+// caller never runs simulation work itself.
 func (c *Clock) Inject(name string, fn func()) *Proc {
-	c.mu.Lock()
-	if c.finished {
-		c.mu.Unlock()
-		panic("sim: Inject after clock finished")
-	}
-	c.seq++
-	p := &Proc{id: c.seq, name: name, wake: make(chan bool, 1), state: stateReady}
-	c.live++
-	c.pushLocked(c.now, p)
-	idle := c.current == nil && !c.windowed
-	c.mu.Unlock()
-
-	go func() {
-		<-p.wake
-		defer c.finish(p)
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(Killed); ok {
-					return
-				}
-				panic(r)
-			}
-		}()
-		fn()
-	}()
-
-	if idle {
-		c.kick()
-	}
+	p := c.spawnAt(0, name, fn, false, "Inject")
+	c.wake()
 	return p
 }
 
@@ -567,6 +576,7 @@ func (c *Clock) Shutdown() {
 		c.finishClockLocked()
 	}
 	c.mu.Unlock()
+	c.wake()
 }
 
 // Sleep suspends the current process for d of virtual time. A non-positive
@@ -582,20 +592,15 @@ func (c *Clock) Sleep(d time.Duration) {
 		panic("sim: Sleep called from outside the simulation")
 	}
 	p.state = stateSleeping
-	next, killed := c.sleepDispatchLocked(p, c.now+d)
+	next := c.sleepDispatchLocked(p, c.now+d)
+	killed := p.killed
 	c.mu.Unlock()
-	if next == p {
-		// Fast path: our own event was the earliest — control never left
-		// this goroutine, so skip the channel round trip entirely.
-		if killed {
-			panic(Killed{Reason: "terminated while blocked"})
-		}
-		return
+	// Fast path when next == p: our own event was the earliest, so control
+	// never leaves this coroutine.
+	if next != p {
+		killed = p.block(next)
 	}
-	if next != nil {
-		next.wake <- killed
-	}
-	if <-p.wake {
+	if killed {
 		panic(Killed{Reason: "terminated while blocked"})
 	}
 }
@@ -603,13 +608,13 @@ func (c *Clock) Sleep(d time.Duration) {
 // sleepDispatchLocked is the fused push+dispatch for Sleep, the single
 // hottest operation in the simulator. When the sleeping process's own wake
 // at time t precedes everything pending, it is redispatched directly — no
-// heap traffic, no event record, no goroutine handoff. Otherwise its event
+// heap traffic, no event record, no coroutine switch. Otherwise its event
 // replaces the heap minimum in one sift instead of a push followed by a
 // pop.
-func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) (next *Proc, killed bool) {
+func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	if c.finished || (c.live == 0 && !c.windowed) {
 		// Only daemons remain: take the generic path, which finishes the
-		// simulation and abandons p in place — or, in external mode, paces
+		// simulation and leaves p to the reap — or, in external mode, paces
 		// p's wake to the wall clock (idleWaitLocked).
 		c.pushLocked(t, p)
 		return c.dispatchNextLocked()
@@ -630,7 +635,7 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) (next *Proc, kille
 		}
 		p.state = stateRunning
 		c.events.Add(1)
-		return p, p.killed
+		return p
 	}
 	// Here heap.min().t <= t, so in windowed mode the dispatched event is
 	// inside the window (t < horizon was established above).
@@ -644,24 +649,11 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) (next *Proc, kille
 	nextP.state = stateRunning
 	c.current = nextP
 	c.events.Add(1)
-	return nextP, nextP.killed
+	return nextP
 }
 
 // Yield is Sleep(0): requeue behind all currently-ready events.
 func (c *Clock) Yield() { c.Sleep(0) }
-
-// reserveParkToken returns the token the current process's next park will
-// carry. Waiter registration (inside Future/Mailbox) captures it before
-// parking; execution is cooperative, so nothing can intervene between the
-// reservation and the park.
-func (c *Clock) reserveParkToken() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.current == nil {
-		panic("sim: blocking call from outside the simulation")
-	}
-	return c.current.parkToken + 1
-}
 
 // park blocks the current process until unpark. Used by Future and Mailbox.
 func (c *Clock) park() {
@@ -674,12 +666,9 @@ func (c *Clock) park() {
 	p.state = stateParked
 	p.parkToken++
 	c.parked++
-	next, killed := c.dispatchNextLocked()
+	next := c.dispatchNextLocked()
 	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
-	}
-	if <-p.wake {
+	if p.block(next) {
 		panic(Killed{Reason: "terminated while blocked"})
 	}
 }
@@ -696,18 +685,12 @@ func (c *Clock) unpark(p *Proc, token uint64) {
 	c.parked--
 	p.state = stateReady
 	c.pushLocked(c.now, p)
-	var next *Proc
-	var killed bool
-	if c.current == nil && !c.finished && !c.windowed {
-		// Possible in external mode when an injected goroutine resolves
-		// a future while the scheduler is idle. A windowed clock is only
-		// ever dispatched by RunWindow, so the barrier can mutate shard
-		// state between windows without racing a stray dispatch.
-		next, killed = c.dispatchNextLocked()
-	}
+	// In external mode a goroutine outside the simulation may resolve a
+	// future while the loop is idle.
+	idle := c.current == nil && c.external
 	c.mu.Unlock()
-	if next != nil {
-		next.wake <- killed
+	if idle {
+		c.wake()
 	}
 }
 

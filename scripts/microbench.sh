@@ -12,10 +12,10 @@
 #                                  committed "change" block: ns/op is printed
 #                                  only (shared runners are too noisy to gate
 #                                  on); allocs/op must not rise. The rule is
-#                                  exact for the single-goroutine benchmarks;
-#                                  the two Clock* ones get 2 %, because there
-#                                  the Go scheduler's own allocations vary
-#                                  from run to run
+#                                  exact except for the Clock* benchmarks
+#                                  (run at -cpu 1,2, the GOMAXPROCS in the
+#                                  name), which get 2 %: a coroutine's first
+#                                  stack growth is the runtime's to time
 set -eu
 cd "$(dirname "$0")/.."
 file=BENCH_micro.json
@@ -23,12 +23,16 @@ count=5
 fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 
-# bench <benchtime> <regexp> <package>: min ns/op and min allocs/op per
-# benchmark, one `"Name": {...}` line each.
+# bench <benchtime> <regexp> <package> [cpus]: min ns/op and min allocs/op
+# per benchmark, one `"Name": {...}` line each. With a -cpu list the
+# GOMAXPROCS each line ran at becomes part of its name ("Name/cpu2").
 bench() {
-	go test -run '^$' -bench "$2" -benchmem -benchtime "$1" -count "$count" "$3" | awk '
+	go test -run '^$' -bench "$2" -benchmem -benchtime "$1" -count "$count" ${4:+-cpu "$4"} "$3" | awk -v cpus="${4:-}" '
 		/^Benchmark/ {
-			name = $1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
+			name = $1; sub(/^Benchmark/, "", name)
+			if (cpus == "") sub(/-[0-9]+$/, "", name)
+			else if (match(name, /-[0-9]+$/)) name = substr(name, 1, RSTART - 1) "/cpu" substr(name, RSTART + 1)
+			else name = name "/cpu1"
 			for (i = 2; i <= NF; i++) {
 				if ($i == "ns/op") ns = $(i-1)
 				if ($i == "allocs/op") al = $(i-1)
@@ -46,7 +50,7 @@ bench() {
 {
 	bench 5000x '^Benchmark(MatVec64|LogitsHead)$' ./internal/tensor
 	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
-	bench 5x '^BenchmarkClock(EventLoop|SparseTicker)$' ./internal/sim
+	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
 	bench 200x '^BenchmarkEncode$' ./internal/tokenizer
 } > "$fresh"
@@ -69,11 +73,11 @@ if [ "${1:-}" = "-check" ]; then
 		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); next }
 		{
 			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op")
-			if (!(n in al)) { printf "microbench: %-20s not in the committed file: run scripts/microbench.sh\n", n; bad = 1; next }
+			if (!(n in al)) { printf "microbench: %-24s not in the committed file: run scripts/microbench.sh\n", n; bad = 1; next }
 			limit = (n ~ /^Clock/) ? al[n] * 1.02 : al[n]
 			verdict = (gotal > limit) ? "FAIL allocs/op rose" : "ok"
 			if (gotal > limit) bad = 1
-			printf "microbench: %-20s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
+			printf "microbench: %-24s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
 		}
 		END { exit bad }' "$fresh.want" "$fresh"
 	exit
@@ -81,7 +85,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"200x (tensor kernels: 5000x, Clock*: 5x)\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"200x (tensor kernels: 5000x, Clock*: 5x at -cpu 1,2)\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'
