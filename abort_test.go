@@ -9,6 +9,7 @@ import (
 	"pie"
 	"pie/api"
 	"pie/apps"
+	"pie/inferlet"
 )
 
 // abortOutcome is the canonical result document for the abort determinism
@@ -248,5 +249,121 @@ func TestManifestLimitsEnforced(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAbortMidNextDist: an inferlet aborted with a get_next_dist
+// outstanding on a loaded replica gets the call's own future completed —
+// failed typed when queue teardown caught it still queued, resolved by its
+// batch when it was already dispatched — leaves no process behind (there is
+// no adapter between the batch and the inferlet to leave), and returns
+// every page and embedding slot.
+func TestAbortMidNextDist(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		delay   time.Duration // from the probe's "ready" to the abort
+		wantErr error
+	}{
+		{"queued behind the load's prefill batch", 10 * time.Millisecond, api.ErrTerminated},
+		{"dispatched, batch not back yet", 30 * time.Millisecond, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := pie.New(pie.Config{Seed: 11, Mode: pie.ModeTiming})
+			e.MustRegister(apps.All()...)
+			var last api.Future[api.Dist] // the probe's most recent get_next_dist
+			e.MustRegister(pie.Program{
+				Name: "dist_probe", BinarySize: 4 << 10,
+				Run: func(s pie.Session) error {
+					q, err := s.Open("llama-1b")
+					if err != nil {
+						return err
+					}
+					alloc, _ := q.Alloc()
+					text, _ := q.Text()
+					fwd, _ := q.Forward()
+					sample, _ := q.Sample()
+					pages, err := alloc.Pages(1)
+					if err != nil {
+						return err
+					}
+					embs, err := alloc.Embeds(2)
+					if err != nil {
+						return err
+					}
+					if _, err := text.Embed([]int{5}, []int{0}, embs[:1]); err != nil {
+						return err
+					}
+					if _, err := fwd.Run(inferlet.Input(embs[0]), inferlet.AppendKv(pages...), inferlet.Output(embs[1])); err != nil {
+						return err
+					}
+					s.Send("ready")
+					for {
+						f, err := sample.NextDist(embs[1])
+						if err != nil {
+							return err
+						}
+						last = f
+						if _, err := f.Get(); err != nil {
+							return err
+						}
+					}
+				},
+			})
+			err := e.RunClient(func() {
+				liveBefore, _, _, _ := e.Clock().Stats()
+				var load []*pie.Handle
+				for i := 0; i < 24; i++ {
+					h, err := e.Launch(pie.Spec("text_completion", `{"prompt":"keep the device busy","max_tokens":48}`))
+					if err != nil {
+						t.Errorf("launch load %d: %v", i, err)
+						return
+					}
+					load = append(load, h)
+				}
+				probe, err := e.Launch(pie.Spec("dist_probe"))
+				if err != nil {
+					t.Errorf("launch probe: %v", err)
+					return
+				}
+				if msg, err := probe.Recv().Get(); err != nil || msg != "ready" {
+					t.Errorf("probe ready: %q, %v", msg, err)
+					return
+				}
+				e.Sleep(tc.delay)
+				if last == nil || last.Done() {
+					t.Error("probe has no get_next_dist outstanding at the abort; move the abort")
+					return
+				}
+				if !probe.Abort() {
+					t.Error("Abort reported no-op on the live probe")
+				}
+				if err := probe.Wait(); !errors.Is(err, api.ErrAborted) {
+					t.Errorf("probe Wait = %v, want ErrAborted", err)
+				}
+				for _, h := range load {
+					if err := h.Wait(); err != nil {
+						t.Errorf("load session: %v", err)
+					}
+				}
+				e.Sleep(50 * time.Millisecond) // let the sessions' own clean-up drain
+				if !last.Done() {
+					t.Error("the aborted probe's get_next_dist future never completed")
+				} else if _, err := last.Get(); !errors.Is(err, tc.wantErr) {
+					t.Errorf("aborted get_next_dist future = %v, want %v", err, tc.wantErr)
+				}
+				if live, _, _, _ := e.Clock().Stats(); live != liveBefore {
+					t.Errorf("%d live processes before the launches, %d after every session ended", liveBefore, live)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := e.PoolStats("llama-1b"); n != 0 {
+				t.Fatalf("%d KV pages still allocated", n)
+			}
+			if n, _ := e.Controller().EmbedPoolStats("llama-1b"); n != 0 {
+				t.Fatalf("%d embedding slots still allocated", n)
+			}
+		})
 	}
 }

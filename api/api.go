@@ -95,19 +95,25 @@ func (m ModelInfo) HasTrait(t Trait) bool {
 // uses: e.g. a model declaring only TraitFused still satisfies
 // TraitForward and TraitAllocate.
 func (m ModelInfo) HasTraitClosure(t Trait) bool {
-	seen := make(map[Trait]bool, len(m.Traits)*2)
-	stack := append([]Trait(nil), m.Traits...)
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == t {
+	for _, x := range m.Traits {
+		if implies(x, t) {
 			return true
 		}
-		if seen[x] {
-			continue
+	}
+	return false
+}
+
+// implies reports whether trait x is t or depends on it. The DAG is three
+// levels deep, so the walk needs no visited set (and allocates nothing:
+// capability negotiation runs several times per session).
+func implies(x, t Trait) bool {
+	if x == t {
+		return true
+	}
+	for _, s := range Supertraits(x) {
+		if implies(s, t) {
+			return true
 		}
-		seen[x] = true
-		stack = append(stack, Supertraits(x)...)
 	}
 	return false
 }
@@ -115,6 +121,7 @@ func (m ModelInfo) HasTraitClosure(t Trait) bool {
 // Dist is a next-token probability distribution truncated to the top-K
 // vocabulary entries (§4.2: Pie truncates to bound transfer cost; K is
 // configurable, default 256). Tokens are ordered by descending probability.
+// Both slices are read-only: an engine may hand the same Probs to many calls.
 type Dist struct {
 	Tokens []int
 	Probs  []float32

@@ -8,11 +8,15 @@ package pie_test
 // every result; cmd/pie-bench prints the full tables.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"pie"
+	"pie/inferlet"
 	"pie/internal/eval"
 	"pie/internal/sim"
+	"pie/support"
 )
 
 var benchOpts = eval.Options{Seed: 42, Quick: true}
@@ -157,5 +161,56 @@ func BenchmarkSimReplaySpeed(b *testing.B) {
 		eval.Figure6(benchOpts)
 		wall := time.Since(t0)
 		b.ReportMetric(float64(sim.TotalEvents()-ev0)/wall.Seconds(), "events/sec")
+	}
+}
+
+// BenchmarkDecodeStep is the host cost of one decode step through every
+// layer above the kernels — support.Context.Append (alloc_emb, embed_txt,
+// forward, dealloc_emb) plus NextDist (get_next_dist), on a timing-mode
+// engine — behind a context of 16, 64 and 256 KV pages. The paper's bet
+// (§5.2) is that this cost does not depend on the context: allocs/op must
+// be one number at all three sizes.
+func BenchmarkDecodeStep(b *testing.B) {
+	for _, pages := range []int{16, 64, 256} {
+		b.Run(fmt.Sprintf("ctx%dpages", pages), func(b *testing.B) {
+			e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+			e.MustRegister(inferlet.Program{Name: "decode", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+				m := s.AvailableModels()[0]
+				ctx, err := support.NewContext(s, m)
+				if err != nil {
+					return err
+				}
+				if err := ctx.FillTokens(make([]int, pages*m.PageSize-m.PageSize/2)); err != nil {
+					return err
+				}
+				if _, err := ctx.NextDist(); err != nil {
+					return err
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := ctx.Append(7); err != nil {
+						return err
+					}
+					if _, err := ctx.NextDist(); err != nil {
+						return err
+					}
+				}
+				b.StopTimer()
+				return nil
+			}})
+			if err := e.RunClient(func() {
+				h, err := e.Launch(pie.Spec("decode"))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if err := h.Wait(); err != nil {
+					b.Error(err)
+				}
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

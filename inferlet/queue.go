@@ -2,6 +2,7 @@ package inferlet
 
 import (
 	"fmt"
+	"slices"
 
 	"pie/api"
 )
@@ -329,15 +330,13 @@ func (a *Alloc) CopyPage(src, dst api.KvPage, srcOff, dstOff, n int) (api.Future
 }
 
 // removeHandles drops the freed handles from a tracked slice, preserving
-// allocation order for the survivors.
+// allocation order for the survivors. It scans rather than building a set:
+// a decode step frees the one or two slots it just allocated, and the bulk
+// free of a Drop or Close happens once per session.
 func removeHandles[T comparable](live []T, freed []T) []T {
-	drop := make(map[T]bool, len(freed))
-	for _, id := range freed {
-		drop[id] = true
-	}
 	out := live[:0]
 	for _, id := range live {
-		if !drop[id] {
+		if !slices.Contains(freed, id) {
 			out = append(out, id)
 		}
 	}
@@ -362,23 +361,34 @@ type ForwardOption func(*forwardPlan)
 
 // ReadKv sets the attention-context pages (ForwardArgs.InputKv).
 func ReadKv(pages ...api.KvPage) ForwardOption {
-	return func(p *forwardPlan) { p.args.InputKv = append(p.args.InputKv, pages...) }
+	return func(p *forwardPlan) { p.args.InputKv = join(p.args.InputKv, pages) }
 }
 
 // Input sets the input embedding slots consumed by the pass.
 func Input(embs ...api.Embed) ForwardOption {
-	return func(p *forwardPlan) { p.args.InputEmb = append(p.args.InputEmb, embs...) }
+	return func(p *forwardPlan) { p.args.InputEmb = join(p.args.InputEmb, embs) }
 }
 
 // AppendKv sets the pages that receive the new tokens' KV entries.
 func AppendKv(pages ...api.KvPage) ForwardOption {
-	return func(p *forwardPlan) { p.args.OutputKv = append(p.args.OutputKv, pages...) }
+	return func(p *forwardPlan) { p.args.OutputKv = join(p.args.OutputKv, pages) }
 }
 
 // Output sets the slots that receive the transformer outputs of the last
 // len(embs) input tokens.
 func Output(embs ...api.Embed) ForwardOption {
-	return func(p *forwardPlan) { p.args.OutputEmb = append(p.args.OutputEmb, embs...) }
+	return func(p *forwardPlan) { p.args.OutputEmb = join(p.args.OutputEmb, embs) }
+}
+
+// join appends an option's handles to a plan's list. The first option of
+// a kind — nearly always the only one — lends its slice instead of copying
+// it (capacity clipped, so a second option's append copies): the runtime
+// resolves handles before Run returns and keeps no reference.
+func join[T any](list, more []T) []T {
+	if list == nil {
+		return more[:len(more):len(more)]
+	}
+	return append(list, more...)
 }
 
 // WithMask supplies an explicit boolean attention matrix (one row per

@@ -124,7 +124,7 @@ func (ctl *Controller) AdmitArtifact(key string, size int, cold bool) {
 // ArtifactCost prices the cold-launch deployment pipeline (upload + JIT)
 // for a binary of the given size on this replica's device class.
 func (ctl *Controller) ArtifactCost(binaryBytes int) time.Duration {
-	return ctl.models[ctl.order[0]].Spec.ArtifactCost(binaryBytes)
+	return ctl.order[0].rt.Spec.ArtifactCost(binaryBytes)
 }
 
 // ArtifactStats snapshots the warm-artifact cache counters.

@@ -1,0 +1,95 @@
+package core
+
+import (
+	"testing"
+
+	"pie/api"
+	"pie/internal/infer"
+	"pie/internal/sim"
+)
+
+// BenchmarkSchedulerDispatch is the control layer's cost of one scheduling
+// round over 64 command queues: every queue gets one call (embed_txt on
+// half, tokenize on the other half, so two ready buckets compete), the
+// adaptive scheduler forms the two 32-wide batches, and the completions
+// release the queues. One op is one such round, sim events included.
+func BenchmarkSchedulerDispatch(b *testing.B) {
+	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		const queues = 64
+		insts := make([]*Instance, queues)
+		qids := make([]api.Queue, queues)
+		embs := make([][]api.Embed, queues)
+		for i := range insts {
+			insts[i] = ctl.RegisterInstance("bench", nil, nil)
+			qids[i] = mustQueue(b, ctl, insts[i], "llama-1b")
+			var err error
+			if embs[i], err = ctl.AllocEmbeds(insts[i], qids[i], 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tok, pos := []int{7}, []int{0}
+		var last [2]interface{ Get() (struct{}, error) }
+		var lastTok interface{ Get() ([]int, error) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			for i := range insts {
+				if i%2 == 0 {
+					s, err := ctl.EmbedText(insts[i], qids[i], tok, pos, embs[i])
+					if err != nil {
+						b.Fatal(err)
+					}
+					last[0] = s
+				} else {
+					f, err := ctl.Tokenize(insts[i], qids[i], "")
+					if err != nil {
+						b.Fatal(err)
+					}
+					lastTok = f
+				}
+			}
+			// Both batches are back once the last call of each is.
+			if _, err := last[0].Get(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := lastTok.Get(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		for _, inst := range insts {
+			ctl.ReleaseInstance(inst)
+		}
+	})
+}
+
+// BenchmarkTieredPoolAllocEvict is one allocation under memory pressure: the
+// device tier is full, so allocating 4 pages picks and offloads the 4
+// least-recently-used device pages (the victim scan walks every
+// materialized id), and the 4 oldest pages are then released to keep the
+// pool in steady state.
+func BenchmarkTieredPoolAllocEvict(b *testing.B) {
+	const dev, host, step = 256, 256, 4
+	p := newTieredPool(dev, host, lruEvictor{})
+	var fifo, ids []int32
+	ok := true
+	for len(fifo) < dev+host/2 && ok { // device full, host half full
+		fifo, _, ok = p.alloc(fifo, step, 0)
+	}
+	if !ok {
+		b.Fatal("setup alloc failed")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var swapped int
+		ids, swapped, ok = p.alloc(ids[:0], step, 0)
+		if !ok || swapped != step {
+			b.Fatalf("alloc: ok=%v swapped=%d", ok, swapped)
+		}
+		for _, id := range fifo[:step] {
+			p.release(id)
+		}
+		fifo = append(fifo[step:], ids...)
+	}
+}

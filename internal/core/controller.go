@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"pie/api"
 	"pie/internal/infer"
-	"pie/internal/model"
 	"pie/internal/sim"
 )
 
@@ -17,10 +17,8 @@ import (
 type Controller struct {
 	clock     *sim.Clock
 	backend   *infer.Backend
-	models    map[string]*infer.ModelRuntime
-	order     []string
-	pagePool  map[string]*tieredPool
-	embPool   map[string]*pool
+	models    map[string]*modelState
+	order     []*modelState // registration order
 	exports   map[string]*exportEntry
 	offload   OffloadConfig
 	artifacts *artifactCache
@@ -31,6 +29,13 @@ type Controller struct {
 	callSeq   uint64
 
 	sched *Scheduler
+
+	// Per-call working memory no inferlet can hold: recycled call records,
+	// a physical-id scratch list (valid until the next sleep), and the
+	// stamp that refreshes each queue once per completed batch.
+	freeCalls []*call
+	ids       []int32
+	doneEpoch uint64
 
 	// Outstanding inference-layer work, maintained incrementally on
 	// enqueue/complete/close. The cluster router's least-loaded placement
@@ -65,9 +70,7 @@ func NewController(clock *sim.Clock, backend *infer.Backend, models []*infer.Mod
 	ctl := &Controller{
 		clock:     clock,
 		backend:   backend,
-		models:    make(map[string]*infer.ModelRuntime),
-		pagePool:  make(map[string]*tieredPool),
-		embPool:   make(map[string]*pool),
+		models:    make(map[string]*modelState),
 		exports:   make(map[string]*exportEntry),
 		instances: make(map[uint64]*Instance),
 		offload:   offload,
@@ -78,15 +81,18 @@ func NewController(clock *sim.Clock, backend *infer.Backend, models []*infer.Mod
 	}
 	ctl.artifacts = newArtifactCache(artCap)
 	for _, rt := range models {
-		name := string(rt.Info.ID)
-		ctl.models[name] = rt
-		ctl.order = append(ctl.order, name)
 		hostCap := int(offload.HostRatio * float64(rt.PageCapacity))
 		if hostCap < 0 {
 			hostCap = 0 // a negative ratio must not shrink total capacity below the device tier
 		}
-		ctl.pagePool[name] = newTieredPool(rt.PageCapacity, hostCap, evictorFor(offload.Eviction))
-		ctl.embPool[name] = newPool(rt.EmbedCapacity)
+		m := &modelState{
+			name:   string(rt.Info.ID),
+			rt:     rt,
+			pages:  newTieredPool(rt.PageCapacity, hostCap, evictorFor(offload.Eviction)),
+			embeds: newPool(rt.EmbedCapacity),
+		}
+		ctl.models[m.name] = m
+		ctl.order = append(ctl.order, m)
 	}
 	ctl.sched = newScheduler(clock, ctl, cfg)
 	backend.SetCompleteFunc(ctl.onBatchComplete)
@@ -129,9 +135,6 @@ func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func
 		Name:       name,
 		CreatedSeq: ctl.instSeq,
 		Proc:       proc,
-		vEmbeds:    make(map[api.Embed]resRef),
-		vPages:     make(map[api.KvPage]resRef),
-		queues:     make(map[api.Queue]*cmdQueue),
 		onKill:     onKill,
 		launchedAt: ctl.clock.Now(),
 	}
@@ -141,7 +144,10 @@ func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func
 
 // ReleaseInstance frees every resource the instance holds: queues are
 // closed (pending calls fail), virtual mappings are dropped, and physical
-// references are released. Idempotent.
+// references are released. Idempotent. The order is fixed — queues by
+// ascending id, then embeds and pages by ascending handle — because it
+// decides the pools' free lists (every later physical id) and the order
+// the failed calls' waiters wake: same-seed runs must agree on both.
 func (ctl *Controller) ReleaseInstance(inst *Instance) {
 	if inst.dead {
 		return
@@ -149,65 +155,28 @@ func (ctl *Controller) ReleaseInstance(inst *Instance) {
 	inst.dead = true
 	for _, q := range inst.queues {
 		q.closed = true
-		for _, c := range q.pending {
-			ctl.retireCall(c)
-			ctl.unpinCall(c)
-			if c.Op == infer.OpDealloc && c.ControlFn != nil {
-				// Queue-ordered deallocs already removed their handles
-				// from the instance view; the deferred physical free must
-				// still run or the slots leak (abort mid-decode lands
-				// here routinely).
-				c.ControlFn()
-				continue
-			}
-			c.Err = api.ErrTerminated
-			failCall(c)
+		ctl.failPending(q, api.ErrTerminated)
+	}
+	for _, ref := range inst.embeds.refs {
+		if ref.m != nil {
+			ref.m.embeds.release(ref.phys)
 		}
-		q.pending = nil
-		ctl.sched.forgetQueue(q)
 	}
-	for _, ref := range inst.vEmbeds {
-		ctl.embPool[ref.model].release(ref.phys)
+	for _, ref := range inst.pages.refs {
+		if ref.m != nil {
+			ref.m.pages.release(ref.phys)
+		}
 	}
-	for _, ref := range inst.vPages {
-		ctl.pagePool[ref.model].release(ref.phys)
-	}
-	inst.vEmbeds = make(map[api.Embed]resRef)
-	inst.vPages = make(map[api.KvPage]resRef)
+	inst.embeds, inst.pages = handleTable{}, handleTable{}
 	delete(ctl.instances, inst.ID)
-}
-
-// failCall resolves every completion future a call carries.
-func failCall(c *infer.Call) {
-	if c.Done != nil && !c.Done.Done() {
-		sim.Fire(c.Done)
-	}
-	if c.SyncFut != nil && !c.SyncFut.Done() {
-		sim.Fire(c.SyncFut)
-	}
-	if c.DistFut != nil && !c.DistFut.Done() {
-		c.DistFut.Fail(c.Err)
-	}
-	if c.TokFut != nil && !c.TokFut.Done() {
-		c.TokFut.Fail(c.Err)
-	}
-	if c.TextFut != nil && !c.TextFut.Done() {
-		c.TextFut.Fail(c.Err)
-	}
-	if c.VocabFut != nil && !c.VocabFut.Done() {
-		c.VocabFut.Fail(c.Err)
-	}
-	if c.FusedTok != nil && !c.FusedTok.Done() {
-		c.FusedTok.Fail(c.Err)
-	}
 }
 
 // ensurePages enforces the resource-contention policy (§5.2, §8): when a
 // KvPage allocation cannot be satisfied, the most recently created live
 // inferlets are terminated until enough pages are free. If the requester
 // itself is the newest, it is the victim and receives ErrTerminated.
-func (ctl *Controller) ensurePages(requester *Instance, modelName string, n int) error {
-	p := ctl.pagePool[modelName]
+func (ctl *Controller) ensurePages(requester *Instance, m *modelState, n int) error {
+	p, modelName := m.pages, m.name
 	for p.available() < n {
 		victim := ctl.newestInstance()
 		if victim == nil {
@@ -294,7 +263,7 @@ func (ctl *Controller) DropExports() (exports, pages int) {
 	for _, name := range names {
 		entry := ctl.exports[name]
 		for _, p := range entry.phys {
-			ctl.pagePool[entry.model].release(p)
+			entry.m.pages.release(p)
 		}
 		pages += len(entry.phys)
 		delete(ctl.exports, name)
@@ -307,10 +276,9 @@ func (ctl *Controller) DropExports() (exports, pages int) {
 // both tiers. The cluster's saturation guard reads it to decide when to
 // shed best-effort launches.
 func (ctl *Controller) KVLoad() (inUse, capacity int) {
-	for _, name := range ctl.order {
-		p := ctl.pagePool[name]
-		inUse += p.inUse()
-		capacity += p.capacity()
+	for _, m := range ctl.order {
+		inUse += m.pages.inUse()
+		capacity += m.pages.capacity()
 	}
 	return inUse, capacity
 }
@@ -325,8 +293,8 @@ func (ctl *Controller) Instances() int { return len(ctl.instances) }
 // against this catalog view at register and launch time.
 func (ctl *Controller) ModelInfos() []api.ModelInfo {
 	out := make([]api.ModelInfo, 0, len(ctl.order))
-	for _, name := range ctl.order {
-		out = append(out, ctl.models[name].Info)
+	for _, m := range ctl.order {
+		out = append(out, m.rt.Info)
 	}
 	return out
 }
@@ -334,21 +302,17 @@ func (ctl *Controller) ModelInfos() []api.ModelInfo {
 // Models lists servable models in registration order (available_models).
 func (ctl *Controller) Models(inst *Instance) []api.ModelInfo {
 	ctl.chargeControl(inst)
-	out := make([]api.ModelInfo, 0, len(ctl.order))
-	for _, name := range ctl.order {
-		out = append(out, ctl.models[name].Info)
-	}
-	return out
+	return ctl.ModelInfos()
 }
 
 // Traits reports a model's trait set (available_traits).
 func (ctl *Controller) Traits(inst *Instance, m api.ModelID) ([]api.Trait, error) {
 	ctl.chargeControl(inst)
-	rt, ok := ctl.models[string(m)]
+	ms, ok := ctl.models[string(m)]
 	if !ok {
 		return nil, api.ErrNoSuchModel
 	}
-	return append([]api.Trait(nil), rt.Info.Traits...), nil
+	return append([]api.Trait(nil), ms.rt.Info.Traits...), nil
 }
 
 // --- Queues ---------------------------------------------------------------
@@ -356,7 +320,7 @@ func (ctl *Controller) Traits(inst *Instance, m api.ModelID) ([]api.Trait, error
 // CreateQueue makes a command queue bound to a model (create_queue).
 func (ctl *Controller) CreateQueue(inst *Instance, m api.ModelID) (api.Queue, error) {
 	ctl.chargeControl(inst)
-	rt, ok := ctl.models[string(m)]
+	ms, ok := ctl.models[string(m)]
 	if !ok {
 		return 0, api.ErrNoSuchModel
 	}
@@ -364,9 +328,8 @@ func (ctl *Controller) CreateQueue(inst *Instance, m api.ModelID) (api.Queue, er
 		return 0, fmt.Errorf("%w: manifest allows %d open queues", api.ErrLimitExceeded, inst.MaxQueues)
 	}
 	ctl.queueSeq++
-	q := &cmdQueue{id: api.Queue(ctl.queueSeq), inst: inst, model: string(m), rt: rt,
-		priority: inst.DefaultPriority}
-	inst.queues[q.id] = q
+	q := &cmdQueue{id: api.Queue(ctl.queueSeq), inst: inst, m: ms, priority: inst.DefaultPriority}
+	inst.queues = append(inst.queues, q) // ids only grow: the slice stays sorted
 	return q.id, nil
 }
 
@@ -389,22 +352,22 @@ func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (*sim.Signal, 
 	if err != nil {
 		return nil, err
 	}
-	if len(q.pending) == 0 && q.inflight == 0 {
-		s := sim.NewSignal(ctl.clock)
+	s := sim.NewSignal(ctl.clock)
+	if q.queued() == 0 && q.inflight == 0 {
 		sim.Fire(s)
 		return s, nil
 	}
-	c := &infer.Call{Op: infer.OpSync, SyncFut: sim.NewSignal(ctl.clock)}
-	ctl.enqueue(q, c)
-	return c.SyncFut, nil
+	op := ctl.newOp(q, infer.OpSync)
+	op.sync = s
+	ctl.enqueue(q, op)
+	return s, nil
 }
 
 func (ctl *Controller) queue(inst *Instance, qid api.Queue) (*cmdQueue, error) {
-	q, ok := inst.queues[qid]
-	if !ok || q.closed {
-		return nil, api.ErrQueueClosed
+	if i, ok := inst.queueIndex(qid); ok && !inst.queues[i].closed {
+		return inst.queues[i], nil
 	}
-	return q, nil
+	return nil, api.ErrQueueClosed
 }
 
 // CloseQueue closes a command queue (close_queue). Callers that want a
@@ -420,158 +383,9 @@ func (ctl *Controller) CloseQueue(inst *Instance, qid api.Queue) error {
 		return err
 	}
 	q.closed = true
-	for _, c := range q.pending {
-		ctl.retireCall(c)
-		ctl.unpinCall(c)
-		if c.Op == infer.OpDealloc && c.ControlFn != nil {
-			// As in ReleaseInstance: the handles died when the dealloc
-			// enqueued, so the deferred physical free must still run.
-			c.ControlFn()
-			continue
-		}
-		c.Err = api.ErrQueueClosed
-		failCall(c)
-	}
-	q.pending = nil
-	ctl.sched.forgetQueue(q)
-	delete(inst.queues, qid)
-	return nil
-}
-
-// --- Allocation -----------------------------------------------------------
-
-// AllocEmbeds allocates n embedding slots (alloc_emb).
-func (ctl *Controller) AllocEmbeds(inst *Instance, qid api.Queue, n int) ([]api.Embed, error) {
-	ctl.chargeControl(inst)
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, api.ErrBadArgument
-	}
-	phys, ok := ctl.embPool[q.model].alloc(n)
-	if !ok {
-		return nil, api.ErrOutOfResources
-	}
-	out := make([]api.Embed, n)
-	for i, id := range phys {
-		inst.nextEmbed++
-		out[i] = inst.nextEmbed
-		inst.vEmbeds[out[i]] = resRef{model: q.model, phys: id}
-	}
-	return out, nil
-}
-
-// AllocPages allocates n KV pages (alloc_kvpage), applying the FCFS
-// contention policy on shortage.
-func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.KvPage, error) {
-	ctl.chargeControl(inst)
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, api.ErrBadArgument
-	}
-	if inst.MaxKvPages > 0 && len(inst.vPages)+n > inst.MaxKvPages {
-		return nil, fmt.Errorf("%w: manifest allows %d KV pages (%d live, %d requested)",
-			api.ErrLimitExceeded, inst.MaxKvPages, len(inst.vPages), n)
-	}
-	var phys []int32
-	swappedOut := 0
-	for attempt := 0; ; attempt++ {
-		if err := ctl.ensurePages(inst, q.model, n); err != nil {
-			return nil, err
-		}
-		ids, swapped, ok := ctl.pagePool[q.model].alloc(n, q.priority)
-		if ok {
-			phys, swappedOut = ids, swapped
-			break
-		}
-		// Total capacity sufficed but device room could not be cleared:
-		// every device page is pinned by queued or in-flight work. That
-		// is transient — back off until the wave completes and unpins.
-		if attempt >= faultRetries {
-			return nil, api.ErrOutOfResources
-		}
-		ctl.clock.Sleep(faultBackoff)
-		if q.closed {
-			return nil, api.ErrQueueClosed
-		}
-	}
-	out := make([]api.KvPage, n)
-	for i, id := range phys {
-		inst.nextPage++
-		out[i] = inst.nextPage
-		inst.vPages[out[i]] = resRef{model: q.model, phys: id}
-		// Fresh pages must arrive empty even if physically recycled.
-		ctl.models[q.model].Page(id).Reset()
-	}
-	// Charge the PCIe cost of alloc-triggered offloads only after the
-	// handles are registered: an FCFS kill landing inside this sleep then
-	// reclaims the pages through ReleaseInstance instead of leaking them.
-	ctl.chargeSwap(q.rt, swappedOut)
-	return out, nil
-}
-
-// DeallocEmbeds releases embedding slots after prior queue ops complete
-// (dealloc_emb): it is a queue-ordered control op. Validation is
-// all-or-nothing — a bad handle anywhere in ids releases nothing, so a
-// failed call leaves the caller's handle view unchanged.
-func (ctl *Controller) DeallocEmbeds(inst *Instance, qid api.Queue, ids []api.Embed) error {
-	ctl.chargeControl(inst)
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return err
-	}
-	refs := make([]resRef, 0, len(ids))
-	seen := make(map[api.Embed]bool, len(ids))
-	for _, id := range ids {
-		ref, ok := inst.vEmbeds[id]
-		if !ok || seen[id] {
-			return api.ErrBadHandle
-		}
-		seen[id] = true
-		refs = append(refs, ref)
-	}
-	for _, id := range ids {
-		delete(inst.vEmbeds, id) // handle dies now; physical free is deferred
-	}
-	ctl.enqueue(q, &infer.Call{Op: infer.OpDealloc, ControlFn: func() {
-		for _, ref := range refs {
-			ctl.embPool[ref.model].release(ref.phys)
-		}
-	}})
-	return nil
-}
-
-// DeallocPages releases KV pages, queue-ordered (dealloc_kvpage), with
-// the same all-or-nothing validation as DeallocEmbeds.
-func (ctl *Controller) DeallocPages(inst *Instance, qid api.Queue, ids []api.KvPage) error {
-	ctl.chargeControl(inst)
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return err
-	}
-	refs := make([]resRef, 0, len(ids))
-	seen := make(map[api.KvPage]bool, len(ids))
-	for _, id := range ids {
-		ref, ok := inst.vPages[id]
-		if !ok || seen[id] {
-			return api.ErrBadHandle
-		}
-		seen[id] = true
-		refs = append(refs, ref)
-	}
-	for _, id := range ids {
-		delete(inst.vPages, id)
-	}
-	ctl.enqueue(q, &infer.Call{Op: infer.OpDealloc, ControlFn: func() {
-		for _, ref := range refs {
-			ctl.pagePool[ref.model].release(ref.phys)
-		}
-	}})
+	ctl.failPending(q, api.ErrQueueClosed)
+	i, _ := inst.queueIndex(qid)
+	inst.queues = slices.Delete(inst.queues, i, i+1)
 	return nil
 }
 
@@ -587,19 +401,19 @@ func (ctl *Controller) ExportPages(inst *Instance, name string, ids []api.KvPage
 	}
 	entry := &exportEntry{}
 	for _, id := range ids {
-		ref, ok := inst.vPages[id]
-		if !ok {
+		ref := inst.pages.get(uint64(id))
+		if ref == nil {
 			return api.ErrBadHandle
 		}
-		if entry.model == "" {
-			entry.model = ref.model
-		} else if entry.model != ref.model {
+		if entry.m == nil {
+			entry.m = ref.m
+		} else if entry.m != ref.m {
 			return fmt.Errorf("%w: export mixes models", api.ErrBadArgument)
 		}
 		entry.phys = append(entry.phys, ref.phys)
 	}
 	for _, p := range entry.phys {
-		ctl.pagePool[entry.model].retain(p)
+		entry.m.pages.retain(p)
 	}
 	ctl.exports[name] = entry
 	return nil
@@ -613,18 +427,16 @@ func (ctl *Controller) ImportPages(inst *Instance, name string) ([]api.KvPage, e
 	if !ok {
 		return nil, api.ErrNoSuchExport
 	}
-	if inst.MaxKvPages > 0 && len(inst.vPages)+len(entry.phys) > inst.MaxKvPages {
+	if inst.MaxKvPages > 0 && inst.pages.live+len(entry.phys) > inst.MaxKvPages {
 		// Imports map pages into the instance's address space too: the
 		// manifest cap bounds live pages however they arrive.
 		return nil, fmt.Errorf("%w: manifest allows %d KV pages (%d live, %d imported)",
-			api.ErrLimitExceeded, inst.MaxKvPages, len(inst.vPages), len(entry.phys))
+			api.ErrLimitExceeded, inst.MaxKvPages, inst.pages.live, len(entry.phys))
 	}
 	out := make([]api.KvPage, len(entry.phys))
 	for i, p := range entry.phys {
-		ctl.pagePool[entry.model].retain(p)
-		inst.nextPage++
-		out[i] = inst.nextPage
-		inst.vPages[out[i]] = resRef{model: entry.model, phys: p}
+		entry.m.pages.retain(p)
+		out[i] = api.KvPage(inst.pages.issue(entry.m, p))
 	}
 	return out, nil
 }
@@ -644,433 +456,11 @@ func (ctl *Controller) ReleaseExport(inst *Instance, name string) error {
 		return api.ErrNoSuchExport
 	}
 	for _, p := range entry.phys {
-		ctl.pagePool[entry.model].release(p)
+		entry.m.pages.release(p)
 	}
 	delete(ctl.exports, name)
 	return nil
 }
-
-// --- Inference-layer calls -------------------------------------------------
-
-func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPage) ([]*model.KvPage, []int32, error) {
-	out := make([]*model.KvPage, len(ids))
-	phys := make([]int32, len(ids))
-	for i, id := range ids {
-		ref, ok := inst.vPages[id]
-		if !ok || ref.model != q.model {
-			return nil, nil, api.ErrBadHandle
-		}
-		out[i] = q.rt.Page(ref.phys)
-		phys[i] = ref.phys
-	}
-	return out, phys, nil
-}
-
-// chargeSwap prices n page moves across the PCIe link in the caller's
-// process (allocation-triggered offloads, forward-triggered faults).
-func (ctl *Controller) chargeSwap(rt *infer.ModelRuntime, n int) {
-	if n <= 0 {
-		return
-	}
-	cost := rt.Spec.SwapCost(n, rt.Info.PageSize)
-	ctl.xferTime += cost
-	ctl.clock.Sleep(cost)
-}
-
-// Fault-in contention backoff: when a call's working set cannot fit the
-// device tier because concurrent calls pin it full, the faulting session
-// waits for the in-flight wave to complete and retries. The virtual-clock
-// sleep keeps the retry deterministic; the bound turns a true working-set
-// overcommit (every device page pinned forever) into ErrOutOfResources.
-const (
-	faultBackoff = 5 * time.Millisecond
-	faultRetries = 40
-)
-
-// preparePages readies the physical pages an inference call references:
-// stamps recency, pins them against offload for the call's lifetime, and
-// prefetches host-resident pages back to the device tier, charging the
-// PCIe transfer before the call enqueues — by dispatch time the pages are
-// resident. Duplicate mentions (ReadKv and AppendKv commonly name the
-// same pages) pin and charge once. Transient device-tier contention
-// (other calls' pins) is absorbed by a bounded backoff, so sessions
-// fault transparently. The pin set rides on the call and is dropped by
-// unpinCall; until it is handed over, a deferred release covers an FCFS
-// kill landing inside the transfer-charge sleep.
-func (ctl *Controller) preparePages(q *cmdQueue, c *infer.Call, phys []int32) error {
-	if len(phys) == 0 {
-		return nil
-	}
-	uniq := make([]int32, 0, len(phys))
-	seen := make(map[int32]bool, len(phys))
-	for _, id := range phys {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	p := ctl.pagePool[q.model]
-	var pins []infer.PagePin
-	unpinAll := func() {
-		for _, pp := range pins {
-			p.unpin(pp.Page, pp.Gen)
-		}
-		pins = nil
-	}
-	handedOver := false
-	defer func() {
-		if !handedOver {
-			unpinAll()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		pins = make([]infer.PagePin, 0, len(uniq))
-		for _, id := range uniq {
-			if gen, ok := p.pin(id); ok {
-				pins = append(pins, infer.PagePin{Page: id, Gen: gen})
-			}
-			p.touch(id)
-		}
-		in, out, ok := p.faultIn(uniq)
-		if ok {
-			ctl.chargeSwap(q.rt, in+out) // may be interrupted by a kill; see defer
-			c.PinnedPages = pins
-			handedOver = true
-			return nil
-		}
-		// Unpin while waiting so competing faults can make progress.
-		unpinAll()
-		if attempt >= faultRetries {
-			return fmt.Errorf("%w: cannot fault offloaded pages back to device (device tier fully pinned)",
-				api.ErrOutOfResources)
-		}
-		ctl.clock.Sleep(faultBackoff)
-		if q.closed {
-			return api.ErrQueueClosed
-		}
-	}
-}
-
-// unpinCall releases a call's page pins. Idempotent: exactly one of batch
-// completion, queue close, or instance release runs it per call.
-func (ctl *Controller) unpinCall(c *infer.Call) {
-	if len(c.PinnedPages) == 0 || c.Model == nil {
-		return
-	}
-	p := ctl.pagePool[string(c.Model.Info.ID)]
-	for _, pp := range c.PinnedPages {
-		p.unpin(pp.Page, pp.Gen)
-	}
-	c.PinnedPages = nil
-}
-
-// newCall stamps common fields and instruments the instance.
-func (ctl *Controller) newCall(inst *Instance, op infer.Op) *infer.Call {
-	ctl.callSeq++
-	inst.InferCalls++
-	return &infer.Call{
-		Op:   op,
-		Seq:  ctl.callSeq,
-		Enq:  ctl.clock.Now(),
-		Inst: inst.ID,
-		Done: sim.NewSignal(ctl.clock),
-	}
-}
-
-// EmbedText schedules embed_txt: token ids into embedding slots with
-// explicit positions.
-func (ctl *Controller) EmbedText(inst *Instance, qid api.Queue, tokens, positions []int, dst []api.Embed) (*sim.Signal, error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := ctl.resolveEmbeds(inst, q, dst)
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpEmbedText)
-	c.Model = q.rt
-	c.TokenIDs = append([]int(nil), tokens...)
-	c.Positions = append([]int(nil), positions...)
-	c.Outputs = slots
-	ctl.enqueue(q, c)
-	return c.Done, nil
-}
-
-// EmbedImage schedules embed_img.
-func (ctl *Controller) EmbedImage(inst *Instance, qid api.Queue, blob []byte, positions []int, dst []api.Embed) (*sim.Signal, error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	if !q.rt.Info.HasTraitClosure(api.TraitInputImage) {
-		return nil, api.ErrNoSuchTrait
-	}
-	slots, err := ctl.resolveEmbeds(inst, q, dst)
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpEmbedImage)
-	c.Model = q.rt
-	c.Blob = blob
-	c.Positions = append([]int(nil), positions...)
-	c.Outputs = slots
-	ctl.enqueue(q, c)
-	return c.Done, nil
-}
-
-// Forward schedules the core transformer pass.
-func (ctl *Controller) Forward(inst *Instance, qid api.Queue, args api.ForwardArgs) (*sim.Signal, error) {
-	c, q, err := ctl.buildForward(inst, qid, args)
-	if err != nil {
-		return nil, err
-	}
-	ctl.enqueue(q, c)
-	return c.Done, nil
-}
-
-// ForwardSampled schedules forward_with_sampling (the fused monolithic-style
-// pipeline, TraitFused): optional inline token embedding, forward, and
-// on-GPU sampling, one kernel.
-func (ctl *Controller) ForwardSampled(inst *Instance, qid api.Queue, args api.ForwardArgs, inlineTokens, inlinePos []int, spec infer.SampleSpec) (*sim.Future[[]int], error) {
-	c, q, err := ctl.buildForward(inst, qid, args)
-	if err != nil {
-		return nil, err
-	}
-	if len(inlineTokens) > 0 {
-		if len(args.InputEmb) > 0 {
-			ctl.unpinCall(c) // the call never enqueues; release its page pins
-			return nil, fmt.Errorf("%w: both InputEmb and inline tokens", api.ErrBadArgument)
-		}
-		c.FusedEmb = append([]int(nil), inlineTokens...)
-		c.FusedPos = append([]int(nil), inlinePos...)
-	}
-	c.Sample = &spec
-	c.FusedTok = sim.NewFuture[[]int](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.FusedTok, nil
-}
-
-func (ctl *Controller) buildForward(inst *Instance, qid api.Queue, args api.ForwardArgs) (*infer.Call, *cmdQueue, error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctxPages, ctxPhys, err := ctl.resolvePages(inst, q, args.InputKv)
-	if err != nil {
-		return nil, nil, err
-	}
-	outPages, outPhys, err := ctl.resolvePages(inst, q, args.OutputKv)
-	if err != nil {
-		return nil, nil, err
-	}
-	inputs, err := ctl.resolveEmbeds(inst, q, args.InputEmb)
-	if err != nil {
-		return nil, nil, err
-	}
-	outputs, err := ctl.resolveEmbeds(inst, q, args.OutputEmb)
-	if err != nil {
-		return nil, nil, err
-	}
-	if args.Adapter != "" && !q.rt.Info.HasTraitClosure(api.TraitAdapter) {
-		return nil, nil, api.ErrNoSuchTrait
-	}
-	c := ctl.newCall(inst, infer.OpForward)
-	c.Model = q.rt
-	c.CtxPages = ctxPages
-	c.OutPages = outPages
-	c.Inputs = inputs
-	c.Outputs = outputs
-	c.Mask = args.Mask
-	c.Adapter = args.Adapter
-	if err := ctl.preparePages(q, c, append(ctxPhys, outPhys...)); err != nil {
-		return nil, nil, err
-	}
-	return c, q, nil
-}
-
-// NextDist schedules get_next_dist.
-func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (*sim.Future[api.Dist], error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	slots, err := ctl.resolveEmbeds(inst, q, []api.Embed{emb})
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpNextDist)
-	c.Model = q.rt
-	c.DistOf = slots[0]
-	c.DistFut = sim.NewFuture[infer.DistResult](ctl.clock)
-	ctl.enqueue(q, c)
-
-	out := sim.NewFuture[api.Dist](ctl.clock)
-	ctl.clock.Go("dist-adapt", func() {
-		r, err := c.DistFut.Get()
-		if err != nil {
-			out.Fail(err)
-			return
-		}
-		out.Resolve(api.Dist{Tokens: r.Tokens, Probs: r.Probs})
-	})
-	return out, nil
-}
-
-// CopyKv schedules copy_kvpage: token-level copy between pages.
-func (ctl *Controller) CopyKv(inst *Instance, qid api.Queue, src, dst api.KvPage, srcOff, dstOff, n int) (*sim.Signal, error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{src, dst})
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpCopyKv)
-	c.Model = q.rt
-	c.SrcPage, c.DstPage = pages[0], pages[1]
-	c.SrcOff, c.DstOff, c.NumTokens = srcOff, dstOff, n
-	if err := ctl.preparePages(q, c, phys); err != nil {
-		return nil, err
-	}
-	ctl.enqueue(q, c)
-	return c.Done, nil
-}
-
-// MaskKv schedules mask_kvpage: token-level attention mask bits.
-func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bits []bool) (*sim.Signal, error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	pages, phys, err := ctl.resolvePages(inst, q, []api.KvPage{page})
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpMaskKv)
-	c.Model = q.rt
-	c.MaskPage = pages[0]
-	c.MaskBits = append([]bool(nil), bits...)
-	if err := ctl.preparePages(q, c, phys); err != nil {
-		return nil, err
-	}
-	ctl.enqueue(q, c)
-	return c.Done, nil
-}
-
-// Tokenize schedules tokenize.
-func (ctl *Controller) Tokenize(inst *Instance, qid api.Queue, text string) (*sim.Future[[]int], error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpTokenize)
-	c.Model = q.rt
-	c.Text = text
-	c.TokFut = sim.NewFuture[[]int](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.TokFut, nil
-}
-
-// Detokenize schedules detokenize.
-func (ctl *Controller) Detokenize(inst *Instance, qid api.Queue, ids []int) (*sim.Future[string], error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpDetokenize)
-	c.Model = q.rt
-	c.TokenIDs = append([]int(nil), ids...)
-	c.TextFut = sim.NewFuture[string](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.TextFut, nil
-}
-
-// GetVocabs schedules get_vocabs.
-func (ctl *Controller) GetVocabs(inst *Instance, qid api.Queue) (*sim.Future[[][]byte], error) {
-	q, err := ctl.queue(inst, qid)
-	if err != nil {
-		return nil, err
-	}
-	c := ctl.newCall(inst, infer.OpGetVocabs)
-	c.Model = q.rt
-	c.VocabFut = sim.NewFuture[[][]byte](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.VocabFut, nil
-}
-
-func (ctl *Controller) resolveEmbeds(inst *Instance, q *cmdQueue, ids []api.Embed) ([]*model.EmbedSlot, error) {
-	out := make([]*model.EmbedSlot, len(ids))
-	for i, id := range ids {
-		ref, ok := inst.vEmbeds[id]
-		if !ok || ref.model != q.model {
-			return nil, api.ErrBadHandle
-		}
-		out[i] = q.rt.Embed(ref.phys)
-	}
-	return out, nil
-}
-
-// callTokenWeight prices a call's share of outstanding work in tokens:
-// forwards and embeds weigh their fresh tokens, other inference ops weigh
-// one, control-side ops weigh nothing.
-func callTokenWeight(c *infer.Call) int {
-	if c.Op.ControlSide() {
-		return 0
-	}
-	if n := c.NewTokens(); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// admitCall / retireCall maintain the outstanding-work counters. A call is
-// admitted once at enqueue and retired exactly once: at batch completion
-// for dispatched calls, or at queue close for calls that never dispatched.
-func (ctl *Controller) admitCall(c *infer.Call) {
-	if c.Op.ControlSide() {
-		return
-	}
-	ctl.outstandingCalls++
-	ctl.outstandingTokens += callTokenWeight(c)
-	ctl.outstandingPrefill += prefillWeight(c)
-}
-
-func (ctl *Controller) retireCall(c *infer.Call) {
-	if c.Op.ControlSide() {
-		return
-	}
-	ctl.outstandingCalls--
-	ctl.outstandingTokens -= callTokenWeight(c)
-	ctl.outstandingPrefill -= prefillWeight(c)
-}
-
-// prefillWeight counts the fresh tokens of a bulk-prefill forward (more
-// than one new token); single-token decode steps weigh zero. The scaler's
-// saturation signal reads the aggregate: a replica deep in prefill work
-// has long first-token queues ahead of any new launch.
-func prefillWeight(c *infer.Call) int {
-	if c.Op != infer.OpForward {
-		return 0
-	}
-	if n := c.NewTokens(); n > 1 {
-		return n
-	}
-	return 0
-}
-
-// OutstandingCalls reports inference-layer calls admitted but not yet
-// completed (queued or in flight).
-func (ctl *Controller) OutstandingCalls() int { return ctl.outstandingCalls }
-
-// OutstandingTokens reports the token-weighted outstanding work — the
-// cluster's least-outstanding-tokens placement signal.
-func (ctl *Controller) OutstandingTokens() int { return ctl.outstandingTokens }
-
-// OutstandingPrefillTokens reports the fresh tokens of admitted
-// bulk-prefill forwards not yet completed — a scaler saturation signal.
-func (ctl *Controller) OutstandingPrefillTokens() int { return ctl.outstandingPrefill }
 
 // CheaperModel returns the cheapest installed model that is strictly
 // cheaper (by weight bytes) than name and whose trait closure covers every
@@ -1079,14 +469,15 @@ func (ctl *Controller) OutstandingPrefillTokens() int { return ctl.outstandingPr
 // such model exists. Graceful degradation uses it to downgrade Degradable
 // launches near saturation.
 func (ctl *Controller) CheaperModel(name string) string {
-	cur, ok := ctl.models[name]
+	ms, ok := ctl.models[name]
 	if !ok {
 		return ""
 	}
+	cur := ms.rt
 	best := ""
 	var bestBytes int64
 	for _, cand := range ctl.order {
-		rt := ctl.models[cand]
+		rt := cand.rt
 		if rt.Spec.WeightBytes >= cur.Spec.WeightBytes {
 			continue
 		}
@@ -1101,7 +492,7 @@ func (ctl *Controller) CheaperModel(name string) string {
 			continue
 		}
 		if best == "" || rt.Spec.WeightBytes < bestBytes {
-			best, bestBytes = cand, rt.Spec.WeightBytes
+			best, bestBytes = cand.name, rt.Spec.WeightBytes
 		}
 	}
 	return best
@@ -1115,95 +506,17 @@ func (ctl *Controller) HasExportNamed(name string) bool {
 	return ok
 }
 
-// enqueue adds a call to its queue and pokes the scheduler.
-func (ctl *Controller) enqueue(q *cmdQueue, c *infer.Call) {
-	ctl.admitCall(c)
-	q.pending = append(q.pending, c)
-	ctl.sched.onEnqueue(q)
-}
-
-// onBatchComplete is the event dispatcher (§5.2 step 5): results arrived
-// from the inference layer; release queue ordering and keep dispatching.
-func (ctl *Controller) onBatchComplete(b *infer.Batch) {
-	for _, c := range b.Calls {
-		ctl.retireCall(c)
-		ctl.unpinCall(c)
-		q := ctl.sched.queueOf(c)
-		if q != nil {
-			q.inflight--
-		}
-	}
-	if (ctl.latencyFn != nil || ctl.firstTokFn != nil) && b.Op == infer.OpForward {
-		// Feed the SLO tracker: an instance's first completed forward is
-		// its TTFT (launch → first token); each later forward samples the
-		// gap since the previous one (ITL). Same-batch forwards of one
-		// instance read as zero-gap — they genuinely completed together.
-		// The first-token observer fires on the same boundary, marking
-		// prefill-replica sessions ready for KV handoff.
-		now := ctl.clock.Now()
-		for _, c := range b.Calls {
-			inst := ctl.instances[c.Inst]
-			if inst == nil {
-				continue
-			}
-			if !inst.sawFirstTok {
-				inst.sawFirstTok = true
-				if ctl.latencyFn != nil {
-					ctl.latencyFn(inst.Class, true, now-inst.launchedAt)
-				}
-				if ctl.firstTokFn != nil {
-					ctl.firstTokFn(inst)
-				}
-			} else if ctl.latencyFn != nil {
-				ctl.latencyFn(inst.Class, false, now-inst.lastTokenAt)
-			}
-			inst.lastTokenAt = now
-		}
-	}
-	seen := map[*cmdQueue]bool{}
-	for _, c := range b.Calls {
-		q := ctl.sched.queueOf(c)
-		ctl.sched.forgetCall(c)
-		if q != nil && !seen[q] {
-			seen[q] = true
-			// Re-index the queue now that its ordering released: this
-			// drains queue-ordered control ops and returns the queue to
-			// its ready bucket if the next call is dispatchable.
-			ctl.sched.refresh(q)
-		}
-	}
-	ctl.sched.tryDispatch()
-}
-
-// drainControlOps executes queue-ordered control ops (dealloc, sync) that
-// have reached the head with nothing in flight ahead of them.
-func (ctl *Controller) drainControlOps(q *cmdQueue) {
-	for q.inflight == 0 {
-		h := q.head()
-		if h == nil || !h.Op.ControlSide() {
-			return
-		}
-		q.pop()
-		switch h.Op {
-		case infer.OpDealloc:
-			h.ControlFn()
-		case infer.OpSync:
-			sim.Fire(h.SyncFut)
-		}
-	}
-}
-
 // PoolStats reports page occupancy for a model across both tiers (tests,
 // Fig. 7 analysis).
 func (ctl *Controller) PoolStats(modelName string) (inUse, capacity int) {
-	p := ctl.pagePool[modelName]
+	p := ctl.models[modelName].pages
 	return p.inUse(), p.capacity()
 }
 
 // EmbedPoolStats reports embedding-slot occupancy for a model (abort and
 // reclamation tests).
 func (ctl *Controller) EmbedPoolStats(modelName string) (inUse, capacity int) {
-	p := ctl.embPool[modelName]
+	p := ctl.models[modelName].embeds
 	return p.inUse(), p.capacity
 }
 
@@ -1211,8 +524,8 @@ func (ctl *Controller) EmbedPoolStats(modelName string) (inUse, capacity int) {
 // plus the cumulative PCIe transfer time charged to callers.
 func (ctl *Controller) OffloadStats() OffloadStats {
 	var out OffloadStats
-	for _, name := range ctl.order {
-		out.add(ctl.pagePool[name].stats())
+	for _, m := range ctl.order {
+		out.add(m.pages.stats())
 	}
 	out.XferTime = ctl.xferTime
 	return out
@@ -1227,337 +540,21 @@ func (ctl *Controller) ExportResidency(name string) (device, total int) {
 	if !ok {
 		return 0, 0
 	}
-	p := ctl.pagePool[entry.model]
 	for _, id := range entry.phys {
-		if tier, ok := p.resident(id); ok && tier == tierDevice {
+		if tier, ok := entry.m.pages.resident(id); ok && tier == tierDevice {
 			device++
 		}
 	}
 	return device, len(entry.phys)
 }
 
-// MigrateExportsTo moves every KV export this controller holds to dst:
-// pages are allocated in dst's pools, their contents copied, the export
-// re-registered there, and the source registry references released. The
-// autoscaler calls it when a drain completes, so cached context survives
-// replica deactivation. Exports that dst cannot host (name taken, pool
-// full) stay behind. A physical page shared by several exports moves
-// once and stays shared on dst. Returns distinct pages moved and the
-// modeled transfer cost: two PCIe crossings for device-resident source
-// pages (device -> host -> peer device), one for pages already in the
-// host tier.
-func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.Duration) {
-	if dst == nil || dst == ctl {
-		return 0, 0
-	}
-	names := make([]string, 0, len(ctl.exports))
-	for name := range ctl.exports {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	moved := make(map[string]map[int32]int32) // model -> src phys -> dst phys
-	for _, name := range names {
-		entry := ctl.exports[name]
-		if _, taken := dst.exports[name]; taken {
-			continue
-		}
-		dstPool, ok := dst.pagePool[entry.model]
-		if !ok {
-			continue
-		}
-		if moved[entry.model] == nil {
-			moved[entry.model] = make(map[int32]int32)
-		}
-		mm := moved[entry.model]
-		fresh := 0
-		for _, src := range entry.phys {
-			if _, done := mm[src]; !done {
-				fresh++
-			}
-		}
-		ids, swapped, allocOK := dstPool.alloc(fresh, 0)
-		if !allocOK {
-			continue
-		}
-		srcRT, dstRT := ctl.models[entry.model], dst.models[entry.model]
-		srcPool := ctl.pagePool[entry.model]
-		dstPhys := make([]int32, len(entry.phys))
-		next := 0
-		for i, src := range entry.phys {
-			if id, done := mm[src]; done {
-				dstPool.retain(id) // shared across exports: share on dst too
-				dstPhys[i] = id
-			} else {
-				id := ids[next]
-				next++
-				copyPage(srcRT.Page(src), dstRT.Page(id))
-				mm[src] = id
-				dstPhys[i] = id
-				pages++
-				crossings := 2
-				if tier, ok := srcPool.resident(src); ok && tier == tierHost {
-					crossings = 1 // already offloaded: only the host -> peer leg remains
-				}
-				cost += time.Duration(crossings) * srcRT.Spec.SwapCost(1, srcRT.Info.PageSize)
-			}
-			srcPool.release(src)
-		}
-		dst.exports[name] = &exportEntry{model: entry.model, phys: dstPhys}
-		delete(ctl.exports, name)
-		cost += dstRT.Spec.SwapCost(swapped, dstRT.Info.PageSize)
-	}
-	return pages, cost
-}
-
-// InstanceKVFootprint counts the distinct physical KV pages a session
-// holds — what a handoff would copy across the interconnect. Import
-// sharing maps one physical page under several virtual handles, so the
-// count dedupes by physical reference.
-func (ctl *Controller) InstanceKVFootprint(inst *Instance) int {
-	seen := make(map[resRef]bool, len(inst.vPages))
-	n := 0
-	for _, ref := range inst.vPages {
-		if !seen[ref] {
-			seen[ref] = true
-			n++
-		}
-	}
-	return n
-}
-
-// InstanceQuiescent reports whether the instance has no queued or
-// in-flight inference work on any of its command queues — the pin-safe
-// window in which a session handoff may run (no call holds page pins, no
-// completion is racing the move).
-func (ctl *Controller) InstanceQuiescent(inst *Instance) bool {
-	for _, q := range inst.queues {
-		if len(q.pending) > 0 || q.inflight > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// HandoffSession migrates a quiescent instance's session state — KV
-// pages, embedding slots, and command queues — from this controller to
-// dst, returning the replacement instance registered there, the number of
-// distinct physical pages copied, and the modeled interconnect cost
-// (charged by the caller, which holds the cluster's transfer budget).
-// The prefill/decode handoff layer calls it at a forward boundary after
-// the instance's first token completed on a prefill replica.
-//
-// Mechanics mirror MigrateExportsTo: pages allocate in dst's pools and
-// copy with two PCIe crossings when device-resident at the source
-// (device -> host -> peer device), one when already offloaded to the host
-// tier, plus dst-side offload cost for pages its pool spilled to make
-// room. Virtual handle ids are preserved — the session's queue bindings
-// keep working unmodified — and queues are re-created empty under their
-// original ids (quiescence guarantees nothing was pending). KV exports
-// the instance published stay registered on the source: the registry
-// holds its own page references, so cached context remains where affinity
-// routing expects it. On success the source instance is released; on
-// failure nothing moves and the session keeps running here.
-func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instance, int, time.Duration, error) {
-	if dst == nil || dst == ctl {
-		return nil, 0, 0, fmt.Errorf("%w: handoff needs a distinct destination", api.ErrBadArgument)
-	}
-	if inst == nil || inst.dead {
-		return nil, 0, 0, api.ErrTerminated
-	}
-	if !ctl.InstanceQuiescent(inst) {
-		return nil, 0, 0, fmt.Errorf("%w: instance has queued or in-flight work", api.ErrBadArgument)
-	}
-
-	// Sorted handle views: same-seed runs must copy in identical order.
-	pageIDs := make([]api.KvPage, 0, len(inst.vPages))
-	for id := range inst.vPages {
-		pageIDs = append(pageIDs, id)
-	}
-	sort.Slice(pageIDs, func(i, j int) bool { return pageIDs[i] < pageIDs[j] })
-	embedIDs := make([]api.Embed, 0, len(inst.vEmbeds))
-	for id := range inst.vEmbeds {
-		embedIDs = append(embedIDs, id)
-	}
-	sort.Slice(embedIDs, func(i, j int) bool { return embedIDs[i] < embedIDs[j] })
-	queueIDs := make([]api.Queue, 0, len(inst.queues))
-	for id := range inst.queues {
-		queueIDs = append(queueIDs, id)
-	}
-	sort.Slice(queueIDs, func(i, j int) bool { return queueIDs[i] < queueIDs[j] })
-
-	// Every model the session touches must exist on dst; count distinct
-	// physical pages (import sharing maps one page under several handles)
-	// and embeds per model.
-	freshPages := make(map[string]int)
-	pageSeen := make(map[resRef]bool, len(pageIDs))
-	for _, id := range pageIDs {
-		ref := inst.vPages[id]
-		if dst.pagePool[ref.model] == nil {
-			return nil, 0, 0, fmt.Errorf("%w: handoff destination lacks %q", api.ErrNoSuchModel, ref.model)
-		}
-		if !pageSeen[ref] {
-			pageSeen[ref] = true
-			freshPages[ref.model]++
-		}
-	}
-	embedCount := make(map[string]int)
-	for _, id := range embedIDs {
-		ref := inst.vEmbeds[id]
-		if dst.embPool[ref.model] == nil {
-			return nil, 0, 0, fmt.Errorf("%w: handoff destination lacks %q", api.ErrNoSuchModel, ref.model)
-		}
-		embedCount[ref.model]++
-	}
-	for _, qid := range queueIDs {
-		if dst.models[inst.queues[qid].model] == nil {
-			return nil, 0, 0, fmt.Errorf("%w: handoff destination lacks %q", api.ErrNoSuchModel, inst.queues[qid].model)
-		}
-	}
-
-	// Allocate everything on dst up front, in model registration order,
-	// rolling back on failure so a refused handoff leaves both replicas
-	// untouched.
-	type pageGrant struct {
-		ids     []int32
-		swapped int
-	}
-	pageGrants := make(map[string]*pageGrant)
-	embedGrants := make(map[string][]int32)
-	rollback := func() {
-		for _, m := range dst.order {
-			if g := pageGrants[m]; g != nil {
-				for _, id := range g.ids {
-					dst.pagePool[m].release(id)
-				}
-			}
-			for _, id := range embedGrants[m] {
-				dst.embPool[m].release(id)
-			}
-		}
-	}
-	for _, m := range dst.order {
-		if n := freshPages[m]; n > 0 {
-			ids, swapped, ok := dst.pagePool[m].alloc(n, 0)
-			if !ok {
-				rollback()
-				return nil, 0, 0, fmt.Errorf("%w: destination cannot host %d KV pages of %s", api.ErrOutOfResources, n, m)
-			}
-			pageGrants[m] = &pageGrant{ids: ids, swapped: swapped}
-		}
-		if n := embedCount[m]; n > 0 {
-			ids, ok := dst.embPool[m].alloc(n)
-			if !ok {
-				rollback()
-				return nil, 0, 0, fmt.Errorf("%w: destination cannot host %d embeds of %s", api.ErrOutOfResources, n, m)
-			}
-			embedGrants[m] = ids
-		}
-	}
-
-	dst.instSeq++
-	ni := &Instance{
-		ID:         dst.instSeq,
-		Name:       inst.Name,
-		CreatedSeq: dst.instSeq,
-		Proc:       inst.Proc,
-		vEmbeds:    make(map[api.Embed]resRef, len(inst.vEmbeds)),
-		vPages:     make(map[api.KvPage]resRef, len(inst.vPages)),
-		nextEmbed:  inst.nextEmbed,
-		nextPage:   inst.nextPage,
-		queues:     make(map[api.Queue]*cmdQueue, len(inst.queues)),
-		onKill:     inst.onKill,
-
-		MaxQueues:       inst.MaxQueues,
-		MaxKvPages:      inst.MaxKvPages,
-		DefaultPriority: inst.DefaultPriority,
-		Class:           inst.Class,
-		Degraded:        inst.Degraded,
-
-		launchedAt:  inst.launchedAt,
-		sawFirstTok: inst.sawFirstTok,
-		lastTokenAt: inst.lastTokenAt,
-
-		ControlCalls: inst.ControlCalls,
-		InferCalls:   inst.InferCalls,
-		OutputTokens: inst.OutputTokens,
-	}
-	dst.instances[ni.ID] = ni
-
-	var pages int
-	var cost time.Duration
-	movedTo := make(map[resRef]int32, len(pageSeen))
-	nextPage := make(map[string]int)
-	for _, vid := range pageIDs {
-		ref := inst.vPages[vid]
-		dstPhys, done := movedTo[ref]
-		if done {
-			dst.pagePool[ref.model].retain(dstPhys) // shared within the session: share on dst too
-		} else {
-			g := pageGrants[ref.model]
-			dstPhys = g.ids[nextPage[ref.model]]
-			nextPage[ref.model]++
-			movedTo[ref] = dstPhys
-			srcRT, dstRT := ctl.models[ref.model], dst.models[ref.model]
-			copyPage(srcRT.Page(ref.phys), dstRT.Page(dstPhys))
-			pages++
-			crossings := 2
-			if tier, ok := ctl.pagePool[ref.model].resident(ref.phys); ok && tier == tierHost {
-				crossings = 1 // already offloaded: only the host -> peer leg remains
-			}
-			cost += time.Duration(crossings) * srcRT.Spec.SwapCost(1, srcRT.Info.PageSize)
-		}
-		ni.vPages[vid] = resRef{model: ref.model, phys: dstPhys}
-	}
-	for _, m := range dst.order {
-		if g := pageGrants[m]; g != nil && g.swapped > 0 {
-			rt := dst.models[m]
-			cost += rt.Spec.SwapCost(g.swapped, rt.Info.PageSize)
-		}
-	}
-	nextEmb := make(map[string]int)
-	for _, vid := range embedIDs {
-		ref := inst.vEmbeds[vid]
-		dstPhys := embedGrants[ref.model][nextEmb[ref.model]]
-		nextEmb[ref.model]++
-		copyEmbed(ctl.models[ref.model].Embed(ref.phys), dst.models[ref.model].Embed(dstPhys))
-		ni.vEmbeds[vid] = resRef{model: ref.model, phys: dstPhys}
-	}
-	for _, qid := range queueIDs {
-		q := inst.queues[qid]
-		ni.queues[qid] = &cmdQueue{id: qid, inst: ni, model: q.model, rt: dst.models[q.model], priority: q.priority}
-		if uint64(qid) > dst.queueSeq {
-			// Future CreateQueue calls on dst must not reuse a mirrored id.
-			dst.queueSeq = uint64(qid)
-		}
-	}
-
-	ctl.ReleaseInstance(inst)
-	return ni, pages, cost, nil
-}
-
-// copyPage deep-copies one physical page's occupancy metadata and (in
-// full mode) its KV vectors.
-func copyPage(src, dst *model.KvPage) {
-	for s := range src.Used {
-		dst.Used[s] = src.Used[s]
-		dst.Masked[s] = src.Masked[s]
-		dst.Pos[s] = src.Pos[s]
-		if len(src.K[s]) > 0 {
-			dst.K[s] = append(dst.K[s][:0], src.K[s]...)
-			dst.V[s] = append(dst.V[s][:0], src.V[s]...)
-		}
-	}
-}
-
-// copyEmbed deep-copies one embedding slot's vector and metadata.
-func copyEmbed(src, dst *model.EmbedSlot) {
-	dst.Vec = append(dst.Vec[:0], src.Vec...)
-	dst.Pos = src.Pos
-	dst.Valid = src.Valid
-}
-
 // ModelRuntime returns the runtime for a model id.
-func (ctl *Controller) ModelRuntime(name string) *infer.ModelRuntime { return ctl.models[name] }
+func (ctl *Controller) ModelRuntime(name string) *infer.ModelRuntime {
+	if m := ctl.models[name]; m != nil {
+		return m.rt
+	}
+	return nil
+}
 
 // SortedInstanceIDs aids deterministic test assertions.
 func (ctl *Controller) SortedInstanceIDs() []uint64 {

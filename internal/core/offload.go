@@ -118,7 +118,8 @@ func evictorFor(p EvictionPolicy) Evictor {
 	return lruEvictor{}
 }
 
-// pageMeta tracks one materialized physical page id.
+// pageMeta tracks one materialized physical page id; refs == 0 marks an id
+// that is free.
 type pageMeta struct {
 	refs    int
 	tier    pageTier
@@ -126,20 +127,24 @@ type pageMeta struct {
 	lastUse uint64 // recency stamp (pool-wide monotone counter)
 	pri     int    // allocating queue's scheduler priority
 	pins    int    // referencing calls in flight or queued; pinned pages never offload
+	seen    uint64 // == the pool's epoch once the current dedupe pass met the page
 }
 
 // tieredPool allocates physical KV page ids across a device tier and an
 // optional host tier. Fresh pages always materialize on the device (they
 // are about to be written); when device slots run out, cold unpinned
 // pages offload to the host tier. Refcounts (export/import sharing) and
-// the free list span both tiers.
+// the free list span both tiers. Ids are dense (free list first, then the
+// high-water mark), so per-page state is a slice indexed by id.
 type tieredPool struct {
 	devCap  int
 	hostCap int
-	next    int32   // high-water mark of materialized ids
-	free    []int32 // released ids available for reuse
-	meta    map[int32]*pageMeta
+	next    int32      // high-water mark of materialized ids
+	free    []int32    // released ids available for reuse
+	meta    []pageMeta // by id, len == next
 	evict   Evictor
+	epoch   uint64  // dedupe pass counter (pageMeta.seen)
+	cands   []int32 // victims' working set, reused
 
 	devInUse  int
 	hostInUse int
@@ -156,7 +161,28 @@ func newTieredPool(devCap, hostCap int, evict Evictor) *tieredPool {
 	if evict == nil {
 		evict = lruEvictor{}
 	}
-	return &tieredPool{devCap: devCap, hostCap: hostCap, evict: evict, meta: make(map[int32]*pageMeta)}
+	return &tieredPool{devCap: devCap, hostCap: hostCap, evict: evict}
+}
+
+// live returns the metadata of a live page id, or nil.
+func (p *tieredPool) live(id int32) *pageMeta {
+	if id < 0 || id >= p.next || p.meta[id].refs == 0 {
+		return nil
+	}
+	return &p.meta[id]
+}
+
+// firstSight starts a dedupe pass; mark then reports, once per pass, each
+// live page it is shown.
+func (p *tieredPool) firstSight() { p.epoch++ }
+
+func (p *tieredPool) mark(id int32) bool {
+	m := p.live(id)
+	if m == nil || m.seen == p.epoch {
+		return false
+	}
+	m.seen = p.epoch
+	return true
 }
 
 // capacity is the pool's total page capacity across both tiers.
@@ -172,7 +198,7 @@ func (p *tieredPool) available() int { return p.capacity() - p.inUse() }
 
 // touch stamps a page most-recently-used.
 func (p *tieredPool) touch(id int32) {
-	if m, ok := p.meta[id]; ok {
+	if m := p.live(id); m != nil {
 		p.useSeq++
 		m.lastUse = p.useSeq
 	}
@@ -185,40 +211,62 @@ func (p *tieredPool) touch(id int32) {
 // in-flight call still holds a pin record, and a stale unpin must never
 // touch the new owner's count.
 func (p *tieredPool) pin(id int32) (gen uint64, ok bool) {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.live(id)
+	if m == nil {
 		return 0, false
 	}
 	m.pins++
 	return m.gen, true
 }
 
+// pinAll pins every page of a call's pin set, recording its generation,
+// and stamps it most-recently-used. It reports whether any of them is
+// host-resident, i.e. whether the call needs faultIn.
+func (p *tieredPool) pinAll(pins []pagePin) (hostResident bool) {
+	for i := range pins {
+		id := pins[i].page
+		pins[i].gen, _ = p.pin(id)
+		p.touch(id)
+		hostResident = hostResident || p.meta[id].tier == tierHost
+	}
+	return hostResident
+}
+
+// unpinAll releases a pin set taken by pinAll.
+func (p *tieredPool) unpinAll(pins []pagePin) {
+	for _, pp := range pins {
+		p.unpin(pp.page, pp.gen)
+	}
+}
+
 // unpin releases one pin taken at generation gen; stale generations are
 // ignored (see pin).
 func (p *tieredPool) unpin(id int32, gen uint64) {
-	if m, ok := p.meta[id]; ok && m.gen == gen && m.pins > 0 {
+	if m := p.live(id); m != nil && m.gen == gen && m.pins > 0 {
 		m.pins--
 	}
 }
 
 // victims picks up to k offload candidates — device-resident, unpinned —
 // in evictor order with page-id tie-break. The scan walks materialized
-// ids in order, so the choice is deterministic.
+// ids in order, so the choice is deterministic. The result is valid until
+// the next call.
 func (p *tieredPool) victims(k int) []int32 {
 	if k <= 0 {
 		return nil
 	}
-	cands := make([]int32, 0, p.devInUse)
-	for id := int32(0); id < p.next; id++ {
-		if m, ok := p.meta[id]; ok && m.tier == tierDevice && m.pins == 0 {
-			cands = append(cands, id)
+	cands := p.cands[:0]
+	for id := range p.meta {
+		if m := &p.meta[id]; m.refs > 0 && m.tier == tierDevice && m.pins == 0 {
+			cands = append(cands, int32(id))
 		}
 	}
+	p.cands = cands
 	// Selection sort of the k best: k is small (pages needed by one call).
 	for i := 0; i < k && i < len(cands); i++ {
 		best := i
 		for j := i + 1; j < len(cands); j++ {
-			a, b := p.meta[cands[j]], p.meta[cands[best]]
+			a, b := &p.meta[cands[j]], &p.meta[cands[best]]
 			if p.evict.Prefer(a, b) || (!p.evict.Prefer(b, a) && cands[j] < cands[best]) {
 				best = j
 			}
@@ -257,41 +305,40 @@ func (p *tieredPool) makeDeviceRoom(n int) (swapped int, ok bool) {
 // updating tier counters and swap stats.
 func (p *tieredPool) offload(ids []int32) {
 	for _, id := range ids {
-		m := p.meta[id]
-		m.tier = tierHost
+		p.meta[id].tier = tierHost
 		p.devInUse--
 		p.hostInUse++
 		p.swapOut++
 	}
 }
 
-// alloc hands out n fresh device-resident ids with refcount 1 and the
+// alloc appends to dst n fresh device-resident ids with refcount 1 and the
 // given queue priority, offloading cold pages to the host tier as needed.
 // It reports the pages swapped out (for transfer-cost charging) and
 // failure — leaving the pool untouched — when total capacity or
 // clearable device room is insufficient.
-func (p *tieredPool) alloc(n, pri int) (ids []int32, swappedOut int, ok bool) {
+func (p *tieredPool) alloc(dst []int32, n, pri int) (ids []int32, swappedOut int, ok bool) {
 	if p.available() < n {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	swappedOut, ok = p.makeDeviceRoom(n)
 	if !ok {
-		return nil, 0, false
+		return dst, 0, false
 	}
-	ids = make([]int32, 0, n)
-	for len(ids) < n && len(p.free) > 0 {
-		id := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		ids = append(ids, id)
-	}
-	for len(ids) < n {
-		ids = append(ids, p.next)
-		p.next++
-	}
-	for _, id := range ids {
+	ids = dst
+	for i := 0; i < n; i++ {
+		var id int32
+		if k := len(p.free); k > 0 {
+			id, p.free = p.free[k-1], p.free[:k-1]
+		} else {
+			id = p.next
+			p.next++
+			p.meta = append(p.meta, pageMeta{})
+		}
 		p.useSeq++
 		p.genSeq++
-		p.meta[id] = &pageMeta{refs: 1, tier: tierDevice, gen: p.genSeq, lastUse: p.useSeq, pri: pri}
+		p.meta[id] = pageMeta{refs: 1, tier: tierDevice, gen: p.genSeq, lastUse: p.useSeq, pri: pri}
+		ids = append(ids, id)
 	}
 	p.devInUse += n
 	if p.inUse() > p.peakInUse {
@@ -300,21 +347,17 @@ func (p *tieredPool) alloc(n, pri int) (ids []int32, swappedOut int, ok bool) {
 	return ids, swappedOut, true
 }
 
-// faultIn brings every host-resident page in ids back to the device tier
-// (prefetch for a forward/copy/mask that references them), offloading
-// other cold pages to make room. Duplicate ids count once. It reports
-// pages swapped in and out; a fault that cannot clear device room fails
-// with ok=false and performs no swaps. Callers pin ids first, so
-// room-making never victimizes the faulting set.
-func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
+// faultIn brings every host-resident page of a call's pin set back to the
+// device tier (prefetch for a forward/copy/mask that references them),
+// offloading other cold pages to make room. A pin set names each page
+// once (resolvePages), so every host-resident entry is one page to move.
+// It reports pages swapped in and out; a fault that cannot clear device
+// room fails with ok=false and performs no swaps. Callers pin the set
+// first, so room-making never victimizes it.
+func (p *tieredPool) faultIn(pins []pagePin) (in, out int, ok bool) {
 	need := 0
-	seen := make(map[int32]bool, len(ids))
-	for _, id := range ids {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if m, okm := p.meta[id]; okm && m.tier == tierHost {
+	for _, pp := range pins {
+		if m := p.live(pp.page); m != nil && m.tier == tierHost {
 			need++
 		}
 	}
@@ -331,8 +374,8 @@ func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
 		p.offload(vs)
 		out = evict
 	}
-	for _, id := range ids {
-		if m, okm := p.meta[id]; okm && m.tier == tierHost {
+	for _, pp := range pins {
+		if m := p.live(pp.page); m != nil && m.tier == tierHost {
 			m.tier = tierDevice
 			p.hostInUse--
 			p.devInUse++
@@ -347,7 +390,7 @@ func (p *tieredPool) faultIn(ids []int32) (in, out int, ok bool) {
 
 // retain bumps an id's refcount (export/import sharing).
 func (p *tieredPool) retain(id int32) {
-	if m, ok := p.meta[id]; ok {
+	if m := p.live(id); m != nil {
 		m.refs++
 	}
 }
@@ -355,8 +398,8 @@ func (p *tieredPool) retain(id int32) {
 // release drops one reference; the id returns to the free list at zero.
 // It reports whether the id was actually freed.
 func (p *tieredPool) release(id int32) bool {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.live(id)
+	if m == nil {
 		return false
 	}
 	if m.refs > 1 {
@@ -368,15 +411,15 @@ func (p *tieredPool) release(id int32) bool {
 	} else {
 		p.hostInUse--
 	}
-	delete(p.meta, id)
+	*m = pageMeta{}
 	p.free = append(p.free, id)
 	return true
 }
 
 // resident reports the page's tier; ok=false for unknown/free ids.
 func (p *tieredPool) resident(id int32) (pageTier, bool) {
-	m, ok := p.meta[id]
-	if !ok {
+	m := p.live(id)
+	if m == nil {
 		return 0, false
 	}
 	return m.tier, true

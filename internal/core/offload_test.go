@@ -11,8 +11,8 @@ import (
 // also on the free list.
 func checkTieredInvariants(t *testing.T, p *tieredPool) {
 	t.Helper()
-	if p.devInUse+p.hostInUse != len(p.meta) {
-		t.Fatalf("tier counts %d+%d do not sum to %d live pages", p.devInUse, p.hostInUse, len(p.meta))
+	if int(p.next) != len(p.meta) {
+		t.Fatalf("meta table has %d rows for %d materialized ids", len(p.meta), p.next)
 	}
 	if p.devInUse > p.devCap {
 		t.Fatalf("device tier overcommitted: %d > %d", p.devInUse, p.devCap)
@@ -22,8 +22,11 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 	}
 	dev, host := 0, 0
 	for id, m := range p.meta {
-		if m.refs <= 0 {
-			t.Fatalf("live page %d has refs %d", id, m.refs)
+		if m.refs < 0 {
+			t.Fatalf("page %d has refs %d", id, m.refs)
+		}
+		if m.refs == 0 {
+			continue // free
 		}
 		if m.tier == tierDevice {
 			dev++
@@ -35,7 +38,7 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 		t.Fatalf("meta tiers %d/%d disagree with counters %d/%d", dev, host, p.devInUse, p.hostInUse)
 	}
 	for _, id := range p.free {
-		if _, live := p.meta[id]; live {
+		if p.live(id) != nil {
 			t.Fatalf("page %d is live and on the free list", id)
 		}
 	}
@@ -58,7 +61,7 @@ func TestTieredPoolRandomOps(t *testing.T) {
 			case 0: // alloc
 				n := 1 + rng.Intn(4)
 				wantOK := p.available() >= n
-				ids, _, ok := p.alloc(n, rng.Intn(3))
+				ids, _, ok := p.alloc(nil, n, rng.Intn(3))
 				// alloc may legitimately fail below capacity only when
 				// pinned pages block device room.
 				if ok != wantOK && len(pinned) == 0 {
@@ -126,9 +129,9 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					p.pin(id)
 					pinned[id]++
 				}
-				if _, _, ok := p.faultIn(ids); ok {
+				if _, _, ok := p.faultIn(pinSet(p, ids)); ok {
 					for _, id := range ids {
-						if m := p.meta[id]; m != nil && m.tier != tierDevice {
+						if m := p.live(id); m != nil && m.tier != tierDevice {
 							t.Fatalf("seed %d step %d: faulted page %d not device-resident", seed, step, id)
 						}
 					}
@@ -143,8 +146,8 @@ func TestTieredPoolRandomOps(t *testing.T) {
 			}
 			checkTieredInvariants(t, p)
 			for id, m := range p.meta {
-				if live[id] != m.refs {
-					t.Fatalf("seed %d step %d: id %d refs %d, expected %d", seed, step, id, m.refs, live[id])
+				if live[int32(id)] != m.refs {
+					t.Fatalf("seed %d step %d: id %d refs %d, expected %d", seed, step, id, m.refs, live[int32(id)])
 				}
 			}
 		}
@@ -165,17 +168,17 @@ func TestTieredPoolRandomOps(t *testing.T) {
 // allocation fail below nominal capacity.
 func TestTieredPoolPinnedNeverEvicted(t *testing.T) {
 	p := newTieredPool(2, 4, lruEvictor{})
-	ids, _, ok := p.alloc(2, 0)
+	ids, _, ok := p.alloc(nil, 2, 0)
 	if !ok {
 		t.Fatal("alloc failed")
 	}
 	gen0, _ := p.pin(ids[0])
 	p.pin(ids[1])
-	if _, _, ok := p.alloc(1, 0); ok {
+	if _, _, ok := p.alloc(nil, 1, 0); ok {
 		t.Fatal("alloc evicted a pinned page")
 	}
 	p.unpin(ids[0], gen0)
-	fresh, swapped, ok := p.alloc(1, 0)
+	fresh, swapped, ok := p.alloc(nil, 1, 0)
 	if !ok || swapped != 1 {
 		t.Fatalf("alloc after unpin: ok=%v swapped=%d", ok, swapped)
 	}
@@ -196,9 +199,9 @@ func TestTieredPoolPinnedNeverEvicted(t *testing.T) {
 func TestTieredPoolEvictionPolicies(t *testing.T) {
 	// LRU: oldest-touched page goes first.
 	p := newTieredPool(3, 3, lruEvictor{})
-	ids, _, _ := p.alloc(3, 0)
+	ids, _, _ := p.alloc(nil, 3, 0)
 	p.touch(ids[0]) // ids[1] is now coldest
-	if _, _, ok := p.alloc(1, 0); !ok {
+	if _, _, ok := p.alloc(nil, 1, 0); !ok {
 		t.Fatal("alloc failed")
 	}
 	if tier, _ := p.resident(ids[1]); tier != tierHost {
@@ -207,10 +210,10 @@ func TestTieredPoolEvictionPolicies(t *testing.T) {
 
 	// Priority: a hot low-priority page loses to a cold high-priority one.
 	q := newTieredPool(2, 2, priorityEvictor{})
-	hi, _, _ := q.alloc(1, 5)
-	lo, _, _ := q.alloc(1, 1)
+	hi, _, _ := q.alloc(nil, 1, 5)
+	lo, _, _ := q.alloc(nil, 1, 1)
 	q.touch(lo[0]) // lo is hotter, but lower priority
-	if _, _, ok := q.alloc(1, 3); !ok {
+	if _, _, ok := q.alloc(nil, 1, 3); !ok {
 		t.Fatal("alloc failed")
 	}
 	if tier, _ := q.resident(lo[0]); tier != tierHost {
@@ -221,16 +224,29 @@ func TestTieredPoolEvictionPolicies(t *testing.T) {
 	}
 }
 
+// pinSet builds a call's pin set the way resolvePages does: each live page
+// once, in first-mention order.
+func pinSet(p *tieredPool, ids []int32) []pagePin {
+	var pins []pagePin
+	p.firstSight()
+	for _, id := range ids {
+		if p.mark(id) {
+			pins = append(pins, pagePin{page: id})
+		}
+	}
+	return pins
+}
+
 // TestTieredPoolFaultInMakesRoom exercises fault-in under a full device
 // tier: cold pages offload to admit the faulted set.
 func TestTieredPoolFaultInMakesRoom(t *testing.T) {
 	p := newTieredPool(2, 2, lruEvictor{})
-	a, _, _ := p.alloc(2, 0)
-	b, _, ok := p.alloc(2, 0) // offloads a[0], a[1]
+	a, _, _ := p.alloc(nil, 2, 0)
+	b, _, ok := p.alloc(nil, 2, 0) // offloads a[0], a[1]
 	if !ok {
 		t.Fatal("second alloc failed")
 	}
-	if in, out, ok := p.faultIn(a); !ok || in != 2 || out != 2 {
+	if in, out, ok := p.faultIn(pinSet(p, a)); !ok || in != 2 || out != 2 {
 		t.Fatalf("faultIn = %d in, %d out, ok=%v; want 2, 2, true", in, out, ok)
 	}
 	for _, id := range a {
@@ -273,7 +289,7 @@ func TestParseEviction(t *testing.T) {
 // unpin (the generation guard).
 func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
 	p := newTieredPool(2, 2, lruEvictor{})
-	a, _, _ := p.alloc(1, 0)
+	a, _, _ := p.alloc(nil, 1, 0)
 	staleGen, ok := p.pin(a[0])
 	if !ok {
 		t.Fatal("pin failed")
@@ -283,7 +299,7 @@ func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
 	if !p.release(a[0]) {
 		t.Fatal("release did not free")
 	}
-	b, _, _ := p.alloc(1, 0)
+	b, _, _ := p.alloc(nil, 1, 0)
 	if b[0] != a[0] {
 		t.Fatalf("expected id reuse, got %d then %d", a[0], b[0])
 	}
@@ -296,7 +312,7 @@ func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
 		t.Fatalf("stale unpin disturbed the new owner: pins = %d, want 1", p.meta[b[0]].pins)
 	}
 	// And the new owner stays offload-safe.
-	if _, _, ok := p.alloc(2, 0); ok {
+	if _, _, ok := p.alloc(nil, 2, 0); ok {
 		t.Fatal("alloc evicted the still-pinned recycled page")
 	}
 }
@@ -306,12 +322,16 @@ func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
 // fault, evict, and bill it once.
 func TestTieredPoolFaultInDuplicatesCountOnce(t *testing.T) {
 	p := newTieredPool(2, 2, lruEvictor{})
-	a, _, _ := p.alloc(2, 0)
-	if _, _, ok := p.alloc(2, 0); !ok { // offloads both of a
+	a, _, _ := p.alloc(nil, 2, 0)
+	if _, _, ok := p.alloc(nil, 2, 0); !ok { // offloads both of a
 		t.Fatal("second alloc failed")
 	}
 	dup := []int32{a[0], a[1], a[0], a[1]} // ReadKv + AppendKv mention
-	in, out, ok := p.faultIn(dup)
+	pins := pinSet(p, dup)
+	if len(pins) != 2 {
+		t.Fatalf("pin set of %v has %d entries, want 2", dup, len(pins))
+	}
+	in, out, ok := p.faultIn(pins)
 	if !ok {
 		t.Fatal("faultIn of a feasible duplicate set failed")
 	}

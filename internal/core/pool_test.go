@@ -7,14 +7,14 @@ import (
 
 func TestPoolAllocRelease(t *testing.T) {
 	p := newPool(4)
-	ids, ok := p.alloc(3)
+	ids, ok := p.alloc(nil, 3)
 	if !ok || len(ids) != 3 {
 		t.Fatalf("alloc(3) = %v, %v", ids, ok)
 	}
 	if p.available() != 1 {
 		t.Fatalf("available = %d, want 1", p.available())
 	}
-	if _, ok := p.alloc(2); ok {
+	if _, ok := p.alloc(nil, 2); ok {
 		t.Fatal("overallocation succeeded")
 	}
 	if !p.release(ids[0]) {
@@ -24,7 +24,7 @@ func TestPoolAllocRelease(t *testing.T) {
 		t.Fatalf("available = %d, want 2", p.available())
 	}
 	// Freed ids are reused.
-	again, ok := p.alloc(2)
+	again, ok := p.alloc(nil, 2)
 	if !ok {
 		t.Fatal("alloc after release failed")
 	}
@@ -41,7 +41,7 @@ func TestPoolAllocRelease(t *testing.T) {
 
 func TestPoolRefcounting(t *testing.T) {
 	p := newPool(2)
-	ids, _ := p.alloc(1)
+	ids, _ := p.alloc(nil, 1)
 	p.retain(ids[0])
 	if freed := p.release(ids[0]); freed {
 		t.Fatal("released with outstanding reference")
@@ -56,7 +56,7 @@ func TestPoolRefcounting(t *testing.T) {
 
 func TestPoolInUse(t *testing.T) {
 	p := newPool(10)
-	p.alloc(4)
+	p.alloc(nil, 4)
 	if p.inUse() != 4 {
 		t.Fatalf("inUse = %d, want 4", p.inUse())
 	}
@@ -71,7 +71,7 @@ func TestQuickPoolInvariant(t *testing.T) {
 		for _, op := range ops {
 			if op%2 == 0 {
 				n := int(op/2)%4 + 1
-				ids, ok := p.alloc(n)
+				ids, ok := p.alloc(nil, n)
 				if ok {
 					for _, id := range ids {
 						if live[id] {

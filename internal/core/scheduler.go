@@ -76,8 +76,7 @@ type bucketKey struct {
 // enqueue/pop/complete/close, so batch formation touches only eligible
 // queues instead of rescanning every queue in the system. The creation seq
 // provides a deterministic tie-break when two classes have equally-old
-// heads (a plain map iteration there would leak map order into the batch
-// stream and break the sim package's determinism contract).
+// heads.
 type readyBucket struct {
 	key    bucketKey
 	seq    uint64 // creation order; deterministic tie-break
@@ -111,9 +110,7 @@ type Scheduler struct {
 	ctl   *Controller
 	cfg   SchedConfig
 
-	buckets   map[bucketKey]*readyBucket
-	bucketSeq uint64
-	callQ     map[*infer.Call]*cmdQueue
+	buckets []*readyBucket // creation order; a handful (ops × models)
 
 	// readyCalls is the number of pending calls on currently-eligible
 	// queues, maintained incrementally so the K-only policy never rescans
@@ -127,6 +124,7 @@ type Scheduler struct {
 	scratch []*cmdQueue
 
 	kickPending bool
+	kick        func() // s.runKick, bound once: a kick is armed per batch
 
 	// Stats.
 	Batches      int
@@ -147,13 +145,8 @@ func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler
 	if cfg.MaxBatchCalls <= 0 {
 		cfg.MaxBatchCalls = 256
 	}
-	s := &Scheduler{
-		clock:   clock,
-		ctl:     ctl,
-		cfg:     cfg,
-		buckets: make(map[bucketKey]*readyBucket),
-		callQ:   make(map[*infer.Call]*cmdQueue),
-	}
+	s := &Scheduler{clock: clock, ctl: ctl, cfg: cfg}
+	s.kick = s.runKick
 	switch cfg.Policy {
 	case PolicyTOnly:
 		clock.GoDaemon("sched:ticker", s.tickerLoop)
@@ -198,7 +191,7 @@ func (s *Scheduler) kOnlyFlushLoop() {
 // head, then moves the queue into, out of, or between ready buckets and
 // updates the incremental K-only call count. O(1) amortized per call.
 func (s *Scheduler) refresh(q *cmdQueue) {
-	var h *infer.Call
+	var h *call
 	if !q.closed && q.inflight == 0 {
 		h = q.head()
 		if h != nil && h.Op.ControlSide() {
@@ -210,7 +203,7 @@ func (s *Scheduler) refresh(q *cmdQueue) {
 
 	contribution := 0
 	if eligible {
-		contribution = len(q.pending)
+		contribution = q.queued()
 	}
 	s.readyCalls += contribution - q.counted
 	q.counted = contribution
@@ -222,7 +215,7 @@ func (s *Scheduler) refresh(q *cmdQueue) {
 		}
 		return
 	}
-	key := bucketKey{h.Op, q.rt}
+	key := bucketKey{h.Op, q.m.rt}
 	if q.bucket != nil {
 		if q.bucket.key == key {
 			return
@@ -230,11 +223,16 @@ func (s *Scheduler) refresh(q *cmdQueue) {
 		q.bucket.remove(q.bucketIdx)
 		q.bucket = nil
 	}
-	b := s.buckets[key]
+	var b *readyBucket
+	for _, cand := range s.buckets {
+		if cand.key == key {
+			b = cand
+			break
+		}
+	}
 	if b == nil {
-		s.bucketSeq++
-		b = &readyBucket{key: key, seq: s.bucketSeq}
-		s.buckets[key] = b
+		b = &readyBucket{key: key, seq: uint64(len(s.buckets) + 1)}
+		s.buckets = append(s.buckets, b)
 	}
 	q.bucket = b
 	q.bucketIdx = len(b.queues)
@@ -268,13 +266,15 @@ func (s *Scheduler) scheduleKick() {
 		return
 	}
 	s.kickPending = true
-	s.clock.GoDaemon("sched:kick", func() {
-		s.clock.Sleep(kickDelay)
-		s.kickPending = false
-		if s.ctl.backend.Device.Idle() {
-			s.dispatchOne()
-		}
-	})
+	s.clock.GoDaemon("sched:kick", s.kick)
+}
+
+func (s *Scheduler) runKick() {
+	s.clock.Sleep(kickDelay)
+	s.kickPending = false
+	if s.ctl.backend.Device.Idle() {
+		s.dispatchOne()
+	}
 }
 
 // onDeviceIdle is the work-conserving trigger (§6.1): the inference layer
@@ -343,25 +343,31 @@ func (s *Scheduler) dispatchOne() bool {
 	s.scratch = eligible
 	sortQueues(eligible)
 
-	batch := &infer.Batch{Op: best.key.op, Model: best.key.rt}
 	max := s.cfg.MaxBatchCalls
 	if s.cfg.Policy == PolicyEager {
 		max = 1
 	}
+	room := 0 // an upper bound on the batch: every eligible queue's backlog
+	for _, q := range eligible {
+		room += q.queued()
+	}
+	if room > max {
+		room = max
+	}
+	batch := &infer.Batch{Op: best.key.op, Model: best.key.rt, Calls: make([]*infer.Call, 0, room)}
 	for _, q := range eligible {
 		if len(batch.Calls) >= max {
 			break // truncate from the tail (§5.2)
 		}
 		// Vertical: take the head run of same-type calls.
-		for len(q.pending) > 0 && len(batch.Calls) < max {
+		for len(batch.Calls) < max {
 			h := q.head()
-			if h.Op != best.key.op {
+			if h == nil || h.Op != best.key.op {
 				break
 			}
 			q.pop()
 			q.inflight++
-			s.callQ[h] = q
-			batch.Calls = append(batch.Calls, h)
+			batch.Calls = append(batch.Calls, &h.Call)
 		}
 	}
 	for _, q := range eligible {
@@ -412,12 +418,6 @@ func sortQueues(qs []*cmdQueue) {
 		}
 	}
 }
-
-// queueOf maps an in-flight call back to its queue.
-func (s *Scheduler) queueOf(c *infer.Call) *cmdQueue { return s.callQ[c] }
-
-// forgetCall drops completion bookkeeping.
-func (s *Scheduler) forgetCall(c *infer.Call) { delete(s.callQ, c) }
 
 // forgetQueue removes a closed queue from scheduling.
 func (s *Scheduler) forgetQueue(q *cmdQueue) {

@@ -91,7 +91,9 @@ func (b *Backend) ingressLoop() {
 			b.BatchesRun++
 			b.CallsRun += len(batch.Calls)
 			for _, c := range batch.Calls {
-				sim.Fire(c.Done)
+				if c.Done != nil {
+					sim.Fire(c.Done)
+				}
 			}
 			if b.onComplete != nil {
 				b.onComplete(batch)

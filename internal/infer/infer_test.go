@@ -97,7 +97,7 @@ func TestTimingForwardBookkeeping(t *testing.T) {
 	if probe.CtxTokens() != 5 {
 		t.Fatalf("CtxTokens = %d, want 5", probe.CtxTokens())
 	}
-	page.Masked[1] = true
+	page.SetSlot(1, true, true)
 	if probe.CtxTokens() != 4 {
 		t.Fatalf("CtxTokens after mask = %d, want 4", probe.CtxTokens())
 	}

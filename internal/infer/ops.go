@@ -20,6 +20,7 @@ package infer
 import (
 	"time"
 
+	"pie/api"
 	"pie/internal/model"
 	"pie/internal/sim"
 )
@@ -113,36 +114,19 @@ type Call struct {
 	TextFut  *sim.Future[string]
 	VocabFut *sim.Future[[][]byte]
 
-	// OpDealloc (control-side)
-	ControlFn func()
-	// OpSync (control-side)
-	SyncFut *sim.Signal
+	// Ctl is the control layer's own record of the call (its queue, its
+	// page pins); the inference layer carries it through a batch unread.
+	Ctl any
 
-	// PinnedPages is control-layer bookkeeping for the tiered KV cache:
-	// the physical pages this call references, pinned device-resident
-	// from enqueue until completion (or queue teardown) so the offload
-	// policy never evicts a page a dispatched kernel addresses.
-	PinnedPages []PagePin
-
-	// Done resolves when the call completes (or fails).
+	// Done, when set, resolves when the call completes (or fails). Calls
+	// whose result travels in a typed future above leave it nil.
 	Done *sim.Signal
 	Err  error
 }
 
-// PagePin identifies one pinned physical page by id and allocation
-// generation. The generation lets the pool ignore stale unpins: an id
-// can be freed and recycled while a terminated instance's in-flight call
-// still holds its pin record.
-type PagePin struct {
-	Page int32
-	Gen  uint64
-}
-
-// DistResult carries a truncated next-token distribution.
-type DistResult struct {
-	Tokens []int
-	Probs  []float32
-}
+// DistResult carries a truncated next-token distribution: the inferlet's
+// api.Dist, produced in place.
+type DistResult = api.Dist
 
 // NewTokens returns the number of fresh tokens a call feeds the model.
 func (c *Call) NewTokens() int {
@@ -167,11 +151,7 @@ func (c *Call) CtxTokens() int {
 	}
 	n := 0
 	for _, p := range c.CtxPages {
-		for s, u := range p.Used {
-			if u && !p.Masked[s] {
-				n++
-			}
-		}
+		n += p.Visible
 	}
 	return n
 }

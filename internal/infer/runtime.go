@@ -35,7 +35,9 @@ type ModelRuntime struct {
 
 	// scratch is the tensor kernels' working memory. Calls execute one at
 	// a time on the owning clock's event loop, so one set serves them all.
-	scratch model.Scratch
+	scratch   model.Scratch
+	fused     []model.EmbedSlot // fusedSlots' backing, with one pointer each
+	fusedPtrs []*model.EmbedSlot
 
 	// Timing mode's stand-in distribution: the token hash's modulus with
 	// its reciprocal, and the TopK halving probabilities every call copies.
@@ -186,23 +188,16 @@ func (rt *ModelRuntime) execForward(c *Call) error {
 	if len(c.FusedEmb) > 0 {
 		// Fused input embedding (monolithic-pipeline ablation): materialize
 		// transient slots for the token ids.
-		inputs = make([]*model.EmbedSlot, len(c.FusedEmb))
-		for i := range inputs {
-			if rt.Mode == ExecFull {
-				inputs[i] = rt.Model.NewEmbedSlot()
-			} else {
-				inputs[i] = &model.EmbedSlot{}
-			}
-		}
 		if rt.Mode == ExecFull {
+			inputs = make([]*model.EmbedSlot, len(c.FusedEmb))
+			for i := range inputs {
+				inputs[i] = rt.Model.NewEmbedSlot()
+			}
 			if err := rt.Model.EmbedTokens(c.FusedEmb, c.FusedPos, inputs); err != nil {
 				return err
 			}
 		} else {
-			for i := range inputs {
-				inputs[i].Pos = c.FusedPos[i]
-				inputs[i].Valid = true
-			}
+			inputs = rt.fusedSlots(c.FusedPos)
 		}
 	}
 	if rt.Mode == ExecFull {
@@ -222,6 +217,24 @@ func (rt *ModelRuntime) execForward(c *Call) error {
 		c.FusedTok.Resolve(toks)
 	}
 	return nil
+}
+
+// fusedSlots returns timing mode's transient input slots for a fused
+// forward, one per position. They live in the runtime's scratch, valid
+// until the next call executes.
+func (rt *ModelRuntime) fusedSlots(positions []int) []*model.EmbedSlot {
+	n := len(positions)
+	if len(rt.fused) < n {
+		rt.fused = make([]model.EmbedSlot, n)
+		rt.fusedPtrs = make([]*model.EmbedSlot, n)
+		for i := range rt.fused {
+			rt.fusedPtrs[i] = &rt.fused[i]
+		}
+	}
+	for i, pos := range positions {
+		rt.fused[i] = model.EmbedSlot{Pos: pos, Valid: true}
+	}
+	return rt.fusedPtrs[:n]
 }
 
 // timingForward reproduces Forward's resource effects without tensor math.
@@ -254,8 +267,7 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 					break
 				}
 				if !p.Used[s] {
-					p.Used[s] = true
-					p.Masked[s] = false
+					p.SetSlot(s, true, false)
 					p.Pos[s] = inputs[i].Pos
 					i++
 				}
@@ -305,13 +317,13 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 	// ignore its content; its shape (TopK entries) keeps transfer costs
 	// honest.
 	toks := make([]int, len(rt.pseudoProbs))
-	probs := make([]float32, len(rt.pseudoProbs))
-	copy(probs, rt.pseudoProbs)
 	base := pseudoBase(c.Inst, c.Seq)
 	for i := range toks {
 		toks[i] = rt.pseudo.token(base, i)
 	}
-	c.DistFut.Resolve(DistResult{Tokens: toks, Probs: probs})
+	// Every timing-mode distribution has the same probabilities: one
+	// read-only slice serves them all (api.Dist).
+	c.DistFut.Resolve(DistResult{Tokens: toks, Probs: rt.pseudoProbs})
 	return nil
 }
 
@@ -320,7 +332,7 @@ func (rt *ModelRuntime) execMaskKv(c *Call) error {
 		return fmt.Errorf("infer: mask has %d bits for a %d-token page", len(c.MaskBits), len(c.MaskPage.Masked))
 	}
 	for i, m := range c.MaskBits {
-		c.MaskPage.Masked[i] = m
+		c.MaskPage.SetSlot(i, c.MaskPage.Used[i], m)
 	}
 	return nil
 }

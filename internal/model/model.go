@@ -193,6 +193,22 @@ type KvPage struct {
 	Pos    []int
 	Used   []bool
 	Masked []bool
+	// Visible counts the slots attention can see (Used and not Masked). It
+	// is what a forward's context costs, read once per page per call, so
+	// every writer of Used/Masked goes through SetSlot or Reset.
+	Visible int
+}
+
+// SetSlot writes one slot's occupancy and mask bits, keeping Visible in
+// step.
+func (p *KvPage) SetSlot(s int, used, masked bool) {
+	if p.Used[s] && !p.Masked[s] {
+		p.Visible--
+	}
+	p.Used[s], p.Masked[s] = used, masked
+	if used && !masked {
+		p.Visible++
+	}
 }
 
 // NewKvPage allocates an empty page for this model.
@@ -218,6 +234,7 @@ func (p *KvPage) Reset() {
 		p.Masked[i] = false
 		p.Pos[i] = 0
 	}
+	p.Visible = 0
 }
 
 // NumUsed counts occupied slots.
@@ -243,8 +260,7 @@ func CopyTokens(src, dst *KvPage, srcOff, dstOff, n int) error {
 		copy(dst.K[dstOff+i], src.K[srcOff+i])
 		copy(dst.V[dstOff+i], src.V[srcOff+i])
 		dst.Pos[dstOff+i] = src.Pos[srcOff+i]
-		dst.Used[dstOff+i] = src.Used[srcOff+i]
-		dst.Masked[dstOff+i] = src.Masked[srcOff+i]
+		dst.SetSlot(dstOff+i, src.Used[srcOff+i], src.Masked[srcOff+i])
 	}
 	return nil
 }
@@ -541,8 +557,7 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 			copy(ref.page.V[ref.slot][l*d:(l+1)*d], s.v[(l*n+i)*d:][:d])
 		}
 		ref.page.Pos[ref.slot] = inputs[i].Pos
-		ref.page.Used[ref.slot] = true
-		ref.page.Masked[ref.slot] = false
+		ref.page.SetSlot(ref.slot, true, false)
 	}
 
 	// Final norm on the last len(outEmb) tokens.

@@ -14,12 +14,15 @@ var ErrFailed = errors.New("sim: future failed")
 // them resume once Resolve or Fail is called. Futures are the asynchronous
 // completion primitive for every API call in the system.
 type Future[T any] struct {
-	c       *Clock
-	done    bool
-	val     T
-	err     error
-	waiters []waiter
-	subs    []func()
+	c    *Clock
+	done bool
+	val  T
+	err  error
+	// Waiters wake in arrival order: first, then more. Nearly every future
+	// has exactly one, which therefore costs no allocation.
+	first waiter
+	more  []waiter
+	subs  []func()
 }
 
 type waiter struct {
@@ -74,8 +77,8 @@ func (f *Future[T]) complete(v T, err error) {
 	f.done = true
 	f.val = v
 	f.err = err
-	waiters := f.waiters
-	f.waiters = nil
+	first, more := f.first, f.more
+	f.first, f.more = waiter{}, nil
 	subs := f.subs
 	f.subs = nil
 	f.c.mu.Unlock()
@@ -85,7 +88,10 @@ func (f *Future[T]) complete(v T, err error) {
 	for _, fn := range subs {
 		fn()
 	}
-	for _, w := range waiters {
+	if first.p != nil {
+		f.c.unpark(first.p, first.token)
+	}
+	for _, w := range more {
 		f.c.unpark(w.p, w.token)
 	}
 }
@@ -133,7 +139,11 @@ func (f *Future[T]) Get() (T, error) {
 		f.c.mu.Unlock()
 		panic("sim: Future.Get from outside the simulation")
 	}
-	f.waiters = append(f.waiters, waiter{p: p, token: p.parkToken + 1})
+	if w := (waiter{p: p, token: p.parkToken + 1}); f.first.p == nil {
+		f.first = w
+	} else {
+		f.more = append(f.more, w)
+	}
 	f.c.mu.Unlock()
 	f.c.park()
 	f.c.mu.Lock()

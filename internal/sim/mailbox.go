@@ -5,15 +5,11 @@ package sim
 type Mailbox[T any] struct {
 	c       *Clock
 	buf     []T
-	waiters []*mboxWaiter[T]
+	waiters []*Future[T] // parked receivers, oldest first
 	closed  bool
 	// readable holds the one-shot OnReadable hooks waiting for the next
 	// buffered message or Close.
 	readable []func()
-}
-
-type mboxWaiter[T any] struct {
-	f *Future[T]
 }
 
 // NewMailbox returns an empty mailbox on clock c.
@@ -28,9 +24,9 @@ func (m *Mailbox[T]) Send(v T) {
 		return // messages to a closed mailbox are dropped
 	}
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
+		f := m.waiters[0]
 		m.waiters = m.waiters[1:]
-		w.f.Resolve(v)
+		f.Resolve(v)
 		return
 	}
 	m.buf = append(m.buf, v)
@@ -72,7 +68,7 @@ func (m *Mailbox[T]) RecvFuture() *Future[T] {
 		return FailedFuture[T](m.c, ErrMailboxClosed)
 	}
 	f := NewFuture[T](m.c)
-	m.waiters = append(m.waiters, &mboxWaiter[T]{f: f})
+	m.waiters = append(m.waiters, f)
 	return f
 }
 
@@ -103,8 +99,8 @@ func (m *Mailbox[T]) Close() {
 	m.closed = true
 	ws := m.waiters
 	m.waiters = nil
-	for _, w := range ws {
-		w.f.Fail(ErrMailboxClosed)
+	for _, f := range ws {
+		f.Fail(ErrMailboxClosed)
 	}
 	m.fireReadable()
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Per-layer micro-benchmarks: ns/op and allocs/op of the tensor kernels, the
-# model's forward/decode/top-K path, the sim clock, the grammar matcher and
-# the tokenizer, as the minimum over $count runs of `go test -bench`.
+# model's forward/decode/top-K path, the sim clock, the control layer (one
+# decode step through every layer above the kernels, a scheduling round,
+# an allocation under KV pressure), the grammar matcher and the tokenizer,
+# as the minimum over $count runs of `go test -bench`.
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
 #                                  block of BENCH_micro.json; the "parent"
@@ -15,7 +17,10 @@
 #                                  exact except for the Clock* benchmarks
 #                                  (run at -cpu 1,2, the GOMAXPROCS in the
 #                                  name), which get 2 %: a coroutine's first
-#                                  stack growth is the runtime's to time
+#                                  stack growth is the runtime's to time.
+#                                  DecodeStep must also report one allocs/op
+#                                  at all three context sizes: a decode step
+#                                  may not pay for its context
 set -eu
 cd "$(dirname "$0")/.."
 file=BENCH_micro.json
@@ -51,6 +56,8 @@ bench() {
 	bench 5000x '^Benchmark(MatVec64|LogitsHead)$' ./internal/tensor
 	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
+	bench 200x '^BenchmarkDecodeStep$' .
+	bench 200x '^Benchmark(SchedulerDispatch|TieredPoolAllocEvict)$' ./internal/core
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
 	bench 200x '^BenchmarkEncode$' ./internal/tokenizer
 } > "$fresh"
@@ -78,6 +85,10 @@ if [ "${1:-}" = "-check" ]; then
 			verdict = (gotal > limit) ? "FAIL allocs/op rose" : "ok"
 			if (gotal > limit) bad = 1
 			printf "microbench: %-24s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
+			if (n ~ /^DecodeStep\//) {
+				if (steps++ && gotal != stepal) { printf "microbench: %-24s FAIL allocs/op depends on the context size (%d here, %d at the previous size)\n", n, gotal, stepal; bad = 1 }
+				stepal = gotal
+			}
 		}
 		END { exit bad }' "$fresh.want" "$fresh"
 	exit

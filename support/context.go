@@ -42,6 +42,19 @@ type Context struct {
 	pos     int          // next sequence position (logical length)
 	Tokens  []int        // logical token history (prompt + generated)
 
+	// attn caches ctxPages — pinned, then the live entries — so a decode
+	// step does not rebuild a list that grows with the context. Growing the
+	// stream appends to it; anything else that edits pinned or entries
+	// clears attnOK and the next forward rebuilds.
+	attn   []api.KvPage
+	attnOK bool
+
+	// Per-step scratch: the runtime is done with (or has copied) what these
+	// hold before the call they are passed to returns.
+	posBuf []int
+	outBuf []api.KvPage
+	oneTok [1]int
+
 	genEmb  []api.Embed // reusable decode slot
 	lastOut api.Embed   // output embedding of the last forward
 	hasOut  bool
@@ -137,13 +150,26 @@ func (c *Context) ensure(n int) error {
 	for _, p := range pages {
 		c.entries = append(c.entries, pageEntry{h: p, owned: true, live: true})
 	}
+	if c.attnOK {
+		c.attn = append(c.attn, pages...)
+	}
 	return nil
 }
 
 // ctxPages lists attention-input pages: pinned read-only context first,
-// then the live stream pages.
+// then the live stream pages. The result is the context's own cache: valid
+// until the next call that changes the page list.
 func (c *Context) ctxPages() []api.KvPage {
-	return append(append([]api.KvPage(nil), c.pinned...), c.Pages()...)
+	if !c.attnOK {
+		c.attn = append(c.attn[:0], c.pinned...)
+		for _, e := range c.entries {
+			if e.live {
+				c.attn = append(c.attn, e.h)
+			}
+		}
+		c.attnOK = true
+	}
+	return c.attn
 }
 
 // ComposeContext pins foreign pages (e.g. imported prompt modules cached
@@ -155,19 +181,22 @@ func ComposeContext(c *Context, pinned []api.KvPage, basePos int) (*Context, err
 		return nil, errors.New("support: ComposeContext requires a fresh context")
 	}
 	c.pinned = append([]api.KvPage(nil), pinned...)
+	c.attnOK = false
 	c.pos = basePos
 	return c, nil
 }
 
-// outPages lists the page(s) that will receive the next n slots.
+// outPages lists the page(s) that will receive the next n slots (in the
+// context's scratch: valid until the next call).
 func (c *Context) outPages(n int) []api.KvPage {
 	ps := c.Model.PageSize
 	first := c.slots / ps
 	last := (c.slots + n - 1) / ps
-	var out []api.KvPage
+	out := c.outBuf[:0]
 	for i := first; i <= last && i < len(c.entries); i++ {
 		out = append(out, c.entries[i].h)
 	}
+	c.outBuf = out
 	return out
 }
 
@@ -228,10 +257,11 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 		return nil, err
 	}
 	defer c.alloc.FreeEmbeds(emb)
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = c.pos + i
+	pos := c.posBuf[:0]
+	for i := 0; i < n; i++ {
+		pos = append(pos, c.pos+i)
 	}
+	c.posBuf = pos
 	if _, err := c.text.Embed(toks, pos, emb); err != nil {
 		return nil, err
 	}
@@ -260,11 +290,11 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 			outEmb = tmp
 		}
 	}
-	opts := []inferlet.ForwardOption{
+	opts := append(make([]inferlet.ForwardOption, 0, 4),
 		inferlet.ReadKv(c.ctxPages()...),
 		inferlet.Input(emb...),
 		inferlet.Output(outEmb...),
-	}
+	)
 	if keepKV {
 		opts = append(opts, inferlet.AppendKv(c.outPages(n)...))
 	}
@@ -313,7 +343,8 @@ func (c *Context) NextDist() (api.Dist, error) {
 
 // Append accepts token tok into the context (one decode step).
 func (c *Context) Append(tok int) error {
-	return c.FillTokens([]int{tok})
+	c.oneTok[0] = tok
+	return c.FillTokens(c.oneTok[:])
 }
 
 // ForwardTokens extends the context by toks in a single forward and
@@ -413,6 +444,7 @@ func (c *Context) ReleaseMaskedPages(fullyMaskedRanges [][2]int) (int, error) {
 			continue
 		}
 		c.entries[p].live = false
+		c.attnOK = false
 		toFree = append(toFree, c.entries[p].h)
 		freed++
 	}
@@ -563,7 +595,7 @@ func (c *Context) Drop() error {
 			return err
 		}
 	}
-	c.entries = nil
+	c.entries, c.attnOK = nil, false
 	if c.genEmb != nil {
 		if err := c.alloc.FreeEmbeds(c.genEmb); err != nil {
 			return err
@@ -581,7 +613,7 @@ func (c *Context) Close() error {
 	if !c.ownsQueue {
 		return errors.New("support: Close on a context sharing its queue; use Drop")
 	}
-	c.entries = nil
+	c.entries, c.attnOK = nil, false
 	c.genEmb = nil
 	return c.Q.Close()
 }
@@ -612,6 +644,7 @@ func ImportContext(s inferlet.Session, m api.ModelInfo, name string, tokens []in
 	for _, p := range pages {
 		c.entries = append(c.entries, pageEntry{h: p, owned: false, live: true})
 	}
+	c.attnOK = false
 	c.slots = len(tokens)
 	c.pos = len(tokens)
 	c.Tokens = append([]int(nil), tokens...)
