@@ -230,6 +230,7 @@ type Cluster struct {
 	// controller -> replica index sessions resolve their host through, and
 	// the bounded in-flight transfer budget (FIFO waiters).
 	hasRoles       bool
+	stick          []*Replica // hashStick's domain: every replica a launch may start on, ID order
 	handoff        HandoffConfig
 	ctlIndex       map[*core.Controller]*Replica
 	handoffActive  int
@@ -291,7 +292,9 @@ func New(clock *sim.Clock, policy PlacementPolicy, auto AutoscaleConfig, replica
 	for _, r := range replicas {
 		if r.Role != RoleUnified {
 			c.hasRoles = true
-			break
+		}
+		if r.prefillEligible() {
+			c.stick = append(c.stick, r)
 		}
 	}
 	for i := 0; i < active; i++ {
@@ -425,18 +428,22 @@ func (c *Cluster) pickProgramAffinity(artifact string, cands []*Replica) *Replic
 	return c.hashStick(artifact, cands)
 }
 
-// hashStick maps a key onto the full (stable) replica set and walks to
-// the nearest placeable replica. Hashing the placeable set directly would
-// move every key whenever the autoscaler resizes it. With roles assigned
-// the walk also skips decode-only replicas: a launch stuck to one would
-// land where new sessions cannot run.
+// hashStick maps a key onto the stable set of replicas a launch may start
+// on — all of them, or the prefill-eligible ones when roles are assigned —
+// and walks to the nearest placeable member. Hashing the placeable set
+// directly would move every key whenever the autoscaler resizes it;
+// hashing over decode-only replicas too would walk most keys onto the
+// first prefill replica.
 func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
+	if len(c.stick) == 0 {
+		return cands[0]
+	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	start := int(h.Sum64() % uint64(len(c.replicas)))
-	for i := 0; i < len(c.replicas); i++ {
-		r := c.replicas[(start+i)%len(c.replicas)]
-		if r.active && !r.draining && r.health == HealthHealthy && (!c.hasRoles || r.prefillEligible()) {
+	start := int(h.Sum64() % uint64(len(c.stick)))
+	for i := range c.stick {
+		r := c.stick[(start+i)%len(c.stick)]
+		if r.active && !r.draining && r.health == HealthHealthy {
 			return r
 		}
 	}

@@ -5,6 +5,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -330,5 +331,55 @@ func TestExpandRoles(t *testing.T) {
 	got = cluster.ExpandRoles([]cluster.RoleSpec{{Role: cluster.RoleDecode, Count: 9}}, 2)
 	if len(got) != 2 || got[0] != cluster.RoleDecode || got[1] != cluster.RoleDecode {
 		t.Fatalf("clamped ExpandRoles = %v", got)
+	}
+}
+
+// TestColdKeysSpreadOverPrefillReplicas: a cold kv-affinity key hash-sticks
+// within the prefill-eligible set, so two prefill replicas each take about
+// half the keys (hashing over all six and walking past the decode pool
+// sent 5/6 of them to replica 0), and draining a decode replica, which the
+// hash never covered, moves no key.
+func TestColdKeysSpreadOverPrefillReplicas(t *testing.T) {
+	e := newEngine(t, pie.Config{
+		Seed: 11, Replicas: 6, Placement: pie.PlaceKVAffinity,
+		Roles: []pie.RoleSpec{{Role: pie.RolePrefill, Count: 2}, {Role: pie.RoleDecode}},
+	})
+	c := e.Cluster()
+	rs := c.Replicas()
+	const keys = 600
+	place := func() []int {
+		home := make([]int, keys)
+		for k := range home {
+			ctl, err := c.Place("text_completion", "", []string{fmt.Sprintf(`{"cache_key":"cold-%d"}`, k)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			home[k] = -1
+			for _, r := range rs {
+				if r.Ctl == ctl {
+					home[k] = r.ID
+				}
+			}
+		}
+		return home
+	}
+	before := place()
+	for _, r := range rs[:2] {
+		if r.Placements < keys*4/10 || r.Placements > keys*6/10 {
+			t.Fatalf("prefill replica %d took %d of %d cold keys, want 40-60%%", r.ID, r.Placements, keys)
+		}
+	}
+	for _, r := range rs[2:] {
+		if r.Placements != 0 {
+			t.Fatalf("decode replica %d took %d launches", r.ID, r.Placements)
+		}
+	}
+	if !c.BeginDrain(rs[3]) {
+		t.Fatal("decode replica did not start draining")
+	}
+	for k, id := range place() {
+		if id != before[k] {
+			t.Fatalf("key %d moved from replica %d to %d when a decode replica drained", k, before[k], id)
+		}
 	}
 }
