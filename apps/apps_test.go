@@ -411,6 +411,40 @@ func TestFunctionCallOptimizationsReduceLatency(t *testing.T) {
 	}
 }
 
+// TestFrontierKeepsAppText: the lazy frontier drops a forward nobody reads,
+// never a token. Full-fidelity output of a Generate app, a multi-turn agent
+// (each observation prefill carries the previous turn's last token), a
+// ParallelGenerate app and the hand-written beam loop, recorded at the
+// commit before Append became lazy.
+func TestFrontierKeepsAppText(t *testing.T) {
+	params := map[string]interface{}{
+		"text_completion": apps.CompletionParams{Prompt: "The lazy frontier ", MaxTokens: 12},
+		"agent_react":     apps.AgentParams{Steps: 3, ThinkTokens: 6, ObsTokens: 6, FinalTokens: 6},
+		"tot":             apps.TreeParams{Depth: 2, Branch: 2, ThinkTokens: 6},
+		"beam":            apps.BeamParams{Prompt: "Beams ", Width: 3, Steps: 6},
+	}
+	for _, g := range []struct {
+		seed      uint64
+		app, want string
+	}{
+		{42, "text_completion", "\xa1placein\xeb\xa9did was\xa5here play5252"},
+		{42, "agent_react", "agent_react:the57laterbothhand"},
+		{42, "tot", "tot:6699\xc5hadhad keep"},
+		{42, "beam", "beam[-20.389]: lookoldIIII"},
+		{7, "text_completion", "60 below samecachecachecachecache40\x94 through through through"},
+		{7, "agent_react", "agent_react:differentdodododo will"},
+		{7, "tot", "tot:) cut cut cut cutapi"},
+		{7, "beam", "beam[-22.335]:mthe,were] great"},
+	} {
+		e := pie.New(pie.Config{Seed: g.seed, Mode: pie.ModeFull})
+		e.MustRegister(apps.All()...)
+		e.RegisterTool("search.api", 40*time.Millisecond, func(req string) string { return "search results" })
+		if got := launch(t, e, g.app, params[g.app]); got != g.want {
+			t.Errorf("seed %d %s: %q, want %q", g.seed, g.app, got, g.want)
+		}
+	}
+}
+
 func marshal(t *testing.T, v interface{}) string {
 	t.Helper()
 	b, err := json.Marshal(v)

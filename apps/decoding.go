@@ -210,6 +210,13 @@ func BeamSearch() inferlet.Program {
 					score float64
 				}
 				var cands []cand
+				// Every beam's forward goes out before any is awaited, so
+				// one kernel serves the step.
+				for _, b := range beams {
+					if err := b.ctx.Flush(); err != nil {
+						return err
+					}
+				}
 				for i, b := range beams {
 					dist, err := b.ctx.NextDist()
 					if err != nil {

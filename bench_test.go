@@ -199,18 +199,67 @@ func BenchmarkDecodeStep(b *testing.B) {
 				b.StopTimer()
 				return nil
 			}})
-			if err := e.RunClient(func() {
-				h, err := e.Launch(pie.Spec("decode"))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if err := h.Wait(); err != nil {
-					b.Error(err)
-				}
-			}); err != nil {
-				b.Fatal(err)
-			}
+			runToCompletion(b, e, "decode")
 		})
 	}
+}
+
+// BenchmarkGenerate is one chat turn on a persistent context, timing mode:
+// an 8-token user turn prefilled (it carries the previous turn's pending
+// last token) and 32 tokens generated. infer-calls/op is read from the
+// instance: one embed + one forward for the prefill, 32 get_next_dist, 31
+// embed + forward pairs — the last token issues none — and one detokenize.
+func BenchmarkGenerate(b *testing.B) {
+	const turnTokens, genTokens, turnsPerContext = 8, 32, 64
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	e.MustRegister(inferlet.Program{Name: "generate", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		m := s.AvailableModels()[0]
+		turn := make([]int, turnTokens)
+		var ctx *support.Context
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%turnsPerContext == 0 { // bound the KV a long run holds
+				b.StopTimer()
+				if ctx != nil {
+					if err := ctx.Close(); err != nil {
+						return err
+					}
+				}
+				var err error
+				if ctx, err = support.NewContext(s, m); err != nil {
+					return err
+				}
+				b.StartTimer()
+			}
+			if err := ctx.FillTokens(turn); err != nil {
+				return err
+			}
+			if _, err := ctx.Generate(support.GenOpts{MaxTokens: genTokens}); err != nil {
+				return err
+			}
+		}
+		b.StopTimer()
+		return nil
+	}})
+	_, calls, _ := runToCompletion(b, e, "generate").Stats()
+	b.ReportMetric(float64(calls)/float64(b.N), "infer-calls/op")
+}
+
+// runToCompletion launches program on e and waits for it to finish.
+func runToCompletion(b *testing.B, e *pie.Engine, program string) *pie.Handle {
+	b.Helper()
+	var h *pie.Handle
+	var err error
+	if cerr := e.RunClient(func() {
+		if h, err = e.Launch(pie.Spec(program)); err == nil {
+			err = h.Wait()
+		}
+	}); cerr != nil {
+		b.Fatal(cerr)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h
 }

@@ -80,7 +80,7 @@ func sloLevels() []SLOLevelSpec {
 	return []SLOLevelSpec{
 		{Name: "low", IntConc: 4, BatchConc: 2, BEConc: 2},
 		{Name: "mid", IntConc: 12, BatchConc: 6, BEConc: 4},
-		{Name: "high", IntConc: 28, BatchConc: 12, BEConc: 8},
+		{Name: "high", IntConc: 32, BatchConc: 14, BEConc: 10},
 	}
 }
 

@@ -20,7 +20,12 @@
 #                                  stack growth is the runtime's to time.
 #                                  DecodeStep must also report one allocs/op
 #                                  at all three context sizes: a decode step
-#                                  may not pay for its context
+#                                  may not pay for its context. Generate
+#                                  (one chat turn: an 8-token prefill and
+#                                  32 tokens out) also reports the
+#                                  inference calls it issued, which must
+#                                  not rise either: 97, the last token
+#                                  issuing no embed + forward
 set -eu
 cd "$(dirname "$0")/.."
 file=BENCH_micro.json
@@ -29,7 +34,8 @@ fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 
 # bench <benchtime> <regexp> <package> [cpus]: min ns/op and min allocs/op
-# per benchmark, one `"Name": {...}` line each. With a -cpu list the
+# (and min infer-calls/op where reported) per benchmark, one
+# `"Name": {...}` line each. With a -cpu list the
 # GOMAXPROCS each line ran at becomes part of its name ("Name/cpu2").
 bench() {
 	go test -run '^$' -bench "$2" -benchmem -benchtime "$1" -count "$count" ${4:+-cpu "$4"} "$3" | awk -v cpus="${4:-}" '
@@ -41,14 +47,17 @@ bench() {
 			for (i = 2; i <= NF; i++) {
 				if ($i == "ns/op") ns = $(i-1)
 				if ($i == "allocs/op") al = $(i-1)
+				if ($i == "infer-calls/op" && (!(name in minic) || $(i-1) + 0 < minic[name] + 0)) minic[name] = $(i-1) + 0
 			}
 			if (!(name in minns) || ns + 0 < minns[name] + 0) minns[name] = ns
 			if (!(name in minal) || al + 0 < minal[name] + 0) minal[name] = al
 			if (!(name in seen)) { seen[name] = 1; order[++n] = name }
 		}
 		END {
-			for (i = 1; i <= n; i++)
-				printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}\n", order[i], minns[order[i]], minal[order[i]]
+			for (i = 1; i <= n; i++) {
+				ic = (order[i] in minic) ? sprintf(", \"infer_calls_per_op\": %s", minic[order[i]]) : ""
+				printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s%s}\n", order[i], minns[order[i]], minal[order[i]], ic
+			}
 		}'
 }
 
@@ -56,7 +65,7 @@ bench() {
 	bench 5000x '^Benchmark(MatVec64|LogitsHead)$' ./internal/tensor
 	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
-	bench 200x '^BenchmarkDecodeStep$' .
+	bench 200x '^Benchmark(DecodeStep|Generate)$' .
 	bench 200x '^Benchmark(SchedulerDispatch|TieredPoolAllocEvict)$' ./internal/core
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
 	bench 200x '^BenchmarkEncode$' ./internal/tokenizer
@@ -75,16 +84,17 @@ if [ "${1:-}" = "-check" ]; then
 	block change > "$fresh.want"
 	trap 'rm -f "$fresh" "$fresh.want"' EXIT
 	awk '
-		function field(line, key,    s) { s = line; sub(".*\"" key "\": ", "", s); sub(/[,}].*/, "", s); return s + 0 }
+		function field(line, key,    s) { if (line !~ "\"" key "\"") return 0; s = line; sub(".*\"" key "\": ", "", s); sub(/[,}].*/, "", s); return s + 0 }
 		function name(line,    s) { s = line; sub(/^ *"/, "", s); sub(/".*/, "", s); return s }
-		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); next }
+		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); ic[name($0)] = field($0, "infer_calls_per_op"); next }
 		{
-			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op")
+			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op"); gotic = field($0, "infer_calls_per_op")
 			if (!(n in al)) { printf "microbench: %-24s not in the committed file: run scripts/microbench.sh\n", n; bad = 1; next }
 			limit = (n ~ /^Clock/) ? al[n] * 1.02 : al[n]
 			verdict = (gotal > limit) ? "FAIL allocs/op rose" : "ok"
 			if (gotal > limit) bad = 1
 			printf "microbench: %-24s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
+			if (gotic > ic[n]) { printf "microbench: %-24s FAIL infer-calls/op rose (%d here, %d committed)\n", n, gotic, ic[n]; bad = 1 }
 			if (n ~ /^DecodeStep\//) {
 				if (steps++ && gotal != stepal) { printf "microbench: %-24s FAIL allocs/op depends on the context size (%d here, %d at the previous size)\n", n, gotal, stepal; bad = 1 }
 				stepal = gotal

@@ -22,7 +22,19 @@ import (
 // Two counters describe the stream. slots counts physical KV entries
 // consumed (including masked/rolled-back ones); Len (logical length)
 // counts live tokens and determines the next sequence position. They
-// differ only after Truncate (speculative decoding rollback).
+// differ after Truncate (speculative decoding rollback) and while tokens
+// are pending.
+//
+// The frontier is lazy. Append records the accepted token as pending — it
+// joins Tokens and Len at once — and issues nothing. The pending tokens
+// ride in the embed + forward of whatever extends the stream next (Fill,
+// FillTokens, ForwardTokens), or are flushed in a forward of their own by
+// whatever needs their KV or output: NextDist, ProbeTokens, Fork,
+// Truncate, MaskSlots, MaskRange and Export. Sync, Drop and Close never
+// flush, so the last token of a generation pays for no forward unless the
+// context is extended afterwards. Errors the deferred forward can raise
+// (page or embed allocation, a failed queue) surface from the call that
+// flushes, unchanged; the tokens stay pending and the call can be retried.
 type Context struct {
 	S     inferlet.Session
 	Q     *inferlet.Queue
@@ -39,8 +51,9 @@ type Context struct {
 	entries []pageEntry
 	pinned  []api.KvPage // read-only attention context (modular caching)
 	slots   int          // physical KV slots consumed
-	pos     int          // next sequence position (logical length)
-	Tokens  []int        // logical token history (prompt + generated)
+	pos     int          // sequence position of the next KV entry
+	Tokens  []int        // logical token history (prompt + generated + pending)
+	pend    []int        // accepted tokens whose embed + forward is not issued yet
 
 	// attn caches ctxPages — pinned, then the live entries — so a decode
 	// step does not rebuild a list that grows with the context. Growing the
@@ -52,8 +65,8 @@ type Context struct {
 	// Per-step scratch: the runtime is done with (or has copied) what these
 	// hold before the call they are passed to returns.
 	posBuf []int
+	tokBuf []int // pending + new tokens of one forward
 	outBuf []api.KvPage
-	oneTok [1]int
 
 	genEmb  []api.Embed // reusable decode slot
 	lastOut api.Embed   // output embedding of the last forward
@@ -112,10 +125,12 @@ func NewContextOnQueue(s inferlet.Session, q *inferlet.Queue) (*Context, error) 
 	return c, nil
 }
 
-// Len returns the logical token length of the context.
-func (c *Context) Len() int { return c.pos }
+// Len returns the logical token length of the context, pending tokens
+// included.
+func (c *Context) Len() int { return c.pos + len(c.pend) }
 
-// Slots returns physical KV slots consumed (≥ Len after rollbacks).
+// Slots returns physical KV slots consumed: more than Len after rollbacks,
+// fewer while tokens are pending.
 func (c *Context) Slots() int { return c.slots }
 
 // Alloc exposes the context's allocate capability (advanced use: export,
@@ -177,7 +192,7 @@ func (c *Context) ctxPages() []api.KvPage {
 // the context's own token stream at position basePos. The pinned pages
 // are never written, masked, or deallocated by this context.
 func ComposeContext(c *Context, pinned []api.KvPage, basePos int) (*Context, error) {
-	if c.slots != 0 {
+	if c.slots != 0 || len(c.pend) != 0 {
 		return nil, errors.New("support: ComposeContext requires a fresh context")
 	}
 	c.pinned = append([]api.KvPage(nil), pinned...)
@@ -229,7 +244,7 @@ func (c *Context) Fill(text string) error {
 }
 
 // FillTokens prefills toks, extending the KV cache and producing an output
-// embedding for the last token.
+// embedding for the last token. Pending tokens ride in the same forward.
 func (c *Context) FillTokens(toks []int) error {
 	if len(toks) == 0 {
 		return nil
@@ -238,11 +253,33 @@ func (c *Context) FillTokens(toks []int) error {
 	return err
 }
 
+// Flush issues the embed + forward of the pending tokens, if any, without
+// waiting for it. An inferlet stepping several contexts calls it on each
+// before awaiting any, so their forwards are in flight together and batch.
+func (c *Context) Flush() error {
+	if len(c.pend) == 0 {
+		return nil
+	}
+	_, err := c.extend(nil, true, 1, false)
+	return err
+}
+
 // extend is the shared forward driver: embeds toks at sequential
 // positions, attends the live context, optionally persists KV, requests
 // `outs` output embeddings (the last one also refreshes the decode slot
 // when keepKV), and fetches their next-token distributions when wantDists.
+// A KV-persisting extension carries the pending tokens ahead of toks; a
+// probe flushes them first.
 func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]api.Dist, error) {
+	fresh := toks
+	if !keepKV {
+		if err := c.Flush(); err != nil {
+			return nil, err
+		}
+	} else if len(c.pend) > 0 {
+		c.tokBuf = append(append(c.tokBuf[:0], c.pend...), toks...)
+		toks = c.tokBuf
+	}
 	n := len(toks)
 	if outs > n {
 		return nil, fmt.Errorf("support: %d outputs requested for %d tokens", outs, n)
@@ -319,7 +356,8 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 	if keepKV {
 		c.slots += n
 		c.pos += n
-		c.Tokens = append(c.Tokens, toks...)
+		c.Tokens = append(c.Tokens, fresh...)
+		c.pend = c.pend[:0]
 		if outs >= 1 {
 			c.lastOut = c.genEmb[0]
 			c.hasOut = true
@@ -328,23 +366,35 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 	return dists, nil
 }
 
-// NextDist returns the next-token distribution after the last Fill or
-// decode step.
+// NextDist returns the next-token distribution after the last token of
+// the stream, flushing pending tokens first.
 func (c *Context) NextDist() (api.Dist, error) {
-	if !c.hasOut {
-		return api.Dist{}, ErrNoOutput
-	}
-	f, err := c.sample.NextDist(c.lastOut)
+	f, err := c.nextDist()
 	if err != nil {
 		return api.Dist{}, err
 	}
 	return f.Get()
 }
 
-// Append accepts token tok into the context (one decode step).
+// nextDist is NextDist without the wait (ParallelGenerate issues every
+// branch's request before awaiting any).
+func (c *Context) nextDist() (api.Future[api.Dist], error) {
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	if !c.hasOut {
+		return nil, ErrNoOutput
+	}
+	return c.sample.NextDist(c.lastOut)
+}
+
+// Append accepts token tok into the context. It issues nothing: the token
+// is pending until the stream is extended or something needs its KV or
+// output (see Context), so it never fails.
 func (c *Context) Append(tok int) error {
-	c.oneTok[0] = tok
-	return c.FillTokens(c.oneTok[:])
+	c.pend = append(c.pend, tok)
+	c.Tokens = append(c.Tokens, tok)
+	return nil
 }
 
 // ForwardTokens extends the context by toks in a single forward and
@@ -367,8 +417,11 @@ func (c *Context) ProbeTokens(toks []int, outs int) ([]api.Dist, error) {
 // ReleaseMaskedPages is for) and positions rewind so the next tokens
 // overlay the rejected ones. The rollback half of speculative decoding.
 func (c *Context) Truncate(n int) error {
-	if n < 0 || n > c.pos {
-		return fmt.Errorf("support: Truncate(%d) outside [0,%d]", n, c.pos)
+	if n < 0 || n > c.Len() {
+		return fmt.Errorf("support: Truncate(%d) outside [0,%d]", n, c.Len())
+	}
+	if err := c.Flush(); err != nil {
+		return err
 	}
 	drop := c.pos - n
 	if drop == 0 {
@@ -386,6 +439,9 @@ func (c *Context) Truncate(n int) error {
 // MaskSlots sets attention mask bits over physical slot range [from, to)
 // (true hides them).
 func (c *Context) MaskSlots(from, to int, masked bool) error {
+	if err := c.Flush(); err != nil {
+		return err
+	}
 	ps := c.Model.PageSize
 	for p := 0; p < len(c.entries); p++ {
 		if !c.entries[p].live {
@@ -476,7 +532,9 @@ type GenResult struct {
 	Text   string
 }
 
-// Generate decodes autoregressively until a stop condition.
+// Generate decodes autoregressively until a stop condition. The last
+// accepted token is left pending: it costs a forward only if the context
+// is extended or read afterwards.
 func (c *Context) Generate(opts GenOpts) (GenResult, error) {
 	if opts.MaxTokens <= 0 {
 		opts.MaxTokens = 64
@@ -539,7 +597,11 @@ func (c *Context) DecodeText(ids []int) (string, error) {
 // forks are active.
 func (c *Context) Fork(n int) ([]*Context, error) {
 	// The children's tail-page copies are issued on their own queues, so
-	// the parent's pending prefill/decode writes must land first.
+	// the parent's pending tokens must be issued and its prefill/decode
+	// writes must land first.
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
 	if err := c.Sync(); err != nil {
 		return nil, err
 	}
@@ -618,12 +680,16 @@ func (c *Context) Close() error {
 	return c.Q.Close()
 }
 
-// Sync drains the context's command queue.
+// Sync drains the context's command queue. Pending tokens were never
+// issued and stay pending.
 func (c *Context) Sync() error { return c.Q.Sync() }
 
 // Export publishes the context's live pages under name. Exports should be
 // page-aligned (Len a multiple of PageSize) so importers can extend them.
 func (c *Context) Export(name string) error {
+	if err := c.Flush(); err != nil {
+		return err
+	}
 	if err := c.Sync(); err != nil {
 		return err
 	}

@@ -6,11 +6,12 @@ import (
 
 // ParallelGenerate decodes several contexts in lockstep from a single
 // (single-threaded, event-driven) inferlet: each round it issues every
-// branch's get_next_dist asynchronously, awaits them together, samples,
-// then issues every branch's embed+forward. Because each context has its
-// own command queue, the batch scheduler merges the per-branch calls
-// horizontally — the SGLang-style fork/join of the support library (§6.3)
-// without any engine support.
+// branch's get_next_dist asynchronously — behind the embed+forward of the
+// token the branch accepted the round before — awaits them together and
+// samples. A branch's last token issues no forward (Append is lazy).
+// Because each context has its own command queue, the batch scheduler
+// merges the per-branch calls horizontally — the SGLang-style fork/join of
+// the support library (§6.3) without any engine support.
 //
 // samplers[i] drives branch i (nil entries default to Greedy). Branches
 // stop individually on their opts; the call returns when all stop.
@@ -26,19 +27,19 @@ func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenR
 	}
 	remaining := n
 	for step := 0; step < opts.MaxTokens && remaining > 0; step++ {
-		// Phase 1: issue all distribution requests.
+		// Phase 1: issue all pending forwards and distribution requests.
 		futs := make([]api.Future[api.Dist], n)
 		for i, c := range ctxs {
 			if !active[i] {
 				continue
 			}
-			f, err := c.sample.NextDist(c.lastOut)
+			f, err := c.nextDist()
 			if err != nil {
 				return nil, err
 			}
 			futs[i] = f
 		}
-		// Phase 2: await, sample, and issue the next forwards.
+		// Phase 2: await, sample, and accept the tokens.
 		for i, c := range ctxs {
 			if !active[i] {
 				continue
