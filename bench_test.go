@@ -165,11 +165,12 @@ func BenchmarkSimReplaySpeed(b *testing.B) {
 }
 
 // BenchmarkDecodeStep is the host cost of one decode step through every
-// layer above the kernels — support.Context.Append (alloc_emb, embed_txt,
-// forward, dealloc_emb) plus NextDist (get_next_dist), on a timing-mode
-// engine — behind a context of 16, 64 and 256 KV pages. The paper's bet
-// (§5.2) is that this cost does not depend on the context: allocs/op must
-// be one number at all three sizes.
+// layer above the kernels — support.Context.Append, which issues nothing,
+// plus NextDist, which flushes the token (embed_txt, forward: the context's
+// two decode slots, no control-layer call) and samples (get_next_dist), on a
+// timing-mode engine — behind a context of 16, 64 and 256 KV pages. The
+// paper's bet (§5.2) is that this cost does not depend on the context:
+// allocs/op must be one number at all three sizes.
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, pages := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("ctx%dpages", pages), func(b *testing.B) {
@@ -209,6 +210,10 @@ func BenchmarkDecodeStep(b *testing.B) {
 // last token) and 32 tokens generated. infer-calls/op is read from the
 // instance: one embed + one forward for the prefill, 32 get_next_dist, 31
 // embed + forward pairs — the last token issues none — and one detokenize.
+// control-calls/op is read the same way: alloc_emb + dealloc_emb for the
+// prefill's nine input slots, an alloc_kvpage per page the turn's 40 tokens
+// cross into (2.5 with 16-token pages), nothing per decode step, and a
+// 64th of what opening and closing a context costs.
 func BenchmarkGenerate(b *testing.B) {
 	const turnTokens, genTokens, turnsPerContext = 8, 32, 64
 	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
@@ -242,8 +247,9 @@ func BenchmarkGenerate(b *testing.B) {
 		b.StopTimer()
 		return nil
 	}})
-	_, calls, _ := runToCompletion(b, e, "generate").Stats()
+	control, calls, _ := runToCompletion(b, e, "generate").Stats()
 	b.ReportMetric(float64(calls)/float64(b.N), "infer-calls/op")
+	b.ReportMetric(float64(control)/float64(b.N), "control-calls/op")
 }
 
 // runToCompletion launches program on e and waits for it to finish.

@@ -345,45 +345,78 @@ func removeHandles[T comparable](live []T, freed []T) []T {
 
 // --- Forward capability ----------------------------------------------------
 
-// forwardPlan is the builder functional forward options write into.
+// forwardPlan is what a forward's options add up to.
 type forwardPlan struct {
 	args       api.ForwardArgs
 	inlineToks []int
 	inlinePos  []int
-	sample     *api.SampleSpec
+	sample     api.SampleSpec
+	sampled    bool // a WithSampling option was given, whatever it set
 }
 
 // ForwardOption configures one forward pass (§4.2). Compose freely:
 //
 //	fwd.Run(inferlet.ReadKv(ctx...), inferlet.Input(emb...),
 //	        inferlet.AppendKv(tail...), inferlet.Output(out...))
-type ForwardOption func(*forwardPlan)
+//
+// An option is a value: the kind of argument it sets and the slices it was
+// given, which it lends to the call rather than copying. The runtime
+// resolves handles and copies token ids into its own record before Run
+// returns and keeps no reference to them, so the caller must leave the
+// slices alone until Run returns and may overwrite or reuse them once it
+// has. Several options of one handle kind concatenate in the order given;
+// the caller's slices are never written to. A WithMask matrix is the
+// exception: the kernel reads it when the pass executes, so it must stay
+// untouched until the pass has completed.
+type ForwardOption struct {
+	kind   optKind
+	pages  []api.KvPage   // optReadKv, optAppendKv
+	embs   []api.Embed    // optInput, optOutput
+	toks   []int          // optInline
+	pos    []int          // optInline
+	mask   [][]bool       // optMask
+	name   string         // optAdapter
+	sample []SampleOption // optSampling
+}
+
+type optKind uint8
+
+const (
+	optReadKv optKind = iota
+	optInput
+	optAppendKv
+	optOutput
+	optMask
+	optAdapter
+	optInline
+	optSampling
+)
 
 // ReadKv sets the attention-context pages (ForwardArgs.InputKv).
 func ReadKv(pages ...api.KvPage) ForwardOption {
-	return func(p *forwardPlan) { p.args.InputKv = join(p.args.InputKv, pages) }
+	return ForwardOption{kind: optReadKv, pages: pages}
 }
 
 // Input sets the input embedding slots consumed by the pass.
 func Input(embs ...api.Embed) ForwardOption {
-	return func(p *forwardPlan) { p.args.InputEmb = join(p.args.InputEmb, embs) }
+	return ForwardOption{kind: optInput, embs: embs}
 }
 
 // AppendKv sets the pages that receive the new tokens' KV entries.
 func AppendKv(pages ...api.KvPage) ForwardOption {
-	return func(p *forwardPlan) { p.args.OutputKv = join(p.args.OutputKv, pages) }
+	return ForwardOption{kind: optAppendKv, pages: pages}
 }
 
 // Output sets the slots that receive the transformer outputs of the last
 // len(embs) input tokens.
 func Output(embs ...api.Embed) ForwardOption {
-	return func(p *forwardPlan) { p.args.OutputEmb = join(p.args.OutputEmb, embs) }
+	return ForwardOption{kind: optOutput, embs: embs}
 }
 
 // join appends an option's handles to a plan's list. The first option of
 // a kind — nearly always the only one — lends its slice instead of copying
-// it (capacity clipped, so a second option's append copies): the runtime
-// resolves handles before Run returns and keeps no reference.
+// it (capacity clipped, so a second option's append copies and the
+// caller's slice is never written to).
 func join[T any](list, more []T) []T {
 	if list == nil {
 		return more[:len(more):len(more)]
@@ -395,36 +428,24 @@ func join[T any](list, more []T) []T {
 // input embedding; true admits attention). Without it a causal mask is
 // inferred from sequence positions.
 func WithMask(mask [][]bool) ForwardOption {
-	return func(p *forwardPlan) { p.args.Mask = mask }
+	return ForwardOption{kind: optMask, mask: mask}
 }
 
 // WithAdapter applies a registered LoRA-style adapter
 // (forward_with_adapter; requires the adapter trait at call time).
 func WithAdapter(name string) ForwardOption {
-	return func(p *forwardPlan) { p.args.Adapter = name }
+	return ForwardOption{kind: optAdapter, name: name}
 }
 
 // InlineTokens folds token embedding into a fused pass: token ids at
 // explicit positions, embedded in-kernel (Fused capability only).
 func InlineTokens(tokens, positions []int) ForwardOption {
-	return func(p *forwardPlan) {
-		p.inlineToks = append([]int(nil), tokens...)
-		p.inlinePos = append([]int(nil), positions...)
-	}
+	return ForwardOption{kind: optInline, toks: tokens, pos: positions}
 }
 
 // WithSampling configures fused on-GPU sampling (Fused capability only).
 func WithSampling(opts ...SampleOption) ForwardOption {
-	return func(p *forwardPlan) {
-		spec := &api.SampleSpec{}
-		if p.sample != nil {
-			spec = p.sample
-		}
-		for _, o := range opts {
-			o(spec)
-		}
-		p.sample = spec
-	}
+	return ForwardOption{kind: optSampling, sample: opts}
 }
 
 // SampleOption configures fused sampling.
@@ -439,12 +460,35 @@ func Temperature(t float32) SampleOption { return func(s *api.SampleSpec) { s.Te
 // SampleSeed seeds the fused sampler's deterministic stream.
 func SampleSeed(seed uint64) SampleOption { return func(s *api.SampleSpec) { s.Seed = seed } }
 
-func buildPlan(opts []ForwardOption) *forwardPlan {
-	p := &forwardPlan{}
-	for _, o := range opts {
-		o(p)
+// build folds opts into p, which the caller keeps on its stack.
+func (p *forwardPlan) build(opts []ForwardOption) {
+	for i := range opts {
+		o := &opts[i]
+		switch o.kind {
+		case optReadKv:
+			p.args.InputKv = join(p.args.InputKv, o.pages)
+		case optInput:
+			p.args.InputEmb = join(p.args.InputEmb, o.embs)
+		case optAppendKv:
+			p.args.OutputKv = join(p.args.OutputKv, o.pages)
+		case optOutput:
+			p.args.OutputEmb = join(p.args.OutputEmb, o.embs)
+		case optMask:
+			p.args.Mask = o.mask
+		case optAdapter:
+			p.args.Adapter = o.name
+		case optInline:
+			p.inlineToks, p.inlinePos = o.toks, o.pos
+		case optSampling:
+			// The setters are arbitrary functions: they get a copy, so the
+			// plan itself never escapes.
+			spec := p.sample
+			for _, set := range o.sample {
+				set(&spec)
+			}
+			p.sample, p.sampled = spec, true
+		}
 	}
-	return p
 }
 
 // Forward is the forward-trait capability: the core transformer pass and
@@ -458,8 +502,9 @@ func (f *Forward) Run(opts ...ForwardOption) (api.Future[struct{}], error) {
 	if err := f.q.guard(); err != nil {
 		return nil, err
 	}
-	p := buildPlan(opts)
-	if p.sample != nil || p.inlineToks != nil {
+	var p forwardPlan
+	p.build(opts)
+	if p.sampled || len(p.inlineToks) > 0 {
 		return nil, fmt.Errorf("%w: sampling/inline options need the fused capability", api.ErrBadArgument)
 	}
 	if p.args.Adapter != "" && !f.q.info.HasTraitClosure(api.TraitAdapter) {
@@ -489,15 +534,12 @@ func (f *Fused) Run(opts ...ForwardOption) (api.Future[[]int], error) {
 	if err := f.q.guard(); err != nil {
 		return nil, err
 	}
-	p := buildPlan(opts)
+	var p forwardPlan
+	p.build(opts)
 	if p.args.Adapter != "" && !f.q.info.HasTraitClosure(api.TraitAdapter) {
 		return nil, fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, f.q.info.ID, api.TraitAdapter)
 	}
-	spec := api.SampleSpec{}
-	if p.sample != nil {
-		spec = *p.sample
-	}
-	return f.q.rt.ForwardSampled(p.args, p.inlineToks, p.inlinePos, spec)
+	return f.q.rt.ForwardSampled(p.args, p.inlineToks, p.inlinePos, p.sample)
 }
 
 // --- Input capabilities ----------------------------------------------------

@@ -708,3 +708,82 @@ func TestCallRecordsRecycle(t *testing.T) {
 		}
 	})
 }
+
+// TestBetterBucketOrder pins the dispatch order among ready buckets: light
+// ops before forwards, then the older head, then — at equal ages — embeds
+// after every other light op, then creation order.
+func TestBetterBucketOrder(t *testing.T) {
+	bucket := func(op infer.Op, seq uint64) *readyBucket {
+		return &readyBucket{key: bucketKey{op: op}, seq: seq}
+	}
+	embed, forward := bucket(infer.OpEmbedText, 1), bucket(infer.OpForward, 2)
+	dist, detok, tok := bucket(infer.OpNextDist, 3), bucket(infer.OpDetokenize, 4), bucket(infer.OpTokenize, 5)
+	const early, late = 10 * time.Microsecond, 20 * time.Microsecond
+	for _, tc := range []struct {
+		name            string
+		first, second   *readyBucket
+		firstT, secondT time.Duration
+	}{
+		{"a light op beats an older forward", dist, forward, late, early},
+		{"the older head wins among light ops", embed, detok, early, late},
+		{"the older head wins among light ops, whatever their creation order", tok, dist, early, late},
+		{"at equal ages an embed yields to a detokenize created after it", detok, embed, early, early},
+		{"at equal ages an embed yields to a get_next_dist", dist, embed, early, early},
+		{"at equal ages other light ops keep creation order", dist, tok, early, early},
+	} {
+		if !betterBucket(tc.first, tc.firstT, tc.second, tc.secondT) || betterBucket(tc.second, tc.secondT, tc.first, tc.firstT) {
+			t.Errorf("%s: not so", tc.name)
+		}
+	}
+}
+
+// TestEmbedYieldsSoFollowUpsJoinItsBatch is what the embed rule buys. Two
+// sessions wake at one instant: one issues its decode step's embed, the
+// other detokenizes and, given the text, embeds. With the detokenize first
+// the second session's embed rides in the first one's batch: two batches,
+// not three.
+func TestEmbedYieldsSoFollowUpsJoinItsBatch(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		type session struct {
+			inst *Instance
+			q    api.Queue
+			emb  []api.Embed
+		}
+		open := func(name string) session {
+			inst := ctl.RegisterInstance(name, nil, nil)
+			q := mustQueue(t, ctl, inst, "llama-1b")
+			emb, err := ctl.AllocEmbeds(inst, q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return session{inst, q, emb}
+		}
+		embed := func(s session) *sim.Signal {
+			done, err := ctl.EmbedText(s.inst, s.q, []int{7}, []int{0}, s.emb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return done
+		}
+		a, b := open("decoder"), open("finisher")
+		_ = sim.Await(embed(a)) // the embed bucket exists first, as in any served run
+		before := ctl.sched.Batches
+
+		first := embed(a)
+		text, err := ctl.Detokenize(b.inst, b.q, []int{7, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := text.Get(); err != nil {
+			t.Fatal(err)
+		}
+		if first.Done() {
+			t.Fatal("the embed was dispatched before the detokenize enqueued at the same instant")
+		}
+		second := embed(b)
+		_, _ = sim.Await(first), sim.Await(second)
+		if got := ctl.sched.Batches - before; got != 2 {
+			t.Fatalf("%d batches, want 2: the detokenize, then both embeds together", got)
+		}
+	})
+}

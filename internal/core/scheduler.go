@@ -391,8 +391,8 @@ func (s *Scheduler) dispatchOne() bool {
 
 // betterBucket reports whether bucket a (oldest head age oa) should
 // dispatch before bucket b (oldest head age ob). Light stage-ops beat
-// forwards; then older heads win; then bucket creation order — a total,
-// deterministic order independent of map iteration.
+// forwards; then older heads win; then embeds yield; then bucket creation
+// order — a total, deterministic order independent of map iteration.
 func betterBucket(a *readyBucket, oa time.Duration, b *readyBucket, ob time.Duration) bool {
 	lightA, lightB := a.key.op != infer.OpForward, b.key.op != infer.OpForward
 	if lightA != lightB {
@@ -400,6 +400,13 @@ func betterBucket(a *readyBucket, oa time.Duration, b *readyBucket, ob time.Dura
 	}
 	if oa != ob {
 		return oa < ob
+	}
+	// Equal ages: calls enqueued at one wake instant. embed_txt yields to the
+	// other light ops, because what they complete (a tokenize, a detokenize,
+	// a mask) releases sessions whose next call is an embed: it then joins
+	// this wave's embed batch instead of forming one of its own.
+	if ea, eb := a.key.op == infer.OpEmbedText, b.key.op == infer.OpEmbedText; ea != eb {
+		return eb
 	}
 	return a.seq < b.seq
 }

@@ -1,8 +1,10 @@
 package infer
 
 import (
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pie/internal/model"
 	"pie/internal/sim"
@@ -148,6 +150,71 @@ func TestTimingDistDeterministicAndWellFormed(t *testing.T) {
 			t.Fatalf("token %d out of range", a.Tokens[i])
 		}
 	}
+}
+
+// TestBatchTokensShareOneSlab: the token lists a timing-mode batch hands out
+// are cut from one allocation, each clipped to its own length, and hold what
+// the same calls get when executed one at a time; a call that fails leaves
+// the others' lists whole.
+func TestBatchTokensShareOneSlab(t *testing.T) {
+	rt := testRuntime(ExecTiming)
+	clock := sim.NewClock()
+	topK := rt.Model.Config().TopK
+	valid, invalid := rt.Embed(7), rt.Embed(8)
+	valid.Valid = true
+	dist := func(seq uint64, of *model.EmbedSlot) *Call {
+		return &Call{Op: OpNextDist, Model: rt, Inst: 3, Seq: seq, DistOf: of, DistFut: sim.NewFuture[DistResult](clock)}
+	}
+	fused := func(seq uint64, outs int) *Call {
+		c := &Call{Op: OpForward, Model: rt, Inst: 5, Seq: seq, Sample: &SampleSpec{}, FusedTok: sim.NewFuture[[]int](clock),
+			FusedEmb: make([]int, outs), FusedPos: make([]int, outs)}
+		for i := 0; i < outs; i++ {
+			c.Outputs = append(c.Outputs, rt.Embed(int32(20+i)))
+		}
+		return c
+	}
+	clock.Go("p", func() {
+		dists := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{dist(1, valid), dist(2, invalid), dist(3, valid)}}
+		rt.execute(dists)
+		if dists.Calls[1].Err == nil {
+			t.Error("get_next_dist on an unwritten embed succeeded")
+		}
+		a, _ := dists.Calls[0].DistFut.Get()
+		b, _ := dists.Calls[2].DistFut.Get()
+		if len(a.Tokens) != topK || cap(a.Tokens) != topK || len(b.Tokens) != topK {
+			t.Fatalf("token lists of %d (cap %d) and %d, want %d clipped", len(a.Tokens), cap(a.Tokens), len(b.Tokens), topK)
+		}
+		if !adjacent(a.Tokens, b.Tokens) {
+			t.Error("two calls of one batch got token lists from different allocations")
+		}
+		for i, c := range []*Call{dists.Calls[0], dists.Calls[2]} {
+			alone := dist(c.Seq, valid)
+			if err := rt.executeCall(alone); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := alone.DistFut.Get()
+			got, _ := c.DistFut.Get()
+			if !slices.Equal(got.Tokens, want.Tokens) {
+				t.Errorf("call %d: batched tokens differ from the call executed alone", i)
+			}
+		}
+
+		fwd := &Batch{Op: OpForward, Model: rt, Calls: []*Call{fused(4, 2), fused(5, 3)}}
+		rt.execute(fwd)
+		x, _ := fwd.Calls[0].FusedTok.Get()
+		y, _ := fwd.Calls[1].FusedTok.Get()
+		if len(x) != 2 || cap(x) != 2 || len(y) != 3 || !adjacent(x, y) {
+			t.Errorf("fused sampling handed out %d (cap %d) and %d tokens, want 2 and 3 from one slab", len(x), cap(x), len(y))
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// adjacent reports whether b starts where a ends.
+func adjacent(a, b []int) bool {
+	return unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), len(a)*int(unsafe.Sizeof(a[0]))) == unsafe.Pointer(unsafe.SliceData(b))
 }
 
 func TestBackendExecutesBatchInOrder(t *testing.T) {

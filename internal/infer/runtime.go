@@ -40,9 +40,12 @@ type ModelRuntime struct {
 	fusedPtrs []*model.EmbedSlot
 
 	// Timing mode's stand-in distribution: the token hash's modulus with
-	// its reciprocal, and the TopK halving probabilities every call copies.
+	// its reciprocal, and the TopK halving probabilities every call shares.
 	pseudo      pseudoMod
 	pseudoProbs []float32
+	// slab is what is left of the one allocation the executing batch's
+	// timing-mode token lists are cut from (tokens).
+	slab []int
 }
 
 // NewModelRuntime sizes the physical pools from the GPU memory geometry.
@@ -119,6 +122,22 @@ func (rt *ModelRuntime) Embed(id int32) *model.EmbedSlot {
 
 // execute runs the functional side of a batch, call by call in order.
 func (rt *ModelRuntime) execute(b *Batch) {
+	if rt.Mode == ExecTiming {
+		// Timing mode hands every sampling call a token list it keeps: one
+		// allocation serves the batch.
+		n := 0
+		switch b.Op {
+		case OpNextDist:
+			n = len(b.Calls) * len(rt.pseudoProbs)
+		case OpForward:
+			for _, c := range b.Calls {
+				if c.Sample != nil {
+					n += len(c.Outputs)
+				}
+			}
+		}
+		rt.slab = make([]int, n)
+	}
 	for _, c := range b.Calls {
 		if err := rt.executeCall(c); err != nil {
 			c.Err = err
@@ -282,11 +301,23 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 	return nil
 }
 
+// tokens returns an n-token list for a call's result to keep: the next n of
+// the batch's slab, or memory of its own when the slab has no room (full
+// mode, a call executed outside a batch).
+func (rt *ModelRuntime) tokens(n int) []int {
+	if len(rt.slab) < n {
+		return make([]int, n)
+	}
+	toks := rt.slab[:n:n]
+	rt.slab = rt.slab[n:]
+	return toks
+}
+
 func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 	if len(c.Outputs) == 0 {
 		return nil, fmt.Errorf("infer: fused sampling requires output embeddings")
 	}
-	toks := make([]int, len(c.Outputs))
+	toks := rt.tokens(len(c.Outputs))
 	for i, slot := range c.Outputs {
 		if rt.Mode == ExecFull {
 			ids, probs, err := rt.Model.NextDistScratch(&rt.scratch, slot)
@@ -316,7 +347,7 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 	// Timing mode: a deterministic pseudo-distribution. Scripted workloads
 	// ignore its content; its shape (TopK entries) keeps transfer costs
 	// honest.
-	toks := make([]int, len(rt.pseudoProbs))
+	toks := rt.tokens(len(rt.pseudoProbs))
 	base := pseudoBase(c.Inst, c.Seq)
 	for i := range toks {
 		toks[i] = rt.pseudo.token(base, i)

@@ -192,6 +192,59 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
+// TestMailboxReusesItsArrays: a mailbox that is drained between sends — one
+// message queued and taken, or one receiver parked and served, at a time —
+// keeps the backing arrays it started with, and keeps FIFO order when it is
+// not drained.
+func TestMailboxReusesItsArrays(t *testing.T) {
+	c := NewClock()
+	c.Go("p", func() {
+		m := NewMailbox[int](c)
+		m.Send(0)
+		m.TryRecv()
+		buf := &m.buf[:1][0]
+		for i := 1; i <= 50; i++ {
+			m.Send(i)
+			if v, _ := m.RecvFuture().Get(); v != i {
+				t.Fatalf("received %d, want %d", v, i)
+			}
+		}
+		if &m.buf[:1][0] != buf {
+			t.Error("the message array was reallocated by send/receive alternation")
+		}
+		first := m.RecvFuture()
+		waiters := &m.waiters[0]
+		m.Send(51)
+		for i := 52; i <= 100; i++ {
+			f := m.RecvFuture()
+			m.Send(i)
+			if v, _ := f.Get(); v != i {
+				t.Fatalf("a parked receiver got %d, want %d", v, i)
+			}
+		}
+		if v, _ := first.Get(); v != 51 || &m.waiters[:1][0] != waiters {
+			t.Errorf("first receiver got %d (want 51); waiter array reallocated: %v", v, &m.waiters[:1][0] != waiters)
+		}
+		// Not drained: order holds across the restart.
+		for i := 0; i < 3; i++ {
+			m.Send(i)
+		}
+		a, _ := m.TryRecv()
+		m.Send(3)
+		var got []int
+		for m.Len() > 0 {
+			v, _ := m.TryRecv()
+			got = append(got, v)
+		}
+		if a != 0 || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+			t.Errorf("received %d then %v, want 0 then [1 2 3]", a, got)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMailboxTryRecv(t *testing.T) {
 	c := NewClock()
 	c.Go("p", func() {

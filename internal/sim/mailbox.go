@@ -24,13 +24,27 @@ func (m *Mailbox[T]) Send(v T) {
 		return // messages to a closed mailbox are dropped
 	}
 	if len(m.waiters) > 0 {
-		f := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		f.Resolve(v)
+		shift(&m.waiters).Resolve(v)
 		return
 	}
 	m.buf = append(m.buf, v)
 	m.fireReadable()
+}
+
+// shift removes and returns the first element of a FIFO. A drained FIFO
+// restarts at the front of its backing array, so a mailbox that takes one
+// message (or parks one receiver) at a time never reallocates.
+func shift[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	var zero T
+	s[0] = zero // the array outlives the element
+	if len(s) == 1 {
+		*q = s[:0]
+	} else {
+		*q = s[1:]
+	}
+	return v
 }
 
 // OnReadable runs fn once, the next time a receive would not block: from
@@ -60,9 +74,7 @@ func (m *Mailbox[T]) fireReadable() {
 // message is already queued the future is resolved immediately.
 func (m *Mailbox[T]) RecvFuture() *Future[T] {
 	if len(m.buf) > 0 {
-		v := m.buf[0]
-		m.buf = m.buf[1:]
-		return Resolved(m.c, v)
+		return Resolved(m.c, shift(&m.buf))
 	}
 	if m.closed {
 		return FailedFuture[T](m.c, ErrMailboxClosed)
@@ -83,9 +95,7 @@ func (m *Mailbox[T]) TryRecv() (T, bool) {
 	if len(m.buf) == 0 {
 		return zero, false
 	}
-	v := m.buf[0]
-	m.buf = m.buf[1:]
-	return v, true
+	return shift(&m.buf), true
 }
 
 // Len reports the number of queued messages.

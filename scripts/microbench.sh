@@ -23,9 +23,11 @@
 #                                  may not pay for its context. Generate
 #                                  (one chat turn: an 8-token prefill and
 #                                  32 tokens out) also reports the
-#                                  inference calls it issued, which must
-#                                  not rise either: 97, the last token
-#                                  issuing no embed + forward
+#                                  inference calls it issued (97: the
+#                                  last token issues no embed + forward)
+#                                  and the control-layer calls it made
+#                                  (4.64: a decode step makes none);
+#                                  neither may rise
 set -eu
 cd "$(dirname "$0")/.."
 file=BENCH_micro.json
@@ -34,7 +36,7 @@ fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 
 # bench <benchtime> <regexp> <package> [cpus]: min ns/op and min allocs/op
-# (and min infer-calls/op where reported) per benchmark, one
+# (and min infer-calls/op and control-calls/op where reported) per benchmark, one
 # `"Name": {...}` line each. With a -cpu list the
 # GOMAXPROCS each line ran at becomes part of its name ("Name/cpu2").
 bench() {
@@ -48,6 +50,7 @@ bench() {
 				if ($i == "ns/op") ns = $(i-1)
 				if ($i == "allocs/op") al = $(i-1)
 				if ($i == "infer-calls/op" && (!(name in minic) || $(i-1) + 0 < minic[name] + 0)) minic[name] = $(i-1) + 0
+				if ($i == "control-calls/op" && (!(name in mincc) || $(i-1) + 0 < mincc[name] + 0)) mincc[name] = $(i-1) + 0
 			}
 			if (!(name in minns) || ns + 0 < minns[name] + 0) minns[name] = ns
 			if (!(name in minal) || al + 0 < minal[name] + 0) minal[name] = al
@@ -56,7 +59,8 @@ bench() {
 		END {
 			for (i = 1; i <= n; i++) {
 				ic = (order[i] in minic) ? sprintf(", \"infer_calls_per_op\": %s", minic[order[i]]) : ""
-				printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s%s}\n", order[i], minns[order[i]], minal[order[i]], ic
+				cc = (order[i] in mincc) ? sprintf(", \"control_calls_per_op\": %s", mincc[order[i]]) : ""
+				printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s%s%s}\n", order[i], minns[order[i]], minal[order[i]], ic, cc
 			}
 		}'
 }
@@ -86,15 +90,16 @@ if [ "${1:-}" = "-check" ]; then
 	awk '
 		function field(line, key,    s) { if (line !~ "\"" key "\"") return 0; s = line; sub(".*\"" key "\": ", "", s); sub(/[,}].*/, "", s); return s + 0 }
 		function name(line,    s) { s = line; sub(/^ *"/, "", s); sub(/".*/, "", s); return s }
-		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); ic[name($0)] = field($0, "infer_calls_per_op"); next }
+		NR == FNR { ns[name($0)] = field($0, "ns_per_op"); al[name($0)] = field($0, "allocs_per_op"); ic[name($0)] = field($0, "infer_calls_per_op"); cc[name($0)] = field($0, "control_calls_per_op"); next }
 		{
-			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op"); gotic = field($0, "infer_calls_per_op")
+			n = name($0); gotns = field($0, "ns_per_op"); gotal = field($0, "allocs_per_op"); gotic = field($0, "infer_calls_per_op"); gotcc = field($0, "control_calls_per_op")
 			if (!(n in al)) { printf "microbench: %-24s not in the committed file: run scripts/microbench.sh\n", n; bad = 1; next }
 			limit = (n ~ /^Clock/) ? al[n] * 1.02 : al[n]
 			verdict = (gotal > limit) ? "FAIL allocs/op rose" : "ok"
 			if (gotal > limit) bad = 1
 			printf "microbench: %-24s ns/op %12.1f (committed %12.1f)  allocs/op %6d (committed %6d)  %s\n", n, gotns, ns[n], gotal, al[n], verdict
 			if (gotic > ic[n]) { printf "microbench: %-24s FAIL infer-calls/op rose (%d here, %d committed)\n", n, gotic, ic[n]; bad = 1 }
+			if (gotcc > cc[n]) { printf "microbench: %-24s FAIL control-calls/op rose (%s here, %s committed)\n", n, gotcc, cc[n]; bad = 1 }
 			if (n ~ /^DecodeStep\//) {
 				if (steps++ && gotal != stepal) { printf "microbench: %-24s FAIL allocs/op depends on the context size (%d here, %d at the previous size)\n", n, gotal, stepal; bad = 1 }
 				stepal = gotal

@@ -35,6 +35,15 @@ import (
 // context is extended afterwards. Errors the deferred forward can raise
 // (page or embed allocation, a failed queue) surface from the call that
 // flushes, unchanged; the tokens stay pending and the call can be retried.
+//
+// A context holds two embed slots for its life. genEmb receives the output
+// of every KV-persisting forward; inEmb, allocated by the first one-token
+// extension, is the input of every later one (decode steps and one-token
+// probes). Reusing them is safe because a queue executes in order: the
+// forward that reads a slot has run before the next embed_txt or forward on
+// the queue overwrites it. Extensions of more than one token allocate and
+// free their input slots, and probes their output slots, as before. Drop
+// frees both slots in one call.
 type Context struct {
 	S     inferlet.Session
 	Q     *inferlet.Queue
@@ -68,7 +77,8 @@ type Context struct {
 	tokBuf []int // pending + new tokens of one forward
 	outBuf []api.KvPage
 
-	genEmb  []api.Embed // reusable decode slot
+	genEmb  []api.Embed // decode slot: the frontier's output
+	inEmb   []api.Embed // decode slot: a one-token extension's input (nil until the first)
 	lastOut api.Embed   // output embedding of the last forward
 	hasOut  bool
 }
@@ -91,6 +101,7 @@ func NewContext(s inferlet.Session, m api.ModelInfo) (*Context, error) {
 	}
 	c, err := NewContextOnQueue(s, q)
 	if err != nil {
+		_ = q.Close() // the negotiation error is the one to report
 		return nil, err
 	}
 	c.ownsQueue = true
@@ -289,11 +300,21 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 			return nil, err
 		}
 	}
-	emb, err := c.alloc.Embeds(n)
-	if err != nil {
-		return nil, err
+	var emb []api.Embed
+	var err error
+	if n == 1 {
+		if c.inEmb == nil {
+			if c.inEmb, err = c.alloc.Embeds(1); err != nil {
+				return nil, err
+			}
+		}
+		emb = c.inEmb
+	} else {
+		if emb, err = c.alloc.Embeds(n); err != nil {
+			return nil, err
+		}
+		defer c.alloc.FreeEmbeds(emb)
 	}
-	defer c.alloc.FreeEmbeds(emb)
 	pos := c.posBuf[:0]
 	for i := 0; i < n; i++ {
 		pos = append(pos, c.pos+i)
@@ -613,21 +634,30 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 		tailTokens = c.slots - split*ps
 	}
 	children := make([]*Context, 0, n)
+	// A failed fork leaves nothing behind: every child so far, the failing
+	// one included, closes its queue (which reclaims its tail page and slot).
+	fail := func(err error) ([]*Context, error) {
+		for _, child := range children {
+			_ = child.Close() // err is the one to report
+		}
+		return nil, err
+	}
 	for i := 0; i < n; i++ {
 		child, err := NewContext(c.S, c.Model)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
+		children = append(children, child)
 		for j := 0; j < split; j++ {
 			child.entries = append(child.entries, pageEntry{h: c.entries[j].h, owned: false, live: c.entries[j].live})
 		}
 		if tailTokens > 0 {
 			np, err := child.alloc.Pages(1)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if _, err := child.alloc.CopyPage(c.entries[split].h, np[0], 0, 0, tailTokens); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			child.entries = append(child.entries, pageEntry{h: np[0], owned: true, live: true})
 		}
@@ -636,12 +666,11 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 		child.Tokens = append([]int(nil), c.Tokens...)
 		child.lastOut = c.lastOut
 		child.hasOut = c.hasOut
-		children = append(children, child)
 	}
 	return children, nil
 }
 
-// Drop releases every owned live page and the decode slot; the context
+// Drop releases every owned live page and both decode slots; the context
 // becomes unusable but its queue stays open (fire-and-forget: the
 // deallocations are queue-ordered and need no round trip). Use Close to
 // also close the queue and reclaim everything it still tracks.
@@ -659,10 +688,10 @@ func (c *Context) Drop() error {
 	}
 	c.entries, c.attnOK = nil, false
 	if c.genEmb != nil {
-		if err := c.alloc.FreeEmbeds(c.genEmb); err != nil {
+		if err := c.alloc.FreeEmbeds(append(c.genEmb, c.inEmb...)); err != nil {
 			return err
 		}
-		c.genEmb = nil
+		c.genEmb, c.inEmb = nil, nil
 	}
 	return nil
 }
@@ -676,7 +705,7 @@ func (c *Context) Close() error {
 		return errors.New("support: Close on a context sharing its queue; use Drop")
 	}
 	c.entries, c.attnOK = nil, false
-	c.genEmb = nil
+	c.genEmb, c.inEmb = nil, nil
 	return c.Q.Close()
 }
 
@@ -705,6 +734,7 @@ func ImportContext(s inferlet.Session, m api.ModelInfo, name string, tokens []in
 	}
 	pages, err := c.alloc.Import(name)
 	if err != nil {
+		_ = c.Close() // the import error is the one to report
 		return nil, err
 	}
 	for _, p := range pages {

@@ -18,11 +18,13 @@ import (
 // instance's InferCalls: an embed and a forward are one call each, so is a
 // get_next_dist, a tokenize and a detokenize.
 
-// marks runs body as an inferlet and returns the instance's inference-call
-// count at each mark() (the inferlet waits for the client to read it).
-func marks(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func()) error) []int {
+// counts is an instance's call counters at one mark (Handle.Stats).
+type counts struct{ control, infer int }
+
+// statsOn runs body as an inferlet on e and returns the instance's counters
+// at each mark() (the inferlet waits for the client to read them).
+func statsOn(t *testing.T, e *pie.Engine, body func(s inferlet.Session, mark func()) error) []counts {
 	t.Helper()
-	e := pie.New(cfg)
 	e.MustRegister(inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
 		err := body(s, func() {
 			s.Send("mark")
@@ -31,7 +33,7 @@ func marks(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func
 		s.Send("end")
 		return err
 	}})
-	var out []int
+	var out []counts
 	if err := e.RunClient(func() {
 		h, err := e.Launch(pie.Spec("t"))
 		if err != nil {
@@ -43,8 +45,8 @@ func marks(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func
 			if err != nil || msg != "mark" {
 				break
 			}
-			_, calls, _ := h.Stats()
-			out = append(out, calls)
+			control, infer, _ := h.Stats()
+			out = append(out, counts{control, infer})
 			h.Send("ack")
 		}
 		if err := h.Wait(); err != nil {
@@ -52,6 +54,21 @@ func marks(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+func stats(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func()) error) []counts {
+	t.Helper()
+	return statsOn(t, pie.New(cfg), body)
+}
+
+// marks is stats' inference-call column.
+func marks(t *testing.T, cfg pie.Config, body func(s inferlet.Session, mark func()) error) []int {
+	t.Helper()
+	var out []int
+	for _, c := range stats(t, cfg, body) {
+		out = append(out, c.infer)
 	}
 	return out
 }
