@@ -35,7 +35,7 @@ const defaultJSONPath = "BENCH_sim.json"
 func main() {
 	quick := flag.Bool("quick", false, "run CI-sized workloads")
 	seed := flag.Uint64("seed", 42, "deterministic seed for every experiment")
-	exps := flag.String("exp", "all", "comma-separated experiment ids (table2,fig6,fig7,fig8,fig9,fig10,fig11,table3,table4,table5,cluster,offload,coldstart,faults,slo,pd,shard,fleet)")
+	exps := flag.String("exp", "all", "comma-separated experiment ids (table2,fig6,fig7,fig8,fig9,fig10,fig11,table3,table4,table5,cluster,offload,coldstart,faults,slo,pd,scale,fleet)")
 	jsonOut := flag.Bool("json", false, "write BENCH_sim.json with wall time and events/sec per experiment")
 	jsonPath := flag.String("json-out", defaultJSONPath, "path for the -json report (implies -json)")
 	flag.Parse()
@@ -184,7 +184,7 @@ func main() {
 	run("faults", faultsRun(o))
 	run("slo", sloRun(o))
 	run("pd", pdRun(o))
-	run("shard", shardRun(o))
+	run("scale", scaleRun(o))
 	run("fleet", fleetRun(o))
 
 	if len(rep.Experiments) == 0 {
@@ -321,14 +321,14 @@ func pdRun(o eval.Options) func() (string, map[string]float64) {
 	}
 }
 
-// shardRun adapts the sharded-core fleet scaling sweep to the harness.
-// The gated headline carries only virtual-time-deterministic values:
-// events/sec and the serial-vs-parallel speedup are wall-clock numbers
-// that vary with machine load and GOMAXPROCS, so they appear in the
-// printed table but never in the headline map the bench gate compares.
-func shardRun(o eval.Options) func() (string, map[string]float64) {
+// scaleRun adapts the fleet-size sweep to the harness. The gated headline
+// carries only virtual-time-deterministic values: events/sec at either
+// GOMAXPROCS is a wall-clock number that varies with machine load, so it
+// appears in the printed table but never in the headline map the bench
+// gate compares.
+func scaleRun(o eval.Options) func() (string, map[string]float64) {
 	return func() (string, map[string]float64) {
-		r := eval.ShardSweep(o)
+		r := eval.ScaleSweep(o)
 		h := map[string]float64{
 			"replicas-max": float64(r.MaxReplicas),
 		}
@@ -340,7 +340,6 @@ func shardRun(o eval.Options) func() (string, map[string]float64) {
 			h[fmt.Sprintf("fleet-%d-events", p.Replicas)] = float64(p.Events)
 		}
 		last := r.Sweep[len(r.Sweep)-1]
-		h["fleet-max-requeues"] = float64(last.Requeues)
 		h["fleet-max-avg-lat-ms"] = float64(last.AvgLatency) / float64(time.Millisecond)
 		return r.Table(), h
 	}

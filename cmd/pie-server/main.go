@@ -122,7 +122,7 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	handoffBudget := fs.Int("handoff-budget", 0, "max concurrent prefill->decode KV transfers (0: default)")
 	artCache := fs.Int64("artifact-cache", 0, "per-replica warm-artifact cache capacity in bytes (0: device default, <0: unbounded)")
 	healthEvery := fs.Duration("health-interval", 0, "replica health-check interval (0 disables the health monitor)")
-	hangTimeout := fs.Duration("hang-timeout", 0, "declare a silent replica dead after this much virtual time without progress (0: default)")
+	hangTimeout := fs.Duration("hang-timeout", 0, "declare a replica dead when work is outstanding and no kernel has completed for this much virtual time past the executing kernel's due time (0: default 250ms)")
 	shedWatermark := fs.Float64("shed-watermark", 0, "shed best-effort launches above this cluster KV utilization (0 disables shedding)")
 	shedQueue := fs.Float64("shed-queue", 0, "shed best-effort launches above this mean per-replica queue depth (0: default)")
 	faultPlan := fs.String("fault-plan", "", "injected fault schedule, e.g. 'crash:1@200ms,hang:2@300ms,slow:3@100ms*4'")

@@ -2,10 +2,18 @@
 // and N single-device serving replicas. The paper's Pie engine virtualizes
 // one GPU behind inferlet APIs; production deployments front many such
 // engines with a router. Here each replica owns a full inference stack —
-// an infer.Backend (its own device clock domain and ingress), a
-// core.Controller (its own scheduler ready-buckets and KV page pools) —
-// and the Cluster decides, per inferlet launch, which replica hosts the
-// instance.
+// an infer.Backend (its own device and ingress), a core.Controller (its own
+// scheduler ready-buckets and KV page pools) — and the Cluster decides, per
+// inferlet launch, which replica hosts the instance.
+//
+// Cluster is the repository's one cluster engine, the one behind
+// pie.Engine: router, health monitor, fault injection, shedding, scalers,
+// service classes, roles with KV handoff and the fleet controller's
+// operations each exist once, in this package. Every replica's stack runs
+// as processes of the engine's single sim.Clock, so a fleet of any size is
+// one deterministic event loop on one goroutine (512 replicas replay in
+// about half a second: EXPERIMENTS.md, "Scale"); what spreads over cores is
+// independent experiment legs (eval.parallelFor), not replicas.
 //
 // Placement policies:
 //

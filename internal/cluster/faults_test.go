@@ -10,6 +10,8 @@ package cluster_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +32,12 @@ func tightHealth() pie.HealthConfig {
 	}
 }
 
+// wordyParams asks text_completion for 8 tokens after a prompt of the given
+// length: 1500 words prefill for longer than the default HangTimeout.
+func wordyParams(words int) string {
+	return fmt.Sprintf(`{"prompt":%q,"max_tokens":8}`, strings.Repeat("word ", words))
+}
+
 // crashAt builds a single-event crash plan.
 func crashAt(replica int, at time.Duration) pie.FaultPlan {
 	return pie.FaultPlan{Events: []pie.FaultEvent{
@@ -48,7 +56,7 @@ func TestWaitReturnsTypedErrorOnReplicaDeath(t *testing.T) {
 		Health: tightHealth(),
 		Faults: crashAt(0, 30*time.Millisecond),
 	})
-	var waitErr error
+	var waitErr, relaunchErr error
 	err := e.RunClient(func() {
 		h, lerr := e.Launch(pie.Spec("text_completion", completionParams(64, "")))
 		if lerr != nil {
@@ -56,12 +64,17 @@ func TestWaitReturnsTypedErrorOnReplicaDeath(t *testing.T) {
 			return
 		}
 		waitErr = h.Wait()
+		// With every replica dead, a new launch fails typed at placement.
+		_, relaunchErr = e.Launch(pie.Spec("text_completion", completionParams(4, "")))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(waitErr, pie.ErrReplicaLost) {
 		t.Fatalf("Wait on dead replica = %v, want ErrReplicaLost", waitErr)
+	}
+	if !errors.Is(relaunchErr, pie.ErrReplicaLost) {
+		t.Fatalf("Launch into a dead fleet = %v, want ErrReplicaLost", relaunchErr)
 	}
 	cl := e.Cluster()
 	if cl.ReplicasLost != 1 {
@@ -72,49 +85,147 @@ func TestWaitReturnsTypedErrorOnReplicaDeath(t *testing.T) {
 	}
 }
 
-// TestHangDetectionAbortsWaiters covers the hang arm of the fault model:
-// a hung device keeps answering health checks while idle (no outstanding
-// work means no missed progress), so the launch places normally — then
-// its first inference call stalls and the progress watchdog must time the
-// replica out and fail the waiter typed.
+// TestHangDetectionAbortsWaiters covers the hang arm of the fault model.
+// A device hung while idle keeps answering health checks (no outstanding
+// work means no missed progress), so the launch places normally — then its
+// first inference call stalls. A device hung mid-kernel was making progress
+// until that kernel was due. Either way the progress watchdog must flag the
+// replica suspect, declare it dead no later than HangTimeout (to the monitor
+// tick) after the stall began, and fail the waiter typed.
 func TestHangDetectionAbortsWaiters(t *testing.T) {
-	e := newEngine(t, pie.Config{
-		Seed: 3, Replicas: 1,
-		Health: tightHealth(),
-		Faults: pie.FaultPlan{Events: []pie.FaultEvent{
-			{At: time.Millisecond, Replica: 0, Kind: pie.FaultHang},
-		}},
-	})
-	var waitErr error
-	err := e.RunClient(func() {
-		// The hang is already in place: this launch's first kernel never
-		// completes.
-		h, lerr := e.Launch(pie.Spec("text_completion", completionParams(8, "")))
-		if lerr != nil {
-			t.Errorf("launch: %v", lerr)
-			return
-		}
-		waitErr = h.Wait()
-	})
-	if err != nil {
-		t.Fatal(err)
+	health := tightHealth()
+	for _, tc := range []struct {
+		name      string
+		words     int
+		hangAt    time.Duration
+		midKernel bool
+	}{
+		{"hung before the first kernel", 3, time.Millisecond, false},
+		// One 1500-word prefill outlasts HangTimeout on its own.
+		{"hung mid-kernel", 1500, 40 * time.Millisecond, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, pie.Config{
+				Seed: 3, Replicas: 1,
+				Health: health,
+				Faults: pie.FaultPlan{Events: []pie.FaultEvent{
+					{At: tc.hangAt, Replica: 0, Kind: pie.FaultHang},
+				}},
+			})
+			dev := e.Cluster().Replicas()[0].Backend.Device
+			e.Clock().GoDaemon("probe", func() {
+				e.Sleep(tc.hangAt)
+				if busy := dev.Due() > e.Now(); busy != tc.midKernel {
+					t.Errorf("at the hang: kernel executing = %v, want %v", busy, tc.midKernel)
+				}
+			})
+			var waitErr error
+			var launchedAt, deadAt time.Duration
+			err := e.RunClient(func() {
+				h, lerr := e.Launch(pie.Spec("text_completion", wordyParams(tc.words)))
+				if lerr != nil {
+					t.Errorf("launch: %v", lerr)
+					return
+				}
+				launchedAt = e.Now()
+				waitErr = h.Wait()
+				deadAt = e.Now()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(waitErr, pie.ErrReplicaLost) {
+				t.Fatalf("Wait on hung replica = %v, want ErrReplicaLost", waitErr)
+			}
+			if e.Cluster().Suspects == 0 {
+				t.Fatal("hang was never flagged suspect before death")
+			}
+			// The stall began when the frozen kernel was due, or, when no
+			// kernel ever started, no later than the launch (the replica was
+			// last seen idle before it).
+			stalledAt := max(launchedAt, dev.Due())
+			if lag := deadAt - stalledAt; lag > health.HangTimeout+health.Interval {
+				t.Fatalf("declared dead %v after the stall began at %v, want within HangTimeout %v (to the %v tick)",
+					lag, stalledAt, health.HangTimeout, health.Interval)
+			}
+		})
 	}
-	if !errors.Is(waitErr, pie.ErrReplicaLost) {
-		t.Fatalf("Wait on hung replica = %v, want ErrReplicaLost", waitErr)
-	}
-	if e.Cluster().Suspects == 0 {
-		t.Fatal("hang was never flagged suspect before death")
+}
+
+// TestHealthyReplicasOutliveLongKernels: the progress watchdog dates a
+// stall from the instant the executing kernel is due, not from the last
+// kernel that completed, so a kernel that outlasts HangTimeout — a batch of
+// long prefills, anything on a replica degraded by a slow fault — is
+// progress, not a hang. Under the default HealthConfig every session must
+// complete and no replica may be lost. (Dated from the last completion,
+// the long-prefill case lost both replicas and failed 24/24 sessions with
+// ErrReplicaLost.)
+func TestHealthyReplicasOutliveLongKernels(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		words  int
+		faults pie.FaultPlan
+	}{
+		{"batched 1500-word prefills", 1500, pie.FaultPlan{}},
+		{"lone slow fault", 400, pie.FaultPlan{Events: []pie.FaultEvent{
+			{At: 5 * time.Millisecond, Replica: 1, Kind: pie.FaultSlow, Factor: 8},
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t, pie.Config{
+				Seed: 3, Replicas: 2, Placement: pie.PlaceLeastLoaded,
+				Health: pie.HealthConfig{Enabled: true},
+				Faults: tc.faults,
+			})
+			const sessions = 24
+			done := 0
+			err := e.RunClient(func() {
+				g := sim.NewGroup(e.Clock())
+				for i := 0; i < sessions; i++ {
+					g.Go("client", func() {
+						h, lerr := e.Launch(pie.Spec("text_completion", wordyParams(tc.words)))
+						if lerr == nil {
+							lerr = h.Wait()
+						}
+						if lerr != nil {
+							t.Errorf("session failed: %v", lerr)
+							return
+						}
+						done++
+					})
+				}
+				g.Wait()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := e.Cluster()
+			if done != sessions || cl.ReplicasLost != 0 {
+				t.Fatalf("%d/%d sessions completed, ReplicasLost = %d; want all and 0", done, sessions, cl.ReplicasLost)
+			}
+			if cl.FaultsInjected != len(tc.faults.Events) {
+				t.Fatalf("FaultsInjected = %d, want %d", cl.FaultsInjected, len(tc.faults.Events))
+			}
+			for _, r := range cl.Replicas() {
+				if r.Backend.Device.Kernels() == 0 {
+					t.Fatalf("replica %d ran no kernel: the load never reached it", r.ID)
+				}
+			}
+		})
 	}
 }
 
 // TestRetryRequeuesOntoSurvivor: with a retry policy, the same handle
 // survives its replica's death — the launch requeues onto the survivor
-// and completes, counting one logical launch across two attempts.
+// and completes, counting one logical launch across two attempts — and the
+// cold spare (a third replica the idle autoscaler never wakes) is activated
+// in the dead replica's place.
 func TestRetryRequeuesOntoSurvivor(t *testing.T) {
 	e := newEngine(t, pie.Config{
 		Seed: 3, Replicas: 2, Placement: pie.PlaceRoundRobin,
-		Health: tightHealth(),
-		Faults: crashAt(0, 30*time.Millisecond),
+		Autoscale: pie.AutoscaleConfig{Enabled: true, Min: 2, Max: 3, UpDepth: 1 << 20},
+		Health:    tightHealth(),
+		Faults:    crashAt(0, 30*time.Millisecond),
 	})
 	var waitErr error
 	var attempts int
@@ -144,6 +255,10 @@ func TestRetryRequeuesOntoSurvivor(t *testing.T) {
 	}
 	if st.Launches != 1 {
 		t.Fatalf("Launches = %d, want 1 (one logical launch across attempts)", st.Launches)
+	}
+	if spare := e.Cluster().Replicas()[2]; st.Replacements != 1 || !spare.Active() || e.Cluster().ScaleUps != 0 {
+		t.Fatalf("Replacements = %d, spare active = %v, autoscaler ScaleUps = %d; want the spare activated by the death alone",
+			st.Replacements, spare.Active(), e.Cluster().ScaleUps)
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 //     the silence and escalates through SuspectAfter/DeadAfter.
 //   - Progress. A hung replica keeps heartbeating but stops draining its
 //     queues: outstanding inference work with no kernel completions. The
-//     watchdog tolerates stalls up to HangTimeout (which must exceed the
-//     worst-case kernel time, or busy replicas get shot).
+//     watchdog tolerates stalls up to HangTimeout, dated from the instant
+//     the executing kernel was due at its modeled cost, so a long kernel on
+//     a healthy (or merely slow) replica is never a stall.
 //
 // Death is handled, not just observed: every in-flight instance on the
 // dead replica is aborted with api.ErrReplicaLost (waiters unpark typed
@@ -63,8 +64,9 @@ type HealthConfig struct {
 	// DeadAfter declares a silent replica dead (default 25ms).
 	DeadAfter time.Duration
 	// HangTimeout declares a heartbeating replica dead when it has had
-	// outstanding inference work but zero kernel completions for this
-	// long (default 250ms; keep it above the slowest plausible kernel).
+	// outstanding inference work but no kernel completion for this long
+	// past the instant its executing kernel was due (default 250ms). A
+	// kernel's own length does not count against it.
 	HangTimeout time.Duration
 }
 
@@ -132,7 +134,9 @@ func (c *Cluster) checkHealth() {
 				}
 				continue
 			}
-			silentSince = r.progressAt
+			// A kernel still executing is progress until it is due; a frozen
+			// device's due instant stays in the past.
+			silentSince = max(r.progressAt, r.Backend.Device.Due())
 			suspectAfter = c.health.HangTimeout / 2
 			deadAfter = c.health.HangTimeout
 		}

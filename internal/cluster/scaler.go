@@ -5,8 +5,10 @@ import (
 	"time"
 )
 
-// The SLO scaler replaces the queue-depth autoscaler with a
-// saturation-guarded, cost-aware scaling loop. Each tick it:
+// The SLO scaler is a saturation-guarded, cost-aware scaling loop. It lives
+// beside the queue-depth autoscaler (cluster.go), which stays as the
+// reference the slo experiment compares it against; an engine runs one or
+// the other. Each tick it:
 //
 //   - computes per-replica saturation — the max of KV-pool utilization,
 //     normalized queue depth, and normalized in-flight prefill — and
@@ -26,8 +28,8 @@ import (
 // Every decision appends one line to the cluster's decision log; same-seed
 // runs produce byte-identical logs (the determinism test contract).
 
-// ScalerConfig tunes the SLO scaler. The zero value disables it; enabling
-// it replaces the queue-depth autoscaler.
+// ScalerConfig tunes the SLO scaler. The zero value disables it; an engine
+// with it enabled ignores its AutoscaleConfig.
 type ScalerConfig struct {
 	Enabled bool
 	// Min and Max bound the serving replica count (defaults: 1 and the

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-func TestShardSweepQuick(t *testing.T) {
-	r := ShardSweep(Options{Quick: true})
-	if r.MaxReplicas < 100 {
-		t.Fatalf("largest leg is %d replicas, want >= 100", r.MaxReplicas)
+func TestScaleSweepQuick(t *testing.T) {
+	r := ScaleSweep(Options{Quick: true})
+	if r.MaxReplicas < 128 {
+		t.Fatalf("largest leg is %d replicas, want >= 128", r.MaxReplicas)
 	}
 	for _, p := range r.Sweep {
 		if p.Sessions != p.Replicas*2 {
@@ -23,36 +23,36 @@ func TestShardSweepQuick(t *testing.T) {
 			t.Fatalf("%d replicas: no work recorded: %+v", p.Replicas, p)
 		}
 	}
-	first, last := r.Sweep[0], r.Sweep[len(r.Sweep)-1]
-	if last.Events <= first.Events {
-		t.Fatalf("events did not grow with fleet size: %d @ %d replicas vs %d @ %d",
-			first.Events, first.Replicas, last.Events, last.Replicas)
+	for i := 1; i < len(r.Sweep); i++ {
+		if a, b := r.Sweep[i-1], r.Sweep[i]; b.Events <= a.Events {
+			t.Fatalf("events did not grow with fleet size: %d @ %d replicas vs %d @ %d",
+				a.Events, a.Replicas, b.Events, b.Replicas)
+		}
 	}
 	if !r.Deterministic {
-		t.Fatal("serial rerun of the largest leg diverged from the parallel run")
+		t.Fatal("GOMAXPROCS=1 rerun of the largest leg diverged from the first run")
 	}
 	if !strings.Contains(r.Table(), "BYTE-IDENTICAL") {
 		t.Fatalf("table does not report the determinism probe:\n%s", r.Table())
 	}
 }
 
-// TestShardSweepDeterminismAcrossGOMAXPROCS is the cross-shard
-// determinism stress for the -shard bench rows: a sweep's deterministic
+// TestScaleSweepDeterminismAcrossGOMAXPROCS: a sweep's deterministic
 // transcript must be byte-identical at GOMAXPROCS=1 and at the default,
 // and must move when the seed moves. Small legs keep it cheap — the
-// 128-replica byte-identity probe runs inside TestShardSweepQuick.
-func TestShardSweepDeterminismAcrossGOMAXPROCS(t *testing.T) {
+// 128-replica byte-identity probe runs inside TestScaleSweepQuick.
+func TestScaleSweepDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	o := Options{Quick: true, Seed: 23}
 	legs := []int{1, 4, 8}
-	parallel := shardSweep(o, legs).Summary()
+	atN := scaleSweep(o, legs).Summary()
 	prev := runtime.GOMAXPROCS(1)
-	serial := shardSweep(o, legs).Summary()
+	at1 := scaleSweep(o, legs).Summary()
 	runtime.GOMAXPROCS(prev)
-	if parallel != serial {
-		t.Fatalf("-shard sweep transcript differs across GOMAXPROCS:\n--- parallel ---\n%s\n--- serial ---\n%s",
-			parallel, serial)
+	if atN != at1 {
+		t.Fatalf("-exp scale transcript differs across GOMAXPROCS:\n--- default ---\n%s\n--- 1 ---\n%s",
+			atN, at1)
 	}
-	if other := shardSweep(Options{Quick: true, Seed: 24}, legs).Summary(); other == parallel {
+	if other := scaleSweep(Options{Quick: true, Seed: 24}, legs).Summary(); other == atN {
 		t.Fatal("different seeds produced identical sweep transcripts (seed not plumbed through)")
 	}
 }

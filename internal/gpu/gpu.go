@@ -209,8 +209,9 @@ type Device struct {
 	idleFn   func()
 	busyTime time.Duration
 	kernels  int
-	slowdown float64 // >1 multiplies every kernel cost (degraded device)
-	failed   bool    // crash-stopped: never executes or completes again
+	slowdown float64       // >1 multiplies every kernel cost (degraded device)
+	failed   bool          // crash-stopped: never executes or completes again
+	due      time.Duration // modeled completion of the last kernel started
 }
 
 type kernel struct {
@@ -241,6 +242,7 @@ func (d *Device) loop() {
 			if d.slowdown > 1 {
 				cost = time.Duration(float64(cost) * d.slowdown)
 			}
+			d.due = d.clock.Now() + cost
 			d.clock.Sleep(cost)
 			if d.failed {
 				// Crash-stopped mid-kernel: the in-flight kernel is lost,
@@ -294,6 +296,12 @@ func (d *Device) BusyTime() time.Duration { return d.busyTime }
 
 // Kernels returns the number of kernels executed.
 func (d *Device) Kernels() int { return d.kernels }
+
+// Due returns the virtual instant the most recently started kernel
+// completes at its modeled cost, slowdown included. It lies in the future
+// exactly while a kernel is executing; a device that fails mid-kernel keeps
+// the instant its last kernel should have completed.
+func (d *Device) Due() time.Duration { return d.due }
 
 // Fail crash-stops the device: the kernel in flight (if any) is lost, and
 // no submitted kernel will ever execute or complete again. Queued and

@@ -4,7 +4,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -13,10 +13,14 @@ import (
 type Series struct {
 	Name    string
 	samples []time.Duration
+	sorted  bool // samples are in ascending order (Percentile sorts in place)
 }
 
 // Add records one sample.
-func (s *Series) Add(d time.Duration) { s.samples = append(s.samples, d) }
+func (s *Series) Add(d time.Duration) {
+	s.samples = append(s.samples, d)
+	s.sorted = false
+}
 
 // N returns the sample count.
 func (s *Series) N() int { return len(s.samples) }
@@ -38,16 +42,14 @@ func (s *Series) Percentile(p float64) time.Duration {
 	if len(s.samples) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), s.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
+	if !s.sorted {
+		// Drivers read p50/p95/p99 back to back: sort once per batch of Adds.
+		slices.Sort(s.samples)
+		s.sorted = true
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	idx := int(p/100*float64(len(s.samples))+0.5) - 1
+	idx = max(0, min(idx, len(s.samples)-1))
+	return s.samples[idx]
 }
 
 // Max returns the largest sample.
@@ -99,15 +101,15 @@ func (t *Table) String() string {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "%s\n", t.Title)
 	}
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
+	// A row may carry more cells than the header names.
+	cols := len(t.Header)
 	for _, row := range t.Rows {
+		cols = max(cols, len(row))
+	}
+	widths := make([]int, cols)
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	line := func(cells []string) {

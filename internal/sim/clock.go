@@ -13,17 +13,20 @@
 // the scheduler can observe the block and advance virtual time.
 //
 // The event loop is the hottest path in the repository. One goroutine —
-// the caller of Run or RunWindow — owns dispatch; every process is a
-// coroutine (iter.Pull) that the loop resumes with a direct switch: no
-// channel, no scheduler, no futex. A process that blocks picks its
-// successor itself under the clock lock (one heap push and one pop, fused
-// into a single sift for Sleep), yields it to the loop and is suspended;
-// when its own event is the next to run it never leaves its coroutine at
-// all. Coroutines cost more to make than goroutines, so a finished
-// process's coroutine is pooled for the next spawn, and when the clock
-// finishes the loop unwinds whatever is still suspended (daemons, waiters
-// nobody resolved): a finished clock leaves no goroutine behind. The rest
-// is an inlined 4-ary heap (heap.go) and a free list of event records.
+// the caller of Run — owns dispatch; every process is a coroutine
+// (iter.Pull) that the loop resumes with a direct switch: no channel, no
+// scheduler, no futex. Run has two modes: to completion (the default: it
+// returns when every non-daemon process has finished) and external
+// (EnableExternal: it idles for Inject until Shutdown). A process that
+// blocks picks its successor itself under the clock lock (one heap push and
+// one pop, fused into a single sift for Sleep), yields it to the loop and is
+// suspended; when its own event is the next to run it never leaves its
+// coroutine at all. Coroutines cost more to make than goroutines, so a
+// finished process's coroutine is pooled for the next spawn, and when the
+// clock finishes the loop unwinds whatever is still suspended (daemons,
+// waiters nobody resolved): a finished clock leaves no goroutine behind.
+// The rest is an inlined 4-ary heap (heap.go) and a free list of event
+// records.
 package sim
 
 import (
@@ -132,9 +135,8 @@ type Clock struct {
 	workers []*worker
 	idle    []*worker
 
-	// events is atomic (not mu-guarded) so cross-shard aggregation —
-	// ShardGroup progress probes, eval harness stats — can read counters
-	// while shard loops are mid-window on other goroutines.
+	// events is atomic (not mu-guarded) so Events can be read from any
+	// goroutine while the loop runs, without contending for the clock lock.
 	events atomic.Uint64
 
 	external bool // keep running while idle, waiting for Inject
@@ -150,13 +152,6 @@ type Clock struct {
 	// idleWaitLocked.
 	idleFor   time.Duration
 	idleUntil time.Time
-
-	// Windowed (sharded) mode: RunWindow drives the clock only up to
-	// horizon, then returns to the barrier instead of finishing.
-	// Cross-shard coordination (ShardGroup) injects messages between
-	// windows and decides global termination/deadlock.
-	windowed bool
-	horizon  time.Duration
 }
 
 // NewClock returns a fresh virtual clock at time zero.
@@ -226,40 +221,37 @@ func (c *Clock) recycleLocked(ev *event) {
 // time. It may be called from inside a process or from the coordinator
 // before Run.
 func (c *Clock) Go(name string, fn func()) *Proc {
-	return c.spawnAt(0, name, fn, false, "Go")
+	return c.spawn(name, fn, false, "Go")
 }
 
 // GoDaemon spawns a service process (device loops, schedulers, network
 // servers). Daemons run like ordinary processes but do not keep the
 // simulation alive: Run returns once every non-daemon process finishes.
 func (c *Clock) GoDaemon(name string, fn func()) *Proc {
-	return c.spawnAt(0, name, fn, true, "Go")
+	return c.spawn(name, fn, true, "Go")
 }
 
-// spawnAt queues a new process for its first dispatch at virtual time t
-// (clamped to now). It gets a coroutine when the loop first resumes it.
-func (c *Clock) spawnAt(t time.Duration, name string, fn func(), daemon bool, api string) *Proc {
+// spawn queues a new process for its first dispatch at the current virtual
+// time. It gets a coroutine when the loop first resumes it.
+func (c *Clock) spawn(name string, fn func(), daemon bool, api string) *Proc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
 		panic("sim: " + api + " after clock finished")
-	}
-	if t < c.now {
-		t = c.now
 	}
 	c.seq++
 	p := &Proc{id: c.seq, name: name, fn: fn, state: stateReady, daemon: daemon}
 	if !daemon {
 		c.live++
 	}
-	c.pushLocked(t, p)
+	c.pushLocked(c.now, p)
 	return p
 }
 
 // loop is the event loop. It resumes one process at a time; each hands
 // back its successor when it blocks or finishes. A nil successor means the
-// clock finished, the window closed, or (external mode) the clock is idle,
-// in which case the loop sleeps until wake.
+// clock finished or (external mode) the clock is idle, in which case the
+// loop sleeps until wake.
 func (c *Clock) loop() {
 	for idle := false; ; idle = true {
 		if idle {
@@ -361,8 +353,8 @@ func (c *Clock) reap() {
 
 // dispatchNextLocked selects the earliest pending event, marks its process
 // running, and returns it for the loop to resume. It returns nil when there
-// is nothing to resume: the simulation finished or deadlocked, the window
-// closed, or the clock went idle in external mode.
+// is nothing to resume: the simulation finished or deadlocked, or the clock
+// went idle in external mode.
 //
 // The simulation is over when every non-daemon process has finished;
 // daemon service loops are then unwound by reap.
@@ -370,7 +362,7 @@ func (c *Clock) dispatchNextLocked() *Proc {
 	if c.finished {
 		return nil
 	}
-	if c.live == 0 && !c.external && !c.windowed {
+	if c.live == 0 && !c.external {
 		c.finishClockLocked()
 		return nil
 	}
@@ -378,11 +370,6 @@ func (c *Clock) dispatchNextLocked() *Proc {
 		if c.heap.min().ev.cancelled {
 			c.recycleLocked(c.heap.pop())
 			continue
-		}
-		if c.windowed && c.heap.min().t >= c.horizon {
-			// Earliest pending work lies beyond the current window: stop
-			// here and hand control back to the barrier.
-			break
 		}
 		if c.external && c.live == 0 {
 			if c.shutdown {
@@ -406,12 +393,6 @@ func (c *Clock) dispatchNextLocked() *Proc {
 		return p
 	}
 	c.current = nil
-	if c.windowed {
-		// A windowed clock never finishes or deadlocks on its own — shards
-		// with no local work may still receive cross-shard messages. Back
-		// to the barrier; the ShardGroup decides termination.
-		return nil
-	}
 	if c.external && !c.shutdown {
 		// Server mode: stay alive waiting for injected work — even with no
 		// live processes yet. (Requiring live > 0 here used to finish the
@@ -464,81 +445,6 @@ func (c *Clock) finishClockLocked() {
 	totalEvents.Add(c.events.Load())
 }
 
-// RunWindow drives the simulation until every pending event before horizon
-// has run (a conservative time-window step), then returns. Processes that
-// block past the horizon stay queued for later windows. Unlike Run, an
-// empty heap or zero live processes does not end the simulation — global
-// termination is the ShardGroup's call, made across all shards at the
-// barrier. Must be called from outside the simulation.
-func (c *Clock) RunWindow(horizon time.Duration) error {
-	c.mu.Lock()
-	if c.current != nil {
-		c.mu.Unlock()
-		panic("sim: RunWindow called re-entrantly")
-	}
-	if c.finished {
-		err := c.err
-		c.mu.Unlock()
-		return err
-	}
-	c.windowed = true
-	c.horizon = horizon
-	c.mu.Unlock()
-	c.loop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// InjectAt schedules fn as a new process with its first dispatch at virtual
-// time t (clamped to now). It is the cross-shard delivery primitive: the
-// ShardGroup calls it between windows, in deterministic merge order; the
-// next RunWindow runs the event.
-func (c *Clock) InjectAt(t time.Duration, name string, fn func()) *Proc {
-	return c.spawnAt(t, name, fn, false, "InjectAt")
-}
-
-// InjectDaemonAt is InjectAt for service messages (heartbeats, monitoring
-// probes): the delivered process runs normally but does not keep the
-// simulation alive, so a periodic cross-shard beat stream never blocks
-// group termination.
-func (c *Clock) InjectDaemonAt(t time.Duration, name string, fn func()) *Proc {
-	return c.spawnAt(t, name, fn, true, "InjectAt")
-}
-
-// pendingMin reports the earliest non-cancelled pending event, if any.
-// Safe to call between windows (no process running).
-func (c *Clock) pendingMin() (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.heap.len() > 0 && c.heap.min().ev.cancelled {
-		c.recycleLocked(c.heap.pop())
-	}
-	if c.heap.len() == 0 {
-		return 0, false
-	}
-	return c.heap.min().t, true
-}
-
-// liveProcs reports the number of non-daemon processes not yet finished.
-func (c *Clock) liveProcs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
-
-// finishWindowed ends a windowed clock from the barrier (all shards done,
-// or a cross-shard deadlock was detected), publishing its event count.
-func (c *Clock) finishWindowed(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.finishClockLocked()
-	c.mu.Unlock()
-	c.reap()
-}
-
 // Run drives the simulation until every process has finished (or, in
 // external mode, until Shutdown), on the calling goroutine. It returns a
 // non-nil error if the simulation deadlocked. Run must be called from
@@ -562,7 +468,7 @@ func (c *Clock) Run() error {
 // real HTTP handler in server mode) and wakes the loop if it is idle. The
 // caller never runs simulation work itself.
 func (c *Clock) Inject(name string, fn func()) *Proc {
-	p := c.spawnAt(0, name, fn, false, "Inject")
+	p := c.spawn(name, fn, false, "Inject")
 	c.wake()
 	return p
 }
@@ -612,7 +518,7 @@ func (c *Clock) Sleep(d time.Duration) {
 // replaces the heap minimum in one sift instead of a push followed by a
 // pop.
 func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
-	if c.finished || (c.live == 0 && !c.windowed) {
+	if c.finished || c.live == 0 {
 		// Only daemons remain: take the generic path, which finishes the
 		// simulation and leaves p to the reap — or, in external mode, paces
 		// p's wake to the wall clock (idleWaitLocked).
@@ -621,12 +527,6 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	}
 	for c.heap.len() > 0 && c.heap.min().ev.cancelled {
 		c.recycleLocked(c.heap.pop())
-	}
-	if c.windowed && t >= c.horizon {
-		// The wake lands beyond the current window: queue it and let the
-		// generic path run an earlier event or park at the barrier.
-		c.pushLocked(t, p)
-		return c.dispatchNextLocked()
 	}
 	if c.heap.len() == 0 || t < c.heap.min().t {
 		c.seq++ // the skipped event still consumes its sequence number
@@ -637,8 +537,6 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 		c.events.Add(1)
 		return p
 	}
-	// Here heap.min().t <= t, so in windowed mode the dispatched event is
-	// inside the window (t < horizon was established above).
 	ev := c.heap.replaceMin(c.allocEventLocked(t, p))
 	if ev.t > c.now {
 		c.now = ev.t
@@ -735,8 +633,8 @@ func (c *Clock) Stats() (live, parked, pending int, events uint64) {
 }
 
 // Events returns the number of events this clock has processed so far. The
-// counter is atomic, so reading it from outside the shard loop is safe even
-// while the clock is mid-window.
+// counter is atomic, so reading it from outside the simulation is safe while
+// the loop runs.
 func (c *Clock) Events() uint64 {
 	return c.events.Load()
 }

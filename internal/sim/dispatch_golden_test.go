@@ -9,18 +9,14 @@ import (
 )
 
 // The dispatch-order golden: an FNV-1a hash over (virtual time, process
-// name) of every dispatch in three scenarios that between them use every
-// way a process can be scheduled. The constants below were generated at the
-// commit before the event loop moved from goroutine handoffs to coroutines
-// (PR 14) and must never be regenerated: they are the proof that a change
-// to clock.go reorders no event. CI runs this at -cpu 1,2,4.
+// name) of every dispatch in one Clock.Run that uses every way a process
+// can be scheduled. The constants below were generated at the commit before
+// the event loop moved from goroutine handoffs to coroutines (PR 14) and
+// must never be regenerated: they are the proof that a change to clock.go
+// reorders no event. CI runs this at -cpu 1,2,4.
 const (
-	goldenRunHash    = 0xc0cc3dfe7f5f724d
-	goldenRunCount   = 228
-	goldenWindowHash = 0x6bf8cf634f3c3376
-	goldenWindowCnt  = 41
-	goldenShardHash  = 0xfa18046cbbbb0e57
-	goldenShardCount = 180
+	goldenRunHash  = 0xc0cc3dfe7f5f724d
+	goldenRunCount = 228
 )
 
 // dispatchRec hashes the dispatches of one clock's processes. The processes
@@ -210,119 +206,14 @@ func dispatchScenarioRun(t *testing.T) (uint64, int) {
 	return r.h.Sum64(), r.n
 }
 
-// dispatchScenarioWindows drives one clock through three RunWindow calls
-// with InjectAt/InjectDaemonAt between them, as ShardGroup's barrier does.
-func dispatchScenarioWindows(t *testing.T) (uint64, int) {
-	c := NewClock()
-	r := newDispatchRec(c)
-	gate := NewFuture[int](c)
-	for i := 0; i < 3; i++ {
-		i, name := i, fmt.Sprintf("long%d", i)
-		r.spawn(name, func() {
-			for j := 0; j < 6; j++ {
-				r.sleep(name, time.Duration(3+i)*us) // crosses every horizon
-			}
-		})
-	}
-	r.spawn("gated", func() {
-		if v, _ := recGet(r, "gated", gate); v != 9 {
-			t.Errorf("gated got %d", v)
-		}
-		r.sleep("gated", 7*us)
-	})
-	window := func(h time.Duration) {
-		if err := c.RunWindow(h); err != nil {
-			t.Fatalf("RunWindow(%v): %v", h, err)
-		}
-		if now := c.Now(); now >= h {
-			t.Fatalf("RunWindow(%v) left the clock at %v", h, now)
-		}
-	}
-	window(10 * us)
-	c.InjectAt(12*us, "inj-a", r.wrap("inj-a", func() {
-		r.sleep("inj-a", 0)
-		gate.Resolve(9)
-		r.sleep("inj-a", 9*us)
-	}))
-	c.InjectDaemonAt(11*us, "inj-d", r.wrap("inj-d", func() {
-		for {
-			r.sleep("inj-d", 3*us)
-		}
-	}))
-	c.InjectAt(5*us, "inj-past", r.wrap("inj-past", func() { r.sleep("inj-past", 0) })) // clamped to now
-	window(20 * us)
-	c.InjectAt(20*us, "inj-edge", r.wrap("inj-edge", func() { r.sleep("inj-edge", us) }))
-	window(40 * us)
-	if live := c.liveProcs(); live != 0 {
-		t.Fatalf("%d live processes after the last window", live)
-	}
-	c.finishWindowed(nil)
-	return r.h.Sum64(), r.n
-}
-
-// dispatchScenarioShards is a 3-shard ShardGroup run: generators, replies
-// and a daemon beat stream; the per-shard hashes are folded in shard order.
-func dispatchScenarioShards(t *testing.T) (uint64, int) {
-	const shards = 3
-	g := NewShardGroup(10*us, shards)
-	recs := make([]*dispatchRec, shards)
-	for i := range recs {
-		recs[i] = newDispatchRec(g.Shard(i).Clock())
-	}
-	for i := 0; i < shards; i++ {
-		i, r, s := i, recs[i], g.Shard(i)
-		rng := NewRNG(uint64(100 + i))
-		gen := fmt.Sprintf("gen%d", i)
-		r.spawn(gen, func() {
-			for m := 0; m < 8; m++ {
-				r.sleep(gen, time.Duration(rng.Intn(15))*us)
-				dst := rng.Intn(shards)
-				msg := fmt.Sprintf("s%dm%d", i, m)
-				s.Send(dst, msg, time.Duration(rng.Intn(25))*us, recs[dst].wrap(msg, func() {
-					recs[dst].sleep(msg, 2*us)
-					g.Shard(dst).Send(i, msg+":ack", 0, recs[i].wrap(msg+":ack", func() {}))
-				}))
-			}
-		})
-		beat := fmt.Sprintf("beat%d", i)
-		s.Clock().GoDaemon(beat, r.wrap(beat, func() {
-			for {
-				r.sleep(beat, 7*us)
-				to := (i + 1) % shards
-				s.SendDaemon(to, beat+":probe", us, recs[to].wrap(beat+":probe", func() {}))
-			}
-		}))
-	}
-	if err := g.Run(); err != nil {
-		t.Fatalf("ShardGroup.Run: %v", err)
-	}
-	h, n := fnv.New64a(), 0
-	for _, r := range recs {
-		fmt.Fprintf(h, "%016x\n", r.h.Sum64())
-		n += r.n
-	}
-	return h.Sum64(), n
-}
-
 func TestDispatchOrderGolden(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		run   func(*testing.T) (uint64, int)
-		hash  uint64
-		count int
-	}{
-		{"run", dispatchScenarioRun, goldenRunHash, goldenRunCount},
-		{"windows", dispatchScenarioWindows, goldenWindowHash, goldenWindowCnt},
-		{"shards", dispatchScenarioShards, goldenShardHash, goldenShardCount},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for rep := 0; rep < 3; rep++ {
-				h, n := tc.run(t)
-				if h != tc.hash || n != tc.count {
-					t.Fatalf("rep %d: dispatch hash %#x over %d dispatches, golden %#x over %d: an event moved",
-						rep, h, n, tc.hash, tc.count)
-				}
+	t.Run("run", func(t *testing.T) {
+		for rep := 0; rep < 3; rep++ {
+			h, n := dispatchScenarioRun(t)
+			if h != goldenRunHash || n != goldenRunCount {
+				t.Fatalf("rep %d: dispatch hash %#x over %d dispatches, golden %#x over %d: an event moved",
+					rep, h, n, uint64(goldenRunHash), goldenRunCount)
 			}
-		})
-	}
+		}
+	})
 }

@@ -87,33 +87,6 @@ func TestDeadlockedClockLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-func TestShardGroupLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	g := NewShardGroup(time.Millisecond, 3)
-	for i := 0; i < g.Shards(); i++ {
-		i, s := i, g.Shard(i)
-		c := s.Clock()
-		c.GoDaemon("beat", func() {
-			for {
-				c.Sleep(300 * time.Microsecond)
-				s.SendDaemon((i+1)%3, "probe", 0, func() {})
-			}
-		})
-		c.Go("work", func() {
-			for k := 0; k < 5; k++ {
-				c.Sleep(time.Millisecond)
-				s.Send((i+2)%3, "msg", 500*time.Microsecond, func() { g.Shard((i + 2) % 3).Clock().Sleep(time.Millisecond) })
-			}
-		})
-	}
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if after := settledGoroutines(before); after > before {
-		t.Fatalf("%d goroutines before the group, %d after", before, after)
-	}
-}
-
 // 10 000 short processes, at most 64 alive at once, run on at most 64
 // coroutines, and every tenant of a reused coroutine is a new Proc.
 func TestWorkerReuse(t *testing.T) {

@@ -135,8 +135,9 @@ type AutoscaleConfig = cluster.AutoscaleConfig
 // SLO-aware serving (internal/cluster): the saturation-guarded, cost-aware
 // scaler, heterogeneous replica pools, and per-class attainment stats.
 type (
-	// ScalerConfig tunes the SLO scaler that replaces the queue-depth
-	// autoscaler: saturation-guarded scale-up with a cold-start hold,
+	// ScalerConfig tunes the SLO scaler, which an engine runs instead of
+	// the queue-depth autoscaler when both are configured:
+	// saturation-guarded scale-up with a cold-start hold,
 	// cheapest-variant-meeting-SLO selection, and scale-to-zero.
 	ScalerConfig = cluster.ScalerConfig
 	// ReplicaVariant describes one hardware class in a heterogeneous
