@@ -63,6 +63,45 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	})
 }
 
+// BenchmarkBatchRoundTrip is the host cost of the batch path alone: one
+// embed_txt call from enqueue to completion with nothing else in the system,
+// so every op is one single-call batch. events/op counts the batch's own
+// events — kick, deserialised, kernel done, response — and leaves out the
+// caller's wake; the one allocation is the call's completion signal.
+func BenchmarkBatchRoundTrip(b *testing.B) {
+	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		inst := ctl.RegisterInstance("bench", nil, nil)
+		q := mustQueue(b, ctl, inst, "llama-1b")
+		embs, err := ctl.AllocEmbeds(inst, q, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tok, pos := []int{7}, []int{0}
+		step := func() {
+			s, err := ctl.EmbedText(inst, q, tok, pos, embs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Get(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		step() // the first batch makes the records the rest recycle
+		b.ReportAllocs()
+		b.ResetTimer()
+		events, batches := clock.Events(), ctl.sched.Batches
+		for n := 0; n < b.N; n++ {
+			step()
+		}
+		b.StopTimer()
+		if got := ctl.sched.Batches - batches; got != b.N {
+			b.Fatalf("%d batches for %d calls", got, b.N)
+		}
+		b.ReportMetric(float64(clock.Events()-events)/float64(b.N)-1, "events/op")
+		ctl.ReleaseInstance(inst)
+	})
+}
+
 // BenchmarkTieredPoolAllocEvict is one allocation under memory pressure: the
 // device tier is full, so allocating 4 pages picks and offloads the 4
 // least-recently-used device pages (the victim scan walks every

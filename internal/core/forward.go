@@ -539,6 +539,7 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 	for _, ic := range b.Calls {
 		ctl.recycle(ic.Ctl.(*call))
 	}
+	ctl.sched.freeBatch(b)
 	ctl.sched.tryDispatch()
 }
 

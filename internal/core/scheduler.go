@@ -126,6 +126,10 @@ type Scheduler struct {
 	kickPending bool
 	kick        func() // s.runKick, bound once: a kick is armed per batch
 
+	// freeBatches are batch records (with their Calls arrays) the backend is
+	// done with; onBatchComplete returns them.
+	freeBatches []*infer.Batch
+
 	// Stats.
 	Batches      int
 	BatchedCalls int
@@ -259,18 +263,17 @@ func (s *Scheduler) onEnqueue(q *cmdQueue) {
 	}
 }
 
-// scheduleKick arms a one-shot batch-formation event kickDelay from now
+// scheduleKick arms a one-shot batch-formation timer kickDelay from now
 // (see kickDelay). At most one kick is pending at a time.
 func (s *Scheduler) scheduleKick() {
 	if s.kickPending {
 		return
 	}
 	s.kickPending = true
-	s.clock.GoDaemon("sched:kick", s.kick)
+	s.clock.After(kickDelay, s.kick)
 }
 
 func (s *Scheduler) runKick() {
-	s.clock.Sleep(kickDelay)
 	s.kickPending = false
 	if s.ctl.backend.Device.Idle() {
 		s.dispatchOne()
@@ -347,14 +350,7 @@ func (s *Scheduler) dispatchOne() bool {
 	if s.cfg.Policy == PolicyEager {
 		max = 1
 	}
-	room := 0 // an upper bound on the batch: every eligible queue's backlog
-	for _, q := range eligible {
-		room += q.queued()
-	}
-	if room > max {
-		room = max
-	}
-	batch := &infer.Batch{Op: best.key.op, Model: best.key.rt, Calls: make([]*infer.Call, 0, room)}
+	batch := s.newBatch(best.key)
 	for _, q := range eligible {
 		if len(batch.Calls) >= max {
 			break // truncate from the tail (§5.2)
@@ -374,6 +370,7 @@ func (s *Scheduler) dispatchOne() bool {
 		s.refresh(q)
 	}
 	if len(batch.Calls) == 0 {
+		s.freeBatch(batch)
 		return false
 	}
 	batch.Extra = s.cfg.SchedOverhead
@@ -387,6 +384,26 @@ func (s *Scheduler) dispatchOne() bool {
 	}
 	s.ctl.backend.Submit(batch)
 	return true
+}
+
+// newBatch returns an empty batch of key's class, recycled when there is one.
+func (s *Scheduler) newBatch(key bucketKey) *infer.Batch {
+	n := len(s.freeBatches)
+	if n == 0 {
+		return &infer.Batch{Op: key.op, Model: key.rt}
+	}
+	b := s.freeBatches[n-1]
+	s.freeBatches = s.freeBatches[:n-1]
+	b.Op, b.Model = key.op, key.rt
+	return b
+}
+
+// freeBatch takes back a batch nothing refers to any more, blank but for
+// its Calls array.
+func (s *Scheduler) freeBatch(b *infer.Batch) {
+	clear(b.Calls)
+	*b = infer.Batch{Calls: b.Calls[:0]}
+	s.freeBatches = append(s.freeBatches, b)
 }
 
 // betterBucket reports whether bucket a (oldest head age oa) should

@@ -99,17 +99,62 @@ func TestDeviceFailWhileIdleParksNextKernel(t *testing.T) {
 	}
 }
 
-func TestDeviceClose(t *testing.T) {
+// TestDeviceFailStrandsTheQueue: a crash mid-kernel loses that kernel and
+// everything queued behind it, whichever way it was to be reported; the
+// device stays busy with its last due instant (what the watchdog dates a
+// stall from) and never calls back.
+func TestDeviceFailStrandsTheQueue(t *testing.T) {
 	clock := sim.NewClock()
-	d := NewDevice(clock, "closing")
-	clock.Go("driver", func() {
-		_ = sim.Await(d.Submit("k", time.Millisecond))
-		d.Close()
+	d := NewDevice(clock, "crash-queued")
+	d.SetDoneFunc(func(tag any) { t.Errorf("kernel %v completed on a dead device", tag) })
+	d.SetIdleFunc(func() { t.Error("a dead device reported idle") })
+	first := d.Submit("doomed", 10*time.Millisecond)
+	d.Enqueue(10*time.Millisecond, "queued")
+	clock.Go("killer", func() {
+		clock.Sleep(5 * time.Millisecond)
+		d.Fail()
+		late := d.Submit("late", time.Millisecond)
+		clock.Sleep(time.Second)
+		if first.Done() || late.Done() {
+			t.Error("a dead device fired a completion signal")
+		}
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Idle() || d.Kernels() != 1 {
-		t.Fatalf("closed device state: idle=%v kernels=%d", d.Idle(), d.Kernels())
+	if d.Kernels() != 0 || d.BusyTime() != 0 || !d.Busy() || d.Idle() || d.Due() != 10*time.Millisecond {
+		t.Fatalf("dead device: kernels=%d busy=%v/%v idle=%v due=%v", d.Kernels(), d.BusyTime(), d.Busy(), d.Idle(), d.Due())
+	}
+}
+
+// TestDeviceSlowdownAppliesAtKernelStart: a kernel keeps the price it started
+// at; the ones queued behind it start at the factor in force by then.
+func TestDeviceSlowdownAppliesAtKernelStart(t *testing.T) {
+	clock := sim.NewClock()
+	d := NewDevice(clock, "throttled-midway")
+	var ends []time.Duration
+	d.SetDoneFunc(func(any) { ends = append(ends, clock.Now()) })
+	clock.Go("driver", func() {
+		for i := 0; i < 3; i++ {
+			d.Enqueue(10*time.Millisecond, nil)
+		}
+		clock.Sleep(5 * time.Millisecond)
+		d.SetSlowdown(2)
+		if d.Due() != 10*time.Millisecond {
+			t.Errorf("running kernel now due at %v, want 10ms", d.Due())
+		}
+		clock.Sleep(10 * time.Millisecond) // second kernel running, at 2x
+		d.SetSlowdown(0)
+		clock.Sleep(time.Second)
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond, 40 * time.Millisecond}
+	if len(ends) != 3 || ends[0] != want[0] || ends[1] != want[1] || ends[2] != want[2] {
+		t.Fatalf("kernels ended at %v, want %v", ends, want)
+	}
+	if d.BusyTime() != 40*time.Millisecond {
+		t.Fatalf("busy time %v, want 40ms", d.BusyTime())
 	}
 }

@@ -201,84 +201,106 @@ func (s Spec) KvOpCost(tokens int) time.Duration {
 // submitted while the device is busy queue FIFO. The device reports
 // busy→idle transitions to an idle callback — the signal Pie's
 // work-conserving batch scheduler is built on (§6.1).
+//
+// It is a state machine, not a process: start takes the oldest queued kernel
+// and arms a clock timer for its cost, finish completes it and starts the
+// next. A kernel costs one event.
 type Device struct {
 	clock    *sim.Clock
 	name     string
-	queue    *sim.Mailbox[kernel]
+	queue    sim.FIFO[kernel] // submitted, not yet started
+	running  kernel           // executing, at the cost it started with
 	busy     bool
+	finishFn func() // d.finish, bound once: a timer is armed per kernel
+	doneFn   func(tag any)
 	idleFn   func()
 	busyTime time.Duration
 	kernels  int
 	slowdown float64       // >1 multiplies every kernel cost (degraded device)
-	failed   bool          // crash-stopped: never executes or completes again
+	failed   bool          // crash-stopped: never starts or finishes a kernel again
 	due      time.Duration // modeled completion of the last kernel started
 }
 
+// kernel is one unit of device work. Its completion is reported through done
+// (Submit) or by handing tag to the done callback (Enqueue).
 type kernel struct {
-	label string
-	cost  time.Duration
-	done  *sim.Signal
+	cost time.Duration
+	done *sim.Signal
+	tag  any
 }
 
-// NewDevice starts the device process on c.
+// NewDevice returns an idle device on c.
 func NewDevice(c *sim.Clock, name string) *Device {
-	d := &Device{clock: c, name: name, queue: sim.NewMailbox[kernel](c)}
-	c.GoDaemon("gpu:"+name, d.loop)
+	d := &Device{clock: c, name: name}
+	d.finishFn = d.finish
 	return d
 }
 
-func (d *Device) loop() {
-	for {
-		k, err := d.queue.Recv()
-		if err != nil {
-			return
-		}
-		if d.failed {
-			d.park()
-		}
-		d.busy = true
-		for {
-			cost := k.cost
-			if d.slowdown > 1 {
-				cost = time.Duration(float64(cost) * d.slowdown)
-			}
-			d.due = d.clock.Now() + cost
-			d.clock.Sleep(cost)
-			if d.failed {
-				// Crash-stopped mid-kernel: the in-flight kernel is lost,
-				// its completion never fires, and the device goes dark. The
-				// cluster health layer is responsible for unwinding waiters.
-				d.park()
-			}
-			d.busyTime += cost
-			d.kernels++
-			sim.Fire(k.done)
-			next, ok := d.queue.TryRecv()
-			if !ok {
-				break
-			}
-			k = next
-		}
-		d.busy = false
-		if d.idleFn != nil {
-			d.idleFn()
-		}
+func (d *Device) enqueue(k kernel) {
+	d.queue.Push(k)
+	if !d.busy && !d.failed {
+		d.start()
 	}
 }
 
-// park strands the device process on a signal that never fires. Daemons
-// parked without pending events contribute nothing to the event heap, so a
-// dead device never turns a finished simulation into a deadlock.
-func (d *Device) park() {
-	_ = sim.Await(sim.NewSignal(d.clock))
+// start begins the oldest queued kernel. The slowdown in force now prices it
+// to its end.
+func (d *Device) start() {
+	k := d.queue.Pop()
+	if d.slowdown > 1 {
+		k.cost = time.Duration(float64(k.cost) * d.slowdown)
+	}
+	d.running = k
+	d.busy = true
+	d.due = d.clock.Now() + k.cost
+	d.clock.After(k.cost, d.finishFn)
+}
+
+// finish runs when the executing kernel's time is up.
+func (d *Device) finish() {
+	if d.failed {
+		// Crash-stopped mid-kernel: the in-flight kernel is lost, its
+		// completion never fires, and the device goes dark with whatever is
+		// queued behind it. The cluster health layer is responsible for
+		// unwinding waiters.
+		return
+	}
+	k := d.running
+	d.running = kernel{}
+	d.busyTime += k.cost
+	d.kernels++
+	if k.done != nil {
+		sim.Fire(k.done)
+	} else {
+		d.doneFn(k.tag)
+	}
+	if d.queue.Len() > 0 {
+		d.start()
+		return
+	}
+	d.busy = false
+	if d.idleFn != nil {
+		d.idleFn()
+	}
 }
 
 // Submit enqueues a kernel and returns its completion signal.
 func (d *Device) Submit(label string, cost time.Duration) *sim.Signal {
 	done := sim.NewSignal(d.clock)
-	d.queue.Send(kernel{label: label, cost: cost, done: done})
+	d.enqueue(kernel{cost: cost, done: done})
 	return done
 }
+
+// Enqueue is Submit for a caller that is itself a state machine: on
+// completion the device hands tag to the callback installed with
+// SetDoneFunc, on the event loop, instead of firing a signal.
+func (d *Device) Enqueue(cost time.Duration, tag any) {
+	d.enqueue(kernel{cost: cost, tag: tag})
+}
+
+// SetDoneFunc installs Enqueue's completion callback. It runs on the event
+// loop before the next kernel starts and must not block.
+func (d *Device) SetDoneFunc(fn func(tag any)) { d.doneFn = fn }
 
 // Busy reports whether a kernel is executing.
 func (d *Device) Busy() bool { return d.busy }
@@ -287,8 +309,8 @@ func (d *Device) Busy() bool { return d.busy }
 // nothing queued.
 func (d *Device) Idle() bool { return !d.busy && d.queue.Len() == 0 }
 
-// SetIdleFunc installs the busy→idle notification callback. It runs in the
-// device process.
+// SetIdleFunc installs the busy→idle notification callback. It runs on the
+// event loop, once per drain, and must not block.
 func (d *Device) SetIdleFunc(fn func()) { d.idleFn = fn }
 
 // BusyTime returns cumulative kernel execution time.
@@ -305,20 +327,17 @@ func (d *Device) Due() time.Duration { return d.due }
 
 // Fail crash-stops the device: the kernel in flight (if any) is lost, and
 // no submitted kernel will ever execute or complete again. Queued and
-// future submissions park their waiters; recovering them is the cluster
+// future submissions strand their waiters; recovering them is the cluster
 // health layer's job. Irreversible.
 func (d *Device) Fail() { d.failed = true }
 
 // Failed reports whether the device has crash-stopped.
 func (d *Device) Failed() bool { return d.failed }
 
-// SetSlowdown degrades the device: every subsequent kernel costs factor
-// times its modeled price (a thermally throttled or contended accelerator).
-// Factors <= 1 restore full speed.
+// SetSlowdown degrades the device: every kernel started from now on costs
+// factor times its modeled price (a thermally throttled or contended
+// accelerator). Factors <= 1 restore full speed.
 func (d *Device) SetSlowdown(factor float64) { d.slowdown = factor }
 
 // Slowdown reports the current degradation factor (0 or 1 = full speed).
 func (d *Device) Slowdown() float64 { return d.slowdown }
-
-// Close shuts the device process down.
-func (d *Device) Close() { d.queue.Close() }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -125,5 +126,45 @@ func TestArtifactCost(t *testing.T) {
 	}
 	if s.ArtifactCacheBytes <= 0 {
 		t.Fatal("default artifact cache capacity must be positive")
+	}
+}
+
+// TestDeviceQueueOrderAndIdleOncePerDrain: kernels complete in submission
+// order whether they report by signal or by callback, each costs one event,
+// and the idle callback runs once per drain — after the last completion, not
+// between queued kernels.
+func TestDeviceQueueOrderAndIdleOncePerDrain(t *testing.T) {
+	clock := sim.NewClock()
+	d := NewDevice(clock, "t")
+	var got []string
+	d.SetDoneFunc(func(tag any) { got = append(got, tag.(string)) })
+	d.SetIdleFunc(func() {
+		if !d.Idle() {
+			t.Error("idle callback on a device that is not drained")
+		}
+		got = append(got, "idle")
+	})
+	clock.Go("driver", func() {
+		d.Enqueue(time.Millisecond, "a")
+		s := d.Submit("b", time.Millisecond)
+		d.Enqueue(time.Millisecond, "c")
+		if !d.Busy() || d.Idle() || d.Due() != time.Millisecond {
+			t.Errorf("after three submissions: busy=%v idle=%v due=%v", d.Busy(), d.Idle(), d.Due())
+		}
+		_ = sim.Await(s)
+		got = append(got, "b")
+		clock.Sleep(10 * time.Millisecond)
+		before := clock.Events()
+		d.Enqueue(time.Millisecond, "d")
+		clock.Sleep(10 * time.Millisecond)
+		if n := clock.Events() - before; n != 2 {
+			t.Errorf("a kernel and the sleep around it took %d events, want 2", n)
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a", "b", "c", "idle", "d", "idle"}; !slices.Equal(got, want) {
+		t.Fatalf("completions %v, want %v", got, want)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Boundary-crossing constants (Table 3 and Fig. 10). The control↔inference
 // IPC hop is a small constant; request deserialization is single-threaded
 // on the backend host (the paper attributes Fig. 10's inference-layer
-// latency growth to exactly this), so its delay emerges from queueing in
-// the deserialization process rather than from a formula.
+// latency growth to exactly this), so its delay emerges from batches
+// queueing for the one parser rather than from a formula.
 const (
 	IPCCrossing  = 6 * time.Microsecond
 	DeserPerCall = 600 * time.Nanosecond
@@ -19,13 +19,28 @@ const (
 
 // Backend is the inference-layer server: one GPU device plus the
 // single-threaded ingress that deserializes batched API calls.
+//
+// A batch's trip is three timers and no process: parsed (deserialised),
+// kernel done (the device's), responded. The IPC hops are pipelined — they
+// add latency, not server occupancy; only parsing serializes, and it
+// overlaps with the kernels of earlier batches.
 type Backend struct {
 	clock *sim.Clock
 	// Name identifies the backend (the device name); cluster deployments
 	// run one backend per replica and report stats under this name.
 	Name   string
 	Device *gpu.Device
-	ingest *sim.Mailbox[*Batch]
+
+	// ingressFree is the instant the parser has finished everything
+	// submitted so far. parsing holds the batches queued for or in the
+	// parser, responding those whose kernel is done and whose results are
+	// on the IPC hop back; both oldest first, one armed timer per entry.
+	ingressFree time.Duration
+	parsing     sim.FIFO[*Batch]
+	responding  sim.FIFO[*Batch]
+	parsedFn    func() // b.parsed and b.respond, bound once
+	respondFn   func()
+	closed      bool
 
 	onComplete func(*Batch) // control-layer event dispatcher hook
 
@@ -40,67 +55,77 @@ type Backend struct {
 	CallsRun   int
 }
 
-// NewBackend starts the backend processes on c.
+// NewBackend returns a backend with an idle device on c.
 func NewBackend(c *sim.Clock, deviceName string) *Backend {
 	b := &Backend{
 		clock:  c,
 		Name:   deviceName,
 		Device: gpu.NewDevice(c, deviceName),
-		ingest: sim.NewMailbox[*Batch](c),
 	}
-	c.GoDaemon("infer:ingress:"+deviceName, b.ingressLoop)
+	b.parsedFn, b.respondFn = b.parsed, b.respond
+	b.Device.SetDoneFunc(b.kernelDone)
 	return b
 }
 
 // SetCompleteFunc installs the completion callback (the control layer's
-// event dispatcher). It runs in a backend process after each batch.
+// event dispatcher). It runs on the event loop after each batch and must not
+// block.
 func (b *Backend) SetCompleteFunc(fn func(*Batch)) { b.onComplete = fn }
 
 // Submit ships a batch across the IPC boundary. The returned accounting is
-// asynchronous: each call's futures resolve when the batch completes.
+// asynchronous: each call's futures resolve when the batch completes. The
+// batch waits for the parser, then pays a per-call parsing cost before
+// reaching the GPU.
 func (b *Backend) Submit(batch *Batch) {
-	batch.SubmittedAt = b.clock.Now()
-	b.ingest.Send(batch)
+	if b.closed {
+		return
+	}
+	now := b.clock.Now()
+	batch.SubmittedAt = now
+	b.ingressFree = max(b.ingressFree, now) + time.Duration(len(batch.Calls))*DeserPerCall
+	b.parsing.Push(batch)
+	b.clock.After(b.ingressFree-now, b.parsedFn)
 }
 
-// ingressLoop is the single-threaded deserialization stage: batches queue
-// here and pay a per-call parsing cost before reaching the GPU. The IPC
-// hops themselves are pipelined (they add latency, not server occupancy);
-// only parsing serializes. Kernel execution overlaps with parsing of
-// subsequent batches.
-func (b *Backend) ingressLoop() {
-	for {
-		batch, err := b.ingest.Recv()
-		if err != nil {
-			return
+// parsed runs when the oldest submitted batch is deserialised.
+func (b *Backend) parsed() {
+	batch := b.parsing.Pop()
+	if b.closed {
+		return
+	}
+	if b.OnOverhead != nil {
+		// Queueing + parsing, plus both pipelined IPC legs.
+		perCall := (b.clock.Now() - batch.SubmittedAt) + 2*IPCCrossing
+		for range batch.Calls {
+			b.OnOverhead(perCall)
 		}
-		b.clock.Sleep(time.Duration(len(batch.Calls)) * DeserPerCall)
-		if b.OnOverhead != nil {
-			// Queueing + parsing, plus both pipelined IPC legs.
-			perCall := (b.clock.Now() - batch.SubmittedAt) + 2*IPCCrossing
-			for range batch.Calls {
-				b.OnOverhead(perCall)
-			}
+	}
+	b.Device.Enqueue(batch.Cost(), batch)
+}
+
+// kernelDone is the device's completion callback: the batch's results start
+// the response IPC hop back to the control layer.
+func (b *Backend) kernelDone(batch any) {
+	b.responding.Push(batch.(*Batch))
+	b.clock.After(IPCCrossing, b.respondFn)
+}
+
+// respond runs when the oldest finished batch's results arrive.
+func (b *Backend) respond() {
+	batch := b.responding.Pop()
+	batch.Model.execute(batch)
+	b.BatchesRun++
+	b.CallsRun += len(batch.Calls)
+	for _, c := range batch.Calls {
+		if c.Done != nil {
+			sim.Fire(c.Done)
 		}
-		done := b.Device.Submit(batch.Op.String(), batch.Cost())
-		b.clock.GoDaemon("infer:complete", func() {
-			_ = sim.Await(done)
-			// Response IPC back to the control layer.
-			b.clock.Sleep(IPCCrossing)
-			batch.Model.execute(batch)
-			b.BatchesRun++
-			b.CallsRun += len(batch.Calls)
-			for _, c := range batch.Calls {
-				if c.Done != nil {
-					sim.Fire(c.Done)
-				}
-			}
-			if b.onComplete != nil {
-				b.onComplete(batch)
-			}
-		})
+	}
+	if b.onComplete != nil {
+		b.onComplete(batch)
 	}
 }
 
-// Close shuts down the ingress; in-flight batches still complete.
-func (b *Backend) Close() { b.ingest.Close() }
+// Close shuts down the ingress: batches not yet deserialised are dropped,
+// like any submitted later; those past the parser still complete.
+func (b *Backend) Close() { b.closed = true }

@@ -1,12 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation runtime.
 //
-// Every component of the serving system — engines, schedulers, inferlets,
-// clients, external tool servers — runs as a cooperative process on a shared
-// virtual Clock. Exactly one process executes at any instant; blocking
-// operations (Sleep, Future.Get, Mailbox.Recv) hand control to the earliest
-// pending event, ordered by (virtual time, sequence number). This makes
-// experiments with hundreds of concurrent agents fully deterministic and
-// lets hours of simulated GPU time replay in milliseconds of wall time.
+// Everything in the serving system that waits — inferlets, clients, engines,
+// external tool servers — runs as a cooperative process on a shared virtual
+// Clock, and what only reacts (a device finishing a kernel, a batch crossing
+// the IPC boundary, the scheduler's kick) is a timer: a callback armed with
+// After that runs between processes and never blocks. Exactly one process or
+// timer executes at any instant; blocking operations (Sleep, Future.Get,
+// Mailbox.Recv) hand control to the earliest pending event, ordered by
+// (virtual time, sequence number). This makes experiments with hundreds of
+// concurrent agents fully deterministic and lets hours of simulated GPU time
+// replay in milliseconds of wall time.
 //
 // Simulated code must never block on real OS primitives (time.Sleep,
 // channel receives, sync.WaitGroup); it must use the Clock's primitives so
@@ -21,7 +24,9 @@
 // blocks picks its successor itself under the clock lock (one heap push and
 // one pop, fused into a single sift for Sleep), yields it to the loop and is
 // suspended; when its own event is the next to run it never leaves its
-// coroutine at all. Coroutines cost more to make than goroutines, so a
+// coroutine at all. A timer that comes due runs right there, on whichever
+// coroutine is picking the successor: it costs a heap pop and a call, no
+// switch. Coroutines cost more to make than goroutines, so a
 // finished process's coroutine is pooled for the next spawn, and when the
 // clock finishes the loop unwinds whatever is still suspended (daemons,
 // waiters nobody resolved): a finished clock leaves no goroutine behind.
@@ -78,7 +83,8 @@ func (p *Proc) Killed() bool { return p.killed }
 type event struct {
 	t         time.Duration
 	seq       uint64
-	p         *Proc
+	p         *Proc  // the process to resume; nil for a timer
+	fn        func() // the timer's callback
 	cancelled bool
 }
 
@@ -125,8 +131,9 @@ type Clock struct {
 	heap     eventHeap
 	pool     []*event // free list of recycled event records
 	current  *Proc
-	live     int // spawned and not yet finished
-	parked   int // processes in stateParked
+	inTimer  bool // a timer's callback is running (current is nil meanwhile)
+	live     int  // spawned and not yet finished
+	parked   int  // processes in stateParked
 	finished bool
 	err      error
 
@@ -191,19 +198,23 @@ func (c *Clock) Current() *Proc {
 	return c.current
 }
 
-// allocEventLocked takes an event record from the free list (or makes a
-// new one), stamps it with the next sequence number, and links it to p.
-func (c *Clock) allocEventLocked(t time.Duration, p *Proc) *event {
+// newEventLocked takes an event record from the free list (or makes a new
+// one) and stamps it with the next sequence number.
+func (c *Clock) newEventLocked(t time.Duration) *event {
 	c.seq++
-	var ev *event
 	if n := len(c.pool); n > 0 {
-		ev = c.pool[n-1]
+		ev := c.pool[n-1]
 		c.pool = c.pool[:n-1]
-		ev.t, ev.seq, ev.p, ev.cancelled = t, c.seq, p, false
-	} else {
-		ev = &event{t: t, seq: c.seq, p: p}
+		ev.t, ev.seq, ev.cancelled = t, c.seq, false
+		return ev
 	}
-	p.ev = ev
+	return &event{t: t, seq: c.seq}
+}
+
+// allocEventLocked makes p's next event.
+func (c *Clock) allocEventLocked(t time.Duration, p *Proc) *event {
+	ev := c.newEventLocked(t)
+	ev.p, p.ev = p, ev
 	return ev
 }
 
@@ -213,7 +224,7 @@ func (c *Clock) pushLocked(t time.Duration, p *Proc) {
 
 // recycleLocked returns an event record to the free list.
 func (c *Clock) recycleLocked(ev *event) {
-	ev.p = nil
+	ev.p, ev.fn = nil, nil
 	c.pool = append(c.pool, ev)
 }
 
@@ -224,11 +235,32 @@ func (c *Clock) Go(name string, fn func()) *Proc {
 	return c.spawn(name, fn, false, "Go")
 }
 
-// GoDaemon spawns a service process (device loops, schedulers, network
+// GoDaemon spawns a service process (policy tickers, health monitors, network
 // servers). Daemons run like ordinary processes but do not keep the
 // simulation alive: Run returns once every non-daemon process finishes.
 func (c *Clock) GoDaemon(name string, fn func()) *Proc {
 	return c.spawn(name, fn, true, "Go")
+}
+
+// After arms a timer: fn runs d of virtual time from now, at its (time,
+// sequence) slot among the processes and other timers due then. A timer has
+// no process. fn runs with none current and must not block (a blocking call
+// panics as one from outside the simulation does), but it may do anything
+// else a process may: resolve futures, send, spawn, arm timers. Like a
+// daemon's, a pending timer does not keep Run alive, and a finished clock
+// drops it. Arming one allocates nothing when fn is a method value bound
+// once; call After from simulation code or before Run.
+func (c *Clock) After(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	c.mu.Lock()
+	if !c.finished {
+		ev := c.newEventLocked(c.now + d)
+		ev.fn = fn
+		c.heap.push(ev)
+	}
+	c.mu.Unlock()
 }
 
 // spawn queues a new process for its first dispatch at the current virtual
@@ -352,9 +384,10 @@ func (c *Clock) reap() {
 }
 
 // dispatchNextLocked selects the earliest pending event, marks its process
-// running, and returns it for the loop to resume. It returns nil when there
-// is nothing to resume: the simulation finished or deadlocked, or the clock
-// went idle in external mode.
+// running, and returns it for the loop to resume; timers that come due first
+// run here, one after another, with the lock released. It returns nil when
+// there is nothing to resume: the simulation finished or deadlocked, or the
+// clock went idle in external mode.
 //
 // The simulation is over when every non-daemon process has finished;
 // daemon service loops are then unwound by reap.
@@ -384,12 +417,24 @@ func (c *Clock) dispatchNextLocked() *Proc {
 		if ev.t > c.now {
 			c.now = ev.t
 		}
+		c.events.Add(1)
 		p := ev.p
+		if p == nil {
+			fn := ev.fn
+			c.recycleLocked(ev)
+			// A timer cannot finish a process, and Shutdown leaves a clock
+			// that is inside one alone: neither check above needs repeating.
+			c.current, c.inTimer = nil, true
+			c.mu.Unlock()
+			fn()
+			c.mu.Lock()
+			c.inTimer = false
+			continue
+		}
 		p.ev = nil
 		c.recycleLocked(ev)
 		p.state = stateRunning
 		c.current = p
-		c.events.Add(1)
 		return p
 	}
 	c.current = nil
@@ -478,7 +523,7 @@ func (c *Clock) Inject(name string, fn func()) *Proc {
 func (c *Clock) Shutdown() {
 	c.mu.Lock()
 	c.shutdown = true
-	if c.current == nil && (c.heap.live() == 0 || c.live == 0) && !c.finished {
+	if c.current == nil && !c.inTimer && (c.heap.live() == 0 || c.live == 0) && !c.finished {
 		c.finishClockLocked()
 	}
 	c.mu.Unlock()
@@ -514,9 +559,9 @@ func (c *Clock) Sleep(d time.Duration) {
 // sleepDispatchLocked is the fused push+dispatch for Sleep, the single
 // hottest operation in the simulator. When the sleeping process's own wake
 // at time t precedes everything pending, it is redispatched directly — no
-// heap traffic, no event record, no coroutine switch. Otherwise its event
-// replaces the heap minimum in one sift instead of a push followed by a
-// pop.
+// heap traffic, no event record, no coroutine switch. Otherwise, when the
+// minimum is a process's, its event replaces it in one sift instead of a push
+// followed by a pop.
 func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	if c.finished || c.live == 0 {
 		// Only daemons remain: take the generic path, which finishes the
@@ -527,6 +572,11 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	}
 	for c.heap.len() > 0 && c.heap.min().ev.cancelled {
 		c.recycleLocked(c.heap.pop())
+	}
+	if c.heap.len() > 0 && c.heap.min().t <= t && c.heap.min().ev.p == nil {
+		// A timer is due first: the generic path runs it.
+		c.pushLocked(t, p)
+		return c.dispatchNextLocked()
 	}
 	if c.heap.len() == 0 || t < c.heap.min().t {
 		c.seq++ // the skipped event still consumes its sequence number
@@ -565,8 +615,14 @@ func (c *Clock) park() {
 	p.parkToken++
 	c.parked++
 	next := c.dispatchNextLocked()
+	killed := p.killed
 	c.mu.Unlock()
-	if p.block(next) {
+	// next == p when a timer that ran meanwhile woke p and nothing else was
+	// due before it: control stays in this coroutine.
+	if next != p {
+		killed = p.block(next)
+	}
+	if killed {
 		panic(Killed{Reason: "terminated while blocked"})
 	}
 }
@@ -585,7 +641,7 @@ func (c *Clock) unpark(p *Proc, token uint64) {
 	c.pushLocked(c.now, p)
 	// In external mode a goroutine outside the simulation may resolve a
 	// future while the loop is idle.
-	idle := c.current == nil && c.external
+	idle := c.current == nil && !c.inTimer && c.external
 	c.mu.Unlock()
 	if idle {
 		c.wake()

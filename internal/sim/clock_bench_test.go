@@ -38,7 +38,7 @@ func BenchmarkClockEventLoop(b *testing.B) {
 
 // BenchmarkClockSparseTicker measures the sparse-heap regime that
 // dominates real engine runs: one pacing process advances virtual time
-// while 1k other processes sit parked on futures (a device loop ticking
+// while 1k other processes sit parked on futures (a health monitor ticking
 // while inferlets await completions). Every tick takes the self-dispatch
 // fast path: no heap traffic, no event record, no coroutine switch.
 func BenchmarkClockSparseTicker(b *testing.B) {
@@ -140,4 +140,30 @@ func BenchmarkClockHandoff(b *testing.B) {
 		events += int64(ev)
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkClockTimer is one timer from After to its callback, re-armed from
+// inside it, with one process parked so the clock stays alive: a heap push,
+// a pop and a call — no switch, no allocation. One op is one timer.
+func BenchmarkClockTimer(b *testing.B) {
+	c := NewClock()
+	done := NewSignal(c)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n == b.N {
+			Fire(done)
+			return
+		}
+		c.After(time.Microsecond, tick)
+	}
+	c.Go("host", func() {
+		c.After(time.Microsecond, tick)
+		Await(done)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
 }

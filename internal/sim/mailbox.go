@@ -47,6 +47,20 @@ func shift[T any](q *[]T) T {
 	return v
 }
 
+// FIFO is a first-in first-out queue for state machines driven by timers
+// (a device's kernels, a backend's batches in flight). It keeps its array
+// the way a mailbox does: one that drains between pushes never reallocates.
+type FIFO[T any] struct{ s []T }
+
+// Push appends v.
+func (q *FIFO[T]) Push(v T) { q.s = append(q.s, v) }
+
+// Pop removes and returns the oldest element; the FIFO must not be empty.
+func (q *FIFO[T]) Pop() T { return shift(&q.s) }
+
+// Len reports the number of queued elements.
+func (q *FIFO[T]) Len() int { return len(q.s) }
+
 // OnReadable runs fn once, the next time a receive would not block: from
 // inside the Send that queues a message (one handed straight to a parked
 // receiver does not count) or from inside Close, and at once if a message

@@ -1,7 +1,7 @@
 package pie_test
 
 // A finished engine leaves nothing behind. Clock.Run unwinds every daemon
-// (device loops, schedulers, the health monitor, heartbeats) once the last
+// (the ILM dispatcher, policy tickers, the health monitor, heartbeats) once the last
 // client process is done; before PR 14 each of them stayed blocked on its
 // wake channel for the life of the process. The unwind runs the daemons'
 // defers, so the second half of the contract is that nothing observable
