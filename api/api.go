@@ -121,7 +121,10 @@ func implies(x, t Trait) bool {
 // Dist is a next-token probability distribution truncated to the top-K
 // vocabulary entries (§4.2: Pie truncates to bound transfer cost; K is
 // configurable, default 256). Tokens are ordered by descending probability.
-// Both slices are read-only: an engine may hand the same Probs to many calls.
+// Both slices are read-only, Tokens like Probs: an engine may hand many calls
+// the same Probs and overlapping windows of one Tokens table, so a sampler
+// that sorts, filters or rescales must do it in a copy. (Both are clipped to
+// their length: append copies.)
 type Dist struct {
 	Tokens []int
 	Probs  []float32

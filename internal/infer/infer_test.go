@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -152,19 +153,80 @@ func TestTimingDistDeterministicAndWellFormed(t *testing.T) {
 	}
 }
 
-// TestBatchTokensShareOneSlab: the token lists a timing-mode batch hands out
-// are cut from one allocation, each clipped to its own length, and hold what
-// the same calls get when executed one at a time; a call that fails leaves
-// the others' lists whole.
-func TestBatchTokensShareOneSlab(t *testing.T) {
+// TestTimingDistIsAView: a timing-mode distribution's Tokens is a window of
+// the runtime's shared table — the same (inst, seq) gets the same window, TopK
+// long and clipped there, so an append copies and the table stays whole — and
+// a batch of them allocates nothing; a call that fails leaves the others'.
+func TestTimingDistIsAView(t *testing.T) {
 	rt := testRuntime(ExecTiming)
 	clock := sim.NewClock()
 	topK := rt.Model.Config().TopK
 	valid, invalid := rt.Embed(7), rt.Embed(8)
 	valid.Valid = true
-	dist := func(seq uint64, of *model.EmbedSlot) *Call {
-		return &Call{Op: OpNextDist, Model: rt, Inst: 3, Seq: seq, DistOf: of, DistFut: sim.NewFuture[DistResult](clock)}
+	dist := func(inst, seq uint64, of *model.EmbedSlot) *Call {
+		return &Call{Op: OpNextDist, Model: rt, Inst: inst, Seq: seq, DistOf: of, DistFut: sim.NewFuture[DistResult](clock)}
 	}
+	get := func(c *Call) []int {
+		d, err := c.DistFut.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Tokens
+	}
+	table := pseudoTable(rt.Model.VocabSize())
+	if unsafe.SliceData(table) != unsafe.SliceData(testRuntime(ExecTiming).pseudoToks) {
+		t.Error("two runtimes of one vocabulary built two tables")
+	}
+	before := slices.Clone(table)
+	clock.Go("p", func() {
+		b := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{dist(3, 1, valid), dist(3, 1, valid), dist(4, 1, valid)}}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, c := range b.Calls {
+				c.DistFut = sim.NewFuture[DistResult](clock)
+			}
+			rt.execute(b)
+		}); allocs > float64(len(b.Calls)) {
+			t.Errorf("a batch of %d distributions allocated %v times besides their futures", len(b.Calls), allocs-float64(len(b.Calls)))
+		}
+		x, same, other := get(b.Calls[0]), get(b.Calls[1]), get(b.Calls[2])
+		b.Calls[0], b.Calls[1], b.Calls[2] = dist(3, 1, valid), dist(3, 2, invalid), dist(4, 1, valid)
+		rt.execute(b)
+		if b.Calls[1].Err == nil {
+			t.Error("get_next_dist on an unwritten embed succeeded")
+		}
+		if after := get(b.Calls[2]); unsafe.SliceData(after) != unsafe.SliceData(other) {
+			t.Error("a failed call in the batch moved its neighbour's window")
+		}
+		if len(x) != topK || cap(x) != topK {
+			t.Fatalf("window of %d (cap %d), want %d clipped", len(x), cap(x), topK)
+		}
+		if unsafe.SliceData(x) != unsafe.SliceData(same) {
+			t.Error("the same (inst, seq) got two windows")
+		}
+		if unsafe.SliceData(x) == unsafe.SliceData(other) {
+			t.Error("another instance got the same window")
+		}
+		lo, hi := unsafe.Pointer(unsafe.SliceData(table)), unsafe.Pointer(&table[len(table)-topK])
+		if p := unsafe.Pointer(unsafe.SliceData(x)); uintptr(p) < uintptr(lo) || uintptr(p) > uintptr(hi) {
+			t.Error("window lies outside the shared table")
+		}
+		grown := append(x, 1)
+		grown[0] = -1
+		if x[0] == -1 || !slices.Equal(table, before) {
+			t.Error("append on a window wrote into the shared table")
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSampledTokensShareOneSlab: the token lists a timing-mode batch of
+// sampled forwards hands out are the caller's to keep, cut from one
+// allocation and each clipped to its own length.
+func TestSampledTokensShareOneSlab(t *testing.T) {
+	rt := testRuntime(ExecTiming)
+	clock := sim.NewClock()
 	fused := func(seq uint64, outs int) *Call {
 		c := &Call{Op: OpForward, Model: rt, Inst: 5, Seq: seq, Sample: &SampleSpec{}, FusedTok: sim.NewFuture[[]int](clock),
 			FusedEmb: make([]int, outs), FusedPos: make([]int, outs)}
@@ -174,37 +236,19 @@ func TestBatchTokensShareOneSlab(t *testing.T) {
 		return c
 	}
 	clock.Go("p", func() {
-		dists := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{dist(1, valid), dist(2, invalid), dist(3, valid)}}
-		rt.execute(dists)
-		if dists.Calls[1].Err == nil {
-			t.Error("get_next_dist on an unwritten embed succeeded")
-		}
-		a, _ := dists.Calls[0].DistFut.Get()
-		b, _ := dists.Calls[2].DistFut.Get()
-		if len(a.Tokens) != topK || cap(a.Tokens) != topK || len(b.Tokens) != topK {
-			t.Fatalf("token lists of %d (cap %d) and %d, want %d clipped", len(a.Tokens), cap(a.Tokens), len(b.Tokens), topK)
-		}
-		if !adjacent(a.Tokens, b.Tokens) {
-			t.Error("two calls of one batch got token lists from different allocations")
-		}
-		for i, c := range []*Call{dists.Calls[0], dists.Calls[2]} {
-			alone := dist(c.Seq, valid)
-			if err := rt.executeCall(alone); err != nil {
-				t.Fatal(err)
-			}
-			want, _ := alone.DistFut.Get()
-			got, _ := c.DistFut.Get()
-			if !slices.Equal(got.Tokens, want.Tokens) {
-				t.Errorf("call %d: batched tokens differ from the call executed alone", i)
-			}
-		}
-
 		fwd := &Batch{Op: OpForward, Model: rt, Calls: []*Call{fused(4, 2), fused(5, 3)}}
 		rt.execute(fwd)
 		x, _ := fwd.Calls[0].FusedTok.Get()
 		y, _ := fwd.Calls[1].FusedTok.Get()
 		if len(x) != 2 || cap(x) != 2 || len(y) != 3 || !adjacent(x, y) {
 			t.Errorf("fused sampling handed out %d (cap %d) and %d tokens, want 2 and 3 from one slab", len(x), cap(x), len(y))
+		}
+		alone := fused(5, 3)
+		if err := rt.executeCall(alone); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := alone.FusedTok.Get(); !slices.Equal(y, want) {
+			t.Error("batched tokens differ from the call executed alone")
 		}
 	})
 	if err := clock.Run(); err != nil {
@@ -263,3 +307,37 @@ func TestOpControlSide(t *testing.T) {
 		t.Fatal("op names wrong")
 	}
 }
+
+// BenchmarkNextDistTiming is one timing-mode get_next_dist executed by the
+// runtime, at three TopK: a hash and a slice of the shared table, so the cost
+// does not depend on TopK and nothing is allocated.
+func BenchmarkNextDistTiming(b *testing.B) {
+	cat := model.StandardCatalog(42)
+	for _, topK := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("topk%d", topK), func(b *testing.B) {
+			cfg := cat.Models["llama-1b"].Config()
+			cfg.TopK = topK
+			rt := NewModelRuntime(model.New(cfg, cat.Tokenizer), ExecTiming)
+			slot := rt.Embed(0)
+			slot.Valid = true
+			clock := sim.NewClock()
+			blank := sim.NewFuture[DistResult](clock)
+			c := &Call{Op: OpNextDist, Model: rt, Inst: 3, DistOf: slot, DistFut: sim.NewFuture[DistResult](clock)}
+			var sum int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				*c.DistFut = *blank // an unresolved future again
+				c.Seq = uint64(n)
+				if err := rt.executeCall(c); err != nil {
+					b.Fatal(err)
+				}
+				d, _ := c.DistFut.Get()
+				sum += d.Tokens[0] + len(d.Tokens)
+			}
+			sink = sum
+		})
+	}
+}
+
+var sink int

@@ -3,6 +3,7 @@ package infer
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"pie/api"
 	"pie/internal/gpu"
@@ -39,12 +40,15 @@ type ModelRuntime struct {
 	fused     []model.EmbedSlot // fusedSlots' backing, with one pointer each
 	fusedPtrs []*model.EmbedSlot
 
-	// Timing mode's stand-in distribution: the token hash's modulus with
-	// its reciprocal, and the TopK halving probabilities every call shares.
+	// Timing mode's stand-in distribution: every call's Tokens is a TopK
+	// window of one read-only table and every call's Probs the same TopK
+	// halving probabilities. pseudo is the token hash's modulus with its
+	// reciprocal, for sampled forwards, whose results the caller keeps.
 	pseudo      pseudoMod
+	pseudoToks  []int
 	pseudoProbs []float32
 	// slab is what is left of the one allocation the executing batch's
-	// timing-mode token lists are cut from (tokens).
+	// timing-mode sampled tokens are cut from (tokens).
 	slab []int
 }
 
@@ -66,11 +70,16 @@ func NewModelRuntime(m *model.Model, mode ExecMode) *ModelRuntime {
 		pseudoProbs[i] = mass
 		mass *= 0.5
 	}
+	var pseudoToks []int
+	if mode == ExecTiming {
+		pseudoToks = pseudoTable(m.VocabSize())
+	}
 	return &ModelRuntime{
 		Model:       m,
 		Spec:        spec,
 		Mode:        mode,
 		pseudo:      newPseudoMod(m.VocabSize()),
+		pseudoToks:  pseudoToks,
 		pseudoProbs: pseudoProbs,
 		Info: api.ModelInfo{
 			ID:        api.ModelID(m.Config().Name),
@@ -122,18 +131,13 @@ func (rt *ModelRuntime) Embed(id int32) *model.EmbedSlot {
 
 // execute runs the functional side of a batch, call by call in order.
 func (rt *ModelRuntime) execute(b *Batch) {
-	if rt.Mode == ExecTiming {
-		// Timing mode hands every sampling call a token list it keeps: one
+	if rt.Mode == ExecTiming && b.Op == OpForward {
+		// Timing mode hands every sampled forward a token list it keeps: one
 		// allocation serves the batch.
 		n := 0
-		switch b.Op {
-		case OpNextDist:
-			n = len(b.Calls) * len(rt.pseudoProbs)
-		case OpForward:
-			for _, c := range b.Calls {
-				if c.Sample != nil {
-					n += len(c.Outputs)
-				}
+		for _, c := range b.Calls {
+			if c.Sample != nil {
+				n += len(c.Outputs)
 			}
 		}
 		rt.slab = make([]int, n)
@@ -346,15 +350,13 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 	}
 	// Timing mode: a deterministic pseudo-distribution. Scripted workloads
 	// ignore its content; its shape (TopK entries) keeps transfer costs
-	// honest.
-	toks := rt.tokens(len(rt.pseudoProbs))
-	base := pseudoBase(c.Inst, c.Seq)
-	for i := range toks {
-		toks[i] = rt.pseudo.token(base, i)
-	}
-	// Every timing-mode distribution has the same probabilities: one
-	// read-only slice serves them all (api.Dist).
-	c.DistFut.Resolve(DistResult{Tokens: toks, Probs: rt.pseudoProbs})
+	// honest. The tokens are a window of the shared table at an offset
+	// hashed from (inst, seq), clipped so an append cannot write into the
+	// table; every distribution has the same probabilities. Both are
+	// read-only (api.Dist).
+	k := len(rt.pseudoProbs)
+	off := mix64(pseudoBase(c.Inst, c.Seq)) % uint64(len(rt.pseudoToks)-k+1)
+	c.DistFut.Resolve(DistResult{Tokens: rt.pseudoToks[off : off+uint64(k) : off+uint64(k)], Probs: rt.pseudoProbs})
 	return nil
 }
 
@@ -414,11 +416,46 @@ func pseudoBase(inst, seq uint64) uint64 {
 }
 
 func (p pseudoMod) token(base uint64, i int) int {
-	x := base ^ uint64(i)*0xCA5A826395121157
+	return 4 + int(p.rem(mix64(base^uint64(i)*0xCA5A826395121157)))
+}
+
+func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xFF51AFD7ED558CCD
 	x ^= x >> 33
-	return 4 + int(p.rem(x))
+	return x
+}
+
+// pseudoTableLen is the length of the stand-in token table get_next_dist
+// windows are cut from: room for 8 192 − TopK + 1 distinct distributions,
+// small enough that building it does not show in an engine's set-up time.
+const pseudoTableLen = 8192
+
+// pseudoTables memoizes pseudoTable: the tables are immutable and the same
+// for every runtime of a vocabulary size, so a process builds each once.
+var pseudoTables struct {
+	sync.Mutex
+	byVocab map[int][]int
+}
+
+// pseudoTable returns the shared stand-in token table for a vocabulary size.
+// Nothing may write to it.
+func pseudoTable(vocab int) []int {
+	pseudoTables.Lock()
+	defer pseudoTables.Unlock()
+	if t, ok := pseudoTables.byVocab[vocab]; ok {
+		return t
+	}
+	p := newPseudoMod(vocab)
+	t := make([]int, pseudoTableLen)
+	for i := range t {
+		t[i] = p.token(0, i)
+	}
+	if pseudoTables.byVocab == nil {
+		pseudoTables.byVocab = map[int][]int{}
+	}
+	pseudoTables.byVocab[vocab] = t
+	return t
 }
 
 // rem is x % p.d.
