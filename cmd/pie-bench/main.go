@@ -8,6 +8,8 @@
 //	pie-bench -exp fig7,slo    # selected experiments (-exp is the only selector)
 //	pie-bench -seed 7          # different deterministic seed
 //	pie-bench -json            # also write BENCH_sim.json (perf trajectory)
+//	pie-bench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
+//	                           # host profiles of the run, for `go tool pprof`
 //
 // The -json report records, per experiment and in total, the wall time,
 // the number of virtual events processed, and events/sec — the headline
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -38,7 +41,10 @@ func main() {
 	exps := flag.String("exp", "all", "comma-separated experiment ids (table2,fig6,fig7,fig8,fig9,fig10,fig11,table3,table4,table5,cluster,offload,coldstart,faults,slo,pd,scale,fleet)")
 	jsonOut := flag.Bool("json", false, "write BENCH_sim.json with wall time and events/sec per experiment")
 	jsonPath := flag.String("json-out", defaultJSONPath, "path for the -json report (implies -json)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	// An explicit output path means the user wants the report, -json or not.
 	writeReport := *jsonOut
 	flag.Visit(func(f *flag.Flag) {
@@ -187,6 +193,7 @@ func main() {
 	run("scale", scaleRun(o))
 	run("fleet", fleetRun(o))
 
+	stopProfiles()
 	if len(rep.Experiments) == 0 {
 		fmt.Fprintln(os.Stderr, "no experiments selected")
 		os.Exit(2)
@@ -210,6 +217,47 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
+	}
+}
+
+// startProfiles begins the CPU profile (when cpuPath is set) and returns the
+// function that ends it and writes the allocation profile (when memPath is
+// set): what `go test -cpuprofile -memprofile` records, for a whole run.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	create := func(path string) *os.File {
+		f, err := os.Create(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pie-bench:", err)
+			os.Exit(1)
+		}
+		return f
+	}
+	finish := func(f *os.File, err error) {
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pie-bench: write profile:", err)
+			os.Exit(1)
+		}
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		cpu = create(cpuPath)
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			finish(cpu, err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			finish(cpu, nil)
+		}
+		if memPath != "" {
+			f := create(memPath)
+			runtime.GC() // materialize all statistics
+			finish(f, pprof.Lookup("allocs").WriteTo(f, 0))
+		}
 	}
 }
 

@@ -431,31 +431,24 @@ func mix64(x uint64) uint64 {
 // small enough that building it does not show in an engine's set-up time.
 const pseudoTableLen = 8192
 
-// pseudoTables memoizes pseudoTable: the tables are immutable and the same
-// for every runtime of a vocabulary size, so a process builds each once.
-var pseudoTables struct {
-	sync.Mutex
-	byVocab map[int][]int
-}
+// pseudoTables memoizes pseudoTable by vocabulary size: the tables are
+// immutable and the same for every runtime of a size, so a process builds
+// each once (twice if two engines race to be first; one is kept).
+var pseudoTables sync.Map
 
 // pseudoTable returns the shared stand-in token table for a vocabulary size.
 // Nothing may write to it.
 func pseudoTable(vocab int) []int {
-	pseudoTables.Lock()
-	defer pseudoTables.Unlock()
-	if t, ok := pseudoTables.byVocab[vocab]; ok {
-		return t
+	if t, ok := pseudoTables.Load(vocab); ok {
+		return t.([]int)
 	}
 	p := newPseudoMod(vocab)
 	t := make([]int, pseudoTableLen)
 	for i := range t {
 		t[i] = p.token(0, i)
 	}
-	if pseudoTables.byVocab == nil {
-		pseudoTables.byVocab = map[int][]int{}
-	}
-	pseudoTables.byVocab[vocab] = t
-	return t
+	kept, _ := pseudoTables.LoadOrStore(vocab, t)
+	return kept.([]int)
 }
 
 // rem is x % p.d.
