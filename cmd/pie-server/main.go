@@ -32,7 +32,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -93,11 +95,34 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
+// servePprof serves net/http/pprof, and nothing else, on its own listener
+// at addr (-pprof): the API mux never routes /debug/. The listener is
+// returned so the caller can read the bound address and close it.
+func servePprof(addr string) (net.Listener, error) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	go func() {
+		// Serve returns when ln is closed; a profile may stream for
+		// minutes, so there is no write timeout here either.
+		_ = (&http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}).Serve(ln)
+	}()
+	return ln, nil
+}
+
 // serverOptions is everything buildConfig decides: the engine config plus
 // the server-level knobs (listen address, fleet-manifest path, validate
 // mode).
 type serverOptions struct {
 	Addr       string
+	Pprof      string // listen address of the profiling endpoint ("" = none)
 	Cfg        pie.Config
 	ConfigPath string // fleet manifest the engine was built from ("" = one default replica)
 	Validate   bool   // parse/validate the manifest and exit
@@ -118,6 +143,7 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	fail := func(err error) (serverOptions, error) { return serverOptions{}, err }
 	addrFlag := fs.String("addr", ":8080", "listen address")
 	configPath := fs.String("config", "", "fleet manifest path: pools, variants, roles, placement, classes, scaler, KV policy, seed (empty: one default replica)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address, on its own listener (empty: no profiling endpoint)")
 	validate := fs.Bool("validate", false, "with -config: parse and validate the manifest, report, and exit")
 	handoffBudget := fs.Int("handoff-budget", 0, "max concurrent prefill->decode KV transfers (0: default)")
 	artCache := fs.Int64("artifact-cache", 0, "per-replica warm-artifact cache capacity in bytes (0: device default, <0: unbounded)")
@@ -171,7 +197,7 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	if *retryAttempts > 1 {
 		cfg.DefaultRetry = pie.RetryPolicy{MaxAttempts: *retryAttempts, Budget: *retryBudget}
 	}
-	return serverOptions{Addr: *addrFlag, Cfg: cfg, ConfigPath: *configPath, Validate: *validate}, nil
+	return serverOptions{Addr: *addrFlag, Pprof: *pprofAddr, Cfg: cfg, ConfigPath: *configPath, Validate: *validate}, nil
 }
 
 func main() {
@@ -203,6 +229,13 @@ func main() {
 				}
 			}
 		}()
+	}
+	if opts.Pprof != "" {
+		ln, err := servePprof(opts.Pprof)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
 	}
 	log.Printf("pie-server listening on %s (%v)", opts.Addr, s.engine)
 	log.Fatal(s.httpServer(opts.Addr).ListenAndServe())

@@ -241,7 +241,7 @@ func TestErrorPaths(t *testing.T) {
 func TestOneWireSurface(t *testing.T) {
 	_, ts := startTestServer(t, pie.Config{Seed: 7})
 
-	for _, path := range []string{"/launch", "/send", "/recv", "/wait", "/close", "/abort", "/stream", "/stats", "/programs", "/fleet"} {
+	for _, path := range []string{"/launch", "/send", "/recv", "/wait", "/close", "/abort", "/stream", "/stats", "/programs", "/fleet", "/debug/pprof/"} {
 		if resp := getJSON(t, ts.URL+path, nil); resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
@@ -263,6 +263,37 @@ func TestOneWireSurface(t *testing.T) {
 	}
 	if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code != "invalid_argument" {
 		t.Fatalf("?program= launch: error body %s, want invalid_argument", blob)
+	}
+}
+
+// TestPprofFlagServesItsOwnListener: -pprof starts a listener that serves the
+// profiles and none of the API (TestOneWireSurface has the other half: the
+// API mux answers 404 on /debug/pprof/).
+func TestPprofFlagServesItsOwnListener(t *testing.T) {
+	opts, err := buildConfig(flag.NewFlagSet("test", flag.ContinueOnError), []string{"-pprof", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := servePprof(opts.Pprof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	base := "http://" + ln.Addr().String()
+	resp, err := http.Get(base + "/debug/pprof/goroutine?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(blob), "goroutine profile:") {
+		t.Fatalf("GET /debug/pprof/goroutine: status %d, body %.80q", resp.StatusCode, blob)
+	}
+	if resp := getJSON(t, base+"/v1/stats", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("the pprof listener answers /v1/stats with %d, want 404", resp.StatusCode)
+	}
+	if _, err := servePprof(ln.Addr().String()); err == nil {
+		t.Error("a second listener on the same address started")
 	}
 }
 

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -234,5 +235,80 @@ func TestGoldenBits(t *testing.T) {
 	}
 	if len(golden) != len(cat.Names())*len(goldenScenarios()) {
 		t.Errorf("golden has %d entries for %d scenarios", len(golden), len(cat.Names())*len(goldenScenarios()))
+	}
+}
+
+// TestLastLayerPruningKeepsBits checks the last layer's shortcut against the
+// call that cannot take it: with n output slots every token runs the whole
+// layer. Whatever len(outEmb) is, the KV written and the outputs that are
+// asked for must be those bits. All cases share one poisoned Scratch, so a
+// row the pruned pass skipped and then read would be NaN.
+func TestLastLayerPruningKeepsBits(t *testing.T) {
+	cat := StandardCatalog(42)
+	r := rand.New(rand.NewSource(22))
+	s := new(Scratch)
+	for trial := 0; trial < 48; trial++ {
+		m := cat.Models[cat.Names()[trial%3]]
+		adapter := []string{"", "chat"}[trial/3%2]
+		explicit := trial/6%2 == 1
+		n := 1 + r.Intn(40)
+		randIDs := func(n int) []int {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = r.Intn(m.VocabSize())
+			}
+			return ids
+		}
+		ctx := newPages(m, r.Intn(5))
+		nc := 0
+		if len(ctx) > 0 {
+			nc = 1 + r.Intn(len(ctx)*m.cfg.PageSize)
+			if _, err := m.ForwardScratch(s, nil, embedPrompt(t, m, randIDs(nc), 0), ctx, nil, nil, adapter); err != nil {
+				t.Fatal(err)
+			}
+			s.poison()
+		}
+		in := embedPrompt(t, m, randIDs(n), nc)
+		var mask [][]bool
+		if explicit {
+			mask = make([][]bool, n)
+			for i := range mask {
+				mask[i] = make([]bool, nc+n)
+				for c := range mask[i] {
+					mask[i][c] = r.Intn(3) != 0
+				}
+			}
+		}
+		// run returns the hash of the KV pages a call with nOut output
+		// slots wrote, and its outputs.
+		run := func(nOut int) (uint64, [][]float32) {
+			outKv, outs := newPages(m, 3), make([]*EmbedSlot, nOut)
+			for i := range outs {
+				outs[i] = m.NewEmbedSlot()
+			}
+			res, err := m.ForwardScratch(s, ctx, in, outKv, outs, mask, adapter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.poison()
+			h := newBitHash()
+			h.pages(outKv)
+			return h.h, res.Outputs
+		}
+		wantKv, wantOut := run(n)
+		for _, nOut := range []int{0, 1, 1 + r.Intn(n), n} {
+			gotKv, gotOut := run(nOut)
+			if gotKv != wantKv {
+				t.Fatalf("trial %d (n=%d, ctx=%d, mask=%v, adapter=%q): %d output slots wrote KV %#x, %d slots %#x", trial, n, nc, explicit, adapter, nOut, gotKv, n, wantKv)
+			}
+			for i, out := range gotOut {
+				want := wantOut[n-nOut+i]
+				for j := range out {
+					if math.Float32bits(out[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("trial %d (n=%d, ctx=%d, mask=%v, adapter=%q): output %d of %d differs at element %d", trial, n, nc, explicit, adapter, i, nOut, j)
+					}
+				}
+			}
+		}
 	}
 }

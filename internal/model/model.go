@@ -50,9 +50,9 @@ func (c Config) Validate() error {
 }
 
 type layer struct {
-	wq, wk, wv, wo []float32 // Dim x Dim
-	w1, w3         []float32 // FFDim x Dim (gate, up)
-	w2             []float32 // Dim x FFDim
+	wq, wk, wv, wo *tensor.Matrix // Dim x Dim
+	w1, w3         *tensor.Matrix // FFDim x Dim (gate, up)
+	w2             *tensor.Matrix // Dim x FFDim
 	norm1, norm2   []float32
 }
 
@@ -65,7 +65,7 @@ type Adapter struct {
 	seed  uint64
 	once  sync.Once
 	// per layer: aq,bq and av,bv with shapes Rank x Dim and Dim x Rank.
-	aq, bq, av, bv [][]float32
+	aq, bq, av, bv []*tensor.Matrix
 }
 
 // Model is an immutable set of weights plus the shared tokenizer. The
@@ -76,7 +76,8 @@ type Model struct {
 	cfg      Config
 	tok      *tokenizer.Tokenizer
 	once     sync.Once
-	embed    []float32 // vocab x dim, tied with the output head
+	embed    []float32      // vocab x dim: EmbedTokens' row lookups
+	head     *tensor.Matrix // the same weights as the (tied) output head
 	layers   []layer
 	normF    []float32
 	adapters map[string]*Adapter
@@ -90,14 +91,19 @@ func New(cfg Config, tok *tokenizer.Tokenizer) *Model {
 	return &Model{cfg: cfg, tok: tok, adapters: make(map[string]*Adapter)}
 }
 
-// randMat draws a rows x cols matrix of N(0, 1/dim) weights from r.
-func (c Config) randMat(r *sim.RNG, rows, cols int) []float32 {
+// randWeights draws rows x cols row-major N(0, 1/dim) weights from r.
+func (c Config) randWeights(r *sim.RNG, rows, cols int) []float32 {
 	scale := 1 / math.Sqrt(float64(c.Dim))
 	w := make([]float32, rows*cols)
 	for i := range w {
 		w[i] = float32(r.NormFloat64() * scale)
 	}
 	return w
+}
+
+// randMat is randWeights laid out for the machine's MatMul kernel.
+func (c Config) randMat(r *sim.RNG, rows, cols int) *tensor.Matrix {
+	return tensor.NewMatrix(c.randWeights(r, rows, cols), rows, cols)
 }
 
 // ensureWeights generates the model's weights, and a's when an adapter is
@@ -113,7 +119,8 @@ func (m *Model) ensureWeights(a *Adapter) {
 			}
 			return w
 		}
-		m.embed = cfg.randMat(r, m.VocabSize(), cfg.Dim)
+		m.embed = cfg.randWeights(r, m.VocabSize(), cfg.Dim)
+		m.head = tensor.NewMatrix(m.embed, m.VocabSize(), cfg.Dim)
 		m.normF = ones(cfg.Dim)
 		for l := 0; l < cfg.Layers; l++ {
 			m.layers = append(m.layers, layer{
@@ -394,8 +401,9 @@ func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, out
 //
 // Every token's arithmetic is the sequence Forward has always run: the
 // pass is only regrouped so that each weight matrix meets all n tokens at
-// once, each token is normalised once per layer, and the visible-column
-// lists and RoPE angles are worked out once per call.
+// once, each token is normalised once per layer, the visible-column lists
+// and RoPE angles are worked out once per call, and the last layer stops
+// after the keys and values for tokens that have no output slot.
 func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) (*ForwardResult, error) {
 	n := len(inputs)
 	if n == 0 {
@@ -493,29 +501,45 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 	for i, in := range inputs {
 		copy(h[i*d:(i+1)*d], in.Vec)
 	}
-	norm := func(w []float32) {
-		for i := 0; i < n; i++ {
+	// norm normalises the residual stream of tokens from.. into xn.
+	norm := func(w []float32, from int) {
+		for i := from; i < n; i++ {
 			tensor.RMSNorm(h[i*d:(i+1)*d], w, xn[i*d:(i+1)*d], 1e-5)
 		}
 	}
 	invSqrt := 1 / float32(math.Sqrt(float64(hd)))
+	first := n - len(outEmb) // the first token whose output is read
 
 	for l := 0; l < L; l++ {
 		lw := &m.layers[l]
 		k, v := s.k[l*n*d:(l+1)*n*d], s.v[l*n*d:(l+1)*n*d]
-		norm(lw.norm1)
-		tensor.MatMul(lw.wq, d, d, xn, n, s.q)
-		tensor.MatMul(lw.wk, d, d, xn, n, k)
-		tensor.MatMul(lw.wv, d, d, xn, n, v)
+		// Every token's key and value are persisted and attended to, but
+		// past them a layer only feeds the next one: the last layer skips
+		// the query, attention and MLP of a token whose output nobody
+		// reads. Tokens from.. get the whole layer.
+		from := 0
+		if l == L-1 {
+			from = first
+		}
+		nq := n - from
+		norm(lw.norm1, 0)
+		lw.wq.Mul(xn[from*d:], nq, s.q[from*d:])
+		lw.wk.Mul(xn, n, k)
+		lw.wv.Mul(xn, n, v)
 		for i := 0; i < n; i++ {
 			lo, hi := i*d, (i+1)*d
+			sin, cos := s.sin[i*half:(i+1)*half], s.cos[i*half:(i+1)*half]
 			if adapter != nil {
-				s.applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn[lo:hi], s.q[lo:hi])
 				s.applyLoRA(adapter.av[l], adapter.bv[l], adapter.Rank, adapter.Scale, xn[lo:hi], v[lo:hi])
 			}
-			sin, cos := s.sin[i*half:(i+1)*half], s.cos[i*half:(i+1)*half]
-			tensor.Rope(s.q[lo:hi], sin, cos)
 			tensor.Rope(k[lo:hi], sin, cos) // keys are stored post-RoPE
+			if i < from {
+				continue
+			}
+			if adapter != nil {
+				s.applyLoRA(adapter.aq[l], adapter.bq[l], adapter.Rank, adapter.Scale, xn[lo:hi], s.q[lo:hi])
+			}
+			tensor.Rope(s.q[lo:hi], sin, cos)
 		}
 		for c, r := range refs {
 			s.kcols[c] = r.page.K[r.slot][l*d : (l+1)*d]
@@ -528,6 +552,9 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 		for i := 0; i < n; i++ {
 			vis := s.vis[start:s.visEnd[i]]
 			start = s.visEnd[i]
+			if i < from {
+				continue
+			}
 			scores := s.scores[:len(vis)]
 			for hh := 0; hh < heads; hh++ {
 				off := hh * hd
@@ -536,18 +563,19 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 				tensor.GatherAxpy(s.vcols, vis, off, scores, s.attn[i*d+off:][:hd])
 			}
 		}
-		tensor.MatMul(lw.wo, d, d, s.attn, n, s.proj)
-		tensor.AddInPlace(h, s.proj)
+		lw.wo.Mul(s.attn[from*d:], nq, s.proj[from*d:])
+		tensor.AddInPlace(h[from*d:], s.proj[from*d:])
 		// MLP (SwiGLU).
-		norm(lw.norm2)
-		tensor.MatMul(lw.w1, ff, d, xn, n, s.ff1)
-		tensor.MatMul(lw.w3, ff, d, xn, n, s.ff3)
-		tensor.SiLU(s.ff1)
-		for j, up := range s.ff3 {
-			s.ff1[j] *= up
+		norm(lw.norm2, from)
+		ff1, ff3 := s.ff1[from*ff:], s.ff3[from*ff:]
+		lw.w1.Mul(xn[from*d:], nq, ff1)
+		lw.w3.Mul(xn[from*d:], nq, ff3)
+		tensor.SiLU(ff1)
+		for j, up := range ff3 {
+			ff1[j] *= up
 		}
-		tensor.MatMul(lw.w2, d, ff, s.ff1, n, s.proj)
-		tensor.AddInPlace(h, s.proj)
+		lw.w2.Mul(ff1, nq, s.proj[from*d:])
+		tensor.AddInPlace(h[from*d:], s.proj[from*d:])
 	}
 
 	// Persist KV.
@@ -562,7 +590,6 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 
 	// Final norm on the last len(outEmb) tokens.
 	res := &ForwardResult{Outputs: make([][]float32, len(outEmb))}
-	first := n - len(outEmb)
 	for i, slot := range outEmb {
 		tensor.RMSNorm(h[(first+i)*d:][:d], m.normF, slot.Vec, 1e-5)
 		slot.Pos = inputs[first+i].Pos
@@ -573,12 +600,12 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 }
 
 // applyLoRA adds scale · B·(A·x) to dst.
-func (s *Scratch) applyLoRA(a, b []float32, rank int, scale float32, x, dst []float32) {
+func (s *Scratch) applyLoRA(a, b *tensor.Matrix, rank int, scale float32, x, dst []float32) {
 	s.low, s.delta = grow(s.low, rank), grow(s.delta, len(dst))
-	tensor.MatVec(a, rank, len(x), x, s.low)
-	tensor.MatVec(b, len(dst), rank, s.low, s.delta)
+	a.Mul(x, 1, s.low)
+	b.Mul(s.low, 1, s.delta)
 	for r, dv := range s.delta {
-		dst[r] += scale * dv
+		dst[r] += float32(scale * dv)
 	}
 }
 
@@ -586,7 +613,7 @@ func (s *Scratch) applyLoRA(a, b []float32, rank int, scale float32, x, dst []fl
 // holds VocabSize elements.
 func (m *Model) Logits(hidden, out []float32) {
 	m.ensureWeights(nil)
-	tensor.MatVec(m.embed, m.VocabSize(), m.cfg.Dim, hidden, out)
+	m.head.Mul(hidden, 1, out)
 }
 
 // NextDist computes the top-K next-token distribution for an output

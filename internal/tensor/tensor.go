@@ -1,11 +1,20 @@
 // Package tensor provides the small float32 linear-algebra kernels used by
-// the functional transformer model. Matrices are flat row-major slices.
+// the functional transformer model. Matrices are flat row-major slices,
+// except weights, which sit behind Matrix in whatever layout the machine's
+// kernel wants.
 //
-// The kernels are blocked for instruction-level parallelism only: several
-// output elements are accumulated side by side, but every one of them is
-// still summed in index order from zero, so each result is bit-identical
-// to the one-accumulator loop it replaces (kept in the tests as the
-// oracle). Nothing here reassociates a floating-point sum.
+// Every kernel computes each output element as the one-accumulator loop
+// would (kept in the tests as the oracle): products rounded to float32,
+// then summed in index order from zero. The Go kernels are blocked for
+// instruction-level parallelism, several output elements side by side;
+// Matrix.Mul on amd64 with AVX2 runs 32 of them in vector lanes
+// (matrix_amd64.s). Lanes are independent sums, so neither reassociates a
+// floating-point sum, and no multiply is fused with its add: a product is
+// written float32(a * b), the conversion the language forbids fusing
+// across, and the assembly has no FMA. The kernels' sums are therefore the
+// same bits on both Matrix paths and on every architecture (math.Exp and
+// math.Sincos are the standard library's to keep). Build with -tags purego
+// to leave the assembly out.
 package tensor
 
 import "math"
@@ -32,10 +41,10 @@ func MatMul(w []float32, rows, cols int, x []float32, n int, out []float32) {
 			w3 := w[(r+3)*cols:][:len(xt)]
 			var s0, s1, s2, s3 float32
 			for c, xv := range xt {
-				s0 += w0[c] * xv
-				s1 += w1[c] * xv
-				s2 += w2[c] * xv
-				s3 += w3[c] * xv
+				s0 += float32(w0[c] * xv)
+				s1 += float32(w1[c] * xv)
+				s2 += float32(w2[c] * xv)
+				s3 += float32(w3[c] * xv)
 			}
 			o := out[t*rows+r:][:4]
 			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
@@ -56,7 +65,7 @@ func Dot(a, b []float32) float32 {
 	}
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -74,10 +83,10 @@ func GatherDot(rows [][]float32, idx []int32, off int, x []float32, scale float3
 		k3 := rows[idx[j+3]][off:][:len(x)]
 		var s0, s1, s2, s3 float32
 		for c, xv := range x {
-			s0 += xv * k0[c]
-			s1 += xv * k1[c]
-			s2 += xv * k2[c]
-			s3 += xv * k3[c]
+			s0 += float32(xv * k0[c])
+			s1 += float32(xv * k1[c])
+			s2 += float32(xv * k2[c])
+			s3 += float32(xv * k3[c])
 		}
 		o := out[j:][:4]
 		o[0], o[1], o[2], o[3] = s0*scale, s1*scale, s2*scale, s3*scale
@@ -104,10 +113,10 @@ func GatherAxpy(rows [][]float32, idx []int32, off int, wts, out []float32) {
 		v3 := rows[idx[j+3]][off:][:len(out)]
 		a0, a1, a2, a3 := wts[j], wts[j+1], wts[j+2], wts[j+3]
 		for i, o := range out {
-			o += a0 * v0[i]
-			o += a1 * v1[i]
-			o += a2 * v2[i]
-			o += a3 * v3[i]
+			o += float32(a0 * v0[i])
+			o += float32(a1 * v1[i])
+			o += float32(a2 * v2[i])
+			o += float32(a3 * v3[i])
 			out[i] = o
 		}
 	}
@@ -115,7 +124,7 @@ func GatherAxpy(rows [][]float32, idx []int32, off int, wts, out []float32) {
 		v := rows[idx[j]][off:][:len(out)]
 		a := wts[j]
 		for i := range out {
-			out[i] += a * v[i]
+			out[i] += float32(a * v[i])
 		}
 	}
 }
@@ -132,7 +141,7 @@ func AddInPlace(dst, src []float32) {
 func RMSNorm(x, weight, out []float32, eps float32) {
 	var ss float32
 	for _, v := range x {
-		ss += v * v
+		ss += float32(v * v)
 	}
 	inv := 1 / float32(math.Sqrt(float64(ss/float32(len(x))+eps)))
 	weight, out = weight[:len(x)], out[:len(x)]
@@ -203,8 +212,8 @@ func Rope(v, sin, cos []float32) {
 		for i, s := range sin {
 			c := cos[i]
 			a, b := head[2*i], head[2*i+1]
-			head[2*i] = a*c - b*s
-			head[2*i+1] = a*s + b*c
+			head[2*i] = float32(a*c) - float32(b*s)
+			head[2*i+1] = float32(a*s) + float32(b*c)
 		}
 	}
 }

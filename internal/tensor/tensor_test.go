@@ -115,6 +115,77 @@ func TestMatMulPanicsOnMismatch(t *testing.T) {
 	MatVec(make([]float32, 4), 2, 2, make([]float32, 3), make([]float32, 2))
 }
 
+// eachKernel runs f on every path a Matrix can take on this machine: the
+// portable kernel always, the vector kernel when the CPU has it.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	have := vector
+	defer func() { vector = have }()
+	vector = false
+	t.Run("portable", f)
+	if have {
+		vector = true
+		t.Run("vector", f)
+	}
+}
+
+// Every panel remainder, columns around the accumulator width and none at
+// all, and more vectors than one. out is the front of a larger buffer: a
+// kernel that stores a whole panel where part of one fits shows in the rest.
+func TestMatrixMulMatchesNaive(t *testing.T) {
+	var rowsList []int
+	for rows := 1; rows <= 70; rows++ {
+		rowsList = append(rowsList, rows)
+	}
+	rowsList = append(rowsList, 127, 128, 129, 1137)
+	poison := float32(math.NaN())
+	eachKernel(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(6))
+		for _, rows := range rowsList {
+			for _, cols := range []int{0, 1, 3, 4, 63, 64, 65, 128} {
+				w := randVec(r, rows*cols)
+				m := NewMatrix(append([]float32(nil), w...), rows, cols)
+				for n := 1; n <= 3; n++ {
+					x := randVec(r, n*cols)
+					buf, want := make([]float32, n*rows+2*panelRows), make([]float32, n*rows)
+					for i := range buf {
+						buf[i] = poison
+					}
+					m.Mul(x, n, buf[:n*rows])
+					for i := 0; i < n; i++ {
+						naiveMatVec(w, rows, cols, x[i*cols:(i+1)*cols], want[i*rows:(i+1)*rows])
+					}
+					sameBits(t, "Matrix.Mul", buf[:n*rows], want)
+					for i, v := range buf[n*rows:] {
+						if v == v {
+							t.Fatalf("%dx%d, n=%d: Mul wrote %v %d floats past out", rows, cols, n, v, i)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestMatrixPanicsOnMismatch(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		m := NewMatrix(make([]float32, 6), 2, 3)
+		for name, f := range map[string]func(){
+			"weights": func() { NewMatrix(make([]float32, 5), 2, 3) },
+			"input":   func() { m.Mul(make([]float32, 4), 1, make([]float32, 2)) },
+			"output":  func() { m.Mul(make([]float32, 6), 2, make([]float32, 3)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic on a dimension mismatch", name)
+					}
+				}()
+				f()
+			}()
+		}
+	})
+}
+
 // Attention's gathered kernels against the per-column Dot and the
 // per-column accumulate they replace, over every remainder of four.
 func TestGatherKernelsMatchNaive(t *testing.T) {
@@ -276,10 +347,10 @@ var sink float32
 
 func BenchmarkMatVec64(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	w, x, out := randVec(r, 64*64), randVec(r, 64), make([]float32, 64)
+	w, x, out := NewMatrix(randVec(r, 64*64), 64, 64), randVec(r, 64), make([]float32, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatVec(w, 64, 64, x, out)
+		w.Mul(x, 1, out)
 	}
 	sink = out[0]
 }
@@ -287,10 +358,23 @@ func BenchmarkMatVec64(b *testing.B) {
 // BenchmarkLogitsHead is the tied output projection: vocabulary x hidden.
 func BenchmarkLogitsHead(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	w, x, out := randVec(r, 1137*64), randVec(r, 64), make([]float32, 1137)
+	w, x, out := NewMatrix(randVec(r, 1137*64), 1137, 64), randVec(r, 64), make([]float32, 1137)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatVec(w, 1137, 64, x, out)
+		w.Mul(x, 1, out)
+	}
+	sink = out[0]
+}
+
+// BenchmarkCalibScalar is the one-accumulator oracle on 64 x 64: scalar code
+// no kernel work in this package can move, which scripts/microbench.sh
+// divides every other row by to cancel the speed of the machine.
+func BenchmarkCalibScalar(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	w, x, out := randVec(r, 64*64), randVec(r, 64), make([]float32, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		naiveMatVec(w, 64, 64, x, out)
 	}
 	sink = out[0]
 }
