@@ -2,7 +2,7 @@
 // against the committed baseline (BENCH_sim.json) and fails on regression.
 // CI runs it on every PR:
 //
-//	pie-bench -quick -exp cluster -json-out fresh_bench.json
+//	GOMAXPROCS=1 pie-bench -quick -json-out fresh_bench.json
 //	bench-gate -baseline BENCH_sim.json -fresh fresh_bench.json
 //
 // Two kinds of checks, with different physics:
@@ -11,7 +11,8 @@
 //     time, so same-seed same-scale runs reproduce them exactly. Any drift
 //     beyond -tol means the simulation's behavior changed: either a real
 //     regression, or an intentional change that must regenerate the
-//     committed baseline in the same PR.
+//     committed baseline in the same PR. Drift inside -tol passes, but is
+//     counted and listed: only byte-identical is "nothing moved".
 //   - events/sec is wall-clock replay speed — machine-dependent — so only
 //     a regression beyond -perf-tol fails; running faster never does.
 //
@@ -131,6 +132,100 @@ func relDiff(fresh, base float64) float64 {
 	return math.Abs(fresh-base) / denom
 }
 
+// comparison is what the deterministic checks found: violations fail the
+// gate; moved lists what differs inside its tolerance, which passes.
+type comparison struct {
+	violations, moved        []string
+	headlines, sameHeadlines int // compared, and of those equal to the bit
+	eventCounts, sameEvents  int
+}
+
+// identical is the sentence CHANGES.md entries quote.
+func (c comparison) identical() string {
+	return fmt.Sprintf("%d of %d headlines and %d of %d event counts byte-identical",
+		c.sameHeadlines, c.headlines, c.sameEvents, c.eventCounts)
+}
+
+func byID(r benchfmt.Report) map[string]benchfmt.Experiment {
+	m := map[string]benchfmt.Experiment{}
+	for _, e := range r.Experiments {
+		m[e.ID] = e
+	}
+	return m
+}
+
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// compare checks every event count and headline metric of the baseline
+// against the fresh report, then the fresh report for anything the baseline
+// lacks.
+func compare(base, fresh benchfmt.Report, tols *tolConfig, tol float64) comparison {
+	var c comparison
+	fail := func(format string, args ...any) { c.violations = append(c.violations, fmt.Sprintf(format, args...)) }
+	freshByID, baseByID := byID(fresh), byID(base)
+	for _, b := range base.Experiments {
+		f, ok := freshByID[b.ID]
+		if !ok {
+			fail("%s: experiment missing from fresh report", b.ID)
+			continue
+		}
+		c.eventCounts++
+		et := tols.forExperiment(b.ID, tol)
+		switch d := relDiff(float64(f.Events), float64(b.Events)); {
+		case f.Events == b.Events:
+			c.sameEvents++
+		case d > et:
+			fail("%s: event count drifted %.1f%% (%d -> %d, tol %.0f%%)", b.ID, d*100, b.Events, f.Events, et*100)
+		default:
+			c.moved = append(c.moved, fmt.Sprintf("%s: event count moved %.2f%% (%d -> %d, tol %.0f%%)",
+				b.ID, d*100, b.Events, f.Events, et*100))
+		}
+		for _, k := range sortedKeys(b.Headline) {
+			bv := b.Headline[k]
+			fv, ok := f.Headline[k]
+			if !ok {
+				fail("%s/%s: headline metric missing from fresh report", b.ID, k)
+				continue
+			}
+			c.headlines++
+			mt := tols.forMetric(b.ID, k, tol)
+			switch d := relDiff(fv, bv); {
+			case fv == bv:
+				c.sameHeadlines++
+			case d > mt:
+				fail("%s/%s: drifted %.1f%% (%.4g -> %.4g, tol %.0f%%)", b.ID, k, d*100, bv, fv, mt*100)
+			default:
+				c.moved = append(c.moved, fmt.Sprintf("%s/%s: moved %.2f%% (%.6g -> %.6g, tol %.0f%%)",
+					b.ID, k, d*100, bv, fv, mt*100))
+			}
+		}
+	}
+
+	// Anything present only in the fresh report means the committed
+	// baseline is stale (e.g. regenerated with an -exp subset): those
+	// metrics would silently lose regression coverage.
+	for _, f := range fresh.Experiments {
+		b, ok := baseByID[f.ID]
+		if !ok {
+			fail("%s: experiment missing from baseline (stale BENCH_sim.json — regenerate it)", f.ID)
+			continue
+		}
+		for _, k := range sortedKeys(f.Headline) {
+			if _, ok := b.Headline[k]; !ok {
+				fail("%s/%s: headline metric missing from baseline (stale BENCH_sim.json)", f.ID, k)
+			}
+		}
+	}
+	return c
+}
+
 func main() {
 	basePath := flag.String("baseline", "BENCH_sim.json", "committed baseline report")
 	freshPath := flag.String("fresh", "fresh_bench.json", "freshly generated report")
@@ -167,73 +262,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	freshByID := map[string]benchfmt.Experiment{}
-	for _, e := range fresh.Experiments {
-		freshByID[e.ID] = e
-	}
-
-	var violations []string
-	checked := 0
-	for _, b := range base.Experiments {
-		f, ok := freshByID[b.ID]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("%s: experiment missing from fresh report", b.ID))
-			continue
-		}
-		if et := tols.forExperiment(b.ID, *tol); relDiff(float64(f.Events), float64(b.Events)) > et {
-			violations = append(violations,
-				fmt.Sprintf("%s: event count drifted %.1f%% (%d -> %d, tol %.0f%%)",
-					b.ID, relDiff(float64(f.Events), float64(b.Events))*100, b.Events, f.Events, et*100))
-		}
-		keys := make([]string, 0, len(b.Headline))
-		for k := range b.Headline {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			bv := b.Headline[k]
-			fv, ok := f.Headline[k]
-			if !ok {
-				violations = append(violations,
-					fmt.Sprintf("%s/%s: headline metric missing from fresh report", b.ID, k))
-				continue
-			}
-			checked++
-			mt := tols.forMetric(b.ID, k, *tol)
-			if d := relDiff(fv, bv); d > mt {
-				violations = append(violations,
-					fmt.Sprintf("%s/%s: drifted %.1f%% (%.4g -> %.4g, tol %.0f%%)", b.ID, k, d*100, bv, fv, mt*100))
-			}
-		}
-	}
-
-	// Anything present only in the fresh report means the committed
-	// baseline is stale (e.g. regenerated without -cluster): those metrics
-	// would silently lose regression coverage.
-	baseIDs := map[string]benchfmt.Experiment{}
-	for _, b := range base.Experiments {
-		baseIDs[b.ID] = b
-	}
-	for _, f := range fresh.Experiments {
-		b, ok := baseIDs[f.ID]
-		if !ok {
-			violations = append(violations, fmt.Sprintf(
-				"%s: experiment missing from baseline (stale BENCH_sim.json — regenerate it)", f.ID))
-			continue
-		}
-		keys := make([]string, 0, len(f.Headline))
-		for k := range f.Headline {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if _, ok := b.Headline[k]; !ok {
-				violations = append(violations, fmt.Sprintf(
-					"%s/%s: headline metric missing from baseline (stale BENCH_sim.json)", f.ID, k))
-			}
-		}
-	}
+	c := compare(base, fresh, tols, *tol)
 
 	// Replay speed: regression-only, whole-suite, and only when the two
 	// reports come from the same machine class — wall-clock comparisons
@@ -242,21 +271,25 @@ func main() {
 		fmt.Printf("bench-gate: gomaxprocs differs (baseline %d, fresh %d); events/sec check is advisory only\n",
 			base.GoMaxProcs, fresh.GoMaxProcs)
 	} else if base.EventsPerSec > 0 && fresh.EventsPerSec < base.EventsPerSec*(1-*perfTol) {
-		violations = append(violations, fmt.Sprintf(
+		c.violations = append(c.violations, fmt.Sprintf(
 			"suite events/sec regressed %.1f%% (%.0f -> %.0f)",
 			(1-fresh.EventsPerSec/base.EventsPerSec)*100, base.EventsPerSec, fresh.EventsPerSec))
 	}
 
-	writeStepSummary(base, fresh, freshByID, violations)
+	writeStepSummary(base, fresh, c)
 
 	fmt.Printf("bench-gate: %d experiments, %d headline metrics checked (tol %.0f%%, perf-tol %.0f%%)\n",
-		len(base.Experiments), checked, *tol*100, *perfTol*100)
+		len(base.Experiments), c.headlines, *tol*100, *perfTol*100)
+	fmt.Printf("bench-gate: %s\n", c.identical())
+	for _, m := range c.moved {
+		fmt.Println("  ~", m)
+	}
 	fmt.Printf("bench-gate: suite events/sec baseline %.0f, fresh %.0f (%+.1f%%)\n",
 		base.EventsPerSec, fresh.EventsPerSec,
 		(fresh.EventsPerSec/base.EventsPerSec-1)*100)
-	if len(violations) > 0 {
+	if len(c.violations) > 0 {
 		fmt.Println("bench-gate: FAIL")
-		for _, v := range violations {
+		for _, v := range c.violations {
 			fmt.Println("  -", v)
 		}
 		fmt.Println("(intentional behavior changes must regenerate BENCH_sim.json in the same PR:" +
@@ -282,11 +315,12 @@ func pct(fresh, base float64) string {
 // so a reviewer can see exactly which metrics moved without reading the
 // job log. Purely cosmetic: write failures warn but never change the
 // gate's verdict.
-func writeStepSummary(base, fresh benchfmt.Report, freshByID map[string]benchfmt.Experiment, violations []string) {
+func writeStepSummary(base, fresh benchfmt.Report, c comparison) {
 	path := os.Getenv("GITHUB_STEP_SUMMARY")
 	if path == "" {
 		return
 	}
+	violations, freshByID := c.violations, byID(fresh)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench-gate: step summary:", err)
@@ -298,7 +332,14 @@ func writeStepSummary(base, fresh benchfmt.Report, freshByID map[string]benchfmt
 	if len(violations) > 0 {
 		verdict = fmt.Sprintf("FAIL (%d violations)", len(violations))
 	}
-	fmt.Fprintf(f, "### bench-gate: %s\n\n", verdict)
+	fmt.Fprintf(f, "### bench-gate: %s\n\n%s.\n", verdict, c.identical())
+	if len(c.moved) > 0 {
+		fmt.Fprintln(f, "\nMoved inside tolerance:")
+		for _, m := range c.moved {
+			fmt.Fprintf(f, "- %s\n", m)
+		}
+	}
+	fmt.Fprintln(f)
 	fmt.Fprintln(f, "| experiment | metric | baseline | fresh | delta |")
 	fmt.Fprintln(f, "|---|---|---:|---:|---:|")
 	for _, b := range base.Experiments {
@@ -311,12 +352,7 @@ func writeStepSummary(base, fresh benchfmt.Report, freshByID map[string]benchfmt
 			b.ID, b.Events, fr.Events, pct(float64(fr.Events), float64(b.Events)))
 		fmt.Fprintf(f, "| %s | events/sec | %.0f | %.0f | %s |\n",
 			b.ID, b.EventsPerSec, fr.EventsPerSec, pct(fr.EventsPerSec, b.EventsPerSec))
-		keys := make([]string, 0, len(b.Headline))
-		for k := range b.Headline {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(b.Headline) {
 			fv, ok := fr.Headline[k]
 			if !ok {
 				fmt.Fprintf(f, "| %s | %s | %.4g | — | missing from fresh |\n", b.ID, k, b.Headline[k])

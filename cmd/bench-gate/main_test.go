@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pie/internal/benchfmt"
@@ -112,5 +113,49 @@ func TestRelDiff(t *testing.T) {
 	}
 	if d := relDiff(5, 0); d != 1 {
 		t.Errorf("relDiff(5,0) = %v, want 1", d)
+	}
+}
+
+// TestCompareCountsWhatMoved: equal to the bit is counted as identical, a
+// difference inside tolerance passes but is listed, one beyond it is a
+// violation — for headlines and event counts alike — and anything one
+// report has and the other lacks is a violation in either direction.
+func TestCompareCountsWhatMoved(t *testing.T) {
+	exp := func(id string, events uint64, h map[string]float64) benchfmt.Experiment {
+		return benchfmt.Experiment{ID: id, Events: events, Headline: h}
+	}
+	base := benchfmt.Report{Experiments: []benchfmt.Experiment{
+		exp("a", 1000, map[string]float64{"same": 1.5, "inside": 100, "beyond": 100, "gone": 1}),
+		exp("b", 1000, map[string]float64{"same": 0.1}),
+		exp("c", 1000, nil),
+		exp("dropped", 10, nil),
+	}}
+	fresh := benchfmt.Report{Experiments: []benchfmt.Experiment{
+		exp("a", 1000, map[string]float64{"same": 1.5, "inside": 119, "beyond": 130, "new": 1}),
+		exp("b", 1100, map[string]float64{"same": 0.1}),
+		exp("c", 2000, nil),
+		exp("added", 10, nil),
+	}}
+	c := compare(base, fresh, nil, 0.20)
+	if got, want := c.identical(), "2 of 4 headlines and 1 of 3 event counts byte-identical"; got != want {
+		t.Errorf("identical() = %q, want %q", got, want)
+	}
+	wantMoved := []string{
+		"a/inside: moved 15.97% (100 -> 119, tol 20%)",
+		"b: event count moved 9.09% (1000 -> 1100, tol 20%)",
+	}
+	if !reflect.DeepEqual(c.moved, wantMoved) {
+		t.Errorf("moved = %q, want %q", c.moved, wantMoved)
+	}
+	wantViolations := []string{
+		"a/beyond: drifted 23.1% (100 -> 130, tol 20%)",
+		"a/gone: headline metric missing from fresh report",
+		"c: event count drifted 50.0% (1000 -> 2000, tol 20%)",
+		"dropped: experiment missing from fresh report",
+		"a/new: headline metric missing from baseline (stale BENCH_sim.json)",
+		"added: experiment missing from baseline (stale BENCH_sim.json — regenerate it)",
+	}
+	if !reflect.DeepEqual(c.violations, wantViolations) {
+		t.Errorf("violations = %q, want %q", c.violations, wantViolations)
 	}
 }

@@ -288,3 +288,70 @@ func TestHashCacheEviction(t *testing.T) {
 		t.Fatalf("after evict available = %d", pool.available())
 	}
 }
+
+// chainHash is the reference for hashCache's keys: block i's key hashes
+// tokens [0, upto) from scratch, where the cache rolls one state forward.
+func chainHash(prompt []int, upto int) uint64 {
+	var h uint64 = 14695981039346656037
+	for _, t := range prompt[:upto] {
+		h = (h ^ uint64(t)) * 1099511628211
+	}
+	return h
+}
+
+func TestHashCacheKeysMatchChainHash(t *testing.T) {
+	pool := newBlockPool(16)
+	c := newHashCache(4)
+	pr := prompt(19) // four full blocks and a partial one
+	blocks, _ := pool.alloc(5)
+	c.insert(pr, blocks, pool)
+	if len(c.entries) != 4 {
+		t.Fatalf("%d entries, want 4 (the partial block is not cached)", len(c.entries))
+	}
+	for i := 0; i < 4; i++ {
+		el, ok := c.entries[chainHash(pr, (i+1)*4)]
+		if !ok {
+			t.Fatalf("block %d: no entry under its chain hash", i)
+		}
+		if got := el.Value.(hashEntry).block; got != blocks[i] {
+			t.Errorf("block %d: entry holds block %d, want %d", i, got, blocks[i])
+		}
+	}
+	if n, got := c.match(pr); n != 16 || len(got) != 4 {
+		t.Errorf("match = %d tokens, %d blocks; want 16, 4", n, len(got))
+	}
+}
+
+// Entries of one age (one insert call) leave in insertion order, and a hit
+// moves an entry behind everything older.
+func TestHashCacheEvictsInUseOrder(t *testing.T) {
+	pool := newBlockPool(8)
+	c := newHashCache(4)
+	a, b := prompt(16), prompt(16)
+	b[0] = 999 // no shared prefix with a
+	blocksA, _ := pool.alloc(4)
+	blocksB, _ := pool.alloc(4)
+	c.insert(a, blocksA, pool)
+	c.insert(b, blocksB, pool)
+	for _, id := range append(blocksA, blocksB...) {
+		pool.release(id) // the cache's reference is the only one left
+	}
+	c.match(a[:8]) // a's first two blocks are now the most recently used
+
+	var order []int32
+	for i := 1; i <= 8; i++ {
+		if !c.evict(pool, i) {
+			t.Fatalf("evict to %d free blocks freed nothing", i)
+		}
+		order = append(order, pool.free[len(pool.free)-1])
+	}
+	want := []int32{blocksA[2], blocksA[3], blocksB[0], blocksB[1], blocksB[2], blocksB[3], blocksA[0], blocksA[1]}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("eviction order %v, want %v", order, want)
+		}
+	}
+	if len(c.entries) != 0 || c.lru.Len() != 0 {
+		t.Errorf("%d entries, %d on the list after evicting everything", len(c.entries), c.lru.Len())
+	}
+}

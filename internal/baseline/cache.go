@@ -1,5 +1,7 @@
 package baseline
 
+import "container/list"
+
 // KV block accounting and the two prefix-reuse policies the paper's
 // baselines implement: vLLM's block-hash automatic prefix caching and
 // SGLang's RadixAttention token trie. Both are refcounted over the shared
@@ -70,71 +72,71 @@ func (nullCache) match([]int) (int, []int32)        { return 0, nil }
 func (nullCache) insert([]int, []int32, *blockPool) {}
 func (nullCache) evict(*blockPool, int) bool        { return false }
 
-// hashCache is vLLM-style: block i of a prompt is keyed by the rolling
-// hash of tokens [0, (i+1)*pageSize).
-type hashCache struct {
-	pageSize int
-	entries  map[uint64]*hashEntry
-	tick     int
-}
-
-type hashEntry struct {
-	block    int32
-	lastUsed int
-}
-
-func newHashCache(pageSize int) *hashCache {
-	return &hashCache{pageSize: pageSize, entries: make(map[uint64]*hashEntry)}
-}
-
-func chainHash(prompt []int, upto int) uint64 {
-	var h uint64 = 14695981039346656037
-	for _, t := range prompt[:upto] {
+// fnv rolls an FNV-1a state over tokens.
+func fnv(h uint64, tokens []int) uint64 {
+	for _, t := range tokens {
 		h = (h ^ uint64(t)) * 1099511628211
 	}
 	return h
 }
 
+// hashCache is vLLM-style: block i of a prompt is keyed by the rolling
+// hash of tokens [0, (i+1)*pageSize), so walking a prompt rolls one state
+// forward a block at a time.
+type hashCache struct {
+	pageSize int
+	entries  map[uint64]*list.Element // of hashEntry
+	// lru holds the entries least recently used first: a hit moves its entry
+	// to the back and eviction takes the front, so entries of one age leave
+	// in the order they were inserted or hit.
+	lru *list.List
+}
+
+type hashEntry struct {
+	key   uint64
+	block int32
+}
+
+// chainSeed is the FNV-1a offset basis the block chain starts from.
+const chainSeed uint64 = 14695981039346656037
+
+func newHashCache(pageSize int) *hashCache {
+	return &hashCache{pageSize: pageSize, entries: make(map[uint64]*list.Element), lru: list.New()}
+}
+
 func (c *hashCache) match(prompt []int) (int, []int32) {
-	c.tick++
 	var blocks []int32
-	full := len(prompt) / c.pageSize
-	for i := 0; i < full; i++ {
-		e, ok := c.entries[chainHash(prompt, (i+1)*c.pageSize)]
+	key := chainSeed
+	for i := 0; (i+1)*c.pageSize <= len(prompt); i++ {
+		key = fnv(key, prompt[i*c.pageSize:(i+1)*c.pageSize])
+		el, ok := c.entries[key]
 		if !ok {
 			break
 		}
-		e.lastUsed = c.tick
-		blocks = append(blocks, e.block)
+		c.lru.MoveToBack(el)
+		blocks = append(blocks, el.Value.(hashEntry).block)
 	}
 	return len(blocks) * c.pageSize, blocks
 }
 
 func (c *hashCache) insert(prompt []int, blocks []int32, pool *blockPool) {
-	c.tick++
-	full := len(prompt) / c.pageSize
-	for i := 0; i < full && i < len(blocks); i++ {
-		key := chainHash(prompt, (i+1)*c.pageSize)
+	key := chainSeed
+	for i := 0; (i+1)*c.pageSize <= len(prompt) && i < len(blocks); i++ {
+		key = fnv(key, prompt[i*c.pageSize:(i+1)*c.pageSize])
 		if _, dup := c.entries[key]; dup {
 			continue
 		}
 		pool.retain(blocks[i])
-		c.entries[key] = &hashEntry{block: blocks[i], lastUsed: c.tick}
+		c.entries[key] = c.lru.PushBack(hashEntry{key: key, block: blocks[i]})
 	}
 }
 
 func (c *hashCache) evict(pool *blockPool, need int) bool {
 	freed := false
-	for pool.available() < need && len(c.entries) > 0 {
-		var lruKey uint64
-		lru := int(^uint(0) >> 1)
-		for k, e := range c.entries {
-			if e.lastUsed < lru {
-				lru, lruKey = e.lastUsed, k
-			}
-		}
-		pool.release(c.entries[lruKey].block)
-		delete(c.entries, lruKey)
+	for pool.available() < need && c.lru.Len() > 0 {
+		e := c.lru.Remove(c.lru.Front()).(hashEntry)
+		pool.release(e.block)
+		delete(c.entries, e.key)
 		freed = true
 	}
 	return freed
@@ -159,13 +161,7 @@ func newRadixCache(pageSize int) *radixCache {
 	return &radixCache{pageSize: pageSize, root: &radixNode{children: map[uint64]*radixNode{}}}
 }
 
-func blockKey(block []int) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, t := range block {
-		h = (h ^ uint64(t)) * 1099511628211
-	}
-	return h
-}
+func blockKey(block []int) uint64 { return fnv(1469598103934665603, block) }
 
 func (c *radixCache) match(prompt []int) (int, []int32) {
 	c.tick++

@@ -8,7 +8,6 @@ import (
 	"pie"
 	"pie/apps"
 	"pie/internal/metrics"
-	"pie/internal/sim"
 )
 
 // Cluster scaling experiment (beyond the paper): the engine fronts N
@@ -113,68 +112,29 @@ func runClusterBatch(e *pie.Engine, n, conc, total, maxTokens int) ClusterPoint 
 		FirstTokenAck: true,
 	})
 	p := ClusterPoint{Replicas: n, Concurrency: conc}
-	var ttftSum, tpotSum time.Duration
-	var ttftN, tpotN int
-	e.Go("loadgen", func() {
-		// Warmup populates the binary cache so steady-state numbers exclude
-		// cold JIT.
-		if h, err := e.Launch(pie.Spec("text_completion", params)); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		queue := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			queue.Send(t)
-		}
-		for w := 0; w < conc; w++ {
-			g.Go("client", func() {
-				for {
-					if _, ok := queue.TryRecv(); !ok {
-						return
-					}
-					t0 := e.Now()
-					h, err := e.Launch(pie.Spec("text_completion", params))
-					if err != nil {
-						p.Failures++
-						continue
-					}
-					tFirst := t0
-					if _, err := h.Recv().Get(); err == nil {
-						tFirst = e.Now()
-						ttftSum += tFirst - t0
-						ttftN++
-					}
-					if err := h.Wait(); err != nil {
-						p.Failures++
-						continue
-					}
-					end := e.Now()
-					_, _, tok := h.Stats()
-					if tok > 1 && tFirst > t0 {
-						tpotSum += (end - tFirst) / time.Duration(tok-1)
-						tpotN++
-					}
-					p.Tokens += tok
-					p.Done++
-				}
-			})
-		}
-		g.Wait()
-		p.Makespan = e.Now() - start
+	var ttft, tpot metrics.Series
+	spec := pie.Spec("text_completion", params)
+	_, p.Makespan = runLoad(e, "cluster batch", spec, 0, loadClass{
+		name: "client", clients: conc, tasks: total, ack: true,
+		spec: func(int) pie.LaunchSpec { return spec },
+		done: func(o outcome) {
+			if o.First > 0 {
+				ttft.Add(o.First - o.T0)
+			}
+			if o.Err != nil {
+				p.Failures++
+				return
+			}
+			_, _, tok := o.H.Stats()
+			if tok > 1 && o.First > 0 {
+				tpot.Add((o.End - o.First) / time.Duration(tok-1))
+			}
+			p.Tokens += tok
+			p.Done++
+		},
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: cluster batch run: %v", err))
-	}
-	if p.Makespan > 0 {
-		p.TokensPerSec = float64(p.Tokens) / p.Makespan.Seconds()
-	}
-	if ttftN > 0 {
-		p.TTFT = ttftSum / time.Duration(ttftN)
-	}
-	if tpotN > 0 {
-		p.TPOT = tpotSum / time.Duration(tpotN)
-	}
+	p.TokensPerSec = metrics.Throughput(p.Tokens, p.Makespan)
+	p.TTFT, p.TPOT = ttft.Mean(), tpot.Mean()
 	p.PerReplica = e.ReplicaStats()
 	return p
 }
@@ -212,9 +172,7 @@ func runClusterPrefix(o Options, placement pie.PlacementPolicy) ClusterPoint {
 		MeanLatency: res.Latency.Mean(),
 		PerReplica:  e.ReplicaStats(),
 	}
-	if res.Makespan > 0 {
-		p.ReqPerSec = metrics.Throughput(res.Done, res.Makespan)
-	}
+	p.ReqPerSec = metrics.Throughput(res.Done, res.Makespan)
 	return p
 }
 
@@ -234,18 +192,17 @@ func runClusterAuto(o Options) ClusterAutoPoint {
 		Prompt:    "autoscale probe",
 		MaxTokens: clusterAutoMaxTokens,
 	})
-	// The post-load idle period lets the autoscaler drain back to Min
-	// before the simulation finishes.
-	res := runPieLoadAfter(e, "text_completion", func(int) string { return params },
-		total, clusterAutoConc, func() { e.Sleep(2 * time.Second) })
+	// The post-load idle tail lets the autoscaler drain back to Min before
+	// the simulation finishes.
+	res := loadResult{Latency: &metrics.Series{Name: "text_completion"}}
+	_, res.Makespan = runLoad(e, "cluster autoscale", pie.Spec("text_completion", params), 2*time.Second,
+		res.class("text_completion", func(int) string { return params }, total, clusterAutoConc))
 	var p ClusterAutoPoint
 	p.Done = res.Done
 	p.Failures = res.Failures
 	p.Tokens = res.Tokens
 	p.Makespan = res.Makespan
-	if res.Makespan > 0 {
-		p.TokensPerSec = float64(res.Tokens) / res.Makespan.Seconds()
-	}
+	p.TokensPerSec = metrics.Throughput(res.Tokens, res.Makespan)
 	p.Replicas = len(e.Cluster().Replicas()) // the autoscale Max bound
 	p.Concurrency = clusterAutoConc
 	p.PerReplica = e.ReplicaStats()
@@ -291,4 +248,25 @@ func (r ClusterResult) Table() string {
 		r.Auto.ScaleUps, r.Auto.DrainStart, r.Auto.DrainDone, r.Auto.FinalActive)
 	b.WriteString(metrics.ReplicaTable(r.Auto.PerReplica).String())
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers.
+func (r ClusterResult) Headline() map[string]float64 {
+	h := map[string]float64{}
+	for _, p := range r.Sweep {
+		h[fmt.Sprintf("batch-%d-tok-per-sec", p.Replicas)] = p.TokensPerSec
+	}
+	if len(r.Sweep) > 0 && r.Sweep[0].TokensPerSec > 0 {
+		last := r.Sweep[len(r.Sweep)-1]
+		h["scaling-x"] = last.TokensPerSec / r.Sweep[0].TokensPerSec
+		h["batch-1-ttft-ms"] = ms(r.Sweep[0].TTFT)
+		h["batch-1-tpot-ms"] = ms(r.Sweep[0].TPOT)
+	}
+	if r.AffinityRR.ReqPerSec > 0 {
+		h["affinity-speedup-x"] = r.AffinityKV.ReqPerSec / r.AffinityRR.ReqPerSec
+	}
+	h["autoscale-ups"] = float64(r.Auto.ScaleUps)
+	h["autoscale-drains-done"] = float64(r.Auto.DrainDone)
+	h["autoscale-final-active"] = float64(r.Auto.FinalActive)
+	return h
 }

@@ -8,7 +8,6 @@ import (
 	"pie"
 	"pie/inferlet"
 	"pie/internal/metrics"
-	"pie/internal/sim"
 )
 
 // Coldstart experiment (deployment API v2; reproduces Fig. 9's economics
@@ -97,41 +96,25 @@ func ColdstartSweep(o Options) ColdstartResult {
 	return out
 }
 
-// launchAck launches the program and returns the client-observed
-// launch->ack latency (Fig. 9 methodology: the response leg is half the
-// client RTT).
-func launchAck(e *pie.Engine, program string) (time.Duration, error) {
-	t0 := e.Now()
-	h, err := e.Launch(pie.Spec(program))
-	if err != nil {
-		return 0, err
-	}
-	if _, err := h.Recv().Get(); err != nil {
-		return 0, err
-	}
-	lat := e.Now() - t0 + e.ClientRTT()/2
-	if err := h.Wait(); err != nil {
-		return 0, err
-	}
-	return lat, nil
-}
-
-// coldstartGap measures the single-replica cold/warm launch gap.
+// coldstartGap measures the single-replica cold/warm launch gap with one
+// sequential prober (not a load: no warm-up, no fan-out), whose first
+// launch is the cold one.
 func coldstartGap(seed uint64) (cold, warm time.Duration) {
 	e := newPieEngine(seed, nil)
 	e.MustRegister(coldstartProbe("coldstart_probe", coldstartProbeKB))
 	warmSum := time.Duration(0)
 	e.Go("driver", func() {
-		var err error
-		if cold, err = launchAck(e, "coldstart_probe"); err != nil {
-			panic(fmt.Sprintf("eval: coldstart cold probe: %v", err))
-		}
-		for i := 0; i < coldstartWarmN; i++ {
-			lat, err := launchAck(e, "coldstart_probe")
-			if err != nil {
-				panic(fmt.Sprintf("eval: coldstart warm probe: %v", err))
+		for i := 0; i <= coldstartWarmN; i++ {
+			out := attempt(e, i, pie.Spec("coldstart_probe"), true)
+			lat, ok := out.ackLatency(e)
+			if !ok {
+				panic(fmt.Sprintf("eval: coldstart probe %d: %v", i, out.Err))
 			}
-			warmSum += lat
+			if i == 0 {
+				cold = lat
+			} else {
+				warmSum += lat
+			}
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -154,44 +137,25 @@ func coldstartCluster(seed uint64, placement pie.PlacementPolicy, total int) Col
 	}
 	leg := ColdstartLeg{Policy: placement.String()}
 	lat := &metrics.Series{}
-	e.Go("loadgen", func() {
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		queue := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			queue.Send(t)
-		}
-		for w := 0; w < coldstartConc; w++ {
-			g.Go("client", func() {
-				for {
-					task, ok := queue.TryRecv()
-					if !ok {
-						return
-					}
-					// Hash the task index so the program sequence does not
-					// alias with round-robin's placement cycle.
-					prog := fmt.Sprintf("coldstart_probe_%d",
-						int((uint64(task)*2654435761)>>16)%coldstartPrograms)
-					l, err := launchAck(e, prog)
-					if err != nil {
-						continue
-					}
-					lat.Add(l)
-					leg.Done++
-				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
+	// No warm-up: the cold launches are what this leg counts.
+	_, leg.Makespan = runLoad(e, "coldstart cluster", pie.LaunchSpec{}, 0, loadClass{
+		name: "client", clients: coldstartConc, tasks: total, ack: true,
+		spec: func(task int) pie.LaunchSpec {
+			// Hash the task index so the program sequence does not alias
+			// with round-robin's placement cycle.
+			return pie.Spec(fmt.Sprintf("coldstart_probe_%d",
+				int((uint64(task)*2654435761)>>16)%coldstartPrograms))
+		},
+		done: func(o outcome) {
+			if l, ok := o.ackLatency(e); ok {
+				lat.Add(l)
+				leg.Done++
+			}
+		},
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: coldstart cluster run: %v", err))
-	}
 	leg.MeanLaunch = lat.Mean()
 	leg.ColdLaunches = e.Stats().ColdLaunches
-	if leg.Makespan > 0 {
-		leg.ReqPerSec = metrics.Throughput(leg.Done, leg.Makespan)
-	}
+	leg.ReqPerSec = metrics.Throughput(leg.Done, leg.Makespan)
 	return leg
 }
 
@@ -213,4 +177,18 @@ func (r ColdstartResult) Table() string {
 	}
 	b.WriteString(t.String())
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers.
+func (r ColdstartResult) Headline() map[string]float64 {
+	return map[string]float64{
+		"cold-launch-ms":     ms(r.Cold),
+		"warm-launch-ms":     ms(r.Warm),
+		"cold-warm-gap-x":    r.Ratio,
+		"rr-cold-launches":   float64(r.RR.ColdLaunches),
+		"pa-cold-launches":   float64(r.PA.ColdLaunches),
+		"rr-mean-launch-ms":  ms(r.RR.MeanLaunch),
+		"pa-mean-launch-ms":  ms(r.PA.MeanLaunch),
+		"pa-vs-rr-speedup-x": r.PA.ReqPerSec / r.RR.ReqPerSec,
+	}
 }

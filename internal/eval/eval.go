@@ -1,8 +1,13 @@
 // Package eval contains one driver per table and figure of the paper's
-// evaluation (§7). Every driver builds fresh engines (Pie and baselines)
-// on fresh virtual clocks, replays the workload, and returns structured
-// rows that cmd/pie-bench renders and bench_test.go reports as benchmark
-// metrics. EXPERIMENTS.md records paper-vs-measured for each.
+// evaluation (§7), and the experiments beyond it. Every driver builds fresh
+// engines (Pie and baselines) on fresh virtual clocks, replays the workload,
+// and returns a Result: structured rows, their paper-style Table and the
+// Headline numbers BENCH_sim.json records. Experiments lists them all;
+// cmd/pie-bench and the root package's BenchmarkExperiments are loops over
+// it. Every fleet of closed-loop clients on a pie.Engine is one runLoad call
+// (load.go); the baseline engines' world has its own loop here.
+// EXPERIMENTS.md records paper-vs-measured for each experiment, and how to
+// add one.
 package eval
 
 import (
@@ -100,67 +105,32 @@ type loadResult struct {
 // Throughput returns completed tasks per second of virtual time.
 func (r loadResult) Throughput() float64 { return metrics.Throughput(r.Done, r.Makespan) }
 
-// runPieLoad drives `total` instances of app through a closed-loop load
-// generator with `concurrency` in flight; failed instances (e.g. FCFS
-// reclamation) are retried and counted. One uncounted warmup run
-// populates the binary cache so steady-state numbers exclude cold JIT.
+// runPieLoad drives `total` instances of app through the closed-loop load
+// generator with `concurrency` in flight.
 func runPieLoad(e *pie.Engine, app string, paramsFor func(task int) string, total, concurrency int) loadResult {
-	return runPieLoadAfter(e, app, paramsFor, total, concurrency, nil)
+	res := loadResult{Latency: &metrics.Series{Name: app}}
+	_, res.Makespan = runLoad(e, "pie load", pie.Spec(app, paramsFor(0)), 0,
+		res.class(app, paramsFor, total, concurrency))
+	return res
 }
 
-// runPieLoadAfter is runPieLoad with a hook that runs in the loadgen
-// process after the load drains (and after Makespan is stamped) — e.g. an
-// idle period so the cluster autoscaler's drain-back is observable before
-// the simulation finishes.
-func runPieLoadAfter(e *pie.Engine, app string, paramsFor func(task int) string, total, concurrency int, after func()) loadResult {
-	res := loadResult{Latency: &metrics.Series{Name: app}}
-	e.Go("loadgen", func() {
-		if h, err := e.Launch(pie.Spec(app, paramsFor(0))); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		queue := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			queue.Send(t)
-		}
-		for w := 0; w < concurrency; w++ {
-			g.Go("worker", func() {
-				for {
-					task, ok := queue.TryRecv()
-					if !ok {
-						return
-					}
-					for attempt := 0; attempt < 4; attempt++ {
-						t0 := e.Now()
-						h, err := e.Launch(pie.Spec(app, paramsFor(task)))
-						if err != nil {
-							res.Failures++
-							continue
-						}
-						if err := h.Wait(); err != nil {
-							res.Failures++
-							continue
-						}
-						res.Latency.Add(e.Now() - t0)
-						_, _, tok := h.Stats()
-						res.Tokens += tok
-						res.Done++
-						break
-					}
-				}
-			})
-		}
-		g.Wait()
-		res.Makespan = e.Now() - start
-		if after != nil {
-			after()
-		}
-	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: pie load run: %v", err))
+// class is the client class that fills res: failed instances (e.g. FCFS
+// reclamation) are retried and counted.
+func (res *loadResult) class(app string, paramsFor func(task int) string, total, concurrency int) loadClass {
+	return loadClass{
+		name: "worker", clients: concurrency, tasks: total, attempts: 4,
+		spec: func(task int) pie.LaunchSpec { return pie.Spec(app, paramsFor(task)) },
+		done: func(o outcome) {
+			if o.Err != nil {
+				res.Failures++
+				return
+			}
+			res.Latency.Add(o.End - o.T0)
+			_, _, tok := o.H.Stats()
+			res.Tokens += tok
+			res.Done++
+		},
 	}
-	return res
 }
 
 // baselineWorkflow is a client-side agent script against a monolithic

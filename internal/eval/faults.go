@@ -10,7 +10,6 @@ import (
 	"pie/apps"
 	"pie/internal/cluster"
 	"pie/internal/metrics"
-	"pie/internal/sim"
 )
 
 // Fault-tolerance chaos experiment (beyond the paper): a mixed-priority
@@ -145,80 +144,43 @@ func runFaultLeg(o Options, faulted bool) FaultLeg {
 		MaxTokens: faultMaxTokens,
 	})
 	var leg FaultLeg
-	e.Go("loadgen", func() {
-		// Warmup populates the binary cache before any fault fires.
-		if h, err := e.Launch(pie.Spec("text_completion", params)); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		hpQueue := sim.NewMailbox[int](e.Clock())
-		beQueue := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < hpTotal; t++ {
-			hpQueue.Send(t)
-		}
-		for t := 0; t < beTotal; t++ {
-			beQueue.Send(t)
-		}
-		for w := 0; w < faultHPConc; w++ {
-			g.Go("hp-client", func() {
-				for {
-					if _, ok := hpQueue.TryRecv(); !ok {
-						return
-					}
-					spec := pie.Spec("text_completion", params)
-					spec.Retry = faultRetry
-					h, err := e.Launch(spec)
-					if err == nil {
-						err = h.Wait()
-					}
-					if err != nil {
-						leg.HPFailed++
-						continue
-					}
-					_, _, tok := h.Stats()
-					leg.Tokens += tok
-					leg.HPDone++
-				}
-			})
-		}
-		for w := 0; w < faultBEConc; w++ {
-			g.Go("be-client", func() {
-				for {
-					if _, ok := beQueue.TryRecv(); !ok {
-						return
-					}
-					spec := pie.Spec("text_completion", params)
-					spec.Priority = -1
-					h, err := e.Launch(spec)
-					switch {
-					case err == nil:
-					case errors.Is(err, pie.ErrOverloaded):
-						leg.BEShed++
-						continue
-					default:
-						leg.BEFailed++
-						continue
-					}
-					if err := h.Wait(); err != nil {
-						leg.BEFailed++
-						continue
-					}
-					_, _, tok := h.Stats()
-					leg.Tokens += tok
-					leg.BEDone++
-				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
-	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: fault leg run: %v", err))
+	completed := func(o outcome, done *int) {
+		_, _, tok := o.H.Stats()
+		leg.Tokens += tok
+		*done++
 	}
-	if leg.Makespan > 0 {
-		leg.HPGoodput = float64(leg.HPDone) / leg.Makespan.Seconds()
-	}
+	hp := pie.Spec("text_completion", params)
+	hp.Retry = faultRetry
+	be := pie.Spec("text_completion", params)
+	be.Priority = -1
+	// The warm-up populates the binary cache before any fault fires.
+	_, leg.Makespan = runLoad(e, "fault leg", pie.Spec("text_completion", params), 0,
+		loadClass{
+			name: "hp-client", clients: faultHPConc, tasks: hpTotal,
+			spec: func(int) pie.LaunchSpec { return hp },
+			done: func(o outcome) {
+				if o.Err != nil {
+					leg.HPFailed++
+					return
+				}
+				completed(o, &leg.HPDone)
+			},
+		},
+		loadClass{
+			name: "be-client", clients: faultBEConc, tasks: beTotal,
+			spec: func(int) pie.LaunchSpec { return be },
+			done: func(o outcome) {
+				switch {
+				case o.Err == nil:
+					completed(o, &leg.BEDone)
+				case o.H == nil && errors.Is(o.Err, pie.ErrOverloaded):
+					leg.BEShed++
+				default:
+					leg.BEFailed++
+				}
+			},
+		})
+	leg.HPGoodput = metrics.Throughput(leg.HPDone, leg.Makespan)
 	st := e.Stats()
 	leg.ReplicasLost = st.ReplicasLost
 	leg.Replacements = st.Replacements
@@ -262,4 +224,20 @@ func (r FaultsResult) Table() string {
 		r.Faulted.Replacements, r.GoodputRetained*100)
 	b.WriteString(metrics.ReplicaTable(r.Faulted.PerReplica).String())
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers.
+func (r FaultsResult) Headline() map[string]float64 {
+	return map[string]float64{
+		"replicas-lost":       float64(r.Faulted.ReplicasLost),
+		"detect-ms":           ms(r.Faulted.DetectTime),
+		"requeues":            float64(r.Faulted.Requeues),
+		"sheds":               float64(r.Faulted.Sheds),
+		"leaked-pages":        float64(r.Faulted.LeakedPages),
+		"hp-goodput-retained": r.GoodputRetained,
+		"baseline-hp-per-sec": r.Baseline.HPGoodput,
+		"faulted-hp-per-sec":  r.Faulted.HPGoodput,
+		"faulted-hp-failed":   float64(r.Faulted.HPFailed),
+		"faulted-be-failed":   float64(r.Faulted.BEFailed),
+	}
 }

@@ -210,3 +210,13 @@ func (r Fig6Result) Get(workflow, system string) (Fig6Row, bool) {
 	}
 	return Fig6Row{}, false
 }
+
+// Headline is the figure's gated numbers, per workflow and system.
+func (r Fig6Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	for _, row := range r.Rows {
+		h[row.Workflow+"-"+row.System+"-latency-sec"] = row.Latency.Seconds()
+		h[row.Workflow+"-"+row.System+"-agents-per-sec"] = row.Throughput
+	}
+	return h
+}

@@ -153,3 +153,18 @@ func (r Fig7Result) find(label string) *Fig7Series {
 	}
 	return nil
 }
+
+// Headline is the figure's gated numbers: the first (vLLM) and last (every
+// optimization) series at the largest agent count.
+func (r Fig7Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	if len(r.Series) > 0 {
+		base := r.Series[0]
+		full := r.Series[len(r.Series)-1]
+		last := len(base.Throughput) - 1
+		h["vllm-agents-per-sec"] = base.Throughput[last]
+		h["pie-full-agents-per-sec"] = full.Throughput[last]
+		h["speedup-x"] = full.Throughput[last] / base.Throughput[last]
+	}
+	return h
+}

@@ -304,3 +304,20 @@ func (r Fig8Result) Get(tech, sys string) (Fig8Row, bool) {
 	}
 	return Fig8Row{}, false
 }
+
+// Headline is the figure's gated cells.
+func (r Fig8Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	if pieTC, ok := r.Get("textcomp", "pie"); ok {
+		h["textcomp-pie-ms"] = ms(pieTC.Latency)
+	}
+	if vllmTC, ok := r.Get("textcomp", "vllm"); ok {
+		h["textcomp-vllm-ms"] = ms(vllmTC.Latency)
+	}
+	pieAS, okA := r.Get("attnsink", "pie")
+	sllm, okB := r.Get("attnsink", "streamingllm")
+	if okA && okB && sllm.Throughput > 0 {
+		h["attnsink-speedup-x"] = pieAS.Throughput / sllm.Throughput
+	}
+	return h
+}

@@ -58,29 +58,20 @@ func Figure9(o Options) Fig9Result {
 func launchProbe(seed uint64, n int, warm bool) time.Duration {
 	e := newPieEngine(seed, nil)
 	params := marshalParams(apps.CompletionParams{Ack: true, MaxTokens: 1, Prompt: "x"})
+	probe := pie.Spec("text_completion", params)
 	lat := &metrics.Series{}
 	e.Go("driver", func() {
 		if warm {
-			h, err := e.Launch(pie.Spec("text_completion", params))
-			if err == nil {
-				h.Recv().Get()
-				h.Wait()
-			}
+			attempt(e, 0, probe, true)
 		}
 		g := sim.NewGroup(e.Clock())
 		for i := 0; i < n; i++ {
 			g.Go("launcher", func() {
-				t0 := e.Now()
-				h, err := e.Launch(pie.Spec("text_completion", params))
-				if err != nil {
-					return
+				// The ack is the measured latency; the tail of the
+				// generation happens beyond it.
+				if l, ok := attempt(e, i, probe, true).ackLatency(e); ok {
+					lat.Add(l)
 				}
-				if _, err := h.Recv().Get(); err == nil {
-					// Ack received: that is the measured latency; the
-					// tail of the generation happens beyond it.
-					lat.Add(e.Now() - t0 + e.ClientRTT()/2) // response leg
-				}
-				h.Wait()
 			})
 		}
 		g.Wait()
@@ -182,22 +173,11 @@ func apiProbe(seed uint64, n int) Fig10Point {
 			return alloc.FreePages(pages)
 		},
 	})
-	e.Go("driver", func() {
-		g := sim.NewGroup(e.Clock())
-		for i := 0; i < n; i++ {
-			g.Go("launcher", func() {
-				h, err := e.Launch(pie.Spec("api_probe"))
-				if err != nil {
-					return
-				}
-				h.Wait()
-			})
-		}
-		g.Wait()
+	runLoad(e, "api probe", pie.LaunchSpec{}, 0, loadClass{
+		name: "launcher", clients: n, tasks: n,
+		spec: func(int) pie.LaunchSpec { return pie.Spec("api_probe") },
+		done: func(outcome) {},
 	})
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
 	return Fig10Point{Inferlets: n, ControlLayer: ctl.Mean(), InferenceLayer: inf.Mean()}
 }
 
@@ -303,4 +283,38 @@ func (r Fig11Result) Table() string {
 			fmt.Sprintf("%.2f", row.InferCalls), fmt.Sprintf("%d", row.OutputTokens))
 	}
 	return t.String()
+}
+
+// Headline is the figure's gated numbers at the smallest and largest
+// launch concurrency.
+func (r Fig9Result) Headline() map[string]float64 {
+	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	return map[string]float64{
+		"warm-1-ms":   ms(first.Warm),
+		"cold-1-ms":   ms(first.Cold),
+		"warm-max-ms": ms(last.Warm),
+		"cold-max-ms": ms(last.Cold),
+	}
+}
+
+// Headline is the figure's gated numbers at the smallest and largest
+// inferlet count.
+func (r Fig10Result) Headline() map[string]float64 {
+	first, last := r.Points[0], r.Points[len(r.Points)-1]
+	return map[string]float64{
+		"control-1-us":   us(first.ControlLayer),
+		"control-max-us": us(last.ControlLayer),
+		"infer-1-us":     us(first.InferenceLayer),
+		"infer-max-us":   us(last.InferenceLayer),
+	}
+}
+
+// Headline is the figure's gated numbers, per task.
+func (r Fig11Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	for _, row := range r.Rows {
+		h[row.Task+"-infer-per-tok"] = row.InferCalls
+		h[row.Task+"-control-per-tok"] = row.ControlCalls
+	}
+	return h
 }

@@ -92,6 +92,20 @@ func fleetEngine(seed uint64, m *fleet.Manifest) *pie.Engine {
 	return e
 }
 
+// fleetWarmup is both legs' warm-up launch, by explicit version.
+func fleetWarmup(prompt string) pie.LaunchSpec {
+	return pie.Spec("text_completion@1.0.0", marshalParams(apps.CompletionParams{Prompt: prompt, MaxTokens: 2}))
+}
+
+// fleetSpec is one interactive-class launch of the pinned program.
+func fleetSpec(prompt string, ack bool) pie.LaunchSpec {
+	sp := pie.Spec("text_completion", marshalParams(apps.CompletionParams{
+		Prompt: prompt, MaxTokens: fleetMaxTokens, FirstTokenAck: ack,
+	}))
+	sp.Class = "interactive"
+	return sp
+}
+
 // FleetLeg is one measured upgrade leg.
 type FleetLeg struct {
 	Done, Failed    int
@@ -211,72 +225,37 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 	type sample struct{ t0, d time.Duration }
 	var samples []sample
 	applyAt := time.Duration(-1)
-	var start time.Duration
-	e.Go("loadgen", func() {
-		// Warmup populates the v1 artifact path before measurement; the
-		// explicit version ref keeps it off 2.0.0 while the boot pin is
-		// still one controller tick away.
-		if h, err := e.Launch(pie.Spec("text_completion@1.0.0", marshalParams(apps.CompletionParams{
-			Prompt: prompts[0], MaxTokens: 2,
-		}))); err == nil {
-			_ = h.Wait()
-		}
-		start = e.Now()
-		g := sim.NewGroup(e.Clock())
-		q := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			q.Send(t)
-		}
-		for w := 0; w < fleetIntConc; w++ {
-			g.Go("client", func() {
-				for {
-					task, ok := q.TryRecv()
-					if !ok {
-						return
+	// The warm-up populates the v1 artifact path before measurement; the
+	// explicit version ref keeps it off 2.0.0 while the boot pin is still one
+	// controller tick away. The idle tail lets the rollout's last batches and
+	// the drain bookkeeping finish inside the run.
+	start, makespan := runLoad(e, "fleet leg", fleetWarmup(prompts[0]), fleetIdleTail, loadClass{
+		name: "client", clients: fleetIntConc, tasks: total, ack: true,
+		spec: func(task int) pie.LaunchSpec {
+			if task == triggerTask {
+				// The steady leg marks the window without applying anything,
+				// so all three legs window identically.
+				applyAt = e.Now()
+				if upgradeTo != nil {
+					if err := e.ApplyFleet(upgradeTo); err != nil {
+						panic(fmt.Sprintf("eval: fleet apply: %v", err))
 					}
-					if task == triggerTask {
-						// The steady leg marks the window without applying
-						// anything, so all three legs window identically.
-						applyAt = e.Now() - start
-						if upgradeTo != nil {
-							if err := e.ApplyFleet(upgradeTo); err != nil {
-								panic(fmt.Sprintf("eval: fleet apply: %v", err))
-							}
-						}
-					}
-					params := marshalParams(apps.CompletionParams{
-						Prompt:        prompts[task%len(prompts)],
-						MaxTokens:     fleetMaxTokens,
-						FirstTokenAck: true,
-					})
-					sp := pie.Spec("text_completion", params)
-					sp.Class = "interactive"
-					t0 := e.Now()
-					h, err := e.Launch(sp)
-					if err != nil {
-						leg.Failed++
-						continue
-					}
-					if msg, merr := h.Recv().Get(); merr == nil && msg == "first-token" {
-						samples = append(samples, sample{t0 - start, e.Now() - t0})
-					}
-					if h.Wait() != nil {
-						leg.Failed++
-						continue
-					}
-					leg.Done++
 				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
-		// Idle tail: the rollout's last batches and the drain bookkeeping
-		// finish inside the run.
-		e.Sleep(fleetIdleTail)
+			}
+			return fleetSpec(prompts[task%len(prompts)], true)
+		},
+		done: func(o outcome) {
+			if o.Msg == "first-token" {
+				samples = append(samples, sample{o.T0, o.First - o.T0})
+			}
+			if o.Err != nil {
+				leg.Failed++
+				return
+			}
+			leg.Done++
+		},
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: fleet leg run: %v", err))
-	}
+	leg.Makespan = makespan
 
 	all := &metrics.Series{Name: "client-ttft"}
 	win := &metrics.Series{Name: "client-ttft-window"}
@@ -287,10 +266,7 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 			leg.WindowN++
 		}
 	}
-	leg.TTFTP95 = all.Percentile(95)
-	if leg.WindowN > 0 {
-		leg.WindowP95 = win.Percentile(95)
-	}
+	leg.TTFTP95, leg.WindowP95 = all.Percentile(95), win.Percentile(95)
 	leg.UpgradeRequeues = e.Stats().UpgradeRequeues
 	ctl := e.FleetController()
 	fst := ctl.Status()
@@ -304,7 +280,7 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 	fmt.Fprintf(&fb, "mode=%s makespan=%v done=%d failed=%d requeues=%d prewarms=%d\n",
 		mode, leg.Makespan, leg.Done, leg.Failed, leg.UpgradeRequeues, leg.Prewarms)
 	for _, s := range samples {
-		fmt.Fprintf(&fb, "%v %v\n", s.t0, s.d)
+		fmt.Fprintf(&fb, "%v %v\n", s.t0-start, s.d)
 	}
 	for _, line := range ctl.Log {
 		fb.WriteString(line)
@@ -336,64 +312,31 @@ func runFleetReload(o Options) FleetReloadLeg {
 	}
 
 	var leg FleetReloadLeg
-	e.Go("loadgen", func() {
-		// Same warmup as the upgrade legs: explicit version ref, since the
-		// boot pin lands on the first controller tick.
-		if h, err := e.Launch(pie.Spec("text_completion@1.0.0", marshalParams(apps.CompletionParams{
-			Prompt: prompts[0], MaxTokens: 2,
-		}))); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		q := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			q.Send(t)
-		}
-		for w := 0; w < conc; w++ {
-			g.Go("client", func() {
-				for {
-					task, ok := q.TryRecv()
-					if !ok {
-						return
-					}
-					switch task {
-					case total / 4:
-						if err := e.ApplyFleet(grow); err != nil {
-							panic(fmt.Sprintf("eval: fleet grow: %v", err))
-						}
-					case total / 2:
-						if err := e.ApplyFleet(shrink); err != nil {
-							panic(fmt.Sprintf("eval: fleet shrink: %v", err))
-						}
-					}
-					sp := pie.Spec("text_completion", marshalParams(apps.CompletionParams{
-						Prompt:    prompts[task%len(prompts)],
-						MaxTokens: fleetMaxTokens,
-					}))
-					sp.Class = "interactive"
-					h, err := e.Launch(sp)
-					if err != nil {
-						leg.Dropped++
-						continue
-					}
-					if h.Wait() != nil {
-						leg.Dropped++
-						continue
-					}
-					leg.Done++
+	// The idle tail is for the shrink's two-phase drains, which need idle
+	// replicas to retire (KV exports migrate, then the replica deactivates).
+	_, leg.Makespan = runLoad(e, "fleet reload", fleetWarmup(prompts[0]), fleetIdleTail, loadClass{
+		name: "client", clients: conc, tasks: total,
+		spec: func(task int) pie.LaunchSpec {
+			switch task {
+			case total / 4:
+				if err := e.ApplyFleet(grow); err != nil {
+					panic(fmt.Sprintf("eval: fleet grow: %v", err))
 				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
-		// Idle tail: the shrink's two-phase drains need idle replicas to
-		// retire (KV exports migrate, then the replica deactivates).
-		e.Sleep(fleetIdleTail)
+			case total / 2:
+				if err := e.ApplyFleet(shrink); err != nil {
+					panic(fmt.Sprintf("eval: fleet shrink: %v", err))
+				}
+			}
+			return fleetSpec(prompts[task%len(prompts)], false)
+		},
+		done: func(o outcome) {
+			if o.Err != nil {
+				leg.Dropped++
+				return
+			}
+			leg.Done++
+		},
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: fleet reload run: %v", err))
-	}
 	fst := e.FleetController().Status()
 	leg.Applies = fst.Generation
 	leg.Activations = fst.Activations
@@ -439,4 +382,30 @@ func (r FleetResult) Table() string {
 	fmt.Fprintf(&b, "fleet: hot reload 2 -> 5 -> 3 converged=%v final serving=%d (%d activations, %d drains), %d/%d sessions done, %d dropped\n",
 		r.Reload.Converged, r.Reload.FinalServing, r.Reload.Activations, r.Reload.Drains, r.Reload.Done, r.Reload.Done+r.Reload.Dropped, r.Reload.Dropped)
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers.
+func (r FleetResult) Headline() map[string]float64 {
+	h := map[string]float64{
+		"steady-window-p95-ms":  ms(r.Steady.WindowP95),
+		"rolling-window-p95-ms": ms(r.Rolling.WindowP95),
+		"naive-window-p95-ms":   ms(r.Naive.WindowP95),
+		"rolling-vs-steady-x":   r.RollingRatio,
+		"naive-vs-steady-x":     r.NaiveRatio,
+		"rolling-done":          float64(r.Rolling.Done),
+		"rolling-failed":        float64(r.Rolling.Failed),
+		"rolling-requeues":      float64(r.Rolling.UpgradeRequeues),
+		"naive-requeues":        float64(r.Naive.UpgradeRequeues),
+		"rolling-prewarms":      float64(r.Rolling.Prewarms),
+		"reload-final-serving":  float64(r.Reload.FinalServing),
+		"reload-dropped":        float64(r.Reload.Dropped),
+		"reload-done":           float64(r.Reload.Done),
+	}
+	if r.Deterministic {
+		h["deterministic"] = 1
+	}
+	if r.Rolling.Converged && r.Naive.Converged && r.Reload.Converged {
+		h["converged"] = 1
+	}
+	return h
 }

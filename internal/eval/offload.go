@@ -9,7 +9,6 @@ import (
 	"pie"
 	"pie/inferlet"
 	"pie/internal/metrics"
-	"pie/internal/sim"
 )
 
 // Offload experiment (beyond the paper's evaluation; motivated by "Pie:
@@ -208,58 +207,24 @@ func runOffloadLeg(o Options, oversub, ratio float64, rounds int) OffloadPoint {
 	e.MustRegister(kvHoldProgram())
 	params := marshalParams(kvHoldParams{Pages: offloadAgentPgs, ThinkMS: offloadThinkMS, Decode: offloadDecode})
 	p := OffloadPoint{Oversub: oversub, HostRatio: ratio, Agents: agents}
-	var ttftSum, latSum time.Duration
-	var ttftN int
-	e.Go("loadgen", func() {
-		// Warmup populates the binary cache so steady-state numbers
-		// exclude cold JIT.
-		if h, err := e.Launch(pie.Spec("kv_hold", params)); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		queue := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < total; t++ {
-			queue.Send(t)
-		}
-		for w := 0; w < agents; w++ {
-			g.Go("agent", func() {
-				for {
-					if _, ok := queue.TryRecv(); !ok {
-						return
-					}
-					for attempt := 0; attempt < 4; attempt++ {
-						t0 := e.Now()
-						h, err := e.Launch(pie.Spec("kv_hold", params))
-						if err != nil {
-							p.Failures++
-							continue
-						}
-						var tFirst time.Duration
-						if _, err := h.Recv().Get(); err == nil {
-							tFirst = e.Now() - t0
-						}
-						if err := h.Wait(); err != nil {
-							p.Failures++
-							continue
-						}
-						if tFirst > 0 {
-							ttftSum += tFirst
-							ttftN++
-						}
-						latSum += e.Now() - t0
-						p.Done++
-						break
-					}
-				}
-			})
-		}
-		g.Wait()
-		p.Makespan = e.Now() - start
+	var ttft, lat metrics.Series
+	spec := pie.Spec("kv_hold", params)
+	_, p.Makespan = runLoad(e, "offload leg", spec, 0, loadClass{
+		// A terminated agent (FCFS reclamation) is relaunched and counted.
+		name: "agent", clients: agents, tasks: total, attempts: 4, ack: true,
+		spec: func(int) pie.LaunchSpec { return spec },
+		done: func(o outcome) {
+			if o.Err != nil {
+				p.Failures++
+				return
+			}
+			if o.First > 0 {
+				ttft.Add(o.First - o.T0)
+			}
+			lat.Add(o.End - o.T0)
+			p.Done++
+		},
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: offload leg run: %v", err))
-	}
 	st := e.Stats()
 	p.Terminations = st.Terminations
 	p.SwapInPages = st.SwapInPages
@@ -267,12 +232,7 @@ func runOffloadLeg(o Options, oversub, ratio float64, rounds int) OffloadPoint {
 	p.SwapTime = st.SwapTime
 	p.PeakPages = st.KVPeakPages
 	p.EffCapacity = float64(p.PeakPages) / float64(offloadDevPages)
-	if ttftN > 0 {
-		p.TTFT = ttftSum / time.Duration(ttftN)
-	}
-	if p.Done > 0 {
-		p.MeanLatency = latSum / time.Duration(p.Done)
-	}
+	p.TTFT, p.MeanLatency = ttft.Mean(), lat.Mean()
 	return p
 }
 
@@ -299,4 +259,23 @@ func (r OffloadResult) Table() string {
 	}
 	b.WriteString(t.String())
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers: the 2x-oversubscribed level
+// with and without the host tier, and the uncontended TTFT.
+func (r OffloadResult) Headline() map[string]float64 {
+	h := map[string]float64{}
+	if p, ok := r.Get(2, 1.0); ok {
+		h["effcap-2x-offload-x"] = p.EffCapacity
+		h["ttft-2x-offload-ms"] = ms(p.TTFT)
+		h["swapout-2x-offload-pages"] = float64(p.SwapOutPages)
+		h["failures-2x-offload"] = float64(p.Failures)
+	}
+	if p, ok := r.Get(2, 0); ok {
+		h["terms-2x-none"] = float64(p.Terminations)
+	}
+	if p, ok := r.Get(1, 0); ok {
+		h["ttft-1x-none-ms"] = ms(p.TTFT)
+	}
+	return h
 }

@@ -157,102 +157,63 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
 	// hits the (smaller) prefill tier harder, and it says nothing about
 	// sustained serving — which is what the layouts differ on.
 	warmCut := spec.IntConc * o.scale(2, 1)
-	e.Go("loadgen", func() {
-		// Warmup populates the artifact caches on every replica path.
-		if h, err := e.Launch(pie.Spec("text_completion", marshalParams(apps.CompletionParams{
-			Prompt: intPrompts[0], MaxTokens: 2,
-		}))); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		intQ := sim.NewMailbox[int](e.Clock())
-		batchQ := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < spec.IntConc*perWorker; t++ {
-			intQ.Send(t)
-		}
-		for t := 0; t < spec.BatchConc*perWorker; t++ {
-			batchQ.Send(t)
-		}
-		for w := 0; w < spec.IntConc; w++ {
-			// Per-client think time decorrelates arrivals: real interactive
-			// clients do not fire in lockstep, and a synchronized herd would
-			// measure burst absorption instead of sustained serving.
-			think := sim.NewRNG(o.seed() ^ uint64(0x17+w))
-			g.Go("interactive", func() {
-				for {
-					task, ok := intQ.TryRecv()
-					if !ok {
-						return
-					}
-					e.Sleep(time.Duration(think.Intn(12)) * time.Millisecond)
-					params := marshalParams(apps.CompletionParams{
-						Prompt:        intPrompts[task%len(intPrompts)],
-						MaxTokens:     pdIntTokens,
-						FirstTokenAck: true,
-					})
-					t0 := e.Now()
-					h, err := e.Launch(pie.Spec("text_completion", params))
-					if err != nil {
-						continue
-					}
-					var first time.Duration
-					if msg, merr := h.Recv().Get(); merr == nil && msg == "first-token" {
-						first = e.Now() - t0
-						if task >= warmCut {
-							ttft.Add(first)
-						}
-					}
-					if h.Wait() == nil {
-						leg.IntDone++
-						if first > 0 {
-							if first <= pdTTFTSLO {
-								leg.IntGood++
-							}
-							if pdIntTokens > 1 {
-								tpot.Add((e.Now() - t0 - first) / (pdIntTokens - 1))
-							}
-						}
-					}
-				}
-			})
-		}
-		for w := 0; w < spec.BatchConc; w++ {
-			think := sim.NewRNG(o.seed() ^ uint64(0x8100+w))
-			g.Go("batch", func() {
-				for {
-					task, ok := batchQ.TryRecv()
-					if !ok {
-						return
-					}
-					e.Sleep(time.Duration(think.Intn(24)) * time.Millisecond)
-					params := marshalParams(apps.CompletionParams{
-						Prompt:    batchPrompts[(task*5)%len(batchPrompts)],
-						MaxTokens: pdBatchTokens,
-					})
-					t0 := e.Now()
-					h, err := e.Launch(pie.Spec("text_completion", params))
-					if err != nil {
-						continue
-					}
-					if h.Wait() == nil {
-						leg.BatchDone++
-						lat := e.Now() - t0
-						bLat.Add(lat)
-						if lat <= pdBatchSLO {
-							leg.BatchGood++
-						}
-					}
-				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
-		e.Sleep(pdIdleTail)
-	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: pd leg run: %v", err))
+	// Per-client think time decorrelates arrivals: real interactive clients
+	// do not fire in lockstep, and a synchronized herd would measure burst
+	// absorption instead of sustained serving.
+	think := func(salt int) func(int) *sim.RNG {
+		return func(w int) *sim.RNG { return sim.NewRNG(o.seed() ^ uint64(salt+w)) }
 	}
+	completion := func(prompt string, maxTokens int, ack bool) pie.LaunchSpec {
+		return pie.Spec("text_completion", marshalParams(apps.CompletionParams{
+			Prompt: prompt, MaxTokens: maxTokens, FirstTokenAck: ack,
+		}))
+	}
+	// The warm-up populates the artifact caches on every replica path.
+	_, leg.Makespan = runLoad(e, "pd leg", completion(intPrompts[0], 2, false), pdIdleTail,
+		loadClass{
+			name: "interactive", clients: spec.IntConc, tasks: spec.IntConc * perWorker,
+			think: think(0x17), thinkMS: 12, ack: true,
+			spec: func(task int) pie.LaunchSpec {
+				return completion(intPrompts[task%len(intPrompts)], pdIntTokens, true)
+			},
+			done: func(o outcome) {
+				var first time.Duration
+				if o.Msg == "first-token" {
+					first = o.First - o.T0
+					if o.Task >= warmCut {
+						ttft.Add(first)
+					}
+				}
+				if o.Err != nil {
+					return
+				}
+				leg.IntDone++
+				if first > 0 {
+					if first <= pdTTFTSLO {
+						leg.IntGood++
+					}
+					tpot.Add((o.End - o.First) / (pdIntTokens - 1))
+				}
+			},
+		},
+		loadClass{
+			name: "batch", clients: spec.BatchConc, tasks: spec.BatchConc * perWorker,
+			think: think(0x8100), thinkMS: 24,
+			spec: func(task int) pie.LaunchSpec {
+				return completion(batchPrompts[(task*5)%len(batchPrompts)], pdBatchTokens, false)
+			},
+			done: func(o outcome) {
+				if o.Err != nil {
+					return
+				}
+				leg.BatchDone++
+				lat := o.End - o.T0
+				bLat.Add(lat)
+				if lat <= pdBatchSLO {
+					leg.BatchGood++
+				}
+			},
+		})
 	st := e.Stats()
 	leg.IntTTFTP50 = ttft.Percentile(50)
 	leg.IntTTFTP95 = ttft.Percentile(95)
@@ -344,4 +305,23 @@ func (r PDResult) BestMix() PDMix {
 	}
 	best, _ := pick(r.Mixes)
 	return best
+}
+
+// Headline is the experiment's gated numbers, all from the best mix.
+func (r PDResult) Headline() map[string]float64 {
+	best := r.BestMix()
+	return map[string]float64{
+		"disagg-ttft-p95-ms":  ms(best.Disagg.IntTTFTP95),
+		"unified-ttft-p95-ms": ms(best.Unified.IntTTFTP95),
+		"ttft-speedup-x":      best.TTFTSpeedup(),
+		"disagg-goodput":      best.Disagg.Goodput,
+		"unified-goodput":     best.Unified.Goodput,
+		"disagg-thru":         best.Disagg.Throughput,
+		"unified-thru":        best.Unified.Throughput,
+		"handoffs":            float64(best.Disagg.Handoffs),
+		"handoff-pages":       float64(best.Disagg.HandoffPages),
+		"handoff-queued":      float64(best.Disagg.HandoffQueued),
+		"handoff-denied":      float64(best.Disagg.HandoffDenied),
+		"leaked-pages":        float64(best.Disagg.LeakedPages),
+	}
 }

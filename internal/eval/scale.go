@@ -161,3 +161,20 @@ func (r *ScaleResult) Table() string {
 		r.MaxReplicas, r.Sweep[len(r.Sweep)-1].EventsPS, r.GoMaxProcs, r.EventsPS1, det)
 	return b.String()
 }
+
+// Headline is the experiment's gated numbers. It carries only
+// virtual-time-deterministic values: events/sec at either GOMAXPROCS is a
+// wall-clock number that varies with machine load, so it appears in the
+// printed table but never in what the bench gate compares.
+func (r *ScaleResult) Headline() map[string]float64 {
+	h := map[string]float64{"replicas-max": float64(r.MaxReplicas)}
+	if r.Deterministic {
+		h["deterministic"] = 1
+	}
+	for _, p := range r.Sweep {
+		h[fmt.Sprintf("fleet-%d-done", p.Replicas)] = float64(p.Completions)
+		h[fmt.Sprintf("fleet-%d-events", p.Replicas)] = float64(p.Events)
+	}
+	h["fleet-max-avg-lat-ms"] = ms(r.Sweep[len(r.Sweep)-1].AvgLatency)
+	return h
+}

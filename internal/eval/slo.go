@@ -187,128 +187,79 @@ func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	// tasks — past the cold ramp both scalers pay equally.
 	warmCut := 2 * spec.IntConc
 	steadyGood := 0
-	e.Go("loadgen", func() {
-		// Warmup populates every artifact cache path before measurement.
-		if h, err := e.Launch(pie.Spec("text_completion", marshalParams(apps.CompletionParams{
-			Prompt: prompts[0], MaxTokens: 2,
-		}))); err == nil {
-			_ = h.Wait()
-		}
-		start := e.Now()
-		g := sim.NewGroup(e.Clock())
-		intQ := sim.NewMailbox[int](e.Clock())
-		batchQ := sim.NewMailbox[int](e.Clock())
-		beQ := sim.NewMailbox[int](e.Clock())
-		for t := 0; t < spec.IntConc*perWorker; t++ {
-			intQ.Send(t)
-		}
-		for t := 0; t < spec.BatchConc*perWorker; t++ {
-			batchQ.Send(t)
-		}
-		for t := 0; t < spec.BEConc*perWorker; t++ {
-			beQ.Send(t)
-		}
-		for w := 0; w < spec.IntConc; w++ {
-			g.Go("interactive", func() {
-				for {
-					task, ok := intQ.TryRecv()
-					if !ok {
-						return
-					}
-					params := marshalParams(apps.CompletionParams{
-						Prompt:        prompts[task%len(prompts)],
-						MaxTokens:     sloMaxTokens,
-						FirstTokenAck: true,
-					})
-					sp := pie.Spec("text_completion", params)
-					sp.Class = "interactive"
-					t0 := e.Now()
-					h, err := e.Launch(sp)
-					if err != nil {
-						leg.IntFailed++
-						continue
-					}
-					if msg, merr := h.Recv().Get(); merr == nil && msg == "first-token" {
-						d := e.Now() - t0
-						ttft.Add(d)
-						if task >= warmCut {
-							leg.SteadyN++
-							if d <= sloTTFTTarget {
-								steadyGood++
-							}
-						}
-					}
-					if h.Wait() != nil {
-						leg.IntFailed++
-						continue
-					}
-					leg.IntDone++
-				}
-			})
-		}
-		for w := 0; w < spec.BatchConc; w++ {
-			g.Go("batch", func() {
-				for {
-					task, ok := batchQ.TryRecv()
-					if !ok {
-						return
-					}
-					params := marshalParams(apps.CompletionParams{
-						Common: apps.Common{Model: "llama-3b"},
-						Prompt: prompts[(task*7)%len(prompts)],
-						// Degraded admissions rewrite this cap downward.
-						MaxTokens: sloBatchTokens,
-					})
-					sp := pie.Spec("text_completion", params)
-					sp.Class = "batch"
-					h, err := e.Launch(sp)
-					if err != nil {
-						continue
-					}
-					if h.Degraded() {
-						leg.BatchDegraded++
-					}
-					if h.Wait() == nil {
-						leg.BatchDone++
-					}
-				}
-			})
-		}
-		for w := 0; w < spec.BEConc; w++ {
-			g.Go("best-effort", func() {
-				for {
-					task, ok := beQ.TryRecv()
-					if !ok {
-						return
-					}
-					params := marshalParams(apps.CompletionParams{
-						Prompt:    prompts[(task*3)%len(prompts)],
-						MaxTokens: sloMaxTokens,
-					})
-					sp := pie.Spec("text_completion", params)
-					sp.Priority = -1
-					h, err := e.Launch(sp)
-					switch {
-					case err == nil:
-						if h.Wait() == nil {
-							leg.BEDone++
-						}
-					case errors.Is(err, pie.ErrOverloaded):
-						leg.BEShed++
-					}
-				}
-			})
-		}
-		g.Wait()
-		leg.Makespan = e.Now() - start
-		// Idle tail: long enough for the SLO leg to drain to zero and the
-		// baseline to drain back toward Min, so the cost gap is honest
-		// about idle fleets too.
-		e.Sleep(sloIdleTail)
-	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: slo leg run: %v", err))
+	launch := func(params apps.CompletionParams, class string, priority int) pie.LaunchSpec {
+		sp := pie.Spec("text_completion", marshalParams(params))
+		sp.Class, sp.Priority = class, priority
+		return sp
 	}
+	// The warm-up populates every artifact cache path before measurement.
+	// The idle tail is long enough for the SLO leg to drain to zero and the
+	// baseline to drain back toward Min, so the cost gap is honest about
+	// idle fleets too.
+	_, leg.Makespan = runLoad(e, "slo leg", launch(apps.CompletionParams{Prompt: prompts[0], MaxTokens: 2}, "", 0), sloIdleTail,
+		loadClass{
+			name: "interactive", clients: spec.IntConc, tasks: spec.IntConc * perWorker, ack: true,
+			spec: func(task int) pie.LaunchSpec {
+				return launch(apps.CompletionParams{
+					Prompt:        prompts[task%len(prompts)],
+					MaxTokens:     sloMaxTokens,
+					FirstTokenAck: true,
+				}, "interactive", 0)
+			},
+			done: func(o outcome) {
+				if o.Msg == "first-token" {
+					d := o.First - o.T0
+					ttft.Add(d)
+					if o.Task >= warmCut {
+						leg.SteadyN++
+						if d <= sloTTFTTarget {
+							steadyGood++
+						}
+					}
+				}
+				if o.Err != nil {
+					leg.IntFailed++
+					return
+				}
+				leg.IntDone++
+			},
+		},
+		loadClass{
+			name: "batch", clients: spec.BatchConc, tasks: spec.BatchConc * perWorker,
+			spec: func(task int) pie.LaunchSpec {
+				return launch(apps.CompletionParams{
+					Common: apps.Common{Model: "llama-3b"},
+					Prompt: prompts[(task*7)%len(prompts)],
+					// Degraded admissions rewrite this cap downward.
+					MaxTokens: sloBatchTokens,
+				}, "batch", 0)
+			},
+			done: func(o outcome) {
+				if o.H != nil && o.H.Degraded() {
+					leg.BatchDegraded++
+				}
+				if o.Err == nil {
+					leg.BatchDone++
+				}
+			},
+		},
+		loadClass{
+			name: "best-effort", clients: spec.BEConc, tasks: spec.BEConc * perWorker,
+			spec: func(task int) pie.LaunchSpec {
+				return launch(apps.CompletionParams{
+					Prompt:    prompts[(task*3)%len(prompts)],
+					MaxTokens: sloMaxTokens,
+				}, "", -1)
+			},
+			done: func(o outcome) {
+				switch {
+				case o.Err == nil:
+					leg.BEDone++
+				case o.H == nil && errors.Is(o.Err, pie.ErrOverloaded):
+					leg.BEShed++
+				}
+			},
+		})
 	st := e.Stats()
 	for _, cs := range st.Classes {
 		if cs.Class == "interactive" {
@@ -374,4 +325,26 @@ func (r SLOResult) Table() string {
 		high.SLO.CostUnits, high.Baseline.CostUnits, high.SLO.NaiveCost,
 		high.SLO.BatchDegraded, high.SLO.ModelDowngrades, high.SLO.ScaleToZeroEvents)
 	return b.String()
+}
+
+// Headline is the experiment's gated numbers. They come from the high-load
+// level, where the contrast between the saturation-guarded scaler and the
+// queue-depth baseline lives; the low-load level contributes the
+// scale-to-zero cost number.
+func (r SLOResult) Headline() map[string]float64 {
+	high := r.Levels[len(r.Levels)-1]
+	low := r.Levels[0]
+	return map[string]float64{
+		"slo-steady-ttft-attain":  high.SLO.SteadyTTFTAttain,
+		"base-steady-ttft-attain": high.Baseline.SteadyTTFTAttain,
+		"slo-cost-units":          high.SLO.CostUnits,
+		"base-cost-units":         high.Baseline.CostUnits,
+		"naive-cost-units":        high.SLO.NaiveCost,
+		"degradations":            float64(high.SLO.BatchDegraded),
+		"model-downgrades":        float64(high.SLO.ModelDowngrades),
+		"base-be-sheds":           float64(high.Baseline.BEShed),
+		"slo-be-done":             float64(high.SLO.BEDone),
+		"scale-ups":               float64(high.SLO.ScaleUps),
+		"low-slo-cost-units":      low.SLO.CostUnits,
+	}
 }

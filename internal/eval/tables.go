@@ -342,3 +342,37 @@ func (r Table5Result) Table() string {
 	}
 	return t.String()
 }
+
+// Headline is the inventory's gated number.
+func (r Table2Result) Headline() map[string]float64 {
+	return map[string]float64{"programs": float64(len(r.Rows))}
+}
+
+// Headline is the table's gated numbers.
+func (r Table3Result) Headline() map[string]float64 {
+	return map[string]float64{
+		"vllm-tpot-ms":    ms(r.VLLMTPOT),
+		"pie-tpot-ms":     ms(r.PieTPOT),
+		"sampling-gap-ms": ms(r.SamplingGap),
+	}
+}
+
+// Headline is the table's gated numbers, per model size.
+func (r Table4Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	for _, row := range r.Rows {
+		h[row.Params+"-pie-ms"] = ms(row.Pie)
+		h[row.Params+"-vllm-ms"] = ms(row.VLLM)
+		h[row.Params+"-overhead-pct"] = row.Percent
+	}
+	return h
+}
+
+// Headline is the table's gated numbers, per batching policy.
+func (r Table5Result) Headline() map[string]float64 {
+	h := map[string]float64{}
+	for _, row := range r.Rows {
+		h[row.Policy+"-req-per-sec"] = row.Throughput
+	}
+	return h
+}
