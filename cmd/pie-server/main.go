@@ -8,7 +8,9 @@
 // The HTTP surface lives under /v1/ with structured JSON errors
 // ({"error":{"code","message"}}). Completed runs are evicted from the
 // handle table by /v1/wait and /v1/close, so long-lived servers do not
-// accumulate finished runs.
+// accumulate finished runs. SIGTERM or SIGINT shuts the server down
+// gracefully: it takes no new calls, the calls in flight finish or see
+// their run aborted, the clock stops, and the process exits 0.
 //
 // Without -config the server runs one default replica. Anything
 // fleet-shaped (replica pools, variants, roles, placement, service
@@ -26,17 +28,20 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,31 +57,30 @@ import (
 
 type server struct {
 	engine *pie.Engine
+	ran    chan struct{} // closed when the engine's event loop has returned
 	mu     sync.Mutex
 	nextID int
 	runs   map[int]*pie.Handle
 }
 
-// newEngine assembles the serving engine exactly as main runs it: every
+// newServer assembles the serving engine exactly as main runs it: every
 // app registered, tool services installed, external clock enabled, and the
 // event loop running. Tests drive the same path.
-func newEngine(cfg pie.Config) *pie.Engine {
+func newServer(cfg pie.Config) *server {
 	e := pie.New(cfg)
 	e.MustRegister(apps.All()...)
 	e.RegisterTool("search.api", 40*time.Millisecond, func(string) string { return "search results" })
 	e.RegisterTool("code.exec", 80*time.Millisecond, func(string) string { return "exit 0" })
 	e.RegisterTool("fn.api", 30*time.Millisecond, func(string) string { return "ok" })
 	e.Clock().EnableExternal()
+	s := &server{engine: e, ran: make(chan struct{}), runs: make(map[int]*pie.Handle)}
 	go func() {
+		defer close(s.ran)
 		if err := e.Run(); err != nil {
 			log.Printf("engine: %v", err)
 		}
 	}()
-	return e
-}
-
-func newServer(e *pie.Engine) *server {
-	return &server{engine: e, runs: make(map[int]*pie.Handle)}
+	return s
 }
 
 // mux routes the HTTP API.
@@ -214,7 +218,7 @@ func main() {
 		fmt.Printf("%s: ok\n", opts.ConfigPath)
 		return
 	}
-	s := newServer(newEngine(opts.Cfg))
+	s := newServer(opts.Cfg)
 	if opts.ConfigPath != "" {
 		// SIGHUP re-reads the manifest and hot-applies it, the classic
 		// daemon reload contract. POST /v1/fleet is the remote equivalent.
@@ -237,17 +241,90 @@ func main() {
 		}
 		log.Printf("pprof on http://%s/debug/pprof/", ln.Addr())
 	}
-	log.Printf("pie-server listening on %s (%v)", opts.Addr, s.engine)
-	log.Fatal(s.httpServer(opts.Addr).ListenAndServe())
+	ln, err := net.Listen("tcp", opts.Addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("pie-server listening on %s (%v)", ln.Addr(), s.engine)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
+	if err := s.serve(ln, stop, shutdownGrace); err != nil {
+		log.Fatal(err)
+	}
+	log.Print("pie-server: shut down")
+}
+
+// shutdownGrace is how long a SIGTERM or SIGINT lets the calls in flight
+// finish before the runs still in the handle table are aborted, and then
+// again how long the calls that were waiting on those runs get to end.
+const shutdownGrace = 5 * time.Second
+
+// serve answers the API on ln until a signal arrives on stop, then shuts
+// down in two passes. The listener closes and the calls in flight get grace
+// to finish. Then every run still in the handle table is aborted through the
+// clock, which ends the streams and waits still open on one, and they get
+// the rest of a second grace to report it. Last the clock shuts down, and
+// serve returns once the event loop has, leaving no goroutine in inject. It
+// reports an error if the listener fails or a call outlives both passes.
+func (s *server) serve(ln net.Listener, stop <-chan os.Signal, grace time.Duration) error {
+	hs := s.httpServer()
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-stop:
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*grace)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- hs.Shutdown(ctx) }()
+	var err error
+	select {
+	case err = <-drained:
+		drained = nil
+	case <-time.After(grace):
+	}
+	s.abortAll()
+	if drained != nil {
+		err = <-drained
+	}
+	if err != nil {
+		hs.Close() // cut the calls that outlived both passes; the clock's shutdown releases their inject
+		err = fmt.Errorf("graceful shutdown: %w", err)
+	}
+	<-served // http.ErrServerClosed
+	s.engine.Clock().Shutdown()
+	select {
+	case <-s.ran:
+	case <-time.After(grace):
+		return errors.New("graceful shutdown: the event loop did not stop")
+	}
+	return err
+}
+
+// abortAll aborts every run still in the handle table, in launch order.
+func (s *server) abortAll() {
+	s.mu.Lock()
+	ids := slices.Sorted(maps.Keys(s.runs))
+	runs := make([]*pie.Handle, len(ids))
+	for i, id := range ids {
+		runs[i] = s.runs[id]
+	}
+	s.mu.Unlock()
+	s.inject("http:shutdown", func() {
+		for _, h := range runs {
+			h.Abort()
+		}
+	})
 }
 
 // httpServer bounds what an idle or stalling client can hold: the time to
 // send request headers and the life of an idle keep-alive connection.
 // There is no WriteTimeout, which would cut every SSE stream and every
 // /v1/wait on a long run.
-func (s *server) httpServer(addr string) *http.Server {
+func (s *server) httpServer() *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           s.mux(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,

@@ -22,7 +22,7 @@ import (
 // PR 1 (the clock must not finish itself while only daemons are live).
 func startTestServer(t *testing.T, cfg pie.Config) (*server, *httptest.Server) {
 	t.Helper()
-	s := newServer(newEngine(cfg))
+	s := newServer(cfg)
 	ts := httptest.NewServer(s.mux())
 	t.Cleanup(ts.Close)
 	return s, ts

@@ -270,8 +270,8 @@ func TestBodyLimits(t *testing.T) {
 }
 
 func TestHTTPServerTimeouts(t *testing.T) {
-	s := newServer(newEngine(pie.Config{Seed: 7}))
-	hs := s.httpServer("127.0.0.1:0")
+	s := newServer(pie.Config{Seed: 7})
+	hs := s.httpServer()
 	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
 	}

@@ -12,9 +12,15 @@
 // floating-point sum, and no multiply is fused with its add: a product is
 // written float32(a * b), the conversion the language forbids fusing
 // across, and the assembly has no FMA. The kernels' sums are therefore the
-// same bits on both Matrix paths and on every architecture (math.Exp and
-// math.Sincos are the standard library's to keep). Build with -tags purego
-// to leave the assembly out.
+// same bits on both Matrix paths and on every architecture.
+//
+// exp is this package's to keep too: Softmax and SiLU return, bit for bit,
+// what their scalar loops over float32(math.Exp(float64(x))) return. With
+// AVX2 they run in lanes (exp_amd64.s), and a lane whose float32 the kernel
+// cannot prove to be math.Exp's goes to math.Exp; max and the divide round
+// in lanes exactly as the scalar instructions do, and the sum stays scalar,
+// in index order. math.Sincos stays the standard library's. Build with
+// -tags purego to leave the assembly out.
 package tensor
 
 import "math"
@@ -150,34 +156,66 @@ func RMSNorm(x, weight, out []float32, eps float32) {
 	}
 }
 
-// Softmax normalizes x in place with max-subtraction for stability.
+// Softmax normalizes x in place with max-subtraction for stability: e[i] =
+// float32(math.Exp(float64(x[i] - max))), summed in index order, then each
+// divided by the sum. With a NaN in x every output is NaN.
 func Softmax(x []float32) {
 	if len(x) == 0 {
 		return
 	}
-	mx := x[0]
-	for _, v := range x[1:] {
+	mx, i := x[0], 1
+	if vector && len(x) >= 8 {
+		i = len(x) &^ 7
+		mx = maxVec(x[:i])
+	}
+	for _, v := range x[i:] {
 		if v > mx {
 			mx = v
 		}
 	}
+	expShift(x, mx)
 	var sum float32
-	for i, v := range x {
-		e := float32(math.Exp(float64(v - mx)))
-		x[i] = e
+	for _, e := range x {
 		sum += e
 	}
 	if sum == 0 {
 		return
 	}
-	for i := range x {
+	i = 0
+	if vector {
+		i = len(x) &^ 7
+		divVec(x[:i], sum)
+	}
+	for ; i < len(x); i++ {
 		x[i] /= sum
 	}
 }
 
-// SiLU applies x*sigmoid(x) elementwise in place.
+// expShift sets x[i] = float32(math.Exp(float64(x[i] - sub))). The vector
+// kernel does whole groups of four up to one it cannot vouch for; that group
+// and the tail go through math.Exp, and the kernel picks up again at the
+// next group.
+func expShift(x []float32, sub float32) {
+	for i := 0; i < len(x); i++ {
+		if vector && i%4 == 0 {
+			if i += expShiftVec(x[i:], sub); i == len(x) {
+				return
+			}
+		}
+		x[i] = float32(math.Exp(float64(x[i] - sub)))
+	}
+}
+
+// SiLU applies x*sigmoid(x) elementwise in place: x[i] / (1 +
+// float32(math.Exp(float64(-x[i])))), in groups as expShift.
 func SiLU(x []float32) {
-	for i, v := range x {
+	for i := 0; i < len(x); i++ {
+		if vector && i%4 == 0 {
+			if i += siluVec(x[i:]); i == len(x) {
+				return
+			}
+		}
+		v := x[i]
 		x[i] = v / (1 + float32(math.Exp(float64(-v))))
 	}
 }
@@ -224,15 +262,18 @@ func Rope(v, sin, cos []float32) {
 // long, and keys is scratch of at least 2·len(x) elements. x must not
 // contain NaN.
 //
-// Each element becomes one uint64 whose unsigned order is that total order
-// (rank bits of the value above the index). One counting pass over the top
-// topKDigit rank bits finds the bucket holding the k-th best; the keys up
-// to and including that bucket — k of them plus a few bucket-mates — are
-// compacted in index order and radix-sorted, and the first k are the
-// answer: O(n + k) when values are spread. No step branches on the data,
-// which matters more than the operation count: every call sees different
-// logits, so a comparison sort or heap mispredicts about every other
-// comparison.
+// Each element has a rank, a uint32 whose order is the order of values
+// (rankBits), and a key: the rank above the index, a uint64 whose order is
+// the total order. One pass writes the keys, counts the top topKDigit rank
+// bits (the bucket) and finds the best rank; scanning the counts from the
+// best's bucket finds the bucket holding the k-th best. A second pass keeps,
+// in index order, the keys up to and including that bucket — k of them plus
+// a few bucket-mates — and a stable least-significant-digit radix sort
+// orders them: by the 20 rank bits below the bucket in digits of 8, 8 and 4
+// bits, then by the bucket, whose counts the first pass already has. The
+// first k are the answer. O(n + k), and no step branches on the data, which
+// matters more than the operation count: every call sees different logits,
+// so a comparison sort or heap mispredicts about every other comparison.
 func TopK(x []float32, k int, keys []uint64, idx []int) []int {
 	n := len(x)
 	if k > n {
@@ -242,46 +283,57 @@ func TopK(x []float32, k int, keys []uint64, idx []int) []int {
 		return idx[:0]
 	}
 	keys, tmp := keys[:n], keys[n:2*n]
+	tmp = tmp[:len(x)] // the same length, in a form the compiler can drop tmp[i]'s bounds check by
 	var count [1 << topKDigit]int32
+	best := uint32(math.MaxUint32)
 	for i, v := range x {
 		r := rankBits(v)
-		keys[i] = uint64(r)<<32 | uint64(i)
+		tmp[i] = uint64(r)<<32 | uint64(i)
 		count[r>>(32-topKDigit)]++
+		best = min(best, r)
 	}
-	cut, seen := 0, int(count[0])
-	for seen < k {
+	first := best >> (32 - topKDigit)
+	cut := first
+	for seen := count[cut]; int(seen) < k; seen += count[cut] {
 		cut++
-		seen += int(count[cut])
 	}
 	m := 0
-	for _, key := range keys {
-		keys[m] = key // m never passes the read position
-		digit := int(key >> (64 - topKDigit))
-		m += int(uint64(digit-cut-1) >> 63) // 1 when digit <= cut
+	for _, key := range tmp {
+		keys[m] = key                                           // m never passes the read position
+		m += int((uint32(key>>(64-topKDigit)) - cut - 1) >> 31) // 1 when the bucket is <= cut
 	}
-	// Stable byte-wise radix sort of the rank bits; the index order the
-	// compaction kept breaks ties.
-	src, dst := keys[:m], tmp[:m]
-	for shift := 32; shift < 64; shift += 8 {
-		var start [257]int32
-		for _, key := range src {
-			start[(key>>shift&0xFF)+1]++
-		}
-		for b := 1; b < 256; b++ {
-			start[b] += start[b-1]
-		}
-		for _, key := range src {
-			b := key >> shift & 0xFF
-			dst[start[b]] = key
-			start[b]++
-		}
-		src, dst = dst, src
+	var lo, mid [256]int32
+	var hi [16]int32
+	for _, key := range keys[:m] {
+		lo[byte(key>>32)]++
+		mid[byte(key>>40)]++
+		hi[key>>48&15]++
 	}
+	a, b := keys[:m], tmp[:m]
+	radixPass(a, b, lo[:], 32, 0xFF, 0)
+	radixPass(b, a, mid[:], 40, 0xFF, 0)
+	radixPass(a, b, hi[:], 48, 15, 0)
+	radixPass(b, a, count[first:cut+1], 64-topKDigit, 1<<topKDigit-1, uint64(first))
 	idx = idx[:k]
-	for i, key := range src[:k] {
+	for i, key := range a[:k] {
 		idx[i] = int(uint32(key))
 	}
 	return idx
+}
+
+// radixPass copies src into dst ordered by the digit key>>shift&mask - base,
+// stably; count holds how many keys have each digit.
+func radixPass(src, dst []uint64, count []int32, shift uint, mask, base uint64) {
+	var sum int32
+	for d, c := range count {
+		count[d] = sum
+		sum += c
+	}
+	for _, key := range src {
+		d := key>>shift&mask - base
+		dst[count[d]] = key
+		count[d]++
+	}
 }
 
 // topKDigit is how many leading rank bits TopK buckets by: sign, exponent
@@ -289,16 +341,14 @@ func TopK(x []float32, k int, keys []uint64, idx []int) []int {
 const topKDigit = 12
 
 // rankBits maps v to a uint32 that is smaller the larger v is, and equal
-// exactly when the values compare equal (-0 and +0 share a rank).
+// exactly when the values compare equal. v + 0 turns -0 into +0 and leaves
+// every other value alone; a negative value keeps its bits (a larger
+// magnitude ranks later), a positive one has all but the sign flipped (a
+// larger value ranks earlier, and ahead of every negative).
 func rankBits(v float32) uint32 {
-	b := math.Float32bits(v)
-	switch {
-	case v == 0:
-		return 1<<31 - 1 // either zero: the last non-negative rank
-	case b>>31 != 0:
-		return b // negative: a larger magnitude ranks later, as its bits do
-	}
-	return ^b &^ (1 << 31) // positive: a larger value ranks earlier, ahead of every negative
+	b := math.Float32bits(v + 0)
+	neg := uint32(int32(b) >> 31) // all ones when v < 0
+	return b ^ (^neg >> 1)
 }
 
 // ArgMax returns the index of the largest element (first on ties), or -1

@@ -301,6 +301,34 @@ func TestTopKMatchesSort(t *testing.T) {
 	// values rank below them by magnitude.
 	negZero := float32(math.Copysign(0, -1))
 	sameIdx("signed zeros", []float32{0, negZero, -1, negZero, 0, -2, 1, -1}, 6)
+	// The served shape with the cut among zeros and negatives: a few
+	// positives, ±0 in bulk, negatives with heavy ties, and the k-th best
+	// deep in the ties.
+	mixed := make([]float32, 1137)
+	for i := range mixed {
+		switch r.Intn(6) {
+		case 0:
+			mixed[i] = float32(r.NormFloat64())
+		case 1:
+			mixed[i] = 0
+		case 2:
+			mixed[i] = negZero
+		case 3:
+			mixed[i] = -float32(r.Intn(3))
+		default:
+			mixed[i] = -float32(r.ExpFloat64())
+		}
+	}
+	for _, k := range []int{1, 100, 256, 600, 1000} {
+		sameIdx("mixed signs", mixed, k)
+	}
+	neg := randVec(r, 1137) // all negative, the cut in the last buckets
+	for i := range neg {
+		neg[i] = -float32(math.Abs(float64(neg[i]))) * 1e37
+	}
+	neg[3] = float32(math.Inf(-1))
+	sameIdx("negative", neg, 256)
+	sameIdx("negative", neg, 1137)
 	sameIdx("infinities", []float32{float32(math.Inf(-1)), 3, float32(math.Inf(1)), -3, float32(math.Inf(1))}, 4)
 	if got := TopK(nil, 4, nil, nil); len(got) != 0 {
 		t.Fatalf("TopK of nothing returned %v", got)
@@ -364,6 +392,56 @@ func BenchmarkLogitsHead(b *testing.B) {
 		w.Mul(x, 1, out)
 	}
 	sink = out[0]
+}
+
+// benchInputs draws m vectors of n N(0, 1) values, the spread of the model's
+// logits and pre-activations. A benchmark cycles through them: one input
+// repeated would let the branch predictor learn it.
+func benchInputs(n, m int) [][]float32 {
+	r := rand.New(rand.NewSource(7))
+	ins := make([][]float32, m)
+	for i := range ins {
+		ins[i] = randVec(r, n)
+	}
+	return ins
+}
+
+// BenchmarkSoftmax is get_next_dist's normalisation of the 1137-entry
+// vocabulary.
+func BenchmarkSoftmax(b *testing.B) {
+	ins, x := benchInputs(1137, 64), make([]float32, 1137)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, ins[i%len(ins)])
+		Softmax(x)
+	}
+	sink = x[0]
+}
+
+// BenchmarkSiLU is the MLP gate of a 41-token prefill: FFDim 128 x 41.
+func BenchmarkSiLU(b *testing.B) {
+	ins, x := benchInputs(128*41, 16), make([]float32, 128*41)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, ins[i%len(ins)])
+		SiLU(x)
+	}
+	sink = x[0]
+}
+
+// BenchmarkTopK is get_next_dist's selection: the best 256 of a softmaxed
+// 1137-entry vocabulary.
+func BenchmarkTopK(b *testing.B) {
+	ins := benchInputs(1137, 64)
+	for _, x := range ins {
+		Softmax(x)
+	}
+	keys, idx := make([]uint64, 2*1137), make([]int, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx = TopK(ins[i%len(ins)], 256, keys, idx)
+	}
+	sink = float32(idx[0])
 }
 
 // BenchmarkCalibScalar is the one-accumulator oracle on 64 x 64: scalar code

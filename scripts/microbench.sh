@@ -8,10 +8,10 @@
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
 #                                  block of BENCH_micro.json; the "parent"
-#                                  block (the parent commit of the PR that
-#                                  last re-measured it, PR 22's, with the
-#                                  same benchmark bodies and this script) is
-#                                  kept as it is
+#                                  block (the parent commit of the change
+#                                  that last re-measured it, with the same
+#                                  benchmark bodies and this script) is kept
+#                                  as it is
 #   scripts/microbench.sh -check   measure this tree and compare it with the
 #                                  committed "change" block.
 #
@@ -79,7 +79,7 @@ bench() {
 }
 
 {
-	bench 50000x '^Benchmark(CalibScalar|MatVec64|LogitsHead)$' ./internal/tensor
+	bench 50000x '^Benchmark(CalibScalar|MatVec64|LogitsHead|Softmax|SiLU|TopK)$' ./internal/tensor
 	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
