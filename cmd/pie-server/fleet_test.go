@@ -27,7 +27,7 @@ const testManifest = `{
   "reconcile": {"interval": "2ms"}
 }`
 
-func writeManifest(t *testing.T, doc string) string {
+func writeManifest(t testing.TB, doc string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "fleet.json")
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {

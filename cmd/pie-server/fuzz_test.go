@@ -15,10 +15,7 @@ import (
 // fuzzServer boots the server the fuzz targets share, from testManifest so
 // /v1/fleet applies what parses, and returns its mux.
 func fuzzServer(f *testing.F) http.Handler {
-	path := filepath.Join(f.TempDir(), "fleet.json")
-	if err := os.WriteFile(path, []byte(testManifest), 0o644); err != nil {
-		f.Fatal(err)
-	}
+	path := writeManifest(f, testManifest)
 	opts, err := buildConfig(flag.NewFlagSet("fuzz", flag.ContinueOnError), []string{"-config", path})
 	if err != nil {
 		f.Fatal(err)

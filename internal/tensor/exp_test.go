@@ -174,7 +174,8 @@ func TestExpKernelEdges(t *testing.T) {
 func flaggedInputs(r *rand.Rand, n int) []float32 {
 	var out []float32
 	for vector && len(out) < n {
-		if x := -10 * r.Float32(); !func() bool { _, ok := vouched(x); return ok }() {
+		x := -10 * r.Float32()
+		if _, ok := vouched(x); !ok {
 			out = append(out, x)
 		}
 	}
