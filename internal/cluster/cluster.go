@@ -32,8 +32,9 @@
 //     cold programs hash-stick to a replica so their second launch is
 //     already warm.
 //
-// A queue-depth-driven autoscaler can grow and drain the active replica
-// set within configured bounds. Everything runs on the engine's virtual
+// The active replica set changes only through the fleet ops (fleetops.go):
+// the SLO scaler, the health monitor, the fleet controller and placement's
+// last-resort revive all call them. Everything runs on the engine's virtual
 // clock, so same-seed runs make identical placement and scaling decisions.
 package cluster
 
@@ -98,44 +99,6 @@ func ParsePlacement(s string) (PlacementPolicy, error) {
 	return 0, fmt.Errorf("cluster: unknown placement policy %q", s)
 }
 
-// AutoscaleConfig bounds and tunes the queue-depth autoscaler. The zero
-// value disables autoscaling.
-type AutoscaleConfig struct {
-	Enabled bool
-	// Min and Max bound the active replica count (defaults: 1 and the
-	// replica set size).
-	Min, Max int
-	// Interval is the evaluation period on the virtual clock (default 25ms).
-	Interval time.Duration
-	// UpDepth adds a replica when mean outstanding calls per active replica
-	// reaches it (default 48); DownDepth drains one when the mean falls to
-	// it or below (default 4).
-	UpDepth   float64
-	DownDepth float64
-}
-
-func (a AutoscaleConfig) withDefaults(total int) AutoscaleConfig {
-	if a.Min <= 0 {
-		a.Min = 1
-	}
-	if a.Max <= 0 || a.Max > total {
-		a.Max = total
-	}
-	if a.Min > a.Max {
-		a.Min = a.Max
-	}
-	if a.Interval <= 0 {
-		a.Interval = 25 * time.Millisecond
-	}
-	if a.UpDepth <= 0 {
-		a.UpDepth = 48
-	}
-	if a.DownDepth <= 0 {
-		a.DownDepth = 4
-	}
-	return a
-}
-
 // Replica is one serving stack: a backend with its own device, and a
 // controller with its own scheduler and resource pools.
 type Replica struct {
@@ -191,12 +154,11 @@ func (r *Replica) Draining() bool { return r.draining }
 // Health reports the replica's position in the failure state machine.
 func (r *Replica) Health() HealthState { return r.health }
 
-// Cluster routes inferlet launches across replicas and autoscales the
-// active set.
+// Cluster routes inferlet launches across replicas and keeps the active
+// set.
 type Cluster struct {
 	clock    *sim.Clock
 	policy   PlacementPolicy
-	auto     AutoscaleConfig
 	replicas []*Replica
 	rr       int
 
@@ -205,13 +167,13 @@ type Cluster struct {
 	// with the chosen replica.
 	OnPlace func(r *Replica)
 
-	// OnFleetOp, when set, observes every fleet-controller mutation
-	// (fleetops.go): op is "activate", "drain", or "deactivate". It runs
-	// synchronously in the mutating process.
+	// OnFleetOp, when set, observes every active-set change but a death
+	// (fleetops.go): op is "activate", "drain", "drain-done" or
+	// "deactivate". It runs synchronously in the mutating process.
 	OnFleetOp func(op string, r *Replica)
 
 	// Scaling stats.
-	ScaleUps   int // replicas activated (or un-drained) by the autoscaler
+	ScaleUps   int // replicas activated (or un-drained) by the SLO scaler
 	DrainStart int // drains initiated
 	DrainDone  int // drains completed (replica deactivated)
 
@@ -275,28 +237,13 @@ type Cluster struct {
 }
 
 // New builds a cluster over the prebuilt replica set, activating the first
-// `active` replicas. When auto.Enabled, the autoscaler daemon starts on
-// the clock and keeps the active count within [auto.Min, auto.Max].
-func New(clock *sim.Clock, policy PlacementPolicy, auto AutoscaleConfig, replicas []*Replica, active int) *Cluster {
+// `active` replicas.
+func New(clock *sim.Clock, policy PlacementPolicy, replicas []*Replica, active int) *Cluster {
 	if len(replicas) == 0 {
 		panic("cluster: no replicas")
 	}
-	auto = auto.withDefaults(len(replicas))
-	if active <= 0 {
-		active = 1
-	}
-	if active > len(replicas) {
-		active = len(replicas)
-	}
-	if auto.Enabled {
-		if active < auto.Min {
-			active = auto.Min
-		}
-		if active > auto.Max {
-			active = auto.Max
-		}
-	}
-	c := &Cluster{clock: clock, policy: policy, auto: auto, replicas: replicas}
+	active = min(max(active, 1), len(replicas))
+	c := &Cluster{clock: clock, policy: policy, replicas: replicas}
 	for _, r := range replicas {
 		if r.Role != RoleUnified {
 			c.hasRoles = true
@@ -307,9 +254,6 @@ func New(clock *sim.Clock, policy PlacementPolicy, auto AutoscaleConfig, replica
 	}
 	for i := 0; i < active; i++ {
 		c.markActive(replicas[i])
-	}
-	if auto.Enabled {
-		clock.GoDaemon("cluster:autoscaler", c.autoscaleLoop)
 	}
 	return c
 }
@@ -370,8 +314,7 @@ func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 		// Every active replica is draining (or none is active): revive the
 		// lowest-ID live replica so placement still succeeds.
 		for _, r := range c.replicas {
-			if r.health == HealthHealthy && !r.crashed && ok(r) {
-				c.markActive(r)
+			if ok(r) && c.Activate(r) {
 				out = append(out, r)
 				break
 			}
@@ -439,7 +382,7 @@ func (c *Cluster) pickProgramAffinity(artifact string, cands []*Replica) *Replic
 // hashStick maps a key onto the stable set of replicas a launch may start
 // on — all of them, or the prefill-eligible ones when roles are assigned —
 // and walks to the nearest placeable member. Hashing the placeable set
-// directly would move every key whenever the autoscaler resizes it;
+// directly would move every key whenever a scaler resizes it;
 // hashing over decode-only replicas too would walk most keys onto the
 // first prefill replica.
 func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
@@ -530,126 +473,6 @@ func affinityHints(args []string) []string {
 		hints = append(hints, params.CacheKey)
 	}
 	return hints
-}
-
-// --- Autoscaler ---------------------------------------------------------
-
-func (c *Cluster) autoscaleLoop() {
-	for {
-		c.clock.Sleep(c.auto.Interval)
-		c.evaluate()
-	}
-}
-
-// finishDrains completes drains whose replicas have emptied: migrate their
-// KV exports to a surviving replica, then deactivate. Shared by the
-// queue-depth autoscaler and the SLO scaler; iteration is in replica-ID
-// order so same-seed runs decide identically.
-func (c *Cluster) finishDrains() {
-	for _, r := range c.replicas {
-		if r.active && r.draining && r.health == HealthHealthy && r.Ctl.Instances() == 0 && r.Ctl.OutstandingCalls() == 0 {
-			// Before the replica goes dark, migrate its KV exports to the
-			// lowest-ID serving replica: application-managed prompt caches
-			// survive the drain, and the kv-affinity router keeps finding
-			// them on a placeable replica. The transfer time (device ->
-			// host -> peer) is charged to the scaling loop's tick.
-			if dst := c.migrationTarget(r); dst != nil {
-				pages, cost := r.Ctl.MigrateExportsTo(dst.Ctl)
-				if pages > 0 {
-					c.ExportsMigrated++
-					c.PagesMigrated += pages
-					c.clock.Sleep(cost)
-				}
-			}
-			c.markInactive(r)
-			c.DrainDone++
-			c.fleetOp("drain-done", r)
-		}
-	}
-}
-
-// evaluate runs one autoscaler tick: finish completed drains, then compare
-// the mean queue depth per serving replica against the thresholds. All
-// iteration is in replica-ID order, so same-seed runs scale identically.
-// Dead and suspect replicas never count toward capacity: their stuck
-// queues would otherwise read as load the cluster does not actually have
-// the hardware to serve.
-func (c *Cluster) evaluate() {
-	c.finishDrains()
-	serving := 0
-	depth := 0
-	for _, r := range c.replicas {
-		if r.active && !r.draining && r.health == HealthHealthy {
-			serving++
-			depth += r.Ctl.OutstandingCalls()
-		}
-	}
-	if serving == 0 {
-		return
-	}
-	mean := float64(depth) / float64(serving)
-	switch {
-	case mean >= c.auto.UpDepth && serving < c.auto.Max:
-		c.scaleUp()
-	case mean <= c.auto.DownDepth && serving > c.auto.Min:
-		c.scaleDown()
-	}
-}
-
-// migrationTarget picks the replica that inherits a drained replica's KV
-// exports: the lowest-ID healthy serving replica other than the drained
-// one. With roles assigned, decode-eligible replicas are preferred —
-// exports hold decoded context, and parking them on a prefill-only
-// replica would strand them where sessions cannot stay.
-func (c *Cluster) migrationTarget(drained *Replica) *Replica {
-	if c.hasRoles {
-		for _, r := range c.replicas {
-			if r != drained && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
-				return r
-			}
-		}
-	}
-	for _, r := range c.replicas {
-		if r != drained && r.active && !r.draining && r.health == HealthHealthy {
-			return r
-		}
-	}
-	return nil
-}
-
-// scaleUp prefers un-draining a still-warm healthy replica (lowest ID
-// first), then activates the lowest-ID inactive healthy one. Dead and
-// suspect replicas are not capacity.
-func (c *Cluster) scaleUp() {
-	for _, r := range c.replicas {
-		if r.active && r.draining && r.health == HealthHealthy {
-			c.markActive(r)
-			c.ScaleUps++
-			return
-		}
-	}
-	for _, r := range c.replicas {
-		if !r.active && r.health == HealthHealthy && !r.crashed {
-			c.markActive(r)
-			c.ScaleUps++
-			return
-		}
-	}
-}
-
-// scaleDown drains the highest-ID healthy serving replica: it stops
-// receiving placements and deactivates once its instances and queues
-// empty. Suspect replicas are skipped — draining a replica that may be
-// dead would never complete.
-func (c *Cluster) scaleDown() {
-	for i := len(c.replicas) - 1; i >= 0; i-- {
-		r := c.replicas[i]
-		if r.active && !r.draining && r.health == HealthHealthy {
-			r.draining = true
-			c.DrainStart++
-			return
-		}
-	}
 }
 
 // --- Stats --------------------------------------------------------------

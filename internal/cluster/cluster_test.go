@@ -1,5 +1,5 @@
-// Engine-level tests of the cluster layer: placement policies, the
-// autoscaler, and the determinism contract. These drive real engines (the
+// Engine-level tests of the cluster layer: placement policies, drain
+// migration, and the determinism contract. These drive real engines (the
 // external test package may import pie) because placement decisions depend
 // on live controller state — outstanding work, export registries — that
 // only a full serving stack produces.
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-	"time"
 
 	"pie"
 	"pie/apps"
@@ -179,62 +178,6 @@ func TestAffinityHintRoutesPlainLaunches(t *testing.T) {
 	}
 }
 
-func TestAutoscalerGrowsAndDrains(t *testing.T) {
-	e := newEngine(t, pie.Config{
-		Seed:      11,
-		Replicas:  1,
-		Placement: pie.PlaceLeastLoaded,
-		Autoscale: pie.AutoscaleConfig{Enabled: true, Min: 1, Max: 4, UpDepth: 8, DownDepth: 1},
-	})
-	const conc = 32
-	err := e.RunClient(func() {
-		var hs []*pie.Handle
-		for i := 0; i < conc; i++ {
-			h, err := e.Launch(pie.Spec("text_completion", completionParams(48, "")))
-			if err != nil {
-				panic(err)
-			}
-			hs = append(hs, h)
-		}
-		for _, h := range hs {
-			if err := h.Wait(); err != nil {
-				panic(err)
-			}
-		}
-		// Idle long enough for the autoscaler to drain back to Min.
-		e.Sleep(2 * e.Now())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := e.Cluster()
-	if cl.ScaleUps == 0 {
-		t.Fatal("autoscaler never scaled up under load")
-	}
-	if cl.DrainDone == 0 {
-		t.Fatal("autoscaler never completed a drain after load")
-	}
-	if got := cl.ActiveReplicas(); got != 1 {
-		t.Fatalf("active replicas after drain = %d, want 1", got)
-	}
-	if e.Stats().ActiveReplicas != 1 {
-		t.Fatal("engine Stats does not reflect the drained cluster")
-	}
-}
-
-func TestAutoscalerBoundsClampInitialActive(t *testing.T) {
-	// Replicas above Autoscale.Max must not start active: the autoscaler's
-	// [Min, Max] bound holds from the first event.
-	e := newEngine(t, pie.Config{
-		Seed:      11,
-		Replicas:  8,
-		Autoscale: pie.AutoscaleConfig{Enabled: true, Min: 1, Max: 4},
-	})
-	if got := e.Cluster().ActiveReplicas(); got != 4 {
-		t.Fatalf("initial active replicas = %d, want 4 (clamped to Max)", got)
-	}
-}
-
 // TestSameSeedByteIdenticalReplicaStats pins the determinism contract:
 // identical seeds produce byte-identical per-replica stats documents.
 func TestSameSeedByteIdenticalReplicaStats(t *testing.T) {
@@ -270,13 +213,11 @@ func TestSameSeedByteIdenticalReplicaStats(t *testing.T) {
 	}
 }
 
-// TestDrainMigratesExports: when the autoscaler completes a drain, the
-// drained replica's KV exports move to a surviving replica, so cached
-// context outlives the deactivation and kv-affinity keeps finding it on
-// a placeable replica.
+// TestDrainMigratesExports: when a drain completes, the drained replica's
+// KV exports move to a surviving replica, so cached context outlives the
+// deactivation and kv-affinity keeps finding it on a placeable replica.
 func TestDrainMigratesExports(t *testing.T) {
-	// Pick a cache key that hash-sticks to replica 1 — the replica the
-	// autoscaler will drain first (scale-down walks from the highest ID).
+	// Pick a cache key that hash-sticks to replica 1, the one drained below.
 	var key string
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("drain-key-%d", i)
@@ -286,41 +227,32 @@ func TestDrainMigratesExports(t *testing.T) {
 			break
 		}
 	}
-	e := newEngine(t, pie.Config{
-		Seed:      5,
-		Replicas:  2,
-		Placement: pie.PlaceKVAffinity,
-		Autoscale: pie.AutoscaleConfig{
-			Enabled: true, Min: 1, Max: 2,
-			// The first evaluation must come after the export lands on
-			// replica 1 (the launch takes tens of virtual ms); then one
-			// tick starts the drain and the next completes it.
-			Interval: 200 * time.Millisecond, UpDepth: 1000, DownDepth: 1,
-		},
-	})
+	e := newEngine(t, pie.Config{Seed: 5, Replicas: 2, Placement: pie.PlaceKVAffinity})
 	params, _ := json.Marshal(apps.PrefixCachingParams{
 		SharedPrefix: "a shared prefix long enough to fill at least one KV page when tokenized",
 		Prompt:       "q",
 		MaxTokens:    2,
 		CacheKey:     key,
 	})
+	cl := e.Cluster()
 	err := e.RunClient(func() {
 		if _, err := e.LaunchAndWait(pie.Spec("prefix_caching", string(params))); err != nil {
 			panic(err)
 		}
-		r1 := e.Cluster().Replicas()[1]
+		r1 := cl.Replicas()[1]
 		if !r1.Ctl.HasExportNamed(key) {
 			t.Error("export did not land on the hash-stuck replica 1")
 		}
-		// Idle until the autoscaler drains replica 1 and migrates.
-		e.Sleep(500 * time.Millisecond)
+		if !cl.BeginDrain(r1) {
+			t.Error("BeginDrain refused the idle serving replica 1")
+		}
+		cl.CompleteDrains()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := e.Cluster()
 	if cl.DrainDone == 0 {
-		t.Fatal("autoscaler never completed the drain")
+		t.Fatal("the drain never completed")
 	}
 	if cl.ExportsMigrated == 0 || cl.PagesMigrated == 0 {
 		t.Fatalf("drain moved no exports: migrated=%d pages=%d", cl.ExportsMigrated, cl.PagesMigrated)

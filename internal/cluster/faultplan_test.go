@@ -261,7 +261,7 @@ func TestPlaceableFallbackLadder(t *testing.T) {
 		t.Fatalf("healthy present: placeable = %v", got)
 	}
 	// No healthy serving replica: suspects serve as a last resort.
-	healthy.draining = true
+	c.BeginDrain(healthy)
 	if got := c.placeable(); len(got) != 1 || got[0] != suspect {
 		t.Fatalf("suspect fallback: placeable = %v", got)
 	}

@@ -2,7 +2,7 @@ package cluster_test
 
 // Fault-tolerance tests for the cluster layer: typed waiter errors on
 // replica death (no parked-forever Handle.Wait), retry-driven requeue onto
-// survivors, health-aware autoscaling, and the seeded chaos contract —
+// survivors, health-aware scaling, and the seeded chaos contract —
 // a random kill/hang schedule over a stress workload must replay
 // byte-identically, leak no KV pages on survivors, and leave every launch
 // either completed or failed with a typed error. Runs under -race in CI.
@@ -218,15 +218,18 @@ func TestHealthyReplicasOutliveLongKernels(t *testing.T) {
 // TestRetryRequeuesOntoSurvivor: with a retry policy, the same handle
 // survives its replica's death — the launch requeues onto the survivor
 // and completes, counting one logical launch across two attempts — and the
-// cold spare (a third replica the idle autoscaler never wakes) is activated
-// in the dead replica's place.
+// cold spare (a third replica retired before the run) is activated in the
+// dead replica's place.
 func TestRetryRequeuesOntoSurvivor(t *testing.T) {
 	e := newEngine(t, pie.Config{
-		Seed: 3, Replicas: 2, Placement: pie.PlaceRoundRobin,
-		Autoscale: pie.AutoscaleConfig{Enabled: true, Min: 2, Max: 3, UpDepth: 1 << 20},
-		Health:    tightHealth(),
-		Faults:    crashAt(0, 30*time.Millisecond),
+		Seed: 3, Replicas: 3, Placement: pie.PlaceRoundRobin,
+		Health: tightHealth(),
+		Faults: crashAt(0, 30*time.Millisecond),
 	})
+	spare := e.Cluster().Replicas()[2]
+	if !e.Cluster().Deactivate(spare) {
+		t.Fatal("Deactivate refused the idle third replica")
+	}
 	var waitErr error
 	var attempts int
 	err := e.RunClient(func() {
@@ -256,23 +259,22 @@ func TestRetryRequeuesOntoSurvivor(t *testing.T) {
 	if st.Launches != 1 {
 		t.Fatalf("Launches = %d, want 1 (one logical launch across attempts)", st.Launches)
 	}
-	if spare := e.Cluster().Replicas()[2]; st.Replacements != 1 || !spare.Active() || e.Cluster().ScaleUps != 0 {
-		t.Fatalf("Replacements = %d, spare active = %v, autoscaler ScaleUps = %d; want the spare activated by the death alone",
-			st.Replacements, spare.Active(), e.Cluster().ScaleUps)
+	if st.Replacements != 1 || !spare.Active() {
+		t.Fatalf("Replacements = %d, spare active = %v; want the spare activated by the death",
+			st.Replacements, spare.Active())
 	}
 }
 
-// TestAutoscalerIgnoresDeadReplicas: a replica crash-stopped under
-// sustained load must drop out of the autoscaler's capacity accounting —
-// placements keep landing on healthy serving replicas only, the dead
-// replica is never reactivated, and the workload still drains.
-func TestAutoscalerIgnoresDeadReplicas(t *testing.T) {
+// TestScalerIgnoresDeadReplicas: a replica crash-stopped under sustained
+// load must drop out of the SLO scaler's capacity accounting — placements
+// keep landing on healthy serving replicas only, the dead replica is never
+// reactivated, and the workload still drains.
+func TestScalerIgnoresDeadReplicas(t *testing.T) {
 	e := newEngine(t, pie.Config{
 		Seed: 5, Replicas: 4, Placement: pie.PlaceLeastLoaded,
-		Autoscale: pie.AutoscaleConfig{
+		Scaler: pie.ScalerConfig{
 			Enabled: true, Min: 1, Max: 4,
-			Interval: 5 * time.Millisecond,
-			UpDepth:  4, DownDepth: 1,
+			Interval: 5 * time.Millisecond, QueueRef: 4,
 		},
 		Health:       tightHealth(),
 		Faults:       crashAt(1, 120*time.Millisecond),
@@ -333,8 +335,8 @@ func TestAutoscalerIgnoresDeadReplicas(t *testing.T) {
 		t.Fatalf("dead replica state: health %v active %v, want dead and inactive",
 			dead.Health(), dead.Active())
 	}
-	// The autoscaler kept the surviving set serving: every active replica
-	// at the end is healthy.
+	// The scaler kept the surviving set serving: every active replica at
+	// the end is healthy.
 	for _, r := range cl.Replicas() {
 		if r.Active() && r.Health() != cluster.HealthHealthy {
 			t.Fatalf("replica %d active while %v", r.ID, r.Health())

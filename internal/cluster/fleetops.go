@@ -1,11 +1,11 @@
 package cluster
 
-// Fleet-controller hooks: the exported mutation surface the declarative
-// fleet controller (internal/fleet) converges the cluster through. These
-// wrap the scaler's private active-set transitions with the same
-// invariants the autoscaler honors — activation only of healthy
-// replicas, retirement only through the two-phase drain — so declarative
-// convergence and reactive scaling cannot diverge on replica state.
+// Fleet ops: the one mutation surface of the active replica set. The SLO
+// scaler, the health monitor's spare activation, placement's last-resort
+// revive and the declarative fleet controller (internal/fleet) all change
+// the set through these verbs, so every caller honors the same invariants
+// — activation only of healthy replicas, retirement only through the
+// two-phase drain — and OnFleetOp observes every transition but a death.
 
 func (c *Cluster) fleetOp(op string, r *Replica) {
 	if c.OnFleetOp != nil {
@@ -50,14 +50,58 @@ func (c *Cluster) BeginDrain(r *Replica) bool {
 
 // CompleteDrains runs phase two for every draining replica that has gone
 // idle: migrate its KV exports to a serving peer over the modeled
-// interconnect, then retire it. The fleet controller calls this each
-// reconcile tick; the autoscaler calls the same path on its own ticks.
-func (c *Cluster) CompleteDrains() { c.finishDrains() }
+// interconnect, then retire it. Scalers and the fleet controller call it
+// on each tick; iteration is in replica-ID order so same-seed runs decide
+// identically.
+func (c *Cluster) CompleteDrains() {
+	for _, r := range c.replicas {
+		if r.active && r.draining && r.health == HealthHealthy && r.Ctl.Instances() == 0 && r.Ctl.OutstandingCalls() == 0 {
+			// Before the replica goes dark, migrate its KV exports to the
+			// lowest-ID serving replica: application-managed prompt caches
+			// survive the drain, and the kv-affinity router keeps finding
+			// them on a placeable replica. The transfer time (device ->
+			// host -> peer) is charged to the calling tick.
+			if dst := c.migrationTarget(r); dst != nil {
+				pages, cost := r.Ctl.MigrateExportsTo(dst.Ctl)
+				if pages > 0 {
+					c.ExportsMigrated++
+					c.PagesMigrated += pages
+					c.clock.Sleep(cost)
+				}
+			}
+			c.markInactive(r)
+			c.DrainDone++
+			c.fleetOp("drain-done", r)
+		}
+	}
+}
+
+// migrationTarget picks the replica that inherits a drained replica's KV
+// exports: the lowest-ID healthy serving replica other than the drained
+// one. With roles assigned, decode-eligible replicas are preferred —
+// exports hold decoded context, and parking them on a prefill-only
+// replica would strand them where sessions cannot stay.
+func (c *Cluster) migrationTarget(drained *Replica) *Replica {
+	if c.hasRoles {
+		for _, r := range c.replicas {
+			if r != drained && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
+				return r
+			}
+		}
+	}
+	for _, r := range c.replicas {
+		if r != drained && r.active && !r.draining && r.health == HealthHealthy {
+			return r
+		}
+	}
+	return nil
+}
 
 // Deactivate retires an idle replica immediately, without the drain
-// phase. The fleet controller uses it only for initial alignment, before
-// any traffic exists; a loaded replica is refused (use BeginDrain).
-// Reports whether the replica was retired.
+// phase. It is for set-up before any traffic exists — the fleet
+// controller's initial alignment, or an engine built with cold spares; a
+// loaded replica is refused (use BeginDrain). Reports whether the replica
+// was retired.
 func (c *Cluster) Deactivate(r *Replica) bool {
 	if !r.active || r.Ctl.Instances() > 0 || r.Ctl.OutstandingCalls() > 0 {
 		return false

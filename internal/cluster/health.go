@@ -172,10 +172,9 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	c.DetectTime += detect
 	// Replacement: bring in the lowest-ID cold spare. It arrives with an
 	// empty artifact cache and empty pools, so its first placements pay
-	// the cold-start pipeline — the same economics as autoscaler growth.
+	// the cold-start pipeline — the same economics as a scale-up.
 	for _, s := range c.replicas {
-		if !s.active && s.health == HealthHealthy && !s.crashed {
-			c.markActive(s)
+		if !s.active && c.Activate(s) {
 			c.Replacements++
 			break
 		}

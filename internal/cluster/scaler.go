@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// The SLO scaler is a saturation-guarded, cost-aware scaling loop. It lives
-// beside the queue-depth autoscaler (cluster.go), which stays as the
-// reference the slo experiment compares it against; an engine runs one or
-// the other. Each tick it:
+// The SLO scaler is the library's scaling loop: saturation-guarded and
+// cost-aware, changing the active set only through the fleet ops
+// (fleetops.go). Each tick it:
 //
 //   - computes per-replica saturation — the max of KV-pool utilization,
 //     normalized queue depth, and normalized in-flight prefill — and
@@ -28,8 +27,7 @@ import (
 // Every decision appends one line to the cluster's decision log; same-seed
 // runs produce byte-identical logs (the determinism test contract).
 
-// ScalerConfig tunes the SLO scaler. The zero value disables it; an engine
-// with it enabled ignores its AutoscaleConfig.
+// ScalerConfig tunes the SLO scaler. The zero value disables it.
 type ScalerConfig struct {
 	Enabled bool
 	// Min and Max bound the serving replica count (defaults: 1 and the
@@ -100,8 +98,7 @@ func (s ScalerConfig) withDefaults(total int) ScalerConfig {
 }
 
 // EnableScaler installs the SLO scaler and starts its daemon. Call before
-// Engine.Run; mutually exclusive with the queue-depth autoscaler (the
-// engine config enforces that).
+// Engine.Run.
 func (c *Cluster) EnableScaler(cfg ScalerConfig) {
 	cfg.Enabled = true
 	c.scaler = cfg.withDefaults(len(c.replicas))
@@ -147,7 +144,7 @@ func (c *Cluster) replicaSaturation(r *Replica) float64 {
 // order and all class iteration in sorted-name order, so same-seed runs
 // decide identically.
 func (c *Cluster) scalerTick() {
-	c.finishDrains()
+	c.CompleteDrains()
 	now := c.clock.Now()
 	serving, warming := 0, 0
 	var satSum float64
@@ -230,9 +227,7 @@ func (c *Cluster) scalerTick() {
 	case c.scaler.ScaleToZero && !busy && now-c.lastBusyAt >= c.scaler.IdleAfter:
 		drained := 0
 		for _, r := range c.replicas {
-			if r.active && !r.draining && r.health == HealthHealthy {
-				r.draining = true
-				c.DrainStart++
+			if r.health == HealthHealthy && c.BeginDrain(r) {
 				drained++
 			}
 		}
@@ -306,9 +301,9 @@ func (c *Cluster) scaleUpCostAware(reason string, prefer Role) {
 		return pick(eligible)
 	}
 	if r := pickRoleAware(func(r *Replica) bool {
-		return r.active && r.draining && r.health == HealthHealthy
+		return r.active && r.draining && r.health == HealthHealthy && !r.crashed
 	}); r != nil {
-		c.markActive(r)
+		c.Activate(r)
 		c.ScaleUps++
 		c.logDecision("scale-up: un-drain replica=%d variant=%s (%s)", r.ID, r.variantName(), reason)
 		return
@@ -316,7 +311,7 @@ func (c *Cluster) scaleUpCostAware(reason string, prefer Role) {
 	if r := pickRoleAware(func(r *Replica) bool {
 		return !r.active && r.health == HealthHealthy && !r.crashed
 	}); r != nil {
-		c.markActive(r)
+		c.Activate(r)
 		c.ScaleUps++
 		c.logDecision("scale-up: activate replica=%d variant=%s cost=%.2f (%s)", r.ID, r.variantName(), r.costRate(), reason)
 	}
@@ -391,8 +386,7 @@ func (c *Cluster) scaleDownCostAware(sat float64) {
 	if victim == nil {
 		return
 	}
-	victim.draining = true
-	c.DrainStart++
+	c.BeginDrain(victim)
 	c.logDecision("scale-down: drain replica=%d variant=%s cost=%.2f sat=%.2f", victim.ID, victim.variantName(), victim.costRate(), sat)
 }
 
@@ -504,7 +498,7 @@ func (c *Cluster) now() time.Duration {
 
 // markActive (re)activates a replica for placement, stamping cost and
 // cold-start bookkeeping. Un-draining keeps the original activation epoch:
-// the replica never stopped costing.
+// the replica never stopped costing. Only New and Activate call it.
 func (c *Cluster) markActive(r *Replica) {
 	if !r.active {
 		r.activeSince = c.now()
@@ -556,8 +550,8 @@ func (r *Replica) variantName() string {
 }
 
 // CostUnits reports the fleet's cumulative cost: each replica's cost rate
-// times its active seconds, as of now. The baseline autoscaler and the SLO
-// scaler are priced identically, so legs compare.
+// times its active seconds, as of now. Every scaler driving the fleet is
+// priced identically, so legs compare.
 func (c *Cluster) CostUnits(now time.Duration) float64 {
 	var units float64
 	for _, r := range c.replicas {

@@ -70,17 +70,22 @@ func TestScaleUpPicksCheapest(t *testing.T) {
 
 func TestScaleUpPrefersUnDrain(t *testing.T) {
 	// A draining replica is warm capacity: un-draining beats activating a
-	// cold spare, even a cheaper one.
+	// cold spare, even a cheaper one. A crash-stopped draining replica is
+	// not capacity, however cheap: Activate would refuse it.
 	c := &Cluster{replicas: []*Replica{
 		{ID: 0, CostRate: 1.0, active: true, draining: true, health: HealthHealthy},
 		{ID: 1, CostRate: 0.5, health: HealthHealthy},
+		{ID: 2, CostRate: 0.1, active: true, draining: true, health: HealthHealthy, crashed: true},
 	}}
 	c.scaleUpCostAware("test", RoleUnified)
-	if c.replicas[0].draining || !c.replicas[0].active {
+	if c.replicas[0].draining || !c.replicas[0].active || c.ScaleUps != 1 {
 		t.Fatalf("draining replica not reclaimed: %+v", c.replicas[0])
 	}
 	if c.replicas[1].active {
 		t.Fatal("cold spare activated despite warm drain available")
+	}
+	if !c.replicas[2].draining {
+		t.Fatal("crash-stopped replica un-drained")
 	}
 }
 

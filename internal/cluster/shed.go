@@ -23,8 +23,9 @@ type ShedConfig struct {
 	// reaches this fraction (default 0.9).
 	KVWatermark float64
 	// QueueDepth sheds when mean outstanding inference calls per healthy
-	// serving replica reaches it (default 96 — twice the autoscaler's
-	// grow threshold, so shedding starts only after growth has run out).
+	// serving replica reaches it (default 96 — three times the SLO
+	// scaler's QueueRef, so shedding starts only after growth has run
+	// out).
 	QueueDepth float64
 	// DegradeRatio scales both watermarks down to the degradation
 	// threshold: launches of a Degradable service class admitted past it

@@ -3,7 +3,8 @@
 // individual decisions on synthetic clusters; these drive the whole loop
 // on the virtual clock — saturation-triggered scale-up, graceful
 // degradation and best-effort shedding at the admission gate, per-class
-// attainment sampling, and scale-to-zero on idle.
+// attainment sampling, scale-to-zero on idle, and the fleet-op record of
+// every transition.
 package cluster_test
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"pie"
+	"pie/internal/cluster"
 )
 
 func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
@@ -136,5 +138,57 @@ func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
 				t.Fatalf("batch class degradations = %d, want %d", cs.Degradations, degraded)
 			}
 		}
+	}
+}
+
+// TestFleetOpsSeeEveryScalerTransition: the SLO scaler and the health
+// monitor change the active set only through the fleet ops, so OnFleetOp
+// observes every scale-up, replacement, scale-down, scale-to-zero drain and
+// completed drain; only the death itself goes unreported.
+func TestFleetOpsSeeEveryScalerTransition(t *testing.T) {
+	e := newEngine(t, pie.Config{
+		Seed: 7, Replicas: 2, Placement: pie.PlaceLeastLoaded,
+		Scaler: pie.ScalerConfig{
+			Enabled: true, Min: 1, Max: 4, QueueRef: 4,
+			ScaleToZero: true, IdleAfter: 100 * time.Millisecond,
+		},
+		Health:       tightHealth(),
+		Faults:       crashAt(1, 15*time.Millisecond),
+		DefaultRetry: pie.RetryPolicy{MaxAttempts: 4},
+	})
+	ops := map[string]int{}
+	cl := e.Cluster()
+	cl.OnFleetOp = func(op string, _ *cluster.Replica) { ops[op]++ }
+	err := e.RunClient(func() {
+		var hs []*pie.Handle
+		for i := 0; i < 24; i++ {
+			h, err := e.Launch(pie.Spec("text_completion", completionParams(16, "")))
+			if err != nil {
+				t.Errorf("launch %d: %v", i, err)
+				return
+			}
+			hs = append(hs, h)
+		}
+		for _, h := range hs {
+			if err := h.Wait(); err != nil {
+				t.Errorf("wait: %v", err)
+			}
+		}
+		// Idle past IdleAfter: scale down, then drain the rest to zero.
+		e.Sleep(600 * time.Millisecond)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := strings.Join(cl.Decisions, "\n")
+	if cl.ScaleUps == 0 || cl.Replacements != 1 || cl.ScaleToZeroEvents == 0 ||
+		!strings.Contains(log, "scale-down") || cl.ActiveReplicas() != 0 {
+		t.Fatalf("scenario incomplete: ups %d replacements %d to-zero %d active %d\n%s",
+			cl.ScaleUps, cl.Replacements, cl.ScaleToZeroEvents, cl.ActiveReplicas(), log)
+	}
+	if ops["activate"] != cl.ScaleUps+cl.Replacements || ops["drain"] != cl.DrainStart ||
+		ops["drain-done"] != cl.DrainDone || ops["deactivate"] != 0 {
+		t.Fatalf("ops %v; want activate %d (scale-ups %d + replacements %d), drain %d, drain-done %d",
+			ops, cl.ScaleUps+cl.Replacements, cl.ScaleUps, cl.Replacements, cl.DrainStart, cl.DrainDone)
 	}
 }

@@ -1,7 +1,7 @@
 package cluster_test
 
 // Deterministic stress test for the cluster layer: 500+ launches across 8
-// replicas while the autoscaler churns (bursty load with idle valleys
+// replicas while the SLO scaler churns (bursty load with idle valleys
 // forces repeated grow/drain cycles). Runs under -race in CI. Asserts the
 // two contracts the cluster must never lose under load:
 //
@@ -45,10 +45,9 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 		Seed:      seed,
 		Replicas:  1,
 		Placement: pie.PlaceLeastLoaded,
-		Autoscale: pie.AutoscaleConfig{
+		Scaler: pie.ScalerConfig{
 			Enabled: true, Min: 1, Max: 8,
-			Interval: 5 * time.Millisecond,
-			UpDepth:  6, DownDepth: 2,
+			Interval: 5 * time.Millisecond, QueueRef: 6,
 		},
 	})
 	// Placement safety, checked at decision time. The hook runs in sim
@@ -90,7 +89,7 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 				})
 			}
 			g.Wait()
-			// Idle valley: the autoscaler drains back before the next
+			// Idle valley: the scaler drains back before the next
 			// burst regrows the active set.
 			e.Sleep(stressValley)
 		}
@@ -112,10 +111,10 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 	if doc.Stats.Launches != stressBursts*stressPerBurst {
 		t.Fatalf("seed %d: %d launches, want %d", seed, doc.Stats.Launches, stressBursts*stressPerBurst)
 	}
-	// The bursty profile must actually churn the autoscaler: repeated
+	// The bursty profile must actually churn the scaler: repeated
 	// growth and completed drains, not one monotone ramp.
 	if cl.ScaleUps < 2 || cl.DrainDone < 2 {
-		t.Fatalf("seed %d: autoscaler did not churn: %d scale-ups, %d drains done", seed, cl.ScaleUps, cl.DrainDone)
+		t.Fatalf("seed %d: scaler did not churn: %d scale-ups, %d drains done", seed, cl.ScaleUps, cl.DrainDone)
 	}
 	if got := cl.ActiveReplicas(); got != 1 {
 		t.Fatalf("seed %d: %d active replicas after final valley, want 1", seed, got)

@@ -39,7 +39,7 @@ type Controller struct {
 
 	// Outstanding inference-layer work, maintained incrementally on
 	// enqueue/complete/close. The cluster router's least-loaded placement
-	// and the autoscaler's queue-depth signal read these; control-side ops
+	// and the scalers' saturation signals read these; control-side ops
 	// (dealloc, sync) never count.
 	outstandingCalls   int
 	outstandingTokens  int

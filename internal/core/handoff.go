@@ -12,7 +12,7 @@ import (
 // MigrateExportsTo moves every KV export this controller holds to dst:
 // pages are allocated in dst's pools, their contents copied, the export
 // re-registered there, and the source registry references released. The
-// autoscaler calls it when a drain completes, so cached context survives
+// cluster calls it when a drain completes, so cached context survives
 // replica deactivation. Exports that dst cannot host (name taken, pool
 // full) stay behind. A physical page shared by several exports moves
 // once and stays shared on dst. Returns distinct pages moved and the

@@ -22,8 +22,8 @@ import (
 //     every key on one replica, so each prefix prefills once instead of
 //     once per replica.
 //  3. Autoscaling: the same batch load against min=1/max=8 bounds; the
-//     queue-depth autoscaler grows the active set under load and drains
-//     it back afterward.
+//     queue-depth comparator (queuedepth.go) grows the active set under
+//     load and drains it back afterward.
 //
 // Everything runs on virtual clocks: same-seed runs produce byte-identical
 // results, including the per-replica stats.
@@ -181,18 +181,15 @@ func runClusterPrefix(o Options, placement pie.PlacementPolicy) ClusterPoint {
 func runClusterAuto(o Options) ClusterAutoPoint {
 	total := o.scale(256, 128)
 	e := newPieEngine(o.seed(), func(c *pie.Config) {
-		c.Replicas = 1
+		c.Replicas = clusterSweepMaxN
 		c.Placement = pie.PlaceLeastLoaded
-		c.Autoscale = pie.AutoscaleConfig{
-			Enabled: true, Min: 1, Max: 8,
-			UpDepth: 12, DownDepth: 2,
-		}
 	})
+	scaler := startQueueDepthScaler(e, 1, 12, 2)
 	params := marshalParams(apps.CompletionParams{
 		Prompt:    "autoscale probe",
 		MaxTokens: clusterAutoMaxTokens,
 	})
-	// The post-load idle tail lets the autoscaler drain back to Min before
+	// The post-load idle tail lets the scaler drain back to one replica before
 	// the simulation finishes.
 	res := loadResult{Latency: &metrics.Series{Name: "text_completion"}}
 	_, res.Makespan = runLoad(e, "cluster autoscale", pie.Spec("text_completion", params), 2*time.Second,
@@ -203,11 +200,11 @@ func runClusterAuto(o Options) ClusterAutoPoint {
 	p.Tokens = res.Tokens
 	p.Makespan = res.Makespan
 	p.TokensPerSec = metrics.Throughput(res.Tokens, res.Makespan)
-	p.Replicas = len(e.Cluster().Replicas()) // the autoscale Max bound
+	p.Replicas = len(e.Cluster().Replicas()) // the scaler's upper bound
 	p.Concurrency = clusterAutoConc
 	p.PerReplica = e.ReplicaStats()
 	cl := e.Cluster()
-	p.ScaleUps = cl.ScaleUps
+	p.ScaleUps = scaler.ups
 	p.DrainStart = cl.DrainStart
 	p.DrainDone = cl.DrainDone
 	p.FinalActive = cl.ActiveReplicas()

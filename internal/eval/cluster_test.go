@@ -8,7 +8,8 @@ import (
 // TestClusterSweepScalesMonotonically pins the headline acceptance claim:
 // aggregate tokens/sec grows with every added replica on the batch
 // workload, the affinity policy beats round-robin on the shared-prefix
-// workload, and the autoscaler both grows under load and drains back.
+// workload, and the queue-depth comparator both grows under load and
+// drains back.
 func TestClusterSweepScalesMonotonically(t *testing.T) {
 	r := ClusterSweep(quick)
 	if len(r.Sweep) != clusterSweepMaxN {

@@ -18,8 +18,9 @@ import (
 // at three load levels against the same heterogeneous 8-replica pool,
 // twice per level:
 //
-//   - baseline: the queue-depth autoscaler (mean outstanding calls per
-//     replica against a fixed threshold), blind to classes and cost;
+//   - baseline: the queue-depth comparator (queuedepth.go: mean
+//     outstanding calls per replica against a fixed threshold), blind to
+//     classes and cost;
 //   - slo: the saturation-guarded, cost-aware scaler driven by live
 //     per-class attainment, with graceful degradation and scale-to-zero.
 //
@@ -150,8 +151,8 @@ func SLOSweep(o Options) SLOResult {
 
 // sloEngine builds one engine for a leg: identical hardware, classes, and
 // shedding on both; only the scaling loop differs.
-func sloEngine(seed uint64, slo bool) *pie.Engine {
-	return newPieEngine(seed, func(c *pie.Config) {
+func sloEngine(seed uint64, slo bool) (*pie.Engine, *queueDepthScaler) {
+	e := newPieEngine(seed, func(c *pie.Config) {
 		c.Replicas = sloStartActive
 		c.Placement = pie.PlaceLeastLoaded
 		c.Classes = sloClasses()
@@ -165,15 +166,19 @@ func sloEngine(seed uint64, slo bool) *pie.Engine {
 				ScaleToZero: true, IdleAfter: 150 * time.Millisecond,
 			}
 		} else {
-			c.Autoscale = pie.AutoscaleConfig{Enabled: true, Min: 1, Max: sloReplicas}
+			c.Replicas = sloReplicas
 		}
 	})
+	if slo {
+		return e, nil
+	}
+	return e, startQueueDepthScaler(e, sloStartActive, 48, 4)
 }
 
 // runSLOLeg drives the mixed-class workload once.
 func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	perWorker := o.scale(12, 4)
-	e := sloEngine(o.seed(), slo)
+	e, baseline := sloEngine(o.seed(), slo)
 	// Seed-sensitive prompts: prefill sizes (and so every downstream
 	// timing and scaling decision) vary with the seed.
 	promptRNG := sim.NewRNG(o.seed() ^ 0x51095109)
@@ -277,6 +282,9 @@ func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	leg.ScaleToZeroEvents = st.ScaleToZeroEvents
 	leg.FinalActive = st.ActiveReplicas
 	leg.ScaleUps = e.Cluster().ScaleUps
+	if baseline != nil {
+		leg.ScaleUps = baseline.ups
+	}
 	leg.Decisions = len(e.Cluster().Decisions)
 	leg.DecisionLog = append([]string(nil), e.Cluster().Decisions...)
 	// The naive comparator keeps the whole fleet active for the leg's

@@ -1,7 +1,7 @@
 // Unit tests for the session-side half of prefill/decode handoff: the
-// coordinator is discovered through the Placer, and a successful
-// migration repoints every binding — session and handle — at the new
-// controller and instance.
+// Placer is consulted at forward boundaries, and a successful migration
+// repoints every binding — session and handle — at the new controller and
+// instance.
 package ilm
 
 import (
@@ -11,17 +11,14 @@ import (
 	"pie/internal/sim"
 )
 
-// fakeCoordinator is a Placer that also coordinates handoffs, like the
-// cluster layer does.
+// fakeCoordinator is a Placer that coordinates handoffs, like the cluster
+// layer does.
 type fakeCoordinator struct {
+	fakePlacer
 	ctl   *core.Controller
 	inst  *core.Instance
 	calls int
 	grant bool
-}
-
-func (f *fakeCoordinator) Place(program, artifact string, args []string) (*core.Controller, error) {
-	return nil, nil
 }
 
 func (f *fakeCoordinator) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool) {
@@ -35,9 +32,6 @@ func (f *fakeCoordinator) MaybeHandoff(ctl *core.Controller, inst *core.Instance
 func TestCheckHandoffRebindsSession(t *testing.T) {
 	co := &fakeCoordinator{ctl: &core.Controller{}, inst: &core.Instance{}}
 	m := New(sim.NewClock(), co, nil, testCatalog())
-	if m.handoff == nil {
-		t.Fatal("coordinator-capable placer not discovered")
-	}
 	// No instance bound yet: the boundary check is a no-op.
 	s := &session{ilm: m, handle: &Handle{}}
 	s.checkHandoff()
@@ -67,13 +61,10 @@ func TestCheckHandoffRebindsSession(t *testing.T) {
 }
 
 func TestCheckHandoffWithoutCoordinator(t *testing.T) {
-	m := newTestILM()
-	if m.handoff != nil {
-		t.Fatal("nil placer grew a handoff coordinator")
-	}
-	s := &session{ilm: m, inst: &core.Instance{HandoffPending: true}}
+	// A placer that never coordinates handoffs declines every request.
+	s := &session{ilm: newTestILM(), inst: &core.Instance{HandoffPending: true}}
 	s.checkHandoff() // must not panic or clear anything
 	if !s.inst.HandoffPending {
-		t.Fatal("pending mark cleared with no coordinator installed")
+		t.Fatal("pending mark cleared by a declining placer")
 	}
 }

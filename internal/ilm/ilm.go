@@ -50,44 +50,36 @@ const (
 	poolOverflowCost = 5 * time.Millisecond
 )
 
-// Placer decides which control layer hosts a new inferlet instance. A
-// cluster router places across replica controllers; a single-replica
-// deployment always returns the same one. artifact is the name@version
-// cache key — the program-affinity policy probes replicas' warm-artifact
-// caches with it.
+// Placer is the cluster side of the lifecycle: it decides which control
+// layer hosts a new inferlet instance and answers the launch- and
+// session-time questions the cluster layer owns. A cluster router places
+// across replica controllers; a single-replica deployment always returns
+// the same one.
 type Placer interface {
-	// Place fails typed (api.ErrReplicaLost) when no live replica can
-	// host the instance; launches carrying a retry policy retry it.
+	// Place picks the controller for a new instance. artifact is the
+	// name@version cache key — the program-affinity policy probes
+	// replicas' warm-artifact caches with it. It fails typed
+	// (api.ErrReplicaLost) when no live replica can host the instance;
+	// launches carrying a retry policy retry it.
 	Place(program, artifact string, args []string) (*core.Controller, error)
-}
-
-// Admission is the optional saturation gate a Placer may implement (the
-// cluster's load shedder does): consulted once per launch, before the
-// dispatch pipeline, with the launch's resolved service class and
-// effective priority. A zero outputCap admits at full quality; a positive
-// outputCap admits degraded — the ILM caps the launch's output tokens and
-// marks the instance for cheaper-model substitution. A typed error
-// (api.ErrOverloaded) rejects the launch without admitting it to die.
-type Admission interface {
+	// AdmitLaunch is the saturation gate, consulted once per launch before
+	// the dispatch pipeline with the launch's resolved service class and
+	// effective priority. A zero outputCap admits at full quality; a
+	// positive outputCap admits degraded — the ILM caps the launch's output
+	// tokens and marks the instance for cheaper-model substitution. A typed
+	// error (api.ErrOverloaded) rejects the launch without admitting it to
+	// die.
 	AdmitLaunch(class string, priority int) (outputCap int, err error)
-}
-
-// FaultSource is the optional transient-fault hook a Placer may implement
-// (the cluster's fault injector does): consulted once per launch attempt,
-// in deterministic order. A typed error (api.ErrTransientFault) fails the
-// attempt retryably.
-type FaultSource interface {
+	// LaunchFault is the transient-fault hook, consulted once per launch
+	// attempt in deterministic order. A typed error
+	// (api.ErrTransientFault) fails the attempt retryably.
 	LaunchFault() error
-}
-
-// HandoffCoordinator is the optional prefill/decode hook a Placer may
-// implement (the cluster's handoff layer does): consulted at a session's
-// forward boundaries once its instance is marked HandoffPending. A true
-// return means the session's KV state migrated — the returned controller
-// and instance replace the session's bindings; the old instance is
-// already released. It runs synchronously in the session's process, so
-// transfer time is charged to the session.
-type HandoffCoordinator interface {
+	// MaybeHandoff is the prefill/decode hook, consulted at a session's
+	// forward boundaries once its instance is marked HandoffPending. A true
+	// return means the session's KV state migrated — the returned
+	// controller and instance replace the session's bindings; the old
+	// instance is already released. It runs synchronously in the session's
+	// process, so transfer time is charged to the session.
 	MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool)
 }
 
@@ -151,7 +143,6 @@ type ILM struct {
 	defaultRetry RetryPolicy                 // applied when a LaunchSpec's Retry is zero
 	retrySeq     uint64                      // seeds per-handle jitter streams
 	classes      map[string]api.ServiceClass // service-class registry (nil = unchecked)
-	handoff      HandoffCoordinator          // prefill/decode migration (nil = disabled)
 
 	// Stats.
 	Launches     int
@@ -211,9 +202,6 @@ func New(clock *sim.Clock, place Placer, world *netsim.World, models []api.Model
 		running:  make(map[uint64]*Handle),
 		launchQ:  sim.NewMailbox[*launchReq](clock),
 		topics:   make(map[string]map[*subscription]struct{}),
-	}
-	if h, ok := place.(HandoffCoordinator); ok {
-		m.handoff = h
 	}
 	clock.GoDaemon("ilm:dispatcher", m.dispatcherLoop)
 	return m
@@ -454,11 +442,11 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) {
 
 // Launch starts an inferlet from a LaunchSpec. It must be called from a
 // sim process (a client, another inferlet, or a test driver) and returns
-// once the instance is running. The manifest is revalidated, the
-// saturation guard (if the placer implements Admission) may shed
-// best-effort launches typed api.ErrOverloaded, the placement policy
-// picks a replica, and the launch is cold — paying the upload + JIT
-// pipeline — iff that replica's artifact cache lacks the binary.
+// once the instance is running. The manifest is revalidated, the placer's
+// saturation gate may shed best-effort launches typed api.ErrOverloaded,
+// the placement policy picks a replica, and the launch is cold — paying
+// the upload + JIT pipeline — iff that replica's artifact cache lacks the
+// binary.
 //
 // With a RetryPolicy (on the spec or the ILM default), retryable failures
 // — a replica dying during or after launch, an injected transient fault —
@@ -489,18 +477,15 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 			spec.Priority = cls.Priority
 		}
 	}
-	degraded := false
-	if gate, ok := m.place.(Admission); ok {
-		outputCap, err := gate.AdmitLaunch(className, spec.Priority)
-		if err != nil {
-			return nil, err
-		}
-		if outputCap > 0 {
-			// Graceful degradation: the gate admitted the launch with a
-			// shorter output budget instead of shedding it.
-			degraded = true
-			spec.Args = degradeArgs(spec.Args, outputCap)
-		}
+	outputCap, err := m.place.AdmitLaunch(className, spec.Priority)
+	if err != nil {
+		return nil, err
+	}
+	degraded := outputCap > 0
+	if degraded {
+		// Graceful degradation: the gate admitted the launch with a
+		// shorter output budget instead of shedding it.
+		spec.Args = degradeArgs(spec.Args, outputCap)
 	}
 	m.retrySeq++
 	h := &Handle{
@@ -561,10 +546,8 @@ func (m *ILM) attempt(h *Handle) error {
 	if m.live >= poolSlots {
 		m.clock.Sleep(poolOverflowCost)
 	}
-	if faults, ok := m.place.(FaultSource); ok {
-		if err := faults.LaunchFault(); err != nil {
-			return err
-		}
+	if err := m.place.LaunchFault(); err != nil {
+		return err
 	}
 	// Placement happens after admission serializes the herd; the instance
 	// registers with the control layer immediately, so load-aware

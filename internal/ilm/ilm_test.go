@@ -7,6 +7,7 @@ import (
 
 	"pie/api"
 	"pie/inferlet"
+	"pie/internal/core"
 	"pie/internal/sim"
 )
 
@@ -24,8 +25,20 @@ func testCatalog() []api.ModelInfo {
 	}
 }
 
+// fakePlacer stands in for the cluster layer and declines everything:
+// no placement, full-quality admission, no faults, no handoff. Tests embed
+// it to override one answer.
+type fakePlacer struct{}
+
+func (fakePlacer) Place(string, string, []string) (*core.Controller, error) { return nil, nil }
+func (fakePlacer) AdmitLaunch(string, int) (int, error)                     { return 0, nil }
+func (fakePlacer) LaunchFault() error                                       { return nil }
+func (fakePlacer) MaybeHandoff(*core.Controller, *core.Instance) (*core.Controller, *core.Instance, bool) {
+	return nil, nil, false
+}
+
 func newTestILM() *ILM {
-	return New(sim.NewClock(), nil, nil, testCatalog())
+	return New(sim.NewClock(), fakePlacer{}, nil, testCatalog())
 }
 
 func prog(name, version string, m inferlet.Manifest) inferlet.Program {

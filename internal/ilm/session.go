@@ -38,10 +38,10 @@ func (s *session) cancelSubscriptions() {
 // repoints at the new controller and instance; queue ids are preserved by
 // the migration, so open inferlet.Queue objects keep working untouched.
 func (s *session) checkHandoff() {
-	if s.ilm.handoff == nil || s.inst == nil || !s.inst.HandoffPending {
+	if s.inst == nil || !s.inst.HandoffPending {
 		return
 	}
-	if ctl, inst, ok := s.ilm.handoff.MaybeHandoff(s.ctl, s.inst); ok {
+	if ctl, inst, ok := s.ilm.place.MaybeHandoff(s.ctl, s.inst); ok {
 		s.ctl, s.inst = ctl, inst
 		s.handle.ctl, s.handle.inst = ctl, inst
 	}

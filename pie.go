@@ -129,14 +129,10 @@ const (
 	PlaceProgramAffinity = cluster.PlaceProgramAffinity
 )
 
-// AutoscaleConfig tunes the cluster's queue-depth autoscaler.
-type AutoscaleConfig = cluster.AutoscaleConfig
-
 // SLO-aware serving (internal/cluster): the saturation-guarded, cost-aware
 // scaler, heterogeneous replica pools, and per-class attainment stats.
 type (
-	// ScalerConfig tunes the SLO scaler, which an engine runs instead of
-	// the queue-depth autoscaler when both are configured:
+	// ScalerConfig tunes the SLO scaler, the engine's one scaling loop:
 	// saturation-guarded scale-up with a cold-start hold,
 	// cheapest-variant-meeting-SLO selection, and scale-to-zero.
 	ScalerConfig = cluster.ScalerConfig
@@ -254,10 +250,6 @@ type Config struct {
 	Replicas int
 	// Placement selects the cluster routing policy. Default round-robin.
 	Placement PlacementPolicy
-	// Autoscale enables and bounds the queue-depth replica autoscaler;
-	// when Autoscale.Max exceeds Replicas, the extra replicas are built
-	// cold and activated on demand. Ignored when Scaler is enabled.
-	Autoscale AutoscaleConfig
 	// Classes registers the service-class contracts launches may run
 	// under: latency targets, scheduler priority, and degradation
 	// eligibility. Launches naming an unknown class fail ErrNoSuchClass.
@@ -280,8 +272,8 @@ type Config struct {
 	// migrating (0 migrates everything).
 	HandoffMinPages int
 	// Scaler enables the SLO scaler: saturation-guarded, cost-aware
-	// scale-up/down driven by per-class attainment. Supersedes Autoscale;
-	// when Scaler.Max exceeds Replicas, the extra replicas are built cold.
+	// scale-up/down driven by per-class attainment. When Scaler.Max
+	// exceeds Replicas, the extra replicas are built cold.
 	Scaler ScalerConfig
 	// HostKVRatio sizes each replica's host-memory KV tier as a multiple
 	// of the device page capacity (e.g. 1.0 doubles effective KV
@@ -387,9 +379,9 @@ type Engine struct {
 
 // New assembles an engine. The standard catalog (llama-1b/3b/8b) is always
 // installed; pick the model per command queue. With cfg.Replicas > 1 (or
-// autoscaling enabled) the engine builds one full serving stack per
-// replica — its own device, scheduler, and KV pools — behind the cluster
-// router; model weights and the tokenizer are shared read-only.
+// a scaler or fleet with headroom) the engine builds one full serving
+// stack per replica — its own device, scheduler, and KV pools — behind the
+// cluster router; model weights and the tokenizer are shared read-only.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	clock := sim.NewClock()
@@ -421,16 +413,7 @@ func New(cfg Config) *Engine {
 	if cfg.NoDistReturnOverhead {
 		sched.DistReturnOverhead = 0
 	}
-	autoscale := cfg.Autoscale
-	if cfg.Scaler.Enabled {
-		// The SLO scaler supersedes the queue-depth autoscaler: one owner
-		// for the scaling decision, or the two fight over the fleet.
-		autoscale = AutoscaleConfig{}
-	}
 	total := cfg.Replicas
-	if autoscale.Enabled && autoscale.Max > total {
-		total = autoscale.Max
-	}
 	if cfg.Scaler.Enabled && cfg.Scaler.Max > total {
 		total = cfg.Scaler.Max
 	}
@@ -468,7 +451,7 @@ func New(cfg Config) *Engine {
 			Role:        roles[i],
 		})
 	}
-	cl := cluster.New(clock, cfg.Placement, autoscale, replicas, cfg.Replicas)
+	cl := cluster.New(clock, cfg.Placement, replicas, cfg.Replicas)
 	if len(cfg.Classes) > 0 {
 		cl.RegisterClasses(cfg.Classes)
 	}
