@@ -63,6 +63,42 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	})
 }
 
+// BenchmarkSchedulerMixedForward is the control layer's cost of one round
+// of forwards on llama-1b: three queues each enqueue a 256-token fill and 48
+// a decode step, so the adaptive former scans the forward against its
+// prefill budget (every decode step and one fill, then the other two fills
+// together). One op is one such round, sim events included.
+func BenchmarkSchedulerMixedForward(b *testing.B) {
+	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		const fills, decoders = 3, 48
+		sessions := make([]embedSession, fills+decoders)
+		for i := range sessions {
+			n := 1
+			if i < fills {
+				n = 256
+			}
+			sessions[i] = openEmbedSession(b, ctl, "bench", n)
+		}
+		done := make([]*sim.Signal, len(sessions))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			for i, s := range sessions {
+				done[i] = s.forward(b, ctl, len(s.embs))
+			}
+			for _, d := range done {
+				if err := sim.Await(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		for _, s := range sessions {
+			ctl.ReleaseInstance(s.inst)
+		}
+	})
+}
+
 // BenchmarkBatchRoundTrip is the host cost of the batch path alone: one
 // embed_txt call from enqueue to completion with nothing else in the system,
 // so every op is one single-call batch. events/op counts the batch's own

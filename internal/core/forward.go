@@ -421,7 +421,7 @@ func (ctl *Controller) admitCall(c *infer.Call) {
 	}
 	ctl.outstandingCalls++
 	ctl.outstandingTokens += callTokenWeight(c)
-	ctl.outstandingPrefill += prefillWeight(c)
+	ctl.outstandingPrefill += c.PrefillTokens()
 }
 
 func (ctl *Controller) retireCall(c *infer.Call) {
@@ -430,21 +430,7 @@ func (ctl *Controller) retireCall(c *infer.Call) {
 	}
 	ctl.outstandingCalls--
 	ctl.outstandingTokens -= callTokenWeight(c)
-	ctl.outstandingPrefill -= prefillWeight(c)
-}
-
-// prefillWeight counts the fresh tokens of a bulk-prefill forward (more
-// than one new token); single-token decode steps weigh zero. The scaler's
-// saturation signal reads the aggregate: a replica deep in prefill work
-// has long first-token queues ahead of any new launch.
-func prefillWeight(c *infer.Call) int {
-	if c.Op != infer.OpForward {
-		return 0
-	}
-	if n := c.NewTokens(); n > 1 {
-		return n
-	}
-	return 0
+	ctl.outstandingPrefill -= c.PrefillTokens()
 }
 
 // OutstandingCalls reports inference-layer calls admitted but not yet

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"pie/internal/infer"
@@ -105,6 +106,15 @@ func (b *readyBucket) remove(i int) {
 // priority queues placed first; the batch is truncated at MaxBatchCalls
 // from the tail. Among op types, the one whose oldest pending call has
 // waited longest wins.
+//
+// Prefill budget (adaptive policy only): a forward batch with a decode step
+// among its heads carries at most gpu.Spec.PrefillBudget prefill tokens, so
+// decode steps do not wait out other sessions' long fills. Prefill calls
+// join in the same priority/queue order while they fit; the first always
+// rides. A call that does not fit ends its queue's head run for this batch
+// — the queue keeps its order and its place, and the call leads the run in
+// the next forward — while later queues' decodes and smaller fills still
+// join. Calls are deferred whole, never split.
 type Scheduler struct {
 	clock *sim.Clock
 	ctl   *Controller
@@ -351,6 +361,7 @@ func (s *Scheduler) dispatchOne() bool {
 		max = 1
 	}
 	batch := s.newBatch(best.key)
+	budget, prefill := s.prefillBudget(best.key, eligible), 0
 	for _, q := range eligible {
 		if len(batch.Calls) >= max {
 			break // truncate from the tail (§5.2)
@@ -360,6 +371,12 @@ func (s *Scheduler) dispatchOne() bool {
 			h := q.head()
 			if h == nil || h.Op != best.key.op {
 				break
+			}
+			if n := h.PrefillTokens(); n > 0 {
+				if prefill > 0 && prefill+n > budget {
+					break // the run resumes here in the next forward
+				}
+				prefill += n
 			}
 			q.pop()
 			q.inflight++
@@ -384,6 +401,21 @@ func (s *Scheduler) dispatchOne() bool {
 	}
 	s.ctl.backend.Submit(batch)
 	return true
+}
+
+// prefillBudget returns how many prefill tokens a batch of key's class,
+// formed from eligible, may carry. Under the adaptive policy a forward with
+// a decode step among its heads takes at most the model's PrefillBudget;
+// every other batch is unbounded.
+func (s *Scheduler) prefillBudget(key bucketKey, eligible []*cmdQueue) int {
+	if s.cfg.Policy == PolicyAdaptive && key.op == infer.OpForward {
+		for _, q := range eligible {
+			if q.head().PrefillTokens() == 0 {
+				return key.rt.Spec.PrefillBudget()
+			}
+		}
+	}
+	return math.MaxInt
 }
 
 // newBatch returns an empty batch of key's class, recycled when there is one.

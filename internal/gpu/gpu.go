@@ -146,6 +146,14 @@ func (s Spec) ForwardCost(decodeSeqs, prefillTokens, ctxTokens int) time.Duratio
 		time.Duration(ctxTokens)*s.KvReadPerTok
 }
 
+// PrefillBudget is the most prefill tokens a forward that carries decode
+// steps takes: what two weight streams cost (500 tokens on 1B, 390 on 3B,
+// 320 on 8B), so a decode step that shares its kernel with prefill waits at
+// most two weight streams longer for it.
+func (s Spec) PrefillBudget() int {
+	return int(2 * s.WeightStream / s.PerTokenPrefill)
+}
+
 // EmbedCost prices a batched embedding kernel.
 func (s Spec) EmbedCost(tokens int) time.Duration {
 	return s.KernelLaunch + s.EmbedKernel + time.Duration(tokens)*s.EmbedPerTok

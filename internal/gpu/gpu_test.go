@@ -61,6 +61,20 @@ func TestBatchSharesWeightStream(t *testing.T) {
 	}
 }
 
+// TestPrefillBudget: the budget is two weight streams' worth of prefill
+// tokens, and that prefill costs no more than two weight streams.
+func TestPrefillBudget(t *testing.T) {
+	for label, want := range map[string]int{"1B": 500, "3B": 390, "8B": 320} {
+		s := SpecFor(label)
+		if got := s.PrefillBudget(); got != want {
+			t.Errorf("%s: PrefillBudget = %d, want %d", label, got, want)
+		}
+		if extra := s.ForwardCost(0, s.PrefillBudget(), 0) - s.ForwardCost(0, 0, 0); extra > 2*s.WeightStream {
+			t.Errorf("%s: the budget's prefill costs %v, past two weight streams (%v)", label, extra, 2*s.WeightStream)
+		}
+	}
+}
+
 func TestDeviceSerializesKernels(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "t")

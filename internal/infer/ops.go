@@ -144,6 +144,19 @@ func (c *Call) NewTokens() int {
 	return 0
 }
 
+// PrefillTokens returns the fresh tokens of a bulk-prefill forward: one
+// that feeds more than two. A forward of one or two tokens is a decode step
+// and counts zero, as does every other op.
+func (c *Call) PrefillTokens() int {
+	if c.Op != OpForward {
+		return 0
+	}
+	if n := c.NewTokens(); n > 2 {
+		return n
+	}
+	return 0
+}
+
 // CtxTokens returns the number of context entries a forward attends over.
 func (c *Call) CtxTokens() int {
 	if c.Op != OpForward {
@@ -186,11 +199,10 @@ func (b *Batch) baseCost() time.Duration {
 		// marginal); larger inputs are bulk prefill (compute-bound).
 		decodeSeqs, prefillTok, ctxTok, fused, fusedEmbTok := 0, 0, 0, 0, 0
 		for _, c := range b.Calls {
-			n := c.NewTokens()
-			if n <= 2 {
-				decodeSeqs += n
-			} else {
+			if n := c.PrefillTokens(); n > 0 {
 				prefillTok += n
+			} else {
+				decodeSeqs += c.NewTokens()
 			}
 			ctxTok += c.CtxTokens()
 			if c.Sample != nil {

@@ -8,7 +8,10 @@
 // implementation behind it.
 package tokenizer
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Special token ids.
 const (
@@ -38,8 +41,15 @@ type trieNode struct {
 	lo, hi int32 // children
 }
 
-// New builds the standard tokenizer shared by all models in the catalog.
-func New() *Tokenizer {
+// New returns the standard tokenizer shared by all models in the catalog.
+// It is built once per process: no method writes to a Tokenizer, so every
+// caller and goroutine may share it.
+func New() *Tokenizer { return standard() }
+
+var standard = sync.OnceValue(build)
+
+// build lays out the standard lexicon and its trie.
+func build() *Tokenizer {
 	t := &Tokenizer{}
 	seen := make(map[string]bool)
 	add := func(s string) {

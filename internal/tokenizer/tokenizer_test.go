@@ -102,7 +102,10 @@ func TestSpecials(t *testing.T) {
 }
 
 func TestDeterministicVocabAssignment(t *testing.T) {
-	a, b := New(), New()
+	a, b := New(), build()
+	if New() != a || a == b {
+		t.Fatal("New must return one shared instance and build a fresh one")
+	}
 	if a.VocabSize() != b.VocabSize() {
 		t.Fatal("vocab size differs across constructions")
 	}
