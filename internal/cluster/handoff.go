@@ -7,8 +7,9 @@ import (
 )
 
 // Prefill/decode KV handoff. A session launched onto a prefill replica
-// runs through its first forward pass there; the controller's first-token
-// observer marks the instance HandoffPending, and at the session's next
+// runs through its first forward pass there, or only until it imports a
+// prefilled prefix; the controller's first-token observer marks the
+// instance HandoffPending at whichever comes first, and at the session's next
 // forward boundary — when it is quiescent, with no queued or in-flight
 // calls anywhere — MaybeHandoff migrates its KV pages to the least-loaded
 // decode replica over the modeled interconnect and rebinds the session.

@@ -1,17 +1,20 @@
 // Engine-level tests of prefill/decode disaggregation: role-aware
-// placement, KV handoff after first token, the bounded transfer budget,
+// placement, KV handoff after the first forward or an import of prefilled
+// KV, the bounded transfer budget,
 // denial when decode capacity is gone, and page conservation across the
 // migration.
 package cluster_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"pie"
 	"pie/internal/cluster"
+	"pie/support"
 )
 
 // leakedPages sums live KV pages across every replica pool; after all
@@ -381,5 +384,128 @@ func TestColdKeysSpreadOverPrefillReplicas(t *testing.T) {
 		if id != before[k] {
 			t.Fatalf("key %d moved from replica %d to %d when a decode replica drained", k, before[k], id)
 		}
+	}
+}
+
+// TestImportedPrefixHandsOffBeforeItsFirstForward: on a prefill/decode pair,
+// a session that imports a prefilled prefix is ready to hand off at the
+// import. It runs no forward on the prefill replica; its sub-page remainder
+// and its question prefill in one forward on the decode replica, after the
+// handoff and before its first token. A session that imports nothing still
+// prefills on the prefill replica and hands off after its first forward.
+func TestImportedPrefixHandsOffBeforeItsFirstForward(t *testing.T) {
+	e := pie.New(pie.Config{
+		Seed: 11, Mode: pie.ModeTiming, Replicas: 2,
+		Roles: []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
+	})
+	rs := e.Cluster().Replicas()
+	// Completed forward calls per replica, and the TTFT-flagged ones.
+	var forwards, firsts [2]int
+	for i, r := range rs {
+		r.Ctl.SetLatencyObserver(func(_ string, ttft bool, _ time.Duration) {
+			forwards[i]++
+			if ttft {
+				firsts[i]++
+			}
+		})
+	}
+	const prefixKey = "handoff:prefix"
+	// What each session saw around its first NextDist: handoffs and
+	// forwards per replica just before it and just after it returned.
+	type view struct {
+		handoffs int
+		forwards [2]int
+	}
+	seen := map[string][2]view{}
+	e.MustRegister(pie.Program{Name: "prefix_chat", BinarySize: 4 << 10, Run: func(s pie.Session) error {
+		mode := s.GetArg()[0]
+		m := s.AvailableModels()[0]
+		prefix := slices.Repeat([]int{5}, 2*m.PageSize+5) // two shareable pages and a remainder
+		aligned := prefix[:2*m.PageSize]
+		var c *support.Context
+		var err error
+		switch mode {
+		case "export":
+			if c, err = support.NewContext(s, m); err != nil {
+				return err
+			}
+			if err := c.FillTokens(aligned); err != nil {
+				return err
+			}
+			if err := c.Export(prefixKey); err != nil {
+				return err
+			}
+		case "import":
+			if c, err = support.ImportContext(s, m, prefixKey, aligned); err != nil {
+				return err
+			}
+		default:
+			if c, err = support.NewContext(s, m); err != nil {
+				return err
+			}
+		}
+		if mode != "plain" {
+			if err := c.FillTokens(prefix[len(aligned):]); err != nil {
+				return err
+			}
+		}
+		if err := c.Fill("what comes next"); err != nil {
+			return err
+		}
+		at := func() view { return view{e.Stats().Handoffs, forwards} }
+		before := at()
+		if _, err := c.NextDist(); err != nil {
+			return err
+		}
+		seen[mode] = [2]view{before, at()}
+		if _, err := c.Generate(support.GenOpts{MaxTokens: 4}); err != nil {
+			return err
+		}
+		return c.Drop()
+	}})
+	if err := e.RunClient(func() {
+		for _, mode := range []string{"export", "import", "plain"} {
+			if _, err := e.LaunchAndWait(pie.Spec("prefix_chat", mode)); err != nil {
+				t.Errorf("%s session: %v", mode, err)
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	const prefill, decode = 0, 1
+	imp := seen["import"]
+	if got := imp[1].handoffs - imp[0].handoffs; got != 1 {
+		t.Fatalf("the importer's first NextDist spanned %d handoffs, want 1: the import marks it", got)
+	}
+	if imp[0].forwards[prefill] != seen["export"][1].forwards[prefill] || imp[1].forwards[prefill] != imp[0].forwards[prefill] {
+		t.Fatalf("the importer ran forwards on the prefill replica (%d before its first token, %d during it)",
+			imp[0].forwards[prefill]-seen["export"][1].forwards[prefill], imp[1].forwards[prefill]-imp[0].forwards[prefill])
+	}
+	if got := imp[1].forwards[decode] - imp[0].forwards[decode]; got != 1 {
+		t.Fatalf("the importer's remainder and question took %d forwards on the decode replica, want 1", got)
+	}
+	plain := seen["plain"]
+	if plain[1].handoffs != plain[0].handoffs || plain[1].forwards[prefill] != plain[0].forwards[prefill]+1 {
+		t.Fatalf("a session importing nothing handed off %d times and ran %d prefill-replica forwards before its first token, want 0 and 1",
+			plain[1].handoffs-plain[0].handoffs, plain[1].forwards[prefill]-plain[0].forwards[prefill])
+	}
+	st := e.Stats()
+	if st.Handoffs != 3 {
+		t.Fatalf("Handoffs = %d, want one per session", st.Handoffs)
+	}
+	// Every session's first forward is its TTFT sample: the exporter's and
+	// the plain session's on the prefill replica, the importer's on decode.
+	if firsts != [2]int{2, 1} {
+		t.Fatalf("first forwards per replica = %v, want [2 1]", firsts)
+	}
+	// The export stays on the replica it was made on.
+	if exports, pages := rs[prefill].Ctl.DropExports(); exports != 1 || pages != 2 {
+		t.Fatalf("the prefill replica held %d exports of %d pages, want the prefix's 1 of 2", exports, pages)
+	}
+	if n := leakedPages(e); n != 0 {
+		t.Fatalf("leaked %d KV pages", n)
 	}
 }

@@ -52,8 +52,9 @@ type Controller struct {
 	latencyFn func(class string, ttft bool, d time.Duration)
 
 	// firstTokFn, when set, observes each instance's first completed
-	// forward pass. The cluster installs it on prefill-role replicas to
-	// mark sessions ready for KV handoff to decode capacity.
+	// forward pass, or its import of prefilled KV before one. The cluster
+	// installs it on prefill-role replicas to mark sessions ready for KV
+	// handoff to decode capacity.
 	firstTokFn func(inst *Instance)
 
 	// Stats.
@@ -110,11 +111,21 @@ func (ctl *Controller) SetLatencyObserver(fn func(class string, ttft bool, d tim
 }
 
 // SetFirstTokenObserver installs the per-instance first-forward observer:
-// fn runs once per instance, when its first forward pass completes. The
-// cluster's prefill/decode handoff layer installs it on prefill-role
-// replicas. Pass nil to remove.
+// fn runs once per instance, when its first forward pass completes or,
+// earlier, when it imports KV pages before that forward (an imported
+// context was prefilled by its exporter). The cluster's prefill/decode
+// handoff layer installs it on prefill-role replicas. Pass nil to remove.
 func (ctl *Controller) SetFirstTokenObserver(fn func(inst *Instance)) {
 	ctl.firstTokFn = fn
+}
+
+// observeFirstTok runs the first-token observer for inst unless it already
+// ran.
+func (ctl *Controller) observeFirstTok(inst *Instance) {
+	if ctl.firstTokFn != nil && !inst.firstTokObserved {
+		inst.firstTokObserved = true
+		ctl.firstTokFn(inst)
+	}
 }
 
 // chargeControl prices a control-layer-handled API call in the caller's
@@ -420,7 +431,9 @@ func (ctl *Controller) ExportPages(inst *Instance, name string, ids []api.KvPage
 }
 
 // ImportPages maps an export into the caller's address space
-// (import_kvpage); the pages are shared, not copied.
+// (import_kvpage); the pages are shared, not copied. An import before the
+// instance's first completed forward counts as its prefill for the
+// first-token observer.
 func (ctl *Controller) ImportPages(inst *Instance, name string) ([]api.KvPage, error) {
 	ctl.chargeControl(inst)
 	entry, ok := ctl.exports[name]
@@ -437,6 +450,9 @@ func (ctl *Controller) ImportPages(inst *Instance, name string) ([]api.KvPage, e
 	for i, p := range entry.phys {
 		entry.m.pages.retain(p)
 		out[i] = api.KvPage(inst.pages.issue(entry.m, p))
+	}
+	if !inst.sawFirstTok {
+		ctl.observeFirstTok(inst)
 	}
 	return out, nil
 }

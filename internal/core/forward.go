@@ -488,7 +488,8 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 		// gap since the previous one (ITL). Same-batch forwards of one
 		// instance read as zero-gap — they genuinely completed together.
 		// The first-token observer fires on the same boundary, marking
-		// prefill-replica sessions ready for KV handoff.
+		// prefill-replica sessions ready for KV handoff, unless an import
+		// already fired it.
 		now := ctl.clock.Now()
 		for _, ic := range b.Calls {
 			inst := ic.Ctl.(*call).q.inst
@@ -500,9 +501,7 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 				if ctl.latencyFn != nil {
 					ctl.latencyFn(inst.Class, true, now-inst.launchedAt)
 				}
-				if ctl.firstTokFn != nil {
-					ctl.firstTokFn(inst)
-				}
+				ctl.observeFirstTok(inst)
 			} else if ctl.latencyFn != nil {
 				ctl.latencyFn(inst.Class, false, now-inst.lastTokenAt)
 			}

@@ -251,9 +251,10 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 		Class:           inst.Class,
 		Degraded:        inst.Degraded,
 
-		launchedAt:  inst.launchedAt,
-		sawFirstTok: inst.sawFirstTok,
-		lastTokenAt: inst.lastTokenAt,
+		launchedAt:       inst.launchedAt,
+		sawFirstTok:      inst.sawFirstTok,
+		lastTokenAt:      inst.lastTokenAt,
+		firstTokObserved: inst.firstTokObserved,
 
 		ControlCalls: inst.ControlCalls,
 		InferCalls:   inst.InferCalls,

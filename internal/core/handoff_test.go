@@ -1,10 +1,12 @@
 // Unit tests for the handoff-facing instance inspectors: the quiescence
-// predicate the migration gate relies on, and the distinct-physical-page
-// footprint behind the min-pages floor.
+// predicate the migration gate relies on, the distinct-physical-page
+// footprint behind the min-pages floor, and the first-token observer that
+// marks sessions for migration.
 package core
 
 import (
 	"testing"
+	"time"
 
 	"pie/api"
 	"pie/internal/infer"
@@ -113,5 +115,71 @@ func TestZeroPageExportStaysBehind(t *testing.T) {
 			t.Fatalf("DropExports = %d exports, %d refs; want 1, 0", exports, refs)
 		}
 		dst.DropExports()
+	})
+}
+
+// TestImportCountsAsFirstForward: the first-token observer runs once per
+// instance — at an import before its first completed forward (the exporter
+// prefilled that KV), else at that forward — while the TTFT sample still
+// waits for the instance's first forward.
+func TestImportCountsAsFirstForward(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		fired := map[string]int{}
+		ctl.SetFirstTokenObserver(func(inst *Instance) { fired[inst.Name]++ })
+		ttfts := 0
+		ctl.SetLatencyObserver(func(_ string, ttft bool, _ time.Duration) {
+			if ttft {
+				ttfts++
+			}
+		})
+		forward := func(inst *Instance) []api.KvPage {
+			q := mustQueue(t, ctl, inst, "llama-1b")
+			pages, err := ctl.AllocPages(inst, q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			embs, err := ctl.AllocEmbeds(inst, q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctl.EmbedText(inst, q, []int{5}, []int{0}, embs); err != nil {
+				t.Fatal(err)
+			}
+			done, err := ctl.Forward(inst, q, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Await(done); err != nil {
+				t.Fatal(err)
+			}
+			return pages
+		}
+		exporter := ctl.RegisterInstance("exporter", nil, nil)
+		defer ctl.ReleaseInstance(exporter)
+		pages := forward(exporter)
+		if err := ctl.ExportPages(exporter, "prefix", pages); err != nil {
+			t.Fatal(err)
+		}
+		// The exporter imports after its first forward: nothing more fires.
+		if _, err := ctl.ImportPages(exporter, "prefix"); err != nil {
+			t.Fatal(err)
+		}
+		importer := ctl.RegisterInstance("importer", nil, nil)
+		defer ctl.ReleaseInstance(importer)
+		for range 2 {
+			if _, err := ctl.ImportPages(importer, "prefix"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fired["importer"] != 1 || ttfts != 1 {
+			t.Fatalf("after two imports the observer fired %d times for the importer and %d TTFTs were sampled, want 1 and 1 (the exporter's)", fired["importer"], ttfts)
+		}
+		forward(importer)
+		if fired["exporter"] != 1 || fired["importer"] != 1 || ttfts != 2 {
+			t.Fatalf("observer fired %v, %d TTFTs sampled: want once per instance and one TTFT each", fired, ttfts)
+		}
+		if exports, _ := ctl.DropExports(); exports != 1 {
+			t.Fatalf("DropExports = %d, want the prefix", exports)
+		}
 	})
 }

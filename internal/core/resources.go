@@ -185,6 +185,11 @@ type Instance struct {
 	sawFirstTok bool
 	lastTokenAt time.Duration
 
+	// firstTokObserved records that the first-token observer has run for
+	// this instance: at its first completed forward, or earlier at its
+	// first import of prefilled KV. It runs at most once.
+	firstTokObserved bool
+
 	// HandoffPending marks a session whose prefill completed on a
 	// prefill-role replica: the first-token observer sets it, and the
 	// session's next forward boundary consults the cluster's handoff

@@ -32,7 +32,8 @@ func (s *session) cancelSubscriptions() {
 }
 
 // checkHandoff runs at forward boundaries: once the instance is marked
-// HandoffPending (its first token completed on a prefill-role replica),
+// HandoffPending (its first forward completed, or it imported prefilled KV,
+// on a prefill-role replica),
 // it asks the cluster's handoff coordinator to migrate the session's KV
 // state to a decode replica. On success every binding — session, handle —
 // repoints at the new controller and instance; queue ids are preserved by

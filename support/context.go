@@ -25,16 +25,18 @@ import (
 // differ after Truncate (speculative decoding rollback) and while tokens
 // are pending.
 //
-// The frontier is lazy. Append records the accepted token as pending — it
-// joins Tokens and Len at once — and issues nothing. The pending tokens
-// ride in the embed + forward of whatever extends the stream next (Fill,
-// FillTokens, ForwardTokens), or are flushed in a forward of their own by
+// The frontier is lazy. Append and Fill/FillTokens record their tokens as
+// pending — they join Tokens and Len at once, not Slots — and issue
+// nothing. The pending tokens ride in the embed + forward of whatever
+// extends the stream next and issues (ForwardTokens, or a fill that leaves
+// the stream page-aligned), or are flushed in a forward of their own by
 // whatever needs their KV or output: NextDist, ProbeTokens, Fork,
-// Truncate, MaskSlots, MaskRange and Export. Sync, Drop and Close never
-// flush, so the last token of a generation pays for no forward unless the
-// context is extended afterwards. Errors the deferred forward can raise
-// (page or embed allocation, a failed queue) surface from the call that
-// flushes, unchanged; the tokens stay pending and the call can be retried.
+// Truncate, MaskSlots, MaskRange, Export and Flush. Sync, Drop and Close
+// never flush, so the last token of a generation pays for no forward unless
+// the context is extended afterwards, and a prompt filled in pieces
+// prefills in one forward. Errors the deferred forward can raise (page or
+// embed allocation, a failed queue) surface from the call that flushes,
+// unchanged; the tokens stay pending and the call can be retried.
 //
 // A context holds two embed slots for its life. genEmb receives the output
 // of every KV-persisting forward; inEmb, allocated by the first one-token
@@ -254,14 +256,24 @@ func (c *Context) Fill(text string) error {
 	return c.FillTokens(toks)
 }
 
-// FillTokens prefills toks, extending the KV cache and producing an output
-// embedding for the last token. Pending tokens ride in the same forward.
+// FillTokens accepts toks into the context. Like Append it leaves them
+// pending, so consecutive fills and the tokens before them prefill in one
+// forward when something flushes (see Context). A fill that leaves the
+// stream page-aligned issues its embed + forward at once, carrying the
+// pending tokens: that is a module prefill (a spec, an exported prefix), and
+// merging those into one long call would make it ride alone in the batch
+// former instead of beside decode steps.
 func (c *Context) FillTokens(toks []int) error {
 	if len(toks) == 0 {
 		return nil
 	}
-	_, err := c.extend(toks, true, 1, false)
-	return err
+	if (c.slots+len(c.pend)+len(toks))%c.Model.PageSize == 0 {
+		_, err := c.extend(toks, true, 1, false)
+		return err
+	}
+	c.pend = append(c.pend, toks...)
+	c.Tokens = append(c.Tokens, toks...)
+	return nil
 }
 
 // Flush issues the embed + forward of the pending tokens, if any, without

@@ -106,6 +106,9 @@ func TestFailedForkClosesItsChildren(t *testing.T) {
 		if err := c.FillTokens(slices.Repeat([]int{5}, m.PageSize+m.PageSize/2)); err != nil {
 			return err
 		}
+		if err := c.Flush(); err != nil { // the fill ends mid-page: allocate its pages now
+			return err
+		}
 		parentPages = len(c.Pages())
 		// Hold every page the manifest leaves but two: children 0 and 1 get
 		// their tail page, child 2 does not.

@@ -22,7 +22,7 @@ func TestDecodeStepsMakeNoControlCalls(t *testing.T) {
 	const n = 32
 	var pages [4]int
 	m := stats(t, timing, func(s inferlet.Session, mark func()) error {
-		c, err := filled(s, "count the control calls ")
+		c, err := prefilled(s, "count the control calls ")
 		if err != nil {
 			return err
 		}
@@ -36,6 +36,9 @@ func TestDecodeStepsMakeNoControlCalls(t *testing.T) {
 		// A second turn: the pending token and eight more prefill in one
 		// forward, which allocates and frees its nine input slots.
 		if err := c.FillTokens(slices.Repeat([]int{9}, 8)); err != nil {
+			return err
+		}
+		if err := c.Flush(); err != nil {
 			return err
 		}
 		pages[2] = len(c.Pages())
