@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"time"
+
 	"pie/api"
 	"pie/internal/core"
 	"pie/internal/sim"
@@ -9,12 +14,13 @@ import (
 // Prefill/decode KV handoff. A session launched onto a prefill replica
 // runs through its first forward pass there, or only until it imports a
 // prefilled prefix; the controller's first-token observer marks the
-// instance HandoffPending at whichever comes first, and at the session's next
-// forward boundary — when it is quiescent, with no queued or in-flight
-// calls anywhere — MaybeHandoff migrates its KV pages to the least-loaded
-// decode replica over the modeled interconnect and rebinds the session.
-// Concurrent transfers share a bounded budget (a FIFO of sim signals), so
-// a handoff storm queues rather than multiplying modeled PCIe bandwidth.
+// instance HandoffPending at whichever comes first, and at the session's
+// next forward boundary — when it is quiescent, with no queued or in-flight
+// calls anywhere — MaybeHandoff migrates its KV pages over the modeled
+// interconnect to the decode replica whose next forward after the pages
+// land completes first, and rebinds the session. Concurrent transfers share
+// a bounded budget (a FIFO of sim signals), so a handoff storm queues
+// rather than multiplying modeled PCIe bandwidth.
 
 // HandoffConfig tunes prefill -> decode session migration.
 type HandoffConfig struct {
@@ -54,14 +60,14 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 func (c *Cluster) HandoffEnabled() bool { return c.handoff.Enabled }
 
 // MaybeHandoff migrates a HandoffPending session off its prefill replica
-// to the least-loaded decode-eligible replica, returning the session's new
-// controller and instance. It runs synchronously in the session's own
-// process (the ilm.HandoffCoordinator contract), so the transfer time and
-// any budget wait are charged to the session. A false return means the
-// session stays put: nothing pending, not yet quiescent (retried at the
-// next forward boundary), or no decode capacity (pending is cleared and
-// the denial counted — the session finishes where it started rather than
-// stall, per api.ErrNoDecodeCapacity).
+// to the decode-eligible replica handoffTarget picks, returning the
+// session's new controller and instance. It runs synchronously in the
+// session's own process (the ilm.HandoffCoordinator contract), so the
+// transfer time and any budget wait are charged to the session. A false
+// return means the session stays put: nothing pending, not yet quiescent
+// (retried at the next forward boundary), or no decode capacity (pending
+// is cleared and the denial counted — the session finishes where it
+// started rather than stall, per api.ErrNoDecodeCapacity).
 func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool) {
 	if !c.handoff.Enabled || inst == nil || !inst.HandoffPending || inst.Dead() {
 		return nil, nil, false
@@ -76,18 +82,16 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 		// mark and retry at the next forward boundary.
 		return nil, nil, false
 	}
-	if min := c.handoff.MinPages; min > 0 {
-		if pages := ctl.InstanceKVFootprint(inst); pages < min {
-			inst.HandoffPending = false
-			c.HandoffSkipped++
-			c.logDecision("handoff skipped: %s#%d replica=%d pages=%d<%d",
-				inst.Name, inst.ID, src.ID, pages, min)
-			return nil, nil, false
-		}
+	footprint, wire := ctl.InstanceKVFootprint(inst)
+	if min := c.handoff.MinPages; min > 0 && footprint < min {
+		inst.HandoffPending = false
+		c.HandoffSkipped++
+		c.logDecision("handoff skipped: %s#%d replica=%d pages=%d<%d",
+			inst.Name, inst.ID, src.ID, footprint, min)
+		return nil, nil, false
 	}
 	c.HandoffRequests++
-	dst := c.handoffTarget(src)
-	if dst == nil {
+	if pick, _ := c.handoffTarget(src, wire); pick.r == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)
 	}
 	// The slot is released by the deferred closure on every exit — including
@@ -102,7 +106,9 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	if inst.Dead() || !ctl.InstanceQuiescent(inst) {
 		return nil, nil, false
 	}
-	if dst = c.handoffTarget(src); dst == nil {
+	pick, runnerUp := c.handoffTarget(src, wire)
+	dst := pick.r
+	if dst == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)
 	}
 	ni, pages, cost, err := ctl.HandoffSession(inst, dst.Ctl)
@@ -118,8 +124,8 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	src.HandoffsOut++
 	dst.HandoffsIn++
 	dst.Placements++
-	c.logDecision("handoff: %s#%d replica=%d->%d pages=%d cost=%v",
-		ni.Name, ni.ID, src.ID, dst.ID, pages, cost)
+	c.logDecision("handoff: %s#%d replica=%d->%d pages=%d cost=%v; chosen %v; runner-up %v",
+		ni.Name, ni.ID, src.ID, dst.ID, pages, cost, pick, runnerUp)
 	return dst.Ctl, ni, true
 }
 
@@ -132,19 +138,64 @@ func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*co
 	return nil, nil, false
 }
 
-// handoffTarget picks the least-loaded healthy serving decode-eligible
-// replica other than the source, or nil when none survives.
-func (c *Cluster) handoffTarget(src *Replica) *Replica {
-	var cands []*Replica
+// handoffCand is a decode replica a session may move to, scored by when its
+// first forward after the session lands completes (pred, from now) plus
+// what its outstanding tokens add to that forward (load).
+type handoffCand struct {
+	r          *Replica
+	pred, load time.Duration
+}
+
+func (h handoffCand) score() time.Duration { return h.pred + h.load }
+
+func (h handoffCand) String() string {
+	if h.r == nil {
+		return "none"
+	}
+	return fmt.Sprintf("replica=%d pred=+%v load=+%v", h.r.ID, h.pred, h.load)
+}
+
+// handoffTarget picks, among the healthy serving decode-eligible replicas
+// other than the source, the one whose first forward after the session lands
+// completes soonest. The session lands once its KV footprint's wire time has
+// passed; the adaptive batch former takes it into the first forward that
+// starts after that, and each token a replica has outstanding adds one
+// decode sequence's cost to the forward. Exact ties go to the least-loaded
+// replica. It returns the pick and the runner-up; a candidate's r is nil
+// when there is none.
+func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerUp handoffCand) {
+	now := c.now()
+	cands := make([]handoffCand, 0, len(c.replicas))
 	for _, r := range c.replicas {
 		if r != src && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
-			cands = append(cands, r)
+			cands = append(cands, handoffCand{
+				r:    r,
+				pred: r.Backend.NextForwardDone(now+wire) - now,
+				load: time.Duration(r.Ctl.OutstandingTokens()) * r.Ctl.PerTokenDecode(),
+			})
 		}
 	}
 	if len(cands) == 0 {
-		return nil
+		return pick, runnerUp
 	}
-	return pickLeastLoaded(cands)
+	slices.SortStableFunc(cands, func(a, b handoffCand) int { return cmp.Compare(a.score(), b.score()) })
+	tied := 1
+	for tied < len(cands) && cands[tied].score() == cands[0].score() {
+		tied++
+	}
+	if tied > 1 {
+		rs := make([]*Replica, tied)
+		for i := range rs {
+			rs[i] = cands[i].r
+		}
+		i := slices.Index(rs, pickLeastLoaded(rs))
+		cands[0], cands[i] = cands[i], cands[0]
+	}
+	pick = cands[0]
+	if len(cands) > 1 {
+		runnerUp = cands[1]
+	}
+	return pick, runnerUp
 }
 
 // handoffWaiter is one FIFO entry for a session queued on the transfer

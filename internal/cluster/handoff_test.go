@@ -7,7 +7,9 @@ package cluster_test
 
 import (
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -507,5 +509,242 @@ func TestImportedPrefixHandsOffBeforeItsFirstForward(t *testing.T) {
 	}
 	if n := leakedPages(e); n != 0 {
 		t.Fatalf("leaked %d KV pages", n)
+	}
+}
+
+// rhythmEngine is a prefill:1;decode:2 engine with rhythm_probe registered:
+// a session that runs one forward on its prefill replica, which marks it
+// for handoff, then fills n tokens and samples. It hands off at that fill's
+// embed and prefills the n tokens in one forward on its decode replica.
+func rhythmEngine(t *testing.T, faults pie.FaultPlan) *pie.Engine {
+	e := newEngine(t, pie.Config{
+		Seed: 11, Replicas: 3, Placement: pie.PlaceLeastLoaded,
+		Roles:  []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
+		Faults: faults,
+	})
+	e.MustRegister(pie.Program{Name: "rhythm_probe", Run: func(s pie.Session) error {
+		n, err := strconv.Atoi(s.GetArg()[0])
+		if err != nil {
+			return err
+		}
+		c, err := support.NewContext(s, s.AvailableModels()[0])
+		if err != nil {
+			return err
+		}
+		if err := c.Fill("rhythm probe"); err != nil {
+			return err
+		}
+		if _, err := c.NextDist(); err != nil {
+			return err
+		}
+		if err := c.FillTokens(slices.Repeat([]int{5}, n)); err != nil {
+			return err
+		}
+		if _, err := c.NextDist(); err != nil {
+			return err
+		}
+		return c.Drop()
+	}})
+	return e
+}
+
+// landProbe launches a rhythm_probe of n tokens and returns its handle once
+// its session has handed off, with the decode replica it landed on. It runs
+// in the engine's client process.
+func landProbe(e *pie.Engine, n int) (*pie.Handle, *cluster.Replica) {
+	rs := e.Cluster().Replicas()
+	before := make([]int, len(rs))
+	for i, r := range rs {
+		before[i] = r.HandoffsIn
+	}
+	h, err := e.Launch(pie.Spec("rhythm_probe", strconv.Itoa(n)))
+	if err != nil {
+		panic(err)
+	}
+	for deadline := e.Now() + time.Second; e.Now() < deadline; {
+		e.Sleep(100 * time.Microsecond)
+		for i, r := range rs {
+			if r.HandoffsIn > before[i] {
+				return h, r
+			}
+		}
+	}
+	panic(fmt.Sprintf("a %d-token probe never handed off", n))
+}
+
+// handoffWhy is what a handoff decision says about its two best candidates.
+type handoffWhy struct {
+	chosen, runnerUp int
+	pred, load       [2]time.Duration // chosen, runner-up
+}
+
+var handoffWhyRE = regexp.MustCompile(`chosen replica=(\d+) pred=\+(\S+) load=\+(\S+); runner-up replica=(\d+) pred=\+(\S+) load=\+(\S+)$`)
+
+// handoffWhys parses every handoff line of the decision log, oldest first.
+func handoffWhys(t *testing.T, c *cluster.Cluster) []handoffWhy {
+	t.Helper()
+	var out []handoffWhy
+	for _, d := range c.Decisions {
+		if !strings.Contains(d, " handoff: ") {
+			continue
+		}
+		m := handoffWhyRE.FindStringSubmatch(d)
+		if m == nil {
+			t.Fatalf("handoff decision names no pred/load for its two best candidates: %q", d)
+		}
+		var w handoffWhy
+		w.chosen, _ = strconv.Atoi(m[1])
+		w.runnerUp, _ = strconv.Atoi(m[4])
+		for i, s := range []string{m[2], m[5]} {
+			w.pred[i], _ = time.ParseDuration(s)
+		}
+		for i, s := range []string{m[3], m[6]} {
+			w.load[i], _ = time.ParseDuration(s)
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// lastHandoffWhy parses the newest handoff line of the decision log.
+func lastHandoffWhy(t *testing.T, c *cluster.Cluster) handoffWhy {
+	t.Helper()
+	whys := handoffWhys(t, c)
+	if len(whys) == 0 {
+		t.Fatal("no handoff in the decision log")
+	}
+	return whys[len(whys)-1]
+}
+
+// TestHandoffGoesWhereTheNextForwardEndsFirst: decode replicas B and C carry
+// equal load, one 2000-token prefill each, but C's started ~35 ms before
+// B's and is about to finish. A session handing off now joins C's next
+// forward, which ends first. (Least-loaded placement sees a tie and takes B,
+// the lower ID.)
+func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
+	e := rhythmEngine(t, pie.FaultPlan{})
+	rs := e.Cluster().Replicas()
+	b, c := rs[1], rs[2]
+	err := e.RunClient(func() {
+		w, at := landProbe(e, 300) // nothing tells B and C apart yet: B
+		if at != b {
+			panic(fmt.Sprintf("the first probe landed on replica %d, want B", at.ID))
+		}
+		y, at := landProbe(e, 2000) // B is busy with w's prefill
+		if at != c {
+			panic(fmt.Sprintf("the second probe landed on replica %d, want C", at.ID))
+		}
+		if err := w.Wait(); err != nil {
+			panic(err)
+		}
+		x, at := landProbe(e, 2000) // C is inside y's prefill
+		if at != b {
+			panic(fmt.Sprintf("the third probe landed on replica %d, want B", at.ID))
+		}
+		e.Sleep(3 * time.Millisecond) // x's embed done: both are in a 2000-token forward
+		if b.Ctl.OutstandingTokens() != c.Ctl.OutstandingTokens() || b.Ctl.Instances() != c.Ctl.Instances() {
+			panic(fmt.Sprintf("unequal load: B %d tokens over %d sessions, C %d over %d",
+				b.Ctl.OutstandingTokens(), b.Ctl.Instances(), c.Ctl.OutstandingTokens(), c.Ctl.Instances()))
+		}
+		z, at := landProbe(e, 1)
+		if at != c {
+			panic(fmt.Sprintf("the session handed off to replica %d, want C, whose forward ends first", at.ID))
+		}
+		for _, h := range []*pie.Handle{x, y, z} {
+			if err := h.Wait(); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	why := lastHandoffWhy(t, e.Cluster())
+	if why.chosen != c.ID || why.runnerUp != b.ID || why.load[0] != why.load[1] || why.pred[0] >= why.pred[1] {
+		t.Fatalf("decision %+v: want C chosen over B on an earlier prediction at equal load", why)
+	}
+	if n := leakedPages(e); n != 0 {
+		t.Fatalf("leaked %d KV pages", n)
+	}
+}
+
+// TestHandoffEqualRhythmPrefersLessLoaded: neither decode replica has run a
+// forward, so a session would join a forward starting the moment it lands
+// on either. One session lands on B and embeds 40 000 tokens (24 ms); a
+// session handing off meanwhile goes to C, the less loaded.
+func TestHandoffEqualRhythmPrefersLessLoaded(t *testing.T) {
+	e := rhythmEngine(t, pie.FaultPlan{})
+	rs := e.Cluster().Replicas()
+	b, c := rs[1], rs[2]
+	err := e.RunClient(func() {
+		v, at := landProbe(e, 40000) // a tie: B
+		if at != b {
+			panic(fmt.Sprintf("the tie went to replica %d, want B", at.ID))
+		}
+		z, at := landProbe(e, 1)
+		if at != c {
+			panic(fmt.Sprintf("the session handed off to replica %d, want C, the less loaded", at.ID))
+		}
+		for _, h := range []*pie.Handle{v, z} {
+			if err := h.Wait(); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	why := lastHandoffWhy(t, e.Cluster())
+	if why.chosen != c.ID || why.pred[0] != why.pred[1] || why.load[0] >= why.load[1] {
+		t.Fatalf("decision %+v: want C chosen at an equal prediction on a lighter load", why)
+	}
+}
+
+// TestHandoffAvoidsSlowReplica: once a slow fault stretches B's kernels
+// fourfold, B's next forward ends later than C's at equal (zero) load, so
+// every handoff goes to C.
+func TestHandoffAvoidsSlowReplica(t *testing.T) {
+	const slowAt = 500 * time.Millisecond
+	e := rhythmEngine(t, pie.FaultPlan{Events: []pie.FaultEvent{
+		{At: slowAt, Replica: 1, Kind: pie.FaultSlow, Factor: 4},
+	}})
+	rs := e.Cluster().Replicas()
+	b, c := rs[1], rs[2]
+	err := e.RunClient(func() {
+		// Warm both decode replicas with one forward each.
+		var hs []*pie.Handle
+		for range 2 {
+			h, err := e.Launch(pie.Spec("rhythm_probe", "300"))
+			if err != nil {
+				panic(err)
+			}
+			hs = append(hs, h)
+		}
+		for _, h := range hs {
+			if err := h.Wait(); err != nil {
+				panic(err)
+			}
+		}
+		if b.HandoffsIn != 1 || c.HandoffsIn != 1 {
+			panic(fmt.Sprintf("warm-up landed %d on B and %d on C, want one each", b.HandoffsIn, c.HandoffsIn))
+		}
+		e.Sleep(slowAt + time.Millisecond - e.Now())
+		for range 3 {
+			if _, err := e.LaunchAndWait(pie.Spec("rhythm_probe", "300")); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whys := handoffWhys(t, e.Cluster())
+	for _, why := range whys[len(whys)-3:] {
+		if why.chosen != c.ID || why.load[0] != why.load[1] || why.pred[1] < 3*why.pred[0] {
+			t.Fatalf("decision %+v: want C chosen over the slowed B at equal load", why)
+		}
+	}
+	if b.HandoffsIn != 1 || c.HandoffsIn != 4 {
+		t.Fatalf("handoffs in: B %d, C %d; want the slowed B to take none after its fault", b.HandoffsIn, c.HandoffsIn)
 	}
 }

@@ -572,6 +572,12 @@ func (ctl *Controller) ModelRuntime(name string) *infer.ModelRuntime {
 	return nil
 }
 
+// PerTokenDecode is what one more decode sequence adds to a forward on
+// this replica's device class (its first model's cost model).
+func (ctl *Controller) PerTokenDecode() time.Duration {
+	return ctl.order[0].rt.Spec.PerTokenDecode
+}
+
 // SortedInstanceIDs aids deterministic test assertions.
 func (ctl *Controller) SortedInstanceIDs() []uint64 {
 	ids := make([]uint64, 0, len(ctl.instances))

@@ -95,17 +95,20 @@ func crossingCost(m *modelState, phys int32) time.Duration {
 }
 
 // InstanceKVFootprint counts the distinct physical KV pages a session
-// holds — what a handoff would copy across the interconnect. Import
-// sharing maps one physical page under several virtual handles, so the
-// count dedupes by physical reference.
-func (ctl *Controller) InstanceKVFootprint(inst *Instance) int {
+// holds — what a handoff would copy across the interconnect — and the wire
+// time HandoffSession charges to copy them (crossingCost each; a spill the
+// destination's pool makes to take them is not included). Import sharing
+// maps one physical page under several virtual handles, so the count
+// dedupes by physical reference.
+func (ctl *Controller) InstanceKVFootprint(inst *Instance) (pages int, wire time.Duration) {
 	seen := make(map[physKey]bool, inst.pages.live)
 	for _, ref := range inst.pages.refs {
-		if ref.m != nil {
-			seen[physKey{ref.m, ref.phys}] = true
+		if key := (physKey{ref.m, ref.phys}); ref.m != nil && !seen[key] {
+			seen[key] = true
+			wire += crossingCost(ref.m, ref.phys)
 		}
 	}
-	return len(seen)
+	return len(seen), wire
 }
 
 // InstanceQuiescent reports whether the instance has no queued or

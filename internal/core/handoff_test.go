@@ -13,20 +13,42 @@ import (
 	"pie/internal/sim"
 )
 
+// TestInstanceKVFootprintDedupes: import sharing maps several virtual
+// handles onto one physical page, so the footprint counts physical pages,
+// not handles, and its wire time is what HandoffSession then charges.
 func TestInstanceKVFootprintDedupes(t *testing.T) {
-	ctl := &Controller{}
-	// Import sharing maps several virtual handles onto one physical page:
-	// the footprint counts physical pages, not handles.
-	m := &modelState{name: "m"}
-	inst := &Instance{}
-	for _, phys := range []int32{7, 7, 9} {
-		inst.pages.issue(m, phys)
-	}
-	if got := ctl.InstanceKVFootprint(inst); got != 2 {
-		t.Fatalf("footprint = %d, want 2 distinct physical pages", got)
-	}
-	if got := ctl.InstanceKVFootprint(&Instance{}); got != 0 {
-		t.Fatalf("empty instance footprint = %d", got)
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		inst := ctl.RegisterInstance("t", nil, nil)
+		q := mustQueue(t, ctl, inst, "llama-1b")
+		pages, err := ctl.AllocPages(inst, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.ExportPages(inst, "shared", pages); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.ImportPages(inst, "shared"); err != nil {
+			t.Fatal(err)
+		}
+		n, wire := ctl.InstanceKVFootprint(inst)
+		rt := ctl.ModelRuntime("llama-1b")
+		// Device-resident pages cross twice: device -> host -> peer device.
+		if want := 2 * 2 * rt.Spec.SwapCost(1, rt.Info.PageSize); n != 2 || wire != want {
+			t.Fatalf("footprint = %d pages over %v, want 2 distinct physical pages over %v", n, wire, want)
+		}
+		ni, moved, cost, err := ctl.HandoffSession(inst, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved != n || cost != wire {
+			t.Fatalf("HandoffSession moved %d pages at %v, the footprint predicted %d at %v", moved, cost, n, wire)
+		}
+		dst.ReleaseInstance(ni)
+		ctl.DropExports()
+	})
+	if n, wire := (&Controller{}).InstanceKVFootprint(&Instance{}); n != 0 || wire != 0 {
+		t.Fatalf("empty instance footprint = %d pages over %v", n, wire)
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 //     colocated pool);
 //   - disagg: a prefill tier takes every new launch, and after each
 //     session's first token its KV pages migrate over the modeled PCIe
-//     interconnect to the least-loaded decode replica.
+//     interconnect to the decode replica whose next forward after they
+//     land completes first, load counted in.
 //
 // The claims under test: at mixes where long-prompt batch prefills
 // contend with interactive arrivals, disaggregation shields interactive

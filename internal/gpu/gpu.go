@@ -217,6 +217,7 @@ type Device struct {
 	clock    *sim.Clock
 	name     string
 	queue    sim.FIFO[kernel] // submitted, not yet started
+	queued   time.Duration    // the queued kernels' modeled cost, before slowdown
 	running  kernel           // executing, at the cost it started with
 	busy     bool
 	finishFn func() // d.finish, bound once: a timer is armed per kernel
@@ -246,6 +247,7 @@ func NewDevice(c *sim.Clock, name string) *Device {
 
 func (d *Device) enqueue(k kernel) {
 	d.queue.Push(k)
+	d.queued += k.cost
 	if !d.busy && !d.failed {
 		d.start()
 	}
@@ -255,9 +257,8 @@ func (d *Device) enqueue(k kernel) {
 // to its end.
 func (d *Device) start() {
 	k := d.queue.Pop()
-	if d.slowdown > 1 {
-		k.cost = time.Duration(float64(k.cost) * d.slowdown)
-	}
+	d.queued -= k.cost
+	k.cost = d.Price(k.cost)
 	d.running = k
 	d.busy = true
 	d.due = d.clock.Now() + k.cost
@@ -332,6 +333,24 @@ func (d *Device) Kernels() int { return d.kernels }
 // exactly while a kernel is executing; a device that fails mid-kernel keeps
 // the instant its last kernel should have completed.
 func (d *Device) Due() time.Duration { return d.due }
+
+// Drain returns the instant the device finishes everything submitted so far,
+// pricing the queued kernels at the slowdown in force now: Now when idle.
+func (d *Device) Drain() time.Duration {
+	if !d.busy {
+		return d.clock.Now()
+	}
+	return max(d.due, d.clock.Now()) + d.Price(d.queued)
+}
+
+// Price returns what a kernel of modeled cost takes on this device at the
+// slowdown in force now.
+func (d *Device) Price(cost time.Duration) time.Duration {
+	if d.slowdown > 1 {
+		return time.Duration(float64(cost) * d.slowdown)
+	}
+	return cost
+}
 
 // Fail crash-stops the device: the kernel in flight (if any) is lost, and
 // no submitted kernel will ever execute or complete again. Queued and

@@ -162,12 +162,21 @@ func TestDeviceQueueOrderAndIdleOncePerDrain(t *testing.T) {
 		d.Enqueue(time.Millisecond, "a")
 		s := d.Submit("b", time.Millisecond)
 		d.Enqueue(time.Millisecond, "c")
-		if !d.Busy() || d.Idle() || d.Due() != time.Millisecond {
-			t.Errorf("after three submissions: busy=%v idle=%v due=%v", d.Busy(), d.Idle(), d.Due())
+		if !d.Busy() || d.Idle() || d.Due() != time.Millisecond || d.Drain() != 3*time.Millisecond {
+			t.Errorf("after three submissions: busy=%v idle=%v due=%v drain=%v", d.Busy(), d.Idle(), d.Due(), d.Drain())
 		}
+		// The queued kernels drain at the slowdown in force now.
+		d.SetSlowdown(2)
+		if d.Drain() != 5*time.Millisecond || d.Price(time.Millisecond) != 2*time.Millisecond {
+			t.Errorf("slowed: drain=%v price=%v, want 5ms and 2ms", d.Drain(), d.Price(time.Millisecond))
+		}
+		d.SetSlowdown(1)
 		_ = sim.Await(s)
 		got = append(got, "b")
 		clock.Sleep(10 * time.Millisecond)
+		if d.Drain() != clock.Now() {
+			t.Errorf("idle device drains at %v, want now (%v)", d.Drain(), clock.Now())
+		}
 		before := clock.Events()
 		d.Enqueue(time.Millisecond, "d")
 		clock.Sleep(10 * time.Millisecond)

@@ -44,6 +44,12 @@ type Backend struct {
 
 	onComplete func(*Batch) // control-layer event dispatcher hook
 
+	// The device's forward rhythm (NextForwardDone): the last forward's
+	// modeled cost before slowdown and the instant it ends, and the gap
+	// between the end of the forward before it and its start — the light
+	// ops (embed, dist) the batch former runs between two forwards.
+	fwdCost, fwdEnd, fwdGap time.Duration
+
 	// OnOverhead, when set, observes each call's boundary overhead: the
 	// time from control-layer submission to deserialization completion
 	// plus the response IPC hop — everything except kernel execution and
@@ -100,7 +106,40 @@ func (b *Backend) parsed() {
 			b.OnOverhead(perCall)
 		}
 	}
-	b.Device.Enqueue(batch.Cost(), batch)
+	cost := batch.Cost()
+	if batch.Op == OpForward {
+		// It starts when everything queued ahead of it has run.
+		start := b.Device.Drain()
+		if b.fwdCost > 0 {
+			b.fwdGap = max(start-b.fwdEnd, 0)
+		}
+		b.fwdCost, b.fwdEnd = cost, start+b.Device.Price(cost)
+	}
+	b.Device.Enqueue(cost, batch)
+}
+
+// NextForwardDone predicts when the first forward to start at or after at
+// completes. Forwards recur in a rhythm: each costs what the last one did,
+// at the slowdown in force now, and starts one gap after the one before it
+// ends. An idle device, or one that has run no forward, starts one at at. A
+// gap longer than a forward means the device drained between the last two,
+// so there is no rhythm to follow: the next forward follows the last one
+// directly.
+func (b *Backend) NextForwardDone(at time.Duration) time.Duration {
+	cost := b.Device.Price(b.fwdCost)
+	if b.fwdCost == 0 || b.Device.Idle() {
+		return at + cost
+	}
+	gap := b.fwdGap
+	if gap > cost {
+		gap = 0
+	}
+	next := b.fwdEnd + gap
+	if next < at {
+		period := cost + gap
+		next += (at - next + period - 1) / period * period
+	}
+	return next + cost
 }
 
 // kernelDone is the device's completion callback: the batch's results start

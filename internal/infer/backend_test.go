@@ -133,3 +133,77 @@ func TestBackendDeviceFailureLosesTheBatch(t *testing.T) {
 		t.Fatalf("dead device: %d batches run, idle %v", be.BatchesRun, be.Device.Idle())
 	}
 }
+
+// TestNextForwardDoneFollowsTheRhythm scripts forwards and dists (zero-call
+// batches, which parse at once) onto one backend and checks the predicted
+// completion of the first forward to start at or after an arrival: none
+// yet, arrival before the next start, after it (one period on), an idle
+// device, a rhythm broken by a drain, and a slowdown stretching the period.
+func TestNextForwardDoneFollowsTheRhythm(t *testing.T) {
+	rt := testRuntime(ExecTiming)
+	clock := sim.NewClock()
+	be := NewBackend(clock, "t")
+	done := map[*Batch]time.Duration{}
+	be.SetCompleteFunc(func(x *Batch) { done[x] = clock.Now() })
+	fwd := func() *Batch { return &Batch{Op: OpForward, Model: rt} }
+	dist := func() *Batch { return &Batch{Op: OpNextDist, Model: rt} }
+	F, D := fwd().Cost(), dist().Cost()
+	check := func(what string, at, want time.Duration) {
+		t.Helper()
+		if got := be.NextForwardDone(at); got != want {
+			t.Errorf("%s: NextForwardDone(%v) = %v, want %v", what, at, got, want)
+		}
+	}
+	var fwd2, fwd5 *Batch
+	const T3, T4 = 100 * time.Millisecond, 200 * time.Millisecond
+	clock.Go("script", func() {
+		check("no forward yet", 5*time.Millisecond, 5*time.Millisecond)
+		// Forward, dist, forward: the second starts when the dist ahead of it
+		// ends, one gap D after the first, and ends at 2F+D.
+		fwd2 = fwd()
+		be.Submit(fwd())
+		be.Submit(dist())
+		be.Submit(fwd2)
+		clock.Yield()
+		check("arrival before the next start", time.Millisecond, 2*F+2*D+F)
+		check("arrival after the next start", 2*F+2*D+1, 3*F+3*D+F)
+		be.Device.SetSlowdown(2) // the next forward is priced as it will run
+		check("slowed, before the next start", time.Millisecond, 2*F+2*D+2*F)
+		check("slowed, after the next start", 2*F+2*D+1, 2*F+2*D+(2*F+D)+2*F)
+		be.Device.SetSlowdown(1)
+
+		clock.Sleep(3 * F)
+		check("idle device", 3*F+time.Millisecond, 3*F+time.Millisecond+F)
+
+		// A forward after a drain longer than a forward: no rhythm, so the
+		// next one follows it directly.
+		clock.Sleep(T3 - clock.Now())
+		be.Submit(fwd())
+		be.Submit(dist())
+		clock.Yield()
+		check("broken rhythm", T3+time.Millisecond, T3+2*F)
+
+		// A slowed device runs both kernels and the period at twice the cost.
+		clock.Sleep(T4 - clock.Now())
+		be.Device.SetSlowdown(2)
+		fwd5 = fwd()
+		be.Submit(fwd())
+		be.Submit(dist())
+		be.Submit(fwd5)
+		clock.Yield()
+		end5 := T4 + 4*F + 2*D
+		check("slowed rhythm, before the next start", T4+time.Millisecond, end5+2*D+2*F)
+		check("slowed rhythm, after the next start", end5+2*D+1, end5+2*D+(2*F+2*D)+2*F)
+		clock.Sleep(time.Second)
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The recorded ends are the device's.
+	if want := 2*F + D + IPCCrossing; done[fwd2] != want {
+		t.Errorf("second forward completed at %v, want %v", done[fwd2], want)
+	}
+	if want := T4 + 4*F + 2*D + IPCCrossing; done[fwd5] != want {
+		t.Errorf("slowed forward completed at %v, want %v", done[fwd5], want)
+	}
+}
