@@ -14,6 +14,7 @@ import (
 	"pie"
 	"pie/apps"
 	"pie/internal/eval"
+	"pie/internal/trace"
 )
 
 // schedulerFingerprint runs a tie-heavy mixed workload and returns every
@@ -60,7 +61,7 @@ func schedulerFingerprint(t *testing.T, seed uint64) string {
 // handoffFingerprint runs a disaggregated-pool workload whose sessions
 // all migrate prefill -> decode mid-run and returns every observable
 // statistic — engine stats (handoff counters included), per-replica
-// stats, and the cluster decision log — as one comparable string. It also
+// stats, and every cluster decision record — as one comparable string. It also
 // enforces the conservation contract: after every session finishes, zero
 // KV pages remain live on any replica, source or destination.
 func handoffFingerprint(t *testing.T, seed uint64) string {
@@ -71,6 +72,8 @@ func handoffFingerprint(t *testing.T, seed uint64) string {
 		Roles: []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
 	})
 	e.MustRegister(apps.All()...)
+	var decisions []trace.Decision
+	e.Cluster().OnDecision = func(d trace.Decision) { decisions = append(decisions, d) }
 	e.Go("driver", func() {
 		var hs []*pie.Handle
 		for i := 0; i < 12; i++ {
@@ -103,7 +106,7 @@ func handoffFingerprint(t *testing.T, seed uint64) string {
 	}
 	_, _, _, events := e.Clock().Stats()
 	return fmt.Sprintf("now=%v stats=%+v replicas=%+v decisions=%v events=%d",
-		e.Now(), st, e.ReplicaStats(), e.Cluster().Decisions, events)
+		e.Now(), st, e.ReplicaStats(), decisions, events)
 }
 
 // TestHandoffDeterministic pins the prefill/decode handoff path to the

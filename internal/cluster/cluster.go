@@ -50,6 +50,7 @@ import (
 	"pie/internal/infer"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // PlacementPolicy selects the routing strategy.
@@ -162,15 +163,12 @@ type Cluster struct {
 	replicas []*Replica
 	rr       int
 
-	// OnPlace, when set, observes every placement decision (stress tests
-	// and instrumentation). It runs synchronously in the placing process
-	// with the chosen replica.
-	OnPlace func(r *Replica)
-
-	// OnFleetOp, when set, observes every active-set change but a death
-	// (fleetops.go): op is "activate", "drain", "drain-done" or
-	// "deactivate". It runs synchronously in the mutating process.
-	OnFleetOp func(op string, r *Replica)
+	// OnDecision, when set, receives every decision of the cluster and of
+	// the fleet controller driving it, one trace.Decision each: placements,
+	// handoffs, scaling, admission verdicts, fleet ops and health
+	// transitions. It runs synchronously in the deciding process. Nil
+	// builds nothing; a set hook owns retention.
+	OnDecision func(trace.Decision)
 
 	// Scaling stats.
 	ScaleUps   int // replicas activated (or un-drained) by the SLO scaler
@@ -214,11 +212,6 @@ type Cluster struct {
 	HandoffQueued   int           // handoffs that waited on the transfer budget
 	HandoffRequests int           // quiescent first-token sessions that sought a target
 	HandoffSkipped  int           // sessions kept in place below the min-pages floor
-
-	// Decisions is the bounded scale/degrade/shed decision log: one line
-	// per scaling action, degradation, or shed, byte-identical across
-	// same-seed runs (the determinism test contract).
-	Decisions []string
 
 	// SLO-layer stats.
 	Degradations      int // launches admitted degraded instead of shed
@@ -334,8 +327,8 @@ func (c *Cluster) Place(program, artifact string, args []string) (*core.Controll
 		return nil, fmt.Errorf("%w: no live replica to place %q on", api.ErrReplicaLost, program)
 	}
 	r.Placements++
-	if c.OnPlace != nil {
-		c.OnPlace(r)
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Place, Replica: r.ID, Program: program})
 	}
 	return r.Ctl, nil
 }

@@ -19,6 +19,7 @@ import (
 	"pie/internal/cluster"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // tightHealth detects failures quickly so tests stay short.
@@ -281,11 +282,14 @@ func TestScalerIgnoresDeadReplicas(t *testing.T) {
 		DefaultRetry: pie.RetryPolicy{MaxAttempts: 4},
 	})
 	badPlacements := 0
-	e.Cluster().OnPlace = func(r *cluster.Replica) {
+	e.Cluster().OnDecision = func(d trace.Decision) {
+		if d.Kind != trace.Place {
+			return
+		}
 		// Decision-time check: never place onto anything but a healthy,
 		// active, non-draining replica (suspect fallback is only legal
 		// when no healthy replica exists, which this test never hits).
-		if r.Health() != cluster.HealthHealthy || !r.Active() || r.Draining() {
+		if r := e.Cluster().Replicas()[d.Replica]; r.Health() != cluster.HealthHealthy || !r.Active() || r.Draining() {
 			badPlacements++
 		}
 	}

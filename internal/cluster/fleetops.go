@@ -1,15 +1,19 @@
 package cluster
 
+import "pie/internal/trace"
+
 // Fleet ops: the one mutation surface of the active replica set. The SLO
 // scaler, the health monitor's spare activation, placement's last-resort
 // revive and the declarative fleet controller (internal/fleet) all change
 // the set through these verbs, so every caller honors the same invariants
 // — activation only of healthy replicas, retirement only through the
-// two-phase drain — and OnFleetOp observes every transition but a death.
+// two-phase drain — and each change is one OnDecision record. A death,
+// the one retirement outside these verbs, is the health monitor's dead
+// record (health.go).
 
-func (c *Cluster) fleetOp(op string, r *Replica) {
-	if c.OnFleetOp != nil {
-		c.OnFleetOp(op, r)
+func (c *Cluster) fleetOp(op trace.Kind, r *Replica) {
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: op, Replica: r.ID})
 	}
 }
 
@@ -26,11 +30,11 @@ func (c *Cluster) Activate(r *Replica) bool {
 	if r.active && r.draining {
 		// Cancel the drain: the replica never left the serving set.
 		r.draining = false
-		c.fleetOp("activate", r)
+		c.fleetOp(trace.Activate, r)
 		return true
 	}
 	c.markActive(r)
-	c.fleetOp("activate", r)
+	c.fleetOp(trace.Activate, r)
 	return true
 }
 
@@ -44,7 +48,7 @@ func (c *Cluster) BeginDrain(r *Replica) bool {
 	}
 	r.draining = true
 	c.DrainStart++
-	c.fleetOp("drain", r)
+	c.fleetOp(trace.Drain, r)
 	return true
 }
 
@@ -71,7 +75,7 @@ func (c *Cluster) CompleteDrains() {
 			}
 			c.markInactive(r)
 			c.DrainDone++
-			c.fleetOp("drain-done", r)
+			c.fleetOp(trace.DrainDone, r)
 		}
 	}
 }
@@ -107,7 +111,7 @@ func (c *Cluster) Deactivate(r *Replica) bool {
 		return false
 	}
 	c.markInactive(r)
-	c.fleetOp("deactivate", r)
+	c.fleetOp(trace.Deactivate, r)
 	return true
 }
 

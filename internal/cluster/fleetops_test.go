@@ -1,23 +1,22 @@
 package cluster_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"pie"
 	"pie/internal/cluster"
+	"pie/internal/trace"
 )
 
 // TestFleetOps exercises the controller-facing replica lifecycle verbs:
-// drain begin/cancel, idle deactivation, refusal rules, and the OnFleetOp
-// observation hook.
+// drain begin/cancel, idle deactivation, refusal rules, and the record
+// each change makes.
 func TestFleetOps(t *testing.T) {
 	e := newEngine(t, pie.Config{Seed: 3, Replicas: 3})
 	c := e.Cluster()
-	var ops []string
-	c.OnFleetOp = func(op string, r *cluster.Replica) {
-		ops = append(ops, op)
-	}
+	ds := decisionLog(e)
 	err := e.RunClient(func() {
 		rs := c.Replicas()
 		r2 := rs[2]
@@ -60,14 +59,12 @@ func TestFleetOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"drain", "activate", "deactivate", "activate", "drain", "drain-done"}
-	if len(ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", ops, want)
+	var want []trace.Decision
+	for _, k := range []trace.Kind{trace.Drain, trace.Activate, trace.Deactivate, trace.Activate, trace.Drain, trace.DrainDone} {
+		want = append(want, trace.Decision{Kind: k, Replica: 2})
 	}
-	for i, op := range want {
-		if ops[i] != op {
-			t.Fatalf("ops[%d] = %q, want %q (%v)", i, ops[i], op, ops)
-		}
+	if !slices.Equal(*ds, want) {
+		t.Fatalf("decisions = %+v, want %+v", *ds, want)
 	}
 	if c.DrainStart < 2 {
 		t.Fatalf("DrainStart = %d, want >= 2", c.DrainStart)

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"pie/api"
 	"pie/internal/core"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // Prefill/decode KV handoff. A session launched onto a prefill replica
@@ -86,8 +87,9 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	if min := c.handoff.MinPages; min > 0 && footprint < min {
 		inst.HandoffPending = false
 		c.HandoffSkipped++
-		c.logDecision("handoff skipped: %s#%d replica=%d pages=%d<%d",
-			inst.Name, inst.ID, src.ID, footprint, min)
+		if c.OnDecision != nil {
+			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.HandoffSkip, Session: session(inst), Replica: src.ID, Pages: footprint, Limit: min})
+		}
 		return nil, nil, false
 	}
 	c.HandoffRequests++
@@ -124,8 +126,10 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	src.HandoffsOut++
 	dst.HandoffsIn++
 	dst.Placements++
-	c.logDecision("handoff: %s#%d replica=%d->%d pages=%d cost=%v; chosen %v; runner-up %v",
-		ni.Name, ni.ID, src.ID, dst.ID, pages, cost, pick, runnerUp)
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Handoff, Session: session(ni), Replica: src.ID, Dest: dst.ID,
+			Pages: pages, Cost: cost, Chosen: pick.candidate(), RunnerUp: runnerUp.candidate()})
+	}
 	return dst.Ctl, ni, true
 }
 
@@ -134,8 +138,15 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*core.Controller, *core.Instance, bool) {
 	inst.HandoffPending = false
 	c.HandoffDenied++
-	c.logDecision("handoff denied: %s#%d replica=%d: %v", inst.Name, inst.ID, src.ID, err)
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.HandoffDeny, Session: session(inst), Replica: src.ID, Err: err})
+	}
 	return nil, nil, false
+}
+
+// session names an instance in decision records.
+func session(inst *core.Instance) string {
+	return inst.Name + "#" + strconv.FormatUint(inst.ID, 10)
 }
 
 // handoffCand is a decode replica a session may move to, scored by when its
@@ -148,11 +159,11 @@ type handoffCand struct {
 
 func (h handoffCand) score() time.Duration { return h.pred + h.load }
 
-func (h handoffCand) String() string {
+func (h handoffCand) candidate() trace.Candidate {
 	if h.r == nil {
-		return "none"
+		return trace.Candidate{Replica: -1}
 	}
-	return fmt.Sprintf("replica=%d pred=+%v load=+%v", h.r.ID, h.pred, h.load)
+	return trace.Candidate{Replica: h.r.ID, Pred: h.pred, Load: h.load}
 }
 
 // handoffTarget picks, among the healthy serving decode-eligible replicas

@@ -7,15 +7,14 @@ package cluster_test
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"pie"
 	"pie/internal/cluster"
+	"pie/internal/trace"
 	"pie/support"
 )
 
@@ -286,6 +285,7 @@ func TestScalerGrowsStarvedRoleTier(t *testing.T) {
 			ColdStartWindow: time.Millisecond,
 		},
 	})
+	ds := decisionLog(e)
 	err := e.RunClient(func() {
 		var hs []*pie.Handle
 		for i := 0; i < 6; i++ {
@@ -307,9 +307,10 @@ func TestScalerGrowsStarvedRoleTier(t *testing.T) {
 	if e.Cluster().ScaleUps == 0 {
 		t.Fatal("saturated disaggregated pool never scaled up")
 	}
-	log := strings.Join(e.Cluster().Decisions, "\n")
-	if !strings.Contains(log, "role=") {
-		t.Fatalf("scale-up decisions name no role:\n%s", log)
+	for _, d := range *ds {
+		if d.Kind == trace.ScaleUp && d.Role != "prefill" && d.Role != "decode" {
+			t.Fatalf("scale-up record names no starved role: %+v", d)
+		}
 	}
 }
 
@@ -572,48 +573,15 @@ func landProbe(e *pie.Engine, n int) (*pie.Handle, *cluster.Replica) {
 	panic(fmt.Sprintf("a %d-token probe never handed off", n))
 }
 
-// handoffWhy is what a handoff decision says about its two best candidates.
-type handoffWhy struct {
-	chosen, runnerUp int
-	pred, load       [2]time.Duration // chosen, runner-up
-}
-
-var handoffWhyRE = regexp.MustCompile(`chosen replica=(\d+) pred=\+(\S+) load=\+(\S+); runner-up replica=(\d+) pred=\+(\S+) load=\+(\S+)$`)
-
-// handoffWhys parses every handoff line of the decision log, oldest first.
-func handoffWhys(t *testing.T, c *cluster.Cluster) []handoffWhy {
-	t.Helper()
-	var out []handoffWhy
-	for _, d := range c.Decisions {
-		if !strings.Contains(d, " handoff: ") {
-			continue
+// handoffs keeps the handoff records of a decision log, oldest first.
+func handoffs(ds []trace.Decision) []trace.Decision {
+	var out []trace.Decision
+	for _, d := range ds {
+		if d.Kind == trace.Handoff {
+			out = append(out, d)
 		}
-		m := handoffWhyRE.FindStringSubmatch(d)
-		if m == nil {
-			t.Fatalf("handoff decision names no pred/load for its two best candidates: %q", d)
-		}
-		var w handoffWhy
-		w.chosen, _ = strconv.Atoi(m[1])
-		w.runnerUp, _ = strconv.Atoi(m[4])
-		for i, s := range []string{m[2], m[5]} {
-			w.pred[i], _ = time.ParseDuration(s)
-		}
-		for i, s := range []string{m[3], m[6]} {
-			w.load[i], _ = time.ParseDuration(s)
-		}
-		out = append(out, w)
 	}
 	return out
-}
-
-// lastHandoffWhy parses the newest handoff line of the decision log.
-func lastHandoffWhy(t *testing.T, c *cluster.Cluster) handoffWhy {
-	t.Helper()
-	whys := handoffWhys(t, c)
-	if len(whys) == 0 {
-		t.Fatal("no handoff in the decision log")
-	}
-	return whys[len(whys)-1]
 }
 
 // TestHandoffGoesWhereTheNextForwardEndsFirst: decode replicas B and C carry
@@ -623,6 +591,7 @@ func lastHandoffWhy(t *testing.T, c *cluster.Cluster) handoffWhy {
 // the lower ID.)
 func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{})
+	ds := decisionLog(e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {
@@ -659,8 +628,9 @@ func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	why := lastHandoffWhy(t, e.Cluster())
-	if why.chosen != c.ID || why.runnerUp != b.ID || why.load[0] != why.load[1] || why.pred[0] >= why.pred[1] {
+	hs := handoffs(*ds)
+	if why := hs[len(hs)-1]; why.Chosen.Replica != c.ID || why.RunnerUp.Replica != b.ID ||
+		why.Chosen.Load != why.RunnerUp.Load || why.Chosen.Pred >= why.RunnerUp.Pred {
 		t.Fatalf("decision %+v: want C chosen over B on an earlier prediction at equal load", why)
 	}
 	if n := leakedPages(e); n != 0 {
@@ -674,6 +644,7 @@ func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
 // session handing off meanwhile goes to C, the less loaded.
 func TestHandoffEqualRhythmPrefersLessLoaded(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{})
+	ds := decisionLog(e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {
@@ -694,8 +665,8 @@ func TestHandoffEqualRhythmPrefersLessLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	why := lastHandoffWhy(t, e.Cluster())
-	if why.chosen != c.ID || why.pred[0] != why.pred[1] || why.load[0] >= why.load[1] {
+	hs := handoffs(*ds)
+	if why := hs[len(hs)-1]; why.Chosen.Replica != c.ID || why.Chosen.Pred != why.RunnerUp.Pred || why.Chosen.Load >= why.RunnerUp.Load {
 		t.Fatalf("decision %+v: want C chosen at an equal prediction on a lighter load", why)
 	}
 }
@@ -708,6 +679,7 @@ func TestHandoffAvoidsSlowReplica(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{Events: []pie.FaultEvent{
 		{At: slowAt, Replica: 1, Kind: pie.FaultSlow, Factor: 4},
 	}})
+	ds := decisionLog(e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {
@@ -738,9 +710,9 @@ func TestHandoffAvoidsSlowReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whys := handoffWhys(t, e.Cluster())
-	for _, why := range whys[len(whys)-3:] {
-		if why.chosen != c.ID || why.load[0] != why.load[1] || why.pred[1] < 3*why.pred[0] {
+	hs := handoffs(*ds)
+	for _, why := range hs[len(hs)-3:] {
+		if why.Chosen.Replica != c.ID || why.Chosen.Load != why.RunnerUp.Load || why.RunnerUp.Pred < 3*why.Chosen.Pred {
 			t.Fatalf("decision %+v: want C chosen over the slowed B at equal load", why)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"pie/internal/core"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 func TestMaybeHandoffGuards(t *testing.T) {
@@ -163,13 +164,13 @@ func TestScaleUpPrefersStarvedRole(t *testing.T) {
 	}}
 	// The decode spare wins despite the prefill spare being cheaper and
 	// lower-ID: capacity must land on the starving phase.
-	c.scaleUpCostAware("test", RoleDecode)
+	c.scaleUpCostAware(trace.Decision{}, RoleDecode)
 	if c.replicas[0].active || !c.replicas[1].active {
 		t.Fatalf("scale-up ignored the starved role: %+v", c.replicas)
 	}
 	// With no spare of the starved role left, any spare still serves —
 	// capacity beats phase purity.
-	c.scaleUpCostAware("test", RoleDecode)
+	c.scaleUpCostAware(trace.Decision{}, RoleDecode)
 	if !c.replicas[0].active {
 		t.Fatal("scale-up refused the off-role spare")
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pie/api"
+	"pie/internal/trace"
 )
 
 // Replica health: a monitor daemon ticks on the virtual clock and drives
@@ -147,6 +148,9 @@ func (c *Cluster) checkHealth() {
 		case age >= suspectAfter && r.health == HealthHealthy:
 			r.health = HealthSuspect
 			c.Suspects++
+			if c.OnDecision != nil {
+				c.OnDecision(trace.Decision{T: now, Kind: trace.Suspect, Replica: r.ID})
+			}
 		}
 	}
 }
@@ -173,10 +177,15 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	// Replacement: bring in the lowest-ID cold spare. It arrives with an
 	// empty artifact cache and empty pools, so its first placements pay
 	// the cold-start pipeline — the same economics as a scale-up.
+	replacement := -1
 	for _, s := range c.replicas {
 		if !s.active && c.Activate(s) {
 			c.Replacements++
+			replacement = s.ID
 			break
 		}
+	}
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Dead, Replica: r.ID, Wait: detect, Dest: replacement})
 	}
 }

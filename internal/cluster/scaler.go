@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
+
+	"pie/internal/trace"
 )
 
 // The SLO scaler is the library's scaling loop: saturation-guarded and
@@ -24,8 +25,8 @@ import (
 //     and attaining, and drains the whole fleet to zero after sustained
 //     idleness when ScaleToZero is set.
 //
-// Every decision appends one line to the cluster's decision log; same-seed
-// runs produce byte-identical logs (the determinism test contract).
+// Every decision is one OnDecision record; same-seed runs produce identical
+// records (the determinism test contract).
 
 // ScalerConfig tunes the SLO scaler. The zero value disables it.
 type ScalerConfig struct {
@@ -181,9 +182,11 @@ func (c *Cluster) scalerTick() {
 		// attempt recovery scale-up instead of silently returning until the
 		// load drains into timeouts. (Spares are usually activated by the
 		// death protocol; this covers crashes outrunning it, e.g. every
-		// serving replica draining or dead within one tick.)
+		// serving replica draining or dead within one tick.) A fleet with
+		// no serving replica reads as fully saturated, as an empty role
+		// does in starvedRoleSat.
 		if busy && c.scaler.Max > 0 {
-			c.scaleUpCostAware("sat=n/a fleet has no serving replica", RoleUnified)
+			c.scaleUpCostAware(trace.Decision{Sat: 1, Role: RoleUnified.String()}, RoleUnified)
 		}
 		return
 	}
@@ -212,18 +215,15 @@ func (c *Cluster) scalerTick() {
 	}
 	switch {
 	case (sat >= c.scaler.SatHigh || missClass != "") && serving < c.scaler.Max:
-		reason := fmt.Sprintf("sat=%.2f", sat)
-		if c.hasRoles {
-			reason = fmt.Sprintf("sat=%.2f role=%s", sat, starved)
-		}
-		if missClass != "" {
-			reason = fmt.Sprintf("%s class=%s att=%.2f", reason, missClass, missAtt)
-		}
+		why := trace.Decision{Sat: sat, Role: starved.String(), Class: missClass, Att: missAtt}
 		if warming > 0 {
-			c.logDecision("hold scale-up: %d replica(s) inside cold-start window (%s)", warming, reason)
+			if c.OnDecision != nil {
+				why.T, why.Kind, why.Count = now, trace.ScaleHold, warming
+				c.OnDecision(why)
+			}
 			return
 		}
-		c.scaleUpCostAware(reason, starved)
+		c.scaleUpCostAware(why, starved)
 	case c.scaler.ScaleToZero && !busy && now-c.lastBusyAt >= c.scaler.IdleAfter:
 		drained := 0
 		for _, r := range c.replicas {
@@ -233,7 +233,9 @@ func (c *Cluster) scalerTick() {
 		}
 		if drained > 0 {
 			c.ScaleToZeroEvents++
-			c.logDecision("scale-to-zero: drained %d idle replica(s) after %v idle", drained, now-c.lastBusyAt)
+			if c.OnDecision != nil {
+				c.OnDecision(trace.Decision{T: now, Kind: trace.ScaleToZero, Count: drained, Wait: now - c.lastBusyAt})
+			}
 		}
 	case c.lowSatTicks >= scaleDownPatience && serving > c.scaler.Min:
 		c.scaleDownCostAware(sat)
@@ -271,8 +273,9 @@ func starvedRoleSat(busy bool, satByRole [3]float64, cntByRole, totByRole [3]int
 // is taken — an SLO miss wants the best hardware available, whatever it
 // costs. With roles assigned, spares matching the starved role are
 // preferred (growing decode when prefill starves just moves the queue),
-// falling back to any spare when that role has none left.
-func (c *Cluster) scaleUpCostAware(reason string, prefer Role) {
+// falling back to any spare when that role has none left. why carries the
+// tick's signal into the scale-up record.
+func (c *Cluster) scaleUpCostAware(why trace.Decision, prefer Role) {
 	pick := func(eligible func(*Replica) bool) *Replica {
 		var best *Replica
 		bestQualifies := false
@@ -300,20 +303,22 @@ func (c *Cluster) scaleUpCostAware(reason string, prefer Role) {
 		}
 		return pick(eligible)
 	}
-	if r := pickRoleAware(func(r *Replica) bool {
+	r := pickRoleAware(func(r *Replica) bool {
 		return r.active && r.draining && r.health == HealthHealthy && !r.crashed
-	}); r != nil {
-		c.Activate(r)
-		c.ScaleUps++
-		c.logDecision("scale-up: un-drain replica=%d variant=%s (%s)", r.ID, r.variantName(), reason)
+	})
+	if r == nil {
+		r = pickRoleAware(func(r *Replica) bool {
+			return !r.active && r.health == HealthHealthy && !r.crashed
+		})
+	}
+	if r == nil {
 		return
 	}
-	if r := pickRoleAware(func(r *Replica) bool {
-		return !r.active && r.health == HealthHealthy && !r.crashed
-	}); r != nil {
-		c.Activate(r)
-		c.ScaleUps++
-		c.logDecision("scale-up: activate replica=%d variant=%s cost=%.2f (%s)", r.ID, r.variantName(), r.costRate(), reason)
+	c.Activate(r)
+	c.ScaleUps++
+	if c.OnDecision != nil {
+		why.T, why.Kind, why.Replica, why.Variant, why.CostRate = c.now(), trace.ScaleUp, r.ID, r.variantName(), r.costRate()
+		c.OnDecision(why)
 	}
 }
 
@@ -387,7 +392,9 @@ func (c *Cluster) scaleDownCostAware(sat float64) {
 		return
 	}
 	c.BeginDrain(victim)
-	c.logDecision("scale-down: drain replica=%d variant=%s cost=%.2f sat=%.2f", victim.ID, victim.variantName(), victim.costRate(), sat)
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.ScaleDown, Replica: victim.ID, Variant: victim.variantName(), CostRate: victim.costRate(), Sat: sat})
+	}
 }
 
 // scaleDownVictim picks the most expensive healthy serving replica
@@ -468,24 +475,12 @@ func ExpandVariants(variants []ReplicaVariant, total int) []ReplicaVariant {
 	return out
 }
 
-// --- Cost accounting and the decision log -------------------------------
+// --- Cost accounting ----------------------------------------------------
 
 // scaleDownPatience is how many consecutive below-SatLow ticks the scaler
 // waits before shedding capacity — cold starts make scale-down much more
 // expensive to regret than to delay.
 const scaleDownPatience = 3
-
-// maxDecisions bounds the decision log (it exists for the determinism
-// tests and post-mortems, not as an unbounded trace).
-const maxDecisions = 4096
-
-// logDecision appends one line to the scale/degrade/shed decision log.
-func (c *Cluster) logDecision(format string, args ...any) {
-	if len(c.Decisions) >= maxDecisions {
-		return
-	}
-	c.Decisions = append(c.Decisions, fmt.Sprintf("t=%v ", c.now())+fmt.Sprintf(format, args...))
-}
 
 // now is the cluster's virtual time, zero for clockless unit-test
 // clusters (which never run daemons).

@@ -7,11 +7,12 @@
 package cluster
 
 import (
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
 	"pie/api"
+	"pie/internal/trace"
 )
 
 func TestScalerConfigDefaults(t *testing.T) {
@@ -59,12 +60,18 @@ func TestScaleUpPicksCheapest(t *testing.T) {
 		{ID: 1, Variant: "l4e", CostRate: 0.6, health: HealthHealthy},
 		{ID: 2, Variant: "l4e", CostRate: 0.6, health: HealthHealthy},
 	}}
-	c.scaleUpCostAware("test", RoleUnified)
+	var got []trace.Decision
+	c.OnDecision = func(d trace.Decision) { got = append(got, d) }
+	c.scaleUpCostAware(trace.Decision{Sat: 0.9, Role: "unified"}, RoleUnified)
 	if !c.replicas[1].active || c.ScaleUps != 1 {
 		t.Fatalf("picked %+v, want replica 1 active", c.replicas)
 	}
-	if len(c.Decisions) != 1 || !strings.Contains(c.Decisions[0], "activate replica=1 variant=l4e") {
-		t.Fatalf("decision log = %v", c.Decisions)
+	want := []trace.Decision{
+		{Kind: trace.Activate, Replica: 1},
+		{Kind: trace.ScaleUp, Replica: 1, Variant: "l4e", CostRate: 0.6, Sat: 0.9, Role: "unified"},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decisions = %+v, want %+v", got, want)
 	}
 }
 
@@ -77,7 +84,7 @@ func TestScaleUpPrefersUnDrain(t *testing.T) {
 		{ID: 1, CostRate: 0.5, health: HealthHealthy},
 		{ID: 2, CostRate: 0.1, active: true, draining: true, health: HealthHealthy, crashed: true},
 	}}
-	c.scaleUpCostAware("test", RoleUnified)
+	c.scaleUpCostAware(trace.Decision{}, RoleUnified)
 	if c.replicas[0].draining || !c.replicas[0].active || c.ScaleUps != 1 {
 		t.Fatalf("draining replica not reclaimed: %+v", c.replicas[0])
 	}
@@ -102,7 +109,7 @@ func TestScaleUpPrefersQualifyingVariant(t *testing.T) {
 		{ID: 0, Variant: "l4e", CostRate: 0.5, SpeedFactor: 4, health: HealthHealthy},
 		{ID: 1, Variant: "l4", CostRate: 1.0, health: HealthHealthy},
 	}}
-	c.scaleUpCostAware("test", RoleUnified)
+	c.scaleUpCostAware(trace.Decision{}, RoleUnified)
 	if !c.replicas[1].active || c.replicas[0].active {
 		t.Fatalf("qualifying variant lost to cheaper non-qualifying: %+v", c.replicas)
 	}
@@ -118,7 +125,7 @@ func TestScaleUpPrefersQualifyingVariant(t *testing.T) {
 		{ID: 0, Variant: "l4e", CostRate: 0.5, SpeedFactor: 4, health: HealthHealthy},
 		{ID: 1, Variant: "l4", CostRate: 1.0, health: HealthHealthy},
 	}}
-	c2.scaleUpCostAware("test", RoleUnified)
+	c2.scaleUpCostAware(trace.Decision{}, RoleUnified)
 	if !c2.replicas[1].active {
 		t.Fatalf("fastest variant not chosen when nothing qualifies: %+v", c2.replicas)
 	}
@@ -174,13 +181,13 @@ func TestScaleUpRecoversAllDeadFleet(t *testing.T) {
 		{ID: 1, active: false, health: HealthDead},
 		{ID: 2, health: HealthHealthy},
 	}}
-	c.scaleUpCostAware("sat=n/a fleet has no serving replica", RoleUnified)
+	c.scaleUpCostAware(trace.Decision{Sat: 1}, RoleUnified)
 	if !c.replicas[2].active || c.ScaleUps != 1 {
 		t.Fatalf("dead fleet did not recover onto the spare: %+v", c.replicas)
 	}
 	// With no healthy spare either, the attempt is a deterministic no-op.
 	c2 := &Cluster{replicas: []*Replica{{ID: 0, health: HealthDead}}}
-	c2.scaleUpCostAware("sat=n/a fleet has no serving replica", RoleUnified)
+	c2.scaleUpCostAware(trace.Decision{Sat: 1}, RoleUnified)
 	if c2.ScaleUps != 0 || c2.replicas[0].active {
 		t.Fatalf("no-spare recovery mutated the fleet: %+v", c2.replicas[0])
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pie/api"
+	"pie/internal/trace"
 )
 
 // Saturation admission: near saturation the cluster degrades Degradable
@@ -78,36 +79,19 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 	if !degradable && priority >= 0 {
 		return 0, nil
 	}
-	var kvInUse, kvCap, depth, serving int
-	for _, r := range c.replicas {
-		if !r.active || r.draining || r.health != HealthHealthy {
-			continue
-		}
-		serving++
-		in, capacity := r.Ctl.KVLoad()
-		kvInUse += in
-		kvCap += capacity
-		depth += r.Ctl.OutstandingCalls()
-	}
+	kvUtil, meanDepth, serving := c.SaturationSnapshot()
 	if serving == 0 {
 		// No healthy serving replica right now. If a live replica exists —
 		// a spare still activating, or an idle fleet the scaler drained to
-		// zero — placement will revive it, so a shed here would be vacuous
-		// (and the mean-depth computation below would divide by zero).
+		// zero — placement will revive it, so a shed here would be vacuous.
 		// Shed only when the cluster genuinely has no hardware left.
 		for _, r := range c.replicas {
 			if r.health == HealthHealthy && !r.crashed {
 				return 0, nil
 			}
 		}
-		c.shedOne(class, "no live replica")
-		return 0, fmt.Errorf("%w: no live replica", api.ErrOverloaded)
+		return 0, c.shedOne(class, kvUtil, meanDepth, fmt.Errorf("%w: no live replica", api.ErrOverloaded))
 	}
-	kvUtil := 0.0
-	if kvCap > 0 {
-		kvUtil = float64(kvInUse) / float64(kvCap)
-	}
-	meanDepth := float64(depth) / float64(serving)
 	saturated := kvUtil >= c.shed.KVWatermark || meanDepth >= c.shed.QueueDepth
 	nearSaturated := kvUtil >= c.shed.DegradeRatio*c.shed.KVWatermark ||
 		meanDepth >= c.shed.DegradeRatio*c.shed.QueueDepth
@@ -137,43 +121,36 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 				ct.degradations++
 			}
 		}
-		why := fmt.Sprintf("kv=%.0f%% depth=%.1f", kvUtil*100, meanDepth)
-		if atRisk {
-			why = "slo-risk=" + atRiskClass
+		if c.OnDecision != nil {
+			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Degrade, Class: class, Limit: c.shed.DegradeOutputCap,
+				KVUtil: kvUtil, Depth: meanDepth, AtRisk: atRiskClass})
 		}
-		c.logDecision("degrade: class=%s cap=%d %s", class, c.shed.DegradeOutputCap, why)
 		return c.shed.DegradeOutputCap, nil
 	case !degradable && priority < 0 && saturated:
-		c.shedOne(class, fmt.Sprintf("kv %.0f%% of watermark %.0f%%, depth %.1f of %.1f",
-			kvUtil*100, c.shed.KVWatermark*100, meanDepth, c.shed.QueueDepth))
-		return 0, fmt.Errorf("%w: kv %.0f%% of watermark %.0f%%, depth %.1f of %.1f",
-			api.ErrOverloaded, kvUtil*100, c.shed.KVWatermark*100, meanDepth, c.shed.QueueDepth)
+		return 0, c.shedOne(class, kvUtil, meanDepth, fmt.Errorf("%w: kv %.0f%% of watermark %.0f%%, depth %.1f of %.1f",
+			api.ErrOverloaded, kvUtil*100, c.shed.KVWatermark*100, meanDepth, c.shed.QueueDepth))
 	}
 	return 0, nil
 }
 
-// shedOne books one hard shed against the cluster and the class.
-func (c *Cluster) shedOne(class, why string) {
+// shedOne books one hard shed against the cluster and the class and
+// returns err, the shed's verdict.
+func (c *Cluster) shedOne(class string, kvUtil, meanDepth float64, err error) error {
 	c.Sheds++
 	if c.slo != nil {
 		if ct := c.slo.classes[class]; ct != nil {
 			ct.sheds++
 		}
 	}
-	c.logDecision("shed: class=%s %s", classLabel(class), why)
-}
-
-// classLabel names a class in log lines ("-" for unclassed launches).
-func classLabel(class string) string {
-	if class == "" {
-		return "-"
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Shed, Class: class, KVUtil: kvUtil, Depth: meanDepth, Err: err})
 	}
-	return class
+	return err
 }
 
-// SaturationSnapshot reports the aggregate admission signals (tests and
-// the /stats surface): KV utilization and mean queue depth over healthy
-// serving replicas, plus that replica count.
+// SaturationSnapshot reports the aggregate admission signals (AdmitLaunch,
+// tests and the /stats surface): KV utilization and mean queue depth over
+// healthy serving replicas, plus that replica count.
 func (c *Cluster) SaturationSnapshot() (kvUtil, meanDepth float64, serving int) {
 	var kvInUse, kvCap, depth int
 	for _, r := range c.replicas {

@@ -9,12 +9,11 @@ package cluster_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"pie"
-	"pie/internal/cluster"
+	"pie/internal/trace"
 )
 
 func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
@@ -39,6 +38,7 @@ func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
 	if !e.Cluster().ScalerEnabled() {
 		t.Fatal("scaler not enabled")
 	}
+	ds := decisionLog(e)
 	degraded, shed := 0, 0
 	err := e.RunClient(func() {
 		var hs []*pie.Handle
@@ -105,9 +105,11 @@ func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
 	if cl.ScaleUps == 0 {
 		t.Fatal("scaler never scaled up under saturation")
 	}
-	log := strings.Join(cl.Decisions, "\n")
-	if !strings.Contains(log, "scale-up") {
-		t.Fatalf("no scale-up in decision log:\n%s", log)
+	checkDecisionsMirrorCounters(t, cl, *ds)
+	for _, d := range *ds {
+		if d.Kind == trace.ScaleUp && ((d.Sat < 0.75 && d.Class == "") || d.Variant == "") {
+			t.Fatalf("scale-up record names no cause or variant: %+v", d)
+		}
 	}
 	st := e.Stats()
 	if degraded == 0 || st.Degradations != degraded {
@@ -142,9 +144,10 @@ func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
 }
 
 // TestFleetOpsSeeEveryScalerTransition: the SLO scaler and the health
-// monitor change the active set only through the fleet ops, so OnFleetOp
-// observes every scale-up, replacement, scale-down, scale-to-zero drain and
-// completed drain; only the death itself goes unreported.
+// monitor change the active set only through the fleet ops, so the decision
+// stream holds a fleet-op record for every scale-up, replacement,
+// scale-down, scale-to-zero drain and completed drain, and a dead record for
+// the death.
 func TestFleetOpsSeeEveryScalerTransition(t *testing.T) {
 	e := newEngine(t, pie.Config{
 		Seed: 7, Replicas: 2, Placement: pie.PlaceLeastLoaded,
@@ -156,9 +159,8 @@ func TestFleetOpsSeeEveryScalerTransition(t *testing.T) {
 		Faults:       crashAt(1, 15*time.Millisecond),
 		DefaultRetry: pie.RetryPolicy{MaxAttempts: 4},
 	})
-	ops := map[string]int{}
 	cl := e.Cluster()
-	cl.OnFleetOp = func(op string, _ *cluster.Replica) { ops[op]++ }
+	ds := decisionLog(e)
 	err := e.RunClient(func() {
 		var hs []*pie.Handle
 		for i := 0; i < 24; i++ {
@@ -180,15 +182,15 @@ func TestFleetOpsSeeEveryScalerTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := strings.Join(cl.Decisions, "\n")
+	n := kinds(*ds)
 	if cl.ScaleUps == 0 || cl.Replacements != 1 || cl.ScaleToZeroEvents == 0 ||
-		!strings.Contains(log, "scale-down") || cl.ActiveReplicas() != 0 {
-		t.Fatalf("scenario incomplete: ups %d replacements %d to-zero %d active %d\n%s",
-			cl.ScaleUps, cl.Replacements, cl.ScaleToZeroEvents, cl.ActiveReplicas(), log)
+		n[trace.ScaleDown] == 0 || cl.ActiveReplicas() != 0 {
+		t.Fatalf("scenario incomplete: ups %d replacements %d to-zero %d scale-downs %d active %d",
+			cl.ScaleUps, cl.Replacements, cl.ScaleToZeroEvents, n[trace.ScaleDown], cl.ActiveReplicas())
 	}
-	if ops["activate"] != cl.ScaleUps+cl.Replacements || ops["drain"] != cl.DrainStart ||
-		ops["drain-done"] != cl.DrainDone || ops["deactivate"] != 0 {
-		t.Fatalf("ops %v; want activate %d (scale-ups %d + replacements %d), drain %d, drain-done %d",
-			ops, cl.ScaleUps+cl.Replacements, cl.ScaleUps, cl.Replacements, cl.DrainStart, cl.DrainDone)
+	if n[trace.Activate] != cl.ScaleUps+cl.Replacements || n[trace.Deactivate] != 0 || n[trace.Dead] != cl.ReplicasLost {
+		t.Fatalf("records %v; want activate %d (scale-ups %d + replacements %d), dead %d",
+			n, cl.ScaleUps+cl.Replacements, cl.ScaleUps, cl.Replacements, cl.ReplicasLost)
 	}
+	checkDecisionsMirrorCounters(t, cl, *ds)
 }

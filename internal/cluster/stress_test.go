@@ -6,8 +6,9 @@ package cluster_test
 // two contracts the cluster must never lose under load:
 //
 //   1. Placement safety: no inferlet is ever placed onto a draining (or
-//      inactive) replica — observed at every placement via the OnPlace
-//      hook, not inferred from aggregate stats.
+//      inactive) replica — observed at every placement record of the
+//      OnDecision hook, not inferred from aggregate stats. The records also
+//      mirror the scaling counters (checkDecisionsMirrorCounters).
 //   2. Determinism: same-seed runs produce byte-identical stats documents
 //      (per-replica counters, scaling trajectory, engine totals).
 
@@ -18,9 +19,9 @@ import (
 	"time"
 
 	"pie"
-	"pie/internal/cluster"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 const (
@@ -53,8 +54,13 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 	// Placement safety, checked at decision time. The hook runs in sim
 	// processes only, so the counters need no lock even under -race.
 	badPlacements := 0
-	e.Cluster().OnPlace = func(r *cluster.Replica) {
-		if !r.Active() || r.Draining() {
+	var ds []trace.Decision
+	e.Cluster().OnDecision = func(d trace.Decision) {
+		ds = append(ds, d)
+		if d.Kind != trace.Place {
+			return
+		}
+		if r := e.Cluster().Replicas()[d.Replica]; !r.Active() || r.Draining() {
 			badPlacements++
 		}
 	}
@@ -101,6 +107,7 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 		t.Fatalf("seed %d: %d placements landed on a draining or inactive replica", seed, badPlacements)
 	}
 	cl := e.Cluster()
+	checkDecisionsMirrorCounters(t, cl, ds)
 	doc := stressDoc{
 		Replicas:   e.ReplicaStats(),
 		ScaleUps:   cl.ScaleUps,

@@ -10,6 +10,7 @@ import (
 	"pie/internal/fleet"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // Fleet-manifest experiment (beyond the paper): a declarative manifest
@@ -31,7 +32,7 @@ import (
 // launches and upgrade-window TTFT p95 within 1.5x the steady-state leg,
 // where the naive restart violates that bound; the hot reload converges
 // to the desired count without dropping an in-flight session; and the
-// rolling leg's full trace — controller decision log, every TTFT sample,
+// rolling leg's full trace — every decision record, every TTFT sample,
 // makespan — is byte-identical across same-seed runs.
 
 const (
@@ -118,7 +119,7 @@ type FleetLeg struct {
 	Generation      int
 	Converged       bool
 	FinalPin        string
-	// Fingerprint folds the controller decision log, every TTFT sample,
+	// Fingerprint folds every decision record, every TTFT sample,
 	// and the makespan — the determinism probe compares it across two
 	// same-seed rolling runs. Excluded from JSON artifacts.
 	Fingerprint string `json:"-"`
@@ -214,6 +215,8 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 		upgradeTo.Programs[0].Version = "2.0.0"
 	}
 	e := fleetEngine(o.seed(), boot)
+	var decisions []trace.Decision
+	e.Cluster().OnDecision = func(d trace.Decision) { decisions = append(decisions, d) }
 
 	promptRNG := sim.NewRNG(o.seed() ^ 0xf1ee70)
 	prompts := make([]string, 64)
@@ -282,9 +285,8 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 	for _, s := range samples {
 		fmt.Fprintf(&fb, "%v %v\n", s.t0-start, s.d)
 	}
-	for _, line := range ctl.Log {
-		fb.WriteString(line)
-		fb.WriteByte('\n')
+	for _, d := range decisions {
+		fmt.Fprintf(&fb, "%+v\n", d)
 	}
 	leg.Fingerprint = fb.String()
 	return leg

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"pie"
-	"pie/internal/cluster"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // Fleet-size sweep (beyond the paper): the same seeded closed-loop
@@ -65,7 +65,11 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 	})
 	// A launch places in the launching client's own process.
 	placed := map[*sim.Proc]int{}
-	e.Cluster().OnPlace = func(r *cluster.Replica) { placed[e.Clock().Current()] = r.ID }
+	e.Cluster().OnDecision = func(d trace.Decision) {
+		if d.Kind == trace.Place {
+			placed[e.Clock().Current()] = d.Replica
+		}
+	}
 	p := ScalePoint{Replicas: n}
 	var lines []string
 	var latSum time.Duration

@@ -10,6 +10,7 @@ import (
 	"pie/apps"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // SLO-aware serving experiment (beyond the paper): mixed-class traffic —
@@ -106,11 +107,10 @@ type SLOLeg struct {
 	ScaleUps          int
 	ScaleToZeroEvents int
 	FinalActive       int
-	Decisions         int // decision-log length (scale/degrade/shed lines)
-	// DecisionLog is the full scale/degrade/shed decision log, the
-	// determinism contract's unit of comparison. Excluded from the JSON
-	// document so benchmark artifacts stay compact.
-	DecisionLog []string `json:"-"`
+	// DecisionLog is every cluster decision of the leg, the determinism
+	// contract's unit of comparison. Excluded from the JSON document so
+	// benchmark artifacts stay compact.
+	DecisionLog []trace.Decision `json:"-"`
 }
 
 // SLOLevel pairs the two legs of one load level.
@@ -179,6 +179,8 @@ func sloEngine(seed uint64, slo bool) (*pie.Engine, *queueDepthScaler) {
 func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	perWorker := o.scale(12, 4)
 	e, baseline := sloEngine(o.seed(), slo)
+	var leg SLOLeg
+	e.Cluster().OnDecision = func(d trace.Decision) { leg.DecisionLog = append(leg.DecisionLog, d) }
 	// Seed-sensitive prompts: prefill sizes (and so every downstream
 	// timing and scaling decision) vary with the seed.
 	promptRNG := sim.NewRNG(o.seed() ^ 0x51095109)
@@ -186,7 +188,6 @@ func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	for i := range prompts {
 		prompts[i] = strings.Repeat("service level objective probe ", 1+promptRNG.Intn(8))
 	}
-	var leg SLOLeg
 	ttft := &metrics.Series{Name: "client-ttft"}
 	// Steady state starts after every interactive client has completed two
 	// tasks — past the cold ramp both scalers pay equally.
@@ -285,8 +286,6 @@ func runSLOLeg(o Options, spec SLOLevelSpec, slo bool) SLOLeg {
 	if baseline != nil {
 		leg.ScaleUps = baseline.ups
 	}
-	leg.Decisions = len(e.Cluster().Decisions)
-	leg.DecisionLog = append([]string(nil), e.Cluster().Decisions...)
 	// The naive comparator keeps the whole fleet active for the leg's
 	// entire run (makespan + idle tail): what the cost-aware scaler is up
 	// against.

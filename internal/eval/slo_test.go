@@ -2,8 +2,11 @@ package eval
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"pie/internal/trace"
 )
 
 // TestSLOAcceptance pins the SLO-serving experiment's headline claims at
@@ -65,16 +68,22 @@ func TestSLOAcceptance(t *testing.T) {
 	}
 	// Degradations were SLO-driven, not just watermark-driven: the
 	// decision log attributes at least one to a higher-priority class at
-	// risk, and logs the scale-ups.
-	log := strings.Join(high.SLO.DecisionLog, "\n")
-	if !strings.Contains(log, "degrade: class=batch") {
-		t.Fatalf("no batch degradation in decision log:\n%s", log)
+	// risk, and records the scale-ups.
+	degrades, atRisk, ups := 0, 0, 0
+	for _, d := range high.SLO.DecisionLog {
+		switch {
+		case d.Kind == trace.Degrade && d.Class == "batch":
+			degrades++
+			if d.AtRisk == "interactive" {
+				atRisk++
+			}
+		case d.Kind == trace.ScaleUp:
+			ups++
+		}
 	}
-	if !strings.Contains(log, "slo-risk=interactive") {
-		t.Fatalf("no slo-risk degradation in decision log:\n%s", log)
-	}
-	if !strings.Contains(log, "scale-up") {
-		t.Fatalf("no scale-up in decision log:\n%s", log)
+	if degrades != high.SLO.BatchDegraded || atRisk == 0 || ups != high.SLO.ScaleUps {
+		t.Fatalf("decision log holds %d batch degradations (%d for interactive at risk) and %d scale-ups; want %d, > 0 and %d",
+			degrades, atRisk, ups, high.SLO.BatchDegraded, high.SLO.ScaleUps)
 	}
 	// The scaler actually scaled, and drained back after the run.
 	if high.SLO.ScaleUps == 0 || high.SLO.ScaleToZeroEvents == 0 {
@@ -110,8 +119,11 @@ func TestSLOSweepDeterministic(t *testing.T) {
 		}
 		var log strings.Builder
 		for _, lvl := range r.Levels {
-			log.WriteString(strings.Join(lvl.Baseline.DecisionLog, "\n"))
-			log.WriteString(strings.Join(lvl.SLO.DecisionLog, "\n"))
+			for _, leg := range []SLOLeg{lvl.Baseline, lvl.SLO} {
+				for _, d := range leg.DecisionLog {
+					fmt.Fprintf(&log, "%+v\n", d)
+				}
+			}
 		}
 		return b, log.String()
 	}

@@ -9,10 +9,8 @@ import (
 	"pie/internal/cluster"
 	"pie/internal/ilm"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
-
-// maxLog bounds the controller's decision log.
-const maxLog = 4096
 
 // Controller is the reconciling fleet controller: a daemon that diffs the
 // manifest's desired state against the live cluster each tick and
@@ -22,7 +20,10 @@ const maxLog = 4096
 //
 // Everything it does is deterministic on the virtual clock: replicas are
 // visited in ID order, handles in launch order, pools and pins in
-// manifest order, so same-seed runs produce byte-identical decision logs.
+// manifest order, so same-seed runs produce identical decision records.
+// The controller's own decisions go to the cluster's OnDecision hook beside
+// the cluster's; its pool resizes are the fleet-op records its Activate and
+// BeginDrain calls make.
 type Controller struct {
 	clock *sim.Clock
 	cl    *cluster.Cluster
@@ -41,10 +42,6 @@ type Controller struct {
 	Drains      int // pool drains initiated toward desired counts
 	Prewarms    int // upgrade artifacts uploaded ahead of cutover
 	PinRetries  int // pin applications deferred (target version not registered yet)
-
-	// Log is the bounded reconcile decision log, byte-identical across
-	// same-seed runs (the determinism probe's fingerprint).
-	Log []string
 }
 
 // upgradeState is one program's rolling upgrade in flight.
@@ -88,7 +85,7 @@ func (c *Controller) Apply(next *Manifest) error {
 	c.desired = next.Clone()
 	c.generation++
 	c.cl.SetPlacement(next.PlacementPolicy())
-	c.logf("apply: generation %d", c.generation)
+	c.decide(trace.Decision{Kind: trace.Apply, Count: c.generation})
 	return nil
 }
 
@@ -175,7 +172,6 @@ func (c *Controller) convergePools() {
 					if c.cl.Activate(r) {
 						c.Activations++
 						need--
-						c.logf("pool %s: activate replica %d (%d/%d serving)", pr.Name, r.ID, pr.Desired-need, pr.Desired)
 					}
 				}
 			}
@@ -189,7 +185,6 @@ func (c *Controller) convergePools() {
 				if c.cl.BeginDrain(r) {
 					c.Drains++
 					excess--
-					c.logf("pool %s: drain replica %d (%d/%d serving)", pr.Name, r.ID, pr.Desired+excess, pr.Desired)
 				}
 			}
 		}
@@ -224,7 +219,7 @@ func (c *Controller) reconcilePins() {
 				c.PinRetries++
 				continue
 			}
-			c.logf("pin %s@%s", pin.Name, target)
+			c.decide(trace.Decision{Kind: trace.Pin, Program: pin.Name, Version: target})
 		}
 		c.advanceUpgrade(pin.Name, target)
 	}
@@ -252,10 +247,10 @@ func (c *Controller) advanceUpgrade(name, target string) {
 		}
 		st = &upgradeState{target: target}
 		c.upgrades[name] = st
-		c.logf("upgrade %s -> %s: %d old-version instance(s)", name, target, len(old))
+		c.decide(trace.Decision{Kind: trace.UpgradeStart, Program: name, Version: target, Count: len(old)})
 	}
 	if len(old) == 0 {
-		c.logf("upgrade %s -> %s: complete", name, target)
+		c.decide(trace.Decision{Kind: trace.UpgradeDone, Program: name, Version: target})
 		delete(c.upgrades, name)
 		return
 	}
@@ -278,7 +273,7 @@ func (c *Controller) advanceUpgrade(name, target string) {
 			st.batch = append(st.batch, h.ID)
 		}
 		st.deadline = c.clock.Now() + c.desired.Reconcile.EffectiveDrainDeadline()
-		c.logf("upgrade %s -> %s: batch of %d (deadline %v)", name, target, len(st.batch), st.deadline)
+		c.decide(trace.Decision{Kind: trace.UpgradeBatch, Program: name, Version: target, Count: len(st.batch), Wait: st.deadline - c.clock.Now()})
 		if c.clock.Now() < st.deadline {
 			return
 		}
@@ -287,7 +282,7 @@ func (c *Controller) advanceUpgrade(name, target string) {
 		// Stragglers: restart them onto the pinned version now.
 		for _, id := range st.batch {
 			if h, ok := byID[id]; ok && c.lm.RequeueForUpgrade(h) {
-				c.logf("upgrade %s -> %s: requeue straggler handle %d", name, target, id)
+				c.decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: id})
 			}
 		}
 		st.batch = st.batch[:0]
@@ -310,15 +305,17 @@ func (c *Controller) prewarm(name, target string) {
 		c.clock.Sleep(r.Ctl.ArtifactCost(size))
 		r.Ctl.AdmitArtifact(key, size, true)
 		c.Prewarms++
-		c.logf("prewarm %s on replica %d", key, r.ID)
+		c.decide(trace.Decision{Kind: trace.Prewarm, Program: name, Version: target, Replica: r.ID})
 	}
 }
 
-func (c *Controller) logf(format string, args ...any) {
-	if len(c.Log) >= maxLog {
-		return
+// decide stamps d with the virtual time and hands it to the cluster's
+// OnDecision hook, if one is set.
+func (c *Controller) decide(d trace.Decision) {
+	if c.cl.OnDecision != nil {
+		d.T = c.clock.Now()
+		c.cl.OnDecision(d)
 	}
-	c.Log = append(c.Log, fmt.Sprintf("[%v] %s", c.clock.Now(), fmt.Sprintf(format, args...)))
 }
 
 // --- Desired-vs-actual status (the GET /v1/fleet surface) ---------------

@@ -8,12 +8,14 @@ package fleet_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"pie"
 	"pie/apps"
 	"pie/internal/fleet"
+	"pie/internal/trace"
 )
 
 // bootManifest declares one pool with headroom and text_completion pinned
@@ -134,6 +136,8 @@ func TestRollingUpgradeRequeuesStragglers(t *testing.T) {
 	e := newFleetEngine(t, boot)
 	repin := boot.Clone()
 	repin.Programs[0].Version = "2.0.0"
+	var ds []trace.Decision
+	e.Cluster().OnDecision = func(d trace.Decision) { ds = append(ds, d) }
 
 	e.Go("driver", func() {
 		h, err := e.Launch(pie.Spec("text_completion", completion(400)))
@@ -165,6 +169,31 @@ func TestRollingUpgradeRequeuesStragglers(t *testing.T) {
 	}
 	if st.UpgradeRequeues != e.Stats().UpgradeRequeues {
 		t.Fatalf("status requeues %d != stats %d", st.UpgradeRequeues, e.Stats().UpgradeRequeues)
+	}
+	// The controller's own records, timestamps aside: the boot pin, then
+	// the apply, a prewarm per serving replica ahead of the cutover, and a
+	// one-straggler rollout that requeues the only launch (handle 1).
+	const prog, v1, v2 = "text_completion", "1.0.0", "2.0.0"
+	want := []trace.Decision{
+		{Kind: trace.Pin, Program: prog, Version: v1},
+		{Kind: trace.Apply, Count: 1},
+		{Kind: trace.Prewarm, Program: prog, Version: v2, Replica: 0},
+		{Kind: trace.Prewarm, Program: prog, Version: v2, Replica: 1},
+		{Kind: trace.Pin, Program: prog, Version: v2},
+		{Kind: trace.UpgradeStart, Program: prog, Version: v2, Count: 1},
+		{Kind: trace.UpgradeBatch, Program: prog, Version: v2, Count: 1},
+		{Kind: trace.UpgradeRequeue, Program: prog, Version: v2, Handle: 1},
+		{Kind: trace.UpgradeDone, Program: prog, Version: v2},
+	}
+	var got []trace.Decision
+	for _, d := range ds {
+		if d.Kind != trace.Place {
+			d.T = 0
+			got = append(got, d)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("controller decisions:\n%+v\nwant\n%+v", got, want)
 	}
 }
 
