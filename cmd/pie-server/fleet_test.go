@@ -137,6 +137,41 @@ func TestBuildConfigManifest(t *testing.T) {
 	}
 }
 
+// TestBuildConfigRejectsOutOfRange: a flag value outside its range fails
+// naming the flag instead of turning into a default or switching the
+// feature off; the edges of each range, zero included, still build.
+func TestBuildConfigRejectsOutOfRange(t *testing.T) {
+	build := func(args ...string) error {
+		f := flag.NewFlagSet("test", flag.ContinueOnError)
+		f.SetOutput(io.Discard)
+		_, err := buildConfig(f, args)
+		return err
+	}
+	for _, tc := range []struct {
+		flag      string
+		bad, good []string
+	}{
+		{"shed-watermark", []string{"1.5", "-0.1", "NaN"}, []string{"0", "0.9", "1"}},
+		{"shed-queue", []string{"-1", "NaN"}, []string{"0", "6.5"}},
+		{"handoff-budget", []string{"-1"}, []string{"0", "2"}},
+		{"hang-timeout", []string{"-1ms"}, []string{"0", "80ms"}},
+		{"health-interval", []string{"-5ms"}, []string{"0", "5ms"}},
+		{"fault-rate", []string{"-0.01", "1.01", "NaN"}, []string{"0", "1"}},
+		{"retry-budget", []string{"-250ms"}, []string{"0", "250ms"}},
+	} {
+		for _, v := range tc.bad {
+			if err := build("-"+tc.flag, v); err == nil || !strings.Contains(err.Error(), "-"+tc.flag+" ") {
+				t.Errorf("-%s %s: err = %v, want an error naming the flag", tc.flag, v, err)
+			}
+		}
+		for _, v := range tc.good {
+			if err := build("-"+tc.flag, v); err != nil {
+				t.Errorf("-%s %s: %v", tc.flag, v, err)
+			}
+		}
+	}
+}
+
 // TestFleetEndpoint drives GET and POST /v1/fleet against a
 // manifest-booted server: status reads, a hot count change, and the typed
 // rejection ladder.

@@ -163,6 +163,25 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	if err := fs.Parse(args); err != nil {
 		return fail(err)
 	}
+	// A value out of range would otherwise turn silently into some other
+	// setting (a default, or off); each test is written so NaN fails it.
+	for _, r := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"handoff-budget", *handoffBudget >= 0, "a count >= 0"},
+		{"health-interval", *healthEvery >= 0, "a duration >= 0"},
+		{"hang-timeout", *hangTimeout >= 0, "a duration >= 0"},
+		{"shed-watermark", *shedWatermark >= 0 && *shedWatermark <= 1, "a fraction in [0, 1]"},
+		{"shed-queue", *shedQueue >= 0, "a depth >= 0"},
+		{"fault-rate", *faultRate >= 0 && *faultRate <= 1, "a probability in [0, 1]"},
+		{"retry-budget", *retryBudget >= 0, "a duration >= 0"},
+	} {
+		if !r.ok {
+			return fail(fmt.Errorf("-%s %s: want %s", r.flag, fs.Lookup(r.flag).Value, r.want))
+		}
+	}
 
 	cfg := pie.Config{Replicas: 1}
 	if *configPath != "" {

@@ -187,7 +187,6 @@ type Cluster struct {
 	faultRNG *sim.RNG
 
 	// Service classes and the SLO scaler (serviceclass.go, scaler.go).
-	classes     map[string]api.ServiceClass
 	slo         *sloTracker
 	scaler      ScalerConfig
 	lastBusyAt  time.Duration
@@ -211,7 +210,6 @@ type Cluster struct {
 	HandoffDenied   int           // handoffs denied (no decode capacity or refused alloc)
 	HandoffQueued   int           // handoffs that waited on the transfer budget
 	HandoffRequests int           // quiescent first-token sessions that sought a target
-	HandoffSkipped  int           // sessions kept in place below the min-pages floor
 
 	// SLO-layer stats.
 	Degradations      int // launches admitted degraded instead of shed

@@ -4,7 +4,7 @@ package cluster_test
 // for a decision has exactly one OnDecision record per increment, and the
 // records arrive in virtual-time order. The stress, scaler and fault tests
 // check it on their runs; TestHandoffDecisionsMirrorCounters covers the
-// three handoff outcomes.
+// two handoff outcomes.
 
 import (
 	"errors"
@@ -56,7 +56,6 @@ func checkDecisionsMirrorCounters(t *testing.T, cl *cluster.Cluster, ds []trace.
 		records, counted int
 	}{
 		{"Handoffs", n[trace.Handoff], cl.Handoffs},
-		{"HandoffSkipped", n[trace.HandoffSkip], cl.HandoffSkipped},
 		{"HandoffDenied", n[trace.HandoffDeny], cl.HandoffDenied},
 		{"ScaleUps", n[trace.ScaleUp], cl.ScaleUps},
 		{"DrainStart", n[trace.Drain], cl.DrainStart},
@@ -76,15 +75,15 @@ func checkDecisionsMirrorCounters(t *testing.T, cl *cluster.Cluster, ds []trace.
 	}
 }
 
-// TestHandoffDecisionsMirrorCounters: on a prefill/decode pair with a page
-// floor, a long session hands off, a short one stays below the floor, and a
-// long one launched while the only decode replica drains is denied. Each
-// outcome is one record carrying its session, replicas and numbers.
+// TestHandoffDecisionsMirrorCounters: on a prefill/decode pair a long
+// session and an 8-token one both hand off, however little KV the short one
+// holds, and a long one launched while the only decode replica drains is
+// denied. Each outcome is one record carrying its session, replicas and
+// numbers.
 func TestHandoffDecisionsMirrorCounters(t *testing.T) {
 	e := newEngine(t, pie.Config{
 		Seed: 11, Replicas: 2, Placement: pie.PlaceLeastLoaded,
-		Roles:           []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
-		HandoffMinPages: 4,
+		Roles: []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
 	})
 	ds := decisionLog(e)
 	cl := e.Cluster()
@@ -103,20 +102,16 @@ func TestHandoffDecisionsMirrorCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Handoffs != 1 || cl.HandoffSkipped != 1 || cl.HandoffDenied != 1 {
-		t.Fatalf("handoffs %d skipped %d denied %d, want 1/1/1", cl.Handoffs, cl.HandoffSkipped, cl.HandoffDenied)
+	if cl.Handoffs != 2 || cl.HandoffDenied != 1 {
+		t.Fatalf("handoffs %d denied %d, want 2/1", cl.Handoffs, cl.HandoffDenied)
 	}
 	checkDecisionsMirrorCounters(t, cl, *ds)
 	for _, d := range *ds {
 		switch d.Kind {
 		case trace.Handoff:
-			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || d.Dest != 1 || d.Pages < 4 || d.Cost <= 0 ||
+			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || d.Dest != 1 || d.Pages < 1 || d.Cost <= 0 ||
 				d.Chosen.Replica != 1 || d.RunnerUp.Replica != -1 {
 				t.Errorf("handoff record %+v", d)
-			}
-		case trace.HandoffSkip:
-			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || d.Pages >= d.Limit || d.Limit != 4 {
-				t.Errorf("skip record %+v", d)
 			}
 		case trace.HandoffDeny:
 			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || !errors.Is(d.Err, pie.ErrNoDecodeCapacity) {

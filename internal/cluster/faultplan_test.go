@@ -131,13 +131,10 @@ func TestShedConfigDefaults(t *testing.T) {
 	if d.KVWatermark != 0.9 || d.QueueDepth != 96 {
 		t.Fatalf("zero-value defaults = %+v", d)
 	}
-	if d.DegradeRatio != 0.75 || d.DegradeOutputCap != 8 {
-		t.Fatalf("degradation defaults = %+v", d)
-	}
 	if got := (ShedConfig{KVWatermark: 1.5}).withDefaults().KVWatermark; got != 0.9 {
 		t.Fatalf("over-unity watermark normalized to %v, want 0.9", got)
 	}
-	keep := ShedConfig{Enabled: true, KVWatermark: 0.5, QueueDepth: 3, DegradeRatio: 0.5, DegradeOutputCap: 4}
+	keep := ShedConfig{Enabled: true, KVWatermark: 0.5, QueueDepth: 3}
 	if keep.withDefaults() != keep {
 		t.Fatalf("explicit config rewritten: %+v", keep.withDefaults())
 	}

@@ -29,12 +29,6 @@ type HandoffConfig struct {
 	// Budget bounds concurrent in-flight KV transfers (default 2); excess
 	// handoffs queue FIFO and are charged the wait.
 	Budget int
-	// MinPages keeps small sessions on their prefill replica: a session
-	// whose distinct physical KV footprint is below the floor decodes in
-	// place, because moving a near-empty cache costs more in rebind and
-	// batch-join misses than the decode interference it avoids. 0 migrates
-	// everything.
-	MinPages int
 }
 
 // EnableHandoff arms the handoff coordinator: every prefill-role replica
@@ -83,15 +77,7 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 		// mark and retry at the next forward boundary.
 		return nil, nil, false
 	}
-	footprint, wire := ctl.InstanceKVFootprint(inst)
-	if min := c.handoff.MinPages; min > 0 && footprint < min {
-		inst.HandoffPending = false
-		c.HandoffSkipped++
-		if c.OnDecision != nil {
-			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.HandoffSkip, Session: session(inst), Replica: src.ID, Pages: footprint, Limit: min})
-		}
-		return nil, nil, false
-	}
+	wire := ctl.InstanceKVFootprint(inst)
 	c.HandoffRequests++
 	if pick, _ := c.handoffTarget(src, wire); pick.r == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)

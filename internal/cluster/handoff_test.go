@@ -140,57 +140,6 @@ func TestHandoffTransferBudgetQueues(t *testing.T) {
 	}
 }
 
-func TestHandoffMinPagesKeepsSmallSessions(t *testing.T) {
-	// A floor far above any session's KV footprint: every handoff is
-	// skipped, every session decodes on its prefill replica, and nothing
-	// leaks. A floor of one page changes nothing (every prefilled session
-	// holds at least one), so the skip path stays off the common case.
-	for _, tc := range []struct {
-		name     string
-		minPages int
-		migrates bool
-	}{
-		{"floor-above-all", 1 << 20, false},
-		{"floor-of-one", 1, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEngine(t, pie.Config{
-				Seed: 11, Replicas: 3, Placement: pie.PlaceLeastLoaded,
-				Roles:           []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
-				HandoffMinPages: tc.minPages,
-			})
-			err := e.RunClient(func() {
-				for i := 0; i < 3; i++ {
-					if _, err := e.LaunchAndWait(pie.Spec("text_completion", completionParams(16, ""))); err != nil {
-						panic(err)
-					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := e.Stats()
-			if tc.migrates {
-				if st.Handoffs != 3 || st.HandoffSkipped != 0 {
-					t.Fatalf("Handoffs = %d skipped = %d, want 3/0", st.Handoffs, st.HandoffSkipped)
-				}
-			} else {
-				if st.Handoffs != 0 || st.HandoffSkipped != 3 {
-					t.Fatalf("Handoffs = %d skipped = %d, want 0/3", st.Handoffs, st.HandoffSkipped)
-				}
-				// Skipped sessions still finish: decode ran on the prefill
-				// replica itself.
-				if e.Cluster().Replicas()[0].Backend.Device.Kernels() == 0 {
-					t.Fatal("prefill replica ran no kernels despite retaining its sessions")
-				}
-			}
-			if n := leakedPages(e); n != 0 {
-				t.Fatalf("leaked %d KV pages", n)
-			}
-		})
-	}
-}
-
 func TestHandoffDeniedWithoutDecodeCapacity(t *testing.T) {
 	// All-prefill pool: every first token seeks a decode replica, finds
 	// none, and the session finishes where it started instead of stalling.

@@ -418,6 +418,10 @@ func (c *Cluster) scaleDownVictim(eligible func(*Replica) bool) *Replica {
 
 // --- Heterogeneous variants ---------------------------------------------
 
+// defaultVariant names the hardware class of a replica built without a
+// variant: the reference device.
+const defaultVariant = "l4"
+
 // ReplicaVariant describes one hardware class in a heterogeneous replica
 // pool (llm-d's Accelerator: a name, a unit cost, and a relative speed).
 type ReplicaVariant struct {
@@ -436,7 +440,7 @@ type ReplicaVariant struct {
 
 func (v ReplicaVariant) withDefaults() ReplicaVariant {
 	if v.Name == "" {
-		v.Name = "l4"
+		v.Name = defaultVariant
 	}
 	if v.CostRate <= 0 {
 		v.CostRate = 1
@@ -541,7 +545,7 @@ func (r *Replica) variantName() string {
 	if r.Variant != "" {
 		return r.Variant
 	}
-	return "l4"
+	return defaultVariant
 }
 
 // CostUnits reports the fleet's cumulative cost: each replica's cost rate

@@ -124,7 +124,7 @@ func newSLOTracker(classes []api.ServiceClass) *sloTracker {
 // reference device) so estimates can scale across variants.
 func (t *sloTracker) noteVariant(name string, speed float64) {
 	if name == "" {
-		name = "l4"
+		name = defaultVariant
 	}
 	if speed < 1 {
 		speed = 1
@@ -140,7 +140,7 @@ func (t *sloTracker) noteVariant(name string, speed float64) {
 // observe records one completed forward pass.
 func (t *sloTracker) observe(variant, class string, ttft bool, d time.Duration) {
 	if variant == "" {
-		variant = "l4"
+		variant = defaultVariant
 	}
 	if v := t.variants[variant]; v != nil {
 		if ttft {
@@ -215,7 +215,7 @@ func (t *sloTracker) strictestTargets() (ttft, itl time.Duration) {
 // estimate is zero (optimistic — let the cheapest variant prove itself).
 func (t *sloTracker) estimate(variant string, speed float64) (ttft, itl time.Duration) {
 	if variant == "" {
-		variant = "l4"
+		variant = defaultVariant
 	}
 	if speed < 1 {
 		speed = 1
@@ -250,10 +250,6 @@ func (c *Cluster) RegisterClasses(classes []api.ServiceClass) {
 	if len(classes) == 0 {
 		return
 	}
-	c.classes = make(map[string]api.ServiceClass, len(classes))
-	for _, cl := range classes {
-		c.classes[cl.Name] = cl
-	}
 	c.slo = newSLOTracker(classes)
 	for _, r := range c.replicas {
 		variant := r.Variant
@@ -271,9 +267,20 @@ func (c *Cluster) Classes() []api.ServiceClass {
 	}
 	out := make([]api.ServiceClass, 0, len(c.slo.order))
 	for _, name := range c.slo.order {
-		out = append(out, c.classes[name])
+		out = append(out, c.slo.classes[name].class)
 	}
 	return out
+}
+
+// class returns the service class registered under name; the zero class
+// when there is none.
+func (c *Cluster) class(name string) api.ServiceClass {
+	if c.slo != nil {
+		if ct := c.slo.classes[name]; ct != nil {
+			return ct.class
+		}
+	}
+	return api.ServiceClass{}
 }
 
 // ClassStat snapshots one service class's cumulative SLO attainment and

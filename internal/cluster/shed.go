@@ -28,15 +28,15 @@ type ShedConfig struct {
 	// scaler's QueueRef, so shedding starts only after growth has run
 	// out).
 	QueueDepth float64
-	// DegradeRatio scales both watermarks down to the degradation
-	// threshold: launches of a Degradable service class admitted past it
-	// are degraded rather than served at full quality (default 0.75 —
-	// degradation starts before shedding would).
-	DegradeRatio float64
-	// DegradeOutputCap is the max_tokens cap applied to degraded launches
-	// (default 8).
-	DegradeOutputCap int
 }
+
+// Degradation starts before shedding would: a launch of a Degradable
+// service class admitted at degradeRatio of either watermark is capped at
+// degradeOutputCap output tokens rather than served at full quality.
+const (
+	degradeRatio     = 0.75
+	degradeOutputCap = 8
+)
 
 func (s ShedConfig) withDefaults() ShedConfig {
 	if s.KVWatermark <= 0 || s.KVWatermark > 1 {
@@ -44,12 +44,6 @@ func (s ShedConfig) withDefaults() ShedConfig {
 	}
 	if s.QueueDepth <= 0 {
 		s.QueueDepth = 96
-	}
-	if s.DegradeRatio <= 0 || s.DegradeRatio > 1 {
-		s.DegradeRatio = 0.75
-	}
-	if s.DegradeOutputCap <= 0 {
-		s.DegradeOutputCap = 8
 	}
 	return s
 }
@@ -72,11 +66,8 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 	if !c.shed.Enabled {
 		return 0, nil
 	}
-	degradable := false
-	if cls, ok := c.classes[class]; ok {
-		degradable = cls.Degradable
-	}
-	if !degradable && priority >= 0 {
+	own := c.class(class)
+	if !own.Degradable && priority >= 0 {
 		return 0, nil
 	}
 	kvUtil, meanDepth, serving := c.SaturationSnapshot()
@@ -93,8 +84,8 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 		return 0, c.shedOne(class, kvUtil, meanDepth, fmt.Errorf("%w: no live replica", api.ErrOverloaded))
 	}
 	saturated := kvUtil >= c.shed.KVWatermark || meanDepth >= c.shed.QueueDepth
-	nearSaturated := kvUtil >= c.shed.DegradeRatio*c.shed.KVWatermark ||
-		meanDepth >= c.shed.DegradeRatio*c.shed.QueueDepth
+	nearSaturated := kvUtil >= degradeRatio*c.shed.KVWatermark ||
+		meanDepth >= degradeRatio*c.shed.QueueDepth
 	// SLO risk: a strictly higher-priority class is missing its latency
 	// objective in the recent window. Degradable launches yield to it even
 	// before the queue watermarks trip — capacity freed now is worth more
@@ -106,13 +97,13 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 			target = c.scaler.AttainTarget
 		}
 		if name, _ := c.slo.worstRecent(target); name != "" && name != class {
-			if cls, ok := c.classes[name]; ok && cls.Priority > c.classes[class].Priority {
+			if c.class(name).Priority > own.Priority {
 				atRisk, atRiskClass = true, name
 			}
 		}
 	}
 	switch {
-	case degradable && (nearSaturated || atRisk):
+	case own.Degradable && (nearSaturated || atRisk):
 		// Graceful degradation instead of a shed: admit with a shorter
 		// output cap; the session layer substitutes a cheaper model.
 		c.Degradations++
@@ -122,11 +113,11 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 			}
 		}
 		if c.OnDecision != nil {
-			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Degrade, Class: class, Limit: c.shed.DegradeOutputCap,
+			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Degrade, Class: class, Limit: degradeOutputCap,
 				KVUtil: kvUtil, Depth: meanDepth, AtRisk: atRiskClass})
 		}
-		return c.shed.DegradeOutputCap, nil
-	case !degradable && priority < 0 && saturated:
+		return degradeOutputCap, nil
+	case !own.Degradable && priority < 0 && saturated:
 		return 0, c.shedOne(class, kvUtil, meanDepth, fmt.Errorf("%w: kv %.0f%% of watermark %.0f%%, depth %.1f of %.1f",
 			api.ErrOverloaded, kvUtil*100, c.shed.KVWatermark*100, meanDepth, c.shed.QueueDepth))
 	}

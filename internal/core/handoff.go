@@ -94,13 +94,12 @@ func crossingCost(m *modelState, phys int32) time.Duration {
 	return time.Duration(crossings) * m.rt.Spec.SwapCost(1, m.rt.Info.PageSize)
 }
 
-// InstanceKVFootprint counts the distinct physical KV pages a session
-// holds — what a handoff would copy across the interconnect — and the wire
-// time HandoffSession charges to copy them (crossingCost each; a spill the
-// destination's pool makes to take them is not included). Import sharing
-// maps one physical page under several virtual handles, so the count
-// dedupes by physical reference.
-func (ctl *Controller) InstanceKVFootprint(inst *Instance) (pages int, wire time.Duration) {
+// InstanceKVFootprint returns the wire time HandoffSession charges to copy
+// a session's KV pages across the interconnect: crossingCost for each
+// distinct physical page (a spill the destination's pool makes to take them
+// is not included). Import sharing maps one physical page under several
+// virtual handles, so the sum dedupes by physical reference.
+func (ctl *Controller) InstanceKVFootprint(inst *Instance) (wire time.Duration) {
 	seen := make(map[physKey]bool, inst.pages.live)
 	for _, ref := range inst.pages.refs {
 		if key := (physKey{ref.m, ref.phys}); ref.m != nil && !seen[key] {
@@ -108,7 +107,7 @@ func (ctl *Controller) InstanceKVFootprint(inst *Instance) (pages int, wire time
 			wire += crossingCost(ref.m, ref.phys)
 		}
 	}
-	return len(seen), wire
+	return wire
 }
 
 // InstanceQuiescent reports whether the instance has no queued or

@@ -1,6 +1,6 @@
 // Unit tests for the handoff-facing instance inspectors: the quiescence
-// predicate the migration gate relies on, the distinct-physical-page
-// footprint behind the min-pages floor, and the first-token observer that
+// predicate the migration gate relies on, the distinct-physical-page wire
+// time the handoff target is scored with, and the first-token observer that
 // marks sessions for migration.
 package core
 
@@ -14,8 +14,8 @@ import (
 )
 
 // TestInstanceKVFootprintDedupes: import sharing maps several virtual
-// handles onto one physical page, so the footprint counts physical pages,
-// not handles, and its wire time is what HandoffSession then charges.
+// handles onto one physical page, so the footprint's wire time counts
+// physical pages, not handles, and is what HandoffSession then charges.
 func TestInstanceKVFootprintDedupes(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
@@ -31,24 +31,25 @@ func TestInstanceKVFootprintDedupes(t *testing.T) {
 		if _, err := ctl.ImportPages(inst, "shared"); err != nil {
 			t.Fatal(err)
 		}
-		n, wire := ctl.InstanceKVFootprint(inst)
+		wire := ctl.InstanceKVFootprint(inst)
 		rt := ctl.ModelRuntime("llama-1b")
-		// Device-resident pages cross twice: device -> host -> peer device.
-		if want := 2 * 2 * rt.Spec.SwapCost(1, rt.Info.PageSize); n != 2 || wire != want {
-			t.Fatalf("footprint = %d pages over %v, want 2 distinct physical pages over %v", n, wire, want)
+		// Two distinct device-resident pages under four handles; each crosses
+		// twice: device -> host -> peer device.
+		if want := 2 * 2 * rt.Spec.SwapCost(1, rt.Info.PageSize); wire != want {
+			t.Fatalf("footprint wire = %v, want 2 distinct physical pages over %v", wire, want)
 		}
 		ni, moved, cost, err := ctl.HandoffSession(inst, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if moved != n || cost != wire {
-			t.Fatalf("HandoffSession moved %d pages at %v, the footprint predicted %d at %v", moved, cost, n, wire)
+		if moved != 2 || cost != wire {
+			t.Fatalf("HandoffSession moved %d pages at %v, the footprint predicted 2 at %v", moved, cost, wire)
 		}
 		dst.ReleaseInstance(ni)
 		ctl.DropExports()
 	})
-	if n, wire := (&Controller{}).InstanceKVFootprint(&Instance{}); n != 0 || wire != 0 {
-		t.Fatalf("empty instance footprint = %d pages over %v", n, wire)
+	if wire := (&Controller{}).InstanceKVFootprint(&Instance{}); wire != 0 {
+		t.Fatalf("empty instance footprint wire = %v", wire)
 	}
 }
 

@@ -17,9 +17,9 @@ const (
 	PolicyAdaptive SchedPolicy = iota
 	// PolicyEager dispatches every call as its own batch immediately.
 	PolicyEager
-	// PolicyKOnly dispatches a batch only once K same-type calls queue.
+	// PolicyKOnly dispatches a batch only once kOnlyThreshold calls are ready.
 	PolicyKOnly
-	// PolicyTOnly dispatches whatever queued every T interval.
+	// PolicyTOnly dispatches whatever queued every tOnlyInterval.
 	PolicyTOnly
 )
 
@@ -39,10 +39,7 @@ func (p SchedPolicy) String() string {
 
 // SchedConfig parameterizes the scheduler.
 type SchedConfig struct {
-	Policy        SchedPolicy
-	K             int           // PolicyKOnly threshold
-	T             time.Duration // PolicyTOnly flush interval
-	MaxBatchCalls int           // backend's maximum batch size (tail-truncated)
+	Policy SchedPolicy
 	// SchedOverhead is the control-layer batch-formation cost added to each
 	// batch (Table 3: +0.050 ms "overhead of control layer batch
 	// scheduling").
@@ -57,9 +54,6 @@ type SchedConfig struct {
 func DefaultSchedConfig() SchedConfig {
 	return SchedConfig{
 		Policy:             PolicyAdaptive,
-		K:                  32,
-		T:                  5 * time.Millisecond,
-		MaxBatchCalls:      256,
 		SchedOverhead:      50 * time.Microsecond,
 		DistReturnOverhead: 70 * time.Microsecond,
 	}
@@ -103,7 +97,7 @@ func (b *readyBucket) remove(i int) {
 // pages — the paper's split-prefill example) are correct inside one batch.
 //
 // Horizontal batching: head-runs from different queues merge, higher
-// priority queues placed first; the batch is truncated at MaxBatchCalls
+// priority queues placed first; the batch is truncated at maxBatchCalls
 // from the tail. Among op types, the one whose oldest pending call has
 // waited longest wins.
 //
@@ -155,10 +149,14 @@ type Scheduler struct {
 // scheduling" row.
 const kickDelay = 20 * time.Microsecond
 
+// The baseline policies' parameters (Table 5) and the backend's batch size.
+const (
+	kOnlyThreshold = 32                   // PolicyKOnly dispatches once this many calls are ready
+	tOnlyInterval  = 5 * time.Millisecond // PolicyTOnly flushes every queue this often
+	maxBatchCalls  = 256                  // a batch is truncated from the tail past this many calls
+)
+
 func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler {
-	if cfg.MaxBatchCalls <= 0 {
-		cfg.MaxBatchCalls = 256
-	}
 	s := &Scheduler{clock: clock, ctl: ctl, cfg: cfg}
 	s.kick = s.runKick
 	switch cfg.Policy {
@@ -177,7 +175,7 @@ func (s *Scheduler) Config() SchedConfig { return s.cfg }
 
 func (s *Scheduler) tickerLoop() {
 	for {
-		s.clock.Sleep(s.cfg.T)
+		s.clock.Sleep(tOnlyInterval)
 		for s.dispatchOne() {
 		}
 	}
@@ -265,7 +263,7 @@ func (s *Scheduler) onEnqueue(q *cmdQueue) {
 			s.scheduleKick()
 		}
 	case PolicyKOnly:
-		if s.readyCalls >= s.cfg.K {
+		if s.readyCalls >= kOnlyThreshold {
 			s.dispatchOne()
 		}
 	case PolicyTOnly:
@@ -312,7 +310,7 @@ func (s *Scheduler) tryDispatch() {
 		for s.dispatchOne() {
 		}
 	case PolicyKOnly:
-		if s.readyCalls >= s.cfg.K {
+		if s.readyCalls >= kOnlyThreshold {
 			s.dispatchOne()
 		}
 	}
@@ -356,7 +354,7 @@ func (s *Scheduler) dispatchOne() bool {
 	s.scratch = eligible
 	sortQueues(eligible)
 
-	max := s.cfg.MaxBatchCalls
+	max := maxBatchCalls
 	if s.cfg.Policy == PolicyEager {
 		max = 1
 	}

@@ -17,7 +17,6 @@ type Kind string
 const (
 	Place       Kind = "place"        // a launch attempt placed: Replica, Program
 	Handoff     Kind = "handoff"      // a session moved: Session, Replica -> Dest, Pages, Cost, Chosen, RunnerUp
-	HandoffSkip Kind = "handoff-skip" // a session kept on its prefill replica: Session, Replica, Pages below the floor Limit
 	HandoffDeny Kind = "handoff-deny" // a handoff refused, the session decodes in place: Session, Replica, Err
 )
 
@@ -88,7 +87,7 @@ type Decision struct {
 
 	Count int           // the tally the kind names
 	Limit int           // the bound the kind names
-	Pages int           // distinct KV pages moved or held
+	Pages int           // distinct KV pages a handoff moved
 	Cost  time.Duration // modeled interconnect time of a handoff
 	Wait  time.Duration // the span the kind names
 

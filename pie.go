@@ -226,20 +226,9 @@ type Config struct {
 	Mode ExecutionMode
 	// Policy selects the batch scheduler strategy. Default PolicyAdaptive.
 	Policy Policy
-	// BatchK is the PolicyKOnly threshold (default 32).
-	BatchK int
-	// BatchT is the PolicyTOnly flush interval (default 5ms).
-	BatchT time.Duration
-	// MaxBatchCalls caps batch size at the backend (default 256).
-	MaxBatchCalls int
 	// ClientRTT is the client↔server network round trip (default 8ms,
 	// calibrated to the paper's launch-latency floor).
 	ClientRTT time.Duration
-	// ExternalLatency is the default latency of unregistered external
-	// services reached via HTTPGet/HTTPPost (default 50ms).
-	ExternalLatency time.Duration
-	// TopKOverride truncates returned distributions (default: model's 256).
-	TopKOverride int
 	// NoSchedOverhead and NoDistReturnOverhead zero the corresponding
 	// control-layer charges for the Table 3 opportunity-cost ablation.
 	NoSchedOverhead      bool
@@ -267,10 +256,6 @@ type Config struct {
 	// HandoffBudget bounds concurrent in-flight prefill->decode KV
 	// transfers (default 2); excess handoffs queue FIFO.
 	HandoffBudget int
-	// HandoffMinPages keeps sessions whose KV footprint is below this many
-	// physical pages decoding on their prefill replica instead of
-	// migrating (0 migrates everything).
-	HandoffMinPages int
 	// Scaler enables the SLO scaler: saturation-guarded, cost-aware
 	// scale-up/down driven by per-class attainment. When Scaler.Max
 	// exceeds Replicas, the extra replicas are built cold.
@@ -348,18 +333,6 @@ func (c Config) withDefaults() Config {
 	if c.ClientRTT == 0 {
 		c.ClientRTT = 8 * time.Millisecond
 	}
-	if c.ExternalLatency == 0 {
-		c.ExternalLatency = 50 * time.Millisecond
-	}
-	if c.BatchK == 0 {
-		c.BatchK = 32
-	}
-	if c.BatchT == 0 {
-		c.BatchT = 5 * time.Millisecond
-	}
-	if c.MaxBatchCalls == 0 {
-		c.MaxBatchCalls = 256
-	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
 	}
@@ -393,20 +366,10 @@ func New(cfg Config) *Engine {
 	var models []*model.Model
 	for _, name := range cat.Names() {
 		m, _ := cat.Get(name)
-		if cfg.TopKOverride > 0 {
-			c := m.Config()
-			c.TopK = cfg.TopKOverride
-			m = model.New(c, cat.Tokenizer)
-			m.RegisterAdapter("chat", 4, 0.5, c.Seed^0xA1)
-			m.RegisterAdapter("code", 4, 0.5, c.Seed^0xB2)
-		}
 		models = append(models, m)
 	}
 	sched := core.DefaultSchedConfig()
 	sched.Policy = cfg.Policy
-	sched.K = cfg.BatchK
-	sched.T = cfg.BatchT
-	sched.MaxBatchCalls = cfg.MaxBatchCalls
 	if cfg.NoSchedOverhead {
 		sched.SchedOverhead = 0
 	}
@@ -457,7 +420,7 @@ func New(cfg Config) *Engine {
 	}
 	for _, r := range replicas {
 		if r.Role != cluster.RoleUnified {
-			cl.EnableHandoff(cluster.HandoffConfig{Budget: cfg.HandoffBudget, MinPages: cfg.HandoffMinPages})
+			cl.EnableHandoff(cluster.HandoffConfig{Budget: cfg.HandoffBudget})
 			break
 		}
 	}
@@ -476,7 +439,6 @@ func New(cfg Config) *Engine {
 		}
 	}
 	world := netsim.NewWorld(clock)
-	world.DefaultLatency = cfg.ExternalLatency
 	lifecycle := ilm.New(clock, cl, world, replicas[0].Ctl.ModelInfos())
 	if cfg.DefaultRetry.Enabled() {
 		lifecycle.SetDefaultRetry(cfg.DefaultRetry)
@@ -705,12 +667,11 @@ type Stats struct {
 	Classes           []ClassStat // per-class SLO attainment, sorted by name
 
 	// Prefill/decode disaggregation (zero without Config.Roles).
-	Handoffs       int           // sessions migrated prefill -> decode
-	HandoffPages   int           // distinct physical KV pages copied across
-	HandoffTime    time.Duration // cumulative modeled interconnect time
-	HandoffDenied  int           // handoffs denied (no decode capacity)
-	HandoffQueued  int           // handoffs that waited on the transfer budget
-	HandoffSkipped int           // sessions kept in place below HandoffMinPages
+	Handoffs      int           // sessions migrated prefill -> decode
+	HandoffPages  int           // distinct physical KV pages copied across
+	HandoffTime   time.Duration // cumulative modeled interconnect time
+	HandoffDenied int           // handoffs denied (no decode capacity)
+	HandoffQueued int           // handoffs that waited on the transfer budget
 }
 
 // Stats snapshots engine counters. Per-device counters (busy time,
@@ -739,12 +700,11 @@ func (e *Engine) Stats() Stats {
 		CostUnits:         e.cluster.CostUnits(e.clock.Now()),
 		Classes:           e.cluster.ClassStats(),
 
-		Handoffs:       e.cluster.Handoffs,
-		HandoffPages:   e.cluster.HandoffPages,
-		HandoffTime:    e.cluster.HandoffTime,
-		HandoffDenied:  e.cluster.HandoffDenied,
-		HandoffQueued:  e.cluster.HandoffQueued,
-		HandoffSkipped: e.cluster.HandoffSkipped,
+		Handoffs:      e.cluster.Handoffs,
+		HandoffPages:  e.cluster.HandoffPages,
+		HandoffTime:   e.cluster.HandoffTime,
+		HandoffDenied: e.cluster.HandoffDenied,
+		HandoffQueued: e.cluster.HandoffQueued,
 	}
 	for _, r := range e.cluster.Replicas() {
 		s := r.Ctl.Scheduler()
