@@ -594,7 +594,10 @@ func (s *Sample) NextDist(emb api.Embed) (api.Future[api.Dist], error) {
 // Tokenizer is the tokenize-trait capability.
 type Tokenizer struct{ q *Queue }
 
-// Encode converts text to token ids (tokenize).
+// Encode converts text to token ids (tokenize). It runs on the host when it
+// is called: the caller waits for the tokenizer's price, not for the device
+// or for earlier calls on the queue, and gets a resolved future. Decode and
+// Vocabs keep queue order.
 func (t *Tokenizer) Encode(text string) (api.Future[[]int], error) {
 	if err := t.q.guard(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"pie/api"
@@ -10,7 +11,7 @@ import (
 
 // BenchmarkSchedulerDispatch is the control layer's cost of one scheduling
 // round over 64 command queues: every queue gets one call (embed_txt on
-// half, tokenize on the other half, so two ready buckets compete), the
+// half, detokenize on the other half, so two ready buckets compete), the
 // adaptive scheduler forms the two 32-wide batches, and the completions
 // release the queues. One op is one such round, sim events included.
 func BenchmarkSchedulerDispatch(b *testing.B) {
@@ -29,7 +30,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 		}
 		tok, pos := []int{7}, []int{0}
 		var last [2]interface{ Get() (struct{}, error) }
-		var lastTok interface{ Get() ([]int, error) }
+		var lastDetok interface{ Get() (string, error) }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
@@ -41,18 +42,18 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 					}
 					last[0] = s
 				} else {
-					f, err := ctl.Tokenize(insts[i], qids[i], "")
+					f, err := ctl.Detokenize(insts[i], qids[i], nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					lastTok = f
+					lastDetok = f
 				}
 			}
 			// Both batches are back once the last call of each is.
 			if _, err := last[0].Get(); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := lastTok.Get(); err != nil {
+			if _, err := lastDetok.Get(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -134,6 +135,29 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 			b.Fatalf("%d batches for %d calls", got, b.N)
 		}
 		b.ReportMetric(float64(clock.Events()-events)/float64(b.N)-1, "events/op")
+		ctl.ReleaseInstance(inst)
+	})
+}
+
+// BenchmarkTokenize is one tokenize of a ~2 KB prompt from call to result,
+// with nothing else in the system.
+func BenchmarkTokenize(b *testing.B) {
+	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		inst := ctl.RegisterInstance("bench", nil, nil)
+		q := mustQueue(b, ctl, inst, "llama-1b")
+		prompt := strings.Repeat("You are a careful assistant; answer the user's question in full. ", 32)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			f, err := ctl.Tokenize(inst, q, prompt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := f.Get(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
 		ctl.ReleaseInstance(inst)
 	})
 }

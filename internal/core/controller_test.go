@@ -341,11 +341,11 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 				if err := ctl.DeallocEmbeds(inst, q, embs[i][10:13]); err != nil {
 					t.Fatal(err)
 				}
-				tok, err := ctl.Tokenize(inst, q, "pending")
+				detok, err := ctl.Detokenize(inst, q, []int{5, 6})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wait(fmt.Sprintf("q%d tokenize", i), func() error { _, err := tok.Get(); return err })
+				wait(fmt.Sprintf("q%d detokenize", i), func() error { _, err := detok.Get(); return err })
 				bar, err := ctl.Synchronize(inst, q)
 				if err != nil {
 					t.Fatal(err)
@@ -395,8 +395,8 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 		}
 	}
 	// Queues close in ascending id, each FIFO.
-	want := []string{"q0 embed", "q0 forward", "q0 dist", "q0 tokenize", "q0 sync",
-		"q1 embed", "q1 forward", "q1 dist", "q1 tokenize", "q1 sync"}
+	want := []string{"q0 embed", "q0 forward", "q0 dist", "q0 detokenize", "q0 sync",
+		"q1 embed", "q1 forward", "q1 dist", "q1 detokenize", "q1 sync"}
 	if !reflect.DeepEqual(first.Wake, want) {
 		t.Fatalf("wake order %v, want %v", first.Wake, want)
 	}
@@ -717,7 +717,7 @@ func TestBetterBucketOrder(t *testing.T) {
 		return &readyBucket{key: bucketKey{op: op}, seq: seq}
 	}
 	embed, forward := bucket(infer.OpEmbedText, 1), bucket(infer.OpForward, 2)
-	dist, detok, tok := bucket(infer.OpNextDist, 3), bucket(infer.OpDetokenize, 4), bucket(infer.OpTokenize, 5)
+	dist, detok := bucket(infer.OpNextDist, 3), bucket(infer.OpDetokenize, 4)
 	const early, late = 10 * time.Microsecond, 20 * time.Microsecond
 	for _, tc := range []struct {
 		name            string
@@ -726,10 +726,10 @@ func TestBetterBucketOrder(t *testing.T) {
 	}{
 		{"a light op beats an older forward", dist, forward, late, early},
 		{"the older head wins among light ops", embed, detok, early, late},
-		{"the older head wins among light ops, whatever their creation order", tok, dist, early, late},
+		{"the older head wins among light ops, whatever their creation order", detok, dist, early, late},
 		{"at equal ages an embed yields to a detokenize created after it", detok, embed, early, early},
 		{"at equal ages an embed yields to a get_next_dist", dist, embed, early, early},
-		{"at equal ages other light ops keep creation order", dist, tok, early, early},
+		{"at equal ages other light ops keep creation order", dist, detok, early, early},
 	} {
 		if !betterBucket(tc.first, tc.firstT, tc.second, tc.secondT) || betterBucket(tc.second, tc.secondT, tc.first, tc.firstT) {
 			t.Errorf("%s: not so", tc.name)
@@ -784,6 +784,49 @@ func TestEmbedYieldsSoFollowUpsJoinItsBatch(t *testing.T) {
 		_, _ = sim.Await(first), sim.Await(second)
 		if got := ctl.sched.Batches - before; got != 2 {
 			t.Fatalf("%d batches, want 2: the detokenize, then both embeds together", got)
+		}
+	})
+}
+
+// TestTokenizeDoesNotWaitForTheDevice: tokenize runs on the host when it is
+// called. While one instance's 2 048-token prefill holds the device, another
+// instance's tokenize resolves after its own price, with the prefill still
+// running, and counts as one inference call.
+func TestTokenizeDoesNotWaitForTheDevice(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		fill := openEmbedSession(t, ctl, "prefill", 2048)
+		prefill := fill.forward(t, ctl, len(fill.embs))
+		clock.Sleep(time.Millisecond)
+		if prefill.Done() {
+			t.Fatal("the prefill finished within 1 ms: nothing holds the device")
+		}
+
+		inst := ctl.RegisterInstance("chat", nil, nil)
+		q := mustQueue(t, ctl, inst, "llama-1b")
+		const text = "You are a helpful assistant. Answer the question below."
+		start, calls := clock.Now(), inst.InferCalls
+		fut, err := ctl.Tokenize(inst, q, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := fut.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := clock.Now()-start, infer.TokenizerCost(1, len(text)); got != want {
+			t.Errorf("tokenize took %v, want its price %v", got, want)
+		}
+		if prefill.Done() {
+			t.Error("tokenize resolved only after the prefill finished")
+		}
+		if want := ctl.ModelRuntime("llama-1b").Model.Tokenizer().Encode(text); !reflect.DeepEqual(ids, want) {
+			t.Errorf("tokenize = %v, want %v", ids, want)
+		}
+		if got := inst.InferCalls - calls; got != 1 {
+			t.Errorf("tokenize counted %d inference calls, want 1", got)
+		}
+		if err := sim.Await(prefill); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -336,17 +336,20 @@ func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bi
 	return c.Done, nil
 }
 
-// Tokenize schedules tokenize.
+// Tokenize runs tokenize on the host when it is called: the caller pays the
+// tokenizer's price and gets a resolved future. Unlike detokenize and
+// get_vocabs it waits neither for the device nor for earlier calls on its
+// queue. It still counts as an inference call.
 func (ctl *Controller) Tokenize(inst *Instance, qid api.Queue, text string) (*sim.Future[[]int], error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
 		return nil, err
 	}
-	c := ctl.newCall(inst, q, infer.OpTokenize)
-	c.Text = text
-	c.TokFut = sim.NewFuture[[]int](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.TokFut, nil
+	ctl.callSeq++
+	inst.InferCalls++
+	ids := q.m.rt.Model.Tokenizer().Encode(text)
+	ctl.clock.Sleep(infer.TokenizerCost(1, len(text)))
+	return sim.Resolved(ctl.clock, ids), nil
 }
 
 // Detokenize schedules detokenize.
@@ -382,9 +385,6 @@ func failCall(c *infer.Call) {
 	}
 	if c.DistFut != nil && !c.DistFut.Done() {
 		c.DistFut.Fail(c.Err)
-	}
-	if c.TokFut != nil && !c.TokFut.Done() {
-		c.TokFut.Fail(c.Err)
 	}
 	if c.TextFut != nil && !c.TextFut.Done() {
 		c.TextFut.Fail(c.Err)

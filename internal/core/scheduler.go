@@ -449,8 +449,8 @@ func betterBucket(a *readyBucket, oa time.Duration, b *readyBucket, ob time.Dura
 		return oa < ob
 	}
 	// Equal ages: calls enqueued at one wake instant. embed_txt yields to the
-	// other light ops, because what they complete (a tokenize, a detokenize,
-	// a mask) releases sessions whose next call is an embed: it then joins
+	// other light ops, because what they complete (a detokenize, a mask)
+	// releases sessions whose next call is an embed: it then joins
 	// this wave's embed batch instead of forming one of its own.
 	if ea, eb := a.key.op == infer.OpEmbedText, b.key.op == infer.OpEmbedText; ea != eb {
 		return eb

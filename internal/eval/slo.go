@@ -82,7 +82,7 @@ func sloLevels() []SLOLevelSpec {
 	return []SLOLevelSpec{
 		{Name: "low", IntConc: 4, BatchConc: 2, BEConc: 2},
 		{Name: "mid", IntConc: 12, BatchConc: 6, BEConc: 4},
-		{Name: "high", IntConc: 32, BatchConc: 14, BEConc: 10},
+		{Name: "high", IntConc: 44, BatchConc: 14, BEConc: 10},
 	}
 }
 

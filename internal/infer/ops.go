@@ -35,7 +35,6 @@ const (
 	OpNextDist
 	OpCopyKv
 	OpMaskKv
-	OpTokenize
 	OpDetokenize
 	OpGetVocabs
 	// Control-side queue ops: never shipped to the backend, but they flow
@@ -47,7 +46,7 @@ const (
 var opNames = map[Op]string{
 	OpEmbedText: "embed_txt", OpEmbedImage: "embed_img", OpForward: "forward",
 	OpNextDist: "get_next_dist", OpCopyKv: "copy_kvpage", OpMaskKv: "mask_kvpage",
-	OpTokenize: "tokenize", OpDetokenize: "detokenize", OpGetVocabs: "get_vocabs",
+	OpDetokenize: "detokenize", OpGetVocabs: "get_vocabs",
 	OpDealloc: "dealloc", OpSync: "synchronize",
 }
 
@@ -108,9 +107,7 @@ type Call struct {
 	MaskPage *model.KvPage
 	MaskBits []bool
 
-	// OpTokenize / OpDetokenize / OpGetVocabs
-	Text     string
-	TokFut   *sim.Future[[]int]
+	// OpDetokenize / OpGetVocabs
 	TextFut  *sim.Future[string]
 	VocabFut *sim.Future[[][]byte]
 
@@ -238,12 +235,14 @@ func (b *Batch) baseCost() time.Duration {
 			tok += len(c.MaskBits)
 		}
 		return spec.KvOpCost(tok)
-	case OpTokenize, OpDetokenize, OpGetVocabs:
-		bytes := 0
-		for _, c := range b.Calls {
-			bytes += len(c.Text) + 16
-		}
-		return 3*time.Microsecond + time.Duration(bytes)*2*time.Nanosecond
+	case OpDetokenize, OpGetVocabs:
+		return TokenizerCost(len(b.Calls), 0)
 	}
 	return time.Microsecond
+}
+
+// TokenizerCost prices one tokenizer pass over calls that carry text bytes
+// of input: a 3 µs launch plus 2 ns a byte, with 16 bytes of framing a call.
+func TokenizerCost(calls, text int) time.Duration {
+	return 3*time.Microsecond + time.Duration(text+16*calls)*2*time.Nanosecond
 }

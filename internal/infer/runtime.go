@@ -163,9 +163,6 @@ func (rt *ModelRuntime) executeCall(c *Call) error {
 		return model.CopyTokens(c.SrcPage, c.DstPage, c.SrcOff, c.DstOff, c.NumTokens)
 	case OpMaskKv:
 		return rt.execMaskKv(c)
-	case OpTokenize:
-		c.TokFut.Resolve(rt.Model.Tokenizer().Encode(c.Text))
-		return nil
 	case OpDetokenize:
 		c.TextFut.Resolve(rt.Model.Tokenizer().Decode(c.TokenIDs))
 		return nil

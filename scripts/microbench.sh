@@ -3,9 +3,10 @@
 # model's forward/decode/top-K path and catalog build, the sim clock, the
 # control layer (one decode step through every layer above the kernels, a
 # scheduling round, a round of decode steps beside fills that the prefill
-# budget splits, one batch's round trip, an allocation under KV pressure),
-# the inference layer's timing-mode get_next_dist, the grammar matcher and
-# the tokenizer, as the minimum over $count runs of `go test -bench`.
+# budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
+# allocation under KV pressure), the inference layer's timing-mode
+# get_next_dist, the grammar matcher and the tokenizer, as the minimum over
+# $count runs of `go test -bench`.
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
 #                                  block of BENCH_micro.json; the "parent"
@@ -86,7 +87,7 @@ bench() {
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
 	bench 2000x '^Benchmark(DecodeStep|Generate)$' .
-	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward)$' ./internal/core
+	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
 	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
 	bench 200000x '^BenchmarkNextDistTiming$' ./internal/infer
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
@@ -137,7 +138,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict and BatchRoundTrip 20000x, ClockTimer and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict and BatchRoundTrip 20000x, ClockTimer and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'
