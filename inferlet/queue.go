@@ -2,7 +2,6 @@ package inferlet
 
 import (
 	"fmt"
-	"slices"
 
 	"pie/api"
 )
@@ -51,12 +50,6 @@ type Queue struct {
 	info   api.ModelInfo
 	rt     QueueRuntime
 	closed bool
-
-	// Live resource handles obtained through this queue's Alloc
-	// capability, in allocation order (kept as slices so Close reclaims
-	// deterministically).
-	embeds []api.Embed
-	pages  []api.KvPage
 }
 
 // NewQueue binds a queue object to its runtime provider. It is called by
@@ -103,37 +96,15 @@ func (q *Queue) Sync() error {
 	return err
 }
 
-// Close drains the queue, reclaims every embedding slot and KV page
-// allocated or imported through it (exports survive: the registry holds
-// its own references), and closes it. Further use of the queue or any
-// capability negotiated from it fails with api.ErrQueueClosed.
+// Close drains the queue and closes it, which reclaims every embedding slot
+// and KV page allocated or imported through the queue and still live
+// (freeing one earlier, through this queue or another of the inferlet's,
+// is fine; exports survive: the registry holds its own references).
+// Further use of the queue or any capability negotiated from it fails with
+// api.ErrQueueClosed.
 func (q *Queue) Close() error {
-	if q.closed {
-		return api.ErrQueueClosed
-	}
 	if err := q.Sync(); err != nil {
 		return err
-	}
-	reclaimed := false
-	if len(q.embeds) > 0 {
-		if err := q.rt.DeallocEmbeds(q.embeds); err != nil {
-			return err
-		}
-		q.embeds = nil
-		reclaimed = true
-	}
-	if len(q.pages) > 0 {
-		if err := q.rt.DeallocKvPages(q.pages); err != nil {
-			return err
-		}
-		q.pages = nil
-		reclaimed = true
-	}
-	if reclaimed {
-		// Deallocation is queue-ordered; drain it before closing.
-		if err := q.Sync(); err != nil {
-			return err
-		}
 	}
 	q.closed = true
 	return q.rt.Close()
@@ -236,12 +207,7 @@ func (a *Alloc) Embeds(n int) ([]api.Embed, error) {
 	if err := a.q.guard(); err != nil {
 		return nil, err
 	}
-	ids, err := a.q.rt.AllocEmbeds(n)
-	if err != nil {
-		return nil, err
-	}
-	a.q.embeds = append(a.q.embeds, ids...)
-	return ids, nil
+	return a.q.rt.AllocEmbeds(n)
 }
 
 // FreeEmbeds releases embedding slots, queue-ordered (dealloc_emb).
@@ -249,11 +215,7 @@ func (a *Alloc) FreeEmbeds(ids []api.Embed) error {
 	if err := a.q.guard(); err != nil {
 		return err
 	}
-	if err := a.q.rt.DeallocEmbeds(ids); err != nil {
-		return err
-	}
-	a.q.embeds = removeHandles(a.q.embeds, ids)
-	return nil
+	return a.q.rt.DeallocEmbeds(ids)
 }
 
 // Pages allocates n KV-cache pages (alloc_kvpage).
@@ -261,12 +223,7 @@ func (a *Alloc) Pages(n int) ([]api.KvPage, error) {
 	if err := a.q.guard(); err != nil {
 		return nil, err
 	}
-	ids, err := a.q.rt.AllocKvPages(n)
-	if err != nil {
-		return nil, err
-	}
-	a.q.pages = append(a.q.pages, ids...)
-	return ids, nil
+	return a.q.rt.AllocKvPages(n)
 }
 
 // FreePages releases KV pages, queue-ordered (dealloc_kvpage).
@@ -274,11 +231,7 @@ func (a *Alloc) FreePages(ids []api.KvPage) error {
 	if err := a.q.guard(); err != nil {
 		return err
 	}
-	if err := a.q.rt.DeallocKvPages(ids); err != nil {
-		return err
-	}
-	a.q.pages = removeHandles(a.q.pages, ids)
-	return nil
+	return a.q.rt.DeallocKvPages(ids)
 }
 
 // Export publishes pages under a global name for other inferlets
@@ -297,12 +250,7 @@ func (a *Alloc) Import(name string) ([]api.KvPage, error) {
 	if err := a.q.guard(); err != nil {
 		return nil, err
 	}
-	ids, err := a.q.rt.ImportKvPages(name)
-	if err != nil {
-		return nil, err
-	}
-	a.q.pages = append(a.q.pages, ids...)
-	return ids, nil
+	return a.q.rt.ImportKvPages(name)
 }
 
 // HasExport probes the export registry.
@@ -327,20 +275,6 @@ func (a *Alloc) CopyPage(src, dst api.KvPage, srcOff, dstOff, n int) (api.Future
 		return nil, err
 	}
 	return a.q.rt.CopyKvPage(src, dst, srcOff, dstOff, n)
-}
-
-// removeHandles drops the freed handles from a tracked slice, preserving
-// allocation order for the survivors. It scans rather than building a set:
-// a decode step frees the one or two slots it just allocated, and the bulk
-// free of a Drop or Close happens once per session.
-func removeHandles[T comparable](live []T, freed []T) []T {
-	out := live[:0]
-	for _, id := range live {
-		if !slices.Contains(freed, id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // --- Forward capability ----------------------------------------------------

@@ -22,7 +22,6 @@ type recorder struct {
 	toks    []int
 	pos     []int
 	spec    api.SampleSpec
-	freed   []api.Embed
 	nextEmb api.Embed
 	nextPg  api.KvPage
 }
@@ -42,11 +41,7 @@ func (r *recorder) AllocEmbeds(n int) ([]api.Embed, error) {
 	}
 	return out, nil
 }
-func (r *recorder) DeallocEmbeds(ids []api.Embed) error {
-	r.calls++
-	r.freed = append(r.freed, ids...)
-	return nil
-}
+func (r *recorder) DeallocEmbeds([]api.Embed) error { r.calls++; return nil }
 func (r *recorder) AllocKvPages(n int) ([]api.KvPage, error) {
 	r.calls++
 	out := make([]api.KvPage, n)
@@ -240,43 +235,6 @@ func TestForwardRunRefusesFusedOptions(t *testing.T) {
 	}
 }
 
-func TestRemoveHandlesKeepsSurvivorOrder(t *testing.T) {
-	live := []api.Embed{1, 2, 3, 4, 5, 6}
-	got := removeHandles(live, []api.Embed{5, 2, 9})
-	if want := []api.Embed{1, 3, 4, 6}; !slices.Equal(got, want) {
-		t.Fatalf("removeHandles = %v, want %v", got, want)
-	}
-	if got := removeHandles(got, nil); !slices.Equal(got, []api.Embed{1, 3, 4, 6}) {
-		t.Fatalf("removing nothing changed the list: %v", got)
-	}
-	if got := removeHandles(got, []api.Embed{6, 4, 3, 1}); len(got) != 0 {
-		t.Fatalf("removing everything left %v", got)
-	}
-}
-
-// TestCloseReclaimsInAllocationOrder: Close frees what the queue still
-// tracks — allocations and imports, minus what was freed — embeds first,
-// each list in allocation order.
-func TestCloseReclaimsInAllocationOrder(t *testing.T) {
-	q, r := newTestQueue(plainTraits...)
-	c := negotiateAll(t, q)
-	a, _ := c.alloc.Embeds(3)
-	b, _ := c.alloc.Embeds(2)
-	if err := c.alloc.FreeEmbeds([]api.Embed{a[1], b[0]}); err != nil {
-		t.Fatal(err)
-	}
-	r.freed = nil
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []api.Embed{a[0], a[2], b[1]}; !slices.Equal(r.freed, want) {
-		t.Fatalf("Close freed %v, want %v", r.freed, want)
-	}
-	if !q.Closed() || !errors.Is(q.Close(), api.ErrQueueClosed) {
-		t.Fatal("a closed queue closed again")
-	}
-}
-
 // TestClosedQueueGuards: once its queue has closed, every capability call
 // fails with ErrQueueClosed before it reaches the runtime.
 func TestClosedQueueGuards(t *testing.T) {
@@ -288,6 +246,7 @@ func TestClosedQueueGuards(t *testing.T) {
 	r.calls = 0
 	e := func(_ any, err error) error { return err }
 	for name, err := range map[string]error{
+		"Close":         q.Close(),
 		"SetPriority":   q.SetPriority(1),
 		"Barrier":       e(q.Barrier()),
 		"Sync":          q.Sync(),
@@ -316,8 +275,8 @@ func TestClosedQueueGuards(t *testing.T) {
 			t.Errorf("%s on a closed queue = %v, want ErrQueueClosed", name, err)
 		}
 	}
-	if c.alloc.HasExport("x") {
-		t.Error("HasExport on a closed queue = true")
+	if c.alloc.HasExport("x") || !q.Closed() {
+		t.Error("HasExport on a closed queue = true, or Closed() = false")
 	}
 	if r.calls != 0 {
 		t.Errorf("%d calls on a closed queue reached the runtime", r.calls)
@@ -325,8 +284,7 @@ func TestClosedQueueGuards(t *testing.T) {
 }
 
 // TestOpenQueuePassesThrough: on an open queue every capability call reaches
-// the runtime once, imports are tracked for Close, and a model without a
-// trait refuses its capability.
+// the runtime once, and a model without a trait refuses its capability.
 func TestOpenQueuePassesThrough(t *testing.T) {
 	q, r := newTestQueue(plainTraits...)
 	c := negotiateAll(t, q)
@@ -354,9 +312,6 @@ func TestOpenQueuePassesThrough(t *testing.T) {
 	c.tok.Vocabs()
 	if r.calls != 16 {
 		t.Errorf("%d calls reached the runtime, want 16", r.calls)
-	}
-	if !slices.Equal(q.pages, pages[1:]) {
-		t.Errorf("the queue tracks pages %v, want the imported %v", q.pages, pages[1:])
 	}
 	bare, _ := newTestQueue(api.TraitCore)
 	for name, err := range map[string]error{

@@ -168,16 +168,8 @@ func (ctl *Controller) ReleaseInstance(inst *Instance) {
 		q.closed = true
 		ctl.failPending(q, api.ErrTerminated)
 	}
-	for _, ref := range inst.embeds.refs {
-		if ref.m != nil {
-			ref.m.embeds.release(ref.phys)
-		}
-	}
-	for _, ref := range inst.pages.refs {
-		if ref.m != nil {
-			ref.m.pages.release(ref.phys)
-		}
-	}
+	inst.embeds.release(0, false)
+	inst.pages.release(0, true)
 	inst.embeds, inst.pages = handleTable{}, handleTable{}
 	delete(ctl.instances, inst.ID)
 }
@@ -383,10 +375,11 @@ func (ctl *Controller) queue(inst *Instance, qid api.Queue) (*cmdQueue, error) {
 
 // CloseQueue closes a command queue (close_queue). Callers that want a
 // graceful close synchronize first; anything still pending fails with
-// ErrQueueClosed. The queue leaves the scheduler and its id dies — the
-// queue-scoped half of v2 resource reclamation (handles themselves are
-// instance-scoped and are released by the dealloc calls the queue object
-// issues before closing).
+// ErrQueueClosed. Then the handles allocated or imported through the queue
+// and still live are released, embeds then pages, each in ascending handle
+// order: handles are instance-scoped, so one freed through a sibling queue
+// is simply gone, and exports keep the registry's own references. The queue
+// leaves the scheduler and its id dies.
 func (ctl *Controller) CloseQueue(inst *Instance, qid api.Queue) error {
 	ctl.chargeControl(inst)
 	q, err := ctl.queue(inst, qid)
@@ -395,6 +388,8 @@ func (ctl *Controller) CloseQueue(inst *Instance, qid api.Queue) error {
 	}
 	q.closed = true
 	ctl.failPending(q, api.ErrQueueClosed)
+	inst.embeds.release(qid, false)
+	inst.pages.release(qid, true)
 	i, _ := inst.queueIndex(qid)
 	inst.queues = slices.Delete(inst.queues, i, i+1)
 	return nil
@@ -430,12 +425,15 @@ func (ctl *Controller) ExportPages(inst *Instance, name string, ids []api.KvPage
 	return nil
 }
 
-// ImportPages maps an export into the caller's address space
-// (import_kvpage); the pages are shared, not copied. An import before the
-// instance's first completed forward counts as its prefill for the
-// first-token observer.
-func (ctl *Controller) ImportPages(inst *Instance, name string) ([]api.KvPage, error) {
+// ImportPages maps an export into the caller's address space through
+// queue qid, whose close releases the pages (import_kvpage); they are
+// shared, not copied. An import before the instance's first completed
+// forward counts as its prefill for the first-token observer.
+func (ctl *Controller) ImportPages(inst *Instance, qid api.Queue, name string) ([]api.KvPage, error) {
 	ctl.chargeControl(inst)
+	if _, err := ctl.queue(inst, qid); err != nil {
+		return nil, err
+	}
 	entry, ok := ctl.exports[name]
 	if !ok {
 		return nil, api.ErrNoSuchExport
@@ -449,7 +447,7 @@ func (ctl *Controller) ImportPages(inst *Instance, name string) ([]api.KvPage, e
 	out := make([]api.KvPage, len(entry.phys))
 	for i, p := range entry.phys {
 		entry.m.pages.retain(p)
-		out[i] = api.KvPage(inst.pages.issue(entry.m, p))
+		out[i] = api.KvPage(inst.pages.issue(entry.m, p, qid))
 	}
 	if !inst.sawFirstTok {
 		ctl.observeFirstTok(inst)

@@ -246,9 +246,8 @@ func TestBadHandleCases(t *testing.T) {
 }
 
 // TestDeallocThroughAnotherModelsQueue: dealloc validates liveness only, so
-// a handle may be released through any of its instance's queues (an import
-// tracked on a queue of a different model is reclaimed this way when that
-// queue closes); the slot returns to the pool it came from.
+// a handle may be released through any of its instance's queues, even one
+// bound to another model; the slot returns to the pool it came from.
 func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		inst := ctl.RegisterInstance("t", nil, nil)
@@ -275,6 +274,131 @@ func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 		}
 		if n, _ := ctl.EmbedPoolStats("llama-1b"); n != 0 {
 			t.Fatalf("llama-1b embeds in use = %d, want 0", n)
+		}
+	})
+}
+
+// TestCloseQueueReleasesWhatItOwns: closing a queue releases exactly the
+// live handles allocated or imported through it — embeds, then pages, each
+// in ascending handle order, so the pools' free lists come out the same on
+// every run. A handle a sibling queue already freed is skipped; the other
+// queues' handles and the export registry's references stay.
+func TestCloseQueueReleasesWhatItOwns(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		m := ctl.models["llama-1b"]
+		inst := ctl.RegisterInstance("t", nil, nil)
+		defer ctl.ReleaseInstance(inst)
+		q1, q2 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-1b")
+		q3 := mustQueue(t, ctl, inst, "llama-3b")
+		var embs [2][]api.Embed
+		var pages [2][]api.KvPage
+		for range 2 { // interleave, so q1's handles are not contiguous
+			for i, q := range []api.Queue{q1, q2} {
+				e, err := ctl.AllocEmbeds(inst, q, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ctl.AllocPages(inst, q, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				embs[i], pages[i] = append(embs[i], e...), append(pages[i], p...)
+			}
+		}
+		// q2 frees one embed and one page of q1's; the registry and a
+		// llama-3b queue's import share another of q1's pages.
+		if err := ctl.DeallocEmbeds(inst, q2, embs[0][1:2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.DeallocPages(inst, q2, pages[0][2:3]); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := ctl.Synchronize(inst, q2); err != nil || sim.Await(s) != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		if err := ctl.ExportPages(inst, "x", pages[0][:1]); err != nil {
+			t.Fatal(err)
+		}
+		imported, err := ctl.ImportPages(inst, q3, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		physE := func(h api.Embed) int32 { return inst.embeds.get(uint64(h)).phys }
+		physP := func(h api.KvPage) int32 { return inst.pages.get(uint64(h)).phys }
+		wantE := []int32{physE(embs[0][0]), physE(embs[0][2]), physE(embs[0][3])}
+		wantP := []int32{physP(pages[0][1]), physP(pages[0][3])} // pages[0][0] keeps two references
+		freeE, freeP := len(m.embeds.free), len(m.pages.free)
+
+		if err := ctl.CloseQueue(inst, q1); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.embeds.free[freeE:]; !reflect.DeepEqual(got, wantE) {
+			t.Fatalf("closing q1 freed embeds %v, want %v", got, wantE)
+		}
+		if got := m.pages.free[freeP:]; !reflect.DeepEqual(got, wantP) {
+			t.Fatalf("closing q1 freed pages %v, want %v", got, wantP)
+		}
+		for _, h := range embs[0] {
+			if inst.embeds.get(uint64(h)) != nil {
+				t.Fatalf("q1's embed %d outlived its queue", h)
+			}
+		}
+		for _, h := range pages[0] {
+			if inst.pages.get(uint64(h)) != nil {
+				t.Fatalf("q1's page %d outlived its queue", h)
+			}
+		}
+		if inst.embeds.live != 4 || inst.pages.live != 5 {
+			t.Fatalf("%d embeds and %d pages live, want q2's 4 and 4 plus q3's import", inst.embeds.live, inst.pages.live)
+		}
+		if err := ctl.CloseQueue(inst, q1); !errors.Is(err, api.ErrQueueClosed) {
+			t.Fatalf("second close = %v, want ErrQueueClosed", err)
+		}
+
+		// The import dies with q3; the registry's reference stays.
+		if err := ctl.CloseQueue(inst, q3); err != nil {
+			t.Fatal(err)
+		}
+		if inst.pages.get(uint64(imported[0])) != nil {
+			t.Fatal("q3's import outlived its queue")
+		}
+		if n, _ := ctl.PoolStats("llama-1b"); n != len(pages[1])+1 {
+			t.Fatalf("%d pages in use, want q2's %d and the export's", n, len(pages[1]))
+		}
+		if err := ctl.ReleaseExport(inst, "x"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestHandoffKeepsQueueOwnership: a handed-off session's queues own the same
+// handles on the destination, so closing a mirrored queue there releases
+// its pages and slots and leaves the other queue's.
+func TestHandoffKeepsQueueOwnership(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		inst := ctl.RegisterInstance("t", nil, nil)
+		q1, q2 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-1b")
+		for _, q := range []api.Queue{q1, q2, q1} {
+			if _, err := ctl.AllocPages(inst, q, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ctl.AllocEmbeds(inst, q1, 1); err != nil {
+			t.Fatal(err)
+		}
+		ni, _, _, err := ctl.HandoffSession(inst, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dst.ReleaseInstance(ni)
+		if err := dst.CloseQueue(ni, q1); err != nil {
+			t.Fatal(err)
+		}
+		pages, _ := dst.PoolStats("llama-1b")
+		embeds, _ := dst.EmbedPoolStats("llama-1b")
+		if pages != 2 || embeds != 0 || ni.pages.live != 2 {
+			t.Fatalf("after closing the mirrored q1: %d pages (%d handles) and %d embeds in use, want q2's 2 and 0", pages, ni.pages.live, embeds)
 		}
 	})
 }

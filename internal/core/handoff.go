@@ -135,9 +135,10 @@ func (ctl *Controller) InstanceQuiescent(inst *Instance) bool {
 // copy with two PCIe crossings when device-resident at the source
 // (device -> host -> peer device), one when already offloaded to the host
 // tier, plus dst-side offload cost for pages its pool spilled to make
-// room. Virtual handle ids are preserved — the session's queue bindings
-// keep working unmodified — and queues are re-created empty under their
-// original ids (quiescence guarantees nothing was pending). KV exports
+// room. Virtual handle ids and their owning queues are preserved — the
+// session's queue bindings keep working unmodified, and closing a queue on
+// dst releases what it owned here — and queues are re-created empty under
+// their original ids (quiescence guarantees nothing was pending). KV exports
 // the instance published stay registered on the source: the registry
 // holds its own page references, so cached context remains where affinity
 // routing expects it. On success the source instance is released; on
@@ -282,7 +283,7 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 			pages++
 			cost += crossingCost(ref.m, ref.phys)
 		}
-		ni.pages.refs[vid] = resRef{m: dm, phys: dstPhys}
+		ni.pages.refs[vid] = resRef{m: dm, phys: dstPhys, q: ref.q}
 	}
 	for _, dm := range dst.order {
 		if g := grants[dm]; g != nil && g.swapped > 0 {
@@ -298,7 +299,7 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instanc
 		var dstPhys int32
 		dstPhys, g.embeds = g.embeds[0], g.embeds[1:]
 		copyEmbed(ref.m.rt.Embed(ref.phys), dm.rt.Embed(dstPhys))
-		ni.embeds.refs[vid] = resRef{m: dm, phys: dstPhys}
+		ni.embeds.refs[vid] = resRef{m: dm, phys: dstPhys, q: ref.q}
 	}
 	for _, q := range inst.queues {
 		dm := dst.models[q.m.name]

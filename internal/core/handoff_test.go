@@ -28,7 +28,7 @@ func TestInstanceKVFootprintDedupes(t *testing.T) {
 		if err := ctl.ExportPages(inst, "shared", pages); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctl.ImportPages(inst, "shared"); err != nil {
+		if _, err := ctl.ImportPages(inst, q, "shared"); err != nil {
 			t.Fatal(err)
 		}
 		wire := ctl.InstanceKVFootprint(inst)
@@ -108,7 +108,7 @@ func TestZeroPageExportStaysBehind(t *testing.T) {
 		if err := ctl.ExportPages(inst, "full", pages); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := ctl.ImportPages(inst, "empty"); err != nil || len(got) != 0 {
+		if got, err := ctl.ImportPages(inst, q, "empty"); err != nil || len(got) != 0 {
 			t.Fatalf("ImportPages(empty) = %v, %v; want no pages", got, err)
 		}
 		if device, total := ctl.ExportResidency("empty"); device != 0 || total != 0 {
@@ -155,8 +155,7 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 				ttfts++
 			}
 		})
-		forward := func(inst *Instance) []api.KvPage {
-			q := mustQueue(t, ctl, inst, "llama-1b")
+		forward := func(inst *Instance, q api.Queue) []api.KvPage {
 			pages, err := ctl.AllocPages(inst, q, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -179,25 +178,27 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 		}
 		exporter := ctl.RegisterInstance("exporter", nil, nil)
 		defer ctl.ReleaseInstance(exporter)
-		pages := forward(exporter)
+		eq := mustQueue(t, ctl, exporter, "llama-1b")
+		pages := forward(exporter, eq)
 		if err := ctl.ExportPages(exporter, "prefix", pages); err != nil {
 			t.Fatal(err)
 		}
 		// The exporter imports after its first forward: nothing more fires.
-		if _, err := ctl.ImportPages(exporter, "prefix"); err != nil {
+		if _, err := ctl.ImportPages(exporter, eq, "prefix"); err != nil {
 			t.Fatal(err)
 		}
 		importer := ctl.RegisterInstance("importer", nil, nil)
 		defer ctl.ReleaseInstance(importer)
+		iq := mustQueue(t, ctl, importer, "llama-1b")
 		for range 2 {
-			if _, err := ctl.ImportPages(importer, "prefix"); err != nil {
+			if _, err := ctl.ImportPages(importer, iq, "prefix"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if fired["importer"] != 1 || ttfts != 1 {
 			t.Fatalf("after two imports the observer fired %d times for the importer and %d TTFTs were sampled, want 1 and 1 (the exporter's)", fired["importer"], ttfts)
 		}
-		forward(importer)
+		forward(importer, iq)
 		if fired["exporter"] != 1 || fired["importer"] != 1 || ttfts != 2 {
 			t.Fatalf("observer fired %v, %d TTFTs sampled: want once per instance and one TTFT each", fired, ttfts)
 		}

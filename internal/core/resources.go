@@ -87,11 +87,23 @@ type modelState struct {
 }
 
 // resRef is one slot of a handle table: where the handle's physical
-// resource lives. m is nil for slot 0 and for handles that have died.
+// resource lives and the queue it was allocated or imported through, whose
+// close releases it. m is nil for slot 0 and for handles that have died.
 type resRef struct {
 	m     *modelState
 	phys  int32
 	stamp uint32 // == the table's epoch when the current dealloc listed it
+	q     api.Queue
+}
+
+// free returns the reference's physical slot to its model's page pool (kv)
+// or embed pool.
+func (r *resRef) free(kv bool) {
+	if kv {
+		r.m.pages.release(r.phys)
+	} else {
+		r.m.embeds.release(r.phys)
+	}
 }
 
 // handleTable is one of an instance's two virtual address spaces (embeds,
@@ -103,12 +115,12 @@ type handleTable struct {
 	epoch uint32 // dedupe stamp of the dealloc being validated
 }
 
-// issue maps a fresh handle to (m, phys) and returns it.
-func (t *handleTable) issue(m *modelState, phys int32) uint64 {
+// issue maps a fresh handle to (m, phys), owned by queue q, and returns it.
+func (t *handleTable) issue(m *modelState, phys int32, q api.Queue) uint64 {
 	if len(t.refs) == 0 {
 		t.refs = append(t.refs, resRef{}) // handle 0 is never issued
 	}
-	t.refs = append(t.refs, resRef{m: m, phys: phys})
+	t.refs = append(t.refs, resRef{m: m, phys: phys, q: q})
 	t.live++
 	return uint64(len(t.refs) - 1)
 }
@@ -140,6 +152,19 @@ func takeAll[H ~uint64](t *handleTable, dst []resRef, ids []H) (_ []resRef, ok b
 	}
 	t.live -= len(ids)
 	return dst, true
+}
+
+// release kills every live handle queue q owns (every live handle when q
+// is 0) and frees its physical slot, in ascending handle order: the order
+// decides the pools' free lists, so same-seed runs must agree on it.
+func (t *handleTable) release(q api.Queue, kv bool) {
+	for i := range t.refs {
+		if ref := &t.refs[i]; ref.m != nil && (q == 0 || ref.q == q) {
+			ref.free(kv)
+			ref.m = nil
+			t.live--
+		}
+	}
 }
 
 // clone copies the table for a session handoff: handle numbers survive,
@@ -359,7 +384,7 @@ func (ctl *Controller) AllocEmbeds(inst *Instance, qid api.Queue, n int) ([]api.
 	}
 	out := make([]api.Embed, n)
 	for i, id := range phys {
-		out[i] = api.Embed(inst.embeds.issue(q.m, id))
+		out[i] = api.Embed(inst.embeds.issue(q.m, id, qid))
 	}
 	return out, nil
 }
@@ -404,7 +429,7 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 	}
 	out := make([]api.KvPage, n)
 	for i, id := range phys {
-		out[i] = api.KvPage(inst.pages.issue(q.m, id))
+		out[i] = api.KvPage(inst.pages.issue(q.m, id, qid))
 		// Fresh pages must arrive empty even if physically recycled.
 		q.m.rt.Page(id).Reset()
 	}
@@ -480,12 +505,8 @@ func (ctl *Controller) newOp(q *cmdQueue, op infer.Op) *call {
 func (ctl *Controller) runOp(c *call) {
 	switch c.Op {
 	case infer.OpDealloc:
-		for _, ref := range c.free {
-			if c.freeKv {
-				ref.m.pages.release(ref.phys)
-			} else {
-				ref.m.embeds.release(ref.phys)
-			}
+		for i := range c.free {
+			c.free[i].free(c.freeKv)
 		}
 	case infer.OpSync:
 		sim.Fire(c.sync)

@@ -200,7 +200,7 @@ func (c *Controller) convergePools() {
 // stragglers past it.
 func (c *Controller) reconcilePins() {
 	for _, pin := range c.desired.Programs {
-		target, err := CanonicalVersion(pin.Version)
+		target, err := ilm.CanonicalVersion(pin.Version)
 		if err != nil {
 			continue // Validate already rejected this; defensive
 		}
@@ -390,7 +390,7 @@ func (c *Controller) Status() Status {
 		st.Pools = append(st.Pools, ps)
 	}
 	for _, pin := range c.desired.Programs {
-		target, err := CanonicalVersion(pin.Version)
+		target, err := ilm.CanonicalVersion(pin.Version)
 		if err != nil {
 			continue
 		}

@@ -20,13 +20,13 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"pie/api"
 	"pie/internal/cluster"
 	"pie/internal/core"
+	"pie/internal/ilm"
 )
 
 // Typed manifest errors. Parse and Validate wrap every failure in exactly
@@ -408,7 +408,7 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("%w: duplicate program pin %q", ErrSyntax, pin.Name)
 		}
 		pins[pin.Name] = true
-		if _, err := CanonicalVersion(pin.Version); err != nil {
+		if _, err := ilm.CanonicalVersion(pin.Version); err != nil {
 			return fmt.Errorf("%w: pin %q version %q is not semver", ErrBadVersion, pin.Name, pin.Version)
 		}
 		if pin.Class != "" && !classes[pin.Class] {
@@ -429,24 +429,6 @@ func (m *Manifest) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CanonicalVersion parses a semver reference with 1-3 numeric components
-// and returns its canonical three-component form ("1.2" -> "1.2.0").
-func CanonicalVersion(v string) (string, error) {
-	parts := strings.Split(v, ".")
-	if len(parts) == 0 || len(parts) > 3 || v == "" {
-		return "", fmt.Errorf("version %q is not MAJOR[.MINOR[.PATCH]]", v)
-	}
-	nums := [3]int{}
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || (len(p) > 1 && p[0] == '0') {
-			return "", fmt.Errorf("version %q component %q is not a plain number", v, p)
-		}
-		nums[i] = n
-	}
-	return fmt.Sprintf("%d.%d.%d", nums[0], nums[1], nums[2]), nil
 }
 
 // --- Derived cluster topology -------------------------------------------

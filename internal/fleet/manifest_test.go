@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pie/internal/cluster"
+	"pie/internal/ilm"
 )
 
 // validDoc is a full-featured manifest exercising every section.
@@ -159,7 +160,14 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestCanonicalVersion: a program pin's version uses ilm's grammar — 1-3
+// numeric components, no leading zeros — and reconciliation pins its
+// canonical three-component form; Validate wraps every other string in
+// ErrBadVersion.
 func TestCanonicalVersion(t *testing.T) {
+	pin := func(v string) []byte {
+		return []byte(`{"schema": 1, "pools": [{"name": "main", "count": 2}], "programs": [{"name": "p", "version": "` + v + `"}]}`)
+	}
 	good := map[string]string{
 		"1":      "1.0.0",
 		"1.2":    "1.2.0",
@@ -167,14 +175,16 @@ func TestCanonicalVersion(t *testing.T) {
 		"0.9.10": "0.9.10",
 	}
 	for in, want := range good {
-		got, err := CanonicalVersion(in)
-		if err != nil || got != want {
+		if _, err := Parse(pin(in)); err != nil {
+			t.Fatalf("pin version %q rejected: %v", in, err)
+		}
+		if got, err := ilm.CanonicalVersion(in); err != nil || got != want {
 			t.Fatalf("CanonicalVersion(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
 	for _, bad := range []string{"", "v1", "1.2.3.4", "1..2", "1.-2", "01.2", "latest", "1.x"} {
-		if got, err := CanonicalVersion(bad); err == nil {
-			t.Fatalf("CanonicalVersion(%q) = %q, want error", bad, got)
+		if _, err := Parse(pin(bad)); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("pin version %q: Parse = %v, want ErrBadVersion", bad, err)
 		}
 	}
 }

@@ -222,11 +222,11 @@ func (m *ILM) Register(p inferlet.Program) error {
 	if version == "" {
 		version = defaultVersion
 	}
-	parsed, err := parseVersion(version)
+	version, err := CanonicalVersion(version) // "1.0" and "1.0.0" are one artifact
 	if err != nil {
 		return fmt.Errorf("%w: program %q: %v", api.ErrUnsatisfiedManifest, p.Name, err)
 	}
-	version = canonicalVersion(parsed) // "1.0" and "1.0.0" are one artifact
+	parsed, _ := parseVersion(version) // canonical: it parses
 	if err := validateManifest(p.Name, p.Manifest, m.models); err != nil {
 		return err
 	}
@@ -268,10 +268,10 @@ func (m *ILM) resolve(ref string) (*entry, error) {
 		} else {
 			version = m.latest[name]
 		}
-	} else if parsed, err := parseVersion(version); err != nil {
+	} else if v, err := CanonicalVersion(version); err != nil {
 		return nil, fmt.Errorf("%w: %q has no version %q", api.ErrNoSuchProgram, name, version)
 	} else {
-		version = canonicalVersion(parsed) // "name@1.0" resolves "1.0.0"
+		version = v // "name@1.0" resolves "1.0.0"
 	}
 	e, ok := versions[version]
 	if !ok {

@@ -2,6 +2,7 @@ package ilm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -152,6 +153,7 @@ func TestVersionParsing(t *testing.T) {
 		"1.2":    {1, 2, 0},
 		"1.2.3":  {1, 2, 3},
 		"0.0.1":  {0, 0, 1},
+		"0.9.10": {0, 9, 10},
 		"10.0.0": {10, 0, 0},
 	}
 	for in, want := range good {
@@ -159,10 +161,16 @@ func TestVersionParsing(t *testing.T) {
 		if err != nil || got != want {
 			t.Errorf("parseVersion(%q) = %v, %v; want %v", in, got, err, want)
 		}
+		if c, err := CanonicalVersion(in); err != nil || c != fmt.Sprintf("%d.%d.%d", want[0], want[1], want[2]) {
+			t.Errorf("CanonicalVersion(%q) = %q, %v; want %v", in, c, err, want)
+		}
 	}
-	for _, bad := range []string{"", "a", "1.2.3.4", "1.-2", "01.2", "1.2.x"} {
+	for _, bad := range []string{"", "a", "v1", "latest", "1.2.3.4", "1..2", "1.-2", "01.2", "1.2.x", "1.x"} {
 		if _, err := parseVersion(bad); err == nil {
 			t.Errorf("parseVersion(%q) accepted", bad)
+		}
+		if c, err := CanonicalVersion(bad); err == nil {
+			t.Errorf("CanonicalVersion(%q) = %q, want an error", bad, c)
 		}
 	}
 	if !versionLess([3]int{1, 2, 0}, [3]int{1, 10, 0}) || versionLess([3]int{2, 0, 0}, [3]int{1, 9, 9}) {

@@ -12,9 +12,10 @@ import (
 // defaultVersion is assumed when a program's manifest omits one.
 const defaultVersion = "1.0.0"
 
-// parseVersion parses a semantic version "major[.minor[.patch]]" into its
-// numeric components. Pre-release/build suffixes are not supported: the
-// registry wants a total order.
+// parseVersion parses a semantic version "major[.minor[.patch]]" — one to
+// three plain numbers, no leading zeros — into its numeric components.
+// Pre-release/build suffixes are not supported: the registry wants a total
+// order.
 func parseVersion(v string) ([3]int, error) {
 	var out [3]int
 	parts := strings.Split(v, ".")
@@ -31,10 +32,15 @@ func parseVersion(v string) ([3]int, error) {
 	return out, nil
 }
 
-// canonicalVersion renders a parsed version back to "major.minor.patch",
-// so "1.0" and "1.0.0" key the same registry entry.
-func canonicalVersion(v [3]int) string {
-	return fmt.Sprintf("%d.%d.%d", v[0], v[1], v[2])
+// CanonicalVersion parses v (see parseVersion) and renders it as
+// "major.minor.patch", so "1.0" and "1.0.0" key the same registry entry and
+// the same fleet manifest pin.
+func CanonicalVersion(v string) (string, error) {
+	p, err := parseVersion(v)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d.%d.%d", p[0], p[1], p[2]), nil
 }
 
 // versionLess orders two parsed versions.

@@ -212,7 +212,7 @@ func (b *queueBinding) ExportKvPages(name string, ids []api.KvPage) error {
 }
 
 func (b *queueBinding) ImportKvPages(name string) ([]api.KvPage, error) {
-	return b.s.ctl.ImportPages(b.s.inst, name)
+	return b.s.ctl.ImportPages(b.s.inst, b.qid, name)
 }
 
 func (b *queueBinding) HasExport(name string) bool {

@@ -32,11 +32,10 @@ const upgradeRequeueDelay = 100 * time.Microsecond
 // version must already be registered — pinning ahead of deployment fails
 // typed api.ErrNoSuchProgram (callers retry once the artifact lands).
 func (m *ILM) SetPin(name, version string) error {
-	parsed, err := parseVersion(version)
+	v, err := CanonicalVersion(version)
 	if err != nil {
 		return fmt.Errorf("%w: cannot pin %q: %v", api.ErrNoSuchProgram, name, err)
 	}
-	v := canonicalVersion(parsed)
 	if _, ok := m.programs[name][v]; !ok {
 		return fmt.Errorf("%w: cannot pin %q to unregistered version %q", api.ErrNoSuchProgram, name, v)
 	}

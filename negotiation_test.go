@@ -170,8 +170,8 @@ func TestQueueCloseReclaimsResources(t *testing.T) {
 }
 
 // TestFailedFreeKeepsCloseWorking: a dealloc containing a bad handle is
-// all-or-nothing at the controller, so the queue's tracked handles stay
-// consistent and Close still reclaims everything afterwards.
+// all-or-nothing at the controller, so every handle stays live and Close
+// still reclaims everything afterwards.
 func TestFailedFreeKeepsCloseWorking(t *testing.T) {
 	got, e := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
@@ -207,6 +207,77 @@ func TestFailedFreeKeepsCloseWorking(t *testing.T) {
 	}
 	if inUse, _ := e.PoolStats("llama-1b"); inUse != 0 {
 		t.Fatalf("failed frees leaked %d pages", inUse)
+	}
+}
+
+// TestCloseAfterFreeThroughSiblingQueue: handles are instance-scoped, so a
+// page allocated through one queue may be freed through another. Closing the
+// first queue then still succeeds and reclaims the rest of what it
+// allocated, while the inferlet lives on.
+func TestCloseAfterFreeThroughSiblingQueue(t *testing.T) {
+	e := pie.New(pie.Config{Seed: 99, Mode: pie.ModeTiming})
+	e.MustRegister(inferlet.Program{
+		Name: "probe", BinarySize: 4 << 10,
+		Run: func(s inferlet.Session) error {
+			q1, err := s.Open("llama-1b")
+			if err != nil {
+				return err
+			}
+			q2, err := s.Open("llama-1b")
+			if err != nil {
+				return err
+			}
+			alloc1, err := q1.Alloc()
+			if err != nil {
+				return err
+			}
+			alloc2, err := q2.Alloc()
+			if err != nil {
+				return err
+			}
+			pages, err := alloc1.Pages(3)
+			if err != nil {
+				return err
+			}
+			if _, err := alloc1.Embeds(2); err != nil {
+				return err
+			}
+			if err := alloc2.FreePages(pages[1:2]); err != nil {
+				return err
+			}
+			if err := q2.Sync(); err != nil {
+				return err
+			}
+			if err := q1.Close(); err != nil || !q1.Closed() {
+				return fmt.Errorf("Close after a sibling queue freed one of its pages = %v, closed %v", err, q1.Closed())
+			}
+			s.Send("closed")
+			_, err = s.Receive().Get() // stay alive while the client reads the pools
+			return err
+		},
+	})
+	if err := e.RunClient(func() {
+		h, err := e.Launch(pie.Spec("probe"))
+		if err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		if msg, _ := h.Recv().Get(); msg != "closed" {
+			h.Send("")
+			t.Errorf("inferlet: %v", h.Wait())
+			return
+		}
+		pages, _ := e.PoolStats("llama-1b")
+		embeds, _ := e.Controller().EmbedPoolStats("llama-1b")
+		if pages != 0 || embeds != 0 {
+			t.Errorf("the live inferlet holds %d pages and %d embeds after Close, want 0 and 0", pages, embeds)
+		}
+		h.Send("done")
+		if err := h.Wait(); err != nil {
+			t.Errorf("inferlet: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

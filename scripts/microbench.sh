@@ -34,7 +34,7 @@
 #     timing-mode distribution is a view, not a copy.
 #   - Generate (one chat turn: an 8-token prefill and 32 tokens out) issuing
 #     more inference calls (97: the last token issues no embed + forward) or
-#     control-layer calls (4.63: a decode step makes none) than committed.
+#     control-layer calls (4.58: a decode step makes none) than committed.
 #   - BatchRoundTrip (one single-call batch, enqueue to completion) taking
 #     more sim events than committed (4: kick, deserialised, kernel done,
 #     response).

@@ -685,7 +685,7 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 // Drop releases every owned live page and both decode slots; the context
 // becomes unusable but its queue stays open (fire-and-forget: the
 // deallocations are queue-ordered and need no round trip). Use Close to
-// also close the queue and reclaim everything it still tracks.
+// also close the queue and reclaim what is still allocated through it.
 func (c *Context) Drop() error {
 	var own []api.KvPage
 	for _, e := range c.entries {
