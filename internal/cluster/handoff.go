@@ -54,28 +54,28 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 // HandoffEnabled reports whether the coordinator is armed.
 func (c *Cluster) HandoffEnabled() bool { return c.handoff.Enabled }
 
-// MaybeHandoff migrates a HandoffPending session off its prefill replica
-// to the decode-eligible replica handoffTarget picks, returning the
-// session's new controller and instance. It runs synchronously in the
-// session's own process (the ilm.HandoffCoordinator contract), so the
-// transfer time and any budget wait are charged to the session. A false
+// MaybeHandoff moves a HandoffPending session's instance off its prefill
+// replica to the decode-eligible replica handoffTarget picks, returning the
+// session's new controller. It runs synchronously in the session's own
+// process (the ilm.HandoffCoordinator contract), so the transfer time and
+// any budget wait are charged to the session. A false
 // return means the session stays put: nothing pending, not yet quiescent
 // (retried at the next forward boundary), or no decode capacity (pending
 // is cleared and the denial counted — the session finishes where it
 // started rather than stall, per api.ErrNoDecodeCapacity).
-func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool) {
+func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool) {
 	if !c.handoff.Enabled || inst == nil || !inst.HandoffPending || inst.Dead() {
-		return nil, nil, false
+		return nil, false
 	}
 	src := c.ctlIndex[ctl]
 	if src == nil || src.Role != RolePrefill {
 		inst.HandoffPending = false
-		return nil, nil, false
+		return nil, false
 	}
 	if !ctl.InstanceQuiescent(inst) {
 		// Calls are still queued or in flight (pipelined forwards); keep the
 		// mark and retry at the next forward boundary.
-		return nil, nil, false
+		return nil, false
 	}
 	wire := ctl.InstanceKVFootprint(inst)
 	c.HandoffRequests++
@@ -92,14 +92,14 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	// The wait may have been long: revalidate the session and re-pick the
 	// destination under current load before touching any pages.
 	if inst.Dead() || !ctl.InstanceQuiescent(inst) {
-		return nil, nil, false
+		return nil, false
 	}
 	pick, runnerUp := c.handoffTarget(src, wire)
 	dst := pick.r
 	if dst == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)
 	}
-	ni, pages, cost, err := ctl.HandoffSession(inst, dst.Ctl)
+	pages, cost, err := ctl.HandoffSession(inst, dst.Ctl)
 	if err != nil {
 		return c.denyHandoff(inst, src, err)
 	}
@@ -113,21 +113,21 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	dst.HandoffsIn++
 	dst.Placements++
 	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Handoff, Session: session(ni), Replica: src.ID, Dest: dst.ID,
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Handoff, Session: session(inst), Replica: src.ID, Dest: dst.ID,
 			Pages: pages, Cost: cost, Chosen: pick.candidate(), RunnerUp: runnerUp.candidate()})
 	}
-	return dst.Ctl, ni, true
+	return dst.Ctl, true
 }
 
 // denyHandoff clears the pending mark (the session decodes in place) and
 // records the denial.
-func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*core.Controller, *core.Instance, bool) {
+func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*core.Controller, bool) {
 	inst.HandoffPending = false
 	c.HandoffDenied++
 	if c.OnDecision != nil {
 		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.HandoffDeny, Session: session(inst), Replica: src.ID, Err: err})
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // session names an instance in decision records.

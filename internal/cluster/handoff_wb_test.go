@@ -20,7 +20,7 @@ func TestMaybeHandoffGuards(t *testing.T) {
 		t.Fatal("zero-value cluster reports handoff enabled")
 	}
 	// Disabled coordinator: nothing moves, no counters tick.
-	if _, _, ok := c.MaybeHandoff(nil, nil); ok {
+	if _, ok := c.MaybeHandoff(nil, nil); ok {
 		t.Fatal("disabled coordinator migrated")
 	}
 	c.handoff = HandoffConfig{Enabled: true}
@@ -28,13 +28,13 @@ func TestMaybeHandoffGuards(t *testing.T) {
 		t.Fatal("armed coordinator reports disabled")
 	}
 	// Nil instance (a session that never bound a queue).
-	if _, _, ok := c.MaybeHandoff(nil, nil); ok {
+	if _, ok := c.MaybeHandoff(nil, nil); ok {
 		t.Fatal("nil instance migrated")
 	}
 	// A controller the coordinator does not index (e.g. a replica added
 	// after arming): the pending mark clears and the session stays put.
 	inst := &core.Instance{HandoffPending: true}
-	if _, _, ok := c.MaybeHandoff(nil, inst); ok {
+	if _, ok := c.MaybeHandoff(nil, inst); ok {
 		t.Fatal("unknown source controller migrated")
 	}
 	if inst.HandoffPending {
@@ -44,7 +44,7 @@ func TestMaybeHandoffGuards(t *testing.T) {
 	ctl := &core.Controller{}
 	c.ctlIndex = map[*core.Controller]*Replica{ctl: {ID: 3, Role: RoleDecode}}
 	inst.HandoffPending = true
-	if _, _, ok := c.MaybeHandoff(ctl, inst); ok {
+	if _, ok := c.MaybeHandoff(ctl, inst); ok {
 		t.Fatal("decode-role source migrated")
 	}
 	if inst.HandoffPending {

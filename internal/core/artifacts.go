@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // ArtifactConfig sizes a replica's warm-artifact cache. CapacityBytes 0
 // takes the device spec's default; negative disables eviction (unbounded).
@@ -88,16 +85,6 @@ func (c *artifactCache) evictLRU() {
 	c.evictions++
 }
 
-// keys lists resident artifacts in sorted order (tests, listings).
-func (c *artifactCache) keys() []string {
-	out := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ArtifactStats summarizes a replica's warm-artifact cache.
 type ArtifactStats struct {
 	Resident  int   // artifacts currently cached
@@ -137,6 +124,3 @@ func (ctl *Controller) ArtifactStats() ArtifactStats {
 		Evictions: ctl.artifacts.evictions,
 	}
 }
-
-// Artifacts lists the warm artifact keys on this replica, sorted.
-func (ctl *Controller) Artifacts() []string { return ctl.artifacts.keys() }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -37,7 +39,7 @@ func TestArtifactCacheAdmitAndLRU(t *testing.T) {
 	if c.has("b@1.0.0") {
 		t.Fatal("b should have been evicted (least recently launched)")
 	}
-	if got := c.keys(); !reflect.DeepEqual(got, []string{"a@1.0.0", "c@1.0.0"}) {
+	if got := slices.Sorted(maps.Keys(c.entries)); !reflect.DeepEqual(got, []string{"a@1.0.0", "c@1.0.0"}) {
 		t.Fatalf("resident artifacts = %v", got)
 	}
 	if c.used != 80 {

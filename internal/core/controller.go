@@ -144,7 +144,6 @@ func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func
 	inst := &Instance{
 		ID:         ctl.instSeq,
 		Name:       name,
-		CreatedSeq: ctl.instSeq,
 		Proc:       proc,
 		onKill:     onKill,
 		launchedAt: ctl.clock.Now(),
@@ -201,7 +200,7 @@ func (ctl *Controller) ensurePages(requester *Instance, m *modelState, n int) er
 func (ctl *Controller) newestInstance() *Instance {
 	var newest *Instance
 	for _, inst := range ctl.instances {
-		if newest == nil || inst.CreatedSeq > newest.CreatedSeq {
+		if newest == nil || inst.ID > newest.ID {
 			newest = inst
 		}
 	}
@@ -229,12 +228,6 @@ func (ctl *Controller) AbortInstance(inst *Instance, reason error) bool {
 	ctl.Aborts++
 	ctl.terminate(inst, reason)
 	return true
-}
-
-// AbortInstanceByID aborts the live instance with the given ID; see
-// AbortInstance. It reports whether an abort happened.
-func (ctl *Controller) AbortInstanceByID(id uint64, reason error) bool {
-	return ctl.AbortInstance(ctl.instances[id], reason)
 }
 
 // AbortAllInstances aborts every live instance with the given reason, in

@@ -372,7 +372,7 @@ func TestCloseQueueReleasesWhatItOwns(t *testing.T) {
 }
 
 // TestHandoffKeepsQueueOwnership: a handed-off session's queues own the same
-// handles on the destination, so closing a mirrored queue there releases
+// handles on the destination, so closing a moved queue there releases
 // its pages and slots and leaves the other queue's.
 func TestHandoffKeepsQueueOwnership(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
@@ -387,18 +387,17 @@ func TestHandoffKeepsQueueOwnership(t *testing.T) {
 		if _, err := ctl.AllocEmbeds(inst, q1, 1); err != nil {
 			t.Fatal(err)
 		}
-		ni, _, _, err := ctl.HandoffSession(inst, dst)
-		if err != nil {
+		if _, _, err := ctl.HandoffSession(inst, dst); err != nil {
 			t.Fatal(err)
 		}
-		defer dst.ReleaseInstance(ni)
-		if err := dst.CloseQueue(ni, q1); err != nil {
+		defer dst.ReleaseInstance(inst)
+		if err := dst.CloseQueue(inst, q1); err != nil {
 			t.Fatal(err)
 		}
 		pages, _ := dst.PoolStats("llama-1b")
 		embeds, _ := dst.EmbedPoolStats("llama-1b")
-		if pages != 2 || embeds != 0 || ni.pages.live != 2 {
-			t.Fatalf("after closing the mirrored q1: %d pages (%d handles) and %d embeds in use, want q2's 2 and 0", pages, ni.pages.live, embeds)
+		if pages != 2 || embeds != 0 || inst.pages.live != 2 {
+			t.Fatalf("after closing the moved q1: %d pages (%d handles) and %d embeds in use, want q2's 2 and 0", pages, inst.pages.live, embeds)
 		}
 	})
 }
@@ -734,12 +733,11 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 							}
 						default:
 							op = "handoff"
-							ni, _, _, err := ctl.HandoffSession(inst, ctls[1-at])
-							if err != nil {
+							if _, _, err := ctl.HandoffSession(inst, ctls[1-at]); err != nil {
 								t.Fatal(err)
 							}
 							at = 1 - at
-							ctl, inst = ctls[at], ni
+							ctl = ctls[at]
 						}
 						check(step, op)
 					}

@@ -14,11 +14,10 @@ import (
 // re-registered there, and the source registry references released. The
 // cluster calls it when a drain completes, so cached context survives
 // replica deactivation. Exports that dst cannot host (name taken, pool
-// full) stay behind. A physical page shared by several exports moves
-// once and stays shared on dst. Returns distinct pages moved and the
-// modeled transfer cost: two PCIe crossings for device-resident source
-// pages (device -> host -> peer device), one for pages already in the
-// host tier.
+// full) stay behind. A physical page named by several exports, or twice by
+// one, moves once and stays shared on dst. Returns distinct pages moved and
+// the modeled transfer cost: crossingCost per page, plus dst-side offload
+// cost for pages its pool spilled to make room.
 func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.Duration) {
 	if dst == nil || dst == ctl {
 		return 0, 0
@@ -28,7 +27,7 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	moved := make(map[physKey]int32) // src page -> dst phys
+	var pc pageCopy
 	for _, name := range names {
 		entry := ctl.exports[name]
 		if _, taken := dst.exports[name]; taken {
@@ -42,8 +41,9 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 			continue
 		}
 		fresh := 0
+		entry.m.pages.firstSight()
 		for _, src := range entry.phys {
-			if _, done := moved[physKey{entry.m, src}]; !done {
+			if pc.fresh(entry.m, src) {
 				fresh++
 			}
 		}
@@ -51,36 +51,61 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 		if !allocOK {
 			continue
 		}
-		srcRT, dstRT := entry.m.rt, dm.rt
-		dstPhys := make([]int32, len(entry.phys))
-		next := 0
 		for i, src := range entry.phys {
-			key := physKey{entry.m, src}
-			if id, done := moved[key]; done {
-				dm.pages.retain(id) // shared across exports: share on dst too
-				dstPhys[i] = id
-			} else {
-				id := ids[next]
-				next++
-				copyPage(srcRT.Page(src), dstRT.Page(id))
-				moved[key] = id
-				dstPhys[i] = id
-				pages++
-				cost += crossingCost(entry.m, src)
-			}
-			entry.m.pages.release(src)
+			entry.phys[i] = pc.move(entry.m, src, dm, &ids)
 		}
-		dst.exports[name] = &exportEntry{m: dm, phys: dstPhys}
+		entry.m = dm
+		dst.exports[name] = entry
 		delete(ctl.exports, name)
-		cost += dstRT.Spec.SwapCost(swapped, dstRT.Info.PageSize)
+		cost += dm.rt.Spec.SwapCost(swapped, dm.rt.Info.PageSize)
 	}
-	return pages, cost
+	return pc.pages, pc.cost + cost
 }
 
 // physKey names one physical page of one model's pool.
 type physKey struct {
 	m    *modelState
 	phys int32
+}
+
+// pageCopy is the one page-copy step of a move between replicas, shared by
+// a session's handoff and a drain's export migration: each distinct source
+// page is copied once and priced with crossingCost, and a page met again is
+// shared on the destination.
+type pageCopy struct {
+	to    map[physKey]int32 // source page -> its copy on the destination
+	pages int
+	cost  time.Duration
+}
+
+// fresh reports whether moving src's page phys takes a fresh destination
+// page: it was not copied before, and src's pool has not shown it since the
+// caller started a first-sight pass there.
+func (pc *pageCopy) fresh(src *modelState, phys int32) bool {
+	_, copied := pc.to[physKey{src, phys}]
+	return src.pages.mark(phys) && !copied
+}
+
+// move releases one reference to src's page phys and returns the dst page
+// that replaces it: a copy into the next of ids the first time the page is
+// met, a further reference to that copy after.
+func (pc *pageCopy) move(src *modelState, phys int32, dst *modelState, ids *[]int32) int32 {
+	key := physKey{src, phys}
+	id, copied := pc.to[key]
+	if copied {
+		dst.pages.retain(id)
+	} else {
+		id, *ids = (*ids)[0], (*ids)[1:]
+		copyPage(src.rt.Page(phys), dst.rt.Page(id))
+		if pc.to == nil {
+			pc.to = make(map[physKey]int32)
+		}
+		pc.to[key] = id
+		pc.pages++
+		pc.cost += crossingCost(src, phys)
+	}
+	src.pages.release(phys)
+	return id
 }
 
 // crossingCost prices moving one page off this replica: two PCIe crossings
@@ -98,12 +123,13 @@ func crossingCost(m *modelState, phys int32) time.Duration {
 // a session's KV pages across the interconnect: crossingCost for each
 // distinct physical page (a spill the destination's pool makes to take them
 // is not included). Import sharing maps one physical page under several
-// virtual handles, so the sum dedupes by physical reference.
+// virtual handles, so the sum counts each page at its first sight.
 func (ctl *Controller) InstanceKVFootprint(inst *Instance) (wire time.Duration) {
-	seen := make(map[physKey]bool, inst.pages.live)
+	for _, m := range ctl.order {
+		m.pages.firstSight()
+	}
 	for _, ref := range inst.pages.refs {
-		if key := (physKey{ref.m, ref.phys}); ref.m != nil && !seen[key] {
-			seen[key] = true
+		if ref.m != nil && ref.m.pages.mark(ref.phys) {
 			wire += crossingCost(ref.m, ref.phys)
 		}
 	}
@@ -123,195 +149,118 @@ func (ctl *Controller) InstanceQuiescent(inst *Instance) bool {
 	return true
 }
 
-// HandoffSession migrates a quiescent instance's session state — KV
-// pages, embedding slots, and command queues — from this controller to
-// dst, returning the replacement instance registered there, the number of
-// distinct physical pages copied, and the modeled interconnect cost
-// (charged by the caller, which holds the cluster's transfer budget).
-// The prefill/decode handoff layer calls it at a forward boundary after
-// the instance's first token completed on a prefill replica.
+// HandoffSession moves a quiescent instance from this controller to dst,
+// returning the number of distinct physical pages copied and the modeled
+// interconnect cost (charged by the caller, which holds the cluster's
+// transfer budget). The prefill/decode handoff layer calls it at a forward
+// boundary after the instance's first token completed on a prefill replica.
 //
-// Mechanics mirror MigrateExportsTo: pages allocate in dst's pools and
-// copy with two PCIe crossings when device-resident at the source
-// (device -> host -> peer device), one when already offloaded to the host
-// tier, plus dst-side offload cost for pages its pool spilled to make
-// room. Virtual handle ids and their owning queues are preserved — the
-// session's queue bindings keep working unmodified, and closing a queue on
-// dst releases what it owned here — and queues are re-created empty under
-// their original ids (quiescence guarantees nothing was pending). KV exports
-// the instance published stay registered on the source: the registry
-// holds its own page references, so cached context remains where affinity
-// routing expects it. On success the source instance is released; on
-// failure nothing moves and the session keeps running here.
-func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (*Instance, int, time.Duration, error) {
+// The instance itself moves: it takes dst's next instance id and keeps
+// everything else. Its handle tables are rewritten in place, embeds then
+// pages in ascending handle order, so handle numbers and their owning
+// queues survive and the source pools' free lists end as ReleaseInstance
+// would leave them. Pages go through the page-copy step MigrateExportsTo
+// uses, plus dst-side offload cost for pages its pool spilled to make room.
+// Queues are re-created empty under their ids (quiescence guarantees
+// nothing was pending), so the session's queue bindings keep working. KV
+// exports the instance published stay registered on the source: the
+// registry holds its own page references, so cached context remains where
+// affinity routing expects it. On failure nothing moves and the session
+// keeps running here.
+func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages int, cost time.Duration, err error) {
 	if dst == nil || dst == ctl {
-		return nil, 0, 0, fmt.Errorf("%w: handoff needs a distinct destination", api.ErrBadArgument)
+		return 0, 0, fmt.Errorf("%w: handoff needs a distinct destination", api.ErrBadArgument)
 	}
 	if inst == nil || inst.dead {
-		return nil, 0, 0, api.ErrTerminated
+		return 0, 0, api.ErrTerminated
 	}
 	if !ctl.InstanceQuiescent(inst) {
-		return nil, 0, 0, fmt.Errorf("%w: instance has queued or in-flight work", api.ErrBadArgument)
+		return 0, 0, fmt.Errorf("%w: instance has queued or in-flight work", api.ErrBadArgument)
 	}
-
-	// Every model the session touches must exist on dst; count distinct
-	// physical pages (import sharing maps one page under several handles)
-	// and embeds per model. Handle tables are walked in ascending handle
-	// order, so same-seed runs copy in identical order.
-	lacks := func(m *modelState) error {
-		if dst.models[m.name] == nil {
-			return fmt.Errorf("%w: handoff destination lacks %q", api.ErrNoSuchModel, m.name)
-		}
-		return nil
-	}
-	freshPages := make(map[*modelState]int)
-	movedTo := make(map[physKey]int32, inst.pages.live) // src page -> dst phys; -1 until copied
-	for _, ref := range inst.pages.refs {
-		if ref.m == nil {
-			continue
-		}
-		if err := lacks(ref.m); err != nil {
-			return nil, 0, 0, err
-		}
-		if _, seen := movedTo[physKey{ref.m, ref.phys}]; !seen {
-			movedTo[physKey{ref.m, ref.phys}] = -1
-			freshPages[ref.m]++
-		}
-	}
-	embedCount := make(map[*modelState]int)
-	for _, ref := range inst.embeds.refs {
-		if ref.m == nil {
-			continue
-		}
-		if err := lacks(ref.m); err != nil {
-			return nil, 0, 0, err
-		}
-		embedCount[ref.m]++
-	}
-	for _, q := range inst.queues {
-		if err := lacks(q.m); err != nil {
-			return nil, 0, 0, err
+	for _, sm := range ctl.order {
+		if dst.models[sm.name] == nil && inst.uses(sm) {
+			return 0, 0, fmt.Errorf("%w: handoff destination lacks %q", api.ErrNoSuchModel, sm.name)
 		}
 	}
 
-	// Allocate everything on dst up front, in model registration order,
-	// rolling back on failure so a refused handoff leaves both replicas
-	// untouched.
+	// Allocate everything on dst up front, in model registration order, so
+	// a refused handoff leaves both replicas untouched.
 	type grant struct {
+		src, dst      *modelState
 		pages, embeds []int32
 		swapped       int
 	}
-	grants := make(map[*modelState]*grant) // keyed by dst's model
-	rollback := func() {
-		for _, dm := range dst.order {
-			if g := grants[dm]; g != nil {
-				for _, id := range g.pages {
-					dm.pages.release(id)
-				}
-				for _, id := range g.embeds {
-					dm.embeds.release(id)
-				}
-			}
-		}
-	}
+	grants := make([]grant, 0, len(dst.order))
+	var pc pageCopy
 	for _, dm := range dst.order {
 		sm := ctl.models[dm.name]
 		if sm == nil {
 			continue
 		}
-		g := &grant{}
-		grants[dm] = g
-		if n := freshPages[sm]; n > 0 {
-			var ok bool
-			if g.pages, g.swapped, ok = dm.pages.alloc(nil, n, 0); !ok {
-				rollback()
-				return nil, 0, 0, fmt.Errorf("%w: destination cannot host %d KV pages of %s", api.ErrOutOfResources, n, dm.name)
+		freshPages, embeds := 0, 0
+		sm.pages.firstSight()
+		for _, ref := range inst.pages.refs {
+			if ref.m == sm && pc.fresh(sm, ref.phys) {
+				freshPages++
 			}
 		}
-		if n := embedCount[sm]; n > 0 {
-			var ok bool
-			if g.embeds, ok = dm.embeds.alloc(nil, n); !ok {
-				rollback()
-				return nil, 0, 0, fmt.Errorf("%w: destination cannot host %d embeds of %s", api.ErrOutOfResources, n, dm.name)
+		for _, ref := range inst.embeds.refs {
+			if ref.m == sm {
+				embeds++
 			}
 		}
-	}
-
-	dst.instSeq++
-	ni := &Instance{
-		ID:         dst.instSeq,
-		Name:       inst.Name,
-		CreatedSeq: dst.instSeq,
-		Proc:       inst.Proc,
-		embeds:     inst.embeds.clone(),
-		pages:      inst.pages.clone(),
-		queues:     make([]*cmdQueue, 0, len(inst.queues)),
-		onKill:     inst.onKill,
-
-		MaxQueues:       inst.MaxQueues,
-		MaxKvPages:      inst.MaxKvPages,
-		DefaultPriority: inst.DefaultPriority,
-		Class:           inst.Class,
-		Degraded:        inst.Degraded,
-
-		launchedAt:       inst.launchedAt,
-		sawFirstTok:      inst.sawFirstTok,
-		lastTokenAt:      inst.lastTokenAt,
-		firstTokObserved: inst.firstTokObserved,
-
-		ControlCalls: inst.ControlCalls,
-		InferCalls:   inst.InferCalls,
-		OutputTokens: inst.OutputTokens,
-	}
-	dst.instances[ni.ID] = ni
-
-	var pages int
-	var cost time.Duration
-	for vid, ref := range inst.pages.refs {
-		if ref.m == nil {
-			continue
+		g := grant{src: sm, dst: dm}
+		var ok bool
+		if g.pages, g.swapped, ok = dm.pages.alloc(nil, freshPages, 0); ok {
+			g.embeds, ok = dm.embeds.alloc(nil, embeds)
 		}
-		dm, key := dst.models[ref.m.name], physKey{ref.m, ref.phys}
-		dstPhys := movedTo[key]
-		if dstPhys >= 0 {
-			dm.pages.retain(dstPhys) // shared within the session: share on dst too
-		} else {
-			g := grants[dm]
-			dstPhys, g.pages = g.pages[0], g.pages[1:]
-			movedTo[key] = dstPhys
-			copyPage(ref.m.rt.Page(ref.phys), dm.rt.Page(dstPhys))
-			pages++
-			cost += crossingCost(ref.m, ref.phys)
-		}
-		ni.pages.refs[vid] = resRef{m: dm, phys: dstPhys, q: ref.q}
-	}
-	for _, dm := range dst.order {
-		if g := grants[dm]; g != nil && g.swapped > 0 {
-			cost += dm.rt.Spec.SwapCost(g.swapped, dm.rt.Info.PageSize)
+		grants = append(grants, g)
+		if !ok {
+			for _, g := range grants {
+				for _, id := range g.pages {
+					g.dst.pages.release(id)
+				}
+				for _, id := range g.embeds {
+					g.dst.embeds.release(id)
+				}
+			}
+			return 0, 0, fmt.Errorf("%w: destination cannot host %d KV pages and %d embeds of %s",
+				api.ErrOutOfResources, freshPages, embeds, dm.name)
 		}
 	}
-	for vid, ref := range inst.embeds.refs {
-		if ref.m == nil {
-			continue
+
+	for _, g := range grants {
+		for i := range inst.embeds.refs {
+			if ref := &inst.embeds.refs[i]; ref.m == g.src {
+				id := g.embeds[0]
+				g.embeds = g.embeds[1:]
+				copyEmbed(g.src.rt.Embed(ref.phys), g.dst.rt.Embed(id))
+				g.src.embeds.release(ref.phys)
+				ref.m, ref.phys = g.dst, id
+			}
 		}
-		dm := dst.models[ref.m.name]
-		g := grants[dm]
-		var dstPhys int32
-		dstPhys, g.embeds = g.embeds[0], g.embeds[1:]
-		copyEmbed(ref.m.rt.Embed(ref.phys), dm.rt.Embed(dstPhys))
-		ni.embeds.refs[vid] = resRef{m: dm, phys: dstPhys, q: ref.q}
+		for i := range inst.pages.refs {
+			if ref := &inst.pages.refs[i]; ref.m == g.src {
+				ref.m, ref.phys = g.dst, pc.move(g.src, ref.phys, g.dst, &g.pages)
+			}
+		}
+		cost += g.dst.rt.Spec.SwapCost(g.swapped, g.dst.rt.Info.PageSize)
 	}
-	for _, q := range inst.queues {
-		dm := dst.models[q.m.name]
-		ni.queues = append(ni.queues, &cmdQueue{id: q.id, inst: ni, m: dm, priority: q.priority})
+	for i, q := range inst.queues {
+		ctl.sched.forgetQueue(q)
+		inst.queues[i] = &cmdQueue{id: q.id, inst: inst, m: dst.models[q.m.name], priority: q.priority}
 		if uint64(q.id) > dst.queueSeq {
-			// Future CreateQueue calls on dst must not reuse a mirrored id.
+			// Future CreateQueue calls on dst must not reuse a moved id.
 			dst.queueSeq = uint64(q.id)
 		}
 	}
 
-	ctl.ReleaseInstance(inst)
-	return ni, pages, cost, nil
+	delete(ctl.instances, inst.ID)
+	dst.instSeq++
+	inst.ID = dst.instSeq
+	inst.HandoffPending = false
+	dst.instances[inst.ID] = inst
+	return pc.pages, pc.cost + cost, nil
 }
 
 // copyPage deep-copies one physical page's occupancy metadata and (in

@@ -1,56 +1,224 @@
-// Unit tests for the handoff-facing instance inspectors: the quiescence
-// predicate the migration gate relies on, the distinct-physical-page wire
-// time the handoff target is scored with, and the first-token observer that
-// marks sessions for migration.
+// Unit tests for moving state between replicas: the session handoff (the
+// instance moves, or nothing does), the drain's export migration, the
+// quiescence predicate the handoff gate relies on, the distinct-physical-page
+// wire time the handoff target is scored with, and the first-token observer
+// that marks sessions for handoff.
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"pie/api"
 	"pie/internal/infer"
+	"pie/internal/model"
 	"pie/internal/sim"
 )
 
 // TestInstanceKVFootprintDedupes: import sharing maps several virtual
 // handles onto one physical page, so the footprint's wire time counts
-// physical pages, not handles, and is what HandoffSession then charges.
+// physical pages, not handles, and a page already in the host tier crosses
+// once, not twice. HandoffSession then charges exactly the footprint.
 func TestInstanceKVFootprintDedupes(t *testing.T) {
+	for _, offloaded := range []int{0, 1} {
+		runCtl(t, infer.ExecTiming, 0, OffloadConfig{HostRatio: 1}, func(clock *sim.Clock, ctl *Controller) {
+			dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+			inst := ctl.RegisterInstance("t", nil, nil)
+			q := mustQueue(t, ctl, inst, "llama-1b")
+			pages, err := ctl.AllocPages(inst, q, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctl.ExportPages(inst, "shared", pages); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctl.ImportPages(inst, q, "shared"); err != nil {
+				t.Fatal(err)
+			}
+			m := ctl.models["llama-1b"]
+			for _, h := range pages[:offloaded] {
+				m.pages.offload([]int32{inst.pages.get(uint64(h)).phys})
+			}
+			wire := ctl.InstanceKVFootprint(inst)
+			// Two distinct pages under four handles: a device-resident one
+			// crosses twice (device -> host -> peer device), an offloaded one
+			// once (host -> peer device).
+			crossings := 2*2 - offloaded
+			if want := time.Duration(crossings) * m.rt.Spec.SwapCost(1, m.rt.Info.PageSize); wire != want {
+				t.Fatalf("%d offloaded: footprint wire = %v, want %d crossings = %v", offloaded, wire, crossings, want)
+			}
+			moved, cost, err := ctl.HandoffSession(inst, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if moved != 2 || cost != wire {
+				t.Fatalf("%d offloaded: HandoffSession moved %d pages at %v, the footprint predicted 2 at %v", offloaded, moved, cost, wire)
+			}
+			dst.ReleaseInstance(inst)
+			ctl.DropExports()
+		})
+	}
+	if wire := (&Controller{}).InstanceKVFootprint(&Instance{}); wire != 0 {
+		t.Fatalf("empty instance footprint wire = %v", wire)
+	}
+}
+
+// TestHandoffMovesTheInstance: a handoff moves the instance itself. It takes
+// the destination's next id and keeps its handles, queue ids and owners,
+// counters, class, limits and first-token mark; the source forgets it, and
+// every source page and slot returns to its pool.
+func TestHandoffMovesTheInstance(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		defer dst.ReleaseInstance(dst.RegisterInstance("resident", nil, nil)) // dst's ids run ahead
+		inst := ctl.RegisterInstance("t", nil, nil)
+		inst.MaxQueues, inst.MaxKvPages, inst.DefaultPriority = 4, 64, 3
+		inst.Class, inst.Degraded = "interactive", true
+		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
+		pages, err := ctl.AllocPages(inst, q1, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		embs, err := ctl.AllocEmbeds(inst, q3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ctl.InstanceKVFootprint(inst) }); allocs != 0 {
+			t.Fatalf("InstanceKVFootprint of a 13-page session made %v allocations, want 0", allocs)
+		}
+		inst.ReportOutputTokens(5)
+		inst.firstTokObserved, inst.HandoffPending = true, true
+		srcID, counters := inst.ID, [3]int{inst.ControlCalls, inst.InferCalls, inst.OutputTokens}
+
+		if _, _, err := ctl.HandoffSession(inst, dst); err != nil {
+			t.Fatal(err)
+		}
+		if inst.ID != 2 || dst.instances[2] != inst || ctl.instances[srcID] != nil || ctl.Instances() != 0 {
+			t.Fatalf("instance %d (was %d): dst lists %p, src still lists %p; want dst's next id 2 and the instance there only",
+				inst.ID, srcID, dst.instances[2], ctl.instances[srcID])
+		}
+		if inst.Dead() || inst.HandoffPending || !inst.firstTokObserved {
+			t.Fatalf("dead %v, HandoffPending %v, firstTokObserved %v; want false, false, true", inst.Dead(), inst.HandoffPending, inst.firstTokObserved)
+		}
+		if got := [3]int{inst.ControlCalls, inst.InferCalls, inst.OutputTokens}; got != counters ||
+			inst.Class != "interactive" || !inst.Degraded || inst.MaxQueues != 4 || inst.MaxKvPages != 64 || inst.DefaultPriority != 3 {
+			t.Fatalf("the move changed the instance's settings or counters: %+v", inst)
+		}
+		for _, h := range pages {
+			if ref := inst.pages.get(uint64(h)); ref == nil || ref.m != dst.models["llama-1b"] || ref.q != q1 {
+				t.Fatalf("page %d = %+v, want it on dst's llama-1b, owned by queue %d", h, ref, q1)
+			}
+		}
+		for _, h := range embs {
+			if ref := inst.embeds.get(uint64(h)); ref == nil || ref.m != dst.models["llama-3b"] || ref.q != q3 {
+				t.Fatalf("embed %d = %+v, want it on dst's llama-3b, owned by queue %d", h, ref, q3)
+			}
+		}
+		for i, q := range inst.queues {
+			if want := []api.Queue{q1, q3}[i]; q.id != want || q.inst != inst || q.m != dst.models[q.m.name] || q.priority != 3 {
+				t.Fatalf("queue %d = %+v, want id %d on dst at priority 3", i, q, want)
+			}
+		}
+		for _, name := range []string{"llama-1b", "llama-3b"} {
+			srcPages, _ := ctl.PoolStats(name)
+			srcEmbeds, _ := ctl.EmbedPoolStats(name)
+			if srcPages+srcEmbeds != 0 {
+				t.Fatalf("source %s still holds %d pages and %d embeds", name, srcPages, srcEmbeds)
+			}
+		}
+		if n, _ := dst.PoolStats("llama-1b"); n != len(pages) {
+			t.Fatalf("dst holds %d pages, want %d", n, len(pages))
+		}
+		// The moved queues keep serving on dst, and dst numbers new ones past them.
+		if _, err := dst.AllocPages(inst, q1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if q := mustQueue(t, dst, inst, "llama-1b"); q <= q3 {
+			t.Fatalf("dst opened queue %d, reusing a moved id (<= %d)", q, q3)
+		}
+		dst.ReleaseInstance(inst)
+		if n, _ := dst.PoolStats("llama-1b"); n != 0 {
+			t.Fatalf("released instance left %d pages on dst", n)
+		}
+	})
+}
+
+// TestHandoffRefusedMovesNothing: a destination that lacks one of the
+// session's models, or cannot host all of its pages, refuses the handoff
+// typed; both replicas' pools and the instance stay as they were.
+func TestHandoffRefusedMovesNothing(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		small := newTestController(clock, "gpu1", infer.ExecTiming, 2, OffloadConfig{})
+		rt := infer.NewModelRuntime(model.StandardCatalog(42).Models["llama-1b"], infer.ExecTiming)
+		only1b := NewController(clock, infer.NewBackend(clock, "gpu2"), []*infer.ModelRuntime{rt}, DefaultSchedConfig(), OffloadConfig{}, ArtifactConfig{})
+		inst := ctl.RegisterInstance("t", nil, nil)
+		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
+		if _, err := ctl.AllocPages(inst, q1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.AllocEmbeds(inst, q1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctl.AllocPages(inst, q3, 4); err != nil {
+			t.Fatal(err)
+		}
+		inUse := func(c *Controller, name string) [2]int {
+			pages, _ := c.PoolStats(name)
+			embeds, _ := c.EmbedPoolStats(name)
+			return [2]int{pages, embeds}
+		}
+		for _, tc := range []struct {
+			dst  *Controller
+			want error
+		}{{only1b, api.ErrNoSuchModel}, {small, api.ErrOutOfResources}} {
+			if _, _, err := ctl.HandoffSession(inst, tc.dst); !errors.Is(err, tc.want) {
+				t.Fatalf("handoff = %v, want %v", err, tc.want)
+			}
+			if inst.ID != 1 || ctl.instances[1] != inst || tc.dst.Instances() != 0 {
+				t.Fatalf("refused handoff moved instance %d", inst.ID)
+			}
+			if got := inUse(tc.dst, "llama-1b"); got != [2]int{} {
+				t.Fatalf("refused handoff left %v pages and embeds on dst", got)
+			}
+			if got := [2][2]int{inUse(ctl, "llama-1b"), inUse(ctl, "llama-3b")}; got != [2][2]int{{1, 1}, {4, 0}} {
+				t.Fatalf("refused handoff changed the source pools: %v", got)
+			}
+		}
+		ctl.ReleaseInstance(inst)
+	})
+}
+
+// TestMigrateExportNamingAPageTwice: an export may name one page twice. A
+// drain copies that page once and the destination registry holds both
+// references, so dropping the export there frees it.
+func TestMigrateExportNamingAPageTwice(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
-		pages, err := ctl.AllocPages(inst, q, 2)
+		pages, err := ctl.AllocPages(inst, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ctl.ExportPages(inst, "shared", pages); err != nil {
+		if err := ctl.ExportPages(inst, "x", []api.KvPage{pages[0], pages[0]}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctl.ImportPages(inst, q, "shared"); err != nil {
-			t.Fatal(err)
-		}
-		wire := ctl.InstanceKVFootprint(inst)
+		ctl.ReleaseInstance(inst)
 		rt := ctl.ModelRuntime("llama-1b")
-		// Two distinct device-resident pages under four handles; each crosses
-		// twice: device -> host -> peer device.
-		if want := 2 * 2 * rt.Spec.SwapCost(1, rt.Info.PageSize); wire != want {
-			t.Fatalf("footprint wire = %v, want 2 distinct physical pages over %v", wire, want)
+		if moved, cost := ctl.MigrateExportsTo(dst); moved != 1 || cost != 2*rt.Spec.SwapCost(1, rt.Info.PageSize) {
+			t.Fatalf("migrated %d pages at %v, want 1 page at two crossings", moved, cost)
 		}
-		ni, moved, cost, err := ctl.HandoffSession(inst, dst)
-		if err != nil {
-			t.Fatal(err)
+		if n, _ := ctl.PoolStats("llama-1b"); n != 0 {
+			t.Fatalf("source holds %d pages after the migration", n)
 		}
-		if moved != 2 || cost != wire {
-			t.Fatalf("HandoffSession moved %d pages at %v, the footprint predicted 2 at %v", moved, cost, wire)
+		if exports, refs := dst.DropExports(); exports != 1 || refs != 2 {
+			t.Fatalf("DropExports = %d exports, %d refs; want 1, 2", exports, refs)
 		}
-		dst.ReleaseInstance(ni)
-		ctl.DropExports()
+		if n, _ := dst.PoolStats("llama-1b"); n != 0 {
+			t.Fatalf("dropping every export on dst left %d pages in use", n)
+		}
 	})
-	if wire := (&Controller{}).InstanceKVFootprint(&Instance{}); wire != 0 {
-		t.Fatalf("empty instance footprint wire = %v", wire)
-	}
 }
 
 func TestInstanceQuiescent(t *testing.T) {

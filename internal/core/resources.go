@@ -167,19 +167,13 @@ func (t *handleTable) release(q api.Queue, kv bool) {
 	}
 }
 
-// clone copies the table for a session handoff: handle numbers survive,
-// every mapping is rewritten by the caller.
-func (t *handleTable) clone() handleTable {
-	return handleTable{refs: append([]resRef(nil), t.refs...), live: t.live}
-}
-
 // Instance is the control layer's view of one running inferlet: its
-// virtual resource address space, queues, and accounting.
+// virtual resource address space, queues, and accounting. IDs grow with
+// creation, and a handoff gives the instance its destination's next one.
 type Instance struct {
-	ID         uint64
-	Name       string
-	CreatedSeq uint64
-	Proc       *sim.Proc
+	ID   uint64
+	Name string
+	Proc *sim.Proc
 
 	embeds handleTable
 	pages  handleTable
@@ -241,6 +235,14 @@ func (inst *Instance) queueIndex(qid api.Queue) (int, bool) {
 	return slices.BinarySearchFunc(inst.queues, qid, func(q *cmdQueue, id api.Queue) int {
 		return cmp.Compare(q.id, id)
 	})
+}
+
+// uses reports whether any open queue or live handle of the instance is
+// bound to model m.
+func (inst *Instance) uses(m *modelState) bool {
+	onM := func(r resRef) bool { return r.m == m }
+	return slices.ContainsFunc(inst.queues, func(q *cmdQueue) bool { return q.m == m }) ||
+		slices.ContainsFunc(inst.pages.refs, onM) || slices.ContainsFunc(inst.embeds.refs, onM)
 }
 
 // call is the control layer's record of one queued API call: the

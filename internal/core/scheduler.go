@@ -482,11 +482,3 @@ func (s *Scheduler) forgetQueue(q *cmdQueue) {
 		q.bucket = nil
 	}
 }
-
-// AvgBatchSize reports mean calls per batch.
-func (s *Scheduler) AvgBatchSize() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedCalls) / float64(s.Batches)
-}

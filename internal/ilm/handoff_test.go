@@ -1,7 +1,6 @@
 // Unit tests for the session-side half of prefill/decode handoff: the
-// Placer is consulted at forward boundaries, and a successful migration
-// repoints every binding — session and handle — at the new controller and
-// instance.
+// Placer is consulted at forward boundaries, and a successful move repoints
+// the session and its handle at the new controller, keeping the instance.
 package ilm
 
 import (
@@ -16,27 +15,27 @@ import (
 type fakeCoordinator struct {
 	fakePlacer
 	ctl   *core.Controller
-	inst  *core.Instance
 	calls int
 	grant bool
 }
 
-func (f *fakeCoordinator) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool) {
+func (f *fakeCoordinator) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool) {
 	f.calls++
 	if !f.grant {
-		return nil, nil, false
+		return nil, false
 	}
-	return f.ctl, f.inst, true
+	return f.ctl, true
 }
 
 func TestCheckHandoffRebindsSession(t *testing.T) {
-	co := &fakeCoordinator{ctl: &core.Controller{}, inst: &core.Instance{}}
+	co := &fakeCoordinator{ctl: &core.Controller{}}
 	m := New(sim.NewClock(), co, nil, testCatalog())
 	// No instance bound yet: the boundary check is a no-op.
 	s := &session{ilm: m, handle: &Handle{}}
 	s.checkHandoff()
 	// Bound but not marked: the coordinator is never bothered.
 	s.inst = &core.Instance{}
+	s.handle.inst = s.inst
 	s.checkHandoff()
 	if co.calls != 0 {
 		t.Fatalf("coordinator consulted %d times before the pending mark", co.calls)
@@ -49,14 +48,15 @@ func TestCheckHandoffRebindsSession(t *testing.T) {
 	if co.calls != 1 || s.inst != old {
 		t.Fatalf("declined handoff rebound the session (calls=%d)", co.calls)
 	}
-	// Granted: session and handle repoint at the new controller/instance.
+	// Granted: session and handle repoint at the new controller and keep
+	// the instance, which moved.
 	co.grant = true
 	s.checkHandoff()
-	if s.ctl != co.ctl || s.inst != co.inst {
-		t.Fatal("granted handoff left session bindings on the source")
+	if s.ctl != co.ctl || s.inst != old {
+		t.Fatal("granted handoff left the session on the source or swapped its instance")
 	}
-	if s.handle.ctl != co.ctl || s.handle.inst != co.inst {
-		t.Fatal("granted handoff left handle bindings on the source")
+	if s.handle.ctl != co.ctl || s.handle.inst != old {
+		t.Fatal("granted handoff left the handle on the source or swapped its instance")
 	}
 }
 

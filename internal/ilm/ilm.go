@@ -76,11 +76,10 @@ type Placer interface {
 	LaunchFault() error
 	// MaybeHandoff is the prefill/decode hook, consulted at a session's
 	// forward boundaries once its instance is marked HandoffPending. A true
-	// return means the session's KV state migrated — the returned
-	// controller and instance replace the session's bindings; the old
-	// instance is already released. It runs synchronously in the session's
-	// process, so transfer time is charged to the session.
-	MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool)
+	// return means the instance moved to the returned controller, which
+	// replaces the session's binding. It runs synchronously in the
+	// session's process, so transfer time is charged to the session.
+	MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool)
 }
 
 // LaunchSpec describes one inferlet launch (deployment API v2).
@@ -643,9 +642,9 @@ func (m *ILM) attempt(h *Handle) error {
 // death. Retryable failures with retry headroom hand the handle to a
 // requeue daemon (backoff, then re-place on a survivor) and keep the
 // client's done future and mailboxes open; everything else resolves the
-// handle for good. The handle's ctl/inst — not launch-time captures —
-// identify the instance to release: a prefill/decode handoff may have
-// rebound the attempt to a different replica mid-run.
+// handle for good. The handle's ctl — not a launch-time capture — names
+// the replica that releases the instance: a prefill/decode handoff may have
+// moved the instance to a different replica mid-run.
 func (m *ILM) finishAttempt(h *Handle, sess *session, err error) {
 	sess.cancelSubscriptions()
 	h.ctl.ReleaseInstance(h.inst)

@@ -34,8 +34,8 @@ type fakePlacer struct{}
 func (fakePlacer) Place(string, string, []string) (*core.Controller, error) { return nil, nil }
 func (fakePlacer) AdmitLaunch(string, int) (int, error)                     { return 0, nil }
 func (fakePlacer) LaunchFault() error                                       { return nil }
-func (fakePlacer) MaybeHandoff(*core.Controller, *core.Instance) (*core.Controller, *core.Instance, bool) {
-	return nil, nil, false
+func (fakePlacer) MaybeHandoff(*core.Controller, *core.Instance) (*core.Controller, bool) {
+	return nil, false
 }
 
 func newTestILM() *ILM {

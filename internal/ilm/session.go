@@ -33,18 +33,16 @@ func (s *session) cancelSubscriptions() {
 
 // checkHandoff runs at forward boundaries: once the instance is marked
 // HandoffPending (its first forward completed, or it imported prefilled KV,
-// on a prefill-role replica),
-// it asks the cluster's handoff coordinator to migrate the session's KV
-// state to a decode replica. On success every binding — session, handle —
-// repoints at the new controller and instance; queue ids are preserved by
-// the migration, so open inferlet.Queue objects keep working untouched.
+// on a prefill-role replica), it asks the cluster's handoff coordinator to
+// move the instance to a decode replica. On success the session and its
+// handle repoint at the new controller; the instance keeps its handles and
+// queue ids, so open inferlet.Queue objects keep working untouched.
 func (s *session) checkHandoff() {
 	if s.inst == nil || !s.inst.HandoffPending {
 		return
 	}
-	if ctl, inst, ok := s.ilm.place.MaybeHandoff(s.ctl, s.inst); ok {
-		s.ctl, s.inst = ctl, inst
-		s.handle.ctl, s.handle.inst = ctl, inst
+	if ctl, ok := s.ilm.place.MaybeHandoff(s.ctl, s.inst); ok {
+		s.ctl, s.handle.ctl = ctl, ctl
 	}
 }
 

@@ -30,7 +30,7 @@ type onePlacer struct {
 
 func (p *onePlacer) Place(string, string, []string) (*core.Controller, error) { return p.ctl, nil }
 
-func (p *onePlacer) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, *core.Instance, bool) {
+func (p *onePlacer) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool) {
 	p.consults = append(p.consults, ctl.InstanceQuiescent(inst))
 	return p.fakePlacer.MaybeHandoff(ctl, inst)
 }

@@ -3,6 +3,7 @@ package support
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pie/api"
 	"pie/inferlet"
@@ -582,25 +583,11 @@ func (c *Context) Generate(opts GenOpts) (GenResult, error) {
 		if err != nil {
 			return GenResult{}, err
 		}
-		tok := sampler.Next(dist)
-		stop := false
-		for _, st := range opts.StopTokens {
-			if tok == st {
-				stop = true
-			}
-		}
-		if stop {
-			break
-		}
-		out = append(out, tok)
-		c.S.ReportOutputTokens(1)
-		if opts.OnToken != nil {
-			opts.OnToken(tok)
-		}
-		if err := c.Append(tok); err != nil {
+		var done bool
+		if out, done, err = c.accept(&opts, out, sampler.Next(dist)); err != nil {
 			return GenResult{}, err
 		}
-		if opts.Stop != nil && opts.Stop(out) {
+		if done {
 			break
 		}
 	}
@@ -609,6 +596,25 @@ func (c *Context) Generate(opts GenOpts) (GenResult, error) {
 		return GenResult{}, err
 	}
 	return GenResult{Tokens: out, Text: text}, nil
+}
+
+// accept takes one sampled token into a generation whose tokens so far are
+// out: a stop token ends it unadded; any other token is added, reported,
+// shown to OnToken and appended to the context, after which Stop may end
+// it. Generate and ParallelGenerate share it.
+func (c *Context) accept(opts *GenOpts, out []int, tok int) (_ []int, done bool, err error) {
+	if slices.Contains(opts.StopTokens, tok) {
+		return out, true, nil
+	}
+	out = append(out, tok)
+	c.S.ReportOutputTokens(1)
+	if opts.OnToken != nil {
+		opts.OnToken(tok)
+	}
+	if err := c.Append(tok); err != nil {
+		return out, true, err
+	}
+	return out, opts.Stop != nil && opts.Stop(out), nil
 }
 
 // DecodeText detokenizes ids through the model's vocabulary.

@@ -54,24 +54,11 @@ func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenR
 			} else if opts.Sampler != nil {
 				s = opts.Sampler
 			}
-			tok := s.Next(dist)
-			stopped := false
-			for _, st := range opts.StopTokens {
-				if tok == st {
-					stopped = true
-				}
+			var done bool
+			if outs[i], done, err = c.accept(&opts, outs[i], s.Next(dist)); err != nil {
+				return nil, err
 			}
-			if !stopped {
-				outs[i] = append(outs[i], tok)
-				c.S.ReportOutputTokens(1)
-				if err := c.Append(tok); err != nil {
-					return nil, err
-				}
-				if opts.Stop != nil && opts.Stop(outs[i]) {
-					stopped = true
-				}
-			}
-			if stopped {
+			if done {
 				active[i] = false
 				remaining--
 			}

@@ -261,6 +261,46 @@ func TestParallelGenerateLockstep(t *testing.T) {
 	}
 }
 
+// TestParallelGenerateObservesTokens: ParallelGenerate accepts a token the
+// way Generate does, so OnToken sees every token the branches add, in the
+// lockstep order they are accepted.
+func TestParallelGenerateObservesTokens(t *testing.T) {
+	got := run(t, 17, func(s inferlet.Session) (string, error) {
+		root, err := support.NewContext(s, s.AvailableModels()[0])
+		if err != nil {
+			return "", err
+		}
+		if err := root.Fill("observed branches "); err != nil {
+			return "", err
+		}
+		kids, err := root.Fork(2)
+		if err != nil {
+			return "", err
+		}
+		var seen []int
+		samplers := []support.Sampler{support.Greedy{}, &support.TopK{K: 4, Temperature: 0.9, Seed: 3}}
+		res, err := support.ParallelGenerate(kids, support.GenOpts{MaxTokens: 4, OnToken: func(tok int) { seen = append(seen, tok) }}, samplers)
+		if err != nil {
+			return "", err
+		}
+		var want []int
+		for step := range 4 {
+			for _, r := range res {
+				if step < len(r.Tokens) {
+					want = append(want, r.Tokens[step])
+				}
+			}
+		}
+		if len(want) == 0 || fmt.Sprint(seen) != fmt.Sprint(want) {
+			return "", fmt.Errorf("OnToken saw %v, want the accepted tokens %v", seen, want)
+		}
+		return "ok", nil
+	})
+	if got != "ok" {
+		t.Fatal(got)
+	}
+}
+
 // Masking affects subsequent forwards (not already-computed outputs), so
 // compare the post-append distribution of a masked run against an
 // unmasked run from the same seed.
