@@ -26,6 +26,10 @@ type abortOutcome struct {
 	FinalTime    string
 }
 
+// kernelLands is long enough for any kernel an abort catches in flight to
+// land and release the pages it held.
+const kernelLands = 20 * time.Millisecond
+
 // runAbortScenario launches a long decode, aborts it mid-generation at a
 // fixed virtual instant, and snapshots the engine afterward.
 func runAbortScenario(t *testing.T, seed uint64, abortDelay time.Duration) abortOutcome {
@@ -59,6 +63,9 @@ func runAbortScenario(t *testing.T, seed uint64, abortDelay time.Duration) abort
 			t.Errorf("Wait after abort = %v, want ErrAborted", waitErr)
 		}
 		out.WaitErr = waitErr.Error()
+		// A forward the abort caught on the device keeps the pages it
+		// writes until its kernel lands; then they are free.
+		e.Sleep(kernelLands)
 		_, _, out.OutputTokens = h.Stats()
 		if out.OutputTokens == 0 {
 			t.Error("abort landed before any decode progress; move it later")
@@ -130,6 +137,7 @@ func TestLaunchDeadlineAborts(t *testing.T) {
 		if err := h.Wait(); !errors.Is(err, api.ErrDeadlineExceeded) {
 			t.Errorf("Wait = %v, want ErrDeadlineExceeded", err)
 		}
+		e.Sleep(kernelLands)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -195,13 +195,13 @@ type Cluster struct {
 	// Prefill/decode disaggregation (roles.go, handoff.go): whether any
 	// replica carries a non-unified role, the handoff config, the
 	// controller -> replica index sessions resolve their host through, and
-	// the bounded in-flight transfer budget (FIFO waiters).
-	hasRoles       bool
-	stick          []*Replica // hashStick's domain: every replica a launch may start on, ID order
-	handoff        HandoffConfig
-	ctlIndex       map[*core.Controller]*Replica
-	handoffActive  int
-	handoffWaiters []*handoffWaiter
+	// the bounded in-flight transfer budget (slots held, FIFO waiters).
+	hasRoles      bool
+	stick         []*Replica // hashStick's domain: every replica a launch may start on, ID order
+	handoff       HandoffConfig
+	ctlIndex      map[*core.Controller]*Replica
+	handoffActive int
+	transferWait  *sim.WaitList
 
 	// Handoff stats.
 	Handoffs        int           // sessions migrated prefill -> decode

@@ -20,8 +20,8 @@ import (
 // calls anywhere — MaybeHandoff migrates its KV pages over the modeled
 // interconnect to the decode replica whose next forward after the pages
 // land completes first, and rebinds the session. Concurrent transfers share
-// a bounded budget (a FIFO of sim signals), so a handoff storm queues
-// rather than multiplying modeled PCIe bandwidth.
+// a bounded budget (slots, with a sim.WaitList of waiters), so a handoff
+// storm queues rather than multiplying modeled PCIe bandwidth.
 
 // HandoffConfig tunes prefill -> decode session migration.
 type HandoffConfig struct {
@@ -40,6 +40,7 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 		cfg.Budget = 2
 	}
 	c.handoff = cfg
+	c.transferWait = sim.NewWaitList(c.clock, func() { c.handoffActive-- })
 	c.ctlIndex = make(map[*core.Controller]*Replica, len(c.replicas))
 	for _, r := range c.replicas {
 		c.ctlIndex[r.Ctl] = r
@@ -195,21 +196,12 @@ func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerU
 	return pick, runnerUp
 }
 
-// handoffWaiter is one FIFO entry for a session queued on the transfer
-// budget. The flags cover the two ways a waiter can die instead of
-// transferring: abandoned marks a waiter killed while parked (its replica
-// died), so release skips the ghost instead of handing it the slot; granted
-// marks the hand-over instant, so a waiter killed between the grant and its
-// wake-up knows it owns a slot it must pass on.
-type handoffWaiter struct {
-	s         *sim.Signal
-	granted   bool
-	abandoned bool
-}
-
 // acquireTransferSlot blocks until a transfer-budget slot frees, FIFO, and
 // returns an idempotent release. Callers defer it so the slot survives no
-// code path — including a Killed unwind while the session holds it.
+// code path — including a Killed unwind while the session holds it. A
+// release hands the slot over with its wake (handoffActive stays put); the
+// wait list skips waiters killed while queued, and one killed between the
+// hand-over and its wake-up passes the slot on or frees it.
 func (c *Cluster) acquireTransferSlot() (release func()) {
 	released := false
 	release = func() {
@@ -217,61 +209,22 @@ func (c *Cluster) acquireTransferSlot() (release func()) {
 			return
 		}
 		released = true
-		c.releaseTransferSlot()
+		if !c.transferWait.Wake() {
+			c.handoffActive--
+		}
 	}
 	if c.handoffActive < c.handoff.Budget {
 		c.handoffActive++
 		return release
 	}
-	w := &handoffWaiter{s: sim.NewSignal(c.clock)}
-	c.handoffWaiters = append(c.handoffWaiters, w)
 	c.HandoffQueued++
-	acquired := false
-	defer func() {
-		if acquired {
-			return
-		}
-		// Killed while queued: either the slot was never handed over (mark
-		// the entry so release skips it) or it was granted in the instant
-		// between hand-over and wake-up — then this waiter owns it and must
-		// pass it on, or the budget shrinks by one forever.
-		if w.granted {
-			c.releaseTransferSlot()
-		} else {
-			w.abandoned = true
-		}
-	}()
-	_ = sim.Await(w.s)
-	acquired = true
+	c.transferWait.Wait(false, 0)
 	return release
 }
 
 // TransferBudgetState reports the transfer budget's occupancy: slots held
-// plus waiters still eligible for a grant (abandoned entries — waiters
-// that died while queued — are excluded). After every session resolves,
-// both must be zero; tests use this as the no-leak invariant.
-func (c *Cluster) TransferBudgetState() (active, liveWaiters int) {
-	for _, w := range c.handoffWaiters {
-		if !w.abandoned {
-			liveWaiters++
-		}
-	}
-	return c.handoffActive, liveWaiters
-}
-
-// releaseTransferSlot hands the slot to the first live waiter if any (the
-// slot transfers: handoffActive stays constant), else frees it. Waiters
-// that died while queued are dropped, not granted.
-func (c *Cluster) releaseTransferSlot() {
-	for len(c.handoffWaiters) > 0 {
-		w := c.handoffWaiters[0]
-		c.handoffWaiters = c.handoffWaiters[1:]
-		if w.abandoned {
-			continue
-		}
-		w.granted = true
-		sim.Fire(w.s)
-		return
-	}
-	c.handoffActive--
+// and sessions queued for one. After every session resolves, both must be
+// zero; tests use this as the no-leak invariant.
+func (c *Cluster) TransferBudgetState() (active, waiting int) {
+	return c.handoffActive, c.transferWait.Len()
 }

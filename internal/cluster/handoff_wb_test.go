@@ -7,10 +7,8 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"pie/internal/core"
-	"pie/internal/sim"
 	"pie/internal/trace"
 )
 
@@ -49,111 +47,6 @@ func TestMaybeHandoffGuards(t *testing.T) {
 	}
 	if inst.HandoffPending {
 		t.Fatal("pending mark survived a non-prefill source")
-	}
-}
-
-// TestTransferSlotKillPaths scripts the three ways a replica death can
-// intersect the transfer budget, on a bare clock with Budget=1:
-//
-//   - the slot holder is killed mid-transfer (the deferred release must
-//     pass the slot on, not leak it);
-//   - a queued waiter is killed while parked (release must skip the ghost,
-//     not grant a dead process the slot);
-//   - a waiter is killed in the instant between being granted the slot and
-//     waking (its unwind must release the slot it now owns).
-//
-// Before the deferred-release fix, the first two paths each leaked a slot:
-// every later handoff on the saturated budget parked forever and the run
-// deadlocked.
-func TestTransferSlotKillPaths(t *testing.T) {
-	clock := sim.NewClock()
-	c := &Cluster{clock: clock, handoff: HandoffConfig{Enabled: true, Budget: 1}}
-	var log []string
-	use := func(name string, hold time.Duration) func() {
-		return func() {
-			release := c.acquireTransferSlot()
-			defer release()
-			log = append(log, name)
-			clock.Sleep(hold)
-		}
-	}
-	a := clock.Go("a", use("a", 10*time.Millisecond))
-	var b *sim.Proc
-	clock.Go("script", func() {
-		clock.Sleep(time.Millisecond)
-		b = clock.Go("b", use("b", 10*time.Millisecond))
-		clock.Sleep(time.Millisecond)
-		clock.Go("c", use("c", 2*time.Millisecond))
-		clock.Sleep(time.Millisecond)
-		// t=3ms: waiter b dies while parked on the budget.
-		clock.Kill(b)
-		clock.Sleep(time.Millisecond)
-		// t=4ms: holder a dies mid-transfer. Its deferred release must skip
-		// the dead b and grant c.
-		clock.Kill(a)
-		clock.Sleep(10 * time.Millisecond)
-		// t=14ms: the slot is free again (c released at ~6ms).
-		clock.Go("d", use("d", time.Millisecond))
-	})
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v (a leaked transfer slot deadlocks the clock)", err)
-	}
-	want := "a,c,d"
-	got := ""
-	for i, s := range log {
-		if i > 0 {
-			got += ","
-		}
-		got += s
-	}
-	if got != want {
-		t.Fatalf("acquisition order = %q, want %q", got, want)
-	}
-	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 {
-		t.Fatalf("budget state after drain = %d active, %d live waiters; want 0/0", active, waiting)
-	}
-	if c.HandoffQueued != 2 {
-		t.Fatalf("HandoffQueued = %d, want 2", c.HandoffQueued)
-	}
-}
-
-// TestTransferSlotGrantedThenKilled covers the razor's edge: the head
-// waiter is granted the slot by a releasing holder and killed at the same
-// virtual instant, before it wakes. Its unwind owns the slot and must pass
-// it on.
-func TestTransferSlotGrantedThenKilled(t *testing.T) {
-	clock := sim.NewClock()
-	c := &Cluster{clock: clock, handoff: HandoffConfig{Enabled: true, Budget: 1}}
-	var order []string
-	use := func(name string, hold time.Duration) func() {
-		return func() {
-			release := c.acquireTransferSlot()
-			defer release()
-			order = append(order, name)
-			clock.Sleep(hold)
-		}
-	}
-	clock.Go("a", use("a", 10*time.Millisecond))
-	var b *sim.Proc
-	clock.Go("script", func() {
-		clock.Sleep(time.Millisecond)
-		b = clock.Go("b", use("b", 10*time.Millisecond))
-		// Sleep to the exact instant a's hold ends: a wakes first (older
-		// event), releases, grants b; then this kill lands before b's
-		// wake-up event dispatches.
-		clock.Sleep(9 * time.Millisecond)
-		clock.Kill(b)
-		clock.Sleep(time.Millisecond)
-		clock.Go("d", use("d", time.Millisecond))
-	})
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(order) != 2 || order[0] != "a" || order[1] != "d" {
-		t.Fatalf("acquisition order = %v, want [a d]", order)
-	}
-	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 {
-		t.Fatalf("budget state = %d active, %d live waiters; want 0/0", active, waiting)
 	}
 }
 

@@ -91,6 +91,11 @@ func NewController(clock *sim.Clock, backend *infer.Backend, models []*infer.Mod
 			rt:     rt,
 			pages:  newTieredPool(rt.PageCapacity, hostCap, evictorFor(offload.Eviction)),
 			embeds: newPool(rt.EmbedCapacity),
+			room:   sim.NewWaitList(clock, nil),
+		}
+		m.wakeHead = func() {
+			m.wakeArmed = false
+			m.room.Wake()
 		}
 		ctl.models[m.name] = m
 		ctl.order = append(ctl.order, m)
@@ -171,6 +176,14 @@ func (ctl *Controller) ReleaseInstance(inst *Instance) {
 	inst.pages.release(0, true)
 	inst.embeds, inst.pages = handleTable{}, handleTable{}
 	delete(ctl.instances, inst.ID)
+	ctl.allRoomFreed()
+}
+
+// allRoomFreed reports pages released in any model's pool (roomFreed).
+func (ctl *Controller) allRoomFreed() {
+	for _, m := range ctl.order {
+		ctl.roomFreed(m)
+	}
 }
 
 // ensurePages enforces the resource-contention policy (§5.2, §8): when a
@@ -385,6 +398,7 @@ func (ctl *Controller) CloseQueue(inst *Instance, qid api.Queue) error {
 	inst.pages.release(qid, true)
 	i, _ := inst.queueIndex(qid)
 	inst.queues = slices.Delete(inst.queues, i, i+1)
+	ctl.allRoomFreed()
 	return nil
 }
 
@@ -466,6 +480,9 @@ func (ctl *Controller) ReleaseExport(inst *Instance, name string) error {
 		entry.m.pages.release(p)
 	}
 	delete(ctl.exports, name)
+	if entry.m != nil {
+		ctl.roomFreed(entry.m)
+	}
 	return nil
 }
 

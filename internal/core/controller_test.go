@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -525,58 +526,63 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestStaleUnpinAfterRecycle: an instance is killed with a forward in
-// flight, its pages are freed and recycled by another instance's queued
-// forward, and only then does the first batch come back. Its unpin carries
-// the old allocation generation and must not touch the new owner's pins.
-func TestStaleUnpinAfterRecycle(t *testing.T) {
-	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+// TestKilledForwardHoldsItsPagesUntilItLands: an instance is killed with a
+// forward in flight and the next instance allocates right away. The dead
+// forward's pages stay held until its kernel lands, so the next instance
+// gets other pages and its prefill fills them with its own tokens. (When a
+// killed instance's pages were recycled at once, the next instance got
+// them, the dead kernel then wrote into them, and the prefill found its
+// output pages short of free slots.)
+func TestKilledForwardHoldsItsPagesUntilItLands(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 4, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		m := ctl.models["llama-1b"]
-		forward := func(name string) (*Instance, *cmdQueue, []int32, *sim.Signal) {
+		ps := m.rt.Info.PageSize
+		prefill := func(name string, tokens int) (*cmdQueue, []int32, *sim.Signal) {
 			inst := ctl.RegisterInstance(name, nil, nil)
 			qid := mustQueue(t, ctl, inst, "llama-1b")
 			pages, err := ctl.AllocPages(inst, qid, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			embs, err := ctl.AllocEmbeds(inst, qid, 1)
+			embs, err := ctl.AllocEmbeds(inst, qid, tokens)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ctl.EmbedText(inst, qid, []int{5}, []int{0}, embs); err != nil {
+			ids, pos := make([]int, tokens), make([]int, tokens)
+			for i := range pos {
+				ids[i], pos[i] = 5, i
+			}
+			if _, err := ctl.EmbedText(inst, qid, ids, pos, embs); err != nil {
 				t.Fatal(err)
 			}
-			done, err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages[1:]})
+			done, err := ctl.Forward(inst, qid, api.ForwardArgs{InputEmb: embs, OutputKv: pages})
 			if err != nil {
 				t.Fatal(err)
 			}
 			q, _ := ctl.queue(inst, qid)
-			return inst, q, []int32{inst.pages.get(uint64(pages[0])).phys, inst.pages.get(uint64(pages[1])).phys}, done
+			return q, []int32{inst.pages.get(uint64(pages[0])).phys, inst.pages.get(uint64(pages[1])).phys}, done
 		}
-		a, qa, physA, doneA := forward("a")
+		qa, physA, _ := prefill("a", ps+1)
 		for qa.inflight == 0 || qa.queued() > 0 { // until the forward itself is on the device
 			clock.Sleep(5 * time.Microsecond)
 		}
-		ctl.ReleaseInstance(a)
-		_, _, physB, doneB := forward("b")
-		if physB[0] != physA[1] || physB[1] != physA[0] {
-			t.Fatalf("b got pages %v, want a's %v recycled (LIFO)", physB, physA)
-		}
-		pins := func() [2]int { return [2]int{m.pages.meta[physB[0]].pins, m.pages.meta[physB[1]].pins} }
-		if pins() != [2]int{1, 1} {
-			t.Fatalf("b's queued forward pins = %v, want [1 1]", pins())
-		}
-		if err := sim.Await(doneA); err != nil {
-			t.Fatal(err)
-		}
-		if pins() != [2]int{1, 1} {
-			t.Fatalf("a's stale unpin moved b's pins to %v", pins())
+		ctl.ReleaseInstance(qa.inst)
+		_, physB, doneB := prefill("b", 2*ps)
+		if slices.Contains(physB, physA[0]) || slices.Contains(physB, physA[1]) {
+			t.Fatalf("b got pages %v while a's in-flight forward still addresses %v", physB, physA)
 		}
 		if err := sim.Await(doneB); err != nil {
-			t.Fatal(err)
+			t.Fatalf("b's prefill: %v", err)
 		}
-		if pins() != [2]int{0, 0} {
-			t.Fatalf("pins after b's forward completed = %v, want [0 0]", pins())
+		for _, id := range physB {
+			for s, used := range m.rt.Page(id).Used {
+				if !used || m.rt.Page(id).Pos[s] >= 2*ps {
+					t.Fatalf("page %d slot %d: used %v at position %d; b's prefill should fill it", id, s, used, m.rt.Page(id).Pos[s])
+				}
+			}
+		}
+		if inUse, _ := ctl.PoolStats("llama-1b"); inUse != 2 || !slices.Contains(m.pages.free, physA[0]) || !slices.Contains(m.pages.free, physA[1]) {
+			t.Fatalf("after a's forward landed: %d pages in use, free list %v; want b's 2, a's %v free", inUse, m.pages.free, physA)
 		}
 	})
 }

@@ -22,7 +22,7 @@ import (
 // pool's last firstSight is appended to pins, so a call's pin set lists
 // every page once, in first-mention order, however often ReadKv and
 // AppendKv repeat it.
-func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPage, out []*model.KvPage, pins []pagePin) ([]pagePin, error) {
+func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPage, out []*model.KvPage, pins []int32) ([]int32, error) {
 	for i, id := range ids {
 		ref := inst.pages.get(uint64(id))
 		if ref == nil || ref.m != q.m {
@@ -30,7 +30,7 @@ func (ctl *Controller) resolvePages(inst *Instance, q *cmdQueue, ids []api.KvPag
 		}
 		out[i] = q.m.rt.Page(ref.phys)
 		if q.m.pages.mark(ref.phys) {
-			pins = append(pins, pagePin{page: ref.phys})
+			pins = append(pins, ref.phys)
 		}
 	}
 	return pins, nil
@@ -58,26 +58,17 @@ func (ctl *Controller) chargeSwap(rt *infer.ModelRuntime, n int) {
 	ctl.clock.Sleep(cost)
 }
 
-// Fault-in contention backoff: when a call's working set cannot fit the
-// device tier because concurrent calls pin it full, the faulting session
-// waits for the in-flight wave to complete and retries. The virtual-clock
-// sleep keeps the retry deterministic; the bound turns a true working-set
-// overcommit (every device page pinned forever) into ErrOutOfResources.
-const (
-	faultBackoff = 5 * time.Millisecond
-	faultRetries = 40
-)
-
 // preparePages readies the physical pages an inference call references
 // (pins: each page once, from resolvePages): stamps recency, pins them
-// against offload for the call's lifetime, and prefetches host-resident
-// pages back to the device tier, charging the PCIe transfer before the
-// call enqueues — by dispatch time the pages are resident. Transient
-// device-tier contention (other calls' pins) is absorbed by a bounded
-// backoff, so sessions fault transparently. The pin set rides on the call
-// and is dropped by unpinCall; until it is handed over, a deferred release
-// covers an FCFS kill landing inside the transfer-charge sleep.
-func (ctl *Controller) preparePages(q *cmdQueue, c *call, pins []pagePin) error {
+// against offload and recycling for the call's lifetime, and prefetches
+// host-resident pages back to the device tier, charging the PCIe transfer
+// before the call enqueues — by dispatch time the pages are resident. A
+// fault that cannot clear device room because other calls pin the tier
+// full waits for room in FIFO order (awaitRoom), so sessions fault
+// transparently. The pin set rides on the call and is dropped by
+// unpinCall; until it is handed over, a deferred release covers an FCFS
+// kill landing inside the transfer-charge sleep.
+func (ctl *Controller) preparePages(q *cmdQueue, c *call, pins []int32) error {
 	if len(pins) == 0 {
 		return nil
 	}
@@ -88,7 +79,8 @@ func (ctl *Controller) preparePages(q *cmdQueue, c *call, pins []pagePin) error 
 			p.unpinAll(pins)
 		}
 	}()
-	for attempt := 0; ; attempt++ {
+	var deadline time.Duration
+	for woken := false; ; woken = true {
 		hostResident := p.pinAll(pins)
 		held = true
 		in, out, ok := 0, 0, true
@@ -96,6 +88,9 @@ func (ctl *Controller) preparePages(q *cmdQueue, c *call, pins []pagePin) error 
 			in, out, ok = p.faultIn(pins)
 		}
 		if ok {
+			if woken {
+				ctl.roomFreed(q.m)
+			}
 			ctl.chargeSwap(q.m.rt, in+out) // may be interrupted by a kill; see defer
 			c.pins, held = pins, false
 			return nil
@@ -103,11 +98,10 @@ func (ctl *Controller) preparePages(q *cmdQueue, c *call, pins []pagePin) error 
 		// Unpin while waiting so competing faults can make progress.
 		p.unpinAll(pins)
 		held = false
-		if attempt >= faultRetries {
-			return fmt.Errorf("%w: cannot fault offloaded pages back to device (device tier fully pinned)",
-				api.ErrOutOfResources)
+		if !ctl.awaitRoom(q.m, woken, &deadline) {
+			return fmt.Errorf("%w: cannot fault offloaded pages back to device (device tier fully pinned for %v)",
+				api.ErrOutOfResources, roomWaitLimit)
 		}
-		ctl.clock.Sleep(faultBackoff)
 		if q.closed {
 			return api.ErrQueueClosed
 		}
@@ -378,25 +372,6 @@ func (ctl *Controller) GetVocabs(inst *Instance, qid api.Queue) (*sim.Future[[][
 	return c.VocabFut, nil
 }
 
-// failCall resolves every completion future a call carries.
-func failCall(c *infer.Call) {
-	if c.Done != nil && !c.Done.Done() {
-		sim.Fire(c.Done)
-	}
-	if c.DistFut != nil && !c.DistFut.Done() {
-		c.DistFut.Fail(c.Err)
-	}
-	if c.TextFut != nil && !c.TextFut.Done() {
-		c.TextFut.Fail(c.Err)
-	}
-	if c.VocabFut != nil && !c.VocabFut.Done() {
-		c.VocabFut.Fail(c.Err)
-	}
-	if c.FusedTok != nil && !c.FusedTok.Done() {
-		c.FusedTok.Fail(c.Err)
-	}
-}
-
 // --- Outstanding-work accounting -------------------------------------------
 
 // callTokenWeight prices a call's share of outstanding work in tokens:
@@ -467,7 +442,7 @@ func (ctl *Controller) failPending(q *cmdQueue, err error) {
 		ctl.retireCall(&c.Call)
 		ctl.unpinCall(c)
 		c.Err = err
-		failCall(&c.Call)
+		c.Fail()
 		ctl.recycle(c)
 	}
 	ctl.sched.forgetQueue(q)
@@ -476,9 +451,11 @@ func (ctl *Controller) failPending(q *cmdQueue, err error) {
 // onBatchComplete is the event dispatcher (§5.2 step 5): results arrived
 // from the inference layer; release queue ordering and keep dispatching.
 func (ctl *Controller) onBatchComplete(b *infer.Batch) {
+	m, pinned := b.Calls[0].Ctl.(*call).q.m, false
 	for _, ic := range b.Calls {
 		c := ic.Ctl.(*call)
 		ctl.retireCall(ic)
+		pinned = pinned || len(c.pins) > 0
 		ctl.unpinCall(c)
 		c.q.inflight--
 	}
@@ -526,6 +503,9 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 	}
 	ctl.sched.freeBatch(b)
 	ctl.sched.tryDispatch()
+	if pinned {
+		ctl.roomFreed(m)
+	}
 }
 
 // drainControlOps executes queue-ordered control ops (dealloc, sync) that

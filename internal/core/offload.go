@@ -118,12 +118,12 @@ func evictorFor(p EvictionPolicy) Evictor {
 	return lruEvictor{}
 }
 
-// pageMeta tracks one materialized physical page id; refs == 0 marks an id
-// that is free.
+// pageMeta tracks one materialized physical page id. refs == 0 marks an id
+// no handle or export holds: free, or — while pins > 0 — held for the
+// dispatched kernels that still address it, and freed at their last unpin.
 type pageMeta struct {
 	refs    int
 	tier    pageTier
-	gen     uint64 // allocation generation: stale unpins from recycled ids are ignored
 	lastUse uint64 // recency stamp (pool-wide monotone counter)
 	pri     int    // allocating queue's scheduler priority
 	pins    int    // referencing calls in flight or queued; pinned pages never offload
@@ -149,7 +149,6 @@ type tieredPool struct {
 	devInUse  int
 	hostInUse int
 	useSeq    uint64
-	genSeq    uint64
 
 	// Swap traffic counters (OffloadStats).
 	swapIn    int
@@ -205,27 +204,24 @@ func (p *tieredPool) touch(id int32) {
 }
 
 // pin marks a page referenced by a queued or in-flight call; pinned pages
-// are never offload victims (their memory is addressed by a kernel). It
-// returns the page's allocation generation, which the matching unpin must
-// present: an id can be freed and recycled while a terminated instance's
-// in-flight call still holds a pin record, and a stale unpin must never
-// touch the new owner's count.
-func (p *tieredPool) pin(id int32) (gen uint64, ok bool) {
+// are never offload victims (their memory is addressed by a kernel), and a
+// pinned page whose last reference is released is not recycled until its
+// last unpin (release). It reports whether the page is live.
+func (p *tieredPool) pin(id int32) bool {
 	m := p.live(id)
 	if m == nil {
-		return 0, false
+		return false
 	}
 	m.pins++
-	return m.gen, true
+	return true
 }
 
-// pinAll pins every page of a call's pin set, recording its generation,
-// and stamps it most-recently-used. It reports whether any of them is
-// host-resident, i.e. whether the call needs faultIn.
-func (p *tieredPool) pinAll(pins []pagePin) (hostResident bool) {
-	for i := range pins {
-		id := pins[i].page
-		pins[i].gen, _ = p.pin(id)
+// pinAll pins every page of a call's pin set and stamps it
+// most-recently-used. It reports whether any of them is host-resident, i.e.
+// whether the call needs faultIn.
+func (p *tieredPool) pinAll(pins []int32) (hostResident bool) {
+	for _, id := range pins {
+		p.pin(id)
 		p.touch(id)
 		hostResident = hostResident || p.meta[id].tier == tierHost
 	}
@@ -233,17 +229,22 @@ func (p *tieredPool) pinAll(pins []pagePin) (hostResident bool) {
 }
 
 // unpinAll releases a pin set taken by pinAll.
-func (p *tieredPool) unpinAll(pins []pagePin) {
-	for _, pp := range pins {
-		p.unpin(pp.page, pp.gen)
+func (p *tieredPool) unpinAll(pins []int32) {
+	for _, id := range pins {
+		p.unpin(id)
 	}
 }
 
-// unpin releases one pin taken at generation gen; stale generations are
-// ignored (see pin).
-func (p *tieredPool) unpin(id int32, gen uint64) {
-	if m := p.live(id); m != nil && m.gen == gen && m.pins > 0 {
-		m.pins--
+// unpin releases one pin. The last unpin of a page nothing references any
+// more frees it.
+func (p *tieredPool) unpin(id int32) {
+	m := &p.meta[id]
+	if m.pins == 0 {
+		return
+	}
+	m.pins--
+	if m.pins == 0 && m.refs == 0 {
+		p.freeID(id)
 	}
 }
 
@@ -336,8 +337,7 @@ func (p *tieredPool) alloc(dst []int32, n, pri int) (ids []int32, swappedOut int
 			p.meta = append(p.meta, pageMeta{})
 		}
 		p.useSeq++
-		p.genSeq++
-		p.meta[id] = pageMeta{refs: 1, tier: tierDevice, gen: p.genSeq, lastUse: p.useSeq, pri: pri}
+		p.meta[id] = pageMeta{refs: 1, tier: tierDevice, lastUse: p.useSeq, pri: pri}
 		ids = append(ids, id)
 	}
 	p.devInUse += n
@@ -354,10 +354,10 @@ func (p *tieredPool) alloc(dst []int32, n, pri int) (ids []int32, swappedOut int
 // It reports pages swapped in and out; a fault that cannot clear device
 // room fails with ok=false and performs no swaps. Callers pin the set
 // first, so room-making never victimizes it.
-func (p *tieredPool) faultIn(pins []pagePin) (in, out int, ok bool) {
+func (p *tieredPool) faultIn(pins []int32) (in, out int, ok bool) {
 	need := 0
-	for _, pp := range pins {
-		if m := p.live(pp.page); m != nil && m.tier == tierHost {
+	for _, id := range pins {
+		if m := p.live(id); m != nil && m.tier == tierHost {
 			need++
 		}
 	}
@@ -374,8 +374,8 @@ func (p *tieredPool) faultIn(pins []pagePin) (in, out int, ok bool) {
 		p.offload(vs)
 		out = evict
 	}
-	for _, pp := range pins {
-		if m := p.live(pp.page); m != nil && m.tier == tierHost {
+	for _, id := range pins {
+		if m := p.live(id); m != nil && m.tier == tierHost {
 			m.tier = tierDevice
 			p.hostInUse--
 			p.devInUse++
@@ -395,17 +395,25 @@ func (p *tieredPool) retain(id int32) {
 	}
 }
 
-// release drops one reference; the id returns to the free list at zero.
-// It reports whether the id was actually freed.
+// release drops one reference; the id returns to the free list at zero,
+// unless a queued or dispatched call still pins it: a kernel may yet write
+// it, so it stays held, in its tier, until its last unpin. It reports
+// whether the id was freed now.
 func (p *tieredPool) release(id int32) bool {
 	m := p.live(id)
 	if m == nil {
 		return false
 	}
-	if m.refs > 1 {
-		m.refs--
+	if m.refs--; m.refs > 0 || m.pins > 0 {
 		return false
 	}
+	p.freeID(id)
+	return true
+}
+
+// freeID returns an id that nothing references or pins to the free list.
+func (p *tieredPool) freeID(id int32) {
+	m := &p.meta[id]
 	if m.tier == tierDevice {
 		p.devInUse--
 	} else {
@@ -413,7 +421,6 @@ func (p *tieredPool) release(id int32) bool {
 	}
 	*m = pageMeta{}
 	p.free = append(p.free, id)
-	return true
 }
 
 // resident reports the page's tier; ok=false for unknown/free ids.

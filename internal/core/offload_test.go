@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -25,8 +26,8 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 		if m.refs < 0 {
 			t.Fatalf("page %d has refs %d", id, m.refs)
 		}
-		if m.refs == 0 {
-			continue // free
+		if m.refs == 0 && m.pins == 0 {
+			continue // free; a page with pins but no refs is held for its kernels
 		}
 		if m.tier == tierDevice {
 			dev++
@@ -49,13 +50,15 @@ func checkTieredInvariants(t *testing.T, p *tieredPool) {
 
 // TestTieredPoolRandomOps drives seeded random alloc/release/retain/pin/
 // unpin/touch/fault sequences and asserts the invariants after every
-// operation. Deterministic: a failure reproduces from the logged seed.
+// operation. A page released while pinned stays held, out of the free list,
+// until its last unpin.
 func TestTieredPoolRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newTieredPool(8, 12, lruEvictor{})
 		live := map[int32]int{} // id -> expected refs
 		pinned := map[int32]int{}
+		isFree := func(id int32) bool { return slices.Contains(p.free, id) }
 		for step := 0; step < 600; step++ {
 			switch rng.Intn(7) {
 			case 0: // alloc
@@ -69,8 +72,8 @@ func TestTieredPoolRandomOps(t *testing.T) {
 						seed, step, n, ok, p.available())
 				}
 				for _, id := range ids {
-					if _, dup := live[id]; dup {
-						t.Fatalf("seed %d step %d: id %d handed out twice", seed, step, id)
+					if _, dup := live[id]; dup || pinned[id] > 0 {
+						t.Fatalf("seed %d step %d: id %d handed out while live or pinned", seed, step, id)
 					}
 					live[id] = 1
 				}
@@ -78,12 +81,11 @@ func TestTieredPoolRandomOps(t *testing.T) {
 				for id := range live {
 					freed := p.release(id)
 					live[id]--
-					if (live[id] == 0) != freed {
-						t.Fatalf("seed %d step %d: release freed=%v with %d expected refs", seed, step, freed, live[id])
+					if want := live[id] == 0 && pinned[id] == 0; freed != want {
+						t.Fatalf("seed %d step %d: release freed=%v with %d refs and %d pins left", seed, step, freed, live[id], pinned[id])
 					}
 					if live[id] == 0 {
 						delete(live, id)
-						delete(pinned, id)
 					}
 					break
 				}
@@ -97,20 +99,25 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					live[id]++
 					break
 				}
-			case 4: // pin/unpin
-				for id := range live {
-					if rng.Intn(2) == 0 {
-						if _, ok := p.pin(id); ok {
+			case 4: // pin a live id, or unpin a pinned one (held or live)
+				if rng.Intn(2) == 0 {
+					for id := range live {
+						if p.pin(id) {
 							pinned[id]++
 						}
-					} else if pinned[id] > 0 {
-						p.unpin(id, p.meta[id].gen)
-						pinned[id]--
-						if pinned[id] == 0 {
-							delete(pinned, id)
-						}
+						break
 					}
-					break
+				} else {
+					for id := range pinned {
+						p.unpin(id)
+						if pinned[id]--; pinned[id] == 0 {
+							delete(pinned, id)
+							if _, ok := live[id]; !ok && !isFree(id) {
+								t.Fatalf("seed %d step %d: held page %d not freed at its last unpin", seed, step, id)
+							}
+						}
+						break
+					}
 				}
 			case 5: // touch
 				for id := range live {
@@ -137,24 +144,29 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					}
 				}
 				for _, id := range ids {
-					p.unpin(id, p.meta[id].gen)
-					pinned[id]--
-					if pinned[id] <= 0 {
+					p.unpin(id)
+					if pinned[id]--; pinned[id] == 0 {
 						delete(pinned, id)
 					}
 				}
 			}
 			checkTieredInvariants(t, p)
 			for id, m := range p.meta {
-				if live[int32(id)] != m.refs {
-					t.Fatalf("seed %d step %d: id %d refs %d, expected %d", seed, step, id, m.refs, live[int32(id)])
+				if live[int32(id)] != m.refs || pinned[int32(id)] != m.pins {
+					t.Fatalf("seed %d step %d: id %d refs %d pins %d, expected %d and %d",
+						seed, step, id, m.refs, m.pins, live[int32(id)], pinned[int32(id)])
 				}
 			}
 		}
-		// Drain: releasing every reference empties both tiers.
+		// Drain: releasing every reference and pin empties both tiers.
 		for id, refs := range live {
 			for i := 0; i < refs; i++ {
 				p.release(id)
+			}
+		}
+		for id, pins := range pinned {
+			for i := 0; i < pins; i++ {
+				p.unpin(id)
 			}
 		}
 		if p.inUse() != 0 || p.devInUse != 0 || p.hostInUse != 0 {
@@ -172,12 +184,12 @@ func TestTieredPoolPinnedNeverEvicted(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc failed")
 	}
-	gen0, _ := p.pin(ids[0])
+	p.pin(ids[0])
 	p.pin(ids[1])
 	if _, _, ok := p.alloc(nil, 1, 0); ok {
 		t.Fatal("alloc evicted a pinned page")
 	}
-	p.unpin(ids[0], gen0)
+	p.unpin(ids[0])
 	fresh, swapped, ok := p.alloc(nil, 1, 0)
 	if !ok || swapped != 1 {
 		t.Fatalf("alloc after unpin: ok=%v swapped=%d", ok, swapped)
@@ -226,12 +238,12 @@ func TestTieredPoolEvictionPolicies(t *testing.T) {
 
 // pinSet builds a call's pin set the way resolvePages does: each live page
 // once, in first-mention order.
-func pinSet(p *tieredPool, ids []int32) []pagePin {
-	var pins []pagePin
+func pinSet(p *tieredPool, ids []int32) []int32 {
+	var pins []int32
 	p.firstSight()
 	for _, id := range ids {
 		if p.mark(id) {
-			pins = append(pins, pagePin{page: id})
+			pins = append(pins, id)
 		}
 	}
 	return pins
@@ -284,36 +296,47 @@ func TestParseEviction(t *testing.T) {
 	}
 }
 
-// TestTieredPoolStaleUnpinIgnored: an id freed while pinned and then
-// recycled must not have its new owner's pin disturbed by the stale
-// unpin (the generation guard).
-func TestTieredPoolStaleUnpinIgnored(t *testing.T) {
+// TestTieredPoolFreesPinnedPageAtLastUnpin: a page whose last reference is
+// released while calls still pin it (its owner died with a forward in
+// flight) is not recycled: it keeps its device slot, is never an offload
+// victim, and returns to the free list at its last unpin.
+func TestTieredPoolFreesPinnedPageAtLastUnpin(t *testing.T) {
 	p := newTieredPool(2, 2, lruEvictor{})
 	a, _, _ := p.alloc(nil, 1, 0)
-	staleGen, ok := p.pin(a[0])
-	if !ok {
-		t.Fatal("pin failed")
+	p.pin(a[0])
+	p.pin(a[0])
+	if p.release(a[0]) {
+		t.Fatal("release freed a pinned page")
 	}
-	// The owner is terminated mid-flight: its ref is released while the
-	// pin is still outstanding, and the id recycles to a new owner.
-	if !p.release(a[0]) {
-		t.Fatal("release did not free")
+	if p.live(a[0]) != nil || p.pin(a[0]) {
+		t.Fatal("a released page still takes pins")
+	}
+	if p.inUse() != 1 {
+		t.Fatalf("held page not counted: inUse %d, want 1", p.inUse())
 	}
 	b, _, _ := p.alloc(nil, 1, 0)
-	if b[0] != a[0] {
-		t.Fatalf("expected id reuse, got %d then %d", a[0], b[0])
+	if b[0] == a[0] {
+		t.Fatal("alloc recycled a page a kernel still pins")
 	}
-	newGen, _ := p.pin(b[0])
-	if newGen == staleGen {
-		t.Fatal("recycled id kept its old generation")
+	// The device tier is full: the next alloc must offload b, never a.
+	if _, swapped, ok := p.alloc(nil, 1, 0); !ok || swapped != 1 {
+		t.Fatalf("alloc beside a held page: ok=%v swapped=%d", ok, swapped)
 	}
-	p.unpin(a[0], staleGen) // the late unpin from the dead call
-	if p.meta[b[0]].pins != 1 {
-		t.Fatalf("stale unpin disturbed the new owner: pins = %d, want 1", p.meta[b[0]].pins)
+	if tier, _ := p.resident(b[0]); tier != tierHost || p.meta[a[0]].tier != tierDevice {
+		t.Fatal("the held page was offloaded instead of the cold one")
 	}
-	// And the new owner stays offload-safe.
-	if _, _, ok := p.alloc(nil, 2, 0); ok {
-		t.Fatal("alloc evicted the still-pinned recycled page")
+	checkTieredInvariants(t, p)
+	p.unpin(a[0])
+	if slices.Contains(p.free, a[0]) {
+		t.Fatal("freed before its last unpin")
+	}
+	p.unpin(a[0])
+	if !slices.Contains(p.free, a[0]) || p.inUse() != 2 {
+		t.Fatalf("last unpin did not free the page: free %v, inUse %d", p.free, p.inUse())
+	}
+	checkTieredInvariants(t, p)
+	if c, _, _ := p.alloc(nil, 1, 0); c[0] != a[0] {
+		t.Fatalf("freed id %d not reused, got %d", a[0], c[0])
 	}
 }
 

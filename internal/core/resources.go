@@ -78,12 +78,19 @@ func (p *pool) release(id int32) bool {
 }
 
 // modelState is the control layer's state for one servable model: the
-// runtime whose memory it manages and the two pools that allocate from it.
+// runtime whose memory it manages, the two pools that allocate from it, and
+// the calls waiting for device page room (awaitRoom): room is their FIFO,
+// wakeArmed marks its head's wake as timed (roomFreed), and wakeHead is that
+// wake, bound once.
 type modelState struct {
 	name   string
 	rt     *infer.ModelRuntime
 	pages  *tieredPool
 	embeds *pool
+
+	room      *sim.WaitList
+	wakeArmed bool
+	wakeHead  func()
 }
 
 // resRef is one slot of a handle table: where the handle's physical
@@ -256,8 +263,9 @@ type call struct {
 
 	// pins are the physical pages the call references, pinned
 	// device-resident from enqueue until completion (or queue teardown) so
-	// the offload policy never evicts a page a dispatched kernel addresses.
-	pins []pagePin
+	// the offload policy never evicts, and the pool never recycles, a page
+	// a dispatched kernel addresses.
+	pins []int32
 
 	sync   *sim.Signal // OpSync: fires when the op reaches the queue head
 	free   []resRef    // OpDealloc: references released at the queue head
@@ -278,15 +286,6 @@ func carve[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// pagePin identifies one pinned physical page by id and allocation
-// generation. The generation lets the pool ignore stale unpins: an id
-// can be freed and recycled while a terminated instance's in-flight call
-// still holds its pin record.
-type pagePin struct {
-	page int32
-	gen  uint64
 }
 
 // cmdQueue is one command queue (§4.1): a FIFO of API calls whose
@@ -408,7 +407,8 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 	}
 	var phys []int32
 	swappedOut := 0
-	for attempt := 0; ; attempt++ {
+	var deadline time.Duration
+	for woken := false; ; woken = true {
 		if err := ctl.ensurePages(inst, q.m, n); err != nil {
 			return nil, err
 		}
@@ -416,15 +416,17 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 		ctl.ids = ids[:0]
 		if ok {
 			phys, swappedOut = ids, swapped
+			if woken {
+				ctl.roomFreed(q.m)
+			}
 			break
 		}
 		// Total capacity sufficed but device room could not be cleared:
 		// every device page is pinned by queued or in-flight work. That
-		// is transient — back off until the wave completes and unpins.
-		if attempt >= faultRetries {
+		// is transient — wait until the wave completes and unpins.
+		if !ctl.awaitRoom(q.m, woken, &deadline) {
 			return nil, api.ErrOutOfResources
 		}
-		ctl.clock.Sleep(faultBackoff)
 		if q.closed {
 			return nil, api.ErrQueueClosed
 		}
@@ -440,6 +442,41 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 	// reclaims the pages through ReleaseInstance instead of leaking them.
 	ctl.chargeSwap(q.m.rt, swappedOut)
 	return out, nil
+}
+
+// roomWaitLimit bounds a call's wait for device page room: past it the call
+// fails with api.ErrOutOfResources, so a working set that can never fit the
+// device tier is refused instead of parking forever.
+const roomWaitLimit = 200 * time.Millisecond
+
+// awaitRoom parks the calling process until an event that may have freed
+// device room in m's page pool reaches it (roomFreed): at the tail of m's
+// list the first time, at the head once a wake has reached it and its retry
+// failed. A woken call that then gets room wakes the next waiter the same
+// way, kickDelay later, once its own follow-up calls have pinned what they
+// need; one whose retry fails wakes nobody, or two calls that cannot both
+// fit would wake each other forever at one instant. The first wait sets
+// deadline, and awaitRoom reports false once it has passed.
+func (ctl *Controller) awaitRoom(m *modelState, woken bool, deadline *time.Duration) bool {
+	if *deadline == 0 {
+		*deadline = ctl.clock.Now() + roomWaitLimit
+	}
+	return m.room.Wait(woken, *deadline)
+}
+
+// roomFreed reports an event that may have made device room in m's page
+// pool: a batch holding pins completed, pages were released, or a woken
+// waiter got room and what is left may fit the next one. With calls
+// waiting, it wakes the head kickDelay later, when the completion wave has
+// landed — the sessions that just completed re-pin the pages their next
+// calls need first, as they would with nobody waiting, and the waiter takes
+// what is left instead of evicting a page about to be faulted back.
+func (ctl *Controller) roomFreed(m *modelState) {
+	if m.wakeArmed || m.room.Len() == 0 {
+		return
+	}
+	m.wakeArmed = true
+	ctl.clock.After(kickDelay, m.wakeHead)
 }
 
 // DeallocEmbeds releases embedding slots after prior queue ops complete
@@ -509,6 +546,9 @@ func (ctl *Controller) runOp(c *call) {
 	case infer.OpDealloc:
 		for i := range c.free {
 			c.free[i].free(c.freeKv)
+			if c.freeKv {
+				ctl.roomFreed(c.free[i].m)
+			}
 		}
 	case infer.OpSync:
 		sim.Fire(c.sync)

@@ -73,3 +73,21 @@ func TestOffloadSweepDeterministic(t *testing.T) {
 		t.Fatal("same-seed offload sweeps produced different documents")
 	}
 }
+
+// TestOffloadFullScaleCompletes runs the sweep at full scale. Its
+// 3x-oversubscribed host-tier leg used to deadlock: an agent FCFS-killed
+// with a forward in flight had its pages recycled, the dead kernel wrote
+// into the next owner's pages, and that owner's forward failed at
+// execution with a completion nobody resolved. Every leg must now finish
+// and leave no page allocated.
+func TestOffloadFullScaleCompletes(t *testing.T) {
+	r := OffloadSweep(Options{})
+	if len(r.Points) != 2*len(offloadOversubs) {
+		t.Fatalf("%d points, want %d", len(r.Points), 2*len(offloadOversubs))
+	}
+	for _, p := range r.Points {
+		if p.Done == 0 || p.LeakedPages != 0 {
+			t.Fatalf("%.1fx oversubscribed, host ratio %.1f: %d done, %d pages leaked", p.Oversub, p.HostRatio, p.Done, p.LeakedPages)
+		}
+	}
+}

@@ -156,7 +156,9 @@ func (b *Backend) respond() {
 	b.BatchesRun++
 	b.CallsRun += len(batch.Calls)
 	for _, c := range batch.Calls {
-		if c.Done != nil {
+		if c.Err != nil {
+			c.Fail()
+		} else if c.Done != nil {
 			sim.Fire(c.Done)
 		}
 	}

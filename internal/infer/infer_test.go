@@ -296,6 +296,50 @@ func TestBackendExecutesBatchInOrder(t *testing.T) {
 	}
 }
 
+// TestBackendFailsWhatExecutionRejects: a forward that writes more tokens
+// than its output pages hold fails at execution, and the failure reaches
+// every future it carries — its completion signal and, fused, its sampled
+// tokens — instead of a success signal and a token future nobody resolves.
+func TestBackendFailsWhatExecutionRejects(t *testing.T) {
+	rt := testRuntime(ExecTiming)
+	clock := sim.NewClock()
+	be := NewBackend(clock, "t")
+	ps := rt.Model.Config().PageSize
+	overfull := func(fused bool) *Call {
+		var ins, outs []*model.EmbedSlot
+		for i := 0; i <= ps; i++ {
+			s := rt.Embed(int32(400 + i))
+			s.Valid, s.Pos = true, i
+			ins = append(ins, s)
+		}
+		c := &Call{Op: OpForward, Model: rt, Inputs: ins, OutPages: []*model.KvPage{rt.Page(5)}}
+		if fused {
+			outs = append(outs, rt.Embed(499))
+			c.Outputs, c.Sample, c.FusedTok = outs, &SampleSpec{}, sim.NewFuture[[]int](clock)
+		} else {
+			c.Done = sim.NewSignal(clock)
+		}
+		return c
+	}
+	plain, fused := overfull(false), overfull(true)
+	var doneErr, tokErr error
+	clock.Go("driver", func() {
+		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{plain}})
+		doneErr = sim.Await(plain.Done)
+		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{fused}})
+		_, tokErr = fused.FusedTok.Get()
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if doneErr == nil || doneErr != plain.Err {
+		t.Fatalf("Await(Done) = %v, want the execution error %v", doneErr, plain.Err)
+	}
+	if tokErr == nil || tokErr != fused.Err {
+		t.Fatalf("fused Get = %v, want the execution error %v", tokErr, fused.Err)
+	}
+}
+
 func TestOpControlSide(t *testing.T) {
 	if OpForward.ControlSide() || OpNextDist.ControlSide() {
 		t.Fatal("GPU ops marked control-side")

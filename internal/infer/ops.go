@@ -121,6 +121,28 @@ type Call struct {
 	Err  error
 }
 
+// Fail completes every future the call carries that is still pending with
+// c.Err: its completion signal and its typed result. The backend fails a
+// call whose execution returned an error; the control layer fails the calls
+// a closing queue never dispatched.
+func (c *Call) Fail() {
+	if c.Done != nil && !c.Done.Done() {
+		c.Done.Fail(c.Err)
+	}
+	if c.DistFut != nil && !c.DistFut.Done() {
+		c.DistFut.Fail(c.Err)
+	}
+	if c.TextFut != nil && !c.TextFut.Done() {
+		c.TextFut.Fail(c.Err)
+	}
+	if c.VocabFut != nil && !c.VocabFut.Done() {
+		c.VocabFut.Fail(c.Err)
+	}
+	if c.FusedTok != nil && !c.FusedTok.Done() {
+		c.FusedTok.Fail(c.Err)
+	}
+}
+
 // DistResult carries a truncated next-token distribution: the inferlet's
 // api.Dist, produced in place.
 type DistResult = api.Dist

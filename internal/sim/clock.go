@@ -662,12 +662,7 @@ func (c *Clock) Kill(p *Proc) {
 	p.killed = true
 	switch p.state {
 	case stateSleeping, stateReady:
-		if p.ev != nil {
-			p.ev.cancelled = true
-			c.heap.cancelled++
-			p.ev = nil
-			c.heap.maybeCompact(c.recycleLocked)
-		}
+		c.cancelLocked(p)
 		c.pushLocked(c.now, p)
 		p.state = stateReady
 	case stateParked:
@@ -676,6 +671,17 @@ func (c *Clock) Kill(p *Proc) {
 		p.state = stateReady
 	case stateRunning:
 		// Will observe the flag at its next blocking call.
+	}
+}
+
+// cancelLocked drops p's pending heap event, if any: it stays in the heap,
+// marked, until popped or compacted away.
+func (c *Clock) cancelLocked(p *Proc) {
+	if p.ev != nil {
+		p.ev.cancelled = true
+		c.heap.cancelled++
+		p.ev = nil
+		c.heap.maybeCompact(c.recycleLocked)
 	}
 }
 

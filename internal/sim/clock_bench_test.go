@@ -142,6 +142,30 @@ func BenchmarkClockHandoff(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkRoomWait is one park on a WaitList with a deadline, the way a
+// call waits for device page room, and the wake that ends it: two switches,
+// no allocation. One op is one park and one wake.
+func BenchmarkRoomWait(b *testing.B) {
+	c := NewClock()
+	l := NewWaitList(c, nil)
+	c.Go("waiter", func() {
+		for n := 0; n < b.N; n++ {
+			l.Wait(false, c.Now()+time.Second)
+		}
+	})
+	c.GoDaemon("waker", func() {
+		for {
+			c.Sleep(time.Microsecond)
+			l.Wake()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkClockTimer is one timer from After to its callback, re-armed from
 // inside it, with one process parked so the clock stays alive: a heap push,
 // a pop and a call — no switch, no allocation. One op is one timer.

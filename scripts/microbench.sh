@@ -1,6 +1,7 @@
 #!/bin/sh
 # Per-layer micro-benchmarks: ns/op and allocs/op of the tensor kernels, the
-# model's forward/decode/top-K path and catalog build, the sim clock, the
+# model's forward/decode/top-K path and catalog build, the sim clock and its
+# wait list (one park and one wake, as a call waiting for page room), the
 # control layer (one decode step through every layer above the kernels, a
 # scheduling round, a round of decode steps beside fills that the prefill
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
@@ -35,6 +36,8 @@
 #   - Generate (one chat turn: an 8-token prefill and 32 tokens out) issuing
 #     more inference calls (97: the last token issues no embed + forward) or
 #     control-layer calls (4.58: a decode step makes none) than committed.
+#   - RoomWait allocating at all: the wait list parks on the process's own
+#     token and heap event (the allocs/op gate above, against a committed 0).
 #   - BatchRoundTrip (one single-call batch, enqueue to completion) taking
 #     more sim events than committed (4: kick, deserialised, kernel done,
 #     response).
@@ -86,6 +89,7 @@ bench() {
 	bench 2000x '^BenchmarkStandardCatalog$' ./internal/model
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
+	bench 200000x '^BenchmarkRoomWait$' ./internal/sim
 	bench 2000x '^Benchmark(DecodeStep|Generate)$' .
 	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
 	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
@@ -138,7 +142,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict and BatchRoundTrip 20000x, ClockTimer and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict and BatchRoundTrip 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'
