@@ -169,18 +169,15 @@ func RandomFaultPlan(seed uint64, replicas, n int, window time.Duration) FaultPl
 		}
 		plan.Events = append(plan.Events, ev)
 	}
-	sortFaultEvents(plan.Events)
+	sort.SliceStable(plan.Events, func(i, j int) bool { return plan.Events[i].At < plan.Events[j].At })
 	return plan
 }
 
-func sortFaultEvents(events []FaultEvent) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-}
-
-// InjectFaults installs a fault plan on the cluster: a daemon replays the
-// replica events on the virtual clock, and launch admission consults the
-// transient-failure stream. Call before Engine.Run. A plan referencing
-// replicas outside the set is rejected.
+// InjectFaults installs a fault plan on the cluster: each replica event is
+// a clock timer due at its virtual instant (events due together apply in
+// plan order), and launch admission consults the transient-failure stream.
+// Call before Engine.Run. A plan referencing replicas outside the set is
+// rejected.
 func (c *Cluster) InjectFaults(plan FaultPlan) error {
 	for _, ev := range plan.Events {
 		if ev.Replica < 0 || ev.Replica >= len(c.replicas) {
@@ -191,17 +188,8 @@ func (c *Cluster) InjectFaults(plan FaultPlan) error {
 	if plan.CallFailRate > 0 {
 		c.faultRNG = sim.NewRNG(plan.Seed ^ 0x7FA4)
 	}
-	if len(plan.Events) > 0 {
-		events := append([]FaultEvent(nil), plan.Events...)
-		sortFaultEvents(events)
-		c.clock.GoDaemon("cluster:fault-injector", func() {
-			for _, ev := range events {
-				if wait := ev.At - c.clock.Now(); wait > 0 {
-					c.clock.Sleep(wait)
-				}
-				c.applyFault(ev)
-			}
-		})
+	for _, ev := range plan.Events {
+		c.clock.After(ev.At-c.clock.Now(), func() { c.applyFault(ev) })
 	}
 	return nil
 }

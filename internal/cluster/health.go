@@ -7,7 +7,7 @@ import (
 	"pie/internal/trace"
 )
 
-// Replica health: a monitor daemon ticks on the virtual clock and drives
+// Replica health: a monitor timer ticks on the virtual clock and drives
 // each replica through healthy → suspect → dead → replaced. Two failure
 // signals feed it:
 //
@@ -98,18 +98,15 @@ func (c *Cluster) EnableHealth(cfg HealthConfig) {
 	for _, r := range c.replicas {
 		r.progressAt = now
 	}
-	c.clock.GoDaemon("cluster:health", func() {
-		for {
-			c.clock.Sleep(c.health.Interval)
-			c.checkHealth()
-		}
-	})
+	c.clock.Every(c.health.Interval, c.checkHealth)
 }
 
 // HealthEnabled reports whether the monitor is running.
 func (c *Cluster) HealthEnabled() bool { return c.health.Enabled }
 
-// checkHealth runs one monitor tick over every replica in ID order.
+// checkHealth runs one monitor tick over every replica in ID order. It is
+// a timer's callback and never blocks: declareDead only aborts, drops and
+// activates.
 func (c *Cluster) checkHealth() {
 	now := c.clock.Now()
 	for _, r := range c.replicas {

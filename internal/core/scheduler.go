@@ -151,9 +151,10 @@ const kickDelay = 20 * time.Microsecond
 
 // The baseline policies' parameters (Table 5) and the backend's batch size.
 const (
-	kOnlyThreshold = 32                   // PolicyKOnly dispatches once this many calls are ready
-	tOnlyInterval  = 5 * time.Millisecond // PolicyTOnly flushes every queue this often
-	maxBatchCalls  = 256                  // a batch is truncated from the tail past this many calls
+	kOnlyThreshold  = 32                     // PolicyKOnly dispatches once this many calls are ready
+	kOnlyStallLimit = 100 * time.Millisecond // PolicyKOnly's safety flush sends a head older than this
+	tOnlyInterval   = 5 * time.Millisecond   // PolicyTOnly flushes every queue this often
+	maxBatchCalls   = 256                    // a batch is truncated from the tail past this many calls
 )
 
 func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler {
@@ -161,11 +162,11 @@ func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler
 	s.kick = s.runKick
 	switch cfg.Policy {
 	case PolicyTOnly:
-		clock.GoDaemon("sched:ticker", s.tickerLoop)
+		clock.Every(tOnlyInterval, s.flushAll)
 	case PolicyKOnly:
 		// A slow safety flush keeps sub-K tails from stalling forever; the
 		// paper's K-only baseline is otherwise strictly threshold-driven.
-		clock.GoDaemon("sched:konly-flush", s.kOnlyFlushLoop)
+		clock.Every(kOnlyStallLimit/2, s.flushStalled)
 	}
 	return s
 }
@@ -173,26 +174,21 @@ func newScheduler(clock *sim.Clock, ctl *Controller, cfg SchedConfig) *Scheduler
 // Config returns the active configuration.
 func (s *Scheduler) Config() SchedConfig { return s.cfg }
 
-func (s *Scheduler) tickerLoop() {
-	for {
-		s.clock.Sleep(tOnlyInterval)
-		for s.dispatchOne() {
-		}
+// flushAll is the T-only tick: every ready queue is dispatched.
+func (s *Scheduler) flushAll() {
+	for s.dispatchOne() {
 	}
 }
 
-func (s *Scheduler) kOnlyFlushLoop() {
-	const stallLimit = 100 * time.Millisecond
-	for {
-		s.clock.Sleep(stallLimit / 2)
-		now := s.clock.Now()
-	scan:
-		for _, b := range s.buckets {
-			for _, q := range b.queues {
-				if now-q.head().Enq > stallLimit {
-					s.dispatchOne()
-					break scan
-				}
+// flushStalled is the K-only safety flush: one batch is dispatched when a
+// ready queue's head has waited longer than kOnlyStallLimit.
+func (s *Scheduler) flushStalled() {
+	now := s.clock.Now()
+	for _, b := range s.buckets {
+		for _, q := range b.queues {
+			if now-q.head().Enq > kOnlyStallLimit {
+				s.dispatchOne()
+				return
 			}
 		}
 	}

@@ -134,10 +134,11 @@ type ILM struct {
 	latest   map[string]string            // name -> highest registered version
 	pins     map[string]string            // name -> pinned version (upgrade.go)
 	running  map[uint64]*Handle           // live handles by ID (upgrade.go)
-	launchQ  *sim.Mailbox[*launchReq]
 	topics   map[string]map[*subscription]struct{}
 	live     int
 	handleID uint64
+
+	admitFree time.Duration // when serial launch admission is next free (attempt)
 
 	defaultRetry RetryPolicy                 // applied when a LaunchSpec's Retry is zero
 	retrySeq     uint64                      // seeds per-handle jitter streams
@@ -183,10 +184,6 @@ type entry struct {
 
 func (e *entry) ref() string { return inferlet.Ref(e.prog.Name, e.version) }
 
-type launchReq struct {
-	grant *sim.Signal
-}
-
 // New starts the ILM on the clock. Launched instances are placed onto a
 // control layer by place — the cluster router in multi-replica engines.
 // models is the catalog view program manifests validate against.
@@ -199,10 +196,8 @@ func New(clock *sim.Clock, place Placer, world *netsim.World, models []api.Model
 		programs: make(map[string]map[string]*entry),
 		latest:   make(map[string]string),
 		running:  make(map[uint64]*Handle),
-		launchQ:  sim.NewMailbox[*launchReq](clock),
 		topics:   make(map[string]map[*subscription]struct{}),
 	}
-	clock.GoDaemon("ilm:dispatcher", m.dispatcherLoop)
 	return m
 }
 
@@ -314,23 +309,6 @@ func (m *ILM) ProgramInfos() []ProgramInfo {
 	return out
 }
 
-// dispatcherLoop serializes launch admission (single-threaded, like the
-// ILM RPC front end): the source of Fig. 9's latency growth under
-// concurrent launches.
-// The dispatcher charges the warm admission cost; cold launches pay the
-// dispatch delta in the launching process once placement has picked the
-// replica (coldness is a per-replica property now).
-func (m *ILM) dispatcherLoop() {
-	for {
-		req, err := m.launchQ.Recv()
-		if err != nil {
-			return
-		}
-		m.clock.Sleep(dispatchWarm)
-		sim.Fire(req.grant)
-	}
-}
-
 // Handle is the client-side connection to a running inferlet. One handle
 // spans every attempt of a retried launch: the client's mailboxes and done
 // future survive requeues, so Wait/Recv keep working while the instance
@@ -408,8 +386,8 @@ func (h *Handle) Done() bool { return h.done.Done() }
 // returns to the pools (queue-scoped reclamation through the control
 // layer — pending calls fail, page pins drop, offloaded pages unpin),
 // and Wait resolves with api.ErrAborted. Aborting a finished or already
-// aborted inferlet is a no-op. Must be called from a sim process. It
-// reports whether this call performed the abort.
+// aborted inferlet is a no-op. Must be called from the simulation: a
+// process or a timer. It reports whether this call performed the abort.
 func (h *Handle) Abort() bool { return h.abort(api.ErrAborted) }
 
 func (h *Handle) abort(reason error) bool {
@@ -518,15 +496,12 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 		m.clock.Sleep(d)
 	}
 	if d := effectiveDeadline(spec.Deadline, p.Manifest.Limits.Deadline); d > 0 {
-		m.clock.GoDaemon("ilm:deadline", func() {
-			m.clock.Sleep(d)
-			h.abort(fmt.Errorf("%w after %v", api.ErrDeadlineExceeded, d))
-		})
+		m.clock.After(d, func() { h.abort(fmt.Errorf("%w after %v", api.ErrDeadlineExceeded, d)) })
 	}
 	return h, nil
 }
 
-// attempt runs one launch attempt end to end: dispatcher admission,
+// attempt runs one launch attempt end to end: serial admission,
 // transient-fault check, placement, instance registration, artifact
 // upload/JIT, and finally spawning the inferlet process. On success the
 // handle's ctl/inst/proc point at the new attempt and nil returns; on
@@ -536,11 +511,16 @@ func (m *ILM) attempt(h *Handle) error {
 	e := h.entry
 	p := e.prog
 	h.attempts++
-	req := &launchReq{grant: sim.NewSignal(m.clock)}
-	m.launchQ.Send(req)
-	if err := sim.Await(req.grant); err != nil {
-		return err
-	}
+	// Admission is serialized (single-threaded, like the ILM RPC front
+	// end): the source of Fig. 9's latency growth under concurrent
+	// launches. It is a serial server kept as a busy-until time: a launch
+	// is admitted dispatchWarm after the later of its arrival and the
+	// previous admission, so launches made in one instant go FIFO. Cold
+	// launches pay the dispatch delta in the launching process once
+	// placement has picked the replica (coldness is a per-replica property).
+	now := m.clock.Now()
+	m.admitFree = max(m.admitFree, now) + dispatchWarm
+	m.clock.Sleep(m.admitFree - now)
 	m.clock.Sleep(instantiateFixed)
 	if m.live >= poolSlots {
 		m.clock.Sleep(poolOverflowCost)

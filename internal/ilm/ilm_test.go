@@ -215,3 +215,55 @@ func TestVersionCanonicalization(t *testing.T) {
 		t.Fatalf("ProgramInfos = %+v, want one canonical 1.0.0 entry", got)
 	}
 }
+
+// TestLaunchAdmissionIsASerialServer: launches made in one instant are
+// admitted in order, dispatchWarm apart, and admission keeps no process:
+// none is parked before the first launch, between launches or after them.
+func TestLaunchAdmissionIsASerialServer(t *testing.T) {
+	clock := sim.NewClock()
+	m := oneReplicaILM(clock)
+	if err := m.Register(prog("noop", "", inferlet.Manifest{})); err != nil {
+		t.Fatal(err)
+	}
+	parked := func(when string) {
+		if _, n, _, _ := clock.Stats(); n != 0 {
+			t.Errorf("%d processes parked %s", n, when)
+		}
+	}
+	const herd = 4
+	var ids []uint64
+	var running []time.Duration
+	clock.Go("driver", func() {
+		parked("before the first launch")
+		launch := func() {
+			h, err := m.Launch(LaunchSpec{Program: "noop"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids = append(ids, h.ID)
+			running = append(running, clock.Now())
+			h.Wait()
+		}
+		launch() // cold: the herd below finds the artifact cached
+		parked("between launches")
+		g := sim.NewGroup(clock)
+		for i := 0; i < herd; i++ {
+			g.Go("launcher", launch)
+		}
+		g.Wait()
+		parked("after the last launch")
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != herd+1 {
+		t.Fatalf("%d launches ran, want %d", len(ids), herd+1)
+	}
+	for i := 2; i <= herd; i++ {
+		if ids[i] != ids[i-1]+1 || running[i]-running[i-1] != dispatchWarm {
+			t.Errorf("herd launch %d: handle %d running %v after the one before, want handle %d %v after",
+				i, ids[i], running[i]-running[i-1], ids[i-1]+1, dispatchWarm)
+		}
+	}
+}

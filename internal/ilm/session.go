@@ -108,21 +108,17 @@ func (s *session) Spawn(program string, args []string) (inferlet.Child, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &child{h: h, clock: s.ilm.clock}, nil
+	return &child{h: h}, nil
 }
 
-type child struct {
-	h     *Handle
-	clock *sim.Clock
-}
+type child struct{ h *Handle }
 
 func (c *child) Send(msg string)          { c.h.Send(msg) }
 func (c *child) Recv() api.Future[string] { return c.h.Recv() }
-func (c *child) Wait() api.Future[error] {
-	f := sim.NewFuture[error](c.clock)
-	c.clock.GoDaemon("child-wait", func() { f.Resolve(c.h.Wait()) })
-	return f
-}
+
+// Wait is the handle's own done future: it resolves with what h.Wait
+// returns, and like it survives requeues.
+func (c *child) Wait() api.Future[error] { return c.h.done }
 
 // --- Model discovery ------------------------------------------------------
 

@@ -35,20 +35,28 @@ func (p *onePlacer) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*co
 	return p.fakePlacer.MaybeHandoff(ctl, inst)
 }
 
-// runOnController launches program body on an ILM whose placer puts it on
-// a one-model timing controller, and waits for it.
-func runOnController(t *testing.T, body func(s *session) error) {
-	t.Helper()
-	clock := sim.NewClock()
+// oneReplicaILM returns an ILM whose placer puts every launch on a
+// one-model timing controller.
+func oneReplicaILM(clock *sim.Clock) *ILM {
 	rt := infer.NewModelRuntime(model.StandardCatalog(42).Models["llama-1b"], infer.ExecTiming)
 	ctl := core.NewController(clock, infer.NewBackend(clock, "gpu0"), []*infer.ModelRuntime{rt},
 		core.DefaultSchedConfig(), core.OffloadConfig{}, core.ArtifactConfig{})
-	p := &onePlacer{ctl: ctl}
-	m := New(clock, p, nil, []api.ModelInfo{rt.Info})
-	if err := m.Register(inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+	return New(clock, &onePlacer{ctl: ctl}, nil, []api.ModelInfo{rt.Info})
+}
+
+// runOnController launches program body on oneReplicaILM, beside the other
+// programs, and waits for it.
+func runOnController(t *testing.T, body func(s *session) error, others ...inferlet.Program) {
+	t.Helper()
+	clock := sim.NewClock()
+	m := oneReplicaILM(clock)
+	progs := append(others, inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
 		return body(s.(*session))
-	}}); err != nil {
-		t.Fatal(err)
+	}})
+	for _, p := range progs {
+		if err := m.Register(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clock.Go("client", func() {
 		h, err := m.Launch(LaunchSpec{Program: "t", Args: []string{"arg"}})
@@ -255,4 +263,28 @@ func TestSessionDrivesAContext(t *testing.T) {
 	if len(logs) != 1 || logs[0] != "hello from t#1" {
 		t.Fatalf("logs = %q", logs)
 	}
+}
+
+// TestChildWaitIsTheHandlesFuture: a child's Wait resolves, as often as it
+// is asked, with the child's result, and asking arms nothing.
+func TestChildWaitIsTheHandlesFuture(t *testing.T) {
+	kidErr := errors.New("kid failed")
+	kid := inferlet.Program{Name: "kid", BinarySize: 1 << 10, Run: func(inferlet.Session) error { return kidErr }}
+	runOnController(t, func(s *session) error {
+		c, err := s.Spawn("kid", nil)
+		if err != nil {
+			return err
+		}
+		_, _, before, _ := s.ilm.clock.Stats()
+		waits := []api.Future[error]{c.Wait(), c.Wait()}
+		if _, _, after, _ := s.ilm.clock.Stats(); after != before {
+			return fmt.Errorf("two Waits armed %d events", after-before)
+		}
+		for i, f := range waits {
+			if got, err := f.Get(); err != nil || !errors.Is(got, kidErr) {
+				return fmt.Errorf("Wait %d resolved %v, %v; want %v", i, got, err, kidErr)
+			}
+		}
+		return nil
+	}, kid)
 }

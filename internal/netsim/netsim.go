@@ -39,6 +39,8 @@ func (l Link) Send() { l.Clock.Sleep(l.RTT / 2) }
 type Service struct {
 	Name    string
 	Latency time.Duration
+	// Handler computes the response when it is due. It runs in a clock
+	// timer, so it must not block.
 	Handler func(req string) string
 }
 
@@ -81,7 +83,8 @@ func host(url string) string {
 
 // Call performs an asynchronous request against url: the returned future
 // resolves after the service's latency with its response. Fire-and-forget
-// callers simply drop the future (§7.2 optimization #2).
+// callers simply drop the future (§7.2 optimization #2). The request is a
+// clock timer, not a process: one event from call to response.
 func (w *World) Call(url, body string) *sim.Future[string] {
 	w.Calls++
 	f := sim.NewFuture[string](w.clock)
@@ -91,8 +94,7 @@ func (w *World) Call(url, body string) *sim.Future[string] {
 	if ok {
 		lat = svc.Latency
 	}
-	w.clock.GoDaemon("netsim:"+h, func() {
-		w.clock.Sleep(lat)
+	w.clock.After(lat, func() {
 		if !ok {
 			f.Resolve(fmt.Sprintf(`{"host":%q,"status":200,"body":"ok"}`, h))
 			return

@@ -26,14 +26,25 @@ func TestRoundTripChargesRTT(t *testing.T) {
 	}
 }
 
+// TestServiceLatencyAndHandler: a call resolves with the handler's response
+// after the service's latency. The response is a timer, not a process: the
+// handler runs with no process current, one event after the call.
 func TestServiceLatencyAndHandler(t *testing.T) {
 	clock := sim.NewClock()
 	w := NewWorld(clock)
+	var called, handled uint64
 	w.Register(&Service{Name: "api.test", Latency: 30 * time.Millisecond,
-		Handler: func(req string) string { return "echo:" + req }})
+		Handler: func(req string) string {
+			if clock.Current() != nil {
+				t.Errorf("the handler ran in process %q, want a timer", clock.Current().Name())
+			}
+			handled = clock.Events()
+			return "echo:" + req
+		}})
 	var resp string
 	var took time.Duration
 	clock.Go("client", func() {
+		called = clock.Events()
 		resp, _ = w.Call("http://api.test/path?x=1", "hi").Get()
 		took = clock.Now()
 	})
@@ -48,6 +59,9 @@ func TestServiceLatencyAndHandler(t *testing.T) {
 	}
 	if w.Calls != 1 {
 		t.Fatalf("calls %d", w.Calls)
+	}
+	if n := handled - called; n != 1 {
+		t.Fatalf("%d events from call to response, want 1", n)
 	}
 }
 

@@ -1,15 +1,26 @@
 // Package sim provides a deterministic discrete-event simulation runtime.
 //
-// Everything in the serving system that waits — inferlets, clients, engines,
-// external tool servers — runs as a cooperative process on a shared virtual
-// Clock, and what only reacts (a device finishing a kernel, a batch crossing
-// the IPC boundary, the scheduler's kick) is a timer: a callback armed with
-// After that runs between processes and never blocks. Exactly one process or
-// timer executes at any instant; blocking operations (Sleep, Future.Get,
-// Mailbox.Recv) hand control to the earliest pending event, ordered by
-// (virtual time, sequence number). This makes experiments with hundreds of
-// concurrent agents fully deterministic and lets hours of simulated GPU time
-// replay in milliseconds of wall time.
+// One rule decides what is a process: only code that blocks. Inferlets,
+// clients and engines block, and each runs as a cooperative process on a
+// shared virtual Clock. Whatever only waits and then acts is a timer — a
+// callback armed with After (or Every, for a period) that runs between
+// processes and never blocks — or a busy-until timestamp. A device
+// finishing a kernel, a batch crossing the IPC boundary, the scheduler's
+// kick and its T-only and K-only ticks, a tool call's latency, a launch
+// deadline, a fault plan's events and the health monitor's tick are timers;
+// launch admission and the backend's ingress are busy-until timestamps.
+// Six daemons remain, each because it blocks: the SLO scaler, the fleet
+// controller and eval's queue-depth comparator finish drains
+// (cluster.CompleteDrains sleeps the export-migration charge, and the fleet
+// controller also sleeps its prewarm uploads); the ILM's two requeue
+// daemons sleep their backoff, then relaunch; and the baseline engine's
+// loop waits on its device.
+//
+// Exactly one process or timer executes at any instant; blocking operations
+// (Sleep, Future.Get, Mailbox.Recv) hand control to the earliest pending
+// event, ordered by (virtual time, sequence number). This makes experiments
+// with hundreds of concurrent agents fully deterministic and lets hours of
+// simulated GPU time replay in milliseconds of wall time.
 //
 // Simulated code must never block on real OS primitives (time.Sleep,
 // channel receives, sync.WaitGroup); it must use the Clock's primitives so
@@ -235,9 +246,11 @@ func (c *Clock) Go(name string, fn func()) *Proc {
 	return c.spawn(name, fn, false, "Go")
 }
 
-// GoDaemon spawns a service process (policy tickers, health monitors, network
-// servers). Daemons run like ordinary processes but do not keep the
-// simulation alive: Run returns once every non-daemon process finishes.
+// GoDaemon spawns a service process: a loop that blocks, such as a scaler
+// whose tick sleeps a migration charge. Daemons run like ordinary processes
+// but do not keep the simulation alive: Run returns once every non-daemon
+// process finishes. A loop that only sleeps and then acts is a timer
+// (Every), not a daemon.
 func (c *Clock) GoDaemon(name string, fn func()) *Proc {
 	return c.spawn(name, fn, true, "Go")
 }
@@ -261,6 +274,22 @@ func (c *Clock) After(d time.Duration, fn func()) {
 		c.heap.push(ev)
 	}
 	c.mu.Unlock()
+}
+
+// Every arms a periodic timer: fn runs every d of virtual time from now,
+// re-armed after each run, until the clock finishes. fn is a timer's
+// callback and must not block. The re-arming closure is made once, here, so
+// a tick allocates nothing.
+func (c *Clock) Every(d time.Duration, fn func()) {
+	if d <= 0 {
+		panic("sim: Every needs a positive period")
+	}
+	var tick func()
+	tick = func() {
+		fn()
+		c.After(d, tick)
+	}
+	c.After(d, tick)
 }
 
 // spawn queues a new process for its first dispatch at the current virtual

@@ -131,24 +131,32 @@ func TestAfterBlockingCallPanics(t *testing.T) {
 }
 
 // Pending timers are like daemons: Run returns when the last live process
-// does, and a clock with timers only has nothing to run.
+// does, and a clock with timers only has nothing to run. Every re-arms at
+// each period.
 func TestPendingTimersDoNotKeepRunAlive(t *testing.T) {
 	c := NewClock()
-	ticks := 0
-	var tick func()
-	tick = func() { ticks++; c.After(time.Millisecond, tick) }
-	c.After(time.Millisecond, tick)
+	var ticks []time.Duration
+	tick := func() { ticks = append(ticks, c.Now()) }
+	c.Every(time.Millisecond, tick)
 	c.Go("p", func() { c.Sleep(10*time.Millisecond + time.Microsecond) })
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ticks != 10 || c.Now() != 10*time.Millisecond+time.Microsecond {
-		t.Fatalf("%d ticks by %v, want 10 by 10.001ms", ticks, c.Now())
+	if len(ticks) != 10 || ticks[0] != time.Millisecond || ticks[9] != 10*time.Millisecond || c.Now() != 10*time.Millisecond+time.Microsecond {
+		t.Fatalf("ticks at %v by %v, want 1ms..10ms by 10.001ms", ticks, c.Now())
 	}
 	c.After(0, tick) // dropped: the clock is finished
-	if ticks != 10 {
+	if len(ticks) != 10 {
 		t.Fatal("a finished clock ran a timer")
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Every with no period did not panic")
+			}
+		}()
+		c.Every(0, tick)
+	}()
 
 	c = NewClock()
 	c.After(0, func() { t.Error("a timer ran on a clock with no process") })

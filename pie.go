@@ -505,7 +505,8 @@ func (e *Engine) FleetStatus() (fleet.Status, bool) {
 func (e *Engine) FleetController() *fleet.Controller { return e.fleet }
 
 // RegisterTool installs an external service reachable from inferlets and
-// baseline clients via HTTP calls.
+// baseline clients via HTTP calls. handler runs in a clock timer when the
+// response is due, so it must not block.
 func (e *Engine) RegisterTool(name string, latency time.Duration, handler func(req string) string) {
 	e.world.Register(&netsim.Service{Name: name, Latency: latency, Handler: handler})
 }
@@ -548,8 +549,9 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) { return h
 
 // Abort cancels the inferlet: queue-scoped reclamation frees every page
 // and embedding slot it holds, in-flight calls fail, and Wait resolves
-// with ErrAborted. A no-op on finished runs. Must be called from a sim
-// process; it reports whether this call performed the abort.
+// with ErrAborted. A no-op on finished runs. Must be called from the
+// simulation, a process or a timer; it reports whether this call performed
+// the abort.
 func (h *Handle) Abort() bool { return h.h.Abort() }
 
 // Program reports the launched program name and resolved version.

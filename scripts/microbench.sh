@@ -6,8 +6,9 @@
 # scheduling round, a round of decode steps beside fills that the prefill
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
 # allocation under KV pressure), the inference layer's timing-mode
-# get_next_dist, the grammar matcher and the tokenizer, as the minimum over
-# $count runs of `go test -bench`.
+# get_next_dist, a tool call (call to response), a warm launch of a program
+# that returns at once (Launch through Wait), the grammar matcher and the
+# tokenizer, as the minimum over $count runs of `go test -bench`.
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
 #                                  block of BENCH_micro.json; the "parent"
@@ -40,7 +41,9 @@
 #     token and heap event (the allocs/op gate above, against a committed 0).
 #   - BatchRoundTrip (one single-call batch, enqueue to completion) taking
 #     more sim events than committed (4: kick, deserialised, kernel done,
-#     response).
+#     response), ToolCall more than 1 (the response timer) or Launch more
+#     than 4 (admission, instantiation, the program's first dispatch, the
+#     caller's wake): what only waits is a timer, not a process.
 set -eu
 cd "$(dirname "$0")/.."
 file=BENCH_micro.json
@@ -94,6 +97,8 @@ bench() {
 	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
 	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
 	bench 200000x '^BenchmarkNextDistTiming$' ./internal/infer
+	bench 20000x '^BenchmarkToolCall$' ./internal/netsim
+	bench 20000x '^BenchmarkLaunch$' ./internal/ilm
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
 	bench 2000x '^BenchmarkEncode$' ./internal/tokenizer
 } > "$fresh"
@@ -142,7 +147,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict and BatchRoundTrip 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall and Launch 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'
