@@ -121,6 +121,9 @@ type Replica struct {
 	// from prefill replicas and sessions handed off to decode replicas.
 	HandoffsIn  int
 	HandoffsOut int
+	// sample is the role balancer's view of the replica's counters at the
+	// last window edge (roles.go).
+	sample roleSample
 
 	active   bool
 	draining bool
@@ -198,10 +201,12 @@ type Cluster struct {
 	// the bounded in-flight transfer budget (slots held, FIFO waiters).
 	hasRoles      bool
 	stick         []*Replica // hashStick's domain: every replica a launch may start on, ID order
+	roleVote      Role       // the role the last balancer window wanted a replica moved to; unified for none
 	handoff       HandoffConfig
 	ctlIndex      map[*core.Controller]*Replica
 	handoffActive int
 	transferWait  *sim.WaitList
+	handoffCands  []handoffCand // handoffTarget's working set, reused per call
 
 	// Handoff stats.
 	Handoffs        int           // sessions migrated prefill -> decode
@@ -210,6 +215,7 @@ type Cluster struct {
 	HandoffDenied   int           // handoffs denied (no decode capacity or refused alloc)
 	HandoffQueued   int           // handoffs that waited on the transfer budget
 	HandoffRequests int           // quiescent first-token sessions that sought a target
+	RoleFlips       int           // replicas the role balancer moved between prefill and decode
 
 	// SLO-layer stats.
 	Degradations      int // launches admitted degraded instead of shed
@@ -400,12 +406,18 @@ func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
 func pickLeastLoaded(cands []*Replica) *Replica {
 	best := cands[0]
 	for _, r := range cands[1:] {
-		bt, rt := best.Ctl.OutstandingTokens(), r.Ctl.OutstandingTokens()
-		if rt < bt || (rt == bt && r.Ctl.Instances() < best.Ctl.Instances()) {
+		if lessLoaded(r, best) {
 			best = r
 		}
 	}
 	return best
+}
+
+// lessLoaded reports whether a has fewer outstanding tokens than b, or as
+// many and fewer live instances.
+func lessLoaded(a, b *Replica) bool {
+	at, bt := a.Ctl.OutstandingTokens(), b.Ctl.OutstandingTokens()
+	return at < bt || (at == bt && a.Ctl.Instances() < b.Ctl.Instances())
 }
 
 func (c *Cluster) pickAffinity(hints []string, cands []*Replica) *Replica {

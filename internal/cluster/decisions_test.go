@@ -57,6 +57,7 @@ func checkDecisionsMirrorCounters(t *testing.T, cl *cluster.Cluster, ds []trace.
 	}{
 		{"Handoffs", n[trace.Handoff], cl.Handoffs},
 		{"HandoffDenied", n[trace.HandoffDeny], cl.HandoffDenied},
+		{"RoleFlips", n[trace.RoleFlip], cl.RoleFlips},
 		{"ScaleUps", n[trace.ScaleUp], cl.ScaleUps},
 		{"DrainStart", n[trace.Drain], cl.DrainStart},
 		{"DrainDone", n[trace.DrainDone], cl.DrainDone},

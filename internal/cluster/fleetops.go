@@ -2,7 +2,8 @@ package cluster
 
 import "pie/internal/trace"
 
-// Fleet ops: the one mutation surface of the active replica set. The SLO
+// Fleet ops: the one mutation surface of the active replica set and of the
+// replicas' roles. The SLO
 // scaler, the health monitor's spare activation, placement's last-resort
 // revive and the declarative fleet controller (internal/fleet) all change
 // the set through these verbs, so every caller honors the same invariants
@@ -99,6 +100,25 @@ func (c *Cluster) migrationTarget(drained *Replica) *Replica {
 		}
 	}
 	return nil
+}
+
+// flipRole moves a serving replica to the other pool, as the role balancer
+// decided on window bal. Launches place by the new role from now on, and
+// hashStick's domain follows. Nothing on the replica moves: a session that
+// began there as prefill decodes in place (MaybeHandoff clears its mark),
+// one that arrived to decode keeps decoding, and its KV exports stay put.
+func (c *Cluster) flipRole(r *Replica, role Role, bal trace.RoleBalance) {
+	r.Role = role
+	c.stick = c.stick[:0]
+	for _, x := range c.replicas {
+		if x.prefillEligible() {
+			c.stick = append(c.stick, x)
+		}
+	}
+	c.RoleFlips++
+	if c.OnDecision != nil {
+		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.RoleFlip, Replica: r.ID, Role: role.String(), Balance: bal})
+	}
 }
 
 // Deactivate retires an idle replica immediately, without the drain

@@ -31,9 +31,11 @@ type HandoffConfig struct {
 	Budget int
 }
 
-// EnableHandoff arms the handoff coordinator: every prefill-role replica
-// gets a first-token observer that marks its sessions for migration, and
-// sessions resolve their host replica through the controller index.
+// EnableHandoff arms the handoff coordinator: every replica gets a
+// first-token observer that marks the session for migration while the
+// replica's role is prefill, and sessions resolve their host replica
+// through the controller index. On a fleet with roles it also arms the
+// role balancer (roles.go).
 func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	cfg.Enabled = true
 	if cfg.Budget <= 0 {
@@ -44,11 +46,14 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	c.ctlIndex = make(map[*core.Controller]*Replica, len(c.replicas))
 	for _, r := range c.replicas {
 		c.ctlIndex[r.Ctl] = r
-		if r.Role == RolePrefill {
-			r.Ctl.SetFirstTokenObserver(func(inst *core.Instance) {
+		r.Ctl.SetFirstTokenObserver(func(inst *core.Instance) {
+			if r.Role == RolePrefill {
 				inst.HandoffPending = true
-			})
-		}
+			}
+		})
+	}
+	if c.hasRoles {
+		c.clock.Every(roleWindow, c.balanceRoles)
 	}
 }
 
@@ -163,7 +168,7 @@ func (h handoffCand) candidate() trace.Candidate {
 // when there is none.
 func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerUp handoffCand) {
 	now := c.now()
-	cands := make([]handoffCand, 0, len(c.replicas))
+	cands := c.handoffCands[:0]
 	for _, r := range c.replicas {
 		if r != src && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
 			cands = append(cands, handoffCand{
@@ -173,22 +178,18 @@ func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerU
 			})
 		}
 	}
+	c.handoffCands = cands
 	if len(cands) == 0 {
 		return pick, runnerUp
 	}
 	slices.SortStableFunc(cands, func(a, b handoffCand) int { return cmp.Compare(a.score(), b.score()) })
-	tied := 1
-	for tied < len(cands) && cands[tied].score() == cands[0].score() {
-		tied++
-	}
-	if tied > 1 {
-		rs := make([]*Replica, tied)
-		for i := range rs {
-			rs[i] = cands[i].r
+	best := 0
+	for i := 1; i < len(cands) && cands[i].score() == cands[0].score(); i++ {
+		if lessLoaded(cands[i].r, cands[best].r) {
+			best = i
 		}
-		i := slices.Index(rs, pickLeastLoaded(rs))
-		cands[0], cands[i] = cands[i], cands[0]
 	}
+	cands[0], cands[best] = cands[best], cands[0]
 	pick = cands[0]
 	if len(cands) > 1 {
 		runnerUp = cands[1]

@@ -138,6 +138,12 @@ type Scheduler struct {
 	Batches      int
 	BatchedCalls int
 	MaxBatch     int
+	// Forward counters: forward batches dispatched, and the decode steps
+	// (calls feeding at most two tokens) and bulk prefills they carried.
+	// The cluster's role balancer reads them per window.
+	Forwards     int
+	DecodeCalls  int
+	PrefillCalls int
 }
 
 // kickDelay is the adaptive policy's dispatch hysteresis: batch formation
@@ -371,6 +377,9 @@ func (s *Scheduler) dispatchOne() bool {
 					break // the run resumes here in the next forward
 				}
 				prefill += n
+				s.PrefillCalls++
+			} else if h.Op == infer.OpForward {
+				s.DecodeCalls++
 			}
 			q.pop()
 			q.inflight++
@@ -389,6 +398,9 @@ func (s *Scheduler) dispatchOne() bool {
 		batch.Extra += s.cfg.DistReturnOverhead
 	}
 	s.Batches++
+	if batch.Op == infer.OpForward {
+		s.Forwards++
+	}
 	s.BatchedCalls += len(batch.Calls)
 	if len(batch.Calls) > s.MaxBatch {
 		s.MaxBatch = len(batch.Calls)

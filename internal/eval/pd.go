@@ -83,6 +83,8 @@ type PDLeg struct {
 	HandoffDenied      int
 	HandoffTime        time.Duration
 	LeakedPages        int // live KV pages after the idle tail; must be 0
+	Prefill, Decode    int // the role split at the end of the leg
+	RoleFlips          int // role-balancer flips that made it
 }
 
 // PDMix pairs the two legs of one load mix.
@@ -230,7 +232,14 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
 	for _, r := range e.Cluster().Replicas() {
 		inUse, _ := r.Ctl.KVLoad()
 		leg.LeakedPages += inUse
+		switch r.Role {
+		case pie.RolePrefill:
+			leg.Prefill++
+		case pie.RoleDecode:
+			leg.Decode++
+		}
 	}
+	leg.RoleFlips = e.Cluster().RoleFlips
 	return leg
 }
 
@@ -238,13 +247,17 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
 func (r PDResult) Table() string {
 	var b strings.Builder
 	t := &metrics.Table{
-		Title: fmt.Sprintf("Prefill/decode disaggregation: %d replicas unified vs %d prefill + %d decode with KV handoff",
+		Title: fmt.Sprintf("Prefill/decode disaggregation: %d replicas unified vs a split starting at %d prefill + %d decode, with KV handoff",
 			r.Replicas, r.Prefill, r.Replicas-r.Prefill),
-		Header: []string{"mix", "pool", "int done", "ttft p50", "ttft p95", "tpot", "batch p95", "thru/s", "goodput/s", "makespan", "handoffs", "pages", "queued", "leaked"},
+		Header: []string{"mix", "pool", "split", "flips", "int done", "ttft p50", "ttft p95", "tpot", "batch p95", "thru/s", "goodput/s", "makespan", "handoffs", "pages", "queued", "leaked"},
 	}
 	for _, mix := range r.Mixes {
 		row := func(name string, l PDLeg) {
-			t.AddRow(mix.Spec.Name, name,
+			split, flips := "-", "-"
+			if l.Prefill+l.Decode > 0 {
+				split, flips = fmt.Sprintf("%dP:%dD", l.Prefill, l.Decode), fmt.Sprint(l.RoleFlips)
+			}
+			t.AddRow(mix.Spec.Name, name, split, flips,
 				fmt.Sprint(l.IntDone),
 				metrics.Ms(l.IntTTFTP50),
 				metrics.Ms(l.IntTTFTP95),

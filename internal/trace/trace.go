@@ -1,10 +1,11 @@
 // Package trace declares the cluster's decision stream: one typed Decision
-// per placement, handoff, scaling action, admission verdict, fleet op,
-// health transition and fleet-controller step. It holds declarations only.
-// The deciding layers (internal/cluster, internal/fleet) build a record only
-// when an observer is installed (cluster.Cluster.OnDecision), hand it over
-// by value in the deciding process, and keep nothing; the observer owns
-// retention. %+v is the rendering.
+// per placement, handoff, role flip, scaling action, admission verdict,
+// fleet op, health transition and fleet-controller step. It holds
+// declarations only. The deciding layers (internal/cluster, internal/fleet)
+// build a record only when an observer is installed
+// (cluster.Cluster.OnDecision), hand it over by value in the deciding
+// process, and keep nothing; the observer owns retention. %+v is the
+// rendering.
 package trace
 
 import "time"
@@ -18,6 +19,11 @@ const (
 	Place       Kind = "place"        // a launch attempt placed: Replica, Program
 	Handoff     Kind = "handoff"      // a session moved: Session, Replica -> Dest, Pages, Cost, Chosen, RunnerUp
 	HandoffDeny Kind = "handoff-deny" // a handoff refused, the session decodes in place: Session, Replica, Err
+)
+
+// The role balancer (internal/cluster/roles.go).
+const (
+	RoleFlip Kind = "role-flip" // Replica moved to Role, from the other pool; Balance the window that decided it
 )
 
 // The SLO scaler. Every scale record carries the tick's signal: Sat, the
@@ -91,8 +97,19 @@ type Decision struct {
 	Cost  time.Duration // modeled interconnect time of a handoff
 	Wait  time.Duration // the span the kind names
 
-	Chosen, RunnerUp Candidate // handoff: the best two decode replicas
+	Chosen, RunnerUp Candidate   // handoff: the best two decode replicas
+	Balance          RoleBalance // role-flip: the cost model's inputs and verdict
 	Err              error
+}
+
+// RoleBalance is a role flip's window: N sessions decoding at R decode
+// steps per second, and prefill at per-replica load Rho, mean service S and
+// Lambda calls per second. Gain is the waiting per second the receiving pool
+// sheds and Loss what the donor pool adds; a flip needs Gain > Loss.
+type RoleBalance struct {
+	N, R, Rho, Lambda float64
+	S                 time.Duration
+	Gain, Loss        float64
 }
 
 // Candidate is a decode replica a handoff weighed: when its first forward

@@ -250,8 +250,10 @@ type Config struct {
 	// Roles assigns serving phases (prefill/decode/unified) across the
 	// replica pool in ID order. With any non-unified role present, new
 	// launches route to prefill capacity and sessions hand their KV state
-	// off to a decode replica after the first token. Empty keeps every
-	// replica unified — the classic colocated configuration.
+	// off to a decode replica after the first token; the split is where
+	// the fleet starts, and the role balancer moves replicas between
+	// prefill and decode as the load asks. Empty keeps every replica
+	// unified — the classic colocated configuration.
 	Roles []RoleSpec
 	// HandoffBudget bounds concurrent in-flight prefill->decode KV
 	// transfers (default 2); excess handoffs queue FIFO.
