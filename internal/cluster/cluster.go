@@ -32,6 +32,10 @@
 //     cold programs hash-stick to a replica so their second launch is
 //     already warm.
 //
+// A policy only names the candidates. Every policy but round-robin ranks
+// them with the one scorer (argmin) the prefill/decode handoff uses too:
+// a delay plus the replica's outstanding tokens' decode cost.
+//
 // The active replica set changes only through the fleet ops (fleetops.go):
 // the SLO scaler, the health monitor, the fleet controller and placement's
 // last-resort revive all call them. Everything runs on the engine's virtual
@@ -158,6 +162,10 @@ func (r *Replica) Draining() bool { return r.draining }
 // Health reports the replica's position in the failure state machine.
 func (r *Replica) Health() HealthState { return r.health }
 
+// serving reports whether the replica takes new work: active, not
+// draining, healthy.
+func (r *Replica) serving() bool { return r.active && !r.draining && r.health == HealthHealthy }
+
 // Cluster routes inferlet launches across replicas and keeps the active
 // set.
 type Cluster struct {
@@ -205,8 +213,8 @@ type Cluster struct {
 	handoff       HandoffConfig
 	ctlIndex      map[*core.Controller]*Replica
 	handoffActive int
-	transferWait  *sim.WaitList
-	handoffCands  []handoffCand // handoffTarget's working set, reused per call
+	transferWait  *sim.WaitList // nil until EnableHandoff arms the coordinator
+	placeBuf      []*Replica    // placeable's result, reused per launch
 
 	// Handoff stats.
 	Handoffs        int           // sessions migrated prefill -> decode
@@ -276,6 +284,7 @@ func (c *Cluster) ActiveReplicas() int {
 // roles assigned, new launches (which begin with prefill) prefer
 // prefill-eligible replicas and spill onto the decode pool only when no
 // prefill capacity survives — better to colocate than to refuse service.
+// The slice is the cluster's scratch, valid until the next call.
 func (c *Cluster) placeable() []*Replica {
 	if c.hasRoles {
 		if out := c.placeableFor((*Replica).prefillEligible); len(out) > 0 {
@@ -287,14 +296,14 @@ func (c *Cluster) placeable() []*Replica {
 
 // placeableFor runs the placement eligibility ladder over replicas
 // matching the role predicate (nil admits every role), in ID order:
-// healthy, active, not draining. Suspect replicas are avoided but serve
-// as a last resort; dead ones never return. May be empty when every
-// matching replica is dead.
+// serving ones first. Suspect replicas are avoided but serve as a last
+// resort; dead ones never return. May be empty when every matching replica
+// is dead.
 func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 	ok := func(r *Replica) bool { return eligible == nil || eligible(r) }
-	out := make([]*Replica, 0, len(c.replicas))
+	out := c.placeBuf[:0]
 	for _, r := range c.replicas {
-		if r.active && !r.draining && r.health == HealthHealthy && ok(r) {
+		if r.serving() && ok(r) {
 			out = append(out, r)
 		}
 	}
@@ -317,14 +326,20 @@ func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 			}
 		}
 	}
+	c.placeBuf = out
 	return out
 }
 
 // Place picks a replica for a new inferlet instance and returns its
 // controller (the ilm.Placer contract). artifact is the program's
 // name@version cache key, the program-affinity policy's routing signal.
-// When every replica is dead it fails typed with api.ErrReplicaLost —
-// retried by launches carrying a retry policy, surfaced otherwise.
+// Each policy keeps its own candidates — every placeable replica for
+// least-loaded, the holders of the first hinted KV export for kv-affinity,
+// the replicas holding the artifact warm for program-affinity — and one
+// scorer picks among them (argmin): the least delay plus outstanding load.
+// Round-robin cycles, and cold keys and artifacts hash-stick. When every
+// replica is dead it fails typed with api.ErrReplicaLost — retried by
+// launches carrying a retry policy, surfaced otherwise.
 func (c *Cluster) Place(program, artifact string, args []string) (*core.Controller, error) {
 	r := c.pick(artifact, args)
 	if r == nil {
@@ -348,30 +363,27 @@ func (c *Cluster) pick(artifact string, args []string) *Replica {
 		c.rr++
 		return r
 	case PlaceKVAffinity:
-		return c.pickAffinity(affinityHints(args), cands)
+		if hints := affinityHints(args); len(hints) > 0 {
+			return c.pickAffinity(hints, cands)
+		}
 	case PlaceProgramAffinity:
 		return c.pickProgramAffinity(artifact, cands)
-	default:
-		return pickLeastLoaded(cands)
 	}
+	pick, _ := argmin(cands, noDelay)
+	return pick.r
 }
 
 // pickProgramAffinity routes a launch toward a replica holding the
-// program artifact warm, so it skips the upload + JIT pipeline. Several
-// warm holders tie-break by least outstanding tokens (a hot program's
-// launches spread over every replica that has paid its JIT). A cold
-// artifact hash-sticks to a stable replica — exactly the kv-affinity
-// cold-key trick — so concurrent and repeat launches of a new program
-// converge on one replica, which then stays its warm home.
+// program artifact warm, so it skips the upload + JIT pipeline; several
+// warm holders are scored on load alone (a hot program's launches spread
+// over every replica that has paid its JIT). A cold artifact hash-sticks
+// to a stable replica — exactly the kv-affinity cold-key trick — so
+// concurrent and repeat launches of a new program converge on one replica,
+// which then stays its warm home.
 func (c *Cluster) pickProgramAffinity(artifact string, cands []*Replica) *Replica {
-	var warm []*Replica
-	for _, r := range cands {
-		if r.Ctl.HasArtifact(artifact) {
-			warm = append(warm, r)
-		}
-	}
-	if len(warm) > 0 {
-		return pickLeastLoaded(warm)
+	pick, _ := argmin(cands, func(r *Replica) (time.Duration, bool) { return 0, r.Ctl.HasArtifact(artifact) })
+	if pick.r != nil {
+		return pick.r
 	}
 	return c.hashStick(artifact, cands)
 }
@@ -391,67 +403,77 @@ func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
 	start := int(h.Sum64() % uint64(len(c.stick)))
 	for i := range c.stick {
 		r := c.stick[(start+i)%len(c.stick)]
-		if r.active && !r.draining && r.health == HealthHealthy {
+		if r.serving() {
 			return r
 		}
 	}
 	return cands[0]
 }
 
-// pickLeastLoaded places on the fewest outstanding tokens; ties break by
-// live instance count. Instances register at placement time — before a
-// cold launch's JIT completes — so a burst of simultaneous launches
-// spreads across replicas instead of piling onto the first zero-token tie
-// while everyone's work is still compiling.
-func pickLeastLoaded(cands []*Replica) *Replica {
-	best := cands[0]
-	for _, r := range cands[1:] {
-		if lessLoaded(r, best) {
-			best = r
-		}
-	}
-	return best
-}
-
-// lessLoaded reports whether a has fewer outstanding tokens than b, or as
-// many and fewer live instances.
-func lessLoaded(a, b *Replica) bool {
-	at, bt := a.Ctl.OutstandingTokens(), b.Ctl.OutstandingTokens()
-	return at < bt || (at == bt && a.Ctl.Instances() < b.Ctl.Instances())
-}
-
+// pickAffinity routes to a holder of the first hinted export any candidate
+// holds. Its delay is the export's fault-in: host-offloaded pages pay a
+// swap before they serve, so a warmer holder wins at equal load. A cold key
+// hash-sticks so concurrent launches of it converge before the first
+// export even lands.
 func (c *Cluster) pickAffinity(hints []string, cands []*Replica) *Replica {
-	// Among replicas holding a hinted export, score by residency tier:
-	// device-resident cached pages serve immediately, host-offloaded ones
-	// pay a fault-in, so a warmer holder wins. Ties (including the common
-	// single-tier case, where every holder scores 1.0) keep the first
-	// holder in replica-ID order — the pre-offload behavior.
 	for _, h := range hints {
-		var best *Replica
-		bestScore := -1.0
-		for _, r := range cands {
-			if !r.Ctl.HasExportNamed(h) {
-				continue
-			}
-			dev, total := r.Ctl.ExportResidency(h)
-			score := 1.0
-			if total > 0 {
-				score = float64(dev) / float64(total)
-			}
-			if score > bestScore {
-				best, bestScore = r, score
-			}
-		}
-		if best != nil {
-			return best
+		if pick, _ := argmin(cands, func(r *Replica) (time.Duration, bool) { return r.Ctl.ExportFaultIn(h) }); pick.r != nil {
+			return pick.r
 		}
 	}
-	if len(hints) > 0 {
-		// Cold key: stick it to a replica by hash so concurrent launches
-		// of the same key converge before the first export even lands.
-		return c.hashStick(hints[0], cands)
+	return c.hashStick(hints[0], cands)
+}
+
+// scored is a candidate replica for a unit of work: the delay before it
+// could take the work, and the load ahead of it there — each outstanding
+// token one decode sequence's share of a forward (PerTokenDecode).
+type scored struct {
+	r           *Replica
+	delay, load time.Duration
+}
+
+// before orders candidates: the lower delay plus load first, and on an
+// exact tie the fewer live instances. Instances register at placement
+// time — before a cold launch's JIT completes — so a burst of simultaneous
+// launches spreads across replicas instead of piling onto the first
+// zero-token tie while everyone's work is still compiling.
+func (s scored) before(o scored) bool {
+	a, b := s.delay+s.load, o.delay+o.load
+	return a < b || (a == b && s.r.Ctl.Instances() < o.r.Ctl.Instances())
+}
+
+// candidate is the decision record's view of s; Replica -1 for none.
+func (s scored) candidate() trace.Candidate {
+	if s.r == nil {
+		return trace.Candidate{Replica: -1}
 	}
-	return pickLeastLoaded(cands)
+	return trace.Candidate{Replica: s.r.ID, Pred: s.delay, Load: s.load}
+}
+
+// noDelay scores every candidate on its load alone.
+func noDelay(*Replica) (time.Duration, bool) { return 0, true }
+
+// argmin is the cluster's one replica scorer, behind every placement
+// policy but round-robin and behind the handoff. delay reports whether a
+// replica is a candidate and, if so, how long before it could take the
+// work; argmin returns the candidate first in before's order, and the
+// runner-up, in cands order on full ties. A result's r is nil when there is
+// none.
+func argmin(cands []*Replica, delay func(*Replica) (time.Duration, bool)) (pick, runnerUp scored) {
+	for _, r := range cands {
+		d, ok := delay(r)
+		if !ok {
+			continue
+		}
+		s := scored{r: r, delay: d, load: time.Duration(r.Ctl.OutstandingTokens()) * r.Ctl.PerTokenDecode()}
+		switch {
+		case pick.r == nil || s.before(pick):
+			pick, runnerUp = s, pick
+		case runnerUp.r == nil || s.before(runnerUp):
+			runnerUp = s
+		}
+	}
+	return pick, runnerUp
 }
 
 // affinityHints extracts KV-affinity keys from a launch's first argument,

@@ -32,6 +32,12 @@ func completionParams(maxTokens int, extra string) string {
 	return p + "}"
 }
 
+// holdsExport reports whether r's registry holds a KV export named name.
+func holdsExport(r *cluster.Replica, name string) bool {
+	_, ok := r.Ctl.ExportFaultIn(name)
+	return ok
+}
+
 func placements(e *pie.Engine) []int {
 	var out []int
 	for _, r := range e.Cluster().Replicas() {
@@ -137,7 +143,7 @@ func TestKVAffinityRoutesToExportHolder(t *testing.T) {
 	// replica holds the export.
 	holders, placed := 0, 0
 	for _, r := range e.Cluster().Replicas() {
-		if r.Ctl.HasExportNamed("aff:key-a") {
+		if holdsExport(r, "aff:key-a") {
 			holders++
 			placed = r.Placements
 		} else if r.Placements != 0 {
@@ -240,7 +246,7 @@ func TestDrainMigratesExports(t *testing.T) {
 			panic(err)
 		}
 		r1 := cl.Replicas()[1]
-		if !r1.Ctl.HasExportNamed(key) {
+		if !holdsExport(r1, key) {
 			t.Error("export did not land on the hash-stuck replica 1")
 		}
 		if !cl.BeginDrain(r1) {
@@ -258,17 +264,17 @@ func TestDrainMigratesExports(t *testing.T) {
 		t.Fatalf("drain moved no exports: migrated=%d pages=%d", cl.ExportsMigrated, cl.PagesMigrated)
 	}
 	r0, r1 := cl.Replicas()[0], cl.Replicas()[1]
-	if !r0.Ctl.HasExportNamed(key) {
+	if !holdsExport(r0, key) {
 		t.Fatal("surviving replica does not hold the migrated export")
 	}
-	if r1.Ctl.HasExportNamed(key) {
+	if holdsExport(r1, key) {
 		t.Fatal("drained replica still holds the export")
 	}
 	if r1.Active() {
 		t.Fatal("drained replica still active")
 	}
-	if dev, total := r0.Ctl.ExportResidency(key); total == 0 || dev != total {
-		t.Fatalf("migrated export residency %d/%d, want all device-resident", dev, total)
+	if cost, ok := r0.Ctl.ExportFaultIn(key); !ok || cost != 0 {
+		t.Fatalf("migrated export fault-in %v (held %v), want every page device-resident", cost, ok)
 	}
 	// The migrated pages are the only live ones on replica 0.
 	if inUse, _ := r0.Ctl.PoolStats("llama-1b"); inUse != cl.PagesMigrated {

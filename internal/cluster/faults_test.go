@@ -275,7 +275,7 @@ func TestScalerIgnoresDeadReplicas(t *testing.T) {
 		Seed: 5, Replicas: 4, Placement: pie.PlaceLeastLoaded,
 		Scaler: pie.ScalerConfig{
 			Enabled: true, Min: 1, Max: 4,
-			Interval: 5 * time.Millisecond, QueueRef: 4,
+			Interval: 5 * time.Millisecond,
 		},
 		Health:       tightHealth(),
 		Faults:       crashAt(1, 120*time.Millisecond),

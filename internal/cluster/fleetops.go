@@ -89,13 +89,13 @@ func (c *Cluster) CompleteDrains() {
 func (c *Cluster) migrationTarget(drained *Replica) *Replica {
 	if c.hasRoles {
 		for _, r := range c.replicas {
-			if r != drained && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
+			if r != drained && r.serving() && r.decodeEligible() {
 				return r
 			}
 		}
 	}
 	for _, r := range c.replicas {
-		if r != drained && r.active && !r.draining && r.health == HealthHealthy {
+		if r != drained && r.serving() {
 			return r
 		}
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"cmp"
-	"slices"
 	"strconv"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 
 // HandoffConfig tunes prefill -> decode session migration.
 type HandoffConfig struct {
-	Enabled bool
 	// Budget bounds concurrent in-flight KV transfers (default 2); excess
 	// handoffs queue FIFO and are charged the wait.
 	Budget int
@@ -37,7 +34,6 @@ type HandoffConfig struct {
 // through the controller index. On a fleet with roles it also arms the
 // role balancer (roles.go).
 func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
-	cfg.Enabled = true
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2
 	}
@@ -57,9 +53,6 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	}
 }
 
-// HandoffEnabled reports whether the coordinator is armed.
-func (c *Cluster) HandoffEnabled() bool { return c.handoff.Enabled }
-
 // MaybeHandoff moves a HandoffPending session's instance off its prefill
 // replica to the decode-eligible replica handoffTarget picks, returning the
 // session's new controller. It runs synchronously in the session's own
@@ -70,7 +63,7 @@ func (c *Cluster) HandoffEnabled() bool { return c.handoff.Enabled }
 // is cleared and the denial counted — the session finishes where it
 // started rather than stall, per api.ErrNoDecodeCapacity).
 func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool) {
-	if !c.handoff.Enabled || inst == nil || !inst.HandoffPending || inst.Dead() {
+	if c.transferWait == nil || inst == nil || !inst.HandoffPending || inst.Dead() {
 		return nil, false
 	}
 	src := c.ctlIndex[ctl]
@@ -141,60 +134,22 @@ func session(inst *core.Instance) string {
 	return inst.Name + "#" + strconv.FormatUint(inst.ID, 10)
 }
 
-// handoffCand is a decode replica a session may move to, scored by when its
-// first forward after the session lands completes (pred, from now) plus
-// what its outstanding tokens add to that forward (load).
-type handoffCand struct {
-	r          *Replica
-	pred, load time.Duration
-}
-
-func (h handoffCand) score() time.Duration { return h.pred + h.load }
-
-func (h handoffCand) candidate() trace.Candidate {
-	if h.r == nil {
-		return trace.Candidate{Replica: -1}
-	}
-	return trace.Candidate{Replica: h.r.ID, Pred: h.pred, Load: h.load}
-}
-
-// handoffTarget picks, among the healthy serving decode-eligible replicas
-// other than the source, the one whose first forward after the session lands
-// completes soonest. The session lands once its KV footprint's wire time has
-// passed; the adaptive batch former takes it into the first forward that
-// starts after that, and each token a replica has outstanding adds one
-// decode sequence's cost to the forward. Exact ties go to the least-loaded
-// replica. It returns the pick and the runner-up; a candidate's r is nil
-// when there is none.
-func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerUp handoffCand) {
+// handoffTarget picks, among the serving decode-eligible replicas other
+// than the source, the one whose first forward after the session lands
+// completes soonest: argmin with the delay NextForwardDone(now+wire) − now.
+// The session lands once its KV footprint's wire time has passed; the
+// adaptive batch former takes it into the first forward that starts after
+// that, and the load term adds one decode sequence's cost per outstanding
+// token. It returns the pick and the runner-up; a result's r is nil when
+// there is none.
+func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerUp scored) {
 	now := c.now()
-	cands := c.handoffCands[:0]
-	for _, r := range c.replicas {
-		if r != src && r.active && !r.draining && r.health == HealthHealthy && r.decodeEligible() {
-			cands = append(cands, handoffCand{
-				r:    r,
-				pred: r.Backend.NextForwardDone(now+wire) - now,
-				load: time.Duration(r.Ctl.OutstandingTokens()) * r.Ctl.PerTokenDecode(),
-			})
+	return argmin(c.replicas, func(r *Replica) (time.Duration, bool) {
+		if r == src || !r.serving() || !r.decodeEligible() {
+			return 0, false
 		}
-	}
-	c.handoffCands = cands
-	if len(cands) == 0 {
-		return pick, runnerUp
-	}
-	slices.SortStableFunc(cands, func(a, b handoffCand) int { return cmp.Compare(a.score(), b.score()) })
-	best := 0
-	for i := 1; i < len(cands) && cands[i].score() == cands[0].score(); i++ {
-		if lessLoaded(cands[i].r, cands[best].r) {
-			best = i
-		}
-	}
-	cands[0], cands[best] = cands[best], cands[0]
-	pick = cands[0]
-	if len(cands) > 1 {
-		runnerUp = cands[1]
-	}
-	return pick, runnerUp
+		return r.Backend.NextForwardDone(now+wire) - now, true
+	})
 }
 
 // acquireTransferSlot blocks until a transfer-budget slot frees, FIFO, and

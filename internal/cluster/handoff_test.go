@@ -231,7 +231,6 @@ func TestScalerGrowsStarvedRoleTier(t *testing.T) {
 		Scaler: pie.ScalerConfig{
 			Enabled: true, Min: 2, Max: 4,
 			Interval: 2 * time.Millisecond, SatHigh: 0.05,
-			ColdStartWindow: time.Millisecond,
 		},
 	})
 	ds := decisionLog(e)

@@ -14,24 +14,18 @@ import (
 
 func TestMaybeHandoffGuards(t *testing.T) {
 	c := &Cluster{}
-	if c.HandoffEnabled() {
-		t.Fatal("zero-value cluster reports handoff enabled")
-	}
 	// Disabled coordinator: nothing moves, no counters tick.
-	if _, ok := c.MaybeHandoff(nil, nil); ok {
-		t.Fatal("disabled coordinator migrated")
+	inst := &core.Instance{HandoffPending: true}
+	if _, ok := c.MaybeHandoff(nil, inst); ok || !inst.HandoffPending {
+		t.Fatal("disabled coordinator migrated or cleared the pending mark")
 	}
-	c.handoff = HandoffConfig{Enabled: true}
-	if !c.HandoffEnabled() {
-		t.Fatal("armed coordinator reports disabled")
-	}
+	c.EnableHandoff(HandoffConfig{})
 	// Nil instance (a session that never bound a queue).
 	if _, ok := c.MaybeHandoff(nil, nil); ok {
 		t.Fatal("nil instance migrated")
 	}
 	// A controller the coordinator does not index (e.g. a replica added
 	// after arming): the pending mark clears and the session stays put.
-	inst := &core.Instance{HandoffPending: true}
 	if _, ok := c.MaybeHandoff(nil, inst); ok {
 		t.Fatal("unknown source controller migrated")
 	}

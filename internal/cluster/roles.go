@@ -134,7 +134,7 @@ func (c *Cluster) balanceRoles() {
 		now := roleSample{busy: r.Backend.Device.BusyTime(), forwards: s.Forwards, decodes: s.DecodeCalls, prefills: s.PrefillCalls}
 		was := r.sample
 		r.sample = now
-		if !r.active || r.draining || r.health != HealthHealthy || r.Role == RoleUnified {
+		if !r.serving() || r.Role == RoleUnified {
 			continue
 		}
 		p := &pre

@@ -88,8 +88,8 @@ func TestRoleBalanceArithmetic(t *testing.T) {
 }
 
 // TestHandoffAndBalanceAllocateNothing: picking a handoff target (every
-// decode replica ties, so the least-loaded tie-break runs) and one balancer
-// window allocate nothing.
+// decode replica ties, so the instance-count tie-break runs), placing a
+// launch least-loaded and one balancer window allocate nothing.
 func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	c := pdCluster()
 	src := c.replicas[0]
@@ -98,6 +98,9 @@ func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.handoffTarget(src, time.Millisecond) }); n != 0 {
 		t.Fatalf("handoffTarget allocated %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Place("p", "p@1", nil) }); n != 0 {
+		t.Fatalf("Place allocated %v times per launch, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, c.balanceRoles); n != 0 {
 		t.Fatalf("a balancer window allocated %v times, want 0", n)
@@ -110,5 +113,14 @@ func BenchmarkRoleBalance(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		c.balanceRoles()
+	}
+}
+
+// BenchmarkPlace is one least-loaded launch placement on the same cluster.
+func BenchmarkPlace(b *testing.B) {
+	c := pdCluster()
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Place("p", "p@1", nil)
 	}
 }

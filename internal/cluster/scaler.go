@@ -42,21 +42,23 @@ type ScalerConfig struct {
 	// AttainTarget is the recent-window SLO attainment fraction below which
 	// a class counts as missing (default 0.95).
 	AttainTarget float64
-	// QueueRef and PrefillRef normalize outstanding calls and in-flight
-	// prefill tokens into saturation fractions (defaults 32 calls, 4096
-	// tokens per replica).
-	QueueRef, PrefillRef float64
-	// ColdStartWindow holds further scale-up while any replica activated
-	// within it is still warming — newly added capacity pays artifact
-	// upload + JIT before it absorbs load, and scaling into that shadow
-	// cascades (default 40ms).
-	ColdStartWindow time.Duration
 	// ScaleToZero drains the entire fleet (below Min) once the cluster has
 	// been idle — no instances, no outstanding calls — for IdleAfter
 	// (default 250ms). Placement revives a replica on the next launch.
 	ScaleToZero bool
 	IdleAfter   time.Duration
 }
+
+// queueRef and prefillRef normalize a replica's outstanding calls and
+// in-flight prefill tokens into saturation fractions. coldStartWindow holds
+// further scale-up while any replica activated within it is still warming —
+// newly added capacity pays artifact upload + JIT before it absorbs load,
+// and scaling into that shadow cascades.
+const (
+	queueRef        = 32
+	prefillRef      = 4096
+	coldStartWindow = 40 * time.Millisecond
+)
 
 func (s ScalerConfig) withDefaults(total int) ScalerConfig {
 	if s.Min <= 0 {
@@ -82,15 +84,6 @@ func (s ScalerConfig) withDefaults(total int) ScalerConfig {
 	}
 	if s.AttainTarget <= 0 || s.AttainTarget > 1 {
 		s.AttainTarget = 0.95
-	}
-	if s.QueueRef <= 0 {
-		s.QueueRef = 32
-	}
-	if s.PrefillRef <= 0 {
-		s.PrefillRef = 4096
-	}
-	if s.ColdStartWindow <= 0 {
-		s.ColdStartWindow = 40 * time.Millisecond
 	}
 	if s.IdleAfter <= 0 {
 		s.IdleAfter = 250 * time.Millisecond
@@ -129,8 +122,8 @@ func (c *Cluster) replicaSaturation(r *Replica) float64 {
 	if capacity > 0 {
 		kv = float64(inUse) / float64(capacity)
 	}
-	queue := float64(r.Ctl.OutstandingCalls()) / c.scaler.QueueRef
-	prefill := float64(r.Ctl.OutstandingPrefillTokens()) / c.scaler.PrefillRef
+	queue := float64(r.Ctl.OutstandingCalls()) / queueRef
+	prefill := float64(r.Ctl.OutstandingPrefillTokens()) / prefillRef
 	sat := kv
 	if queue > sat {
 		sat = queue
@@ -161,7 +154,7 @@ func (c *Cluster) scalerTick() {
 		if r.Ctl.Instances() > 0 || r.Ctl.OutstandingCalls() > 0 {
 			busy = true
 		}
-		if !r.active || r.draining || r.health != HealthHealthy {
+		if !r.serving() {
 			continue
 		}
 		serving++
@@ -369,7 +362,7 @@ func (c *Cluster) scaleDownCostAware(sat float64) {
 		var satByRole [3]float64
 		var cntByRole [3]int
 		for _, r := range c.replicas {
-			if r.active && !r.draining && r.health == HealthHealthy {
+			if r.serving() {
 				satByRole[r.Role] += c.replicaSaturation(r)
 				cntByRole[r.Role]++
 			}
@@ -402,7 +395,7 @@ func (c *Cluster) scaleDownCostAware(sat float64) {
 func (c *Cluster) scaleDownVictim(eligible func(*Replica) bool) *Replica {
 	var victim *Replica
 	for _, r := range c.replicas {
-		if !r.active || r.draining || r.health != HealthHealthy {
+		if !r.serving() {
 			continue
 		}
 		if eligible != nil && !eligible(r) {
@@ -497,11 +490,16 @@ func (c *Cluster) now() time.Duration {
 
 // markActive (re)activates a replica for placement, stamping cost and
 // cold-start bookkeeping. Un-draining keeps the original activation epoch:
-// the replica never stopped costing. Only New and Activate call it.
+// the replica never stopped costing. A replica activated while no scaler
+// runs (New's initial set included) starts warm. Only New and Activate
+// call it.
 func (c *Cluster) markActive(r *Replica) {
 	if !r.active {
 		r.activeSince = c.now()
-		r.warmUntil = r.activeSince + c.scaler.ColdStartWindow
+		r.warmUntil = r.activeSince
+		if c.scaler.Enabled {
+			r.warmUntil += coldStartWindow
+		}
 	}
 	r.active, r.draining = true, false
 }

@@ -20,8 +20,7 @@ func TestScalerConfigDefaults(t *testing.T) {
 	want := ScalerConfig{
 		Min: 1, Max: 8, Interval: 10 * time.Millisecond,
 		SatHigh: 0.75, SatLow: 0.20, AttainTarget: 0.95,
-		QueueRef: 32, PrefillRef: 4096,
-		ColdStartWindow: 40 * time.Millisecond, IdleAfter: 250 * time.Millisecond,
+		IdleAfter: 250 * time.Millisecond,
 	}
 	if d != want {
 		t.Fatalf("zero-value defaults = %+v, want %+v", d, want)
@@ -43,8 +42,7 @@ func TestScalerConfigDefaults(t *testing.T) {
 	}
 	keep := ScalerConfig{
 		Enabled: true, Min: 2, Max: 4, Interval: time.Millisecond,
-		SatHigh: 0.9, SatLow: 0.1, AttainTarget: 0.99, QueueRef: 8,
-		PrefillRef: 512, ColdStartWindow: time.Millisecond,
+		SatHigh: 0.9, SatLow: 0.1, AttainTarget: 0.99,
 		ScaleToZero: true, IdleAfter: time.Second,
 	}
 	if keep.withDefaults(8) != keep {

@@ -145,7 +145,7 @@ func (c *Cluster) shedOne(class string, kvUtil, meanDepth float64, err error) er
 func (c *Cluster) SaturationSnapshot() (kvUtil, meanDepth float64, serving int) {
 	var kvInUse, kvCap, depth int
 	for _, r := range c.replicas {
-		if !r.active || r.draining || r.health != HealthHealthy {
+		if !r.serving() {
 			continue
 		}
 		serving++

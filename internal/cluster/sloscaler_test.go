@@ -31,7 +31,7 @@ func TestScalerGrowsDegradesShedsAndScalesToZero(t *testing.T) {
 		},
 		Shed: pie.ShedConfig{Enabled: true, KVWatermark: 0.9, QueueDepth: 8},
 		Scaler: pie.ScalerConfig{
-			Enabled: true, Min: 1, Max: 4, QueueRef: 4,
+			Enabled: true, Min: 1, Max: 4,
 			ScaleToZero: true, IdleAfter: 100 * time.Millisecond,
 		},
 	})
@@ -152,7 +152,7 @@ func TestFleetOpsSeeEveryScalerTransition(t *testing.T) {
 	e := newEngine(t, pie.Config{
 		Seed: 7, Replicas: 2, Placement: pie.PlaceLeastLoaded,
 		Scaler: pie.ScalerConfig{
-			Enabled: true, Min: 1, Max: 4, QueueRef: 4,
+			Enabled: true, Min: 1, Max: 4,
 			ScaleToZero: true, IdleAfter: 100 * time.Millisecond,
 		},
 		Health:       tightHealth(),

@@ -48,7 +48,7 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 		Placement: pie.PlaceLeastLoaded,
 		Scaler: pie.ScalerConfig{
 			Enabled: true, Min: 1, Max: 8,
-			Interval: 5 * time.Millisecond, QueueRef: 6,
+			Interval: 5 * time.Millisecond,
 		},
 	})
 	// Placement safety, checked at decision time. The hook runs in sim

@@ -522,14 +522,6 @@ func (ctl *Controller) CheaperModel(name string) string {
 	return best
 }
 
-// HasExportNamed reports whether a KV export is registered under name,
-// without charging any instance: the cluster router probes replicas with
-// it for KV/prefix-affinity placement.
-func (ctl *Controller) HasExportNamed(name string) bool {
-	_, ok := ctl.exports[name]
-	return ok
-}
-
 // PoolStats reports page occupancy for a model across both tiers (tests,
 // Fig. 7 analysis).
 func (ctl *Controller) PoolStats(modelName string) (inUse, capacity int) {
@@ -555,21 +547,23 @@ func (ctl *Controller) OffloadStats() OffloadStats {
 	return out
 }
 
-// ExportResidency reports how many of an export's pages are device-
-// resident. The cluster's kv-affinity placement scores holders with it:
-// an export whose pages were offloaded to host memory is a colder hit
-// than one still resident on the device.
-func (ctl *Controller) ExportResidency(name string) (device, total int) {
+// ExportFaultIn prices bringing an export's host-tier pages back to the
+// device (one SwapCost of them; zero when every page is device-resident).
+// ok is false when no export is registered under name. The cluster's
+// kv-affinity placement adds it to a holder's load: an export whose pages
+// were offloaded to host memory is a colder hit than one still resident.
+func (ctl *Controller) ExportFaultIn(name string) (cost time.Duration, ok bool) {
 	entry, ok := ctl.exports[name]
-	if !ok {
-		return 0, 0
+	if !ok || entry.m == nil { // absent, or exported with no pages
+		return 0, ok
 	}
+	host := 0
 	for _, id := range entry.phys {
-		if tier, ok := entry.m.pages.resident(id); ok && tier == tierDevice {
-			device++
+		if tier, ok := entry.m.pages.resident(id); ok && tier == tierHost {
+			host++
 		}
 	}
-	return device, len(entry.phys)
+	return entry.m.rt.Spec.SwapCost(host, entry.m.rt.Info.PageSize), true
 }
 
 // ModelRuntime returns the runtime for a model id.

@@ -279,17 +279,18 @@ func TestZeroPageExportStaysBehind(t *testing.T) {
 		if got, err := ctl.ImportPages(inst, q, "empty"); err != nil || len(got) != 0 {
 			t.Fatalf("ImportPages(empty) = %v, %v; want no pages", got, err)
 		}
-		if device, total := ctl.ExportResidency("empty"); device != 0 || total != 0 {
-			t.Fatalf("ExportResidency(empty) = %d/%d", device, total)
+		if cost, ok := ctl.ExportFaultIn("empty"); !ok || cost != 0 {
+			t.Fatalf("ExportFaultIn(empty) = %v, %v; want 0, true", cost, ok)
 		}
 
 		if moved, _ := ctl.MigrateExportsTo(dst); moved != len(pages) {
 			t.Fatalf("migrated %d pages, want %d", moved, len(pages))
 		}
-		if !dst.HasExportNamed("full") || ctl.HasExportNamed("full") {
+		has := func(c *Controller, name string) bool { _, ok := c.exports[name]; return ok }
+		if !has(dst, "full") || has(ctl, "full") {
 			t.Fatal("the two-page export did not move")
 		}
-		if dst.HasExportNamed("empty") || !ctl.HasExportNamed("empty") {
+		if has(dst, "empty") || !has(ctl, "empty") {
 			t.Fatal("the zero-page export did not stay on the source")
 		}
 		if n, _ := dst.PoolStats("llama-1b"); n != len(pages) {

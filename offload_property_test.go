@@ -230,10 +230,10 @@ func TestOffloadChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestExportResidencyReflectsOffload: exported pages that went cold and
-// were offloaded report a reduced device-resident fraction — the signal
-// the cluster's kv-affinity placement scores holders by.
-func TestExportResidencyReflectsOffload(t *testing.T) {
+// TestExportFaultInReflectsOffload: an export whose cold pages were
+// offloaded prices their swap back in — the delay the cluster's
+// kv-affinity placement adds to a holder's load.
+func TestExportFaultInReflectsOffload(t *testing.T) {
 	e := pie.New(pie.Config{
 		Seed: 3, Mode: pie.ModeTiming,
 		KVPagesOverride: 8, HostKVRatio: 1.0, // 8 device + 8 host pages
@@ -284,16 +284,15 @@ func TestExportResidencyReflectsOffload(t *testing.T) {
 			t.Errorf("got %q", msg)
 			return
 		}
-		if dev, total := e.Controller().ExportResidency("res:key"); dev != 4 || total != 4 {
-			t.Errorf("fresh export residency %d/%d, want 4/4", dev, total)
+		if cost, ok := e.Controller().ExportFaultIn("res:key"); !ok || cost != 0 {
+			t.Errorf("fresh export fault-in %v (held %v), want 0: every page on the device", cost, ok)
 		}
 		if _, err := e.LaunchAndWait(pie.Spec("presser")); err != nil {
 			t.Errorf("presser: %v", err)
 			return
 		}
-		dev, total := e.Controller().ExportResidency("res:key")
-		if total != 4 || dev >= 4 {
-			t.Errorf("post-pressure residency %d/%d, want fewer than 4 device-resident", dev, total)
+		if cost, ok := e.Controller().ExportFaultIn("res:key"); !ok || cost == 0 {
+			t.Errorf("post-pressure fault-in %v (held %v), want a swap of the offloaded pages", cost, ok)
 		}
 		h.Send("finish")
 		_ = h.Wait()

@@ -7,8 +7,9 @@
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
-# that returns at once (Launch through Wait), one role-balancer window on a
-# 6-replica prefill/decode cluster, the grammar matcher and the tokenizer,
+# that returns at once (Launch through Wait), one role-balancer window and
+# one least-loaded launch placement on a 6-replica prefill/decode cluster,
+# the grammar matcher and the tokenizer,
 # as the minimum over $count runs of `go test -bench`.
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
@@ -41,7 +42,8 @@
 #   - RoomWait allocating at all: the wait list parks on the process's own
 #     token and heap event (the allocs/op gate above, against a committed 0).
 #     RoleBalance likewise: a balancer window reads counters and allocates
-#     nothing.
+#     nothing; and Place: placement scores replicas in a scratch slice the
+#     cluster keeps.
 #   - BatchRoundTrip (one single-call batch, enqueue to completion) taking
 #     more sim events than committed (4: kick, deserialised, kernel done,
 #     response), ToolCall more than 1 (the response timer) or Launch more
@@ -102,7 +104,7 @@ bench() {
 	bench 200000x '^BenchmarkNextDistTiming$' ./internal/infer
 	bench 20000x '^BenchmarkToolCall$' ./internal/netsim
 	bench 20000x '^BenchmarkLaunch$' ./internal/ilm
-	bench 20000x '^BenchmarkRoleBalance$' ./internal/cluster
+	bench 20000x '^Benchmark(RoleBalance|Place)$' ./internal/cluster
 	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
 	bench 2000x '^BenchmarkEncode$' ./internal/tokenizer
 } > "$fresh"
@@ -151,7 +153,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch and RoleBalance 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance and Place 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'

@@ -30,7 +30,7 @@ func TestServiceClassSurface(t *testing.T) {
 		Variants: variants,
 		Shed:     pie.ShedConfig{Enabled: true, KVWatermark: 0.9, QueueDepth: 8},
 		Scaler: pie.ScalerConfig{
-			Enabled: true, Min: 1, Max: 2, QueueRef: 4,
+			Enabled: true, Min: 1, Max: 2,
 			ScaleToZero: true, IdleAfter: 100 * time.Millisecond,
 		},
 	})
