@@ -298,10 +298,10 @@ func TestAbortMidNextDist(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					if _, err := text.Embed([]int{5}, []int{0}, embs[:1]); err != nil {
+					if err := text.Embed([]int{5}, []int{0}, embs[:1]); err != nil {
 						return err
 					}
-					if _, err := fwd.Run(inferlet.Input(embs[0]), inferlet.AppendKv(pages...), inferlet.Output(embs[1])); err != nil {
+					if err := fwd.Run(inferlet.Input(embs[0]), inferlet.AppendKv(pages...), inferlet.Output(embs[1])); err != nil {
 						return err
 					}
 					s.Send("ready")

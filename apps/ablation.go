@@ -88,7 +88,7 @@ func TextCompletionFused() inferlet.Program {
 			if err != nil {
 				return err
 			}
-			if _, err := text.Embed(prom, pos, promEmb); err != nil {
+			if err := text.Embed(prom, pos, promEmb); err != nil {
 				return err
 			}
 			tokF, err := fused.Run(
@@ -117,7 +117,7 @@ func TextCompletionFused() inferlet.Program {
 				if p.FuseEmbed {
 					opts = append(opts, inferlet.InlineTokens([]int{cur}, []int{i}))
 				} else {
-					if _, err := text.Embed([]int{cur}, []int{i}, gen); err != nil {
+					if err := text.Embed([]int{cur}, []int{i}, gen); err != nil {
 						return err
 					}
 					opts = append(opts, inferlet.Input(gen...))

@@ -411,10 +411,10 @@ func cacheModule(q *inferlet.Queue, m api.ModelInfo, mod Module, startPos, slotT
 	for i := range pos {
 		pos[i] = startPos + i
 	}
-	if _, err := text.Embed(toks, pos, emb); err != nil {
+	if err := text.Embed(toks, pos, emb); err != nil {
 		return err
 	}
-	if _, err := fwd.Run(inferlet.Input(emb...), inferlet.AppendKv(pages...)); err != nil {
+	if err := fwd.Run(inferlet.Input(emb...), inferlet.AppendKv(pages...)); err != nil {
 		return err
 	}
 	if err := q.Sync(); err != nil {

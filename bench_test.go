@@ -53,7 +53,9 @@ func BenchmarkSimReplaySpeed(b *testing.B) {
 // two decode slots, no control-layer call) and samples (get_next_dist), on a
 // timing-mode engine — behind a context of 16, 64 and 256 KV pages. The
 // paper's bet (§5.2) is that this cost does not depend on the context:
-// allocs/op must be one number at all three sizes.
+// allocs/op must be one number at all three sizes. That number is 1: the
+// distribution's future is the step's only allocation, since embed_txt
+// and forward return none.
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, pages := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("ctx%dpages", pages), func(b *testing.B) {

@@ -69,10 +69,10 @@ func autoregressive10(prompt string) inferlet.Program {
 			for i := range pos {
 				pos[i] = i
 			}
-			if _, err := text.Embed(promToks, pos, promEmb); err != nil {
+			if err := text.Embed(promToks, pos, promEmb); err != nil {
 				return err
 			}
-			if _, err := fwd.Run(
+			if err := fwd.Run(
 				inferlet.Input(promEmb...),
 				inferlet.AppendKv(kv...),
 				inferlet.Output(genEmb...),
@@ -90,10 +90,10 @@ func autoregressive10(prompt string) inferlet.Program {
 				gen := dist.ArgMax()
 				out = append(out, gen)
 				s.ReportOutputTokens(1)
-				if _, err := text.Embed([]int{gen}, []int{i}, genEmb); err != nil {
+				if err := text.Embed([]int{gen}, []int{i}, genEmb); err != nil {
 					return err
 				}
-				if _, err := fwd.Run(
+				if err := fwd.Run(
 					inferlet.ReadKv(kv...),
 					inferlet.Input(genEmb...),
 					inferlet.AppendKv(kv...),

@@ -70,6 +70,9 @@ func main() {
 			for i := range pos {
 				pos[i] = i
 			}
+			// Embed and Run return no future: queue order sequences them,
+			// and an error they meet executing surfaces at the next Sync —
+			// or at Close below.
 			text.Embed(prom, pos, promEmb)
 			fwd.Run(inferlet.Input(promEmb...), inferlet.AppendKv(kv...), inferlet.Output(genEmb...))
 

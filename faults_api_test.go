@@ -7,6 +7,7 @@ package pie_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -86,5 +87,57 @@ func TestHandleAndEngineIntrospection(t *testing.T) {
 	}
 	if errors.Is(e.Cluster().LaunchFault(), pie.ErrTransientFault) {
 		t.Fatal("fault stream armed without a plan")
+	}
+}
+
+// TestCrashedReplicaHoldsNoPages: six unified replicas, kv-affinity
+// placement, the health monitor on, and replica 2 crashing at 300 ms with
+// batches on its device. Every session ends complete or with
+// ErrReplicaLost, the exports on the dead replica are counted lost, and its
+// pool reads 0 pages in use: the batches its device held fail when it is
+// declared dead, so their page pins drop and the pages the aborted
+// sessions released are freed.
+func TestCrashedReplicaHoldsNoPages(t *testing.T) {
+	plan, err := pie.ParseFaultPlan("crash:2@300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming, Replicas: 6, Placement: pie.PlaceKVAffinity,
+		Health: pie.HealthConfig{Enabled: true}, Faults: plan})
+	e.MustRegister(apps.All()...)
+	const sessions, keys = 240, 12
+	errs := make([]error, sessions)
+	if err := e.RunClient(func() {
+		for i := range errs {
+			prefix := strings.Repeat(fmt.Sprintf("shared system prompt %d. ", i%keys), 12)
+			h, err := e.Launch(pie.Spec("prefix_caching",
+				fmt.Sprintf(`{"shared_prefix":%q,"prompt":"question %d","max_tokens":24}`, prefix, i)))
+			if err != nil {
+				errs[i] = err
+				continue
+			}
+			e.Go("wait", func() { errs[i] = h.Wait() })
+			e.Sleep(4 * time.Millisecond)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case errors.Is(err, pie.ErrReplicaLost):
+			lost++
+		default:
+			t.Errorf("session %d: %v, want completion or ErrReplicaLost", i, err)
+		}
+	}
+	st := e.Stats()
+	if st.ReplicasLost != 1 || lost == 0 || st.ExportsLost == 0 || st.PagesLost < st.ExportsLost {
+		t.Fatalf("%d replicas, %d sessions, %d exports and %d pages lost: the crash should cost one replica, some sessions and their exports' pages",
+			st.ReplicasLost, lost, st.ExportsLost, st.PagesLost)
+	}
+	if inUse, _ := e.Cluster().Replicas()[2].Ctl.KVLoad(); inUse != 0 {
+		t.Fatalf("the dead replica's pool reads %d pages in use, want 0", inUse)
 	}
 }

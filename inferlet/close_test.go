@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"pie"
@@ -153,6 +154,85 @@ func TestRemoveHandlesKeepsSurvivorOrder(t *testing.T) {
 		}
 		if _, embeds := inUse(e); embeds != 0 {
 			return fmt.Errorf("Close left %d of the survivors in use", embeds)
+		}
+		return nil
+	})
+}
+
+// TestExecutionErrorsWaitForSync: a forward with more input tokens than its
+// output pages hold passes Run — Run checks handles, not room — and fails
+// when it executes. It has no future, so its queue holds the error: the
+// next Sync or Barrier reports the first such error and forgets it, and the
+// one after reports nothing. Close on a queue holding an error returns it
+// and still reclaims every handle.
+func TestExecutionErrorsWaitForSync(t *testing.T) {
+	probe(t, func(e *pie.Engine, s inferlet.Session) error {
+		q, alloc, err := openAlloc(s)
+		if err != nil {
+			return err
+		}
+		text, _ := q.Text()
+		fwd, _ := q.Forward()
+		ps := q.Model().PageSize
+		pages, err := alloc.Pages(1)
+		if err != nil {
+			return err
+		}
+		embs, err := alloc.Embeds(ps + 2)
+		if err != nil {
+			return err
+		}
+		// overfull embeds n tokens and forwards them into the one page.
+		overfull := func(n int) error {
+			toks, pos := make([]int, n), make([]int, n)
+			for i := range pos {
+				toks[i], pos[i] = 5, i
+			}
+			if err := text.Embed(toks, pos, embs[:n]); err != nil {
+				return err
+			}
+			if err := fwd.Run(inferlet.Input(embs[:n]...), inferlet.AppendKv(pages...)); err != nil {
+				return fmt.Errorf("Run = %w, want nil: the error is the execution's", err)
+			}
+			return nil
+		}
+		overfullErr := func(n int) string { return fmt.Sprintf("free slots for %d tokens", n) }
+
+		if err := overfull(ps + 1); err != nil {
+			return err
+		}
+		if err := overfull(ps + 2); err != nil {
+			return err
+		}
+		if err := q.Sync(); err == nil || !strings.Contains(err.Error(), overfullErr(ps+1)) {
+			return fmt.Errorf("Sync after two overfull forwards = %v, want the first one's error (%s)", err, overfullErr(ps+1))
+		}
+		if err := q.Sync(); err != nil {
+			return fmt.Errorf("the next Sync = %v, want nil: the error was reported", err)
+		}
+
+		if err := overfull(ps + 1); err != nil {
+			return err
+		}
+		b, err := q.Barrier()
+		if err != nil {
+			return err
+		}
+		if _, err := b.Get(); err == nil || !strings.Contains(err.Error(), overfullErr(ps+1)) {
+			return fmt.Errorf("Barrier after an overfull forward = %v, want its error", err)
+		}
+
+		if err := overfull(ps + 2); err != nil {
+			return err
+		}
+		if err := q.Close(); err == nil || !strings.Contains(err.Error(), overfullErr(ps+2)) {
+			return fmt.Errorf("Close after an overfull forward = %v, want its error", err)
+		}
+		if !q.Closed() {
+			return errors.New("Close reported the drain's error and left the queue open")
+		}
+		if pages, embeds := inUse(e); pages != 0 || embeds != 0 {
+			return fmt.Errorf("Close with an error held left %d pages and %d embeds in use", pages, embeds)
 		}
 		return nil
 	})

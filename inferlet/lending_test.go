@@ -41,10 +41,10 @@ func TestCallerMayOverwriteLentSlices(t *testing.T) {
 
 			// A plain forward: handles lent by four options.
 			toks, pos := []int{11, 12, 13, 14}, []int{0, 1, 2, 3}
-			if _, err := text.Embed(toks, pos, in); err != nil {
+			if err := text.Embed(toks, pos, in); err != nil {
 				return err
 			}
-			if _, err := fwd.Run(inferlet.ReadKv(pages...), inferlet.Input(in...), inferlet.AppendKv(pages...), inferlet.Output(gen...)); err != nil {
+			if err := fwd.Run(inferlet.ReadKv(pages...), inferlet.Input(in...), inferlet.AppendKv(pages...), inferlet.Output(gen...)); err != nil {
 				return err
 			}
 			if scribble {

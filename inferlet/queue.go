@@ -24,14 +24,14 @@ type QueueRuntime interface {
 	ImportKvPages(name string) ([]api.KvPage, error)
 	HasExport(name string) bool
 	ReleaseExport(name string) error
-	CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) (api.Future[struct{}], error)
+	CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) error
 
-	Forward(args api.ForwardArgs) (api.Future[struct{}], error)
+	Forward(args api.ForwardArgs) error
 	ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (api.Future[[]int], error)
-	MaskKvPage(page api.KvPage, bits []bool) (api.Future[struct{}], error)
+	MaskKvPage(page api.KvPage, bits []bool) error
 
-	EmbedText(tokens, positions []int, dst []api.Embed) (api.Future[struct{}], error)
-	EmbedImage(blob []byte, positions []int, dst []api.Embed) (api.Future[struct{}], error)
+	EmbedText(tokens, positions []int, dst []api.Embed) error
+	EmbedImage(blob []byte, positions []int, dst []api.Embed) error
 	NumEmbedsNeeded(imageBytes int) (int, error)
 
 	GetNextDist(emb api.Embed) (api.Future[api.Dist], error)
@@ -46,6 +46,13 @@ type QueueRuntime interface {
 // Capabilities negotiated from it share its lifetime — Close reclaims
 // every resource allocated or imported through the queue and invalidates
 // the queue and its capabilities with api.ErrQueueClosed.
+//
+// Calls that write into handles the program already owns — Text.Embed,
+// Image.Embed, Forward.Run, Forward.MaskPage, Alloc.CopyPage — return no
+// future: queue order is their completion, and Sync or Barrier waits for
+// them. If one fails when it executes, the first such error waits on the
+// queue: the next Sync or Barrier fails with it (Close returns it), and
+// the queue forgets it.
 type Queue struct {
 	info   api.ModelInfo
 	rt     QueueRuntime
@@ -78,7 +85,9 @@ func (q *Queue) SetPriority(pri int) error {
 }
 
 // Barrier returns a future that resolves when every call enqueued before
-// this point has completed (synchronize).
+// this point has completed (synchronize). It fails instead with the first
+// execution error of a call without a future since the last Sync or
+// Barrier that reported one.
 func (q *Queue) Barrier() (api.Future[struct{}], error) {
 	if q.closed {
 		return nil, api.ErrQueueClosed
@@ -86,7 +95,9 @@ func (q *Queue) Barrier() (api.Future[struct{}], error) {
 	return q.rt.Synchronize()
 }
 
-// Sync blocks until every call enqueued before this point has completed.
+// Sync blocks until every call enqueued before this point has completed,
+// and reports the first execution error of a call without a future since
+// the last Sync or Barrier that reported one.
 func (q *Queue) Sync() error {
 	f, err := q.Barrier()
 	if err != nil {
@@ -101,13 +112,18 @@ func (q *Queue) Sync() error {
 // (freeing one earlier, through this queue or another of the inferlet's,
 // is fine; exports survive: the registry holds its own references).
 // Further use of the queue or any capability negotiated from it fails with
-// api.ErrQueueClosed.
+// api.ErrQueueClosed. An error the drain reports (see Sync) does not stop
+// the close: Close returns it after reclaiming.
 func (q *Queue) Close() error {
-	if err := q.Sync(); err != nil {
+	err := q.Sync()
+	if q.closed {
 		return err
 	}
 	q.closed = true
-	return q.rt.Close()
+	if cerr := q.rt.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Closed reports whether Close has run.
@@ -270,9 +286,11 @@ func (a *Alloc) ReleaseExport(name string) error {
 }
 
 // CopyPage copies KV entries token-by-token between pages (copy_kvpage).
-func (a *Alloc) CopyPage(src, dst api.KvPage, srcOff, dstOff, n int) (api.Future[struct{}], error) {
+// Queue order is its completion; an execution error surfaces at the
+// queue's next Sync or Barrier.
+func (a *Alloc) CopyPage(src, dst api.KvPage, srcOff, dstOff, n int) error {
 	if err := a.q.guard(); err != nil {
-		return nil, err
+		return err
 	}
 	return a.q.rt.CopyKvPage(src, dst, srcOff, dstOff, n)
 }
@@ -301,7 +319,8 @@ type forwardPlan struct {
 // has. Several options of one handle kind concatenate in the order given;
 // the caller's slices are never written to. A WithMask matrix is the
 // exception: the kernel reads it when the pass executes, so it must stay
-// untouched until the pass has completed.
+// untouched until a later Sync or Barrier, or a later result on the same
+// queue, has returned.
 type ForwardOption struct {
 	kind   optKind
 	pages  []api.KvPage   // optReadKv, optAppendKv
@@ -431,27 +450,30 @@ type Forward struct{ q *Queue }
 
 // Run schedules one forward pass described by opts. Fused-only options
 // (InlineTokens, WithSampling) are rejected with api.ErrBadArgument;
-// WithAdapter additionally requires the adapter trait.
-func (f *Forward) Run(opts ...ForwardOption) (api.Future[struct{}], error) {
+// WithAdapter additionally requires the adapter trait. Queue order is the
+// pass's completion; an execution error surfaces at the queue's next Sync
+// or Barrier.
+func (f *Forward) Run(opts ...ForwardOption) error {
 	if err := f.q.guard(); err != nil {
-		return nil, err
+		return err
 	}
 	var p forwardPlan
 	p.build(opts)
 	if p.sampled || len(p.inlineToks) > 0 {
-		return nil, fmt.Errorf("%w: sampling/inline options need the fused capability", api.ErrBadArgument)
+		return fmt.Errorf("%w: sampling/inline options need the fused capability", api.ErrBadArgument)
 	}
 	if p.args.Adapter != "" && !f.q.info.HasTraitClosure(api.TraitAdapter) {
-		return nil, fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, f.q.info.ID, api.TraitAdapter)
+		return fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, f.q.info.ID, api.TraitAdapter)
 	}
 	return f.q.rt.Forward(p.args)
 }
 
 // MaskPage sets token-level attention mask bits on a page (mask_kvpage;
-// true hides the token).
-func (f *Forward) MaskPage(page api.KvPage, bits []bool) (api.Future[struct{}], error) {
+// true hides the token). The bits are copied before MaskPage returns, so
+// the caller may reuse the slice at once.
+func (f *Forward) MaskPage(page api.KvPage, bits []bool) error {
 	if err := f.q.guard(); err != nil {
-		return nil, err
+		return err
 	}
 	return f.q.rt.MaskKvPage(page, bits)
 }
@@ -482,10 +504,11 @@ func (f *Fused) Run(opts ...ForwardOption) (api.Future[[]int], error) {
 type Text struct{ q *Queue }
 
 // Embed embeds token ids into slots at explicit sequence positions
-// (embed_txt).
-func (t *Text) Embed(tokens, positions []int, dst []api.Embed) (api.Future[struct{}], error) {
+// (embed_txt). Queue order is its completion; an execution error surfaces
+// at the queue's next Sync or Barrier.
+func (t *Text) Embed(tokens, positions []int, dst []api.Embed) error {
 	if err := t.q.guard(); err != nil {
-		return nil, err
+		return err
 	}
 	return t.q.rt.EmbedText(tokens, positions, dst)
 }
@@ -493,10 +516,12 @@ func (t *Text) Embed(tokens, positions []int, dst []api.Embed) (api.Future[struc
 // Image is the input_image-trait capability.
 type Image struct{ q *Queue }
 
-// Embed embeds an image blob into slots (embed_img).
-func (i *Image) Embed(blob []byte, positions []int, dst []api.Embed) (api.Future[struct{}], error) {
+// Embed embeds an image blob into slots (embed_img). Queue order is its
+// completion; an execution error surfaces at the queue's next Sync or
+// Barrier.
+func (i *Image) Embed(blob []byte, positions []int, dst []api.Embed) error {
 	if err := i.q.guard(); err != nil {
-		return nil, err
+		return err
 	}
 	return i.q.rt.EmbedImage(blob, positions, dst)
 }

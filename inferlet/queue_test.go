@@ -57,35 +57,23 @@ func (r *recorder) ImportKvPages(string) ([]api.KvPage, error) {
 	r.calls++
 	return []api.KvPage{90, 91}, nil
 }
-func (r *recorder) HasExport(string) bool      { r.calls++; return true }
-func (r *recorder) ReleaseExport(string) error { r.calls++; return nil }
-func (r *recorder) CopyKvPage(_, _ api.KvPage, _, _, _ int) (api.Future[struct{}], error) {
-	r.calls++
-	return done[struct{}]{}, nil
-}
-func (r *recorder) Forward(args api.ForwardArgs) (api.Future[struct{}], error) {
+func (r *recorder) HasExport(string) bool                         { r.calls++; return true }
+func (r *recorder) ReleaseExport(string) error                    { r.calls++; return nil }
+func (r *recorder) CopyKvPage(_, _ api.KvPage, _, _, _ int) error { r.calls++; return nil }
+func (r *recorder) Forward(args api.ForwardArgs) error {
 	r.calls++
 	r.args = args
-	return done[struct{}]{}, nil
+	return nil
 }
 func (r *recorder) ForwardSampled(args api.ForwardArgs, toks, pos []int, spec api.SampleSpec) (api.Future[[]int], error) {
 	r.calls++
 	r.args, r.toks, r.pos, r.spec = args, toks, pos, spec
 	return done[[]int]{}, nil
 }
-func (r *recorder) MaskKvPage(api.KvPage, []bool) (api.Future[struct{}], error) {
-	r.calls++
-	return done[struct{}]{}, nil
-}
-func (r *recorder) EmbedText(_, _ []int, _ []api.Embed) (api.Future[struct{}], error) {
-	r.calls++
-	return done[struct{}]{}, nil
-}
-func (r *recorder) EmbedImage([]byte, []int, []api.Embed) (api.Future[struct{}], error) {
-	r.calls++
-	return done[struct{}]{}, nil
-}
-func (r *recorder) NumEmbedsNeeded(int) (int, error) { r.calls++; return 4, nil }
+func (r *recorder) MaskKvPage(api.KvPage, []bool) error         { r.calls++; return nil }
+func (r *recorder) EmbedText(_, _ []int, _ []api.Embed) error   { r.calls++; return nil }
+func (r *recorder) EmbedImage([]byte, []int, []api.Embed) error { r.calls++; return nil }
+func (r *recorder) NumEmbedsNeeded(int) (int, error)            { r.calls++; return 4, nil }
 func (r *recorder) GetNextDist(api.Embed) (api.Future[api.Dist], error) {
 	r.calls++
 	return done[api.Dist]{}, nil
@@ -149,7 +137,7 @@ func TestOptionsOfOneKindConcatenate(t *testing.T) {
 	}
 	a, b := spare(1, 2), spare(3)
 	in := []api.Embed{7, 8}
-	if _, err := c.fwd.Run(ReadKv(a...), Input(in...), ReadKv(b...), AppendKv(b...), Output(in[1:]...), Input(9)); err != nil {
+	if err := c.fwd.Run(ReadKv(a...), Input(in...), ReadKv(b...), AppendKv(b...), Output(in[1:]...), Input(9)); err != nil {
 		t.Fatal(err)
 	}
 	if want := []api.KvPage{1, 2, 3}; !slices.Equal(r.args.InputKv, want) {
@@ -166,7 +154,7 @@ func TestOptionsOfOneKindConcatenate(t *testing.T) {
 	}
 
 	// One option of a kind: the plan's list is the caller's memory.
-	if _, err := c.fwd.Run(ReadKv(a...), Input(in...)); err != nil {
+	if err := c.fwd.Run(ReadKv(a...), Input(in...)); err != nil {
 		t.Fatal(err)
 	}
 	if &r.args.InputKv[0] != &a[0] || &r.args.InputEmb[0] != &in[0] {
@@ -209,12 +197,12 @@ func TestForwardRunRefusesFusedOptions(t *testing.T) {
 		"WithSampling":       WithSampling(TopK(2)),
 		"empty WithSampling": WithSampling(),
 	} {
-		if _, err := c.fwd.Run(Input(1), opt); !errors.Is(err, api.ErrBadArgument) {
+		if err := c.fwd.Run(Input(1), opt); !errors.Is(err, api.ErrBadArgument) {
 			t.Errorf("Forward.Run with %s = %v, want ErrBadArgument", name, err)
 		}
 	}
 	for _, run := range []func(...ForwardOption) error{
-		func(o ...ForwardOption) error { _, err := c.fwd.Run(o...); return err },
+		func(o ...ForwardOption) error { return c.fwd.Run(o...) },
 		func(o ...ForwardOption) error { _, err := c.fused.Run(o...); return err },
 	} {
 		if err := run(Input(1), WithAdapter("chat")); !errors.Is(err, api.ErrNoSuchTrait) {
@@ -230,7 +218,7 @@ func TestForwardRunRefusesFusedOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fwd.Run(Input(1), WithAdapter("chat")); err != nil || r.args.Adapter != "chat" {
+	if err := fwd.Run(Input(1), WithAdapter("chat")); err != nil || r.args.Adapter != "chat" {
 		t.Errorf("WithAdapter with the trait: err %v, adapter %q", err, r.args.Adapter)
 	}
 }
@@ -259,12 +247,12 @@ func TestClosedQueueGuards(t *testing.T) {
 		"Export":        c.alloc.Export("x", nil),
 		"Import":        e(c.alloc.Import("x")),
 		"ReleaseExport": c.alloc.ReleaseExport("x"),
-		"CopyPage":      e(c.alloc.CopyPage(1, 2, 0, 0, 1)),
-		"Forward.Run":   e(c.fwd.Run()),
-		"MaskPage":      e(c.fwd.MaskPage(1, nil)),
+		"CopyPage":      c.alloc.CopyPage(1, 2, 0, 0, 1),
+		"Forward.Run":   c.fwd.Run(),
+		"MaskPage":      c.fwd.MaskPage(1, nil),
 		"Fused.Run":     e(c.fused.Run()),
-		"Text.Embed":    e(c.text.Embed(nil, nil, nil)),
-		"Image.Embed":   e(c.image.Embed(nil, nil, nil)),
+		"Text.Embed":    c.text.Embed(nil, nil, nil),
+		"Image.Embed":   c.image.Embed(nil, nil, nil),
 		"EmbedsNeeded":  e(c.image.EmbedsNeeded(1)),
 		"NextDist":      e(c.samp.NextDist(1)),
 		"Encode":        e(c.tok.Encode("x")),

@@ -166,6 +166,10 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	// carrying a retry policy requeue onto surviving replicas; the rest
 	// surface api.ErrReplicaLost to their waiters instead of hanging.
 	r.Evacuations += r.Ctl.AbortAllInstances(api.ErrReplicaLost)
+	// The batches the device held will never complete: failing them drops
+	// their page pins, so the pages the aborted instances released are
+	// freed and the dead pool reads empty.
+	r.Backend.Fail(api.ErrReplicaLost)
 	exports, pages := r.Ctl.DropExports()
 	c.ExportsLost += exports
 	c.PagesLost += pages

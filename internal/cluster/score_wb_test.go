@@ -65,8 +65,7 @@ func stage(r *Replica, st replicaState) error {
 	for i := range pos {
 		pos[i] = i
 	}
-	_, err = r.Ctl.EmbedText(inst, q, tok, pos, embs)
-	return err
+	return r.Ctl.EmbedText(inst, q, tok, pos, embs)
 }
 
 // oldHandoffTarget is the handoff pick as it was before the one scorer: a

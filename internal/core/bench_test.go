@@ -13,7 +13,8 @@ import (
 // round over 64 command queues: every queue gets one call (embed_txt on
 // half, detokenize on the other half, so two ready buckets compete), the
 // adaptive scheduler forms the two 32-wide batches, and the completions
-// release the queues. One op is one such round, sim events included.
+// release the queues. One op is one such round, sim events included: the
+// detokenizes' 32 futures and the signal the round waits on.
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		const queues = 64
@@ -29,31 +30,19 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 			}
 		}
 		tok, pos := []int{7}, []int{0}
-		var last [2]interface{ Get() (struct{}, error) }
-		var lastDetok interface{ Get() (string, error) }
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			for i := range insts {
 				if i%2 == 0 {
-					s, err := ctl.EmbedText(insts[i], qids[i], tok, pos, embs[i])
-					if err != nil {
+					if err := ctl.EmbedText(insts[i], qids[i], tok, pos, embs[i]); err != nil {
 						b.Fatal(err)
 					}
-					last[0] = s
-				} else {
-					f, err := ctl.Detokenize(insts[i], qids[i], nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					lastDetok = f
+				} else if _, err := ctl.Detokenize(insts[i], qids[i], nil); err != nil {
+					b.Fatal(err)
 				}
 			}
-			// Both batches are back once the last call of each is.
-			if _, err := last[0].Get(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := lastDetok.Get(); err != nil {
+			if err := sim.Await(drained(ctl)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -68,7 +57,8 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 // of forwards on llama-1b: three queues each enqueue a 256-token fill and 48
 // a decode step, so the adaptive former scans the forward against its
 // prefill budget (every decode step and one fill, then the other two fills
-// together). One op is one such round, sim events included.
+// together). One op is one such round, sim events included; the one
+// allocation is the signal the round waits on.
 func BenchmarkSchedulerMixedForward(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		const fills, decoders = 3, 48
@@ -80,17 +70,16 @@ func BenchmarkSchedulerMixedForward(b *testing.B) {
 			}
 			sessions[i] = openEmbedSession(b, ctl, "bench", n)
 		}
-		done := make([]*sim.Signal, len(sessions))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			for i, s := range sessions {
-				done[i] = s.forward(b, ctl, len(s.embs))
-			}
-			for _, d := range done {
-				if err := sim.Await(d); err != nil {
+			for _, s := range sessions {
+				if err := ctl.Forward(s.inst, s.q, api.ForwardArgs{InputEmb: s.embs}); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if err := sim.Await(drained(ctl)); err != nil {
+				b.Fatal(err)
 			}
 		}
 		b.StopTimer()
@@ -104,7 +93,8 @@ func BenchmarkSchedulerMixedForward(b *testing.B) {
 // embed_txt call from enqueue to completion with nothing else in the system,
 // so every op is one single-call batch. events/op counts the batch's own
 // events — kick, deserialised, kernel done, response — and leaves out the
-// caller's wake; the one allocation is the call's completion signal.
+// caller's wake. The call allocates nothing: embed_txt returns no future,
+// and the benchmark waits on one signal it resets each round.
 func BenchmarkBatchRoundTrip(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		inst := ctl.RegisterInstance("bench", nil, nil)
@@ -114,12 +104,14 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		tok, pos := []int{7}, []int{0}
+		w, done, blank := watch(ctl), sim.NewSignal(clock), *sim.NewSignal(clock)
 		step := func() {
-			s, err := ctl.EmbedText(inst, q, tok, pos, embs)
-			if err != nil {
+			if err := ctl.EmbedText(inst, q, tok, pos, embs); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.Get(); err != nil {
+			*done = blank // unresolved again
+			w.waits[ctl.callSeq] = done
+			if err := sim.Await(done); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -354,7 +354,9 @@ func (ctl *Controller) SetQueuePriority(inst *Instance, qid api.Queue, pri int) 
 }
 
 // Synchronize returns a signal that fires when every call enqueued on the
-// queue before this point has completed (synchronize).
+// queue before this point has completed (synchronize). If one of those
+// calls had no future and failed, the signal fails instead, with the first
+// such error since the queue's last synchronize, and the queue forgets it.
 func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (*sim.Signal, error) {
 	ctl.chargeControl(inst)
 	q, err := ctl.queue(inst, qid)
@@ -363,7 +365,7 @@ func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (*sim.Signal, 
 	}
 	s := sim.NewSignal(ctl.clock)
 	if q.queued() == 0 && q.inflight == 0 {
-		sim.Fire(s)
+		q.settle(s)
 		return s, nil
 	}
 	op := ctl.newOp(q, infer.OpSync)

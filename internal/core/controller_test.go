@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,70 @@ func mustQueue(t testing.TB, ctl *Controller, inst *Instance, m string) api.Queu
 	return q
 }
 
+// completions lets a test wait for one call that returns no future
+// without adding control-layer work: it wraps the backend's completion
+// callback, resolves the signal of each awaited call — failed with the
+// call's error, if any — and then hands the batch to the controller.
+type completions struct {
+	ctl     *Controller
+	waits   map[uint64]*sim.Signal
+	idle    *sim.Signal        // fires once the controller has no call outstanding
+	observe func(*infer.Batch) // optional: sees each batch first
+}
+
+// watched maps each controller a test watches to its completions.
+var watched = map[*Controller]*completions{}
+
+// watch returns ctl's completions, wrapping the callback on first use.
+func watch(ctl *Controller) *completions {
+	if w := watched[ctl]; w != nil {
+		return w
+	}
+	w := &completions{ctl: ctl, waits: map[uint64]*sim.Signal{}}
+	watched[ctl] = w
+	ctl.backend.SetCompleteFunc(func(b *infer.Batch) {
+		if w.observe != nil {
+			w.observe(b)
+		}
+		for _, c := range b.Calls {
+			if s := w.waits[c.Seq]; s != nil {
+				delete(w.waits, c.Seq)
+				if c.Err != nil {
+					s.Fail(c.Err)
+				} else {
+					sim.Fire(s)
+				}
+			}
+		}
+		ctl.onBatchComplete(b)
+		if s := w.idle; s != nil && ctl.OutstandingCalls() == 0 {
+			w.idle = nil
+			sim.Fire(s)
+		}
+	})
+	return w
+}
+
+// drained returns a signal that fires when a batch completes and leaves
+// ctl with no inference call outstanding.
+func drained(ctl *Controller) *sim.Signal {
+	w := watch(ctl)
+	w.idle = sim.NewSignal(ctl.clock)
+	return w.idle
+}
+
+// issued turns a call that returns no future into one that does: it
+// reports err, or a signal for the completion of the call just enqueued
+// (the one ctl numbered last).
+func issued(ctl *Controller, err error) (*sim.Signal, error) {
+	if err != nil {
+		return nil, err
+	}
+	s := sim.NewSignal(ctl.clock)
+	watch(ctl).waits[ctl.callSeq] = s
+	return s, nil
+}
+
 // TestBadHandleCases pins down which handle misuse the controller rejects
 // with ErrBadHandle, and that a rejected call changes nothing.
 func TestBadHandleCases(t *testing.T) {
@@ -83,8 +148,7 @@ func TestBadHandleCases(t *testing.T) {
 				if err := e.ctl.DeallocEmbeds(e.inst, e.q1, e.embs[:1]); err != nil {
 					t.Fatalf("dealloc: %v", err)
 				}
-				_, err := e.ctl.EmbedText(e.inst, e.q1, []int{5}, []int{0}, e.embs[:1])
-				return err
+				return e.ctl.EmbedText(e.inst, e.q1, []int{5}, []int{0}, e.embs[:1])
 			},
 		},
 		{
@@ -102,8 +166,7 @@ func TestBadHandleCases(t *testing.T) {
 				if err := e.ctl.DeallocPages(e.inst, e.q1, e.pages[:1]); err != nil {
 					t.Fatalf("dealloc: %v", err)
 				}
-				_, err := e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputKv: e.pages[:1]})
-				return err
+				return e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputKv: e.pages[:1]})
 			},
 		},
 		{
@@ -122,7 +185,7 @@ func TestBadHandleCases(t *testing.T) {
 			},
 			after: func(e *env) error {
 				// Both handles still resolve, and still free exactly once.
-				if _, err := e.ctl.EmbedText(e.inst, e.q1, []int{5, 6}, []int{0, 1}, e.embs[:2]); err != nil {
+				if err := e.ctl.EmbedText(e.inst, e.q1, []int{5, 6}, []int{0, 1}, e.embs[:2]); err != nil {
 					return err
 				}
 				return e.ctl.DeallocEmbeds(e.inst, e.q1, e.embs[:2])
@@ -134,7 +197,7 @@ func TestBadHandleCases(t *testing.T) {
 				return e.ctl.DeallocPages(e.inst, e.q1, []api.KvPage{e.pages[1], e.pages[0], e.pages[1]})
 			},
 			after: func(e *env) error {
-				if _, err := e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputKv: e.pages[:2]}); err != nil {
+				if err := e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputKv: e.pages[:2]}); err != nil {
 					return err
 				}
 				return e.ctl.DeallocPages(e.inst, e.q1, e.pages[:2])
@@ -152,22 +215,19 @@ func TestBadHandleCases(t *testing.T) {
 		{
 			name: "embed through another model's queue",
 			run: func(e *env) error {
-				_, err := e.ctl.EmbedText(e.inst, e.q3, []int{5}, []int{0}, e.embs[:1])
-				return err
+				return e.ctl.EmbedText(e.inst, e.q3, []int{5}, []int{0}, e.embs[:1])
 			},
 		},
 		{
 			name: "page through another model's queue",
 			run: func(e *env) error {
-				_, err := e.ctl.Forward(e.inst, e.q3, api.ForwardArgs{OutputKv: e.pages[:1]})
-				return err
+				return e.ctl.Forward(e.inst, e.q3, api.ForwardArgs{OutputKv: e.pages[:1]})
 			},
 		},
 		{
 			name: "copy_kvpage across models",
 			run: func(e *env) error {
-				_, err := e.ctl.CopyKv(e.inst, e.q3, e.pages[0], e.pages[1], 0, 0, 1)
-				return err
+				return e.ctl.CopyKv(e.inst, e.q3, e.pages[0], e.pages[1], 0, 0, 1)
 			},
 		},
 		{
@@ -187,15 +247,13 @@ func TestBadHandleCases(t *testing.T) {
 		{
 			name: "page handle never issued",
 			run: func(e *env) error {
-				_, err := e.ctl.MaskKv(e.inst, e.q1, e.pages[len(e.pages)-1]+1, []bool{true})
-				return err
+				return e.ctl.MaskKv(e.inst, e.q1, e.pages[len(e.pages)-1]+1, []bool{true})
 			},
 		},
 		{
 			name: "handle zero",
 			run: func(e *env) error {
-				_, err := e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputEmb: []api.Embed{0}})
-				return err
+				return e.ctl.Forward(e.inst, e.q1, api.ForwardArgs{InputEmb: []api.Embed{0}})
 			},
 		},
 		{
@@ -441,17 +499,13 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 				})
 			}
 			for i, q := range qs {
-				sig, err := ctl.EmbedText(inst, q, []int{5, 6}, []int{0, 1}, embs[i][:2])
-				if err != nil {
+				if err := ctl.EmbedText(inst, q, []int{5, 6}, []int{0, 1}, embs[i][:2]); err != nil {
 					t.Fatal(err)
 				}
-				wait(fmt.Sprintf("q%d embed", i), func() error { return sim.Await(sig) })
-				fwd, err := ctl.Forward(inst, q, api.ForwardArgs{
-					InputKv: pages[i][:20], InputEmb: embs[i][:2], OutputKv: pages[i][20:21], OutputEmb: embs[i][2:3]})
-				if err != nil {
+				if err := ctl.Forward(inst, q, api.ForwardArgs{
+					InputKv: pages[i][:20], InputEmb: embs[i][:2], OutputKv: pages[i][20:21], OutputEmb: embs[i][2:3]}); err != nil {
 					t.Fatal(err)
 				}
-				wait(fmt.Sprintf("q%d forward", i), func() error { return sim.Await(fwd) })
 				dist, err := ctl.NextDist(inst, q, embs[i][2])
 				if err != nil {
 					t.Fatal(err)
@@ -510,8 +564,8 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 	if len(first.PageFree) != 80 || len(first.EmbedFree) != 80 {
 		t.Fatalf("free lists hold %d pages and %d embeds, want 80 each", len(first.PageFree), len(first.EmbedFree))
 	}
-	if len(first.Wake) != 10 {
-		t.Fatalf("%d of 10 waiters woke: %v", len(first.Wake), first.Wake)
+	if len(first.Wake) != 6 {
+		t.Fatalf("%d of 6 waiters woke: %v", len(first.Wake), first.Wake)
 	}
 	for i := 1; i < 20; i++ {
 		if again := run(); !reflect.DeepEqual(first, again) {
@@ -519,8 +573,7 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 		}
 	}
 	// Queues close in ascending id, each FIFO.
-	want := []string{"q0 embed", "q0 forward", "q0 dist", "q0 detokenize", "q0 sync",
-		"q1 embed", "q1 forward", "q1 dist", "q1 detokenize", "q1 sync"}
+	want := []string{"q0 dist", "q0 detokenize", "q0 sync", "q1 dist", "q1 detokenize", "q1 sync"}
 	if !reflect.DeepEqual(first.Wake, want) {
 		t.Fatalf("wake order %v, want %v", first.Wake, want)
 	}
@@ -552,10 +605,10 @@ func TestKilledForwardHoldsItsPagesUntilItLands(t *testing.T) {
 			for i := range pos {
 				ids[i], pos[i] = 5, i
 			}
-			if _, err := ctl.EmbedText(inst, qid, ids, pos, embs); err != nil {
+			if err := ctl.EmbedText(inst, qid, ids, pos, embs); err != nil {
 				t.Fatal(err)
 			}
-			done, err := ctl.Forward(inst, qid, api.ForwardArgs{InputEmb: embs, OutputKv: pages})
+			done, err := issued(ctl, ctl.Forward(inst, qid, api.ForwardArgs{InputEmb: embs, OutputKv: pages}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -698,15 +751,28 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 								toks[i], positions[i] = 5+rng.Intn(50), pos+i
 							}
 							pos += n
-							await(ctl.EmbedText(inst, qid, toks, positions, embs))
+							await(issued(ctl, ctl.EmbedText(inst, qid, toks, positions, embs)))
 							out := pages[len(pages)-2:]
-							if _, err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: out}); err != nil {
+							if err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: out}); err != nil {
 								t.Fatal(err)
 							}
 							if err := ctl.DeallocEmbeds(inst, qid, embs); err != nil {
 								t.Fatal(err)
 							}
-							await(ctl.Synchronize(inst, qid))
+							s, err := ctl.Synchronize(inst, qid)
+							if err != nil {
+								t.Fatal(err)
+							}
+							// Copies may have used up the output pages' free
+							// slots: the forward then fails at execution, the
+							// synchronize reports it, and the pages must still
+							// count right.
+							if err := sim.Await(s); err != nil {
+								if !strings.Contains(err.Error(), "output pages have") {
+									t.Fatal(err)
+								}
+								op = "forward (failed)"
+							}
 							if ps := ctl.models["llama-1b"].rt.Info.PageSize; pos > (len(pages)-1)*ps-8 {
 								grow() // keep room for the next forwards
 							}
@@ -716,12 +782,12 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 							for i := range bits {
 								bits[i] = rng.Intn(3) == 0
 							}
-							await(ctl.MaskKv(inst, qid, pages[rng.Intn(len(pages))], bits))
+							await(issued(ctl, ctl.MaskKv(inst, qid, pages[rng.Intn(len(pages))], bits)))
 						case k < 8:
 							op = "copy"
 							src, dst := pages[rng.Intn(len(pages))], pages[rng.Intn(len(pages))]
 							off, n := rng.Intn(8), 1+rng.Intn(8)
-							await(ctl.CopyKv(inst, qid, src, dst, off, rng.Intn(8), n))
+							await(issued(ctl, ctl.CopyKv(inst, qid, src, dst, off, rng.Intn(8), n)))
 						case k < 9:
 							op = "recycle" // free a page; the next alloc resets and reuses it
 							if len(pages) > 3 {
@@ -772,7 +838,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 				}
 				seen[c] = true
 				if !reflect.DeepEqual(c.Call, infer.Call{}) || c.q != nil || c.sync != nil || c.freeKv ||
-					len(c.pins)+len(c.free)+len(c.pageBuf)+len(c.embBuf)+len(c.intBuf) != 0 {
+					len(c.pins)+len(c.free)+len(c.pageBuf)+len(c.embBuf)+len(c.intBuf)+len(c.boolBuf) != 0 {
 					t.Fatalf("%s: recycled record not blank: %+v", when, c)
 				}
 			}
@@ -786,10 +852,10 @@ func TestCallRecordsRecycle(t *testing.T) {
 		}
 		step := func(pos int) *sim.Future[api.Dist] {
 			t.Helper()
-			if _, err := ctl.EmbedText(inst, qid, []int{5}, []int{pos}, embs[:1]); err != nil {
+			if err := ctl.EmbedText(inst, qid, []int{5}, []int{pos}, embs[:1]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: pages, InputEmb: embs[:1], OutputKv: pages[3:], OutputEmb: embs[1:]}); err != nil {
+			if err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: pages, InputEmb: embs[:1], OutputKv: pages[3:], OutputEmb: embs[1:]}); err != nil {
 				t.Fatal(err)
 			}
 			f, err := ctl.NextDist(inst, qid, embs[1])
@@ -810,7 +876,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 
 		// A refused call takes no sequence number and gives its record back.
 		seq, free := ctl.callSeq, len(ctl.freeCalls)
-		if _, err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: []api.KvPage{pages[0], 9999}}); !errors.Is(err, api.ErrBadHandle) {
+		if err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: []api.KvPage{pages[0], 9999}}); !errors.Is(err, api.ErrBadHandle) {
 			t.Fatalf("forward over a bad handle: %v, want ErrBadHandle", err)
 		}
 		if ctl.callSeq != seq || len(ctl.freeCalls) != free {
@@ -887,7 +953,7 @@ func TestEmbedYieldsSoFollowUpsJoinItsBatch(t *testing.T) {
 			return session{inst, q, emb}
 		}
 		embed := func(s session) *sim.Signal {
-			done, err := ctl.EmbedText(s.inst, s.q, []int{7}, []int{0}, s.emb)
+			done, err := issued(ctl, ctl.EmbedText(s.inst, s.q, []int{7}, []int{0}, s.emb))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -144,59 +144,63 @@ func (ctl *Controller) stamp(c *call, inst *Instance, op infer.Op) *call {
 	return c
 }
 
+// The calls that write into handles the program already owns — embed_txt,
+// embed_img, forward, copy_kvpage, mask_kvpage — return no future: queue
+// order is their completion, and an execution error waits on the queue for
+// its next synchronize (cmdQueue.err).
+
 // EmbedText schedules embed_txt: token ids into embedding slots with
 // explicit positions.
-func (ctl *Controller) EmbedText(inst *Instance, qid api.Queue, tokens, positions []int, dst []api.Embed) (*sim.Signal, error) {
+func (ctl *Controller) EmbedText(inst *Instance, qid api.Queue, tokens, positions []int, dst []api.Embed) error {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c := ctl.record(q)
 	c.embBuf = carve(c.embBuf, len(dst))
 	if err := ctl.resolveEmbeds(inst, q, dst, c.embBuf); err != nil {
-		return nil, ctl.refuse(c, err)
+		return ctl.refuse(c, err)
 	}
 	ctl.stamp(c, inst, infer.OpEmbedText)
 	// The caller keeps its slices; the call gets one private copy of both.
 	c.intBuf = append(append(c.intBuf[:0], tokens...), positions...)
 	c.TokenIDs, c.Positions = c.intBuf[:len(tokens):len(tokens)], c.intBuf[len(tokens):]
 	c.Outputs = c.embBuf
-	c.Done = sim.NewSignal(ctl.clock)
 	ctl.enqueue(q, c)
-	return c.Done, nil
+	return nil
 }
 
 // EmbedImage schedules embed_img.
-func (ctl *Controller) EmbedImage(inst *Instance, qid api.Queue, blob []byte, positions []int, dst []api.Embed) (*sim.Signal, error) {
+func (ctl *Controller) EmbedImage(inst *Instance, qid api.Queue, blob []byte, positions []int, dst []api.Embed) error {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !q.m.rt.Info.HasTraitClosure(api.TraitInputImage) {
-		return nil, api.ErrNoSuchTrait
+		return api.ErrNoSuchTrait
 	}
-	slots := make([]*model.EmbedSlot, len(dst))
-	if err := ctl.resolveEmbeds(inst, q, dst, slots); err != nil {
-		return nil, err
+	c := ctl.record(q)
+	c.embBuf = carve(c.embBuf, len(dst))
+	if err := ctl.resolveEmbeds(inst, q, dst, c.embBuf); err != nil {
+		return ctl.refuse(c, err)
 	}
-	c := ctl.newCall(inst, q, infer.OpEmbedImage)
+	ctl.stamp(c, inst, infer.OpEmbedImage)
 	c.Blob = blob
-	c.Positions = append([]int(nil), positions...)
-	c.Outputs = slots
-	c.Done = sim.NewSignal(ctl.clock)
+	c.intBuf = append(c.intBuf[:0], positions...)
+	c.Positions = c.intBuf
+	c.Outputs = c.embBuf
 	ctl.enqueue(q, c)
-	return c.Done, nil
+	return nil
 }
 
 // Forward schedules the core transformer pass.
-func (ctl *Controller) Forward(inst *Instance, qid api.Queue, args api.ForwardArgs) (*sim.Signal, error) {
+func (ctl *Controller) Forward(inst *Instance, qid api.Queue, args api.ForwardArgs) error {
 	c, q, err := ctl.buildForward(inst, qid, args)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.Done = sim.NewSignal(ctl.clock)
 	ctl.enqueue(q, c)
-	return c.Done, nil
+	return nil
 }
 
 // ForwardSampled schedules forward_with_sampling (the fused monolithic-style
@@ -283,51 +287,51 @@ func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (*
 }
 
 // CopyKv schedules copy_kvpage: token-level copy between pages.
-func (ctl *Controller) CopyKv(inst *Instance, qid api.Queue, src, dst api.KvPage, srcOff, dstOff, n int) (*sim.Signal, error) {
+func (ctl *Controller) CopyKv(inst *Instance, qid api.Queue, src, dst api.KvPage, srcOff, dstOff, n int) error {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c := ctl.record(q)
 	var pages [2]*model.KvPage
 	q.m.pages.firstSight()
 	pins, err := ctl.resolvePages(inst, q, []api.KvPage{src, dst}, pages[:], c.pins[:0])
 	if err != nil {
-		return nil, ctl.refuse(c, err)
+		return ctl.refuse(c, err)
 	}
 	ctl.stamp(c, inst, infer.OpCopyKv)
 	c.SrcPage, c.DstPage = pages[0], pages[1]
 	c.SrcOff, c.DstOff, c.NumTokens = srcOff, dstOff, n
 	if err := ctl.preparePages(q, c, pins); err != nil {
-		return nil, ctl.refuse(c, err)
+		return ctl.refuse(c, err)
 	}
-	c.Done = sim.NewSignal(ctl.clock)
 	ctl.enqueue(q, c)
-	return c.Done, nil
+	return nil
 }
 
-// MaskKv schedules mask_kvpage: token-level attention mask bits.
-func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bits []bool) (*sim.Signal, error) {
+// MaskKv schedules mask_kvpage: token-level attention mask bits. The call
+// keeps a private copy of bits, so the caller may reuse the slice at once.
+func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bits []bool) error {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c := ctl.record(q)
 	var pages [1]*model.KvPage
 	q.m.pages.firstSight()
 	pins, err := ctl.resolvePages(inst, q, []api.KvPage{page}, pages[:], c.pins[:0])
 	if err != nil {
-		return nil, ctl.refuse(c, err)
+		return ctl.refuse(c, err)
 	}
 	ctl.stamp(c, inst, infer.OpMaskKv)
 	c.MaskPage = pages[0]
-	c.MaskBits = append([]bool(nil), bits...)
+	c.boolBuf = append(c.boolBuf[:0], bits...)
+	c.MaskBits = c.boolBuf
 	if err := ctl.preparePages(q, c, pins); err != nil {
-		return nil, ctl.refuse(c, err)
+		return ctl.refuse(c, err)
 	}
-	c.Done = sim.NewSignal(ctl.clock)
 	ctl.enqueue(q, c)
-	return c.Done, nil
+	return nil
 }
 
 // Tokenize runs tokenize on the host when it is called: the caller pays the
@@ -458,6 +462,10 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 		pinned = pinned || len(c.pins) > 0
 		ctl.unpinCall(c)
 		c.q.inflight--
+		if ic.Err != nil && !ic.HasResult() && c.q.err == nil {
+			// No future to carry it: the queue's next synchronize does.
+			c.q.err = ic.Err
+		}
 	}
 	if (ctl.latencyFn != nil || ctl.firstTokFn != nil) && b.Op == infer.OpForward {
 		// Feed the SLO tracker: an instance's first completed forward is

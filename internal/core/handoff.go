@@ -162,7 +162,8 @@ func (ctl *Controller) InstanceQuiescent(inst *Instance) bool {
 // would leave them. Pages go through the page-copy step MigrateExportsTo
 // uses, plus dst-side offload cost for pages its pool spilled to make room.
 // Queues are re-created empty under their ids (quiescence guarantees
-// nothing was pending), so the session's queue bindings keep working. KV
+// nothing was pending), keeping any error held for their next synchronize,
+// so the session's queue bindings keep working. KV
 // exports the instance published stay registered on the source: the
 // registry holds its own page references, so cached context remains where
 // affinity routing expects it. On failure nothing moves and the session
@@ -248,7 +249,7 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 	}
 	for i, q := range inst.queues {
 		ctl.sched.forgetQueue(q)
-		inst.queues[i] = &cmdQueue{id: q.id, inst: inst, m: dst.models[q.m.name], priority: q.priority}
+		inst.queues[i] = &cmdQueue{id: q.id, inst: inst, m: dst.models[q.m.name], priority: q.priority, err: q.err}
 		if uint64(q.id) > dst.queueSeq {
 			// Future CreateQueue calls on dst must not reuse a moved id.
 			dst.queueSeq = uint64(q.id)

@@ -89,6 +89,8 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 		}
 		inst.ReportOutputTokens(5)
 		inst.firstTokObserved, inst.HandoffPending = true, true
+		held := errors.New("an embed failed on q3") // waiting for q3's next synchronize
+		inst.queues[1].err = held
 		srcID, counters := inst.ID, [3]int{inst.ControlCalls, inst.InferCalls, inst.OutputTokens}
 
 		if _, _, err := ctl.HandoffSession(inst, dst); err != nil {
@@ -118,6 +120,9 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 		for i, q := range inst.queues {
 			if want := []api.Queue{q1, q3}[i]; q.id != want || q.inst != inst || q.m != dst.models[q.m.name] || q.priority != 3 {
 				t.Fatalf("queue %d = %+v, want id %d on dst at priority 3", i, q, want)
+			}
+			if want := []error{nil, held}[i]; q.err != want {
+				t.Fatalf("queue %d holds error %v after the move, want %v", i, q.err, want)
 			}
 		}
 		for _, name := range []string{"llama-1b", "llama-3b"} {
@@ -333,10 +338,10 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ctl.EmbedText(inst, q, []int{5}, []int{0}, embs); err != nil {
+			if err := ctl.EmbedText(inst, q, []int{5}, []int{0}, embs); err != nil {
 				t.Fatal(err)
 			}
-			done, err := ctl.Forward(inst, q, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages})
+			done, err := issued(ctl, ctl.Forward(inst, q, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages}))
 			if err != nil {
 				t.Fatal(err)
 			}

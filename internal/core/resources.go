@@ -272,10 +272,11 @@ type call struct {
 	freeKv bool        // ... to the page pools (else the embed pools)
 
 	// What the Call's lists are carved from: page lists, embed lists,
-	// token ids and positions, the fused sampling spec.
+	// token ids and positions, mask bits, the fused sampling spec.
 	pageBuf []*model.KvPage
 	embBuf  []*model.EmbedSlot
 	intBuf  []int
+	boolBuf []bool
 	sample  infer.SampleSpec
 }
 
@@ -300,6 +301,10 @@ type cmdQueue struct {
 	first    int
 	inflight int
 	closed   bool
+	// err is the first execution error of a call with no future (embed,
+	// forward, copy, mask) since the queue's last synchronize, which
+	// reports and clears it.
+	err error
 
 	// Ready-bucket index state, owned by the Scheduler: which (op,
 	// runtime) bucket the queue currently sits in, its slot there, and how
@@ -319,6 +324,17 @@ func (q *cmdQueue) head() *call {
 		return nil
 	}
 	return q.pending[q.first]
+}
+
+// settle completes a synchronize that reached the queue's head: it fails s
+// with the error the queue holds, clearing it, or fires s.
+func (q *cmdQueue) settle(s *sim.Signal) {
+	if err := q.err; err != nil {
+		q.err = nil
+		s.Fail(err)
+		return
+	}
+	sim.Fire(s)
 }
 
 // push appends a call. A drained queue restarts at the front of its
@@ -526,7 +542,7 @@ func (ctl *Controller) record(q *cmdQueue) *call {
 // arrays and puts it on the free list.
 func (ctl *Controller) recycle(c *call) {
 	clear(c.free)
-	*c = call{free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0]}
+	*c = call{free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
 	ctl.freeCalls = append(ctl.freeCalls, c)
 }
 
@@ -551,7 +567,7 @@ func (ctl *Controller) runOp(c *call) {
 			}
 		}
 	case infer.OpSync:
-		sim.Fire(c.sync)
+		c.q.settle(c.sync)
 	}
 	ctl.recycle(c)
 }

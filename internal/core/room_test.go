@@ -37,10 +37,10 @@ func TestAllocWaitsForTheCompletionWave(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctl.EmbedText(holder, q, []int{5}, []int{0}, embs); err != nil {
+		if err := ctl.EmbedText(holder, q, []int{5}, []int{0}, embs); err != nil {
 			t.Fatal(err)
 		}
-		done, err := ctl.Forward(holder, q, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages[3:]})
+		done, err := issued(ctl, ctl.Forward(holder, q, api.ForwardArgs{InputKv: pages, InputEmb: embs, OutputKv: pages[3:]}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func openEmbedSession(t testing.TB, ctl *Controller, name string, n int) embedSe
 	for i := range toks {
 		toks[i], pos[i] = 7, i
 	}
-	done, err := ctl.EmbedText(inst, q, toks, pos, embs)
+	done, err := issued(ctl, ctl.EmbedText(inst, q, toks, pos, embs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func openEmbedSession(t testing.TB, ctl *Controller, name string, n int) embedSe
 // forward enqueues an n-token forward that writes no KV and no output.
 func (s embedSession) forward(t testing.TB, ctl *Controller, n int) *sim.Signal {
 	t.Helper()
-	done, err := ctl.Forward(s.inst, s.q, api.ForwardArgs{InputEmb: s.embs[:n]})
+	done, err := issued(ctl, ctl.Forward(s.inst, s.q, api.ForwardArgs{InputEmb: s.embs[:n]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func runForwards(t *testing.T, policy SchedPolicy, load forwardLoad) ([]formedFo
 	cfg.Policy = policy
 	ctl := NewController(clock, backend, []*infer.ModelRuntime{rt}, cfg, OffloadConfig{}, ArtifactConfig{})
 	var batches []formedForward
-	backend.SetCompleteFunc(func(b *infer.Batch) {
+	watch(ctl).observe = func(b *infer.Batch) {
 		if b.Op == infer.OpForward {
 			var f formedForward
 			for _, c := range b.Calls {
@@ -97,8 +97,7 @@ func runForwards(t *testing.T, policy SchedPolicy, load forwardLoad) ([]formedFo
 			}
 			batches = append(batches, f)
 		}
-		ctl.onBatchComplete(b)
-	})
+	}
 	fillSeqs := make([][]uint64, len(load.fills))
 	clock.Go("test", func() {
 		fillers := make([]embedSession, len(load.fills))

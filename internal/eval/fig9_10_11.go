@@ -162,11 +162,10 @@ func apiProbe(seed uint64, n int) Fig10Point {
 				}
 				ctl.Add(s.Now() - t0)
 
-				f, err := fwd.MaskPage(pages[0], bits)
-				if err != nil {
+				if err := fwd.MaskPage(pages[0], bits); err != nil {
 					return err
 				}
-				if _, err := f.Get(); err != nil {
+				if err := q.Sync(); err != nil {
 					return err
 				}
 			}

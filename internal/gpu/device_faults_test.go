@@ -158,3 +158,35 @@ func TestDeviceSlowdownAppliesAtKernelStart(t *testing.T) {
 		t.Fatalf("busy time %v, want 40ms", d.BusyTime())
 	}
 }
+
+// TestDropHandsOverWhatAFailedDeviceHeld: Drop leaves a live device alone;
+// on a failed one it hands over the kernel that was executing and then the
+// queued ones, oldest first, skipping Submit kernels (they carry no tag),
+// and forgets them.
+func TestDropHandsOverWhatAFailedDeviceHeld(t *testing.T) {
+	clock := sim.NewClock()
+	d := NewDevice(clock, "doomed")
+	var done, dropped []any
+	d.SetDoneFunc(func(tag any) { done = append(done, tag) })
+	clock.Go("driver", func() {
+		d.Enqueue(time.Millisecond, "finished")
+		d.Enqueue(time.Millisecond, "running")
+		d.Submit("untagged", time.Millisecond)
+		d.Enqueue(time.Millisecond, "queued")
+		clock.Sleep(1500 * time.Microsecond)
+		d.Drop(func(tag any) { t.Errorf("a live device dropped %v", tag) })
+		d.Fail()
+		d.Drop(func(tag any) { dropped = append(dropped, tag) })
+		d.Drop(func(tag any) { t.Errorf("%v dropped twice", tag) })
+		clock.Sleep(time.Second)
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 1 || done[0] != "finished" {
+		t.Fatalf("completed %v, want only the kernel finished before the failure", done)
+	}
+	if len(dropped) != 2 || dropped[0] != "running" || dropped[1] != "queued" {
+		t.Fatalf("dropped %v, want [running queued]", dropped)
+	}
+}

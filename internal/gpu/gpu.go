@@ -358,6 +358,26 @@ func (d *Device) Price(cost time.Duration) time.Duration {
 // health layer's job. Irreversible.
 func (d *Device) Fail() { d.failed = true }
 
+// Drop empties a failed device: it hands fn the tag of every Enqueue
+// kernel the device will never complete — the one executing when it failed,
+// then the queued ones, oldest first — and forgets them. A live device is
+// left alone.
+func (d *Device) Drop(fn func(tag any)) {
+	if !d.failed {
+		return
+	}
+	if d.running.tag != nil {
+		fn(d.running.tag)
+	}
+	d.running = kernel{}
+	for d.queue.Len() > 0 {
+		if k := d.queue.Pop(); k.tag != nil {
+			fn(k.tag)
+		}
+	}
+	d.queued = 0
+}
+
 // Failed reports whether the device has crash-stopped.
 func (d *Device) Failed() bool { return d.failed }
 

@@ -217,11 +217,11 @@ func (b *queueBinding) ReleaseExport(name string) error {
 	return b.s.ctl.ReleaseExport(b.s.inst, name)
 }
 
-func (b *queueBinding) CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) (api.Future[struct{}], error) {
+func (b *queueBinding) CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) error {
 	return b.s.ctl.CopyKv(b.s.inst, b.qid, src, dst, srcOff, dstOff, n)
 }
 
-func (b *queueBinding) Forward(args api.ForwardArgs) (api.Future[struct{}], error) {
+func (b *queueBinding) Forward(args api.ForwardArgs) error {
 	b.s.checkHandoff()
 	return b.s.ctl.Forward(b.s.inst, b.qid, args)
 }
@@ -233,16 +233,16 @@ func (b *queueBinding) ForwardSampled(args api.ForwardArgs, inlineTokens, inline
 	})
 }
 
-func (b *queueBinding) MaskKvPage(page api.KvPage, bits []bool) (api.Future[struct{}], error) {
+func (b *queueBinding) MaskKvPage(page api.KvPage, bits []bool) error {
 	return b.s.ctl.MaskKv(b.s.inst, b.qid, page, bits)
 }
 
-func (b *queueBinding) EmbedText(tokens, positions []int, dst []api.Embed) (api.Future[struct{}], error) {
+func (b *queueBinding) EmbedText(tokens, positions []int, dst []api.Embed) error {
 	b.s.checkHandoff()
 	return b.s.ctl.EmbedText(b.s.inst, b.qid, tokens, positions, dst)
 }
 
-func (b *queueBinding) EmbedImage(blob []byte, positions []int, dst []api.Embed) (api.Future[struct{}], error) {
+func (b *queueBinding) EmbedImage(blob []byte, positions []int, dst []api.Embed) error {
 	b.s.checkHandoff()
 	return b.s.ctl.EmbedImage(b.s.inst, b.qid, blob, positions, dst)
 }

@@ -108,11 +108,8 @@ func TestCheckHandoffThroughTheBindings(t *testing.T) {
 			name string
 			run  func() error
 		}{
-			{"EmbedText", func() error { _, err := b.EmbedText([]int{5}, []int{0}, embs[:1]); return err }},
-			{"Forward", func() error {
-				_, err := b.Forward(api.ForwardArgs{InputEmb: embs[:1], OutputEmb: embs[1:]})
-				return err
-			}},
+			{"EmbedText", func() error { return b.EmbedText([]int{5}, []int{0}, embs[:1]) }},
+			{"Forward", func() error { return b.Forward(api.ForwardArgs{InputEmb: embs[:1], OutputEmb: embs[1:]}) }},
 			{"ForwardSampled", func() error {
 				_, err := b.ForwardSampled(api.ForwardArgs{}, []int{5}, []int{0}, api.SampleSpec{})
 				return err
@@ -123,7 +120,7 @@ func TestCheckHandoffThroughTheBindings(t *testing.T) {
 				for _, busy := range []bool{false, true} {
 					if busy {
 						// An embed left in flight: the instance is not quiescent.
-						if _, err := b.EmbedText([]int{6}, []int{0}, embs[:1]); err != nil {
+						if err := b.EmbedText([]int{6}, []int{0}, embs[:1]); err != nil {
 							return err
 						}
 					}

@@ -41,6 +41,7 @@ type Backend struct {
 	parsedFn    func() // b.parsed and b.respond, bound once
 	respondFn   func()
 	closed      bool
+	lost        error // Fail's error: every batch the parser reaches fails with it
 
 	onComplete func(*Batch) // control-layer event dispatcher hook
 
@@ -97,6 +98,10 @@ func (b *Backend) Submit(batch *Batch) {
 func (b *Backend) parsed() {
 	batch := b.parsing.Pop()
 	if b.closed {
+		return
+	}
+	if b.lost != nil {
+		b.fail(batch)
 		return
 	}
 	if b.OnOverhead != nil {
@@ -158,9 +163,33 @@ func (b *Backend) respond() {
 	for _, c := range batch.Calls {
 		if c.Err != nil {
 			c.Fail()
-		} else if c.Done != nil {
-			sim.Fire(c.Done)
 		}
+	}
+	if b.onComplete != nil {
+		b.onComplete(batch)
+	}
+}
+
+// Fail crash-stops the device for good and fails every batch the backend
+// holds that would otherwise never complete — the one the device was
+// executing, those queued on it, and, as the parser reaches them, those
+// queued for or in the parser — with err. Each failed batch reaches the
+// completion callback like a finished one, so the control layer drops its
+// page pins and recycles its records; Call.Fail reaches the calls' typed
+// futures. Batches whose results are already on the way back complete as
+// usual.
+func (b *Backend) Fail(err error) {
+	b.lost = err
+	b.Device.Fail()
+	b.Device.Drop(func(tag any) { b.fail(tag.(*Batch)) })
+}
+
+// fail completes a batch the device will never run with the backend's
+// loss error.
+func (b *Backend) fail(batch *Batch) {
+	for _, c := range batch.Calls {
+		c.Err = b.lost
+		c.Fail()
 	}
 	if b.onComplete != nil {
 		b.onComplete(batch)

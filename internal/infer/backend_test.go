@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -131,6 +132,55 @@ func TestBackendDeviceFailureLosesTheBatch(t *testing.T) {
 	}
 	if be.BatchesRun != 0 || be.Device.Idle() {
 		t.Fatalf("dead device: %d batches run, idle %v", be.BatchesRun, be.Device.Idle())
+	}
+}
+
+// TestBackendFailFailsWhatTheDeviceHolds: Fail hands every batch the device
+// will never complete — the one executing, the one queued behind it, one
+// still in the parser and one submitted later — to the completion callback,
+// each call carrying the error and its typed future failed with it. A batch
+// already on its way back completes as usual.
+func TestBackendFailFailsWhatTheDeviceHolds(t *testing.T) {
+	rt := testRuntime(ExecTiming)
+	clock := sim.NewClock()
+	be := NewBackend(clock, "t")
+	lost := errors.New("replica lost")
+	var completed []*Batch
+	be.SetCompleteFunc(func(x *Batch) { completed = append(completed, x) })
+	in := rt.Embed(0)
+	in.Valid = true
+	fwd := &Batch{Op: OpForward, Model: rt, Calls: []*Call{{Op: OpForward, Model: rt, Inputs: []*model.EmbedSlot{in}}}}
+	dist := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{{Op: OpNextDist, Model: rt, DistOf: in, DistFut: sim.NewFuture[DistResult](clock)}}}
+	done, queued, parsing, late := copyBatch(rt, 1), copyBatch(rt, 1), copyBatch(rt, 100), copyBatch(rt, 1)
+	var distErr error
+	clock.Go("driver", func() {
+		for _, b := range []*Batch{done, fwd, dist, queued} {
+			be.Submit(b)
+		}
+		// done is on the wire back, fwd executing, dist and queued behind it.
+		clock.Sleep(DeserPerCall + done.Cost() + time.Microsecond)
+		be.Submit(parsing)
+		be.Fail(lost)
+		be.Submit(late)
+		_, distErr = dist.Calls[0].DistFut.Get()
+		clock.Sleep(time.Second)
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []*Batch{fwd, dist, queued, done, parsing, late}; !slices.Equal(completed, want) {
+		t.Fatalf("completed %v, want %v", completed, want)
+	}
+	for _, b := range []*Batch{fwd, dist, queued, parsing, late} {
+		if b.Calls[0].Err != lost {
+			t.Errorf("a lost %v call carries %v", b.Op, b.Calls[0].Err)
+		}
+	}
+	if done.Calls[0].Err != nil || distErr != lost {
+		t.Errorf("the finished batch carries %v; the dist future failed with %v", done.Calls[0].Err, distErr)
+	}
+	if be.BatchesRun != 1 {
+		t.Errorf("%d batches ran, want the one finished before Fail", be.BatchesRun)
 	}
 }
 

@@ -273,14 +273,15 @@ func TestBackendExecutesBatchInOrder(t *testing.T) {
 		in.Valid = true
 		in.Pos = pos
 		return &Call{Op: OpForward, Model: rt, Inputs: []*model.EmbedSlot{in},
-			CtxPages: ctx, OutPages: []*model.KvPage{page},
-			Done: sim.NewSignal(clock)}
+			CtxPages: ctx, OutPages: []*model.KvPage{page}}
 	}
 	c1 := mk(0, nil)
 	c2 := mk(1, []*model.KvPage{page})
+	done := sim.NewSignal(clock)
+	be.SetCompleteFunc(func(*Batch) { sim.Fire(done) })
 	clock.Go("driver", func() {
 		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{c1, c2}})
-		_ = sim.Await(c2.Done)
+		_ = sim.Await(done)
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -297,13 +298,16 @@ func TestBackendExecutesBatchInOrder(t *testing.T) {
 }
 
 // TestBackendFailsWhatExecutionRejects: a forward that writes more tokens
-// than its output pages hold fails at execution, and the failure reaches
-// every future it carries — its completion signal and, fused, its sampled
-// tokens — instead of a success signal and a token future nobody resolves.
+// than its output pages hold fails at execution. Fused, the failure reaches
+// its sampled tokens instead of a token future nobody resolves; plain, it
+// has no future, and the call reaches the completion callback carrying the
+// error for the control layer to hold on its queue.
 func TestBackendFailsWhatExecutionRejects(t *testing.T) {
 	rt := testRuntime(ExecTiming)
 	clock := sim.NewClock()
 	be := NewBackend(clock, "t")
+	var completed []*Call
+	be.SetCompleteFunc(func(b *Batch) { completed = append(completed, b.Calls...) })
 	ps := rt.Model.Config().PageSize
 	overfull := func(fused bool) *Call {
 		var ins, outs []*model.EmbedSlot
@@ -316,24 +320,21 @@ func TestBackendFailsWhatExecutionRejects(t *testing.T) {
 		if fused {
 			outs = append(outs, rt.Embed(499))
 			c.Outputs, c.Sample, c.FusedTok = outs, &SampleSpec{}, sim.NewFuture[[]int](clock)
-		} else {
-			c.Done = sim.NewSignal(clock)
 		}
 		return c
 	}
 	plain, fused := overfull(false), overfull(true)
-	var doneErr, tokErr error
+	var tokErr error
 	clock.Go("driver", func() {
 		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{plain}})
-		doneErr = sim.Await(plain.Done)
 		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{fused}})
 		_, tokErr = fused.FusedTok.Get()
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if doneErr == nil || doneErr != plain.Err {
-		t.Fatalf("Await(Done) = %v, want the execution error %v", doneErr, plain.Err)
+	if plain.HasResult() || plain.Err == nil || len(completed) != 2 || completed[0] != plain {
+		t.Fatalf("the plain forward completed as %v with error %v, want first, with the execution error", completed, plain.Err)
 	}
 	if tokErr == nil || tokErr != fused.Err {
 		t.Fatalf("fused Get = %v, want the execution error %v", tokErr, fused.Err)

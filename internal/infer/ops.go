@@ -115,20 +115,24 @@ type Call struct {
 	// page pins); the inference layer carries it through a batch unread.
 	Ctl any
 
-	// Done, when set, resolves when the call completes (or fails). Calls
-	// whose result travels in a typed future above leave it nil.
-	Done *sim.Signal
-	Err  error
+	// Err is the call's execution error. A call with a typed future fails
+	// it (Fail); one without — embed, forward, copy, mask: they write into
+	// handles the program owns, and queue order is their completion — leaves
+	// the error for the control layer to hold on its queue.
+	Err error
 }
 
-// Fail completes every future the call carries that is still pending with
-// c.Err: its completion signal and its typed result. The backend fails a
-// call whose execution returned an error; the control layer fails the calls
-// a closing queue never dispatched.
+// HasResult reports whether the call carries a typed future for its
+// result.
+func (c *Call) HasResult() bool {
+	return c.DistFut != nil || c.TextFut != nil || c.VocabFut != nil || c.FusedTok != nil
+}
+
+// Fail completes every typed future the call carries that is still pending
+// with c.Err. The backend fails a call whose execution returned an error,
+// and every call of a batch a failed device will never complete; the
+// control layer fails the calls a closing queue never dispatched.
 func (c *Call) Fail() {
-	if c.Done != nil && !c.Done.Done() {
-		c.Done.Fail(c.Err)
-	}
 	if c.DistFut != nil && !c.DistFut.Done() {
 		c.DistFut.Fail(c.Err)
 	}

@@ -97,11 +97,10 @@ func chaosProgram() inferlet.Program {
 					if len(pages) == 0 {
 						continue
 					}
-					f, err := fwd.Run(inferlet.ReadKv(pages...))
-					if err != nil {
+					if err := fwd.Run(inferlet.ReadKv(pages...)); err != nil {
 						return fmt.Errorf("op %d: forward: %w", op, err)
 					}
-					if _, err := f.Get(); err != nil {
+					if err := q.Sync(); err != nil {
 						return fmt.Errorf("op %d: forward wait: %w", op, err)
 					}
 				case 5: // export a page, import a peer's export

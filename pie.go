@@ -657,6 +657,7 @@ type Stats struct {
 	ReplicasLost    int           // replicas declared dead
 	Replacements    int           // cold spares activated for the dead
 	ExportsLost     int           // KV exports lost with dead replicas
+	PagesLost       int           // their physical page references
 	Sheds           int           // best-effort launches shed at admission
 	Requeues        int           // launches re-placed after replica death
 	Retries         int           // launch attempts retried before placement stuck
@@ -693,6 +694,7 @@ func (e *Engine) Stats() Stats {
 		ReplicasLost:    e.cluster.ReplicasLost,
 		Replacements:    e.cluster.Replacements,
 		ExportsLost:     e.cluster.ExportsLost,
+		PagesLost:       e.cluster.PagesLost,
 		Sheds:           e.cluster.Sheds,
 		Requeues:        e.ilm.Requeues,
 		Retries:         e.ilm.Retries,

@@ -33,7 +33,10 @@
 #     loop is the tensor tests' one-accumulator 64 x 64 oracle: scalar code
 #     in a test file, which no kernel change moves.
 #   - DecodeStep reporting different allocs/op at its three context sizes: a
-#     decode step may not pay for its context.
+#     decode step may not pay for its context. The committed number is 1:
+#     a decode step may allocate its distribution's future and nothing else
+#     (embed_txt and forward return no future; a failed one reports at the
+#     queue's next synchronize), so the allocs/op gate above holds it there.
 #   - NextDistTiming's ns/op at TopK 1024 above $topkband times that at 64: a
 #     timing-mode distribution is a view, not a copy.
 #   - Generate (one chat turn: an 8-token prefill and 32 tokens out) issuing
@@ -44,9 +47,9 @@
 #     RoleBalance likewise: a balancer window reads counters and allocates
 #     nothing; and Place: placement scores replicas in a scratch slice the
 #     cluster keeps.
-#   - BatchRoundTrip (one single-call batch, enqueue to completion) taking
-#     more sim events than committed (4: kick, deserialised, kernel done,
-#     response), ToolCall more than 1 (the response timer) or Launch more
+#   - BatchRoundTrip (one single-call batch, enqueue to completion; 0
+#     allocs/op) taking more sim events than committed (4: kick,
+#     deserialised, kernel done, response), ToolCall more than 1 (the response timer) or Launch more
 #     than 4 (admission, instantiation, the program's first dispatch, the
 #     caller's wake): what only waits is a timer, not a process.
 set -eu

@@ -333,7 +333,7 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 		pos = append(pos, c.pos+i)
 	}
 	c.posBuf = pos
-	if _, err := c.text.Embed(toks, pos, emb); err != nil {
+	if err := c.text.Embed(toks, pos, emb); err != nil {
 		return nil, err
 	}
 	var outEmb []api.Embed
@@ -369,7 +369,7 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 	if keepKV {
 		opts = append(opts, inferlet.AppendKv(c.outPages(n)...))
 	}
-	if _, err := c.fwd.Run(opts...); err != nil {
+	if err := c.fwd.Run(opts...); err != nil {
 		return nil, err
 	}
 	var dists []api.Dist
@@ -477,6 +477,7 @@ func (c *Context) MaskSlots(from, to int, masked bool) error {
 		return err
 	}
 	ps := c.Model.PageSize
+	var bits []bool // one slice for every page: MaskPage copies it
 	for p := 0; p < len(c.entries); p++ {
 		if !c.entries[p].live {
 			continue
@@ -485,14 +486,14 @@ func (c *Context) MaskSlots(from, to int, masked bool) error {
 		if hi <= from || lo >= to {
 			continue
 		}
-		bits := make([]bool, ps)
-		for i := 0; i < ps; i++ {
-			slot := lo + i
-			if slot >= from && slot < to {
-				bits[i] = masked
-			}
+		if bits == nil {
+			bits = make([]bool, ps)
 		}
-		if _, err := c.fwd.MaskPage(c.entries[p].h, bits); err != nil {
+		for i := range bits {
+			slot := lo + i
+			bits[i] = masked && slot >= from && slot < to
+		}
+		if err := c.fwd.MaskPage(c.entries[p].h, bits); err != nil {
 			return err
 		}
 	}
@@ -674,7 +675,7 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if _, err := child.alloc.CopyPage(c.entries[split].h, np[0], 0, 0, tailTokens); err != nil {
+			if err := child.alloc.CopyPage(c.entries[split].h, np[0], 0, 0, tailTokens); err != nil {
 				return fail(err)
 			}
 			child.entries = append(child.entries, pageEntry{h: np[0], owned: true, live: true})

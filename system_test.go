@@ -196,10 +196,10 @@ func exportImportPrograms(prompt string) (inferlet.Program, inferlet.Program) {
 			for i := range pos {
 				pos[i] = i
 			}
-			if _, err := text.Embed(toks, pos, emb); err != nil {
+			if err := text.Embed(toks, pos, emb); err != nil {
 				return err
 			}
-			if _, err := fwd.Run(inferlet.Input(emb...), inferlet.AppendKv(pages...)); err != nil {
+			if err := fwd.Run(inferlet.Input(emb...), inferlet.AppendKv(pages...)); err != nil {
 				return err
 			}
 			if err := q.Sync(); err != nil {
@@ -260,10 +260,10 @@ func exportImportPrograms(prompt string) (inferlet.Program, inferlet.Program) {
 			for i := range pos {
 				pos[i] = nTokens + i
 			}
-			if _, err := text.Embed(qtoks, pos, emb); err != nil {
+			if err := text.Embed(qtoks, pos, emb); err != nil {
 				return err
 			}
-			if _, err := fwd.Run(
+			if err := fwd.Run(
 				inferlet.ReadKv(pages...), inferlet.Input(emb...), inferlet.Output(out...),
 			); err != nil {
 				return err
@@ -326,7 +326,7 @@ var badHandles = inferlet.Program{
 			return err
 		}
 		// Cross-model use must fail.
-		if _, err := text2.Embed([]int{5}, []int{0}, emb); !errors.Is(err, api.ErrBadHandle) {
+		if err := text2.Embed([]int{5}, []int{0}, emb); !errors.Is(err, api.ErrBadHandle) {
 			return fmt.Errorf("cross-model embed: got %v, want ErrBadHandle", err)
 		}
 		// Unknown handle must fail.
@@ -337,7 +337,7 @@ var badHandles = inferlet.Program{
 		if err := alloc1.FreeEmbeds(emb); err != nil {
 			return err
 		}
-		if _, err := text1.Embed([]int{5}, []int{0}, emb); !errors.Is(err, api.ErrBadHandle) {
+		if err := text1.Embed([]int{5}, []int{0}, emb); !errors.Is(err, api.ErrBadHandle) {
 			return fmt.Errorf("stale handle: got %v, want ErrBadHandle", err)
 		}
 		// Double dealloc must fail.
