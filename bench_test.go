@@ -53,23 +53,17 @@ func BenchmarkSimReplaySpeed(b *testing.B) {
 // two decode slots, no control-layer call) and samples (get_next_dist), on a
 // timing-mode engine — behind a context of 16, 64 and 256 KV pages. The
 // paper's bet (§5.2) is that this cost does not depend on the context:
-// allocs/op must be one number at all three sizes. That number is 1: the
-// distribution's future is the step's only allocation, since embed_txt
-// and forward return none.
+// allocs/op must be one number at all three sizes. That number is 0:
+// embed_txt and forward return no future, and NextDist waits with
+// Sample.Dist, whose result lives in the call's record
+// (TestDecodeStepAllocatesNothing holds it there).
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, pages := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("ctx%dpages", pages), func(b *testing.B) {
 			e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
 			e.MustRegister(inferlet.Program{Name: "decode", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
-				m := s.AvailableModels()[0]
-				ctx, err := support.NewContext(s, m)
+				ctx, err := decodingContext(s, pages)
 				if err != nil {
-					return err
-				}
-				if err := ctx.FillTokens(make([]int, pages*m.PageSize-m.PageSize/2)); err != nil {
-					return err
-				}
-				if _, err := ctx.NextDist(); err != nil {
 					return err
 				}
 				b.ReportAllocs()
@@ -87,6 +81,64 @@ func BenchmarkDecodeStep(b *testing.B) {
 			}})
 			runToCompletion(b, e, "decode")
 		})
+	}
+}
+
+// decodingContext opens a context on a timing-mode session, fills it to
+// half a page short of pages KV pages and samples once, so the next decode
+// step is warm.
+func decodingContext(s inferlet.Session, pages int) (*support.Context, error) {
+	m := s.AvailableModels()[0]
+	ctx, err := support.NewContext(s, m)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.FillTokens(make([]int, pages*m.PageSize-m.PageSize/2)); err != nil {
+		return nil, err
+	}
+	_, err = ctx.NextDist()
+	return ctx, err
+}
+
+// TestDecodeStepAllocatesNothing: a warm decode step — Context.Append plus
+// NextDist, through every layer down to the timing-mode kernels — makes no
+// heap allocation, behind a context of 16, 64 or 256 KV pages. Like
+// BenchmarkDecodeStep's allocs/op it counts whole allocations per step: the
+// page a step crosses into every PageSize steps is less than one.
+func TestDecodeStepAllocatesNothing(t *testing.T) {
+	for _, pages := range []int{16, 64, 256} {
+		e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+		allocs := -1.0
+		e.MustRegister(inferlet.Program{Name: "decode", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+			ctx, err := decodingContext(s, pages)
+			if err != nil {
+				return err
+			}
+			allocs = testing.AllocsPerRun(200, func() {
+				if err == nil {
+					err = ctx.Append(7)
+				}
+				if err == nil {
+					_, err = ctx.NextDist()
+				}
+			})
+			return err
+		}})
+		var err error
+		if cerr := e.RunClient(func() {
+			var h *pie.Handle
+			if h, err = e.Launch(pie.Spec("decode")); err == nil {
+				err = h.Wait()
+			}
+		}); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("ctx%dpages: a decode step makes %v allocations, want 0", pages, allocs)
+		}
 	}
 }
 

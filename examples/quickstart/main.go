@@ -78,8 +78,9 @@ func main() {
 
 			var out []int
 			for i := len(prom); i < tokLimit; i++ {
-				distF, _ := sample.NextDist(genEmb[0])
-				dist, err := distF.Get()
+				// Dist waits at once; NextDist returns a future instead,
+				// for distributions requested before the first is awaited.
+				dist, err := sample.Dist(genEmb[0])
 				if err != nil {
 					return err
 				}

@@ -35,6 +35,7 @@ type QueueRuntime interface {
 	NumEmbedsNeeded(imageBytes int) (int, error)
 
 	GetNextDist(emb api.Embed) (api.Future[api.Dist], error)
+	NextDist(emb api.Embed) (api.Dist, error)
 
 	Tokenize(text string) (api.Future[[]int], error)
 	Detokenize(ids []int) (api.Future[string], error)
@@ -546,6 +547,20 @@ func (s *Sample) NextDist(emb api.Embed) (api.Future[api.Dist], error) {
 		return nil, err
 	}
 	return s.q.rt.GetNextDist(emb)
+}
+
+// Dist is NextDist for a caller that waits at once: it blocks until the
+// distribution is ready and returns it. It is the same get_next_dist in the
+// same queue order, but it allocates nothing: the result lives in the
+// call's own record until Dist returns. Use NextDist where calls should
+// overlap: several distributions requested before the first is awaited
+// (parallel branches, a multi-output verify), or one combined with other
+// futures.
+func (s *Sample) Dist(emb api.Embed) (api.Dist, error) {
+	if err := s.q.guard(); err != nil {
+		return api.Dist{}, err
+	}
+	return s.q.rt.NextDist(emb)
 }
 
 // --- Tokenizer capability --------------------------------------------------

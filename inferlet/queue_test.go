@@ -78,6 +78,7 @@ func (r *recorder) GetNextDist(api.Embed) (api.Future[api.Dist], error) {
 	r.calls++
 	return done[api.Dist]{}, nil
 }
+func (r *recorder) NextDist(api.Embed) (api.Dist, error)       { r.calls++; return api.Dist{}, nil }
 func (r *recorder) Tokenize(string) (api.Future[[]int], error) { r.calls++; return done[[]int]{}, nil }
 func (r *recorder) Detokenize([]int) (api.Future[string], error) {
 	r.calls++
@@ -255,6 +256,7 @@ func TestClosedQueueGuards(t *testing.T) {
 		"Image.Embed":   c.image.Embed(nil, nil, nil),
 		"EmbedsNeeded":  e(c.image.EmbedsNeeded(1)),
 		"NextDist":      e(c.samp.NextDist(1)),
+		"Dist":          e(c.samp.Dist(1)),
 		"Encode":        e(c.tok.Encode("x")),
 		"Decode":        e(c.tok.Decode(nil)),
 		"Vocabs":        e(c.tok.Vocabs()),
@@ -295,11 +297,12 @@ func TestOpenQueuePassesThrough(t *testing.T) {
 	c.image.Embed(nil, nil, nil)
 	c.image.EmbedsNeeded(10)
 	c.samp.NextDist(1)
+	c.samp.Dist(1)
 	c.tok.Encode("x")
 	c.tok.Decode(nil)
 	c.tok.Vocabs()
-	if r.calls != 16 {
-		t.Errorf("%d calls reached the runtime, want 16", r.calls)
+	if r.calls != 17 {
+		t.Errorf("%d calls reached the runtime, want 17", r.calls)
 	}
 	bare, _ := newTestQueue(api.TraitCore)
 	for name, err := range map[string]error{

@@ -250,6 +250,7 @@ func New(clock *sim.Clock, policy PlacementPolicy, replicas []*Replica, active i
 	active = min(max(active, 1), len(replicas))
 	c := &Cluster{clock: clock, policy: policy, replicas: replicas}
 	for _, r := range replicas {
+		r.Ctl.ShareSpares(replicas[0].Ctl)
 		if r.Role != RoleUnified {
 			c.hasRoles = true
 		}

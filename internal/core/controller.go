@@ -37,6 +37,10 @@ type Controller struct {
 	ids       []int32
 	doneEpoch uint64
 
+	// spares holds released instances' handle arrays; controllers that
+	// pass sessions between them share one (ShareSpares).
+	spares *tableSpares
+
 	// Outstanding inference-layer work, maintained incrementally on
 	// enqueue/complete/close. The cluster router's least-loaded placement
 	// and the scalers' saturation signals read these; control-side ops
@@ -75,6 +79,7 @@ func NewController(clock *sim.Clock, backend *infer.Backend, models []*infer.Mod
 		exports:   make(map[string]*exportEntry),
 		instances: make(map[uint64]*Instance),
 		offload:   offload,
+		spares:    &tableSpares{},
 	}
 	artCap := artifacts.CapacityBytes
 	if artCap == 0 && len(models) > 0 {
@@ -105,6 +110,13 @@ func NewController(clock *sim.Clock, backend *infer.Backend, models []*infer.Mod
 	backend.Device.SetIdleFunc(ctl.sched.onDeviceIdle)
 	return ctl
 }
+
+// ShareSpares makes ctl keep released instances' handle arrays with
+// other's, for either to reuse. Replicas that hand sessions off share them:
+// a session registers on a prefill replica and is released on a decode
+// replica, so spares kept per controller would never get back to where the
+// sessions start. Controllers sharing spares must share a clock.
+func (ctl *Controller) ShareSpares(other *Controller) { ctl.spares = other.spares }
 
 // Scheduler exposes the batch scheduler (for tests and stats).
 func (ctl *Controller) Scheduler() *Scheduler { return ctl.sched }
@@ -152,6 +164,8 @@ func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func
 		Proc:       proc,
 		onKill:     onKill,
 		launchedAt: ctl.clock.Now(),
+		embeds:     ctl.spares.take(),
+		pages:      ctl.spares.take(),
 	}
 	ctl.instances[inst.ID] = inst
 	return inst
@@ -174,6 +188,8 @@ func (ctl *Controller) ReleaseInstance(inst *Instance) {
 	}
 	inst.embeds.release(0, false)
 	inst.pages.release(0, true)
+	ctl.spares.put(inst.embeds)
+	ctl.spares.put(inst.pages)
 	inst.embeds, inst.pages = handleTable{}, handleTable{}
 	delete(ctl.instances, inst.ID)
 	ctl.allRoomFreed()

@@ -691,7 +691,8 @@ func visibleScan(p *model.KvPage) int {
 // TestVisibleCountMatchesScan: after any mix of forwards, masks, copies,
 // page recycling and session handoffs, in both execution modes, every
 // physical page's maintained Visible count equals a scan of its
-// Used/Masked bits — on both replicas.
+// Used/Masked bits, and its Filled count a count of its Used bits — on
+// both replicas.
 func TestVisibleCountMatchesScan(t *testing.T) {
 	for _, mode := range []infer.ExecMode{infer.ExecTiming, infer.ExecFull} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -709,6 +710,9 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 							if p := m.rt.Page(id); p.Visible != visibleScan(p) {
 								t.Fatalf("step %d (%s): replica %d page %d Visible = %d, scan = %d",
 									step, op, r, id, p.Visible, visibleScan(p))
+							} else if p.Filled != p.NumUsed() {
+								t.Fatalf("step %d (%s): replica %d page %d Filled = %d, NumUsed = %d",
+									step, op, r, id, p.Filled, p.NumUsed())
 							}
 						}
 					}
@@ -823,26 +827,30 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 	}
 }
 
+// checkFreeCalls fails t if a record is on ctl's free list twice or is not
+// blank there.
+func checkFreeCalls(t *testing.T, ctl *Controller, when string) {
+	t.Helper()
+	seen := map[*call]bool{}
+	for _, c := range ctl.freeCalls {
+		if seen[c] {
+			t.Fatalf("%s: record %p is on the free list twice", when, c)
+		}
+		seen[c] = true
+		if !reflect.DeepEqual(c.Call, infer.Call{}) || c.q != nil || c.sync != nil || c.freeKv ||
+			c.waited || !reflect.DeepEqual(c.dist, sim.Future[api.Dist]{}) ||
+			len(c.pins)+len(c.free)+len(c.pageBuf)+len(c.embBuf)+len(c.intBuf)+len(c.boolBuf) != 0 {
+			t.Fatalf("%s: recycled record not blank: %+v", when, c)
+		}
+	}
+}
+
 // TestCallRecordsRecycle: a call's record goes back to the controller once
 // the call completed, was refused or failed with its queue — exactly once,
 // blank but for its backing arrays — and a decode loop keeps reusing the
 // same few records instead of allocating one per call.
 func TestCallRecordsRecycle(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		checkFree := func(when string) {
-			t.Helper()
-			seen := map[*call]bool{}
-			for _, c := range ctl.freeCalls {
-				if seen[c] {
-					t.Fatalf("%s: record %p is on the free list twice", when, c)
-				}
-				seen[c] = true
-				if !reflect.DeepEqual(c.Call, infer.Call{}) || c.q != nil || c.sync != nil || c.freeKv ||
-					len(c.pins)+len(c.free)+len(c.pageBuf)+len(c.embBuf)+len(c.intBuf)+len(c.boolBuf) != 0 {
-					t.Fatalf("%s: recycled record not blank: %+v", when, c)
-				}
-			}
-		}
 		inst := ctl.RegisterInstance("a", nil, nil)
 		qid := mustQueue(t, ctl, inst, "llama-1b")
 		pages, _ := ctl.AllocPages(inst, qid, 4)
@@ -869,7 +877,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkFree("after 50 decode steps")
+		checkFreeCalls(t, ctl, "after 50 decode steps")
 		if n := len(ctl.freeCalls); n == 0 || n > 3 {
 			t.Fatalf("150 sequential calls left %d records on the free list, want 1..3 (reuse)", n)
 		}
@@ -882,7 +890,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 		if ctl.callSeq != seq || len(ctl.freeCalls) != free {
 			t.Fatalf("refused forward: callSeq %d -> %d, free records %d -> %d", seq, ctl.callSeq, free, len(ctl.freeCalls))
 		}
-		checkFree("after a refused forward")
+		checkFreeCalls(t, ctl, "after a refused forward")
 
 		// Calls still queued when their instance is released fail, and
 		// their records come back too; the one already on the device
@@ -896,11 +904,55 @@ func TestCallRecordsRecycle(t *testing.T) {
 			t.Fatalf("queued get_next_dist after release: %v, want ErrTerminated", err)
 		}
 		clock.Sleep(time.Second)
-		checkFree("after release")
+		checkFreeCalls(t, ctl, "after release")
 		if m := ctl.models["llama-1b"]; m.pages.inUse() != 0 || m.embeds.inUse() != 0 {
 			t.Fatalf("release left %d pages, %d embeds in use", m.pages.inUse(), m.embeds.inUse())
 		}
 	})
+}
+
+// TestReleasedTablesAreReused: a released instance's handle arrays serve
+// the next instance registered on any controller sharing its spares — a
+// P/D session registers on one replica and is released on another — blank,
+// with handles numbered from 1 again.
+func TestReleasedTablesAreReused(t *testing.T) {
+	clock := sim.NewClock()
+	prefill := newTestController(clock, "gpu0", infer.ExecTiming, 0, OffloadConfig{})
+	decode := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+	decode.ShareSpares(prefill)
+	clock.Go("test", func() {
+		inst := decode.RegisterInstance("a", nil, nil)
+		qid := mustQueue(t, decode, inst, "llama-1b")
+		if _, err := decode.AllocEmbeds(inst, qid, 5); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decode.AllocPages(inst, qid, 3); err != nil {
+			t.Fatal(err)
+		}
+		embeds, pages := &inst.embeds.refs[:1][0], &inst.pages.refs[:1][0]
+		decode.ReleaseInstance(inst)
+
+		// The spares come back last in, first out: pages, then embeds.
+		next := prefill.RegisterInstance("b", nil, nil)
+		if cap(next.embeds.refs) == 0 || cap(next.pages.refs) == 0 ||
+			&next.embeds.refs[:1][0] != pages || &next.pages.refs[:1][0] != embeds {
+			t.Fatal("new instance's tables are not the released arrays")
+		}
+		for _, refs := range [][]resRef{next.embeds.refs[:cap(next.embeds.refs)], next.pages.refs[:cap(next.pages.refs)]} {
+			for i, r := range refs {
+				if r != (resRef{}) {
+					t.Fatalf("spare slot %d not blank: %+v", i, r)
+				}
+			}
+		}
+		q := mustQueue(t, prefill, next, "llama-1b")
+		if ids, err := prefill.AllocEmbeds(next, q, 1); err != nil || ids[0] != 1 {
+			t.Fatalf("first embed of a reused table: %v, %v; want handle 1", ids, err)
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBetterBucketOrder pins the dispatch order among ready buckets: light

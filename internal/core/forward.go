@@ -271,6 +271,35 @@ func (ctl *Controller) buildForward(inst *Instance, qid api.Queue, args api.Forw
 // NextDist schedules get_next_dist. The inferlet gets the call's own
 // future: the batch that samples resolves it.
 func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (*sim.Future[api.Dist], error) {
+	c, err := ctl.distCall(inst, qid, emb)
+	if err != nil {
+		return nil, err
+	}
+	c.DistFut = sim.NewFuture[api.Dist](ctl.clock)
+	ctl.enqueue(c.q, c)
+	return c.DistFut, nil
+}
+
+// WaitDist is get_next_dist for a caller that waits at once: it blocks
+// until the distribution is ready and returns it. The result cell is the
+// record's own, so the call allocates nothing. The record has two holders,
+// the completing party (onBatchComplete, failPending) and this caller, and
+// the later of their releases recycles it: the caller's runs in a defer, so
+// a caller killed while parked lets go exactly once too.
+func (ctl *Controller) WaitDist(inst *Instance, qid api.Queue, emb api.Embed) (api.Dist, error) {
+	c, err := ctl.distCall(inst, qid, emb)
+	if err != nil {
+		return api.Dist{}, err
+	}
+	c.dist.Reset(ctl.clock)
+	c.DistFut, c.waited = &c.dist, true
+	ctl.enqueue(c.q, c)
+	defer ctl.release(c)
+	return c.dist.Get()
+}
+
+// distCall validates a get_next_dist and returns its stamped record.
+func (ctl *Controller) distCall(inst *Instance, qid api.Queue, emb api.Embed) (*call, error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
 		return nil, err
@@ -281,9 +310,7 @@ func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (*
 	}
 	c := ctl.newCall(inst, q, infer.OpNextDist)
 	c.DistOf = q.m.rt.Embed(ref.phys)
-	c.DistFut = sim.NewFuture[api.Dist](ctl.clock)
-	ctl.enqueue(q, c)
-	return c.DistFut, nil
+	return c, nil
 }
 
 // CopyKv schedules copy_kvpage: token-level copy between pages.
@@ -447,7 +474,7 @@ func (ctl *Controller) failPending(q *cmdQueue, err error) {
 		ctl.unpinCall(c)
 		c.Err = err
 		c.Fail()
-		ctl.recycle(c)
+		ctl.release(c)
 	}
 	ctl.sched.forgetQueue(q)
 }
@@ -507,7 +534,7 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 	// The batch is done with: its futures resolved in the backend, nothing
 	// above reads the records again.
 	for _, ic := range b.Calls {
-		ctl.recycle(ic.Ctl.(*call))
+		ctl.release(ic.Ctl.(*call))
 	}
 	ctl.sched.freeBatch(b)
 	ctl.sched.tryDispatch()

@@ -174,6 +174,30 @@ func (t *handleTable) release(q api.Queue, kv bool) {
 	}
 }
 
+// tableSpares keeps the handle arrays of released instances for the ones
+// registered next, so a session's tables are not regrown from empty.
+type tableSpares struct{ refs [][]resRef }
+
+// put keeps t's array, blanked, unless it never grew.
+func (s *tableSpares) put(t handleTable) {
+	if cap(t.refs) > 0 {
+		clear(t.refs)
+		s.refs = append(s.refs, t.refs[:0])
+	}
+}
+
+// take returns a handle table on a spare array, or an empty one.
+func (s *tableSpares) take() handleTable {
+	n := len(s.refs)
+	if n == 0 {
+		return handleTable{}
+	}
+	refs := s.refs[n-1]
+	s.refs[n-1] = nil
+	s.refs = s.refs[:n-1]
+	return handleTable{refs: refs}
+}
+
 // Instance is the control layer's view of one running inferlet: its
 // virtual resource address space, queues, and accounting. IDs grow with
 // creation, and a handoff gives the instance its destination's next one.
@@ -256,10 +280,18 @@ func (inst *Instance) uses(m *modelState) bool {
 // inference-layer call itself plus the bookkeeping only the controller
 // reads. An inferlet holds a call's future, never the record, so a record
 // whose call completed, failed or was refused goes back to
-// Controller.freeCalls with the backing arrays of its lists.
+// Controller.freeCalls with the backing arrays of its lists. A waited call
+// (WaitDist) is the exception: its caller reads the result from the record,
+// so the record has two holders and the last to release it recycles it.
 type call struct {
 	infer.Call
 	q *cmdQueue // the queue the call was enqueued on
+
+	// dist is a waited get_next_dist's result cell (DistFut points at it);
+	// waited is set while both the caller and the completing party hold
+	// the record.
+	dist   sim.Future[api.Dist]
+	waited bool
 
 	// pins are the physical pages the call references, pinned
 	// device-resident from enqueue until completion (or queue teardown) so
@@ -536,6 +568,17 @@ func (ctl *Controller) record(q *cmdQueue) *call {
 	}
 	c.q = q
 	return c
+}
+
+// release gives up one holder's claim on a record: the completing batch's
+// (or the closing queue's), and for a waited call also the caller's. The
+// last release recycles it.
+func (ctl *Controller) release(c *call) {
+	if c.waited {
+		c.waited = false
+		return
+	}
+	ctl.recycle(c)
 }
 
 // recycle blanks a record nothing refers to any more, keeps its backing

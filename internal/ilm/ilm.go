@@ -175,14 +175,15 @@ func (m *ILM) SetClasses(classes []api.ServiceClass) {
 	}
 }
 
-// entry is one registered artifact.
+// entry is one registered artifact. Its strings are built once at
+// registration, not per launch.
 type entry struct {
-	prog    *inferlet.Program
-	version string
-	parsed  [3]int
+	prog     *inferlet.Program
+	version  string
+	parsed   [3]int
+	ref      string // "name@version": the artifact cache key
+	procName string // the name of its instances' processes
 }
-
-func (e *entry) ref() string { return inferlet.Ref(e.prog.Name, e.version) }
 
 // New starts the ILM on the clock. Launched instances are placed onto a
 // control layer by place — the cluster router in multi-replica engines.
@@ -237,7 +238,8 @@ func (m *ILM) Register(p inferlet.Program) error {
 	if m.programs[p.Name] == nil {
 		m.programs[p.Name] = make(map[string]*entry)
 	}
-	m.programs[p.Name][version] = &entry{prog: &cp, version: version, parsed: parsed}
+	m.programs[p.Name][version] = &entry{prog: &cp, version: version, parsed: parsed,
+		ref: inferlet.Ref(p.Name, version), procName: "inferlet:" + p.Name}
 	if cur, ok := m.latest[p.Name]; !ok {
 		m.latest[p.Name] = version
 	} else if curParsed, _ := parseVersion(cur); versionLess(curParsed, parsed) {
@@ -532,7 +534,7 @@ func (m *ILM) attempt(h *Handle) error {
 	// registers with the control layer immediately, so load-aware
 	// placement sees launches-in-flight (an instance still paying its
 	// JIT) instead of an all-zeros tie.
-	ctl, err := m.place.Place(p.Name, e.ref(), h.spec.Args)
+	ctl, err := m.place.Place(p.Name, e.ref, h.spec.Args)
 	if err != nil {
 		return err
 	}
@@ -559,7 +561,7 @@ func (m *ILM) attempt(h *Handle) error {
 	h.inst.Class = h.class
 	h.inst.Degraded = h.degraded
 
-	cold := !ctl.HasArtifact(e.ref())
+	cold := !ctl.HasArtifact(e.ref)
 	if cold {
 		// Upload + JIT on this replica, plus the dispatcher's extra
 		// cold-admission handling. Concurrent launches of a
@@ -567,7 +569,7 @@ func (m *ILM) attempt(h *Handle) error {
 		// admits on completion), reproducing Fig. 9's cold curve.
 		m.clock.Sleep(dispatchCold - dispatchWarm + ctl.ArtifactCost(p.BinarySize))
 	}
-	ctl.AdmitArtifact(e.ref(), p.BinarySize, cold)
+	ctl.AdmitArtifact(e.ref, p.BinarySize, cold)
 	if h.inst.Dead() {
 		// Reclaimed while still compiling — FCFS contention
 		// (api.ErrTerminated, final) or the replica died under the launch
@@ -594,7 +596,7 @@ func (m *ILM) attempt(h *Handle) error {
 	sess.rng = sim.NewRNG(0x5EED ^ uint64(h.ID))
 	sess.inst = h.inst
 
-	h.proc = m.clock.Go("inferlet:"+p.Name, func() {
+	h.proc = m.clock.Go(e.procName, func() {
 		var err error
 		func() {
 			defer func() {

@@ -259,6 +259,10 @@ func (b *queueBinding) GetNextDist(emb api.Embed) (api.Future[api.Dist], error) 
 	return b.s.ctl.NextDist(b.s.inst, b.qid, emb)
 }
 
+func (b *queueBinding) NextDist(emb api.Embed) (api.Dist, error) {
+	return b.s.ctl.WaitDist(b.s.inst, b.qid, emb)
+}
+
 func (b *queueBinding) Tokenize(text string) (api.Future[[]int], error) {
 	return b.s.ctl.Tokenize(b.s.inst, b.qid, text)
 }

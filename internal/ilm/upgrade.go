@@ -102,5 +102,5 @@ func (m *ILM) ArtifactFor(ref string) (key string, size int, err error) {
 	if err != nil {
 		return "", 0, err
 	}
-	return e.ref(), e.prog.BinarySize, nil
+	return e.ref, e.prog.BinarySize, nil
 }

@@ -271,21 +271,14 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 	if len(c.OutPages) > 0 {
 		free := 0
 		for _, p := range c.OutPages {
-			for _, u := range p.Used {
-				if !u {
-					free++
-				}
-			}
+			free += len(p.Used) - p.Filled
 		}
 		if free < n {
 			return fmt.Errorf("infer: output pages have %d free slots for %d tokens", free, n)
 		}
 		i := 0
 		for _, p := range c.OutPages {
-			for s := range p.Used {
-				if i == n {
-					break
-				}
+			for s := 0; i < n && p.Filled < len(p.Used); s++ {
 				if !p.Used[s] {
 					p.SetSlot(s, true, false)
 					p.Pos[s] = inputs[i].Pos

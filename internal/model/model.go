@@ -204,17 +204,26 @@ type KvPage struct {
 	// is what a forward's context costs, read once per page per call, so
 	// every writer of Used/Masked goes through SetSlot or Reset.
 	Visible int
+	// Filled counts the Used slots: what a forward appending to the page
+	// checks for room without scanning it.
+	Filled int
 }
 
-// SetSlot writes one slot's occupancy and mask bits, keeping Visible in
-// step.
+// SetSlot writes one slot's occupancy and mask bits, keeping Visible and
+// Filled in step.
 func (p *KvPage) SetSlot(s int, used, masked bool) {
-	if p.Used[s] && !p.Masked[s] {
-		p.Visible--
+	if p.Used[s] {
+		p.Filled--
+		if !p.Masked[s] {
+			p.Visible--
+		}
 	}
 	p.Used[s], p.Masked[s] = used, masked
-	if used && !masked {
-		p.Visible++
+	if used {
+		p.Filled++
+		if !masked {
+			p.Visible++
+		}
 	}
 }
 
@@ -241,7 +250,7 @@ func (p *KvPage) Reset() {
 		p.Masked[i] = false
 		p.Pos[i] = 0
 	}
-	p.Visible = 0
+	p.Visible, p.Filled = 0, 0
 }
 
 // NumUsed counts occupied slots.

@@ -48,6 +48,11 @@ func FailedFuture[T any](c *Clock, err error) *Future[T] {
 	return &Future[T]{c: c, done: true, err: err}
 }
 
+// Reset makes f an unresolved future on clock c, for a result cell held by
+// value in a record that is recycled: the record's owner calls it only once
+// nobody waits on, subscribes to or holds the cell any more.
+func (f *Future[T]) Reset(c *Clock) { *f = Future[T]{c: c} }
+
 // Done reports whether the future has been resolved or failed.
 func (f *Future[T]) Done() bool {
 	f.c.mu.Lock()

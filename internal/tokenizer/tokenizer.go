@@ -10,6 +10,7 @@ package tokenizer
 
 import (
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -145,27 +146,51 @@ func (t *Tokenizer) Encode(s string) []int {
 }
 
 // Decode reconstructs the exact byte string for ids; special tokens decode
-// to the empty string.
+// to the empty string. It sizes the string first: one allocation.
 func (t *Tokenizer) Decode(ids []int) string {
-	var b []byte
+	n := 0
 	for _, id := range ids {
-		b = append(b, t.TokenBytes(id)...)
+		n += len(t.text(id))
 	}
-	return string(b)
+	var b strings.Builder
+	b.Grow(n)
+	for _, id := range ids {
+		b.WriteString(t.text(id))
+	}
+	return b.String()
 }
 
 // TokenBytes returns the byte expansion of a single token id.
 func (t *Tokenizer) TokenBytes(id int) []byte {
-	switch {
-	case id < ByteBase:
-		return nil
-	case id < lexBase:
-		return []byte{byte(id - ByteBase)}
-	case id-lexBase < len(t.lexicon):
-		return []byte(t.lexicon[id-lexBase])
+	if s := t.text(id); s != "" {
+		return []byte(s)
 	}
 	return nil
 }
+
+// text returns the expansion of a single token id without copying it: ""
+// for special and unknown ids.
+func (t *Tokenizer) text(id int) string {
+	switch {
+	case id < ByteBase:
+		return ""
+	case id < lexBase:
+		return byteText[id-ByteBase : id-ByteBase+1]
+	case id-lexBase < len(t.lexicon):
+		return t.lexicon[id-lexBase]
+	}
+	return ""
+}
+
+// byteText holds every byte value once, in order: byte b's text is
+// byteText[b : b+1].
+var byteText = func() string {
+	b := make([]byte, 256)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return string(b)
+}()
 
 // Vocab returns the byte expansion of every token id, indexed by id
 // (the get_vocabs API).

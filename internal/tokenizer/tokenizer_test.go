@@ -37,6 +37,32 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeEqualsTokenBytes: Decode of any id list, special, byte,
+// lexicon and out-of-range ids mixed, is the concatenation of the ids'
+// TokenBytes, built in one allocation.
+func TestDecodeEqualsTokenBytes(t *testing.T) {
+	tok := New()
+	f := func(raw []int16) bool {
+		ids := make([]int, len(raw))
+		var want []byte
+		for i, r := range raw {
+			// Spread over [-64, VocabSize+64): the specials, the byte tokens,
+			// the lexicon and ids past either end.
+			ids[i] = int(r)%(tok.VocabSize()+128) - 64
+			want = append(want, tok.TokenBytes(ids[i])...)
+		}
+		return tok.Decode(ids) == string(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	ids := tok.Encode("Thought: I should call the search function.\x00\xff")
+	ids = append(ids, PAD, EOS, -1, tok.VocabSize())
+	if n := testing.AllocsPerRun(100, func() { _ = tok.Decode(ids) }); n != 1 {
+		t.Errorf("Decode made %v allocations, want 1", n)
+	}
+}
+
 func TestGreedyPrefersLongestMatch(t *testing.T) {
 	tok := New()
 	// " the" exists as a single lexicon token; encoding "a the" must not

@@ -32,11 +32,11 @@
 #     band absorbs the rest (min of $count on both sides). The calibration
 #     loop is the tensor tests' one-accumulator 64 x 64 oracle: scalar code
 #     in a test file, which no kernel change moves.
-#   - DecodeStep reporting different allocs/op at its three context sizes: a
-#     decode step may not pay for its context. The committed number is 1:
-#     a decode step may allocate its distribution's future and nothing else
-#     (embed_txt and forward return no future; a failed one reports at the
-#     queue's next synchronize), so the allocs/op gate above holds it there.
+#   - DecodeStep allocating at all, at any of its three context sizes: a
+#     decode step may not pay for its context, and it allocates nothing
+#     (embed_txt and forward return no future, a failed one reporting at the
+#     queue's next synchronize; NextDist waits with Sample.Dist, whose
+#     result lives in the call's record).
 #   - NextDistTiming's ns/op at TopK 1024 above $topkband times that at 64: a
 #     timing-mode distribution is a view, not a copy.
 #   - Generate (one chat turn: an 8-token prefill and 32 tokens out) issuing
@@ -142,10 +142,7 @@ if [ "${1:-}" = "-check" ]; then
 				if (gotic[n] > ic[n]) fail(n, sprintf("infer-calls/op rose (%d here, %d committed)", gotic[n], ic[n]))
 				if (gotcc[n] > cc[n]) fail(n, sprintf("control-calls/op rose (%s here, %s committed)", gotcc[n], cc[n]))
 				if (gotev[n] > ev[n]) fail(n, sprintf("events/op rose (%s here, %s committed)", gotev[n], ev[n]))
-				if (n ~ /^DecodeStep\//) {
-					if (steps++ && gotal[n] != stepal) fail(n, sprintf("allocs/op depends on the context size (%d here, %d at the previous size)", gotal[n], stepal))
-					stepal = gotal[n]
-				}
+				if (n ~ /^DecodeStep\// && gotal[n] > 0) fail(n, sprintf("a decode step allocates (%d allocs/op)", gotal[n]))
 			}
 			lo = gotns["NextDistTiming/topk64"]; hi = gotns["NextDistTiming/topk1024"]
 			if (lo > 0 && hi > lo * topkband) fail("NextDistTiming", sprintf("ns/op depends on TopK (%.1f at 64, %.1f at 1024)", lo, hi))

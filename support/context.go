@@ -80,10 +80,13 @@ type Context struct {
 	tokBuf []int // pending + new tokens of one forward
 	outBuf []api.KvPage
 
-	genEmb  []api.Embed // decode slot: the frontier's output
-	inEmb   []api.Embed // decode slot: a one-token extension's input (nil until the first)
-	lastOut api.Embed   // output embedding of the last forward
-	hasOut  bool
+	// The decode slots are views of decodeSlots, so Drop frees both in one
+	// call without building a list.
+	genEmb      []api.Embed // decode slot: the frontier's output
+	inEmb       []api.Embed // decode slot: a one-token extension's input (nil until the first)
+	decodeSlots [2]api.Embed
+	lastOut     api.Embed // output embedding of the last forward
+	hasOut      bool
 }
 
 type pageEntry struct {
@@ -133,9 +136,12 @@ func NewContextOnQueue(s inferlet.Session, q *inferlet.Queue) (*Context, error) 
 	if c.tok, err = q.Tokenizer(); err != nil {
 		return nil, err
 	}
-	if c.genEmb, err = c.alloc.Embeds(1); err != nil {
+	gen, err := c.alloc.Embeds(1)
+	if err != nil {
 		return nil, err
 	}
+	c.decodeSlots[0] = gen[0]
+	c.genEmb = c.decodeSlots[:1:1]
 	return c, nil
 }
 
@@ -176,6 +182,7 @@ func (c *Context) ensure(n int) error {
 	if err != nil {
 		return err
 	}
+	c.entries = slices.Grow(c.entries, len(pages))
 	for _, p := range pages {
 		c.entries = append(c.entries, pageEntry{h: p, owned: true, live: true})
 	}
@@ -301,7 +308,7 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 			return nil, err
 		}
 	} else if len(c.pend) > 0 {
-		c.tokBuf = append(append(c.tokBuf[:0], c.pend...), toks...)
+		c.tokBuf = append(append(slices.Grow(c.tokBuf[:0], len(c.pend)+len(toks)), c.pend...), toks...)
 		toks = c.tokBuf
 	}
 	n := len(toks)
@@ -317,9 +324,12 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 	var err error
 	if n == 1 {
 		if c.inEmb == nil {
-			if c.inEmb, err = c.alloc.Embeds(1); err != nil {
+			in, err := c.alloc.Embeds(1)
+			if err != nil {
 				return nil, err
 			}
+			c.decodeSlots[1] = in[0]
+			c.inEmb = c.decodeSlots[1:2:2]
 		}
 		emb = c.inEmb
 	} else {
@@ -328,7 +338,7 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 		}
 		defer c.alloc.FreeEmbeds(emb)
 	}
-	pos := c.posBuf[:0]
+	pos := slices.Grow(c.posBuf[:0], n)
 	for i := 0; i < n; i++ {
 		pos = append(pos, c.pos+i)
 	}
@@ -401,25 +411,34 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 }
 
 // NextDist returns the next-token distribution after the last token of
-// the stream, flushing pending tokens first.
+// the stream, flushing pending tokens first. It waits at once, so it asks
+// for the distribution with Sample.Dist, which allocates nothing.
 func (c *Context) NextDist() (api.Dist, error) {
-	f, err := c.nextDist()
-	if err != nil {
+	if err := c.settleOutput(); err != nil {
 		return api.Dist{}, err
 	}
-	return f.Get()
+	return c.sample.Dist(c.lastOut)
 }
 
 // nextDist is NextDist without the wait (ParallelGenerate issues every
 // branch's request before awaiting any).
 func (c *Context) nextDist() (api.Future[api.Dist], error) {
-	if err := c.Flush(); err != nil {
+	if err := c.settleOutput(); err != nil {
 		return nil, err
 	}
-	if !c.hasOut {
-		return nil, ErrNoOutput
-	}
 	return c.sample.NextDist(c.lastOut)
+}
+
+// settleOutput flushes the pending tokens, after which lastOut, if the
+// context has one, is the output embedding of the stream's last token.
+func (c *Context) settleOutput() error {
+	if err := c.Flush(); err != nil {
+		return err
+	}
+	if !c.hasOut {
+		return ErrNoOutput
+	}
+	return nil
 }
 
 // Append accepts token tok into the context. It issues nothing: the token
@@ -567,6 +586,11 @@ type GenResult struct {
 	Text   string
 }
 
+// presizeCap bounds what Generate reserves up front for its output and the
+// token history: a generous MaxTokens must not cost its full size when
+// generation stops early.
+const presizeCap = 256
+
 // Generate decodes autoregressively until a stop condition. The last
 // accepted token is left pending: it costs a forward only if the context
 // is extended or read afterwards.
@@ -578,7 +602,11 @@ func (c *Context) Generate(opts GenOpts) (GenResult, error) {
 	if sampler == nil {
 		sampler = Greedy{}
 	}
-	var out []int
+	// Size the bookkeeping for the whole run once, not per doubling; past
+	// presizeCap tokens it grows as usual.
+	n := min(opts.MaxTokens, presizeCap)
+	out := make([]int, 0, n)
+	c.Tokens = slices.Grow(c.Tokens, n)
 	for len(out) < opts.MaxTokens {
 		dist, err := c.NextDist()
 		if err != nil {
@@ -694,7 +722,9 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 // deallocations are queue-ordered and need no round trip). Use Close to
 // also close the queue and reclaim what is still allocated through it.
 func (c *Context) Drop() error {
-	var own []api.KvPage
+	// The attention cache is the scratch list: the page list goes away.
+	own := c.attn[:0]
+	c.attnOK = false
 	for _, e := range c.entries {
 		if e.owned && e.live {
 			own = append(own, e.h)
@@ -705,9 +735,9 @@ func (c *Context) Drop() error {
 			return err
 		}
 	}
-	c.entries, c.attnOK = nil, false
+	c.entries = nil
 	if c.genEmb != nil {
-		if err := c.alloc.FreeEmbeds(append(c.genEmb, c.inEmb...)); err != nil {
+		if err := c.alloc.FreeEmbeds(c.decodeSlots[:len(c.genEmb)+len(c.inEmb)]); err != nil {
 			return err
 		}
 		c.genEmb, c.inEmb = nil, nil
