@@ -36,9 +36,10 @@
 // them with the one scorer (argmin) the prefill/decode handoff uses too:
 // a delay plus the replica's outstanding tokens' decode cost.
 //
-// The active replica set changes only through the fleet ops (fleetops.go):
-// the SLO scaler, the health monitor, the fleet controller and placement's
-// last-resort revive all call them. Everything runs on the engine's virtual
+// Health, the role balancer and the SLO scaler run on one cluster tick
+// (tick.go). The active replica set changes only through the fleet ops
+// (fleetops.go): the SLO scaler, the health monitor, the fleet controller
+// and placement's last-resort revive all call them. Everything runs on the engine's virtual
 // clock, so same-seed runs make identical placement and scaling decisions.
 package cluster
 
@@ -125,9 +126,6 @@ type Replica struct {
 	// from prefill replicas and sessions handed off to decode replicas.
 	HandoffsIn  int
 	HandoffsOut int
-	// sample is the role balancer's view of the replica's counters at the
-	// last window edge (roles.go).
-	sample roleSample
 
 	active   bool
 	draining bool
@@ -145,9 +143,8 @@ type Replica struct {
 	crashed   bool          // crash fault applied: heartbeats have stopped
 	crashedAt time.Duration // when they stopped
 	slowdown  float64       // slow fault applied: kernel cost multiplier
-	// Progress watchdog bookkeeping.
-	lastKernels int
-	progressAt  time.Duration
+	// progressAt is when the progress watchdog last saw the replica drain.
+	progressAt time.Duration
 	// Evacuations counts in-flight instances aborted off this replica by
 	// the health layer when it died — the requeue candidates.
 	Evacuations int
@@ -191,6 +188,11 @@ type Cluster struct {
 	ExportsMigrated int // drain completions that moved at least one page
 	PagesMigrated   int
 
+	// The cluster tick (tick.go): its policies, and by replica ID this tick's
+	// load and the load health and the role balancer last read.
+	policies              [3]policy
+	load, checked, window []replicaLoad
+
 	// Fault layer (health.go, faults.go, shed.go).
 	health   HealthConfig
 	shed     ShedConfig
@@ -208,8 +210,9 @@ type Cluster struct {
 	// controller -> replica index sessions resolve their host through, and
 	// the bounded in-flight transfer budget (slots held, FIFO waiters).
 	hasRoles      bool
-	stick         []*Replica // hashStick's domain: every replica a launch may start on, ID order
-	roleVote      Role       // the role the last balancer window wanted a replica moved to; unified for none
+	stick         []*Replica    // hashStick's domain: every replica a launch may start on, ID order
+	roleVote      Role          // the role the last balancer window wanted a replica moved to; unified for none
+	windowAt      time.Duration // when the balancer's current window opened
 	handoff       HandoffConfig
 	ctlIndex      map[*core.Controller]*Replica
 	handoffActive int
@@ -249,6 +252,7 @@ func New(clock *sim.Clock, policy PlacementPolicy, replicas []*Replica, active i
 	}
 	active = min(max(active, 1), len(replicas))
 	c := &Cluster{clock: clock, policy: policy, replicas: replicas}
+	c.load, c.checked, c.window = make([]replicaLoad, len(replicas)), make([]replicaLoad, len(replicas)), make([]replicaLoad, len(replicas))
 	for _, r := range replicas {
 		r.Ctl.ShareSpares(replicas[0].Ctl)
 		if r.Role != RoleUnified {

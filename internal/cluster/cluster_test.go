@@ -10,10 +10,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
 
 	"pie"
 	"pie/apps"
 	"pie/internal/cluster"
+	"pie/internal/trace"
 )
 
 func newEngine(t *testing.T, cfg pie.Config) *pie.Engine {
@@ -221,7 +223,10 @@ func TestSameSeedByteIdenticalReplicaStats(t *testing.T) {
 
 // TestDrainMigratesExports: when a drain completes, the drained replica's
 // KV exports move to a surviving replica, so cached context outlives the
-// deactivation and kv-affinity keeps finding it on a placeable replica.
+// deactivation and kv-affinity keeps finding it on a placeable replica. The
+// drain does not block: its drain-done record carries the pages moved and
+// the migration's span, and that span is still billed to the drained
+// replica.
 func TestDrainMigratesExports(t *testing.T) {
 	// Pick a cache key that hash-sticks to replica 1, the one drained below.
 	var key string
@@ -241,6 +246,7 @@ func TestDrainMigratesExports(t *testing.T) {
 		CacheKey:     key,
 	})
 	cl := e.Cluster()
+	ds := decisionLog(e)
 	err := e.RunClient(func() {
 		if _, err := e.LaunchAndWait(pie.Spec("prefix_caching", string(params))); err != nil {
 			panic(err)
@@ -252,7 +258,11 @@ func TestDrainMigratesExports(t *testing.T) {
 		if !cl.BeginDrain(r1) {
 			t.Error("BeginDrain refused the idle serving replica 1")
 		}
+		before := e.Now()
 		cl.CompleteDrains()
+		if e.Now() != before {
+			t.Errorf("CompleteDrains blocked for %v", e.Now()-before)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +272,15 @@ func TestDrainMigratesExports(t *testing.T) {
 	}
 	if cl.ExportsMigrated == 0 || cl.PagesMigrated == 0 {
 		t.Fatalf("drain moved no exports: migrated=%d pages=%d", cl.ExportsMigrated, cl.PagesMigrated)
+	}
+	done := (*ds)[len(*ds)-1]
+	if done.Kind != trace.DrainDone || done.Replica != 1 || done.Pages != cl.PagesMigrated || done.Cost <= 0 {
+		t.Fatalf("last record %+v, want replica 1's drain-done with %d pages and their cost", done, cl.PagesMigrated)
+	}
+	// Replica 0 active for the whole second, replica 1 until its pages left:
+	// the value when the drain slept the migration before retiring it.
+	if got := fmt.Sprintf("%.10f", cl.CostUnits(time.Second)); got != "1.0666904000" {
+		t.Fatalf("CostUnits(1s) = %s, want 1.0666904000", got)
 	}
 	r0, r1 := cl.Replicas()[0], cl.Replicas()[1]
 	if !holdsExport(r0, key) {

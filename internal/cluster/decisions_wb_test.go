@@ -22,7 +22,7 @@ func TestDecisionSitesFreeWhenUnobserved(t *testing.T) {
 	run := func() {
 		c.denyHandoff(inst, c.replicas[0], api.ErrNoDecodeCapacity)
 		c.replicas[1].draining = false
-		c.scaleDownCostAware(0.1)
+		c.scaleDownCostAware(0.1, [3]float64{}, [3]int{2})
 	}
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("unobserved decision sites allocated %v times per run, want 0", n)

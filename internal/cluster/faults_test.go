@@ -86,6 +86,25 @@ func TestWaitReturnsTypedErrorOnReplicaDeath(t *testing.T) {
 	}
 }
 
+// TestDeadSpareIsNotReplaced: a cold spare that crash-stops is declared
+// dead and counted lost, but it served nothing, so no other spare comes
+// into service in its place.
+func TestDeadSpareIsNotReplaced(t *testing.T) {
+	e := newEngine(t, pie.Config{Seed: 3, Replicas: 4, Health: tightHealth(), Faults: crashAt(2, 20*time.Millisecond)})
+	cl := e.Cluster()
+	for _, r := range cl.Replicas()[2:] {
+		if !cl.Deactivate(r) {
+			t.Fatalf("Deactivate refused idle replica %d", r.ID)
+		}
+	}
+	if err := e.RunClient(func() { e.Sleep(60 * time.Millisecond) }); err != nil {
+		t.Fatal(err)
+	}
+	if cl.ReplicasLost != 1 || cl.Replacements != 0 || cl.ActiveReplicas() != 2 {
+		t.Fatalf("lost %d, replaced %d, %d active; want 1, 0 and 2", cl.ReplicasLost, cl.Replacements, cl.ActiveReplicas())
+	}
+}
+
 // TestHangDetectionAbortsWaiters covers the hang arm of the fault model.
 // A device hung while idle keeps answering health checks (no outstanding
 // work means no missed progress), so the launch places normally — then its

@@ -1,6 +1,10 @@
 package cluster
 
-import "pie/internal/trace"
+import (
+	"time"
+
+	"pie/internal/trace"
+)
 
 // Fleet ops: the one mutation surface of the active replica set and of the
 // replicas' roles. The SLO
@@ -55,28 +59,31 @@ func (c *Cluster) BeginDrain(r *Replica) bool {
 
 // CompleteDrains runs phase two for every draining replica that has gone
 // idle: migrate its KV exports to a serving peer over the modeled
-// interconnect, then retire it. Scalers and the fleet controller call it
-// on each tick; iteration is in replica-ID order so same-seed runs decide
-// identically.
+// interconnect, then retire it. It never blocks: the replica retires at
+// once and the migration's span is added to its active time, as if it had
+// stayed on until its pages left. The scaler and the fleet controller call
+// it on each tick; iteration is in replica-ID order so same-seed runs
+// decide identically.
 func (c *Cluster) CompleteDrains() {
 	for _, r := range c.replicas {
 		if r.active && r.draining && r.health == HealthHealthy && r.Ctl.Instances() == 0 && r.Ctl.OutstandingCalls() == 0 {
 			// Before the replica goes dark, migrate its KV exports to the
 			// lowest-ID serving replica: application-managed prompt caches
 			// survive the drain, and the kv-affinity router keeps finding
-			// them on a placeable replica. The transfer time (device ->
-			// host -> peer) is charged to the calling tick.
+			// them on a placeable replica.
+			pages, cost := 0, time.Duration(0)
 			if dst := c.migrationTarget(r); dst != nil {
-				pages, cost := r.Ctl.MigrateExportsTo(dst.Ctl)
-				if pages > 0 {
+				if pages, cost = r.Ctl.MigrateExportsTo(dst.Ctl); pages > 0 {
 					c.ExportsMigrated++
 					c.PagesMigrated += pages
-					c.clock.Sleep(cost)
 				}
 			}
 			c.markInactive(r)
+			r.activeAccum += cost
 			c.DrainDone++
-			c.fleetOp(trace.DrainDone, r)
+			if c.OnDecision != nil {
+				c.OnDecision(trace.Decision{T: c.now(), Kind: trace.DrainDone, Replica: r.ID, Pages: pages, Cost: cost})
+			}
 		}
 	}
 }
@@ -86,20 +93,13 @@ func (c *Cluster) CompleteDrains() {
 // one. With roles assigned, decode-eligible replicas are preferred —
 // exports hold decoded context, and parking them on a prefill-only
 // replica would strand them where sessions cannot stay.
-func (c *Cluster) migrationTarget(drained *Replica) *Replica {
-	if c.hasRoles {
-		for _, r := range c.replicas {
-			if r != drained && r.serving() && r.decodeEligible() {
-				return r
-			}
-		}
-	}
+func (c *Cluster) migrationTarget(drained *Replica) (dst *Replica) {
 	for _, r := range c.replicas {
-		if r != drained && r.serving() {
-			return r
+		if r != drained && r.serving() && (dst == nil || r.decodeEligible() && !dst.decodeEligible()) {
+			dst = r
 		}
 	}
-	return nil
+	return dst
 }
 
 // flipRole moves a serving replica to the other pool, as the role balancer

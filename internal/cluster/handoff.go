@@ -31,8 +31,8 @@ type HandoffConfig struct {
 // EnableHandoff arms the handoff coordinator: every replica gets a
 // first-token observer that marks the session for migration while the
 // replica's role is prefill, and sessions resolve their host replica
-// through the controller index. On a fleet with roles it also arms the
-// role balancer (roles.go).
+// through the controller index. On a fleet with roles it also puts the
+// role balancer (roles.go) on the cluster tick.
 func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2
@@ -49,7 +49,8 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 		})
 	}
 	if c.hasRoles {
-		c.clock.Every(roleWindow, c.balanceRoles)
+		c.windowAt = c.now()
+		c.policies[tickBalance] = policy{period: roleWindow, run: c.balanceRoles}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"pie/internal/trace"
 )
 
-// Replica health: a monitor timer ticks on the virtual clock and drives
+// Replica health: a monitor on the cluster tick (tick.go) drives
 // each replica through healthy → suspect → dead → replaced. Two failure
 // signals feed it:
 //
@@ -22,9 +22,9 @@ import (
 // Death is handled, not just observed: every in-flight instance on the
 // dead replica is aborted with api.ErrReplicaLost (waiters unpark typed
 // instead of hanging; launches with a retry policy requeue onto
-// survivors), its KV exports are declared lost, and a cold spare is
-// activated as the replacement — which then pays cold-start placement
-// exactly like any fresh replica.
+// survivors), its KV exports are declared lost, and, if it was active, a
+// cold spare is activated as the replacement — which then pays cold-start
+// placement exactly like any fresh replica.
 
 // HealthState is a replica's position in the failure state machine.
 type HealthState int
@@ -90,26 +90,26 @@ func (h HealthConfig) withDefaults() HealthConfig {
 	return h
 }
 
-// EnableHealth installs the health monitor. Call before Engine.Run.
+// EnableHealth puts the health monitor on the cluster tick. Call before
+// Start.
 func (c *Cluster) EnableHealth(cfg HealthConfig) {
 	cfg.Enabled = true
 	c.health = cfg.withDefaults()
-	now := c.clock.Now()
+	now := c.now()
 	for _, r := range c.replicas {
 		r.progressAt = now
 	}
-	c.clock.Every(c.health.Interval, c.checkHealth)
+	c.policies[tickHealth] = policy{period: c.health.Interval, run: c.checkHealth}
 }
 
 // HealthEnabled reports whether the monitor is running.
 func (c *Cluster) HealthEnabled() bool { return c.health.Enabled }
 
-// checkHealth runs one monitor tick over every replica in ID order. It is
-// a timer's callback and never blocks: declareDead only aborts, drops and
+// checkHealth runs one monitor pass over every replica in ID order. It runs
+// on the cluster tick and never blocks: declareDead only aborts, drops and
 // activates.
-func (c *Cluster) checkHealth() {
-	now := c.clock.Now()
-	for _, r := range c.replicas {
+func (c *Cluster) checkHealth(now time.Duration) {
+	for i, r := range c.replicas {
 		if r.health == HealthDead {
 			continue
 		}
@@ -122,10 +122,8 @@ func (c *Cluster) checkHealth() {
 		} else {
 			// Heartbeats fine; check queue progress. Progress means either
 			// nothing is owed (idle replica) or kernels completed since the
-			// last tick.
-			k := r.Backend.Device.Kernels()
-			if r.Ctl.OutstandingCalls() == 0 || k != r.lastKernels {
-				r.lastKernels = k
+			// last pass.
+			if l := &c.load[i]; l.outstanding == 0 || l.kernels != c.checked[i].kernels {
 				r.progressAt = now
 				if r.health == HealthSuspect {
 					r.health = HealthHealthy // stall cleared: back in rotation
@@ -150,12 +148,14 @@ func (c *Cluster) checkHealth() {
 			}
 		}
 	}
+	copy(c.checked, c.load)
 }
 
 // declareDead executes the death protocol for one replica: out of
-// rotation, in-flight work aborted typed, exports declared lost, and a
-// cold spare activated as the replacement.
+// rotation, in-flight work aborted typed, exports declared lost, and, for a
+// replica that was active, a cold spare activated as the replacement.
 func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
+	replace := r.active
 	r.health = HealthDead
 	c.markInactive(r)
 	// A hung replica's device is already frozen; freezing a slow or
@@ -177,10 +177,11 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	c.DetectTime += detect
 	// Replacement: bring in the lowest-ID cold spare. It arrives with an
 	// empty artifact cache and empty pools, so its first placements pay
-	// the cold-start pipeline — the same economics as a scale-up.
+	// the cold-start pipeline — the same economics as a scale-up. A dead
+	// spare took no work, so nothing replaces it.
 	replacement := -1
 	for _, s := range c.replicas {
-		if !s.active && c.Activate(s) {
+		if replace && !s.active && c.Activate(s) {
 			c.Replacements++
 			replacement = s.ID
 			break

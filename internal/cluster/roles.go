@@ -71,69 +71,65 @@ type RoleSpec struct {
 	Count int
 }
 
-// ExpandRoles assigns a role to each of total replicas in ID order: each
-// spec covers Count replicas (<= 0 meaning the remainder), and the last
-// spec pads out the pool. An empty spec yields the unified default.
+// ExpandRoles assigns a role to each of total replicas in ID order, each
+// spec covering Count of them (expand). No spec is the unified default.
 func ExpandRoles(roles []RoleSpec, total int) []Role {
-	if len(roles) == 0 {
-		roles = []RoleSpec{{}}
-	}
-	out := make([]Role, 0, total)
-	for _, rs := range roles {
-		n := rs.Count
-		if n <= 0 || n > total-len(out) {
-			n = total - len(out)
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, rs.Role)
-		}
-		if len(out) == total {
-			break
-		}
-	}
-	for len(out) < total {
-		out = append(out, roles[len(roles)-1].Role)
+	out := make([]Role, total)
+	for i, rs := range expand(roles, func(rs RoleSpec) int { return rs.Count }, total) {
+		out[i] = rs.Role
 	}
 	return out
 }
 
-// roleWindow is how often the role balancer weighs the split, and the span
-// its counters cover. A window must hold enough prefills per replica for
-// the pool's busy share to mean something: at 200 ms fleet_mixed flipped
-// back and forth all run, and at 1 s a flip still reversed at some seeds.
-const roleWindow = 2 * time.Second
-
-// roleSample is one replica's cumulative counters at a window's edge.
-type roleSample struct {
-	busy                        time.Duration
-	forwards, decodes, prefills int
+// expand lays specs over total replicas in ID order: each covers count(spec)
+// replicas, a count <= 0 and the last spec the remainder; no specs is one
+// zero spec.
+func expand[S any](specs []S, count func(S) int, total int) []S {
+	if len(specs) == 0 {
+		specs = make([]S, 1)
+	}
+	out := make([]S, 0, total)
+	for i, s := range specs {
+		n := count(s)
+		if n <= 0 || n > total-len(out) || i == len(specs)-1 {
+			n = total - len(out)
+		}
+		for range n {
+			out = append(out, s)
+		}
+	}
+	return out
 }
+
+// roleWindow is the role balancer's period on the cluster tick. A window
+// must hold enough prefills per replica for the pool's busy share to mean
+// something: at 200 ms fleet_mixed flipped back and forth all run, and at
+// 1 s a flip still reversed at some seeds.
+const roleWindow = 2 * time.Second
 
 // rolePool sums one pool's window over its serving replicas and names the
 // least busy one, the donor if the pool gives a replica up.
 type rolePool struct {
 	n      int
-	win    roleSample
+	win    replicaLoad
 	idlest *Replica
 	idle   time.Duration
 }
 
-// balanceRoles is the role balancer's tick, armed by EnableHandoff on
-// fleets with roles (docs/API.md, "Roles follow load"). On D decode
-// replicas, N sessions decoding R steps a second wait d·N/D·R a second,
-// d = PerTokenDecode; on P prefill replicas busy B a second, λ calls a
-// second wait λ·W(B/P), W(ρ) = ρs/(2(1−ρ)) the M/D/1 wait at mean service
-// s. A prefill replica turns decode when one more decode replica saves
-// more than one fewer prefill replica adds, and a decode replica turns
-// prefill in the mirror case (by convexity never both). The donor is its
-// pool's least busy replica, and no role is ever emptied.
-func (c *Cluster) balanceRoles() {
+// balanceRoles is the role balancer, on the cluster tick of fleets with
+// roles (docs/API.md, "Roles follow load"). Its window is the span since
+// its last run, and the window's counters the tick's snapshot less the one
+// it read then. On D decode replicas, N sessions decoding R steps a second
+// wait d·N/D·R a second, d = PerTokenDecode; on P prefill replicas busy B
+// a second, λ calls a second wait λ·W(B/P), W(ρ) = ρs/(2(1−ρ)) the M/D/1
+// wait at mean service s. A prefill replica turns decode when one more
+// decode replica saves more than one fewer prefill replica adds, and a
+// decode replica turns prefill in the mirror case (by convexity never
+// both). The donor is its pool's least busy replica, and no role is ever
+// emptied.
+func (c *Cluster) balanceRoles(now time.Duration) {
 	var pre, dec rolePool
-	for _, r := range c.replicas {
-		s := r.Ctl.Scheduler()
-		now := roleSample{busy: r.Backend.Device.BusyTime(), forwards: s.Forwards, decodes: s.DecodeCalls, prefills: s.PrefillCalls}
-		was := r.sample
-		r.sample = now
+	for i, r := range c.replicas {
 		if !r.serving() || r.Role == RoleUnified {
 			continue
 		}
@@ -141,21 +137,24 @@ func (c *Cluster) balanceRoles() {
 		if r.Role == RoleDecode {
 			p = &dec
 		}
-		busy := now.busy - was.busy
+		cur, was := &c.load[i], &c.window[i]
+		busy := cur.busy - was.busy
 		p.n++
 		p.win.busy += busy
-		p.win.forwards += now.forwards - was.forwards
-		p.win.decodes += now.decodes - was.decodes
-		p.win.prefills += now.prefills - was.prefills
+		p.win.forwards += cur.forwards - was.forwards
+		p.win.decodes += cur.decodes - was.decodes
+		p.win.prefills += cur.prefills - was.prefills
 		if p.idlest == nil || busy < p.idle {
 			p.idlest, p.idle = r, busy
 		}
 	}
+	copy(c.window, c.load)
+	sec := (now - c.windowAt).Seconds()
+	c.windowAt = now
 	if pre.n == 0 || dec.n == 0 {
 		c.roleVote = RoleUnified
 		return
 	}
-	sec := roleWindow.Seconds()
 	bal := trace.RoleBalance{
 		R:      float64(dec.win.decodes) / sec,
 		Rho:    pre.win.busy.Seconds() / sec / float64(pre.n),

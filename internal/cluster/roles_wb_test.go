@@ -1,7 +1,7 @@
 // White-box tests of the role balancer's arithmetic and of the allocation
-// budget of the handoff and balancer paths, on a clock that never runs: the
-// tests write the window's forward counters into the schedulers and call
-// the balancer's tick themselves.
+// budget of the handoff, balancer and cluster-tick paths, on a clock that
+// never runs: the tests write the window's forward counters into the
+// schedulers and call the cluster tick themselves, one window apart.
 package cluster
 
 import (
@@ -45,6 +45,7 @@ func TestRoleBalanceArithmetic(t *testing.T) {
 	c := pdCluster()
 	var got []trace.Decision
 	c.OnDecision = func(d trace.Decision) { got = append(got, d) }
+	var now time.Duration
 	window := func() {
 		for _, r := range c.replicas {
 			s := r.Ctl.Scheduler()
@@ -55,7 +56,8 @@ func TestRoleBalanceArithmetic(t *testing.T) {
 				s.PrefillCalls += 10
 			}
 		}
-		c.balanceRoles()
+		now += roleWindow
+		c.tick(now)
 	}
 	window()
 	if c.RoleFlips != 0 || c.roleVote != RoleDecode {
@@ -89,7 +91,8 @@ func TestRoleBalanceArithmetic(t *testing.T) {
 
 // TestHandoffAndBalanceAllocateNothing: picking a handoff target (every
 // decode replica ties, so the instance-count tie-break runs), placing a
-// launch least-loaded and one balancer window allocate nothing.
+// launch least-loaded, one balancer window and one whole cluster tick
+// (snapshot, health, balancer and scaler, all due) allocate nothing.
 func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	c := pdCluster()
 	src := c.replicas[0]
@@ -102,17 +105,56 @@ func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.Place("p", "p@1", nil) }); n != 0 {
 		t.Fatalf("Place allocated %v times per launch, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, c.balanceRoles); n != 0 {
+	var now time.Duration
+	if n := testing.AllocsPerRun(100, func() { now += roleWindow; c.balanceRoles(now) }); n != 0 {
 		t.Fatalf("a balancer window allocated %v times, want 0", n)
 	}
+	c = tickCluster()
+	now = 0
+	if n := testing.AllocsPerRun(100, func() { now += roleWindow; c.tick(now) }); n != 0 {
+		t.Fatalf("a cluster tick allocated %v times, want 0", n)
+	}
+	// AllocsPerRun ran 101 ticks, each two seconds on: every policy ran in
+	// every one.
+	for i, p := range c.policies {
+		if p.run == nil || p.due != 102*p.period {
+			t.Fatalf("policy %d: due %v after 101 ticks of period %v; want it run in each", i, p.due, p.period)
+		}
+	}
+}
+
+// tickCluster is pdCluster with the health monitor and the scaler on the
+// cluster tick too; the scaler's floor is the whole fleet, so an idle tick
+// drains nothing.
+func tickCluster() *Cluster {
+	c := pdCluster()
+	c.EnableHealth(HealthConfig{})
+	c.EnableScaler(ScalerConfig{Min: len(c.replicas)})
+	c.Start()
+	return c
 }
 
 // BenchmarkRoleBalance is one balancer window on a 6-replica P/D cluster.
 func BenchmarkRoleBalance(b *testing.B) {
 	c := pdCluster()
+	var now time.Duration
 	b.ReportAllocs()
 	for b.Loop() {
-		c.balanceRoles()
+		now += roleWindow
+		c.balanceRoles(now)
+	}
+}
+
+// BenchmarkClusterTick is one cluster tick on the same cluster with health,
+// the balancer and the scaler all due: the load snapshot, then the three
+// policies in turn, with nothing draining.
+func BenchmarkClusterTick(b *testing.B) {
+	c := tickCluster()
+	var now time.Duration
+	b.ReportAllocs()
+	for b.Loop() {
+		now += roleWindow
+		c.tick(now)
 	}
 }
 

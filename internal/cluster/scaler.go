@@ -91,8 +91,7 @@ func (s ScalerConfig) withDefaults(total int) ScalerConfig {
 	return s
 }
 
-// EnableScaler installs the SLO scaler and starts its daemon. Call before
-// Engine.Run.
+// EnableScaler puts the SLO scaler on the cluster tick. Call before Start.
 func (c *Cluster) EnableScaler(cfg ScalerConfig) {
 	cfg.Enabled = true
 	c.scaler = cfg.withDefaults(len(c.replicas))
@@ -102,63 +101,37 @@ func (c *Cluster) EnableScaler(cfg ScalerConfig) {
 	for _, r := range c.replicas {
 		c.slo.noteVariant(r.Variant, r.speedFactor())
 	}
-	c.clock.GoDaemon("cluster:scaler", func() {
-		for {
-			c.clock.Sleep(c.scaler.Interval)
-			c.scalerTick()
-		}
-	})
+	c.policies[tickScale] = policy{period: c.scaler.Interval, run: c.scalerTick}
 }
 
 // ScalerEnabled reports whether the SLO scaler is running.
 func (c *Cluster) ScalerEnabled() bool { return c.scaler.Enabled }
 
-// replicaSaturation folds one replica's three load signals into a single
-// fraction: the binding constraint governs (a full KV pool saturates a
-// replica whose queue is short, and vice versa).
-func (c *Cluster) replicaSaturation(r *Replica) float64 {
-	inUse, capacity := r.Ctl.KVLoad()
-	kv := 0.0
-	if capacity > 0 {
-		kv = float64(inUse) / float64(capacity)
-	}
-	queue := float64(r.Ctl.OutstandingCalls()) / queueRef
-	prefill := float64(r.Ctl.OutstandingPrefillTokens()) / prefillRef
-	sat := kv
-	if queue > sat {
-		sat = queue
-	}
-	if prefill > sat {
-		sat = prefill
-	}
-	return sat
-}
-
-// scalerTick runs one scaling decision. All iteration is in replica-ID
+// scalerTick runs one scaling decision: it completes idle drains, then
+// reads the tick's load snapshot once. All iteration is in replica-ID
 // order and all class iteration in sorted-name order, so same-seed runs
 // decide identically.
-func (c *Cluster) scalerTick() {
+func (c *Cluster) scalerTick(now time.Duration) {
 	c.CompleteDrains()
-	now := c.clock.Now()
 	serving, warming := 0, 0
 	var satSum float64
 	var satByRole [3]float64
-	var cntByRole [3]int
-	var totByRole [3]int
+	var cntByRole, totByRole [3]int
 	busy := false
-	for _, r := range c.replicas {
+	for i, r := range c.replicas {
+		l := &c.load[i]
 		totByRole[r.Role]++
 		// Busyness counts work anywhere — including draining replicas still
 		// finishing instances — so scale-to-zero never fires on a fleet
 		// whose remaining work happens to sit on a drain.
-		if r.Ctl.Instances() > 0 || r.Ctl.OutstandingCalls() > 0 {
+		if l.instances > 0 || l.outstanding > 0 {
 			busy = true
 		}
 		if !r.serving() {
 			continue
 		}
 		serving++
-		rsat := c.replicaSaturation(r)
+		rsat := l.saturation()
 		satSum += rsat
 		satByRole[r.Role] += rsat
 		cntByRole[r.Role]++
@@ -231,7 +204,7 @@ func (c *Cluster) scalerTick() {
 			}
 		}
 	case c.lowSatTicks >= scaleDownPatience && serving > c.scaler.Min:
-		c.scaleDownCostAware(sat)
+		c.scaleDownCostAware(sat, satByRole, cntByRole)
 	}
 }
 
@@ -269,40 +242,16 @@ func starvedRoleSat(busy bool, satByRole [3]float64, cntByRole, totByRole [3]int
 // falling back to any spare when that role has none left. why carries the
 // tick's signal into the scale-up record.
 func (c *Cluster) scaleUpCostAware(why trace.Decision, prefer Role) {
-	pick := func(eligible func(*Replica) bool) *Replica {
-		var best *Replica
-		bestQualifies := false
-		for _, r := range c.replicas {
-			if !eligible(r) {
-				continue
-			}
-			q := c.variantMeetsTargets(r)
-			switch {
-			case best == nil:
-				best, bestQualifies = r, q
-			case q && !bestQualifies:
-				best, bestQualifies = r, true
-			case q == bestQualifies && c.cheaperOrFaster(r, best, q):
-				best = r
-			}
+	var r *Replica
+	var rank [3]bool // draining, of the preferred role, qualifying: true first, in that order
+	for _, s := range c.replicas {
+		if s.health != HealthHealthy || s.crashed || s.active && !s.draining {
+			continue
 		}
-		return best
-	}
-	pickRoleAware := func(eligible func(*Replica) bool) *Replica {
-		if c.hasRoles {
-			if r := pick(func(r *Replica) bool { return eligible(r) && r.Role == prefer }); r != nil {
-				return r
-			}
+		sr := [3]bool{s.active, c.hasRoles && s.Role == prefer, c.variantMeetsTargets(s)}
+		if r == nil || outranks(sr, rank) || sr == rank && cheaperOrFaster(s, r, sr[2]) {
+			r, rank = s, sr
 		}
-		return pick(eligible)
-	}
-	r := pickRoleAware(func(r *Replica) bool {
-		return r.active && r.draining && r.health == HealthHealthy && !r.crashed
-	})
-	if r == nil {
-		r = pickRoleAware(func(r *Replica) bool {
-			return !r.active && r.health == HealthHealthy && !r.crashed
-		})
 	}
 	if r == nil {
 		return
@@ -315,20 +264,25 @@ func (c *Cluster) scaleUpCostAware(why trace.Decision, prefer Role) {
 	}
 }
 
-// cheaperOrFaster orders two candidates of equal qualification: qualifying
-// candidates compete on price (cheapest first), non-qualifying ones on
-// speed (fastest first); ties break by lowest ID.
-func (c *Cluster) cheaperOrFaster(r, best *Replica, qualifies bool) bool {
-	if qualifies {
-		if r.costRate() != best.costRate() {
-			return r.costRate() < best.costRate()
-		}
-	} else {
-		if r.speedFactor() != best.speedFactor() {
-			return r.speedFactor() < best.speedFactor()
+// outranks reports whether rank a comes before rank b: the first criterion
+// they differ on decides, true first.
+func outranks(a, b [3]bool) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i]
 		}
 	}
-	return r.ID < best.ID
+	return false
+}
+
+// cheaperOrFaster orders two candidates of equal rank: qualifying ones
+// compete on price (cheapest first), the others on speed (fastest first).
+// On a tie the earlier, lower-ID candidate stays.
+func cheaperOrFaster(r, best *Replica, qualifies bool) bool {
+	if qualifies {
+		return r.costRate() < best.costRate()
+	}
+	return r.speedFactor() < best.speedFactor()
 }
 
 // variantMeetsTargets projects the replica's variant latency against the
@@ -352,61 +306,35 @@ func (c *Cluster) variantMeetsTargets(r *Replica) bool {
 }
 
 // scaleDownCostAware drains the most expensive healthy serving replica
-// (ties break by highest ID — mirror of activation order). With roles
-// assigned, the victim comes from the slackest role that still has more
-// than one serving replica — draining a role's last replica would strand
-// its phase (prefill: no placements; decode: every handoff denied).
-func (c *Cluster) scaleDownCostAware(sat float64) {
-	victim := c.scaleDownVictim(nil)
-	if c.hasRoles {
-		var satByRole [3]float64
-		var cntByRole [3]int
-		for _, r := range c.replicas {
-			if r.serving() {
-				satByRole[r.Role] += c.replicaSaturation(r)
-				cntByRole[r.Role]++
-			}
+// (ties break by highest ID — mirror of activation order) of the slackest
+// role that still has more than one serving replica, by the tick's per-role
+// saturation. A fleet without roles is one unified role; with roles,
+// draining a role's last replica would strand its phase (prefill: no
+// placements; decode: every handoff denied).
+func (c *Cluster) scaleDownCostAware(sat float64, satByRole [3]float64, cntByRole [3]int) {
+	slack, slackSat, found := RoleUnified, 0.0, false
+	for i, cnt := range cntByRole {
+		if cnt <= 1 {
+			continue
 		}
-		slack, slackSat, found := RoleUnified, 0.0, false
-		for i, cnt := range cntByRole {
-			if cnt <= 1 {
-				continue
-			}
-			if m := satByRole[i] / float64(cnt); !found || m < slackSat {
-				slack, slackSat, found = Role(i), m, true
-			}
+		if m := satByRole[i] / float64(cnt); !found || m < slackSat {
+			slack, slackSat, found = Role(i), m, true
 		}
-		if !found {
-			return // every role is down to its last serving replica
-		}
-		victim = c.scaleDownVictim(func(r *Replica) bool { return r.Role == slack })
 	}
-	if victim == nil {
-		return
+	if !found {
+		return // every role is down to its last serving replica
+	}
+	var victim *Replica
+	for _, r := range c.replicas {
+		if r.serving() && r.Role == slack && (victim == nil || r.costRate() > victim.costRate() ||
+			(r.costRate() == victim.costRate() && r.ID > victim.ID)) {
+			victim = r
+		}
 	}
 	c.BeginDrain(victim)
 	if c.OnDecision != nil {
 		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.ScaleDown, Replica: victim.ID, Variant: victim.variantName(), CostRate: victim.costRate(), Sat: sat})
 	}
-}
-
-// scaleDownVictim picks the most expensive healthy serving replica
-// matching the predicate (nil admits all), ties by highest ID.
-func (c *Cluster) scaleDownVictim(eligible func(*Replica) bool) *Replica {
-	var victim *Replica
-	for _, r := range c.replicas {
-		if !r.serving() {
-			continue
-		}
-		if eligible != nil && !eligible(r) {
-			continue
-		}
-		if victim == nil || r.costRate() > victim.costRate() ||
-			(r.costRate() == victim.costRate() && r.ID > victim.ID) {
-			victim = r
-		}
-	}
-	return victim
 }
 
 // --- Heterogeneous variants ---------------------------------------------
@@ -444,30 +372,13 @@ func (v ReplicaVariant) withDefaults() ReplicaVariant {
 	return v
 }
 
-// ExpandVariants assigns a variant to each of total replicas in ID order:
-// each variant covers Count replicas (<= 0 meaning the remainder), and the
-// last variant pads out the pool. An empty spec yields the default
+// ExpandVariants assigns a variant to each of total replicas in ID order,
+// each covering Count of them (expand). No variant is the default
 // homogeneous pool.
 func ExpandVariants(variants []ReplicaVariant, total int) []ReplicaVariant {
-	if len(variants) == 0 {
-		variants = []ReplicaVariant{{}}
-	}
-	out := make([]ReplicaVariant, 0, total)
-	for _, v := range variants {
-		v = v.withDefaults()
-		n := v.Count
-		if n <= 0 || n > total-len(out) {
-			n = total - len(out)
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, v)
-		}
-		if len(out) == total {
-			break
-		}
-	}
-	for len(out) < total {
-		out = append(out, variants[len(variants)-1].withDefaults())
+	out := expand(variants, func(v ReplicaVariant) int { return v.Count }, total)
+	for i := range out {
+		out[i] = out[i].withDefaults()
 	}
 	return out
 }
@@ -480,7 +391,7 @@ func ExpandVariants(variants []ReplicaVariant, total int) []ReplicaVariant {
 const scaleDownPatience = 3
 
 // now is the cluster's virtual time, zero for clockless unit-test
-// clusters (which never run daemons).
+// clusters.
 func (c *Cluster) now() time.Duration {
 	if c.clock == nil {
 		return 0

@@ -197,7 +197,7 @@ func TestScaleDownDrainsMostExpensive(t *testing.T) {
 		{ID: 1, CostRate: 1.0, active: true, health: HealthHealthy},
 		{ID: 2, CostRate: 1.0, active: true, health: HealthHealthy},
 	}}
-	c.scaleDownCostAware(0.1)
+	c.scaleDownCostAware(0.1, [3]float64{}, [3]int{3})
 	// Most expensive first; equal cost breaks toward the highest ID —
 	// the mirror of activation order.
 	if !c.replicas[2].draining || c.replicas[0].draining || c.replicas[1].draining {

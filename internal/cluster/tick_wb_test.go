@@ -1,0 +1,63 @@
+package cluster
+
+import (
+	"slices"
+	"testing"
+
+	"pie/internal/trace"
+)
+
+// TestTickOrder: health, the balancer and the scaler share one interval, so
+// one tick runs all three, health first. A replica health declares dead in
+// that tick is neither counted by the balancer nor picked by the scaler
+// after it. Prefill replica 1 crashes; without the crash the same tick
+// flips prefill replica 0 to decode (the balancer counts two prefill
+// replicas) or drains replica 1 (the slackest role with a replica to spare
+// is prefill).
+func TestTickOrder(t *testing.T) {
+	tick := func(crash, decodeLoad bool) []trace.Decision {
+		c := pdCluster()
+		c.EnableHealth(HealthConfig{Interval: roleWindow})
+		c.EnableScaler(ScalerConfig{Interval: roleWindow})
+		var got []trace.Decision
+		c.OnDecision = func(d trace.Decision) {
+			d.T, d.Balance = 0, trace.RoleBalance{}
+			got = append(got, d)
+		}
+		if decodeLoad {
+			// The load of TestRoleBalanceArithmetic, on the second window
+			// in a row to want a decode replica more.
+			for _, r := range c.replicas {
+				s := r.Ctl.Scheduler()
+				if r.Role == RoleDecode {
+					s.Forwards, s.DecodeCalls = 100, 800
+				} else {
+					s.PrefillCalls = 10
+				}
+			}
+			c.roleVote = RoleDecode
+		} else {
+			// The idle fleet's third quiet tick in a row.
+			c.lowSatTicks = scaleDownPatience - 1
+		}
+		if crash {
+			c.replicas[1].crashed = true
+		}
+		c.tick(roleWindow)
+		return got
+	}
+	dead := trace.Decision{Kind: trace.Dead, Replica: 1, Wait: roleWindow, Dest: -1}
+	for _, tc := range []struct {
+		crash, decodeLoad bool
+		want              []trace.Decision
+	}{
+		{false, true, []trace.Decision{{Kind: trace.RoleFlip, Replica: 0, Role: "decode"}}},
+		{true, true, []trace.Decision{dead}},
+		{false, false, []trace.Decision{{Kind: trace.Drain, Replica: 1}, {Kind: trace.ScaleDown, Replica: 1, Variant: defaultVariant, CostRate: 1}}},
+		{true, false, []trace.Decision{dead, {Kind: trace.Drain, Replica: 5}, {Kind: trace.ScaleDown, Replica: 5, Variant: defaultVariant, CostRate: 1}}},
+	} {
+		if got := tick(tc.crash, tc.decodeLoad); !slices.Equal(got, tc.want) {
+			t.Errorf("crash %v, decode load %v: decisions %+v, want %+v", tc.crash, tc.decodeLoad, got, tc.want)
+		}
+	}
+}

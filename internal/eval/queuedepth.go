@@ -8,7 +8,7 @@ import (
 )
 
 // queueDepthScaler is the comparator the cluster and slo experiments scale
-// with: a class-blind, cost-blind daemon that reads only the mean
+// with: a class-blind, cost-blind timer that reads only the mean
 // outstanding calls per healthy serving replica. It changes the fleet
 // through the cluster's public fleet ops (Activate, BeginDrain,
 // CompleteDrains), as any controller outside the library would. Dead and
@@ -24,20 +24,15 @@ type queueDepthScaler struct {
 const queueDepthInterval = 25 * time.Millisecond
 
 // startQueueDepthScaler turns every replica past the first active into a
-// cold spare and starts the comparator's daemon, which keeps between one
-// and every built replica serving. Call it straight after newPieEngine,
+// cold spare and arms the comparator's timer, which keeps between one and
+// every built replica serving. Call it straight after newPieEngine,
 // before any launch.
 func startQueueDepthScaler(e *pie.Engine, active int, up, down float64) *queueDepthScaler {
 	s := &queueDepthScaler{cl: e.Cluster(), up: up, down: down}
 	for _, r := range s.cl.Replicas()[active:] {
 		s.cl.Deactivate(r)
 	}
-	e.Clock().GoDaemon("eval:queue-depth-scaler", func() {
-		for {
-			e.Sleep(queueDepthInterval)
-			s.tick()
-		}
-	})
+	e.Clock().Every(queueDepthInterval, s.tick)
 	return s
 }
 

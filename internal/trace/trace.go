@@ -49,10 +49,10 @@ const (
 const (
 	Activate   Kind = "activate"
 	Drain      Kind = "drain"
-	DrainDone  Kind = "drain-done"
+	DrainDone  Kind = "drain-done" // Pages and Cost: the KV exports migrated off Replica
 	Deactivate Kind = "deactivate"
 	Suspect    Kind = "suspect"
-	Dead       Kind = "dead" // Wait from the failure's onset to the verdict; Dest the replacement, -1 when no spare was left
+	Dead       Kind = "dead" // Wait from the failure's onset to the verdict; Dest the replacement, -1 for none (no spare left, or a spare died)
 )
 
 // The fleet controller (internal/fleet): Program and Version, the pinned
@@ -93,8 +93,8 @@ type Decision struct {
 
 	Count int           // the tally the kind names
 	Limit int           // the bound the kind names
-	Pages int           // distinct KV pages a handoff moved
-	Cost  time.Duration // modeled interconnect time of a handoff
+	Pages int           // distinct KV pages a handoff or a drain's export migration moved
+	Cost  time.Duration // modeled interconnect time of that move
 	Wait  time.Duration // the span the kind names
 
 	Chosen, RunnerUp Candidate   // handoff: the best two decode replicas

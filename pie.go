@@ -435,6 +435,7 @@ func New(cfg Config) *Engine {
 	if cfg.Shed.Enabled {
 		cl.EnableShedding(cfg.Shed)
 	}
+	cl.Start()
 	if !cfg.Faults.Empty() {
 		if err := cl.InjectFaults(cfg.Faults); err != nil {
 			panic(err)
