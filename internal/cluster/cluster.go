@@ -124,6 +124,7 @@ type Replica struct {
 
 	// Prefill/decode handoff counters (handoff.go): sessions received
 	// from prefill replicas and sessions handed off to decode replicas.
+	// Like every decision counter, they are folds of the records (Decide).
 	HandoffsIn  int
 	HandoffsOut int
 
@@ -174,19 +175,14 @@ type Cluster struct {
 	// OnDecision, when set, receives every decision of the cluster and of
 	// the fleet controller driving it, one trace.Decision each: placements,
 	// handoffs, scaling, admission verdicts, fleet ops and health
-	// transitions. It runs synchronously in the deciding process. Nil
-	// builds nothing; a set hook owns retention.
+	// transitions. It runs synchronously in the deciding process (Decide).
+	// Nil allocates nothing; a set hook owns retention.
 	OnDecision func(trace.Decision)
 
 	// Scaling stats.
 	ScaleUps   int // replicas activated (or un-drained) by the SLO scaler
 	DrainStart int // drains initiated
 	DrainDone  int // drains completed (replica deactivated)
-
-	// Drain-migration stats: KV exports moved off replicas as their
-	// drains completed, so cached context survives deactivation.
-	ExportsMigrated int // drain completions that moved at least one page
-	PagesMigrated   int
 
 	// The cluster tick (tick.go): its policies, and by replica ID this tick's
 	// load and the load health and the role balancer last read.
@@ -220,13 +216,12 @@ type Cluster struct {
 	placeBuf      []*Replica    // placeable's result, reused per launch
 
 	// Handoff stats.
-	Handoffs        int           // sessions migrated prefill -> decode
-	HandoffPages    int           // distinct physical pages copied across
-	HandoffTime     time.Duration // cumulative modeled interconnect time
-	HandoffDenied   int           // handoffs denied (no decode capacity or refused alloc)
-	HandoffQueued   int           // handoffs that waited on the transfer budget
-	HandoffRequests int           // quiescent first-token sessions that sought a target
-	RoleFlips       int           // replicas the role balancer moved between prefill and decode
+	Handoffs      int           // sessions migrated prefill -> decode
+	HandoffPages  int           // distinct physical pages copied across
+	HandoffTime   time.Duration // cumulative modeled interconnect time
+	HandoffDenied int           // handoffs denied (no decode capacity or refused alloc)
+	HandoffQueued int           // handoffs that waited on the transfer budget
+	RoleFlips     int           // replicas the role balancer moved between prefill and decode
 
 	// SLO-layer stats.
 	Degradations      int // launches admitted degraded instead of shed
@@ -273,6 +268,63 @@ func (c *Cluster) Replicas() []*Replica { return c.replicas }
 
 // Policy reports the placement policy.
 func (c *Cluster) Policy() PlacementPolicy { return c.policy }
+
+// Decide is the one entry point of the decision stream. It folds d into the
+// counters that count its kind — the only writer of those, so every counter
+// is a fold of the records, whether or not anyone observes them — and, if a
+// hook is set, stamps d with the virtual time and hands it to OnDecision. A
+// record's Replica and Dest are replica IDs, which index the replica set.
+func (c *Cluster) Decide(d trace.Decision) {
+	switch d.Kind {
+	case trace.Place:
+		c.replicas[d.Replica].Placements++
+	case trace.Handoff:
+		// A handoff places its session on the destination.
+		src, dst := c.replicas[d.Replica], c.replicas[d.Dest]
+		src.HandoffsOut++
+		dst.HandoffsIn++
+		dst.Placements++
+		c.Handoffs++
+		c.HandoffPages += d.Pages
+		c.HandoffTime += d.Cost
+	case trace.HandoffDeny:
+		c.HandoffDenied++
+	case trace.RoleFlip:
+		c.RoleFlips++
+	case trace.ScaleUp:
+		c.ScaleUps++
+	case trace.ScaleToZero:
+		c.ScaleToZeroEvents++
+	case trace.Drain:
+		c.DrainStart++
+	case trace.DrainDone:
+		c.DrainDone++
+	case trace.Degrade:
+		c.Degradations++
+		if ct := c.tracker(d.Class); ct != nil {
+			ct.degradations++
+		}
+	case trace.Shed:
+		c.Sheds++
+		if ct := c.tracker(d.Class); ct != nil {
+			ct.sheds++
+		}
+	case trace.Suspect:
+		c.Suspects++
+	case trace.Dead:
+		c.ReplicasLost++
+		c.DetectTime += d.Wait
+		c.ExportsLost += d.Count
+		c.PagesLost += d.Pages
+		if d.Dest >= 0 {
+			c.Replacements++
+		}
+	}
+	if c.OnDecision != nil {
+		d.T = c.now()
+		c.OnDecision(d)
+	}
+}
 
 // ActiveReplicas counts replicas currently serving (draining included).
 func (c *Cluster) ActiveReplicas() int {
@@ -350,10 +402,7 @@ func (c *Cluster) Place(program, artifact string, args []string) (*core.Controll
 	if r == nil {
 		return nil, fmt.Errorf("%w: no live replica to place %q on", api.ErrReplicaLost, program)
 	}
-	r.Placements++
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Place, Replica: r.ID, Program: program})
-	}
+	c.Decide(trace.Decision{Kind: trace.Place, Replica: r.ID, Program: program})
 	return r.Ctl, nil
 }
 

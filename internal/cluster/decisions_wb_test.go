@@ -10,9 +10,10 @@ import (
 )
 
 // TestDecisionSitesFreeWhenUnobserved: with no OnDecision hook a decision
-// site builds nothing, so a handoff denial and a cost-aware scale-down on a
-// clockless cluster allocate nothing; with the hook set the same calls
-// deliver their records with the fields filled.
+// site allocates nothing, so a handoff denial and a cost-aware scale-down on
+// a clockless cluster allocate nothing, and still move the counters they
+// fold into; with the hook set the same calls deliver their records with the
+// fields filled.
 func TestDecisionSitesFreeWhenUnobserved(t *testing.T) {
 	c := &Cluster{replicas: []*Replica{
 		{ID: 0, Variant: "l4e", CostRate: 0.6, active: true, health: HealthHealthy},
@@ -26,6 +27,10 @@ func TestDecisionSitesFreeWhenUnobserved(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, run); n != 0 {
 		t.Fatalf("unobserved decision sites allocated %v times per run, want 0", n)
+	}
+	// AllocsPerRun runs once to warm up, then 100 times.
+	if c.HandoffDenied != 101 || c.DrainStart != 101 {
+		t.Fatalf("unobserved: %d denials, %d drains; want 101 of each", c.HandoffDenied, c.DrainStart)
 	}
 	var got []trace.Decision
 	c.OnDecision = func(d trace.Decision) { got = append(got, d) }

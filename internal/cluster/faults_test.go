@@ -380,8 +380,8 @@ type chaosDoc struct {
 // runChaos drives a stress workload under a seeded random kill/hang/slow
 // schedule with retry armed, and asserts the no-lost-work contract: every
 // launch completes or fails typed, and surviving replicas end with zero
-// KV pages allocated.
-func runChaos(t *testing.T, seed uint64) chaosDoc {
+// KV pages allocated. record installs a hook that keeps every decision.
+func runChaos(t *testing.T, seed uint64, record bool) chaosDoc {
 	t.Helper()
 	plan := pie.RandomFaultPlan(seed, 8, 6, 600*time.Millisecond)
 	e := newEngine(t, pie.Config{
@@ -395,6 +395,9 @@ func runChaos(t *testing.T, seed uint64) chaosDoc {
 			Budget:      100 * time.Millisecond,
 		},
 	})
+	if record {
+		decisionLog(t, e)
+	}
 	const total, conc = 160, 32
 	doc := chaosDoc{}
 	err := e.RunClient(func() {
@@ -451,9 +454,10 @@ func runChaos(t *testing.T, seed uint64) chaosDoc {
 // TestChaosScheduleSurvivesAndReplays: the chaos schedule actually bites
 // (faults injected, replicas lost, launches requeued), the workload
 // drains without hangs or leaks, and the same seed replays the entire
-// stats document byte-identically — failure injection included.
+// stats document byte-identically — failure injection included, and
+// whether or not a hook records the decisions.
 func TestChaosScheduleSurvivesAndReplays(t *testing.T) {
-	a := runChaos(t, 11)
+	a := runChaos(t, 11, false)
 	if a.Stats.FaultsInjected == 0 {
 		t.Fatal("chaos plan injected no faults")
 	}
@@ -471,7 +475,7 @@ func TestChaosScheduleSurvivesAndReplays(t *testing.T) {
 		}
 		return string(b)
 	}
-	if x, y := blob(a), blob(runChaos(t, 11)); x != y {
+	if x, y := blob(a), blob(runChaos(t, 11, true)); x != y {
 		t.Fatalf("same-seed chaos runs diverged:\n%s\n%s", x, y)
 	}
 }

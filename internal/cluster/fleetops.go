@@ -12,34 +12,20 @@ import (
 // revive and the declarative fleet controller (internal/fleet) all change
 // the set through these verbs, so every caller honors the same invariants
 // — activation only of healthy replicas, retirement only through the
-// two-phase drain — and each change is one OnDecision record. A death,
+// two-phase drain — and each change is one decision record. A death,
 // the one retirement outside these verbs, is the health monitor's dead
 // record (health.go).
 
-func (c *Cluster) fleetOp(op trace.Kind, r *Replica) {
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: op, Replica: r.ID})
-	}
-}
-
 // Activate brings a replica into the serving set, or cancels its drain if
-// one is in progress. It refuses unhealthy or crashed replicas. Reports
+// one is in progress (the replica never left the serving set, and keeps its
+// activation epoch). It refuses unhealthy or crashed replicas. Reports
 // whether the replica's state changed.
 func (c *Cluster) Activate(r *Replica) bool {
-	if r.health != HealthHealthy || r.crashed {
+	if r.health != HealthHealthy || r.crashed || r.active && !r.draining {
 		return false
-	}
-	if r.active && !r.draining {
-		return false
-	}
-	if r.active && r.draining {
-		// Cancel the drain: the replica never left the serving set.
-		r.draining = false
-		c.fleetOp(trace.Activate, r)
-		return true
 	}
 	c.markActive(r)
-	c.fleetOp(trace.Activate, r)
+	c.Decide(trace.Decision{Kind: trace.Activate, Replica: r.ID})
 	return true
 }
 
@@ -52,8 +38,7 @@ func (c *Cluster) BeginDrain(r *Replica) bool {
 		return false
 	}
 	r.draining = true
-	c.DrainStart++
-	c.fleetOp(trace.Drain, r)
+	c.Decide(trace.Decision{Kind: trace.Drain, Replica: r.ID})
 	return true
 }
 
@@ -73,17 +58,11 @@ func (c *Cluster) CompleteDrains() {
 			// them on a placeable replica.
 			pages, cost := 0, time.Duration(0)
 			if dst := c.migrationTarget(r); dst != nil {
-				if pages, cost = r.Ctl.MigrateExportsTo(dst.Ctl); pages > 0 {
-					c.ExportsMigrated++
-					c.PagesMigrated += pages
-				}
+				pages, cost = r.Ctl.MigrateExportsTo(dst.Ctl)
 			}
 			c.markInactive(r)
 			r.activeAccum += cost
-			c.DrainDone++
-			if c.OnDecision != nil {
-				c.OnDecision(trace.Decision{T: c.now(), Kind: trace.DrainDone, Replica: r.ID, Pages: pages, Cost: cost})
-			}
+			c.Decide(trace.Decision{Kind: trace.DrainDone, Replica: r.ID, Pages: pages, Cost: cost})
 		}
 	}
 }
@@ -115,10 +94,7 @@ func (c *Cluster) flipRole(r *Replica, role Role, bal trace.RoleBalance) {
 			c.stick = append(c.stick, x)
 		}
 	}
-	c.RoleFlips++
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.RoleFlip, Replica: r.ID, Role: role.String(), Balance: bal})
-	}
+	c.Decide(trace.Decision{Kind: trace.RoleFlip, Replica: r.ID, Role: role.String(), Balance: bal})
 }
 
 // Deactivate retires an idle replica immediately, without the drain
@@ -131,7 +107,7 @@ func (c *Cluster) Deactivate(r *Replica) bool {
 		return false
 	}
 	c.markInactive(r)
-	c.fleetOp(trace.Deactivate, r)
+	c.Decide(trace.Decision{Kind: trace.Deactivate, Replica: r.ID})
 	return true
 }
 

@@ -16,7 +16,7 @@ import (
 func TestFleetOps(t *testing.T) {
 	e := newEngine(t, pie.Config{Seed: 3, Replicas: 3})
 	c := e.Cluster()
-	ds := decisionLog(e)
+	ds := decisionLog(t, e)
 	err := e.RunClient(func() {
 		rs := c.Replicas()
 		r2 := rs[2]

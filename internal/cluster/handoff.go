@@ -78,7 +78,6 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 		return nil, false
 	}
 	wire := ctl.InstanceKVFootprint(inst)
-	c.HandoffRequests++
 	if pick, _ := c.handoffTarget(src, wire); pick.r == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)
 	}
@@ -106,16 +105,8 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	// Hold the transfer slot for the modeled interconnect time: the budget
 	// bounds concurrent wire occupancy, not merely concurrent setup.
 	c.clock.Sleep(cost)
-	c.Handoffs++
-	c.HandoffPages += pages
-	c.HandoffTime += cost
-	src.HandoffsOut++
-	dst.HandoffsIn++
-	dst.Placements++
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Handoff, Session: session(inst), Replica: src.ID, Dest: dst.ID,
-			Pages: pages, Cost: cost, Chosen: pick.candidate(), RunnerUp: runnerUp.candidate()})
-	}
+	c.Decide(trace.Decision{Kind: trace.Handoff, Session: c.session(inst), Replica: src.ID, Dest: dst.ID,
+		Pages: pages, Cost: cost, Chosen: pick.candidate(), RunnerUp: runnerUp.candidate()})
 	return dst.Ctl, true
 }
 
@@ -123,15 +114,17 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 // records the denial.
 func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*core.Controller, bool) {
 	inst.HandoffPending = false
-	c.HandoffDenied++
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.HandoffDeny, Session: session(inst), Replica: src.ID, Err: err})
-	}
+	c.Decide(trace.Decision{Kind: trace.HandoffDeny, Session: c.session(inst), Replica: src.ID, Err: err})
 	return nil, false
 }
 
-// session names an instance in decision records.
-func session(inst *core.Instance) string {
+// session names an instance in a handoff record. Only an observer reads the
+// name, and it is the one part of a record that allocates, so with no hook
+// it is left empty.
+func (c *Cluster) session(inst *core.Instance) string {
+	if c.OnDecision == nil {
+		return ""
+	}
 	return inst.Name + "#" + strconv.FormatUint(inst.ID, 10)
 }
 

@@ -233,7 +233,7 @@ func TestScalerGrowsStarvedRoleTier(t *testing.T) {
 			Interval: 2 * time.Millisecond, SatHigh: 0.05,
 		},
 	})
-	ds := decisionLog(e)
+	ds := decisionLog(t, e)
 	err := e.RunClient(func() {
 		var hs []*pie.Handle
 		for i := 0; i < 6; i++ {
@@ -539,7 +539,7 @@ func handoffs(ds []trace.Decision) []trace.Decision {
 // the lower ID.)
 func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{})
-	ds := decisionLog(e)
+	ds := decisionLog(t, e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {
@@ -592,7 +592,7 @@ func TestHandoffGoesWhereTheNextForwardEndsFirst(t *testing.T) {
 // session handing off meanwhile goes to C, the less loaded.
 func TestHandoffEqualRhythmPrefersLessLoaded(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{})
-	ds := decisionLog(e)
+	ds := decisionLog(t, e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {
@@ -627,7 +627,7 @@ func TestHandoffAvoidsSlowReplica(t *testing.T) {
 	e := rhythmEngine(t, pie.FaultPlan{Events: []pie.FaultEvent{
 		{At: slowAt, Replica: 1, Kind: pie.FaultSlow, Factor: 4},
 	}})
-	ds := decisionLog(e)
+	ds := decisionLog(t, e)
 	rs := e.Cluster().Replicas()
 	b, c := rs[1], rs[2]
 	err := e.RunClient(func() {

@@ -142,10 +142,7 @@ func (c *Cluster) checkHealth(now time.Duration) {
 			c.declareDead(r, age)
 		case age >= suspectAfter && r.health == HealthHealthy:
 			r.health = HealthSuspect
-			c.Suspects++
-			if c.OnDecision != nil {
-				c.OnDecision(trace.Decision{T: now, Kind: trace.Suspect, Replica: r.ID})
-			}
+			c.Decide(trace.Decision{Kind: trace.Suspect, Replica: r.ID})
 		}
 	}
 	copy(c.checked, c.load)
@@ -171,10 +168,6 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	// freed and the dead pool reads empty.
 	r.Backend.Fail(api.ErrReplicaLost)
 	exports, pages := r.Ctl.DropExports()
-	c.ExportsLost += exports
-	c.PagesLost += pages
-	c.ReplicasLost++
-	c.DetectTime += detect
 	// Replacement: bring in the lowest-ID cold spare. It arrives with an
 	// empty artifact cache and empty pools, so its first placements pay
 	// the cold-start pipeline — the same economics as a scale-up. A dead
@@ -182,12 +175,9 @@ func (c *Cluster) declareDead(r *Replica, detect time.Duration) {
 	replacement := -1
 	for _, s := range c.replicas {
 		if replace && !s.active && c.Activate(s) {
-			c.Replacements++
 			replacement = s.ID
 			break
 		}
 	}
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Dead, Replica: r.ID, Wait: detect, Dest: replacement})
-	}
+	c.Decide(trace.Decision{Kind: trace.Dead, Replica: r.ID, Wait: detect, Dest: replacement, Count: exports, Pages: pages})
 }

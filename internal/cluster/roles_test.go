@@ -75,10 +75,9 @@ func TestRolesFollowLoad(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEngine(t, pie.Config{Seed: 5, Replicas: tc.replicas, Placement: pie.PlaceLeastLoaded, Roles: split(tc.p)})
-			ds := decisionLog(e)
+			ds := decisionLog(t, e)
 			cl := e.Cluster()
 			closedLoop(t, e, tc.clients, 12*time.Second, tc.params)
-			checkDecisionsMirrorCounters(t, cl, *ds)
 			if cl.RoleFlips < tc.minFlips || cl.RoleFlips > tc.maxFlips {
 				t.Fatalf("%d flips, want %d to %d", cl.RoleFlips, tc.minFlips, tc.maxFlips)
 			}

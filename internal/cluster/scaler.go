@@ -25,7 +25,7 @@ import (
 //     and attaining, and drains the whole fleet to zero after sustained
 //     idleness when ScaleToZero is set.
 //
-// Every decision is one OnDecision record; same-seed runs produce identical
+// Every decision is one record (Decide); same-seed runs produce identical
 // records (the determinism test contract).
 
 // ScalerConfig tunes the SLO scaler. The zero value disables it.
@@ -183,10 +183,8 @@ func (c *Cluster) scalerTick(now time.Duration) {
 	case (sat >= c.scaler.SatHigh || missClass != "") && serving < c.scaler.Max:
 		why := trace.Decision{Sat: sat, Role: starved.String(), Class: missClass, Att: missAtt}
 		if warming > 0 {
-			if c.OnDecision != nil {
-				why.T, why.Kind, why.Count = now, trace.ScaleHold, warming
-				c.OnDecision(why)
-			}
+			why.Kind, why.Count = trace.ScaleHold, warming
+			c.Decide(why)
 			return
 		}
 		c.scaleUpCostAware(why, starved)
@@ -198,10 +196,7 @@ func (c *Cluster) scalerTick(now time.Duration) {
 			}
 		}
 		if drained > 0 {
-			c.ScaleToZeroEvents++
-			if c.OnDecision != nil {
-				c.OnDecision(trace.Decision{T: now, Kind: trace.ScaleToZero, Count: drained, Wait: now - c.lastBusyAt})
-			}
+			c.Decide(trace.Decision{Kind: trace.ScaleToZero, Count: drained, Wait: now - c.lastBusyAt})
 		}
 	case c.lowSatTicks >= scaleDownPatience && serving > c.scaler.Min:
 		c.scaleDownCostAware(sat, satByRole, cntByRole)
@@ -257,11 +252,8 @@ func (c *Cluster) scaleUpCostAware(why trace.Decision, prefer Role) {
 		return
 	}
 	c.Activate(r)
-	c.ScaleUps++
-	if c.OnDecision != nil {
-		why.T, why.Kind, why.Replica, why.Variant, why.CostRate = c.now(), trace.ScaleUp, r.ID, r.variantName(), r.costRate()
-		c.OnDecision(why)
-	}
+	why.Kind, why.Replica, why.Variant, why.CostRate = trace.ScaleUp, r.ID, r.variantName(), r.costRate()
+	c.Decide(why)
 }
 
 // outranks reports whether rank a comes before rank b: the first criterion
@@ -332,9 +324,7 @@ func (c *Cluster) scaleDownCostAware(sat float64, satByRole [3]float64, cntByRol
 		}
 	}
 	c.BeginDrain(victim)
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.ScaleDown, Replica: victim.ID, Variant: victim.variantName(), CostRate: victim.costRate(), Sat: sat})
-	}
+	c.Decide(trace.Decision{Kind: trace.ScaleDown, Replica: victim.ID, Variant: victim.variantName(), CostRate: victim.costRate(), Sat: sat})
 }
 
 // --- Heterogeneous variants ---------------------------------------------

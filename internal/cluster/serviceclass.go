@@ -275,12 +275,18 @@ func (c *Cluster) Classes() []api.ServiceClass {
 // class returns the service class registered under name; the zero class
 // when there is none.
 func (c *Cluster) class(name string) api.ServiceClass {
-	if c.slo != nil {
-		if ct := c.slo.classes[name]; ct != nil {
-			return ct.class
-		}
+	if ct := c.tracker(name); ct != nil {
+		return ct.class
 	}
 	return api.ServiceClass{}
+}
+
+// tracker returns the tracker of the class registered under name, or nil.
+func (c *Cluster) tracker(name string) *classTracker {
+	if c.slo == nil {
+		return nil
+	}
+	return c.slo.classes[name]
 }
 
 // ClassStat snapshots one service class's cumulative SLO attainment and

@@ -106,16 +106,8 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 	case own.Degradable && (nearSaturated || atRisk):
 		// Graceful degradation instead of a shed: admit with a shorter
 		// output cap; the session layer substitutes a cheaper model.
-		c.Degradations++
-		if c.slo != nil {
-			if ct := c.slo.classes[class]; ct != nil {
-				ct.degradations++
-			}
-		}
-		if c.OnDecision != nil {
-			c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Degrade, Class: class, Limit: degradeOutputCap,
-				KVUtil: kvUtil, Depth: meanDepth, AtRisk: atRiskClass})
-		}
+		c.Decide(trace.Decision{Kind: trace.Degrade, Class: class, Limit: degradeOutputCap,
+			KVUtil: kvUtil, Depth: meanDepth, AtRisk: atRiskClass})
 		return degradeOutputCap, nil
 	case !own.Degradable && priority < 0 && saturated:
 		return 0, c.shedOne(class, kvUtil, meanDepth, fmt.Errorf("%w: kv %.0f%% of watermark %.0f%%, depth %.1f of %.1f",
@@ -124,18 +116,9 @@ func (c *Cluster) AdmitLaunch(class string, priority int) (outputCap int, err er
 	return 0, nil
 }
 
-// shedOne books one hard shed against the cluster and the class and
-// returns err, the shed's verdict.
+// shedOne records one hard shed and returns err, the shed's verdict.
 func (c *Cluster) shedOne(class string, kvUtil, meanDepth float64, err error) error {
-	c.Sheds++
-	if c.slo != nil {
-		if ct := c.slo.classes[class]; ct != nil {
-			ct.sheds++
-		}
-	}
-	if c.OnDecision != nil {
-		c.OnDecision(trace.Decision{T: c.now(), Kind: trace.Shed, Class: class, KVUtil: kvUtil, Depth: meanDepth, Err: err})
-	}
+	c.Decide(trace.Decision{Kind: trace.Shed, Class: class, KVUtil: kvUtil, Depth: meanDepth, Err: err})
 	return err
 }
 

@@ -7,10 +7,11 @@ package cluster_test
 //
 //   1. Placement safety: no inferlet is ever placed onto a draining (or
 //      inactive) replica — observed at every placement record of the
-//      OnDecision hook, not inferred from aggregate stats. The records also
-//      mirror the scaling counters (checkDecisionsMirrorCounters).
+//      OnDecision hook, not inferred from aggregate stats.
 //   2. Determinism: same-seed runs produce byte-identical stats documents
-//      (per-replica counters, scaling trajectory, engine totals).
+//      (per-replica counters, scaling trajectory, engine totals), whether
+//      or not a hook observes the decisions: the counters are folds of the
+//      decision stream, not of its observation.
 
 import (
 	"encoding/json"
@@ -40,7 +41,9 @@ type stressDoc struct {
 	Stats      pie.Stats              `json:"stats"`
 }
 
-func runClusterStress(t *testing.T, seed uint64) stressDoc {
+// runClusterStress runs the bursty workload at seed; observe installs the
+// decision hook that checks placement safety and record order.
+func runClusterStress(t *testing.T, seed uint64, observe bool) stressDoc {
 	t.Helper()
 	e := newEngine(t, pie.Config{
 		Seed:      seed,
@@ -54,14 +57,17 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 	// Placement safety, checked at decision time. The hook runs in sim
 	// processes only, so the counters need no lock even under -race.
 	badPlacements := 0
-	var ds []trace.Decision
-	e.Cluster().OnDecision = func(d trace.Decision) {
-		ds = append(ds, d)
-		if d.Kind != trace.Place {
-			return
-		}
-		if r := e.Cluster().Replicas()[d.Replica]; !r.Active() || r.Draining() {
-			badPlacements++
+	if observe {
+		decisionLog(t, e)
+		keep := e.Cluster().OnDecision
+		e.Cluster().OnDecision = func(d trace.Decision) {
+			keep(d)
+			if d.Kind != trace.Place {
+				return
+			}
+			if r := e.Cluster().Replicas()[d.Replica]; !r.Active() || r.Draining() {
+				badPlacements++
+			}
 		}
 	}
 	err := e.RunClient(func() {
@@ -107,7 +113,6 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 		t.Fatalf("seed %d: %d placements landed on a draining or inactive replica", seed, badPlacements)
 	}
 	cl := e.Cluster()
-	checkDecisionsMirrorCounters(t, cl, ds)
 	doc := stressDoc{
 		Replicas:   e.ReplicaStats(),
 		ScaleUps:   cl.ScaleUps,
@@ -130,20 +135,21 @@ func runClusterStress(t *testing.T, seed uint64) stressDoc {
 }
 
 func TestClusterStressChurnAndPlacementSafety(t *testing.T) {
-	runClusterStress(t, 23)
+	runClusterStress(t, 23, true)
 }
 
 // TestClusterStressDeterministic pins the byte-identical contract under
-// full churn: two same-seed runs must agree on every counter.
+// full churn: two same-seed runs, the second with no decision hook, must
+// agree on every counter.
 func TestClusterStressDeterministic(t *testing.T) {
-	marshal := func() string {
-		blob, err := json.Marshal(runClusterStress(t, 23))
+	marshal := func(observe bool) string {
+		blob, err := json.Marshal(runClusterStress(t, 23, observe))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(blob)
 	}
-	a, b := marshal(), marshal()
+	a, b := marshal(true), marshal(false)
 	if a != b {
 		t.Fatalf("same-seed stress runs differ:\n%s\n%s", a, b)
 	}
@@ -156,11 +162,11 @@ func TestClusterStressSeedSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	a, err := json.Marshal(runClusterStress(t, 23))
+	a, err := json.Marshal(runClusterStress(t, 23, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(runClusterStress(t, 24))
+	b, err := json.Marshal(runClusterStress(t, 24, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 // Everything it does is deterministic on the virtual clock: replicas are
 // visited in ID order, handles in launch order, pools and pins in
 // manifest order, so same-seed runs produce identical decision records.
-// The controller's own decisions go to the cluster's OnDecision hook beside
-// the cluster's; its pool resizes are the fleet-op records its Activate and
-// BeginDrain calls make.
+// The controller's own decisions go into the cluster's decision stream
+// (cluster.Cluster.Decide) beside the cluster's; its pool resizes are the
+// fleet-op records its Activate and BeginDrain calls make.
 type Controller struct {
 	clock *sim.Clock
 	cl    *cluster.Cluster
@@ -85,7 +85,7 @@ func (c *Controller) Apply(next *Manifest) error {
 	c.desired = next.Clone()
 	c.generation++
 	c.cl.SetPlacement(next.PlacementPolicy())
-	c.decide(trace.Decision{Kind: trace.Apply, Count: c.generation})
+	c.cl.Decide(trace.Decision{Kind: trace.Apply, Count: c.generation})
 	return nil
 }
 
@@ -219,7 +219,7 @@ func (c *Controller) reconcilePins() {
 				c.PinRetries++
 				continue
 			}
-			c.decide(trace.Decision{Kind: trace.Pin, Program: pin.Name, Version: target})
+			c.cl.Decide(trace.Decision{Kind: trace.Pin, Program: pin.Name, Version: target})
 		}
 		c.advanceUpgrade(pin.Name, target)
 	}
@@ -247,10 +247,10 @@ func (c *Controller) advanceUpgrade(name, target string) {
 		}
 		st = &upgradeState{target: target}
 		c.upgrades[name] = st
-		c.decide(trace.Decision{Kind: trace.UpgradeStart, Program: name, Version: target, Count: len(old)})
+		c.cl.Decide(trace.Decision{Kind: trace.UpgradeStart, Program: name, Version: target, Count: len(old)})
 	}
 	if len(old) == 0 {
-		c.decide(trace.Decision{Kind: trace.UpgradeDone, Program: name, Version: target})
+		c.cl.Decide(trace.Decision{Kind: trace.UpgradeDone, Program: name, Version: target})
 		delete(c.upgrades, name)
 		return
 	}
@@ -273,7 +273,7 @@ func (c *Controller) advanceUpgrade(name, target string) {
 			st.batch = append(st.batch, h.ID)
 		}
 		st.deadline = c.clock.Now() + c.desired.Reconcile.EffectiveDrainDeadline()
-		c.decide(trace.Decision{Kind: trace.UpgradeBatch, Program: name, Version: target, Count: len(st.batch), Wait: st.deadline - c.clock.Now()})
+		c.cl.Decide(trace.Decision{Kind: trace.UpgradeBatch, Program: name, Version: target, Count: len(st.batch), Wait: st.deadline - c.clock.Now()})
 		if c.clock.Now() < st.deadline {
 			return
 		}
@@ -282,7 +282,7 @@ func (c *Controller) advanceUpgrade(name, target string) {
 		// Stragglers: restart them onto the pinned version now.
 		for _, id := range st.batch {
 			if h, ok := byID[id]; ok && c.lm.RequeueForUpgrade(h) {
-				c.decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: id})
+				c.cl.Decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: id})
 			}
 		}
 		st.batch = st.batch[:0]
@@ -305,16 +305,7 @@ func (c *Controller) prewarm(name, target string) {
 		c.clock.Sleep(r.Ctl.ArtifactCost(size))
 		r.Ctl.AdmitArtifact(key, size, true)
 		c.Prewarms++
-		c.decide(trace.Decision{Kind: trace.Prewarm, Program: name, Version: target, Replica: r.ID})
-	}
-}
-
-// decide stamps d with the virtual time and hands it to the cluster's
-// OnDecision hook, if one is set.
-func (c *Controller) decide(d trace.Decision) {
-	if c.cl.OnDecision != nil {
-		d.T = c.clock.Now()
-		c.cl.OnDecision(d)
+		c.cl.Decide(trace.Decision{Kind: trace.Prewarm, Program: name, Version: target, Replica: r.ID})
 	}
 }
 

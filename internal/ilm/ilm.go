@@ -482,20 +482,9 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 		toInflt:   sim.NewMailbox[string](m.clock),
 		done:      sim.NewFuture[error](m.clock),
 	}
-	for {
-		err := m.attempt(h)
-		if err == nil {
-			break
-		}
-		d, final := h.nextRetryDelay(err)
-		if final != nil {
-			h.done.Resolve(final)
-			h.toUser.Close()
-			h.toInflt.Close()
-			return nil, final
-		}
-		m.Retries++
-		m.clock.Sleep(d)
+	if err := m.retry(h); err != nil {
+		h.finish(err)
+		return nil, err
 	}
 	if d := effectiveDeadline(spec.Deadline, p.Manifest.Limits.Deadline); d > 0 {
 		m.clock.After(d, func() { h.abort(fmt.Errorf("%w after %v", api.ErrDeadlineExceeded, d)) })
@@ -637,67 +626,72 @@ func (m *ILM) finishAttempt(h *Handle, sess *session, err error) {
 		// entry unconditionally — an operator action consumes no retry
 		// budget, and the client's handle stays open across the restart.
 		m.UpgradeRequeues++
-		h.requeuing = true
-		m.clock.GoDaemon("ilm:upgrade-requeue", func() {
-			m.clock.Sleep(upgradeRequeueDelay)
-			m.requeue(h)
-		})
+		m.requeueAfter(h, "ilm:upgrade-requeue", upgradeRequeueDelay)
 		return
 	}
 	if err != nil {
 		d, final := h.nextRetryDelay(err)
 		if final == nil {
 			m.Requeues++
-			h.requeuing = true
-			m.clock.GoDaemon("ilm:requeue", func() {
-				m.clock.Sleep(d)
-				m.requeue(h)
-			})
+			m.requeueAfter(h, "ilm:requeue", d)
 			return
 		}
 		err = final
 	}
+	h.finish(err)
+}
+
+// finish resolves the handle for good: Wait returns err, clients still
+// waiting on messages fail (queued messages stay readable), and late client
+// sends do not pile up.
+func (h *Handle) finish(err error) {
 	h.done.Resolve(err)
-	// Fail any client still waiting on messages (queued messages stay
-	// readable); keep late client sends from piling up.
 	h.toUser.Close()
 	h.toInflt.Close()
 }
 
-// requeue re-places a handle whose previous attempt died retryably. It
-// runs in the requeue daemon; synchronous attempt failures keep retrying
-// here until the policy says stop, at which point the handle resolves
-// with the final error (clients parked in Wait unpark typed).
-func (m *ILM) requeue(h *Handle) {
-	finalize := func(err error) {
-		h.done.Resolve(err)
-		h.toUser.Close()
-		h.toInflt.Close()
-	}
+// retry runs launch attempts until one succeeds, backing off between them
+// as the handle's policy says; it returns nil on success and otherwise the
+// final error. An abort (or deadline) latched while no instance was live
+// stops it before the next attempt.
+func (m *ILM) retry(h *Handle) error {
 	for {
 		if h.aborted != nil {
-			// Abort (or deadline) latched while no instance was live.
-			finalize(h.aborted)
-			return
+			return h.aborted
 		}
 		err := m.attempt(h)
 		if err == nil {
-			h.requeuing = false
-			if h.aborted != nil {
-				// Aborted mid-attempt, after the instance came back up:
-				// kill it now; finishAttempt resolves the handle.
-				h.ctl.AbortInstance(h.inst, h.aborted)
-			}
-			return
+			return nil
 		}
 		d, final := h.nextRetryDelay(err)
 		if final != nil {
-			finalize(final)
-			return
+			return final
 		}
 		m.Retries++
 		m.clock.Sleep(d)
 	}
+}
+
+// requeueAfter hands a handle whose attempt ended retryably to a requeue
+// daemon, named name, that re-places it after delay d; an abort in the gap
+// latches. The client's done future and mailboxes stay open across the
+// gap; if the retries run out the handle resolves with the final error
+// (clients parked in Wait unpark typed).
+func (m *ILM) requeueAfter(h *Handle, name string, d time.Duration) {
+	h.requeuing = true
+	m.clock.GoDaemon(name, func() {
+		m.clock.Sleep(d)
+		if err := m.retry(h); err != nil {
+			h.finish(err)
+			return
+		}
+		h.requeuing = false
+		if h.aborted != nil {
+			// Aborted mid-attempt, after the instance came back up: kill
+			// it now; finishAttempt resolves the handle.
+			h.ctl.AbortInstance(h.inst, h.aborted)
+		}
+	})
 }
 
 // degradeArgs applies a degraded launch's output cap to its arguments:

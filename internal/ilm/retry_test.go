@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pie/api"
+	"pie/inferlet"
 	"pie/internal/sim"
 )
 
@@ -157,5 +158,73 @@ func TestNextRetryDelayFinality(t *testing.T) {
 	h = &Handle{policy: RetryPolicy{}, attempts: 1}
 	if d, err := h.nextRetryDelay(api.ErrReplicaLost); err == nil || d != 0 {
 		t.Fatalf("disabled policy granted a retry: %v %v", d, err)
+	}
+}
+
+// TestAbortLatchesBetweenRetries: the replica dies under a launch whose
+// retry policy backs off for a second, and the client aborts the handle
+// during the backoff. With no live instance the abort latches, and the
+// requeue daemon resolves the handle with it instead of placing another
+// attempt; the dead attempt's pages are back in the pools.
+func TestAbortLatchesBetweenRetries(t *testing.T) {
+	clock := sim.NewClock()
+	m := oneReplicaILM(clock)
+	ctl := m.place.(*onePlacer).ctl
+	hold := inferlet.Program{Name: "hold", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		q, err := s.Open("llama-1b")
+		if err != nil {
+			return err
+		}
+		a, err := q.Alloc()
+		if err != nil {
+			return err
+		}
+		if _, err := a.Pages(4); err != nil {
+			return err
+		}
+		_, err = s.Receive().Get()
+		return err
+	}}
+	if err := m.Register(hold); err != nil {
+		t.Fatal(err)
+	}
+	var held, before, after int
+	var aborted bool
+	var waitErr error
+	clock.Go("client", func() {
+		h, err := m.Launch(LaunchSpec{Program: "hold", Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Jitter: -1}})
+		if err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		clock.Sleep(time.Millisecond)
+		held, _ = ctl.PoolStats("llama-1b")
+		ctl.AbortAllInstances(api.ErrReplicaLost) // the replica dies under it
+		clock.Sleep(time.Millisecond)             // a millisecond into the backoff
+		before = h.Attempts()
+		aborted = h.Abort()
+		waitErr = h.Wait()
+		after = h.Attempts()
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if held != 4 {
+		t.Fatalf("the attempt held %d pages before the crash, want 4", held)
+	}
+	if !aborted || !errors.Is(waitErr, api.ErrAborted) {
+		t.Fatalf("Abort = %v, Wait = %v; want a latched abort and ErrAborted", aborted, waitErr)
+	}
+	if before != 1 || after != 1 {
+		t.Fatalf("attempts %d before the abort, %d after; want 1 and 1", before, after)
+	}
+	if m.Aborts != 1 || m.Requeues != 1 || m.Retries != 0 {
+		t.Fatalf("aborts %d requeues %d retries %d, want 1/1/0", m.Aborts, m.Requeues, m.Retries)
+	}
+	if pages, _ := ctl.PoolStats("llama-1b"); pages != 0 {
+		t.Fatalf("%d pages still held", pages)
+	}
+	if embeds, _ := ctl.EmbedPoolStats("llama-1b"); embeds != 0 {
+		t.Fatalf("%d embeds still held", embeds)
 	}
 }

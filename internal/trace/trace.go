@@ -2,9 +2,11 @@
 // per placement, handoff, role flip, scaling action, admission verdict,
 // fleet op, health transition and fleet-controller step. It holds
 // declarations only. The deciding layers (internal/cluster, internal/fleet)
-// build a record only when an observer is installed
-// (cluster.Cluster.OnDecision), hand it over by value in the deciding
-// process, and keep nothing; the observer owns retention. %+v is the
+// hand every record to one call, cluster.Cluster.Decide, in the deciding
+// process. Decide folds it into the cluster's counters, which are folds of
+// the stream, and passes it by value to an observer if one is installed
+// (cluster.Cluster.OnDecision). With no observer nothing is allocated, and
+// nothing keeps the record; the observer owns retention. %+v is the
 // rendering.
 package trace
 
@@ -52,7 +54,7 @@ const (
 	DrainDone  Kind = "drain-done" // Pages and Cost: the KV exports migrated off Replica
 	Deactivate Kind = "deactivate"
 	Suspect    Kind = "suspect"
-	Dead       Kind = "dead" // Wait from the failure's onset to the verdict; Dest the replacement, -1 for none (no spare left, or a spare died)
+	Dead       Kind = "dead" // Wait from the failure's onset to the verdict; Dest the replacement, -1 for none (no spare left, or a spare died); Count the KV exports lost, Pages their page references
 )
 
 // The fleet controller (internal/fleet): Program and Version, the pinned
@@ -93,7 +95,7 @@ type Decision struct {
 
 	Count int           // the tally the kind names
 	Limit int           // the bound the kind names
-	Pages int           // distinct KV pages a handoff or a drain's export migration moved
+	Pages int           // distinct KV pages a handoff or a drain's export migration moved; a death's lost page references
 	Cost  time.Duration // modeled interconnect time of that move
 	Wait  time.Duration // the span the kind names
 
