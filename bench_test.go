@@ -142,6 +142,49 @@ func TestDecodeStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestClientRecvAllocatesNothing holds a warm handle's receive at zero
+// allocations: Recv parks the client on the handle's mailbox, and the
+// inferlet's Send that wakes it hands the message over in the mailbox's
+// buffer. The inferlet sleeps before each message, so every receive parks.
+func TestClientRecvAllocatesNothing(t *testing.T) {
+	const runs = 200
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	e.MustRegister(inferlet.Program{Name: "stream", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		for range runs + 2 { // a warm-up receive, and AllocsPerRun's own
+			s.Sleep(time.Microsecond)
+			s.Send("token")
+		}
+		return nil
+	}})
+	allocs := -1.0
+	var err error
+	if cerr := e.RunClient(func() {
+		var h *pie.Handle
+		if h, err = e.Launch(pie.Spec("stream")); err != nil {
+			return
+		}
+		if _, err = h.Recv().Get(); err != nil {
+			return
+		}
+		allocs = testing.AllocsPerRun(runs, func() {
+			if err == nil {
+				_, err = h.Recv().Get()
+			}
+		})
+		if err == nil {
+			err = h.Wait()
+		}
+	}); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a client receive makes %v allocations, want 0", allocs)
+	}
+}
+
 // BenchmarkGenerate is one chat turn on a persistent context, timing mode:
 // an 8-token user turn prefilled (it carries the previous turn's pending
 // last token) and 32 tokens generated. infer-calls/op is read from the

@@ -197,6 +197,66 @@ func TestStreamBatchedDrain(t *testing.T) {
 	}
 }
 
+// Two /v1/recv calls parked on one run at once each take a distinct
+// message, in the order they parked: the first the first message sent, the
+// second the next. CI runs this package under -race.
+func TestConcurrentRecvTakeMessagesInOrder(t *testing.T) {
+	s, ts := startEcho(t, 3)
+	var msg struct {
+		Message string `json:"message"`
+	}
+	send(t, http.DefaultClient, ts, "zero")
+	// The echo has sent "zero" and parked on its next receive before this
+	// recv's process resumes: what is parked from here on is the base.
+	if getJSON(t, ts.URL+"/v1/recv?id=1", &msg); msg.Message != "zero" {
+		t.Fatalf("first recv got %q, want zero", msg.Message)
+	}
+	_, base, _, _ := s.engine.Clock().Stats()
+	parked := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, p, _, _ := s.engine.Clock().Stats(); p == base+n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d recv calls not parked after 10 s", n)
+			}
+		}
+	}
+	got := [2]chan string{make(chan string, 1), make(chan string, 1)}
+	for i := range got {
+		go func() {
+			var m struct {
+				Message string `json:"message"`
+			}
+			resp, err := http.Get(ts.URL + "/v1/recv?id=1")
+			if err != nil {
+				got[i] <- err.Error()
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+				got[i] <- err.Error()
+				return
+			}
+			got[i] <- m.Message
+		}()
+		parked(i + 1)
+	}
+	send(t, http.DefaultClient, ts, "one")
+	send(t, http.DefaultClient, ts, "two")
+	for i, want := range []string{"one", "two"} {
+		select {
+		case m := <-got[i]:
+			if m != want {
+				t.Errorf("recv %d got %q, want %q", i+1, m, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("recv %d still parked 10 s after the sends", i+1)
+		}
+	}
+}
+
 // An abort racing a sleeping stream wakes it through the mailbox's Close:
 // the stream ends with event: end instead of hanging. CI runs this package
 // under -race.

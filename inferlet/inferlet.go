@@ -107,7 +107,8 @@ func SplitRef(ref string) (name, version string) {
 
 // Subscription is a handle on a broadcast topic (subscribe).
 type Subscription interface {
-	// Recv resolves with the next message on the topic.
+	// Recv is the receive operation on the topic: each Get takes the
+	// next message, and Done reports that a receive would not block.
 	Recv() api.Future[string]
 	// Cancel detaches from the topic.
 	Cancel()
@@ -118,7 +119,9 @@ type Subscription interface {
 type Child interface {
 	// Send delivers a message to the child's receive queue.
 	Send(msg string)
-	// Recv resolves with the child's next message to its parent.
+	// Recv is the receive operation on the child's messages to its
+	// parent: each Get takes the next message, and Done reports that a
+	// receive would not block.
 	Recv() api.Future[string]
 	// Wait resolves when the child finishes, with its error result.
 	Wait() api.Future[error]

@@ -364,8 +364,10 @@ func (h *Handle) Degraded() bool { return h.degraded }
 // send/receive).
 func (h *Handle) Send(msg string) { h.toInflt.Send(msg) }
 
-// Recv resolves with the inferlet's next message to the client.
-func (h *Handle) Recv() *sim.Future[string] { return h.toUser.RecvFuture() }
+// Recv is the receive operation on the inferlet's messages to the client:
+// each Get takes the next message, and Done reports that a receive would
+// not block. A Get parks on the mailbox, so a receive allocates nothing.
+func (h *Handle) Recv() sim.Receiver[string] { return h.toUser.Receiver() }
 
 // TryRecv drains one queued message without blocking.
 func (h *Handle) TryRecv() (string, bool) { return h.toUser.TryRecv() }
@@ -742,7 +744,7 @@ type subscription struct {
 	mb    *sim.Mailbox[string]
 }
 
-func (s *subscription) Recv() api.Future[string] { return s.mb.RecvFuture() }
+func (s *subscription) Recv() api.Future[string] { return s.mb.Receiver() }
 
 func (s *subscription) Cancel() {
 	if subs, ok := s.ilm.topics[s.topic]; ok {

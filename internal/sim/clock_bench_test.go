@@ -166,6 +166,35 @@ func BenchmarkRoomWait(b *testing.B) {
 	}
 }
 
+// BenchmarkMailboxRecv is a message each way between two processes, each
+// received by a process parked in Mailbox.Recv: two sends, two parks and two
+// wakes on the mailboxes' own wait lists, no allocation. One op is one round.
+func BenchmarkMailboxRecv(b *testing.B) {
+	c := NewClock()
+	ping, pong := NewMailbox[int](c), NewMailbox[int](c)
+	c.Go("ping", func() {
+		for n := 0; n < b.N; n++ {
+			ping.Send(n)
+			pong.Recv()
+		}
+		ping.Close()
+	})
+	c.Go("pong", func() {
+		for {
+			v, err := ping.Recv()
+			if err != nil {
+				return
+			}
+			pong.Send(v)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkClockTimer is one timer from After to its callback, re-armed from
 // inside it, with one process parked so the clock stays alive: a heap push,
 // a pop and a call — no switch, no allocation. One op is one timer.

@@ -1,14 +1,33 @@
 package sim
 
+import (
+	"slices"
+
+	"pie/api"
+)
+
 // Mailbox is an unbounded FIFO queue with blocking receive, the message
 // primitive for user↔inferlet and inferlet↔inferlet communication.
+//
+// A receive waits in one of two ways. Recv parks the caller on the
+// mailbox's own wait list and allocates nothing; RecvFuture hands out a
+// future. When both kinds wait, a Send serves the futures first; within
+// each kind receivers are served in the order they came, each message to
+// one receiver.
 type Mailbox[T any] struct {
-	c       *Clock
-	buf     []T
-	waiters []*Future[T] // parked receivers, oldest first
+	c   *Clock
+	buf []T
+	// owed counts the messages at the front of buf that Sends handed to
+	// receivers they woke from Recv: such a receiver takes the front
+	// message when it resumes, and no other receiver may take one of
+	// them meanwhile.
+	owed int
+	// recv is the FIFO of receivers parked in Recv, made at the first park.
+	recv    WaitList
+	waiters []*Future[T] // RecvFuture's parked receivers, oldest first
 	closed  bool
 	// readable holds the one-shot OnReadable hooks waiting for the next
-	// buffered message or Close.
+	// receivable message or Close.
 	readable []func()
 }
 
@@ -17,8 +36,8 @@ func NewMailbox[T any](c *Clock) *Mailbox[T] {
 	return &Mailbox[T]{c: c}
 }
 
-// Send enqueues v, waking the oldest pending receiver if any. Send never
-// blocks.
+// Send enqueues v, handing it to the oldest waiting receiver if any. Send
+// never blocks.
 func (m *Mailbox[T]) Send(v T) {
 	if m.closed {
 		return // messages to a closed mailbox are dropped
@@ -28,7 +47,32 @@ func (m *Mailbox[T]) Send(v T) {
 		return
 	}
 	m.buf = append(m.buf, v)
+	if m.recv.c != nil && m.recv.Wake() {
+		m.owed++
+		return
+	}
 	m.fireReadable()
+}
+
+// unclaimed frees a message whose woken receiver was killed before it
+// resumed, when no other receiver is parked to take it over.
+func (m *Mailbox[T]) unclaimed() {
+	m.owed--
+	m.fireReadable()
+}
+
+// receivable reports whether a receive would not block.
+func (m *Mailbox[T]) receivable() bool { return m.Len() > 0 || m.closed }
+
+// take removes and returns the first message not owed to a woken receiver;
+// there must be one.
+func (m *Mailbox[T]) take() T {
+	if m.owed == 0 {
+		return shift(&m.buf)
+	}
+	v := m.buf[m.owed]
+	m.buf = slices.Delete(m.buf, m.owed, m.owed+1)
+	return v
 }
 
 // shift removes and returns the first element of a FIFO. A drained FIFO
@@ -62,14 +106,15 @@ func (q *FIFO[T]) Pop() T { return shift(&q.s) }
 func (q *FIFO[T]) Len() int { return len(q.s) }
 
 // OnReadable runs fn once, the next time a receive would not block: from
-// inside the Send that queues a message (one handed straight to a parked
-// receiver does not count) or from inside Close, and at once if a message
-// is already queued or the mailbox is closed. It consumes nothing and parks
-// no process, so a watcher that goes away leaves the mailbox as it found
-// it; to keep watching, register again after fn has run. fn runs on the
-// simulation's goroutine and must not block.
+// inside the Send that queues a message (one a parked receiver is woken
+// for, or a parked future takes, does not count), from inside Close, and
+// at once if a message is already receivable or the mailbox is closed. It
+// consumes nothing and parks no process, so a watcher that goes away
+// leaves the mailbox as it found it; to keep watching, register again
+// after fn has run. fn runs on the simulation's goroutine and must not
+// block.
 func (m *Mailbox[T]) OnReadable(fn func()) {
-	if len(m.buf) > 0 || m.closed {
+	if m.receivable() {
 		fn()
 		return
 	}
@@ -85,10 +130,10 @@ func (m *Mailbox[T]) fireReadable() {
 }
 
 // RecvFuture returns a future that resolves with the next message. If a
-// message is already queued the future is resolved immediately.
+// message is already receivable the future is resolved immediately.
 func (m *Mailbox[T]) RecvFuture() *Future[T] {
-	if len(m.buf) > 0 {
-		return Resolved(m.c, shift(&m.buf))
+	if m.Len() > 0 {
+		return Resolved(m.c, m.take())
 	}
 	if m.closed {
 		return FailedFuture[T](m.c, ErrMailboxClosed)
@@ -98,24 +143,46 @@ func (m *Mailbox[T]) RecvFuture() *Future[T] {
 	return f
 }
 
-// Recv blocks the calling process until a message arrives.
+// Recv blocks the calling process until a message arrives and returns it,
+// or ErrMailboxClosed once the mailbox is closed and drained. It parks on
+// the mailbox's wait list, so it allocates nothing; a receiver killed after
+// a Send woke it leaves its message to the next parked receiver, or
+// buffered.
 func (m *Mailbox[T]) Recv() (T, error) {
-	return m.RecvFuture().Get()
+	for {
+		if m.Len() > 0 {
+			return m.take(), nil
+		}
+		if m.closed {
+			var zero T
+			return zero, ErrMailboxClosed
+		}
+		if m.recv.c == nil {
+			m.recv = WaitList{c: m.c, unclaimed: m.unclaimed}
+		}
+		// A wake carries the front message; Close releases without one.
+		if m.recv.Wait(false, 0) {
+			m.owed--
+			return shift(&m.buf), nil
+		}
+	}
 }
 
-// TryRecv returns a queued message without blocking.
+// TryRecv returns a receivable message without blocking.
 func (m *Mailbox[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(m.buf) == 0 {
+	if m.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	return shift(&m.buf), true
+	return m.take(), true
 }
 
-// Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.buf) }
+// Len reports the number of receivable messages.
+func (m *Mailbox[T]) Len() int { return len(m.buf) - m.owed }
 
-// Close fails all pending receivers and drops future sends.
+// Close fails all pending receivers and drops future sends. A receiver a
+// Send already woke still takes its message; messages still queued stay
+// receivable.
 func (m *Mailbox[T]) Close() {
 	if m.closed {
 		return
@@ -126,8 +193,35 @@ func (m *Mailbox[T]) Close() {
 	for _, f := range ws {
 		f.Fail(ErrMailboxClosed)
 	}
+	if m.recv.c != nil {
+		m.recv.Release()
+	}
 	m.fireReadable()
 }
+
+// Receiver is a mailbox's receive operation as an api.Future: each Get
+// takes the next message (Mailbox.Recv), and Done reports that a receive
+// would not block. It holds only the mailbox, so storing it in an
+// api.Future allocates nothing, and it takes no message until Get: an
+// api.Any it loses leaves the mailbox as it was.
+type Receiver[T any] struct{ m *Mailbox[T] }
+
+// Receiver returns m's receive operation.
+func (m *Mailbox[T]) Receiver() Receiver[T] { return Receiver[T]{m} }
+
+// Get blocks until a message arrives and takes it (Mailbox.Recv).
+func (r Receiver[T]) Get() (T, error) { return r.m.Recv() }
+
+// Done reports whether a receive would not block: a message is receivable
+// or the mailbox is closed.
+func (r Receiver[T]) Done() bool { return r.m.receivable() }
+
+// Subscribe runs fn once, the next time a receive would not block
+// (Mailbox.OnReadable): the api.Subscriber hook of the combinators.
+func (r Receiver[T]) Subscribe(fn func()) { r.m.OnReadable(fn) }
+
+// MakeRelay mints a one-shot latch on the mailbox's clock (api.RelayMaker).
+func (r Receiver[T]) MakeRelay() api.Relay { return relay{s: NewSignal(r.m.c)} }
 
 // ErrMailboxClosed is returned by receives on a closed, drained mailbox.
 var ErrMailboxClosed = errorString("sim: mailbox closed")

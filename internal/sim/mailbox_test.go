@@ -1,0 +1,302 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"pie/api"
+)
+
+// recvLog runs fn as a process named name that receives once and records
+// "name=value" (or "name:error") in *got.
+func recvLog(c *Clock, got *[]string, name string, recv func() (int, error)) *Proc {
+	return c.Go(name, func() {
+		v, err := recv()
+		if err != nil {
+			*got = append(*got, name+":"+err.Error())
+			return
+		}
+		*got = append(*got, name+"="+string(rune('0'+v)))
+	})
+}
+
+// TestMailboxRecvFIFOOrder: three receivers park in order and take the
+// first three messages in that order. Two more arrive between the wakes and
+// the woken receivers' resumes: the sender, which finds a message nobody
+// was woken for and takes it at once, and d, which finds only owed
+// messages and parks behind the three. Receiving through a future gives
+// the same order: the parked receive changes no delivery.
+func TestMailboxRecvFIFOOrder(t *testing.T) {
+	for _, future := range []bool{false, true} {
+		c := NewClock()
+		m := NewMailbox[int](c)
+		recv := m.Recv
+		if future {
+			recv = func() (int, error) { return m.RecvFuture().Get() }
+		}
+		var got []string
+		for _, name := range []string{"a", "b", "c"} {
+			recvLog(c, &got, name, recv)
+		}
+		c.Go("sender", func() {
+			c.Sleep(time.Millisecond)
+			for v := 1; v <= 4; v++ {
+				m.Send(v)
+			}
+			if v, err := recv(); err != nil || v != 4 {
+				t.Errorf("future=%v: a receiver arriving after the wakes took %d, %v; want 4", future, v, err)
+			}
+			c.Sleep(time.Millisecond)
+			m.Send(5)
+		})
+		c.Go("d", func() {
+			c.Sleep(time.Millisecond)
+			if m.Len() != 0 || m.Receiver().Done() {
+				t.Errorf("future=%v: owed messages read as receivable: Len %d", future, m.Len())
+			}
+			if _, ok := m.TryRecv(); ok {
+				t.Errorf("future=%v: TryRecv took an owed message", future)
+			}
+			recvLog(c, &got, "d", recv)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"a=1", "b=2", "c=3", "d=5"}; !slices.Equal(got, want) {
+			t.Errorf("future=%v: received %v, want %v", future, got, want)
+		}
+	}
+}
+
+// TestMailboxCloseReleasesParkedReceivers: Close wakes every parked
+// receiver with ErrMailboxClosed, except that one a Send already woke still
+// takes its message; a message queued before Close stays receivable.
+func TestMailboxCloseReleasesParkedReceivers(t *testing.T) {
+	c := NewClock()
+	m := NewMailbox[int](c)
+	var got []string
+	for _, name := range []string{"a", "b", "c"} {
+		recvLog(c, &got, name, m.Recv)
+	}
+	fired := 0
+	c.Go("closer", func() {
+		c.Sleep(time.Millisecond)
+		m.OnReadable(func() { fired++ })
+		m.Send(1)
+		m.Close()
+		m.Send(2) // dropped
+		if fired != 1 || !m.Receiver().Done() {
+			t.Errorf("Close: hook fired %d times, Done %v; want 1, true", fired, m.Receiver().Done())
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	closed := ":" + ErrMailboxClosed.Error()
+	if want := []string{"a=1", "b" + closed, "c" + closed}; !slices.Equal(got, want) {
+		t.Errorf("received %v, want %v", got, want)
+	}
+
+	c = NewClock()
+	m = NewMailbox[int](c)
+	c.Go("p", func() {
+		m.Send(7)
+		m.Close()
+		if v, err := m.Recv(); err != nil || v != 7 {
+			t.Errorf("a closed mailbox gave %d, %v; want its queued 7", v, err)
+		}
+		if _, err := m.Recv(); err != ErrMailboxClosed {
+			t.Errorf("a closed, drained mailbox gave %v, want ErrMailboxClosed", err)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMailboxRecvKilledReceiver: a receiver killed while parked leaves no
+// message owed to a dead process, whether it unwinds before the Send, is
+// reached by the Send before it unwinds, or is killed after the Send woke
+// it. Its message goes to the next parked receiver, or stays receivable
+// when there is none (and then wakes the OnReadable hooks).
+func TestMailboxRecvKilledReceiver(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// act runs at 1ms with a and b parked, a first.
+		act  func(c *Clock, m *Mailbox[int], a, b *Proc)
+		sent int
+		want []string
+	}{
+		{"killed, unwound, then send", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			c.Kill(a)
+			c.Yield()
+			m.Send(1)
+		}, 1, []string{"b=1"}},
+		{"killed, send before it unwinds", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			c.Kill(a)
+			m.Send(1)
+		}, 1, []string{"b=1"}},
+		{"woken, then killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			c.Kill(a)
+		}, 1, []string{"b=1"}},
+		{"both woken, first killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			m.Send(2)
+			c.Kill(a)
+		}, 2, []string{"b=1"}},
+		{"both killed after one send", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			c.Kill(a)
+			c.Kill(b)
+		}, 1, nil},
+	} {
+		c := NewClock()
+		m := NewMailbox[int](c)
+		var got []string
+		a := recvLog(c, &got, "a", m.Recv)
+		b := recvLog(c, &got, "b", m.Recv)
+		fired := 0
+		c.Go("actor", func() {
+			c.Sleep(time.Millisecond)
+			m.OnReadable(func() { fired++ })
+			tc.act(c, m, a, b)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: received %v, want %v", tc.name, got, tc.want)
+		}
+		left := tc.sent - len(got)
+		if m.owed != 0 || m.Len() != left || (left > 0) != (fired == 1) {
+			t.Errorf("%s: %d owed, %d receivable, hook fired %d times; want 0, %d, fired iff any left", tc.name, m.owed, m.Len(), fired, left)
+		}
+	}
+}
+
+// TestMailboxCloseWakeIsNoMessage: a receiver released by Close carries no
+// message, so killing it passes nothing on. Killed before or after the
+// release, it leaves the receiver a Send woke its message. When the woken
+// receiver dies instead, its message goes to a released receiver that has
+// not resumed yet, or stays receivable.
+func TestMailboxCloseWakeIsNoMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		act  func(c *Clock, m *Mailbox[int], a, b *Proc)
+		want []string
+		left int
+	}{
+		{"released, then killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			m.Close()
+			c.Kill(b)
+		}, []string{"a=1"}, 0},
+		{"killed, then released", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			c.Kill(b)
+			m.Close()
+		}, []string{"a=1"}, 0},
+		{"both killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			c.Kill(b)
+			m.Close()
+			c.Kill(a)
+		}, nil, 1},
+		{"woken receiver killed before Close", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			c.Kill(a)
+			m.Close()
+		}, []string{"b=1"}, 0}, // a's wake reaches b before b resumes
+		{"woken receiver killed after Close", func(c *Clock, m *Mailbox[int], a, b *Proc) {
+			m.Send(1)
+			m.Close()
+			c.Kill(a)
+		}, []string{"b:sim: mailbox closed"}, 1}, // b resumes first
+	} {
+		c := NewClock()
+		m := NewMailbox[int](c)
+		var got []string
+		a := recvLog(c, &got, "a", m.Recv)
+		b := recvLog(c, &got, "b", m.Recv)
+		c.Go("actor", func() {
+			c.Sleep(time.Millisecond)
+			tc.act(c, m, a, b)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, tc.want) || m.owed != 0 || m.Len() != tc.left {
+			t.Errorf("%s: received %v with %d owed, %d receivable; want %v, 0, %d", tc.name, got, m.owed, m.Len(), tc.want, tc.left)
+		}
+	}
+}
+
+// TestReceiverLosesNoMessageToAny: api.Any over a receive and a timer that
+// fires first takes no message, so the next receive gets the message the
+// race did not wait for; a receiver that wins takes exactly its message.
+// An eager future would have taken the first message into the losing arm.
+func TestReceiverLosesNoMessageToAny(t *testing.T) {
+	c := NewClock()
+	m := NewMailbox[int](c)
+	c.Go("client", func() {
+		timer := NewFuture[int](c)
+		c.After(time.Millisecond, func() { timer.Resolve(-1) })
+		if v, err := api.Any[int](m.Receiver(), timer).Get(); err != nil || v != -1 {
+			t.Errorf("Any = %d, %v; want the timer's -1", v, err)
+		}
+		if v, err := m.Recv(); err != nil || v != 1 {
+			t.Errorf("the receive after a lost race got %d, %v; want 1", v, err)
+		}
+		late := NewFuture[int](c)
+		c.After(time.Hour, func() { late.Resolve(-1) })
+		if v, err := api.Any[int](m.Receiver(), late).Get(); err != nil || v != 2 {
+			t.Errorf("Any = %d, %v; want the message 2", v, err)
+		}
+		if _, ok := m.TryRecv(); ok {
+			t.Error("a won race left a message queued")
+		}
+	})
+	c.Go("sender", func() {
+		c.Sleep(2 * time.Millisecond)
+		m.Send(1)
+		c.Sleep(time.Millisecond)
+		m.Send(2)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMailboxRecvAllocatesNothing: a receive that parks and the Send that
+// wakes it allocate nothing once the mailbox has parked a receiver before.
+func TestMailboxRecvAllocatesNothing(t *testing.T) {
+	c := NewClock()
+	ping, pong := NewMailbox[int](c), NewMailbox[int](c)
+	allocs := -1.0
+	c.Go("ping", func() {
+		round := func() {
+			ping.Send(1)
+			pong.Recv()
+		}
+		round()
+		allocs = testing.AllocsPerRun(100, round)
+		ping.Close()
+	})
+	c.Go("pong", func() {
+		for {
+			v, err := ping.Recv()
+			if err != nil {
+				return
+			}
+			pong.Send(v)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a send and a parked receive make %v allocations, want 0", allocs)
+	}
+}

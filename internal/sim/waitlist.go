@@ -12,7 +12,8 @@ import "time"
 //   - Wake goes to the head waiter only;
 //   - a wait may carry a deadline;
 //   - a waiter killed while parked is skipped, and one killed after a wake
-//     reached it, before it resumed, passes the wake on.
+//     reached it, before it resumed, passes the wake on;
+//   - Release lets every waiter go without a wake (a closed mailbox).
 //
 // A wait reuses the process's park token and, with a deadline, its own heap
 // event: it allocates no Signal, no closure and no timer.
@@ -146,21 +147,42 @@ func (l *WaitList) Wake() bool {
 		c.mu.Unlock()
 		return false
 	}
-	w := l.popLocked()
-	if p := w.p; p.parkToken == w.token {
-		switch p.state {
-		case stateParked:
-			c.parked--
-			p.state = stateReady
-			c.pushLocked(c.now, p)
-		case stateSleeping:
-			c.cancelLocked(p)
-			p.state = stateReady
-			c.pushLocked(c.now, p)
-		}
-	}
+	c.readyLocked(l.popLocked())
 	c.mu.Unlock()
 	return true
+}
+
+// Release makes every parked waiter runnable at the current time without
+// handing it a wake: each returns false from Wait, as at a deadline. A
+// released waiter keeps its place until it resumes, so a wake that a killed
+// waiter passes on meanwhile may still reach it (Wait then reports true);
+// one killed before it resumes has no wake to pass on.
+func (l *WaitList) Release() {
+	c := l.c
+	c.mu.Lock()
+	for _, w := range l.q[l.head:] {
+		c.readyLocked(w)
+	}
+	c.mu.Unlock()
+}
+
+// readyLocked makes w's process runnable at the current time if it is still
+// parked or sleeping on the wait that w records.
+func (c *Clock) readyLocked(w waiter) {
+	p := w.p
+	if p.parkToken != w.token {
+		return
+	}
+	switch p.state {
+	case stateParked:
+		c.parked--
+	case stateSleeping:
+		c.cancelLocked(p)
+	default:
+		return
+	}
+	p.state = stateReady
+	c.pushLocked(c.now, p)
 }
 
 // pass hands on a wake its waiter cannot use: to the next waiter, or to the

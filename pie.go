@@ -522,7 +522,10 @@ type Handle struct {
 // Send delivers a message to the inferlet.
 func (h *Handle) Send(msg string) { h.h.Send(msg) }
 
-// Recv resolves with the inferlet's next message.
+// Recv is the receive operation on the inferlet's messages: each Get
+// blocks until the next message arrives and takes it, and Done reports that
+// a receive would not block. Nothing is taken before Get, so an api.Any
+// that Recv loses leaves the message queued. A receive allocates nothing.
 func (h *Handle) Recv() api.Future[string] { return h.h.Recv() }
 
 // TryRecv drains one queued message without blocking.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Per-layer micro-benchmarks: ns/op and allocs/op of the tensor kernels, the
-# model's forward/decode/top-K path and catalog build, the sim clock and its
-# wait list (one park and one wake, as a call waiting for page room), the
+# model's forward/decode/top-K path and catalog build, the sim clock, its
+# wait list (one park and one wake, as a call waiting for page room) and a
+# mailbox (a message each way, each taken by a parked Recv), the
 # control layer (one decode step through every layer above the kernels, a
 # scheduling round, a round of decode steps beside fills that the prefill
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
@@ -45,7 +46,9 @@
 #     control-layer calls (4.58: a decode step makes none) than committed.
 #   - RoomWait allocating at all: the wait list parks on the process's own
 #     token and heap event (the allocs/op gate above, against a committed 0).
-#     RoleBalance likewise: a balancer window reads counters and allocates
+#     MailboxRecv likewise: a receive parks on the mailbox's wait list, not
+#     on a future, and the Send that wakes it hands the message over in the
+#     buffer. RoleBalance likewise: a balancer window reads counters and allocates
 #     nothing; ClusterTick: a tick fills a snapshot the cluster keeps and
 #     runs health, the balancer and the scaler over it; and Place:
 #     placement scores replicas in a scratch slice the cluster keeps.
@@ -102,7 +105,7 @@ bench() {
 	bench 2000x '^BenchmarkStandardCatalog$' ./internal/model
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
-	bench 200000x '^BenchmarkRoomWait$' ./internal/sim
+	bench 200000x '^Benchmark(RoomWait|MailboxRecv)$' ./internal/sim
 	bench 2000x '^Benchmark(DecodeStep|Generate)$' .
 	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
 	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
@@ -155,7 +158,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'
