@@ -73,7 +73,8 @@ func TestAnyLaterArgumentCanWinByTime(t *testing.T) {
 
 func TestAnyOverAlreadyResolvedRuntimeFuture(t *testing.T) {
 	clock := sim.NewClock()
-	done := sim.Resolved(clock, "done")
+	done := sim.NewFuture[string](clock)
+	done.Resolve("done")
 	pending := sim.NewFuture[string](clock)
 	var got string
 	clock.Go("waiter", func() {

@@ -230,6 +230,7 @@ var (
 	ErrNoSuchExport   = errors.New("pie: no exported resource with that name")
 	ErrBadArgument    = errors.New("pie: invalid API argument")
 	ErrQueueClosed    = errors.New("pie: command queue closed")
+	ErrResultRead     = errors.New("pie: result already read") // a call's result is read once
 
 	// Program-lifecycle errors (deployment API v2).
 

@@ -10,7 +10,9 @@ package api
 //	text := api.Then(tokF, decodeFn)               // transform lazily
 //
 // A combinator future is owned by the inferlet that created it and must
-// not be shared across sim processes.
+// not be shared across sim processes. It reads each future it wraps at
+// most once, as a call's result must be read (sim.Result), and a second
+// Get of the combinator returns what the first read.
 
 // Subscriber is the optional interface of runtime futures that can invoke
 // a callback when they complete. Subscribe runs fn exactly once — either
@@ -51,10 +53,15 @@ func trySubscribe[T any](f Future[T], fn func()) bool {
 	return false
 }
 
-// relayOf mints a relay from f when it (or a future it wraps) can.
-func relayOf[T any](f Future[T]) Relay {
-	if rm, ok := f.(RelayMaker); ok {
-		return rm.MakeRelay()
+// relayOf mints a relay from the first of fs that can (or a future it
+// wraps); nil when none can.
+func relayOf[T any](fs ...Future[T]) Relay {
+	for _, f := range fs {
+		if rm, ok := f.(RelayMaker); ok {
+			if r := rm.MakeRelay(); r != nil {
+				return r
+			}
+		}
 	}
 	return nil
 }
@@ -123,14 +130,7 @@ func (a *allFuture[T]) Subscribe(fn func()) {
 
 // MakeRelay implements RelayMaker by delegating to the first underlying
 // future that can mint one; nil when none can.
-func (a *allFuture[T]) MakeRelay() Relay {
-	for _, f := range a.fs {
-		if r := relayOf(f); r != nil {
-			return r
-		}
-	}
-	return nil
-}
+func (a *allFuture[T]) MakeRelay() Relay { return relayOf(a.fs...) }
 
 // Any composes futures into one that resolves with the value (or error)
 // of the first to complete. Ties at the same virtual instant break in
@@ -143,7 +143,10 @@ func Any[T any](fs ...Future[T]) Future[T] {
 }
 
 type anyFuture[T any] struct {
-	fs []Future[T]
+	fs   []Future[T]
+	done bool
+	val  T
+	err  error
 }
 
 func (a *anyFuture[T]) winner() Future[T] {
@@ -155,44 +158,41 @@ func (a *anyFuture[T]) winner() Future[T] {
 	return nil
 }
 
-func (a *anyFuture[T]) Done() bool { return a.winner() != nil }
+func (a *anyFuture[T]) Done() bool { return a.done || a.winner() != nil }
 
+// Get reads the winner once; a later Get returns what the first read.
 func (a *anyFuture[T]) Get() (T, error) {
+	if !a.done {
+		a.val, a.err = a.await().Get()
+		a.done = true
+	}
+	return a.val, a.err
+}
+
+// await returns the first future to complete, waiting if none has: it
+// parks on a relay that every future's completion fires. Combinator
+// futures delegate Subscribe/MakeRelay to the runtime futures they wrap,
+// so nesting (Any of Then of All ...) races correctly too.
+func (a *anyFuture[T]) await() Future[T] {
 	if w := a.winner(); w != nil {
-		return w.Get()
+		return w
 	}
-	// Park on a relay fired by whichever future completes first.
-	// Combinator futures delegate Subscribe/MakeRelay to the runtime
-	// futures they wrap, so nesting (Any of Then of All ...) races
-	// correctly too.
-	var relay Relay
-	for _, f := range a.fs {
-		if relay = relayOf(f); relay != nil {
-			break
-		}
-	}
-	armed := false
-	if relay != nil {
+	if relay := a.MakeRelay(); relay != nil {
+		armed := false
 		for _, f := range a.fs {
-			if trySubscribe(f, relay.Fire) {
-				armed = true
+			armed = trySubscribe(f, relay.Fire) || armed
+		}
+		if armed {
+			_ = relay.Await()
+			if w := a.winner(); w != nil {
+				return w
 			}
 		}
 	}
-	if relay == nil || !armed {
-		// Degraded mode for non-runtime futures (tests, fakes): block on
-		// the first future, then report whichever is done.
-		_, _ = a.fs[0].Get()
-		return a.winner().Get()
-	}
-	_ = relay.Await()
-	if w := a.winner(); w != nil {
-		return w.Get()
-	}
-	// A subscription fired without a visible winner (possible only with
-	// exotic third-party futures): fall back to blocking in order.
-	_, _ = a.fs[0].Get()
-	return a.winner().Get()
+	// Degraded mode for futures that cannot subscribe (tests, fakes), or
+	// a relay that fired with no winner: the first future, once done,
+	// wins in argument order.
+	return a.fs[0]
 }
 
 // Subscribe implements Subscriber by delegation: fn runs once the first
@@ -206,14 +206,7 @@ func (a *anyFuture[T]) Subscribe(fn func()) {
 
 // MakeRelay implements RelayMaker by delegating to the first underlying
 // future that can mint one; nil when none can.
-func (a *anyFuture[T]) MakeRelay() Relay {
-	for _, f := range a.fs {
-		if r := relayOf(f); r != nil {
-			return r
-		}
-	}
-	return nil
-}
+func (a *anyFuture[T]) MakeRelay() Relay { return relayOf(a.fs...) }
 
 // Then derives a future that applies fn to f's value once it resolves.
 // fn runs at most once, in the process that first Gets the derived

@@ -54,9 +54,8 @@ func BenchmarkSimReplaySpeed(b *testing.B) {
 // timing-mode engine — behind a context of 16, 64 and 256 KV pages. The
 // paper's bet (§5.2) is that this cost does not depend on the context:
 // allocs/op must be one number at all three sizes. That number is 0:
-// embed_txt and forward return no future, and NextDist waits with
-// Sample.Dist, whose result lives in the call's record
-// (TestDecodeStepAllocatesNothing holds it there).
+// embed_txt and forward return no result, and get_next_dist's result lives
+// in the call's record (TestDecodeStepAllocatesNothing holds it there).
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, pages := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("ctx%dpages", pages), func(b *testing.B) {
@@ -139,6 +138,113 @@ func TestDecodeStepAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("ctx%dpages: a decode step makes %v allocations, want 0", pages, allocs)
 		}
+	}
+}
+
+// BenchmarkFusedStep is the host cost of one fused decode step on a
+// timing-mode engine: Fused.Run of one inline token over a 16-page context
+// and the Get of its sampled token, the step of the benchmark's kv_pressure
+// sessions. The sampled tokens are the call's result, in its record: 0
+// allocs/op (TestFusedStepAllocatesNothing holds it there).
+func BenchmarkFusedStep(b *testing.B) {
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	e.MustRegister(inferlet.Program{Name: "fused", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		step, err := fusedStep(s, 16)
+		if err != nil {
+			return err
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		b.StopTimer()
+		return nil
+	}})
+	runToCompletion(b, e, "fused")
+}
+
+// fusedStep prefills pages KV pages, less half a page, in one fused pass
+// and returns a decode step over them: one inline token read against the
+// context, and the Get of its sampled token. The step's options are built
+// once, so every step lends the same slices.
+func fusedStep(s inferlet.Session, pages int) (func() error, error) {
+	q, err := s.Open(s.AvailableModels()[0].ID)
+	if err != nil {
+		return nil, err
+	}
+	alloc, err := q.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	fz, err := q.Fused()
+	if err != nil {
+		return nil, err
+	}
+	kv, err := alloc.Pages(pages)
+	if err != nil {
+		return nil, err
+	}
+	out, err := alloc.Embeds(1)
+	if err != nil {
+		return nil, err
+	}
+	n := pages*q.Model().PageSize - q.Model().PageSize/2
+	toks, pos := make([]int, n), make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	f, err := fz.Run(inferlet.InlineTokens(toks, pos), inferlet.AppendKv(kv...), inferlet.Output(out...))
+	if err == nil {
+		_, err = f.Get()
+	}
+	opts := []inferlet.ForwardOption{inferlet.InlineTokens([]int{7}, []int{n}), inferlet.ReadKv(kv...), inferlet.Output(out...)}
+	return func() error {
+		f, err := fz.Run(opts...)
+		if err != nil {
+			return err
+		}
+		_, err = f.Get()
+		return err
+	}, err
+}
+
+// TestFusedStepAllocatesNothing: a warm fused decode step — Fused.Run and
+// the Get of its sampled token, through every layer down to the
+// timing-mode kernel — makes no heap allocation of its own. Its token is
+// cut from the runtime's slab, which one step in a page (16) refills;
+// AllocsPerRun's whole-number average does not count that.
+func TestFusedStepAllocatesNothing(t *testing.T) {
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	allocs := -1.0
+	e.MustRegister(inferlet.Program{Name: "fused", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		step, err := fusedStep(s, 16)
+		if err == nil {
+			err = step()
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if err == nil {
+				err = step()
+			}
+		})
+		return err
+	}})
+	var err error
+	if cerr := e.RunClient(func() {
+		var h *pie.Handle
+		if h, err = e.Launch(pie.Spec("fused")); err == nil {
+			err = h.Wait()
+		}
+	}); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a fused decode step makes %v allocations, want 0", allocs)
 	}
 }
 

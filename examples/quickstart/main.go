@@ -70,7 +70,7 @@ func main() {
 			for i := range pos {
 				pos[i] = i
 			}
-			// Embed and Run return no future: queue order sequences them,
+			// Embed and Run return no result: queue order sequences them,
 			// and an error they meet executing surfaces at the next Sync —
 			// or at Close below.
 			text.Embed(prom, pos, promEmb)
@@ -78,9 +78,12 @@ func main() {
 
 			var out []int
 			for i := len(prom); i < tokLimit; i++ {
-				// Dist waits at once; NextDist returns a future instead,
-				// for distributions requested before the first is awaited.
-				dist, err := sample.Dist(genEmb[0])
+				// The result is read once, here, at once.
+				distR, err := sample.NextDist(genEmb[0])
+				if err != nil {
+					return err
+				}
+				dist, err := distR.Get()
 				if err != nil {
 					return err
 				}

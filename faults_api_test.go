@@ -96,7 +96,7 @@ func TestHandleAndEngineIntrospection(t *testing.T) {
 // ErrReplicaLost, the exports on the dead replica are counted lost, and its
 // pool reads 0 pages in use: the batches its device held fail when it is
 // declared dead, so their page pins drop and the pages the aborted
-// sessions released are freed.
+// sessions released are freed. Every record on a free list is blank.
 func TestCrashedReplicaHoldsNoPages(t *testing.T) {
 	plan, err := pie.ParseFaultPlan("crash:2@300ms")
 	if err != nil {
@@ -139,5 +139,11 @@ func TestCrashedReplicaHoldsNoPages(t *testing.T) {
 	}
 	if inUse, _ := e.Cluster().Replicas()[2].Ctl.KVLoad(); inUse != 0 {
 		t.Fatalf("the dead replica's pool reads %d pages in use, want 0", inUse)
+	}
+	// The failed batches' records came back once each, blank.
+	for _, r := range e.Cluster().Replicas() {
+		if err := r.Ctl.CheckFreeCalls(); err != nil {
+			t.Errorf("replica %d: %v", r.ID, err)
+		}
 	}
 }

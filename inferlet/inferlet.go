@@ -6,7 +6,7 @@
 // runtime (the paper uses WebAssembly; this reproduction runs Go closures
 // under an equivalent cooperative sandbox — see internal/ilm). Concurrency
 // within an inferlet comes from asynchronous, non-blocking API calls that
-// return futures, composed with the api package's combinators.
+// return results, composed with the api package's combinators.
 //
 // The API is layered (v2). Session carries only what every inferlet
 // needs: the core runtime, messaging and I/O, and model discovery.
@@ -138,7 +138,7 @@ type Session interface {
 	GetArg() []string
 	// Send delivers a message to the client that launched this inferlet.
 	Send(msg string)
-	// Receive resolves with the next message from the client.
+	// Receive is the receive on the client's messages: each Get takes one.
 	Receive() api.Future[string]
 	// Print emits a debug line through the runtime's log stream.
 	Print(msg string)
@@ -160,9 +160,9 @@ type Session interface {
 
 	// HTTPGet performs an asynchronous HTTP GET against an external
 	// service.
-	HTTPGet(url string) api.Future[string]
+	HTTPGet(url string) Result[string]
 	// HTTPPost performs an asynchronous HTTP POST.
-	HTTPPost(url, body string) api.Future[string]
+	HTTPPost(url, body string) Result[string]
 	// Broadcast publishes to every subscriber of a topic.
 	Broadcast(topic, msg string)
 	// Subscribe attaches to a topic.

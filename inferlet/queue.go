@@ -4,7 +4,18 @@ import (
 	"fmt"
 
 	"pie/api"
+	"pie/internal/sim"
 )
+
+// Result is the result of a call that produces a value. It is read once:
+// Get waits for the value, and a second Get fails with api.ErrResultRead.
+// Returned as itself it costs no allocation; stored in an api.Future, to
+// combine it, one.
+type Result[T any] = sim.Result[T]
+
+// Ready returns a result that is already in, with no call behind it: what
+// a QueueRuntime or Session that answers at once (a test fake) returns.
+func Ready[T any](v T) Result[T] { return sim.Ready(v) }
 
 // QueueRuntime is the provider interface behind a Queue: the serving
 // system's application layer (internal/ilm) implements it, with every
@@ -27,19 +38,18 @@ type QueueRuntime interface {
 	CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) error
 
 	Forward(args api.ForwardArgs) error
-	ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (api.Future[[]int], error)
+	ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (Result[[]int], error)
 	MaskKvPage(page api.KvPage, bits []bool) error
 
 	EmbedText(tokens, positions []int, dst []api.Embed) error
 	EmbedImage(blob []byte, positions []int, dst []api.Embed) error
 	NumEmbedsNeeded(imageBytes int) (int, error)
 
-	GetNextDist(emb api.Embed) (api.Future[api.Dist], error)
-	NextDist(emb api.Embed) (api.Dist, error)
+	GetNextDist(emb api.Embed) (Result[api.Dist], error)
 
-	Tokenize(text string) (api.Future[[]int], error)
-	Detokenize(ids []int) (api.Future[string], error)
-	GetVocabs() (api.Future[[][]byte], error)
+	Tokenize(text string) (Result[[]int], error)
+	Detokenize(ids []int) (Result[string], error)
+	GetVocabs() (Result[[][]byte], error)
 }
 
 // Queue is a first-class command queue (§4.1): the ordering, priority,
@@ -50,14 +60,13 @@ type QueueRuntime interface {
 //
 // Calls that write into handles the program already owns — Text.Embed,
 // Image.Embed, Forward.Run, Forward.MaskPage, Alloc.CopyPage — return no
-// future: queue order is their completion, and Sync or Barrier waits for
+// result: queue order is their completion, and Sync or Barrier waits for
 // them. If one fails when it executes, the first such error waits on the
 // queue: the next Sync or Barrier fails with it (Close returns it), and
 // the queue forgets it.
 type Queue struct {
-	info   api.ModelInfo
-	rt     QueueRuntime
-	closed bool
+	info api.ModelInfo
+	rt   QueueRuntime // closedQueue once closed
 }
 
 // NewQueue binds a queue object to its runtime provider. It is called by
@@ -79,25 +88,19 @@ func (q *Queue) Model() api.ModelInfo { return q.info }
 
 // SetPriority hints the batch scheduler (set_queue_priority).
 func (q *Queue) SetPriority(pri int) error {
-	if q.closed {
-		return api.ErrQueueClosed
-	}
 	return q.rt.SetPriority(pri)
 }
 
 // Barrier returns a future that resolves when every call enqueued before
 // this point has completed (synchronize). It fails instead with the first
-// execution error of a call without a future since the last Sync or
+// execution error of a call without a result since the last Sync or
 // Barrier that reported one.
 func (q *Queue) Barrier() (api.Future[struct{}], error) {
-	if q.closed {
-		return nil, api.ErrQueueClosed
-	}
 	return q.rt.Synchronize()
 }
 
 // Sync blocks until every call enqueued before this point has completed,
-// and reports the first execution error of a call without a future since
+// and reports the first execution error of a call without a result since
 // the last Sync or Barrier that reported one.
 func (q *Queue) Sync() error {
 	f, err := q.Barrier()
@@ -117,36 +120,59 @@ func (q *Queue) Sync() error {
 // the close: Close returns it after reclaiming.
 func (q *Queue) Close() error {
 	err := q.Sync()
-	if q.closed {
+	if q.Closed() {
 		return err
 	}
-	q.closed = true
 	if cerr := q.rt.Close(); err == nil {
 		err = cerr
 	}
+	q.rt = closedQueue{}
 	return err
 }
 
+// closedQueue is a closed queue's runtime: it refuses every call, so none
+// reaches the serving system (capabilities share their queue's lifetime;
+// a Run reports invalid options first).
+type closedQueue struct{}
+
+func (closedQueue) SetPriority(int) error                         { return api.ErrQueueClosed }
+func (closedQueue) Synchronize() (api.Future[struct{}], error)    { return nil, api.ErrQueueClosed }
+func (closedQueue) Close() error                                  { return api.ErrQueueClosed }
+func (closedQueue) AllocEmbeds(int) ([]api.Embed, error)          { return nil, api.ErrQueueClosed }
+func (closedQueue) DeallocEmbeds([]api.Embed) error               { return api.ErrQueueClosed }
+func (closedQueue) AllocKvPages(int) ([]api.KvPage, error)        { return nil, api.ErrQueueClosed }
+func (closedQueue) DeallocKvPages([]api.KvPage) error             { return api.ErrQueueClosed }
+func (closedQueue) ExportKvPages(string, []api.KvPage) error      { return api.ErrQueueClosed }
+func (closedQueue) ImportKvPages(string) ([]api.KvPage, error)    { return nil, api.ErrQueueClosed }
+func (closedQueue) HasExport(string) bool                         { return false }
+func (closedQueue) ReleaseExport(string) error                    { return api.ErrQueueClosed }
+func (closedQueue) CopyKvPage(_, _ api.KvPage, _, _, _ int) error { return api.ErrQueueClosed }
+func (closedQueue) Forward(api.ForwardArgs) error                 { return api.ErrQueueClosed }
+func (closedQueue) ForwardSampled(api.ForwardArgs, []int, []int, api.SampleSpec) (r Result[[]int], err error) {
+	return r, api.ErrQueueClosed
+}
+func (closedQueue) MaskKvPage(api.KvPage, []bool) error         { return api.ErrQueueClosed }
+func (closedQueue) EmbedText(_, _ []int, _ []api.Embed) error   { return api.ErrQueueClosed }
+func (closedQueue) EmbedImage([]byte, []int, []api.Embed) error { return api.ErrQueueClosed }
+func (closedQueue) NumEmbedsNeeded(int) (int, error)            { return 0, api.ErrQueueClosed }
+func (closedQueue) GetNextDist(api.Embed) (r Result[api.Dist], err error) {
+	return r, api.ErrQueueClosed
+}
+func (closedQueue) Tokenize(string) (r Result[[]int], err error)   { return r, api.ErrQueueClosed }
+func (closedQueue) Detokenize([]int) (r Result[string], err error) { return r, api.ErrQueueClosed }
+func (closedQueue) GetVocabs() (r Result[[][]byte], err error)     { return r, api.ErrQueueClosed }
+
 // Closed reports whether Close has run.
-func (q *Queue) Closed() bool { return q.closed }
+func (q *Queue) Closed() bool { return q.rt == closedQueue{} }
 
 // negotiate gates a capability request on the trait DAG: the model must
 // implement t directly or via the transitive supertrait closure.
 func (q *Queue) negotiate(t api.Trait) error {
-	if q.closed {
+	if q.Closed() {
 		return api.ErrQueueClosed
 	}
 	if !q.info.HasTraitClosure(t) {
 		return fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, q.info.ID, t)
-	}
-	return nil
-}
-
-// guard rejects capability calls on a closed queue before they reach the
-// runtime (capabilities share their queue's lifetime).
-func (q *Queue) guard() error {
-	if q.closed {
-		return api.ErrQueueClosed
 	}
 	return nil
 }
@@ -221,33 +247,21 @@ type Alloc struct{ q *Queue }
 
 // Embeds allocates n embedding slots (alloc_emb).
 func (a *Alloc) Embeds(n int) ([]api.Embed, error) {
-	if err := a.q.guard(); err != nil {
-		return nil, err
-	}
 	return a.q.rt.AllocEmbeds(n)
 }
 
 // FreeEmbeds releases embedding slots, queue-ordered (dealloc_emb).
 func (a *Alloc) FreeEmbeds(ids []api.Embed) error {
-	if err := a.q.guard(); err != nil {
-		return err
-	}
 	return a.q.rt.DeallocEmbeds(ids)
 }
 
 // Pages allocates n KV-cache pages (alloc_kvpage).
 func (a *Alloc) Pages(n int) ([]api.KvPage, error) {
-	if err := a.q.guard(); err != nil {
-		return nil, err
-	}
 	return a.q.rt.AllocKvPages(n)
 }
 
 // FreePages releases KV pages, queue-ordered (dealloc_kvpage).
 func (a *Alloc) FreePages(ids []api.KvPage) error {
-	if err := a.q.guard(); err != nil {
-		return err
-	}
 	return a.q.rt.DeallocKvPages(ids)
 }
 
@@ -255,34 +269,22 @@ func (a *Alloc) FreePages(ids []api.KvPage) error {
 // (export_kvpage). The registry takes its own references, so the export
 // outlives both the queue and the exporting inferlet.
 func (a *Alloc) Export(name string, ids []api.KvPage) error {
-	if err := a.q.guard(); err != nil {
-		return err
-	}
 	return a.q.rt.ExportKvPages(name, ids)
 }
 
 // Import maps another inferlet's exported pages into this queue's address
 // space, shared not copied (import_kvpage).
 func (a *Alloc) Import(name string) ([]api.KvPage, error) {
-	if err := a.q.guard(); err != nil {
-		return nil, err
-	}
 	return a.q.rt.ImportKvPages(name)
 }
 
 // HasExport probes the export registry.
 func (a *Alloc) HasExport(name string) bool {
-	if a.q.closed {
-		return false
-	}
 	return a.q.rt.HasExport(name)
 }
 
 // ReleaseExport removes an export registration (release_export).
 func (a *Alloc) ReleaseExport(name string) error {
-	if err := a.q.guard(); err != nil {
-		return err
-	}
 	return a.q.rt.ReleaseExport(name)
 }
 
@@ -290,9 +292,6 @@ func (a *Alloc) ReleaseExport(name string) error {
 // Queue order is its completion; an execution error surfaces at the
 // queue's next Sync or Barrier.
 func (a *Alloc) CopyPage(src, dst api.KvPage, srcOff, dstOff, n int) error {
-	if err := a.q.guard(); err != nil {
-		return err
-	}
 	return a.q.rt.CopyKvPage(src, dst, srcOff, dstOff, n)
 }
 
@@ -455,9 +454,6 @@ type Forward struct{ q *Queue }
 // pass's completion; an execution error surfaces at the queue's next Sync
 // or Barrier.
 func (f *Forward) Run(opts ...ForwardOption) error {
-	if err := f.q.guard(); err != nil {
-		return err
-	}
 	var p forwardPlan
 	p.build(opts)
 	if p.sampled || len(p.inlineToks) > 0 {
@@ -473,9 +469,6 @@ func (f *Forward) Run(opts ...ForwardOption) error {
 // true hides the token). The bits are copied before MaskPage returns, so
 // the caller may reuse the slice at once.
 func (f *Forward) MaskPage(page api.KvPage, bits []bool) error {
-	if err := f.q.guard(); err != nil {
-		return err
-	}
 	return f.q.rt.MaskKvPage(page, bits)
 }
 
@@ -484,17 +477,14 @@ func (f *Forward) MaskPage(page api.KvPage, bits []bool) error {
 // kernel. Used by the Table 3 opportunity-cost ablation.
 type Fused struct{ q *Queue }
 
-// Run schedules a fused pass and resolves with the sampled token ids.
+// Run schedules a fused pass whose result is the sampled token ids.
 // Accepts the full ForwardOption set including InlineTokens and
 // WithSampling (absent sampling options mean greedy).
-func (f *Fused) Run(opts ...ForwardOption) (api.Future[[]int], error) {
-	if err := f.q.guard(); err != nil {
-		return nil, err
-	}
+func (f *Fused) Run(opts ...ForwardOption) (Result[[]int], error) {
 	var p forwardPlan
 	p.build(opts)
 	if p.args.Adapter != "" && !f.q.info.HasTraitClosure(api.TraitAdapter) {
-		return nil, fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, f.q.info.ID, api.TraitAdapter)
+		return Result[[]int]{}, fmt.Errorf("%w: %s lacks trait %q", api.ErrNoSuchTrait, f.q.info.ID, api.TraitAdapter)
 	}
 	return f.q.rt.ForwardSampled(p.args, p.inlineToks, p.inlinePos, p.sample)
 }
@@ -508,9 +498,6 @@ type Text struct{ q *Queue }
 // (embed_txt). Queue order is its completion; an execution error surfaces
 // at the queue's next Sync or Barrier.
 func (t *Text) Embed(tokens, positions []int, dst []api.Embed) error {
-	if err := t.q.guard(); err != nil {
-		return err
-	}
 	return t.q.rt.EmbedText(tokens, positions, dst)
 }
 
@@ -521,17 +508,11 @@ type Image struct{ q *Queue }
 // completion; an execution error surfaces at the queue's next Sync or
 // Barrier.
 func (i *Image) Embed(blob []byte, positions []int, dst []api.Embed) error {
-	if err := i.q.guard(); err != nil {
-		return err
-	}
 	return i.q.rt.EmbedImage(blob, positions, dst)
 }
 
 // EmbedsNeeded sizes the slot allocation for an image.
 func (i *Image) EmbedsNeeded(imageBytes int) (int, error) {
-	if err := i.q.guard(); err != nil {
-		return 0, err
-	}
 	return i.q.rt.NumEmbedsNeeded(imageBytes)
 }
 
@@ -540,27 +521,10 @@ func (i *Image) EmbedsNeeded(imageBytes int) (int, error) {
 // Sample is the output_text-trait capability.
 type Sample struct{ q *Queue }
 
-// NextDist resolves with the truncated next-token distribution of an
-// output embedding (get_next_dist).
-func (s *Sample) NextDist(emb api.Embed) (api.Future[api.Dist], error) {
-	if err := s.q.guard(); err != nil {
-		return nil, err
-	}
+// NextDist requests the truncated next-token distribution of an output
+// embedding (get_next_dist).
+func (s *Sample) NextDist(emb api.Embed) (Result[api.Dist], error) {
 	return s.q.rt.GetNextDist(emb)
-}
-
-// Dist is NextDist for a caller that waits at once: it blocks until the
-// distribution is ready and returns it. It is the same get_next_dist in the
-// same queue order, but it allocates nothing: the result lives in the
-// call's own record until Dist returns. Use NextDist where calls should
-// overlap: several distributions requested before the first is awaited
-// (parallel branches, a multi-output verify), or one combined with other
-// futures.
-func (s *Sample) Dist(emb api.Embed) (api.Dist, error) {
-	if err := s.q.guard(); err != nil {
-		return api.Dist{}, err
-	}
-	return s.q.rt.NextDist(emb)
 }
 
 // --- Tokenizer capability --------------------------------------------------
@@ -570,28 +534,19 @@ type Tokenizer struct{ q *Queue }
 
 // Encode converts text to token ids (tokenize). It runs on the host when it
 // is called: the caller waits for the tokenizer's price, not for the device
-// or for earlier calls on the queue, and gets a resolved future. Decode and
+// or for earlier calls on the queue, and gets a ready result. Decode and
 // Vocabs keep queue order.
-func (t *Tokenizer) Encode(text string) (api.Future[[]int], error) {
-	if err := t.q.guard(); err != nil {
-		return nil, err
-	}
+func (t *Tokenizer) Encode(text string) (Result[[]int], error) {
 	return t.q.rt.Tokenize(text)
 }
 
 // Decode converts token ids back to text (detokenize).
-func (t *Tokenizer) Decode(ids []int) (api.Future[string], error) {
-	if err := t.q.guard(); err != nil {
-		return nil, err
-	}
+func (t *Tokenizer) Decode(ids []int) (Result[string], error) {
 	return t.q.rt.Detokenize(ids)
 }
 
 // Vocabs retrieves the byte expansion of every vocabulary entry
 // (get_vocabs).
-func (t *Tokenizer) Vocabs() (api.Future[[][]byte], error) {
-	if err := t.q.guard(); err != nil {
-		return nil, err
-	}
+func (t *Tokenizer) Vocabs() (Result[[][]byte], error) {
 	return t.q.rt.GetVocabs()
 }

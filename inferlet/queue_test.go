@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pie/api"
+	"pie/internal/sim"
 )
 
 // done is a resolved api.Future.
@@ -65,26 +66,31 @@ func (r *recorder) Forward(args api.ForwardArgs) error {
 	r.args = args
 	return nil
 }
-func (r *recorder) ForwardSampled(args api.ForwardArgs, toks, pos []int, spec api.SampleSpec) (api.Future[[]int], error) {
+func (r *recorder) ForwardSampled(args api.ForwardArgs, toks, pos []int, spec api.SampleSpec) (sim.Result[[]int], error) {
 	r.calls++
 	r.args, r.toks, r.pos, r.spec = args, toks, pos, spec
-	return done[[]int]{}, nil
+	return Ready[[]int](nil), nil
 }
 func (r *recorder) MaskKvPage(api.KvPage, []bool) error         { r.calls++; return nil }
 func (r *recorder) EmbedText(_, _ []int, _ []api.Embed) error   { r.calls++; return nil }
 func (r *recorder) EmbedImage([]byte, []int, []api.Embed) error { r.calls++; return nil }
 func (r *recorder) NumEmbedsNeeded(int) (int, error)            { r.calls++; return 4, nil }
-func (r *recorder) GetNextDist(api.Embed) (api.Future[api.Dist], error) {
+func (r *recorder) GetNextDist(api.Embed) (sim.Result[api.Dist], error) {
 	r.calls++
-	return done[api.Dist]{}, nil
+	return Ready(api.Dist{}), nil
 }
-func (r *recorder) NextDist(api.Embed) (api.Dist, error)       { r.calls++; return api.Dist{}, nil }
-func (r *recorder) Tokenize(string) (api.Future[[]int], error) { r.calls++; return done[[]int]{}, nil }
-func (r *recorder) Detokenize([]int) (api.Future[string], error) {
+func (r *recorder) Tokenize(string) (sim.Result[[]int], error) {
 	r.calls++
-	return done[string]{}, nil
+	return Ready[[]int](nil), nil
 }
-func (r *recorder) GetVocabs() (api.Future[[][]byte], error) { r.calls++; return done[[][]byte]{}, nil }
+func (r *recorder) Detokenize([]int) (sim.Result[string], error) {
+	r.calls++
+	return Ready(""), nil
+}
+func (r *recorder) GetVocabs() (sim.Result[[][]byte], error) {
+	r.calls++
+	return Ready[[][]byte](nil), nil
+}
 
 // every trait but adapter.
 var plainTraits = []api.Trait{api.TraitCore, api.TraitAllocate, api.TraitForward, api.TraitFused,
@@ -225,7 +231,9 @@ func TestForwardRunRefusesFusedOptions(t *testing.T) {
 }
 
 // TestClosedQueueGuards: once its queue has closed, every capability call
-// fails with ErrQueueClosed before it reaches the runtime.
+// fails with ErrQueueClosed before it reaches the runtime. The closed
+// queue's runtime refuses Close too, which a second Queue.Close never
+// reaches.
 func TestClosedQueueGuards(t *testing.T) {
 	q, r := newTestQueue(plainTraits...)
 	c := negotiateAll(t, q)
@@ -256,10 +264,10 @@ func TestClosedQueueGuards(t *testing.T) {
 		"Image.Embed":   c.image.Embed(nil, nil, nil),
 		"EmbedsNeeded":  e(c.image.EmbedsNeeded(1)),
 		"NextDist":      e(c.samp.NextDist(1)),
-		"Dist":          e(c.samp.Dist(1)),
 		"Encode":        e(c.tok.Encode("x")),
 		"Decode":        e(c.tok.Decode(nil)),
 		"Vocabs":        e(c.tok.Vocabs()),
+		"rt.Close":      q.rt.Close(),
 	} {
 		if !errors.Is(err, api.ErrQueueClosed) {
 			t.Errorf("%s on a closed queue = %v, want ErrQueueClosed", name, err)
@@ -297,12 +305,11 @@ func TestOpenQueuePassesThrough(t *testing.T) {
 	c.image.Embed(nil, nil, nil)
 	c.image.EmbedsNeeded(10)
 	c.samp.NextDist(1)
-	c.samp.Dist(1)
 	c.tok.Encode("x")
 	c.tok.Decode(nil)
 	c.tok.Vocabs()
-	if r.calls != 17 {
-		t.Errorf("%d calls reached the runtime, want 17", r.calls)
+	if r.calls != 16 {
+		t.Errorf("%d calls reached the runtime, want 16", r.calls)
 	}
 	bare, _ := newTestQueue(api.TraitCore)
 	for name, err := range map[string]error{

@@ -13,8 +13,11 @@ import (
 // round over 64 command queues: every queue gets one call (embed_txt on
 // half, detokenize on the other half, so two ready buckets compete), the
 // adaptive scheduler forms the two 32-wide batches, and the completions
-// release the queues. One op is one such round, sim events included: the
-// detokenizes' 32 futures and the signal the round waits on.
+// release the queues. One op is one such round, sim events included, and
+// the signal the round waits on. The detokenizes' results are never read,
+// so their records go to the GC and each round makes 32 fresh ones, whose
+// lists grow again: the row prices dropped results, which no workload's
+// hot path has.
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		const queues = 64

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"time"
@@ -371,7 +372,7 @@ func (ctl *Controller) SetQueuePriority(inst *Instance, qid api.Queue, pri int) 
 
 // Synchronize returns a signal that fires when every call enqueued on the
 // queue before this point has completed (synchronize). If one of those
-// calls had no future and failed, the signal fails instead, with the first
+// calls had no result and failed, the signal fails instead, with the first
 // such error since the queue's last synchronize, and the queue forgets it.
 func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (*sim.Signal, error) {
 	ctl.chargeControl(inst)
@@ -606,4 +607,18 @@ func (ctl *Controller) SortedInstanceIDs() []uint64 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// CheckFreeCalls is a test's check that each record on the free list is
+// there once and blank, its cell held, waited on and subscribed by nobody.
+func (ctl *Controller) CheckFreeCalls() error {
+	seen := map[*call]bool{}
+	for _, c := range ctl.freeCalls {
+		blank := call{Call: infer.Call{Res: c.Res}, ctl: ctl, free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
+		if seen[c] || !c.Res.Blank() || !reflect.DeepEqual(*c, blank) {
+			return fmt.Errorf("record %p listed twice or not blank: %+v", c, c)
+		}
+		seen[c] = true
+	}
+	return nil
 }

@@ -831,17 +831,8 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 // blank there.
 func checkFreeCalls(t *testing.T, ctl *Controller, when string) {
 	t.Helper()
-	seen := map[*call]bool{}
-	for _, c := range ctl.freeCalls {
-		if seen[c] {
-			t.Fatalf("%s: record %p is on the free list twice", when, c)
-		}
-		seen[c] = true
-		if !reflect.DeepEqual(c.Call, infer.Call{}) || c.q != nil || c.sync != nil || c.freeKv ||
-			c.waited || !reflect.DeepEqual(c.dist, sim.Future[api.Dist]{}) ||
-			len(c.pins)+len(c.free)+len(c.pageBuf)+len(c.embBuf)+len(c.intBuf)+len(c.boolBuf) != 0 {
-			t.Fatalf("%s: recycled record not blank: %+v", when, c)
-		}
+	if err := ctl.CheckFreeCalls(); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 
@@ -858,7 +849,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		step := func(pos int) *sim.Future[api.Dist] {
+		step := func(pos int) sim.Result[api.Dist] {
 			t.Helper()
 			if err := ctl.EmbedText(inst, qid, []int{5}, []int{pos}, embs[:1]); err != nil {
 				t.Fatal(err)
@@ -895,7 +886,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 		// Calls still queued when their instance is released fail, and
 		// their records come back too; the one already on the device
 		// comes back when its batch does.
-		var last *sim.Future[api.Dist]
+		var last sim.Result[api.Dist]
 		for pos := 50; pos < 54; pos++ {
 			last = step(pos)
 		}

@@ -145,7 +145,7 @@ func (ctl *Controller) stamp(c *call, inst *Instance, op infer.Op) *call {
 }
 
 // The calls that write into handles the program already owns — embed_txt,
-// embed_img, forward, copy_kvpage, mask_kvpage — return no future: queue
+// embed_img, forward, copy_kvpage, mask_kvpage — return no result: queue
 // order is their completion, and an execution error waits on the queue for
 // its next synchronize (cmdQueue.err).
 
@@ -205,24 +205,24 @@ func (ctl *Controller) Forward(inst *Instance, qid api.Queue, args api.ForwardAr
 
 // ForwardSampled schedules forward_with_sampling (the fused monolithic-style
 // pipeline, TraitFused): optional inline token embedding, forward, and
-// on-GPU sampling, one kernel.
-func (ctl *Controller) ForwardSampled(inst *Instance, qid api.Queue, args api.ForwardArgs, inlineTokens, inlinePos []int, spec infer.SampleSpec) (*sim.Future[[]int], error) {
+// on-GPU sampling, one kernel. The sampled tokens are the call's result.
+func (ctl *Controller) ForwardSampled(inst *Instance, qid api.Queue, args api.ForwardArgs, inlineTokens, inlinePos []int, spec infer.SampleSpec) (sim.Result[[]int], error) {
 	c, q, err := ctl.buildForward(inst, qid, args)
 	if err != nil {
-		return nil, err
+		return sim.Result[[]int]{}, err
 	}
 	if n := len(inlineTokens); n > 0 {
 		if len(args.InputEmb) > 0 {
-			return nil, ctl.refuse(c, fmt.Errorf("%w: both InputEmb and inline tokens", api.ErrBadArgument))
+			return sim.Result[[]int]{}, ctl.refuse(c, fmt.Errorf("%w: both InputEmb and inline tokens", api.ErrBadArgument))
 		}
 		c.intBuf = append(append(c.intBuf[:0], inlineTokens...), inlinePos...)
 		c.FusedEmb, c.FusedPos = c.intBuf[:n:n], c.intBuf[n:]
 	}
 	c.sample = spec
 	c.Sample = &c.sample
-	c.FusedTok = sim.NewFuture[[]int](ctl.clock)
+	r := sim.Hold(&c.Res, &c.Sampled)
 	ctl.enqueue(q, c)
-	return c.FusedTok, nil
+	return r, nil
 }
 
 // buildForward resolves a forward's four handle lists in one pass. The
@@ -268,49 +268,21 @@ func (ctl *Controller) buildForward(inst *Instance, qid api.Queue, args api.Forw
 	return c, q, nil
 }
 
-// NextDist schedules get_next_dist. The inferlet gets the call's own
-// future: the batch that samples resolves it.
-func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (*sim.Future[api.Dist], error) {
-	c, err := ctl.distCall(inst, qid, emb)
-	if err != nil {
-		return nil, err
-	}
-	c.DistFut = sim.NewFuture[api.Dist](ctl.clock)
-	ctl.enqueue(c.q, c)
-	return c.DistFut, nil
-}
-
-// WaitDist is get_next_dist for a caller that waits at once: it blocks
-// until the distribution is ready and returns it. The result cell is the
-// record's own, so the call allocates nothing. The record has two holders,
-// the completing party (onBatchComplete, failPending) and this caller, and
-// the later of their releases recycles it: the caller's runs in a defer, so
-// a caller killed while parked lets go exactly once too.
-func (ctl *Controller) WaitDist(inst *Instance, qid api.Queue, emb api.Embed) (api.Dist, error) {
-	c, err := ctl.distCall(inst, qid, emb)
-	if err != nil {
-		return api.Dist{}, err
-	}
-	c.dist.Reset(ctl.clock)
-	c.DistFut, c.waited = &c.dist, true
-	ctl.enqueue(c.q, c)
-	defer ctl.release(c)
-	return c.dist.Get()
-}
-
-// distCall validates a get_next_dist and returns its stamped record.
-func (ctl *Controller) distCall(inst *Instance, qid api.Queue, emb api.Embed) (*call, error) {
+// NextDist schedules get_next_dist; the distribution is the call's result.
+func (ctl *Controller) NextDist(inst *Instance, qid api.Queue, emb api.Embed) (sim.Result[api.Dist], error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return sim.Result[api.Dist]{}, err
 	}
 	ref := inst.embeds.get(uint64(emb))
 	if ref == nil || ref.m != q.m {
-		return nil, api.ErrBadHandle
+		return sim.Result[api.Dist]{}, api.ErrBadHandle
 	}
 	c := ctl.newCall(inst, q, infer.OpNextDist)
 	c.DistOf = q.m.rt.Embed(ref.phys)
-	return c, nil
+	r := sim.Hold(&c.Res, &c.Dist)
+	ctl.enqueue(q, c)
+	return r, nil
 }
 
 // CopyKv schedules copy_kvpage: token-level copy between pages.
@@ -362,45 +334,45 @@ func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bi
 }
 
 // Tokenize runs tokenize on the host when it is called: the caller pays the
-// tokenizer's price and gets a resolved future. Unlike detokenize and
-// get_vocabs it waits neither for the device nor for earlier calls on its
-// queue. It still counts as an inference call.
-func (ctl *Controller) Tokenize(inst *Instance, qid api.Queue, text string) (*sim.Future[[]int], error) {
+// tokenizer's price and gets a ready result, with no record behind it.
+// Unlike detokenize and get_vocabs it waits neither for the device nor for
+// earlier calls on its queue. It still counts as an inference call.
+func (ctl *Controller) Tokenize(inst *Instance, qid api.Queue, text string) (sim.Result[[]int], error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return sim.Result[[]int]{}, err
 	}
 	ctl.callSeq++
 	inst.InferCalls++
 	ids := q.m.rt.Model.Tokenizer().Encode(text)
 	ctl.clock.Sleep(infer.TokenizerCost(1, len(text)))
-	return sim.Resolved(ctl.clock, ids), nil
+	return sim.Ready(ids), nil
 }
 
 // Detokenize schedules detokenize.
-func (ctl *Controller) Detokenize(inst *Instance, qid api.Queue, ids []int) (*sim.Future[string], error) {
+func (ctl *Controller) Detokenize(inst *Instance, qid api.Queue, ids []int) (sim.Result[string], error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return sim.Result[string]{}, err
 	}
 	c := ctl.newCall(inst, q, infer.OpDetokenize)
 	c.intBuf = append(c.intBuf[:0], ids...)
 	c.TokenIDs = c.intBuf
-	c.TextFut = sim.NewFuture[string](ctl.clock)
+	r := sim.Hold(&c.Res, &c.Text)
 	ctl.enqueue(q, c)
-	return c.TextFut, nil
+	return r, nil
 }
 
 // GetVocabs schedules get_vocabs.
-func (ctl *Controller) GetVocabs(inst *Instance, qid api.Queue) (*sim.Future[[][]byte], error) {
+func (ctl *Controller) GetVocabs(inst *Instance, qid api.Queue) (sim.Result[[][]byte], error) {
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
+		return sim.Result[[][]byte]{}, err
 	}
 	c := ctl.newCall(inst, q, infer.OpGetVocabs)
-	c.VocabFut = sim.NewFuture[[][]byte](ctl.clock)
+	r := sim.Hold(&c.Res, &c.Vocab)
 	ctl.enqueue(q, c)
-	return c.VocabFut, nil
+	return r, nil
 }
 
 // --- Outstanding-work accounting -------------------------------------------
@@ -474,7 +446,7 @@ func (ctl *Controller) failPending(q *cmdQueue, err error) {
 		ctl.unpinCall(c)
 		c.Err = err
 		c.Fail()
-		ctl.release(c)
+		c.Res.Release()
 	}
 	ctl.sched.forgetQueue(q)
 }
@@ -490,7 +462,7 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 		ctl.unpinCall(c)
 		c.q.inflight--
 		if ic.Err != nil && !ic.HasResult() && c.q.err == nil {
-			// No future to carry it: the queue's next synchronize does.
+			// No result to carry it: the queue's next synchronize does.
 			c.q.err = ic.Err
 		}
 	}
@@ -531,10 +503,10 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 			ctl.sched.refresh(q)
 		}
 	}
-	// The batch is done with: its futures resolved in the backend, nothing
+	// The batch is done with: its results completed in the backend, nothing
 	// above reads the records again.
 	for _, ic := range b.Calls {
-		ctl.release(ic.Ctl.(*call))
+		ic.Ctl.(*call).Res.Release()
 	}
 	ctl.sched.freeBatch(b)
 	ctl.sched.tryDispatch()

@@ -278,20 +278,13 @@ func (inst *Instance) uses(m *modelState) bool {
 
 // call is the control layer's record of one queued API call: the
 // inference-layer call itself plus the bookkeeping only the controller
-// reads. An inferlet holds a call's future, never the record, so a record
-// whose call completed, failed or was refused goes back to
-// Controller.freeCalls with the backing arrays of its lists. A waited call
-// (WaitDist) is the exception: its caller reads the result from the record,
-// so the record has two holders and the last to release it recycles it.
+// reads. A record whose call completed, failed or was refused goes back to
+// Controller.freeCalls with the backing arrays of its lists, once the
+// call's result, if it has one, is read too (sim.Cell).
 type call struct {
 	infer.Call
-	q *cmdQueue // the queue the call was enqueued on
-
-	// dist is a waited get_next_dist's result cell (DistFut points at it);
-	// waited is set while both the caller and the completing party hold
-	// the record.
-	dist   sim.Future[api.Dist]
-	waited bool
+	q   *cmdQueue   // the queue the call was enqueued on
+	ctl *Controller // whose free list the record returns to
 
 	// pins are the physical pages the call references, pinned
 	// device-resident from enqueue until completion (or queue teardown) so
@@ -333,7 +326,7 @@ type cmdQueue struct {
 	first    int
 	inflight int
 	closed   bool
-	// err is the first execution error of a call with no future (embed,
+	// err is the first execution error of a call with no result (embed,
 	// forward, copy, mask) since the queue's last synchronize, which
 	// reports and clears it.
 	err error
@@ -564,28 +557,22 @@ func (ctl *Controller) record(q *cmdQueue) *call {
 	if n := len(ctl.freeCalls); n > 0 {
 		c, ctl.freeCalls = ctl.freeCalls[n-1], ctl.freeCalls[:n-1]
 	} else {
-		c = &call{}
+		c = &call{ctl: ctl}
+		c.Res.Init(ctl.clock, c)
 	}
 	c.q = q
 	return c
 }
 
-// release gives up one holder's claim on a record: the completing batch's
-// (or the closing queue's), and for a waited call also the caller's. The
-// last release recycles it.
-func (ctl *Controller) release(c *call) {
-	if c.waited {
-		c.waited = false
-		return
-	}
-	ctl.recycle(c)
-}
+// Recycle takes the record back once its cell's holders let go (sim.Cell).
+func (c *call) Recycle() { c.ctl.recycle(c) }
 
 // recycle blanks a record nothing refers to any more, keeps its backing
-// arrays and puts it on the free list.
+// arrays and its cell, one generation on, and puts it on the free list.
 func (ctl *Controller) recycle(c *call) {
 	clear(c.free)
-	*c = call{free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
+	c.Res.Reset()
+	*c = call{Call: infer.Call{Res: c.Res}, ctl: c.ctl, free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
 	ctl.freeCalls = append(ctl.freeCalls, c)
 }
 

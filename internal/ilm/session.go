@@ -57,7 +57,7 @@ func (s *session) Send(msg string) {
 
 func (s *session) Receive() api.Future[string] {
 	s.inst.ControlCalls++
-	return s.handle.toInflt.RecvFuture()
+	return s.handle.toInflt.Receiver()
 }
 
 func (s *session) Print(msg string) {
@@ -80,12 +80,12 @@ func (s *session) ReportOutputTokens(n int) { s.inst.ReportOutputTokens(n) }
 
 // --- I/O and messaging --------------------------------------------------
 
-func (s *session) HTTPGet(url string) api.Future[string] {
+func (s *session) HTTPGet(url string) sim.Result[string] {
 	s.inst.ControlCalls++
 	return s.ilm.world.Call(url, "")
 }
 
-func (s *session) HTTPPost(url, body string) api.Future[string] {
+func (s *session) HTTPPost(url, body string) sim.Result[string] {
 	s.inst.ControlCalls++
 	return s.ilm.world.Call(url, body)
 }
@@ -226,7 +226,7 @@ func (b *queueBinding) Forward(args api.ForwardArgs) error {
 	return b.s.ctl.Forward(b.s.inst, b.qid, args)
 }
 
-func (b *queueBinding) ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (api.Future[[]int], error) {
+func (b *queueBinding) ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (sim.Result[[]int], error) {
 	b.s.checkHandoff()
 	return b.s.ctl.ForwardSampled(b.s.inst, b.qid, args, inlineTokens, inlinePos, infer.SampleSpec{
 		TopK: spec.TopK, Temperature: spec.Temperature, Seed: spec.Seed,
@@ -255,23 +255,19 @@ func (b *queueBinding) NumEmbedsNeeded(imageBytes int) (int, error) {
 	return rt.Model.EmbedsNeededForImage(imageBytes), nil
 }
 
-func (b *queueBinding) GetNextDist(emb api.Embed) (api.Future[api.Dist], error) {
+func (b *queueBinding) GetNextDist(emb api.Embed) (sim.Result[api.Dist], error) {
 	return b.s.ctl.NextDist(b.s.inst, b.qid, emb)
 }
 
-func (b *queueBinding) NextDist(emb api.Embed) (api.Dist, error) {
-	return b.s.ctl.WaitDist(b.s.inst, b.qid, emb)
-}
-
-func (b *queueBinding) Tokenize(text string) (api.Future[[]int], error) {
+func (b *queueBinding) Tokenize(text string) (sim.Result[[]int], error) {
 	return b.s.ctl.Tokenize(b.s.inst, b.qid, text)
 }
 
-func (b *queueBinding) Detokenize(ids []int) (api.Future[string], error) {
+func (b *queueBinding) Detokenize(ids []int) (sim.Result[string], error) {
 	return b.s.ctl.Detokenize(b.s.inst, b.qid, ids)
 }
 
-func (b *queueBinding) GetVocabs() (api.Future[[][]byte], error) {
+func (b *queueBinding) GetVocabs() (sim.Result[[][]byte], error) {
 	return b.s.ctl.GetVocabs(b.s.inst, b.qid)
 }
 

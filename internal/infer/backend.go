@@ -80,7 +80,7 @@ func NewBackend(c *sim.Clock, deviceName string) *Backend {
 func (b *Backend) SetCompleteFunc(fn func(*Batch)) { b.onComplete = fn }
 
 // Submit ships a batch across the IPC boundary. The returned accounting is
-// asynchronous: each call's futures resolve when the batch completes. The
+// asynchronous: each call's result completes when the batch does. The
 // batch waits for the parser, then pays a per-call parsing cost before
 // reaching the GPU.
 func (b *Backend) Submit(batch *Batch) {
@@ -175,8 +175,8 @@ func (b *Backend) respond() {
 // executing, those queued on it, and, as the parser reaches them, those
 // queued for or in the parser — with err. Each failed batch reaches the
 // completion callback like a finished one, so the control layer drops its
-// page pins and recycles its records; Call.Fail reaches the calls' typed
-// futures. Batches whose results are already on the way back complete as
+// page pins and recycles its records; Call.Fail reaches the calls' result
+// cells. Batches whose results are already on the way back complete as
 // usual.
 func (b *Backend) Fail(err error) {
 	b.lost = err

@@ -150,7 +150,7 @@ func TestBackendFailFailsWhatTheDeviceHolds(t *testing.T) {
 	in := rt.Embed(0)
 	in.Valid = true
 	fwd := &Batch{Op: OpForward, Model: rt, Calls: []*Call{{Op: OpForward, Model: rt, Inputs: []*model.EmbedSlot{in}}}}
-	dist := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{{Op: OpNextDist, Model: rt, DistOf: in, DistFut: sim.NewFuture[DistResult](clock)}}}
+	dist := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{armed(&Call{Op: OpNextDist, Model: rt, DistOf: in}, clock)}}
 	done, queued, parsing, late := copyBatch(rt, 1), copyBatch(rt, 1), copyBatch(rt, 100), copyBatch(rt, 1)
 	var distErr error
 	clock.Go("driver", func() {
@@ -162,7 +162,7 @@ func TestBackendFailFailsWhatTheDeviceHolds(t *testing.T) {
 		be.Submit(parsing)
 		be.Fail(lost)
 		be.Submit(late)
-		_, distErr = dist.Calls[0].DistFut.Get()
+		_, distErr = sim.Hold(&dist.Calls[0].Res, &dist.Calls[0].Dist).Get()
 		clock.Sleep(time.Second)
 	})
 	if err := clock.Run(); err != nil {

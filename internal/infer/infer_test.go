@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"pie/api"
 	"pie/internal/model"
 	"pie/internal/sim"
 )
@@ -126,16 +127,14 @@ func TestTimingDistDeterministicAndWellFormed(t *testing.T) {
 	slot := rt.Embed(7)
 	slot.Valid = true
 	clock := sim.NewClock()
-	get := func() DistResult {
-		c := &Call{Op: OpNextDist, Model: rt, Inst: 3, Seq: 9, DistOf: slot,
-			DistFut: sim.NewFuture[DistResult](clock)}
+	get := func() api.Dist {
+		c := armed(&Call{Op: OpNextDist, Model: rt, Inst: 3, Seq: 9, DistOf: slot}, clock)
 		if err := rt.executeCall(c); err != nil {
 			t.Fatal(err)
 		}
-		r, _ := c.DistFut.Get()
-		return r
+		return c.Dist
 	}
-	var a, b DistResult
+	var a, b api.Dist
 	clock.Go("p", func() { a = get(); b = get() })
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -164,14 +163,13 @@ func TestTimingDistIsAView(t *testing.T) {
 	valid, invalid := rt.Embed(7), rt.Embed(8)
 	valid.Valid = true
 	dist := func(inst, seq uint64, of *model.EmbedSlot) *Call {
-		return &Call{Op: OpNextDist, Model: rt, Inst: inst, Seq: seq, DistOf: of, DistFut: sim.NewFuture[DistResult](clock)}
+		return armed(&Call{Op: OpNextDist, Model: rt, Inst: inst, Seq: seq, DistOf: of}, clock)
 	}
 	get := func(c *Call) []int {
-		d, err := c.DistFut.Get()
-		if err != nil {
-			t.Fatal(err)
+		if !c.Res.Done() || c.Err != nil {
+			t.Fatalf("get_next_dist: done %v, error %v", c.Res.Done(), c.Err)
 		}
-		return d.Tokens
+		return c.Dist.Tokens
 	}
 	table := pseudoTable(rt.Model.VocabSize())
 	if unsafe.SliceData(table) != unsafe.SliceData(testRuntime(ExecTiming).pseudoToks) {
@@ -182,11 +180,11 @@ func TestTimingDistIsAView(t *testing.T) {
 		b := &Batch{Op: OpNextDist, Model: rt, Calls: []*Call{dist(3, 1, valid), dist(3, 1, valid), dist(4, 1, valid)}}
 		if allocs := testing.AllocsPerRun(10, func() {
 			for _, c := range b.Calls {
-				c.DistFut = sim.NewFuture[DistResult](clock)
+				c.Res.Reset()
 			}
 			rt.execute(b)
-		}); allocs > float64(len(b.Calls)) {
-			t.Errorf("a batch of %d distributions allocated %v times besides their futures", len(b.Calls), allocs-float64(len(b.Calls)))
+		}); allocs != 0 {
+			t.Errorf("a batch of %d distributions allocated %v times", len(b.Calls), allocs)
 		}
 		x, same, other := get(b.Calls[0]), get(b.Calls[1]), get(b.Calls[2])
 		b.Calls[0], b.Calls[1], b.Calls[2] = dist(3, 1, valid), dist(3, 2, invalid), dist(4, 1, valid)
@@ -228,8 +226,8 @@ func TestSampledTokensShareOneSlab(t *testing.T) {
 	rt := testRuntime(ExecTiming)
 	clock := sim.NewClock()
 	fused := func(seq uint64, outs int) *Call {
-		c := &Call{Op: OpForward, Model: rt, Inst: 5, Seq: seq, Sample: &SampleSpec{}, FusedTok: sim.NewFuture[[]int](clock),
-			FusedEmb: make([]int, outs), FusedPos: make([]int, outs)}
+		c := armed(&Call{Op: OpForward, Model: rt, Inst: 5, Seq: seq, Sample: &SampleSpec{},
+			FusedEmb: make([]int, outs), FusedPos: make([]int, outs)}, clock)
 		for i := 0; i < outs; i++ {
 			c.Outputs = append(c.Outputs, rt.Embed(int32(20+i)))
 		}
@@ -238,8 +236,7 @@ func TestSampledTokensShareOneSlab(t *testing.T) {
 	clock.Go("p", func() {
 		fwd := &Batch{Op: OpForward, Model: rt, Calls: []*Call{fused(4, 2), fused(5, 3)}}
 		rt.execute(fwd)
-		x, _ := fwd.Calls[0].FusedTok.Get()
-		y, _ := fwd.Calls[1].FusedTok.Get()
+		x, y := fwd.Calls[0].Sampled, fwd.Calls[1].Sampled
 		if len(x) != 2 || cap(x) != 2 || len(y) != 3 || !adjacent(x, y) {
 			t.Errorf("fused sampling handed out %d (cap %d) and %d tokens, want 2 and 3 from one slab", len(x), cap(x), len(y))
 		}
@@ -247,7 +244,7 @@ func TestSampledTokensShareOneSlab(t *testing.T) {
 		if err := rt.executeCall(alone); err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := alone.FusedTok.Get(); !slices.Equal(y, want) {
+		if !slices.Equal(y, alone.Sampled) {
 			t.Error("batched tokens differ from the call executed alone")
 		}
 	})
@@ -319,7 +316,8 @@ func TestBackendFailsWhatExecutionRejects(t *testing.T) {
 		c := &Call{Op: OpForward, Model: rt, Inputs: ins, OutPages: []*model.KvPage{rt.Page(5)}}
 		if fused {
 			outs = append(outs, rt.Embed(499))
-			c.Outputs, c.Sample, c.FusedTok = outs, &SampleSpec{}, sim.NewFuture[[]int](clock)
+			c.Outputs, c.Sample = outs, &SampleSpec{}
+			c.Res.Init(clock, nil)
 		}
 		return c
 	}
@@ -328,7 +326,7 @@ func TestBackendFailsWhatExecutionRejects(t *testing.T) {
 	clock.Go("driver", func() {
 		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{plain}})
 		be.Submit(&Batch{Op: OpForward, Model: rt, Calls: []*Call{fused}})
-		_, tokErr = fused.FusedTok.Get()
+		_, tokErr = sim.Hold(&fused.Res, &fused.Sampled).Get()
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -366,19 +364,17 @@ func BenchmarkNextDistTiming(b *testing.B) {
 			slot := rt.Embed(0)
 			slot.Valid = true
 			clock := sim.NewClock()
-			blank := sim.NewFuture[DistResult](clock)
-			c := &Call{Op: OpNextDist, Model: rt, Inst: 3, DistOf: slot, DistFut: sim.NewFuture[DistResult](clock)}
+			c := armed(&Call{Op: OpNextDist, Model: rt, Inst: 3, DistOf: slot}, clock)
 			var sum int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				*c.DistFut = *blank // an unresolved future again
+				c.Res.Reset() // an unresolved cell again
 				c.Seq = uint64(n)
 				if err := rt.executeCall(c); err != nil {
 					b.Fatal(err)
 				}
-				d, _ := c.DistFut.Get()
-				sum += d.Tokens[0] + len(d.Tokens)
+				sum += c.Dist.Tokens[0] + len(c.Dist.Tokens)
 			}
 			sink = sum
 		})
@@ -386,3 +382,10 @@ func BenchmarkNextDistTiming(b *testing.B) {
 }
 
 var sink int
+
+// armed returns c with its result cell on clock, as the control layer
+// issues a call.
+func armed(c *Call, clock *sim.Clock) *Call {
+	c.Res.Init(clock, nil)
+	return c
+}

@@ -83,10 +83,9 @@ type Call struct {
 	Outputs  []*model.EmbedSlot
 	Mask     [][]bool
 	Adapter  string
-	Sample   *SampleSpec        // fused sampling (nil for the standard path)
-	FusedTok *sim.Future[[]int] // fused sampling result
-	FusedEmb []int              // fused input embedding: token ids
-	FusedPos []int              //   ...and their positions
+	Sample   *SampleSpec // fused sampling (nil for the standard path)
+	FusedEmb []int       // fused input embedding: token ids
+	FusedPos []int       //   ...and their positions
 
 	// OpEmbedText
 	TokenIDs  []int
@@ -95,8 +94,7 @@ type Call struct {
 	Blob []byte
 
 	// OpNextDist
-	DistOf  *model.EmbedSlot
-	DistFut *sim.Future[DistResult]
+	DistOf *model.EmbedSlot
 
 	// OpCopyKv
 	SrcPage, DstPage *model.KvPage
@@ -107,49 +105,39 @@ type Call struct {
 	MaskPage *model.KvPage
 	MaskBits []bool
 
-	// OpDetokenize / OpGetVocabs
-	TextFut  *sim.Future[string]
-	VocabFut *sim.Future[[][]byte]
+	// Res is the cell of the call's result (HasResult), the op's field below.
+	Res     sim.Cell
+	Sampled []int    // a fused forward's tokens
+	Dist    api.Dist // get_next_dist
+	Text    string   // detokenize
+	Vocab   [][]byte // get_vocabs
 
 	// Ctl is the control layer's own record of the call (its queue, its
 	// page pins); the inference layer carries it through a batch unread.
 	Ctl any
 
-	// Err is the call's execution error. A call with a typed future fails
-	// it (Fail); one without — embed, forward, copy, mask: they write into
+	// Err is the call's execution error. A call with a result fails its
+	// cell (Fail); one without — embed, forward, copy, mask: they write into
 	// handles the program owns, and queue order is their completion — leaves
 	// the error for the control layer to hold on its queue.
 	Err error
 }
 
-// HasResult reports whether the call carries a typed future for its
-// result.
+// HasResult reports whether the call has a result: get_next_dist,
+// detokenize, get_vocabs and a fused forward do.
 func (c *Call) HasResult() bool {
-	return c.DistFut != nil || c.TextFut != nil || c.VocabFut != nil || c.FusedTok != nil
+	return c.Op == OpNextDist || c.Op == OpDetokenize || c.Op == OpGetVocabs || c.Sample != nil
 }
 
-// Fail completes every typed future the call carries that is still pending
-// with c.Err. The backend fails a call whose execution returned an error,
-// and every call of a batch a failed device will never complete; the
-// control layer fails the calls a closing queue never dispatched.
+// Fail completes the call's result cell, if it has one still pending, with
+// c.Err. The backend fails a call whose execution returned an error, and
+// every call of a batch a failed device will never complete; the control
+// layer fails the calls a closing queue never dispatched.
 func (c *Call) Fail() {
-	if c.DistFut != nil && !c.DistFut.Done() {
-		c.DistFut.Fail(c.Err)
-	}
-	if c.TextFut != nil && !c.TextFut.Done() {
-		c.TextFut.Fail(c.Err)
-	}
-	if c.VocabFut != nil && !c.VocabFut.Done() {
-		c.VocabFut.Fail(c.Err)
-	}
-	if c.FusedTok != nil && !c.FusedTok.Done() {
-		c.FusedTok.Fail(c.Err)
+	if c.HasResult() && !c.Res.Done() {
+		c.Res.Fail(c.Err)
 	}
 }
-
-// DistResult carries a truncated next-token distribution: the inferlet's
-// api.Dist, produced in place.
-type DistResult = api.Dist
 
 // NewTokens returns the number of fresh tokens a call feeds the model.
 func (c *Call) NewTokens() int {

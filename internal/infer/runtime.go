@@ -47,8 +47,8 @@ type ModelRuntime struct {
 	pseudo      pseudoMod
 	pseudoToks  []int
 	pseudoProbs []float32
-	// slab is what is left of the one allocation the executing batch's
-	// timing-mode sampled tokens are cut from (tokens).
+	// slab is what is left of the allocation timing-mode sampled tokens
+	// are cut from (tokens).
 	slab []int
 }
 
@@ -132,19 +132,23 @@ func (rt *ModelRuntime) Embed(id int32) *model.EmbedSlot {
 // execute runs the functional side of a batch, call by call in order.
 func (rt *ModelRuntime) execute(b *Batch) {
 	if rt.Mode == ExecTiming && b.Op == OpForward {
-		// Timing mode hands every sampled forward a token list it keeps: one
-		// allocation serves the batch.
+		// Timing mode hands every sampled forward a token list it keeps, cut
+		// from one allocation that holds a page of this batch's decode steps.
 		n := 0
 		for _, c := range b.Calls {
 			if c.Sample != nil {
 				n += len(c.Outputs)
 			}
 		}
-		rt.slab = make([]int, n)
+		if len(rt.slab) < n {
+			rt.slab = make([]int, n*rt.Model.Config().PageSize)
+		}
 	}
 	for _, c := range b.Calls {
 		if err := rt.executeCall(c); err != nil {
 			c.Err = err
+		} else if c.HasResult() {
+			c.Res.Resolve()
 		}
 	}
 }
@@ -164,10 +168,10 @@ func (rt *ModelRuntime) executeCall(c *Call) error {
 	case OpMaskKv:
 		return rt.execMaskKv(c)
 	case OpDetokenize:
-		c.TextFut.Resolve(rt.Model.Tokenizer().Decode(c.TokenIDs))
+		c.Text = rt.Model.Tokenizer().Decode(c.TokenIDs)
 		return nil
 	case OpGetVocabs:
-		c.VocabFut.Resolve(rt.Model.Tokenizer().Vocab())
+		c.Vocab = rt.Model.Tokenizer().Vocab()
 		return nil
 	}
 	return fmt.Errorf("infer: unhandled op %v", c.Op)
@@ -234,7 +238,7 @@ func (rt *ModelRuntime) execForward(c *Call) error {
 		if err != nil {
 			return err
 		}
-		c.FusedTok.Resolve(toks)
+		c.Sampled = toks
 	}
 	return nil
 }
@@ -296,7 +300,7 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 }
 
 // tokens returns an n-token list for a call's result to keep: the next n of
-// the batch's slab, or memory of its own when the slab has no room (full
+// the slab, or memory of its own when the slab has no room (full
 // mode, a call executed outside a batch).
 func (rt *ModelRuntime) tokens(n int) []int {
 	if len(rt.slab) < n {
@@ -332,7 +336,7 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 		if err != nil {
 			return err
 		}
-		c.DistFut.Resolve(DistResult{Tokens: toks, Probs: probs})
+		c.Dist = api.Dist{Tokens: toks, Probs: probs}
 		return nil
 	}
 	if !c.DistOf.Valid {
@@ -346,7 +350,7 @@ func (rt *ModelRuntime) execNextDist(c *Call) error {
 	// read-only (api.Dist).
 	k := len(rt.pseudoProbs)
 	off := mix64(pseudoBase(c.Inst, c.Seq)) % uint64(len(rt.pseudoToks)-k+1)
-	c.DistFut.Resolve(DistResult{Tokens: rt.pseudoToks[off : off+uint64(k) : off+uint64(k)], Probs: rt.pseudoProbs})
+	c.Dist = api.Dist{Tokens: rt.pseudoToks[off : off+uint64(k) : off+uint64(k)], Probs: rt.pseudoProbs}
 	return nil
 }
 

@@ -32,9 +32,6 @@ func RoundTrip[T any](l Link, fn func() T) T {
 	return v
 }
 
-// Send charges a one-way trip.
-func (l Link) Send() { l.Clock.Sleep(l.RTT / 2) }
-
 // Service is an external endpoint with its own processing latency.
 type Service struct {
 	Name    string
@@ -52,6 +49,7 @@ type World struct {
 	// DefaultLatency applies to unregistered hosts.
 	DefaultLatency time.Duration
 	Calls          int
+	free           []*request
 }
 
 // NewWorld creates an empty world.
@@ -66,12 +64,6 @@ func NewWorld(clock *sim.Clock) *World {
 // Register installs a service under a host name (e.g. "weather.api").
 func (w *World) Register(s *Service) { w.services[s.Name] = s }
 
-// Lookup fetches a registered service.
-func (w *World) Lookup(host string) (*Service, bool) {
-	s, ok := w.services[host]
-	return s, ok
-}
-
 // host extracts the service name from a URL like "http://weather.api/q?x".
 func host(url string) string {
 	u := strings.TrimPrefix(strings.TrimPrefix(url, "https://"), "http://")
@@ -81,25 +73,52 @@ func host(url string) string {
 	return u
 }
 
-// Call performs an asynchronous request against url: the returned future
-// resolves after the service's latency with its response. Fire-and-forget
-// callers simply drop the future (§7.2 optimization #2). The request is a
-// clock timer, not a process: one event from call to response.
-func (w *World) Call(url, body string) *sim.Future[string] {
+// Call performs an asynchronous request against url, answered after the
+// service's latency. Fire-and-forget callers simply drop the result (§7.2
+// optimization #2). The request is a pooled record (sim.Cell) and a clock
+// timer: one event and, once its result is read, no allocation.
+func (w *World) Call(url, body string) sim.Result[string] {
 	w.Calls++
-	f := sim.NewFuture[string](w.clock)
-	h := host(url)
-	svc, ok := w.services[h]
-	lat := w.DefaultLatency
-	if ok {
-		lat = svc.Latency
+	var r *request
+	if n := len(w.free); n > 0 {
+		r, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		r = &request{w: w}
+		r.res.Init(w.clock, r)
+		r.fire = r.respond
 	}
-	w.clock.After(lat, func() {
-		if !ok {
-			f.Resolve(fmt.Sprintf(`{"host":%q,"status":200,"body":"ok"}`, h))
-			return
-		}
-		f.Resolve(svc.Handler(body))
-	})
-	return f
+	r.host, r.body = host(url), body
+	lat := w.DefaultLatency
+	if r.svc = w.services[r.host]; r.svc != nil {
+		lat = r.svc.Latency
+	}
+	res := sim.Hold(&r.res, &r.resp)
+	w.clock.After(lat, r.fire)
+	return res
+}
+
+// request is a tool call's record.
+type request struct {
+	w                *World
+	res              sim.Cell
+	svc              *Service // nil: an unregistered host
+	host, body, resp string
+	fire             func() // respond, bound once per record
+}
+
+// respond is the request's timer: the service answers.
+func (r *request) respond() {
+	if r.svc == nil {
+		r.resp = fmt.Sprintf(`{"host":%q,"status":200,"body":"ok"}`, r.host)
+	} else {
+		r.resp = r.svc.Handler(r.body)
+	}
+	r.res.Resolve()
+	r.res.Release()
+}
+
+// Recycle returns the record to the world's pool.
+func (r *request) Recycle() {
+	r.res.Reset()
+	r.w.free = append(r.w.free, r)
 }

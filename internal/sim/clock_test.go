@@ -129,7 +129,8 @@ func TestFutureGetAfterResolve(t *testing.T) {
 	c := NewClock()
 	var got int
 	c.Go("p", func() {
-		f := Resolved(c, 7)
+		f := NewFuture[int](c)
+		f.Resolve(7)
 		got, _ = f.Get()
 	})
 	if err := c.Run(); err != nil {
@@ -194,8 +195,8 @@ func TestMailboxFIFO(t *testing.T) {
 
 // TestMailboxReusesItsArrays: a mailbox that is drained between sends — one
 // message queued and taken, or one receiver parked and served, at a time —
-// keeps the backing arrays it started with, and keeps FIFO order when it is
-// not drained.
+// keeps the message array it started with and parks its receiver in the
+// mailbox's own waiter slot, and keeps FIFO order when it is not drained.
 func TestMailboxReusesItsArrays(t *testing.T) {
 	c := NewClock()
 	c.Go("p", func() {
@@ -205,25 +206,27 @@ func TestMailboxReusesItsArrays(t *testing.T) {
 		buf := &m.buf[:1][0]
 		for i := 1; i <= 50; i++ {
 			m.Send(i)
-			if v, _ := m.RecvFuture().Get(); v != i {
+			if v, _ := m.Recv(); v != i {
 				t.Fatalf("received %d, want %d", v, i)
 			}
 		}
 		if &m.buf[:1][0] != buf {
 			t.Error("the message array was reallocated by send/receive alternation")
 		}
-		first := m.RecvFuture()
-		waiters := &m.waiters[0]
-		m.Send(51)
-		for i := 52; i <= 100; i++ {
-			f := m.RecvFuture()
-			m.Send(i)
-			if v, _ := f.Get(); v != i {
-				t.Fatalf("a parked receiver got %d, want %d", v, i)
+		c.Go("r", func() {
+			for i := 51; i <= 100; i++ {
+				if v, _ := m.Recv(); v != i {
+					t.Errorf("a parked receiver got %d, want %d", v, i)
+				}
 			}
+		})
+		for i := 51; i <= 100; i++ {
+			c.Yield() // r parks
+			m.Send(i)
 		}
-		if v, _ := first.Get(); v != 51 || &m.waiters[:1][0] != waiters {
-			t.Errorf("first receiver got %d (want 51); waiter array reallocated: %v", v, &m.waiters[:1][0] != waiters)
+		c.Yield()
+		if &m.recv.q[:1][0] != &m.inline[0] {
+			t.Error("one receiver parked at a time made a waiter array")
 		}
 		// Not drained: order holds across the restart.
 		for i := 0; i < 3; i++ {
@@ -308,10 +311,13 @@ func TestMailboxOnReadable(t *testing.T) {
 
 		// A message a parked receiver takes never becomes readable.
 		m.OnReadable(hook)
-		got := m.RecvFuture()
+		got := -1
+		c.Go("r", func() { got, _ = m.Recv() })
+		c.Yield() // r parks
 		m.Send(4)
-		if v, _ := got.Get(); v != 4 || fired != 3 {
-			t.Errorf("parked receiver got %d and the hook fired %d times, want 4 and 3", v, fired)
+		c.Yield() // r takes it
+		if got != 4 || fired != 3 {
+			t.Errorf("parked receiver got %d and the hook fired %d times, want 4 and 3", got, fired)
 		}
 		m.Close()
 		if fired != 4 {

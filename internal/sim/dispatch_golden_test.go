@@ -55,7 +55,7 @@ func (r *dispatchRec) sleep(name string, d time.Duration) {
 	r.c.Sleep(d)
 }
 
-func recGet[T any](r *dispatchRec, name string, f *Future[T]) (T, error) {
+func recGet[T any](r *dispatchRec, name string, f interface{ Get() (T, error) }) (T, error) {
 	defer r.rec(name)
 	return f.Get()
 }
@@ -98,7 +98,7 @@ func dispatchScenarioRun(t *testing.T) (uint64, int) {
 	r.spawn("ping", func() {
 		for i := 0; i < 5; i++ {
 			ping.Send(i)
-			if v, err := recGet(r, "ping", pong.RecvFuture()); err != nil || v != i {
+			if v, err := recGet(r, "ping", pong.Receiver()); err != nil || v != i {
 				t.Errorf("ping got %d, %v", v, err)
 			}
 			r.sleep("ping", us)
@@ -107,7 +107,7 @@ func dispatchScenarioRun(t *testing.T) (uint64, int) {
 	})
 	r.spawn("pong", func() {
 		for {
-			v, err := recGet(r, "pong", ping.RecvFuture())
+			v, err := recGet(r, "pong", ping.Receiver())
 			if err != nil {
 				return
 			}

@@ -10,16 +10,14 @@ import (
 // specific error.
 var ErrFailed = errors.New("sim: future failed")
 
-// Future is a one-shot result cell. Any number of processes may Get; all of
-// them resume once Resolve or Fail is called. Futures are the asynchronous
-// completion primitive for every API call in the system.
-type Future[T any] struct {
+// completion is what a Future and a record's Cell share: whether the
+// result is in, with what error, and who waits for it or is told of it.
+type completion struct {
 	c    *Clock
 	done bool
-	val  T
 	err  error
-	// Waiters wake in arrival order: first, then more. Nearly every future
-	// has exactly one, which therefore costs no allocation.
+	// Waiters wake in arrival order: first, then more. Nearly every
+	// completion has exactly one, which therefore costs no allocation.
 	first waiter
 	more  []waiter
 	subs  []func()
@@ -30,63 +28,33 @@ type waiter struct {
 	token uint64
 }
 
-// NewFuture creates an unresolved future on clock c.
-func NewFuture[T any](c *Clock) *Future[T] {
-	return &Future[T]{c: c}
+// Done reports whether the result is in.
+func (x *completion) Done() bool {
+	x.c.mu.Lock()
+	defer x.c.mu.Unlock()
+	return x.done
 }
 
-// Resolved returns an already-resolved future holding v.
-func Resolved[T any](c *Clock, v T) *Future[T] {
-	return &Future[T]{c: c, done: true, val: v}
-}
-
-// FailedFuture returns an already-failed future holding err.
-func FailedFuture[T any](c *Clock, err error) *Future[T] {
+// Fail completes with err and wakes all waiters.
+func (x *completion) Fail(err error) {
 	if err == nil {
 		err = ErrFailed
 	}
-	return &Future[T]{c: c, done: true, err: err}
+	x.complete(err)
 }
 
-// Reset makes f an unresolved future on clock c, for a result cell held by
-// value in a record that is recycled: the record's owner calls it only once
-// nobody waits on, subscribes to or holds the cell any more.
-func (f *Future[T]) Reset(c *Clock) { *f = Future[T]{c: c} }
-
-// Done reports whether the future has been resolved or failed.
-func (f *Future[T]) Done() bool {
-	f.c.mu.Lock()
-	defer f.c.mu.Unlock()
-	return f.done
-}
-
-// Resolve completes the future with v and wakes all waiters. Resolving an
-// already-completed future panics: it indicates a double-completion bug.
-func (f *Future[T]) Resolve(v T) { f.complete(v, nil) }
-
-// Fail completes the future with err and wakes all waiters.
-func (f *Future[T]) Fail(err error) {
-	var zero T
-	if err == nil {
-		err = ErrFailed
+// complete marks the result in and wakes all waiters. Completing twice
+// panics: it indicates a double-completion bug.
+func (x *completion) complete(err error) {
+	x.c.mu.Lock()
+	if x.done {
+		x.c.mu.Unlock()
+		panic("sim: completed twice")
 	}
-	f.complete(zero, err)
-}
-
-func (f *Future[T]) complete(v T, err error) {
-	f.c.mu.Lock()
-	if f.done {
-		f.c.mu.Unlock()
-		panic("sim: future completed twice")
-	}
-	f.done = true
-	f.val = v
-	f.err = err
-	first, more := f.first, f.more
-	f.first, f.more = waiter{}, nil
-	subs := f.subs
-	f.subs = nil
-	f.c.mu.Unlock()
+	x.done, x.err = true, err
+	first, more, subs := x.first, x.more, x.subs
+	x.first, x.more, x.subs = waiter{}, nil, nil
+	x.c.mu.Unlock()
 	// Callbacks run before waiters wake so api.Any relays fire first —
 	// the wake order stays deterministic either way, but this keeps the
 	// "first completion wins" rule independent of waiter registration.
@@ -94,30 +62,55 @@ func (f *Future[T]) complete(v T, err error) {
 		fn()
 	}
 	if first.p != nil {
-		f.c.unpark(first.p, first.token)
+		x.c.unpark(first.p, first.token)
 	}
 	for _, w := range more {
-		f.c.unpark(w.p, w.token)
+		x.c.unpark(w.p, w.token)
 	}
 }
 
-// Subscribe registers fn to run exactly once when the future completes;
-// if it already has, fn runs immediately. This is the api.Subscriber hook
-// behind the future combinators.
-func (f *Future[T]) Subscribe(fn func()) {
-	f.c.mu.Lock()
-	if f.done {
-		f.c.mu.Unlock()
+// wait blocks the calling process until the result is in and returns its
+// error.
+func (x *completion) wait() error {
+	c := x.c
+	c.mu.Lock()
+	if !x.done {
+		p := c.current
+		if p == nil {
+			c.mu.Unlock()
+			panic("sim: Get from outside the simulation")
+		}
+		if w := (waiter{p: p, token: p.parkToken + 1}); x.first.p == nil {
+			x.first = w
+		} else {
+			x.more = append(x.more, w)
+		}
+		c.mu.Unlock()
+		c.park()
+		c.mu.Lock()
+	}
+	err := x.err
+	c.mu.Unlock()
+	return err
+}
+
+// Subscribe registers fn to run exactly once when the result is in; if it
+// already is, fn runs immediately. This is the api.Subscriber hook behind
+// the future combinators.
+func (x *completion) Subscribe(fn func()) {
+	x.c.mu.Lock()
+	if x.done {
+		x.c.mu.Unlock()
 		fn()
 		return
 	}
-	f.subs = append(f.subs, fn)
-	f.c.mu.Unlock()
+	x.subs = append(x.subs, fn)
+	x.c.mu.Unlock()
 }
 
-// MakeRelay mints an unresolved one-shot latch on this future's clock,
-// implementing api.RelayMaker for the Any combinator.
-func (f *Future[T]) MakeRelay() api.Relay { return relay{s: NewSignal(f.c)} }
+// MakeRelay mints an unresolved one-shot latch on this clock, implementing
+// api.RelayMaker for the Any combinator.
+func (x *completion) MakeRelay() api.Relay { return relay{s: NewSignal(x.c)} }
 
 // relay adapts a Signal to api.Relay with idempotent Fire.
 type relay struct{ s *Signal }
@@ -130,41 +123,31 @@ func (r relay) Fire() {
 
 func (r relay) Await() error { return Await(r.s) }
 
+// Future is a one-shot result that any number of processes may Get; all of
+// them resume once Resolve or Fail is called. Futures complete what several
+// processes may wait on (a synchronize, a launch's end, a Group); one call's
+// result is a Result.
+type Future[T any] struct {
+	completion
+	val T
+}
+
+// NewFuture creates an unresolved future on clock c.
+func NewFuture[T any](c *Clock) *Future[T] {
+	return &Future[T]{completion: completion{c: c}}
+}
+
+// Resolve completes the future with v and wakes all waiters.
+func (f *Future[T]) Resolve(v T) {
+	f.val = v // a Get reads it only once complete says it is in
+	f.complete(nil)
+}
+
 // Get blocks the calling process until the future completes, then returns
 // its value and error.
 func (f *Future[T]) Get() (T, error) {
-	f.c.mu.Lock()
-	if f.done {
-		v, err := f.val, f.err
-		f.c.mu.Unlock()
-		return v, err
-	}
-	p := f.c.current
-	if p == nil {
-		f.c.mu.Unlock()
-		panic("sim: Future.Get from outside the simulation")
-	}
-	if w := (waiter{p: p, token: p.parkToken + 1}); f.first.p == nil {
-		f.first = w
-	} else {
-		f.more = append(f.more, w)
-	}
-	f.c.mu.Unlock()
-	f.c.park()
-	f.c.mu.Lock()
-	v, err := f.val, f.err
-	f.c.mu.Unlock()
-	return v, err
-}
-
-// MustGet is Get for futures that cannot fail in correct programs; it
-// panics on error.
-func (f *Future[T]) MustGet() T {
-	v, err := f.Get()
-	if err != nil {
-		panic(err)
-	}
-	return v
+	err := f.wait()
+	return f.val, err
 }
 
 // Signal is a value-less future used as a completion barrier.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"slices"
 
 	"pie/api"
@@ -9,10 +10,8 @@ import (
 // Mailbox is an unbounded FIFO queue with blocking receive, the message
 // primitive for user↔inferlet and inferlet↔inferlet communication.
 //
-// A receive waits in one of two ways. Recv parks the caller on the
-// mailbox's own wait list and allocates nothing; RecvFuture hands out a
-// future. When both kinds wait, a Send serves the futures first; within
-// each kind receivers are served in the order they came, each message to
+// Recv parks the caller on the mailbox's own wait list and allocates
+// nothing; receivers are served in the order they came, each message to
 // one receiver.
 type Mailbox[T any] struct {
 	c   *Clock
@@ -21,11 +20,10 @@ type Mailbox[T any] struct {
 	// receivers they woke from Recv: such a receiver takes the front
 	// message when it resumes, and no other receiver may take one of
 	// them meanwhile.
-	owed int
-	// recv is the FIFO of receivers parked in Recv, made at the first park.
-	recv    WaitList
-	waiters []*Future[T] // RecvFuture's parked receivers, oldest first
-	closed  bool
+	owed   int
+	recv   WaitList  // the receivers parked in Recv, set up at the first park
+	inline [1]waiter // recv's first slot: the first park allocates nothing
+	closed bool
 	// readable holds the one-shot OnReadable hooks waiting for the next
 	// receivable message or Close.
 	readable []func()
@@ -41,10 +39,6 @@ func NewMailbox[T any](c *Clock) *Mailbox[T] {
 func (m *Mailbox[T]) Send(v T) {
 	if m.closed {
 		return // messages to a closed mailbox are dropped
-	}
-	if len(m.waiters) > 0 {
-		shift(&m.waiters).Resolve(v)
-		return
 	}
 	m.buf = append(m.buf, v)
 	if m.recv.c != nil && m.recv.Wake() {
@@ -77,7 +71,7 @@ func (m *Mailbox[T]) take() T {
 
 // shift removes and returns the first element of a FIFO. A drained FIFO
 // restarts at the front of its backing array, so a mailbox that takes one
-// message (or parks one receiver) at a time never reallocates.
+// message at a time never reallocates.
 func shift[T any](q *[]T) T {
 	s := *q
 	v := s[0]
@@ -107,7 +101,7 @@ func (q *FIFO[T]) Len() int { return len(q.s) }
 
 // OnReadable runs fn once, the next time a receive would not block: from
 // inside the Send that queues a message (one a parked receiver is woken
-// for, or a parked future takes, does not count), from inside Close, and
+// for does not count), from inside Close, and
 // at once if a message is already receivable or the mailbox is closed. It
 // consumes nothing and parks no process, so a watcher that goes away
 // leaves the mailbox as it found it; to keep watching, register again
@@ -129,20 +123,6 @@ func (m *Mailbox[T]) fireReadable() {
 	}
 }
 
-// RecvFuture returns a future that resolves with the next message. If a
-// message is already receivable the future is resolved immediately.
-func (m *Mailbox[T]) RecvFuture() *Future[T] {
-	if m.Len() > 0 {
-		return Resolved(m.c, m.take())
-	}
-	if m.closed {
-		return FailedFuture[T](m.c, ErrMailboxClosed)
-	}
-	f := NewFuture[T](m.c)
-	m.waiters = append(m.waiters, f)
-	return f
-}
-
 // Recv blocks the calling process until a message arrives and returns it,
 // or ErrMailboxClosed once the mailbox is closed and drained. It parks on
 // the mailbox's wait list, so it allocates nothing; a receiver killed after
@@ -158,7 +138,7 @@ func (m *Mailbox[T]) Recv() (T, error) {
 			return zero, ErrMailboxClosed
 		}
 		if m.recv.c == nil {
-			m.recv = WaitList{c: m.c, unclaimed: m.unclaimed}
+			m.recv = WaitList{c: m.c, q: m.inline[:0], owner: m}
 		}
 		// A wake carries the front message; Close releases without one.
 		if m.recv.Wait(false, 0) {
@@ -188,11 +168,6 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
-	ws := m.waiters
-	m.waiters = nil
-	for _, f := range ws {
-		f.Fail(ErrMailboxClosed)
-	}
 	if m.recv.c != nil {
 		m.recv.Release()
 	}
@@ -224,8 +199,4 @@ func (r Receiver[T]) Subscribe(fn func()) { r.m.OnReadable(fn) }
 func (r Receiver[T]) MakeRelay() api.Relay { return relay{s: NewSignal(r.m.c)} }
 
 // ErrMailboxClosed is returned by receives on a closed, drained mailbox.
-var ErrMailboxClosed = errorString("sim: mailbox closed")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+var ErrMailboxClosed = errors.New("sim: mailbox closed")

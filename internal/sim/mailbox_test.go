@@ -25,47 +25,40 @@ func recvLog(c *Clock, got *[]string, name string, recv func() (int, error)) *Pr
 // first three messages in that order. Two more arrive between the wakes and
 // the woken receivers' resumes: the sender, which finds a message nobody
 // was woken for and takes it at once, and d, which finds only owed
-// messages and parks behind the three. Receiving through a future gives
-// the same order: the parked receive changes no delivery.
+// messages and parks behind the three.
 func TestMailboxRecvFIFOOrder(t *testing.T) {
-	for _, future := range []bool{false, true} {
-		c := NewClock()
-		m := NewMailbox[int](c)
-		recv := m.Recv
-		if future {
-			recv = func() (int, error) { return m.RecvFuture().Get() }
+	c := NewClock()
+	m := NewMailbox[int](c)
+	var got []string
+	for _, name := range []string{"a", "b", "c"} {
+		recvLog(c, &got, name, m.Recv)
+	}
+	c.Go("sender", func() {
+		c.Sleep(time.Millisecond)
+		for v := 1; v <= 4; v++ {
+			m.Send(v)
 		}
-		var got []string
-		for _, name := range []string{"a", "b", "c"} {
-			recvLog(c, &got, name, recv)
+		if v, err := m.Recv(); err != nil || v != 4 {
+			t.Errorf("a receiver arriving after the wakes took %d, %v; want 4", v, err)
 		}
-		c.Go("sender", func() {
-			c.Sleep(time.Millisecond)
-			for v := 1; v <= 4; v++ {
-				m.Send(v)
-			}
-			if v, err := recv(); err != nil || v != 4 {
-				t.Errorf("future=%v: a receiver arriving after the wakes took %d, %v; want 4", future, v, err)
-			}
-			c.Sleep(time.Millisecond)
-			m.Send(5)
-		})
-		c.Go("d", func() {
-			c.Sleep(time.Millisecond)
-			if m.Len() != 0 || m.Receiver().Done() {
-				t.Errorf("future=%v: owed messages read as receivable: Len %d", future, m.Len())
-			}
-			if _, ok := m.TryRecv(); ok {
-				t.Errorf("future=%v: TryRecv took an owed message", future)
-			}
-			recvLog(c, &got, "d", recv)
-		})
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
+		c.Sleep(time.Millisecond)
+		m.Send(5)
+	})
+	c.Go("d", func() {
+		c.Sleep(time.Millisecond)
+		if m.Len() != 0 || m.Receiver().Done() {
+			t.Errorf("owed messages read as receivable: Len %d", m.Len())
 		}
-		if want := []string{"a=1", "b=2", "c=3", "d=5"}; !slices.Equal(got, want) {
-			t.Errorf("future=%v: received %v, want %v", future, got, want)
+		if _, ok := m.TryRecv(); ok {
+			t.Error("TryRecv took an owed message")
 		}
+		recvLog(c, &got, "d", m.Recv)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a=1", "b=2", "c=3", "d=5"}; !slices.Equal(got, want) {
+		t.Errorf("received %v, want %v", got, want)
 	}
 }
 
@@ -298,5 +291,42 @@ func TestMailboxRecvAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("a send and a parked receive make %v allocations, want 0", allocs)
+	}
+}
+
+// TestFreshMailboxFirstRecvAllocatesNothing: a mailbox's first receive
+// that parks allocates nothing: the wait list holds its first waiter inline
+// and its owner without a method value. (Each mailbox has queued and taken
+// one message before, so the Send that wakes it has its message array.)
+func TestFreshMailboxFirstRecvAllocatesNothing(t *testing.T) {
+	c := NewClock()
+	const runs = 50
+	boxes := make([]*Mailbox[int], runs+1)
+	for i := range boxes {
+		boxes[i] = NewMailbox[int](c)
+		boxes[i].Send(0)
+		boxes[i].TryRecv()
+	}
+	acks := NewMailbox[int](c)
+	allocs := -1.0
+	c.Go("receiver", func() {
+		i := 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			boxes[i].Recv()
+			i++
+		})
+		acks.Close()
+	})
+	c.Go("sender", func() {
+		for _, m := range boxes {
+			c.Yield() // the receiver parks on m first
+			m.Send(1)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a fresh mailbox's first parked receive makes %v allocations, want 0", allocs)
 	}
 }

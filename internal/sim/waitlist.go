@@ -22,9 +22,20 @@ type WaitList struct {
 	// q[head:] are the parked processes, head first. The array is reused
 	// the way cmdQueue's is: a list that drains restarts at its front, and
 	// one that never drains compacts before it would grow.
-	q         []waiter
-	head      int
-	unclaimed func()
+	q     []waiter
+	head  int
+	owner unclaimer
+}
+
+// unclaimer is a list's owner, told of a wake that found nobody to take it.
+type unclaimer interface{ unclaimed() }
+
+type hook func()
+
+func (f hook) unclaimed() {
+	if f != nil {
+		f()
+	}
 }
 
 // NewWaitList returns an empty list on clock c. unclaimed, when not nil,
@@ -32,7 +43,7 @@ type WaitList struct {
 // owner that hands a unit of its resource over with each wake frees the
 // unit there.
 func NewWaitList(c *Clock, unclaimed func()) *WaitList {
-	return &WaitList{c: c, unclaimed: unclaimed}
+	return &WaitList{c: c, owner: hook(unclaimed)}
 }
 
 // Len reports the number of parked waiters. A waiter killed while parked
@@ -188,7 +199,7 @@ func (c *Clock) readyLocked(w waiter) {
 // pass hands on a wake its waiter cannot use: to the next waiter, or to the
 // owner's unclaimed hook when nobody is parked.
 func (l *WaitList) pass() {
-	if !l.Wake() && l.unclaimed != nil {
-		l.unclaimed()
+	if !l.Wake() && l.owner != nil {
+		l.owner.unclaimed()
 	}
 }

@@ -3,8 +3,8 @@
 # model's forward/decode/top-K path and catalog build, the sim clock, its
 # wait list (one park and one wake, as a call waiting for page room) and a
 # mailbox (a message each way, each taken by a parked Recv), the
-# control layer (one decode step through every layer above the kernels, a
-# scheduling round, a round of decode steps beside fills that the prefill
+# control layer (one decode step through every layer above the kernels, one
+# fused decode step (Fused.Run and its Get), a scheduling round, a round of decode steps beside fills that the prefill
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
@@ -36,9 +36,9 @@
 #     in a test file, which no kernel change moves.
 #   - DecodeStep allocating at all, at any of its three context sizes: a
 #     decode step may not pay for its context, and it allocates nothing
-#     (embed_txt and forward return no future, a failed one reporting at the
-#     queue's next synchronize; NextDist waits with Sample.Dist, whose
-#     result lives in the call's record).
+#     (embed_txt and forward return no result, a failed one reporting at the
+#     queue's next synchronize; get_next_dist's result lives in the call's
+#     record). FusedStep likewise: its sampled tokens are the call's result.
 #   - NextDistTiming's ns/op at TopK 1024 above $topkband times that at 64: a
 #     timing-mode distribution is a view, not a copy.
 #   - Generate (one chat turn: an 8-token prefill and 32 tokens out) issuing
@@ -48,7 +48,8 @@
 #     token and heap event (the allocs/op gate above, against a committed 0).
 #     MailboxRecv likewise: a receive parks on the mailbox's wait list, not
 #     on a future, and the Send that wakes it hands the message over in the
-#     buffer. RoleBalance likewise: a balancer window reads counters and allocates
+#     buffer. ToolCall likewise: the response is a pooled timer record.
+#     RoleBalance likewise: a balancer window reads counters and allocates
 #     nothing; ClusterTick: a tick fills a snapshot the cluster keeps and
 #     runs health, the balancer and the scaler over it; and Place:
 #     placement scores replicas in a scratch slice the cluster keeps.
@@ -106,7 +107,7 @@ bench() {
 	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
 	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
 	bench 200000x '^Benchmark(RoomWait|MailboxRecv)$' ./internal/sim
-	bench 2000x '^Benchmark(DecodeStep|Generate)$' .
+	bench 2000x '^Benchmark(DecodeStep|FusedStep|Generate)$' .
 	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
 	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
 	bench 200000x '^BenchmarkNextDistTiming$' ./internal/infer
@@ -147,7 +148,7 @@ if [ "${1:-}" = "-check" ]; then
 				if (gotic[n] > ic[n]) fail(n, sprintf("infer-calls/op rose (%d here, %d committed)", gotic[n], ic[n]))
 				if (gotcc[n] > cc[n]) fail(n, sprintf("control-calls/op rose (%s here, %s committed)", gotcc[n], cc[n]))
 				if (gotev[n] > ev[n]) fail(n, sprintf("events/op rose (%s here, %s committed)", gotev[n], ev[n]))
-				if (n ~ /^DecodeStep\// && gotal[n] > 0) fail(n, sprintf("a decode step allocates (%d allocs/op)", gotal[n]))
+				if (n ~ /^(DecodeStep\/|FusedStep$)/ && gotal[n] > 0) fail(n, sprintf("a decode step allocates (%d allocs/op)", gotal[n]))
 			}
 			lo = gotns["NextDistTiming/topk64"]; hi = gotns["NextDistTiming/topk1024"]
 			if (lo > 0 && hi > lo * topkband) fail("NextDistTiming", sprintf("ns/op depends on TopK (%.1f at 64, %.1f at 1024)", lo, hi))
@@ -158,7 +159,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, FusedStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	block parent | commas
 	echo '  },'

@@ -411,20 +411,20 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 }
 
 // NextDist returns the next-token distribution after the last token of
-// the stream, flushing pending tokens first. It waits at once, so it asks
-// for the distribution with Sample.Dist, which allocates nothing.
+// the stream, flushing pending tokens first.
 func (c *Context) NextDist() (api.Dist, error) {
-	if err := c.settleOutput(); err != nil {
+	f, err := c.nextDist()
+	if err != nil {
 		return api.Dist{}, err
 	}
-	return c.sample.Dist(c.lastOut)
+	return f.Get()
 }
 
 // nextDist is NextDist without the wait (ParallelGenerate issues every
 // branch's request before awaiting any).
-func (c *Context) nextDist() (api.Future[api.Dist], error) {
+func (c *Context) nextDist() (inferlet.Result[api.Dist], error) {
 	if err := c.settleOutput(); err != nil {
-		return nil, err
+		return inferlet.Result[api.Dist]{}, err
 	}
 	return c.sample.NextDist(c.lastOut)
 }

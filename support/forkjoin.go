@@ -2,6 +2,7 @@ package support
 
 import (
 	"pie/api"
+	"pie/inferlet"
 )
 
 // ParallelGenerate decodes several contexts in lockstep from a single
@@ -28,7 +29,7 @@ func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenR
 	remaining := n
 	for step := 0; step < opts.MaxTokens && remaining > 0; step++ {
 		// Phase 1: issue all pending forwards and distribution requests.
-		futs := make([]api.Future[api.Dist], n)
+		futs := make([]inferlet.Result[api.Dist], n)
 		for i, c := range ctxs {
 			if !active[i] {
 				continue
@@ -73,10 +74,4 @@ func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenR
 		results[i] = GenResult{Tokens: outs[i], Text: text}
 	}
 	return results, nil
-}
-
-// AwaitAll drains a set of futures, returning the first error. It is
-// sugar over the api.All combinator.
-func AwaitAll[T any](futs []api.Future[T]) ([]T, error) {
-	return api.All(futs...).Get()
 }
