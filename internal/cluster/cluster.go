@@ -179,14 +179,16 @@ type Cluster struct {
 	// Nil allocates nothing; a set hook owns retention.
 	OnDecision func(trace.Decision)
 
-	// Scaling stats.
-	ScaleUps   int // replicas activated (or un-drained) by the SLO scaler
-	DrainStart int // drains initiated
-	DrainDone  int // drains completed (replica deactivated)
+	// Fleet-op stats, whoever made the op.
+	Activations int // replicas activated or un-drained
+	ScaleUps    int // replicas activated (or un-drained) by the SLO scaler
+	DrainStart  int // drains initiated
+	DrainDone   int // drains completed (replica deactivated)
+	Prewarms    int // upgrade artifacts the fleet controller uploaded ahead of a cutover
 
 	// The cluster tick (tick.go): its policies, and by replica ID this tick's
 	// load and the load health and the role balancer last read.
-	policies              [3]policy
+	policies              [4]policy
 	load, checked, window []replicaLoad
 
 	// Fault layer (health.go, faults.go, shed.go).
@@ -266,7 +268,7 @@ func New(clock *sim.Clock, policy PlacementPolicy, replicas []*Replica, active i
 // Replicas exposes the full replica set (including inactive ones).
 func (c *Cluster) Replicas() []*Replica { return c.replicas }
 
-// Policy reports the placement policy.
+// Policy reports the placement policy in effect (SetPlacement swaps it).
 func (c *Cluster) Policy() PlacementPolicy { return c.policy }
 
 // Decide is the one entry point of the decision stream. It folds d into the
@@ -291,6 +293,10 @@ func (c *Cluster) Decide(d trace.Decision) {
 		c.HandoffDenied++
 	case trace.RoleFlip:
 		c.RoleFlips++
+	case trace.Activate:
+		c.Activations++
+	case trace.Prewarm:
+		c.Prewarms++
 	case trace.ScaleUp:
 		c.ScaleUps++
 	case trace.ScaleToZero:

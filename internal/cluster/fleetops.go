@@ -46,9 +46,9 @@ func (c *Cluster) BeginDrain(r *Replica) bool {
 // idle: migrate its KV exports to a serving peer over the modeled
 // interconnect, then retire it. It never blocks: the replica retires at
 // once and the migration's span is added to its active time, as if it had
-// stayed on until its pages left. The scaler and the fleet controller call
-// it on each tick; iteration is in replica-ID order so same-seed runs
-// decide identically.
+// stayed on until its pages left. The cluster tick calls it before the
+// fleet controller's pass and the scaler; iteration is in replica-ID order
+// so same-seed runs decide identically.
 func (c *Cluster) CompleteDrains() {
 	for _, r := range c.replicas {
 		if r.active && r.draining && r.health == HealthHealthy && r.Ctl.Instances() == 0 && r.Ctl.OutstandingCalls() == 0 {
@@ -113,6 +113,3 @@ func (c *Cluster) Deactivate(r *Replica) bool {
 
 // SetPlacement swaps the routing policy live (manifest hot reload).
 func (c *Cluster) SetPlacement(p PlacementPolicy) { c.policy = p }
-
-// Placement reports the routing policy in effect.
-func (c *Cluster) Placement() PlacementPolicy { return c.policy }

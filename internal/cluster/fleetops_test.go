@@ -76,11 +76,11 @@ func TestFleetOps(t *testing.T) {
 func TestFleetOpsPlacementSwap(t *testing.T) {
 	e := newEngine(t, pie.Config{Seed: 3, Replicas: 2, Placement: pie.PlaceRoundRobin})
 	c := e.Cluster()
-	if c.Placement() != cluster.PlaceRoundRobin {
-		t.Fatalf("boot placement = %v", c.Placement())
+	if c.Policy() != cluster.PlaceRoundRobin {
+		t.Fatalf("boot placement = %v", c.Policy())
 	}
 	c.SetPlacement(cluster.PlaceLeastLoaded)
-	if c.Placement() != cluster.PlaceLeastLoaded {
-		t.Fatalf("placement after swap = %v", c.Placement())
+	if c.Policy() != cluster.PlaceLeastLoaded {
+		t.Fatalf("placement after swap = %v", c.Policy())
 	}
 }

@@ -92,7 +92,8 @@ func TestRoleBalanceArithmetic(t *testing.T) {
 // TestHandoffAndBalanceAllocateNothing: picking a handoff target (every
 // decode replica ties, so the instance-count tie-break runs), placing a
 // launch least-loaded, one balancer window and one whole cluster tick
-// (snapshot, health, balancer and scaler, all due) allocate nothing.
+// (snapshot, health, balancer, drain completion, reconcile and scaler, all
+// due) allocate nothing.
 func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	c := pdCluster()
 	src := c.replicas[0]
@@ -123,12 +124,15 @@ func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	}
 }
 
-// tickCluster is pdCluster with the health monitor and the scaler on the
-// cluster tick too; the scaler's floor is the whole fleet, so an idle tick
-// drains nothing.
+// tickCluster is pdCluster with every slot of the cluster tick filled: the
+// health monitor, the scaler, and a no-op reconcile pass standing in for
+// the fleet controller's (internal/fleet proves that one allocates nothing
+// too). The scaler's floor is the whole fleet, so an idle tick drains
+// nothing.
 func tickCluster() *Cluster {
 	c := pdCluster()
 	c.EnableHealth(HealthConfig{})
+	c.EnableReconcile(roleWindow, func(time.Duration) {})
 	c.EnableScaler(ScalerConfig{Min: len(c.replicas)})
 	c.Start()
 	return c
@@ -145,9 +149,9 @@ func BenchmarkRoleBalance(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterTick is one cluster tick on the same cluster with health,
-// the balancer and the scaler all due: the load snapshot, then the three
-// policies in turn, with nothing draining.
+// BenchmarkClusterTick is one cluster tick on the same cluster with every
+// policy due: the load snapshot, then the four policies in turn, with
+// nothing draining.
 func BenchmarkClusterTick(b *testing.B) {
 	c := tickCluster()
 	var now time.Duration

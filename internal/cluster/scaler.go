@@ -107,12 +107,11 @@ func (c *Cluster) EnableScaler(cfg ScalerConfig) {
 // ScalerEnabled reports whether the SLO scaler is running.
 func (c *Cluster) ScalerEnabled() bool { return c.scaler.Enabled }
 
-// scalerTick runs one scaling decision: it completes idle drains, then
-// reads the tick's load snapshot once. All iteration is in replica-ID
+// scalerTick runs one scaling decision over the tick's load snapshot, read
+// once. All iteration is in replica-ID
 // order and all class iteration in sorted-name order, so same-seed runs
 // decide identically.
 func (c *Cluster) scalerTick(now time.Duration) {
-	c.CompleteDrains()
 	serving, warming := 0, 0
 	var satSum float64
 	var satByRole [3]float64

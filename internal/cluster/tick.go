@@ -3,12 +3,12 @@ package cluster
 import "time"
 
 // The cluster tick: one clock.Every, at the shortest period among the
-// enabled policies, runs health, the role balancer and the scaler in that
-// order, each on the first tick at or after its due time; a due time
-// advances by its policy's period, so none drifts. Load comes from one
-// snapshot the tick fills first; replica state (serving, health) is read
-// live, so a replica health declares dead is neither counted nor picked by
-// the policies after it.
+// enabled policies, runs health, the role balancer, the fleet controller's
+// reconcile pass and the scaler in that order, each on the first tick at or
+// after its due time (advancing it by its period, so none drifts), and
+// completes idle drains right before the first due one of the last two.
+// Load comes from one snapshot the tick fills first; replica state is read
+// live, so a replica health declares dead is not seen by the policies after.
 
 // replicaLoad is one replica's load as a tick read it.
 type replicaLoad struct {
@@ -33,6 +33,7 @@ func (l *replicaLoad) saturation() float64 {
 const (
 	tickHealth = iota
 	tickBalance
+	tickReconcile
 	tickScale
 )
 
@@ -40,6 +41,12 @@ const (
 type policy struct {
 	period, due time.Duration
 	run         func(now time.Duration)
+}
+
+// EnableReconcile puts a fleet controller's pass, which must not block, on
+// the cluster tick every period. Call before Start.
+func (c *Cluster) EnableReconcile(period time.Duration, fn func(now time.Duration)) {
+	c.policies[tickReconcile] = policy{period: period, run: fn}
 }
 
 // Start arms the cluster tick at the shortest period among the enabled
@@ -70,8 +77,13 @@ func (c *Cluster) tick(now time.Duration) {
 		l.kvInUse, l.kvCap = r.Ctl.KVLoad()
 		l.instances = r.Ctl.Instances()
 	}
+	drained := false
 	for i := range c.policies {
 		if p := &c.policies[i]; p.run != nil && now >= p.due {
+			if i >= tickReconcile && !drained {
+				c.CompleteDrains()
+				drained = true
+			}
 			p.due += p.period
 			p.run(now)
 		}

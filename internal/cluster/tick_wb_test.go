@@ -3,6 +3,7 @@ package cluster
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"pie/internal/trace"
 )
@@ -59,5 +60,27 @@ func TestTickOrder(t *testing.T) {
 		if got := tick(tc.crash, tc.decodeLoad); !slices.Equal(got, tc.want) {
 			t.Errorf("crash %v, decode load %v: decisions %+v, want %+v", tc.crash, tc.decodeLoad, got, tc.want)
 		}
+	}
+}
+
+// TestTickDrainsBeforeReconcile: idle drains complete once a tick, right
+// before the first due policy from reconcile on. A tick with only health
+// due leaves an idle draining replica alone; the next, with reconcile and
+// the scaler due as well, retires it once, before the reconcile pass runs.
+func TestTickDrainsBeforeReconcile(t *testing.T) {
+	c := pdCluster()
+	c.EnableHealth(HealthConfig{Interval: roleWindow / 2})
+	var seen []bool // whether replica 5 was still active at each reconcile pass
+	c.EnableReconcile(roleWindow, func(time.Duration) { seen = append(seen, c.replicas[5].active) })
+	c.EnableScaler(ScalerConfig{Interval: roleWindow, Min: len(c.replicas)})
+	c.Start()
+	c.BeginDrain(c.replicas[5])
+	c.tick(roleWindow / 2)
+	if !c.replicas[5].active || c.DrainDone != 0 || len(seen) != 0 {
+		t.Fatalf("health-only tick: active %v, %d drains done, %d passes", c.replicas[5].active, c.DrainDone, len(seen))
+	}
+	c.tick(roleWindow)
+	if c.replicas[5].active || c.DrainDone != 1 || !slices.Equal(seen, []bool{false}) {
+		t.Fatalf("full tick: active %v, %d drains done, passes saw %v", c.replicas[5].active, c.DrainDone, seen)
 	}
 }

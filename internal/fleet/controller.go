@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -12,11 +13,12 @@ import (
 	"pie/internal/trace"
 )
 
-// Controller is the reconciling fleet controller: a daemon that diffs the
-// manifest's desired state against the live cluster each tick and
-// converges it — completing two-phase drains, growing or draining pools
-// toward their desired counts, applying program pins, and rolling
-// old-version instances onto newly pinned versions in bounded batches.
+// Controller is the reconciling fleet controller: a phase of the cluster
+// tick that diffs the manifest's desired state against the live cluster
+// each pass and converges it — growing or draining pools toward their
+// desired counts, applying program pins, and rolling old-version instances
+// onto newly pinned versions in bounded batches. The tick completes
+// two-phase drains right before the pass.
 //
 // Everything it does is deterministic on the virtual clock: replicas are
 // visited in ID order, handles in launch order, pools and pins in
@@ -30,51 +32,52 @@ type Controller struct {
 	lm    *ilm.ILM
 
 	desired    *Manifest
+	pools      []PoolRange // desired's pools, expanded once per manifest
 	generation int
-	lastTick   time.Duration
-	ticked     bool
+	lastTick   time.Duration // the last pass; 0 before the first
 
-	// upgrades tracks one in-flight rolling upgrade per program.
+	// upgrades tracks one in-flight upgrade per program.
 	upgrades map[string]*upgradeState
-
-	// Stats.
-	Activations int // replicas activated (or un-drained) toward desired counts
-	Drains      int // pool drains initiated toward desired counts
-	Prewarms    int // upgrade artifacts uploaded ahead of cutover
-	PinRetries  int // pin applications deferred (target version not registered yet)
+	handles  []*ilm.Handle // one program's running handles, reused per pass
 }
 
-// upgradeState is one program's rolling upgrade in flight.
+// upgradeState is one program's upgrade in flight: the prewarm of its
+// target, then the rollout onto it.
 type upgradeState struct {
-	target   string        // canonical pinned version being rolled to
-	batch    []uint64      // handle IDs draining in the current batch
-	deadline time.Duration // when stragglers in the batch are requeued
+	target    string        // canonical pinned version being rolled to
+	warmUntil time.Duration // when the target's last prewarm upload lands
+	batch     []uint64      // handle IDs draining in the current batch
+	deadline  time.Duration // when stragglers in the batch are requeued
 }
 
-// NewController builds a controller over a validated manifest. Call
-// AlignInitial before traffic, then Start to run the reconcile daemon.
+// NewController builds a controller over a validated manifest and puts its
+// reconcile pass on the cluster tick, every Reconcile.Interval. Call it
+// before the cluster's Start, and AlignInitial before traffic.
 func NewController(clock *sim.Clock, cl *cluster.Cluster, lm *ilm.ILM, m *Manifest) *Controller {
-	return &Controller{
-		clock:    clock,
-		cl:       cl,
-		lm:       lm,
-		desired:  m.Clone(),
-		upgrades: make(map[string]*upgradeState),
+	c := &Controller{clock: clock, cl: cl, lm: lm, upgrades: make(map[string]*upgradeState)}
+	c.setDesired(m)
+	cl.EnableReconcile(m.Reconcile.EffectiveInterval(), c.reconcile)
+	return c
+}
+
+// setDesired snapshots a validated manifest, its pin versions canonical so
+// passes compare them with the registry's as they are.
+func (c *Controller) setDesired(m *Manifest) {
+	c.desired = m.Clone()
+	for i := range c.desired.Programs {
+		c.desired.Programs[i].Version, _ = ilm.CanonicalVersion(c.desired.Programs[i].Version)
 	}
+	c.pools = c.desired.PoolRanges()
 }
 
 // Desired returns the manifest currently being reconciled toward.
 func (c *Controller) Desired() *Manifest { return c.desired }
 
-// Generation reports how many manifests have been applied (0 = the boot
-// manifest).
-func (c *Controller) Generation() int { return c.generation }
-
 // Apply replaces desired state by hot reload: the next manifest is
-// validated, checked compatible (pool counts, pins, placement, and
-// reconcile tuning may change live; topology may not — typed
-// ErrImmutable), and snapshotted. Convergence happens on subsequent
-// ticks.
+// validated, checked compatible (pool counts, pins, placement, and the
+// upgrade tuning may change live; topology and the reconcile interval may
+// not — typed ErrImmutable), and snapshotted. Convergence happens on
+// subsequent passes.
 func (c *Controller) Apply(next *Manifest) error {
 	if err := next.Validate(); err != nil {
 		return err
@@ -82,7 +85,7 @@ func (c *Controller) Apply(next *Manifest) error {
 	if err := c.desired.CheckCompatible(next); err != nil {
 		return err
 	}
-	c.desired = next.Clone()
+	c.setDesired(next)
 	c.generation++
 	c.cl.SetPlacement(next.PlacementPolicy())
 	c.cl.Decide(trace.Decision{Kind: trace.Apply, Count: c.generation})
@@ -95,7 +98,7 @@ func (c *Controller) Apply(next *Manifest) error {
 // pools [4/6, 2/2] want {0..3, 6..7} active, not {0..5}. Runs once,
 // before any traffic, so idle-deactivation is safe.
 func (c *Controller) AlignInitial() {
-	for _, pr := range c.desired.PoolRanges() {
+	for _, pr := range c.pools {
 		for _, r := range c.poolReplicas(pr) {
 			if r.ID < pr.Start+pr.Desired {
 				c.cl.Activate(r)
@@ -106,40 +109,23 @@ func (c *Controller) AlignInitial() {
 	}
 }
 
-// Start runs the reconcile daemon on the virtual clock.
-func (c *Controller) Start() {
-	c.clock.GoDaemon("fleet:controller", func() {
-		for {
-			c.clock.Sleep(c.desired.Reconcile.EffectiveInterval())
-			c.Tick()
-		}
-	})
-}
-
-// Tick runs one reconcile pass: finish drains whose replicas went idle,
-// converge pool counts (unless the SLO scaler owns them), then reconcile
-// program pins and advance rolling upgrades. Must run in a sim process.
-func (c *Controller) Tick() {
-	c.lastTick = c.clock.Now()
-	c.ticked = true
-	c.cl.CompleteDrains()
+// reconcile is one pass, the cluster tick's reconcile phase: converge pool
+// counts (unless the SLO scaler owns them), then reconcile program pins
+// and advance rolling upgrades — in that order, so a replica just
+// activated is prewarmed with the rest. It runs in a timer and never
+// blocks.
+func (c *Controller) reconcile(now time.Duration) {
+	c.lastTick = now
 	if c.desired.Scaler == nil {
 		c.convergePools()
 	}
-	c.reconcilePins()
+	c.reconcilePins(now)
 }
 
-// poolReplicas returns the pool's replicas in ID order.
+// poolReplicas returns the pool's replicas in ID order (pie.New builds
+// every pool's capacity, and a hot reload cannot change it).
 func (c *Controller) poolReplicas(pr PoolRange) []*cluster.Replica {
-	all := c.cl.Replicas()
-	end := pr.End
-	if end > len(all) {
-		end = len(all)
-	}
-	if pr.Start >= end {
-		return nil
-	}
-	return all[pr.Start:end]
+	return c.cl.Replicas()[pr.Start:pr.End]
 }
 
 // convergePools moves each pool's serving count toward desired: grow by
@@ -147,7 +133,7 @@ func (c *Controller) poolReplicas(pr PoolRange) []*cluster.Replica {
 // by draining the highest-ID serving ones (two-phase — CompleteDrains
 // retires them once idle, migrating their KV exports first).
 func (c *Controller) convergePools() {
-	for _, pr := range c.desired.PoolRanges() {
+	for _, pr := range c.pools {
 		rs := c.poolReplicas(pr)
 		serving := 0
 		for _, r := range rs {
@@ -170,7 +156,6 @@ func (c *Controller) convergePools() {
 						continue
 					}
 					if c.cl.Activate(r) {
-						c.Activations++
 						need--
 					}
 				}
@@ -183,7 +168,6 @@ func (c *Controller) convergePools() {
 					continue
 				}
 				if c.cl.BeginDrain(r) {
-					c.Drains++
 					excess--
 				}
 			}
@@ -198,46 +182,47 @@ func (c *Controller) convergePools() {
 // start), then drain old instances in bounded batches (letting them
 // finish naturally inside the batch deadline), and abort-and-requeue
 // stragglers past it.
-func (c *Controller) reconcilePins() {
+func (c *Controller) reconcilePins(now time.Duration) {
 	for _, pin := range c.desired.Programs {
-		target, err := ilm.CanonicalVersion(pin.Version)
-		if err != nil {
-			continue // Validate already rejected this; defensive
-		}
-		if cur, ok := c.lm.Pinned(pin.Name); !ok || cur != target {
-			// Warm first, cut over second: while the uploads run (in this
-			// daemon's virtual time), new launches still resolve the old
-			// pin, so no request lands cold on the new version. Only a
-			// version CHANGE prewarms — the boot install applies
-			// immediately, before bare names can float to a newer
-			// registered version.
+		if cur, ok := c.lm.Pinned(pin.Name); !ok || cur != pin.Version {
+			// Warm first, cut over second: until the last upload lands,
+			// passes skip this pin, so new launches still resolve the old
+			// one and none lands cold on the new version. Only a version
+			// CHANGE prewarms — the boot install applies immediately,
+			// before bare names can float to a newer registered version.
 			if ok && c.desired.Reconcile.EffectivePrewarm() {
-				c.prewarm(pin.Name, target)
+				st := c.upgrades[pin.Name]
+				if st == nil || st.target != pin.Version {
+					until, registered := c.prewarm(pin.Name, pin.Version, now)
+					if !registered {
+						continue
+					}
+					st = &upgradeState{target: pin.Version, warmUntil: until}
+					c.upgrades[pin.Name] = st
+				}
+				if now < st.warmUntil {
+					continue
+				}
 			}
-			if err := c.lm.SetPin(pin.Name, target); err != nil {
-				// Target not registered yet: keep trying each tick.
-				c.PinRetries++
-				continue
+			if c.lm.SetPin(pin.Name, pin.Version) != nil {
+				continue // target not registered yet: Status reports it unpinned
 			}
-			c.cl.Decide(trace.Decision{Kind: trace.Pin, Program: pin.Name, Version: target})
+			delete(c.upgrades, pin.Name) // any prewarm is over: the rollout begins
+			c.cl.Decide(trace.Decision{Kind: trace.Pin, Program: pin.Name, Version: pin.Version})
 		}
-		c.advanceUpgrade(pin.Name, target)
+		c.advanceUpgrade(pin.Name, pin.Version, now)
 	}
 }
 
 // advanceUpgrade drives one program's rollout toward the pinned version.
-func (c *Controller) advanceUpgrade(name, target string) {
-	old := make([]*ilm.Handle, 0)
-	byID := make(map[uint64]*ilm.Handle)
-	for _, h := range c.lm.RunningHandles(name) {
-		if h.Version != target {
-			old = append(old, h)
-			byID[h.ID] = h
-		}
-	}
+func (c *Controller) advanceUpgrade(name, target string, now time.Duration) {
+	// The running handles still off the target, in launch order.
+	old := c.lm.RunningHandles(c.handles[:0], name)
+	c.handles = old
+	old = slices.DeleteFunc(old, func(h *ilm.Handle) bool { return h.Version == target })
 	st := c.upgrades[name]
 	if st != nil && st.target != target {
-		// Repinned mid-roll: restart the rollout toward the new target.
+		// Repinned mid-upgrade: restart the rollout toward the new target.
 		st = nil
 	}
 	if st == nil {
@@ -255,58 +240,58 @@ func (c *Controller) advanceUpgrade(name, target string) {
 		return
 	}
 	// Drop batch members that finished or already moved to the target.
-	live := st.batch[:0]
-	for _, id := range st.batch {
-		if _, ok := byID[id]; ok {
-			live = append(live, id)
-		}
-	}
-	st.batch = live
+	st.batch = slices.DeleteFunc(st.batch, func(id uint64) bool {
+		return !slices.ContainsFunc(old, func(h *ilm.Handle) bool { return h.ID == id })
+	})
 	if len(st.batch) == 0 {
 		// Form the next batch: the oldest still-running old-version
 		// instances, given the drain deadline to finish naturally.
-		n := c.desired.Reconcile.EffectiveBatch()
-		if n > len(old) {
-			n = len(old)
-		}
+		n := min(c.desired.Reconcile.EffectiveBatch(), len(old))
 		for _, h := range old[:n] {
 			st.batch = append(st.batch, h.ID)
 		}
-		st.deadline = c.clock.Now() + c.desired.Reconcile.EffectiveDrainDeadline()
-		c.cl.Decide(trace.Decision{Kind: trace.UpgradeBatch, Program: name, Version: target, Count: len(st.batch), Wait: st.deadline - c.clock.Now()})
-		if c.clock.Now() < st.deadline {
+		st.deadline = now + c.desired.Reconcile.EffectiveDrainDeadline()
+		c.cl.Decide(trace.Decision{Kind: trace.UpgradeBatch, Program: name, Version: target, Count: len(st.batch), Wait: st.deadline - now})
+		if now < st.deadline {
 			return
 		}
 	}
-	if c.clock.Now() >= st.deadline {
-		// Stragglers: restart them onto the pinned version now.
-		for _, id := range st.batch {
-			if h, ok := byID[id]; ok && c.lm.RequeueForUpgrade(h) {
-				c.cl.Decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: id})
+	if now >= st.deadline {
+		// Stragglers: restart them onto the pinned version now, in launch
+		// order (the batch's order too).
+		for _, h := range old {
+			if slices.Contains(st.batch, h.ID) && c.lm.RequeueForUpgrade(h) {
+				c.cl.Decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: h.ID})
 			}
 		}
 		st.batch = st.batch[:0]
 	}
 }
 
-// prewarm uploads the target version's artifact to every serving replica
-// that lacks it, so upgrade relaunches are warm. The upload cost is paid
-// in the controller's own daemon (serialized, replica ID order) — it
-// never blocks serving traffic.
-func (c *Controller) prewarm(name, target string) {
+// prewarm starts uploading the target version's artifact to every serving
+// replica that lacks it, so upgrade relaunches are warm. The uploads run
+// one after another in replica-ID order, off every serving path: each
+// lands on a timer at now plus its own and its predecessors' costs, admits
+// the artifact and records the prewarm. prewarm reports when the last
+// lands (now if none is needed), and ok false when the target is not
+// registered.
+func (c *Controller) prewarm(name, target string, now time.Duration) (until time.Duration, ok bool) {
 	key, size, err := c.lm.ArtifactFor(name + "@" + target)
 	if err != nil {
-		return
+		return 0, false
 	}
+	until = now
 	for _, r := range c.cl.Replicas() {
 		if !r.Active() || r.Health() != cluster.HealthHealthy || r.Ctl.HasArtifact(key) {
 			continue
 		}
-		c.clock.Sleep(r.Ctl.ArtifactCost(size))
-		r.Ctl.AdmitArtifact(key, size, true)
-		c.Prewarms++
-		c.cl.Decide(trace.Decision{Kind: trace.Prewarm, Program: name, Version: target, Replica: r.ID})
+		until += r.Ctl.ArtifactCost(size)
+		c.clock.After(until-now, func() {
+			r.Ctl.AdmitArtifact(key, size, true)
+			c.cl.Decide(trace.Decision{Kind: trace.Prewarm, Program: name, Version: target, Replica: r.ID})
+		})
 	}
+	return until, true
 }
 
 // --- Desired-vs-actual status (the GET /v1/fleet surface) ---------------
@@ -330,7 +315,7 @@ type PinStatus struct {
 	// Live maps running versions to instance counts (sorted rendering via
 	// LiveVersions).
 	Live map[string]int `json:"live,omitempty"`
-	// Upgrading reports a rollout in flight.
+	// Upgrading reports an upgrade in flight: its prewarm or its rollout.
 	Upgrading bool `json:"upgrading"`
 }
 
@@ -343,6 +328,8 @@ type Status struct {
 	Pools      []PoolStatus `json:"pools"`
 	Programs   []PinStatus  `json:"programs"`
 
+	// Fleet-op and upgrade counts, whoever made the op: folds of the
+	// cluster's activate, drain and prewarm records.
 	Activations     int `json:"activations"`
 	Drains          int `json:"drains"`
 	Prewarms        int `json:"prewarms"`
@@ -357,15 +344,15 @@ func (c *Controller) Status() Status {
 		Generation:      c.generation,
 		Converged:       true,
 		Placement:       c.desired.Placement,
-		Activations:     c.Activations,
-		Drains:          c.Drains,
-		Prewarms:        c.Prewarms,
+		Activations:     c.cl.Activations,
+		Drains:          c.cl.DrainStart,
+		Prewarms:        c.cl.Prewarms,
 		UpgradeRequeues: c.lm.UpgradeRequeues,
 	}
-	if c.ticked {
+	if c.lastTick > 0 {
 		st.LastTick = c.lastTick.String()
 	}
-	for _, pr := range c.desired.PoolRanges() {
+	for _, pr := range c.pools {
 		ps := PoolStatus{Name: pr.Name, Desired: pr.Desired, Built: pr.End - pr.Start}
 		for _, r := range c.poolReplicas(pr) {
 			switch {
@@ -381,13 +368,9 @@ func (c *Controller) Status() Status {
 		st.Pools = append(st.Pools, ps)
 	}
 	for _, pin := range c.desired.Programs {
-		target, err := ilm.CanonicalVersion(pin.Version)
-		if err != nil {
-			continue
-		}
 		cur, ok := c.lm.Pinned(pin.Name)
-		ps := PinStatus{Name: pin.Name, Version: target, Pinned: ok && cur == target}
-		for _, h := range c.lm.RunningHandles(pin.Name) {
+		ps := PinStatus{Name: pin.Name, Version: pin.Version, Pinned: ok && cur == pin.Version}
+		for _, h := range c.lm.RunningHandles(nil, pin.Name) {
 			if ps.Live == nil {
 				ps.Live = make(map[string]int)
 			}

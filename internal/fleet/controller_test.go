@@ -198,13 +198,19 @@ func TestRollingUpgradeRequeuesStragglers(t *testing.T) {
 }
 
 // TestPinWaitsForRegistration: repinning to a not-yet-registered version
-// retries each tick (PinRetries), leaves the old pin serving, and cuts
-// over as soon as the artifact lands.
+// leaves the old pin serving and reports the new one unpinned, with no pin
+// record, until the version registers; it cuts over as soon as it does.
 func TestPinWaitsForRegistration(t *testing.T) {
 	boot := bootManifest(1, 1)
 	e := newFleetEngine(t, boot)
 	repin := boot.Clone()
 	repin.Programs[0].Version = "3.0.0"
+	pins := 0
+	e.Cluster().OnDecision = func(d trace.Decision) {
+		if d.Kind == trace.Pin && d.Version == "3.0.0" {
+			pins++
+		}
+	}
 
 	e.Go("driver", func() {
 		if err := e.ApplyFleet(repin); err != nil {
@@ -212,8 +218,11 @@ func TestPinWaitsForRegistration(t *testing.T) {
 		}
 		e.Sleep(30 * time.Millisecond)
 		st, _ := e.FleetStatus()
-		if st.Programs[0].Pinned {
-			panic("unregistered version reported pinned")
+		if p := st.Programs[0]; p.Pinned || p.Version != "3.0.0" || st.Converged {
+			panic(fmt.Sprintf("unregistered version: status %+v, converged %v", p, st.Converged))
+		}
+		if pins != 0 {
+			panic(fmt.Sprintf("%d pin records for an unregistered version", pins))
 		}
 		v3 := apps.TextCompletion()
 		v3.Manifest.Version = "3.0.0"
@@ -224,11 +233,90 @@ func TestPinWaitsForRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := e.FleetStatus()
-	if !st.Programs[0].Pinned || st.Programs[0].Version != "3.0.0" {
-		t.Fatalf("pin after late registration: %+v", st.Programs[0])
+	if !st.Programs[0].Pinned || st.Programs[0].Version != "3.0.0" || pins != 1 {
+		t.Fatalf("pin after late registration: %+v, %d pin records", st.Programs[0], pins)
 	}
-	if e.FleetController().PinRetries == 0 {
-		t.Fatal("no pin retries recorded while version was unregistered")
+}
+
+// TestPrewarmDoesNotFreezeReconcile: repin to a 1 MiB 2.0.0, whose uploads
+// take hundreds of milliseconds, then grow the pool 2 -> 4 while they run.
+// The grow converges on the next passes, and the pin stays on 1.0.0 until
+// the last upload lands.
+func TestPrewarmDoesNotFreezeReconcile(t *testing.T) {
+	boot := bootManifest(2, 4)
+	e := newFleetEngine(t, boot)
+	big := apps.TextCompletion()
+	big.Manifest.Version = "2.1.0"
+	big.BinarySize = 1 << 20
+	e.MustRegister(big)
+	repin := boot.Clone()
+	repin.Programs[0].Version = "2.1.0"
+	grow := repin.Clone()
+	grow.Pools[0].Count = 4
+	var lastUpload, pinAt time.Duration
+	e.Cluster().OnDecision = func(d trace.Decision) {
+		switch {
+		case d.Kind == trace.Prewarm:
+			lastUpload = d.T
+		case d.Kind == trace.Pin && d.Version == "2.1.0":
+			pinAt = d.T
+		}
+	}
+
+	e.Go("driver", func() {
+		e.Sleep(5 * time.Millisecond) // let the boot pin land
+		if err := e.ApplyFleet(repin); err != nil {
+			panic(err)
+		}
+		e.Sleep(5 * time.Millisecond) // a pass has begun the uploads
+		if err := e.ApplyFleet(grow); err != nil {
+			panic(err)
+		}
+		e.Sleep(20 * time.Millisecond)
+		st, _ := e.FleetStatus()
+		if p := st.Pools[0]; p.Serving != 4 {
+			panic(fmt.Sprintf("20ms after the grow: %d serving, want 4", p.Serving))
+		}
+		if st.Programs[0].Pinned || lastUpload != 0 {
+			panic(fmt.Sprintf("pin cut over before the uploads landed: %+v", st.Programs[0]))
+		}
+		e.Sleep(500 * time.Millisecond)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := e.FleetStatus()
+	if !st.Programs[0].Pinned || st.Prewarms != 2 || lastUpload < 300*time.Millisecond {
+		t.Fatalf("after the uploads: %+v, %d prewarms, last landed at %v", st.Programs[0], st.Prewarms, lastUpload)
+	}
+	// The cutover is the first pass at or after the last upload.
+	if pinAt < lastUpload || pinAt >= lastUpload+2*time.Millisecond {
+		t.Fatalf("pin cut over at %v, last upload landed at %v", pinAt, lastUpload)
+	}
+}
+
+// TestReconcilePassAllocatesNothing: a pass over a converged fleet, with a
+// session running on the pinned version, allocates nothing.
+func TestReconcilePassAllocatesNothing(t *testing.T) {
+	e := newFleetEngine(t, bootManifest(2, 4))
+	e.Go("driver", func() {
+		h, err := e.Launch(pie.Spec("text_completion", completion(64)))
+		if err != nil {
+			panic(err)
+		}
+		e.Sleep(10 * time.Millisecond)
+		st, _ := e.FleetStatus()
+		if !st.Converged || st.Programs[0].Live["1.0.0"] != 1 {
+			panic(fmt.Sprintf("fleet not converged with one session live: %+v", st))
+		}
+		ctl := e.FleetController()
+		if n := testing.AllocsPerRun(100, func() { ctl.Reconcile(e.Now()) }); n != 0 {
+			panic(fmt.Sprintf("a reconcile pass allocated %v times, want 0", n))
+		}
+		_ = h.Wait()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -213,7 +213,8 @@ type KV struct {
 // Reconcile tunes the controller loop. Zero fields take defaults; see the
 // Effective* accessors for the semantics of negatives.
 type Reconcile struct {
-	// Interval is the reconcile tick period (default 10ms).
+	// Interval is the reconcile tick period (default 10ms); a hot reload
+	// may not change it.
 	Interval Duration `json:"interval,omitempty"`
 	// DrainDeadline is how long each upgrade batch may finish naturally
 	// before stragglers are aborted and requeued onto the new version
@@ -599,10 +600,12 @@ func (m *Manifest) Clone() *Manifest {
 }
 
 // CheckCompatible reports whether next can replace m by hot reload.
-// Mutable: pool desired counts, program pins, placement, reconcile
-// tuning. Everything shaping built topology — pool names/variants/roles/
-// capacity, variant and class declarations, the scaler, KV geometry, the
-// seed, the model list — is immutable and fails typed ErrImmutable.
+// Mutable: pool desired counts, program pins, placement, the upgrade
+// tuning (drain deadline, batch, prewarm). Everything shaping built
+// topology — pool names/variants/roles/capacity, variant and class
+// declarations, the scaler, KV geometry, the seed, the model list — and
+// the reconcile interval, which the cluster tick arms at start, are
+// immutable and fail typed ErrImmutable.
 func (m *Manifest) CheckCompatible(next *Manifest) error {
 	if next.Seed != m.Seed {
 		return fmt.Errorf("%w: seed (restart to change)", ErrImmutable)
@@ -640,6 +643,9 @@ func (m *Manifest) CheckCompatible(next *Manifest) error {
 	}
 	if (m.KV == nil) != (next.KV == nil) || (m.KV != nil && *m.KV != *next.KV) {
 		return fmt.Errorf("%w: kv configuration", ErrImmutable)
+	}
+	if next.Reconcile.EffectiveInterval() != m.Reconcile.EffectiveInterval() {
+		return fmt.Errorf("%w: reconcile interval (restart to change)", ErrImmutable)
 	}
 	return nil
 }

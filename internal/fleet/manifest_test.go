@@ -223,7 +223,7 @@ func TestCheckCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	// The mutable surface: counts, pins, placement, reconcile tuning.
+	// The mutable surface: counts, pins, placement, upgrade tuning.
 	ok := base.Clone()
 	ok.Pools[0].Count = 4
 	ok.Programs[0].Version = "2.0.0"
@@ -245,6 +245,9 @@ func TestCheckCompatible(t *testing.T) {
 		"class decl":   func(m *Manifest) { m.Classes[0].Priority = 5 },
 		"kv":           func(m *Manifest) { m.KV.HostRatio = 3 },
 		"scaler":       func(m *Manifest) { m.Scaler = &Scaler{Min: 1} },
+		"reconcile interval": func(m *Manifest) {
+			m.Reconcile.Interval = Duration(m.Reconcile.EffectiveInterval() + time.Millisecond)
+		},
 	}
 	for name, mutate := range breakers {
 		next := base.Clone()

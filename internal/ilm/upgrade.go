@@ -1,9 +1,10 @@
 package ilm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pie/api"
@@ -56,25 +57,22 @@ func (m *ILM) Pinned(name string) (string, bool) {
 	return v, ok
 }
 
-// RunningHandles lists the live handles of a program, sorted by handle ID
-// (launch order) — the deterministic iteration surface the fleet
+// RunningHandles appends the live handles of a program to dst, sorted by
+// handle ID (launch order) — the deterministic iteration surface the fleet
 // controller batches rolling upgrades over. A handle is live from the
 // instant its instance registers until its attempt finishes; handles
 // between retry attempts are not listed (they re-resolve on relaunch and
-// pick the pinned version up on their own).
-func (m *ILM) RunningHandles(program string) []*Handle {
-	ids := make([]uint64, 0, len(m.running))
-	for id, h := range m.running {
+// pick the pinned version up on their own). A dst with room allocates
+// nothing.
+func (m *ILM) RunningHandles(dst []*Handle, program string) []*Handle {
+	n := len(dst)
+	for _, h := range m.running {
 		if h.Program == program {
-			ids = append(ids, id)
+			dst = append(dst, h)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*Handle, len(ids))
-	for i, id := range ids {
-		out[i] = m.running[id]
-	}
-	return out
+	slices.SortFunc(dst[n:], func(a, b *Handle) int { return cmp.Compare(a.ID, b.ID) })
+	return dst
 }
 
 // RequeueForUpgrade restarts a running handle onto the currently pinned

@@ -78,7 +78,7 @@ func TestArtifactFor(t *testing.T) {
 // unregistered programs stay typed.
 func TestRunningHandlesEmpty(t *testing.T) {
 	m := newTestILM()
-	if hs := m.RunningHandles("ghost"); len(hs) != 0 {
+	if hs := m.RunningHandles(nil, "ghost"); len(hs) != 0 {
 		t.Fatalf("RunningHandles on empty registry = %v", hs)
 	}
 }

@@ -7,11 +7,11 @@
 // processes and never blocks — or a busy-until timestamp. A device
 // finishing a kernel, a batch crossing the IPC boundary, the scheduler's
 // kick and its T-only and K-only ticks, a tool call's latency, a launch
-// deadline, a fault plan's events and the cluster's policy tick are timers;
-// launch admission and the backend's ingress are busy-until timestamps.
-// Four daemons remain, each because it blocks: the fleet controller sleeps
-// its prewarm uploads; the ILM's two requeue daemons sleep their backoff,
-// then relaunch; and the baseline engine's loop waits on its device.
+// deadline, a fault plan's events, the cluster's policy tick and a fleet
+// prewarm's uploads are timers; launch admission and the backend's ingress
+// are busy-until timestamps. Three daemons remain, each because it blocks:
+// the ILM's two requeue daemons sleep their backoff, then relaunch; and the
+// baseline engine's loop waits on its device.
 //
 // Exactly one process or timer executes at any instant; blocking operations
 // (Sleep, Future.Get, Mailbox.Recv) hand control to the earliest pending
@@ -243,8 +243,8 @@ func (c *Clock) Go(name string, fn func()) *Proc {
 	return c.spawn(name, fn, false, "Go")
 }
 
-// GoDaemon spawns a service process: a loop that blocks, such as a fleet
-// controller whose pass sleeps its prewarm uploads. Daemons run like
+// GoDaemon spawns a service process: a loop that blocks, such as an
+// engine's loop that waits on its device. Daemons run like
 // ordinary processes but do not keep the simulation alive: Run returns once
 // every non-daemon process finishes. A loop that only sleeps and then acts
 // is a timer (Every), not a daemon.

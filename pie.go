@@ -435,12 +435,6 @@ func New(cfg Config) *Engine {
 	if cfg.Shed.Enabled {
 		cl.EnableShedding(cfg.Shed)
 	}
-	cl.Start()
-	if !cfg.Faults.Empty() {
-		if err := cl.InjectFaults(cfg.Faults); err != nil {
-			panic(err)
-		}
-	}
 	world := netsim.NewWorld(clock)
 	lifecycle := ilm.New(clock, cl, world, replicas[0].Ctl.ModelInfos())
 	if cfg.DefaultRetry.Enabled() {
@@ -452,12 +446,17 @@ func New(cfg Config) *Engine {
 		cluster: cl, ilm: lifecycle, world: world,
 	}
 	if cfg.Fleet != nil {
-		e.fleet = fleet.NewController(clock, cl, lifecycle, cfg.Fleet)
+		// The controller's pass joins the cluster tick, which Start arms.
 		// cluster.New activated the first cfg.Replicas IDs; realign to the
-		// manifest's per-pool desired sets before any traffic, then start
-		// the reconcile daemon.
+		// manifest's per-pool desired sets before any traffic.
+		e.fleet = fleet.NewController(clock, cl, lifecycle, cfg.Fleet)
 		e.fleet.AlignInitial()
-		e.fleet.Start()
+	}
+	cl.Start()
+	if !cfg.Faults.Empty() {
+		if err := cl.InjectFaults(cfg.Faults); err != nil {
+			panic(err)
+		}
 	}
 	return e
 }

@@ -9,7 +9,7 @@
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
 # that returns at once (Launch through Wait), one role-balancer window, one
-# whole cluster tick (load snapshot, health, balancer and scaler) and one
+# whole cluster tick (load snapshot, health, balancer, reconcile and scaler) and one
 # least-loaded launch placement on a 6-replica prefill/decode cluster,
 # the grammar matcher and the tokenizer,
 # as the minimum over $count runs of `go test -bench`.
