@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pie"
+	"pie/api"
 	"pie/inferlet"
 	"pie/internal/eval"
 	"pie/internal/sim"
@@ -354,4 +355,116 @@ func runToCompletion(b *testing.B, e *pie.Engine, program string) *pie.Handle {
 		b.Fatal(err)
 	}
 	return h
+}
+
+// sessionProgram is the shortest whole session the serving path sees: it
+// opens a queue, takes its Alloc and Fused capabilities, one KV page and
+// one output slot, runs one fused step over an 8-token prompt and closes
+// the queue.
+func sessionProgram(model api.ModelID) inferlet.Program {
+	toks, pos := []int{5, 9, 14, 20, 27, 35, 44, 54}, []int{0, 1, 2, 3, 4, 5, 6, 7}
+	return inferlet.Program{Name: "session", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		q, err := s.Open(model)
+		if err != nil {
+			return err
+		}
+		alloc, err := q.Alloc()
+		if err != nil {
+			return err
+		}
+		fz, err := q.Fused()
+		if err != nil {
+			return err
+		}
+		kv, err := alloc.Pages(1)
+		if err != nil {
+			return err
+		}
+		out, err := alloc.Embeds(1)
+		if err != nil {
+			return err
+		}
+		f, err := fz.Run(inferlet.InlineTokens(toks, pos), inferlet.AppendKv(kv...), inferlet.Output(out...))
+		if err != nil {
+			return err
+		}
+		if _, err := f.Get(); err != nil {
+			return err
+		}
+		return q.Close()
+	}}
+}
+
+// launchSession runs one session of sessionProgram from the client's side:
+// Launch, then Wait.
+func launchSession(e *pie.Engine) error {
+	h, err := e.Launch(pie.Spec("session"))
+	if err != nil {
+		return err
+	}
+	return h.Wait()
+}
+
+// sessionEngine is a timing-mode engine with sessionProgram registered.
+func sessionEngine() *pie.Engine {
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	e.MustRegister(sessionProgram(api.ModelID(e.Models()[0])))
+	return e
+}
+
+// BenchmarkLaunchSession is the host cost of one whole session
+// (launchSession) on an engine with nothing else running, the artifact
+// cached: what the lifecycle costs beyond the calls a program makes.
+// TestSessionAllocations holds its allocations.
+func BenchmarkLaunchSession(b *testing.B) {
+	e := sessionEngine()
+	var err error
+	if cerr := e.RunClient(func() {
+		if err = launchSession(e); err != nil { // cold
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N && err == nil; i++ {
+			err = launchSession(e)
+		}
+		b.StopTimer()
+	}); cerr != nil {
+		b.Fatal(cerr)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestSessionAllocations pins what a warm session allocates
+// (launchSession): the client's handle, which holds the lifecycle
+// manager's handle, its mailboxes, done future, retry stream and session,
+// and the session's first queue; the instance, which holds its first
+// command queue; the inferlet's process and its body; the page and slot
+// lists Pages and Embeds return. Nothing else: the sync of Close's drain
+// parks on its op's record and the fused step's result lives in its call's.
+func TestSessionAllocations(t *testing.T) {
+	const want = 6
+	e := sessionEngine()
+	allocs := -1.0
+	var err error
+	if cerr := e.RunClient(func() {
+		if err = launchSession(e); err != nil { // cold
+			return
+		}
+		allocs = testing.AllocsPerRun(200, func() {
+			if err == nil {
+				err = launchSession(e)
+			}
+		})
+	}); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != want {
+		t.Errorf("a warm session makes %v allocations, want %d", allocs, want)
+	}
 }

@@ -24,7 +24,7 @@ func Ready[T any](v T) Result[T] { return sim.Ready(v) }
 // capability objects are the only supported surface.
 type QueueRuntime interface {
 	SetPriority(pri int) error
-	Synchronize() (api.Future[struct{}], error)
+	Sync() (Result[struct{}], error)
 	Close() error
 
 	AllocEmbeds(n int) ([]api.Embed, error)
@@ -58,6 +58,10 @@ type QueueRuntime interface {
 // every resource allocated or imported through the queue and invalidates
 // the queue and its capabilities with api.ErrQueueClosed.
 //
+// A capability getter (Alloc, Forward, Fused, Text, Image, Sample,
+// Tokenizer) returns the queue's own capability, the same one each time,
+// and negotiating allocates nothing; after Close the getters refuse too.
+//
 // Calls that write into handles the program already owns — Text.Embed,
 // Image.Embed, Forward.Run, Forward.MaskPage, Alloc.CopyPage — return no
 // result: queue order is their completion, and Sync or Barrier waits for
@@ -67,12 +71,32 @@ type QueueRuntime interface {
 type Queue struct {
 	info api.ModelInfo
 	rt   QueueRuntime // closedQueue once closed
+
+	// The queue's capabilities: each getter hands out the queue's own.
+	alloc     Alloc
+	forward   Forward
+	fused     Fused
+	text      Text
+	image     Image
+	sample    Sample
+	tokenizer Tokenizer
 }
 
 // NewQueue binds a queue object to its runtime provider. It is called by
 // the serving system (Session.Open); applications never construct queues.
 func NewQueue(info api.ModelInfo, rt QueueRuntime) *Queue {
-	return &Queue{info: info, rt: rt}
+	q := new(Queue)
+	q.Init(info, rt)
+	return q
+}
+
+// Init binds q to its runtime provider in place, as NewQueue does, for a
+// serving system that keeps a queue inside a record of its own. The queue
+// refers to itself, so it must not be copied after Init.
+func (q *Queue) Init(info api.ModelInfo, rt QueueRuntime) {
+	*q = Queue{info: info, rt: rt}
+	q.alloc.q, q.forward.q, q.fused.q, q.text.q = q, q, q, q
+	q.image.q, q.sample.q, q.tokenizer.q = q, q, q
 }
 
 // QueueOption configures a queue at Open time.
@@ -94,20 +118,24 @@ func (q *Queue) SetPriority(pri int) error {
 // Barrier returns a future that resolves when every call enqueued before
 // this point has completed (synchronize). It fails instead with the first
 // execution error of a call without a result since the last Sync or
-// Barrier that reported one.
+// Barrier that reported one. Like a call's result, it is read once.
 func (q *Queue) Barrier() (api.Future[struct{}], error) {
-	return q.rt.Synchronize()
+	r, err := q.rt.Sync()
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Sync blocks until every call enqueued before this point has completed,
 // and reports the first execution error of a call without a result since
 // the last Sync or Barrier that reported one.
 func (q *Queue) Sync() error {
-	f, err := q.Barrier()
+	r, err := q.rt.Sync()
 	if err != nil {
 		return err
 	}
-	_, err = f.Get()
+	_, err = r.Get()
 	return err
 }
 
@@ -136,7 +164,7 @@ func (q *Queue) Close() error {
 type closedQueue struct{}
 
 func (closedQueue) SetPriority(int) error                         { return api.ErrQueueClosed }
-func (closedQueue) Synchronize() (api.Future[struct{}], error)    { return nil, api.ErrQueueClosed }
+func (closedQueue) Sync() (r Result[struct{}], err error)         { return r, api.ErrQueueClosed }
 func (closedQueue) Close() error                                  { return api.ErrQueueClosed }
 func (closedQueue) AllocEmbeds(int) ([]api.Embed, error)          { return nil, api.ErrQueueClosed }
 func (closedQueue) DeallocEmbeds([]api.Embed) error               { return api.ErrQueueClosed }
@@ -183,7 +211,7 @@ func (q *Queue) Alloc() (*Alloc, error) {
 	if err := q.negotiate(api.TraitAllocate); err != nil {
 		return nil, err
 	}
-	return &Alloc{q: q}, nil
+	return &q.alloc, nil
 }
 
 // Forward negotiates the forward trait: transformer passes and KV-page
@@ -192,7 +220,7 @@ func (q *Queue) Forward() (*Forward, error) {
 	if err := q.negotiate(api.TraitForward); err != nil {
 		return nil, err
 	}
-	return &Forward{q: q}, nil
+	return &q.forward, nil
 }
 
 // Fused negotiates the fused trait: the monolithic-style
@@ -201,7 +229,7 @@ func (q *Queue) Fused() (*Fused, error) {
 	if err := q.negotiate(api.TraitFused); err != nil {
 		return nil, err
 	}
-	return &Fused{q: q}, nil
+	return &q.fused, nil
 }
 
 // Text negotiates the input_text trait: token-id embedding.
@@ -209,7 +237,7 @@ func (q *Queue) Text() (*Text, error) {
 	if err := q.negotiate(api.TraitInputText); err != nil {
 		return nil, err
 	}
-	return &Text{q: q}, nil
+	return &q.text, nil
 }
 
 // Image negotiates the input_image trait: image-blob embedding.
@@ -217,7 +245,7 @@ func (q *Queue) Image() (*Image, error) {
 	if err := q.negotiate(api.TraitInputImage); err != nil {
 		return nil, err
 	}
-	return &Image{q: q}, nil
+	return &q.image, nil
 }
 
 // Sample negotiates the output_text trait: next-token distributions.
@@ -225,7 +253,7 @@ func (q *Queue) Sample() (*Sample, error) {
 	if err := q.negotiate(api.TraitOutputText); err != nil {
 		return nil, err
 	}
-	return &Sample{q: q}, nil
+	return &q.sample, nil
 }
 
 // Tokenizer negotiates the tokenize trait: text↔token conversion and
@@ -234,7 +262,7 @@ func (q *Queue) Tokenizer() (*Tokenizer, error) {
 	if err := q.negotiate(api.TraitTokenize); err != nil {
 		return nil, err
 	}
-	return &Tokenizer{q: q}, nil
+	return &q.tokenizer, nil
 }
 
 // --- Allocate capability ---------------------------------------------------

@@ -9,12 +9,6 @@ import (
 	"pie/internal/sim"
 )
 
-// done is a resolved api.Future.
-type done[T any] struct{ v T }
-
-func (d done[T]) Get() (T, error) { return d.v, nil }
-func (d done[T]) Done() bool      { return true }
-
 // recorder is a QueueRuntime that records the forwards it is handed and
 // counts everything else.
 type recorder struct {
@@ -28,9 +22,9 @@ type recorder struct {
 }
 
 func (r *recorder) SetPriority(int) error { r.calls++; return nil }
-func (r *recorder) Synchronize() (api.Future[struct{}], error) {
+func (r *recorder) Sync() (Result[struct{}], error) {
 	r.calls++
-	return done[struct{}]{}, nil
+	return Ready(struct{}{}), nil
 }
 func (r *recorder) Close() error { r.calls++; return nil }
 func (r *recorder) AllocEmbeds(n int) ([]api.Embed, error) {
@@ -278,6 +272,30 @@ func TestClosedQueueGuards(t *testing.T) {
 	}
 	if r.calls != 0 {
 		t.Errorf("%d calls on a closed queue reached the runtime", r.calls)
+	}
+}
+
+// TestCapabilitiesAreTheQueues: a capability getter returns the queue's own
+// capability, the same pointer each time, and negotiating allocates
+// nothing; the capability refuses once its queue has closed
+// (TestClosedQueueGuards checks every call).
+func TestCapabilitiesAreTheQueues(t *testing.T) {
+	q, _ := newTestQueue(plainTraits...)
+	first, again := negotiateAll(t, q), negotiateAll(t, q)
+	if first != again {
+		t.Fatalf("a second negotiation returned other capabilities: %+v, then %+v", first, again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { negotiateAll(t, q) }); allocs != 0 {
+		t.Errorf("negotiating the seven capabilities makes %v allocations, want 0", allocs)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.alloc.Pages(1); !errors.Is(err, api.ErrQueueClosed) {
+		t.Errorf("Pages on an Alloc taken before Close = %v, want ErrQueueClosed", err)
+	}
+	if a, err := q.Alloc(); a != nil || !errors.Is(err, api.ErrQueueClosed) {
+		t.Errorf("Alloc after Close = %v, %v; want nil, ErrQueueClosed", a, err)
 	}
 }
 

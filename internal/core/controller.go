@@ -155,19 +155,27 @@ func (ctl *Controller) chargeControl(inst *Instance) {
 
 // --- Instance lifecycle -------------------------------------------------
 
+// Owner runs an instance (the ILM's session of the inferlet): the control
+// layer tells it when it terminates the instance — FCFS contention, an
+// abort, a replica's death — so it unwinds the inferlet's process.
+type Owner interface {
+	Terminated(reason error)
+}
+
 // RegisterInstance creates the control-layer state for a new inferlet.
-// onKill runs when the FCFS contention policy terminates the instance.
-func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, onKill func(error)) *Instance {
+// owner, when not nil, is told when the instance is terminated.
+func (ctl *Controller) RegisterInstance(name string, proc *sim.Proc, owner Owner) *Instance {
 	ctl.instSeq++
 	inst := &Instance{
 		ID:         ctl.instSeq,
 		Name:       name,
 		Proc:       proc,
-		onKill:     onKill,
+		owner:      owner,
 		launchedAt: ctl.clock.Now(),
 		embeds:     ctl.spares.take(),
 		pages:      ctl.spares.take(),
 	}
+	inst.queues = inst.queues0[:0]
 	ctl.instances[inst.ID] = inst
 	return inst
 }
@@ -238,10 +246,9 @@ func (ctl *Controller) newestInstance() *Instance {
 }
 
 func (ctl *Controller) terminate(inst *Instance, reason error) {
-	onKill := inst.onKill
 	ctl.ReleaseInstance(inst)
-	if onKill != nil {
-		onKill(reason)
+	if inst.owner != nil {
+		inst.owner.Terminated(reason)
 	}
 }
 
@@ -354,7 +361,11 @@ func (ctl *Controller) CreateQueue(inst *Instance, m api.ModelID) (api.Queue, er
 		return 0, fmt.Errorf("%w: manifest allows %d open queues", api.ErrLimitExceeded, inst.MaxQueues)
 	}
 	ctl.queueSeq++
-	q := &cmdQueue{id: api.Queue(ctl.queueSeq), inst: inst, m: ms, priority: inst.DefaultPriority}
+	q := &inst.queue0
+	if q.inst != nil {
+		q = new(cmdQueue)
+	}
+	q.init(api.Queue(ctl.queueSeq), inst, ms, inst.DefaultPriority)
 	inst.queues = append(inst.queues, q) // ids only grow: the slice stays sorted
 	return q.id, nil
 }
@@ -370,26 +381,30 @@ func (ctl *Controller) SetQueuePriority(inst *Instance, qid api.Queue, pri int) 
 	return nil
 }
 
-// Synchronize returns a signal that fires when every call enqueued on the
+// Synchronize returns a result that is in when every call enqueued on the
 // queue before this point has completed (synchronize). If one of those
-// calls had no result and failed, the signal fails instead, with the first
+// calls had no result and failed, the result fails instead, with the first
 // such error since the queue's last synchronize, and the queue forgets it.
-func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (*sim.Signal, error) {
+// The result lives in the op's pooled record, like a call's: waiting on it
+// allocates nothing, and it is read once.
+func (ctl *Controller) Synchronize(inst *Instance, qid api.Queue) (sim.Result[struct{}], error) {
 	ctl.chargeControl(inst)
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
-		return nil, err
-	}
-	s := sim.NewSignal(ctl.clock)
-	if q.queued() == 0 && q.inflight == 0 {
-		q.settle(s)
-		return s, nil
+		return sim.Result[struct{}]{}, err
 	}
 	op := ctl.newOp(q, infer.OpSync)
-	op.sync = s
-	ctl.enqueue(q, op)
-	return s, nil
+	r := sim.Hold(&op.Res, &synced)
+	if q.queued() == 0 && q.inflight == 0 {
+		ctl.runOp(op)
+	} else {
+		ctl.enqueue(q, op)
+	}
+	return r, nil
 }
+
+// synced is the value of every synchronize's result.
+var synced struct{}
 
 func (ctl *Controller) queue(inst *Instance, qid api.Queue) (*cmdQueue, error) {
 	if i, ok := inst.queueIndex(qid); ok && !inst.queues[i].closed {

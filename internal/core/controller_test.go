@@ -117,6 +117,12 @@ func issued(ctl *Controller, err error) (*sim.Signal, error) {
 	return s, nil
 }
 
+// getErr waits for a result and returns its error.
+func getErr[T any](f api.Future[T]) error {
+	_, err := f.Get()
+	return err
+}
+
 // TestBadHandleCases pins down which handle misuse the controller rejects
 // with ErrBadHandle, and that a rejected call changes nothing.
 func TestBadHandleCases(t *testing.T) {
@@ -132,7 +138,7 @@ func TestBadHandleCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Synchronize: %v", err)
 		}
-		if err := sim.Await(s); err != nil {
+		if _, err := s.Get(); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 	}
@@ -327,7 +333,7 @@ func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 			t.Fatalf("DeallocEmbeds via llama-3b queue: %v", err)
 		}
 		s, _ := ctl.Synchronize(inst, q3)
-		_ = sim.Await(s)
+		_, _ = s.Get()
 		if n, _ := ctl.PoolStats("llama-1b"); n != 0 {
 			t.Fatalf("llama-1b pages in use = %d, want 0", n)
 		}
@@ -372,7 +378,7 @@ func TestCloseQueueReleasesWhatItOwns(t *testing.T) {
 		if err := ctl.DeallocPages(inst, q2, pages[0][2:3]); err != nil {
 			t.Fatal(err)
 		}
-		if s, err := ctl.Synchronize(inst, q2); err != nil || sim.Await(s) != nil {
+		if s, err := ctl.Synchronize(inst, q2); err != nil || getErr(s) != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		if err := ctl.ExportPages(inst, "x", pages[0][:1]); err != nil {
@@ -528,7 +534,7 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wait(fmt.Sprintf("q%d sync", i), func() error { return sim.Await(bar) })
+				wait(fmt.Sprintf("q%d sync", i), func() error { _, err := bar.Get(); return err })
 			}
 			clock.Yield() // the waiters park; nothing has dispatched (the kick is 20µs out)
 			if !ctl.AbortInstance(inst, api.ErrAborted) {
@@ -732,11 +738,11 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 					}
 					grow()
 					pos := 0
-					await := func(s *sim.Signal, err error) {
+					await := func(s api.Future[struct{}], err error) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if err := sim.Await(s); err != nil {
+						if _, err := s.Get(); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -771,7 +777,7 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 							// slots: the forward then fails at execution, the
 							// synchronize reports it, and the pages must still
 							// count right.
-							if err := sim.Await(s); err != nil {
+							if _, err := s.Get(); err != nil {
 								if !strings.Contains(err.Error(), "output pages have") {
 									t.Fatal(err)
 								}

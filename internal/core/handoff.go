@@ -247,9 +247,13 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 		}
 		cost += g.dst.rt.Spec.SwapCost(g.swapped, g.dst.rt.Info.PageSize)
 	}
-	for i, q := range inst.queues {
+	for _, q := range inst.queues {
 		ctl.sched.forgetQueue(q)
-		inst.queues[i] = &cmdQueue{id: q.id, inst: inst, m: dst.models[q.m.name], priority: q.priority, err: q.err}
+		// Quiescent: nothing pending or in flight refers to the queue, so it
+		// starts over in place, bound to dst's model.
+		held := q.err
+		q.init(q.id, inst, dst.models[q.m.name], q.priority)
+		q.err = held
 		if uint64(q.id) > dst.queueSeq {
 			// Future CreateQueue calls on dst must not reuse a moved id.
 			dst.queueSeq = uint64(q.id)

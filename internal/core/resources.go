@@ -208,9 +208,14 @@ type Instance struct {
 
 	embeds handleTable
 	pages  handleTable
-	queues []*cmdQueue // open queues, ascending id
+	queues []*cmdQueue // open queues, ascending id; starts on queues0
 	dead   bool
-	onKill func(reason error) // ILM hook: unwind the inferlet process
+	owner  Owner // told when the control layer terminates the instance
+
+	// An instance's first queue and the backing of queues are part of its
+	// record: a session that opens one queue allocates none.
+	queue0  cmdQueue
+	queues0 [1]*cmdQueue
 
 	// Manifest-declared resource limits (deployment API v2), set by the
 	// ILM before the instance runs; zero fields are unlimited. The
@@ -292,9 +297,8 @@ type call struct {
 	// a dispatched kernel addresses.
 	pins []int32
 
-	sync   *sim.Signal // OpSync: fires when the op reaches the queue head
-	free   []resRef    // OpDealloc: references released at the queue head
-	freeKv bool        // ... to the page pools (else the embed pools)
+	free   []resRef // OpDealloc: references released at the queue head
+	freeKv bool     // ... to the page pools (else the embed pools)
 
 	// What the Call's lists are carved from: page lists, embed lists,
 	// token ids and positions, mask bits, the fused sampling spec.
@@ -322,8 +326,9 @@ type cmdQueue struct {
 	inst     *Instance
 	m        *modelState
 	priority int
-	pending  []*call // FIFO; the live entries are pending[first:]
+	pending  []*call // FIFO; the live entries are pending[first:]; starts on pending0
 	first    int
+	pending0 [4]*call
 	inflight int
 	closed   bool
 	// err is the first execution error of a call with no result (embed,
@@ -341,6 +346,13 @@ type cmdQueue struct {
 	doneEpoch uint64 // == Controller.doneEpoch once this completion refreshed it
 }
 
+// init makes q an empty open queue, in place: its pending calls start on
+// the queue's own array.
+func (q *cmdQueue) init(id api.Queue, inst *Instance, m *modelState, priority int) {
+	*q = cmdQueue{id: id, inst: inst, m: m, priority: priority}
+	q.pending = q.pending0[:0]
+}
+
 // queued reports the number of pending calls.
 func (q *cmdQueue) queued() int { return len(q.pending) - q.first }
 
@@ -351,15 +363,16 @@ func (q *cmdQueue) head() *call {
 	return q.pending[q.first]
 }
 
-// settle completes a synchronize that reached the queue's head: it fails s
-// with the error the queue holds, clearing it, or fires s.
-func (q *cmdQueue) settle(s *sim.Signal) {
+// settle completes a synchronize that reached the queue's head: it fails
+// the op's result with the error the queue holds, clearing it, or resolves
+// it.
+func (q *cmdQueue) settle(res *sim.Cell) {
 	if err := q.err; err != nil {
 		q.err = nil
-		s.Fail(err)
+		res.Fail(err)
 		return
 	}
-	sim.Fire(s)
+	res.Resolve()
 }
 
 // push appends a call. A drained queue restarts at the front of its
@@ -585,8 +598,8 @@ func (ctl *Controller) newOp(q *cmdQueue, op infer.Op) *call {
 
 // runOp performs a control op that reached its queue's head (or whose queue
 // is being torn down: a dealloc's handles died when it enqueued, so its
-// deferred physical free must still run or the slots leak) and recycles the
-// record.
+// deferred physical free must still run or the slots leak) and lets go of
+// the record.
 func (ctl *Controller) runOp(c *call) {
 	switch c.Op {
 	case infer.OpDealloc:
@@ -597,7 +610,9 @@ func (ctl *Controller) runOp(c *call) {
 			}
 		}
 	case infer.OpSync:
-		c.q.settle(c.sync)
+		c.q.settle(&c.Res)
+		c.Res.Release() // its Result's Get may still hold the record
+		return
 	}
 	ctl.recycle(c)
 }

@@ -68,7 +68,7 @@ func TestWaitedRecordRecyclesOnce(t *testing.T) {
 			returned := false
 			var got error
 			e.waiter = clock.Go("waiter", func() {
-				e.inst = ctl.RegisterInstance("a", nil, func(error) { clock.Kill(e.waiter) })
+				e.inst = ctl.RegisterInstance("a", nil, killer(func(error) { clock.Kill(e.waiter) }))
 				e.qid = mustQueue(t, ctl, e.inst, "llama-1b")
 				pages, err := ctl.AllocPages(e.inst, e.qid, 1)
 				if err != nil {
@@ -88,7 +88,7 @@ func TestWaitedRecordRecyclesOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sim.Await(s); err != nil {
+				if _, err := s.Get(); err != nil {
 					t.Fatal(err)
 				}
 				ctl.freeCalls = append(ctl.freeCalls, rec)
@@ -201,3 +201,9 @@ func TestResultIsReadOnce(t *testing.T) {
 		checkFreeCalls(t, ctl, "after the reads")
 	})
 }
+
+// killer is an instance owner that runs a function when the instance is
+// terminated.
+type killer func(reason error)
+
+func (k killer) Terminated(reason error) { k(reason) }

@@ -16,8 +16,8 @@ func BenchmarkLaunch(b *testing.B) {
 		b.Fatal(err)
 	}
 	launch := func() {
-		h, err := m.Launch(LaunchSpec{Program: "noop"})
-		if err != nil {
+		h := new(Handle)
+		if err := m.Launch(h, LaunchSpec{Program: "noop"}); err != nil {
 			b.Fatal(err)
 		}
 		if err := h.Wait(); err != nil {

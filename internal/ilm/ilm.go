@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -316,6 +317,11 @@ func (m *ILM) ProgramInfos() []ProgramInfo {
 // future survive requeues, so Wait/Recv keep working while the instance
 // moves between replicas (messages already consumed by a dead attempt are
 // lost — launch-level retry is at-least-once).
+//
+// A handle is one record: it holds its mailboxes, its done future, its
+// retry stream and its attempt's session by value, and Launch fills one the
+// caller provides, so a launch allocates the handle once, wherever the
+// caller keeps it. It refers to itself and must not be copied.
 type Handle struct {
 	ID        uint64
 	Program   string
@@ -325,9 +331,10 @@ type Handle struct {
 	ctl       *core.Controller // the replica control layer hosting the instance
 	inst      *core.Instance
 	proc      *sim.Proc
-	toUser    *sim.Mailbox[string]
-	toInflt   *sim.Mailbox[string]
-	done      *sim.Future[error]
+	toUser    sim.Mailbox[string]
+	toInflt   sim.Mailbox[string]
+	done      sim.Future[error]
+	sess      session // the current attempt's, started over in place at each attempt
 	killErr   error
 	logs      []string
 
@@ -337,10 +344,10 @@ type Handle struct {
 	degraded bool
 
 	// Retry machinery.
-	spec         LaunchSpec
+	spec         LaunchSpec // Args is the launch's own copy
 	entry        *entry
 	policy       RetryPolicy
-	retryRNG     *sim.RNG
+	retryRNG     sim.RNG
 	attempts     int           // attempts started (1 = first launch)
 	backoffSpent time.Duration // cumulative backoff, charged against policy.Budget
 	counted      bool          // counted in ilm.Launches (first successful attempt)
@@ -421,9 +428,13 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) {
 	return h.inst.ControlCalls, h.inst.InferCalls, h.inst.OutputTokens
 }
 
-// Launch starts an inferlet from a LaunchSpec. It must be called from a
-// sim process (a client, another inferlet, or a test driver) and returns
-// once the instance is running. The manifest is revalidated, the placer's
+// Launch starts an inferlet from a LaunchSpec into h, which must be a zero
+// Handle the caller keeps for as long as it uses the launch (pie.Handle and
+// a spawned child hold one by value). It must be called from a sim process
+// (a client, another inferlet, or a test driver) and returns once the
+// instance is running. The launch keeps its own copy of spec.Args: every
+// attempt and every GetArg reads that copy, so the caller may reuse its
+// slice once Launch returns. The manifest is revalidated, the placer's
 // saturation gate may shed best-effort launches typed api.ErrOverloaded,
 // the placement policy picks a replica, and the launch is cold — paying
 // the upload + JIT pipeline — iff that replica's artifact cache lacks the
@@ -434,14 +445,14 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) {
 // are retried with capped exponential backoff: synchronous failures here
 // in the caller's process, failures after Launch returned through a
 // requeue daemon that re-places the same Handle onto a survivor.
-func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
+func (m *ILM) Launch(h *Handle, spec LaunchSpec) error {
 	e, err := m.resolve(spec.Program)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p := e.prog
 	if err := validateManifest(p.Name, p.Manifest, m.models); err != nil {
-		return nil, err
+		return err
 	}
 	className := spec.Class
 	if className == "" {
@@ -450,7 +461,7 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 	if className != "" && m.classes != nil {
 		cls, ok := m.classes[className]
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", api.ErrNoSuchClass, className)
+			return fmt.Errorf("%w: %q", api.ErrNoSuchClass, className)
 		}
 		if spec.Priority == 0 {
 			// The class contract carries the scheduler priority; an
@@ -460,16 +471,17 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 	}
 	outputCap, err := m.place.AdmitLaunch(className, spec.Priority)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	spec.Args = slices.Clone(spec.Args)
 	degraded := outputCap > 0
 	if degraded {
 		// Graceful degradation: the gate admitted the launch with a
 		// shorter output budget instead of shedding it.
-		spec.Args = degradeArgs(spec.Args, outputCap)
+		degradeArgs(spec.Args, outputCap)
 	}
 	m.retrySeq++
-	h := &Handle{
+	*h = Handle{
 		Program:   p.Name,
 		Version:   e.version,
 		ClientTag: spec.ClientTag,
@@ -479,19 +491,19 @@ func (m *ILM) Launch(spec LaunchSpec) (*Handle, error) {
 		spec:      spec,
 		entry:     e,
 		policy:    spec.Retry.withDefaults(m.defaultRetry),
-		retryRNG:  sim.NewRNG(0xFA17 ^ m.retrySeq*0x9E3779B97F4A7C15),
-		toUser:    sim.NewMailbox[string](m.clock),
-		toInflt:   sim.NewMailbox[string](m.clock),
-		done:      sim.NewFuture[error](m.clock),
+		retryRNG:  sim.MakeRNG(0xFA17 ^ m.retrySeq*0x9E3779B97F4A7C15),
 	}
+	h.toUser.Init(m.clock)
+	h.toInflt.Init(m.clock)
+	h.done.Init(m.clock)
 	if err := m.retry(h); err != nil {
 		h.finish(err)
-		return nil, err
+		return err
 	}
 	if d := effectiveDeadline(spec.Deadline, p.Manifest.Limits.Deadline); d > 0 {
 		m.clock.After(d, func() { h.abort(fmt.Errorf("%w after %v", api.ErrDeadlineExceeded, d)) })
 	}
-	return h, nil
+	return nil
 }
 
 // attempt runs one launch attempt end to end: serial admission,
@@ -540,12 +552,10 @@ func (m *ILM) attempt(h *Handle) error {
 	h.ctl = ctl
 	h.killErr = nil
 	h.proc = nil
-	h.inst = ctl.RegisterInstance(p.Name, nil, func(reason error) {
-		h.killErr = reason
-		if h.proc != nil {
-			m.clock.Kill(h.proc)
-		}
-	})
+	sess := &h.sess
+	sess.reset(h)
+	h.inst = ctl.RegisterInstance(p.Name, nil, sess)
+	sess.inst = h.inst
 	h.inst.MaxQueues = p.Manifest.Limits.MaxQueues
 	h.inst.MaxKvPages = p.Manifest.Limits.MaxKvPages
 	h.inst.DefaultPriority = h.spec.Priority
@@ -583,10 +593,6 @@ func (m *ILM) attempt(h *Handle) error {
 	m.live++
 	m.running[h.ID] = h
 
-	sess := &session{ilm: m, handle: h, ctl: h.ctl, args: append([]string(nil), h.spec.Args...)}
-	sess.rng = sim.NewRNG(0x5EED ^ uint64(h.ID))
-	sess.inst = h.inst
-
 	h.proc = m.clock.Go(e.procName, func() {
 		var err error
 		func() {
@@ -604,7 +610,7 @@ func (m *ILM) attempt(h *Handle) error {
 			}()
 			err = p.Run(sess)
 		}()
-		m.finishAttempt(h, sess, err)
+		m.finishAttempt(h, err)
 	})
 	h.inst.Proc = h.proc
 	return nil
@@ -618,8 +624,8 @@ func (m *ILM) attempt(h *Handle) error {
 // handle for good. The handle's ctl — not a launch-time capture — names
 // the replica that releases the instance: a prefill/decode handoff may have
 // moved the instance to a different replica mid-run.
-func (m *ILM) finishAttempt(h *Handle, sess *session, err error) {
-	sess.cancelSubscriptions()
+func (m *ILM) finishAttempt(h *Handle, err error) {
+	h.sess.cancelSubscriptions()
 	h.ctl.ReleaseInstance(h.inst)
 	m.live--
 	delete(m.running, h.ID)
@@ -696,30 +702,26 @@ func (m *ILM) requeueAfter(h *Handle, name string, d time.Duration) {
 	})
 }
 
-// degradeArgs applies a degraded launch's output cap to its arguments:
-// when args[0] is a JSON object (the apps-layer parameter convention),
-// max_tokens is lowered to cap (or set if absent). Launches with
-// non-JSON arguments pass through unchanged — the cheaper-model
-// substitution in session.Open still applies. json.Marshal sorts object
-// keys, so the rewrite is deterministic.
-func degradeArgs(args []string, cap int) []string {
+// degradeArgs applies a degraded launch's output cap to its arguments, the
+// launch's own copy, in place: when args[0] is a JSON object (the
+// apps-layer parameter convention), max_tokens is lowered to cap (or set if
+// absent). Launches with non-JSON arguments pass through unchanged — the
+// cheaper-model substitution in session.Open still applies. json.Marshal
+// sorts object keys, so the rewrite is deterministic.
+func degradeArgs(args []string, cap int) {
 	if len(args) == 0 {
-		return args
+		return
 	}
 	var params map[string]any
 	if err := json.Unmarshal([]byte(args[0]), &params); err != nil || params == nil {
-		return args
+		return
 	}
 	if mt, ok := params["max_tokens"].(float64); !ok || int(mt) > cap {
 		params["max_tokens"] = cap
 	}
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return args
+	if raw, err := json.Marshal(params); err == nil {
+		args[0] = string(raw)
 	}
-	out := append([]string(nil), args...)
-	out[0] = string(raw)
-	return out
 }
 
 // effectiveDeadline combines a launch-spec deadline with a manifest
@@ -737,11 +739,12 @@ func effectiveDeadline(spec, manifest time.Duration) time.Duration {
 	}
 }
 
-// subscription implements inferlet.Subscription.
+// subscription implements inferlet.Subscription. It holds its mailbox by
+// value.
 type subscription struct {
 	ilm   *ILM
 	topic string
-	mb    *sim.Mailbox[string]
+	mb    sim.Mailbox[string]
 }
 
 func (s *subscription) Recv() api.Future[string] { return s.mb.Receiver() }
@@ -761,7 +764,8 @@ func (m *ILM) broadcast(topic, msg string) {
 }
 
 func (m *ILM) subscribe(topic string) *subscription {
-	s := &subscription{ilm: m, topic: topic, mb: sim.NewMailbox[string](m.clock)}
+	s := &subscription{ilm: m, topic: topic}
+	s.mb.Init(m.clock)
 	if m.topics[topic] == nil {
 		m.topics[topic] = make(map[*subscription]struct{})
 	}

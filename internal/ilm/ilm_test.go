@@ -236,8 +236,8 @@ func TestLaunchAdmissionIsASerialServer(t *testing.T) {
 	clock.Go("driver", func() {
 		parked("before the first launch")
 		launch := func() {
-			h, err := m.Launch(LaunchSpec{Program: "noop"})
-			if err != nil {
+			h := new(Handle)
+			if err := m.Launch(h, LaunchSpec{Program: "noop"}); err != nil {
 				t.Error(err)
 				return
 			}

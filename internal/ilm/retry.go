@@ -112,7 +112,7 @@ func (h *Handle) nextRetryDelay(cause error) (time.Duration, error) {
 	if !p.Enabled() || !Retryable(cause) || h.attempts >= p.MaxAttempts {
 		return 0, cause
 	}
-	d := p.Delay(h.attempts, h.retryRNG)
+	d := p.Delay(h.attempts, &h.retryRNG)
 	if p.Budget > 0 && h.backoffSpent+d > p.Budget {
 		return 0, fmt.Errorf("%w after %d attempt(s), %v of %v backoff spent: %w",
 			api.ErrRetryBudgetExhausted, h.attempts, h.backoffSpent, p.Budget, cause)

@@ -3,11 +3,13 @@ package ilm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"pie/api"
 	"pie/inferlet"
+	"pie/internal/core"
 	"pie/internal/sim"
 )
 
@@ -117,7 +119,7 @@ func TestNextRetryDelayBudgetExhaustion(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 10, BaseBackoff: 4 * time.Millisecond,
 		MaxBackoff: 4 * time.Millisecond, Jitter: -1,
 		Budget: 10 * time.Millisecond}.withDefaults(RetryPolicy{})
-	h := &Handle{policy: p, retryRNG: sim.NewRNG(1), attempts: 1}
+	h := &Handle{policy: p, retryRNG: sim.MakeRNG(1), attempts: 1}
 
 	// Two 4ms delays fit the 10ms budget; the third would overrun it.
 	for i := 0; i < 2; i++ {
@@ -142,13 +144,13 @@ func TestNextRetryDelayFinality(t *testing.T) {
 		Jitter: -1}.withDefaults(RetryPolicy{})
 
 	// Non-retryable causes surface unchanged.
-	h := &Handle{policy: p, retryRNG: sim.NewRNG(1), attempts: 1}
+	h := &Handle{policy: p, retryRNG: sim.MakeRNG(1), attempts: 1}
 	if _, err := h.nextRetryDelay(api.ErrAborted); !errors.Is(err, api.ErrAborted) {
 		t.Fatalf("abort cause came back as %v", err)
 	}
 
 	// Attempts at the limit surface the cause, not an exhaustion wrapper.
-	h = &Handle{policy: p, retryRNG: sim.NewRNG(1), attempts: 2}
+	h = &Handle{policy: p, retryRNG: sim.MakeRNG(1), attempts: 2}
 	_, err := h.nextRetryDelay(api.ErrReplicaLost)
 	if !errors.Is(err, api.ErrReplicaLost) || errors.Is(err, api.ErrRetryBudgetExhausted) {
 		t.Fatalf("attempt-capped retry error = %v, want bare cause", err)
@@ -192,8 +194,8 @@ func TestAbortLatchesBetweenRetries(t *testing.T) {
 	var aborted bool
 	var waitErr error
 	clock.Go("client", func() {
-		h, err := m.Launch(LaunchSpec{Program: "hold", Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Jitter: -1}})
-		if err != nil {
+		h := new(Handle)
+		if err := m.Launch(h, LaunchSpec{Program: "hold", Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, Jitter: -1}}); err != nil {
 			t.Errorf("launch: %v", err)
 			return
 		}
@@ -226,5 +228,182 @@ func TestAbortLatchesBetweenRetries(t *testing.T) {
 	}
 	if embeds, _ := ctl.EmbedPoolStats("llama-1b"); embeds != 0 {
 		t.Fatalf("%d embeds still held", embeds)
+	}
+}
+
+// turnPlacer places each launch attempt on the next of its controllers, in
+// turn.
+type turnPlacer struct {
+	fakePlacer
+	ctls []*core.Controller
+	n    int
+}
+
+func (p *turnPlacer) Place(string, string, []string) (*core.Controller, error) {
+	ctl := p.ctls[p.n%len(p.ctls)]
+	p.n++
+	return ctl, nil
+}
+
+// retryOnce launches program with args on an ILM of the given number of
+// replicas, each attempt on the next replica in turn, whose launches retry
+// once, and kills the first replica's instances 1ms in, so the program's
+// first attempt dies and a second one runs to its end. mutate runs in the
+// client right after Launch returns.
+func retryOnce(t *testing.T, replicas int, program inferlet.Program, args []string, mutate func()) *Handle {
+	t.Helper()
+	clock := sim.NewClock()
+	placer := &turnPlacer{}
+	var info api.ModelInfo
+	for i := range replicas {
+		var ctl *core.Controller
+		ctl, info = timingController(clock, fmt.Sprintf("gpu%d", i))
+		placer.ctls = append(placer.ctls, ctl)
+	}
+	m := New(clock, placer, nil, []api.ModelInfo{info})
+	if err := m.Register(program); err != nil {
+		t.Fatal(err)
+	}
+	h := new(Handle)
+	clock.Go("client", func() {
+		if err := m.Launch(h, LaunchSpec{Program: program.Name, Args: args, Retry: RetryPolicy{MaxAttempts: 2, Jitter: -1}}); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		mutate()
+		clock.Sleep(time.Millisecond)
+		placer.ctls[0].AbortAllInstances(api.ErrReplicaLost)
+		if err := h.Wait(); err != nil {
+			t.Errorf("the retried attempt: %v", err)
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Attempts() != 2 || m.Requeues != 1 {
+		t.Fatalf("%d attempts, %d requeues; want 2 and 1", h.Attempts(), m.Requeues)
+	}
+	if h.ctl != placer.ctls[1%replicas] {
+		t.Fatalf("the retried attempt did not run on replica %d", 1%replicas)
+	}
+	return h
+}
+
+// TestRetryReadsTheLaunchArgs: a launch keeps its own copy of its
+// arguments, so a client that reuses its slice after Launch returns does
+// not change what a retried attempt reads.
+func TestRetryReadsTheLaunchArgs(t *testing.T) {
+	var got [][]string
+	hold := inferlet.Program{Name: "hold", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		got = append(got, s.GetArg())
+		if len(got) == 1 {
+			_, err := s.Receive().Get() // until the replica dies
+			return err
+		}
+		return nil
+	}}
+	args := []string{"prompt", "8"}
+	retryOnce(t, 1, hold, args, func() { args[0], args[1] = "reused", "buffer" })
+	want := []string{"prompt", "8"}
+	if len(got) != 2 || !slices.Equal(got[0], want) || !slices.Equal(got[1], want) {
+		t.Fatalf("the attempts read %q, want %q twice", got, want)
+	}
+}
+
+// TestRetryStartsAFreshSession: a handle keeps its session and starts it
+// over in place for each attempt. A retried attempt sees the Random stream
+// a fresh launch sees, none of the earlier attempt's subscriptions, and the
+// earlier attempt's queue closed: every call on it fails before it reaches a
+// controller, so it cannot touch the exports of the replica the retry runs
+// on, that one or another. The logs run on across attempts.
+func TestRetryStartsAFreshSession(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas%d", replicas), func(t *testing.T) { retryStartsAFreshSession(t, replicas) })
+	}
+}
+
+func retryStartsAFreshSession(t *testing.T, replicas int) {
+	type attempt struct {
+		draws []uint64
+		subs  int // subscribers of the topic after this attempt subscribed
+	}
+	var (
+		attempts     []attempt
+		firstQ       *inferlet.Queue
+		firstAlloc   *inferlet.Alloc
+		firstSub     inferlet.Subscription
+		staleSync    error
+		staleSub     error
+		staleHas     bool
+		staleRelease error
+		kept         bool
+		own          string
+	)
+	prog := inferlet.Program{Name: "fresh", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		n := len(attempts) + 1
+		s.Print(fmt.Sprintf("attempt %d", n))
+		a := attempt{draws: []uint64{s.Random(), s.Random(), s.Random()}}
+		sub := s.Subscribe("news")
+		a.subs = len(s.(*session).ilm.topics["news"])
+		attempts = append(attempts, a)
+		q, err := s.Open("llama-1b")
+		if err != nil {
+			return err
+		}
+		alloc, err := q.Alloc()
+		if err != nil {
+			return err
+		}
+		if n == 1 {
+			firstQ, firstAlloc, firstSub = q, alloc, sub
+			_, err := s.Receive().Get() // until the replica dies
+			return err
+		}
+		pages, err := alloc.Pages(1)
+		if err != nil {
+			return err
+		}
+		if err := alloc.Export("kept", pages); err != nil {
+			return err
+		}
+		staleSync = firstQ.Sync()
+		staleHas = firstAlloc.HasExport("kept")
+		staleRelease = firstAlloc.ReleaseExport("kept")
+		kept = alloc.HasExport("kept")
+		if err := alloc.ReleaseExport("kept"); err != nil {
+			return err
+		}
+		s.Broadcast("news", "second")
+		_, staleSub = firstSub.Recv().Get()
+		own, err = sub.Recv().Get()
+		if err != nil {
+			return err
+		}
+		return q.Close()
+	}}
+	h := retryOnce(t, replicas, prog, nil, func() {})
+
+	fresh := sim.MakeRNG(0x5EED ^ h.ID)
+	want := []uint64{fresh.Uint64(), fresh.Uint64(), fresh.Uint64()}
+	for i, a := range attempts {
+		if !slices.Equal(a.draws, want) {
+			t.Errorf("attempt %d drew %v from Random, want a fresh launch's %v", i+1, a.draws, want)
+		}
+		if a.subs != 1 {
+			t.Errorf("attempt %d found %d subscribers to its topic, want itself alone", i+1, a.subs)
+		}
+	}
+	if !errors.Is(staleSub, sim.ErrMailboxClosed) || own != "second" {
+		t.Errorf("the earlier attempt's subscription received (%v), the retried one %q; want it closed and %q", staleSub, own, "second")
+	}
+	if !errors.Is(staleSync, api.ErrQueueClosed) {
+		t.Errorf("Sync on the earlier attempt's queue = %v, want ErrQueueClosed", staleSync)
+	}
+	if staleHas || !errors.Is(staleRelease, api.ErrQueueClosed) || !kept {
+		t.Errorf("through the earlier attempt's queue HasExport = %v and ReleaseExport = %v, and the retry's export kept = %v; want false, ErrQueueClosed, true",
+			staleHas, staleRelease, kept)
+	}
+	if logs := h.Logs(); !slices.Equal(logs, []string{"attempt 1", "attempt 2"}) {
+		t.Errorf("logs %q, want both attempts'", logs)
 	}
 }

@@ -15,14 +15,50 @@ import (
 // inferlet has. Control-layer calls charge microsecond-scale handling in
 // the controller; inference-layer access goes through queue bindings
 // (inferlet.QueueRuntime) that flow through the batch scheduler.
+//
+// A handle holds its session by value and starts it over for each attempt
+// (reset), so a launch allocates none.
 type session struct {
 	ilm    *ILM
 	handle *Handle
 	ctl    *core.Controller // the replica hosting this instance
 	inst   *core.Instance
-	args   []string
-	rng    *sim.RNG
+	rng    sim.RNG
 	subs   []*subscription
+
+	// first is the queue the handle's first Open returns, held here so that
+	// opening it allocates nothing. It serves one Open per handle, not per
+	// attempt: a queue opened by an attempt that ended keeps failing, so a
+	// retried attempt's queues are new records.
+	first     openQueue
+	firstUsed bool
+}
+
+// openQueue is an open queue's inferlet-side object and the binding behind
+// it, allocated together.
+type openQueue struct {
+	q inferlet.Queue
+	b queueBinding
+}
+
+// reset starts the session over for a new attempt of h, on h.ctl, in place:
+// a fresh Random stream, no subscriptions, no instance yet. The first
+// queue's slot is left as it is.
+func (s *session) reset(h *Handle) {
+	s.ilm, s.handle, s.ctl, s.inst = h.ilm, h, h.ctl, nil
+	s.rng = sim.MakeRNG(0x5EED ^ h.ID)
+	clear(s.subs)
+	s.subs = s.subs[:0]
+}
+
+// Terminated is the control layer telling the session its instance was
+// terminated (core.Owner): the inferlet's process unwinds with reason.
+func (s *session) Terminated(reason error) {
+	h := s.handle
+	h.killErr = reason
+	if h.proc != nil {
+		s.ilm.clock.Kill(h.proc)
+	}
 }
 
 func (s *session) cancelSubscriptions() {
@@ -48,7 +84,7 @@ func (s *session) checkHandoff() {
 
 // --- Core runtime -----------------------------------------------------
 
-func (s *session) GetArg() []string { return append([]string(nil), s.args...) }
+func (s *session) GetArg() []string { return append([]string(nil), s.handle.spec.Args...) }
 
 func (s *session) Send(msg string) {
 	s.inst.ControlCalls++
@@ -104,21 +140,21 @@ func (s *session) Subscribe(topic string) inferlet.Subscription {
 
 func (s *session) Spawn(program string, args []string) (inferlet.Child, error) {
 	s.inst.ControlCalls++
-	h, err := s.ilm.Launch(LaunchSpec{Program: program, Args: args})
-	if err != nil {
+	c := new(child)
+	if err := s.ilm.Launch(&c.h, LaunchSpec{Program: program, Args: args}); err != nil {
 		return nil, err
 	}
-	return &child{h: h}, nil
+	return c, nil
 }
 
-type child struct{ h *Handle }
+type child struct{ h Handle }
 
 func (c *child) Send(msg string)          { c.h.Send(msg) }
 func (c *child) Recv() api.Future[string] { return c.h.Recv() }
 
 // Wait is the handle's own done future: it resolves with what h.Wait
 // returns, and like it survives requeues.
-func (c *child) Wait() api.Future[error] { return c.h.done }
+func (c *child) Wait() api.Future[error] { return &c.h.done }
 
 // --- Model discovery ------------------------------------------------------
 
@@ -152,7 +188,14 @@ func (s *session) Open(m api.ModelID, opts ...inferlet.QueueOption) (*inferlet.Q
 		return nil, err
 	}
 	rt := s.ctl.ModelRuntime(string(m))
-	q := inferlet.NewQueue(rt.Info, &queueBinding{s: s, qid: qid, model: string(m)})
+	slot := &s.first
+	if s.firstUsed {
+		slot = new(openQueue)
+	}
+	s.firstUsed = true
+	slot.b = queueBinding{s: s, inst: s.inst, qid: qid, model: string(m)}
+	q := &slot.q
+	q.Init(rt.Info, &slot.b)
 	for _, o := range opts {
 		if err := o(q); err != nil {
 			return nil, err
@@ -162,92 +205,157 @@ func (s *session) Open(m api.ModelID, opts ...inferlet.QueueOption) (*inferlet.Q
 }
 
 // queueBinding implements inferlet.QueueRuntime: every operation is bound
-// to one (instance, queue) pair and delegates to the replica's controller.
+// to one (instance, queue) pair and delegates to the controller the session
+// is on. The instance is the one that opened the queue: once its attempt
+// ends, the session starts over on an instance (perhaps a replica) of its
+// own, and every call through the binding fails with api.ErrQueueClosed
+// (live) before it reaches a controller.
 // Residency in the tiered KV cache is invisible at this boundary: a
 // Forward/CopyKvPage/MaskKvPage whose pages were offloaded to the host
 // tier faults them back in inside the controller (charging the PCIe
 // transfer to this session's process), so sessions page transparently.
 type queueBinding struct {
 	s     *session
+	inst  *core.Instance
 	qid   api.Queue
 	model string
 }
 
-func (b *queueBinding) SetPriority(pri int) error {
-	return b.s.ctl.SetQueuePriority(b.s.inst, b.qid, pri)
+// live reports whether the attempt that opened the queue is still the
+// session's: if not, the call fails with api.ErrQueueClosed.
+func (b *queueBinding) live() error {
+	if b.inst != b.s.inst {
+		return api.ErrQueueClosed
+	}
+	return nil
 }
 
-func (b *queueBinding) Synchronize() (api.Future[struct{}], error) {
-	return b.s.ctl.Synchronize(b.s.inst, b.qid)
+func (b *queueBinding) SetPriority(pri int) error {
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.SetQueuePriority(b.inst, b.qid, pri)
+}
+
+func (b *queueBinding) Sync() (r sim.Result[struct{}], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
+	return b.s.ctl.Synchronize(b.inst, b.qid)
 }
 
 func (b *queueBinding) Close() error {
-	return b.s.ctl.CloseQueue(b.s.inst, b.qid)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.CloseQueue(b.inst, b.qid)
 }
 
 func (b *queueBinding) AllocEmbeds(n int) ([]api.Embed, error) {
-	return b.s.ctl.AllocEmbeds(b.s.inst, b.qid, n)
+	if err := b.live(); err != nil {
+		return nil, err
+	}
+	return b.s.ctl.AllocEmbeds(b.inst, b.qid, n)
 }
 
 func (b *queueBinding) DeallocEmbeds(ids []api.Embed) error {
-	return b.s.ctl.DeallocEmbeds(b.s.inst, b.qid, ids)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.DeallocEmbeds(b.inst, b.qid, ids)
 }
 
 func (b *queueBinding) AllocKvPages(n int) ([]api.KvPage, error) {
-	return b.s.ctl.AllocPages(b.s.inst, b.qid, n)
+	if err := b.live(); err != nil {
+		return nil, err
+	}
+	return b.s.ctl.AllocPages(b.inst, b.qid, n)
 }
 
 func (b *queueBinding) DeallocKvPages(ids []api.KvPage) error {
-	return b.s.ctl.DeallocPages(b.s.inst, b.qid, ids)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.DeallocPages(b.inst, b.qid, ids)
 }
 
 func (b *queueBinding) ExportKvPages(name string, ids []api.KvPage) error {
-	return b.s.ctl.ExportPages(b.s.inst, name, ids)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.ExportPages(b.inst, name, ids)
 }
 
 func (b *queueBinding) ImportKvPages(name string) ([]api.KvPage, error) {
-	return b.s.ctl.ImportPages(b.s.inst, b.qid, name)
+	if err := b.live(); err != nil {
+		return nil, err
+	}
+	return b.s.ctl.ImportPages(b.inst, b.qid, name)
 }
 
 func (b *queueBinding) HasExport(name string) bool {
-	return b.s.ctl.HasExport(b.s.inst, name)
+	return b.live() == nil && b.s.ctl.HasExport(b.inst, name)
 }
 
 func (b *queueBinding) ReleaseExport(name string) error {
-	return b.s.ctl.ReleaseExport(b.s.inst, name)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.ReleaseExport(b.inst, name)
 }
 
 func (b *queueBinding) CopyKvPage(src, dst api.KvPage, srcOff, dstOff, n int) error {
-	return b.s.ctl.CopyKv(b.s.inst, b.qid, src, dst, srcOff, dstOff, n)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.CopyKv(b.inst, b.qid, src, dst, srcOff, dstOff, n)
 }
 
 func (b *queueBinding) Forward(args api.ForwardArgs) error {
+	if err := b.live(); err != nil {
+		return err
+	}
 	b.s.checkHandoff()
-	return b.s.ctl.Forward(b.s.inst, b.qid, args)
+	return b.s.ctl.Forward(b.inst, b.qid, args)
 }
 
-func (b *queueBinding) ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (sim.Result[[]int], error) {
+func (b *queueBinding) ForwardSampled(args api.ForwardArgs, inlineTokens, inlinePos []int, spec api.SampleSpec) (r sim.Result[[]int], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
 	b.s.checkHandoff()
-	return b.s.ctl.ForwardSampled(b.s.inst, b.qid, args, inlineTokens, inlinePos, infer.SampleSpec{
+	return b.s.ctl.ForwardSampled(b.inst, b.qid, args, inlineTokens, inlinePos, infer.SampleSpec{
 		TopK: spec.TopK, Temperature: spec.Temperature, Seed: spec.Seed,
 	})
 }
 
 func (b *queueBinding) MaskKvPage(page api.KvPage, bits []bool) error {
-	return b.s.ctl.MaskKv(b.s.inst, b.qid, page, bits)
+	if err := b.live(); err != nil {
+		return err
+	}
+	return b.s.ctl.MaskKv(b.inst, b.qid, page, bits)
 }
 
 func (b *queueBinding) EmbedText(tokens, positions []int, dst []api.Embed) error {
+	if err := b.live(); err != nil {
+		return err
+	}
 	b.s.checkHandoff()
-	return b.s.ctl.EmbedText(b.s.inst, b.qid, tokens, positions, dst)
+	return b.s.ctl.EmbedText(b.inst, b.qid, tokens, positions, dst)
 }
 
 func (b *queueBinding) EmbedImage(blob []byte, positions []int, dst []api.Embed) error {
+	if err := b.live(); err != nil {
+		return err
+	}
 	b.s.checkHandoff()
-	return b.s.ctl.EmbedImage(b.s.inst, b.qid, blob, positions, dst)
+	return b.s.ctl.EmbedImage(b.inst, b.qid, blob, positions, dst)
 }
 
 func (b *queueBinding) NumEmbedsNeeded(imageBytes int) (int, error) {
+	if err := b.live(); err != nil {
+		return 0, err
+	}
 	rt := b.s.ctl.ModelRuntime(b.model)
 	if rt == nil {
 		return 0, api.ErrNoSuchModel
@@ -255,23 +363,36 @@ func (b *queueBinding) NumEmbedsNeeded(imageBytes int) (int, error) {
 	return rt.Model.EmbedsNeededForImage(imageBytes), nil
 }
 
-func (b *queueBinding) GetNextDist(emb api.Embed) (sim.Result[api.Dist], error) {
-	return b.s.ctl.NextDist(b.s.inst, b.qid, emb)
+func (b *queueBinding) GetNextDist(emb api.Embed) (r sim.Result[api.Dist], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
+	return b.s.ctl.NextDist(b.inst, b.qid, emb)
 }
 
-func (b *queueBinding) Tokenize(text string) (sim.Result[[]int], error) {
-	return b.s.ctl.Tokenize(b.s.inst, b.qid, text)
+func (b *queueBinding) Tokenize(text string) (r sim.Result[[]int], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
+	return b.s.ctl.Tokenize(b.inst, b.qid, text)
 }
 
-func (b *queueBinding) Detokenize(ids []int) (sim.Result[string], error) {
-	return b.s.ctl.Detokenize(b.s.inst, b.qid, ids)
+func (b *queueBinding) Detokenize(ids []int) (r sim.Result[string], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
+	return b.s.ctl.Detokenize(b.inst, b.qid, ids)
 }
 
-func (b *queueBinding) GetVocabs() (sim.Result[[][]byte], error) {
-	return b.s.ctl.GetVocabs(b.s.inst, b.qid)
+func (b *queueBinding) GetVocabs() (r sim.Result[[][]byte], err error) {
+	if err = b.live(); err != nil {
+		return r, err
+	}
+	return b.s.ctl.GetVocabs(b.inst, b.qid)
 }
 
 var (
 	_ inferlet.Session      = (*session)(nil)
+	_ core.Owner            = (*session)(nil)
 	_ inferlet.QueueRuntime = (*queueBinding)(nil)
 )

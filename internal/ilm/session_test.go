@@ -38,10 +38,17 @@ func (p *onePlacer) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*co
 // oneReplicaILM returns an ILM whose placer puts every launch on a
 // one-model timing controller.
 func oneReplicaILM(clock *sim.Clock) *ILM {
+	ctl, info := timingController(clock, "gpu0")
+	return New(clock, &onePlacer{ctl: ctl}, nil, []api.ModelInfo{info})
+}
+
+// timingController returns a controller serving llama-1b in timing mode on
+// a backend of its own.
+func timingController(clock *sim.Clock, gpu string) (*core.Controller, api.ModelInfo) {
 	rt := infer.NewModelRuntime(model.StandardCatalog(42).Models["llama-1b"], infer.ExecTiming)
-	ctl := core.NewController(clock, infer.NewBackend(clock, "gpu0"), []*infer.ModelRuntime{rt},
+	ctl := core.NewController(clock, infer.NewBackend(clock, gpu), []*infer.ModelRuntime{rt},
 		core.DefaultSchedConfig(), core.OffloadConfig{}, core.ArtifactConfig{})
-	return New(clock, &onePlacer{ctl: ctl}, nil, []api.ModelInfo{rt.Info})
+	return ctl, rt.Info
 }
 
 // runOnController launches program body on oneReplicaILM, beside the other
@@ -59,8 +66,8 @@ func runOnController(t *testing.T, body func(s *session) error, others ...inferl
 		}
 	}
 	clock.Go("client", func() {
-		h, err := m.Launch(LaunchSpec{Program: "t", Args: []string{"arg"}})
-		if err != nil {
+		h := new(Handle)
+		if err := m.Launch(h, LaunchSpec{Program: "t", Args: []string{"arg"}}); err != nil {
 			t.Errorf("launch: %v", err)
 			return
 		}
@@ -91,17 +98,17 @@ func TestCheckHandoffThroughTheBindings(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		b := &queueBinding{s: s, qid: qid, model: "llama-1b"}
+		b := &queueBinding{s: s, inst: inst, qid: qid, model: "llama-1b"}
 		embs, err := b.AllocEmbeds(2)
 		if err != nil {
 			return err
 		}
 		drain := func() error {
-			f, err := b.Synchronize()
+			r, err := b.Sync()
 			if err != nil {
 				return err
 			}
-			_, err = f.Get()
+			_, err = r.Get()
 			return err
 		}
 		ops := []struct {

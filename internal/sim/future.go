@@ -134,8 +134,14 @@ type Future[T any] struct {
 
 // NewFuture creates an unresolved future on clock c.
 func NewFuture[T any](c *Clock) *Future[T] {
-	return &Future[T]{completion: completion{c: c}}
+	f := new(Future[T])
+	f.Init(c)
+	return f
 }
+
+// Init makes f an unresolved future on clock c, in place (a record that
+// holds its future by value).
+func (f *Future[T]) Init(c *Clock) { *f = Future[T]{completion: completion{c: c}} }
 
 // Resolve completes the future with v and wakes all waiters.
 func (f *Future[T]) Resolve(v T) {

@@ -15,7 +15,8 @@ import (
 // one receiver.
 type Mailbox[T any] struct {
 	c   *Clock
-	buf []T
+	buf []T // starts on one, so a mailbox that holds one message at a time allocates nothing
+	one [1]T
 	// owed counts the messages at the front of buf that Sends handed to
 	// receivers they woke from Recv: such a receiver takes the front
 	// message when it resumes, and no other receiver may take one of
@@ -31,7 +32,17 @@ type Mailbox[T any] struct {
 
 // NewMailbox returns an empty mailbox on clock c.
 func NewMailbox[T any](c *Clock) *Mailbox[T] {
-	return &Mailbox[T]{c: c}
+	m := new(Mailbox[T])
+	m.Init(c)
+	return m
+}
+
+// Init makes m an empty mailbox on clock c, in place: a record that holds
+// its mailboxes by value (a launch handle) sets them up without allocating.
+// The mailbox refers to itself, so it must not be copied after Init.
+func (m *Mailbox[T]) Init(c *Clock) {
+	*m = Mailbox[T]{c: c}
+	m.buf = m.one[:0]
 }
 
 // Send enqueues v, handing it to the oldest waiting receiver if any. Send

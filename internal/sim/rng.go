@@ -10,7 +10,14 @@ type RNG struct {
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{state: seed*0x9E3779B97F4A7C15 + 0x243F6A8885A308D3}
+	r := MakeRNG(seed)
+	return &r
+}
+
+// MakeRNG returns, as a value, the generator NewRNG(seed) points to: for a
+// record that holds its stream by value.
+func MakeRNG(seed uint64) RNG {
+	return RNG{state: seed*0x9E3779B97F4A7C15 + 0x243F6A8885A308D3}
 }
 
 // Uint64 returns the next raw 64-bit value.

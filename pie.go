@@ -513,9 +513,11 @@ func (e *Engine) RegisterTool(name string, latency time.Duration, handler func(r
 	e.world.Register(&netsim.Service{Name: name, Latency: latency, Handler: handler})
 }
 
-// Handle is the client-side connection to a launched inferlet.
+// Handle is the client-side connection to a launched inferlet. It holds
+// the lifecycle manager's handle by value, so a launch allocates one
+// record for the client's side of it.
 type Handle struct {
-	h *ilm.Handle
+	h ilm.Handle
 }
 
 // Send delivers a message to the inferlet.
@@ -579,15 +581,17 @@ func (h *Handle) Degraded() bool { return h.h.Degraded() }
 
 // Launch starts an inferlet described by a LaunchSpec over the client
 // link (one half RTT out; the full acknowledgement round trip is visible
-// through Wait/Recv). Must be called from a sim process. The common case
+// through Wait/Recv). Must be called from a sim process. The launch keeps
+// its own copy of spec.Args, so the caller may reuse the slice once Launch
+// returns: a retried attempt reads what the first one did. The common case
 // reads e.Launch(pie.Spec("name", args...)).
 func (e *Engine) Launch(spec LaunchSpec) (*Handle, error) {
 	e.clock.Sleep(e.cfg.ClientRTT / 2)
-	h, err := e.ilm.Launch(spec)
-	if err != nil {
+	h := new(Handle)
+	if err := e.ilm.Launch(&h.h, spec); err != nil {
 		return nil, err
 	}
-	return &Handle{h: h}, nil
+	return h, nil
 }
 
 // LaunchAndWait runs an inferlet to completion and returns its logs.

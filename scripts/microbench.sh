@@ -8,7 +8,8 @@
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
-# that returns at once (Launch through Wait), one role-balancer window, one
+# that returns at once (Launch through Wait), a warm whole session (launch,
+# open a queue, one page, one fused step, close, wait), one role-balancer window, one
 # whole cluster tick (load snapshot, health, balancer, reconcile and scaler) and one
 # least-loaded launch placement on a 6-replica prefill/decode cluster,
 # the grammar matcher and the tokenizer,
@@ -22,6 +23,13 @@
 #                                  as it is
 #   scripts/microbench.sh -check   measure this tree and compare it with the
 #                                  committed "change" block.
+#   scripts/microbench.sh -ref REF measure git ref REF (read with git
+#                                  archive, so the working tree is untouched)
+#                                  and this tree row by row, alternating which
+#                                  tree runs a row first, and write both blocks
+#                                  of BENCH_micro.json from that one session:
+#                                  drift between the two trees' runs then
+#                                  falls on both alike.
 #
 # What -check fails on:
 #   - allocs/op above the committed value. Exact, except for the Clock*
@@ -34,6 +42,9 @@
 #     band absorbs the rest (min of $count on both sides). The calibration
 #     loop is the tensor tests' one-accumulator 64 x 64 oracle: scalar code
 #     in a test file, which no kernel change moves.
+#   - LaunchSession's allocs/op, like every row's, exactly: a session's
+#     lifecycle is a handful of records (TestSessionAllocations pins the
+#     same count).
 #   - DecodeStep allocating at all, at any of its three context sizes: a
 #     decode step may not pay for its context, and it allocates nothing
 #     (embed_txt and forward return no result, a failed one reporting at the
@@ -100,23 +111,53 @@ bench() {
 		}'
 }
 
-{
-	bench 50000x '^Benchmark(CalibScalar|MatVec64|LogitsHead|Softmax|SiLU|TopK)$' ./internal/tensor
-	bench 200x '^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$' ./internal/model
-	bench 2000x '^BenchmarkStandardCatalog$' ./internal/model
-	bench 5x '^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$' ./internal/sim 1,2
-	bench 200000x '^BenchmarkClockTimer$' ./internal/sim 1,2
-	bench 200000x '^Benchmark(RoomWait|MailboxRecv)$' ./internal/sim
-	bench 2000x '^Benchmark(DecodeStep|FusedStep|Generate)$' .
-	bench 2000x '^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$' ./internal/core
-	bench 20000x '^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$' ./internal/core
-	bench 200000x '^BenchmarkNextDistTiming$' ./internal/infer
-	bench 20000x '^BenchmarkToolCall$' ./internal/netsim
-	bench 20000x '^BenchmarkLaunch$' ./internal/ilm
-	bench 20000x '^Benchmark(RoleBalance|ClusterTick|Place)$' ./internal/cluster
-	bench 200x '^BenchmarkAllowedTokensJSON$' ./internal/grammar
-	bench 2000x '^BenchmarkEncode$' ./internal/tokenizer
-} > "$fresh"
+# rows: one `bench` invocation a line (benchtime, regexp, package, and the
+# -cpu list if any).
+rows() {
+	cat <<'EOF'
+50000x ^Benchmark(CalibScalar|MatVec64|LogitsHead|Softmax|SiLU|TopK)$ ./internal/tensor
+200x ^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$ ./internal/model
+2000x ^BenchmarkStandardCatalog$ ./internal/model
+5x ^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$ ./internal/sim 1,2
+200000x ^BenchmarkClockTimer$ ./internal/sim 1,2
+200000x ^Benchmark(RoomWait|MailboxRecv)$ ./internal/sim
+2000x ^Benchmark(DecodeStep|FusedStep|Generate)$ .
+20000x ^BenchmarkLaunchSession$ .
+2000x ^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$ ./internal/core
+20000x ^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$ ./internal/core
+200000x ^BenchmarkNextDistTiming$ ./internal/infer
+20000x ^BenchmarkToolCall$ ./internal/netsim
+20000x ^BenchmarkLaunch$ ./internal/ilm
+20000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
+200x ^BenchmarkAllowedTokensJSON$ ./internal/grammar
+2000x ^BenchmarkEncode$ ./internal/tokenizer
+EOF
+}
+
+parent=""
+if [ "${1:-}" = "-ref" ]; then
+	[ $# -ge 2 ] || { echo "usage: scripts/microbench.sh -ref REF" >&2; exit 2; }
+	tree="$(mktemp -d)"
+	trap 'rm -rf "$fresh" "$fresh.parent" "$tree"' EXIT
+	git archive "$2" | tar -x -C "$tree"
+	parent="$fresh.parent"
+	: > "$parent"
+fi
+
+# Each row runs on this tree; with -ref, on REF's tree too, REF first on odd
+# rows and second on even ones.
+: > "$fresh"
+i=0
+rows | while read -r benchtime re pkg cpus; do
+	i=$((i + 1))
+	if [ -n "$parent" ] && [ $((i % 2)) -eq 1 ]; then
+		(cd "$tree" && bench "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
+	fi
+	bench "$benchtime" "$re" "$pkg" $cpus >> "$fresh"
+	if [ -n "$parent" ] && [ $((i % 2)) -eq 0 ]; then
+		(cd "$tree" && bench "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
+	fi
+done
 
 # block <name>: the lines of one top-level block of the committed file.
 block() {
@@ -159,9 +200,9 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, FusedStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, FusedStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, LaunchSession, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
-	block parent | commas
+	if [ -n "$parent" ]; then commas < "$parent"; else block parent | commas; fi
 	echo '  },'
 	echo '  "change": {'
 	commas < "$fresh"

@@ -147,12 +147,6 @@ func TestFailedForkClosesItsChildren(t *testing.T) {
 	}
 }
 
-// doneFuture is a resolved api.Future.
-type doneFuture struct{}
-
-func (doneFuture) Get() (struct{}, error) { return struct{}{}, nil }
-func (doneFuture) Done() bool             { return true }
-
 // stubRuntime is the provider behind a queue of stubSession: it serves what
 // a context's construction and a queue's Close need, and counts.
 type stubRuntime struct {
@@ -161,9 +155,11 @@ type stubRuntime struct {
 	embeds, closed        int
 }
 
-func (r *stubRuntime) Synchronize() (api.Future[struct{}], error) { return doneFuture{}, nil }
-func (r *stubRuntime) Close() error                               { r.closed++; return nil }
-func (r *stubRuntime) DeallocEmbeds(ids []api.Embed) error        { r.embeds -= len(ids); return nil }
+func (r *stubRuntime) Sync() (inferlet.Result[struct{}], error) {
+	return inferlet.Ready(struct{}{}), nil
+}
+func (r *stubRuntime) Close() error                        { r.closed++; return nil }
+func (r *stubRuntime) DeallocEmbeds(ids []api.Embed) error { r.embeds -= len(ids); return nil }
 func (r *stubRuntime) AllocEmbeds(n int) ([]api.Embed, error) {
 	if r.failAlloc != nil {
 		return nil, r.failAlloc
