@@ -89,7 +89,7 @@ func TestBuildConfigManifest(t *testing.T) {
 			func(c pie.Config) bool {
 				return c.Shed == pie.ShedConfig{Enabled: true, KVWatermark: 0.85, QueueDepth: 6.5}
 			}},
-		{"faults", []string{"-fault-plan", "crash:1@200ms", "-fault-rate", "0.01"},
+		{"faults", []string{"-fault-plan", "crash:0@200ms", "-fault-rate", "0.01"},
 			func(c pie.Config) bool {
 				return len(c.Faults.Events) == 1 && c.Faults.CallFailRate == 0.01 && c.Faults.Seed == c.Seed
 			}},
@@ -158,6 +158,8 @@ func TestBuildConfigRejectsOutOfRange(t *testing.T) {
 		{"health-interval", []string{"-5ms"}, []string{"0", "5ms"}},
 		{"fault-rate", []string{"-0.01", "1.01", "NaN"}, []string{"0", "1"}},
 		{"retry-budget", []string{"-250ms"}, []string{"0", "250ms"}},
+		// Without -config one replica is built: replica 0 only.
+		{"fault-plan", []string{"crash:1@1ms", "crash:9@1ms", "crash:0@1ms,hang:1@2ms"}, []string{"crash:0@1ms", "hang:0@1ms"}},
 	} {
 		for _, v := range tc.bad {
 			if err := build("-"+tc.flag, v); err == nil || !strings.Contains(err.Error(), "-"+tc.flag+" ") {

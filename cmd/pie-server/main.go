@@ -210,6 +210,12 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 		if err != nil {
 			return fail(err)
 		}
+		built := pie.BuiltReplicas(cfg)
+		for _, ev := range plan.Events {
+			if ev.Replica >= built {
+				return fail(fmt.Errorf("-fault-plan %s: event %v targets replica %d, but only %d replica(s) are built", *faultPlan, ev, ev.Replica, built))
+			}
+		}
 		plan.CallFailRate = *faultRate
 		plan.Seed = *faultSeed
 		if plan.Seed == 0 {

@@ -13,8 +13,9 @@
 // the ILM's two requeue daemons sleep their backoff, then relaunch; and the
 // baseline engine's loop waits on its device.
 //
-// Exactly one process or timer executes at any instant; blocking operations
-// (Sleep, Future.Get, Mailbox.Recv) hand control to the earliest pending
+// Exactly one process or timer executes at any instant. A process blocks
+// only in Sleep and on a WaitList (Future.Get, Result.Get, Mailbox.Recv and
+// Group.Wait park on one), and each hands control to the earliest pending
 // event, ordered by (virtual time, sequence number). This makes experiments
 // with hundreds of concurrent agents fully deterministic and lets hours of
 // simulated GPU time replay in milliseconds of wall time.
@@ -57,7 +58,7 @@ const (
 	stateReady    procState = iota // queued in the event heap
 	stateRunning                   // the single currently-executing process
 	stateSleeping                  // in the heap with a future wake time
-	stateParked                    // blocked on a Future/Mailbox, not in the heap
+	stateParked                    // blocked on a WaitList, not in the heap
 	stateDead                      // finished or killed and unwound
 )
 
@@ -73,9 +74,9 @@ type Proc struct {
 	killed bool
 	daemon bool
 	ev     *event // pending heap event while ready/sleeping
-	// parkToken increments on every park; unpark requests carrying a stale
-	// token (e.g. a future resolving after the waiter was killed) are
-	// ignored.
+	// parkToken increments on every wait on a WaitList; a wake or release
+	// that carries a stale token (e.g. a future resolving after the waiter
+	// was killed) is ignored.
 	parkToken uint64
 }
 
@@ -157,8 +158,9 @@ type Clock struct {
 	external bool // keep running while idle, waiting for Inject
 	shutdown bool
 	running  bool // Run has been entered (guards against nested Run)
-	// wakeCh rouses the idle loop in external mode: signalled by Inject, an
-	// unpark from outside the simulation, Shutdown and the idle-pacing timer.
+	// wakeCh rouses the idle loop in external mode: signalled by Inject, a
+	// wait-list wake or release from outside the simulation, Shutdown and
+	// the idle-pacing timer.
 	wakeCh chan struct{}
 
 	// Idle-server pacing (external mode, only daemons left): the daemon
@@ -628,51 +630,6 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 
 // Yield is Sleep(0): requeue behind all currently-ready events.
 func (c *Clock) Yield() { c.Sleep(0) }
-
-// park blocks the current process until unpark. Used by Future and Mailbox.
-func (c *Clock) park() {
-	c.mu.Lock()
-	p := c.current
-	if p == nil {
-		c.mu.Unlock()
-		panic("sim: blocking call from outside the simulation")
-	}
-	p.state = stateParked
-	p.parkToken++
-	c.parked++
-	next := c.dispatchNextLocked()
-	killed := p.killed
-	c.mu.Unlock()
-	// next == p when a timer that ran meanwhile woke p and nothing else was
-	// due before it: control stays in this coroutine.
-	if next != p {
-		killed = p.block(next)
-	}
-	if killed {
-		panic(Killed{Reason: "terminated while blocked"})
-	}
-}
-
-// unpark makes a parked process runnable at the current time. A stale
-// token (the process was killed or already woken since the waiter
-// registered) makes the request a no-op.
-func (c *Clock) unpark(p *Proc, token uint64) {
-	c.mu.Lock()
-	if p.state != stateParked || p.parkToken != token {
-		c.mu.Unlock()
-		return
-	}
-	c.parked--
-	p.state = stateReady
-	c.pushLocked(c.now, p)
-	// In external mode a goroutine outside the simulation may resolve a
-	// future while the loop is idle.
-	idle := c.current == nil && !c.inTimer && c.external
-	c.mu.Unlock()
-	if idle {
-		c.wake()
-	}
-}
 
 // Kill terminates a process. If it is blocked (sleeping or parked) it is
 // scheduled immediately and unwinds with a Killed panic at its block site.

@@ -195,6 +195,45 @@ func BenchmarkMailboxRecv(b *testing.B) {
 	}
 }
 
+// benchRec is a pooled call record with an int result, recycled in place.
+type benchRec struct {
+	res Cell
+	val int
+}
+
+func (r *benchRec) Recycle() { r.res.Reset() }
+
+// BenchmarkFutureWait is one read of a pooled call record's result: a
+// process parks in Result.Get, and another completes the record and lets
+// go of it, as a decode step's call completes. The record recycles itself
+// once both holders have let go. One op is one park, one completion and
+// one wake, no allocation.
+func BenchmarkFutureWait(b *testing.B) {
+	c := NewClock()
+	r := new(benchRec)
+	r.res.Init(c, r)
+	c.Go("reader", func() {
+		for n := 0; n < b.N; n++ {
+			if v, err := Hold(&r.res, &r.val).Get(); err != nil || v != n {
+				b.Fatalf("read %d, %v; want %d", v, err, n)
+			}
+		}
+	})
+	c.GoDaemon("completer", func() {
+		for n := 0; ; n++ {
+			c.Sleep(time.Microsecond) // the reader parks
+			r.val = n
+			r.res.Resolve()
+			r.res.Release()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkClockTimer is one timer from After to its callback, re-armed from
 // inside it, with one process parked so the clock stays alive: a heap push,
 // a pop and a call — no switch, no allocation. One op is one timer.

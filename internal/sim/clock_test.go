@@ -195,8 +195,8 @@ func TestMailboxFIFO(t *testing.T) {
 
 // TestMailboxReusesItsArrays: a mailbox that is drained between sends — one
 // message queued and taken, or one receiver parked and served, at a time —
-// keeps the message array it started with and parks its receiver in the
-// mailbox's own waiter slot, and keeps FIFO order when it is not drained.
+// keeps the message array it started with and parks its receiver in its
+// wait list's own waiter slot, and keeps FIFO order when it is not drained.
 func TestMailboxReusesItsArrays(t *testing.T) {
 	c := NewClock()
 	c.Go("p", func() {
@@ -225,7 +225,7 @@ func TestMailboxReusesItsArrays(t *testing.T) {
 			m.Send(i)
 		}
 		c.Yield()
-		if &m.recv.q[:1][0] != &m.inline[0] {
+		if &m.recv.q[:1][0] != &m.recv.one[0] {
 			t.Error("one receiver parked at a time made a waiter array")
 		}
 		// Not drained: order holds across the restart.

@@ -13,25 +13,16 @@ var ErrFailed = errors.New("sim: future failed")
 // completion is what a Future and a record's Cell share: whether the
 // result is in, with what error, and who waits for it or is told of it.
 type completion struct {
-	c    *Clock
-	done bool
-	err  error
-	// Waiters wake in arrival order: first, then more. Nearly every
-	// completion has exactly one, which therefore costs no allocation.
-	first waiter
-	more  []waiter
-	subs  []func()
-}
-
-type waiter struct {
-	p     *Proc
-	token uint64
+	waiters WaitList // the processes in Get, released in the order they came
+	done    bool
+	err     error
+	subs    []func()
 }
 
 // Done reports whether the result is in.
 func (x *completion) Done() bool {
-	x.c.mu.Lock()
-	defer x.c.mu.Unlock()
+	x.waiters.c.mu.Lock()
+	defer x.waiters.c.mu.Unlock()
 	return x.done
 }
 
@@ -46,48 +37,33 @@ func (x *completion) Fail(err error) {
 // complete marks the result in and wakes all waiters. Completing twice
 // panics: it indicates a double-completion bug.
 func (x *completion) complete(err error) {
-	x.c.mu.Lock()
+	c := x.waiters.c
+	c.mu.Lock()
 	if x.done {
-		x.c.mu.Unlock()
+		c.mu.Unlock()
 		panic("sim: completed twice")
 	}
 	x.done, x.err = true, err
-	first, more, subs := x.first, x.more, x.subs
-	x.first, x.more, x.subs = waiter{}, nil, nil
-	x.c.mu.Unlock()
+	subs := x.subs
+	x.subs = nil
+	c.mu.Unlock()
 	// Callbacks run before waiters wake so api.Any relays fire first —
 	// the wake order stays deterministic either way, but this keeps the
 	// "first completion wins" rule independent of waiter registration.
 	for _, fn := range subs {
 		fn()
 	}
-	if first.p != nil {
-		x.c.unpark(first.p, first.token)
-	}
-	for _, w := range more {
-		x.c.unpark(w.p, w.token)
-	}
+	x.waiters.Release()
 }
 
 // wait blocks the calling process until the result is in and returns its
-// error.
+// error. It checks and parks under one lock, so a completion from outside
+// the simulation cannot slip in between.
 func (x *completion) wait() error {
-	c := x.c
+	c := x.waiters.c
 	c.mu.Lock()
 	if !x.done {
-		p := c.current
-		if p == nil {
-			c.mu.Unlock()
-			panic("sim: Get from outside the simulation")
-		}
-		if w := (waiter{p: p, token: p.parkToken + 1}); x.first.p == nil {
-			x.first = w
-		} else {
-			x.more = append(x.more, w)
-		}
-		c.mu.Unlock()
-		c.park()
-		c.mu.Lock()
+		x.waiters.waitLocked(false, 0)
 	}
 	err := x.err
 	c.mu.Unlock()
@@ -98,19 +74,20 @@ func (x *completion) wait() error {
 // already is, fn runs immediately. This is the api.Subscriber hook behind
 // the future combinators.
 func (x *completion) Subscribe(fn func()) {
-	x.c.mu.Lock()
+	c := x.waiters.c
+	c.mu.Lock()
 	if x.done {
-		x.c.mu.Unlock()
+		c.mu.Unlock()
 		fn()
 		return
 	}
 	x.subs = append(x.subs, fn)
-	x.c.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // MakeRelay mints an unresolved one-shot latch on this clock, implementing
 // api.RelayMaker for the Any combinator.
-func (x *completion) MakeRelay() api.Relay { return relay{s: NewSignal(x.c)} }
+func (x *completion) MakeRelay() api.Relay { return relay{s: NewSignal(x.waiters.c)} }
 
 // relay adapts a Signal to api.Relay with idempotent Fire.
 type relay struct{ s *Signal }
@@ -141,7 +118,7 @@ func NewFuture[T any](c *Clock) *Future[T] {
 
 // Init makes f an unresolved future on clock c, in place (a record that
 // holds its future by value).
-func (f *Future[T]) Init(c *Clock) { *f = Future[T]{completion: completion{c: c}} }
+func (f *Future[T]) Init(c *Clock) { *f = Future[T]{completion: completion{waiters: WaitList{c: c}}} }
 
 // Resolve completes the future with v and wakes all waiters.
 func (f *Future[T]) Resolve(v T) {
@@ -174,13 +151,12 @@ func Await(s *Signal) error {
 // Group waits for a dynamic set of subtasks, like sync.WaitGroup but on
 // virtual time.
 type Group struct {
-	c      *Clock
-	n      int
-	signal *Signal
+	n       int
+	waiters WaitList // released when n reaches zero
 }
 
 // NewGroup returns an empty group.
-func NewGroup(c *Clock) *Group { return &Group{c: c} }
+func NewGroup(c *Clock) *Group { return &Group{waiters: WaitList{c: c}} }
 
 // Add registers n more subtasks.
 func (g *Group) Add(n int) { g.n += n }
@@ -191,29 +167,22 @@ func (g *Group) Done() {
 	if g.n < 0 {
 		panic("sim: Group.Done without Add")
 	}
-	if g.n == 0 && g.signal != nil {
-		s := g.signal
-		g.signal = nil
-		Fire(s)
+	if g.n == 0 {
+		g.waiters.Release()
 	}
 }
 
 // Wait blocks until the count drops to zero.
 func (g *Group) Wait() {
-	if g.n == 0 {
-		return
+	if g.n > 0 {
+		g.waiters.Wait(false, 0)
 	}
-	if g.signal == nil {
-		g.signal = NewSignal(g.c)
-	}
-	s := g.signal
-	_, _ = s.Get()
 }
 
 // Go runs fn as a child process tracked by the group.
 func (g *Group) Go(name string, fn func()) {
 	g.Add(1)
-	g.c.Go(name, func() {
+	g.waiters.c.Go(name, func() {
 		defer g.Done()
 		fn()
 	})

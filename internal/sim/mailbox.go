@@ -14,7 +14,6 @@ import (
 // nothing; receivers are served in the order they came, each message to
 // one receiver.
 type Mailbox[T any] struct {
-	c   *Clock
 	buf []T // starts on one, so a mailbox that holds one message at a time allocates nothing
 	one [1]T
 	// owed counts the messages at the front of buf that Sends handed to
@@ -22,8 +21,7 @@ type Mailbox[T any] struct {
 	// message when it resumes, and no other receiver may take one of
 	// them meanwhile.
 	owed   int
-	recv   WaitList  // the receivers parked in Recv, set up at the first park
-	inline [1]waiter // recv's first slot: the first park allocates nothing
+	recv   WaitList // the receivers parked in Recv
 	closed bool
 	// readable holds the one-shot OnReadable hooks waiting for the next
 	// receivable message or Close.
@@ -41,7 +39,7 @@ func NewMailbox[T any](c *Clock) *Mailbox[T] {
 // its mailboxes by value (a launch handle) sets them up without allocating.
 // The mailbox refers to itself, so it must not be copied after Init.
 func (m *Mailbox[T]) Init(c *Clock) {
-	*m = Mailbox[T]{c: c}
+	*m = Mailbox[T]{recv: WaitList{c: c, owner: m}}
 	m.buf = m.one[:0]
 }
 
@@ -52,7 +50,7 @@ func (m *Mailbox[T]) Send(v T) {
 		return // messages to a closed mailbox are dropped
 	}
 	m.buf = append(m.buf, v)
-	if m.recv.c != nil && m.recv.Wake() {
+	if m.recv.Wake() {
 		m.owed++
 		return
 	}
@@ -148,9 +146,6 @@ func (m *Mailbox[T]) Recv() (T, error) {
 			var zero T
 			return zero, ErrMailboxClosed
 		}
-		if m.recv.c == nil {
-			m.recv = WaitList{c: m.c, q: m.inline[:0], owner: m}
-		}
 		// A wake carries the front message; Close releases without one.
 		if m.recv.Wait(false, 0) {
 			m.owed--
@@ -179,9 +174,7 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
-	if m.recv.c != nil {
-		m.recv.Release()
-	}
+	m.recv.Release()
 	m.fireReadable()
 }
 
@@ -207,7 +200,7 @@ func (r Receiver[T]) Done() bool { return r.m.receivable() }
 func (r Receiver[T]) Subscribe(fn func()) { r.m.OnReadable(fn) }
 
 // MakeRelay mints a one-shot latch on the mailbox's clock (api.RelayMaker).
-func (r Receiver[T]) MakeRelay() api.Relay { return relay{s: NewSignal(r.m.c)} }
+func (r Receiver[T]) MakeRelay() api.Relay { return relay{s: NewSignal(r.m.recv.c)} }
 
 // ErrMailboxClosed is returned by receives on a closed, drained mailbox.
 var ErrMailboxClosed = errors.New("sim: mailbox closed")

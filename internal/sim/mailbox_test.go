@@ -108,124 +108,6 @@ func TestMailboxCloseReleasesParkedReceivers(t *testing.T) {
 	}
 }
 
-// TestMailboxRecvKilledReceiver: a receiver killed while parked leaves no
-// message owed to a dead process, whether it unwinds before the Send, is
-// reached by the Send before it unwinds, or is killed after the Send woke
-// it. Its message goes to the next parked receiver, or stays receivable
-// when there is none (and then wakes the OnReadable hooks).
-func TestMailboxRecvKilledReceiver(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		// act runs at 1ms with a and b parked, a first.
-		act  func(c *Clock, m *Mailbox[int], a, b *Proc)
-		sent int
-		want []string
-	}{
-		{"killed, unwound, then send", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			c.Kill(a)
-			c.Yield()
-			m.Send(1)
-		}, 1, []string{"b=1"}},
-		{"killed, send before it unwinds", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			c.Kill(a)
-			m.Send(1)
-		}, 1, []string{"b=1"}},
-		{"woken, then killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			c.Kill(a)
-		}, 1, []string{"b=1"}},
-		{"both woken, first killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			m.Send(2)
-			c.Kill(a)
-		}, 2, []string{"b=1"}},
-		{"both killed after one send", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			c.Kill(a)
-			c.Kill(b)
-		}, 1, nil},
-	} {
-		c := NewClock()
-		m := NewMailbox[int](c)
-		var got []string
-		a := recvLog(c, &got, "a", m.Recv)
-		b := recvLog(c, &got, "b", m.Recv)
-		fired := 0
-		c.Go("actor", func() {
-			c.Sleep(time.Millisecond)
-			m.OnReadable(func() { fired++ })
-			tc.act(c, m, a, b)
-		})
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("%s: received %v, want %v", tc.name, got, tc.want)
-		}
-		left := tc.sent - len(got)
-		if m.owed != 0 || m.Len() != left || (left > 0) != (fired == 1) {
-			t.Errorf("%s: %d owed, %d receivable, hook fired %d times; want 0, %d, fired iff any left", tc.name, m.owed, m.Len(), fired, left)
-		}
-	}
-}
-
-// TestMailboxCloseWakeIsNoMessage: a receiver released by Close carries no
-// message, so killing it passes nothing on. Killed before or after the
-// release, it leaves the receiver a Send woke its message. When the woken
-// receiver dies instead, its message goes to a released receiver that has
-// not resumed yet, or stays receivable.
-func TestMailboxCloseWakeIsNoMessage(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		act  func(c *Clock, m *Mailbox[int], a, b *Proc)
-		want []string
-		left int
-	}{
-		{"released, then killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			m.Close()
-			c.Kill(b)
-		}, []string{"a=1"}, 0},
-		{"killed, then released", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			c.Kill(b)
-			m.Close()
-		}, []string{"a=1"}, 0},
-		{"both killed", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			c.Kill(b)
-			m.Close()
-			c.Kill(a)
-		}, nil, 1},
-		{"woken receiver killed before Close", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			c.Kill(a)
-			m.Close()
-		}, []string{"b=1"}, 0}, // a's wake reaches b before b resumes
-		{"woken receiver killed after Close", func(c *Clock, m *Mailbox[int], a, b *Proc) {
-			m.Send(1)
-			m.Close()
-			c.Kill(a)
-		}, []string{"b:sim: mailbox closed"}, 1}, // b resumes first
-	} {
-		c := NewClock()
-		m := NewMailbox[int](c)
-		var got []string
-		a := recvLog(c, &got, "a", m.Recv)
-		b := recvLog(c, &got, "b", m.Recv)
-		c.Go("actor", func() {
-			c.Sleep(time.Millisecond)
-			tc.act(c, m, a, b)
-		})
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, tc.want) || m.owed != 0 || m.Len() != tc.left {
-			t.Errorf("%s: received %v with %d owed, %d receivable; want %v, 0, %d", tc.name, got, m.owed, m.Len(), tc.want, tc.left)
-		}
-	}
-}
-
 // TestReceiverLosesNoMessageToAny: api.Any over a receive and a timer that
 // fires first takes no message, so the next receive gets the message the
 // race did not wait for; a receiver that wins takes exactly its message.

@@ -21,14 +21,18 @@ type Cell struct {
 type Recycler interface{ Recycle() }
 
 // Init binds a new record's cell to its clock and owner.
-func (x *Cell) Init(c *Clock, owner Recycler) { x.c, x.owner = c, owner }
+func (x *Cell) Init(c *Clock, owner Recycler) { x.waiters.c, x.owner = c, owner }
 
-// Reset blanks the cell for the record's next call, one generation on.
-func (x *Cell) Reset() { *x = Cell{completion: completion{c: x.c}, owner: x.owner, gen: x.gen + 1} }
+// Reset blanks the cell for the record's next call, one generation on. Its
+// wait list is empty by then (the reader has resumed) and keeps its array.
+func (x *Cell) Reset() {
+	x.done, x.err, x.subs, x.gen = false, nil, nil, x.gen+1
+	x.held, x.freed, x.read = false, false, false
+}
 
 // Blank reports whether the cell is as Reset leaves it.
 func (x *Cell) Blank() bool {
-	return !x.done && x.err == nil && x.first.p == nil && len(x.more)+len(x.subs) == 0 && !x.held && !x.freed && !x.read
+	return !x.done && x.err == nil && len(x.waiters.q)+len(x.subs) == 0 && !x.held && !x.freed && !x.read
 }
 
 // Resolve completes the cell: its value is in the record.

@@ -2,21 +2,26 @@ package sim
 
 import "time"
 
-// WaitList is a FIFO of processes waiting for a scarce resource (transfer
-// slots, device page room). What the resource is, and whether a woken
-// waiter finds enough of it, is the owner's business; the list orders the
-// waiters and hands each wake to exactly one of them:
+// WaitList is a FIFO of parked processes: besides Sleep, the one way a
+// process blocks. Futures and call-record cells (Get), mailboxes (Recv),
+// groups, device page room and handoff transfer slots each park on one.
+// What the waiters wait for is the owner's business; the list orders them
+// and hands each wake to exactly one:
 //
 //   - a waiter parks at the tail, or at the head (a woken waiter that still
 //     cannot proceed keeps its place);
-//   - Wake goes to the head waiter only;
+//   - Wake goes to the head waiter only, and takes it off the list;
 //   - a wait may carry a deadline;
 //   - a waiter killed while parked is skipped, and one killed after a wake
 //     reached it, before it resumed, passes the wake on;
-//   - Release lets every waiter go without a wake (a closed mailbox).
+//   - Release lets every waiter go without a wake (a completed future, a
+//     closed mailbox, a group whose count reached zero). A released waiter
+//     stays listed until it resumes.
 //
 // A wait reuses the process's park token and, with a deadline, its own heap
-// event: it allocates no Signal, no closure and no timer.
+// event, and the list keeps its first waiter in an array of its own: no
+// wait allocates, not even the first. A list must not be copied once a
+// process has parked on it.
 type WaitList struct {
 	c *Clock
 	// q[head:] are the parked processes, head first. The array is reused
@@ -25,6 +30,13 @@ type WaitList struct {
 	q     []waiter
 	head  int
 	owner unclaimer
+	one   [1]waiter // q's first array
+}
+
+// waiter is a parked process and the park token of the wait it is in.
+type waiter struct {
+	p     *Proc
+	token uint64
 }
 
 // unclaimer is a list's owner, told of a wake that found nobody to take it.
@@ -57,19 +69,28 @@ func (l *WaitList) Len() int {
 // Wait parks the calling process on the list, at the head when front is
 // set and at the tail otherwise, until Wake reaches it or, when deadline is
 // positive, until virtual time reaches deadline. It reports whether a wake
-// reached it; false means the deadline came first. A process killed while
-// parked unwinds with Killed, as from any blocking call; if a wake had
-// already reached it, it passes the wake on first.
+// reached it; false means the deadline came first, or a Release. A process
+// killed while parked unwinds with Killed, as from any blocking call; if a
+// wake had already reached it, it passes the wake on first.
 func (l *WaitList) Wait(front bool, deadline time.Duration) bool {
+	l.c.mu.Lock()
+	woken := l.waitLocked(front, deadline)
+	l.c.mu.Unlock()
+	return woken
+}
+
+// waitLocked is Wait under the clock lock, which it returns holding: a
+// caller that checks whether it must wait under the same lock (a
+// completion) cannot miss a release from outside the simulation in
+// between.
+func (l *WaitList) waitLocked(front bool, deadline time.Duration) bool {
 	c := l.c
-	c.mu.Lock()
 	p := c.current
 	if p == nil {
 		c.mu.Unlock()
-		panic("sim: WaitList.Wait from outside the simulation")
+		panic("sim: blocking call from outside the simulation")
 	}
 	if deadline > 0 && deadline <= c.now {
-		c.mu.Unlock()
 		return false
 	}
 	p.parkToken++
@@ -85,13 +106,15 @@ func (l *WaitList) Wait(front bool, deadline time.Duration) bool {
 	next := c.dispatchNextLocked()
 	killed := p.killed
 	c.mu.Unlock()
+	// next == p when a timer that ran meanwhile woke p and nothing else was
+	// due before it: control stays in this coroutine.
 	if next != p {
 		killed = p.block(next)
 	}
 	c.mu.Lock()
 	listed := l.removeLocked(p)
-	c.mu.Unlock()
 	if killed {
+		c.mu.Unlock()
 		if !listed {
 			l.pass()
 		}
@@ -102,6 +125,9 @@ func (l *WaitList) Wait(front bool, deadline time.Duration) bool {
 
 // pushLocked adds w at the head (front) or the tail.
 func (l *WaitList) pushLocked(w waiter, front bool) {
+	if cap(l.q) == 0 {
+		l.q = l.one[:0]
+	}
 	switch {
 	case front && l.head > 0:
 		l.head--
@@ -133,17 +159,20 @@ func (l *WaitList) popLocked() waiter {
 
 // removeLocked takes p's entry off the list and reports whether it was
 // there: a waiter that resumes still listed was not reached by a wake.
+// Released waiters resume in the order they parked, each at the head.
 func (l *WaitList) removeLocked(p *Proc) bool {
 	for i := l.head; i < len(l.q); i++ {
-		if l.q[i].p == p {
+		switch {
+		case l.q[i].p != p:
+			continue
+		case i == l.head:
+			l.popLocked()
+		default:
 			copy(l.q[i:], l.q[i+1:])
 			l.q[len(l.q)-1] = waiter{}
 			l.q = l.q[:len(l.q)-1]
-			if l.head == len(l.q) {
-				l.q, l.head = l.q[:0], 0
-			}
-			return true
 		}
+		return true
 	}
 	return false
 }
@@ -163,11 +192,12 @@ func (l *WaitList) Wake() bool {
 	return true
 }
 
-// Release makes every parked waiter runnable at the current time without
-// handing it a wake: each returns false from Wait, as at a deadline. A
-// released waiter keeps its place until it resumes, so a wake that a killed
-// waiter passes on meanwhile may still reach it (Wait then reports true);
-// one killed before it resumes has no wake to pass on.
+// Release makes every parked waiter runnable at the current time, in the
+// order they parked, without handing it a wake: each returns false from
+// Wait, as at a deadline. A released waiter keeps its place until it
+// resumes, so a wake that a killed waiter passes on meanwhile may still
+// reach it (Wait then reports true); one killed before it resumes has no
+// wake to pass on.
 func (l *WaitList) Release() {
 	c := l.c
 	c.mu.Lock()
@@ -178,7 +208,9 @@ func (l *WaitList) Release() {
 }
 
 // readyLocked makes w's process runnable at the current time if it is still
-// parked or sleeping on the wait that w records.
+// parked or sleeping on the wait that w records. In external mode a
+// goroutine outside the simulation (an HTTP handler resolving a future) may
+// do so while the loop is idle: then it rouses the loop.
 func (c *Clock) readyLocked(w waiter) {
 	p := w.p
 	if p.parkToken != w.token {
@@ -194,6 +226,9 @@ func (c *Clock) readyLocked(w waiter) {
 	}
 	p.state = stateReady
 	c.pushLocked(c.now, p)
+	if c.external && c.current == nil && !c.inTimer {
+		c.wake()
+	}
 }
 
 // pass hands on a wake its waiter cannot use: to the next waiter, or to the

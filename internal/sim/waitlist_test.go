@@ -6,65 +6,6 @@ import (
 	"time"
 )
 
-// TestWaitListGrantsInFIFOOrder: waiters that park one after another are
-// woken one at a time, oldest first, each at the instant of its wake.
-func TestWaitListGrantsInFIFOOrder(t *testing.T) {
-	c := NewClock()
-	l := NewWaitList(c, nil)
-	var got []string
-	for i, name := range []string{"a", "b", "c"} {
-		c.Go(name, func() {
-			c.Sleep(time.Duration(i) * time.Millisecond)
-			if !l.Wait(false, 0) {
-				t.Errorf("%s: untimed wait returned false", name)
-			}
-			got = append(got, name+"@"+c.Now().String())
-		})
-	}
-	c.Go("waker", func() {
-		c.Sleep(10 * time.Millisecond)
-		for l.Wake() {
-			c.Sleep(time.Millisecond)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a@10ms", "b@11ms", "c@12ms"}; !slices.Equal(got, want) {
-		t.Fatalf("grants %v, want %v", got, want)
-	}
-}
-
-// TestWaitListWokenWaiterReparksAtHead: a woken waiter that still cannot
-// proceed parks again at the head, ahead of one that came before its wake.
-func TestWaitListWokenWaiterReparksAtHead(t *testing.T) {
-	c := NewClock()
-	l := NewWaitList(c, nil)
-	var got []string
-	c.Go("a", func() {
-		l.Wait(false, 0)
-		got = append(got, "a retries")
-		l.Wait(true, 0)
-		got = append(got, "a")
-	})
-	c.Go("b", func() {
-		l.Wait(false, 0)
-		got = append(got, "b")
-	})
-	c.Go("waker", func() {
-		c.Sleep(time.Millisecond)
-		for l.Wake() {
-			c.Sleep(time.Millisecond)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a retries", "a", "b"}; !slices.Equal(got, want) {
-		t.Fatalf("order %v, want %v", got, want)
-	}
-}
-
 // TestWaitListSkipsWaiterKilledWhileParked: a waiter killed while parked
 // leaves the list as it unwinds, so the next wake goes to the one behind it
 // and it runs nothing after its wait.
@@ -94,42 +35,6 @@ func TestWaitListSkipsWaiterKilledWhileParked(t *testing.T) {
 	}
 	if want := []string{"b"}; !slices.Equal(got, want) {
 		t.Fatalf("woken %v, want %v", got, want)
-	}
-}
-
-// TestWaitListWokenThenKilledPassesTheWakeOn: a waiter a wake reached but
-// that is killed before it resumes passes the wake to the next waiter, or,
-// with nobody parked, to the owner's unclaimed hook.
-func TestWaitListWokenThenKilledPassesTheWakeOn(t *testing.T) {
-	for _, behind := range []bool{true, false} {
-		c := NewClock()
-		unclaimed := 0
-		l := NewWaitList(c, func() { unclaimed++ })
-		var got []string
-		a := c.Go("a", func() {
-			l.Wait(false, 0)
-			got = append(got, "a")
-		})
-		if behind {
-			c.Go("b", func() {
-				l.Wait(false, 0)
-				got = append(got, "b@"+c.Now().String())
-			})
-		}
-		c.Go("script", func() {
-			c.Sleep(time.Millisecond)
-			l.Wake() // a is runnable now, and dies before it runs
-			c.Kill(a)
-		})
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case behind && (!slices.Equal(got, []string{"b@1ms"}) || unclaimed != 0):
-			t.Fatalf("with a waiter behind: woken %v, unclaimed %d; want [b@1ms], 0", got, unclaimed)
-		case !behind && (len(got) != 0 || unclaimed != 1):
-			t.Fatalf("alone: woken %v, unclaimed %d; want [], 1", got, unclaimed)
-		}
 	}
 }
 

@@ -341,6 +341,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// BuiltReplicas reports how many replicas New builds for cfg: the serving
+// count, or the scaler's maximum or the fleet's full capacity when larger.
+// A fault plan may name only replicas below it.
+func BuiltReplicas(cfg Config) int {
+	cfg = cfg.withDefaults()
+	total := cfg.Replicas
+	if cfg.Scaler.Enabled && cfg.Scaler.Max > total {
+		total = cfg.Scaler.Max
+	}
+	if cfg.Fleet != nil && cfg.Fleet.TotalBuilt() > total {
+		// Pools with headroom (max > count) build their full capacity;
+		// the fleet controller decides which replicas serve.
+		total = cfg.Fleet.TotalBuilt()
+	}
+	return total
+}
+
 // Engine is one Pie serving deployment on its own virtual clock.
 type Engine struct {
 	cfg     Config
@@ -378,15 +395,7 @@ func New(cfg Config) *Engine {
 	if cfg.NoDistReturnOverhead {
 		sched.DistReturnOverhead = 0
 	}
-	total := cfg.Replicas
-	if cfg.Scaler.Enabled && cfg.Scaler.Max > total {
-		total = cfg.Scaler.Max
-	}
-	if cfg.Fleet != nil && cfg.Fleet.TotalBuilt() > total {
-		// Pools with headroom (max > count) build their full capacity;
-		// the fleet controller decides which replicas serve.
-		total = cfg.Fleet.TotalBuilt()
-	}
+	total := BuiltReplicas(cfg)
 	variants := cluster.ExpandVariants(cfg.Variants, total)
 	roles := cluster.ExpandRoles(cfg.Roles, total)
 	offload := core.OffloadConfig{HostRatio: cfg.HostKVRatio, Eviction: cfg.KVEviction}

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Per-layer micro-benchmarks: ns/op and allocs/op of the tensor kernels, the
 # model's forward/decode/top-K path and catalog build, the sim clock, its
-# wait list (one park and one wake, as a call waiting for page room) and a
-# mailbox (a message each way, each taken by a parked Recv), the
+# wait list (one park and one wake, as a call waiting for page room), a
+# mailbox (a message each way, each taken by a parked Recv) and a call
+# record's result (one parked Get and the completion that ends it), the
 # control layer (one decode step through every layer above the kernels, one
 # fused decode step (Fused.Run and its Get), a scheduling round, a round of decode steps beside fills that the prefill
 # budget splits, one batch's round trip, a tokenize of a ~2 KB prompt, an
@@ -59,7 +60,8 @@
 #     token and heap event (the allocs/op gate above, against a committed 0).
 #     MailboxRecv likewise: a receive parks on the mailbox's wait list, not
 #     on a future, and the Send that wakes it hands the message over in the
-#     buffer. ToolCall likewise: the response is a pooled timer record.
+#     buffer. FutureWait likewise: a Get parks on the record cell's own
+#     wait list, and the record recycles itself. ToolCall likewise: the response is a pooled timer record.
 #     RoleBalance likewise: a balancer window reads counters and allocates
 #     nothing; ClusterTick: a tick fills a snapshot the cluster keeps and
 #     runs health, the balancer and the scaler over it; and Place:
@@ -112,23 +114,28 @@ bench() {
 }
 
 # rows: one `bench` invocation a line (benchtime, regexp, package, and the
-# -cpu list if any).
+# -cpu list if any). A row's benchtime makes one sample of each of its
+# benchmarks take at least 10 ms, so that min-of-$count does not pick out
+# one mode of a sub-microsecond row.
 rows() {
 	cat <<'EOF'
-50000x ^Benchmark(CalibScalar|MatVec64|LogitsHead|Softmax|SiLU|TopK)$ ./internal/tensor
+50000x ^Benchmark(CalibScalar|LogitsHead|Softmax|SiLU|TopK)$ ./internal/tensor
+200000x ^BenchmarkMatVec64$ ./internal/tensor
 200x ^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$ ./internal/model
-2000x ^BenchmarkStandardCatalog$ ./internal/model
+10000x ^BenchmarkStandardCatalog$ ./internal/model
 5x ^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$ ./internal/sim 1,2
-200000x ^BenchmarkClockTimer$ ./internal/sim 1,2
-200000x ^Benchmark(RoomWait|MailboxRecv)$ ./internal/sim
-2000x ^Benchmark(DecodeStep|FusedStep|Generate)$ .
+1000000x ^BenchmarkClockTimer$ ./internal/sim 1,2
+200000x ^Benchmark(RoomWait|MailboxRecv|FutureWait)$ ./internal/sim
+2000x ^Benchmark(DecodeStep|Generate)$ .
+50000x ^BenchmarkFusedStep$ .
 20000x ^BenchmarkLaunchSession$ .
 2000x ^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$ ./internal/core
-20000x ^Benchmark(TieredPoolAllocEvict|BatchRoundTrip)$ ./internal/core
-200000x ^BenchmarkNextDistTiming$ ./internal/infer
-20000x ^BenchmarkToolCall$ ./internal/netsim
+20000x ^BenchmarkTieredPoolAllocEvict$ ./internal/core
+100000x ^BenchmarkBatchRoundTrip$ ./internal/core
+2000000x ^BenchmarkNextDistTiming$ ./internal/infer
+200000x ^BenchmarkToolCall$ ./internal/netsim
 20000x ^BenchmarkLaunch$ ./internal/ilm
-20000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
+500000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
 200x ^BenchmarkAllowedTokensJSON$ ./internal/grammar
 2000x ^BenchmarkEncode$ ./internal/tokenizer
 EOF
@@ -200,7 +207,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that a row runs for milliseconds: model and grammar 200x, StandardCatalog, DecodeStep, FusedStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, tensor kernels 50000x, LaunchSession, TieredPoolAllocEvict, BatchRoundTrip, ToolCall, Launch, RoleBalance, ClusterTick and Place 20000x, ClockTimer, RoomWait, MailboxRecv and NextDistTiming 200000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, LaunchSession, TieredPoolAllocEvict and Launch 20000x, FusedStep 50000x, BatchRoundTrip 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	if [ -n "$parent" ]; then commas < "$parent"; else block parent | commas; fi
 	echo '  },'
