@@ -187,6 +187,26 @@ func TestEBNFGeneratesValidJSON(t *testing.T) {
 	}
 }
 
+// A grammar-constrained program says the same thing on every same-seed
+// run. In timing mode the untrained distribution is often masked out
+// entirely, so the fallback and the budget-end steering pick most tokens:
+// they must pick in token-id order, not in map order.
+func TestEBNFOutputDeterministic(t *testing.T) {
+	run := func(seed uint64) string {
+		e := pie.New(pie.Config{Seed: seed, Mode: pie.ModeTiming})
+		e.MustRegister(apps.All()...)
+		return launch(t, e, "ebnf", apps.EBNFParams{MaxTokens: 40, Common: apps.Common{Seed: seed}})
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		first := run(seed)
+		for i := 0; i < 3; i++ {
+			if again := run(seed); again != first {
+				t.Fatalf("seed %d: rerun %d said %q, first run %q", seed, i+1, again, first)
+			}
+		}
+	}
+}
+
 func TestBeamSearch(t *testing.T) {
 	e := newEngine(t, pie.ModeFull)
 	msg := launch(t, e, "beam", apps.BeamParams{Width: 3, Steps: 5})

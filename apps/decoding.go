@@ -110,17 +110,23 @@ func EBNFDecoding() inferlet.Program {
 				}
 				tok := sampler.Next(dist)
 				if !allowed[tok] {
-					// The whole truncated distribution was masked out;
-					// fall back to any viable token (grammar-first).
-					for id := range allowed {
-						tok = id
-						break
+					// The whole truncated distribution was masked out; fall
+					// back to the lowest viable id (never map order).
+					for id := range vocab {
+						if allowed[id] {
+							tok = id
+							break
+						}
 					}
 				}
 				if len(out) >= p.MaxTokens-2 || (len(out) >= p.MinTokens && !allowed[tok]) {
 					// Budget nearly spent: steer toward completion by
-					// preferring an allowed token that accepts outright.
-					for id := range allowed {
+					// preferring the lowest-id allowed token that accepts
+					// outright.
+					for id := range vocab {
+						if !allowed[id] {
+							continue
+						}
 						probe := machine.Clone()
 						if probe.AdvanceString(string(vocab[id])) && probe.CanAccept() {
 							tok = id

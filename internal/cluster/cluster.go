@@ -160,9 +160,9 @@ func (r *Replica) Draining() bool { return r.draining }
 // Health reports the replica's position in the failure state machine.
 func (r *Replica) Health() HealthState { return r.health }
 
-// serving reports whether the replica takes new work: active, not
-// draining, healthy.
-func (r *Replica) serving() bool { return r.active && !r.draining && r.health == HealthHealthy }
+// Serving reports whether the replica takes new work: active, not
+// draining, healthy. It is the one definition every sizing policy counts.
+func (r *Replica) Serving() bool { return r.active && !r.draining && r.health == HealthHealthy }
 
 // Cluster routes inferlet launches across replicas and keeps the active
 // set.
@@ -216,6 +216,7 @@ type Cluster struct {
 	handoffActive int
 	transferWait  *sim.WaitList // nil until EnableHandoff arms the coordinator
 	placeBuf      []*Replica    // placeable's result, reused per launch
+	roleBuf       []*Replica    // scaleDownCostAware's slack-role pool, reused per tick
 
 	// Handoff stats.
 	Handoffs      int           // sessions migrated prefill -> decode
@@ -366,7 +367,7 @@ func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 	ok := func(r *Replica) bool { return eligible == nil || eligible(r) }
 	out := c.placeBuf[:0]
 	for _, r := range c.replicas {
-		if r.serving() && ok(r) {
+		if r.Serving() && ok(r) {
 			out = append(out, r)
 		}
 	}
@@ -463,7 +464,7 @@ func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
 	start := int(h.Sum64() % uint64(len(c.stick)))
 	for i := range c.stick {
 		r := c.stick[(start+i)%len(c.stick)]
-		if r.serving() {
+		if r.Serving() {
 			return r
 		}
 	}

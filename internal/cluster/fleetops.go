@@ -7,26 +7,75 @@ import (
 )
 
 // Fleet ops: the one mutation surface of the active replica set and of the
-// replicas' roles. The SLO
-// scaler, the health monitor's spare activation, placement's last-resort
-// revive and the declarative fleet controller (internal/fleet) all change
-// the set through these verbs, so every caller honors the same invariants
-// — activation only of healthy replicas, retirement only through the
-// two-phase drain — and each change is one decision record. A death,
-// the one retirement outside these verbs, is the health monitor's dead
-// record (health.go).
+// replicas' roles. Sizing policies — the fleet controller (internal/fleet),
+// the SLO scaler and eval's comparator — name a target serving count and
+// Resize moves the fleet to it; the health monitor's spare activation and
+// placement's last-resort revive call Activate directly. Every caller
+// honors the same invariants — activation only of healthy replicas,
+// retirement only through the two-phase drain — and each change is one
+// decision record. A death, the one retirement outside these verbs, is the
+// health monitor's dead record (health.go).
 
 // Activate brings a replica into the serving set, or cancels its drain if
 // one is in progress (the replica never left the serving set, and keeps its
 // activation epoch). It refuses unhealthy or crashed replicas. Reports
 // whether the replica's state changed.
 func (c *Cluster) Activate(r *Replica) bool {
-	if r.health != HealthHealthy || r.crashed || r.active && !r.draining {
+	if !r.activatable() {
 		return false
 	}
 	c.markActive(r)
 	c.Decide(trace.Decision{Kind: trace.Activate, Replica: r.ID})
 	return true
+}
+
+// activatable reports whether Activate would change the replica: healthy,
+// not crashed, and draining or inactive.
+func (r *Replica) activatable() bool {
+	return r.health == HealthHealthy && !r.crashed && (!r.active || r.draining)
+}
+
+// Resize moves the pool's serving count toward target, one Activate or
+// BeginDrain at a time, and returns the last replica it moved (nil if
+// none could move). To grow it cancels drains first — the replica never
+// left, while a spare pays a cold start — and then activates spares. To
+// shrink it drains serving replicas. Candidates are taken first-to-grow
+// and last-to-shrink in before order, ties in pool order; a nil before is
+// pool order. Each move is the one record its fleet op writes.
+func (c *Cluster) Resize(pool []*Replica, target int, before func(a, b *Replica) bool) (moved *Replica) {
+	if before == nil {
+		before = func(a, b *Replica) bool { return false }
+	}
+	serving := 0
+	for _, r := range pool {
+		if r.Serving() {
+			serving++
+		}
+	}
+	for ; serving < target; serving++ {
+		var up *Replica
+		for _, r := range pool {
+			if r.activatable() && (up == nil || r.draining && !up.draining || r.draining == up.draining && before(r, up)) {
+				up = r
+			}
+		}
+		if up == nil {
+			break
+		}
+		c.Activate(up)
+		moved = up
+	}
+	for ; serving > max(target, 0); serving-- {
+		var down *Replica
+		for _, r := range pool {
+			if r.Serving() && (down == nil || !before(r, down)) {
+				down = r
+			}
+		}
+		c.BeginDrain(down)
+		moved = down
+	}
+	return moved
 }
 
 // BeginDrain starts phase one of a two-phase drain: the replica stops
@@ -74,7 +123,7 @@ func (c *Cluster) CompleteDrains() {
 // replica would strand them where sessions cannot stay.
 func (c *Cluster) migrationTarget(drained *Replica) (dst *Replica) {
 	for _, r := range c.replicas {
-		if r != drained && r.serving() && (dst == nil || r.decodeEligible() && !dst.decodeEligible()) {
+		if r != drained && r.Serving() && (dst == nil || r.decodeEligible() && !dst.decodeEligible()) {
 			dst = r
 		}
 	}

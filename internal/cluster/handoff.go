@@ -139,7 +139,7 @@ func (c *Cluster) session(inst *core.Instance) string {
 func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerUp scored) {
 	now := c.now()
 	return argmin(c.replicas, func(r *Replica) (time.Duration, bool) {
-		if r == src || !r.serving() || !r.decodeEligible() {
+		if r == src || !r.Serving() || !r.decodeEligible() {
 			return 0, false
 		}
 		return r.Backend.NextForwardDone(now+wire) - now, true

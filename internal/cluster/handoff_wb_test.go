@@ -51,13 +51,13 @@ func TestScaleUpPrefersStarvedRole(t *testing.T) {
 	}}
 	// The decode spare wins despite the prefill spare being cheaper and
 	// lower-ID: capacity must land on the starving phase.
-	c.scaleUpCostAware(trace.Decision{}, RoleDecode)
+	c.scaleUpCostAware(0, trace.Decision{}, RoleDecode)
 	if c.replicas[0].active || !c.replicas[1].active {
 		t.Fatalf("scale-up ignored the starved role: %+v", c.replicas)
 	}
 	// With no spare of the starved role left, any spare still serves —
 	// capacity beats phase purity.
-	c.scaleUpCostAware(trace.Decision{}, RoleDecode)
+	c.scaleUpCostAware(1, trace.Decision{}, RoleDecode)
 	if !c.replicas[0].active {
 		t.Fatal("scale-up refused the off-role spare")
 	}

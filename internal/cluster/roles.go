@@ -130,7 +130,7 @@ type rolePool struct {
 func (c *Cluster) balanceRoles(now time.Duration) {
 	var pre, dec rolePool
 	for i, r := range c.replicas {
-		if !r.serving() || r.Role == RoleUnified {
+		if !r.Serving() || r.Role == RoleUnified {
 			continue
 		}
 		p := &pre

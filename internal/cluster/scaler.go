@@ -126,7 +126,7 @@ func (c *Cluster) scalerTick(now time.Duration) {
 		if l.instances > 0 || l.outstanding > 0 {
 			busy = true
 		}
-		if !r.serving() {
+		if !r.Serving() {
 			continue
 		}
 		serving++
@@ -151,7 +151,7 @@ func (c *Cluster) scalerTick(now time.Duration) {
 		// no serving replica reads as fully saturated, as an empty role
 		// does in starvedRoleSat.
 		if busy && c.scaler.Max > 0 {
-			c.scaleUpCostAware(trace.Decision{Sat: 1, Role: RoleUnified.String()}, RoleUnified)
+			c.scaleUpCostAware(0, trace.Decision{Sat: 1, Role: RoleUnified.String()}, RoleUnified)
 		}
 		return
 	}
@@ -186,17 +186,11 @@ func (c *Cluster) scalerTick(now time.Duration) {
 			c.Decide(why)
 			return
 		}
-		c.scaleUpCostAware(why, starved)
+		c.scaleUpCostAware(serving, why, starved)
 	case c.scaler.ScaleToZero && !busy && now-c.lastBusyAt >= c.scaler.IdleAfter:
-		drained := 0
-		for _, r := range c.replicas {
-			if r.health == HealthHealthy && c.BeginDrain(r) {
-				drained++
-			}
-		}
-		if drained > 0 {
-			c.Decide(trace.Decision{Kind: trace.ScaleToZero, Count: drained, Wait: now - c.lastBusyAt})
-		}
+		// Drain every serving replica, lowest ID first.
+		c.Resize(c.replicas, 0, func(a, b *Replica) bool { return a.ID > b.ID })
+		c.Decide(trace.Decision{Kind: trace.ScaleToZero, Count: serving, Wait: now - c.lastBusyAt})
 	case c.lowSatTicks >= scaleDownPatience && serving > c.scaler.Min:
 		c.scaleDownCostAware(sat, satByRole, cntByRole)
 	}
@@ -226,54 +220,35 @@ func starvedRoleSat(busy bool, satByRole [3]float64, cntByRole, totByRole [3]int
 	return sat, starved
 }
 
-// scaleUpCostAware adds one replica: first un-drain a still-warm draining
-// replica, else activate an inactive spare. Candidates order by (cost rate
-// ascending, ID ascending) among variants whose projected latency meets
-// the strictest class target; when no variant qualifies, the fastest one
-// is taken — an SLO miss wants the best hardware available, whatever it
-// costs. With roles assigned, spares matching the starved role are
-// preferred (growing decode when prefill starves just moves the queue),
-// falling back to any spare when that role has none left. why carries the
-// tick's signal into the scale-up record.
-func (c *Cluster) scaleUpCostAware(why trace.Decision, prefer Role) {
-	var r *Replica
-	var rank [3]bool // draining, of the preferred role, qualifying: true first, in that order
-	for _, s := range c.replicas {
-		if s.health != HealthHealthy || s.crashed || s.active && !s.draining {
-			continue
+// scaleUpCostAware adds one replica through Resize: first un-drain a
+// still-warm draining replica, else activate an inactive spare. The rank
+// it passes puts spares matching the starved role first when roles are
+// assigned (growing decode when prefill starves just moves the queue),
+// then variants whose projected latency meets the strictest class target;
+// qualifying candidates compete on price (cheapest first), the others on
+// speed (fastest first) — an SLO miss wants the best hardware available,
+// whatever it costs. Ties go to the lowest ID. serving is the tick's
+// serving count; why carries its signal into the scale-up record.
+func (c *Cluster) scaleUpCostAware(serving int, why trace.Decision, prefer Role) {
+	rank := func(a, b *Replica) bool {
+		if pa, pb := c.hasRoles && a.Role == prefer, c.hasRoles && b.Role == prefer; pa != pb {
+			return pa
 		}
-		sr := [3]bool{s.active, c.hasRoles && s.Role == prefer, c.variantMeetsTargets(s)}
-		if r == nil || outranks(sr, rank) || sr == rank && cheaperOrFaster(s, r, sr[2]) {
-			r, rank = s, sr
+		qa, qb := c.variantMeetsTargets(a), c.variantMeetsTargets(b)
+		switch {
+		case qa != qb:
+			return qa
+		case qa:
+			return a.costRate() < b.costRate()
 		}
+		return a.speedFactor() < b.speedFactor()
 	}
+	r := c.Resize(c.replicas, serving+1, rank)
 	if r == nil {
 		return
 	}
-	c.Activate(r)
 	why.Kind, why.Replica, why.Variant, why.CostRate = trace.ScaleUp, r.ID, r.variantName(), r.costRate()
 	c.Decide(why)
-}
-
-// outranks reports whether rank a comes before rank b: the first criterion
-// they differ on decides, true first.
-func outranks(a, b [3]bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i]
-		}
-	}
-	return false
-}
-
-// cheaperOrFaster orders two candidates of equal rank: qualifying ones
-// compete on price (cheapest first), the others on speed (fastest first).
-// On a tie the earlier, lower-ID candidate stays.
-func cheaperOrFaster(r, best *Replica, qualifies bool) bool {
-	if qualifies {
-		return r.costRate() < best.costRate()
-	}
-	return r.speedFactor() < best.speedFactor()
 }
 
 // variantMeetsTargets projects the replica's variant latency against the
@@ -296,10 +271,10 @@ func (c *Cluster) variantMeetsTargets(r *Replica) bool {
 	return true
 }
 
-// scaleDownCostAware drains the most expensive healthy serving replica
-// (ties break by highest ID — mirror of activation order) of the slackest
-// role that still has more than one serving replica, by the tick's per-role
-// saturation. A fleet without roles is one unified role; with roles,
+// scaleDownCostAware resizes the slackest role that still has more than
+// one serving replica, by the tick's per-role saturation, down by one:
+// Resize drains its most expensive serving replica (ties break by highest
+// ID — mirror of activation order). A fleet without roles is one unified role; with roles,
 // draining a role's last replica would strand its phase (prefill: no
 // placements; decode: every handoff denied).
 func (c *Cluster) scaleDownCostAware(sat float64, satByRole [3]float64, cntByRole [3]int) {
@@ -315,14 +290,14 @@ func (c *Cluster) scaleDownCostAware(sat float64, satByRole [3]float64, cntByRol
 	if !found {
 		return // every role is down to its last serving replica
 	}
-	var victim *Replica
+	pool := c.roleBuf[:0]
 	for _, r := range c.replicas {
-		if r.serving() && r.Role == slack && (victim == nil || r.costRate() > victim.costRate() ||
-			(r.costRate() == victim.costRate() && r.ID > victim.ID)) {
-			victim = r
+		if r.Role == slack {
+			pool = append(pool, r)
 		}
 	}
-	c.BeginDrain(victim)
+	c.roleBuf = pool
+	victim := c.Resize(pool, cntByRole[slack]-1, func(a, b *Replica) bool { return a.costRate() < b.costRate() })
 	c.Decide(trace.Decision{Kind: trace.ScaleDown, Replica: victim.ID, Variant: victim.variantName(), CostRate: victim.costRate(), Sat: sat})
 }
 

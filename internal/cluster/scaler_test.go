@@ -60,7 +60,7 @@ func TestScaleUpPicksCheapest(t *testing.T) {
 	}}
 	var got []trace.Decision
 	c.OnDecision = func(d trace.Decision) { got = append(got, d) }
-	c.scaleUpCostAware(trace.Decision{Sat: 0.9, Role: "unified"}, RoleUnified)
+	c.scaleUpCostAware(0, trace.Decision{Sat: 0.9, Role: "unified"}, RoleUnified)
 	if !c.replicas[1].active || c.ScaleUps != 1 {
 		t.Fatalf("picked %+v, want replica 1 active", c.replicas)
 	}
@@ -82,7 +82,7 @@ func TestScaleUpPrefersUnDrain(t *testing.T) {
 		{ID: 1, CostRate: 0.5, health: HealthHealthy},
 		{ID: 2, CostRate: 0.1, active: true, draining: true, health: HealthHealthy, crashed: true},
 	}}
-	c.scaleUpCostAware(trace.Decision{}, RoleUnified)
+	c.scaleUpCostAware(0, trace.Decision{}, RoleUnified)
 	if c.replicas[0].draining || !c.replicas[0].active || c.ScaleUps != 1 {
 		t.Fatalf("draining replica not reclaimed: %+v", c.replicas[0])
 	}
@@ -107,7 +107,7 @@ func TestScaleUpPrefersQualifyingVariant(t *testing.T) {
 		{ID: 0, Variant: "l4e", CostRate: 0.5, SpeedFactor: 4, health: HealthHealthy},
 		{ID: 1, Variant: "l4", CostRate: 1.0, health: HealthHealthy},
 	}}
-	c.scaleUpCostAware(trace.Decision{}, RoleUnified)
+	c.scaleUpCostAware(0, trace.Decision{}, RoleUnified)
 	if !c.replicas[1].active || c.replicas[0].active {
 		t.Fatalf("qualifying variant lost to cheaper non-qualifying: %+v", c.replicas)
 	}
@@ -123,7 +123,7 @@ func TestScaleUpPrefersQualifyingVariant(t *testing.T) {
 		{ID: 0, Variant: "l4e", CostRate: 0.5, SpeedFactor: 4, health: HealthHealthy},
 		{ID: 1, Variant: "l4", CostRate: 1.0, health: HealthHealthy},
 	}}
-	c2.scaleUpCostAware(trace.Decision{}, RoleUnified)
+	c2.scaleUpCostAware(0, trace.Decision{}, RoleUnified)
 	if !c2.replicas[1].active {
 		t.Fatalf("fastest variant not chosen when nothing qualifies: %+v", c2.replicas)
 	}
@@ -179,13 +179,13 @@ func TestScaleUpRecoversAllDeadFleet(t *testing.T) {
 		{ID: 1, active: false, health: HealthDead},
 		{ID: 2, health: HealthHealthy},
 	}}
-	c.scaleUpCostAware(trace.Decision{Sat: 1}, RoleUnified)
+	c.scaleUpCostAware(0, trace.Decision{Sat: 1}, RoleUnified)
 	if !c.replicas[2].active || c.ScaleUps != 1 {
 		t.Fatalf("dead fleet did not recover onto the spare: %+v", c.replicas)
 	}
 	// With no healthy spare either, the attempt is a deterministic no-op.
 	c2 := &Cluster{replicas: []*Replica{{ID: 0, health: HealthDead}}}
-	c2.scaleUpCostAware(trace.Decision{Sat: 1}, RoleUnified)
+	c2.scaleUpCostAware(0, trace.Decision{Sat: 1}, RoleUnified)
 	if c2.ScaleUps != 0 || c2.replicas[0].active {
 		t.Fatalf("no-spare recovery mutated the fleet: %+v", c2.replicas[0])
 	}
@@ -205,6 +205,29 @@ func TestScaleDownDrainsMostExpensive(t *testing.T) {
 	}
 	if c.DrainStart != 1 {
 		t.Fatalf("DrainStart = %d, want 1", c.DrainStart)
+	}
+}
+
+func TestScaleToZeroDrainsLowestIDFirst(t *testing.T) {
+	// An idle fleet past IdleAfter drains every serving replica, lowest ID
+	// first, and counts them in one scale-to-zero record; a suspect one is
+	// not serving and stays as it is.
+	c := &Cluster{replicas: []*Replica{
+		{ID: 0, active: true, health: HealthHealthy},
+		{ID: 1, active: true, health: HealthSuspect},
+		{ID: 2, active: true, health: HealthHealthy},
+	}, load: make([]replicaLoad, 3)}
+	c.scaler = ScalerConfig{Enabled: true, ScaleToZero: true}.withDefaults(3)
+	var got []trace.Decision
+	c.OnDecision = func(d trace.Decision) { got = append(got, d) }
+	c.scalerTick(c.scaler.IdleAfter)
+	want := []trace.Decision{
+		{Kind: trace.Drain, Replica: 0},
+		{Kind: trace.Drain, Replica: 2},
+		{Kind: trace.ScaleToZero, Count: 2, Wait: c.scaler.IdleAfter},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("decisions = %+v, want %+v", got, want)
 	}
 }
 

@@ -75,7 +75,7 @@ func oldHandoffTarget(c *Cluster, src *Replica, wire time.Duration) (pick, runne
 	now := c.now()
 	var cands []scored
 	for _, r := range c.replicas {
-		if r != src && r.serving() && r.decodeEligible() {
+		if r != src && r.Serving() && r.decodeEligible() {
 			cands = append(cands, scored{r: r, delay: r.Backend.NextForwardDone(now+wire) - now,
 				load: time.Duration(r.Ctl.OutstandingTokens()) * r.Ctl.PerTokenDecode()})
 		}

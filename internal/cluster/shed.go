@@ -128,7 +128,7 @@ func (c *Cluster) shedOne(class string, kvUtil, meanDepth float64, err error) er
 func (c *Cluster) SaturationSnapshot() (kvUtil, meanDepth float64, serving int) {
 	var kvInUse, kvCap, depth int
 	for _, r := range c.replicas {
-		if !r.serving() {
+		if !r.Serving() {
 			continue
 		}
 		serving++

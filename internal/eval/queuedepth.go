@@ -9,11 +9,12 @@ import (
 
 // queueDepthScaler is the comparator the cluster and slo experiments scale
 // with: a class-blind, cost-blind timer that reads only the mean
-// outstanding calls per healthy serving replica. It changes the fleet
-// through the cluster's public fleet ops (Activate, BeginDrain,
-// CompleteDrains), as any controller outside the library would. Dead and
-// suspect replicas never count toward capacity: their stuck queues would
-// read as load the fleet has no hardware to serve.
+// outstanding calls per serving replica (cluster.Replica.Serving). It
+// names a target one above or below the serving count and lets the
+// cluster's public fleet ops move the fleet (Resize, CompleteDrains), as
+// any controller outside the library would. Dead and suspect replicas
+// never count toward capacity: their stuck queues would read as load the
+// fleet has no hardware to serve.
 type queueDepthScaler struct {
 	cl       *cluster.Cluster
 	up, down float64 // mean depth that adds a replica / drains one
@@ -37,14 +38,15 @@ func startQueueDepthScaler(e *pie.Engine, active int, up, down float64) *queueDe
 }
 
 // tick finishes completed drains, then compares the mean depth against
-// the thresholds. Iteration is in replica-ID order, so same-seed runs
-// scale identically.
+// the thresholds and resizes the fleet by one replica: Resize cancels a
+// drain before it wakes a spare, lowest ID first, and drains the highest
+// ID. Same-seed runs scale identically.
 func (s *queueDepthScaler) tick() {
 	s.cl.CompleteDrains()
 	rs := s.cl.Replicas()
 	serving, depth := 0, 0
 	for _, r := range rs {
-		if r.Active() && !r.Draining() && r.Health() == cluster.HealthHealthy {
+		if r.Serving() {
 			serving++
 			depth += r.Ctl.OutstandingCalls()
 		}
@@ -54,22 +56,10 @@ func (s *queueDepthScaler) tick() {
 	}
 	switch mean := float64(depth) / float64(serving); {
 	case mean >= s.up && serving < len(rs):
-		// Un-drain warm capacity first, then wake a spare; lowest ID first.
-		for _, undrain := range []bool{true, false} {
-			for _, r := range rs {
-				if r.Draining() == undrain && s.cl.Activate(r) {
-					s.ups++
-					return
-				}
-			}
+		if s.cl.Resize(rs, serving+1, nil) != nil {
+			s.ups++
 		}
 	case mean <= s.down && serving > 1:
-		// Drain the highest-ID healthy serving replica; draining a suspect
-		// one would never complete.
-		for i := len(rs) - 1; i >= 0; i-- {
-			if rs[i].Health() == cluster.HealthHealthy && s.cl.BeginDrain(rs[i]) {
-				return
-			}
-		}
+		s.cl.Resize(rs, serving-1, nil)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // manifest order, so same-seed runs produce identical decision records.
 // The controller's own decisions go into the cluster's decision stream
 // (cluster.Cluster.Decide) beside the cluster's; its pool resizes are the
-// fleet-op records its Activate and BeginDrain calls make.
+// fleet-op records cluster.Cluster.Resize makes.
 type Controller struct {
 	clock *sim.Clock
 	cl    *cluster.Cluster
@@ -109,15 +109,17 @@ func (c *Controller) AlignInitial() {
 	}
 }
 
-// reconcile is one pass, the cluster tick's reconcile phase: converge pool
-// counts (unless the SLO scaler owns them), then reconcile program pins
-// and advance rolling upgrades — in that order, so a replica just
+// reconcile is one pass, the cluster tick's reconcile phase: resize each
+// pool to its desired count in ID order (unless the SLO scaler owns the
+// counts), then reconcile program pins and advance rolling upgrades — in that order, so a replica just
 // activated is prewarmed with the rest. It runs in a timer and never
 // blocks.
 func (c *Controller) reconcile(now time.Duration) {
 	c.lastTick = now
 	if c.desired.Scaler == nil {
-		c.convergePools()
+		for _, pr := range c.pools {
+			c.cl.Resize(c.poolReplicas(pr), pr.Desired, nil)
+		}
 	}
 	c.reconcilePins(now)
 }
@@ -126,53 +128,6 @@ func (c *Controller) reconcile(now time.Duration) {
 // every pool's capacity, and a hot reload cannot change it).
 func (c *Controller) poolReplicas(pr PoolRange) []*cluster.Replica {
 	return c.cl.Replicas()[pr.Start:pr.End]
-}
-
-// convergePools moves each pool's serving count toward desired: grow by
-// un-draining, then activating, the lowest-ID eligible replicas; shrink
-// by draining the highest-ID serving ones (two-phase — CompleteDrains
-// retires them once idle, migrating their KV exports first).
-func (c *Controller) convergePools() {
-	for _, pr := range c.pools {
-		rs := c.poolReplicas(pr)
-		serving := 0
-		for _, r := range rs {
-			if r.Active() && !r.Draining() && r.Health() == cluster.HealthHealthy {
-				serving++
-			}
-		}
-		switch {
-		case serving < pr.Desired:
-			need := pr.Desired - serving
-			// First cancel drains (cheapest — the replica never left),
-			// then wake inactive replicas, lowest ID first.
-			for pass := 0; pass < 2 && need > 0; pass++ {
-				for _, r := range rs {
-					if need == 0 {
-						break
-					}
-					wantDraining := pass == 0
-					if r.Active() != wantDraining || r.Draining() != wantDraining {
-						continue
-					}
-					if c.cl.Activate(r) {
-						need--
-					}
-				}
-			}
-		case serving > pr.Desired:
-			excess := serving - pr.Desired
-			for i := len(rs) - 1; i >= 0 && excess > 0; i-- {
-				r := rs[i]
-				if !r.Active() || r.Draining() || r.Health() != cluster.HealthHealthy {
-					continue
-				}
-				if c.cl.BeginDrain(r) {
-					excess--
-				}
-			}
-		}
-	}
 }
 
 // reconcilePins applies each manifest pin to the registry and rolls any
@@ -358,7 +313,7 @@ func (c *Controller) Status() Status {
 			switch {
 			case r.Active() && r.Draining():
 				ps.Draining++
-			case r.Active() && r.Health() == cluster.HealthHealthy:
+			case r.Serving():
 				ps.Serving++
 			}
 		}

@@ -396,6 +396,9 @@ func (m *Manifest) Validate() error {
 		if s.Max > 0 && s.Max > m.TotalBuilt() {
 			return fmt.Errorf("%w: scaler max %d exceeds built capacity %d", ErrSyntax, s.Max, m.TotalBuilt())
 		}
+		if s.Min > m.TotalBuilt() {
+			return fmt.Errorf("%w: scaler min %d exceeds built capacity %d", ErrSyntax, s.Min, m.TotalBuilt())
+		}
 		if s.Min > 0 && s.Max > 0 && s.Min > s.Max {
 			return fmt.Errorf("%w: scaler min %d exceeds max %d", ErrSyntax, s.Min, s.Max)
 		}

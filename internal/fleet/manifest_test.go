@@ -137,6 +137,7 @@ func TestParseErrors(t *testing.T) {
 		{"negative latency target", `{"schema": 1, ` + pool + `, "classes": [{"name": "c", "ttft": "-1ms"}]}`, ErrSyntax},
 		{"negative scaler bounds", `{"schema": 1, ` + pool + `, "scaler": {"min": -1}}`, ErrSyntax},
 		{"scaler max over built", `{"schema": 1, ` + pool + `, "scaler": {"max": 9}}`, ErrSyntax},
+		{"scaler min over built", `{"schema": 1, ` + pool + `, "scaler": {"min": 9}}`, ErrSyntax},
 		{"scaler min over max", `{"schema": 1, ` + pool + `, "scaler": {"min": 2, "max": 1}}`, ErrSyntax},
 		{"empty pin name", `{"schema": 1, ` + pool + `, "programs": [{"name": "", "version": "1.0.0"}]}`, ErrSyntax},
 		{"duplicate pin", `{"schema": 1, ` + pool + `, "programs": [{"name": "p", "version": "1.0.0"}, {"name": "p", "version": "2.0.0"}]}`, ErrSyntax},
