@@ -19,7 +19,7 @@ import (
 // startTestServer brings up the full serving path a real deployment uses:
 // external-clock engine, running event loop, HTTP mux. This exercises the
 // Inject path from real goroutines — the external-mode regression fixed in
-// PR 1 (the clock must not finish itself while only daemons are live).
+// PR 1 (the clock must not finish itself while no process is live).
 func startTestServer(t *testing.T, cfg pie.Config) (*server, *httptest.Server) {
 	t.Helper()
 	s := newServer(cfg)
@@ -624,7 +624,7 @@ func TestAbortEndpoint(t *testing.T) {
 }
 
 // waitReplicasLost polls /v1/stats until the health monitor has declared
-// at least n replicas dead. An idle external-mode clock runs its daemons at
+// at least n replicas dead. An idle external-mode clock runs its timers at
 // wall-clock pace, so scheduled faults and their detection complete within
 // a few health intervals of wall time.
 func waitReplicasLost(t *testing.T, ts *httptest.Server, n int) {

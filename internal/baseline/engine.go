@@ -10,7 +10,10 @@
 // The defining architectural property reproduced here is the monolithic
 // generation loop: requests are prompts; the engine owns KV management and
 // the predict-then-sample step; anything else (tool calls, tree search,
-// cache strategy) must happen client-side through new requests.
+// cache strategy) must happen client-side through new requests. The loop
+// runs as a state machine on its device, not as a process: a new request
+// to an idle engine, a step kernel's completion and the admission retry
+// each arm a timer that runs the next turn.
 package baseline
 
 import (
@@ -180,8 +183,13 @@ type Engine struct {
 
 	waiting []*Request
 	running []*Request
-	wake    *sim.Mailbox[struct{}]
-	nextID  int
+	// busy is set from the turn a request to an idle engine arms until a
+	// turn finds nothing to do: meanwhile a step kernel, the turn after it
+	// or an admission retry is pending, and a new request waits for it.
+	busy   bool
+	turnFn func() // e.turn and e.advance, bound once: a timer is armed per step
+	advFn  func()
+	nextID int
 
 	blockPool *blockPool
 	cache     prefixCache
@@ -191,7 +199,6 @@ type Engine struct {
 	Steps        int
 	Preemptions  int
 	CacheHitToks int
-	stopped      bool
 }
 
 // NewEngine starts a baseline engine on the clock.
@@ -203,9 +210,10 @@ func NewEngine(clock *sim.Clock, cfg Config) *Engine {
 		cfg:    cfg,
 		spec:   spec,
 		device: gpu.NewDevice(clock, "bl-"+string(cfg.Kind)),
-		wake:   sim.NewMailbox[struct{}](clock),
 		rng:    sim.NewRNG(0xBA5E ^ uint64(len(cfg.Kind))),
 	}
+	e.turnFn, e.advFn = e.turn, e.advance
+	e.device.SetDoneFunc(e.stepDone)
 	e.blockPool = newBlockPool(spec.KvPageCapacity(cfg.PageSize))
 	switch cfg.PrefixCache {
 	case "hash":
@@ -215,7 +223,6 @@ func NewEngine(clock *sim.Clock, cfg Config) *Engine {
 	default:
 		e.cache = nullCache{}
 	}
-	clock.GoDaemon("baseline:"+string(cfg.Kind), e.loop)
 	return e
 }
 
@@ -235,7 +242,10 @@ func (e *Engine) Submit(r *Request) *Request {
 		r.beamExtra = r.BeamWidth - 1
 	}
 	e.waiting = append(e.waiting, r)
-	e.wake.Send(struct{}{})
+	if !e.busy {
+		e.busy = true
+		e.clock.After(0, e.turnFn)
+	}
 	return r
 }
 
@@ -246,24 +256,22 @@ func (e *Engine) Generate(prompt []int, maxTokens int, script []int) []int {
 	return r.Output
 }
 
-// loop is the monolithic scheduler: admit, step, repeat — the fixed
-// prefill–decode iteration of Fig. 1.
-func (e *Engine) loop() {
-	for !e.stopped {
-		if len(e.running) == 0 && len(e.waiting) == 0 {
-			if _, err := e.wake.Recv(); err != nil {
-				return
-			}
-			continue
-		}
-		e.admit()
-		if len(e.running) == 0 {
-			// Admission starved (pool exhausted by waiting giants).
-			e.clock.Sleep(time.Millisecond)
-			continue
-		}
-		e.step()
+// turn is one iteration of the monolithic scheduler — admit, then step —
+// the fixed prefill–decode iteration of Fig. 1. It runs on a timer and
+// ends by arming what continues it: the step's kernel, the admission retry,
+// or nothing once the engine is idle.
+func (e *Engine) turn() {
+	if len(e.running) == 0 && len(e.waiting) == 0 {
+		e.busy = false
+		return
 	}
+	e.admit()
+	if len(e.running) == 0 {
+		// Admission starved (pool exhausted by waiting giants).
+		e.clock.After(time.Millisecond, e.turnFn)
+		return
+	}
+	e.step()
 }
 
 // admit moves waiting requests into the running batch while KV blocks
@@ -310,11 +318,14 @@ func (e *Engine) admit() {
 	}
 }
 
-// step advances every running sequence by one iteration: chunked prefill
-// for new requests plus one decode token for the rest, one fused kernel.
+// prefillChunk is the most prompt tokens a sequence prefills per step.
+const prefillChunk = 512
+
+// step prices one iteration over every running sequence — chunked prefill
+// for new requests plus one decode token for the rest — and submits it to
+// the device as one fused kernel.
 func (e *Engine) step() {
 	e.Steps++
-	const prefillChunk = 512
 	prefillTokens, decodeSeqs, ctxTokens, seqs := 0, 0, 0, 0
 	guided := 0
 	for _, r := range e.running {
@@ -340,9 +351,16 @@ func (e *Engine) step() {
 	cost = time.Duration(float64(cost) * e.cfg.KernelFactor)
 	cost += e.cfg.PerStepOverhead
 	cost += time.Duration(guided) * e.cfg.GrammarStepCost
-	_ = sim.Await(e.device.Submit("step", cost))
+	e.device.Enqueue(cost, e)
+}
 
-	// Advance sequences.
+// stepDone is the device's completion callback: the next turn runs from a
+// timer armed now, behind the events already due at this instant.
+func (e *Engine) stepDone(any) { e.clock.After(0, e.advFn) }
+
+// advance applies a finished step to every running sequence, then takes the
+// next turn.
+func (e *Engine) advance() {
 	var still []*Request
 	for _, r := range e.running {
 		if r.prefilled < len(r.Prompt) {
@@ -371,6 +389,7 @@ func (e *Engine) step() {
 		still = append(still, r)
 	}
 	e.running = still
+	e.turn()
 }
 
 // attended returns context size under the engine's attention policy.
@@ -421,12 +440,6 @@ func (e *Engine) finish(r *Request) {
 	}
 	r.blocks = nil
 	sim.Fire(r.Done)
-}
-
-// Stop ends the engine loop once idle.
-func (e *Engine) Stop() {
-	e.stopped = true
-	e.wake.Close()
 }
 
 // BusyTime reports cumulative GPU time.

@@ -181,7 +181,7 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 	if err := c.InjectFaults(plan); err == nil {
 		t.Fatal("out-of-range fault event accepted")
 	}
-	// A pure transient-rate plan installs without a daemon.
+	// A pure transient-rate plan arms no timer.
 	if err := c.InjectFaults(FaultPlan{CallFailRate: 0.5, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}

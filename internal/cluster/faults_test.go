@@ -133,8 +133,7 @@ func TestHangDetectionAbortsWaiters(t *testing.T) {
 				}},
 			})
 			dev := e.Cluster().Replicas()[0].Backend.Device
-			e.Clock().GoDaemon("probe", func() {
-				e.Sleep(tc.hangAt)
+			e.Clock().After(tc.hangAt, func() {
 				if busy := dev.Due() > e.Now(); busy != tc.midKernel {
 					t.Errorf("at the hang: kernel executing = %v, want %v", busy, tc.midKernel)
 				}
@@ -282,6 +281,47 @@ func TestRetryRequeuesOntoSurvivor(t *testing.T) {
 	if st.Replacements != 1 || !spare.Active() {
 		t.Fatalf("Replacements = %d, spare active = %v; want the spare activated by the death",
 			st.Replacements, spare.Active())
+	}
+}
+
+// TestUnawaitedRequeueRunsToItsEnd: a launch whose replica dies while it
+// decodes is requeued even when no client waits on it, and the requeue
+// keeps Run going until the launch has completed on the survivor. A
+// requeue that did not keep Run alive would leave the launch in its
+// backoff, lost and never resolved.
+func TestUnawaitedRequeueRunsToItsEnd(t *testing.T) {
+	e := newEngine(t, pie.Config{
+		Seed: 3, Replicas: 2, Placement: pie.PlaceRoundRobin,
+		Health: tightHealth(),
+		Faults: crashAt(0, 30*time.Millisecond),
+	})
+	var h *pie.Handle
+	err := e.RunClient(func() {
+		spec := pie.Spec("text_completion", completionParams(64, ""))
+		spec.Retry = pie.RetryPolicy{MaxAttempts: 3}
+		var lerr error
+		if h, lerr = e.Launch(spec); lerr != nil { // round-robin: lands on replica 0
+			t.Errorf("launch: %v", lerr)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h == nil {
+		t.FailNow()
+	}
+	if !h.Done() {
+		t.Fatal("the run ended with the requeued launch unresolved")
+	}
+	if werr := h.Wait(); werr != nil {
+		t.Fatalf("requeued launch ended with %v, want completion on the survivor", werr)
+	}
+	_, _, tokens := h.Stats()
+	if st := e.Stats(); st.Requeues != 1 || h.Attempts() != 2 || tokens != 64 {
+		t.Fatalf("%d requeues, %d attempts, %d tokens; want 1, 2 and 64", st.Requeues, h.Attempts(), tokens)
+	}
+	if placed := e.Cluster().Replicas()[1].Placements; placed != 1 {
+		t.Fatalf("replica 1 placed %d launches, want the requeue's 1", placed)
 	}
 }
 

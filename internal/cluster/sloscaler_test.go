@@ -1,4 +1,4 @@
-// Engine-level tests of the SLO scaler: the live scaling daemon against a
+// Engine-level tests of the SLO scaler: the scaler on the live cluster tick against a
 // real heterogeneous serving stack. The unit tests in scaler_test.go pin
 // individual decisions on synthetic clusters; these drive the whole loop
 // on the virtual clock — saturation-triggered scale-up, graceful

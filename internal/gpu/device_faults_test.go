@@ -38,16 +38,22 @@ func TestDeviceSlowdownMultipliesKernelCost(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "throttled")
 	var slowEnd, fullEnd time.Duration
+	d.SetDoneFunc(func(tag any) {
+		if tag == "slow" {
+			slowEnd = clock.Now()
+			d.SetSlowdown(1)
+			d.Enqueue(10*time.Millisecond, "full")
+			return
+		}
+		fullEnd = clock.Now()
+	})
 	clock.Go("driver", func() {
 		d.SetSlowdown(4)
 		if d.Slowdown() != 4 {
 			t.Errorf("Slowdown() = %v, want 4", d.Slowdown())
 		}
-		_ = sim.Await(d.Submit("k", 10*time.Millisecond))
-		slowEnd = clock.Now()
-		d.SetSlowdown(1)
-		_ = sim.Await(d.Submit("k", 10*time.Millisecond))
-		fullEnd = clock.Now()
+		d.Enqueue(10*time.Millisecond, "slow")
+		clock.Sleep(time.Second)
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -63,7 +69,8 @@ func TestDeviceSlowdownMultipliesKernelCost(t *testing.T) {
 func TestDeviceFailMidKernelGoesDark(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "crash-busy")
-	d.Submit("doomed", 10*time.Millisecond)
+	d.SetDoneFunc(func(tag any) { t.Errorf("kernel %v completed on a dead device", tag) })
+	d.Enqueue(10*time.Millisecond, "doomed")
 	clock.Go("killer", func() {
 		clock.Sleep(5 * time.Millisecond)
 		if !d.Busy() {
@@ -86,9 +93,10 @@ func TestDeviceFailMidKernelGoesDark(t *testing.T) {
 func TestDeviceFailWhileIdleParksNextKernel(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "crash-idle")
+	d.SetDoneFunc(func(tag any) { t.Errorf("kernel %v completed on a dead device", tag) })
 	clock.Go("driver", func() {
 		d.Fail()
-		d.Submit("never", time.Millisecond)
+		d.Enqueue(time.Millisecond, "never")
 		clock.Sleep(5 * time.Millisecond)
 	})
 	if err := clock.Run(); err != nil {
@@ -99,25 +107,22 @@ func TestDeviceFailWhileIdleParksNextKernel(t *testing.T) {
 	}
 }
 
-// TestDeviceFailStrandsTheQueue: a crash mid-kernel loses that kernel and
-// everything queued behind it, whichever way it was to be reported; the
-// device stays busy with its last due instant (what the watchdog dates a
-// stall from) and never calls back.
+// TestDeviceFailStrandsTheQueue: a crash mid-kernel loses that kernel,
+// everything queued behind it and everything submitted after it; the device
+// stays busy with its last due instant (what the watchdog dates a stall
+// from) and never calls back.
 func TestDeviceFailStrandsTheQueue(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "crash-queued")
 	d.SetDoneFunc(func(tag any) { t.Errorf("kernel %v completed on a dead device", tag) })
 	d.SetIdleFunc(func() { t.Error("a dead device reported idle") })
-	first := d.Submit("doomed", 10*time.Millisecond)
+	d.Enqueue(10*time.Millisecond, "doomed")
 	d.Enqueue(10*time.Millisecond, "queued")
 	clock.Go("killer", func() {
 		clock.Sleep(5 * time.Millisecond)
 		d.Fail()
-		late := d.Submit("late", time.Millisecond)
+		d.Enqueue(time.Millisecond, "late")
 		clock.Sleep(time.Second)
-		if first.Done() || late.Done() {
-			t.Error("a dead device fired a completion signal")
-		}
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -136,7 +141,7 @@ func TestDeviceSlowdownAppliesAtKernelStart(t *testing.T) {
 	d.SetDoneFunc(func(any) { ends = append(ends, clock.Now()) })
 	clock.Go("driver", func() {
 		for i := 0; i < 3; i++ {
-			d.Enqueue(10*time.Millisecond, nil)
+			d.Enqueue(10*time.Millisecond, i)
 		}
 		clock.Sleep(5 * time.Millisecond)
 		d.SetSlowdown(2)
@@ -161,8 +166,7 @@ func TestDeviceSlowdownAppliesAtKernelStart(t *testing.T) {
 
 // TestDropHandsOverWhatAFailedDeviceHeld: Drop leaves a live device alone;
 // on a failed one it hands over the kernel that was executing and then the
-// queued ones, oldest first, skipping Submit kernels (they carry no tag),
-// and forgets them.
+// queued ones, oldest first, and forgets them.
 func TestDropHandsOverWhatAFailedDeviceHeld(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "doomed")
@@ -171,7 +175,6 @@ func TestDropHandsOverWhatAFailedDeviceHeld(t *testing.T) {
 	clock.Go("driver", func() {
 		d.Enqueue(time.Millisecond, "finished")
 		d.Enqueue(time.Millisecond, "running")
-		d.Submit("untagged", time.Millisecond)
 		d.Enqueue(time.Millisecond, "queued")
 		clock.Sleep(1500 * time.Microsecond)
 		d.Drop(func(tag any) { t.Errorf("a live device dropped %v", tag) })

@@ -230,11 +230,10 @@ type Device struct {
 	due      time.Duration // modeled completion of the last kernel started
 }
 
-// kernel is one unit of device work. Its completion is reported through done
-// (Submit) or by handing tag to the done callback (Enqueue).
+// kernel is one unit of device work. Its completion hands tag to the done
+// callback.
 type kernel struct {
 	cost time.Duration
-	done *sim.Signal
 	tag  any
 }
 
@@ -243,14 +242,6 @@ func NewDevice(c *sim.Clock, name string) *Device {
 	d := &Device{clock: c, name: name}
 	d.finishFn = d.finish
 	return d
-}
-
-func (d *Device) enqueue(k kernel) {
-	d.queue.Push(k)
-	d.queued += k.cost
-	if !d.busy && !d.failed {
-		d.start()
-	}
 }
 
 // start begins the oldest queued kernel. The slowdown in force now prices it
@@ -278,11 +269,7 @@ func (d *Device) finish() {
 	d.running = kernel{}
 	d.busyTime += k.cost
 	d.kernels++
-	if k.done != nil {
-		sim.Fire(k.done)
-	} else {
-		d.doneFn(k.tag)
-	}
+	d.doneFn(k.tag)
 	if d.queue.Len() > 0 {
 		d.start()
 		return
@@ -293,18 +280,16 @@ func (d *Device) finish() {
 	}
 }
 
-// Submit enqueues a kernel and returns its completion signal.
-func (d *Device) Submit(label string, cost time.Duration) *sim.Signal {
-	done := sim.NewSignal(d.clock)
-	d.enqueue(kernel{cost: cost, done: done})
-	return done
-}
-
-// Enqueue is Submit for a caller that is itself a state machine: on
-// completion the device hands tag to the callback installed with
-// SetDoneFunc, on the event loop, instead of firing a signal.
+// Enqueue submits a kernel of modeled cost: on completion the device hands
+// tag, which must not be nil, to the callback installed with SetDoneFunc, on
+// the event loop. Its callers are state machines (the inference backend,
+// the baseline engines), not processes.
 func (d *Device) Enqueue(cost time.Duration, tag any) {
-	d.enqueue(kernel{cost: cost, tag: tag})
+	d.queue.Push(kernel{cost: cost, tag: tag})
+	d.queued += cost
+	if !d.busy && !d.failed {
+		d.start()
+	}
 }
 
 // SetDoneFunc installs Enqueue's completion callback. It runs on the event
@@ -358,10 +343,9 @@ func (d *Device) Price(cost time.Duration) time.Duration {
 // health layer's job. Irreversible.
 func (d *Device) Fail() { d.failed = true }
 
-// Drop empties a failed device: it hands fn the tag of every Enqueue
-// kernel the device will never complete — the one executing when it failed,
-// then the queued ones, oldest first — and forgets them. A live device is
-// left alone.
+// Drop empties a failed device: it hands fn the tag of every kernel the
+// device will never complete — the one executing when it failed, then the
+// queued ones, oldest first — and forgets them. A live device is left alone.
 func (d *Device) Drop(fn func(tag any)) {
 	if !d.failed {
 		return
@@ -371,9 +355,7 @@ func (d *Device) Drop(fn func(tag any)) {
 	}
 	d.running = kernel{}
 	for d.queue.Len() > 0 {
-		if k := d.queue.Pop(); k.tag != nil {
-			fn(k.tag)
-		}
+		fn(d.queue.Pop().tag)
 	}
 	d.queued = 0
 }

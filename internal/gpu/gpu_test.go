@@ -79,15 +79,12 @@ func TestDeviceSerializesKernels(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "t")
 	var ends [3]time.Duration
+	d.SetDoneFunc(func(tag any) { ends[tag.(int)] = clock.Now() })
 	clock.Go("driver", func() {
-		sigs := make([]*sim.Signal, 3)
-		for i := range sigs {
-			sigs[i] = d.Submit("k", 10*time.Millisecond)
+		for i := range ends {
+			d.Enqueue(10*time.Millisecond, i)
 		}
-		for i, s := range sigs {
-			_ = sim.Await(s)
-			ends[i] = clock.Now()
-		}
+		clock.Sleep(time.Second)
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -110,10 +107,10 @@ func TestDeviceIdleNotification(t *testing.T) {
 	d := NewDevice(clock, "t")
 	idleAt := time.Duration(-1)
 	d.SetIdleFunc(func() { idleAt = clock.Now() })
+	d.SetDoneFunc(func(any) {})
 	clock.Go("driver", func() {
-		done := d.Submit("k", 5*time.Millisecond)
-		_ = sim.Await(done)
-		clock.Sleep(time.Millisecond)
+		d.Enqueue(5*time.Millisecond, "k")
+		clock.Sleep(6 * time.Millisecond)
 	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
@@ -144,9 +141,8 @@ func TestArtifactCost(t *testing.T) {
 }
 
 // TestDeviceQueueOrderAndIdleOncePerDrain: kernels complete in submission
-// order whether they report by signal or by callback, each costs one event,
-// and the idle callback runs once per drain — after the last completion, not
-// between queued kernels.
+// order, each costs one event, and the idle callback runs once per drain —
+// after the last completion, not between queued kernels.
 func TestDeviceQueueOrderAndIdleOncePerDrain(t *testing.T) {
 	clock := sim.NewClock()
 	d := NewDevice(clock, "t")
@@ -160,7 +156,7 @@ func TestDeviceQueueOrderAndIdleOncePerDrain(t *testing.T) {
 	})
 	clock.Go("driver", func() {
 		d.Enqueue(time.Millisecond, "a")
-		s := d.Submit("b", time.Millisecond)
+		d.Enqueue(time.Millisecond, "b")
 		d.Enqueue(time.Millisecond, "c")
 		if !d.Busy() || d.Idle() || d.Due() != time.Millisecond || d.Drain() != 3*time.Millisecond {
 			t.Errorf("after three submissions: busy=%v idle=%v due=%v drain=%v", d.Busy(), d.Idle(), d.Due(), d.Drain())
@@ -171,8 +167,6 @@ func TestDeviceQueueOrderAndIdleOncePerDrain(t *testing.T) {
 			t.Errorf("slowed: drain=%v price=%v, want 5ms and 2ms", d.Drain(), d.Price(time.Millisecond))
 		}
 		d.SetSlowdown(1)
-		_ = sim.Await(s)
-		got = append(got, "b")
 		clock.Sleep(10 * time.Millisecond)
 		if d.Drain() != clock.Now() {
 			t.Errorf("idle device drains at %v, want now (%v)", d.Drain(), clock.Now())

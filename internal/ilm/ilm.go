@@ -410,8 +410,8 @@ func (h *Handle) abort(reason error) bool {
 		return true
 	}
 	// No live instance right now. If the handle is between retry attempts
-	// (its last instance died and the requeue daemon is working), latch
-	// the abort; the requeue loop honors it instead of relaunching.
+	// (its last instance died and the requeue process is working), latch
+	// the abort; the requeue process honors it instead of relaunching.
 	if h.requeuing && h.aborted == nil {
 		h.aborted = reason
 		h.ilm.Aborts++
@@ -444,7 +444,9 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) {
 // — a replica dying during or after launch, an injected transient fault —
 // are retried with capped exponential backoff: synchronous failures here
 // in the caller's process, failures after Launch returned through a
-// requeue daemon that re-places the same Handle onto a survivor.
+// requeue process that re-places the same Handle onto a survivor. A launch
+// in backoff keeps the simulation running, whether or not a client waits
+// on it: it ends complete or with a typed error.
 func (m *ILM) Launch(h *Handle, spec LaunchSpec) error {
 	e, err := m.resolve(spec.Program)
 	if err != nil {
@@ -619,7 +621,7 @@ func (m *ILM) attempt(h *Handle) error {
 // finishAttempt runs in the inferlet process as an attempt ends, in any
 // way: normal return, abort, deadline, FCFS termination, or replica
 // death. Retryable failures with retry headroom hand the handle to a
-// requeue daemon (backoff, then re-place on a survivor) and keep the
+// requeue process (backoff, then re-place on a survivor) and keep the
 // client's done future and mailboxes open; everything else resolves the
 // handle for good. The handle's ctl — not a launch-time capture — names
 // the replica that releases the instance: a prefill/decode handoff may have
@@ -681,13 +683,15 @@ func (m *ILM) retry(h *Handle) error {
 }
 
 // requeueAfter hands a handle whose attempt ended retryably to a requeue
-// daemon, named name, that re-places it after delay d; an abort in the gap
-// latches. The client's done future and mailboxes stay open across the
-// gap; if the retries run out the handle resolves with the final error
+// process, named name, that re-places it after delay d; an abort in the gap
+// latches. It blocks (the backoff, then the attempt's launch), so it is a
+// process, and it keeps Run alive until the handle has an instance again or
+// has resolved. The client's done future and mailboxes stay open across
+// the gap; if the retries run out the handle resolves with the final error
 // (clients parked in Wait unpark typed).
 func (m *ILM) requeueAfter(h *Handle, name string, d time.Duration) {
 	h.requeuing = true
-	m.clock.GoDaemon(name, func() {
+	m.clock.Go(name, func() {
 		m.clock.Sleep(d)
 		if err := m.retry(h); err != nil {
 			h.finish(err)

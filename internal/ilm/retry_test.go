@@ -166,7 +166,7 @@ func TestNextRetryDelayFinality(t *testing.T) {
 // TestAbortLatchesBetweenRetries: the replica dies under a launch whose
 // retry policy backs off for a second, and the client aborts the handle
 // during the backoff. With no live instance the abort latches, and the
-// requeue daemon resolves the handle with it instead of placing another
+// requeue process resolves the handle with it instead of placing another
 // attempt; the dead attempt's pages are back in the pools.
 func TestAbortLatchesBetweenRetries(t *testing.T) {
 	clock := sim.NewClock()

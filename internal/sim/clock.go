@@ -8,10 +8,11 @@
 // finishing a kernel, a batch crossing the IPC boundary, the scheduler's
 // kick and its T-only and K-only ticks, a tool call's latency, a launch
 // deadline, a fault plan's events, the cluster's policy tick and a fleet
-// prewarm's uploads are timers; launch admission and the backend's ingress
-// are busy-until timestamps. Three daemons remain, each because it blocks:
-// the ILM's two requeue daemons sleep their backoff, then relaunch; and the
-// baseline engine's loop waits on its device.
+// prewarm's uploads are timers, and so is every step of a baseline engine,
+// which runs on its device's completion callback; launch admission and the
+// backend's ingress are busy-until timestamps. A launch's requeue after a
+// replica death sleeps its backoff and relaunches, so it is a process, and
+// like every process it keeps Run alive until it ends.
 //
 // Exactly one process or timer executes at any instant. A process blocks
 // only in Sleep and on a WaitList (Future.Get, Result.Get, Mailbox.Recv and
@@ -28,8 +29,8 @@
 // the caller of Run — owns dispatch; every process is a coroutine
 // (iter.Pull) that the loop resumes with a direct switch: no channel, no
 // scheduler, no futex. Run has two modes: to completion (the default: it
-// returns when every non-daemon process has finished) and external
-// (EnableExternal: it idles for Inject until Shutdown). A process that
+// returns when every process has finished) and external (EnableExternal:
+// it idles for Inject until Shutdown). A process that
 // blocks picks its successor itself under the clock lock (one heap push and
 // one pop, fused into a single sift for Sleep), yields it to the loop and is
 // suspended; when its own event is the next to run it never leaves its
@@ -37,8 +38,9 @@
 // coroutine is picking the successor: it costs a heap pop and a call, no
 // switch. Coroutines cost more to make than goroutines, so a
 // finished process's coroutine is pooled for the next spawn, and when the
-// clock finishes the loop unwinds whatever is still suspended (daemons,
-// waiters nobody resolved): a finished clock leaves no goroutine behind.
+// clock finishes the loop unwinds whatever is still suspended (waiters
+// nobody resolved, after a deadlock or a Shutdown): a finished clock leaves
+// no goroutine behind.
 // The rest is an inlined 4-ary heap (heap.go) and a free list of event
 // records.
 package sim
@@ -72,7 +74,6 @@ type Proc struct {
 	w      *worker // the coroutine hosting it, from first dispatch to finish
 	state  procState
 	killed bool
-	daemon bool
 	ev     *event // pending heap event while ready/sleeping
 	// parkToken increments on every wait on a WaitList; a wake or release
 	// that carries a stale token (e.g. a future resolving after the waiter
@@ -163,8 +164,8 @@ type Clock struct {
 	// the idle-pacing timer.
 	wakeCh chan struct{}
 
-	// Idle-server pacing (external mode, only daemons left): the daemon
-	// event at virtual time idleFor may run once the wall clock reaches
+	// Idle-server pacing (external mode, only timers left): the timer due
+	// at virtual time idleFor may run once the wall clock reaches
 	// idleUntil. A zero idleUntil means no wait is armed. See
 	// idleWaitLocked.
 	idleFor   time.Duration
@@ -242,26 +243,17 @@ func (c *Clock) recycleLocked(ev *event) {
 // time. It may be called from inside a process or from the coordinator
 // before Run.
 func (c *Clock) Go(name string, fn func()) *Proc {
-	return c.spawn(name, fn, false, "Go")
-}
-
-// GoDaemon spawns a service process: a loop that blocks, such as an
-// engine's loop that waits on its device. Daemons run like
-// ordinary processes but do not keep the simulation alive: Run returns once
-// every non-daemon process finishes. A loop that only sleeps and then acts
-// is a timer (Every), not a daemon.
-func (c *Clock) GoDaemon(name string, fn func()) *Proc {
-	return c.spawn(name, fn, true, "Go")
+	return c.spawn(name, fn, "Go")
 }
 
 // After arms a timer: fn runs d of virtual time from now, at its (time,
 // sequence) slot among the processes and other timers due then. A timer has
 // no process. fn runs with none current and must not block (a blocking call
 // panics as one from outside the simulation does), but it may do anything
-// else a process may: resolve futures, send, spawn, arm timers. Like a
-// daemon's, a pending timer does not keep Run alive, and a finished clock
-// drops it. Arming one allocates nothing when fn is a method value bound
-// once; call After from simulation code or before Run.
+// else a process may: resolve futures, send, spawn, arm timers. A pending
+// timer does not keep Run alive: Run returns when the last process ends,
+// and the finished clock drops it. Arming one allocates nothing when fn is
+// a method value bound once; call After from simulation code or before Run.
 func (c *Clock) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -293,17 +285,15 @@ func (c *Clock) Every(d time.Duration, fn func()) {
 
 // spawn queues a new process for its first dispatch at the current virtual
 // time. It gets a coroutine when the loop first resumes it.
-func (c *Clock) spawn(name string, fn func(), daemon bool, api string) *Proc {
+func (c *Clock) spawn(name string, fn func(), api string) *Proc {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
 		panic("sim: " + api + " after clock finished")
 	}
 	c.seq++
-	p := &Proc{id: c.seq, name: name, fn: fn, state: stateReady, daemon: daemon}
-	if !daemon {
-		c.live++
-	}
+	p := &Proc{id: c.seq, name: name, fn: fn, state: stateReady}
+	c.live++
 	c.pushLocked(c.now, p)
 	return p
 }
@@ -386,15 +376,13 @@ func (c *Clock) finish(w *worker) *Proc {
 	defer c.mu.Unlock()
 	p := w.p
 	p.state, p.fn, p.w, w.p = stateDead, nil, nil, nil
-	if !p.daemon {
-		c.live--
-	}
+	c.live--
 	c.idle = append(c.idle, w)
 	return c.dispatchNextLocked()
 }
 
 // reap runs after the clock finishes: it unwinds every process still
-// suspended (daemons, waiters nobody resolved) and frees the pooled
+// suspended (waiters nobody resolved) and frees the pooled
 // coroutines. stop makes a suspended yield return false, so the process
 // panics Killed at its block site and runs its defers; a blocking call it
 // makes while unwinding fails the same way at once.
@@ -415,10 +403,8 @@ func (c *Clock) reap() {
 // running, and returns it for the loop to resume; timers that come due first
 // run here, one after another, with the lock released. It returns nil when
 // there is nothing to resume: the simulation finished or deadlocked, or the
-// clock went idle in external mode.
-//
-// The simulation is over when every non-daemon process has finished;
-// daemon service loops are then unwound by reap.
+// clock went idle in external mode. The simulation is over when every
+// process has finished; pending timers are dropped.
 func (c *Clock) dispatchNextLocked() *Proc {
 	if c.finished {
 		return nil
@@ -434,7 +420,7 @@ func (c *Clock) dispatchNextLocked() *Proc {
 		}
 		if c.external && c.live == 0 {
 			if c.shutdown {
-				break // only daemons remain: nothing left to shut down for
+				break // only timers remain: nothing left to shut down for
 			}
 			if !c.idleWaitLocked(c.heap.min().t) {
 				c.current = nil
@@ -468,13 +454,14 @@ func (c *Clock) dispatchNextLocked() *Proc {
 	c.current = nil
 	if c.external && !c.shutdown {
 		// Server mode: stay alive waiting for injected work — even with no
-		// live processes yet. (Requiring live > 0 here used to finish the
-		// clock the moment the startup daemons went idle, so the first
-		// Inject from an HTTP handler panicked with "Inject after clock
-		// finished".)
+		// live process. (Requiring live > 0 here used to finish the clock
+		// the moment start-up went idle, so the first Inject from an HTTP
+		// handler panicked with "Inject after clock finished".)
 		return nil
 	}
-	if c.live > 0 {
+	if c.live > 0 && !c.external {
+		// Shut down in external mode, a parked process waits for outside
+		// input, not a deadlock: the reap unwinds it.
 		c.err = fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", c.now, c.live)
 	}
 	c.finishClockLocked()
@@ -482,15 +469,16 @@ func (c *Clock) dispatchNextLocked() *Proc {
 }
 
 // idleWaitLocked keeps an idle server from free-running its periodic
-// daemons (health checks, reconcile ticks): with no live process there is
-// nobody to serve by racing ahead, and a daemon that sleeps in a loop would
-// otherwise spin a core. It reports whether the next daemon event, due at
-// virtual time t, may run now. The first call for an event arms a wall
-// timer as long as its virtual distance and answers no; the timer's wake
-// (or any later dispatch attempt past the deadline) answers yes. The wait
-// belongs to the event, not to the idle spell: requests that come and go
-// meanwhile run at once (Inject makes the clock live) and do not push the
-// deadline back, so frequent polling cannot starve the daemons.
+// timers (the cluster tick's health checks and reconcile passes): with no
+// live process there is nobody to serve by racing ahead, and a timer that
+// re-arms itself would otherwise spin a core. It reports whether the next
+// timer, due at virtual time t, may run now. The first call for a timer
+// arms a wall timer as long as its virtual distance and answers no; the
+// wall timer's wake (or any later dispatch attempt past the deadline)
+// answers yes. The wait belongs to the timer, not to the idle spell:
+// requests that come and go meanwhile run at once (Inject makes the clock
+// live) and do not push the deadline back, so frequent polling cannot
+// starve the timers.
 func (c *Clock) idleWaitLocked(t time.Duration) bool {
 	if t <= c.now {
 		return true
@@ -541,13 +529,14 @@ func (c *Clock) Run() error {
 // real HTTP handler in server mode) and wakes the loop if it is idle. The
 // caller never runs simulation work itself.
 func (c *Clock) Inject(name string, fn func()) *Proc {
-	p := c.spawn(name, fn, false, "Inject")
+	p := c.spawn(name, fn, "Inject")
 	c.wake()
 	return p
 }
 
 // Shutdown ends an external-mode simulation once it next goes idle: no
-// process running and nothing pending but daemon wakes.
+// process running and nothing pending but timers. Processes still parked
+// then are unwound; Run reports no deadlock for them.
 func (c *Clock) Shutdown() {
 	c.mu.Lock()
 	c.shutdown = true
@@ -591,12 +580,8 @@ func (c *Clock) Sleep(d time.Duration) {
 // minimum is a process's, its event replaces it in one sift instead of a push
 // followed by a pop.
 func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
-	if c.finished || c.live == 0 {
-		// Only daemons remain: take the generic path, which finishes the
-		// simulation and leaves p to the reap — or, in external mode, paces
-		// p's wake to the wall clock (idleWaitLocked).
-		c.pushLocked(t, p)
-		return c.dispatchNextLocked()
+	if c.finished {
+		return nil // p is unwinding in the reap: nothing runs after it
 	}
 	for c.heap.len() > 0 && c.heap.min().ev.cancelled {
 		c.recycleLocked(c.heap.pop())

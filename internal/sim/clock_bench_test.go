@@ -153,8 +153,8 @@ func BenchmarkRoomWait(b *testing.B) {
 			l.Wait(false, c.Now()+time.Second)
 		}
 	})
-	c.GoDaemon("waker", func() {
-		for {
+	c.Go("waker", func() {
+		for n := 0; n < b.N; n++ {
 			c.Sleep(time.Microsecond)
 			l.Wake()
 		}
@@ -219,8 +219,8 @@ func BenchmarkFutureWait(b *testing.B) {
 			}
 		}
 	})
-	c.GoDaemon("completer", func() {
-		for n := 0; ; n++ {
+	c.Go("completer", func() {
+		for n := 0; n < b.N; n++ {
 			c.Sleep(time.Microsecond) // the reader parks
 			r.val = n
 			r.res.Resolve()

@@ -535,27 +535,23 @@ func TestQuickSchedulerMonotonicTime(t *testing.T) {
 }
 
 func TestExternalModeInjectAfterIdle(t *testing.T) {
-	// Server mode: the clock must stay alive while idle — even when only
-	// daemons have run so far — so a later Inject can start work. (This
+	// Server mode: the clock must stay alive while idle — even once every
+	// process it had has finished — so a later Inject can start work. (This
 	// used to finish the clock at the first idle moment and panic the
 	// first Inject with "Inject after clock finished".)
 	c := NewClock()
 	c.EnableExternal()
-	c.GoDaemon("service", func() {
-		m := NewMailbox[int](c)
-		m.Recv() // parks forever: the daemon is idle infrastructure
-	})
+	c.Go("start-up", func() { c.Sleep(time.Millisecond) })
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run() }()
 
 	injected := make(chan int, 1)
-	// Wait until Run has dispatched the daemon and gone idle: the daemon
-	// parked, the heap drained, and no process running. (Current() alone
-	// is nil before Run starts too, which would race Inject against Run's
-	// entry check.)
+	// Wait until Run has finished the start-up process and gone idle: no
+	// process live, the heap drained, nothing running. (The event count
+	// tells that Run has started: before it, too, nothing is live.)
 	for i := 0; i < 5000; i++ {
-		_, parked, pending, _ := c.Stats()
-		if parked == 1 && pending == 0 && c.Current() == nil {
+		live, _, pending, events := c.Stats()
+		if live == 0 && pending == 0 && events == 2 && c.Current() == nil {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -583,20 +579,15 @@ func TestExternalModeInjectAfterIdle(t *testing.T) {
 	}
 }
 
-// startExternalTicker runs an external-mode clock whose only process is a
-// daemon sleeping tick in a loop, like pie-server's health monitor or fleet
-// reconciler. Cleanup shuts the clock down and waits for Run to return.
+// startExternalTicker runs an external-mode clock whose only work is a
+// periodic timer, like pie-server's cluster tick. Cleanup shuts the clock
+// down and waits for Run to return.
 func startExternalTicker(t *testing.T, tick time.Duration) (*Clock, *atomic.Int64) {
 	t.Helper()
 	c := NewClock()
 	c.EnableExternal()
 	ticks := new(atomic.Int64)
-	c.GoDaemon("ticker", func() {
-		for {
-			c.Sleep(tick)
-			ticks.Add(1)
-		}
-	})
+	c.Every(tick, func() { ticks.Add(1) })
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run() }()
 	t.Cleanup(func() {
@@ -614,8 +605,9 @@ func startExternalTicker(t *testing.T, tick time.Duration) (*Clock, *atomic.Int6
 }
 
 // TestExternalModeIdleDaemonsPaceToWallClock: an idle server must not
-// free-run its periodic daemons. A 10ms ticker over 200ms of wall time is
-// about 20 events; unpaced it was millions (and a spinning core).
+// free-run its background tickers, which are periodic timers armed before
+// Run. A 10ms ticker over 200ms of wall time is about 20 events; unpaced it
+// was millions (and a spinning core).
 func TestExternalModeIdleDaemonsPaceToWallClock(t *testing.T) {
 	c, _ := startExternalTicker(t, 10*time.Millisecond)
 	time.Sleep(200 * time.Millisecond)
@@ -627,21 +619,24 @@ func TestExternalModeIdleDaemonsPaceToWallClock(t *testing.T) {
 	}
 }
 
-// TestExternalModeInjectDuringIdleWait: the idle wait is for daemons only.
-// With the next daemon wake an hour away, injected work still runs at
-// once, and free-runs past daemon wakes while it is live.
+// TestExternalModeInjectDuringIdleWait: the idle wait is for timers only.
+// With the next tick an hour away, injected work still runs at once, and
+// free-runs past the tick while it is live.
 func TestExternalModeInjectDuringIdleWait(t *testing.T) {
 	c, _ := startExternalTicker(t, time.Hour)
-	// Let the ticker reach its first sleep, so the idle wait is armed.
+	// Let Run reach the idle wait for the first tick.
 	for i := 0; i < 5000; i++ {
-		if _, _, _, events := c.Stats(); events >= 1 && c.Current() == nil {
+		c.mu.Lock()
+		armed := !c.idleUntil.IsZero()
+		c.mu.Unlock()
+		if armed {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 	done := make(chan time.Duration, 1)
 	c.Inject("work", func() {
-		c.Sleep(90 * time.Minute) // crosses the ticker's wake
+		c.Sleep(90 * time.Minute) // crosses the tick
 		done <- c.Now()
 	})
 	select {
@@ -650,14 +645,14 @@ func TestExternalModeInjectDuringIdleWait(t *testing.T) {
 			t.Fatalf("injected work finished at %v, want 1h30m", now)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("injected work waited on the idle daemon timer")
+		t.Fatal("injected work waited on the idle timer")
 	}
 }
 
-// TestExternalModePollingDoesNotStarveDaemons: requests that arrive more
-// often than a daemon ticks (a client polling /v1/fleet for convergence)
-// must not keep pushing the daemon's wake back.
-func TestExternalModePollingDoesNotStarveDaemons(t *testing.T) {
+// TestExternalModePollingDoesNotStarveTimers: requests that arrive more
+// often than a timer ticks (a client polling /v1/fleet for convergence)
+// must not keep pushing the tick back.
+func TestExternalModePollingDoesNotStarveTimers(t *testing.T) {
 	c, ticks := startExternalTicker(t, 10*time.Millisecond)
 	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); {
 		done := make(chan struct{})

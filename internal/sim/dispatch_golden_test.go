@@ -63,7 +63,8 @@ func recGet[T any](r *dispatchRec, name string, f interface{ Get() (T, error) })
 const us = time.Microsecond
 
 // dispatchScenarioRun is one Clock.Run mixing Sleep(0) ties, park/unpark,
-// Kill in all four states, Group, Mailbox.OnReadable and abandoned daemons.
+// Kill in all four states, Group, Mailbox.OnReadable and timers dropped at
+// the finish.
 func dispatchScenarioRun(t *testing.T) (uint64, int) {
 	c := NewClock()
 	r := newDispatchRec(c)
@@ -192,13 +193,17 @@ func dispatchScenarioRun(t *testing.T) (uint64, int) {
 		r.sleep("sender", 0)
 	})
 
-	// Daemons abandoned at the finish: one ticking, one parked for good.
-	c.GoDaemon("d-tick", r.wrap("d-tick", func() {
-		for {
-			r.sleep("d-tick", us)
-		}
-	}))
-	c.GoDaemon("d-park", r.wrap("d-park", func() { recGet(r, "d-park", NewFuture[int](c)) }))
+	// Timers dropped at the finish: one re-arming every microsecond, one
+	// that runs once. They took the slots of two processes that did not keep
+	// Run alive, one sleeping a microsecond in a loop and one parked for
+	// good, and each dispatches where such a process did.
+	var tick func()
+	tick = func() {
+		r.rec("d-tick")
+		c.After(us, tick)
+	}
+	c.After(0, tick)
+	c.After(0, func() { r.rec("d-park") })
 
 	if err := c.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -21,24 +21,23 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// A finished clock leaves no goroutine behind: the reap unwinds daemons and
-// never-resolved waiters through their defers and frees the pool.
+// A finished clock leaves no goroutine behind: the reap unwinds the
+// waiters nobody resolved through their defers and frees the pool, whether
+// the clock finished deadlocked or was shut down in external mode.
 func TestFinishedClockLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	unwound := 0
 	for i := 0; i < 20; i++ {
+		external := i%2 == 1
 		c := NewClock()
-		c.GoDaemon("ticker", func() {
-			defer func() { unwound++ }()
-			for {
-				c.Sleep(time.Millisecond)
-			}
-		})
-		c.GoDaemon("server", func() {
+		if external {
+			c.EnableExternal()
+		}
+		c.Go("server", func() {
 			defer func() { unwound++ }()
 			NewMailbox[int](c).Recv()
 		})
-		c.GoDaemon("blocks-while-unwinding", func() {
+		c.Go("blocks-while-unwinding", func() {
 			defer func() {
 				defer func() {
 					if _, ok := recover().(Killed); ok {
@@ -52,15 +51,29 @@ func TestFinishedClockLeavesNoGoroutines(t *testing.T) {
 		for j := 0; j < 8; j++ {
 			c.Go("work", func() { c.Sleep(10 * time.Millisecond) })
 		}
-		if err := c.Run(); err != nil {
-			t.Fatal(err)
+		var err error
+		if external {
+			runDone := make(chan error, 1)
+			go func() { runDone <- c.Run() }()
+			for k := 0; k < 5000; k++ {
+				if live, parked, pending, _ := c.Stats(); live == 2 && parked == 2 && pending == 0 && c.Current() == nil {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			c.Shutdown()
+			if err = <-runDone; err != nil {
+				t.Fatalf("Run after Shutdown: %v", err)
+			}
+		} else if err = c.Run(); err == nil {
+			t.Fatal("two processes parked for good: want a deadlock error")
 		}
 		if c.Current() != nil || len(c.workers) != 0 || len(c.idle) != 0 {
 			t.Fatalf("after Run: current %v, %d workers, %d pooled", c.Current(), len(c.workers), len(c.idle))
 		}
 	}
-	if unwound != 60 {
-		t.Errorf("%d daemon defers ran, want 60", unwound)
+	if unwound != 40 {
+		t.Errorf("%d defers of parked processes ran, want 40", unwound)
 	}
 	if after := settledGoroutines(before); after > before {
 		t.Fatalf("%d goroutines before 20 clocks, %d after", before, after)
@@ -209,7 +222,7 @@ func TestExternalInjectRacesShutdown(t *testing.T) {
 	const injectors, each = 8, 500
 	c := NewClock()
 	c.EnableExternal()
-	c.GoDaemon("service", func() { NewMailbox[int](c).Recv() })
+	c.Go("service", func() { NewMailbox[int](c).Recv() }) // parked until the reap
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run() }()
 

@@ -130,7 +130,7 @@ func TestAfterBlockingCallPanics(t *testing.T) {
 	}
 }
 
-// Pending timers are like daemons: Run returns when the last live process
+// Pending timers do not keep Run alive: Run returns when the last process
 // does, and a clock with timers only has nothing to run. Every re-arms at
 // each period.
 func TestPendingTimersDoNotKeepRunAlive(t *testing.T) {
@@ -165,8 +165,9 @@ func TestPendingTimersDoNotKeepRunAlive(t *testing.T) {
 	}
 }
 
-// In external mode with no live process a periodic timer is paced to the
-// wall clock like a daemon's sleep, not free-run.
+// In external mode with no live process a periodic timer that a finished
+// injected process left re-arming itself is paced to the wall clock, not
+// free-run.
 func TestExternalModeIdleTimersPaceToWallClock(t *testing.T) {
 	c, _ := startExternalTicker(t, time.Hour)
 	var tick func()

@@ -87,7 +87,9 @@ func TestWaitListParkAndWakeAllocateNothing(t *testing.T) {
 		c := NewClock()
 		l := NewWaitList(c, nil)
 		var allocs float64
+		done := false
 		c.Go("waiter", func() {
+			defer func() { done = true }()
 			allocs = testing.AllocsPerRun(200, func() {
 				var deadline time.Duration
 				if timed {
@@ -98,8 +100,8 @@ func TestWaitListParkAndWakeAllocateNothing(t *testing.T) {
 				}
 			})
 		})
-		c.GoDaemon("waker", func() {
-			for {
+		c.Go("waker", func() {
+			for !done {
 				c.Sleep(time.Microsecond)
 				l.Wake()
 			}

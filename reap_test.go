@@ -1,12 +1,12 @@
 package pie_test
 
-// A finished engine leaves nothing behind. Clock.Run unwinds every daemon
-// (the ILM dispatcher, policy tickers, the health monitor, heartbeats) once the last
-// client process is done; before PR 14 each of them stayed blocked on its
-// wake channel for the life of the process. The unwind runs the daemons'
-// defers, so the second half of the contract is that nothing observable
-// moves: what the last process saw of the engine is what the caller sees
-// after Run.
+// A finished engine leaves nothing behind. Clock.Run returns once the last
+// process has ended; the engine's periodic work (the cluster tick: health,
+// the role balancer, the scaler) is timers, which the finished clock drops,
+// and any process still suspended is unwound through its defers. No
+// coroutine outlives the run. The second half of the contract is that
+// nothing observable moves: what the last process saw of the engine is what
+// the caller sees after Run.
 
 import (
 	"fmt"
