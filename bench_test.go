@@ -14,6 +14,7 @@ import (
 
 	"pie"
 	"pie/api"
+	"pie/apps"
 	"pie/inferlet"
 	"pie/internal/eval"
 	"pie/internal/sim"
@@ -466,5 +467,37 @@ func TestSessionAllocations(t *testing.T) {
 	}
 	if allocs != want {
 		t.Errorf("a warm session makes %v allocations, want %d", allocs, want)
+	}
+}
+
+// fleetConfig is the engine shape of the benchmark's fleet_mixed workload:
+// six replicas, two of them prefill, kv-affinity placement, an interactive
+// and a batch service class, and the health monitor.
+func fleetConfig() pie.Config {
+	return pie.Config{
+		Seed:      42,
+		Mode:      pie.ModeTiming,
+		Replicas:  6,
+		Roles:     []pie.RoleSpec{{Role: pie.RolePrefill, Count: 2}, {Role: pie.RoleDecode}},
+		Placement: pie.PlaceKVAffinity,
+		Classes:   []pie.ServiceClass{{Name: "interactive", Priority: 10}, {Name: "batch"}},
+		Health:    pie.HealthConfig{Enabled: true, HangTimeout: 5 * time.Second},
+	}
+}
+
+// BenchmarkEngineSetup is what standing an engine up costs, in
+// deterministic allocations and in host time: pie.New in fleetConfig's
+// shape, every app registered, and one session run to its end, the one
+// that warms the program's artifact.
+func BenchmarkEngineSetup(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		e := pie.New(fleetConfig())
+		e.MustRegister(apps.All()...)
+		e.MustRegister(sessionProgram(api.ModelID(e.Models()[0])))
+		var err error
+		if cerr := e.RunClient(func() { err = launchSession(e) }); cerr != nil || err != nil {
+			b.Fatal(cerr, err)
+		}
 	}
 }

@@ -44,9 +44,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"time"
 
@@ -424,8 +422,8 @@ func (c *Cluster) pick(artifact string, args []string) *Replica {
 		c.rr++
 		return r
 	case PlaceKVAffinity:
-		if hints := affinityHints(args); len(hints) > 0 {
-			return c.pickAffinity(hints, cands)
+		if hints, n := affinityHints(args); n > 0 {
+			return c.pickAffinity(hints[:n], cands)
 		}
 	case PlaceProgramAffinity:
 		return c.pickProgramAffinity(artifact, cands)
@@ -449,6 +447,12 @@ func (c *Cluster) pickProgramAffinity(artifact string, cands []*Replica) *Replic
 	return c.hashStick(artifact, cands)
 }
 
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // hashStick maps a key onto the stable set of replicas a launch may start
 // on — all of them, or the prefill-eligible ones when roles are assigned —
 // and walks to the nearest placeable member. Hashing the placeable set
@@ -459,9 +463,12 @@ func (c *Cluster) hashStick(key string, cands []*Replica) *Replica {
 	if len(c.stick) == 0 {
 		return cands[0]
 	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	start := int(h.Sum64() % uint64(len(c.stick)))
+	h := uint64(fnvOffset)
+	for i := 0; i < len(key); i++ { // FNV-1a, as hash/fnv's New64a computes it
+		h ^= uint64(key[i])
+		h *= fnvPrime
+	}
+	start := int(h % uint64(len(c.stick)))
 	for i := range c.stick {
 		r := c.stick[(start+i)%len(c.stick)]
 		if r.Serving() {
@@ -535,30 +542,6 @@ func argmin(cands []*Replica, delay func(*Replica) (time.Duration, bool)) (pick,
 		}
 	}
 	return pick, runnerUp
-}
-
-// affinityHints extracts KV-affinity keys from a launch's first argument,
-// the JSON parameter blob every app takes: an explicit "affinity" routing
-// hint, or the "cache_key" the prefix-caching apps export under.
-func affinityHints(args []string) []string {
-	if len(args) == 0 || args[0] == "" {
-		return nil
-	}
-	var params struct {
-		Affinity string `json:"affinity"`
-		CacheKey string `json:"cache_key"`
-	}
-	if err := json.Unmarshal([]byte(args[0]), &params); err != nil {
-		return nil
-	}
-	var hints []string
-	if params.Affinity != "" {
-		hints = append(hints, params.Affinity)
-	}
-	if params.CacheKey != "" {
-		hints = append(hints, params.CacheKey)
-	}
-	return hints
 }
 
 // --- Stats --------------------------------------------------------------

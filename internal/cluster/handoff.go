@@ -81,13 +81,13 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	if pick, _ := c.handoffTarget(src, wire); pick.r == nil {
 		return c.denyHandoff(inst, src, api.ErrNoDecodeCapacity)
 	}
-	// The slot is released by the deferred closure on every exit — including
+	// The slot is released by the deferred release on every exit — including
 	// the session's process dying mid-transfer (replica death aborts it with
 	// a Killed unwind inside HandoffSession or the Sleep below). Before the
 	// defer, a killed holder leaked its slot and every later handoff on a
 	// saturated budget parked forever.
-	release := c.acquireTransferSlot()
-	defer release()
+	slot := c.acquireTransferSlot()
+	defer slot.release()
 	// The wait may have been long: revalidate the session and re-pick the
 	// destination under current load before touching any pages.
 	if inst.Dead() || !ctl.InstanceQuiescent(inst) {
@@ -147,29 +147,37 @@ func (c *Cluster) handoffTarget(src *Replica, wire time.Duration) (pick, runnerU
 }
 
 // acquireTransferSlot blocks until a transfer-budget slot frees, FIFO, and
-// returns an idempotent release. Callers defer it so the slot survives no
-// code path — including a Killed unwind while the session holds it. A
-// release hands the slot over with its wake (handoffActive stays put); the
-// wait list skips waiters killed while queued, and one killed between the
+// returns it held. Callers defer its release so the slot survives no code
+// path — including a Killed unwind while the session holds it. A release
+// hands the slot over with its wake (handoffActive stays put); the wait
+// list skips waiters killed while queued, and one killed between the
 // hand-over and its wake-up passes the slot on or frees it.
-func (c *Cluster) acquireTransferSlot() (release func()) {
-	released := false
-	release = func() {
-		if released {
-			return
-		}
-		released = true
-		if !c.transferWait.Wake() {
-			c.handoffActive--
-		}
-	}
+func (c *Cluster) acquireTransferSlot() transferSlot {
 	if c.handoffActive < c.handoff.Budget {
 		c.handoffActive++
-		return release
+		return transferSlot{c: c}
 	}
 	c.HandoffQueued++
 	c.transferWait.Wait(false, 0)
-	return release
+	return transferSlot{c: c}
+}
+
+// transferSlot is one held slot of the transfer budget.
+type transferSlot struct {
+	c        *Cluster
+	released bool
+}
+
+// release gives the slot up: to the head waiter, or back to the budget when
+// nobody waits. A second release does nothing.
+func (s *transferSlot) release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	if !s.c.transferWait.Wake() {
+		s.c.handoffActive--
+	}
 }
 
 // TransferBudgetState reports the transfer budget's occupancy: slots held

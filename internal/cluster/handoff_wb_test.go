@@ -1,14 +1,17 @@
-// White-box unit tests for the handoff coordinator's guard branches and
-// the role-aware corners of scaling and drain migration that engine-level
+// White-box unit tests for the handoff coordinator's guard branches, its
+// transfer slots under kills, and the role-aware corners of scaling and drain migration that engine-level
 // tests cannot steer into: foreign controllers, non-prefill sources, the
 // starved-role scale-up preference, and the decode-eligible migration
 // target.
 package cluster
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"pie/internal/core"
+	"pie/internal/sim"
 	"pie/internal/trace"
 )
 
@@ -101,5 +104,83 @@ func TestRoleNames(t *testing.T) {
 	}
 	if _, err := ParseRole("frontend"); err == nil {
 		t.Fatal("ParseRole accepted an unknown role")
+	}
+}
+
+// slotCluster is a cluster with nothing but a one-slot transfer budget, and
+// use makes a process body that holds a slot of it for hold, as a handoff
+// does, logging the order the slots were granted in.
+func slotCluster(clock *sim.Clock, log *[]string) (c *Cluster, use func(name string, hold time.Duration) func()) {
+	c = &Cluster{clock: clock}
+	c.EnableHandoff(HandoffConfig{Budget: 1})
+	return c, func(name string, hold time.Duration) func() {
+		return func() {
+			slot := c.acquireTransferSlot()
+			defer slot.release()
+			*log = append(*log, name)
+			clock.Sleep(hold)
+		}
+	}
+}
+
+// TestTransferSlotKillPaths scripts the three ways a kill can meet a
+// one-slot budget: the holder is killed mid-transfer (its deferred release
+// must pass the slot on), a queued waiter is killed while parked (the
+// release must skip it), and both in one run. A leaked slot parks every
+// later acquirer forever and the run deadlocks.
+func TestTransferSlotKillPaths(t *testing.T) {
+	clock := sim.NewClock()
+	var log []string
+	c, use := slotCluster(clock, &log)
+	a := clock.Go("a", use("a", 10*time.Millisecond))
+	clock.Go("script", func() {
+		clock.Sleep(time.Millisecond)
+		b := clock.Go("b", use("b", 10*time.Millisecond))
+		clock.Sleep(time.Millisecond)
+		clock.Go("c", use("c", 2*time.Millisecond))
+		clock.Sleep(time.Millisecond)
+		clock.Kill(b) // t=3ms: waiter b dies while parked
+		clock.Sleep(time.Millisecond)
+		clock.Kill(a) // t=4ms: holder a dies mid-transfer; c gets the slot
+		clock.Sleep(10 * time.Millisecond)
+		clock.Go("d", use("d", time.Millisecond)) // t=14ms: the slot is free
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatalf("Run: %v (a leaked transfer slot deadlocks the clock)", err)
+	}
+	if want := []string{"a", "c", "d"}; !slices.Equal(log, want) {
+		t.Fatalf("acquisition order = %v, want %v", log, want)
+	}
+	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 || c.HandoffQueued != 2 {
+		t.Fatalf("after the drain: %d held, %d waiting, %d queued; want 0, 0, 2", active, waiting, c.HandoffQueued)
+	}
+}
+
+// TestTransferSlotGrantedThenKilled: the head waiter is handed the slot by a
+// releasing holder and killed at the same instant, before it wakes. Its
+// unwind owns the slot and must free it.
+func TestTransferSlotGrantedThenKilled(t *testing.T) {
+	clock := sim.NewClock()
+	var log []string
+	c, use := slotCluster(clock, &log)
+	clock.Go("a", use("a", 10*time.Millisecond))
+	clock.Go("script", func() {
+		clock.Sleep(time.Millisecond)
+		b := clock.Go("b", use("b", 10*time.Millisecond))
+		// At 10ms a wakes first (older event), releases and hands b the slot;
+		// this kill lands before b's wake dispatches.
+		clock.Sleep(9 * time.Millisecond)
+		clock.Kill(b)
+		clock.Sleep(time.Millisecond)
+		clock.Go("d", use("d", time.Millisecond))
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if want := []string{"a", "d"}; !slices.Equal(log, want) {
+		t.Fatalf("acquisition order = %v, want %v", log, want)
+	}
+	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 {
+		t.Fatalf("budget: %d held, %d waiting; want 0, 0", active, waiting)
 	}
 }

@@ -187,3 +187,25 @@ func BenchmarkTieredPoolAllocEvict(b *testing.B) {
 		fifo = append(fifo[step:], ids...)
 	}
 }
+
+// BenchmarkHandoff is one session handoff between two replicas: 16 pages of
+// one model (four of them also imported, so shared), two embeds of another,
+// each copied to the other replica and released here. The session moves
+// back and forth, so each op starts where the last one left it.
+func BenchmarkHandoff(b *testing.B) {
+	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		inst := handoffSession(b, ctl)
+		at, other := ctl, dst
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if _, _, err := at.HandoffSession(inst, other); err != nil {
+				b.Fatal(err)
+			}
+			at, other = other, at
+		}
+		b.StopTimer()
+		at.ReleaseInstance(inst)
+	})
+}

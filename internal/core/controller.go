@@ -32,11 +32,15 @@ type Controller struct {
 	sched *Scheduler
 
 	// Per-call working memory no inferlet can hold: recycled call records,
-	// a physical-id scratch list (valid until the next sleep), and the
-	// stamp that refreshes each queue once per completed batch.
+	// a physical-id scratch list (valid until the next sleep) and the
+	// handoff grants that name spans of it, the stamp that refreshes each
+	// queue once per completed batch, and the pass of the last page copy
+	// off this controller's pools.
 	freeCalls []*call
 	ids       []int32
+	grants    []grant
 	doneEpoch uint64
+	copyPass  uint64
 
 	// spares holds released instances' handle arrays; controllers that
 	// pass sessions between them share one (ShareSpares).

@@ -27,7 +27,7 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var pc pageCopy
+	pc := ctl.newPageCopy()
 	for _, name := range names {
 		entry := ctl.exports[name]
 		if _, taken := dst.exports[name]; taken {
@@ -47,7 +47,8 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 				fresh++
 			}
 		}
-		ids, swapped, allocOK := dm.pages.alloc(nil, fresh, 0)
+		ids, swapped, allocOK := dm.pages.alloc(dst.ids[:0], fresh, 0)
+		dst.ids = ids[:0]
 		if !allocOK {
 			continue
 		}
@@ -62,45 +63,44 @@ func (ctl *Controller) MigrateExportsTo(dst *Controller) (pages int, cost time.D
 	return pc.pages, pc.cost + cost
 }
 
-// physKey names one physical page of one model's pool.
-type physKey struct {
-	m    *modelState
-	phys int32
-}
-
 // pageCopy is the one page-copy step of a move between replicas, shared by
 // a session's handoff and a drain's export migration: each distinct source
 // page is copied once and priced with crossingCost, and a page met again is
-// shared on the destination.
+// shared on the destination. A copied page's destination id is kept in its
+// source pool's copy records, stamped with the move's pass, so the record
+// outlives the first-sight passes that count fresh pages and no stale one
+// is ever read as current.
 type pageCopy struct {
-	to    map[physKey]int32 // source page -> its copy on the destination
+	pass  uint64 // the source controller's copy pass (copyMark.pass)
 	pages int
 	cost  time.Duration
+}
+
+// newPageCopy starts a move off this controller's pools.
+func (ctl *Controller) newPageCopy() pageCopy {
+	ctl.copyPass++
+	return pageCopy{pass: ctl.copyPass}
 }
 
 // fresh reports whether moving src's page phys takes a fresh destination
 // page: it was not copied before, and src's pool has not shown it since the
 // caller started a first-sight pass there.
 func (pc *pageCopy) fresh(src *modelState, phys int32) bool {
-	_, copied := pc.to[physKey{src, phys}]
-	return src.pages.mark(phys) && !copied
+	return src.pages.mark(phys) && src.pages.copyOf(phys).pass != pc.pass
 }
 
 // move releases one reference to src's page phys and returns the dst page
 // that replaces it: a copy into the next of ids the first time the page is
 // met, a further reference to that copy after.
 func (pc *pageCopy) move(src *modelState, phys int32, dst *modelState, ids *[]int32) int32 {
-	key := physKey{src, phys}
-	id, copied := pc.to[key]
-	if copied {
+	m := src.pages.copyOf(phys)
+	id := m.to
+	if m.pass == pc.pass {
 		dst.pages.retain(id)
 	} else {
 		id, *ids = (*ids)[0], (*ids)[1:]
 		copyPage(src.rt.Page(phys), dst.rt.Page(id))
-		if pc.to == nil {
-			pc.to = make(map[physKey]int32)
-		}
-		pc.to[key] = id
+		m.pass, m.to = pc.pass, id
 		pc.pages++
 		pc.cost += crossingCost(src, phys)
 	}
@@ -185,14 +185,11 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 	}
 
 	// Allocate everything on dst up front, in model registration order, so
-	// a refused handoff leaves both replicas untouched.
-	type grant struct {
-		src, dst      *modelState
-		pages, embeds []int32
-		swapped       int
-	}
-	grants := make([]grant, 0, len(dst.order))
-	var pc pageCopy
+	// a refused handoff leaves both replicas untouched. The ids land in dst's
+	// scratch list, each grant naming its spans of it.
+	grants, ids := dst.grants[:0], dst.ids[:0]
+	defer func() { dst.grants, dst.ids = grants[:0], ids[:0] }()
+	pc := ctl.newPageCopy()
 	for _, dm := range dst.order {
 		sm := ctl.models[dm.name]
 		if sm == nil {
@@ -210,18 +207,21 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 				embeds++
 			}
 		}
-		g := grant{src: sm, dst: dm}
+		g := grant{src: sm, dst: dm, lo: len(ids)}
 		var ok bool
-		if g.pages, g.swapped, ok = dm.pages.alloc(nil, freshPages, 0); ok {
-			g.embeds, ok = dm.embeds.alloc(nil, embeds)
+		ids, g.swapped, ok = dm.pages.alloc(ids, freshPages, 0)
+		g.mid = len(ids)
+		if ok {
+			ids, ok = dm.embeds.alloc(ids, embeds)
 		}
+		g.hi = len(ids)
 		grants = append(grants, g)
 		if !ok {
 			for _, g := range grants {
-				for _, id := range g.pages {
+				for _, id := range ids[g.lo:g.mid] {
 					g.dst.pages.release(id)
 				}
-				for _, id := range g.embeds {
+				for _, id := range ids[g.mid:g.hi] {
 					g.dst.embeds.release(id)
 				}
 			}
@@ -231,18 +231,20 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 	}
 
 	for _, g := range grants {
+		embeds := ids[g.mid:g.hi]
 		for i := range inst.embeds.refs {
 			if ref := &inst.embeds.refs[i]; ref.m == g.src {
-				id := g.embeds[0]
-				g.embeds = g.embeds[1:]
+				id := embeds[0]
+				embeds = embeds[1:]
 				copyEmbed(g.src.rt.Embed(ref.phys), g.dst.rt.Embed(id))
 				g.src.embeds.release(ref.phys)
 				ref.m, ref.phys = g.dst, id
 			}
 		}
+		pages := ids[g.lo:g.mid]
 		for i := range inst.pages.refs {
 			if ref := &inst.pages.refs[i]; ref.m == g.src {
-				ref.m, ref.phys = g.dst, pc.move(g.src, ref.phys, g.dst, &g.pages)
+				ref.m, ref.phys = g.dst, pc.move(g.src, ref.phys, g.dst, &pages)
 			}
 		}
 		cost += g.dst.rt.Spec.SwapCost(g.swapped, g.dst.rt.Info.PageSize)
@@ -266,6 +268,16 @@ func (ctl *Controller) HandoffSession(inst *Instance, dst *Controller) (pages in
 	inst.HandoffPending = false
 	dst.instances[inst.ID] = inst
 	return pc.pages, pc.cost + cost, nil
+}
+
+// grant is one model's share of a handoff, allocated on the destination
+// before anything moves: its fresh pages are ids[lo:mid] and its embeds
+// ids[mid:hi] of the destination's scratch list, and swapped counts the
+// pages the destination's pool spilled to make room.
+type grant struct {
+	src, dst    *modelState
+	lo, mid, hi int
+	swapped     int
 }
 
 // copyPage deep-copies one physical page's occupancy metadata and (in

@@ -226,6 +226,94 @@ func TestMigrateExportNamingAPageTwice(t *testing.T) {
 	})
 }
 
+// TestMigrateSharesAPageAcrossExports: two exports name one page. The drain
+// copies it with the first export and shares that copy with the second,
+// although each export starts its own first-sight pass.
+func TestMigrateSharesAPageAcrossExports(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		inst := ctl.RegisterInstance("t", nil, nil)
+		q := mustQueue(t, ctl, inst, "llama-1b")
+		pages, err := ctl.AllocPages(inst, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.ExportPages(inst, "a", pages[:1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.ExportPages(inst, "b", pages); err != nil {
+			t.Fatal(err)
+		}
+		ctl.ReleaseInstance(inst)
+		if moved, _ := ctl.MigrateExportsTo(dst); moved != 2 {
+			t.Fatalf("migrated %d pages, want 2", moved)
+		}
+		if a, b := dst.exports["a"], dst.exports["b"]; a == nil || b == nil || a.phys[0] != b.phys[0] || b.phys[0] == b.phys[1] {
+			t.Fatalf("exports on dst %+v and %+v: want a's page shared as b's first", a, b)
+		}
+		if n, _ := dst.PoolStats("llama-1b"); n != 2 {
+			t.Fatalf("dst holds %d pages, want 2", n)
+		}
+		if exports, refs := dst.DropExports(); exports != 2 || refs != 3 {
+			t.Fatalf("DropExports = %d exports, %d refs; want 2, 3", exports, refs)
+		}
+	})
+}
+
+// handoffSession registers a session on ctl that holds what a handoff
+// moves: pages of one model, an imported export of four of them (each
+// physical page then under two handles) and embeds of a second model.
+func handoffSession(tb testing.TB, ctl *Controller) *Instance {
+	tb.Helper()
+	inst := ctl.RegisterInstance("t", nil, nil)
+	q1, q3 := mustQueue(tb, ctl, inst, "llama-1b"), mustQueue(tb, ctl, inst, "llama-3b")
+	pages, err := ctl.AllocPages(inst, q1, 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ctl.ExportPages(inst, "prefix", pages[:4]); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := ctl.ImportPages(inst, q1, "prefix"); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := ctl.AllocEmbeds(inst, q3, 2); err != nil {
+		tb.Fatal(err)
+	}
+	return inst
+}
+
+// TestHandoffAllocatesNothing: once both replicas have moved the session
+// once, moving it back and forth allocates nothing: the page copy records
+// its copies on the source pages, and the grants and ids live in the
+// destination's scratch.
+func TestHandoffAllocatesNothing(t *testing.T) {
+	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
+		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		inst := handoffSession(t, ctl)
+		at, other := ctl, dst
+		move := func() {
+			moved, _, err := at.HandoffSession(inst, other)
+			if err != nil || moved != 16 {
+				t.Fatalf("handoff moved %d pages: %v; want 16", moved, err)
+			}
+			at, other = other, at
+		}
+		move()
+		move()
+		if allocs := testing.AllocsPerRun(100, move); allocs != 0 {
+			t.Fatalf("a handoff made %v allocations, want 0", allocs)
+		}
+		at.ReleaseInstance(inst)
+		ctl.DropExports()
+		for _, c := range []*Controller{ctl, dst} {
+			if n, _ := c.PoolStats("llama-1b"); n != 0 {
+				t.Fatalf("%d pages left in use after the session and its export went", n)
+			}
+		}
+	})
+}
+
 func TestInstanceQuiescent(t *testing.T) {
 	ctl := &Controller{}
 	inst := &Instance{}

@@ -143,8 +143,9 @@ type tieredPool struct {
 	free    []int32    // released ids available for reuse
 	meta    []pageMeta // by id, len == next
 	evict   Evictor
-	epoch   uint64  // dedupe pass counter (pageMeta.seen)
-	cands   []int32 // victims' working set, reused
+	epoch   uint64     // dedupe pass counter (pageMeta.seen)
+	cands   []int32    // victims' working set, reused
+	copies  []copyMark // by id, grown on demand: where page copies put each page
 
 	devInUse  int
 	hostInUse int
@@ -182,6 +183,22 @@ func (p *tieredPool) mark(id int32) bool {
 	}
 	m.seen = p.epoch
 	return true
+}
+
+// copyMark records that the page copy of pass put a page at id to on its
+// destination. It lives beside pageMeta, not in it, so the copy's record
+// does not widen the metadata every call's pins and eviction scans read.
+type copyMark struct {
+	pass uint64
+	to   int32
+}
+
+// copyOf returns page id's copy record, growing the table to the pool's ids.
+func (p *tieredPool) copyOf(id int32) *copyMark {
+	if n := len(p.meta); len(p.copies) < n {
+		p.copies = append(p.copies, make([]copyMark, n-len(p.copies))...)
+	}
+	return &p.copies[id]
 }
 
 // capacity is the pool's total page capacity across both tiers.

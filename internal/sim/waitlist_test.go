@@ -114,115 +114,3 @@ func TestWaitListParkAndWakeAllocateNothing(t *testing.T) {
 		}
 	}
 }
-
-// slots is a transfer budget on a wait list, the way the cluster's handoff
-// coordinator uses one: a release hands its slot to the head waiter with the
-// wake, or frees it when nobody waits.
-type slots struct {
-	l      *WaitList
-	free   int
-	queued int
-}
-
-func newSlots(c *Clock, n int) *slots {
-	s := &slots{free: n}
-	s.l = NewWaitList(c, func() { s.free++ })
-	return s
-}
-
-func (s *slots) acquire() (release func()) {
-	released := false
-	release = func() {
-		if !released {
-			released = true
-			if !s.l.Wake() {
-				s.free++
-			}
-		}
-	}
-	if s.free > 0 {
-		s.free--
-		return release
-	}
-	s.queued++
-	s.l.Wait(false, 0)
-	return release
-}
-
-// TestTransferSlotKillPaths scripts the three ways a kill can meet a
-// one-slot budget: the holder is killed mid-transfer (its deferred release
-// must pass the slot on), a queued waiter is killed while parked (the
-// release must skip it), and both in one run. A leaked slot parks every
-// later acquirer forever and the run deadlocks.
-func TestTransferSlotKillPaths(t *testing.T) {
-	clock := NewClock()
-	s := newSlots(clock, 1)
-	var log []string
-	use := func(name string, hold time.Duration) func() {
-		return func() {
-			release := s.acquire()
-			defer release()
-			log = append(log, name)
-			clock.Sleep(hold)
-		}
-	}
-	a := clock.Go("a", use("a", 10*time.Millisecond))
-	clock.Go("script", func() {
-		clock.Sleep(time.Millisecond)
-		b := clock.Go("b", use("b", 10*time.Millisecond))
-		clock.Sleep(time.Millisecond)
-		clock.Go("c", use("c", 2*time.Millisecond))
-		clock.Sleep(time.Millisecond)
-		clock.Kill(b) // t=3ms: waiter b dies while parked
-		clock.Sleep(time.Millisecond)
-		clock.Kill(a) // t=4ms: holder a dies mid-transfer; c gets the slot
-		clock.Sleep(10 * time.Millisecond)
-		clock.Go("d", use("d", time.Millisecond)) // t=14ms: the slot is free
-	})
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v (a leaked transfer slot deadlocks the clock)", err)
-	}
-	if want := []string{"a", "c", "d"}; !slices.Equal(log, want) {
-		t.Fatalf("acquisition order = %v, want %v", log, want)
-	}
-	if s.free != 1 || s.l.Len() != 0 || s.queued != 2 {
-		t.Fatalf("after the drain: %d free, %d waiting, %d queued; want 1, 0, 2", s.free, s.l.Len(), s.queued)
-	}
-}
-
-// TestTransferSlotGrantedThenKilled: the head waiter is handed the slot by a
-// releasing holder and killed at the same instant, before it wakes. Its
-// unwind owns the slot and must free it.
-func TestTransferSlotGrantedThenKilled(t *testing.T) {
-	clock := NewClock()
-	s := newSlots(clock, 1)
-	var order []string
-	use := func(name string, hold time.Duration) func() {
-		return func() {
-			release := s.acquire()
-			defer release()
-			order = append(order, name)
-			clock.Sleep(hold)
-		}
-	}
-	clock.Go("a", use("a", 10*time.Millisecond))
-	clock.Go("script", func() {
-		clock.Sleep(time.Millisecond)
-		b := clock.Go("b", use("b", 10*time.Millisecond))
-		// At 10ms a wakes first (older event), releases and hands b the slot;
-		// this kill lands before b's wake dispatches.
-		clock.Sleep(9 * time.Millisecond)
-		clock.Kill(b)
-		clock.Sleep(time.Millisecond)
-		clock.Go("d", use("d", time.Millisecond))
-	})
-	if err := clock.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if want := []string{"a", "d"}; !slices.Equal(order, want) {
-		t.Fatalf("acquisition order = %v, want %v", order, want)
-	}
-	if s.free != 1 || s.l.Len() != 0 {
-		t.Fatalf("budget: %d free, %d waiting; want 1, 0", s.free, s.l.Len())
-	}
-}

@@ -10,9 +10,12 @@
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
 # that returns at once (Launch through Wait), a warm whole session (launch,
-# open a queue, one page, one fused step, close, wait), one role-balancer window, one
-# whole cluster tick (load snapshot, health, balancer, reconcile and scaler) and one
-# least-loaded launch placement on a 6-replica prefill/decode cluster,
+# open a queue, one page, one fused step, close, wait), an engine's setup in
+# fleet_mixed's shape (pie.New, every app registered, one session), a session
+# handoff between two replicas, one role-balancer window, one
+# whole cluster tick (load snapshot, health, balancer, reconcile and scaler), one
+# least-loaded launch placement and one kv-affinity placement of a keyed
+# launch on a 6-replica prefill/decode cluster,
 # the grammar matcher and the tokenizer,
 # as the minimum over $count runs of `go test -bench`.
 #
@@ -66,6 +69,13 @@
 #     nothing; ClusterTick: a tick fills a snapshot the cluster keeps and
 #     runs health, the balancer and the scaler over it; and Place:
 #     placement scores replicas in a scratch slice the cluster keeps.
+#     PlaceKeyed likewise: the kv-affinity key is read in place from the
+#     launch blob and hashed inline. Handoff likewise: a page copy records
+#     its copies on the source pages, and its grants and ids live in the
+#     destination controller's scratch.
+#   - EngineSetup's allocs/op, like every row's, exactly: standing an
+#     engine up is deterministic, so its construction cost shows here and
+#     not only in the benchmark's exec-timed setup_s.
 #   - BatchRoundTrip (one single-call batch, enqueue to completion; 0
 #     allocs/op) taking more sim events than committed (4: kick,
 #     deserialised, kernel done, response), ToolCall more than 1 (the response timer) or Launch more
@@ -129,13 +139,15 @@ rows() {
 2000x ^Benchmark(DecodeStep|Generate)$ .
 50000x ^BenchmarkFusedStep$ .
 20000x ^BenchmarkLaunchSession$ .
+200x ^BenchmarkEngineSetup$ .
 2000x ^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$ ./internal/core
-20000x ^BenchmarkTieredPoolAllocEvict$ ./internal/core
+20000x ^Benchmark(TieredPoolAllocEvict|Handoff)$ ./internal/core
 100000x ^BenchmarkBatchRoundTrip$ ./internal/core
 2000000x ^BenchmarkNextDistTiming$ ./internal/infer
 200000x ^BenchmarkToolCall$ ./internal/netsim
 20000x ^BenchmarkLaunch$ ./internal/ilm
 500000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
+100000x ^BenchmarkPlaceKeyed$ ./internal/cluster
 200x ^BenchmarkAllowedTokensJSON$ ./internal/grammar
 2000x ^BenchmarkEncode$ ./internal/tokenizer
 EOF
@@ -207,7 +219,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, LaunchSession, TieredPoolAllocEvict and Launch 20000x, FusedStep 50000x, BatchRoundTrip 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, EngineSetup 200x, LaunchSession, TieredPoolAllocEvict, Handoff and Launch 20000x, FusedStep 50000x, BatchRoundTrip and PlaceKeyed 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	if [ -n "$parent" ]; then commas < "$parent"; else block parent | commas; fi
 	echo '  },'

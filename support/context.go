@@ -786,8 +786,9 @@ func ImportContext(s inferlet.Session, m api.ModelInfo, name string, tokens []in
 		_ = c.Close() // the import error is the one to report
 		return nil, err
 	}
-	for _, p := range pages {
-		c.entries = append(c.entries, pageEntry{h: p, owned: false, live: true})
+	c.entries = make([]pageEntry, len(pages))
+	for i, p := range pages {
+		c.entries[i] = pageEntry{h: p, owned: false, live: true}
 	}
 	c.attnOK = false
 	c.slots = len(tokens)
