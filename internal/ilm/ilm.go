@@ -141,6 +141,13 @@ type ILM struct {
 
 	admitFree time.Duration // when serial launch admission is next free (attempt)
 
+	// sets is the free list of support-library working sets (a
+	// support.Context's buffers), last in first out: the sessions' Drop and
+	// Close put them back and the next contexts take them. One engine runs
+	// on one clock, so the list needs no lock and its order is
+	// deterministic.
+	sets []any
+
 	defaultRetry RetryPolicy                 // applied when a LaunchSpec's Retry is zero
 	retrySeq     uint64                      // seeds per-handle jitter streams
 	classes      map[string]api.ServiceClass // service-class registry (nil = unchecked)

@@ -114,6 +114,24 @@ func (s *session) Random() uint64 { return s.rng.Uint64() }
 
 func (s *session) ReportOutputTokens(n int) { s.inst.ReportOutputTokens(n) }
 
+// TakeWorkingSet and PutWorkingSet serve the support library's contexts
+// from the engine's free list (ILM.sets). A set comes back only from a
+// context's Drop or Close, never when an instance ends: a killed attempt's
+// deferred Drop still writes to its context's buffers after Terminated.
+func (s *session) TakeWorkingSet() any {
+	sets := s.ilm.sets
+	n := len(sets)
+	if n == 0 {
+		return nil
+	}
+	ws := sets[n-1]
+	sets[n-1] = nil
+	s.ilm.sets = sets[:n-1]
+	return ws
+}
+
+func (s *session) PutWorkingSet(ws any) { s.ilm.sets = append(s.ilm.sets, ws) }
+
 // --- I/O and messaging --------------------------------------------------
 
 func (s *session) HTTPGet(url string) sim.Result[string] {

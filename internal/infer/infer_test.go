@@ -389,3 +389,46 @@ func armed(c *Call, clock *sim.Clock) *Call {
 	c.Res.Init(clock, nil)
 	return c
 }
+
+// TestFirstTouchAllocations pins what materializing timing-mode pages and
+// embed slots costs: touching 256 fresh ids of each makes the sixteen
+// chunks of each they are cut from (four allocations per page chunk, one
+// per embed chunk) and grows each id table nine times: 98 allocations,
+// where each page alone used to cost six. Each page still gets slot arrays
+// of its own.
+func TestFirstTouchAllocations(t *testing.T) {
+	const n, want = 256, 16*4 + 16 + 2*9
+	var rts []*ModelRuntime
+	for range 4 {
+		rts = append(rts, testRuntime(ExecTiming))
+	}
+	allocs := testing.AllocsPerRun(len(rts)-1, func() {
+		rt := rts[0]
+		rts = rts[1:]
+		for id := range int32(n) {
+			rt.Page(id)
+			rt.Embed(id)
+		}
+	})
+	if allocs != want {
+		t.Errorf("first touch of %d pages and %d embed slots makes %v allocations, want %d", n, n, allocs, want)
+	}
+	rt := testRuntime(ExecTiming)
+	ps := rt.Model.Config().PageSize
+	a, b := rt.Page(0), rt.Page(1)
+	a.SetSlot(ps-1, true, false)
+	a.Pos[ps-1] = 7
+	if len(a.K) != ps || len(a.Used) != ps || cap(a.Pos) != ps || cap(a.Masked) != ps {
+		t.Fatalf("a page's slot arrays hold %d/%d slots, want %d", len(a.K), cap(a.Pos), ps)
+	}
+	if b.Used[0] || b.Pos[0] != 0 || b.Visible != 0 {
+		t.Error("writing one page's last slot reached the next page")
+	}
+	if rt.Page(0) != a {
+		t.Error("a touched page was made again")
+	}
+	full := testRuntime(ExecFull)
+	if p := full.Page(0); len(p.K[0]) == 0 {
+		t.Error("a full-mode page carries no tensor data")
+	}
+}

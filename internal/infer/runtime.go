@@ -34,6 +34,11 @@ type ModelRuntime struct {
 	pages         []*model.KvPage    // grown lazily up to PageCapacity
 	embeds        []*model.EmbedSlot // grown lazily up to EmbedCapacity
 
+	// What is left of the chunks timing-mode pages and embed slots are cut
+	// from (timingPage, timingEmbed).
+	pageChunk  []model.KvPage
+	embedChunk []model.EmbedSlot
+
 	// scratch is the tensor kernels' working memory. Calls execute one at
 	// a time on the owning clock's event loop, so one set serves them all.
 	scratch   model.Scratch
@@ -104,14 +109,35 @@ func (rt *ModelRuntime) Page(id int32) *model.KvPage {
 		if rt.Mode == ExecFull {
 			rt.pages[id] = rt.Model.NewKvPage()
 		} else {
-			ps := rt.Model.Config().PageSize
-			rt.pages[id] = &model.KvPage{
-				K: make([][]float32, ps), V: make([][]float32, ps),
-				Pos: make([]int, ps), Used: make([]bool, ps), Masked: make([]bool, ps),
-			}
+			rt.pages[id] = rt.timingPage()
 		}
 	}
 	return rt.pages[id]
+}
+
+// timingChunk is how many timing-mode pages, or embed slots, are made at
+// once.
+const timingChunk = 16
+
+// timingPage cuts a metadata-only page from the current chunk, making a
+// chunk in four allocations when the last one is used up.
+func (rt *ModelRuntime) timingPage() *model.KvPage {
+	if len(rt.pageChunk) == 0 {
+		ps := rt.Model.Config().PageSize
+		rt.pageChunk = make([]model.KvPage, timingChunk)
+		kv := make([][]float32, 2*timingChunk*ps)
+		pos := make([]int, timingChunk*ps)
+		bits := make([]bool, 2*timingChunk*ps)
+		for i := range rt.pageChunk {
+			p := &rt.pageChunk[i]
+			p.K, p.V, kv = kv[:ps:ps], kv[ps:2*ps:2*ps], kv[2*ps:]
+			p.Pos, pos = pos[:ps:ps], pos[ps:]
+			p.Used, p.Masked, bits = bits[:ps:ps], bits[ps:2*ps:2*ps], bits[2*ps:]
+		}
+	}
+	p := &rt.pageChunk[0]
+	rt.pageChunk = rt.pageChunk[1:]
+	return p
 }
 
 // Embed returns the physical embedding slot with index id.
@@ -123,10 +149,20 @@ func (rt *ModelRuntime) Embed(id int32) *model.EmbedSlot {
 		if rt.Mode == ExecFull {
 			rt.embeds[id] = rt.Model.NewEmbedSlot()
 		} else {
-			rt.embeds[id] = &model.EmbedSlot{}
+			rt.embeds[id] = rt.timingEmbed()
 		}
 	}
 	return rt.embeds[id]
+}
+
+// timingEmbed cuts an embed slot from the current chunk.
+func (rt *ModelRuntime) timingEmbed() *model.EmbedSlot {
+	if len(rt.embedChunk) == 0 {
+		rt.embedChunk = make([]model.EmbedSlot, timingChunk)
+	}
+	e := &rt.embedChunk[0]
+	rt.embedChunk = rt.embedChunk[1:]
+	return e
 }
 
 // execute runs the functional side of a batch, call by call in order.

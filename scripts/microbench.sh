@@ -10,7 +10,8 @@
 # allocation under KV pressure), the inference layer's timing-mode
 # get_next_dist, a tool call (call to response), a warm launch of a program
 # that returns at once (Launch through Wait), a warm whole session (launch,
-# open a queue, one page, one fused step, close, wait), an engine's setup in
+# open a queue, one page, one fused step, close, wait), a warm context's
+# whole life (open on a queue, a 40-token fill, 32 tokens out, drop), an engine's setup in
 # fleet_mixed's shape (pie.New, every app registered, one session), a session
 # handoff between two replicas, one role-balancer window, one
 # whole cluster tick (load snapshot, health, balancer, reconcile and scaler), one
@@ -48,7 +49,8 @@
 #     in a test file, which no kernel change moves.
 #   - LaunchSession's allocs/op, like every row's, exactly: a session's
 #     lifecycle is a handful of records (TestSessionAllocations pins the
-#     same count).
+#     same count). ContextSession likewise: a context's buffers come back
+#     from the engine's free list (support's TestContextAllocations).
 #   - DecodeStep allocating at all, at any of its three context sizes: a
 #     decode step may not pay for its context, and it allocates nothing
 #     (embed_txt and forward return no result, a failed one reporting at the
@@ -137,6 +139,7 @@ rows() {
 1000000x ^BenchmarkClockTimer$ ./internal/sim 1,2
 200000x ^Benchmark(RoomWait|MailboxRecv|FutureWait)$ ./internal/sim
 2000x ^Benchmark(DecodeStep|Generate)$ .
+2000x ^BenchmarkContextSession$ ./support
 50000x ^BenchmarkFusedStep$ .
 20000x ^BenchmarkLaunchSession$ .
 200x ^BenchmarkEngineSetup$ .
@@ -219,7 +222,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, EngineSetup 200x, LaunchSession, TieredPoolAllocEvict, Handoff and Launch 20000x, FusedStep 50000x, BatchRoundTrip and PlaceKeyed 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, ContextSession, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, EngineSetup 200x, LaunchSession, TieredPoolAllocEvict, Handoff and Launch 20000x, FusedStep 50000x, BatchRoundTrip and PlaceKeyed 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to $calib of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	if [ -n "$parent" ]; then commas < "$parent"; else block parent | commas; fi
 	echo '  },'

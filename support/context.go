@@ -47,6 +47,16 @@ import (
 // the queue overwrites it. Extensions of more than one token allocate and
 // free their input slots, and probes their output slots, as before. Drop
 // frees both slots in one call.
+//
+// A context's private buffers — its page list, the attention and output
+// page lists and the per-step scratch — are one working set, taken at
+// construction from the session's free list when the session keeps one
+// (the engine does: one list per engine) and handed back by Drop or Close.
+// A context is unusable after either; one used anyway starts over with
+// empty buffers of its own and never shares another context's. Tokens and
+// a Generate's GenResult.Tokens are never in the set: they stay the
+// caller's. The engine keeps what is handed back, so the memory it retains
+// is bounded by the peak number of contexts alive at once.
 type Context struct {
 	S     inferlet.Session
 	Q     *inferlet.Queue
@@ -60,25 +70,15 @@ type Context struct {
 
 	ownsQueue bool
 
-	entries []pageEntry
-	pinned  []api.KvPage // read-only attention context (modular caching)
-	slots   int          // physical KV slots consumed
-	pos     int          // sequence position of the next KV entry
-	Tokens  []int        // logical token history (prompt + generated + pending)
-	pend    []int        // accepted tokens whose embed + forward is not issued yet
+	workingSet
+	sets workingSets // the session's free list, if it keeps one
+	home *workingSet // the record the set goes back in, nil without a list
 
-	// attn caches ctxPages — pinned, then the live entries — so a decode
-	// step does not rebuild a list that grows with the context. Growing the
-	// stream appends to it; anything else that edits pinned or entries
-	// clears attnOK and the next forward rebuilds.
-	attn   []api.KvPage
-	attnOK bool
-
-	// Per-step scratch: the runtime is done with (or has copied) what these
-	// hold before the call they are passed to returns.
-	posBuf []int
-	tokBuf []int // pending + new tokens of one forward
-	outBuf []api.KvPage
+	pinned []api.KvPage // read-only attention context (modular caching)
+	slots  int          // physical KV slots consumed
+	pos    int          // sequence position of the next KV entry
+	Tokens []int        // logical token history (prompt + generated + pending)
+	attnOK bool         // attn holds ctxPages
 
 	// The decode slots are views of decodeSlots, so Drop frees both in one
 	// call without building a list.
@@ -87,6 +87,59 @@ type Context struct {
 	decodeSlots [2]api.Embed
 	lastOut     api.Embed // output embedding of the last forward
 	hasOut      bool
+}
+
+// workingSet is the buffers a context grows with its stream and shows to
+// nobody: they go back to the session's free list when the context does.
+type workingSet struct {
+	entries []pageEntry
+	pend    []int // accepted tokens whose embed + forward is not issued yet
+
+	// attn caches ctxPages — pinned, then the live entries — so a decode
+	// step does not rebuild a list that grows with the context. Growing the
+	// stream appends to it; anything else that edits pinned or entries
+	// clears attnOK and the next forward rebuilds.
+	attn []api.KvPage
+
+	// Per-step scratch: the runtime is done with (or has copied) what these
+	// hold before the call they are passed to returns.
+	posBuf []int
+	tokBuf []int // pending + new tokens of one forward
+	outBuf []api.KvPage
+}
+
+// workingSets is a session's free list of working sets. The engine's
+// sessions keep one per engine; a session without one leaves each context
+// to grow its own buffers.
+type workingSets interface {
+	TakeWorkingSet() any // a set put back earlier, or nil
+	PutWorkingSet(any)
+}
+
+// takeWorkingSet starts the context on a set from its session's free list,
+// or on a new empty one when the list has none to give.
+func (c *Context) takeWorkingSet() {
+	if c.sets, _ = c.S.(workingSets); c.sets == nil {
+		return
+	}
+	if c.home, _ = c.sets.TakeWorkingSet().(*workingSet); c.home == nil {
+		c.home = new(workingSet)
+	}
+	c.workingSet = *c.home
+}
+
+// putWorkingSet hands the context's buffers, emptied, back to the free list
+// and leaves the context none. A context whose set went back already puts
+// nothing.
+func (c *Context) putWorkingSet() {
+	if ws := c.home; ws != nil {
+		*ws = workingSet{
+			entries: c.entries[:0], pend: c.pend[:0], attn: c.attn[:0],
+			posBuf: c.posBuf[:0], tokBuf: c.tokBuf[:0], outBuf: c.outBuf[:0],
+		}
+		c.sets.PutWorkingSet(ws)
+	}
+	c.workingSet, c.home, c.attnOK = workingSet{}, nil, false
 }
 
 type pageEntry struct {
@@ -142,6 +195,7 @@ func NewContextOnQueue(s inferlet.Session, q *inferlet.Queue) (*Context, error) 
 	}
 	c.decodeSlots[0] = gen[0]
 	c.genEmb = c.decodeSlots[:1:1]
+	c.takeWorkingSet()
 	return c, nil
 }
 
@@ -717,11 +771,13 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 	return children, nil
 }
 
-// Drop releases every owned live page and both decode slots; the context
+// Drop releases every owned live page and both decode slots and hands the
+// working set back (see Context), also when a release fails; the context
 // becomes unusable but its queue stays open (fire-and-forget: the
 // deallocations are queue-ordered and need no round trip). Use Close to
 // also close the queue and reclaim what is still allocated through it.
 func (c *Context) Drop() error {
+	defer c.putWorkingSet()
 	// The attention cache is the scratch list: the page list goes away.
 	own := c.attn[:0]
 	c.attnOK = false
@@ -735,7 +791,6 @@ func (c *Context) Drop() error {
 			return err
 		}
 	}
-	c.entries = nil
 	if c.genEmb != nil {
 		if err := c.alloc.FreeEmbeds(c.decodeSlots[:len(c.genEmb)+len(c.inEmb)]); err != nil {
 			return err
@@ -746,14 +801,14 @@ func (c *Context) Drop() error {
 }
 
 // Close drains and closes the context's queue, reclaiming every resource
-// allocated or imported through it (queue-scoped reclamation). Only valid
-// for contexts that own their queue (NewContext); contexts sharing a
-// queue must Drop instead.
+// allocated or imported through it (queue-scoped reclamation), and hands
+// the working set back like Drop. Only valid for contexts that own their
+// queue (NewContext); contexts sharing a queue must Drop instead.
 func (c *Context) Close() error {
 	if !c.ownsQueue {
 		return errors.New("support: Close on a context sharing its queue; use Drop")
 	}
-	c.entries, c.attnOK = nil, false
+	c.putWorkingSet()
 	c.genEmb, c.inEmb = nil, nil
 	return c.Q.Close()
 }
@@ -786,11 +841,10 @@ func ImportContext(s inferlet.Session, m api.ModelInfo, name string, tokens []in
 		_ = c.Close() // the import error is the one to report
 		return nil, err
 	}
-	c.entries = make([]pageEntry, len(pages))
-	for i, p := range pages {
-		c.entries[i] = pageEntry{h: p, owned: false, live: true}
+	c.entries = slices.Grow(c.entries, len(pages))
+	for _, p := range pages {
+		c.entries = append(c.entries, pageEntry{h: p, owned: false, live: true})
 	}
-	c.attnOK = false
 	c.slots = len(tokens)
 	c.pos = len(tokens)
 	c.Tokens = append([]int(nil), tokens...)

@@ -23,11 +23,13 @@ import (
 type counts struct{ control, infer int }
 
 // statsOn runs body as an inferlet on e and returns the instance's counters
-// at each mark() (the inferlet waits for the client to read them).
+// at each mark() (the inferlet waits for the client to read them). Its
+// contexts take their working sets from a poisonPool.
 func statsOn(t *testing.T, e *pie.Engine, body func(s inferlet.Session, mark func()) error) []counts {
 	t.Helper()
+	pool := newPoisonPool(t)
 	e.MustRegister(inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
-		err := body(s, func() {
+		err := body(pool.session(s), func() {
 			s.Send("mark")
 			s.Receive().Get()
 		})

@@ -19,7 +19,7 @@ import (
 
 // launchAndWait launches program "t" on e from a client process and waits
 // for it to finish.
-func launchAndWait(t *testing.T, e *pie.Engine) {
+func launchAndWait(t testing.TB, e *pie.Engine) {
 	t.Helper()
 	if err := e.RunClient(func() {
 		h, err := e.Launch(pie.Spec("t"))
@@ -38,14 +38,15 @@ func launchAndWait(t *testing.T, e *pie.Engine) {
 // runLimited runs body as an inferlet under the manifest limits and returns
 // the model's page and embed pool occupancy once the body has returned and
 // its queues drained (the instance is still alive: nothing was reclaimed by
-// its release).
+// its release). Its contexts take their working sets from a poisonPool.
 func runLimited(t *testing.T, limits pie.Limits, body func(s inferlet.Session) error) (pages, embeds int) {
 	t.Helper()
 	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	pool := newPoisonPool(t)
 	e.MustRegister(inferlet.Program{Name: "t", BinarySize: 4 << 10,
 		Manifest: inferlet.Manifest{Limits: limits},
 		Run: func(s inferlet.Session) error {
-			if err := body(s); err != nil {
+			if err := body(pool.session(s)); err != nil {
 				return err
 			}
 			model := string(s.AvailableModels()[0].ID)

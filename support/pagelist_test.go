@@ -19,7 +19,9 @@ func TestAttentionPageListTracksContext(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			e := pie.New(pie.Config{Seed: uint64(seed), Mode: pie.ModeTiming})
+			pool := newPoisonPool(t)
 			e.MustRegister(inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+				s = pool.session(s)
 				rng := rand.New(rand.NewSource(seed))
 				m := s.AvailableModels()[0]
 				root, err := support.NewContext(s, m)

@@ -19,6 +19,7 @@ func TestResultsAreReadOnce(t *testing.T) {
 	e.MustRegister(inferlet.Program{
 		Name: "reader", BinarySize: 1 << 10,
 		Run: func(s inferlet.Session) error {
+			s = newPoisonPool(t).session(s)
 			ctx, err := support.NewContext(s, s.AvailableModels()[0])
 			if err != nil {
 				return err

@@ -288,7 +288,9 @@ func TestForkTruncateExportAfterDecodeSteps(t *testing.T) {
 func TestHandoffCarriesBothSlots(t *testing.T) {
 	decode := func(cfg pie.Config) (tokens []int, early, handoffs int) {
 		e := pie.New(cfg)
+		pool := newPoisonPool(t)
 		e.MustRegister(inferlet.Program{Name: "t", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+			s = pool.session(s)
 			m := s.AvailableModels()[0]
 			c, err := filled(s, "hand this session off mid-decode ")
 			if err != nil {

@@ -12,14 +12,16 @@ import (
 )
 
 // run executes body inside a registered inferlet on a fresh full-fidelity
-// engine and returns its Send output.
+// engine and returns its Send output. Its contexts take their working sets
+// from a poisonPool.
 func run(t *testing.T, seed uint64, body func(s inferlet.Session) (string, error)) string {
 	t.Helper()
 	e := pie.New(pie.Config{Seed: seed, Mode: pie.ModeFull})
+	pool := newPoisonPool(t)
 	e.MustRegister(inferlet.Program{
 		Name: "t", BinarySize: 64 << 10,
 		Run: func(s inferlet.Session) error {
-			out, err := body(s)
+			out, err := body(pool.session(s))
 			if err != nil {
 				return err
 			}
