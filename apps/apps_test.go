@@ -12,10 +12,16 @@ import (
 )
 
 // newEngine builds a full-fidelity engine with every app registered and
-// the agent tool services installed.
+// the agent tool services installed; the cluster's Check must pass when the
+// test ends.
 func newEngine(t *testing.T, mode pie.ExecutionMode) *pie.Engine {
 	t.Helper()
 	e := pie.New(pie.Config{Seed: 42, Mode: mode})
+	t.Cleanup(func() {
+		if err := e.Cluster().Check(); err != nil {
+			t.Error(err)
+		}
+	})
 	e.MustRegister(apps.All()...)
 	e.RegisterTool("search.api", 40*time.Millisecond, func(req string) string { return "search results" })
 	e.RegisterTool("code.exec", 80*time.Millisecond, func(req string) string { return "exit 0" })
@@ -51,25 +57,12 @@ func launch(t *testing.T, e *pie.Engine, app string, params interface{}) string 
 	return msg
 }
 
-// assertNoLeak checks that an engine's page pools drained (modulo pages
-// held alive by the export registry).
-func assertNoLeak(t *testing.T, e *pie.Engine, allowExports bool) {
-	t.Helper()
-	for _, m := range e.Models() {
-		inUse, _ := e.PoolStats(m)
-		if inUse != 0 && !allowExports {
-			t.Errorf("model %s leaked %d pages", m, inUse)
-		}
-	}
-}
-
 func TestTextCompletionApp(t *testing.T) {
 	e := newEngine(t, pie.ModeFull)
 	msg := launch(t, e, "text_completion", apps.CompletionParams{Prompt: "Hello, ", MaxTokens: 8})
 	if msg == "" {
 		t.Fatal("empty completion")
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestTextCompletionDeterministic(t *testing.T) {
@@ -130,7 +123,6 @@ func TestTreeOfThought(t *testing.T) {
 	if !strings.HasPrefix(msg, "tot:") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestTreeOfThoughtWithToolEval(t *testing.T) {
@@ -152,7 +144,6 @@ func TestRecursionOfThought(t *testing.T) {
 	if !strings.HasPrefix(msg, "rot:") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestGraphOfThought(t *testing.T) {
@@ -161,7 +152,6 @@ func TestGraphOfThought(t *testing.T) {
 	if !strings.HasPrefix(msg, "got:") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestSkeletonOfThought(t *testing.T) {
@@ -170,7 +160,6 @@ func TestSkeletonOfThought(t *testing.T) {
 	if !strings.HasPrefix(msg, "skot:") || !strings.Contains(msg, "[3]") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 // The headline structured-generation property: grammar-constrained output
@@ -213,7 +202,6 @@ func TestBeamSearch(t *testing.T) {
 	if !strings.HasPrefix(msg, "beam[") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 // Beam search must find a sequence at least as likely as greedy decoding.
@@ -268,7 +256,6 @@ func TestOutputValidationAcceptsNonEmpty(t *testing.T) {
 	if !strings.HasPrefix(msg, "valid@0") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestOutputValidationRetries(t *testing.T) {
@@ -281,7 +268,6 @@ func TestOutputValidationRetries(t *testing.T) {
 	if !strings.HasPrefix(msg, "invalid") && !strings.HasPrefix(msg, "valid@") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestSpeculativeDecoding(t *testing.T) {
@@ -290,7 +276,6 @@ func TestSpeculativeDecoding(t *testing.T) {
 	if !strings.HasPrefix(msg, "accepted=") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestJacobiDecoding(t *testing.T) {
@@ -299,7 +284,6 @@ func TestJacobiDecoding(t *testing.T) {
 	if !strings.HasPrefix(msg, "iters=") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestAttentionSinkBoundsKV(t *testing.T) {
@@ -310,7 +294,6 @@ func TestAttentionSinkBoundsKV(t *testing.T) {
 	if !strings.HasPrefix(msg, "len=") {
 		t.Fatalf("unexpected output %q", msg)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestWindowedAttention(t *testing.T) {
@@ -340,7 +323,6 @@ func TestAgentReACT(t *testing.T) {
 	if e.Stats().ToolCalls != 4 {
 		t.Fatalf("tool calls = %d, want 4", e.Stats().ToolCalls)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestAgentCodeACT(t *testing.T) {
@@ -364,7 +346,6 @@ func TestAgentSwarm(t *testing.T) {
 	if st.ToolCalls != 6 {
 		t.Fatalf("tool calls = %d, want 6", st.ToolCalls)
 	}
-	assertNoLeak(t, e, false)
 }
 
 func TestFunctionCallAgentAllOptLevels(t *testing.T) {
@@ -388,7 +369,6 @@ func TestFunctionCallAgentAllOptLevels(t *testing.T) {
 			if !strings.HasPrefix(msg, "fncall:") {
 				t.Fatalf("unexpected output %q", msg)
 			}
-			assertNoLeak(t, e, true) // the spec cache export stays alive
 		})
 	}
 }

@@ -159,7 +159,8 @@ func TestBuildConfigRejectsOutOfRange(t *testing.T) {
 		{"fault-rate", []string{"-0.01", "1.01", "NaN"}, []string{"0", "1"}},
 		{"retry-budget", []string{"-250ms"}, []string{"0", "250ms"}},
 		// Without -config one replica is built: replica 0 only.
-		{"fault-plan", []string{"crash:1@1ms", "crash:9@1ms", "crash:0@1ms,hang:1@2ms"}, []string{"crash:0@1ms", "hang:0@1ms"}},
+		{"fault-plan", []string{"crash:1@1ms", "crash:9@1ms", "crash:0@1ms,hang:1@2ms", "slow:0@1ms*NaN", "slow:0@1ms*Inf", "slow:0@1ms*1e300"},
+			[]string{"crash:0@1ms", "hang:0@1ms", "slow:0@1ms*1e6"}},
 	} {
 		for _, v := range tc.bad {
 			if err := build("-"+tc.flag, v); err == nil || !strings.Contains(err.Error(), "-"+tc.flag+" ") {

@@ -208,7 +208,7 @@ func buildConfig(fs *flag.FlagSet, args []string) (serverOptions, error) {
 	if *faultPlan != "" || *faultRate > 0 {
 		plan, err := pie.ParseFaultPlan(*faultPlan)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("-fault-plan %s: %w", *faultPlan, err))
 		}
 		built := pie.BuiltReplicas(cfg)
 		for _, ev := range plan.Events {

@@ -61,16 +61,15 @@ func schedulerFingerprint(t *testing.T, seed uint64) string {
 // handoffFingerprint runs a disaggregated-pool workload whose sessions
 // all migrate prefill -> decode mid-run and returns every observable
 // statistic — engine stats (handoff counters included), per-replica
-// stats, and every cluster decision record — as one comparable string. It also
-// enforces the conservation contract: after every session finishes, zero
-// KV pages remain live on any replica, source or destination.
+// stats, and every cluster decision record — as one comparable string. The
+// cluster's Check must pass when the test ends.
 func handoffFingerprint(t *testing.T, seed uint64) string {
 	t.Helper()
-	e := pie.New(pie.Config{
+	e := checked(t, pie.New(pie.Config{
 		Seed: seed, Mode: pie.ModeTiming, Replicas: 4,
 		Placement: pie.PlaceLeastLoaded, HandoffBudget: 1,
 		Roles: []pie.RoleSpec{{Role: pie.RolePrefill, Count: 1}, {Role: pie.RoleDecode}},
-	})
+	}))
 	e.MustRegister(apps.All()...)
 	var decisions []trace.Decision
 	e.Cluster().OnDecision = func(d trace.Decision) { decisions = append(decisions, d) }
@@ -95,14 +94,6 @@ func handoffFingerprint(t *testing.T, seed uint64) string {
 	st := e.Stats()
 	if st.Handoffs == 0 {
 		t.Fatal("disaggregated workload produced no handoffs")
-	}
-	leaked := 0
-	for _, r := range e.Cluster().Replicas() {
-		inUse, _ := r.Ctl.KVLoad()
-		leaked += inUse
-	}
-	if leaked != 0 {
-		t.Fatalf("leaked %d KV pages after all sessions finished", leaked)
 	}
 	_, _, _, events := e.Clock().Stats()
 	return fmt.Sprintf("now=%v stats=%+v replicas=%+v decisions=%v events=%d",

@@ -10,6 +10,17 @@ import (
 	"pie/inferlet"
 )
 
+// checked returns e, and makes t fail at its end unless e's cluster passes
+// Check.
+func checked(t *testing.T, e *pie.Engine) *pie.Engine {
+	t.Cleanup(func() {
+		if err := e.Cluster().Check(); err != nil {
+			t.Error(err)
+		}
+	})
+	return e
+}
+
 // autoregressive10 is the paper's §4.2 "putting it all together" example:
 // prefill a prompt, then decode 10 tokens with greedy sampling, using the
 // raw v2 capability API (alloc, text, forward, sample, tokenizer).

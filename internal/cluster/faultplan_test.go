@@ -8,6 +8,9 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,21 +55,52 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 
 func TestParseFaultPlanRejectsMalformed(t *testing.T) {
 	for _, spec := range []string{
-		"boom",              // no kind separator
-		"explode:1@5ms",     // unknown kind
-		"crash:1",           // missing @time
-		"crash:x@5ms",       // bad replica
-		"crash:-1@5ms",      // negative replica
-		"slow:1@5ms*zero",   // bad factor
-		"slow:1@5ms*0",      // non-positive factor
-		"crash:1@sometime",  // bad time
-		"crash:1@-5ms",      // negative time
-		"crash:1@5ms,bogus", // one bad event poisons the plan
+		"boom",               // no kind separator
+		"explode:1@5ms",      // unknown kind
+		"crash:1",            // missing @time
+		"crash:x@5ms",        // bad replica
+		"crash:-1@5ms",       // negative replica
+		"slow:1@5ms*zero",    // bad factor
+		"slow:1@5ms*0",       // non-positive factor
+		"slow:1@5ms*NaN",     // not a number
+		"slow:1@5ms*Inf",     // not finite
+		"slow:1@5ms*1e300",   // a kernel's slowed cost overflows
+		"slow:1@5ms*1000001", // past MaxSlowFactor
+		"crash:1@5ms*2",      // a factor on a fault that is not slow
+		"crash:1@sometime",   // bad time
+		"crash:1@-5ms",       // negative time
+		"crash:1@5ms,bogus",  // one bad event poisons the plan
 	} {
-		if _, err := ParseFaultPlan(spec); err == nil {
-			t.Errorf("ParseFaultPlan(%q) succeeded, want error", spec)
+		last := spec[strings.LastIndex(spec, ",")+1:]
+		if _, err := ParseFaultPlan(spec); err == nil || !strings.Contains(err.Error(), strconv.Quote(last)) {
+			t.Errorf("ParseFaultPlan(%q) = %v, want an error naming the event %q", spec, err, last)
 		}
 	}
+}
+
+// FuzzParseFaultPlan: every plan ParseFaultPlan accepts renders (String) to
+// a spec that parses back to the same plan, and every event's factor is
+// finite and within (0, MaxSlowFactor].
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, spec := range []string{"crash:1@200ms,hang:2@300ms,slow:3@100ms*4", " slow:0@5ms , ,", "",
+		"slow:0@1ms*NaN", "slow:0@1ms*Inf", "slow:0@1ms*1e300", "slow:2@1.5ms*0x1p-3", "crash:1@5ms*2", "HANG:+3@1h2m"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		for _, ev := range plan.Events {
+			if !(ev.Factor > 0 && ev.Factor <= MaxSlowFactor) {
+				t.Fatalf("%q: event %v has factor %v", spec, ev, ev.Factor)
+			}
+		}
+		again, err := ParseFaultPlan(plan.String())
+		if err != nil || !reflect.DeepEqual(again, plan) {
+			t.Fatalf("%q renders %q, which parses to %+v, %v; want %+v", spec, plan.String(), again, err, plan)
+		}
+	})
 }
 
 func TestFaultPlanEmpty(t *testing.T) {

@@ -46,6 +46,12 @@ func (k FaultKind) String() string {
 	return "unknown"
 }
 
+// MaxSlowFactor caps a slow fault's kernel cost multiplier. Kernels cost
+// well under an hour of virtual time, and an hour slowed a million-fold
+// (about 114 years) still fits a time.Duration (about 292 years), so no
+// slowed kernel cost overflows to a negative duration.
+const MaxSlowFactor = 1e6
+
 // FaultEvent schedules one replica fault at a virtual instant.
 type FaultEvent struct {
 	At      time.Duration
@@ -89,8 +95,10 @@ func (p FaultPlan) String() string {
 
 // ParseFaultPlan parses a compact fault-plan spec: comma-separated events
 // of the form "kind:replica@time" with an optional "*factor" suffix for
-// slow events, e.g. "crash:1@200ms,hang:2@300ms,slow:3@100ms*4". An empty
-// spec is an empty plan.
+// slow events, e.g. "crash:1@200ms,hang:2@300ms,slow:3@100ms*4". A factor
+// is a finite number in (0, MaxSlowFactor], 4 when omitted; one at most 1
+// leaves kernels at their modeled cost. An empty spec is an empty plan.
+// Every plan it returns renders (String) to a spec that parses to itself.
 func ParseFaultPlan(spec string) (FaultPlan, error) {
 	var plan FaultPlan
 	spec = strings.TrimSpace(spec)
@@ -128,9 +136,12 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 		factor := 4.0
 		if atStr, facStr, has := strings.Cut(rest, "*"); has {
 			rest = atStr
+			if kind != FaultSlow {
+				return plan, fmt.Errorf("cluster: fault event %q: a factor applies to slow events only", part)
+			}
 			factor, err = strconv.ParseFloat(facStr, 64)
-			if err != nil || factor <= 0 {
-				return plan, fmt.Errorf("cluster: fault event %q: bad factor %q", part, facStr)
+			if err != nil || !(factor > 0 && factor <= MaxSlowFactor) {
+				return plan, fmt.Errorf("cluster: fault event %q: bad factor %q, want a number in (0, %g]", part, facStr, float64(MaxSlowFactor))
 			}
 		}
 		at, err := time.ParseDuration(rest)

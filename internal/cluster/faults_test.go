@@ -419,8 +419,8 @@ type chaosDoc struct {
 
 // runChaos drives a stress workload under a seeded random kill/hang/slow
 // schedule with retry armed, and asserts the no-lost-work contract: every
-// launch completes or fails typed, and surviving replicas end with zero
-// KV pages allocated. record installs a hook that keeps every decision.
+// launch completes or fails typed, and the cluster's Check passes at the
+// end (newEngine). record installs a hook that keeps every decision.
 func runChaos(t *testing.T, seed uint64, record bool) chaosDoc {
 	t.Helper()
 	plan := pie.RandomFaultPlan(seed, 8, 6, 600*time.Millisecond)
@@ -477,14 +477,6 @@ func runChaos(t *testing.T, seed uint64, record bool) chaosDoc {
 	}
 	if doc.Done+doc.Typed != total {
 		t.Fatalf("lost work: done %d + typed %d != %d", doc.Done, doc.Typed, total)
-	}
-	for _, r := range e.Cluster().Replicas() {
-		if r.Health() == cluster.HealthDead {
-			continue
-		}
-		if inUse, _ := r.Ctl.KVLoad(); inUse != 0 {
-			t.Fatalf("replica %d leaked %d KV pages", r.ID, inUse)
-		}
 	}
 	doc.Replicas = e.ReplicaStats()
 	doc.Stats = e.Stats()

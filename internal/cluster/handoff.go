@@ -179,10 +179,3 @@ func (s *transferSlot) release() {
 		s.c.handoffActive--
 	}
 }
-
-// TransferBudgetState reports the transfer budget's occupancy: slots held
-// and sessions queued for one. After every session resolves, both must be
-// zero; tests use this as the no-leak invariant.
-func (c *Cluster) TransferBudgetState() (active, waiting int) {
-	return c.handoffActive, c.transferWait.Len()
-}

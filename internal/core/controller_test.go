@@ -17,17 +17,34 @@ import (
 )
 
 // runCtl builds a two-model controller (llama-1b, llama-3b) on a fresh
-// clock and runs body as a sim process. pages > 0 overrides both models'
-// device page capacity.
+// clock and runs body as a sim process, which then aborts the instances
+// body left registered on any controller newTestController built on the
+// clock, as the ILM does at a process's end. pages > 0 overrides both
+// models' device page capacity. Every such controller's Check must pass
+// once the run ends.
 func runCtl(t testing.TB, mode infer.ExecMode, pages int, off OffloadConfig, body func(clock *sim.Clock, ctl *Controller)) {
 	t.Helper()
 	clock := sim.NewClock()
 	ctl := newTestController(clock, "gpu0", mode, pages, off)
-	clock.Go("test", func() { body(clock, ctl) })
+	defer delete(built, clock)
+	clock.Go("test", func() {
+		body(clock, ctl)
+		for _, c := range built[clock] {
+			c.AbortAllInstances(api.ErrTerminated)
+		}
+	})
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range built[clock] {
+		if err := c.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
+
+// built lists the controllers newTestController made on each clock.
+var built = map[*sim.Clock][]*Controller{}
 
 func newTestController(clock *sim.Clock, device string, mode infer.ExecMode, pages int, off OffloadConfig) *Controller {
 	backend := infer.NewBackend(clock, device)
@@ -40,7 +57,9 @@ func newTestController(clock *sim.Clock, device string, mode infer.ExecMode, pag
 		}
 		rts = append(rts, rt)
 	}
-	return NewController(clock, backend, rts, DefaultSchedConfig(), off, ArtifactConfig{})
+	ctl := NewController(clock, backend, rts, DefaultSchedConfig(), off, ArtifactConfig{})
+	built[clock] = append(built[clock], ctl)
+	return ctl
 }
 
 // mustQueue opens a queue on model m for inst.
@@ -287,8 +306,6 @@ func TestBadHandleCases(t *testing.T) {
 				if e.pages, err = ctl.AllocPages(e.inst, e.q1, 3); err != nil {
 					t.Fatal(err)
 				}
-				pagesBefore, _ := ctl.PoolStats("llama-1b")
-				embedsBefore, _ := ctl.EmbedPoolStats("llama-1b")
 				if err := tc.run(e); !errors.Is(err, api.ErrBadHandle) {
 					t.Fatalf("got %v, want ErrBadHandle", err)
 				}
@@ -296,11 +313,8 @@ func TestBadHandleCases(t *testing.T) {
 					return
 				}
 				sync(e, e.q1)
-				if p, _ := ctl.PoolStats("llama-1b"); p != pagesBefore {
-					t.Fatalf("rejected call changed page occupancy: %d -> %d", pagesBefore, p)
-				}
-				if n, _ := ctl.EmbedPoolStats("llama-1b"); n != embedsBefore {
-					t.Fatalf("rejected call changed embed occupancy: %d -> %d", embedsBefore, n)
+				if err := ctl.Check(); err != nil { // a slot freed or leaked behind a live handle
+					t.Fatalf("after the rejected call: %v", err)
 				}
 				if err := tc.after(e); err != nil {
 					t.Fatalf("handles unusable after the rejected call: %v", err)
@@ -334,12 +348,6 @@ func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 		}
 		s, _ := ctl.Synchronize(inst, q3)
 		_, _ = s.Get()
-		if n, _ := ctl.PoolStats("llama-1b"); n != 0 {
-			t.Fatalf("llama-1b pages in use = %d, want 0", n)
-		}
-		if n, _ := ctl.EmbedPoolStats("llama-1b"); n != 0 {
-			t.Fatalf("llama-1b embeds in use = %d, want 0", n)
-		}
 	})
 }
 
@@ -459,10 +467,8 @@ func TestHandoffKeepsQueueOwnership(t *testing.T) {
 		if err := dst.CloseQueue(inst, q1); err != nil {
 			t.Fatal(err)
 		}
-		pages, _ := dst.PoolStats("llama-1b")
-		embeds, _ := dst.EmbedPoolStats("llama-1b")
-		if pages != 2 || embeds != 0 || inst.pages.live != 2 {
-			t.Fatalf("after closing the moved q1: %d pages (%d handles) and %d embeds in use, want q2's 2 and 0", pages, inst.pages.live, embeds)
+		if err := dst.Check(); err != nil || inst.pages.live != 2 || inst.embeds.live != 0 { // Check: q1's slots freed, q2's not
+			t.Fatalf("after closing the moved q1: %d page and %d embed handles live, want q2's 2 and 0: %v", inst.pages.live, inst.embeds.live, err)
 		}
 	})
 }
@@ -542,14 +548,6 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 			}
 			clock.Sleep(time.Millisecond)
 			m := ctl.models["llama-1b"]
-			for id := range m.pages.meta {
-				if m.pages.meta[id].pins != 0 {
-					t.Fatalf("page %d still pinned after the abort", id)
-				}
-			}
-			if n := m.pages.inUse() + m.embeds.inUse(); n != 0 {
-				t.Fatalf("%d pages+embeds still allocated after the abort", n)
-			}
 			out.PageFree = append([]int32(nil), m.pages.free...)
 			out.EmbedFree = append([]int32(nil), m.embeds.free...)
 			next := ctl.RegisterInstance("next", nil, nil)
@@ -833,15 +831,6 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 	}
 }
 
-// checkFreeCalls fails t if a record is on ctl's free list twice or is not
-// blank there.
-func checkFreeCalls(t *testing.T, ctl *Controller, when string) {
-	t.Helper()
-	if err := ctl.CheckFreeCalls(); err != nil {
-		t.Fatalf("%s: %v", when, err)
-	}
-}
-
 // TestCallRecordsRecycle: a call's record goes back to the controller once
 // the call completed, was refused or failed with its queue — exactly once,
 // blank but for its backing arrays — and a decode loop keeps reusing the
@@ -874,9 +863,8 @@ func TestCallRecordsRecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		checkFreeCalls(t, ctl, "after 50 decode steps")
-		if n := len(ctl.freeCalls); n == 0 || n > 3 {
-			t.Fatalf("150 sequential calls left %d records on the free list, want 1..3 (reuse)", n)
+		if n, err := len(ctl.freeCalls), ctl.Check(); n == 0 || n > 3 || err != nil {
+			t.Fatalf("150 sequential calls left %d records on the free list, want 1..3 (reuse): %v", n, err)
 		}
 
 		// A refused call takes no sequence number and gives its record back.
@@ -884,10 +872,9 @@ func TestCallRecordsRecycle(t *testing.T) {
 		if err := ctl.Forward(inst, qid, api.ForwardArgs{InputKv: []api.KvPage{pages[0], 9999}}); !errors.Is(err, api.ErrBadHandle) {
 			t.Fatalf("forward over a bad handle: %v, want ErrBadHandle", err)
 		}
-		if ctl.callSeq != seq || len(ctl.freeCalls) != free {
-			t.Fatalf("refused forward: callSeq %d -> %d, free records %d -> %d", seq, ctl.callSeq, free, len(ctl.freeCalls))
+		if err := ctl.Check(); ctl.callSeq != seq || len(ctl.freeCalls) != free || err != nil {
+			t.Fatalf("refused forward: callSeq %d -> %d, free records %d -> %d: %v", seq, ctl.callSeq, free, len(ctl.freeCalls), err)
 		}
-		checkFreeCalls(t, ctl, "after a refused forward")
 
 		// Calls still queued when their instance is released fail, and
 		// their records come back too; the one already on the device
@@ -900,11 +887,7 @@ func TestCallRecordsRecycle(t *testing.T) {
 		if _, err := last.Get(); !errors.Is(err, api.ErrTerminated) {
 			t.Fatalf("queued get_next_dist after release: %v, want ErrTerminated", err)
 		}
-		clock.Sleep(time.Second)
-		checkFreeCalls(t, ctl, "after release")
-		if m := ctl.models["llama-1b"]; m.pages.inUse() != 0 || m.embeds.inUse() != 0 {
-			t.Fatalf("release left %d pages, %d embeds in use", m.pages.inUse(), m.embeds.inUse())
-		}
+		clock.Sleep(time.Second) // runCtl's Check then finds every record back, blank
 	})
 }
 

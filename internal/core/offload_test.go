@@ -6,59 +6,16 @@ import (
 	"testing"
 )
 
-// checkTieredInvariants asserts the structural invariants every operation
-// must preserve: tier counts sum to the pool total, neither tier exceeds
-// its capacity, the meta table matches the counters, and no live id is
-// also on the free list.
-func checkTieredInvariants(t *testing.T, p *tieredPool) {
-	t.Helper()
-	if int(p.next) != len(p.meta) {
-		t.Fatalf("meta table has %d rows for %d materialized ids", len(p.meta), p.next)
-	}
-	if p.devInUse > p.devCap {
-		t.Fatalf("device tier overcommitted: %d > %d", p.devInUse, p.devCap)
-	}
-	if p.hostInUse > p.hostCap {
-		t.Fatalf("host tier overcommitted: %d > %d", p.hostInUse, p.hostCap)
-	}
-	dev, host := 0, 0
-	for id, m := range p.meta {
-		if m.refs < 0 {
-			t.Fatalf("page %d has refs %d", id, m.refs)
-		}
-		if m.refs == 0 && m.pins == 0 {
-			continue // free; a page with pins but no refs is held for its kernels
-		}
-		if m.tier == tierDevice {
-			dev++
-		} else {
-			host++
-		}
-	}
-	if dev != p.devInUse || host != p.hostInUse {
-		t.Fatalf("meta tiers %d/%d disagree with counters %d/%d", dev, host, p.devInUse, p.hostInUse)
-	}
-	for _, id := range p.free {
-		if p.live(id) != nil {
-			t.Fatalf("page %d is live and on the free list", id)
-		}
-	}
-	if p.inUse()+p.available() != p.capacity() {
-		t.Fatalf("inUse %d + available %d != capacity %d", p.inUse(), p.available(), p.capacity())
-	}
-}
-
 // TestTieredPoolRandomOps drives seeded random alloc/release/retain/pin/
-// unpin/touch/fault sequences and asserts the invariants after every
-// operation. A page released while pinned stays held, out of the free list,
-// until its last unpin.
+// unpin/touch/fault sequences and checks the pool (tieredPool.check) and
+// every id's refs and pins after every operation. A page released while
+// pinned stays held, out of the free list, until its last unpin.
 func TestTieredPoolRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newTieredPool(8, 12, lruEvictor{})
 		live := map[int32]int{} // id -> expected refs
 		pinned := map[int32]int{}
-		isFree := func(id int32) bool { return slices.Contains(p.free, id) }
 		for step := 0; step < 600; step++ {
 			switch rng.Intn(7) {
 			case 0: // alloc
@@ -71,10 +28,7 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					t.Fatalf("seed %d step %d: alloc(%d) ok=%v with %d available and nothing pinned",
 						seed, step, n, ok, p.available())
 				}
-				for _, id := range ids {
-					if _, dup := live[id]; dup || pinned[id] > 0 {
-						t.Fatalf("seed %d step %d: id %d handed out while live or pinned", seed, step, id)
-					}
+				for _, id := range ids { // a live or pinned id on the free list fails p.check
 					live[id] = 1
 				}
 			case 1: // release one reference of a random live id
@@ -110,11 +64,8 @@ func TestTieredPoolRandomOps(t *testing.T) {
 				} else {
 					for id := range pinned {
 						p.unpin(id)
-						if pinned[id]--; pinned[id] == 0 {
+						if pinned[id]--; pinned[id] == 0 { // p.check fails a held page the last unpin left unfreed
 							delete(pinned, id)
-							if _, ok := live[id]; !ok && !isFree(id) {
-								t.Fatalf("seed %d step %d: held page %d not freed at its last unpin", seed, step, id)
-							}
 						}
 						break
 					}
@@ -150,7 +101,9 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					}
 				}
 			}
-			checkTieredInvariants(t, p)
+			if err := p.check(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			for id, m := range p.meta {
 				if live[int32(id)] != m.refs || pinned[int32(id)] != m.pins {
 					t.Fatalf("seed %d step %d: id %d refs %d pins %d, expected %d and %d",
@@ -169,8 +122,8 @@ func TestTieredPoolRandomOps(t *testing.T) {
 				p.unpin(id)
 			}
 		}
-		if p.inUse() != 0 || p.devInUse != 0 || p.hostInUse != 0 {
-			t.Fatalf("seed %d: pages lost after full drain: %+v", seed, p.stats())
+		if err := p.check(); err != nil || p.inUse() != 0 {
+			t.Fatalf("seed %d: pages lost after full drain: %+v: %v", seed, p.stats(), err)
 		}
 	}
 }
@@ -271,11 +224,9 @@ func TestTieredPoolFaultInMakesRoom(t *testing.T) {
 			t.Fatalf("victim page %d not offloaded", id)
 		}
 	}
-	st := p.stats()
-	if st.SwapInPages != 2 || st.SwapOutPages != 4 {
-		t.Fatalf("swap counters = %d in, %d out; want 2 in, 4 out", st.SwapInPages, st.SwapOutPages)
+	if st, err := p.stats(), p.check(); st.SwapInPages != 2 || st.SwapOutPages != 4 || err != nil {
+		t.Fatalf("swap counters = %d in, %d out; want 2 in, 4 out: %v", st.SwapInPages, st.SwapOutPages, err)
 	}
-	checkTieredInvariants(t, p)
 }
 
 // TestParseEviction covers the CLI surface.
@@ -322,19 +273,17 @@ func TestTieredPoolFreesPinnedPageAtLastUnpin(t *testing.T) {
 	if _, swapped, ok := p.alloc(nil, 1, 0); !ok || swapped != 1 {
 		t.Fatalf("alloc beside a held page: ok=%v swapped=%d", ok, swapped)
 	}
-	if tier, _ := p.resident(b[0]); tier != tierHost || p.meta[a[0]].tier != tierDevice {
-		t.Fatal("the held page was offloaded instead of the cold one")
+	if tier, _ := p.resident(b[0]); tier != tierHost || p.meta[a[0]].tier != tierDevice || p.check() != nil {
+		t.Fatalf("the held page was offloaded instead of the cold one: %v", p.check())
 	}
-	checkTieredInvariants(t, p)
 	p.unpin(a[0])
 	if slices.Contains(p.free, a[0]) {
 		t.Fatal("freed before its last unpin")
 	}
 	p.unpin(a[0])
-	if !slices.Contains(p.free, a[0]) || p.inUse() != 2 {
-		t.Fatalf("last unpin did not free the page: free %v, inUse %d", p.free, p.inUse())
+	if !slices.Contains(p.free, a[0]) || p.inUse() != 2 || p.check() != nil {
+		t.Fatalf("last unpin did not free the page: free %v, inUse %d: %v", p.free, p.inUse(), p.check())
 	}
-	checkTieredInvariants(t, p)
 	if c, _, _ := p.alloc(nil, 1, 0); c[0] != a[0] {
 		t.Fatalf("freed id %d not reused, got %d", a[0], c[0])
 	}
@@ -358,8 +307,7 @@ func TestTieredPoolFaultInDuplicatesCountOnce(t *testing.T) {
 	if !ok {
 		t.Fatal("faultIn of a feasible duplicate set failed")
 	}
-	if in != 2 || out != 2 {
-		t.Fatalf("faultIn = %d in, %d out; duplicates double-counted (want 2, 2)", in, out)
+	if err := p.check(); in != 2 || out != 2 || err != nil {
+		t.Fatalf("faultIn = %d in, %d out; duplicates double-counted (want 2, 2): %v", in, out, err)
 	}
-	checkTieredInvariants(t, p)
 }

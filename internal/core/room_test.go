@@ -107,5 +107,8 @@ func TestAllocRoomWaitTimesOut(t *testing.T) {
 		if m.room.Len() != 0 {
 			t.Fatal("a timed-out call stayed on the room list")
 		}
+		for _, h := range pages {
+			m.pages.unpin(holder.pages.get(uint64(h)).phys)
+		}
 	})
 }

@@ -117,9 +117,7 @@ func coldstartGap(seed uint64) (cold, warm time.Duration) {
 			}
 		}
 	})
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
+	runEngine(e, "coldstart probe run")
 	return cold, warmSum / coldstartWarmN
 }
 

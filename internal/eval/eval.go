@@ -77,6 +77,22 @@ func newPieEngine(seed uint64, mutate func(*pie.Config)) *pie.Engine {
 	return e
 }
 
+// runEngine runs e to completion, then checks the final state of its
+// cluster (cluster.Cluster.Check); it panics naming what ran if either
+// fails. It returns the wall time of the run alone.
+func runEngine(e *pie.Engine, what string) time.Duration {
+	start := time.Now()
+	err := e.Run()
+	wall := time.Since(start)
+	if err == nil {
+		err = e.Cluster().Check()
+	}
+	if err != nil {
+		panic(fmt.Sprintf("eval: %s: %v", what, err))
+	}
+	return wall
+}
+
 // registerWorldTools installs the same services on a baseline clock.
 func registerWorldTools(w *netsim.World) {
 	w.Register(&netsim.Service{Name: "search.api", Latency: searchLatency, Handler: func(string) string { return "search results for the query" }})

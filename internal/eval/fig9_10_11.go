@@ -76,9 +76,7 @@ func launchProbe(seed uint64, n int, warm bool) time.Duration {
 		}
 		g.Wait()
 	})
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
+	runEngine(e, "fig9 launch run")
 	return lat.Mean()
 }
 
@@ -255,9 +253,7 @@ func Figure11(o Options) Fig11Result {
 			h.Wait()
 			cc, ic, tok = h.Stats()
 		})
-		if err := e.Run(); err != nil {
-			panic(err)
-		}
+		runEngine(e, "fig11 "+task.name+" run")
 		if tok == 0 {
 			tok = 1
 		}

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"time"
 
 	"pie"
@@ -93,9 +92,7 @@ func runLoad(e *pie.Engine, what string, warmup pie.LaunchSpec, tail time.Durati
 			e.Sleep(tail)
 		}
 	})
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: %s run: %v", what, err))
-	}
+	runEngine(e, what+" run")
 	return start, makespan
 }
 

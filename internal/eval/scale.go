@@ -99,11 +99,7 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 			}
 		})
 	}
-	start := time.Now()
-	if err := e.Run(); err != nil {
-		panic(fmt.Sprintf("eval: scale sweep run (%d replicas): %v", n, err))
-	}
-	wall := time.Since(start)
+	wall := runEngine(e, fmt.Sprintf("scale sweep run (%d replicas)", n))
 	p.Makespan = e.Now()
 	p.Events = e.Clock().Events()
 	p.EventsPS = float64(p.Events) / wall.Seconds()

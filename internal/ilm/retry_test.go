@@ -223,11 +223,8 @@ func TestAbortLatchesBetweenRetries(t *testing.T) {
 	if m.Aborts != 1 || m.Requeues != 1 || m.Retries != 0 {
 		t.Fatalf("aborts %d requeues %d retries %d, want 1/1/0", m.Aborts, m.Requeues, m.Retries)
 	}
-	if pages, _ := ctl.PoolStats("llama-1b"); pages != 0 {
-		t.Fatalf("%d pages still held", pages)
-	}
-	if embeds, _ := ctl.EmbedPoolStats("llama-1b"); embeds != 0 {
-		t.Fatalf("%d embeds still held", embeds)
+	if err := ctl.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 )
 
 // runInferlet executes body as a registered inferlet on a fresh timing-mode
-// engine and returns its Send output; body errors fail the test.
-func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) (string, *pie.Engine) {
+// engine and returns its Send output; body errors, and a failed Check of the
+// engine's cluster at the test's end, fail the test.
+func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) string {
 	t.Helper()
-	e := pie.New(pie.Config{Seed: 99, Mode: pie.ModeTiming})
+	e := checked(t, pie.New(pie.Config{Seed: 99, Mode: pie.ModeTiming}))
 	e.MustRegister(inferlet.Program{
 		Name: "probe", BinarySize: 4 << 10,
 		Run: func(s inferlet.Session) error {
@@ -46,11 +47,11 @@ func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) (s
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return got, e
+	return got
 }
 
 func TestOpenMissingModel(t *testing.T) {
-	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		if _, err := s.Open("gpt-17"); !errors.Is(err, api.ErrNoSuchModel) {
 			return "", fmt.Errorf("Open(gpt-17) = %v, want ErrNoSuchModel", err)
 		}
@@ -62,7 +63,7 @@ func TestOpenMissingModel(t *testing.T) {
 }
 
 func TestNegotiationRejectsMissingTrait(t *testing.T) {
-	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		// llama-1b does not declare input_image (only llama-8b is
 		// multimodal): negotiation must refuse the capability.
 		q, err := s.Open("llama-1b")
@@ -92,7 +93,7 @@ func TestNegotiationRejectsMissingTrait(t *testing.T) {
 // must negotiate, and the whole declared surface of the standard models
 // is available.
 func TestNegotiationWalksSupertraitClosure(t *testing.T) {
-	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -127,7 +128,7 @@ func TestNegotiationWalksSupertraitClosure(t *testing.T) {
 // explicit dealloc — and afterwards both the queue and its capabilities
 // are dead with ErrQueueClosed.
 func TestQueueCloseReclaimsResources(t *testing.T) {
-	got, e := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -164,16 +165,13 @@ func TestQueueCloseReclaimsResources(t *testing.T) {
 	if got != "ok" {
 		t.Fatal(got)
 	}
-	if inUse, _ := e.PoolStats("llama-1b"); inUse != 0 {
-		t.Fatalf("queue-scoped reclamation leaked %d pages", inUse)
-	}
 }
 
 // TestFailedFreeKeepsCloseWorking: a dealloc containing a bad handle is
 // all-or-nothing at the controller, so every handle stays live and Close
 // still reclaims everything afterwards.
 func TestFailedFreeKeepsCloseWorking(t *testing.T) {
-	got, e := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -204,9 +202,6 @@ func TestFailedFreeKeepsCloseWorking(t *testing.T) {
 	})
 	if got != "ok" {
 		t.Fatal(got)
-	}
-	if inUse, _ := e.PoolStats("llama-1b"); inUse != 0 {
-		t.Fatalf("failed frees leaked %d pages", inUse)
 	}
 }
 
@@ -284,7 +279,7 @@ func TestCloseAfterFreeThroughSiblingQueue(t *testing.T) {
 // TestQueueCloseSparesExports: Close drops the queue's own references but
 // the export registry keeps exported pages alive for importers.
 func TestQueueCloseSparesExports(t *testing.T) {
-	got, e := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -324,11 +319,6 @@ func TestQueueCloseSparesExports(t *testing.T) {
 	})
 	if got != "ok" {
 		t.Fatal(got)
-	}
-	// Registry refs (2 pages) survive; the importer's refs died with its
-	// instance.
-	if inUse, _ := e.PoolStats("llama-1b"); inUse != 2 {
-		t.Fatalf("export registry holds %d pages, want 2", inUse)
 	}
 }
 

@@ -3,8 +3,8 @@ package pie_test
 // Engine-level property test for the tiered KV cache: several concurrent
 // inferlets run seeded random sequences of alloc / free / export / import
 // / forward (which faults offloaded pages) / Close against a small device
-// pool with a host tier, while a probe process asserts the pool
-// invariants the whole time. Injected mid-sequence failures (deallocs
+// pool with a host tier, while a timer runs the cluster's Check every 2 ms
+// and once more at the end. Injected mid-sequence failures (deallocs
 // containing a bogus or duplicate handle) must be all-or-nothing: the
 // failed call releases nothing and every real handle stays reclaimable.
 
@@ -141,31 +141,18 @@ func chaosProgram() inferlet.Program {
 
 func runChaos(t *testing.T, seed uint64) pie.Stats {
 	t.Helper()
-	e := pie.New(pie.Config{
+	e := checked(t, pie.New(pie.Config{
 		Seed: seed, Mode: pie.ModeTiming,
 		KVPagesOverride: 16, HostKVRatio: 2.0, // 16 device + 32 host pages
-	})
+	}))
 	e.MustRegister(chaosProgram())
-	probeDone := false
-	e.Go("invariant-probe", func() {
-		// Poll the pool invariants throughout the run: tier counts must
-		// always sum to the pool total and respect tier capacities.
-		for !probeDone {
-			e.Sleep(2 * time.Millisecond)
-			st := e.Stats()
-			inUse, _ := e.PoolStats("llama-1b")
-			if st.KVDevicePages+st.KVHostPages != inUse {
-				t.Errorf("tier counts %d+%d != pool total %d", st.KVDevicePages, st.KVHostPages, inUse)
-				return
-			}
-			if st.KVDevicePages > 16 || st.KVHostPages > 32 {
-				t.Errorf("tier overcommit: dev %d host %d", st.KVDevicePages, st.KVHostPages)
-				return
-			}
+	var broken error // the first failed Check
+	e.Clock().Every(2*time.Millisecond, func() {
+		if broken == nil {
+			broken = e.Cluster().Check()
 		}
 	})
 	err := e.RunClient(func() {
-		defer func() { probeDone = true }()
 		var hs []*pie.Handle
 		for i := 0; i < chaosAgents; i++ {
 			h, err := e.Launch(pie.Spec("chaos", fmt.Sprint(i)))
@@ -181,18 +168,10 @@ func runChaos(t *testing.T, seed uint64) pie.Stats {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No lost pages: every queue closed and every export released, so
-	// both tiers must be empty.
-	if inUse, _ := e.PoolStats("llama-1b"); inUse != 0 {
-		t.Fatalf("seed %d: %d pages lost after teardown", seed, inUse)
+	if err != nil || broken != nil {
+		t.Fatalf("seed %d: %v, %v", seed, err, broken)
 	}
 	st := e.Stats()
-	if st.KVDevicePages != 0 || st.KVHostPages != 0 {
-		t.Fatalf("seed %d: tiers not empty after teardown: %+v", seed, st)
-	}
 	if st.Terminations != 0 {
 		t.Fatalf("seed %d: chaos load should fit capacity, got %d terminations", seed, st.Terminations)
 	}

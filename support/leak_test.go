@@ -17,8 +17,8 @@ import (
 // is observed through a manifest's MaxQueues (a leaked queue uses one up),
 // pages and embeds through the pools.
 
-// launchAndWait launches program "t" on e from a client process and waits
-// for it to finish.
+// launchAndWait launches program "t" on e from a client process, waits
+// for it to finish and checks the cluster (Cluster.Check).
 func launchAndWait(t testing.TB, e *pie.Engine) {
 	t.Helper()
 	if err := e.RunClient(func() {
@@ -31,6 +31,9 @@ func launchAndWait(t testing.TB, e *pie.Engine) {
 			t.Errorf("inferlet: %v", err)
 		}
 	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Cluster().Check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,11 +13,12 @@ import (
 // ProbeTokens, NextDist, DecodeText, Vocabs, Encode — on one context. A
 // second read of a result fails with api.ErrResultRead, so each reader
 // reads each result once if the program ends without error; afterwards
-// every record on the controller's free list is there once and blank.
+// the cluster's Check finds every record on a free list there once and
+// blank.
 func TestResultsAreReadOnce(t *testing.T) {
 	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
 	e.MustRegister(inferlet.Program{
-		Name: "reader", BinarySize: 1 << 10,
+		Name: "t", BinarySize: 1 << 10,
 		Run: func(s inferlet.Session) error {
 			s = newPoisonPool(t).session(s)
 			ctx, err := support.NewContext(s, s.AvailableModels()[0])
@@ -51,21 +52,5 @@ func TestResultsAreReadOnce(t *testing.T) {
 			return err
 		},
 	})
-	if err := e.RunClient(func() {
-		h, err := e.Launch(pie.Spec("reader"))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := h.Wait(); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range e.Cluster().Replicas() {
-		if err := r.Ctl.CheckFreeCalls(); err != nil {
-			t.Error(err)
-		}
-	}
+	launchAndWait(t, e)
 }

