@@ -293,6 +293,9 @@ func TestDrainMigratesExports(t *testing.T) {
 	if holdsExport(r1, key) {
 		t.Fatal("drained replica still holds the export")
 	}
+	if exports, pages := r1.Ctl.DropExports(); exports != 0 || pages != 0 {
+		t.Fatalf("drained replica still holds %d exports of %d pages", exports, pages)
+	}
 	if r1.Active() {
 		t.Fatal("drained replica still active")
 	}

@@ -194,7 +194,7 @@ func BenchmarkTieredPoolAllocEvict(b *testing.B) {
 // back and forth, so each op starts where the last one left it.
 func BenchmarkHandoff(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(b, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := handoffSession(b, ctl)
 		at, other := ctl, dst
 		b.ReportAllocs()

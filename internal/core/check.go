@@ -14,7 +14,8 @@ import (
 //
 //   - "page pool <model>": a meta row per id; the pages referenced or
 //     pinned, per tier, equal the tier counters and fit its capacity; no
-//     negative refcount; free ids materialized, listed once and unheld.
+//     negative refcount; free ids materialized, listed once and unheld,
+//     and every unheld id free.
 //   - "embed pool <model>": ids within capacity, the referenced ones
 //     numbering inUse; free ids listed once and unreferenced.
 //   - "refcount": a page's or embed's refcount equals its holders here:
@@ -26,12 +27,16 @@ import (
 //   - "quiescence": with no live process (sim.Clock.Stats), no instance,
 //     outstanding call or page pin left.
 func (ctl *Controller) Check() error {
+	pins := 0
 	for _, m := range ctl.order {
 		if err := m.pages.check(); err != nil {
 			return fmt.Errorf("page pool %s: %w", m.name, err)
 		}
 		if err := m.embeds.check(); err != nil {
 			return fmt.Errorf("embed pool %s: %w", m.name, err)
+		}
+		for _, pm := range m.pages.meta {
+			pins += pm.pins
 		}
 	}
 	if err := ctl.checkRefs(); err != nil {
@@ -50,17 +55,9 @@ func (ctl *Controller) Check() error {
 		}
 		seen[c] = true
 	}
-	if live, _, _, _ := ctl.clock.Stats(); live == 0 {
-		pins := 0
-		for _, m := range ctl.order {
-			for _, pm := range m.pages.meta {
-				pins += pm.pins
-			}
-		}
-		if len(ctl.instances)+ctl.outstandingCalls+pins > 0 {
-			return fmt.Errorf("quiescence: no live process, but %d instances, %d outstanding calls, %d page pins",
-				len(ctl.instances), ctl.outstandingCalls, pins)
-		}
+	if live, _, _, _ := ctl.clock.Stats(); live == 0 && len(ctl.instances)+ctl.outstandingCalls+pins > 0 {
+		return fmt.Errorf("quiescence: no live process, but %d instances, %d outstanding calls, %d page pins",
+			len(ctl.instances), ctl.outstandingCalls, pins)
 	}
 	return nil
 }
@@ -76,8 +73,9 @@ func (p *tieredPool) check() error {
 			held[m.tier]++
 		}
 	}
-	if int(p.next) != len(p.meta) || p.devInUse > p.devCap || p.hostInUse > p.hostCap || held != [2]int{p.devInUse, p.hostInUse} {
-		return fmt.Errorf("%d meta rows for %d ids, held %v, device %d/%d, host %d/%d", len(p.meta), p.next, held, p.devInUse, p.devCap, p.hostInUse, p.hostCap)
+	if int(p.next) != len(p.meta) || p.devInUse > p.devCap || p.hostInUse > p.hostCap || held != [2]int{p.devInUse, p.hostInUse} ||
+		len(p.free)+held[0]+held[1] != int(p.next) {
+		return fmt.Errorf("%d meta rows for %d ids, held %v, %d free, device %d/%d, host %d/%d", len(p.meta), p.next, held, len(p.free), p.devInUse, p.devCap, p.hostInUse, p.hostCap)
 	}
 	return checkFree(p.free, p.next, func(id int32) bool { return p.meta[id].refs != 0 || p.meta[id].pins != 0 })
 }

@@ -15,17 +15,23 @@ import (
 // the session without releasing its instance.
 func TestCheckNamesTheBrokenClause(t *testing.T) {
 	type breaker func(m *modelState, ctl *Controller, inst *Instance)
-	for clause, breaks := range map[string]breaker{
-		"page pool llama-1b": func(m *modelState, _ *Controller, _ *Instance) { m.pages.devInUse++ }, // a tier counter off by one
-		"embed pool llama-1b": func(m *modelState, _ *Controller, inst *Instance) { // a live id on the free list
+	for _, row := range []struct {
+		clause string
+		breaks breaker
+	}{
+		{"page pool llama-1b", func(m *modelState, _ *Controller, _ *Instance) { m.pages.devInUse++ }}, // a tier counter off by one
+		{"page pool llama-1b", func(m *modelState, _ *Controller, _ *Instance) { // an unheld id off the free list
+			m.pages.meta, m.pages.next = append(m.pages.meta, pageMeta{}), m.pages.next+1
+		}},
+		{"embed pool llama-1b", func(m *modelState, _ *Controller, inst *Instance) { // a live id on the free list
 			m.embeds.free = append(m.embeds.free, inst.embeds.refs[1].phys)
-		},
-		"refcount": func(m *modelState, _ *Controller, inst *Instance) { m.pages.retain(inst.pages.refs[1].phys) }, // a ref with no holder
-		"instance": func(_ *modelState, _ *Controller, inst *Instance) { inst.dead = true },                        // left in the table
-		"free record": func(_ *modelState, ctl *Controller, inst *Instance) { // the queued embed's record listed free
+		}},
+		{"refcount", func(m *modelState, _ *Controller, inst *Instance) { m.pages.retain(inst.pages.refs[1].phys) }}, // a ref with no holder
+		{"instance", func(_ *modelState, _ *Controller, inst *Instance) { inst.dead = true }},                        // left in the table
+		{"free record", func(_ *modelState, ctl *Controller, inst *Instance) { // the queued embed's record listed free
 			ctl.freeCalls = append(ctl.freeCalls, inst.queues[0].head())
-		},
-		"quiescence": nil,
+		}},
+		{"quiescence", nil},
 	} {
 		clock := sim.NewClock()
 		ctl := newTestController(clock, "gpu0", infer.ExecTiming, 0, OffloadConfig{})
@@ -39,19 +45,19 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 				ctl.DeallocPages(inst, q, pages[2:]), ctl.Check()); err != nil || inst.queues[0].queued() != 2 {
 				t.Fatalf("before breaking: %v, %d calls queued; want nil, the embed and the dealloc", err, inst.queues[0].queued())
 			}
-			if breaks != nil {
-				breaks(ctl.models["llama-1b"], ctl, inst)
+			if row.breaks != nil {
+				row.breaks(ctl.models["llama-1b"], ctl, inst)
 				err = ctl.Check()
 			}
 		})
 		if err := clock.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if breaks == nil {
+		if row.breaks == nil {
 			err = ctl.Check()
 		}
-		if err == nil || !strings.HasPrefix(err.Error(), clause) {
-			t.Errorf("Check = %v, want an error naming %q", err, clause)
+		if err == nil || !strings.HasPrefix(err.Error(), row.clause) {
+			t.Errorf("Check = %v, want an error naming %q", err, row.clause)
 		}
 	}
 }

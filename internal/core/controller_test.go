@@ -17,34 +17,31 @@ import (
 )
 
 // runCtl builds a two-model controller (llama-1b, llama-3b) on a fresh
-// clock and runs body as a sim process, which then aborts the instances
-// body left registered on any controller newTestController built on the
-// clock, as the ILM does at a process's end. pages > 0 overrides both
-// models' device page capacity. Every such controller's Check must pass
-// once the run ends.
+// clock and runs body as a sim process. pages > 0 overrides both models'
+// device page capacity. The controller's Check must pass once the run
+// ends, so body releases every instance it registers.
 func runCtl(t testing.TB, mode infer.ExecMode, pages int, off OffloadConfig, body func(clock *sim.Clock, ctl *Controller)) {
 	t.Helper()
 	clock := sim.NewClock()
 	ctl := newTestController(clock, "gpu0", mode, pages, off)
-	defer delete(built, clock)
-	clock.Go("test", func() {
-		body(clock, ctl)
-		for _, c := range built[clock] {
-			c.AbortAllInstances(api.ErrTerminated)
-		}
-	})
+	clock.Go("test", func() { body(clock, ctl) })
 	if err := clock.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range built[clock] {
-		if err := c.Check(); err != nil {
-			t.Fatal(err)
-		}
+	if err := ctl.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// built lists the controllers newTestController made on each clock.
-var built = map[*sim.Clock][]*Controller{}
+// checkedAtEnd returns ctl, whose Check then runs once the test has ended.
+func checkedAtEnd(t testing.TB, ctl *Controller) *Controller {
+	t.Cleanup(func() {
+		if err := ctl.Check(); err != nil {
+			t.Error(err)
+		}
+	})
+	return ctl
+}
 
 func newTestController(clock *sim.Clock, device string, mode infer.ExecMode, pages int, off OffloadConfig) *Controller {
 	backend := infer.NewBackend(clock, device)
@@ -57,9 +54,7 @@ func newTestController(clock *sim.Clock, device string, mode infer.ExecMode, pag
 		}
 		rts = append(rts, rt)
 	}
-	ctl := NewController(clock, backend, rts, DefaultSchedConfig(), off, ArtifactConfig{})
-	built[clock] = append(built[clock], ctl)
-	return ctl
+	return NewController(clock, backend, rts, DefaultSchedConfig(), off, ArtifactConfig{})
 }
 
 // mustQueue opens a queue on model m for inst.
@@ -348,6 +343,9 @@ func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 		}
 		s, _ := ctl.Synchronize(inst, q3)
 		_, _ = s.Get()
+		if err := ctl.Check(); inst.pages.live+inst.embeds.live != 0 || err != nil { // Check: the slots went back to llama-1b's pools
+			t.Fatalf("%d pages and %d embeds still live after the dealloc: %v", inst.pages.live, inst.embeds.live, err)
+		}
 	})
 }
 
@@ -449,7 +447,7 @@ func TestCloseQueueReleasesWhatItOwns(t *testing.T) {
 // its pages and slots and leaves the other queue's.
 func TestHandoffKeepsQueueOwnership(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q1, q2 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-1b")
 		for _, q := range []api.Queue{q1, q2, q1} {
@@ -624,7 +622,7 @@ func TestKilledForwardHoldsItsPagesUntilItLands(t *testing.T) {
 			clock.Sleep(5 * time.Microsecond)
 		}
 		ctl.ReleaseInstance(qa.inst)
-		_, physB, doneB := prefill("b", 2*ps)
+		qb, physB, doneB := prefill("b", 2*ps)
 		if slices.Contains(physB, physA[0]) || slices.Contains(physB, physA[1]) {
 			t.Fatalf("b got pages %v while a's in-flight forward still addresses %v", physB, physA)
 		}
@@ -641,6 +639,7 @@ func TestKilledForwardHoldsItsPagesUntilItLands(t *testing.T) {
 		if inUse, _ := ctl.PoolStats("llama-1b"); inUse != 2 || !slices.Contains(m.pages.free, physA[0]) || !slices.Contains(m.pages.free, physA[1]) {
 			t.Fatalf("after a's forward landed: %d pages in use, free list %v; want b's 2, a's %v free", inUse, m.pages.free, physA)
 		}
+		ctl.ReleaseInstance(qb.inst)
 	})
 }
 
@@ -1011,6 +1010,7 @@ func TestEmbedYieldsSoFollowUpsJoinItsBatch(t *testing.T) {
 		if got := ctl.sched.Batches - before; got != 2 {
 			t.Fatalf("%d batches, want 2: the detokenize, then both embeds together", got)
 		}
+		ctl.AbortAllInstances(api.ErrTerminated)
 	})
 }
 
@@ -1054,5 +1054,6 @@ func TestTokenizeDoesNotWaitForTheDevice(t *testing.T) {
 		if err := sim.Await(prefill); err != nil {
 			t.Fatal(err)
 		}
+		ctl.AbortAllInstances(api.ErrTerminated)
 	})
 }

@@ -23,7 +23,7 @@ import (
 func TestInstanceKVFootprintDedupes(t *testing.T) {
 	for _, offloaded := range []int{0, 1} {
 		runCtl(t, infer.ExecTiming, 0, OffloadConfig{HostRatio: 1}, func(clock *sim.Clock, ctl *Controller) {
-			dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+			dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 			inst := ctl.RegisterInstance("t", nil, nil)
 			q := mustQueue(t, ctl, inst, "llama-1b")
 			pages, err := ctl.AllocPages(inst, q, 2)
@@ -70,7 +70,7 @@ func TestInstanceKVFootprintDedupes(t *testing.T) {
 // every source page and slot returns to its pool.
 func TestHandoffMovesTheInstance(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		defer dst.ReleaseInstance(dst.RegisterInstance("resident", nil, nil)) // dst's ids run ahead
 		inst := ctl.RegisterInstance("t", nil, nil)
 		inst.MaxQueues, inst.MaxKvPages, inst.DefaultPriority = 4, 64, 3
@@ -132,6 +132,7 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 		if q := mustQueue(t, dst, inst, "llama-1b"); q <= q3 {
 			t.Fatalf("dst opened queue %d, reusing a moved id (<= %d)", q, q3)
 		}
+		dst.ReleaseInstance(inst)
 	})
 }
 
@@ -140,9 +141,9 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 // typed; both replicas' pools and the instance stay as they were.
 func TestHandoffRefusedMovesNothing(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		small := newTestController(clock, "gpu1", infer.ExecTiming, 2, OffloadConfig{})
+		small := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 2, OffloadConfig{}))
 		rt := infer.NewModelRuntime(model.StandardCatalog(42).Models["llama-1b"], infer.ExecTiming)
-		only1b := NewController(clock, infer.NewBackend(clock, "gpu2"), []*infer.ModelRuntime{rt}, DefaultSchedConfig(), OffloadConfig{}, ArtifactConfig{})
+		only1b := checkedAtEnd(t, NewController(clock, infer.NewBackend(clock, "gpu2"), []*infer.ModelRuntime{rt}, DefaultSchedConfig(), OffloadConfig{}, ArtifactConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
 		if _, err := ctl.AllocPages(inst, q1, 1); err != nil {
@@ -161,9 +162,11 @@ func TestHandoffRefusedMovesNothing(t *testing.T) {
 			if _, _, err := ctl.HandoffSession(inst, tc.dst); !errors.Is(err, tc.want) {
 				t.Fatalf("handoff = %v, want %v", err, tc.want)
 			}
-			// Check: dst holds no grant and the source no freed page behind a live handle.
-			if err := errors.Join(ctl.Check(), tc.dst.Check()); inst.ID != 1 || ctl.instances[1] != inst || tc.dst.Instances() != 0 || err != nil {
-				t.Fatalf("refused handoff moved instance %d or touched a pool: %v", inst.ID, err)
+			// Check: dst holds no grant, and the source's 5 pages and 1 embed
+			// each have their handle.
+			if err := errors.Join(ctl.Check(), tc.dst.Check()); inst.ID != 1 || ctl.instances[1] != inst || tc.dst.Instances() != 0 ||
+				inst.pages.live != 5 || inst.embeds.live != 1 || err != nil {
+				t.Fatalf("refused handoff moved instance %d, or left %d page and %d embed handles: %v", inst.ID, inst.pages.live, inst.embeds.live, err)
 			}
 		}
 		ctl.ReleaseInstance(inst)
@@ -175,7 +178,7 @@ func TestHandoffRefusedMovesNothing(t *testing.T) {
 // references, so dropping the export there frees it.
 func TestMigrateExportNamingAPageTwice(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
 		pages, err := ctl.AllocPages(inst, q, 1)
@@ -201,7 +204,7 @@ func TestMigrateExportNamingAPageTwice(t *testing.T) {
 // although each export starts its own first-sight pass.
 func TestMigrateSharesAPageAcrossExports(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
 		pages, err := ctl.AllocPages(inst, q, 2)
@@ -256,7 +259,7 @@ func handoffSession(tb testing.TB, ctl *Controller) *Instance {
 // destination's scratch.
 func TestHandoffAllocatesNothing(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := handoffSession(t, ctl)
 		at, other := ctl, dst
 		move := func() {
@@ -271,6 +274,7 @@ func TestHandoffAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, move); allocs != 0 {
 			t.Fatalf("a handoff made %v allocations, want 0", allocs)
 		}
+		at.ReleaseInstance(inst)
 		ctl.DropExports()
 	})
 }
@@ -316,7 +320,7 @@ func TestSetFirstTokenObserver(t *testing.T) {
 // source while the exports beside it move.
 func TestZeroPageExportStaysBehind(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		dst := newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{})
+		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		defer ctl.ReleaseInstance(inst)
 		q := mustQueue(t, ctl, inst, "llama-1b")

@@ -187,6 +187,7 @@ func TestResultIsReadOnce(t *testing.T) {
 		if !unread.Done() || len(ctl.freeCalls) != free-1 {
 			t.Fatalf("unread result: done %v, free records %d -> %d; want done, one fewer", unread.Done(), free, len(ctl.freeCalls))
 		}
+		ctl.ReleaseInstance(inst)
 	})
 }
 

@@ -80,6 +80,7 @@ func TestAllocWaitsForTheCompletionWave(t *testing.T) {
 		if want := landed + 2*kickDelay + swap; gotAt["w2"] != want {
 			t.Fatalf("w2 got room at %v, want %v (kickDelay after w1 did)", gotAt["w2"], want)
 		}
+		ctl.AbortAllInstances(api.ErrTerminated)
 	})
 }
 
@@ -110,5 +111,6 @@ func TestAllocRoomWaitTimesOut(t *testing.T) {
 		for _, h := range pages {
 			m.pages.unpin(holder.pages.get(uint64(h)).phys)
 		}
+		ctl.AbortAllInstances(api.ErrTerminated)
 	})
 }

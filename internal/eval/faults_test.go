@@ -45,6 +45,9 @@ func TestFaultsAcceptance(t *testing.T) {
 		t.Fatalf("best-effort tasks unaccounted: done %d shed %d failed %d, want %d total",
 			f.BEDone, f.BEShed, f.BEFailed, r.Baseline.BEDone)
 	}
+	if f.LeakedPages != 0 {
+		t.Fatalf("%d KV pages leaked on surviving replicas", f.LeakedPages)
+	}
 
 	// Degradation: shedding engaged and high-priority goodput held.
 	if f.Sheds == 0 {

@@ -78,16 +78,16 @@ func TestOffloadSweepDeterministic(t *testing.T) {
 // 3x-oversubscribed host-tier leg used to deadlock: an agent FCFS-killed
 // with a forward in flight had its pages recycled, the dead kernel wrote
 // into the next owner's pages, and that owner's forward failed at
-// execution with a completion nobody resolved. Every leg must now finish,
-// and runEngine's check of the cluster must pass.
+// execution with a completion nobody resolved. Every leg must now finish
+// and leave no page allocated.
 func TestOffloadFullScaleCompletes(t *testing.T) {
 	r := OffloadSweep(Options{})
 	if len(r.Points) != 2*len(offloadOversubs) {
 		t.Fatalf("%d points, want %d", len(r.Points), 2*len(offloadOversubs))
 	}
 	for _, p := range r.Points {
-		if p.Done == 0 {
-			t.Fatalf("%.1fx oversubscribed, host ratio %.1f: nothing done", p.Oversub, p.HostRatio)
+		if p.Done == 0 || p.LeakedPages != 0 {
+			t.Fatalf("%.1fx oversubscribed, host ratio %.1f: %d done, %d pages leaked", p.Oversub, p.HostRatio, p.Done, p.LeakedPages)
 		}
 	}
 }

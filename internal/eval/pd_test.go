@@ -20,10 +20,13 @@ func TestPDAcceptance(t *testing.T) {
 	queued := 0
 	for _, mix := range r.Mixes {
 		for name, leg := range map[string]PDLeg{"unified": mix.Unified, "disagg": mix.Disagg} {
-			// Conservation: every task slot completes (runEngine checks the pools).
+			// Conservation: every task slot completes, no pages leak.
 			if leg.IntDone != mix.IntTotal || leg.BatchDone != mix.BatchTot {
 				t.Fatalf("%s/%s: done %d int %d batch, want %d/%d",
 					mix.Spec.Name, name, leg.IntDone, leg.BatchDone, mix.IntTotal, mix.BatchTot)
+			}
+			if leg.LeakedPages != 0 {
+				t.Fatalf("%s/%s leaked %d KV pages after idle tail", mix.Spec.Name, name, leg.LeakedPages)
 			}
 		}
 		if mix.Unified.Handoffs != 0 || mix.Unified.HandoffPages != 0 {

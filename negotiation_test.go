@@ -17,9 +17,9 @@ import (
 )
 
 // runInferlet executes body as a registered inferlet on a fresh timing-mode
-// engine and returns its Send output; body errors, and a failed Check of the
-// engine's cluster at the test's end, fail the test.
-func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) string {
+// engine and returns its Send output and the engine; body errors, and a
+// failed Check of the engine's cluster at the test's end, fail the test.
+func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) (string, *pie.Engine) {
 	t.Helper()
 	e := checked(t, pie.New(pie.Config{Seed: 99, Mode: pie.ModeTiming}))
 	e.MustRegister(inferlet.Program{
@@ -47,11 +47,11 @@ func runInferlet(t *testing.T, body func(s inferlet.Session) (string, error)) st
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return got, e
 }
 
 func TestOpenMissingModel(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
 		if _, err := s.Open("gpt-17"); !errors.Is(err, api.ErrNoSuchModel) {
 			return "", fmt.Errorf("Open(gpt-17) = %v, want ErrNoSuchModel", err)
 		}
@@ -63,7 +63,7 @@ func TestOpenMissingModel(t *testing.T) {
 }
 
 func TestNegotiationRejectsMissingTrait(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
 		// llama-1b does not declare input_image (only llama-8b is
 		// multimodal): negotiation must refuse the capability.
 		q, err := s.Open("llama-1b")
@@ -93,7 +93,7 @@ func TestNegotiationRejectsMissingTrait(t *testing.T) {
 // must negotiate, and the whole declared surface of the standard models
 // is available.
 func TestNegotiationWalksSupertraitClosure(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -128,7 +128,7 @@ func TestNegotiationWalksSupertraitClosure(t *testing.T) {
 // explicit dealloc — and afterwards both the queue and its capabilities
 // are dead with ErrQueueClosed.
 func TestQueueCloseReclaimsResources(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -171,7 +171,7 @@ func TestQueueCloseReclaimsResources(t *testing.T) {
 // all-or-nothing at the controller, so every handle stays live and Close
 // still reclaims everything afterwards.
 func TestFailedFreeKeepsCloseWorking(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, _ := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -279,7 +279,7 @@ func TestCloseAfterFreeThroughSiblingQueue(t *testing.T) {
 // TestQueueCloseSparesExports: Close drops the queue's own references but
 // the export registry keeps exported pages alive for importers.
 func TestQueueCloseSparesExports(t *testing.T) {
-	got := runInferlet(t, func(s inferlet.Session) (string, error) {
+	got, e := runInferlet(t, func(s inferlet.Session) (string, error) {
 		q, err := s.Open("llama-1b")
 		if err != nil {
 			return "", err
@@ -319,6 +319,10 @@ func TestQueueCloseSparesExports(t *testing.T) {
 	})
 	if got != "ok" {
 		t.Fatal(got)
+	}
+	// The registry's 2 pages survive; the importer's refs died with it.
+	if inUse, _ := e.PoolStats("llama-1b"); inUse != 2 {
+		t.Fatalf("export registry holds %d pages, want 2", inUse)
 	}
 }
 

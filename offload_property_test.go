@@ -171,6 +171,12 @@ func runChaos(t *testing.T, seed uint64) pie.Stats {
 	if err != nil || broken != nil {
 		t.Fatalf("seed %d: %v, %v", seed, err, broken)
 	}
+	// Every agent released its exports, so none is left to hold pages.
+	for _, r := range e.Cluster().Replicas() {
+		if exports, _ := r.Ctl.DropExports(); exports != 0 {
+			t.Fatalf("seed %d: replica %d still holds %d exports after teardown", seed, r.ID, exports)
+		}
+	}
 	st := e.Stats()
 	if st.Terminations != 0 {
 		t.Fatalf("seed %d: chaos load should fit capacity, got %d terminations", seed, st.Terminations)
