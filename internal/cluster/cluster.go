@@ -141,7 +141,6 @@ type Replica struct {
 	health    HealthState
 	crashed   bool          // crash fault applied: heartbeats have stopped
 	crashedAt time.Duration // when they stopped
-	slowdown  float64       // slow fault applied: kernel cost multiplier
 	// progressAt is when the progress watchdog last saw the replica drain.
 	progressAt time.Duration
 	// Evacuations counts in-flight instances aborted off this replica by
@@ -176,6 +175,9 @@ type Cluster struct {
 	// transitions. It runs synchronously in the deciding process (Decide).
 	// Nil allocates nothing; a set hook owns retention.
 	OnDecision func(trace.Decision)
+	// OnSpan, when set, receives every span of every replica's controller
+	// after Span folds it, on the event loop; the same contract.
+	OnSpan func(trace.Span)
 
 	// Fleet-op stats, whoever made the op.
 	Activations int // replicas activated or un-drained
@@ -251,6 +253,7 @@ func New(clock *sim.Clock, policy PlacementPolicy, replicas []*Replica, active i
 	c.load, c.checked, c.window = make([]replicaLoad, len(replicas)), make([]replicaLoad, len(replicas)), make([]replicaLoad, len(replicas))
 	for _, r := range replicas {
 		r.Ctl.ShareSpares(replicas[0].Ctl)
+		r.Ctl.SetSpanSink(c, r.ID)
 		if r.Role != RoleUnified {
 			c.hasRoles = true
 		}
@@ -328,6 +331,25 @@ func (c *Cluster) Decide(d trace.Decision) {
 	if c.OnDecision != nil {
 		d.T = c.now()
 		c.OnDecision(d)
+	}
+}
+
+// Span is the one entry point of the span stream, every replica
+// controller's sink (core.SpanSink): it folds TTFT and ITL spans into the
+// SLO tracker and, while handoff is armed, a prefill replica's Prefilled
+// span into its instance's handoff mark, then hands s to OnSpan if set.
+func (c *Cluster) Span(s trace.Span) {
+	r := c.replicas[s.Replica]
+	switch {
+	case c.slo != nil && (s.Kind == trace.TTFT || s.Kind == trace.ITL):
+		c.slo.observe(r.Variant, s.Class, s.Kind == trace.TTFT, s.End-s.Start)
+	case s.Kind == trace.Prefilled && c.transferWait != nil && r.Role == RolePrefill:
+		if inst := r.Ctl.Instance(s.Instance); inst != nil {
+			inst.HandoffPending = true
+		}
+	}
+	if c.OnSpan != nil {
+		c.OnSpan(s)
 	}
 }
 

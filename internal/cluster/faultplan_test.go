@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"pie/api"
+	"pie/internal/gpu"
+	"pie/internal/infer"
 	"pie/internal/sim"
 )
 
@@ -28,8 +31,8 @@ func TestParseFaultPlanRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d events, want 3", len(plan.Events))
 	}
 	want := []FaultEvent{
-		{At: 200 * time.Millisecond, Replica: 1, Kind: FaultCrash, Factor: 4},
-		{At: 300 * time.Millisecond, Replica: 2, Kind: FaultHang, Factor: 4},
+		{At: 200 * time.Millisecond, Replica: 1, Kind: FaultCrash},
+		{At: 300 * time.Millisecond, Replica: 2, Kind: FaultHang},
 		{At: 100 * time.Millisecond, Replica: 3, Kind: FaultSlow, Factor: 4},
 	}
 	for i, e := range plan.Events {
@@ -79,8 +82,9 @@ func TestParseFaultPlanRejectsMalformed(t *testing.T) {
 }
 
 // FuzzParseFaultPlan: every plan ParseFaultPlan accepts renders (String) to
-// a spec that parses back to the same plan, and every event's factor is
-// finite and within (0, MaxSlowFactor].
+// a spec that parses back to the same plan, and every event passes
+// FaultEvent.Check with its factor explicit: a slow event's finite and
+// within (0, MaxSlowFactor], any other's 0.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, spec := range []string{"crash:1@200ms,hang:2@300ms,slow:3@100ms*4", " slow:0@5ms , ,", "",
 		"slow:0@1ms*NaN", "slow:0@1ms*Inf", "slow:0@1ms*1e300", "slow:2@1.5ms*0x1p-3", "crash:1@5ms*2", "HANG:+3@1h2m"} {
@@ -92,8 +96,8 @@ func FuzzParseFaultPlan(f *testing.F) {
 			return
 		}
 		for _, ev := range plan.Events {
-			if !(ev.Factor > 0 && ev.Factor <= MaxSlowFactor) {
-				t.Fatalf("%q: event %v has factor %v", spec, ev, ev.Factor)
+			if err := ev.Check(); err != nil || (ev.Kind == FaultSlow) != (ev.Factor != 0) {
+				t.Fatalf("%q: event %v has factor %v: %v", spec, ev, ev.Factor, err)
 			}
 		}
 		again, err := ParseFaultPlan(plan.String())
@@ -214,6 +218,39 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 	plan := FaultPlan{Events: []FaultEvent{{Replica: 5, Kind: FaultCrash}}}
 	if err := c.InjectFaults(plan); err == nil {
 		t.Fatal("out-of-range fault event accepted")
+	}
+	// A plan built in code gets ParseFaultPlan's event checks: nothing it
+	// rejects reaches the device's slowdown or the clock.
+	c.clock = sim.NewClock()
+	for _, ev := range []FaultEvent{
+		{Kind: FaultSlow, Factor: math.NaN()},
+		{Kind: FaultSlow, Factor: math.Inf(1)},
+		{Kind: FaultSlow, Factor: math.Inf(-1)},
+		{Kind: FaultSlow, Factor: 1e300},
+		{Kind: FaultSlow, Factor: MaxSlowFactor + 1},
+		{Kind: FaultSlow, Factor: -2},
+		{Kind: FaultCrash, Factor: 2},
+		{Kind: FaultHang, Factor: 4},
+		{Kind: FaultCrash, At: -time.Millisecond},
+		{Kind: FaultKind(7)},
+	} {
+		if err := c.InjectFaults(FaultPlan{Events: []FaultEvent{ev}}); err == nil {
+			t.Errorf("InjectFaults accepted %v (factor %v)", ev, ev.Factor)
+		}
+	}
+	// A zero slow factor is the default, 4; MaxSlowFactor is allowed.
+	clock := sim.NewClock()
+	dev := gpu.NewDevice(clock, "g")
+	c = &Cluster{clock: clock, replicas: []*Replica{{Backend: &infer.Backend{Device: dev}}}}
+	if err := c.InjectFaults(FaultPlan{Events: []FaultEvent{{At: time.Millisecond, Kind: FaultSlow}}}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Go("wait", func() { clock.Sleep(2 * time.Millisecond) })
+	if err := clock.Run(); err != nil || dev.Slowdown() != 4 {
+		t.Fatalf("a slow event of factor 0 left slowdown %v (%v), want 4", dev.Slowdown(), err)
+	}
+	if err := (FaultEvent{Kind: FaultSlow, Factor: MaxSlowFactor}).Check(); err != nil {
+		t.Fatal(err)
 	}
 	// A pure transient-rate plan arms no timer.
 	if err := c.InjectFaults(FaultPlan{CallFailRate: 0.5, Seed: 3}); err != nil {

@@ -60,6 +60,27 @@ type FaultEvent struct {
 	Factor  float64 // FaultSlow: kernel cost multiplier (default 4)
 }
 
+// Check reports why a cluster cannot apply e, or nil: a time before zero, a
+// negative replica id, an unknown kind, a factor on a crash or hang, or a
+// slow factor that is not a finite number in (0, MaxSlowFactor]. A zero
+// slow factor is the default, 4. InjectFaults and ParseFaultPlan both
+// check every event with it.
+func (e FaultEvent) Check() error {
+	switch {
+	case e.At < 0:
+		return fmt.Errorf("bad time %v, want one not before 0", e.At)
+	case e.Replica < 0:
+		return fmt.Errorf("bad replica %d", e.Replica)
+	case e.Kind != FaultCrash && e.Kind != FaultHang && e.Kind != FaultSlow:
+		return fmt.Errorf("unknown kind %d", e.Kind)
+	case e.Kind != FaultSlow && e.Factor != 0:
+		return fmt.Errorf("factor %g on a %s: a factor applies to slow events only", e.Factor, e.Kind)
+	case e.Factor != 0 && !(e.Factor > 0 && e.Factor <= MaxSlowFactor):
+		return fmt.Errorf("bad factor %g, want a number in (0, %g]", e.Factor, float64(MaxSlowFactor))
+	}
+	return nil
+}
+
 func (e FaultEvent) String() string {
 	s := fmt.Sprintf("%s:%d@%v", e.Kind, e.Replica, e.At)
 	if e.Kind == FaultSlow {
@@ -130,25 +151,27 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 			return plan, fmt.Errorf("cluster: fault event %q: missing @time", part)
 		}
 		replica, err := strconv.Atoi(repStr)
-		if err != nil || replica < 0 {
+		if err != nil {
 			return plan, fmt.Errorf("cluster: fault event %q: bad replica %q", part, repStr)
 		}
-		factor := 4.0
+		ev := FaultEvent{Replica: replica, Kind: kind}
+		if kind == FaultSlow {
+			ev.Factor = 4
+		}
 		if atStr, facStr, has := strings.Cut(rest, "*"); has {
 			rest = atStr
-			if kind != FaultSlow {
-				return plan, fmt.Errorf("cluster: fault event %q: a factor applies to slow events only", part)
-			}
-			factor, err = strconv.ParseFloat(facStr, 64)
-			if err != nil || !(factor > 0 && factor <= MaxSlowFactor) {
+			// An explicit factor of 0 is not the default: Check would take it.
+			if ev.Factor, err = strconv.ParseFloat(facStr, 64); err != nil || ev.Factor == 0 {
 				return plan, fmt.Errorf("cluster: fault event %q: bad factor %q, want a number in (0, %g]", part, facStr, float64(MaxSlowFactor))
 			}
 		}
-		at, err := time.ParseDuration(rest)
-		if err != nil || at < 0 {
+		if ev.At, err = time.ParseDuration(rest); err != nil {
 			return plan, fmt.Errorf("cluster: fault event %q: bad time %q", part, rest)
 		}
-		plan.Events = append(plan.Events, FaultEvent{At: at, Replica: replica, Kind: kind, Factor: factor})
+		if err := ev.Check(); err != nil {
+			return plan, fmt.Errorf("cluster: fault event %q: %w", part, err)
+		}
+		plan.Events = append(plan.Events, ev)
 	}
 	return plan, nil
 }
@@ -168,15 +191,15 @@ func RandomFaultPlan(seed uint64, replicas, n int, window time.Duration) FaultPl
 		ev := FaultEvent{
 			At:      time.Duration(rng.Range(1, int(window/time.Millisecond))) * time.Millisecond,
 			Replica: rng.Range(1, replicas-1),
-			Factor:  2 + 3*rng.Float64(),
 		}
+		factor := 2 + 3*rng.Float64()
 		switch rng.Intn(3) {
 		case 0:
 			ev.Kind = FaultCrash
 		case 1:
 			ev.Kind = FaultHang
 		default:
-			ev.Kind = FaultSlow
+			ev.Kind, ev.Factor = FaultSlow, factor
 		}
 		plan.Events = append(plan.Events, ev)
 	}
@@ -187,11 +210,14 @@ func RandomFaultPlan(seed uint64, replicas, n int, window time.Duration) FaultPl
 // InjectFaults installs a fault plan on the cluster: each replica event is
 // a clock timer due at its virtual instant (events due together apply in
 // plan order), and launch admission consults the transient-failure stream.
-// Call before Engine.Run. A plan referencing replicas outside the set is
-// rejected.
+// Call before Engine.Run. A plan with an event that fails FaultEvent.Check
+// or names a replica outside the set is rejected.
 func (c *Cluster) InjectFaults(plan FaultPlan) error {
 	for _, ev := range plan.Events {
-		if ev.Replica < 0 || ev.Replica >= len(c.replicas) {
+		if err := ev.Check(); err != nil {
+			return fmt.Errorf("cluster: fault event %v: %w", ev, err)
+		}
+		if ev.Replica >= len(c.replicas) {
 			return fmt.Errorf("cluster: fault event %v targets replica %d of %d", ev, ev.Replica, len(c.replicas))
 		}
 	}
@@ -224,7 +250,6 @@ func (c *Cluster) applyFault(ev FaultEvent) {
 		if factor <= 0 {
 			factor = 4
 		}
-		r.slowdown = factor
 		r.Backend.Device.SetSlowdown(factor)
 	}
 	c.FaultsInjected++

@@ -12,7 +12,7 @@ import (
 
 // Prefill/decode KV handoff. A session launched onto a prefill replica
 // runs through its first forward pass there, or only until it imports a
-// prefilled prefix; the controller's first-token observer marks the
+// prefilled prefix; its Prefilled span, folded by Span, marks the
 // instance HandoffPending at whichever comes first, and at the session's
 // next forward boundary — when it is quiescent, with no queued or in-flight
 // calls anywhere — MaybeHandoff migrates its KV pages over the modeled
@@ -28,11 +28,11 @@ type HandoffConfig struct {
 	Budget int
 }
 
-// EnableHandoff arms the handoff coordinator: every replica gets a
-// first-token observer that marks the session for migration while the
-// replica's role is prefill, and sessions resolve their host replica
-// through the controller index. On a fleet with roles it also puts the
-// role balancer (roles.go) on the cluster tick.
+// EnableHandoff arms the handoff coordinator: a Prefilled span on a
+// replica whose role is prefill marks its session for migration (Span),
+// and sessions resolve their host replica through the controller index.
+// On a fleet with roles it also puts the role balancer (roles.go) on the
+// cluster tick.
 func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2
@@ -42,11 +42,6 @@ func (c *Cluster) EnableHandoff(cfg HandoffConfig) {
 	c.ctlIndex = make(map[*core.Controller]*Replica, len(c.replicas))
 	for _, r := range c.replicas {
 		c.ctlIndex[r.Ctl] = r
-		r.Ctl.SetFirstTokenObserver(func(inst *core.Instance) {
-			if r.Role == RolePrefill {
-				inst.HandoffPending = true
-			}
-		})
 	}
 	if c.hasRoles {
 		c.windowAt = c.now()

@@ -328,13 +328,13 @@ func TestImportedPrefixHandsOffBeforeItsFirstForward(t *testing.T) {
 	rs := e.Cluster().Replicas()
 	// Completed forward calls per replica, and the TTFT-flagged ones.
 	var forwards, firsts [2]int
-	for i, r := range rs {
-		r.Ctl.SetLatencyObserver(func(_ string, ttft bool, _ time.Duration) {
-			forwards[i]++
-			if ttft {
-				firsts[i]++
-			}
-		})
+	e.Cluster().OnSpan = func(s trace.Span) {
+		if s.Kind == trace.TTFT || s.Kind == trace.ITL {
+			forwards[s.Replica]++
+		}
+		if s.Kind == trace.TTFT {
+			firsts[s.Replica]++
+		}
 	}
 	const prefixKey = "handoff:prefix"
 	// What each session saw around its first NextDist: handoffs and

@@ -9,9 +9,9 @@ import (
 
 // Service classes and SLO tracking: the cluster keeps a registry of
 // api.ServiceClass contracts and a live tracker of per-class TTFT/ITL
-// samples fed by every replica controller's latency observer. The scaler
-// reads recent-window attainment to decide when capacity (not just queue
-// depth) is failing the traffic; Stats surface cumulative attainment.
+// samples, folded from every replica controller's spans (Cluster.Span). The
+// scaler reads recent-window attainment to decide when capacity (not just
+// queue depth) is failing the traffic; Stats surface cumulative attainment.
 //
 // The design follows llm-d's workload-variant-autoscaler: classes carry
 // latency targets and a priority, replicas carry a cost rate, and scaling
@@ -243,20 +243,16 @@ func (t *sloTracker) estimate(variant string, speed float64) (ttft, itl time.Dur
 }
 
 // RegisterClasses installs the service-class registry and starts live
-// TTFT/ITL sampling: every replica controller gets a latency observer that
-// attributes completed forward passes to the launching instance's class
-// and the replica's hardware variant. Call before Engine.Run.
+// TTFT/ITL sampling: from then on Span folds each TTFT and ITL span into
+// the instance's class and the replica's hardware variant. Call before
+// Engine.Run.
 func (c *Cluster) RegisterClasses(classes []api.ServiceClass) {
 	if len(classes) == 0 {
 		return
 	}
 	c.slo = newSLOTracker(classes)
 	for _, r := range c.replicas {
-		variant := r.Variant
-		c.slo.noteVariant(variant, r.speedFactor())
-		r.Ctl.SetLatencyObserver(func(class string, ttft bool, d time.Duration) {
-			c.slo.observe(variant, class, ttft, d)
-		})
+		c.slo.noteVariant(r.Variant, r.speedFactor())
 	}
 }
 

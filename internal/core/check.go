@@ -22,6 +22,9 @@ import (
 //     live handles, exports and queued dealloc records. (A handoff or an
 //     export migration moves references within one step; a dispatched
 //     call holds pins, not references.)
+//   - "copy record": no page copy record (tieredPool.copies) stamped with a
+//     pass ahead of the controller's last (copyPass), which would make a
+//     later move read it as its own.
 //   - "instance": no dead instance in the table.
 //   - "free record": each free call record listed once and blank.
 //   - "quiescence": with no live process (sim.Clock.Stats), no instance,
@@ -41,6 +44,13 @@ func (ctl *Controller) Check() error {
 	}
 	if err := ctl.checkRefs(); err != nil {
 		return fmt.Errorf("refcount: %w", err)
+	}
+	for _, m := range ctl.order {
+		for id, cm := range m.pages.copies {
+			if cm.pass > ctl.copyPass {
+				return fmt.Errorf("copy record: page %d of %s stamped with pass %d, ahead of pass %d", id, m.name, cm.pass, ctl.copyPass)
+			}
+		}
 	}
 	for id, inst := range ctl.instances {
 		if inst.dead {

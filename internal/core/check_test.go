@@ -27,7 +27,10 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 			m.embeds.free = append(m.embeds.free, inst.embeds.refs[1].phys)
 		}},
 		{"refcount", func(m *modelState, _ *Controller, inst *Instance) { m.pages.retain(inst.pages.refs[1].phys) }}, // a ref with no holder
-		{"instance", func(_ *modelState, _ *Controller, inst *Instance) { inst.dead = true }},                        // left in the table
+		{"copy record", func(m *modelState, ctl *Controller, inst *Instance) { // a copy from a move not yet begun
+			m.pages.copyOf(inst.pages.refs[1].phys).pass = ctl.copyPass + 1
+		}},
+		{"instance", func(_ *modelState, _ *Controller, inst *Instance) { inst.dead = true }}, // left in the table
 		{"free record", func(_ *modelState, ctl *Controller, inst *Instance) { // the queued embed's record listed free
 			ctl.freeCalls = append(ctl.freeCalls, inst.queues[0].head())
 		}},

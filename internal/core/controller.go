@@ -9,6 +9,7 @@ import (
 	"pie/api"
 	"pie/internal/infer"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // Controller is the heart of the control layer: it owns resource pools,
@@ -53,17 +54,8 @@ type Controller struct {
 	outstandingTokens  int
 	outstandingPrefill int // fresh tokens of admitted bulk-prefill forwards
 
-	// latencyFn, when set, observes every completed forward pass: the
-	// instance's service class, whether the sample is a TTFT (first forward
-	// of the instance) or an ITL (gap since its previous forward), and the
-	// measured duration. The cluster's SLO tracker installs it.
-	latencyFn func(class string, ttft bool, d time.Duration)
-
-	// firstTokFn, when set, observes each instance's first completed
-	// forward pass, or its import of prefilled KV before one. The cluster
-	// installs it on prefill-role replicas to mark sessions ready for KV
-	// handoff to decode capacity.
-	firstTokFn func(inst *Instance)
+	spans   SpanSink // SetSpanSink's; nil emits nothing
+	replica int      // the id stamped on every span
 
 	// Stats.
 	Terminations int
@@ -125,27 +117,26 @@ func (ctl *Controller) ShareSpares(other *Controller) { ctl.spares = other.spare
 // Scheduler exposes the batch scheduler (for tests and stats).
 func (ctl *Controller) Scheduler() *Scheduler { return ctl.sched }
 
-// SetLatencyObserver installs the per-forward completion observer feeding
-// the cluster's per-class TTFT/ITL attainment tracker. Pass nil to remove.
-func (ctl *Controller) SetLatencyObserver(fn func(class string, ttft bool, d time.Duration)) {
-	ctl.latencyFn = fn
+// SpanSink receives the spans the controller emits at its boundary with the
+// inference layer (trace.SpanKind), on the event loop: Span must not block.
+type SpanSink interface {
+	Span(trace.Span)
 }
 
-// SetFirstTokenObserver installs the per-instance first-forward observer:
-// fn runs once per instance, when its first forward pass completes or,
-// earlier, when it imports KV pages before that forward (an imported
-// context was prefilled by its exporter). The cluster's prefill/decode
-// handoff layer installs it on prefill-role replicas. Pass nil to remove.
-func (ctl *Controller) SetFirstTokenObserver(fn func(inst *Instance)) {
-	ctl.firstTokFn = fn
+// SetSpanSink installs sink; replica is the id stamped on every span.
+func (ctl *Controller) SetSpanSink(sink SpanSink, replica int) {
+	ctl.spans, ctl.replica = sink, replica
 }
 
-// observeFirstTok runs the first-token observer for inst unless it already
-// ran.
-func (ctl *Controller) observeFirstTok(inst *Instance) {
-	if ctl.firstTokFn != nil && !inst.firstTokObserved {
-		inst.firstTokObserved = true
-		ctl.firstTokFn(inst)
+// Instance returns the live instance registered under id, or nil.
+func (ctl *Controller) Instance(id uint64) *Instance { return ctl.instances[id] }
+
+// markPrefilled emits inst's Prefilled span unless it already has one.
+func (ctl *Controller) markPrefilled(inst *Instance) {
+	if ctl.spans != nil && !inst.prefilled {
+		inst.prefilled = true
+		now := ctl.clock.Now()
+		ctl.spans.Span(trace.Span{Kind: trace.Prefilled, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: now, End: now})
 	}
 }
 
@@ -472,7 +463,7 @@ func (ctl *Controller) ExportPages(inst *Instance, name string, ids []api.KvPage
 // ImportPages maps an export into the caller's address space through
 // queue qid, whose close releases the pages (import_kvpage); they are
 // shared, not copied. An import before the instance's first completed
-// forward counts as its prefill for the first-token observer.
+// forward counts as its prefill (a trace.Prefilled span).
 func (ctl *Controller) ImportPages(inst *Instance, qid api.Queue, name string) ([]api.KvPage, error) {
 	ctl.chargeControl(inst)
 	if _, err := ctl.queue(inst, qid); err != nil {
@@ -494,7 +485,7 @@ func (ctl *Controller) ImportPages(inst *Instance, qid api.Queue, name string) (
 		out[i] = api.KvPage(inst.pages.issue(entry.m, p, qid))
 	}
 	if !inst.sawFirstTok {
-		ctl.observeFirstTok(inst)
+		ctl.markPrefilled(inst)
 	}
 	return out, nil
 }

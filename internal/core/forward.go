@@ -8,6 +8,7 @@ import (
 	"pie/internal/infer"
 	"pie/internal/model"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // --- Inference-layer calls -------------------------------------------------
@@ -466,31 +467,8 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 			c.q.err = ic.Err
 		}
 	}
-	if (ctl.latencyFn != nil || ctl.firstTokFn != nil) && b.Op == infer.OpForward {
-		// Feed the SLO tracker: an instance's first completed forward is
-		// its TTFT (launch → first token); each later forward samples the
-		// gap since the previous one (ITL). Same-batch forwards of one
-		// instance read as zero-gap — they genuinely completed together.
-		// The first-token observer fires on the same boundary, marking
-		// prefill-replica sessions ready for KV handoff, unless an import
-		// already fired it.
-		now := ctl.clock.Now()
-		for _, ic := range b.Calls {
-			inst := ic.Ctl.(*call).q.inst
-			if inst.dead {
-				continue
-			}
-			if !inst.sawFirstTok {
-				inst.sawFirstTok = true
-				if ctl.latencyFn != nil {
-					ctl.latencyFn(inst.Class, true, now-inst.launchedAt)
-				}
-				ctl.observeFirstTok(inst)
-			} else if ctl.latencyFn != nil {
-				ctl.latencyFn(inst.Class, false, now-inst.lastTokenAt)
-			}
-			inst.lastTokenAt = now
-		}
+	if ctl.spans != nil {
+		ctl.emitSpans(b)
 	}
 	ctl.doneEpoch++
 	for _, ic := range b.Calls {
@@ -512,6 +490,35 @@ func (ctl *Controller) onBatchComplete(b *infer.Batch) {
 	ctl.sched.tryDispatch()
 	if pinned {
 		ctl.roomFreed(m)
+	}
+}
+
+// emitSpans emits a completed batch's spans: its boundary overhead, if
+// the parser reached it, then for a forward each live instance's TTFT
+// (its first completed forward, followed by its Prefilled point unless an
+// import made that) or ITL (the gap since its previous forward; calls of
+// one instance in one batch completed together).
+func (ctl *Controller) emitSpans(b *infer.Batch) {
+	if b.ParsedAt > 0 {
+		ctl.spans.Span(trace.Span{Kind: trace.Overhead, Replica: ctl.replica, Start: b.SubmittedAt, End: b.ParsedAt + 2*infer.IPCCrossing, Calls: len(b.Calls)})
+	}
+	if b.Op != infer.OpForward {
+		return
+	}
+	now := ctl.clock.Now()
+	for _, ic := range b.Calls {
+		inst := ic.Ctl.(*call).q.inst
+		if inst.dead {
+			continue
+		}
+		if inst.sawFirstTok {
+			ctl.spans.Span(trace.Span{Kind: trace.ITL, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: inst.lastTokenAt, End: now, Calls: 1})
+		} else {
+			inst.sawFirstTok = true
+			ctl.spans.Span(trace.Span{Kind: trace.TTFT, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: inst.launchedAt, End: now, Calls: 1})
+			ctl.markPrefilled(inst)
+		}
+		inst.lastTokenAt = now
 	}
 }
 

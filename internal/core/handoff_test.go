@@ -1,8 +1,9 @@
 // Unit tests for moving state between replicas: the session handoff (the
 // instance moves, or nothing does), the drain's export migration, the
 // quiescence predicate the handoff gate relies on, the distinct-physical-page
-// wire time the handoff target is scored with, and the first-token observer
-// that marks sessions for handoff.
+// wire time the handoff target is scored with, and the spans a controller
+// emits at its boundary with the inference layer (the Prefilled point marks
+// sessions for handoff).
 package core
 
 import (
@@ -14,6 +15,7 @@ import (
 	"pie/internal/infer"
 	"pie/internal/model"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // TestInstanceKVFootprintDedupes: import sharing maps several virtual
@@ -88,7 +90,7 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 			t.Fatalf("InstanceKVFootprint of a 13-page session made %v allocations, want 0", allocs)
 		}
 		inst.ReportOutputTokens(5)
-		inst.firstTokObserved, inst.HandoffPending = true, true
+		inst.prefilled, inst.HandoffPending = true, true
 		held := errors.New("an embed failed on q3") // waiting for q3's next synchronize
 		inst.queues[1].err = held
 		srcID, counters := inst.ID, [3]int{inst.ControlCalls, inst.InferCalls, inst.OutputTokens}
@@ -100,8 +102,8 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 			t.Fatalf("instance %d (was %d): dst lists %p, src still lists %p; want dst's next id 2 and the instance there only: %v",
 				inst.ID, srcID, dst.instances[2], ctl.instances[srcID], err)
 		}
-		if inst.Dead() || inst.HandoffPending || !inst.firstTokObserved {
-			t.Fatalf("dead %v, HandoffPending %v, firstTokObserved %v; want false, false, true", inst.Dead(), inst.HandoffPending, inst.firstTokObserved)
+		if inst.Dead() || inst.HandoffPending || !inst.prefilled {
+			t.Fatalf("dead %v, HandoffPending %v, prefilled %v; want false, false, true", inst.Dead(), inst.HandoffPending, inst.prefilled)
 		}
 		if got := [3]int{inst.ControlCalls, inst.InferCalls, inst.OutputTokens}; got != counters ||
 			inst.Class != "interactive" || !inst.Degraded || inst.MaxQueues != 4 || inst.MaxKvPages != 64 || inst.DefaultPriority != 3 {
@@ -301,16 +303,30 @@ func TestInstanceQuiescent(t *testing.T) {
 	}
 }
 
-func TestSetFirstTokenObserver(t *testing.T) {
-	ctl := &Controller{}
-	fired := 0
-	ctl.SetFirstTokenObserver(func(*Instance) { fired++ })
-	if ctl.firstTokFn == nil {
-		t.Fatal("observer not installed")
+// spanLog is a test span sink: it keeps every span it is given.
+type spanLog []trace.Span
+
+func (l *spanLog) Span(s trace.Span) { *l = append(*l, s) }
+
+// TestSetSpanSink: the installed sink is the one provided and gets the
+// controller's spans stamped with its replica; nil emits nothing.
+func TestSetSpanSink(t *testing.T) {
+	ctl := &Controller{clock: sim.NewClock()}
+	var got spanLog
+	ctl.SetSpanSink(&got, 7)
+	if ctl.spans != &got {
+		t.Fatal("sink not installed")
 	}
-	ctl.firstTokFn(nil)
-	if fired != 1 {
-		t.Fatal("installed observer is not the one provided")
+	inst := &Instance{ID: 3, Class: "c"}
+	ctl.markPrefilled(inst)
+	ctl.markPrefilled(inst)
+	if want := (trace.Span{Kind: trace.Prefilled, Replica: 7, Instance: 3, Class: "c"}); len(got) != 1 || got[0] != want {
+		t.Fatalf("spans %+v, want one %+v: the installed sink is not the one provided", got, want)
+	}
+	ctl.SetSpanSink(nil, 0)
+	other := &Instance{ID: 4}
+	if ctl.markPrefilled(other); other.prefilled || len(got) != 1 {
+		t.Fatal("a controller with no sink emitted a span")
 	}
 }
 
@@ -365,20 +381,39 @@ func TestZeroPageExportStaysBehind(t *testing.T) {
 	})
 }
 
-// TestImportCountsAsFirstForward: the first-token observer runs once per
+// TestImportCountsAsFirstForward: the Prefilled span is emitted once per
 // instance — at an import before its first completed forward (the exporter
-// prefilled that KV), else at that forward — while the TTFT sample still
-// waits for the instance's first forward.
+// prefilled that KV), else at that forward, after its TTFT span — while
+// the TTFT span still waits for the instance's first forward. Each batch
+// that reaches the parser brings one Overhead span.
 func TestImportCountsAsFirstForward(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
-		fired := map[string]int{}
-		ctl.SetFirstTokenObserver(func(inst *Instance) { fired[inst.Name]++ })
-		ttfts := 0
-		ctl.SetLatencyObserver(func(_ string, ttft bool, _ time.Duration) {
-			if ttft {
-				ttfts++
+		var spans spanLog
+		ctl.SetSpanSink(&spans, 0)
+		names := map[uint64]string{}
+		count := func() (fired map[string]int, ttfts int) {
+			fired = map[string]int{}
+			for i, s := range spans {
+				switch s.Kind {
+				case trace.Prefilled:
+					fired[names[s.Instance]]++
+				case trace.TTFT:
+					ttfts++
+					next := trace.Span{}
+					if i+1 < len(spans) {
+						next = spans[i+1]
+					}
+					if fired[names[s.Instance]] == 0 && (next.Kind != trace.Prefilled || next.Instance != s.Instance) {
+						t.Fatalf("the first TTFT of %s is not followed by its Prefilled span: %+v", names[s.Instance], spans)
+					}
+				case trace.Overhead:
+					if s.Calls < 1 || s.End-s.Start < 2*infer.IPCCrossing+time.Duration(s.Calls)*infer.DeserPerCall {
+						t.Fatalf("overhead span %+v is shorter than its own parse and both IPC hops", s)
+					}
+				}
 			}
-		})
+			return fired, ttfts
+		}
 		forward := func(inst *Instance, q api.Queue) []api.KvPage {
 			pages, err := ctl.AllocPages(inst, q, 1)
 			if err != nil {
@@ -402,6 +437,7 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 		}
 		exporter := ctl.RegisterInstance("exporter", nil, nil)
 		defer ctl.ReleaseInstance(exporter)
+		names[exporter.ID] = "exporter"
 		eq := mustQueue(t, ctl, exporter, "llama-1b")
 		pages := forward(exporter, eq)
 		if err := ctl.ExportPages(exporter, "prefix", pages); err != nil {
@@ -413,17 +449,19 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 		}
 		importer := ctl.RegisterInstance("importer", nil, nil)
 		defer ctl.ReleaseInstance(importer)
+		names[importer.ID] = "importer"
 		iq := mustQueue(t, ctl, importer, "llama-1b")
 		for range 2 {
 			if _, err := ctl.ImportPages(importer, iq, "prefix"); err != nil {
 				t.Fatal(err)
 			}
 		}
+		fired, ttfts := count()
 		if fired["importer"] != 1 || ttfts != 1 {
 			t.Fatalf("after two imports the observer fired %d times for the importer and %d TTFTs were sampled, want 1 and 1 (the exporter's)", fired["importer"], ttfts)
 		}
 		forward(importer, iq)
-		if fired["exporter"] != 1 || fired["importer"] != 1 || ttfts != 2 {
+		if fired, ttfts = count(); fired["exporter"] != 1 || fired["importer"] != 1 || ttfts != 2 {
 			t.Fatalf("observer fired %v, %d TTFTs sampled: want once per instance and one TTFT each", fired, ttfts)
 		}
 		if exports, _ := ctl.DropExports(); exports != 1 {

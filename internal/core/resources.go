@@ -226,29 +226,26 @@ type Instance struct {
 	// the instance opens (LaunchSpec.Priority).
 	DefaultPriority int
 	// Class is the launch's resolved service class name (empty when
-	// unclassed); the latency observer attributes TTFT/ITL samples to it.
+	// unclassed); its TTFT/ITL spans carry it.
 	Class string
 	// Degraded marks a launch admitted under graceful degradation: its
 	// output was capped by the admission layer and Session.Open substitutes
 	// the cheapest trait-compatible model variant.
 	Degraded bool
 
-	// Latency-observer bookkeeping: launch registration time, whether the
-	// first forward pass has completed (TTFT sample taken), and the
-	// completion time of the most recent forward pass (ITL reference).
+	// Span bookkeeping (emitSpans): launch registration time, whether the
+	// first forward pass has completed (its TTFT span emitted), the
+	// completion time of the most recent one (ITL reference), and whether
+	// the instance's Prefilled span was emitted (at most once).
 	launchedAt  time.Duration
 	sawFirstTok bool
 	lastTokenAt time.Duration
-
-	// firstTokObserved records that the first-token observer has run for
-	// this instance: at its first completed forward, or earlier at its
-	// first import of prefilled KV. It runs at most once.
-	firstTokObserved bool
+	prefilled   bool
 
 	// HandoffPending marks a session whose prefill completed on a
-	// prefill-role replica: the first-token observer sets it, and the
-	// session's next forward boundary consults the cluster's handoff
-	// coordinator to migrate the KV state to a decode replica.
+	// prefill-role replica: the cluster's fold of its Prefilled span sets
+	// it, and the session's next forward boundary consults the cluster's
+	// handoff coordinator to migrate the KV state to a decode replica.
 	HandoffPending bool
 
 	// Instrumentation (Fig. 10/11).

@@ -9,6 +9,7 @@ import (
 	"pie/inferlet"
 	"pie/internal/metrics"
 	"pie/internal/sim"
+	"pie/internal/trace"
 )
 
 // Figure 9: average launch latency versus number of simultaneous inferlet
@@ -111,9 +112,9 @@ type Fig10Result struct {
 
 // apiProbe measures per-call overhead at one concurrency level:
 // control-layer calls are timed inside the inferlet (they are pure
-// control-plane work); inference-layer overhead is observed at the
-// backend boundary (submission → deserialized, plus the response IPC hop),
-// which excludes kernel execution and device queueing — the paper's
+// control-plane work); inference-layer overhead is the span stream's
+// trace.Overhead, once per call (submission → deserialized, plus both IPC
+// hops), which excludes kernel execution and device queueing — the paper's
 // "excluding handling time".
 func apiProbe(seed uint64, n int) Fig10Point {
 	e := newPieEngine(seed, func(c *pie.Config) {
@@ -122,7 +123,11 @@ func apiProbe(seed uint64, n int) Fig10Point {
 	})
 	ctl := &metrics.Series{}
 	inf := &metrics.Series{}
-	e.Backend().OnOverhead = func(d time.Duration) { inf.Add(d) }
+	e.Cluster().OnSpan = func(s trace.Span) {
+		for i := 0; s.Kind == trace.Overhead && i < s.Calls; i++ {
+			inf.Add(s.End - s.Start)
+		}
+	}
 	e.MustRegister(inferlet.Program{
 		Name: "api_probe", BinarySize: 4 << 10,
 		Run: func(s inferlet.Session) error {

@@ -51,12 +51,6 @@ type Backend struct {
 	// ops (embed, dist) the batch former runs between two forwards.
 	fwdCost, fwdEnd, fwdGap time.Duration
 
-	// OnOverhead, when set, observes each call's boundary overhead: the
-	// time from control-layer submission to deserialization completion
-	// plus the response IPC hop — everything except kernel execution and
-	// device queueing. This is exactly what Fig. 10 measures.
-	OnOverhead func(time.Duration)
-
 	// Stats.
 	BatchesRun int
 	CallsRun   int
@@ -104,13 +98,7 @@ func (b *Backend) parsed() {
 		b.fail(batch)
 		return
 	}
-	if b.OnOverhead != nil {
-		// Queueing + parsing, plus both pipelined IPC legs.
-		perCall := (b.clock.Now() - batch.SubmittedAt) + 2*IPCCrossing
-		for range batch.Calls {
-			b.OnOverhead(perCall)
-		}
-	}
+	batch.ParsedAt = b.clock.Now()
 	cost := batch.Cost()
 	if batch.Op == OpForward {
 		// It starts when everything queued ahead of it has run.

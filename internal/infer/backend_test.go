@@ -29,7 +29,6 @@ func TestBackendIngressSerialisesAndOverlaps(t *testing.T) {
 	clock := sim.NewClock()
 	be := NewBackend(clock, "t")
 	var overheads []time.Duration
-	be.OnOverhead = func(d time.Duration) { overheads = append(overheads, d) }
 	a, b, c := copyBatch(rt, 10), copyBatch(rt, 5), copyBatch(rt, 1)
 	cost := a.Cost()
 	if cost < 20*time.Microsecond || b.Cost() != cost || c.Cost() != cost {
@@ -37,7 +36,13 @@ func TestBackendIngressSerialisesAndOverlaps(t *testing.T) {
 	}
 	done := map[*Batch]time.Duration{}
 	var order []*Batch
-	be.SetCompleteFunc(func(x *Batch) { done[x] = clock.Now(); order = append(order, x) })
+	be.SetCompleteFunc(func(x *Batch) {
+		done[x] = clock.Now()
+		order = append(order, x)
+		for range x.Calls { // the control layer's trace.Overhead span, per call
+			overheads = append(overheads, x.ParsedAt+2*IPCCrossing-x.SubmittedAt)
+		}
+	})
 	const parse = DeserPerCall
 	clock.Go("driver", func() {
 		before := clock.Events()

@@ -191,8 +191,9 @@ type Batch struct {
 	// Extra is control-layer overhead charged onto this batch by the
 	// scheduler (batch formation, distribution return — Table 3 rows).
 	Extra time.Duration
-	// SubmittedAt is stamped by Backend.Submit (Fig. 10 instrumentation).
-	SubmittedAt time.Duration
+	// SubmittedAt and ParsedAt are stamped by Backend.Submit and by its
+	// parser (never, for a batch failed first): the Fig. 10 overhead span.
+	SubmittedAt, ParsedAt time.Duration
 }
 
 // Cost prices the batch: one kernel launch and one weight stream per

@@ -1,13 +1,22 @@
-// Package trace declares the cluster's decision stream: one typed Decision
-// per placement, handoff, role flip, scaling action, admission verdict,
-// fleet op, health transition and fleet-controller step. It holds
-// declarations only. The deciding layers (internal/cluster, internal/fleet)
-// hand every record to one call, cluster.Cluster.Decide, in the deciding
-// process. Decide folds it into the cluster's counters, which are folds of
-// the stream, and passes it by value to an observer if one is installed
-// (cluster.Cluster.OnDecision). With no observer nothing is allocated, and
-// nothing keeps the record; the observer owns retention. %+v is the
-// rendering.
+// Package trace declares the serving system's two record streams.
+//
+// The decision stream: one typed Decision per placement, handoff, role
+// flip, scaling action, admission verdict, fleet op, health transition and
+// fleet-controller step. The deciding layers (internal/cluster,
+// internal/fleet) hand every record to one call, cluster.Cluster.Decide, in
+// the deciding process. Decide folds it into the cluster's counters, which
+// are folds of the stream, and passes it by value to an observer if one is
+// installed (cluster.Cluster.OnDecision).
+//
+// The span stream: one Span per interval the control layer measures at its
+// boundary with the inference layer (span.go). Each replica's controller
+// emits them to one sink, cluster.Cluster.Span, which folds them into the
+// SLO tracker's samples and the prefill/decode handoff mark and passes each
+// to cluster.Cluster.OnSpan if set.
+//
+// The package holds declarations only. With no observer nothing is
+// allocated, and nothing keeps a record; the observer owns retention. %+v
+// is the rendering.
 package trace
 
 import "time"

@@ -793,9 +793,6 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 // single-replica engines).
 func (e *Engine) Controller() *core.Controller { return e.cluster.Replicas()[0].Ctl }
 
-// Backend returns replica 0's inference layer.
-func (e *Engine) Backend() *infer.Backend { return e.cluster.Replicas()[0].Backend }
-
 // Lifecycle returns the application layer.
 func (e *Engine) Lifecycle() *ilm.ILM { return e.ilm }
 

@@ -1,37 +1,100 @@
 #!/bin/sh
-# Pairs: the claim standard as a script. Builds the benchmark at git ref REF
+# Pairs: the claim standard as a script. Builds a program at git ref REF
 # (read with git archive, so the working tree is untouched) and in the
 # working tree, runs the two alternately N times with the same arguments
-# (which side goes first alternates too),
-# and prints per metric both medians, the parent's interquartile range, how
-# many pairs the change won and whether the gap between the medians exceeds
-# that range.
+# (which side goes first alternates too), and compares them.
 #
 #   scripts/pairs.sh REF [-n N] -- <benchmark args>
 #   scripts/pairs.sh HEAD -n 10 -- --workload kv_pressure --seed 42 --seconds 10 --trace 0
 #
+# runs the benchmark and prints per metric both medians, the parent's
+# interquartile range, how many pairs the change won and whether the gap
+# between the medians exceeds that range. Metrics whose value is equal in
+# every run are listed with "=" instead. It exits non-zero if any
+# virtual-clock metric, sim.events or loadgen.output_digest differs between
+# the two runs of any pair: what the virtual clock measures must not depend
+# on which tree ran it.
+#
+#   scripts/pairs.sh REF -exp X [-n N]
+#   scripts/pairs.sh HEAD -exp fig10,slo -n 5
+#
+# runs `pie-bench -quick -exp X` instead and prints, per experiment, both
+# medians of its wall time, the parent's interquartile range and how many
+# pairs the change won. It exits non-zero if any headline metric or event
+# count differs between the two runs of any pair.
+#
 # N defaults to 10. Each tree's binary runs from the root of its own tree.
-# Metrics whose value is equal in every run are listed with "=" instead.
-# Exits non-zero if any virtual-clock metric, sim.events or
-# loadgen.output_digest differs between the two runs of any pair: what the
-# virtual clock measures must not depend on which tree ran it.
 set -eu
 cd "$(dirname "$0")/.."
 root=$(pwd)
-[ $# -ge 1 ] || { echo "usage: scripts/pairs.sh REF [-n N] -- <benchmark args>" >&2; exit 2; }
+[ $# -ge 1 ] || { echo "usage: scripts/pairs.sh REF [-n N] -- <benchmark args> | scripts/pairs.sh REF -exp X [-n N]" >&2; exit 2; }
 ref=$1
 shift
 n=10
-if [ "${1:-}" = "-n" ]; then
-	n=$2
-	shift 2
-fi
-[ "${1:-}" = "--" ] && shift
+exp=
+while [ $# -gt 0 ]; do
+	case $1 in
+	-n) n=$2; shift 2 ;;
+	-exp) exp=$2; shift 2 ;;
+	--) shift; break ;;
+	*) break ;;
+	esac
+done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
+if [ -n "$exp" ]; then
+	(cd "$tmp/ref" && go build -o "$tmp/parent" ./cmd/pie-bench)
+	go build -o "$tmp/change" ./cmd/pie-bench
+	i=1
+	while [ "$i" -le "$n" ]; do
+		order="parent change"
+		[ $((i % 2)) -eq 0 ] && order="change parent"
+		for side in $order; do
+			dir=$root
+			[ "$side" = parent ] && dir=$tmp/ref
+			(cd "$dir" && "$tmp/$side" -quick -exp "$exp" -json-out "$tmp/$side.$i" >/dev/null)
+		done
+		# Everything but the host-time fields must match.
+		for side in parent change; do
+			grep -vE '"(total_wall_ms|wall_ms|events_per_sec|gomaxprocs)"' "$tmp/$side.$i" >"$tmp/$side.$i.det"
+		done
+		if ! cmp -s "$tmp/parent.$i.det" "$tmp/change.$i.det"; then
+			echo "pairs: headlines or event counts differ in pair $i:" >&2
+			diff "$tmp/parent.$i.det" "$tmp/change.$i.det" >&2 || true
+			bad=1
+		fi
+		echo "pairs: $i of $n" >&2
+		i=$((i + 1))
+	done
+	for side in parent change; do
+		i=1
+		while [ "$i" -le "$n" ]; do
+			awk -v side="$side" -v pair="$i" '
+				/"id":/ { id = $2; gsub(/[",]/, "", id) }
+				/"wall_ms":/ { v = $2; gsub(/,/, "", v); print side, pair, id, v }
+			' "$tmp/$side.$i"
+			i=$((i + 1))
+		done
+	done >"$tmp/values"
+	awk -v n="$n" '
+		function sort(a, k,    i, j, t) { for (i = 2; i <= k; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } }
+		function quantile(a, k, q,    h, lo) { h = (k - 1) * q + 1; lo = int(h); return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+		{ if (!($3 in seen)) { seen[$3] = 1; order[++rows] = $3 }; val[$1, $2, $3] = $4 }
+		END {
+			printf "%-24s %14s %14s %12s %6s\n", "wall_ms", "parent p50", "change p50", "parent IQR", "wins"
+			for (r = 1; r <= rows; r++) {
+				m = order[r]; wins = 0
+				for (i = 1; i <= n; i++) { p[i] = val["parent", i, m] + 0; c[i] = val["change", i, m] + 0; if (c[i] < p[i]) wins++ }
+				sort(p, n); sort(c, n)
+				printf "%-24s %14.4g %14.4g %12.4g %3d/%-2d\n", m, quantile(p, n, 0.5), quantile(c, n, 0.5), quantile(p, n, 0.75) - quantile(p, n, 0.25), wins, n
+			}
+		}' "$tmp/values"
+	[ -z "${bad:-}" ] || { echo "pairs: FAIL: the trees disagree on a headline or an event count" >&2; exit 1; }
+	exit 0
+fi
 (cd "$tmp/ref" && go build -o "$tmp/parent" ./benchmark)
 go build -o "$tmp/change" ./benchmark
 
