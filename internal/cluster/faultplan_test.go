@@ -219,9 +219,17 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 	if err := c.InjectFaults(plan); err == nil {
 		t.Fatal("out-of-range fault event accepted")
 	}
+	// A pure transient-rate plan arms no timer: c has no clock, so an
+	// armed timer would panic.
+	if err := c.InjectFaults(FaultPlan{CallFailRate: 0.5, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if c.faultRNG == nil {
+		t.Fatal("transient stream not armed")
+	}
 	// A plan built in code gets ParseFaultPlan's event checks: nothing it
 	// rejects reaches the device's slowdown or the clock.
-	c.clock = sim.NewClock()
+	checked := &Cluster{clock: sim.NewClock(), replicas: []*Replica{{ID: 0}}}
 	for _, ev := range []FaultEvent{
 		{Kind: FaultSlow, Factor: math.NaN()},
 		{Kind: FaultSlow, Factor: math.Inf(1)},
@@ -234,15 +242,15 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 		{Kind: FaultCrash, At: -time.Millisecond},
 		{Kind: FaultKind(7)},
 	} {
-		if err := c.InjectFaults(FaultPlan{Events: []FaultEvent{ev}}); err == nil {
+		if err := checked.InjectFaults(FaultPlan{Events: []FaultEvent{ev}}); err == nil {
 			t.Errorf("InjectFaults accepted %v (factor %v)", ev, ev.Factor)
 		}
 	}
 	// A zero slow factor is the default, 4; MaxSlowFactor is allowed.
 	clock := sim.NewClock()
 	dev := gpu.NewDevice(clock, "g")
-	c = &Cluster{clock: clock, replicas: []*Replica{{Backend: &infer.Backend{Device: dev}}}}
-	if err := c.InjectFaults(FaultPlan{Events: []FaultEvent{{At: time.Millisecond, Kind: FaultSlow}}}); err != nil {
+	slowed := &Cluster{clock: clock, replicas: []*Replica{{Backend: &infer.Backend{Device: dev}}}}
+	if err := slowed.InjectFaults(FaultPlan{Events: []FaultEvent{{At: time.Millisecond, Kind: FaultSlow}}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Go("wait", func() { clock.Sleep(2 * time.Millisecond) })
@@ -251,13 +259,6 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 	}
 	if err := (FaultEvent{Kind: FaultSlow, Factor: MaxSlowFactor}).Check(); err != nil {
 		t.Fatal(err)
-	}
-	// A pure transient-rate plan arms no timer.
-	if err := c.InjectFaults(FaultPlan{CallFailRate: 0.5, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if c.faultRNG == nil {
-		t.Fatal("transient stream not armed")
 	}
 }
 

@@ -18,10 +18,10 @@
 #   scripts/pairs.sh REF -exp X [-n N]
 #   scripts/pairs.sh HEAD -exp fig10,slo -n 5
 #
-# runs `pie-bench -quick -exp X` instead and prints, per experiment, both
-# medians of its wall time, the parent's interquartile range and how many
-# pairs the change won. It exits non-zero if any headline metric or event
-# count differs between the two runs of any pair.
+# runs `pie-bench -quick -exp X` instead (arguments after -- are refused)
+# and prints the same table for each experiment's wall time. It exits
+# non-zero if any headline metric or event count differs between the two
+# runs of any pair.
 #
 # N defaults to 10. Each tree's binary runs from the root of its own tree.
 set -eu
@@ -41,62 +41,19 @@ while [ $# -gt 0 ]; do
 	esac
 done
 
+if [ -n "$exp" ]; then
+	[ $# -eq 0 ] || { echo "pairs: -exp takes no arguments after --" >&2; exit 2; }
+	pkg=./cmd/pie-bench
+else
+	pkg=./benchmark
+fi
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
-if [ -n "$exp" ]; then
-	(cd "$tmp/ref" && go build -o "$tmp/parent" ./cmd/pie-bench)
-	go build -o "$tmp/change" ./cmd/pie-bench
-	i=1
-	while [ "$i" -le "$n" ]; do
-		order="parent change"
-		[ $((i % 2)) -eq 0 ] && order="change parent"
-		for side in $order; do
-			dir=$root
-			[ "$side" = parent ] && dir=$tmp/ref
-			(cd "$dir" && "$tmp/$side" -quick -exp "$exp" -json-out "$tmp/$side.$i" >/dev/null)
-		done
-		# Everything but the host-time fields must match.
-		for side in parent change; do
-			grep -vE '"(total_wall_ms|wall_ms|events_per_sec|gomaxprocs)"' "$tmp/$side.$i" >"$tmp/$side.$i.det"
-		done
-		if ! cmp -s "$tmp/parent.$i.det" "$tmp/change.$i.det"; then
-			echo "pairs: headlines or event counts differ in pair $i:" >&2
-			diff "$tmp/parent.$i.det" "$tmp/change.$i.det" >&2 || true
-			bad=1
-		fi
-		echo "pairs: $i of $n" >&2
-		i=$((i + 1))
-	done
-	for side in parent change; do
-		i=1
-		while [ "$i" -le "$n" ]; do
-			awk -v side="$side" -v pair="$i" '
-				/"id":/ { id = $2; gsub(/[",]/, "", id) }
-				/"wall_ms":/ { v = $2; gsub(/,/, "", v); print side, pair, id, v }
-			' "$tmp/$side.$i"
-			i=$((i + 1))
-		done
-	done >"$tmp/values"
-	awk -v n="$n" '
-		function sort(a, k,    i, j, t) { for (i = 2; i <= k; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } }
-		function quantile(a, k, q,    h, lo) { h = (k - 1) * q + 1; lo = int(h); return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
-		{ if (!($3 in seen)) { seen[$3] = 1; order[++rows] = $3 }; val[$1, $2, $3] = $4 }
-		END {
-			printf "%-24s %14s %14s %12s %6s\n", "wall_ms", "parent p50", "change p50", "parent IQR", "wins"
-			for (r = 1; r <= rows; r++) {
-				m = order[r]; wins = 0
-				for (i = 1; i <= n; i++) { p[i] = val["parent", i, m] + 0; c[i] = val["change", i, m] + 0; if (c[i] < p[i]) wins++ }
-				sort(p, n); sort(c, n)
-				printf "%-24s %14.4g %14.4g %12.4g %3d/%-2d\n", m, quantile(p, n, 0.5), quantile(c, n, 0.5), quantile(p, n, 0.75) - quantile(p, n, 0.25), wins, n
-			}
-		}' "$tmp/values"
-	[ -z "${bad:-}" ] || { echo "pairs: FAIL: the trees disagree on a headline or an event count" >&2; exit 1; }
-	exit 0
-fi
-(cd "$tmp/ref" && go build -o "$tmp/parent" ./benchmark)
-go build -o "$tmp/change" ./benchmark
+(cd "$tmp/ref" && go build -o "$tmp/parent" "$pkg")
+go build -o "$tmp/change" "$pkg"
 
 # Odd pairs run the parent first, even pairs the change first.
 i=1
@@ -106,22 +63,45 @@ while [ "$i" -le "$n" ]; do
 	for side in $order; do
 		dir=$root
 		[ "$side" = parent ] && dir=$tmp/ref
-		(cd "$dir" && "$tmp/$side" -json "$tmp/$side.$i" "$@" >/dev/null)
+		if [ -n "$exp" ]; then
+			(cd "$dir" && "$tmp/$side" -quick -exp "$exp" -json-out "$tmp/$side.$i" >/dev/null)
+		else
+			(cd "$dir" && "$tmp/$side" -json "$tmp/$side.$i" "$@" >/dev/null)
+		fi
 	done
+	if [ -n "$exp" ]; then
+		# Everything but the host-time fields must match.
+		for side in parent change; do
+			grep -vE '"(total_wall_ms|wall_ms|events_per_sec|gomaxprocs)"' "$tmp/$side.$i" >"$tmp/$side.$i.det"
+		done
+		if ! cmp -s "$tmp/parent.$i.det" "$tmp/change.$i.det"; then
+			echo "pairs: headlines or event counts differ in pair $i:" >&2
+			diff "$tmp/parent.$i.det" "$tmp/change.$i.det" >&2 || true
+			bad=1
+		fi
+	fi
 	echo "pairs: $i of $n" >&2
 	i=$((i + 1))
 done
 
-# One "side pair name value clock" line per metric and run.
+# One "side pair name value clock" line per metric and run; an experiment's
+# wall time is a host-clock metric.
 for side in parent change; do
 	i=1
 	while [ "$i" -le "$n" ]; do
-		awk -v side="$side" -v pair="$i" '
-			/"workload":/ { w = $2; gsub(/[",]/, "", w) }
-			/"name":/ { name = $2; gsub(/[",]/, "", name) }
-			/"value":/ { value = $2; gsub(/,/, "", value) }
-			/"clock":/ { clock = $2; gsub(/[",]/, "", clock); print side, pair, w "/" name, value, clock }
-		' "$tmp/$side.$i"
+		if [ -n "$exp" ]; then
+			awk -v side="$side" -v pair="$i" '
+				/"id":/ { id = $2; gsub(/[",]/, "", id) }
+				/"wall_ms":/ { v = $2; gsub(/,/, "", v); print side, pair, id "/wall_ms", v, "h" }
+			' "$tmp/$side.$i"
+		else
+			awk -v side="$side" -v pair="$i" '
+				/"workload":/ { w = $2; gsub(/[",]/, "", w) }
+				/"name":/ { name = $2; gsub(/[",]/, "", name) }
+				/"value":/ { value = $2; gsub(/,/, "", value) }
+				/"clock":/ { clock = $2; gsub(/[",]/, "", clock); print side, pair, w "/" name, value, clock }
+			' "$tmp/$side.$i"
+		fi
 		i=$((i + 1))
 	done
 done >"$tmp/values"
@@ -129,6 +109,7 @@ done >"$tmp/values"
 # Which way each metric is better, from BENCHMARK.json.
 awk '/"name":/ { name = $2; gsub(/[",]/, "", name) } /"better":/ { b = $2; gsub(/[",]/, "", b); print name, b }' \
 	BENCHMARK.json >"$tmp/better"
+echo "wall_ms lower" >>"$tmp/better"
 
 awk -v n="$n" '
 	function sort(a, k,    i, j, t) { for (i = 2; i <= k; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } }
@@ -159,4 +140,5 @@ awk -v n="$n" '
 			printf "%-44s %14.6g %14.6g %12.4g %3d/%-2d %s\n", m, pm, cm, iqr, wins, n, (gap > iqr ? "yes" : "no")
 		}
 		exit bad
-	}' "$tmp/better" "$tmp/values"
+	}' "$tmp/better" "$tmp/values" || bad=1
+[ -z "${bad:-}" ] || { echo "pairs: FAIL: the trees disagree on a virtual-clock metric, a headline or an event count" >&2; exit 1; }
