@@ -134,7 +134,7 @@ type Child interface {
 type Session interface {
 	// --- Core runtime (control layer) ---
 
-	// GetArg returns the launch arguments.
+	// GetArg returns the launch arguments, read-only and shared by every call.
 	GetArg() []string
 	// Send delivers a message to the client that launched this inferlet.
 	Send(msg string)
@@ -172,7 +172,7 @@ type Session interface {
 
 	// --- Model discovery ---
 
-	// AvailableModels lists servable models.
+	// AvailableModels lists servable models, read-only and shared by every call.
 	AvailableModels() []api.ModelInfo
 	// AvailableTraits lists a model's declared traits.
 	AvailableTraits(m api.ModelID) ([]api.Trait, error)

@@ -21,7 +21,7 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 			inst := ctl.RegisterInstance("t", nil, nil)
 			defer ctl.ReleaseInstance(inst)
 			q, _ := ctl.CreateQueue(inst, "llama-1b")
-			if pages, err := ctl.AllocPages(inst, q, 2); err != nil || ctl.ExportPages(inst, "x", pages) != nil {
+			if pages, err := ctl.AllocPages(inst, q, nil, 2); err != nil || ctl.ExportPages(inst, "x", pages) != nil {
 				t.Fatalf("export: %v", err)
 			}
 		})

@@ -65,6 +65,8 @@ func TestParseFaultPlanRejectsMalformed(t *testing.T) {
 		"crash:-1@5ms",       // negative replica
 		"slow:1@5ms*zero",    // bad factor
 		"slow:1@5ms*0",       // non-positive factor
+		"slow:1@5ms*0.5",     // a factor below 1 slows nothing
+		"slow:1@5ms*1",       // and neither does 1
 		"slow:1@5ms*NaN",     // not a number
 		"slow:1@5ms*Inf",     // not finite
 		"slow:1@5ms*1e300",   // a kernel's slowed cost overflows
@@ -84,10 +86,10 @@ func TestParseFaultPlanRejectsMalformed(t *testing.T) {
 // FuzzParseFaultPlan: every plan ParseFaultPlan accepts renders (String) to
 // a spec that parses back to the same plan, and every event passes
 // FaultEvent.Check with its factor explicit: a slow event's finite and
-// within (0, MaxSlowFactor], any other's 0.
+// within (1, MaxSlowFactor], any other's 0.
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, spec := range []string{"crash:1@200ms,hang:2@300ms,slow:3@100ms*4", " slow:0@5ms , ,", "",
-		"slow:0@1ms*NaN", "slow:0@1ms*Inf", "slow:0@1ms*1e300", "slow:2@1.5ms*0x1p-3", "crash:1@5ms*2", "HANG:+3@1h2m"} {
+		"slow:0@1ms*NaN", "slow:0@1ms*Inf", "slow:0@1ms*1e300", "slow:2@1.5ms*0x1p+3", "crash:1@5ms*2", "HANG:+3@1h2m"} {
 		f.Add(spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
@@ -237,6 +239,7 @@ func TestInjectFaultsRejectsOutOfRangeReplica(t *testing.T) {
 		{Kind: FaultSlow, Factor: 1e300},
 		{Kind: FaultSlow, Factor: MaxSlowFactor + 1},
 		{Kind: FaultSlow, Factor: -2},
+		{Kind: FaultSlow, Factor: 0.5},
 		{Kind: FaultCrash, Factor: 2},
 		{Kind: FaultHang, Factor: 4},
 		{Kind: FaultCrash, At: -time.Millisecond},

@@ -62,9 +62,10 @@ type FaultEvent struct {
 
 // Check reports why a cluster cannot apply e, or nil: a time before zero, a
 // negative replica id, an unknown kind, a factor on a crash or hang, or a
-// slow factor that is not a finite number in (0, MaxSlowFactor]. A zero
-// slow factor is the default, 4. InjectFaults and ParseFaultPlan both
-// check every event with it.
+// slow factor that is not a finite number in (1, MaxSlowFactor]: a device
+// applies a slowdown only above 1, so a smaller factor would be a fault
+// that changes nothing. A zero slow factor is the default, 4. InjectFaults
+// and ParseFaultPlan both check every event with it.
 func (e FaultEvent) Check() error {
 	switch {
 	case e.At < 0:
@@ -75,8 +76,8 @@ func (e FaultEvent) Check() error {
 		return fmt.Errorf("unknown kind %d", e.Kind)
 	case e.Kind != FaultSlow && e.Factor != 0:
 		return fmt.Errorf("factor %g on a %s: a factor applies to slow events only", e.Factor, e.Kind)
-	case e.Factor != 0 && !(e.Factor > 0 && e.Factor <= MaxSlowFactor):
-		return fmt.Errorf("bad factor %g, want a number in (0, %g]", e.Factor, float64(MaxSlowFactor))
+	case e.Factor != 0 && !(e.Factor > 1 && e.Factor <= MaxSlowFactor):
+		return fmt.Errorf("bad factor %g, want a number in (1, %g]", e.Factor, float64(MaxSlowFactor))
 	}
 	return nil
 }
@@ -117,8 +118,8 @@ func (p FaultPlan) String() string {
 // ParseFaultPlan parses a compact fault-plan spec: comma-separated events
 // of the form "kind:replica@time" with an optional "*factor" suffix for
 // slow events, e.g. "crash:1@200ms,hang:2@300ms,slow:3@100ms*4". A factor
-// is a finite number in (0, MaxSlowFactor], 4 when omitted; one at most 1
-// leaves kernels at their modeled cost. An empty spec is an empty plan.
+// is a finite number in (1, MaxSlowFactor], 4 when omitted. An empty spec
+// is an empty plan.
 // Every plan it returns renders (String) to a spec that parses to itself.
 func ParseFaultPlan(spec string) (FaultPlan, error) {
 	var plan FaultPlan
@@ -162,7 +163,7 @@ func ParseFaultPlan(spec string) (FaultPlan, error) {
 			rest = atStr
 			// An explicit factor of 0 is not the default: Check would take it.
 			if ev.Factor, err = strconv.ParseFloat(facStr, 64); err != nil || ev.Factor == 0 {
-				return plan, fmt.Errorf("cluster: fault event %q: bad factor %q, want a number in (0, %g]", part, facStr, float64(MaxSlowFactor))
+				return plan, fmt.Errorf("cluster: fault event %q: bad factor %q, want a number in (1, %g]", part, facStr, float64(MaxSlowFactor))
 			}
 		}
 		if ev.At, err = time.ParseDuration(rest); err != nil {

@@ -44,7 +44,7 @@ func stage(r *Replica, st replicaState) error {
 		return err
 	}
 	if st.export {
-		pages, err := r.Ctl.AllocPages(inst, q, 1)
+		pages, err := r.Ctl.AllocPages(inst, q, nil, 1)
 		if err == nil {
 			err = r.Ctl.ExportPages(inst, "k", pages)
 		}
@@ -56,7 +56,7 @@ func stage(r *Replica, st replicaState) error {
 		return nil
 	}
 	r.Backend.Device.SetSlowdown(1e6)
-	embs, err := r.Ctl.AllocEmbeds(inst, q, st.tokens)
+	embs, err := r.Ctl.AllocEmbeds(inst, q, nil, st.tokens)
 	if err != nil {
 		return err
 	}

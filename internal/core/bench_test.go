@@ -28,7 +28,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 			insts[i] = ctl.RegisterInstance("bench", nil, nil)
 			qids[i] = mustQueue(b, ctl, insts[i], "llama-1b")
 			var err error
-			if embs[i], err = ctl.AllocEmbeds(insts[i], qids[i], 1); err != nil {
+			if embs[i], err = ctl.AllocEmbeds(insts[i], qids[i], nil, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -102,7 +102,7 @@ func BenchmarkBatchRoundTrip(b *testing.B) {
 	runCtl(b, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		inst := ctl.RegisterInstance("bench", nil, nil)
 		q := mustQueue(b, ctl, inst, "llama-1b")
-		embs, err := ctl.AllocEmbeds(inst, q, 1)
+		embs, err := ctl.AllocEmbeds(inst, q, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

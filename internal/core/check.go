@@ -26,6 +26,9 @@ import (
 //     pass ahead of the controller's last (copyPass), which would make a
 //     later move read it as its own.
 //   - "instance": no dead instance in the table.
+//   - "handles": an instance's page and embed tables each map as many
+//     handles as their live count, and each mapped handle's owner queue is
+//     0 or one of the instance's open queues.
 //   - "free record": each free call record listed once and blank.
 //   - "quiescence": with no live process (sim.Clock.Stats), no instance,
 //     outstanding call or page pin left.
@@ -55,6 +58,14 @@ func (ctl *Controller) Check() error {
 	for id, inst := range ctl.instances {
 		if inst.dead {
 			return fmt.Errorf("instance: %d is dead but still in the table", id)
+		}
+	}
+	for id, inst := range ctl.instances {
+		if err := inst.pages.check(inst); err != nil {
+			return fmt.Errorf("handles: instance %d pages: %w", id, err)
+		}
+		if err := inst.embeds.check(inst); err != nil {
+			return fmt.Errorf("handles: instance %d embeds: %w", id, err)
 		}
 	}
 	seen := map[*call]bool{}
@@ -102,6 +113,24 @@ func (p *pool) check() error {
 		return fmt.Errorf("%d ids (%d refcounts, %d referenced) for capacity %d, inUse %d", p.next, len(p.refs), live, p.capacity, p.inUse())
 	}
 	return checkFree(p.free, p.next, func(id int32) bool { return p.refs[id] != 0 })
+}
+
+// check is Check's "handles" clause for one of inst's tables.
+func (t *handleTable) check(inst *Instance) error {
+	mapped := 0
+	for h, r := range t.refs {
+		if r.m == nil {
+			continue
+		}
+		mapped++
+		if i, ok := inst.queueIndex(r.q); r.q != 0 && (!ok || inst.queues[i].closed) {
+			return fmt.Errorf("handle %d owned by queue %d, which is not open", h, r.q)
+		}
+	}
+	if mapped != t.live {
+		return fmt.Errorf("%d handles mapped, live count %d", mapped, t.live)
+	}
+	return nil
 }
 
 // checkFree reports a free-list id never materialized, listed twice or held.

@@ -31,6 +31,10 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 			m.pages.copyOf(inst.pages.refs[1].phys).pass = ctl.copyPass + 1
 		}},
 		{"instance", func(_ *modelState, _ *Controller, inst *Instance) { inst.dead = true }}, // left in the table
+		{"handles", func(_ *modelState, _ *Controller, inst *Instance) { inst.pages.live++ }}, // a live count off by one
+		{"handles", func(_ *modelState, _ *Controller, inst *Instance) { // an embed owned by a queue never opened
+			inst.embeds.refs[1].q += 100
+		}},
 		{"free record", func(_ *modelState, ctl *Controller, inst *Instance) { // the queued embed's record listed free
 			ctl.freeCalls = append(ctl.freeCalls, inst.queues[0].head())
 		}},
@@ -42,8 +46,8 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 		clock.Go("session", func() {
 			inst := ctl.RegisterInstance("t", nil, nil)
 			q := mustQueue(t, ctl, inst, "llama-1b")
-			pages, errP := ctl.AllocPages(inst, q, 4)
-			embs, errE := ctl.AllocEmbeds(inst, q, 2)
+			pages, errP := ctl.AllocPages(inst, q, nil, 4)
+			embs, errE := ctl.AllocEmbeds(inst, q, nil, 2)
 			if err := errors.Join(errP, errE, ctl.ExportPages(inst, "x", pages[:2]), ctl.EmbedText(inst, q, []int{5}, []int{0}, embs[:1]),
 				ctl.DeallocPages(inst, q, pages[2:]), ctl.Check()); err != nil || inst.queues[0].queued() != 2 {
 				t.Fatalf("before breaking: %v, %d calls queued; want nil, the embed and the dealloc", err, inst.queues[0].queued())

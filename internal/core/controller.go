@@ -57,6 +57,8 @@ type Controller struct {
 	spans   SpanSink // SetSpanSink's; nil emits nothing
 	replica int      // the id stamped on every span
 
+	infos []api.ModelInfo // Models' view, built by its first call
+
 	// Stats.
 	Terminations int
 	Aborts       int           // instances cancelled via their launch handle
@@ -327,9 +329,15 @@ func (ctl *Controller) ModelInfos() []api.ModelInfo {
 }
 
 // Models lists servable models in registration order (available_models).
+// The list is the controller's own, shared by every caller and read-only:
+// built by the first call, its capacity ends at its length, so an append
+// copies it.
 func (ctl *Controller) Models(inst *Instance) []api.ModelInfo {
 	ctl.chargeControl(inst)
-	return ctl.ModelInfos()
+	if ctl.infos == nil {
+		ctl.infos = ctl.ModelInfos()
+	}
+	return ctl.infos
 }
 
 // Traits reports a model's trait set (available_traits).

@@ -295,10 +295,10 @@ func TestBadHandleCases(t *testing.T) {
 				e.q1 = mustQueue(t, ctl, e.inst, "llama-1b")
 				e.q3 = mustQueue(t, ctl, e.inst, "llama-3b")
 				var err error
-				if e.embs, err = ctl.AllocEmbeds(e.inst, e.q1, 3); err != nil {
+				if e.embs, err = ctl.AllocEmbeds(e.inst, e.q1, nil, 3); err != nil {
 					t.Fatal(err)
 				}
-				if e.pages, err = ctl.AllocPages(e.inst, e.q1, 3); err != nil {
+				if e.pages, err = ctl.AllocPages(e.inst, e.q1, nil, 3); err != nil {
 					t.Fatal(err)
 				}
 				if err := tc.run(e); !errors.Is(err, api.ErrBadHandle) {
@@ -327,11 +327,11 @@ func TestDeallocThroughAnotherModelsQueue(t *testing.T) {
 		inst := ctl.RegisterInstance("t", nil, nil)
 		defer ctl.ReleaseInstance(inst)
 		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
-		pages, err := ctl.AllocPages(inst, q1, 2)
+		pages, err := ctl.AllocPages(inst, q1, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		embs, err := ctl.AllocEmbeds(inst, q1, 2)
+		embs, err := ctl.AllocEmbeds(inst, q1, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,11 +365,11 @@ func TestCloseQueueReleasesWhatItOwns(t *testing.T) {
 		var pages [2][]api.KvPage
 		for range 2 { // interleave, so q1's handles are not contiguous
 			for i, q := range []api.Queue{q1, q2} {
-				e, err := ctl.AllocEmbeds(inst, q, 2)
+				e, err := ctl.AllocEmbeds(inst, q, nil, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := ctl.AllocPages(inst, q, 2)
+				p, err := ctl.AllocPages(inst, q, nil, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -451,11 +451,11 @@ func TestHandoffKeepsQueueOwnership(t *testing.T) {
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q1, q2 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-1b")
 		for _, q := range []api.Queue{q1, q2, q1} {
-			if _, err := ctl.AllocPages(inst, q, 2); err != nil {
+			if _, err := ctl.AllocPages(inst, q, nil, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ctl.AllocEmbeds(inst, q1, 1); err != nil {
+		if _, err := ctl.AllocEmbeds(inst, q1, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := ctl.HandoffSession(inst, dst); err != nil {
@@ -491,11 +491,11 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 			var embs [2][]api.Embed
 			for round := 0; round < 8; round++ { // interleave, so neither queue's handles are contiguous
 				for i, q := range qs {
-					p, err := ctl.AllocPages(inst, q, 5)
+					p, err := ctl.AllocPages(inst, q, nil, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
-					e, err := ctl.AllocEmbeds(inst, q, 5)
+					e, err := ctl.AllocEmbeds(inst, q, nil, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -550,8 +550,8 @@ func TestReleaseInstanceDeterministic(t *testing.T) {
 			out.EmbedFree = append([]int32(nil), m.embeds.free...)
 			next := ctl.RegisterInstance("next", nil, nil)
 			nq := mustQueue(t, ctl, next, "llama-1b")
-			np, _ := ctl.AllocPages(next, nq, 12)
-			ne, _ := ctl.AllocEmbeds(next, nq, 12)
+			np, _ := ctl.AllocPages(next, nq, nil, 12)
+			ne, _ := ctl.AllocEmbeds(next, nq, nil, 12)
 			for _, h := range np {
 				out.NextPages = append(out.NextPages, next.pages.get(uint64(h)).phys)
 			}
@@ -595,11 +595,11 @@ func TestKilledForwardHoldsItsPagesUntilItLands(t *testing.T) {
 		prefill := func(name string, tokens int) (*cmdQueue, []int32, *sim.Signal) {
 			inst := ctl.RegisterInstance(name, nil, nil)
 			qid := mustQueue(t, ctl, inst, "llama-1b")
-			pages, err := ctl.AllocPages(inst, qid, 2)
+			pages, err := ctl.AllocPages(inst, qid, nil, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			embs, err := ctl.AllocEmbeds(inst, qid, tokens)
+			embs, err := ctl.AllocEmbeds(inst, qid, nil, tokens)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -727,7 +727,7 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 					qid := mustQueue(t, ctl, inst, "llama-1b")
 					var pages []api.KvPage
 					grow := func() {
-						p, err := ctl.AllocPages(inst, qid, 2)
+						p, err := ctl.AllocPages(inst, qid, nil, 2)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -749,7 +749,7 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 						case k < 4:
 							op = "forward"
 							n := 1 + rng.Intn(5)
-							embs, err := ctl.AllocEmbeds(inst, qid, n)
+							embs, err := ctl.AllocEmbeds(inst, qid, nil, n)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -804,7 +804,7 @@ func TestVisibleCountMatchesScan(t *testing.T) {
 								}
 								pages = append(pages[:i], pages[i+1:]...)
 								await(ctl.Synchronize(inst, qid))
-								p, err := ctl.AllocPages(inst, qid, 1)
+								p, err := ctl.AllocPages(inst, qid, nil, 1)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -838,8 +838,8 @@ func TestCallRecordsRecycle(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		inst := ctl.RegisterInstance("a", nil, nil)
 		qid := mustQueue(t, ctl, inst, "llama-1b")
-		pages, _ := ctl.AllocPages(inst, qid, 4)
-		embs, err := ctl.AllocEmbeds(inst, qid, 2)
+		pages, _ := ctl.AllocPages(inst, qid, nil, 4)
+		embs, err := ctl.AllocEmbeds(inst, qid, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -902,10 +902,10 @@ func TestReleasedTablesAreReused(t *testing.T) {
 	clock.Go("test", func() {
 		inst := decode.RegisterInstance("a", nil, nil)
 		qid := mustQueue(t, decode, inst, "llama-1b")
-		if _, err := decode.AllocEmbeds(inst, qid, 5); err != nil {
+		if _, err := decode.AllocEmbeds(inst, qid, nil, 5); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decode.AllocPages(inst, qid, 3); err != nil {
+		if _, err := decode.AllocPages(inst, qid, nil, 3); err != nil {
 			t.Fatal(err)
 		}
 		embeds, pages := &inst.embeds.refs[:1][0], &inst.pages.refs[:1][0]
@@ -925,7 +925,7 @@ func TestReleasedTablesAreReused(t *testing.T) {
 			}
 		}
 		q := mustQueue(t, prefill, next, "llama-1b")
-		if ids, err := prefill.AllocEmbeds(next, q, 1); err != nil || ids[0] != 1 {
+		if ids, err := prefill.AllocEmbeds(next, q, nil, 1); err != nil || ids[0] != 1 {
 			t.Fatalf("first embed of a reused table: %v, %v; want handle 1", ids, err)
 		}
 	})
@@ -977,7 +977,7 @@ func TestEmbedYieldsSoFollowUpsJoinItsBatch(t *testing.T) {
 		open := func(name string) session {
 			inst := ctl.RegisterInstance(name, nil, nil)
 			q := mustQueue(t, ctl, inst, "llama-1b")
-			emb, err := ctl.AllocEmbeds(inst, q, 1)
+			emb, err := ctl.AllocEmbeds(inst, q, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func TestInstanceKVFootprintDedupes(t *testing.T) {
 			dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 			inst := ctl.RegisterInstance("t", nil, nil)
 			q := mustQueue(t, ctl, inst, "llama-1b")
-			pages, err := ctl.AllocPages(inst, q, 2)
+			pages, err := ctl.AllocPages(inst, q, nil, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,11 +78,11 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 		inst.MaxQueues, inst.MaxKvPages, inst.DefaultPriority = 4, 64, 3
 		inst.Class, inst.Degraded = "interactive", true
 		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
-		pages, err := ctl.AllocPages(inst, q1, 13)
+		pages, err := ctl.AllocPages(inst, q1, nil, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		embs, err := ctl.AllocEmbeds(inst, q3, 2)
+		embs, err := ctl.AllocEmbeds(inst, q3, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestHandoffMovesTheInstance(t *testing.T) {
 			}
 		}
 		// The moved queues keep serving on dst, and dst numbers new ones past them.
-		if _, err := dst.AllocPages(inst, q1, 1); err != nil {
+		if _, err := dst.AllocPages(inst, q1, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		if q := mustQueue(t, dst, inst, "llama-1b"); q <= q3 {
@@ -148,13 +148,13 @@ func TestHandoffRefusedMovesNothing(t *testing.T) {
 		only1b := checkedAtEnd(t, NewController(clock, infer.NewBackend(clock, "gpu2"), []*infer.ModelRuntime{rt}, DefaultSchedConfig(), OffloadConfig{}, ArtifactConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q1, q3 := mustQueue(t, ctl, inst, "llama-1b"), mustQueue(t, ctl, inst, "llama-3b")
-		if _, err := ctl.AllocPages(inst, q1, 1); err != nil {
+		if _, err := ctl.AllocPages(inst, q1, nil, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctl.AllocEmbeds(inst, q1, 1); err != nil {
+		if _, err := ctl.AllocEmbeds(inst, q1, nil, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctl.AllocPages(inst, q3, 4); err != nil {
+		if _, err := ctl.AllocPages(inst, q3, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
@@ -183,7 +183,7 @@ func TestMigrateExportNamingAPageTwice(t *testing.T) {
 		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
-		pages, err := ctl.AllocPages(inst, q, 1)
+		pages, err := ctl.AllocPages(inst, q, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestMigrateSharesAPageAcrossExports(t *testing.T) {
 		dst := checkedAtEnd(t, newTestController(clock, "gpu1", infer.ExecTiming, 0, OffloadConfig{}))
 		inst := ctl.RegisterInstance("t", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
-		pages, err := ctl.AllocPages(inst, q, 2)
+		pages, err := ctl.AllocPages(inst, q, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func handoffSession(tb testing.TB, ctl *Controller) *Instance {
 	tb.Helper()
 	inst := ctl.RegisterInstance("t", nil, nil)
 	q1, q3 := mustQueue(tb, ctl, inst, "llama-1b"), mustQueue(tb, ctl, inst, "llama-3b")
-	pages, err := ctl.AllocPages(inst, q1, 16)
+	pages, err := ctl.AllocPages(inst, q1, nil, 16)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func handoffSession(tb testing.TB, ctl *Controller) *Instance {
 	if _, err := ctl.ImportPages(inst, q1, "prefix"); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := ctl.AllocEmbeds(inst, q3, 2); err != nil {
+	if _, err := ctl.AllocEmbeds(inst, q3, nil, 2); err != nil {
 		tb.Fatal(err)
 	}
 	return inst
@@ -340,7 +340,7 @@ func TestZeroPageExportStaysBehind(t *testing.T) {
 		inst := ctl.RegisterInstance("t", nil, nil)
 		defer ctl.ReleaseInstance(inst)
 		q := mustQueue(t, ctl, inst, "llama-1b")
-		pages, err := ctl.AllocPages(inst, q, 2)
+		pages, err := ctl.AllocPages(inst, q, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,11 +415,11 @@ func TestImportCountsAsFirstForward(t *testing.T) {
 			return fired, ttfts
 		}
 		forward := func(inst *Instance, q api.Queue) []api.KvPage {
-			pages, err := ctl.AllocPages(inst, q, 1)
+			pages, err := ctl.AllocPages(inst, q, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			embs, err := ctl.AllocEmbeds(inst, q, 1)
+			embs, err := ctl.AllocEmbeds(inst, q, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

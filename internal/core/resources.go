@@ -419,8 +419,9 @@ const (
 
 // --- Allocation -----------------------------------------------------------
 
-// AllocEmbeds allocates n embedding slots (alloc_emb).
-func (ctl *Controller) AllocEmbeds(inst *Instance, qid api.Queue, n int) ([]api.Embed, error) {
+// AllocEmbeds allocates n embedding slots (alloc_emb) and appends their
+// handles to dst. On an error it returns nil.
+func (ctl *Controller) AllocEmbeds(inst *Instance, qid api.Queue, dst []api.Embed, n int) ([]api.Embed, error) {
 	ctl.chargeControl(inst)
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
@@ -434,16 +435,17 @@ func (ctl *Controller) AllocEmbeds(inst *Instance, qid api.Queue, n int) ([]api.
 	if !ok {
 		return nil, api.ErrOutOfResources
 	}
-	out := make([]api.Embed, n)
-	for i, id := range phys {
-		out[i] = api.Embed(inst.embeds.issue(q.m, id, qid))
+	dst = slices.Grow(dst, n)
+	for _, id := range phys {
+		dst = append(dst, api.Embed(inst.embeds.issue(q.m, id, qid)))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // AllocPages allocates n KV pages (alloc_kvpage), applying the FCFS
-// contention policy on shortage.
-func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.KvPage, error) {
+// contention policy on shortage, and appends their handles to dst. On an
+// error it returns nil.
+func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, dst []api.KvPage, n int) ([]api.KvPage, error) {
 	ctl.chargeControl(inst)
 	q, err := ctl.queue(inst, qid)
 	if err != nil {
@@ -482,9 +484,9 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 			return nil, api.ErrQueueClosed
 		}
 	}
-	out := make([]api.KvPage, n)
-	for i, id := range phys {
-		out[i] = api.KvPage(inst.pages.issue(q.m, id, qid))
+	dst = slices.Grow(dst, n)
+	for _, id := range phys {
+		dst = append(dst, api.KvPage(inst.pages.issue(q.m, id, qid)))
 		// Fresh pages must arrive empty even if physically recycled.
 		q.m.rt.Page(id).Reset()
 	}
@@ -492,7 +494,7 @@ func (ctl *Controller) AllocPages(inst *Instance, qid api.Queue, n int) ([]api.K
 	// handles are registered: an FCFS kill landing inside this sleep then
 	// reclaims the pages through ReleaseInstance instead of leaking them.
 	ctl.chargeSwap(q.m.rt, swappedOut)
-	return out, nil
+	return dst, nil
 }
 
 // roomWaitLimit bounds a call's wait for device page room: past it the call

@@ -70,11 +70,11 @@ func TestWaitedRecordRecyclesOnce(t *testing.T) {
 			e.waiter = clock.Go("waiter", func() {
 				e.inst = ctl.RegisterInstance("a", nil, killer(func(error) { clock.Kill(e.waiter) }))
 				e.qid = mustQueue(t, ctl, e.inst, "llama-1b")
-				pages, err := ctl.AllocPages(e.inst, e.qid, 1)
+				pages, err := ctl.AllocPages(e.inst, e.qid, nil, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				embs, err := ctl.AllocEmbeds(e.inst, e.qid, 2)
+				embs, err := ctl.AllocEmbeds(e.inst, e.qid, nil, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,8 +145,8 @@ func TestResultIsReadOnce(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 0, OffloadConfig{}, func(clock *sim.Clock, ctl *Controller) {
 		inst := ctl.RegisterInstance("a", nil, nil)
 		qid := mustQueue(t, ctl, inst, "llama-1b")
-		pages, _ := ctl.AllocPages(inst, qid, 1)
-		embs, err := ctl.AllocEmbeds(inst, qid, 2)
+		pages, _ := ctl.AllocPages(inst, qid, nil, 1)
+		embs, err := ctl.AllocEmbeds(inst, qid, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func pinDeviceTier(t *testing.T, ctl *Controller) (*Instance, api.Queue, []api.K
 	t.Helper()
 	inst := ctl.RegisterInstance("holder", nil, nil)
 	q := mustQueue(t, ctl, inst, "llama-1b")
-	pages, err := ctl.AllocPages(inst, q, 4)
+	pages, err := ctl.AllocPages(inst, q, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAllocWaitsForTheCompletionWave(t *testing.T) {
 	runCtl(t, infer.ExecTiming, 4, OffloadConfig{HostRatio: 1}, func(clock *sim.Clock, ctl *Controller) {
 		m := ctl.models["llama-1b"]
 		holder, q, pages := pinDeviceTier(t, ctl)
-		embs, err := ctl.AllocEmbeds(holder, q, 1)
+		embs, err := ctl.AllocEmbeds(holder, q, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestAllocWaitsForTheCompletionWave(t *testing.T) {
 			g.Go(name, func() {
 				inst := ctl.RegisterInstance(name, nil, nil)
 				wq := mustQueue(t, ctl, inst, "llama-1b")
-				if _, err := ctl.AllocPages(inst, wq, 1); err != nil {
+				if _, err := ctl.AllocPages(inst, wq, nil, 1); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
 				got = append(got, name)
@@ -97,7 +97,7 @@ func TestAllocRoomWaitTimesOut(t *testing.T) {
 		inst := ctl.RegisterInstance("waiter", nil, nil)
 		q := mustQueue(t, ctl, inst, "llama-1b")
 		start := clock.Now()
-		_, err := ctl.AllocPages(inst, q, 1)
+		_, err := ctl.AllocPages(inst, q, nil, 1)
 		if !errors.Is(err, api.ErrOutOfResources) {
 			t.Fatalf("AllocPages = %v, want ErrOutOfResources", err)
 		}

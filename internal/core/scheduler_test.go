@@ -40,7 +40,7 @@ func openEmbedSession(t testing.TB, ctl *Controller, name string, n int) embedSe
 	t.Helper()
 	inst := ctl.RegisterInstance(name, nil, nil)
 	q := mustQueue(t, ctl, inst, "llama-1b")
-	embs, err := ctl.AllocEmbeds(inst, q, n)
+	embs, err := ctl.AllocEmbeds(inst, q, nil, n)
 	if err != nil {
 		t.Fatal(err)
 	}

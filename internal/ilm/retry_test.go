@@ -288,12 +288,21 @@ func retryOnce(t *testing.T, replicas int, program inferlet.Program, args []stri
 
 // TestRetryReadsTheLaunchArgs: a launch keeps its own copy of its
 // arguments, so a client that reuses its slice after Launch returns does
-// not change what a retried attempt reads.
+// not change what a retried attempt reads. GetArg hands that copy out with
+// its capacity clipped: an attempt that appends to what it got changes
+// neither its next GetArg nor what the retried attempt reads.
 func TestRetryReadsTheLaunchArgs(t *testing.T) {
 	var got [][]string
 	hold := inferlet.Program{Name: "hold", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
 		got = append(got, s.GetArg())
 		if len(got) == 1 {
+			args := s.GetArg()
+			if grown := append(args, "appended"); cap(args) != len(args) || &grown[0] == &args[0] {
+				return fmt.Errorf("GetArg has capacity %d for %d args: an append writes into the launch's copy", cap(args), len(args))
+			}
+			if again := s.GetArg(); !slices.Equal(again, args) {
+				return fmt.Errorf("after an append, GetArg = %q, want %q", again, args)
+			}
 			_, err := s.Receive().Get() // until the replica dies
 			return err
 		}

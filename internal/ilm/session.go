@@ -32,23 +32,26 @@ type session struct {
 	// retried attempt's queues are new records.
 	first     openQueue
 	firstUsed bool
+	opened    *openQueue // this attempt's queues, the latest first
 }
 
 // openQueue is an open queue's inferlet-side object and the binding behind
-// it, allocated together.
+// it, allocated together, and the session's list of the queues it opened.
 type openQueue struct {
-	q inferlet.Queue
-	b queueBinding
+	q    inferlet.Queue
+	b    queueBinding
+	next *openQueue // the queue the attempt opened before this one
 }
 
 // reset starts the session over for a new attempt of h, on h.ctl, in place:
-// a fresh Random stream, no subscriptions, no instance yet. The first
-// queue's slot is left as it is.
+// a fresh Random stream, no subscriptions or queues, no instance yet. The
+// first queue's slot is left as it is.
 func (s *session) reset(h *Handle) {
 	s.ilm, s.handle, s.ctl, s.inst = h.ilm, h, h.ctl, nil
 	s.rng = sim.MakeRNG(0x5EED ^ h.ID)
 	clear(s.subs)
 	s.subs = s.subs[:0]
+	s.opened = nil
 }
 
 // Terminated is the control layer telling the session its instance was
@@ -84,7 +87,12 @@ func (s *session) checkHandoff() {
 
 // --- Core runtime -----------------------------------------------------
 
-func (s *session) GetArg() []string { return append([]string(nil), s.handle.spec.Args...) }
+// GetArg returns the launch's own copy of its arguments, read-only: its
+// capacity ends at its length, so an append copies it.
+func (s *session) GetArg() []string {
+	args := s.handle.spec.Args
+	return args[:len(args):len(args)]
+}
 
 func (s *session) Send(msg string) {
 	s.inst.ControlCalls++
@@ -131,6 +139,51 @@ func (s *session) TakeWorkingSet() any {
 }
 
 func (s *session) PutWorkingSet(ws any) { s.ilm.sets = append(s.ilm.sets, ws) }
+
+// AppendKvPages and AppendEmbeds are Alloc.Pages and Alloc.Embeds on q with
+// the handles appended to dst: the support library's contexts allocate into
+// their working sets through them. A queue this attempt opened is served
+// through its binding, as its Alloc is; any other through its Alloc, whose
+// list is then copied.
+func (s *session) AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error) {
+	if b := s.binding(q); b != nil {
+		return b.appendKvPages(dst, n)
+	}
+	return appendAlloc(q, dst, n, (*inferlet.Alloc).Pages)
+}
+
+func (s *session) AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) ([]api.Embed, error) {
+	if b := s.binding(q); b != nil {
+		return b.appendEmbeds(dst, n)
+	}
+	return appendAlloc(q, dst, n, (*inferlet.Alloc).Embeds)
+}
+
+// binding returns the binding behind q if this attempt opened q and q is
+// not closed (a closed queue refuses every call before its binding), or nil.
+func (s *session) binding(q *inferlet.Queue) *queueBinding {
+	for o := s.opened; o != nil; o = o.next {
+		if &o.q == q {
+			if q.Closed() {
+				return nil
+			}
+			return &o.b
+		}
+	}
+	return nil
+}
+
+func appendAlloc[H any](q *inferlet.Queue, dst []H, n int, alloc func(*inferlet.Alloc, int) ([]H, error)) ([]H, error) {
+	a, err := q.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	got, err := alloc(a, n)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, got...), nil
+}
 
 // --- I/O and messaging --------------------------------------------------
 
@@ -212,6 +265,7 @@ func (s *session) Open(m api.ModelID, opts ...inferlet.QueueOption) (*inferlet.Q
 	}
 	s.firstUsed = true
 	slot.b = queueBinding{s: s, inst: s.inst, qid: qid, model: string(m)}
+	slot.next, s.opened = s.opened, slot
 	q := &slot.q
 	q.Init(rt.Info, &slot.b)
 	for _, o := range opts {
@@ -270,10 +324,14 @@ func (b *queueBinding) Close() error {
 }
 
 func (b *queueBinding) AllocEmbeds(n int) ([]api.Embed, error) {
+	return b.appendEmbeds(make([]api.Embed, 0, max(n, 0)), n)
+}
+
+func (b *queueBinding) appendEmbeds(dst []api.Embed, n int) ([]api.Embed, error) {
 	if err := b.live(); err != nil {
 		return nil, err
 	}
-	return b.s.ctl.AllocEmbeds(b.inst, b.qid, n)
+	return b.s.ctl.AllocEmbeds(b.inst, b.qid, dst, n)
 }
 
 func (b *queueBinding) DeallocEmbeds(ids []api.Embed) error {
@@ -284,10 +342,14 @@ func (b *queueBinding) DeallocEmbeds(ids []api.Embed) error {
 }
 
 func (b *queueBinding) AllocKvPages(n int) ([]api.KvPage, error) {
+	return b.appendKvPages(make([]api.KvPage, 0, max(n, 0)), n)
+}
+
+func (b *queueBinding) appendKvPages(dst []api.KvPage, n int) ([]api.KvPage, error) {
 	if err := b.live(); err != nil {
 		return nil, err
 	}
-	return b.s.ctl.AllocPages(b.inst, b.qid, n)
+	return b.s.ctl.AllocPages(b.inst, b.qid, dst, n)
 }
 
 func (b *queueBinding) DeallocKvPages(ids []api.KvPage) error {

@@ -6,6 +6,7 @@ package ilm
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -178,6 +179,10 @@ func TestSessionDrivesAContext(t *testing.T) {
 		models := s.AvailableModels()
 		if len(models) != 1 || models[0].ID != "llama-1b" {
 			return fmt.Errorf("AvailableModels = %v", models)
+		}
+		_ = append(models, api.ModelInfo{ID: "appended"})
+		if again := s.AvailableModels(); !reflect.DeepEqual(again, models) {
+			return fmt.Errorf("a second AvailableModels = %v, want %v", again, models)
 		}
 		if traits, err := s.AvailableTraits("llama-1b"); err != nil || len(traits) == 0 {
 			return fmt.Errorf("AvailableTraits = %v, %v", traits, err)

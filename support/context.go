@@ -49,9 +49,10 @@ import (
 // frees both slots in one call.
 //
 // A context's private buffers — its page list, the attention and output
-// page lists and the per-step scratch — are one working set, taken at
-// construction from the session's free list when the session keeps one
-// (the engine does: one list per engine) and handed back by Drop or Close.
+// page lists, the per-step scratch and the buffers its page and slot grants
+// land in — are one working set, taken at construction from the session's
+// free list when the session keeps one (the engine does: one list per
+// engine) and handed back by Drop or Close.
 // A context is unusable after either; one used anyway starts over with
 // empty buffers of its own and never shares another context's. Tokens and
 // a Generate's GenResult.Tokens are never in the set: they stay the
@@ -71,8 +72,9 @@ type Context struct {
 	ownsQueue bool
 
 	workingSet
-	sets workingSets // the session's free list, if it keeps one
-	home *workingSet // the record the set goes back in, nil without a list
+	sets   workingSets // the session's free list, if it keeps one
+	home   *workingSet // the record the set goes back in, nil without a list
+	grants grants      // the session's allocation into buffers, if it has one
 
 	pinned []api.KvPage // read-only attention context (modular caching)
 	slots  int          // physical KV slots consumed
@@ -106,6 +108,12 @@ type workingSet struct {
 	posBuf []int
 	tokBuf []int // pending + new tokens of one forward
 	outBuf []api.KvPage
+
+	// Grants: the pages one growth step allocates, and a multi-token
+	// extension's input and output slots, alive until the step frees them.
+	grant  []api.KvPage
+	inBuf  []api.Embed
+	outEmb []api.Embed
 }
 
 // workingSets is a session's free list of working sets. The engine's
@@ -114,6 +122,38 @@ type workingSet struct {
 type workingSets interface {
 	TakeWorkingSet() any // a set put back earlier, or nil
 	PutWorkingSet(any)
+}
+
+// grants is a session's allocation into a caller's buffer: Alloc.Pages and
+// Alloc.Embeds on q with the handles appended to dst. The engine's sessions
+// have it; without it a context appends what its Alloc returns.
+type grants interface {
+	AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error)
+	AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) ([]api.Embed, error)
+}
+
+// allocPages appends n pages allocated on the context's queue to dst.
+func (c *Context) allocPages(dst []api.KvPage, n int) ([]api.KvPage, error) {
+	if c.grants != nil {
+		return c.grants.AppendKvPages(c.Q, dst, n)
+	}
+	pages, err := c.alloc.Pages(n)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, pages...), nil
+}
+
+// allocEmbeds appends n embed slots allocated on the context's queue to dst.
+func (c *Context) allocEmbeds(dst []api.Embed, n int) ([]api.Embed, error) {
+	if c.grants != nil {
+		return c.grants.AppendEmbeds(c.Q, dst, n)
+	}
+	embs, err := c.alloc.Embeds(n)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, embs...), nil
 }
 
 // takeWorkingSet starts the context on a set from its session's free list,
@@ -136,6 +176,7 @@ func (c *Context) putWorkingSet() {
 		*ws = workingSet{
 			entries: c.entries[:0], pend: c.pend[:0], attn: c.attn[:0],
 			posBuf: c.posBuf[:0], tokBuf: c.tokBuf[:0], outBuf: c.outBuf[:0],
+			grant: c.grant[:0], inBuf: c.inBuf[:0], outEmb: c.outEmb[:0],
 		}
 		c.sets.PutWorkingSet(ws)
 	}
@@ -173,6 +214,7 @@ func NewContext(s inferlet.Session, m api.ModelInfo) (*Context, error) {
 // open.
 func NewContextOnQueue(s inferlet.Session, q *inferlet.Queue) (*Context, error) {
 	c := &Context{S: s, Q: q, Model: q.Model()}
+	c.grants, _ = s.(grants)
 	var err error
 	if c.alloc, err = q.Alloc(); err != nil {
 		return nil, err
@@ -189,12 +231,9 @@ func NewContextOnQueue(s inferlet.Session, q *inferlet.Queue) (*Context, error) 
 	if c.tok, err = q.Tokenizer(); err != nil {
 		return nil, err
 	}
-	gen, err := c.alloc.Embeds(1)
-	if err != nil {
+	if c.genEmb, err = c.allocEmbeds(c.decodeSlots[:0:1], 1); err != nil {
 		return nil, err
 	}
-	c.decodeSlots[0] = gen[0]
-	c.genEmb = c.decodeSlots[:1:1]
 	c.takeWorkingSet()
 	return c, nil
 }
@@ -232,10 +271,11 @@ func (c *Context) ensure(n int) error {
 	}
 	ps := c.Model.PageSize
 	add := (need + ps - 1) / ps
-	pages, err := c.alloc.Pages(add)
+	pages, err := c.allocPages(c.grant[:0], add)
 	if err != nil {
 		return err
 	}
+	c.grant = pages
 	c.entries = slices.Grow(c.entries, len(pages))
 	for _, p := range pages {
 		c.entries = append(c.entries, pageEntry{h: p, owned: true, live: true})
@@ -378,18 +418,16 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 	var err error
 	if n == 1 {
 		if c.inEmb == nil {
-			in, err := c.alloc.Embeds(1)
-			if err != nil {
+			if c.inEmb, err = c.allocEmbeds(c.decodeSlots[1:1:2], 1); err != nil {
 				return nil, err
 			}
-			c.decodeSlots[1] = in[0]
-			c.inEmb = c.decodeSlots[1:2:2]
 		}
 		emb = c.inEmb
 	} else {
-		if emb, err = c.alloc.Embeds(n); err != nil {
+		if emb, err = c.allocEmbeds(c.inBuf[:0], n); err != nil {
 			return nil, err
 		}
+		c.inBuf = emb
 		defer c.alloc.FreeEmbeds(emb)
 	}
 	pos := slices.Grow(c.posBuf[:0], n)
@@ -409,20 +447,21 @@ func (c *Context) extend(toks []int, keepKV bool, outs int, wantDists bool) ([]a
 			// Temps for all but the last position; the frontier output
 			// lands in the persistent decode slot so NextDist keeps
 			// working after a multi-output extension.
-			tmp, err := c.alloc.Embeds(outs - 1)
+			tmp, err := c.allocEmbeds(c.outEmb[:0], outs-1)
 			if err != nil {
 				return nil, err
 			}
 			defer c.alloc.FreeEmbeds(tmp)
-			outEmb = append(append([]api.Embed(nil), tmp...), c.genEmb[0])
+			outEmb = append(tmp, c.genEmb[0])
+			c.outEmb = outEmb
 		default:
 			// Probes must not clobber the frontier output.
-			tmp, err := c.alloc.Embeds(outs)
+			tmp, err := c.allocEmbeds(c.outEmb[:0], outs)
 			if err != nil {
 				return nil, err
 			}
 			defer c.alloc.FreeEmbeds(tmp)
-			outEmb = tmp
+			outEmb, c.outEmb = tmp, tmp
 		}
 	}
 	opts := append(make([]inferlet.ForwardOption, 0, 4),
@@ -753,10 +792,11 @@ func (c *Context) Fork(n int) ([]*Context, error) {
 			child.entries = append(child.entries, pageEntry{h: c.entries[j].h, owned: false, live: c.entries[j].live})
 		}
 		if tailTokens > 0 {
-			np, err := child.alloc.Pages(1)
+			np, err := child.allocPages(child.grant[:0], 1)
 			if err != nil {
 				return fail(err)
 			}
+			child.grant = np
 			if err := child.alloc.CopyPage(c.entries[split].h, np[0], 0, 0, tailTokens); err != nil {
 				return fail(err)
 			}

@@ -22,8 +22,8 @@ func (c *Context) WorkingSet() any {
 
 // PoisonWorkingSet overwrites everything a working set handed back holds,
 // up to each buffer's capacity, with what no live context writes: -1 for
-// positions and tokens, an invalid handle for pages. A context that reads a
-// buffer after handing it back then reads poison.
+// positions and tokens, an invalid handle for pages and embeds. A context
+// that reads a buffer after handing it back then reads poison.
 func PoisonWorkingSet(set any) {
 	ws := set.(*workingSet)
 	const bad = ^api.KvPage(0)
@@ -31,10 +31,16 @@ func PoisonWorkingSet(set any) {
 	for i := range entries {
 		entries[i] = pageEntry{h: bad, owned: true, live: true}
 	}
-	for _, pages := range [][]api.KvPage{ws.attn, ws.outBuf} {
+	for _, pages := range [][]api.KvPage{ws.attn, ws.outBuf, ws.grant} {
 		pages = pages[:cap(pages)]
 		for i := range pages {
 			pages[i] = bad
+		}
+	}
+	for _, embs := range [][]api.Embed{ws.inBuf, ws.outEmb} {
+		embs = embs[:cap(embs)]
+		for i := range embs {
+			embs[i] = ^api.Embed(0)
 		}
 	}
 	for _, ints := range [][]int{ws.pend, ws.posBuf, ws.tokBuf} {
