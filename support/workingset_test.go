@@ -385,6 +385,38 @@ func TestAllocListsStayTheCallers(t *testing.T) {
 	})
 }
 
+// TestGrantsOnAClosedQueue: a context whose shared queue was closed grows
+// no further. Its page grant fails with api.ErrQueueClosed before reaching
+// the control layer, as Alloc.Pages on the closed queue does: no control
+// call is charged.
+func TestGrantsOnAClosedQueue(t *testing.T) {
+	var fillErr error
+	m := stats(t, timing, func(s inferlet.Session, mark func()) error {
+		q, err := s.Open(s.AvailableModels()[0].ID)
+		if err != nil {
+			return err
+		}
+		c, err := support.NewContextOnQueue(s, q)
+		if err == nil {
+			err = q.Close()
+		}
+		if err != nil {
+			return err
+		}
+		mark()
+		fillErr = c.FillTokens(make([]int, c.Model.PageSize)) // page-aligned: issues at once
+		mark()
+		_ = c.Drop() // fails on the closed queue too; the set still goes back
+		return nil
+	})
+	if !errors.Is(fillErr, api.ErrQueueClosed) {
+		t.Errorf("a fill on a closed queue: %v, want %v", fillErr, api.ErrQueueClosed)
+	}
+	if got := m[1].control - m[0].control - markCalls; got != 0 {
+		t.Errorf("the refused grant made %d control calls, want 0", got)
+	}
+}
+
 // BenchmarkContextSession is a warm context's whole life (contextLife), the
 // count TestContextAllocations pins.
 func BenchmarkContextSession(b *testing.B) {
