@@ -339,6 +339,7 @@ func retryStartsAFreshSession(t *testing.T, replicas int) {
 		firstAlloc   *inferlet.Alloc
 		firstSub     inferlet.Subscription
 		staleSync    error
+		staleGrant   error
 		staleSub     error
 		staleHas     bool
 		staleRelease error
@@ -373,6 +374,7 @@ func retryStartsAFreshSession(t *testing.T, replicas int) {
 			return err
 		}
 		staleSync = firstQ.Sync()
+		_, staleGrant = s.(*session).AppendKvPages(firstQ, nil, 1) // a context's page grant
 		staleHas = firstAlloc.HasExport("kept")
 		staleRelease = firstAlloc.ReleaseExport("kept")
 		kept = alloc.HasExport("kept")
@@ -402,8 +404,8 @@ func retryStartsAFreshSession(t *testing.T, replicas int) {
 	if !errors.Is(staleSub, sim.ErrMailboxClosed) || own != "second" {
 		t.Errorf("the earlier attempt's subscription received (%v), the retried one %q; want it closed and %q", staleSub, own, "second")
 	}
-	if !errors.Is(staleSync, api.ErrQueueClosed) {
-		t.Errorf("Sync on the earlier attempt's queue = %v, want ErrQueueClosed", staleSync)
+	if !errors.Is(staleSync, api.ErrQueueClosed) || !errors.Is(staleGrant, api.ErrQueueClosed) {
+		t.Errorf("Sync and a page grant on the earlier attempt's queue = %v and %v, want ErrQueueClosed", staleSync, staleGrant)
 	}
 	if staleHas || !errors.Is(staleRelease, api.ErrQueueClosed) || !kept {
 		t.Errorf("through the earlier attempt's queue HasExport = %v and ReleaseExport = %v, and the retry's export kept = %v; want false, ErrQueueClosed, true",
