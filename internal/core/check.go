@@ -14,8 +14,10 @@ import (
 //
 //   - "page pool <model>": a meta row per id; the pages referenced or
 //     pinned, per tier, equal the tier counters and fit its capacity; no
-//     negative refcount; free ids materialized, listed once and unheld,
-//     and every unheld id free.
+//     negative refcount or pin count; no pinned page on the host tier (a
+//     pin is taken with the page faulted in and held until the kernel is
+//     done); free ids materialized, listed once and unheld, and every
+//     unheld id free.
 //   - "embed pool <model>": ids within capacity, the referenced ones
 //     numbering inUse; free ids listed once and unreferenced.
 //   - "refcount": a page's or embed's refcount equals its holders here:
@@ -87,8 +89,11 @@ func (ctl *Controller) Check() error {
 func (p *tieredPool) check() error {
 	var held [2]int // by tier; a page with pins but no refs is held for its kernels
 	for id, m := range p.meta {
-		if m.refs < 0 {
-			return fmt.Errorf("page %d has refs %d", id, m.refs)
+		if m.refs < 0 || m.pins < 0 {
+			return fmt.Errorf("page %d has refs %d, pins %d", id, m.refs, m.pins)
+		}
+		if m.pins > 0 && m.tier != tierDevice { // a kernel addresses it
+			return fmt.Errorf("page %d pinned %d times on the host tier", id, m.pins)
 		}
 		if m.refs > 0 || m.pins > 0 {
 			held[m.tier]++

@@ -23,6 +23,14 @@ func TestCheckNamesTheBrokenClause(t *testing.T) {
 		{"page pool llama-1b", func(m *modelState, _ *Controller, _ *Instance) { // an unheld id off the free list
 			m.pages.meta, m.pages.next = append(m.pages.meta, pageMeta{}), m.pages.next+1
 		}},
+		{"page pool llama-1b", func(m *modelState, _ *Controller, inst *Instance) { // a pin released twice
+			m.pages.meta[inst.pages.refs[1].phys].pins--
+		}},
+		{"page pool llama-1b", func(m *modelState, _ *Controller, inst *Instance) { // a pinned page offloaded
+			id := inst.pages.refs[1].phys
+			m.pages.pin(id)
+			m.pages.offload([]int32{id})
+		}},
 		{"embed pool llama-1b", func(m *modelState, _ *Controller, inst *Instance) { // a live id on the free list
 			m.embeds.free = append(m.embeds.free, inst.embeds.refs[1].phys)
 		}},

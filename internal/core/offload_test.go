@@ -56,8 +56,14 @@ func TestTieredPoolRandomOps(t *testing.T) {
 			case 4: // pin a live id, or unpin a pinned one (held or live)
 				if rng.Intn(2) == 0 {
 					for id := range live {
+						// As preparePages does: a pinned page is faulted in, or
+						// let go at once when device room cannot be cleared.
 						if p.pin(id) {
-							pinned[id]++
+							if _, _, ok := p.faultIn([]int32{id}); ok {
+								pinned[id]++
+							} else {
+								p.unpin(id)
+							}
 						}
 						break
 					}

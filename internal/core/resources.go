@@ -581,10 +581,16 @@ func (c *call) Recycle() { c.ctl.recycle(c) }
 
 // recycle blanks a record nothing refers to any more, keeps its backing
 // arrays and its cell, one generation on, and puts it on the free list.
+// The record is zeroed in place and the kept fields put back: building a
+// blank record and copying it over costs two passes over the whole record.
 func (ctl *Controller) recycle(c *call) {
 	clear(c.free)
 	c.Res.Reset()
-	*c = call{Call: infer.Call{Res: c.Res}, ctl: c.ctl, free: c.free[:0], pins: c.pins[:0], pageBuf: c.pageBuf[:0], embBuf: c.embBuf[:0], intBuf: c.intBuf[:0], boolBuf: c.boolBuf[:0]}
+	res, owner := c.Res, c.ctl
+	free, pins, pageBuf, embBuf, intBuf, boolBuf := c.free[:0], c.pins[:0], c.pageBuf[:0], c.embBuf[:0], c.intBuf[:0], c.boolBuf[:0]
+	*c = call{}
+	c.Res, c.ctl = res, owner
+	c.free, c.pins, c.pageBuf, c.embBuf, c.intBuf, c.boolBuf = free, pins, pageBuf, embBuf, intBuf, boolBuf
 	ctl.freeCalls = append(ctl.freeCalls, c)
 }
 

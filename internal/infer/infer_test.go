@@ -432,3 +432,95 @@ func TestFirstTouchAllocations(t *testing.T) {
 		t.Error("a full-mode page carries no tensor data")
 	}
 }
+
+// TestFullDistsShareOneSlab: a full-mode batch of get_next_dist calls hands
+// each call a distribution of its own, bit-equal to the model's, cut from
+// one pair of slabs and clipped to its length, so an append cannot reach a
+// neighbour. A warm batch allocates nothing: the slabs hold a page of it.
+func TestFullDistsShareOneSlab(t *testing.T) {
+	rt := testRuntime(ExecFull)
+	m := rt.Model
+	clock := sim.NewClock()
+	outs := []*model.EmbedSlot{rt.Embed(1), rt.Embed(2), rt.Embed(3)}
+	if err := m.EmbedTokens([]int{5, 9, 14}, []int{0, 1, 2}, outs); err != nil {
+		t.Fatal(err)
+	}
+	clock.Go("p", func() {
+		b := &Batch{Op: OpNextDist, Model: rt}
+		for i, of := range outs {
+			b.Calls = append(b.Calls, armed(&Call{Op: OpNextDist, Model: rt, Seq: uint64(i), DistOf: of}, clock))
+		}
+		if allocs := testing.AllocsPerRun(1, func() {
+			for _, c := range b.Calls {
+				c.Res.Reset()
+			}
+			rt.execute(b)
+		}); allocs != 0 {
+			t.Errorf("a warm batch of %d distributions allocated %v times", len(b.Calls), allocs)
+		}
+		for i, c := range b.Calls {
+			toks, probs, err := m.NextDist(outs[i])
+			if err != nil || c.Err != nil {
+				t.Fatal(err, c.Err)
+			}
+			d := c.Dist
+			if !slices.Equal(d.Tokens, toks) || !slices.Equal(d.Probs, probs) {
+				t.Errorf("call %d: the runtime's distribution differs from the model's", i)
+			}
+			if cap(d.Tokens) != m.DistLen() || cap(d.Probs) != m.DistLen() {
+				t.Errorf("call %d: distribution of cap %d and %d, want %d", i, cap(d.Tokens), cap(d.Probs), m.DistLen())
+			}
+			if i > 0 && !adjacent(b.Calls[i-1].Dist.Tokens, d.Tokens) {
+				t.Errorf("call %d: ids not cut from the slab after call %d's", i, i-1)
+			}
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFullFusedSamplesLikeTheModel: a full-mode fused forward embeds its
+// tokens into the runtime's input slots and samples from the runtime's
+// distribution buffers, and draws what a forward on fresh slots and the
+// model's own NextDist give. A second call on other tokens reuses the
+// slots and still matches.
+func TestFullFusedSamplesLikeTheModel(t *testing.T) {
+	rt := testRuntime(ExecFull)
+	m := rt.Model
+	clock := sim.NewClock()
+	spec := &SampleSpec{Temperature: 0.8, TopK: 40, Seed: 3}
+	clock.Go("p", func() {
+		for seq, ids := range [][]int{{5, 9, 14, 20}, {27, 35, 44, 54}} {
+			pos := []int{0, 1, 2, 3}
+			outs := []*model.EmbedSlot{rt.Embed(1), rt.Embed(2)}
+			c := armed(&Call{Op: OpForward, Model: rt, Seq: uint64(seq), Sample: spec, FusedEmb: ids, FusedPos: pos, Outputs: outs}, clock)
+			rt.execute(&Batch{Op: OpForward, Model: rt, Calls: []*Call{c}})
+			if c.Err != nil {
+				t.Fatal(c.Err)
+			}
+			in, fresh := make([]*model.EmbedSlot, len(ids)), []*model.EmbedSlot{m.NewEmbedSlot(), m.NewEmbedSlot()}
+			for i := range in {
+				in[i] = m.NewEmbedSlot()
+			}
+			if err := m.EmbedTokens(ids, pos, in); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Forward(nil, in, nil, fresh, nil, ""); err != nil {
+				t.Fatal(err)
+			}
+			for i, out := range fresh {
+				toks, probs, err := m.NextDist(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sampleFrom(toks, probs, spec, uint64(seq)+uint64(i)); c.Sampled[i] != want {
+					t.Errorf("call %d: sampled %d at output %d, want %d", seq, c.Sampled[i], i, want)
+				}
+			}
+		}
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

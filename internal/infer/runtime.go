@@ -40,10 +40,14 @@ type ModelRuntime struct {
 	embedChunk []model.EmbedSlot
 
 	// scratch is the tensor kernels' working memory. Calls execute one at
-	// a time on the owning clock's event loop, so one set serves them all.
-	scratch   model.Scratch
-	fused     []model.EmbedSlot // fusedSlots' backing, with one pointer each
-	fusedPtrs []*model.EmbedSlot
+	// a time on the owning clock's event loop, so one set serves them all,
+	// and so do a fused forward's input slots and the top-K its sampling
+	// reads, which no caller sees.
+	scratch     model.Scratch
+	fused       []model.EmbedSlot // fusedSlots' backing, with one pointer each
+	fusedPtrs   []*model.EmbedSlot
+	sampleToks  []int // full mode: the distribution a fused forward samples
+	sampleProbs []float32
 
 	// Timing mode's stand-in distribution: every call's Tokens is a TopK
 	// window of one read-only table and every call's Probs the same TopK
@@ -52,9 +56,13 @@ type ModelRuntime struct {
 	pseudo      pseudoMod
 	pseudoToks  []int
 	pseudoProbs []float32
-	// slab is what is left of the allocation timing-mode sampled tokens
-	// are cut from (tokens).
-	slab []int
+	// What is left of the allocations the results a caller keeps are cut
+	// from (execute, cut): sampled tokens in both modes, and full-mode
+	// get_next_dist ids and probabilities. A slab's memory is never handed
+	// out twice.
+	slab      []int
+	distToks  []int
+	distProbs []float32
 }
 
 // NewModelRuntime sizes the physical pools from the GPU memory geometry.
@@ -167,18 +175,23 @@ func (rt *ModelRuntime) timingEmbed() *model.EmbedSlot {
 
 // execute runs the functional side of a batch, call by call in order.
 func (rt *ModelRuntime) execute(b *Batch) {
-	if rt.Mode == ExecTiming && b.Op == OpForward {
-		// Timing mode hands every sampled forward a token list it keeps, cut
-		// from one allocation that holds a page of this batch's decode steps.
+	// Every sampled forward keeps its token list and every full-mode
+	// get_next_dist its distribution: they are cut from slabs that a batch
+	// finding too little left replaces with room for a page of its calls.
+	ps := rt.Model.Config().PageSize
+	switch {
+	case b.Op == OpForward:
 		n := 0
 		for _, c := range b.Calls {
 			if c.Sample != nil {
 				n += len(c.Outputs)
 			}
 		}
-		if len(rt.slab) < n {
-			rt.slab = make([]int, n*rt.Model.Config().PageSize)
-		}
+		refill(&rt.slab, n, ps)
+	case b.Op == OpNextDist && rt.Mode == ExecFull:
+		n := len(b.Calls) * rt.Model.DistLen()
+		refill(&rt.distToks, n, ps)
+		refill(&rt.distProbs, n, ps)
 	}
 	for _, c := range b.Calls {
 		if err := rt.executeCall(c); err != nil {
@@ -187,6 +200,25 @@ func (rt *ModelRuntime) execute(b *Batch) {
 			c.Res.Resolve()
 		}
 	}
+}
+
+// refill replaces *slab with n × pageSize fresh elements when fewer than n
+// are left.
+func refill[T any](slab *[]T, n, pageSize int) {
+	if len(*slab) < n {
+		*slab = make([]T, n*pageSize)
+	}
+}
+
+// cut returns the next n elements of *slab for a result to keep, or memory
+// of their own when the slab has no room (a call executed outside a batch).
+func cut[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	r := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return r
 }
 
 func (rt *ModelRuntime) executeCall(c *Call) error {
@@ -246,22 +278,21 @@ func (rt *ModelRuntime) execEmbedImage(c *Call) error {
 func (rt *ModelRuntime) execForward(c *Call) error {
 	inputs := c.Inputs
 	if len(c.FusedEmb) > 0 {
-		// Fused input embedding (monolithic-pipeline ablation): materialize
-		// transient slots for the token ids.
+		// Fused input embedding (monolithic-pipeline ablation): the token
+		// ids go into the runtime's transient slots.
+		inputs = rt.fusedSlots(len(c.FusedPos))
 		if rt.Mode == ExecFull {
-			inputs = make([]*model.EmbedSlot, len(c.FusedEmb))
-			for i := range inputs {
-				inputs[i] = rt.Model.NewEmbedSlot()
-			}
 			if err := rt.Model.EmbedTokens(c.FusedEmb, c.FusedPos, inputs); err != nil {
 				return err
 			}
 		} else {
-			inputs = rt.fusedSlots(c.FusedPos)
+			for i, pos := range c.FusedPos {
+				inputs[i].Pos, inputs[i].Valid = pos, true
+			}
 		}
 	}
 	if rt.Mode == ExecFull {
-		if _, err := rt.Model.ForwardScratch(&rt.scratch, c.CtxPages, inputs, c.OutPages, c.Outputs, c.Mask, c.Adapter); err != nil {
+		if err := rt.Model.ForwardScratch(&rt.scratch, c.CtxPages, inputs, c.OutPages, c.Outputs, c.Mask, c.Adapter); err != nil {
 			return err
 		}
 	} else {
@@ -279,20 +310,24 @@ func (rt *ModelRuntime) execForward(c *Call) error {
 	return nil
 }
 
-// fusedSlots returns timing mode's transient input slots for a fused
-// forward, one per position. They live in the runtime's scratch, valid
-// until the next call executes.
-func (rt *ModelRuntime) fusedSlots(positions []int) []*model.EmbedSlot {
-	n := len(positions)
+// fusedSlots returns n transient input slots for a fused forward, with a
+// vector each in full mode. They live in the runtime's scratch, valid until
+// the next call executes.
+func (rt *ModelRuntime) fusedSlots(n int) []*model.EmbedSlot {
 	if len(rt.fused) < n {
 		rt.fused = make([]model.EmbedSlot, n)
 		rt.fusedPtrs = make([]*model.EmbedSlot, n)
+		var vecs []float32
+		d := rt.Model.Config().Dim
+		if rt.Mode == ExecFull {
+			vecs = make([]float32, n*d)
+		}
 		for i := range rt.fused {
+			if vecs != nil {
+				rt.fused[i].Vec = vecs[i*d : (i+1)*d : (i+1)*d]
+			}
 			rt.fusedPtrs[i] = &rt.fused[i]
 		}
-	}
-	for i, pos := range positions {
-		rt.fused[i] = model.EmbedSlot{Pos: pos, Valid: true}
 	}
 	return rt.fusedPtrs[:n]
 }
@@ -335,30 +370,21 @@ func timingForward(c *Call, inputs []*model.EmbedSlot) error {
 	return nil
 }
 
-// tokens returns an n-token list for a call's result to keep: the next n of
-// the slab, or memory of its own when the slab has no room (full
-// mode, a call executed outside a batch).
-func (rt *ModelRuntime) tokens(n int) []int {
-	if len(rt.slab) < n {
-		return make([]int, n)
-	}
-	toks := rt.slab[:n:n]
-	rt.slab = rt.slab[n:]
-	return toks
-}
-
 func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 	if len(c.Outputs) == 0 {
 		return nil, fmt.Errorf("infer: fused sampling requires output embeddings")
 	}
-	toks := rt.tokens(len(c.Outputs))
+	toks := cut(&rt.slab, len(c.Outputs))
+	if rt.Mode == ExecFull && rt.sampleToks == nil {
+		k := rt.Model.DistLen()
+		rt.sampleToks, rt.sampleProbs = make([]int, k), make([]float32, k)
+	}
 	for i, slot := range c.Outputs {
 		if rt.Mode == ExecFull {
-			ids, probs, err := rt.Model.NextDistScratch(&rt.scratch, slot)
-			if err != nil {
+			if err := rt.Model.NextDistScratch(&rt.scratch, slot, rt.sampleToks, rt.sampleProbs); err != nil {
 				return nil, err
 			}
-			toks[i] = sampleFrom(ids, probs, c.Sample, uint64(c.Seq)+uint64(i))
+			toks[i] = sampleFrom(rt.sampleToks, rt.sampleProbs, c.Sample, uint64(c.Seq)+uint64(i))
 		} else {
 			toks[i] = rt.pseudo.token(pseudoBase(c.Inst, c.Seq), i)
 		}
@@ -368,8 +394,10 @@ func (rt *ModelRuntime) fusedSample(c *Call) ([]int, error) {
 
 func (rt *ModelRuntime) execNextDist(c *Call) error {
 	if rt.Mode == ExecFull {
-		toks, probs, err := rt.Model.NextDistScratch(&rt.scratch, c.DistOf)
-		if err != nil {
+		// The program keeps the distribution: its own cut of the slabs.
+		k := rt.Model.DistLen()
+		toks, probs := cut(&rt.distToks, k), cut(&rt.distProbs, k)
+		if err := rt.Model.NextDistScratch(&rt.scratch, c.DistOf, toks, probs); err != nil {
 			return err
 		}
 		c.Dist = api.Dist{Tokens: toks, Probs: probs}

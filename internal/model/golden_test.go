@@ -86,18 +86,23 @@ func (s *Scratch) poison() {
 
 func (g *goldenRun) forward(ctx []*KvPage, in []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool) {
 	g.t.Helper()
-	var res *ForwardResult
-	var err error
+	outs := make([][]float32, len(outEmb))
 	if g.s == nil {
-		res, err = g.m.Forward(ctx, in, outKv, outEmb, mask, g.adapter)
+		res, err := g.m.Forward(ctx, in, outKv, outEmb, mask, g.adapter)
+		if err != nil {
+			g.t.Fatal(err)
+		}
+		outs = res.Outputs
 	} else {
-		res, err = g.m.ForwardScratch(g.s, ctx, in, outKv, outEmb, mask, g.adapter)
+		if err := g.m.ForwardScratch(g.s, ctx, in, outKv, outEmb, mask, g.adapter); err != nil {
+			g.t.Fatal(err)
+		}
 		g.s.poison()
+		for i, slot := range outEmb {
+			outs[i] = slot.Vec
+		}
 	}
-	if err != nil {
-		g.t.Fatal(err)
-	}
-	for i, out := range res.Outputs {
+	for i, out := range outs {
 		g.h.floats(out)
 		g.h.floats(outEmb[i].Vec)
 		g.h.u32(uint32(outEmb[i].Pos))
@@ -112,7 +117,8 @@ func (g *goldenRun) dist(slot *EmbedSlot) int {
 	if g.s == nil {
 		toks, probs, err = g.m.NextDist(slot)
 	} else {
-		toks, probs, err = g.m.NextDistScratch(g.s, slot)
+		toks, probs = make([]int, g.m.DistLen()), make([]float32, g.m.DistLen())
+		err = g.m.NextDistScratch(g.s, slot, toks, probs)
 		g.s.poison()
 	}
 	if err != nil {
@@ -263,7 +269,7 @@ func TestLastLayerPruningKeepsBits(t *testing.T) {
 		nc := 0
 		if len(ctx) > 0 {
 			nc = 1 + r.Intn(len(ctx)*m.cfg.PageSize)
-			if _, err := m.ForwardScratch(s, nil, embedPrompt(t, m, randIDs(nc), 0), ctx, nil, nil, adapter); err != nil {
+			if err := m.ForwardScratch(s, nil, embedPrompt(t, m, randIDs(nc), 0), ctx, nil, nil, adapter); err != nil {
 				t.Fatal(err)
 			}
 			s.poison()
@@ -286,14 +292,17 @@ func TestLastLayerPruningKeepsBits(t *testing.T) {
 			for i := range outs {
 				outs[i] = m.NewEmbedSlot()
 			}
-			res, err := m.ForwardScratch(s, ctx, in, outKv, outs, mask, adapter)
-			if err != nil {
+			if err := m.ForwardScratch(s, ctx, in, outKv, outs, mask, adapter); err != nil {
 				t.Fatal(err)
 			}
 			s.poison()
 			h := newBitHash()
 			h.pages(outKv)
-			return h.h, res.Outputs
+			vecs := make([][]float32, nOut)
+			for i, slot := range outs {
+				vecs[i] = slot.Vec
+			}
+			return h.h, vecs
 		}
 		wantKv, wantOut := run(n)
 		for _, nOut := range []int{0, 1, 1 + r.Intn(n), n} {

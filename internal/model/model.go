@@ -155,6 +155,10 @@ func (m *Model) Tokenizer() *tokenizer.Tokenizer { return m.tok }
 // VocabSize returns the output vocabulary size.
 func (m *Model) VocabSize() int { return m.tok.VocabSize() }
 
+// DistLen returns the length of a next-token distribution: TopK, or the
+// whole vocabulary when it is smaller.
+func (m *Model) DistLen() int { return min(m.cfg.TopK, m.VocabSize()) }
+
 // RegisterAdapter creates and installs a deterministic adapter under name.
 func (m *Model) RegisterAdapter(name string, rank int, scale float32, seed uint64) *Adapter {
 	a := &Adapter{Name: name, Rank: rank, Scale: scale, seed: seed}
@@ -403,34 +407,43 @@ type ForwardResult struct {
 //     position.
 //   - adapter: optional LoRA adapter name ("" for none).
 func (m *Model) Forward(ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) (*ForwardResult, error) {
-	return m.ForwardScratch(new(Scratch), ctx, inputs, outKv, outEmb, mask, adapterName)
+	if err := m.ForwardScratch(new(Scratch), ctx, inputs, outKv, outEmb, mask, adapterName); err != nil {
+		return nil, err
+	}
+	res := &ForwardResult{Outputs: make([][]float32, len(outEmb))}
+	for i, slot := range outEmb {
+		res.Outputs[i] = slot.Vec
+	}
+	return res, nil
 }
 
-// ForwardScratch is Forward working in s instead of fresh memory.
+// ForwardScratch is Forward working in s instead of fresh memory. It
+// builds no ForwardResult: the outputs are in outEmb, where the caller put
+// its slots, so the pass allocates nothing once s has grown to its size.
 //
 // Every token's arithmetic is the sequence Forward has always run: the
 // pass is only regrouped so that each weight matrix meets all n tokens at
 // once, each token is normalised once per layer, the visible-column lists
 // and RoPE angles are worked out once per call, and the last layer stops
 // after the keys and values for tokens that have no output slot.
-func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) (*ForwardResult, error) {
+func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, outKv []*KvPage, outEmb []*EmbedSlot, mask [][]bool, adapterName string) error {
 	n := len(inputs)
 	if n == 0 {
-		return nil, fmt.Errorf("model: Forward with no input embeddings")
+		return fmt.Errorf("model: Forward with no input embeddings")
 	}
 	for i, in := range inputs {
 		if !in.Valid {
-			return nil, fmt.Errorf("model: Forward input %d is uninitialized", i)
+			return fmt.Errorf("model: Forward input %d is uninitialized", i)
 		}
 	}
 	if len(outEmb) > n {
-		return nil, fmt.Errorf("model: %d output embeds for %d inputs", len(outEmb), n)
+		return fmt.Errorf("model: %d output embeds for %d inputs", len(outEmb), n)
 	}
 	var adapter *Adapter
 	if adapterName != "" {
 		a, ok := m.adapters[adapterName]
 		if !ok {
-			return nil, fmt.Errorf("model: unknown adapter %q", adapterName)
+			return fmt.Errorf("model: unknown adapter %q", adapterName)
 		}
 		adapter = a
 	}
@@ -440,11 +453,11 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 	nc := len(refs)
 	if mask != nil {
 		if len(mask) != n {
-			return nil, fmt.Errorf("model: mask has %d rows for %d inputs", len(mask), n)
+			return fmt.Errorf("model: mask has %d rows for %d inputs", len(mask), n)
 		}
 		for i, row := range mask {
 			if len(row) != nc+n {
-				return nil, fmt.Errorf("model: mask row %d has %d cols, want %d ctx + %d inputs", i, len(row), nc, n)
+				return fmt.Errorf("model: mask row %d has %d cols, want %d ctx + %d inputs", i, len(row), nc, n)
 			}
 		}
 	}
@@ -464,7 +477,7 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 		}
 		s.dstRefs = dstRefs
 		if len(dstRefs) < n {
-			return nil, fmt.Errorf("model: output pages have %d free slots for %d tokens", len(dstRefs), n)
+			return fmt.Errorf("model: output pages have %d free slots for %d tokens", len(dstRefs), n)
 		}
 	}
 
@@ -598,14 +611,12 @@ func (m *Model) ForwardScratch(s *Scratch, ctx []*KvPage, inputs []*EmbedSlot, o
 	}
 
 	// Final norm on the last len(outEmb) tokens.
-	res := &ForwardResult{Outputs: make([][]float32, len(outEmb))}
 	for i, slot := range outEmb {
 		tensor.RMSNorm(h[(first+i)*d:][:d], m.normF, slot.Vec, 1e-5)
 		slot.Pos = inputs[first+i].Pos
 		slot.Valid = true
-		res.Outputs[i] = slot.Vec
 	}
-	return res, nil
+	return nil
 }
 
 // applyLoRA adds scale · B·(A·x) to dst.
@@ -630,30 +641,36 @@ func (m *Model) Logits(hidden, out []float32) {
 // renormalized over the truncated support, descending (equal probabilities
 // by ascending token id).
 func (m *Model) NextDist(slot *EmbedSlot) (tokens []int, probs []float32, err error) {
-	return m.NextDistScratch(new(Scratch), slot)
+	k := m.DistLen()
+	tokens, probs = make([]int, k), make([]float32, k)
+	if err := m.NextDistScratch(new(Scratch), slot, tokens, probs); err != nil {
+		return nil, nil, err
+	}
+	return tokens, probs, nil
 }
 
-// NextDistScratch is NextDist working in s instead of fresh memory.
-func (m *Model) NextDistScratch(s *Scratch, slot *EmbedSlot) (tokens []int, probs []float32, err error) {
+// NextDistScratch is NextDist working in s and writing the distribution
+// into the caller's tokens and probs, DistLen elements each: it allocates
+// nothing once s has grown to the vocabulary.
+func (m *Model) NextDistScratch(s *Scratch, slot *EmbedSlot, tokens []int, probs []float32) error {
 	if !slot.Valid {
-		return nil, nil, fmt.Errorf("model: NextDist on uninitialized embed")
+		return fmt.Errorf("model: NextDist on uninitialized embed")
+	}
+	k := m.DistLen()
+	if len(tokens) != k || len(probs) != k {
+		return fmt.Errorf("model: NextDist into %d ids and %d probs, want %d", len(tokens), len(probs), k)
 	}
 	s.logits = grow(s.logits, m.VocabSize())
 	m.Logits(slot.Vec, s.logits)
 	tensor.Softmax(s.logits)
-	k := m.cfg.TopK
-	if k > len(s.logits) {
-		k = len(s.logits)
-	}
 	s.keys = grow(s.keys, 2*len(s.logits))
-	tokens = tensor.TopK(s.logits, k, s.keys, make([]int, k))
+	tensor.TopK(s.logits, k, s.keys, tokens)
 	var sum float32
 	for _, i := range tokens {
 		sum += s.logits[i]
 	}
-	probs = make([]float32, k)
 	for j, i := range tokens {
 		probs[j] = s.logits[i] / sum
 	}
-	return tokens, probs, nil
+	return nil
 }

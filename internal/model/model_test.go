@@ -417,7 +417,7 @@ func BenchmarkForwardDecodeStep(b *testing.B) {
 	ids := m.Tokenizer().Encode("a reasonably long prompt for benchmarking the decode path of the model ")
 	pages := newPages(m, 4)
 	var s Scratch
-	if _, err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), pages, nil, nil, ""); err != nil {
+	if err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), pages, nil, nil, ""); err != nil {
 		b.Fatal(err)
 	}
 	q := embedPrompt(b, m, ids[:1], len(ids))
@@ -425,7 +425,7 @@ func BenchmarkForwardDecodeStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.ForwardScratch(&s, pages, q, nil, out, nil, ""); err != nil {
+		if err := m.ForwardScratch(&s, pages, q, nil, out, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -446,7 +446,7 @@ func BenchmarkForwardPrefill32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.ForwardScratch(&s, nil, in, nil, out, nil, ""); err != nil {
+		if err := m.ForwardScratch(&s, nil, in, nil, out, nil, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,13 +463,14 @@ func BenchmarkNextDist(b *testing.B) {
 		outs[i] = m.NewEmbedSlot()
 	}
 	var s Scratch
-	if _, err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), nil, outs, nil, ""); err != nil {
+	if err := m.ForwardScratch(&s, nil, embedPrompt(b, m, ids, 0), nil, outs, nil, ""); err != nil {
 		b.Fatal(err)
 	}
+	toks, probs := make([]int, m.DistLen()), make([]float32, m.DistLen())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.NextDistScratch(&s, outs[i%len(outs)]); err != nil {
+		if err := m.NextDistScratch(&s, outs[i%len(outs)], toks, probs); err != nil {
 			b.Fatal(err)
 		}
 	}
