@@ -414,9 +414,9 @@ func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 	return out
 }
 
-// Place picks a replica for a new inferlet instance and returns its
-// controller (the ilm.Placer contract). artifact is the program's
-// name@version cache key, the program-affinity policy's routing signal.
+// Place picks a replica for launch session's new instance, records the
+// place, and returns its controller (the ilm.Placer contract). artifact is
+// the program's name@version cache key, program affinity's routing signal.
 // Each policy keeps its own candidates — every placeable replica for
 // least-loaded, the holders of the first hinted KV export for kv-affinity,
 // the replicas holding the artifact warm for program-affinity — and one
@@ -424,12 +424,12 @@ func (c *Cluster) placeableFor(eligible func(*Replica) bool) []*Replica {
 // Round-robin cycles, and cold keys and artifacts hash-stick. When every
 // replica is dead it fails typed with api.ErrReplicaLost — retried by
 // launches carrying a retry policy, surfaced otherwise.
-func (c *Cluster) Place(program, artifact string, args []string) (*core.Controller, error) {
+func (c *Cluster) Place(program, artifact string, args []string, session uint64) (*core.Controller, error) {
 	r := c.pick(artifact, args)
 	if r == nil {
 		return nil, fmt.Errorf("%w: no live replica to place %q on", api.ErrReplicaLost, program)
 	}
-	c.Decide(trace.Decision{Kind: trace.Place, Replica: r.ID, Program: program})
+	c.Decide(trace.Decision{Kind: trace.Place, Session: session, Replica: r.ID, Program: program})
 	return r.Ctl, nil
 }
 

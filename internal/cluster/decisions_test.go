@@ -7,7 +7,7 @@ package cluster_test
 
 import (
 	"errors"
-	"strings"
+	"slices"
 	"testing"
 
 	"pie"
@@ -71,17 +71,26 @@ func TestHandoffDecisionsMirrorCounters(t *testing.T) {
 	if p, in, out := decode.Placements, decode.HandoffsIn, cl.Replicas()[0].HandoffsOut; p != 2 || in != 2 || out != 2 {
 		t.Fatalf("decode replica placements %d handoffs in %d, prefill handoffs out %d; want 2/2/2", p, in, out)
 	}
+	// The three launches are sessions 1, 2 and 3, each placed on the
+	// prefill replica under its key before it moves or is denied.
+	var placed, moved []uint64
 	for _, d := range *ds {
 		switch d.Kind {
+		case trace.Place:
+			placed = append(placed, d.Session)
 		case trace.Handoff:
-			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || d.Dest != 1 || d.Pages < 1 || d.Cost <= 0 ||
+			moved = append(moved, d.Session)
+			if d.Replica != 0 || d.Dest != 1 || d.Pages < 1 || d.Cost <= 0 ||
 				d.Chosen.Replica != 1 || d.RunnerUp.Replica != -1 {
 				t.Errorf("handoff record %+v", d)
 			}
 		case trace.HandoffDeny:
-			if !strings.HasPrefix(d.Session, "text_completion#") || d.Replica != 0 || !errors.Is(d.Err, pie.ErrNoDecodeCapacity) {
+			if d.Session != 3 || d.Replica != 0 || !errors.Is(d.Err, pie.ErrNoDecodeCapacity) {
 				t.Errorf("deny record %+v", d)
 			}
 		}
+	}
+	if !slices.Equal(placed, []uint64{1, 2, 3}) || !slices.Equal(moved, []uint64{1, 2}) {
+		t.Errorf("placed sessions %v, moved %v; want [1 2 3] and [1 2]", placed, moved)
 	}
 }

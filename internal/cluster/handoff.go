@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strconv"
 	"time"
 
 	"pie/api"
@@ -100,7 +99,7 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 	// Hold the transfer slot for the modeled interconnect time: the budget
 	// bounds concurrent wire occupancy, not merely concurrent setup.
 	c.clock.Sleep(cost)
-	c.Decide(trace.Decision{Kind: trace.Handoff, Session: c.session(inst), Replica: src.ID, Dest: dst.ID,
+	c.Decide(trace.Decision{Kind: trace.Handoff, Session: inst.Session, Replica: src.ID, Dest: dst.ID,
 		Pages: pages, Cost: cost, Chosen: pick.candidate(), RunnerUp: runnerUp.candidate()})
 	return dst.Ctl, true
 }
@@ -109,18 +108,8 @@ func (c *Cluster) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core
 // records the denial.
 func (c *Cluster) denyHandoff(inst *core.Instance, src *Replica, err error) (*core.Controller, bool) {
 	inst.HandoffPending = false
-	c.Decide(trace.Decision{Kind: trace.HandoffDeny, Session: c.session(inst), Replica: src.ID, Err: err})
+	c.Decide(trace.Decision{Kind: trace.HandoffDeny, Session: inst.Session, Replica: src.ID, Err: err})
 	return nil, false
-}
-
-// session names an instance in a handoff record. Only an observer reads the
-// name, and it is the one part of a record that allocates, so with no hook
-// it is left empty.
-func (c *Cluster) session(inst *core.Instance) string {
-	if c.OnDecision == nil {
-		return ""
-	}
-	return inst.Name + "#" + strconv.FormatUint(inst.ID, 10)
 }
 
 // handoffTarget picks, among the serving decode-eligible replicas other

@@ -280,7 +280,7 @@ func TestColdKeysSpreadOverPrefillReplicas(t *testing.T) {
 	place := func() []int {
 		home := make([]int, keys)
 		for k := range home {
-			ctl, err := c.Place("text_completion", "", []string{fmt.Sprintf(`{"cache_key":"cold-%d"}`, k)})
+			ctl, err := c.Place("text_completion", "", []string{fmt.Sprintf(`{"cache_key":"cold-%d"}`, k)}, uint64(k+1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -153,10 +153,10 @@ func TestPlacementAllocatesNothing(t *testing.T) {
 	}
 	c := keyedCluster()
 	args := []string{keyedBlob}
-	if ctl, err := c.Place("bench_chat", "bench_chat@1", args); err != nil || c.ctlIndex[ctl].Role != RolePrefill {
+	if ctl, err := c.Place("bench_chat", "bench_chat@1", args, 1); err != nil || c.ctlIndex[ctl].Role != RolePrefill {
 		t.Fatalf("keyed placement: %v; want a prefill replica", err)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Place("bench_chat", "bench_chat@1", args) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Place("bench_chat", "bench_chat@1", args, 1) }); n != 0 {
 		t.Errorf("a keyed placement allocated %v times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -179,6 +179,6 @@ func BenchmarkPlaceKeyed(b *testing.B) {
 	args := []string{keyedBlob}
 	b.ReportAllocs()
 	for b.Loop() {
-		c.Place("bench_chat", "bench_chat@1", args)
+		c.Place("bench_chat", "bench_chat@1", args, 1)
 	}
 }

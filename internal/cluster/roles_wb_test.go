@@ -103,7 +103,7 @@ func TestHandoffAndBalanceAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.handoffTarget(src, time.Millisecond) }); n != 0 {
 		t.Fatalf("handoffTarget allocated %v times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Place("p", "p@1", nil) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Place("p", "p@1", nil, 1) }); n != 0 {
 		t.Fatalf("Place allocated %v times per launch, want 0", n)
 	}
 	var now time.Duration
@@ -167,6 +167,6 @@ func BenchmarkPlace(b *testing.B) {
 	c := pdCluster()
 	b.ReportAllocs()
 	for b.Loop() {
-		c.Place("p", "p@1", nil)
+		c.Place("p", "p@1", nil, 1)
 	}
 }

@@ -144,7 +144,7 @@ func TestOneScorer(t *testing.T) {
 					}
 					return
 				}
-				ctl, err := c.Place("p", "p@1", tc.args)
+				ctl, err := c.Place("p", "p@1", tc.args, 1)
 				if err != nil {
 					t.Error(err)
 				} else if ctl != c.replicas[tc.pick].Ctl {

@@ -138,7 +138,7 @@ func (ctl *Controller) markPrefilled(inst *Instance) {
 	if ctl.spans != nil && !inst.prefilled {
 		inst.prefilled = true
 		now := ctl.clock.Now()
-		ctl.spans.Span(trace.Span{Kind: trace.Prefilled, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: now, End: now})
+		ctl.spans.Span(trace.Span{Kind: trace.Prefilled, Replica: ctl.replica, Session: inst.Session, Instance: inst.ID, Class: inst.Class, Start: now, End: now})
 	}
 }
 

@@ -512,10 +512,10 @@ func (ctl *Controller) emitSpans(b *infer.Batch) {
 			continue
 		}
 		if inst.sawFirstTok {
-			ctl.spans.Span(trace.Span{Kind: trace.ITL, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: inst.lastTokenAt, End: now, Calls: 1})
+			ctl.spans.Span(trace.Span{Kind: trace.ITL, Replica: ctl.replica, Session: inst.Session, Instance: inst.ID, Class: inst.Class, Start: inst.lastTokenAt, End: now, Calls: 1})
 		} else {
 			inst.sawFirstTok = true
-			ctl.spans.Span(trace.Span{Kind: trace.TTFT, Replica: ctl.replica, Instance: inst.ID, Class: inst.Class, Start: inst.launchedAt, End: now, Calls: 1})
+			ctl.spans.Span(trace.Span{Kind: trace.TTFT, Replica: ctl.replica, Session: inst.Session, Instance: inst.ID, Class: inst.Class, Start: inst.launchedAt, End: now, Calls: 1})
 			ctl.markPrefilled(inst)
 		}
 		inst.lastTokenAt = now

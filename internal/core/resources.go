@@ -202,9 +202,10 @@ func (s *tableSpares) take() handleTable {
 // virtual resource address space, queues, and accounting. IDs grow with
 // creation, and a handoff gives the instance its destination's next one.
 type Instance struct {
-	ID   uint64
-	Name string
-	Proc *sim.Proc
+	ID      uint64 // this replica's id for it; a handoff gives it the destination's next
+	Session uint64 // the launch's key (ilm.Handle.ID), stamped by the ILM and kept across a handoff
+	Name    string
+	Proc    *sim.Proc
 
 	embeds handleTable
 	pages  handleTable

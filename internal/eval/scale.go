@@ -63,11 +63,10 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 		c.Placement = pie.PlaceLeastLoaded
 		c.Health = pie.HealthConfig{Enabled: true}
 	})
-	// A launch places in the launching client's own process.
-	placed := map[*sim.Proc]int{}
+	placed := map[uint64]int{} // by session
 	e.Cluster().OnDecision = func(d trace.Decision) {
 		if d.Kind == trace.Place {
-			placed[e.Clock().Current()] = d.Replica
+			placed[d.Session] = d.Replica
 		}
 	}
 	p := ScalePoint{Replicas: n}
@@ -81,11 +80,12 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 				params := fmt.Sprintf(`{"prompt":%q,"max_tokens":%d}`,
 					strings.Repeat("fleet scaling probe ", 1+rng.Intn(4)), 4+rng.Intn(8))
 				p.Sessions++
-				t0, tok := e.Now(), 0
+				t0, tok, rep := e.Now(), 0, -1
 				h, err := e.Launch(pie.Spec("text_completion", params))
 				if err == nil {
 					err = h.Wait()
 					_, _, tok = h.Stats()
+					rep = placed[h.Session()]
 				}
 				lat := e.Now() - t0
 				if err == nil {
@@ -95,7 +95,7 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 					p.Failures++
 				}
 				lines = append(lines, fmt.Sprintf("c%d#%d err=%v rep=%d tok=%d lat=%v",
-					c, i, err, placed[e.Clock().Current()], tok, lat))
+					c, i, err, rep, tok, lat))
 			}
 		})
 	}

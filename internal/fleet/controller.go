@@ -216,7 +216,7 @@ func (c *Controller) advanceUpgrade(name, target string, now time.Duration) {
 		// order (the batch's order too).
 		for _, h := range old {
 			if slices.Contains(st.batch, h.ID) && c.lm.RequeueForUpgrade(h) {
-				c.cl.Decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Handle: h.ID})
+				c.cl.Decide(trace.Decision{Kind: trace.UpgradeRequeue, Program: name, Version: target, Session: h.ID})
 			}
 		}
 		st.batch = st.batch[:0]

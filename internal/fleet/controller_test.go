@@ -182,7 +182,7 @@ func TestRollingUpgradeRequeuesStragglers(t *testing.T) {
 		{Kind: trace.Pin, Program: prog, Version: v2},
 		{Kind: trace.UpgradeStart, Program: prog, Version: v2, Count: 1},
 		{Kind: trace.UpgradeBatch, Program: prog, Version: v2, Count: 1},
-		{Kind: trace.UpgradeRequeue, Program: prog, Version: v2, Handle: 1},
+		{Kind: trace.UpgradeRequeue, Program: prog, Version: v2, Session: 1},
 		{Kind: trace.UpgradeDone, Program: prog, Version: v2},
 	}
 	var got []trace.Decision

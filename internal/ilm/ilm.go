@@ -59,10 +59,11 @@ const (
 type Placer interface {
 	// Place picks the controller for a new instance. artifact is the
 	// name@version cache key — the program-affinity policy probes
-	// replicas' warm-artifact caches with it. It fails typed
-	// (api.ErrReplicaLost) when no live replica can host the instance;
-	// launches carrying a retry policy retry it.
-	Place(program, artifact string, args []string) (*core.Controller, error)
+	// replicas' warm-artifact caches with it. session is the key the
+	// launch's handle has, or gets once this placement succeeds. It fails
+	// typed (api.ErrReplicaLost) when no live replica can host the
+	// instance; launches carrying a retry policy retry it.
+	Place(program, artifact string, args []string, session uint64) (*core.Controller, error)
 	// AdmitLaunch is the saturation gate, consulted once per launch before
 	// the dispatch pipeline with the launch's resolved service class and
 	// effective priority. A zero outputCap admits at full quality; a
@@ -546,15 +547,17 @@ func (m *ILM) attempt(h *Handle) error {
 	// registers with the control layer immediately, so load-aware
 	// placement sees launches-in-flight (an instance still paying its
 	// JIT) instead of an all-zeros tie.
-	ctl, err := m.place.Place(p.Name, e.ref, h.spec.Args)
+	// The handle's id is its session key, taken at its first placement:
+	// an attempt that fails before it consumes none.
+	id := h.ID
+	if id == 0 {
+		id = m.handleID + 1
+	}
+	ctl, err := m.place.Place(p.Name, e.ref, h.spec.Args, id)
 	if err != nil {
 		return err
 	}
-
-	if h.ID == 0 {
-		m.handleID++
-		h.ID = m.handleID
-	}
+	m.handleID, h.ID = max(m.handleID, id), id
 	// The entry may have been swapped since the last attempt (a rolling
 	// upgrade repointed the handle); the exported version follows it.
 	h.Version = e.version
@@ -565,6 +568,7 @@ func (m *ILM) attempt(h *Handle) error {
 	sess.reset(h)
 	h.inst = ctl.RegisterInstance(p.Name, nil, sess)
 	sess.inst = h.inst
+	h.inst.Session = h.ID
 	h.inst.MaxQueues = p.Manifest.Limits.MaxQueues
 	h.inst.MaxKvPages = p.Manifest.Limits.MaxKvPages
 	h.inst.DefaultPriority = h.spec.Priority

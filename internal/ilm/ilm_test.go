@@ -31,9 +31,9 @@ func testCatalog() []api.ModelInfo {
 // it to override one answer.
 type fakePlacer struct{}
 
-func (fakePlacer) Place(string, string, []string) (*core.Controller, error) { return nil, nil }
-func (fakePlacer) AdmitLaunch(string, int) (int, error)                     { return 0, nil }
-func (fakePlacer) LaunchFault() error                                       { return nil }
+func (fakePlacer) Place(string, string, []string, uint64) (*core.Controller, error) { return nil, nil }
+func (fakePlacer) AdmitLaunch(string, int) (int, error)                             { return 0, nil }
+func (fakePlacer) LaunchFault() error                                               { return nil }
 func (fakePlacer) MaybeHandoff(*core.Controller, *core.Instance) (*core.Controller, bool) {
 	return nil, false
 }

@@ -236,7 +236,7 @@ type turnPlacer struct {
 	n    int
 }
 
-func (p *turnPlacer) Place(string, string, []string) (*core.Controller, error) {
+func (p *turnPlacer) Place(string, string, []string, uint64) (*core.Controller, error) {
 	ctl := p.ctls[p.n%len(p.ctls)]
 	p.n++
 	return ctl, nil

@@ -29,7 +29,9 @@ type onePlacer struct {
 	consults []bool
 }
 
-func (p *onePlacer) Place(string, string, []string) (*core.Controller, error) { return p.ctl, nil }
+func (p *onePlacer) Place(string, string, []string, uint64) (*core.Controller, error) {
+	return p.ctl, nil
+}
 
 func (p *onePlacer) MaybeHandoff(ctl *core.Controller, inst *core.Instance) (*core.Controller, bool) {
 	p.consults = append(p.consults, ctl.InstanceQuiescent(inst))

@@ -11,23 +11,23 @@ type SpanKind string
 // and ImportPages).
 const (
 	// TTFT: an instance's first completed forward call, from its launch
-	// registration (Start) to the batch's completion (End). Instance,
-	// Class; Calls 1.
+	// registration (Start) to the batch's completion (End). Session,
+	// Instance, Class; Calls 1.
 	TTFT SpanKind = "ttft"
 	// ITL: each later completed forward call of the instance, from its
 	// previous one's completion. Two calls of one instance in one batch
-	// make a zero-length span. Instance, Class; Calls 1.
+	// make a zero-length span. Session, Instance, Class; Calls 1.
 	ITL SpanKind = "itl"
 	// Prefilled: a point (Start == End), at most once per instance: its
 	// first completed forward, or its first import of KV pages before
 	// that forward (the exporter prefilled them), whichever comes first.
-	// It follows that forward's TTFT span. Instance, Class.
+	// It follows that forward's TTFT span. Session, Instance, Class.
 	Prefilled SpanKind = "prefilled"
 	// Overhead: one batch's boundary overhead per call, from its
 	// submission (Start) to its deserialisation plus both IPC hops (End):
 	// everything but device queueing and the kernel (Fig. 10). Calls, the
-	// batch's call count; no Instance. A batch failed before the parser
-	// reached it has none.
+	// batch's call count; no Session or Instance. A batch failed before the
+	// parser reached it has none.
 	Overhead SpanKind = "overhead"
 )
 
@@ -39,7 +39,8 @@ const (
 type Span struct {
 	Kind       SpanKind
 	Replica    int
-	Instance   uint64 // the core instance id on Replica
+	Session    uint64 // the launch's handle id: one key on every replica and attempt
+	Instance   uint64 // the core instance id on Replica, which a handoff changes
 	Class      string // the instance's service class ("" unclassed)
 	Start, End time.Duration
 	Calls      int // API calls the span covers

@@ -27,7 +27,7 @@ type Kind string
 
 // Placement and handoff (internal/cluster).
 const (
-	Place       Kind = "place"        // a launch attempt placed: Replica, Program
+	Place       Kind = "place"        // a launch attempt placed: Session, Replica, Program
 	Handoff     Kind = "handoff"      // a session moved: Session, Replica -> Dest, Pages, Cost, Chosen, RunnerUp
 	HandoffDeny Kind = "handoff-deny" // a handoff refused, the session decodes in place: Session, Replica, Err
 )
@@ -49,7 +49,7 @@ const (
 )
 
 // Admission at the saturation guard: Class, KVUtil and Depth, the aggregate
-// signals the verdict read.
+// signals the verdict read. No Session: a launch has none until placed.
 const (
 	Degrade Kind = "degrade" // admitted with output cap Limit; AtRisk names the class it yields to, if any
 	Shed    Kind = "shed"    // refused with Err
@@ -73,7 +73,7 @@ const (
 	Pin            Kind = "pin"             // the registry pin set
 	UpgradeStart   Kind = "upgrade-start"   // a rollout begun over Count old-version instances
 	UpgradeBatch   Kind = "upgrade-batch"   // Count instances given Wait to finish on their own
-	UpgradeRequeue Kind = "upgrade-requeue" // a straggler's Handle restarted on the target
+	UpgradeRequeue Kind = "upgrade-requeue" // a straggler's Session restarted on the target
 	UpgradeDone    Kind = "upgrade-done"
 	Prewarm        Kind = "prewarm" // the artifact Program@Version uploaded to Replica
 )
@@ -86,8 +86,7 @@ type Decision struct {
 
 	Replica int    // the replica decided about; a handoff's source
 	Dest    int    // a handoff's destination; a dead replica's replacement
-	Session string // "name#id" of the instance a handoff record is about
-	Handle  uint64 // the launch handle an upgrade requeues
+	Session uint64 // the launch the record is about: its handle id, the key its spans carry
 	Class   string // service class ("" for unclassed launches)
 	Program string
 	Version string

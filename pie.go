@@ -576,6 +576,10 @@ func (h *Handle) Program() (name, version string) { return h.h.Program, h.h.Vers
 // ClientTag reports the opaque client label from the LaunchSpec.
 func (h *Handle) ClientTag() string { return h.h.ClientTag }
 
+// Session reports the launch's key in the span and decision streams
+// (trace.Span.Session, trace.Decision.Session), the same on every attempt.
+func (h *Handle) Session() uint64 { return h.h.ID }
+
 // Attempts reports how many placement attempts the launch has made: 1 on
 // the happy path, more when the retry policy requeued it after a replica
 // loss or transient fault.
