@@ -75,17 +75,46 @@ func TestFullModeKeptDistIsStable(t *testing.T) {
 // kernels' scratch are warm.
 func TestFullDecodeStepAllocations(t *testing.T) {
 	const steps = 64
+	if allocs := fullDecodeAllocs(t, 16, steps); allocs > steps/8 {
+		t.Errorf("%d full-mode decode steps make %v allocations, want at most %d", steps, allocs, steps/8)
+	}
+}
+
+// TestFullColdDecodeAllocations: the same 64 steps behind a warm-up of one
+// page, so they first touch four pages and grow the kernels' scratch a
+// token at a time. A page is eight allocations (its record, five slot
+// arrays, one K and one V backing for all its slots) and scratch grows
+// geometrically: 50 in all, where pages of 38 allocations and scratch cut
+// to the exact size made 426.
+func TestFullColdDecodeAllocations(t *testing.T) {
+	const steps = 64
+	bound := 50.0
+	if raceBuild {
+		bound++ // the race detector's instrumentation adds one
+	}
+	if allocs := fullDecodeAllocs(t, 1, steps); allocs > bound {
+		t.Errorf("%d cold full-mode decode steps make %v allocations, want at most %v", steps, allocs, bound)
+	}
+}
+
+// raceBuild is set in a build with the race detector (race_test.go).
+var raceBuild bool
+
+// fullDecodeAllocs counts the allocations of steps decode steps of a
+// 4-page full-mode context, run after a context of warm pages decoded a
+// step behind them and was dropped.
+func fullDecodeAllocs(t *testing.T, warm, steps int) float64 {
 	allocs := -1.0
 	runFull(t, func(s inferlet.Session) error {
-		warm, err := decodingContext(s, 16)
+		w, err := decodingContext(s, warm)
 		if err == nil {
-			err = warm.Append(7) // a step behind all 16 pages
+			err = w.Append(7) // a step behind all warm pages
 		}
 		if err == nil {
-			_, err = warm.NextDist()
+			_, err = w.NextDist()
 		}
 		if err == nil {
-			err = warm.Drop()
+			err = w.Drop()
 		}
 		if err != nil {
 			return err
@@ -100,9 +129,7 @@ func TestFullDecodeStepAllocations(t *testing.T) {
 		})
 		return err
 	})
-	if allocs > steps/8 {
-		t.Errorf("%d full-mode decode steps make %v allocations, want at most %d", steps, allocs, steps/8)
-	}
+	return allocs
 }
 
 // TestFullFusedStepAllocations: a warm full-mode fused step — Fused.Run and

@@ -5,12 +5,24 @@ import "fmt"
 // Check verifies the cluster's invariants like core.Controller.Check,
 // reading only, and returns an error prefixed with the first failing clause:
 //
+//   - "sessions": no two live instances, on any replicas, share a nonzero
+//     Session key (a handoff moves an instance; nothing clones one).
 //   - "replica <id>": the replica's Ctl.Check holds.
 //   - "dead replica <id>": a replica health declared dead holds no page.
 //   - "transfer budget": 0 ≤ handoff slots held ≤ budget, and sessions
 //     wait for one only while all are held.
 //   - "quiescence": with no live process, no slot held or waited on.
 func (c *Cluster) Check() error {
+	on := map[uint64]int{} // session -> the replica its instance is on
+	for _, r := range c.replicas {
+		for _, id := range r.Ctl.SortedInstanceIDs() {
+			s := r.Ctl.Instance(id).Session
+			if at, dup := on[s]; dup && s != 0 {
+				return fmt.Errorf("sessions: session %d has live instances on replicas %d and %d", s, at, r.ID)
+			}
+			on[s] = r.ID
+		}
+	}
 	for _, r := range c.replicas {
 		if err := r.Ctl.Check(); err != nil {
 			return fmt.Errorf("replica %d: %w", r.ID, err)

@@ -10,6 +10,10 @@ import (
 // and expects Check to name it.
 func TestCheckNamesTheBrokenClause(t *testing.T) {
 	for clause, breaks := range map[string]func(c *Cluster){
+		"sessions": func(c *Cluster) { // one session live on two replicas, as a clone would leave it
+			c.replicas[1].Ctl.RegisterInstance("twin", nil, nil).Session = 9
+			c.replicas[2].Ctl.RegisterInstance("twin", nil, nil).Session = 9
+		},
 		"replica 2: quiescence": func(c *Cluster) { c.replicas[2].Ctl.RegisterInstance("left", nil, nil) },
 		"dead replica 3":        func(c *Cluster) { c.replicas[3].health = HealthDead }, // a page on a dead replica
 		"transfer budget":       func(c *Cluster) { c.handoffActive = c.handoff.Budget + 1 },

@@ -163,15 +163,15 @@ func FleetSweep(o Options) FleetResult {
 	parallelFor(5, func(i int) {
 		switch i {
 		case 0:
-			legs[0] = runFleetLeg(o, fleetSteady)
+			legs[0] = runFleetLeg(o, fleetSteady, nil)
 		case 1:
-			legs[1] = runFleetLeg(o, fleetRolling)
+			legs[1] = runFleetLeg(o, fleetRolling, nil)
 		case 2:
-			legs[2] = runFleetLeg(o, fleetNaive)
+			legs[2] = runFleetLeg(o, fleetNaive, nil)
 		case 3:
 			// Same seed, same leg: the replay the determinism claim is
 			// judged on.
-			legs[3] = runFleetLeg(o, fleetRolling)
+			legs[3] = runFleetLeg(o, fleetRolling, nil)
 		case 4:
 			out.Reload = runFleetReload(o)
 		}
@@ -187,8 +187,9 @@ func FleetSweep(o Options) FleetResult {
 
 // runFleetLeg drives one upgrade leg: closed-loop interactive clients on
 // the pinned program, with the repin (if any) applied by the client that
-// draws the trigger task — one third of the way through the workload.
-func runFleetLeg(o Options, mode string) FleetLeg {
+// draws the trigger task — one third of the way through the workload —
+// seen by tap.
+func runFleetLeg(o Options, mode string, tap legTap) FleetLeg {
 	perWorker := o.scale(14, 9)
 	total := fleetIntConc * perWorker
 	triggerTask := total / 3
@@ -217,6 +218,7 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 	e := fleetEngine(o.seed(), boot)
 	var decisions []trace.Decision
 	e.Cluster().OnDecision = func(d trace.Decision) { decisions = append(decisions, d) }
+	see := tap.start(e)
 
 	promptRNG := sim.NewRNG(o.seed() ^ 0xf1ee70)
 	prompts := make([]string, 64)
@@ -248,6 +250,7 @@ func runFleetLeg(o Options, mode string) FleetLeg {
 			return fleetSpec(prompts[task%len(prompts)], true)
 		},
 		done: func(o outcome) {
+			see(o)
 			if o.Msg == "first-token" {
 				samples = append(samples, sample{o.T0, o.First - o.T0})
 			}

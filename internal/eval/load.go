@@ -38,6 +38,19 @@ type outcome struct {
 	End   time.Duration
 }
 
+// legTap observes one experiment leg without taking part in it: it is
+// called with the leg's engine before the load starts, and the function it
+// returns sees every outcome the leg's clients see. A nil tap sees nothing.
+type legTap func(e *pie.Engine) func(outcome)
+
+// start hands e to t and returns its outcome observer.
+func (t legTap) start(e *pie.Engine) func(outcome) {
+	if t == nil {
+		return func(outcome) {}
+	}
+	return t(e)
+}
+
 // ackLatency is the client-observed launch → ack latency (Fig. 9
 // methodology: the response leg is half the client RTT), and whether the
 // launch was acked and ran to completion.

@@ -108,7 +108,7 @@ func PDSweep(o Options) PDResult {
 	parallelFor(2*len(specs), func(i int) {
 		mix := &out.Mixes[i/2]
 		spec := specs[i/2]
-		leg := runPDLeg(o, spec, i%2 == 1)
+		leg := runPDLeg(o, spec, i%2 == 1, nil)
 		if i%2 == 0 {
 			mix.Spec = spec
 			mix.IntTotal = spec.IntConc * o.scale(12, 5)
@@ -137,10 +137,11 @@ func pdEngine(seed uint64, disagg bool) *pie.Engine {
 	})
 }
 
-// runPDLeg drives the mixed workload once.
-func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
+// runPDLeg drives the mixed workload once, seen by tap.
+func runPDLeg(o Options, spec PDMixSpec, disagg bool, tap legTap) PDLeg {
 	perWorker := o.scale(12, 5)
 	e := pdEngine(o.seed(), disagg)
+	see := tap.start(e)
 	// Seed-sensitive prompts: interactive prompts stay short; batch
 	// prompts are long enough that their prefills dominate a unified
 	// replica's batch slots.
@@ -180,6 +181,7 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
 				return completion(intPrompts[task%len(intPrompts)], pdIntTokens, true)
 			},
 			done: func(o outcome) {
+				see(o)
 				var first time.Duration
 				if o.Msg == "first-token" {
 					first = o.First - o.T0
@@ -206,6 +208,7 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool) PDLeg {
 				return completion(batchPrompts[(task*5)%len(batchPrompts)], pdBatchTokens, false)
 			},
 			done: func(o outcome) {
+				see(o)
 				if o.Err != nil {
 					return
 				}

@@ -557,7 +557,9 @@ func (m *ILM) attempt(h *Handle) error {
 	if err != nil {
 		return err
 	}
-	m.handleID, h.ID = max(m.handleID, id), id
+	if h.ID == 0 {
+		m.handleID, h.ID = id, id
+	}
 	// The entry may have been swapped since the last attempt (a rolling
 	// upgrade repointed the handle); the exported version follows it.
 	h.Version = e.version

@@ -231,18 +231,22 @@ func (p *KvPage) SetSlot(s int, used, masked bool) {
 	}
 }
 
-// NewKvPage allocates an empty page for this model.
+// NewKvPage allocates an empty page for this model. Its slots' K and V
+// vectors are cut from one backing array each, every cut capped at its own
+// length so that an append to one slot's vector stays in the slot.
 func (m *Model) NewKvPage() *KvPage {
+	slots, n := m.cfg.PageSize, m.cfg.Layers*m.cfg.Dim
 	p := &KvPage{
-		K:      make([][]float32, m.cfg.PageSize),
-		V:      make([][]float32, m.cfg.PageSize),
-		Pos:    make([]int, m.cfg.PageSize),
-		Used:   make([]bool, m.cfg.PageSize),
-		Masked: make([]bool, m.cfg.PageSize),
+		K:      make([][]float32, slots),
+		V:      make([][]float32, slots),
+		Pos:    make([]int, slots),
+		Used:   make([]bool, slots),
+		Masked: make([]bool, slots),
 	}
-	for i := 0; i < m.cfg.PageSize; i++ {
-		p.K[i] = make([]float32, m.cfg.Layers*m.cfg.Dim)
-		p.V[i] = make([]float32, m.cfg.Layers*m.cfg.Dim)
+	k, v := make([]float32, slots*n), make([]float32, slots*n)
+	for i := range slots {
+		p.K[i] = k[i*n : (i+1)*n : (i+1)*n]
+		p.V[i] = v[i*n : (i+1)*n : (i+1)*n]
 	}
 	return p
 }
@@ -380,10 +384,12 @@ type Scratch struct {
 }
 
 // grow returns buf resized to n elements, reallocating only when it is too
-// small. Contents are unspecified.
+// small, and then to at least twice its capacity, so a buffer that grows a
+// token a step reallocates a logarithmic number of times. Contents are
+// unspecified.
 func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	return buf[:n]
 }

@@ -18,7 +18,8 @@
 # least-loaded launch placement and one kv-affinity placement of a keyed
 # launch on a 6-replica prefill/decode cluster,
 # the grammar matcher and the tokenizer,
-# as the minimum over $count runs of `go test -bench`.
+# as the minimum over $count runs of `go test -bench` (more for a row whose
+# samples fall in two modes, so that the minimum reads the fast one).
 #
 #   scripts/microbench.sh          measure this tree and rewrite the "change"
 #                                  block of BENCH_micro.json; the "parent"
@@ -96,12 +97,13 @@ topkband=1.5
 fresh="$(mktemp)"
 trap 'rm -f "$fresh"' EXIT
 
-# bench <benchtime> <regexp> <package> [cpus]: min ns/op and min allocs/op
-# (and min infer-calls/op, control-calls/op and events/op where reported) per
-# benchmark, one `"Name": {...}` line each. With a -cpu list the
-# GOMAXPROCS each line ran at becomes part of its name ("Name/cpu2").
+# bench <samples> <benchtime> <regexp> <package> [cpus]: min ns/op and min
+# allocs/op (and min infer-calls/op, control-calls/op and events/op where
+# reported) over samples runs, per benchmark, one `"Name": {...}` line each.
+# With a -cpu list the GOMAXPROCS each line ran at becomes part of its name
+# ("Name/cpu2").
 bench() {
-	go test -run '^$' -bench "$2" -benchmem -benchtime "$1" -count "$count" ${4:+-cpu "$4"} "$3" | awk -v cpus="${4:-}" '
+	go test -run '^$' -bench "$3" -benchmem -benchtime "$2" -count "$1" ${5:+-cpu "$5"} "$4" | awk -v cpus="${5:-}" '
 		/^Benchmark/ {
 			name = $1; sub(/^Benchmark/, "", name)
 			if (cpus == "") sub(/-[0-9]+$/, "", name)
@@ -128,41 +130,45 @@ bench() {
 		}'
 }
 
-# rows: one `bench` invocation a line (benchtime, regexp, package, and the
-# -cpu list if any). A row's benchtime makes one sample of each of its
-# benchmarks take at least 10 ms, so that min-of-$count does not pick out
-# one mode of a sub-microsecond row.
+# rows: one `bench` invocation a line (samples, benchtime, regexp, package,
+# and the -cpu list if any). A row's benchtime makes one sample of each of
+# its benchmarks take at least 10 ms, so that min-of-$count does not pick out
+# one mode of a sub-microsecond row. DecodeStep and Handoff take 100
+# samples: theirs fall in two modes about 1.7x apart, the fast one in as few
+# as one sample in twenty, and the committed minimum is the fast mode.
 rows() {
 	cat <<'EOF'
-50000x ^Benchmark(LogitsHead|Softmax|SiLU|TopK)$ ./internal/tensor
-200000x ^BenchmarkMatVec64$ ./internal/tensor
-200x ^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$ ./internal/model
-10000x ^BenchmarkStandardCatalog$ ./internal/model
-5x ^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$ ./internal/sim 1,2
-1000000x ^BenchmarkClockTimer$ ./internal/sim 1,2
-200000x ^Benchmark(RoomWait|MailboxRecv|FutureWait)$ ./internal/sim
-2000x ^Benchmark(DecodeStep|Generate)$ .
-2000x ^BenchmarkContextSession$ ./support
-50000x ^BenchmarkFusedStep$ .
-20000x ^BenchmarkLaunchSession$ .
-200x ^BenchmarkEngineSetup$ .
-2000x ^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$ ./internal/core
-20000x ^Benchmark(TieredPoolAllocEvict|Handoff)$ ./internal/core
-100000x ^BenchmarkBatchRoundTrip$ ./internal/core
-2000000x ^BenchmarkNextDistTiming$ ./internal/infer
-200000x ^BenchmarkToolCall$ ./internal/netsim
-20000x ^BenchmarkLaunch$ ./internal/ilm
-500000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
-100000x ^BenchmarkPlaceKeyed$ ./internal/cluster
-200x ^BenchmarkAllowedTokensJSON$ ./internal/grammar
-2000x ^BenchmarkEncode$ ./internal/tokenizer
+5 50000x ^Benchmark(LogitsHead|Softmax|SiLU|TopK)$ ./internal/tensor
+5 200000x ^BenchmarkMatVec64$ ./internal/tensor
+5 200x ^Benchmark(ForwardDecodeStep|ForwardPrefill32|NextDist)$ ./internal/model
+5 10000x ^BenchmarkStandardCatalog$ ./internal/model
+5 5x ^BenchmarkClock(EventLoop|SparseTicker|SpawnChurn|Handoff)$ ./internal/sim 1,2
+5 1000000x ^BenchmarkClockTimer$ ./internal/sim 1,2
+5 200000x ^Benchmark(RoomWait|MailboxRecv|FutureWait)$ ./internal/sim
+100 2000x ^BenchmarkDecodeStep$ .
+5 2000x ^BenchmarkGenerate$ .
+5 2000x ^BenchmarkContextSession$ ./support
+5 50000x ^BenchmarkFusedStep$ .
+5 20000x ^BenchmarkLaunchSession$ .
+5 200x ^BenchmarkEngineSetup$ .
+5 2000x ^Benchmark(SchedulerDispatch|SchedulerMixedForward|Tokenize)$ ./internal/core
+5 20000x ^BenchmarkTieredPoolAllocEvict$ ./internal/core
+100 20000x ^BenchmarkHandoff$ ./internal/core
+5 100000x ^BenchmarkBatchRoundTrip$ ./internal/core
+5 2000000x ^BenchmarkNextDistTiming$ ./internal/infer
+5 200000x ^BenchmarkToolCall$ ./internal/netsim
+5 20000x ^BenchmarkLaunch$ ./internal/ilm
+5 500000x ^Benchmark(RoleBalance|ClusterTick|Place)$ ./internal/cluster
+5 100000x ^BenchmarkPlaceKeyed$ ./internal/cluster
+5 200x ^BenchmarkAllowedTokensJSON$ ./internal/grammar
+5 2000x ^BenchmarkEncode$ ./internal/tokenizer
 EOF
 }
 
-# sample <benchtime> <regexp> <package> [cpus]: a sample of the calibration
-# loop, then the row.
+# sample <samples> <benchtime> <regexp> <package> [cpus]: $count samples of
+# the calibration loop, then the row.
 sample() {
-	bench 50000x "^Benchmark$calib\$" ./internal/tensor
+	bench "$count" 50000x "^Benchmark$calib\$" ./internal/tensor
 	bench "$@"
 }
 
@@ -200,14 +206,14 @@ fi
 # of each of its rows.
 : > "$fresh"
 i=0
-rows | while read -r benchtime re pkg cpus; do
+rows | while read -r samples benchtime re pkg cpus; do
 	i=$((i + 1))
 	if [ -n "$parent" ] && [ $((i % 2)) -eq 1 ]; then
-		(cd "$tree" && sample "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
+		(cd "$tree" && sample "$samples" "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
 	fi
-	sample "$benchtime" "$re" "$pkg" $cpus >> "$fresh"
+	sample "$samples" "$benchtime" "$re" "$pkg" $cpus >> "$fresh"
 	if [ -n "$parent" ] && [ $((i % 2)) -eq 0 ]; then
-		(cd "$tree" && sample "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
+		(cd "$tree" && sample "$samples" "$benchtime" "$re" "$pkg" $cpus) >> "$parent"
 	fi
 done
 mincalib "$fresh"
@@ -254,7 +260,7 @@ fi
 
 {
 	echo '{'
-	echo "  \"settings\": {\"statistic\": \"min of $count runs\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, ContextSession, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, EngineSetup 200x, LaunchSession, TieredPoolAllocEvict, Handoff and Launch 20000x, FusedStep 50000x, BatchRoundTrip and PlaceKeyed 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to the minimum of $calib sampled ahead of every row of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
+	echo "  \"settings\": {\"statistic\": \"min of $count runs, 100 for DecodeStep and Handoff\", \"benchtime\": \"long enough that one sample takes at least 10 ms: model and grammar 200x, DecodeStep, Generate, ContextSession, SchedulerDispatch, SchedulerMixedForward, Tokenize and Encode 2000x, StandardCatalog 10000x, tensor kernels 50000x but MatVec64 200000x, EngineSetup 200x, LaunchSession, TieredPoolAllocEvict, Handoff and Launch 20000x, FusedStep 50000x, BatchRoundTrip and PlaceKeyed 100000x, RoomWait, MailboxRecv, FutureWait and ToolCall 200000x, RoleBalance, ClusterTick and Place 500000x, ClockTimer 1000000x, NextDistTiming 2000000x, the other Clock* 5x; Clock* at -cpu 1,2\", \"ns_gate\": \"ratio to the minimum of $calib sampled ahead of every row of the same run, +$nsband\", \"command\": \"scripts/microbench.sh\"},"
 	echo '  "parent": {'
 	if [ -n "$parent" ]; then commas < "$parent"; else block parent | commas; fi
 	echo '  },'
