@@ -108,6 +108,34 @@ func TestAbortMidDecodeFreesEverything(t *testing.T) {
 	}
 }
 
+// TestAbortBeforeFirstDispatch: an abort right after Launch, before the
+// program first runs, unwinds it at its first blocking call (Receive)
+// instead of leaving it parked there: Wait returns ErrAborted and the run
+// ends.
+func TestAbortBeforeFirstDispatch(t *testing.T) {
+	e := checked(t, pie.New(pie.Config{Seed: 7, Mode: pie.ModeTiming}))
+	e.MustRegister(inferlet.Program{Name: "listen", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		_, err := s.Receive().Get()
+		return err
+	}})
+	err := e.RunClient(func() {
+		h, err := e.Launch(pie.Spec("listen", ""))
+		if err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		if !h.Abort() {
+			t.Error("Abort reported no-op on a launched inferlet")
+		}
+		if err := h.Wait(); !errors.Is(err, api.ErrAborted) {
+			t.Errorf("Wait = %v, want ErrAborted", err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLaunchDeadlineAborts: a LaunchSpec deadline reclaims a runaway
 // inferlet with ErrDeadlineExceeded, and a manifest deadline tightens the
 // same way.
@@ -157,7 +185,7 @@ func TestLaunchDeadlineAborts(t *testing.T) {
 
 // TestManifestLimitsEnforced: manifest resource limits surface as typed
 // ErrLimitExceeded from the control layer, and manifest validation
-// rejects unsatisfiable deployments at register and launch time.
+// rejects unsatisfiable deployments at register time.
 func TestManifestLimitsEnforced(t *testing.T) {
 	e := pie.New(pie.Config{Seed: 7, Mode: pie.ModeTiming})
 	var pageErr, queueErr, importErr error

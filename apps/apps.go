@@ -435,7 +435,7 @@ func hash64(s string) uint64 {
 // manifest builds the standard Table 2 deployment contract: the artifact
 // version plus the capability traits the program requires of a serving
 // model. The registry validates these against the catalog's trait closure
-// at register and launch time (api.ErrUnsatisfiedManifest), so a program
+// at register time (api.ErrUnsatisfiedManifest), so a program
 // deployed onto an engine that cannot serve it fails before it runs.
 func manifest(traits ...api.Trait) inferlet.Manifest {
 	return inferlet.Manifest{Version: appsVersion, Traits: traits}

@@ -1,161 +1,140 @@
 package main
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pie/internal/benchfmt"
 )
 
-func writeTolConfig(t *testing.T, doc string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "tol.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestTolConfigResolution pins the layering: metric override > experiment
-// override > document default > -tol flag, and a nil config falls straight
-// through to the flag.
-func TestTolConfigResolution(t *testing.T) {
-	c, err := loadTolConfig(writeTolConfig(t, `{
-		"default": 0.10,
-		"experiments": {
-			"fleet":  {"metrics": {"naive-vs-steady-x": 0.35}},
-			"faults": {"tol": 0.25, "metrics": {"p95-ms": 0.30}}
+// TestCompareIsExact: identical reports pass with every headline and
+// event count counted identical; a headline one ulp off, an event count
+// one off, and a metric or experiment that one report has and the other
+// lacks each fail, named.
+func TestCompareIsExact(t *testing.T) {
+	report := func(edit func(*benchfmt.Report)) benchfmt.Report {
+		r := benchfmt.Report{Experiments: []benchfmt.Experiment{
+			{ID: "a", Events: 1000, Headline: map[string]float64{"x": 1.5, "y": 0.1}},
+			{ID: "b", Events: 20, Headline: map[string]float64{"z": 7}},
+		}}
+		if edit != nil {
+			edit(&r)
 		}
-	}`))
-	if err != nil {
-		t.Fatal(err)
+		return r
 	}
+	base := report(nil)
 	cases := []struct {
-		id, metric string
-		want       float64
+		name       string
+		edit       func(*benchfmt.Report)
+		identical  string
+		violations []string
 	}{
-		{"fleet", "naive-vs-steady-x", 0.35},   // metric override
-		{"fleet", "rolling-vs-steady-x", 0.10}, // falls to document default
-		{"faults", "p95-ms", 0.30},             // metric override beats exp tol
-		{"faults", "other", 0.25},              // experiment tol
-		{"cluster", "anything", 0.10},          // document default
+		{"identical", nil,
+			"3 of 3 headlines and 2 of 2 event counts byte-identical", nil},
+		{"headline one ulp", func(r *benchfmt.Report) { r.Experiments[0].Headline["y"] = math.Nextafter(0.1, 1) },
+			"2 of 3 headlines and 2 of 2 event counts byte-identical",
+			[]string{"a/y: 0.1 -> 0.10000000000000002"}},
+		{"event count +1", func(r *benchfmt.Report) { r.Experiments[1].Events++ },
+			"3 of 3 headlines and 1 of 2 event counts byte-identical",
+			[]string{"b: event count 20 -> 21"}},
+		{"missing metric", func(r *benchfmt.Report) { delete(r.Experiments[0].Headline, "x") },
+			"2 of 2 headlines and 2 of 2 event counts byte-identical",
+			[]string{"a/x: headline metric missing from fresh report"}},
+		{"extra metric", func(r *benchfmt.Report) { r.Experiments[1].Headline["w"] = 0 },
+			"3 of 3 headlines and 2 of 2 event counts byte-identical",
+			[]string{"b/w: headline metric missing from baseline (stale BENCH_sim.json)"}},
+		{"missing experiment", func(r *benchfmt.Report) { r.Experiments = r.Experiments[:1] },
+			"2 of 2 headlines and 1 of 1 event counts byte-identical",
+			[]string{"b: experiment missing from fresh report"}},
+		{"extra experiment", func(r *benchfmt.Report) {
+			r.Experiments = append(r.Experiments, benchfmt.Experiment{ID: "c", Events: 1})
+		},
+			"3 of 3 headlines and 2 of 2 event counts byte-identical",
+			[]string{"c: experiment missing from baseline (stale BENCH_sim.json — regenerate it)"}},
 	}
 	for _, tc := range cases {
-		if got := c.forMetric(tc.id, tc.metric, 0.20); got != tc.want {
-			t.Errorf("forMetric(%s, %s) = %v, want %v", tc.id, tc.metric, got, tc.want)
+		t.Run(tc.name, func(t *testing.T) {
+			c := compare(base, report(tc.edit))
+			if got := c.identical(); got != tc.identical {
+				t.Errorf("identical() = %q, want %q", got, tc.identical)
+			}
+			if !reflect.DeepEqual(c.violations, tc.violations) {
+				t.Errorf("violations = %q, want %q", c.violations, tc.violations)
+			}
+		})
+	}
+}
+
+// TestRunExitStatus runs the gate on copies of the committed baseline: an
+// untouched copy passes, a headline one ulp off or an event count one off
+// fails, and incomparable reports, unreadable files and the retired
+// tolerance flags are usage errors.
+func TestRunExitStatus(t *testing.T) {
+	blob, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, edit func(*benchfmt.Report)) string {
+		var r benchfmt.Report
+		if err := json.Unmarshal(blob, &r); err != nil {
+			t.Fatal(err)
 		}
+		if edit != nil {
+			edit(&r)
+		}
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if got := c.forExperiment("faults", 0.20); got != 0.25 {
-		t.Errorf("forExperiment(faults) = %v", got)
+	base := write("base.json", nil)
+	firstKey := func(r *benchfmt.Report) string { return sortedKeys(r.Experiments[0].Headline)[0] }
+	cases := []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"copy", []string{"-fresh", write("copy.json", nil)}, 0},
+		{"headline one ulp", []string{"-fresh", write("ulp.json", func(r *benchfmt.Report) {
+			h := r.Experiments[0].Headline
+			h[firstKey(r)] = math.Nextafter(h[firstKey(r)], math.Inf(1))
+		})}, 1},
+		{"event count +1", []string{"-fresh", write("events.json", func(r *benchfmt.Report) { r.Experiments[0].Events++ })}, 1},
+		{"other seed", []string{"-fresh", write("seed.json", func(r *benchfmt.Report) { r.Seed++ })}, 2},
+		{"missing file", []string{"-fresh", filepath.Join(dir, "absent.json")}, 2},
+		{"-tol", []string{"-tol", "0.2", "-fresh", base}, 2},
+		{"-tol-config", []string{"-tol-config", "x.json", "-fresh", base}, 2},
 	}
-	if got := c.forExperiment("fleet", 0.20); got != 0.10 {
-		t.Errorf("forExperiment(fleet) = %v, want document default", got)
-	}
-
-	// No document default: unlisted experiments use the flag.
-	c2, err := loadTolConfig(writeTolConfig(t, `{"experiments": {"fleet": {"tol": 0.30}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.forMetric("cluster", "x", 0.20); got != 0.20 {
-		t.Errorf("flag fallback = %v", got)
-	}
-
-	// Nil config: always the flag.
-	var nilc *tolConfig
-	if got := nilc.forMetric("fleet", "x", 0.20); got != 0.20 {
-		t.Errorf("nil config = %v", got)
-	}
-	if got := nilc.forExperiment("fleet", 0.20); got != 0.20 {
-		t.Errorf("nil config exp = %v", got)
-	}
-}
-
-// TestTolConfigErrors: unknown fields and unknown experiment IDs are
-// refused — a typo must not silently gate nothing.
-func TestTolConfigErrors(t *testing.T) {
-	if _, err := loadTolConfig(writeTolConfig(t, `{"experimnts": {}}`)); err == nil {
-		t.Fatal("misspelled field accepted")
-	}
-	if _, err := loadTolConfig(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	c, err := loadTolConfig(writeTolConfig(t, `{"experiments": {"ghost": {"tol": 0.5}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := benchfmt.Report{Experiments: []benchfmt.Experiment{{ID: "fleet"}}}
-	if err := c.checkIDs(base); err == nil {
-		t.Fatal("unknown experiment ID accepted")
-	}
-	ok, err := loadTolConfig(writeTolConfig(t, `{"experiments": {"fleet": {"tol": 0.5}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ok.checkIDs(base); err != nil {
-		t.Fatalf("checkIDs on valid config: %v", err)
-	}
-}
-
-// TestRelDiff pins the symmetric-relative-difference edge cases the gate
-// depends on.
-func TestRelDiff(t *testing.T) {
-	if d := relDiff(0, 0); d != 0 {
-		t.Errorf("relDiff(0,0) = %v", d)
-	}
-	if d := relDiff(110, 100); d < 0.0909 || d > 0.0910 {
-		t.Errorf("relDiff(110,100) = %v", d)
-	}
-	if relDiff(100, 110) != relDiff(110, 100) {
-		t.Error("relDiff must be symmetric")
-	}
-	if d := relDiff(5, 0); d != 1 {
-		t.Errorf("relDiff(5,0) = %v, want 1", d)
-	}
-}
-
-// TestCompareCountsWhatMoved: equal to the bit is counted as identical, a
-// difference inside tolerance passes but is listed, one beyond it is a
-// violation — for headlines and event counts alike — and anything one
-// report has and the other lacks is a violation in either direction.
-func TestCompareCountsWhatMoved(t *testing.T) {
-	exp := func(id string, events uint64, h map[string]float64) benchfmt.Experiment {
-		return benchfmt.Experiment{ID: id, Events: events, Headline: h}
-	}
-	base := benchfmt.Report{Experiments: []benchfmt.Experiment{
-		exp("a", 1000, map[string]float64{"same": 1.5, "inside": 100, "beyond": 100, "gone": 1}),
-		exp("b", 1000, map[string]float64{"same": 0.1}),
-		exp("c", 1000, nil),
-		exp("dropped", 10, nil),
-	}}
-	fresh := benchfmt.Report{Experiments: []benchfmt.Experiment{
-		exp("a", 1000, map[string]float64{"same": 1.5, "inside": 119, "beyond": 130, "new": 1}),
-		exp("b", 1100, map[string]float64{"same": 0.1}),
-		exp("c", 2000, nil),
-		exp("added", 10, nil),
-	}}
-	c := compare(base, fresh, nil, 0.20)
-	if got, want := c.identical(), "2 of 4 headlines and 1 of 3 event counts byte-identical"; got != want {
-		t.Errorf("identical() = %q, want %q", got, want)
-	}
-	wantMoved := []string{
-		"a/inside: moved 15.97% (100 -> 119, tol 20%)",
-		"b: event count moved 9.09% (1000 -> 1100, tol 20%)",
-	}
-	if !reflect.DeepEqual(c.moved, wantMoved) {
-		t.Errorf("moved = %q, want %q", c.moved, wantMoved)
-	}
-	wantViolations := []string{
-		"a/beyond: drifted 23.1% (100 -> 130, tol 20%)",
-		"a/gone: headline metric missing from fresh report",
-		"c: event count drifted 50.0% (1000 -> 2000, tol 20%)",
-		"dropped: experiment missing from fresh report",
-		"a/new: headline metric missing from baseline (stale BENCH_sim.json)",
-		"added: experiment missing from baseline (stale BENCH_sim.json — regenerate it)",
-	}
-	if !reflect.DeepEqual(c.violations, wantViolations) {
-		t.Errorf("violations = %q, want %q", c.violations, wantViolations)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			summary := filepath.Join(t.TempDir(), "summary.md")
+			t.Setenv("GITHUB_STEP_SUMMARY", summary)
+			var stdout, stderr strings.Builder
+			if got := run(append([]string{"-baseline", base}, tc.args...), &stdout, &stderr); got != tc.want {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", got, tc.want, stdout.String(), stderr.String())
+			}
+			if tc.want == 2 {
+				return
+			}
+			doc, err := os.ReadFile(summary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdict := map[int]string{0: "### bench-gate: OK", 1: "### bench-gate: FAIL (1 violations)"}[tc.want]
+			if !strings.HasPrefix(string(doc), verdict) {
+				t.Errorf("step summary starts %.60q, want %q", doc, verdict)
+			}
+		})
 	}
 }

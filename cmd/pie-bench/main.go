@@ -11,11 +11,12 @@
 //	                           # selector; `pie-bench -h` lists the ids, and
 //	                           # an id it does not know is an error)
 //	pie-bench -seed 7          # different deterministic seed
-//	pie-bench -json            # also write BENCH_sim.json (perf trajectory)
+//	pie-bench -json-out BENCH_sim.json
+//	                           # also write the JSON report (perf trajectory)
 //	pie-bench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof
 //	                           # host profiles of the run, for `go tool pprof`
 //
-// The -json report records, per experiment and in total, the wall time,
+// The JSON report records, per experiment and in total, the wall time,
 // the number of virtual events processed, and events/sec — the headline
 // replay-speed metric tracked across PRs (see EXPERIMENTS.md).
 package main
@@ -37,13 +38,8 @@ import (
 	"pie/internal/sim"
 )
 
-const (
-	// defaultJSONPath is where -json writes its report unless -json-out
-	// overrides it.
-	defaultJSONPath = "BENCH_sim.json"
-	// defaultSeed is also what eval.Options runs when handed a zero Seed.
-	defaultSeed = 42
-)
+// defaultSeed is also what eval.Options runs when handed a zero Seed.
+const defaultSeed = 42
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -61,20 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "run CI-sized workloads")
 	seed := fs.Uint64("seed", defaultSeed, "deterministic seed for every experiment")
 	exps := fs.String("exp", "all", "comma-separated experiment ids, or all ("+strings.Join(ids, ",")+")")
-	jsonOut := fs.Bool("json", false, "write BENCH_sim.json with wall time and events/sec per experiment")
-	jsonPath := fs.String("json-out", defaultJSONPath, "path for the -json report (implies -json)")
+	jsonPath := fs.String("json-out", "", "write the JSON report (headlines, wall time and events/sec per experiment) to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// An explicit output path means the user wants the report, -json or not.
-	writeReport := *jsonOut
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "json-out" {
-			writeReport = true
-		}
-	})
 	// A zero seed runs the default: print and record the seed the run uses,
 	// or bench-gate calls the report incomparable with its own baseline.
 	if *seed == 0 {
@@ -137,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "suite: %v wall time, %d virtual events, %.0f events/sec (gomaxprocs=%d)\n",
 		wall.Round(time.Millisecond), rep.TotalEvents, rep.EventsPerSec, rep.GoMaxProcs)
 
-	if writeReport {
+	if *jsonPath != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(stderr, "pie-bench: marshal report:", err)

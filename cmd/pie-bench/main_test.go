@@ -76,3 +76,20 @@ func TestReportHoldsTheSelectedExperiments(t *testing.T) {
 		t.Errorf("-seed 0 ran something other than seed %d: %v vs %v", defaultSeed, got, want)
 	}
 }
+
+// TestReportOnlyOnRequest: without -json-out no report is written, and
+// -json is not a flag.
+func TestReportOnlyOnRequest(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	var stdout, stderr bytes.Buffer
+	if status := run([]string{"-quick", "-exp", "table2"}, &stdout, &stderr); status != 0 {
+		t.Fatalf("exit status %d: %s", status, stderr.String())
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("wrote %v without -json-out", files)
+	}
+	if status := run([]string{"-json"}, &stdout, &stderr); status != 2 {
+		t.Errorf("-json: exit status %d, want 2", status)
+	}
+}

@@ -4,8 +4,9 @@ package pie_test
 // equally-old op classes by iterating a Go map, so equal-`oldest` ties
 // depended on map order and two identical-seed runs could batch (and
 // therefore time) differently. Ready buckets now break ties on bucket
-// creation sequence; these tests pin that contract at the engine level and
-// across every eval driver, including under the parallel harness.
+// creation sequence; these tests pin that contract at the engine level
+// (internal/eval's TestExperimentsDeterministic does so for every
+// experiment, under the parallel harness too).
 
 import (
 	"fmt"
@@ -13,7 +14,6 @@ import (
 
 	"pie"
 	"pie/apps"
-	"pie/internal/eval"
 	"pie/internal/trace"
 )
 
@@ -119,39 +119,5 @@ func TestSchedulerStatsDeterministic(t *testing.T) {
 	}
 	if st := schedulerFingerprint(t, 42); st != a {
 		t.Fatalf("third identical-seed run diverged:\n run1: %s\n run3: %s", a, st)
-	}
-}
-
-// TestEvalDriversDeterministic runs every eval driver twice with the same
-// seed and requires identical rows — including under the parallel harness,
-// which must only change wall-clock time, never results.
-func TestEvalDriversDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("doubles the eval suite; skipped in -short")
-	}
-	o := eval.Options{Seed: 42, Quick: true}
-	drivers := []struct {
-		id  string
-		run func() string
-	}{
-		{"fig6", func() string { return fmt.Sprintf("%+v", eval.Figure6(o).Rows) }},
-		{"fig7", func() string { return fmt.Sprintf("%+v", eval.Figure7(o).Series) }},
-		{"fig8", func() string { return fmt.Sprintf("%+v", eval.Figure8(o).Rows) }},
-		{"fig9", func() string { return fmt.Sprintf("%+v", eval.Figure9(o).Points) }},
-		{"fig10", func() string { return fmt.Sprintf("%+v", eval.Figure10(o).Points) }},
-		{"fig11", func() string { return fmt.Sprintf("%+v", eval.Figure11(o).Rows) }},
-		{"table3", func() string { return fmt.Sprintf("%+v", eval.Table3(o)) }},
-		{"table4", func() string { return fmt.Sprintf("%+v", eval.Table4(o).Rows) }},
-		{"table5", func() string { return fmt.Sprintf("%+v", eval.Table5(o).Rows) }},
-	}
-	for _, d := range drivers {
-		d := d
-		t.Run(d.id, func(t *testing.T) {
-			a := d.run()
-			b := d.run()
-			if a != b {
-				t.Fatalf("%s: identical-seed runs diverged:\n run1: %s\n run2: %s", d.id, a, b)
-			}
-		})
 	}
 }

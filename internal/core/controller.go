@@ -319,7 +319,7 @@ func (ctl *Controller) Instances() int { return len(ctl.instances) }
 
 // ModelInfos lists servable model descriptors in registration order,
 // without charging any instance: the ILM validates program manifests
-// against this catalog view at register and launch time.
+// against this catalog view at register time.
 func (ctl *Controller) ModelInfos() []api.ModelInfo {
 	out := make([]api.ModelInfo, 0, len(ctl.order))
 	for _, m := range ctl.order {

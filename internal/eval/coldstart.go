@@ -26,7 +26,7 @@ import (
 //     once per (program, replica) pair; affinity pays once per program
 //     and routes launches to the warm holder.
 //  3. Determinism: same-seed sweeps produce byte-identical documents
-//     (TestColdstartSweepDeterministic enforces this).
+//     (TestExperimentsDeterministic enforces this).
 //
 // The probe inferlet acks and exits — pure launch-path latency, the
 // paper's Fig. 9 methodology with generation stripped out.

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
 	"testing"
 )
 
@@ -35,21 +34,5 @@ func TestColdstartAcceptance(t *testing.T) {
 	if r.PA.MeanLaunch >= r.RR.MeanLaunch {
 		t.Fatalf("program-affinity mean launch %v, round-robin %v: affinity should be cheaper",
 			r.PA.MeanLaunch, r.RR.MeanLaunch)
-	}
-}
-
-// TestColdstartSweepDeterministic pins the determinism contract: the
-// whole result document is byte-identical across same-seed runs.
-func TestColdstartSweepDeterministic(t *testing.T) {
-	doc := func() []byte {
-		b, err := json.Marshal(ColdstartSweep(Options{Quick: true, Seed: 9}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	a, b := doc(), doc()
-	if string(a) != string(b) {
-		t.Fatalf("same-seed coldstart sweeps diverged:\n%s\n%s", a, b)
 	}
 }

@@ -1,0 +1,89 @@
+package eval
+
+import (
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// seedFree names the experiments whose workload does not take the seed:
+// table2 counts the apps' source lines, and the rest replay fixed scripts
+// in which the seed picks only token values and model weights, neither of
+// which moves a virtual-time number. Every other experiment must move
+// with it.
+var seedFree = map[string]bool{
+	"table2": true, "fig6": true, "fig7": true, "fig8": true, "fig9": true,
+	"fig10": true, "fig11": true, "table3": true, "table4": true, "table5": true,
+	"cluster": true, "offload": true, "coldstart": true, "faults": true,
+}
+
+// document is everything a run of x decides: its Result and headline as
+// JSON and its rendered table, and apart from those, what the JSON leaves
+// out on purpose — scale's per-leg transcripts (its events/sec and
+// GOMAXPROCS, host measurements, are blanked) and SLO's per-leg decision
+// logs, which must not be empty.
+func document(t *testing.T, x Experiment, o Options) (doc, extra string) {
+	t.Helper()
+	r := x.Run(o)
+	switch res := r.(type) {
+	case *ScaleResult:
+		c := *res
+		c.Sweep = slices.Clone(res.Sweep)
+		for i := range c.Sweep {
+			c.Sweep[i].EventsPS = 0
+		}
+		c.GoMaxProcs, c.EventsPS1 = 0, 0
+		r, extra = &c, c.Summary()
+	case SLOResult:
+		for _, lvl := range res.Levels {
+			for _, leg := range []SLOLeg{lvl.Baseline, lvl.SLO} {
+				for _, d := range leg.DecisionLog {
+					extra += fmt.Sprintf("%+v\n", d)
+				}
+			}
+		}
+		if extra == "" {
+			t.Fatal("slo: decision log empty: comparing it is vacuous")
+		}
+	}
+	blob, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := json.Marshal(r.Headline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob) + "\n" + string(head) + "\n" + r.Table(), extra
+}
+
+// TestExperimentsDeterministic is the same-seed contract of the whole
+// evaluation: every experiment's document is byte-identical at
+// GOMAXPROCS=1 and at the default (parallelFor spreads legs over cores,
+// which may change wall time only), and it and its transcripts move with
+// the seed wherever the workload takes one, so the comparison is not
+// vacuous. It runs at seeds other than the committed baselines' 42;
+// comparing against the committed numbers is cmd/bench-gate's job, on the
+// host class they are recorded on.
+func TestExperimentsDeterministic(t *testing.T) {
+	o, other := Options{Quick: true, Seed: 9}, Options{Quick: true, Seed: 10}
+	for _, x := range Experiments() {
+		t.Run(x.ID, func(t *testing.T) {
+			par, parExtra := document(t, x, o)
+			prev := runtime.GOMAXPROCS(1)
+			ser, serExtra := document(t, x, o)
+			runtime.GOMAXPROCS(prev)
+			if par != ser || parExtra != serExtra {
+				t.Fatalf("document differs across GOMAXPROCS:\n--- default ---\n%s\n%s\n--- 1 ---\n%s\n%s", par, parExtra, ser, serExtra)
+			}
+			if seedFree[x.ID] {
+				return
+			}
+			if doc, extra := document(t, x, other); doc == par || parExtra != "" && extra == parExtra {
+				t.Fatalf("seeds %d and %d give an equal document or transcript: the seed does not reach the workload", o.Seed, other.Seed)
+			}
+		})
+	}
+}

@@ -154,7 +154,10 @@ func TestRunLoadRetriesUpToAttempts(t *testing.T) {
 
 // The experiment table is what BENCH_sim.json is generated from: same ids
 // in the same order, and for every experiment the same headline keys — so
-// a stale baseline fails here before CI's bench-gate job.
+// a stale baseline fails here before CI's bench-gate job. Keys only: the
+// values are bench-gate's to compare, on amd64 where the baselines are
+// recorded. Go fuses float64 multiply-adds on arm64, and whether the
+// timing-mode arithmetic keeps its bits there is unverified.
 func TestExperimentsMatchCommittedBaseline(t *testing.T) {
 	blob, err := os.ReadFile("../../BENCH_sim.json")
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 // host tier equal to the device capacity (2× effective pages).
 //
 // Everything runs on virtual clocks: same-seed runs produce byte-identical
-// result documents (TestOffloadSweepDeterministic enforces this).
+// result documents (TestExperimentsDeterministic enforces this).
 
 // Offload sweep shape: a small device pool (overriding the GPU memory
 // geometry) makes oversubscription cheap to reach.

@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,44 +33,5 @@ func TestScaleSweepQuick(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "BYTE-IDENTICAL") {
 		t.Fatalf("table does not report the determinism probe:\n%s", r.Table())
-	}
-}
-
-// TestScaleSweepDeterminismAcrossGOMAXPROCS: a sweep's deterministic
-// transcript must be byte-identical at GOMAXPROCS=1 and at the default,
-// and must move when the seed moves. Small legs keep it cheap — the
-// 128-replica byte-identity probe runs inside TestScaleSweepQuick.
-func TestScaleSweepDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	o := Options{Quick: true, Seed: 23}
-	legs := []int{1, 4, 8}
-	atN := scaleSweep(o, legs).Summary()
-	prev := runtime.GOMAXPROCS(1)
-	at1 := scaleSweep(o, legs).Summary()
-	runtime.GOMAXPROCS(prev)
-	if atN != at1 {
-		t.Fatalf("-exp scale transcript differs across GOMAXPROCS:\n--- default ---\n%s\n--- 1 ---\n%s",
-			atN, at1)
-	}
-	if other := scaleSweep(Options{Quick: true, Seed: 24}, legs).Summary(); other == atN {
-		t.Fatal("different seeds produced identical sweep transcripts (seed not plumbed through)")
-	}
-}
-
-// TestBenchRowDeterminismAcrossGOMAXPROCS pins the -pd and -faults
-// bench rows: their tables are virtual-time only, so parallelFor
-// spreading legs across cores must not change a byte.
-func TestBenchRowDeterminismAcrossGOMAXPROCS(t *testing.T) {
-	o := Options{Quick: true, Seed: 5}
-	pdPar := PDSweep(o).Table()
-	faultsPar := FaultsSweep(o).Table()
-	prev := runtime.GOMAXPROCS(1)
-	pdSer := PDSweep(o).Table()
-	faultsSer := FaultsSweep(o).Table()
-	runtime.GOMAXPROCS(prev)
-	if pdPar != pdSer {
-		t.Fatalf("-pd bench rows differ across GOMAXPROCS:\n--- parallel ---\n%s\n--- serial ---\n%s", pdPar, pdSer)
-	}
-	if faultsPar != faultsSer {
-		t.Fatalf("-faults bench rows differ across GOMAXPROCS:\n--- parallel ---\n%s\n--- serial ---\n%s", faultsPar, faultsSer)
 	}
 }

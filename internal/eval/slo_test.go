@@ -1,9 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
-	"fmt"
-	"strings"
 	"testing"
 
 	"pie/internal/trace"
@@ -102,44 +99,5 @@ func TestSLOAcceptance(t *testing.T) {
 	}
 	if low.SLO.ScaleToZeroEvents == 0 {
 		t.Fatal("low-load slo leg never scaled to zero")
-	}
-}
-
-// TestSLOSweepDeterministic pins the determinism contract: the whole
-// result document and the scaler's decision log — every scale-up,
-// scale-down, hold, degradation, and shed line — are byte-identical
-// across same-seed runs, and a different seed actually changes the
-// workload (prompt lengths derive from it), so the guard is not vacuous.
-func TestSLOSweepDeterministic(t *testing.T) {
-	doc := func(seed uint64) ([]byte, string) {
-		r := SLOSweep(Options{Quick: true, Seed: seed})
-		b, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var log strings.Builder
-		for _, lvl := range r.Levels {
-			for _, leg := range []SLOLeg{lvl.Baseline, lvl.SLO} {
-				for _, d := range leg.DecisionLog {
-					fmt.Fprintf(&log, "%+v\n", d)
-				}
-			}
-		}
-		return b, log.String()
-	}
-	a, alog := doc(9)
-	b, blog := doc(9)
-	if string(a) != string(b) {
-		t.Fatalf("same-seed sweeps diverged:\n%s\n%s", a, b)
-	}
-	if alog != blog {
-		t.Fatalf("same-seed decision logs diverged:\n%s\n---\n%s", alog, blog)
-	}
-	if alog == "" {
-		t.Fatal("decision log empty: determinism check is vacuous")
-	}
-	_, clog := doc(10)
-	if clog == alog {
-		t.Fatal("different seeds produced identical decision logs: seed does not reach the workload")
 	}
 }

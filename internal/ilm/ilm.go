@@ -13,7 +13,7 @@
 //
 // Deployment API v2: programs register as name@version artifacts whose
 // manifests (required models/traits, resource limits) are validated
-// against the catalog's trait closure at register and launch time
+// against the catalog's trait closure at register time
 // (api.ErrUnsatisfiedManifest). Launches take a LaunchSpec (version
 // reference, args, priority, deadline, client tag) and return a handle
 // with Abort. Launch costs reproduce the upload + JIT pipeline per
@@ -442,7 +442,8 @@ func (h *Handle) Stats() (controlCalls, inferCalls, outputTokens int) {
 // (a client, another inferlet, or a test driver) and returns once the
 // instance is running. The launch keeps its own copy of spec.Args: every
 // attempt and every GetArg reads that copy, so the caller may reuse its
-// slice once Launch returns. The manifest is revalidated, the placer's
+// slice once Launch returns. The manifest was validated at Register
+// against the catalog New fixed, so it is not checked again. The placer's
 // saturation gate may shed best-effort launches typed api.ErrOverloaded,
 // the placement policy picks a replica, and the launch is cold — paying
 // the upload + JIT pipeline — iff that replica's artifact cache lacks the
@@ -461,9 +462,6 @@ func (m *ILM) Launch(h *Handle, spec LaunchSpec) error {
 		return err
 	}
 	p := e.prog
-	if err := validateManifest(p.Name, p.Manifest, m.models); err != nil {
-		return err
-	}
 	className := spec.Class
 	if className == "" {
 		className = p.Manifest.Class

@@ -55,8 +55,8 @@ func versionLess(a, b [3]int) bool {
 
 // validateManifest checks a program's deployment contract against the
 // catalog's trait closure. Violations return api.ErrUnsatisfiedManifest
-// with the specific requirement named, so deployments fail at register or
-// launch time rather than deep inside a running inferlet.
+// with the specific requirement named, so deployments fail at register
+// time rather than deep inside a running inferlet.
 func validateManifest(name string, m inferlet.Manifest, catalog []api.ModelInfo) error {
 	fail := func(format string, args ...interface{}) error {
 		return fmt.Errorf("%w: program %q: %s", api.ErrUnsatisfiedManifest, name,

@@ -228,6 +228,51 @@ func TestAbortLatchesBetweenRetries(t *testing.T) {
 	}
 }
 
+// TestReplicaLossBeforeFirstDispatchRequeues: the replica dies before a
+// retried launch's first attempt has run. The attempt unwinds at its first
+// wait instead of parking there for good, the launch requeues, and the
+// second attempt, waiting in Receive, serves it.
+func TestReplicaLossBeforeFirstDispatchRequeues(t *testing.T) {
+	clock := sim.NewClock()
+	m := oneReplicaILM(clock)
+	ctl := m.place.(*onePlacer).ctl
+	listen := inferlet.Program{Name: "listen", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		_, err := s.Receive().Get()
+		return err
+	}}
+	if err := m.Register(listen); err != nil {
+		t.Fatal(err)
+	}
+	var waitErr error
+	var attempts int
+	clock.Go("client", func() {
+		h := new(Handle)
+		if err := m.Launch(h, LaunchSpec{Program: "listen", Retry: RetryPolicy{MaxAttempts: 2, Jitter: -1}}); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		ctl.AbortAllInstances(api.ErrReplicaLost) // before the attempt first runs
+		for i := 0; i < 100 && (h.Attempts() < 2 || h.requeuing); i++ {
+			clock.Sleep(time.Millisecond)
+		}
+		attempts = h.Attempts() // the second attempt waits in Receive
+		h.Send("done")
+		waitErr = h.Wait()
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if waitErr != nil || attempts != 2 {
+		t.Fatalf("Wait = %v after %d attempts, want nil after 2", waitErr, attempts)
+	}
+	if m.Requeues != 1 || m.Aborts != 0 {
+		t.Fatalf("requeues %d aborts %d, want 1/0", m.Requeues, m.Aborts)
+	}
+	if err := ctl.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // turnPlacer places each launch attempt on the next of its controllers, in
 // turn.
 type turnPlacer struct {

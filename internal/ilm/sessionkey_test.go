@@ -74,8 +74,7 @@ func TestSessionKeyIsTheFirstPlacementsHandleID(t *testing.T) {
 				return err
 			}
 			if kill {
-				clock.Sleep(time.Millisecond)             // the attempt is parked in Receive
-				ctl.AbortAllInstances(api.ErrReplicaLost) // the requeue re-places it
+				ctl.AbortAllInstances(api.ErrReplicaLost) // before the attempt first runs; the requeue re-places it
 				for h.Attempts() < 4 || h.requeuing {
 					clock.Sleep(time.Millisecond)
 				}

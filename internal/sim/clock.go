@@ -324,8 +324,9 @@ func (c *Clock) loop() {
 
 // resume switches to p's coroutine — on p's first dispatch a pooled one,
 // or a new one — and returns the successor p yields. A process killed
-// before its first dispatch still runs to its first blocking call. A panic
-// in the process other than Killed propagates to the loop's caller.
+// before its first dispatch still runs to its first blocking call, and
+// unwinds there (Kill). A panic in the process other than Killed
+// propagates to the loop's caller.
 func (c *Clock) resume(p *Proc) *Proc {
 	w := p.w
 	if w == nil {
@@ -618,8 +619,10 @@ func (c *Clock) Yield() { c.Sleep(0) }
 
 // Kill terminates a process. If it is blocked (sleeping or parked) it is
 // scheduled immediately and unwinds with a Killed panic at its block site.
-// Killing the current or an already-dead process only sets the flag; the
-// process observes it at its next blocking call.
+// One not yet dispatched is scheduled immediately too and runs to its first
+// blocking call: a wait unwinds at once, a Sleep when it ends. Killing the
+// current or an already-dead process only sets the flag; the process
+// observes it at its next blocking call.
 func (c *Clock) Kill(p *Proc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

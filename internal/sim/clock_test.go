@@ -392,6 +392,30 @@ func TestKillParkedProcess(t *testing.T) {
 	}
 }
 
+// TestKillBeforeFirstDispatch: a process killed before it first runs
+// unwinds at its first wait instead of parking there for good: Run ends
+// with no deadlock and the body's defers have run.
+func TestKillBeforeFirstDispatch(t *testing.T) {
+	c := NewClock()
+	m := NewMailbox[int](c)
+	cleanedUp := false
+	var p *Proc
+	c.Go("killer", func() {
+		p = c.Go("victim", func() {
+			defer func() { cleanedUp = true }()
+			m.Recv()
+			t.Error("victim received after kill")
+		})
+		c.Kill(p)
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !cleanedUp {
+		t.Fatal("deferred cleanup did not run on kill")
+	}
+}
+
 func TestGroupWait(t *testing.T) {
 	c := NewClock()
 	total := 0

@@ -57,7 +57,7 @@ const (
 	opGroupWait        // a process waits for the group
 	opWake             // the list's Wake
 	opRelease          // the list's Release
-	opKill             // a process that has started is killed
+	opKill             // a live process is killed, started or not
 	opSend             // a message to the mailbox
 	opClose            // the mailbox closes
 	opResolve          // the future completes or fails
@@ -171,10 +171,12 @@ func (m *parkModel) kill(p *mProc) {
 		return
 	}
 	p.killed = true
-	if p.state == mReady {
+	if p.state == mReady || p.state == mNew {
 		m.runnable = slices.Delete(m.runnable, slices.Index(m.runnable, p), slices.Index(m.runnable, p)+1)
 	}
-	p.state = mReady
+	if p.state != mNew {
+		p.state = mReady
+	}
 	m.runnable = append(m.runnable, p)
 }
 
@@ -203,6 +205,14 @@ func (m *parkModel) completionOf(p *mProc) *mCompletion {
 
 // park lists p, at the head when front is set.
 func (m *parkModel) park(p *mProc, front bool) {
+	if p.killed {
+		// Killed before its first wait: it unwinds there, listed nowhere.
+		m.finish(p, "killed")
+		if p.kind == onCell {
+			m.letGo(p.obj)
+		}
+		return
+	}
 	l := m.listOf(p)
 	if front {
 		l.q = slices.Insert(l.q, 0, p)
@@ -569,7 +579,7 @@ func runParkModel(t *testing.T, b []byte) {
 		case opKill:
 			var live []*mProc
 			for _, p := range m.procs {
-				if p.state != mNew && p.state != mDone {
+				if p.state != mDone {
 					live = append(live, p)
 				}
 			}

@@ -90,6 +90,12 @@ func (l *WaitList) waitLocked(front bool, deadline time.Duration) bool {
 		c.mu.Unlock()
 		panic("sim: blocking call from outside the simulation")
 	}
+	if p.killed {
+		// Killed before it first ran, or while running: nothing is listed,
+		// so there is no wake to pass on.
+		c.mu.Unlock()
+		panic(Killed{Reason: "terminated before it blocked"})
+	}
 	if deadline > 0 && deadline <= c.now {
 		return false
 	}
