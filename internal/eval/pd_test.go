@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -52,5 +53,27 @@ func TestPDAcceptance(t *testing.T) {
 	if best.Disagg.Goodput < best.Unified.Goodput {
 		t.Fatalf("%s mix: disagg goodput %.2f/s below unified %.2f/s",
 			best.Spec.Name, best.Disagg.Goodput, best.Unified.Goodput)
+	}
+}
+
+// TestPDSweepDeterministic pins the determinism contract for the
+// disaggregation sweep: the whole result document — both legs of every
+// mix, handoff counters included — is byte-identical across same-seed
+// runs, and a different seed actually changes the workload (prompt
+// lengths and think times derive from it), so the guard is not vacuous.
+func TestPDSweepDeterministic(t *testing.T) {
+	doc := func(seed uint64) string {
+		b, err := json.Marshal(PDSweep(Options{Quick: true, Seed: seed}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	a := doc(9)
+	if b := doc(9); a != b {
+		t.Fatalf("same-seed sweeps diverged:\n%s\n%s", a, b)
+	}
+	if c := doc(10); c == a {
+		t.Fatal("different seeds produced identical sweeps: seed does not reach the workload")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -33,5 +34,24 @@ func TestScaleSweepQuick(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "BYTE-IDENTICAL") {
 		t.Fatalf("table does not report the determinism probe:\n%s", r.Table())
+	}
+}
+
+// TestBenchRowDeterminismAcrossGOMAXPROCS pins the -pd and -faults
+// bench rows: their tables are virtual-time only, so parallelFor
+// spreading legs across cores must not change a byte.
+func TestBenchRowDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	o := Options{Quick: true, Seed: 5}
+	pdPar := PDSweep(o).Table()
+	faultsPar := FaultsSweep(o).Table()
+	prev := runtime.GOMAXPROCS(1)
+	pdSer := PDSweep(o).Table()
+	faultsSer := FaultsSweep(o).Table()
+	runtime.GOMAXPROCS(prev)
+	if pdPar != pdSer {
+		t.Fatalf("-pd bench rows differ across GOMAXPROCS:\n--- parallel ---\n%s\n--- serial ---\n%s", pdPar, pdSer)
+	}
+	if faultsPar != faultsSer {
+		t.Fatalf("-faults bench rows differ across GOMAXPROCS:\n--- parallel ---\n%s\n--- serial ---\n%s", faultsPar, faultsSer)
 	}
 }
