@@ -239,7 +239,7 @@ var (
 	ErrNoSuchProgram = errors.New("pie: no such program")
 	// ErrUnsatisfiedManifest reports a program manifest whose requirements
 	// (models, traits, limits, version syntax) the serving catalog cannot
-	// satisfy. It is raised at register and launch time, never from inside
+	// satisfy. It is raised at register time, never from inside
 	// a running inferlet.
 	ErrUnsatisfiedManifest = errors.New("pie: program manifest unsatisfied by catalog")
 	// ErrAborted reports an inferlet cancelled through its launch handle.

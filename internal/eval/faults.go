@@ -8,7 +8,6 @@ import (
 
 	"pie"
 	"pie/apps"
-	"pie/internal/cluster"
 	"pie/internal/metrics"
 )
 
@@ -63,10 +62,6 @@ type FaultLeg struct {
 	Retries      int
 	Sheds        int
 	DetectTime   time.Duration // cumulative crash -> declared-dead latency
-
-	// LeakedPages sums KV pages still allocated on surviving replicas
-	// after the workload drains; recovery must leave it at zero.
-	LeakedPages int
 
 	PerReplica []metrics.ReplicaStats
 }
@@ -188,13 +183,6 @@ func runFaultLeg(o Options, faulted bool) FaultLeg {
 	leg.Retries = st.Retries
 	leg.Sheds = st.Sheds
 	leg.DetectTime = st.DetectTime
-	for _, r := range e.Cluster().Replicas() {
-		if r.Health() == cluster.HealthDead {
-			continue
-		}
-		inUse, _ := r.Ctl.KVLoad()
-		leg.LeakedPages += inUse
-	}
 	leg.PerReplica = e.ReplicaStats()
 	return leg
 }
@@ -205,7 +193,7 @@ func (r FaultsResult) Table() string {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Faults: chaos workload, %d replicas, %d crash-stopped mid-run (high-priority retries, best-effort shedding)",
 			r.Replicas, r.Killed),
-		Header: []string{"leg", "hp done/failed", "hp goodput", "be done/shed/failed", "makespan", "requeues", "retries", "lost pages"},
+		Header: []string{"leg", "hp done/failed", "hp goodput", "be done/shed/failed", "makespan", "requeues", "retries"},
 	}
 	row := func(name string, l FaultLeg) {
 		t.AddRow(name,
@@ -213,7 +201,7 @@ func (r FaultsResult) Table() string {
 			fmt.Sprintf("%.1f/s", l.HPGoodput),
 			fmt.Sprintf("%d/%d/%d", l.BEDone, l.BEShed, l.BEFailed),
 			metrics.Ms(l.Makespan),
-			fmt.Sprint(l.Requeues), fmt.Sprint(l.Retries), fmt.Sprint(l.LeakedPages))
+			fmt.Sprint(l.Requeues), fmt.Sprint(l.Retries))
 	}
 	row("baseline", r.Baseline)
 	row("faulted", r.Faulted)
@@ -233,7 +221,6 @@ func (r FaultsResult) Headline() map[string]float64 {
 		"detect-ms":           ms(r.Faulted.DetectTime),
 		"requeues":            float64(r.Faulted.Requeues),
 		"sheds":               float64(r.Faulted.Sheds),
-		"leaked-pages":        float64(r.Faulted.LeakedPages),
 		"hp-goodput-retained": r.GoodputRetained,
 		"baseline-hp-per-sec": r.Baseline.HPGoodput,
 		"faulted-hp-per-sec":  r.Faulted.HPGoodput,

@@ -6,7 +6,7 @@ import (
 
 // TestFaultsAcceptance pins the chaos experiment's headline claims at CI
 // scale: both scheduled crashes are detected and recovered (in-flight
-// launches requeued or failed typed, no KV pages leaked on survivors),
+// launches requeued or failed typed; runEngine's Check holds the pages),
 // and high-priority goodput holds at >= 80% of the no-fault baseline
 // while best-effort launches absorb the capacity loss.
 func TestFaultsAcceptance(t *testing.T) {
@@ -43,9 +43,6 @@ func TestFaultsAcceptance(t *testing.T) {
 	if f.BEDone+f.BEShed+f.BEFailed != r.Baseline.BEDone {
 		t.Fatalf("best-effort tasks unaccounted: done %d shed %d failed %d, want %d total",
 			f.BEDone, f.BEShed, f.BEFailed, r.Baseline.BEDone)
-	}
-	if f.LeakedPages != 0 {
-		t.Fatalf("%d KV pages leaked on surviving replicas", f.LeakedPages)
 	}
 
 	// Degradation: shedding engaged and high-priority goodput held.

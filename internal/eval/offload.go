@@ -160,7 +160,6 @@ type OffloadPoint struct {
 	SwapTime     time.Duration
 	PeakPages    int     // high-water mark of live pages, both tiers
 	EffCapacity  float64 // PeakPages / device capacity
-	LeakedPages  int     // pages still allocated once every agent finished; must be 0
 }
 
 // OffloadResult holds the full sweep.
@@ -233,7 +232,6 @@ func runOffloadLeg(o Options, oversub, ratio float64, rounds int) OffloadPoint {
 	p.SwapTime = st.SwapTime
 	p.PeakPages = st.KVPeakPages
 	p.EffCapacity = float64(p.PeakPages) / float64(offloadDevPages)
-	p.LeakedPages, _ = e.PoolStats("llama-1b")
 	p.TTFT, p.MeanLatency = ttft.Mean(), lat.Mean()
 	return p
 }

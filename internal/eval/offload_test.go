@@ -69,8 +69,8 @@ func TestOffloadFullScaleCompletes(t *testing.T) {
 		t.Fatalf("%d points, want %d", len(r.Points), 2*len(offloadOversubs))
 	}
 	for _, p := range r.Points {
-		if p.Done == 0 || p.LeakedPages != 0 {
-			t.Fatalf("%.1fx oversubscribed, host ratio %.1f: %d done, %d pages leaked", p.Oversub, p.HostRatio, p.Done, p.LeakedPages)
+		if p.Done == 0 {
+			t.Fatalf("%.1fx oversubscribed, host ratio %.1f: nothing done", p.Oversub, p.HostRatio)
 		}
 	}
 }

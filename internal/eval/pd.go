@@ -82,7 +82,6 @@ type PDLeg struct {
 	HandoffQueued      int
 	HandoffDenied      int
 	HandoffTime        time.Duration
-	LeakedPages        int // live KV pages after the idle tail; must be 0
 	Prefill, Decode    int // the role split at the end of the leg
 	RoleFlips          int // role-balancer flips that made it
 }
@@ -233,8 +232,6 @@ func runPDLeg(o Options, spec PDMixSpec, disagg bool, tap legTap) PDLeg {
 	leg.HandoffDenied = st.HandoffDenied
 	leg.HandoffTime = st.HandoffTime
 	for _, r := range e.Cluster().Replicas() {
-		inUse, _ := r.Ctl.KVLoad()
-		leg.LeakedPages += inUse
 		switch r.Role {
 		case pie.RolePrefill:
 			leg.Prefill++
@@ -252,7 +249,7 @@ func (r PDResult) Table() string {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Prefill/decode disaggregation: %d replicas unified vs a split starting at %d prefill + %d decode, with KV handoff",
 			r.Replicas, r.Prefill, r.Replicas-r.Prefill),
-		Header: []string{"mix", "pool", "split", "flips", "int done", "ttft p50", "ttft p95", "tpot", "batch p95", "thru/s", "goodput/s", "makespan", "handoffs", "pages", "queued", "leaked"},
+		Header: []string{"mix", "pool", "split", "flips", "int done", "ttft p50", "ttft p95", "tpot", "batch p95", "thru/s", "goodput/s", "makespan", "handoffs", "pages", "queued"},
 	}
 	for _, mix := range r.Mixes {
 		row := func(name string, l PDLeg) {
@@ -271,8 +268,7 @@ func (r PDResult) Table() string {
 				metrics.Ms(l.Makespan),
 				fmt.Sprint(l.Handoffs),
 				fmt.Sprint(l.HandoffPages),
-				fmt.Sprint(l.HandoffQueued),
-				fmt.Sprint(l.LeakedPages))
+				fmt.Sprint(l.HandoffQueued))
 		}
 		row("unified", mix.Unified)
 		row("disagg", mix.Disagg)
@@ -339,6 +335,5 @@ func (r PDResult) Headline() map[string]float64 {
 		"handoff-pages":       float64(best.Disagg.HandoffPages),
 		"handoff-queued":      float64(best.Disagg.HandoffQueued),
 		"handoff-denied":      float64(best.Disagg.HandoffDenied),
-		"leaked-pages":        float64(best.Disagg.LeakedPages),
 	}
 }

@@ -273,6 +273,50 @@ func TestReplicaLossBeforeFirstDispatchRequeues(t *testing.T) {
 	}
 }
 
+// TestReplicaLossBeforeFirstDispatchKeepsTheMessage: the replica dies and
+// the client sends before a retried launch's first attempt has run. The
+// killed attempt unwinds in Receive without taking the buffered message,
+// the launch requeues, and the second attempt receives it.
+func TestReplicaLossBeforeFirstDispatchKeepsTheMessage(t *testing.T) {
+	clock := sim.NewClock()
+	m := oneReplicaILM(clock)
+	ctl := m.place.(*onePlacer).ctl
+	var got []string
+	listen := inferlet.Program{Name: "listen", BinarySize: 4 << 10, Run: func(s inferlet.Session) error {
+		msg, err := s.Receive().Get()
+		got = append(got, msg)
+		return err
+	}}
+	if err := m.Register(listen); err != nil {
+		t.Fatal(err)
+	}
+	var waitErr error
+	var attempts int
+	clock.Go("client", func() {
+		h := new(Handle)
+		if err := m.Launch(h, LaunchSpec{Program: "listen", Retry: RetryPolicy{MaxAttempts: 2, Jitter: -1}}); err != nil {
+			t.Errorf("launch: %v", err)
+			return
+		}
+		ctl.AbortAllInstances(api.ErrReplicaLost) // before the attempt first runs
+		h.Send("hello")
+		waitErr = h.Wait()
+		attempts = h.Attempts()
+	})
+	if err := clock.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if waitErr != nil || attempts != 2 || !slices.Equal(got, []string{"hello"}) {
+		t.Fatalf("Wait = %v after %d attempts, received %q; want nil after 2, [hello]", waitErr, attempts, got)
+	}
+	if m.Requeues != 1 || m.Aborts != 0 {
+		t.Fatalf("requeues %d aborts %d, want 1/0", m.Requeues, m.Aborts)
+	}
+	if err := ctl.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // turnPlacer places each launch attempt on the next of its controllers, in
 // turn.
 type turnPlacer struct {

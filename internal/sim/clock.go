@@ -560,6 +560,12 @@ func (c *Clock) Sleep(d time.Duration) {
 		c.mu.Unlock()
 		panic("sim: Sleep called from outside the simulation")
 	}
+	if p.killed {
+		// Killed before it first ran, or while running: unwind at once
+		// instead of sleeping out d.
+		c.mu.Unlock()
+		panic(Killed{Reason: "terminated before it blocked"})
+	}
 	p.state = stateSleeping
 	next := c.sleepDispatchLocked(p, c.now+d)
 	killed := p.killed
@@ -614,15 +620,27 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	return nextP
 }
 
+// unwindIfKilled panics Killed in the current process if it was killed: a
+// call that would not block (a receive that finds a message) must not act
+// for a killed process either. Outside the simulation it does nothing.
+func (c *Clock) unwindIfKilled() {
+	c.mu.Lock()
+	killed := c.current != nil && c.current.killed
+	c.mu.Unlock()
+	if killed {
+		panic(Killed{Reason: "terminated before it blocked"})
+	}
+}
+
 // Yield is Sleep(0): requeue behind all currently-ready events.
 func (c *Clock) Yield() { c.Sleep(0) }
 
 // Kill terminates a process. If it is blocked (sleeping or parked) it is
 // scheduled immediately and unwinds with a Killed panic at its block site.
 // One not yet dispatched is scheduled immediately too and runs to its first
-// blocking call: a wait unwinds at once, a Sleep when it ends. Killing the
-// current or an already-dead process only sets the flag; the process
-// observes it at its next blocking call.
+// blocking call, where it unwinds at once. Killing the current or an
+// already-dead process only sets the flag; the process observes it at its
+// next blocking call.
 func (c *Clock) Kill(p *Proc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -393,26 +393,36 @@ func TestKillParkedProcess(t *testing.T) {
 }
 
 // TestKillBeforeFirstDispatch: a process killed before it first runs
-// unwinds at its first wait instead of parking there for good: Run ends
-// with no deadlock and the body's defers have run.
+// unwinds at its first blocking call instead of parking there for good or
+// sleeping it out: Run ends with no deadlock, at virtual time 0, and the
+// body's defers have run.
 func TestKillBeforeFirstDispatch(t *testing.T) {
-	c := NewClock()
-	m := NewMailbox[int](c)
-	cleanedUp := false
-	var p *Proc
-	c.Go("killer", func() {
-		p = c.Go("victim", func() {
-			defer func() { cleanedUp = true }()
-			m.Recv()
-			t.Error("victim received after kill")
+	for _, tc := range []struct {
+		name  string
+		block func(c *Clock, m *Mailbox[int])
+	}{
+		{"recv", func(c *Clock, m *Mailbox[int]) { m.Recv() }},
+		{"sleep", func(c *Clock, m *Mailbox[int]) { c.Sleep(time.Hour) }},
+	} {
+		c := NewClock()
+		m := NewMailbox[int](c)
+		cleanedUp := false
+		c.Go("killer", func() {
+			c.Kill(c.Go("victim", func() {
+				defer func() { cleanedUp = true }()
+				tc.block(c, m)
+				t.Errorf("%s: victim went on after kill", tc.name)
+			}))
 		})
-		c.Kill(p)
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !cleanedUp {
-		t.Fatal("deferred cleanup did not run on kill")
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !cleanedUp {
+			t.Fatalf("%s: deferred cleanup did not run on kill", tc.name)
+		}
+		if c.Now() != 0 {
+			t.Fatalf("%s: run ended at %v, want 0", tc.name, c.Now())
+		}
 	}
 }
 

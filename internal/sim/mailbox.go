@@ -136,8 +136,10 @@ func (m *Mailbox[T]) fireReadable() {
 // or ErrMailboxClosed once the mailbox is closed and drained. It parks on
 // the mailbox's wait list, so it allocates nothing; a receiver killed after
 // a Send woke it leaves its message to the next parked receiver, or
-// buffered.
+// buffered. A killed receiver unwinds before it takes a message, so the
+// message stays buffered for the next receiver.
 func (m *Mailbox[T]) Recv() (T, error) {
+	m.recv.c.unwindIfKilled()
 	for {
 		if m.Len() > 0 {
 			return m.take(), nil

@@ -298,6 +298,11 @@ func (m *parkModel) run(p *mProc) {
 		case onList:
 			m.park(p, p.front)
 		case onMailbox:
+			if p.killed {
+				// Recv unwinds a killed receiver before it takes a message.
+				m.finish(p, "killed")
+				return
+			}
 			m.receive(p)
 		case onFuture, onCell:
 			x := m.completionOf(p)
