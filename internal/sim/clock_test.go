@@ -164,35 +164,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	c := NewClock()
-	m := NewMailbox[int](c)
-	var got []int
-	c.Go("recv", func() {
-		for i := 0; i < 3; i++ {
-			v, err := m.Recv()
-			if err != nil {
-				t.Errorf("Recv: %v", err)
-			}
-			got = append(got, v)
-		}
-	})
-	c.Go("send", func() {
-		for i := 1; i <= 3; i++ {
-			m.Send(i)
-			c.Sleep(time.Millisecond)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("got %v, want [1 2 3]", got)
-		}
-	}
-}
-
 // TestMailboxReusesItsArrays: a mailbox that is drained between sends — one
 // message queued and taken, or one receiver parked and served, at a time —
 // keeps the message array it started with and parks its receiver in its
@@ -266,84 +237,6 @@ func TestMailboxTryRecv(t *testing.T) {
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// OnReadable is a one-shot, non-consuming watch: it fires from the Send
-// that queues a message or from Close, at once if either already happened,
-// never for a message handed to a parked receiver, and a registration made
-// after it has fired works like the first.
-func TestMailboxOnReadable(t *testing.T) {
-	c := NewClock()
-	c.Go("p", func() {
-		m := NewMailbox[int](c)
-		fired := 0
-		hook := func() { fired++ }
-
-		m.OnReadable(hook)
-		if fired != 0 {
-			t.Error("hook fired on an empty, open mailbox")
-		}
-		m.Send(1)
-		m.Send(2)
-		if fired != 1 {
-			t.Errorf("two sends after one registration fired the hook %d times, want once", fired)
-		}
-		if m.Len() != 2 {
-			t.Errorf("the hook consumed a message: Len = %d, want 2", m.Len())
-		}
-
-		m.OnReadable(hook) // messages are queued: fires at once
-		if fired != 2 {
-			t.Errorf("registration with a message queued: fired %d times in all, want 2", fired)
-		}
-		m.TryRecv()
-		m.TryRecv()
-
-		m.OnReadable(hook) // empty again: waits for the next send
-		if fired != 2 {
-			t.Error("a registration after firing fired on an empty mailbox")
-		}
-		m.Send(3)
-		if v, ok := m.TryRecv(); fired != 3 || !ok || v != 3 {
-			t.Errorf("second registration: fired %d times, TryRecv = %d,%v; want 3 and 3,true", fired, v, ok)
-		}
-
-		// A message a parked receiver takes never becomes readable.
-		m.OnReadable(hook)
-		got := -1
-		c.Go("r", func() { got, _ = m.Recv() })
-		c.Yield() // r parks
-		m.Send(4)
-		c.Yield() // r takes it
-		if got != 4 || fired != 3 {
-			t.Errorf("parked receiver got %d and the hook fired %d times, want 4 and 3", got, fired)
-		}
-		m.Close()
-		if fired != 4 {
-			t.Errorf("Close fired the pending hook %d times in all, want 4", fired)
-		}
-		m.OnReadable(hook) // closed: fires at once
-		if fired != 5 {
-			t.Errorf("registration on a closed mailbox: fired %d times in all, want 5", fired)
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMailboxClose(t *testing.T) {
-	c := NewClock()
-	m := NewMailbox[int](c)
-	var err error
-	c.Go("recv", func() { _, err = m.Recv() })
-	c.Go("close", func() { m.Close() })
-	if e := c.Run(); e != nil {
-		t.Fatal(e)
-	}
-	if err != ErrMailboxClosed {
-		t.Fatalf("err = %v, want ErrMailboxClosed", err)
 	}
 }
 
@@ -423,31 +316,6 @@ func TestKillBeforeFirstDispatch(t *testing.T) {
 		if c.Now() != 0 {
 			t.Fatalf("%s: run ended at %v, want 0", tc.name, c.Now())
 		}
-	}
-}
-
-func TestGroupWait(t *testing.T) {
-	c := NewClock()
-	total := 0
-	c.Go("main", func() {
-		g := NewGroup(c)
-		for i := 1; i <= 4; i++ {
-			i := i
-			g.Go("child", func() {
-				c.Sleep(time.Duration(i) * time.Millisecond)
-				total += i
-			})
-		}
-		g.Wait()
-		if total != 10 {
-			t.Errorf("total = %d before Wait returned", total)
-		}
-		if c.Now() != 4*time.Millisecond {
-			t.Errorf("Wait returned at %v, want 4ms", c.Now())
-		}
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
