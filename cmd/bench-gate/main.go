@@ -7,8 +7,9 @@
 //
 // Two kinds of checks, with different physics:
 //
-//   - Headline metrics and per-experiment event counts derive from virtual
-//     time, so same-seed same-scale runs reproduce them to the bit. They
+//   - Headline metrics, per-experiment event counts and output digests
+//     derive from virtual time, so same-seed same-scale runs reproduce them
+//     to the bit. They
 //     are compared exactly: any difference fails, and either is a
 //     regression or an intended change that re-records the committed
 //     baseline in the same PR.
@@ -90,6 +91,9 @@ func compare(base, fresh benchfmt.Report) comparison {
 			c.sameEvents++
 		} else {
 			fail("%s: event count %d -> %d", b.ID, b.Events, f.Events)
+		}
+		if f.OutputDigest != b.OutputDigest {
+			fail("%s: output digest %d -> %d", b.ID, b.OutputDigest, f.OutputDigest)
 		}
 		for _, k := range sortedKeys(b.Headline) {
 			bv := b.Headline[k]

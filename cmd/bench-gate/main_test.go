@@ -14,12 +14,12 @@ import (
 
 // TestCompareIsExact: identical reports pass with every headline and
 // event count counted identical; a headline one ulp off, an event count
-// one off, and a metric or experiment that one report has and the other
+// one off, another output digest, and a metric or experiment that one report has and the other
 // lacks each fail, named.
 func TestCompareIsExact(t *testing.T) {
 	report := func(edit func(*benchfmt.Report)) benchfmt.Report {
 		r := benchfmt.Report{Experiments: []benchfmt.Experiment{
-			{ID: "a", Events: 1000, Headline: map[string]float64{"x": 1.5, "y": 0.1}},
+			{ID: "a", Events: 1000, OutputDigest: 99, Headline: map[string]float64{"x": 1.5, "y": 0.1}},
 			{ID: "b", Events: 20, Headline: map[string]float64{"z": 7}},
 		}}
 		if edit != nil {
@@ -42,6 +42,9 @@ func TestCompareIsExact(t *testing.T) {
 		{"event count +1", func(r *benchfmt.Report) { r.Experiments[1].Events++ },
 			"3 of 3 headlines and 1 of 2 event counts byte-identical",
 			[]string{"b: event count 20 -> 21"}},
+		{"output digest", func(r *benchfmt.Report) { r.Experiments[0].OutputDigest = 7 },
+			"3 of 3 headlines and 2 of 2 event counts byte-identical",
+			[]string{"a: output digest 99 -> 7"}},
 		{"missing metric", func(r *benchfmt.Report) { delete(r.Experiments[0].Headline, "x") },
 			"2 of 2 headlines and 2 of 2 event counts byte-identical",
 			[]string{"a/x: headline metric missing from fresh report"}},

@@ -71,9 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(id)] = true
-	}
-	for id := range want {
+		id = strings.TrimSpace(id)
+		want[id] = true
 		if id != "all" && !slices.Contains(ids, id) {
 			fmt.Fprintf(stderr, "pie-bench: unknown experiment %q in -exp; the ids are %s\n", id, strings.Join(ids, ","))
 			return 2
@@ -97,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		start := time.Now()
-		ev0 := sim.TotalEvents()
+		ev0, out0 := sim.TotalEvents(), eval.OutputDigest()
 		r := x.Run(o)
 		wall := time.Since(start)
 		events := sim.TotalEvents() - ev0
@@ -108,6 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ID:           x.ID,
 			WallMS:       float64(wall) / float64(time.Millisecond),
 			Events:       events,
+			OutputDigest: eval.OutputDigest() - out0,
 			EventsPerSec: float64(events) / wall.Seconds(),
 			Headline:     r.Headline(),
 		})

@@ -66,13 +66,16 @@ func TestReportHoldsTheSelectedExperiments(t *testing.T) {
 	if !rep.Quick || rep.Seed != defaultSeed || rep.TotalEvents == 0 {
 		t.Errorf("report header: quick %v seed %d events %d", rep.Quick, rep.Seed, rep.TotalEvents)
 	}
+	if x := rep.Experiments; x[0].OutputDigest != 0 || x[1].OutputDigest == 0 {
+		t.Errorf("output digests: table2 (launches nothing) %d, fig9 %d", x[0].OutputDigest, x[1].OutputDigest)
+	}
 
 	// A zero seed runs the default seed, and the report says so.
 	_, _, zero := bench(t, "-quick", "-seed", "0", "-exp", "fig9")
 	if zero.Seed != defaultSeed {
 		t.Errorf("-seed 0 recorded seed %d, want the effective seed %d", zero.Seed, defaultSeed)
 	}
-	if got, want := zero.Experiments[0].Headline, rep.Experiments[1].Headline; !reflect.DeepEqual(got, want) {
+	if got, want := zero.Experiments[0], rep.Experiments[1]; !reflect.DeepEqual(got.Headline, want.Headline) || got.OutputDigest != want.OutputDigest {
 		t.Errorf("-seed 0 ran something other than seed %d: %v vs %v", defaultSeed, got, want)
 	}
 }

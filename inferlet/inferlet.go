@@ -163,7 +163,8 @@ type Session interface {
 	HTTPGet(url string) Result[string]
 	// HTTPPost performs an asynchronous HTTP POST.
 	HTTPPost(url, body string) Result[string]
-	// Broadcast publishes to every subscriber of a topic.
+	// Broadcast publishes to every subscriber of a topic, in subscribe
+	// order; no broadcast after a subscription's Cancel reaches it.
 	Broadcast(topic, msg string)
 	// Subscribe attaches to a topic.
 	Subscribe(topic string) Subscription

@@ -214,14 +214,14 @@ func (c *radixCache) evict(pool *blockPool, need int) bool {
 	return freed
 }
 
-// lruLeaf finds the least-recently-used leaf edge.
+// lruLeaf finds the least-recently-used leaf edge, the smaller key on a tie.
 func (c *radixCache) lruLeaf(n *radixNode) (parent *radixNode, key uint64) {
 	best := int(^uint(0) >> 1)
 	var walk func(node *radixNode)
 	walk = func(node *radixNode) {
 		for k, child := range node.children {
 			if len(child.children) == 0 {
-				if child.lastUsed < best {
+				if child.lastUsed < best || child.lastUsed == best && k < key {
 					best, parent, key = child.lastUsed, node, k
 				}
 				continue

@@ -9,14 +9,15 @@ type Experiment struct {
 	ID           string             `json:"id"`
 	WallMS       float64            `json:"wall_ms"`
 	Events       uint64             `json:"events"`
+	OutputDigest uint64             `json:"output_digest,omitempty"` // what the programs said (eval.OutputDigest)
 	EventsPerSec float64            `json:"events_per_sec"`
 	Headline     map[string]float64 `json:"headline,omitempty"`
 }
 
-// Report is the top-level document. Headline metrics and event counts are
-// virtual-time-deterministic (same seed + scale ⇒ identical values);
-// wall-time fields depend on the machine, with GoMaxProcs recording the
-// machine class they were measured under.
+// Report is the top-level document. Headline metrics, event counts and
+// output digests are virtual-time-deterministic (same seed + scale ⇒
+// identical values); wall-time fields depend on the machine, with
+// GoMaxProcs recording the machine class they were measured under.
 type Report struct {
 	Seed         uint64       `json:"seed"`
 	Quick        bool         `json:"quick"`

@@ -6,6 +6,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -163,11 +164,17 @@ func TestHandoffBudgetSurvivesReplicaCrash(t *testing.T) {
 		}},
 		DefaultRetry: pie.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 	})
-	resolved, failed := 0, 0
+	// A session that waits out its deadline waited for a slot no one gave
+	// back: the deadline, far past the run's normal end, turns a leaked
+	// slot into a failure in virtual time instead of a hang.
+	const deadline = time.Minute
+	resolved, failed, late := 0, 0, 0
 	err := e.RunClient(func() {
 		var hs []*pie.Handle
 		for i := 0; i < 12; i++ {
-			h, err := e.Launch(pie.Spec("text_completion", completionParams(24, "")))
+			spec := pie.Spec("text_completion", completionParams(24, ""))
+			spec.Deadline = deadline
+			h, err := e.Launch(spec)
 			if err != nil {
 				failed++
 				continue
@@ -175,14 +182,16 @@ func TestHandoffBudgetSurvivesReplicaCrash(t *testing.T) {
 			hs = append(hs, h)
 		}
 		for _, h := range hs {
-			if err := h.Wait(); err != nil {
+			if err := h.Wait(); errors.Is(err, pie.ErrDeadlineExceeded) {
+				late++
+			} else if err != nil {
 				failed++
 			}
 			resolved++
 		}
 	})
-	if err != nil {
-		t.Fatalf("Run: %v (a leaked transfer slot deadlocks the run)", err)
+	if err != nil || late > 0 {
+		t.Fatalf("Run: %v; %d sessions ran past %v (a leaked transfer slot deadlocks the run)", err, late, deadline)
 	}
 	st := e.Stats()
 	if st.ReplicasLost != 1 {

@@ -57,12 +57,11 @@ func (ctl *Controller) Check() error {
 			}
 		}
 	}
-	for id, inst := range ctl.instances {
+	for _, id := range ctl.SortedInstanceIDs() {
+		inst := ctl.instances[id]
 		if inst.dead {
 			return fmt.Errorf("instance: %d is dead but still in the table", id)
 		}
-	}
-	for id, inst := range ctl.instances {
 		if err := inst.pages.check(inst); err != nil {
 			return fmt.Errorf("handles: instance %d pages: %w", id, err)
 		}

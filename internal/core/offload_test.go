@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,6 +17,15 @@ func TestTieredPoolRandomOps(t *testing.T) {
 		p := newTieredPool(8, 12, lruEvictor{})
 		live := map[int32]int{} // id -> expected refs
 		pinned := map[int32]int{}
+		// pick draws an id of set over its ids in order, so one seed runs
+		// one operation sequence.
+		pick := func(set map[int32]int) (int32, bool) {
+			ids := slices.Sorted(maps.Keys(set))
+			if len(ids) == 0 {
+				return 0, false
+			}
+			return ids[rng.Intn(len(ids))], true
+		}
 		for step := 0; step < 600; step++ {
 			switch rng.Intn(7) {
 			case 0: // alloc
@@ -32,7 +42,7 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					live[id] = 1
 				}
 			case 1: // release one reference of a random live id
-				for id := range live {
+				if id, ok := pick(live); ok {
 					freed := p.release(id)
 					live[id]--
 					if want := live[id] == 0 && pinned[id] == 0; freed != want {
@@ -41,54 +51,41 @@ func TestTieredPoolRandomOps(t *testing.T) {
 					if live[id] == 0 {
 						delete(live, id)
 					}
-					break
 				}
 			case 2: // double-free / unknown-free must report false
 				if p.release(int32(10_000 + rng.Intn(100))) {
 					t.Fatalf("seed %d step %d: released an unknown id", seed, step)
 				}
 			case 3: // retain (export/import sharing)
-				for id := range live {
+				if id, ok := pick(live); ok {
 					p.retain(id)
 					live[id]++
-					break
 				}
 			case 4: // pin a live id, or unpin a pinned one (held or live)
 				if rng.Intn(2) == 0 {
-					for id := range live {
-						// As preparePages does: a pinned page is faulted in, or
-						// let go at once when device room cannot be cleared.
-						if p.pin(id) {
-							if _, _, ok := p.faultIn([]int32{id}); ok {
-								pinned[id]++
-							} else {
-								p.unpin(id)
-							}
+					// As preparePages does: a pinned page is faulted in, or
+					// let go at once when device room cannot be cleared.
+					if id, ok := pick(live); ok && p.pin(id) {
+						if _, _, ok := p.faultIn([]int32{id}); ok {
+							pinned[id]++
+						} else {
+							p.unpin(id)
 						}
-						break
 					}
-				} else {
-					for id := range pinned {
-						p.unpin(id)
-						if pinned[id]--; pinned[id] == 0 { // p.check fails a held page the last unpin left unfreed
-							delete(pinned, id)
-						}
-						break
+				} else if id, ok := pick(pinned); ok {
+					p.unpin(id)
+					if pinned[id]--; pinned[id] == 0 { // p.check fails a held page the last unpin left unfreed
+						delete(pinned, id)
 					}
 				}
 			case 5: // touch
-				for id := range live {
+				if id, ok := pick(live); ok {
 					p.touch(id)
-					break
 				}
 			case 6: // fault a random subset back to device
-				ids := make([]int32, 0, 4)
-				for id := range live {
-					ids = append(ids, id)
-					if len(ids) == cap(ids) {
-						break
-					}
-				}
+				ids := slices.Sorted(maps.Keys(live))
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				ids = ids[:min(4, len(ids))]
 				for _, id := range ids {
 					p.pin(id)
 					pinned[id]++

@@ -20,13 +20,15 @@ var seedFree = map[string]bool{
 }
 
 // document is everything a run of x decides: its Result and headline as
-// JSON and its rendered table, and apart from those, what the JSON leaves
-// out on purpose — scale's per-leg transcripts (its events/sec and
-// GOMAXPROCS, host measurements, are blanked) and SLO's per-leg decision
-// logs, which must not be empty.
+// JSON, its rendered table and its output digest, and apart from those,
+// what the JSON leaves out on purpose — scale's per-leg transcripts (its
+// events/sec and GOMAXPROCS, host measurements, are blanked) and SLO's
+// per-leg decision logs, which must not be empty.
 func document(t *testing.T, x Experiment, o Options) (doc, extra string) {
 	t.Helper()
+	out0 := OutputDigest()
 	r := x.Run(o)
+	digest := OutputDigest() - out0
 	switch res := r.(type) {
 	case *ScaleResult:
 		c := *res
@@ -56,7 +58,7 @@ func document(t *testing.T, x Experiment, o Options) (doc, extra string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(blob) + "\n" + string(head) + "\n" + r.Table(), extra
+	return fmt.Sprintf("%s\n%s\n%s\noutput digest %d", blob, head, r.Table(), digest), extra
 }
 
 // TestExperimentsDeterministic is the same-seed contract of the whole

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"sync/atomic"
 	"time"
 
 	"pie"
@@ -110,9 +111,10 @@ func runLoad(e *pie.Engine, what string, warmup pie.LaunchSpec, tail time.Durati
 }
 
 // attempt is one client's launch of spec: launch, await the first message
-// if ack, wait.
+// if ack, wait. It adds the attempt's outputs to the output digest.
 func attempt(e *pie.Engine, task int, spec pie.LaunchSpec, ack bool) outcome {
 	out := outcome{Task: task, T0: e.Now()}
+	d := (fnvAdd(fnvOffset, spec.Program) ^ uint64(task)) * fnvPrime
 	if out.H, out.Err = e.Launch(spec); out.Err == nil {
 		if ack {
 			if msg, err := out.H.Recv().Get(); err == nil {
@@ -120,7 +122,34 @@ func attempt(e *pie.Engine, task int, spec pie.LaunchSpec, ack bool) outcome {
 			}
 		}
 		out.Err = out.H.Wait()
+		d = fnvAdd(d, out.Msg)
+		for msg, ok := out.H.TryRecv(); ok; msg, ok = out.H.TryRecv() {
+			d = fnvAdd(d, msg)
+		}
 	}
+	if out.Err != nil {
+		d = fnvAdd(d, out.Err.Error())
+	}
+	outputDigest.Add(d)
 	out.End = e.Now()
 	return out
+}
+
+// outputDigest is the wrapping sum of every attempt's FNV-64 hash in this
+// process. A sum does not depend on the order attempts end in, so legs run
+// in parallel give the digest they give one at a time.
+var outputDigest atomic.Uint64
+
+// OutputDigest reads the digest; its difference across an experiment
+// covers what that experiment's programs said.
+func OutputDigest() uint64 { return outputDigest.Load() }
+
+const fnvOffset, fnvPrime uint64 = 14695981039346656037, 1099511628211
+
+// fnvAdd folds s and a terminator into the FNV-1a state h.
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return (h ^ 0xff) * fnvPrime
 }

@@ -105,8 +105,8 @@ func Parse(src string) (*Grammar, error) {
 		return nil, fmt.Errorf("grammar: no rules")
 	}
 	// Validate references and reject left recursion.
-	for name, e := range g.rules {
-		if err := g.checkRefs(e); err != nil {
+	for _, name := range g.order {
+		if err := g.checkRefs(g.rules[name]); err != nil {
 			return nil, fmt.Errorf("grammar: rule %q: %w", name, err)
 		}
 	}

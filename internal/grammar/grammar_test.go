@@ -2,6 +2,7 @@ package grammar
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -110,12 +111,14 @@ func TestUndefinedRefRejected(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, src := range []string{
-		``, `a = "x"`, `a "x" ;`, `a = "x ;`, `a = ("x" ;`, `a = "a".."" ;`,
-		`a = "z".."a" ;`, `a = "x" ; a = "y" ;`,
+	for _, tc := range []struct{ src, want string }{
+		{``, ""}, {`a = "x"`, ""}, {`a "x" ;`, ""}, {`a = "x ;`, ""}, {`a = ("x" ;`, ""},
+		{`a = "a".."" ;`, ""}, {`a = "z".."a" ;`, ""}, {`a = "x" ; a = "y" ;`, ""},
+		// Of two bad rules, the error names the one declared first.
+		{`b = "x" nope ; a = gone ;`, `rule "b"`},
 	} {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", src)
+		if _, err := Parse(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", tc.src, err, tc.want)
 		}
 	}
 }

@@ -136,7 +136,7 @@ type ILM struct {
 	latest   map[string]string            // name -> highest registered version
 	pins     map[string]string            // name -> pinned version (upgrade.go)
 	running  map[uint64]*Handle           // live handles by ID (upgrade.go)
-	topics   map[string]map[*subscription]struct{}
+	topics   map[string][]*subscription
 	live     int
 	handleID uint64
 
@@ -206,7 +206,7 @@ func New(clock *sim.Clock, place Placer, world *netsim.World, models []api.Model
 		programs: make(map[string]map[string]*entry),
 		latest:   make(map[string]string),
 		running:  make(map[uint64]*Handle),
-		topics:   make(map[string]map[*subscription]struct{}),
+		topics:   make(map[string][]*subscription),
 	}
 	return m
 }
@@ -764,16 +764,19 @@ type subscription struct {
 
 func (s *subscription) Recv() api.Future[string] { return s.mb.Receiver() }
 
+// Cancel detaches the subscription; a topic goes with its last subscriber.
 func (s *subscription) Cancel() {
-	if subs, ok := s.ilm.topics[s.topic]; ok {
-		delete(subs, s)
+	if subs := slices.DeleteFunc(s.ilm.topics[s.topic], func(o *subscription) bool { return o == s }); len(subs) > 0 {
+		s.ilm.topics[s.topic] = subs
+	} else {
+		delete(s.ilm.topics, s.topic)
 	}
 	s.mb.Close()
 }
 
-// broadcast fans a message out to every topic subscriber.
+// broadcast fans a message out to a topic's subscribers in subscribe order.
 func (m *ILM) broadcast(topic, msg string) {
-	for s := range m.topics[topic] {
+	for _, s := range m.topics[topic] {
 		s.mb.Send(msg)
 	}
 }
@@ -781,10 +784,7 @@ func (m *ILM) broadcast(topic, msg string) {
 func (m *ILM) subscribe(topic string) *subscription {
 	s := &subscription{ilm: m, topic: topic}
 	s.mb.Init(m.clock)
-	if m.topics[topic] == nil {
-		m.topics[topic] = make(map[*subscription]struct{})
-	}
-	m.topics[topic][s] = struct{}{}
+	m.topics[topic] = append(m.topics[topic], s)
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -273,6 +274,66 @@ func TestSessionDrivesAContext(t *testing.T) {
 	})
 	if len(logs) != 1 || logs[0] != "hello from t#1" {
 		t.Fatalf("logs = %q", logs)
+	}
+}
+
+// TestBroadcastWakesInSubscribeOrder: 8 sessions subscribe to one topic,
+// and each of 10 broadcasts wakes them in the order they subscribed; a
+// subscription cancelled first receives none. When the sessions end, their
+// subscriptions take the topics with them.
+func TestBroadcastWakesInSubscribeOrder(t *testing.T) {
+	const subs, rounds = 8, 10
+	var subscribed, woke []string
+	sub := inferlet.Program{Name: "sub", BinarySize: 1 << 10, Run: func(s inferlet.Session) error {
+		news := s.Subscribe("news")
+		subscribed = append(subscribed, s.GetArg()[0])
+		s.Broadcast("ready", "")
+		for range rounds {
+			if _, err := news.Recv().Get(); err != nil {
+				return err
+			}
+			woke = append(woke, s.GetArg()[0])
+		}
+		return nil
+	}}
+	var m *ILM
+	runOnController(t, func(s *session) error {
+		m = s.ilm
+		ready, gone := s.Subscribe("ready"), s.Subscribe("news")
+		gone.Cancel()
+		var kids []inferlet.Child
+		for i := range subs {
+			c, err := s.Spawn("sub", []string{strconv.Itoa(i)})
+			if err != nil {
+				return err
+			}
+			kids = append(kids, c)
+		}
+		for range subs {
+			if _, err := ready.Recv().Get(); err != nil {
+				return err
+			}
+		}
+		for range rounds {
+			s.Broadcast("news", "tick")
+			s.Sleep(time.Microsecond)
+		}
+		if msg, err := gone.Recv().Get(); err == nil {
+			return fmt.Errorf("a cancelled subscription received %q", msg)
+		}
+		for _, c := range kids {
+			if res, err := c.Wait().Get(); err != nil || res != nil {
+				return fmt.Errorf("sub: %v, %v", res, err)
+			}
+		}
+		return nil
+	}, sub)
+	want := slices.Concat(slices.Repeat([][]string{subscribed}, rounds)...)
+	if len(subscribed) != subs || !slices.Equal(woke, want) {
+		t.Errorf("subscribers woke in the order %v, want the subscribe order %v each round", woke, subscribed)
+	}
+	if len(m.topics) != 0 {
+		t.Errorf("%d topics outlive their sessions", len(m.topics))
 	}
 }
 
