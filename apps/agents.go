@@ -96,7 +96,7 @@ func agentProgram(name string, binSize int, defaultTool string) inferlet.Program
 				}
 				// Observe: splice the observation into the live context.
 				obs := fmt.Sprintf(" observation %d: %s ", step, resp)
-				if err := fillPadded(ctx, obs, p.ObsTokens); err != nil {
+				if err := ctx.FillPadded(obs, p.ObsTokens); err != nil {
 					return err
 				}
 			}
@@ -108,22 +108,6 @@ func agentProgram(name string, binSize int, defaultTool string) inferlet.Program
 			return ctx.Sync()
 		},
 	}
-}
-
-// fillPadded tokenizes text and clamps/pads it to exactly n tokens so
-// workload token budgets are deterministic across modes.
-func fillPadded(ctx *support.Context, text string, n int) error {
-	toks, err := ctx.Encode(text)
-	if err != nil {
-		return err
-	}
-	if len(toks) > n {
-		toks = toks[:n]
-	}
-	for len(toks) < n {
-		toks = append(toks, 0)
-	}
-	return ctx.FillTokens(toks)
 }
 
 // SwarmParams configures AgentSwarm.
@@ -252,7 +236,7 @@ func AgentSwarmWorker() inferlet.Program {
 				if err != nil {
 					return err
 				}
-				if err := fillPadded(ctx, resp, 8); err != nil {
+				if err := ctx.FillPadded(resp, 8); err != nil {
 					return err
 				}
 			}
@@ -360,7 +344,7 @@ func FunctionCallAgent() inferlet.Program {
 			specRange := make(map[int][2]int) // spec -> [fromSlot, toSlot)
 			for a := coldStart; a < p.NumAPIs; a++ {
 				from := ctx.Slots()
-				if err := fillPadded(ctx, specText(a), p.SpecTokens); err != nil {
+				if err := ctx.FillPadded(specText(a), p.SpecTokens); err != nil {
 					return err
 				}
 				specRange[a] = [2]int{from, ctx.Slots()}
@@ -384,7 +368,7 @@ func FunctionCallAgent() inferlet.Program {
 					if err != nil {
 						return err
 					}
-					if err := fillPadded(ctx, " result: "+resp, 8); err != nil {
+					if err := ctx.FillPadded(" result: "+resp, 8); err != nil {
 						return err
 					}
 				}

@@ -9,6 +9,8 @@ package pie_test
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -467,6 +469,58 @@ func TestSessionAllocations(t *testing.T) {
 	}
 	if allocs != want {
 		t.Errorf("a warm session makes %v allocations, want %d", allocs, want)
+	}
+}
+
+// TestAgentSessionAllocations pins what one warm agent_react session
+// allocates, launch to Wait, at the parameters the benchmark's agent_closed
+// workload runs it with: eight think → tool → observe steps and a final
+// answer. The count is exact; a change that adds a copy of tokens the
+// context holds shows here. The collector is off while it counts: a cycle
+// that overlaps the window adds runtime allocations of its own.
+func TestAgentSessionAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's instrumentation allocates on a schedule of its own: 86 to 88 here")
+	}
+	const want = 67
+	e := pie.New(pie.Config{Seed: 42, Mode: pie.ModeTiming})
+	e.MustRegister(apps.All()...)
+	e.RegisterTool("search.api", 40*time.Millisecond, func(string) string { return "ok" })
+	spec := pie.Spec("agent_react", `{"steps":8,"think_tokens":24,"obs_tokens":16,"final_tokens":24}`)
+	session := func() error {
+		h, err := e.Launch(spec)
+		if err != nil {
+			return err
+		}
+		if err := h.Wait(); err != nil {
+			return err
+		}
+		if _, ok := h.TryRecv(); !ok {
+			return fmt.Errorf("the agent sent no answer")
+		}
+		return nil
+	}
+	allocs := -1.0
+	var err error
+	if cerr := e.RunClient(func() {
+		if err = session(); err != nil { // cold
+			return
+		}
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		allocs = testing.AllocsPerRun(20, func() {
+			if err == nil {
+				err = session()
+			}
+		})
+	}); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != want {
+		t.Errorf("a warm agent_react session makes %v allocations, want %d", allocs, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"pie/internal/infer"
 	"pie/internal/model"
 	"pie/internal/sim"
+	"pie/internal/tokenizer"
 	"pie/internal/trace"
 )
 
@@ -339,15 +340,35 @@ func (ctl *Controller) MaskKv(inst *Instance, qid api.Queue, page api.KvPage, bi
 // Unlike detokenize and get_vocabs it waits neither for the device nor for
 // earlier calls on its queue. It still counts as an inference call.
 func (ctl *Controller) Tokenize(inst *Instance, qid api.Queue, text string) (sim.Result[[]int], error) {
-	q, err := ctl.queue(inst, qid)
+	tok, err := ctl.tokenizer(inst, qid, text)
 	if err != nil {
 		return sim.Result[[]int]{}, err
 	}
+	return sim.Ready(tok.Encode(text)), nil
+}
+
+// AppendTokens is Tokenize with the ids appended to dst: the same charge,
+// no result.
+func (ctl *Controller) AppendTokens(inst *Instance, qid api.Queue, dst []int, text string) ([]int, error) {
+	tok, err := ctl.tokenizer(inst, qid, text)
+	if err != nil {
+		return dst, err
+	}
+	return tok.AppendEncode(dst, text), nil
+}
+
+// tokenizer charges one tokenize call of text on qid and returns the
+// tokenizer of the queue's model.
+func (ctl *Controller) tokenizer(inst *Instance, qid api.Queue, text string) (*tokenizer.Tokenizer, error) {
+	q, err := ctl.queue(inst, qid)
+	if err != nil {
+		return nil, err
+	}
 	ctl.callSeq++
 	inst.InferCalls++
-	ids := q.m.rt.Model.Tokenizer().Encode(text)
+	tok := q.m.rt.Model.Tokenizer()
 	ctl.clock.Sleep(infer.TokenizerCost(1, len(text)))
-	return sim.Ready(ids), nil
+	return tok, nil
 }
 
 // Detokenize schedules detokenize.

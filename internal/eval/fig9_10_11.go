@@ -251,12 +251,9 @@ func Figure11(o Options) Fig11Result {
 		e := newPieEngine(o.seed(), nil)
 		var cc, ic, tok int
 		e.Go("driver", func() {
-			h, err := e.Launch(pie.Spec(task.app, marshalParams(task.params)))
-			if err != nil {
-				return
+			if o := attempt(e, i, pie.Spec(task.app, marshalParams(task.params)), false); o.H != nil {
+				cc, ic, tok = o.H.Stats()
 			}
-			h.Wait()
-			cc, ic, tok = h.Stats()
 		})
 		runEngine(e, "fig11 "+task.name+" run")
 		if tok == 0 {

@@ -80,14 +80,13 @@ func runScaleLeg(seed uint64, n, perClient int) (string, ScalePoint) {
 				params := fmt.Sprintf(`{"prompt":%q,"max_tokens":%d}`,
 					strings.Repeat("fleet scaling probe ", 1+rng.Intn(4)), 4+rng.Intn(8))
 				p.Sessions++
-				t0, tok, rep := e.Now(), 0, -1
-				h, err := e.Launch(pie.Spec("text_completion", params))
-				if err == nil {
-					err = h.Wait()
-					_, _, tok = h.Stats()
-					rep = placed[h.Session()]
+				o := attempt(e, c*perClient+i, pie.Spec("text_completion", params), false)
+				err, tok, rep := o.Err, 0, -1
+				if o.H != nil {
+					_, _, tok = o.H.Stats()
+					rep = placed[o.H.Session()]
 				}
-				lat := e.Now() - t0
+				lat := o.End - o.T0
 				if err == nil {
 					p.Completions++
 					latSum += lat

@@ -141,10 +141,12 @@ func (s *session) TakeWorkingSet() any {
 func (s *session) PutWorkingSet(ws any) { s.ilm.sets = append(s.ilm.sets, ws) }
 
 // AppendKvPages and AppendEmbeds are Alloc.Pages and Alloc.Embeds on q with
-// the handles appended to dst: the support library's contexts allocate into
-// their working sets through them. A queue this attempt opened is served
-// through its binding, as its Alloc is; any other through its Alloc, whose
-// list is then copied.
+// the handles appended to dst, and AppendTokens is Tokenizer.Encode on q
+// with the ids appended to dst: the support library's contexts allocate
+// into their working sets and tokenize into their streams through them. A
+// queue this attempt opened is served through its binding, as its
+// capabilities are; any other through its capability, whose list is then
+// copied.
 func (s *session) AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error) {
 	if b := s.binding(q); b != nil {
 		return b.appendKvPages(dst, n)
@@ -157,6 +159,25 @@ func (s *session) AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) ([]api
 		return b.appendEmbeds(dst, n)
 	}
 	return appendAlloc(q, dst, n, (*inferlet.Alloc).Embeds)
+}
+
+func (s *session) AppendTokens(q *inferlet.Queue, dst []int, text string) ([]int, error) {
+	if b := s.binding(q); b != nil {
+		return b.appendTokens(dst, text)
+	}
+	tok, err := q.Tokenizer()
+	if err != nil {
+		return dst, err
+	}
+	r, err := tok.Encode(text)
+	if err != nil {
+		return dst, err
+	}
+	ids, err := r.Get()
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, ids...), nil
 }
 
 // binding returns the binding behind q if this attempt opened q and q is
@@ -455,6 +476,13 @@ func (b *queueBinding) Tokenize(text string) (r sim.Result[[]int], err error) {
 		return r, err
 	}
 	return b.s.ctl.Tokenize(b.inst, b.qid, text)
+}
+
+func (b *queueBinding) appendTokens(dst []int, text string) ([]int, error) {
+	if err := b.live(); err != nil {
+		return dst, err
+	}
+	return b.s.ctl.AppendTokens(b.inst, b.qid, dst, text)
 }
 
 func (b *queueBinding) Detokenize(ids []int) (r sim.Result[string], err error) {

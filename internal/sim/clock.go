@@ -136,7 +136,7 @@ func TotalEvents() uint64 { return totalEvents.Load() }
 // NewClock.
 type Clock struct {
 	mu       sync.Mutex
-	now      time.Duration
+	now      atomic.Int64 // virtual time: written under mu, read by Now without it
 	seq      uint64
 	heap     eventHeap
 	pool     []*event // free list of recycled event records
@@ -195,10 +195,13 @@ func (c *Clock) wake() {
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
+
+// advanceLocked moves virtual time forward to t, never back.
+func (c *Clock) advanceLocked(t time.Duration) {
+	if t > c.Now() {
+		c.now.Store(int64(t))
+	}
 }
 
 // Current returns the currently-executing process, or nil when called from
@@ -260,7 +263,7 @@ func (c *Clock) After(d time.Duration, fn func()) {
 	}
 	c.mu.Lock()
 	if !c.finished {
-		ev := c.newEventLocked(c.now + d)
+		ev := c.newEventLocked(c.Now() + d)
 		ev.fn = fn
 		c.heap.push(ev)
 	}
@@ -294,7 +297,7 @@ func (c *Clock) spawn(name string, fn func(), api string) *Proc {
 	c.seq++
 	p := &Proc{id: c.seq, name: name, fn: fn, state: stateReady}
 	c.live++
-	c.pushLocked(c.now, p)
+	c.pushLocked(c.Now(), p)
 	return p
 }
 
@@ -429,9 +432,7 @@ func (c *Clock) dispatchNextLocked() *Proc {
 			}
 		}
 		ev := c.heap.pop()
-		if ev.t > c.now {
-			c.now = ev.t
-		}
+		c.advanceLocked(ev.t)
 		c.events.Add(1)
 		p := ev.p
 		if p == nil {
@@ -463,7 +464,7 @@ func (c *Clock) dispatchNextLocked() *Proc {
 	if c.live > 0 && !c.external {
 		// Shut down in external mode, a parked process waits for outside
 		// input, not a deadlock: the reap unwinds it.
-		c.err = fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", c.now, c.live)
+		c.err = fmt.Errorf("sim: deadlock at %v: %d process(es) blocked with no pending events", c.Now(), c.live)
 	}
 	c.finishClockLocked()
 	return nil
@@ -481,13 +482,14 @@ func (c *Clock) dispatchNextLocked() *Proc {
 // live) and do not push the deadline back, so frequent polling cannot
 // starve the timers.
 func (c *Clock) idleWaitLocked(t time.Duration) bool {
-	if t <= c.now {
+	now := c.Now()
+	if t <= now {
 		return true
 	}
 	if c.idleUntil.IsZero() || c.idleFor != t {
 		c.idleFor = t
-		c.idleUntil = time.Now().Add(t - c.now)
-		time.AfterFunc(t-c.now, c.wake)
+		c.idleUntil = time.Now().Add(t - now)
+		time.AfterFunc(t-now, c.wake)
 		return false
 	}
 	if time.Now().Before(c.idleUntil) {
@@ -567,7 +569,7 @@ func (c *Clock) Sleep(d time.Duration) {
 		panic(Killed{Reason: "terminated before it blocked"})
 	}
 	p.state = stateSleeping
-	next := c.sleepDispatchLocked(p, c.now+d)
+	next := c.sleepDispatchLocked(p, c.Now()+d)
 	killed := p.killed
 	c.mu.Unlock()
 	// Fast path when next == p: our own event was the earliest, so control
@@ -600,17 +602,13 @@ func (c *Clock) sleepDispatchLocked(p *Proc, t time.Duration) *Proc {
 	}
 	if c.heap.len() == 0 || t < c.heap.min().t {
 		c.seq++ // the skipped event still consumes its sequence number
-		if t > c.now {
-			c.now = t
-		}
+		c.advanceLocked(t)
 		p.state = stateRunning
 		c.events.Add(1)
 		return p
 	}
 	ev := c.heap.replaceMin(c.allocEventLocked(t, p))
-	if ev.t > c.now {
-		c.now = ev.t
-	}
+	c.advanceLocked(ev.t)
 	nextP := ev.p
 	nextP.ev = nil
 	c.recycleLocked(ev)
@@ -652,11 +650,11 @@ func (c *Clock) Kill(p *Proc) {
 	switch p.state {
 	case stateSleeping, stateReady:
 		c.cancelLocked(p)
-		c.pushLocked(c.now, p)
+		c.pushLocked(c.Now(), p)
 		p.state = stateReady
 	case stateParked:
 		c.parked--
-		c.pushLocked(c.now, p)
+		c.pushLocked(c.Now(), p)
 		p.state = stateReady
 	case stateRunning:
 		// Will observe the flag at its next blocking call.

@@ -7,6 +7,46 @@ import (
 	"time"
 )
 
+// TestNowFromOutsideTheLoop: Now takes no lock, and a goroutine outside the
+// simulation reading it while the loop advances time sees time only move
+// forward (run with -race: the read and the loop's writes must be ordered).
+func TestNowFromOutsideTheLoop(t *testing.T) {
+	const steps = 2000
+	c := NewClock()
+	c.Go("sleeper", func() {
+		for i := 0; i < steps; i++ {
+			c.Sleep(time.Microsecond)
+		}
+	})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		var last time.Duration
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			now := c.Now()
+			if now < last {
+				t.Errorf("Now went back from %v to %v", last, now)
+				return
+			}
+			last = now
+		}
+	}()
+	err := c.Run()
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Now(); got != steps*time.Microsecond {
+		t.Errorf("Now = %v after %d sleeps of 1µs", got, steps)
+	}
+}
+
 func TestSleepAdvancesVirtualTime(t *testing.T) {
 	c := NewClock()
 	var got time.Duration

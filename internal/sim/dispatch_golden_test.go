@@ -33,7 +33,7 @@ func newDispatchRec(c *Clock) *dispatchRec { return &dispatchRec{c: c, h: fnv.Ne
 
 func (r *dispatchRec) rec(name string) {
 	r.c.mu.Lock()
-	now, finished := r.c.now, r.c.finished
+	now, finished := r.c.Now(), r.c.finished
 	r.c.mu.Unlock()
 	if finished {
 		return // unwinding after the clock finished is not a dispatch

@@ -96,7 +96,7 @@ func (l *WaitList) waitLocked(front bool, deadline time.Duration) bool {
 		c.mu.Unlock()
 		panic(Killed{Reason: "terminated before it blocked"})
 	}
-	if deadline > 0 && deadline <= c.now {
+	if deadline > 0 && deadline <= c.Now() {
 		return false
 	}
 	p.parkToken++
@@ -231,7 +231,7 @@ func (c *Clock) readyLocked(w waiter) {
 		return
 	}
 	p.state = stateReady
-	c.pushLocked(c.now, p)
+	c.pushLocked(c.Now(), p)
 	if c.external && c.current == nil && !c.inTimer {
 		c.wake()
 	}

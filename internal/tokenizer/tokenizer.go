@@ -9,6 +9,7 @@
 package tokenizer
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,17 +31,22 @@ type Tokenizer struct {
 	lexicon []string // id - lexBase -> token text
 	// nodes is a byte trie over the lexicon. Node 0 is the root; a node's
 	// children are the contiguous run nodes[lo:hi], ascending by edge byte.
-	// root indexes the root's children by byte (0: no lexicon entry starts
-	// with it), the one fan-out wide enough to be worth a table.
-	nodes []trieNode
-	root  [256]int32
+	// A node with more than denseFanout children also indexes them by byte
+	// in tables[tab-1] (0: no child on that byte); the rest are scanned.
+	nodes  []trieNode
+	tables [][256]int32
 }
 
 type trieNode struct {
 	edge   byte  // byte on the edge from the parent
 	id     int32 // token whose text ends here, 0 if none
 	lo, hi int32 // children
+	tab    int32 // 1 + index of the node's child table, 0 if it has none
 }
+
+// denseFanout is the widest fan-out a sorted scan serves: past it a node's
+// children get a table (75 nodes of the standard lexicon, 1 KB each).
+const denseFanout = 4
 
 // New returns the standard tokenizer shared by all models in the catalog.
 // It is built once per process: no method writes to a Tokenizer, so every
@@ -107,8 +113,17 @@ func (t *Tokenizer) buildTrie() {
 		}
 		t.nodes[sp.node].hi = int32(len(t.nodes))
 	}
-	for c := t.nodes[0].lo; c < t.nodes[0].hi; c++ {
-		t.root[t.nodes[c].edge] = c
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		if nd.hi-nd.lo <= denseFanout {
+			continue
+		}
+		var tab [256]int32
+		for c := nd.lo; c < nd.hi; c++ {
+			tab[t.nodes[c].edge] = c
+		}
+		t.tables = append(t.tables, tab)
+		nd.tab = int32(len(t.tables))
 	}
 }
 
@@ -117,32 +132,45 @@ func (t *Tokenizer) VocabSize() int { return lexBase + len(t.lexicon) }
 
 // Encode tokenizes s greedily: at each position the longest lexicon match
 // wins; otherwise a single byte token is emitted.
-func (t *Tokenizer) Encode(s string) []int {
-	out := make([]int, 0, len(s)/3+8)
+func (t *Tokenizer) Encode(s string) []int { return t.AppendEncode(nil, s) }
+
+// AppendEncode appends the ids Encode returns for s to dst. When dst is
+// full it makes room for the rest of s at once, at about three bytes a
+// token, rather than growing id by id.
+func (t *Tokenizer) AppendEncode(dst []int, s string) []int {
 	for i := 0; i < len(s); {
-		// Walk the trie from s[i], remembering the last entry passed.
+		// Walk the trie from the root along s[i:], remembering the last
+		// entry passed.
 		id, next := ByteBase+int(s[i]), i+1
-		n := t.root[s[i]]
-		for j := i + 1; n != 0; j++ {
+		for j, n := i, int32(0); j < len(s); j++ {
 			nd := &t.nodes[n]
-			if nd.id != 0 {
-				id, next = int(nd.id), j
-			}
-			if j == len(s) {
-				break
-			}
-			n = 0
-			for c := nd.lo; c < nd.hi; c++ {
-				if t.nodes[c].edge == s[j] {
-					n = c
-					break
+			b := s[j]
+			if n = 0; nd.tab != 0 {
+				n = t.tables[nd.tab-1][b]
+			} else {
+				for c := nd.lo; c < nd.hi; c++ {
+					if e := t.nodes[c].edge; e >= b {
+						if e == b {
+							n = c
+						}
+						break
+					}
 				}
 			}
+			if n == 0 {
+				break
+			}
+			if nid := t.nodes[n].id; nid != 0 {
+				id, next = int(nid), j+1
+			}
 		}
-		out = append(out, id)
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, (len(s)-i)/3+8)
+		}
+		dst = append(dst, id)
 		i = next
 	}
-	return out
+	return dst
 }
 
 // Decode reconstructs the exact byte string for ids; special tokens decode

@@ -10,7 +10,13 @@
 # runs the benchmark and prints per metric both medians, the parent's
 # interquartile range, how many pairs the change won and whether the gap
 # between the medians exceeds that range. Metrics whose value is equal in
-# every run are listed with "=" instead. It exits non-zero if any
+# every run are listed with "=" instead. An end-to-end metric (one with a
+# bound in BENCHMARK.json, a share of the parent median) is marked
+# "worse > bound" when the change median is worse than the parent median by
+# more than its bound, the rule that refuses a change, and "IQR > bound"
+# when the parent's own interquartile range exceeds the bound, so the bound
+# sits inside the noise. The marks inform; they do not change the exit
+# status. It exits non-zero if any
 # virtual-clock metric, sim.events or loadgen.output_digest differs between
 # the two runs of any pair: what the virtual clock measures must not depend
 # on which tree ran it.
@@ -106,21 +112,25 @@ for side in parent change; do
 	done
 done >"$tmp/values"
 
-# Which way each metric is better, from BENCHMARK.json.
-awk '/"name":/ { name = $2; gsub(/[",]/, "", name) } /"better":/ { b = $2; gsub(/[",]/, "", b); print name, b }' \
-	BENCHMARK.json >"$tmp/better"
+# Which way each metric is better and, for an end-to-end metric, its bound,
+# from BENCHMARK.json.
+awk '
+	/"name":/ { name = $2; gsub(/[",]/, "", name) }
+	/"better":/ { b = $2; gsub(/[",]/, "", b); print name, b }
+	/"bound":/ { v = $2; gsub(/,/, "", v); print name, "bound", v }
+' BENCHMARK.json >"$tmp/better"
 echo "wall_ms lower" >>"$tmp/better"
 
 awk -v n="$n" '
 	function sort(a, k,    i, j, t) { for (i = 2; i <= k; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } }
 	function quantile(a, k, q,    h, lo) { h = (k - 1) * q + 1; lo = int(h); return lo >= k ? a[k] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
-	NR == FNR { better[$1] = $2; next }
+	NR == FNR { if ($2 == "bound") bound[$1] = $3; else better[$1] = $2; next }
 	{
 		m = $3; if (!(m in seen)) { seen[m] = 1; order[++rows] = m }
 		val[$1, $2, m] = $4; clock[m] = $5
 	}
 	END {
-		printf "%-44s %14s %14s %12s %6s %s\n", "metric", "parent p50", "change p50", "parent IQR", "wins", "gap > IQR"
+		printf "%-44s %14s %14s %12s %6s %-9s %s\n", "metric", "parent p50", "change p50", "parent IQR", "wins", "gap > IQR", "bound"
 		for (r = 1; r <= rows; r++) {
 			m = order[r]; base = m; sub(/^[^\/]*\//, "", base)
 			same = 1; wins = 0
@@ -137,7 +147,13 @@ awk -v n="$n" '
 			sort(p, n); sort(c, n)
 			pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5); iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
 			gap = cm - pm; if (gap < 0) gap = -gap
-			printf "%-44s %14.6g %14.6g %12.4g %3d/%-2d %s\n", m, pm, cm, iqr, wins, n, (gap > iqr ? "yes" : "no")
+			mark = ""
+			if ((base in bound) && pm != 0) {
+				worse = (better[base] == "higher" ? pm - cm : cm - pm) / (pm < 0 ? -pm : pm)
+				if (worse > bound[base]) mark = sprintf("worse > bound (%+.1f%% vs %g%%)", 100 * worse, 100 * bound[base])
+				if (iqr > bound[base] * (pm < 0 ? -pm : pm)) mark = mark (mark == "" ? "" : "; ") sprintf("IQR > bound (%.1f%% of p50)", 100 * iqr / (pm < 0 ? -pm : pm))
+			}
+			printf "%-44s %14.6g %14.6g %12.4g %3d/%-2d %-9s %s\n", m, pm, cm, iqr, wins, n, (gap > iqr ? "yes" : "no"), mark
 		}
 		exit bad
 	}' "$tmp/better" "$tmp/values" || bad=1

@@ -26,6 +26,14 @@ import (
 // differ after Truncate (speculative decoding rollback) and while tokens
 // are pending.
 //
+// Each token is written once, into Tokens: Fill and FillPadded tokenize
+// straight into it, FillTokens and Append copy theirs in, and the pending
+// list (below) is the context's own. A Generate lends what it produced:
+// GenResult.Tokens is a read-only view of Tokens, capacity-clipped so a
+// caller's append copies, and stable under Truncate — a Truncate that cuts
+// below the end of a view makes the next write to Tokens move to a new
+// array, so the view keeps its tokens.
+//
 // The frontier is lazy. Append and Fill/FillTokens record their tokens as
 // pending — they join Tokens and Len at once, not Slots — and issue
 // nothing. The pending tokens ride in the embed + forward of whatever
@@ -55,8 +63,8 @@ import (
 // engine) and handed back by Drop or Close.
 // A context is unusable after either; one used anyway starts over with
 // empty buffers of its own and never shares another context's. Tokens and
-// a Generate's GenResult.Tokens are never in the set: they stay the
-// caller's. The engine keeps what is handed back, so the memory it retains
+// the views a Generate lends are never in the set: they stay the caller's.
+// The engine keeps what is handed back, so the memory it retains
 // is bounded by the peak number of contexts alive at once.
 type Context struct {
 	S     inferlet.Session
@@ -80,6 +88,7 @@ type Context struct {
 	slots  int          // physical KV slots consumed
 	pos    int          // sequence position of the next KV entry
 	Tokens []int        // logical token history (prompt + generated + pending)
+	lent   int          // Tokens[:lent] may be seen through a lent view
 	attnOK bool         // attn holds ctxPages
 
 	// The decode slots are views of decodeSlots, so Drop frees both in one
@@ -105,9 +114,10 @@ type workingSet struct {
 
 	// Per-step scratch: the runtime is done with (or has copied) what these
 	// hold before the call they are passed to returns.
-	posBuf []int
-	tokBuf []int // pending + new tokens of one forward
-	outBuf []api.KvPage
+	posBuf   []int
+	tokBuf   []int // pending + new tokens of one forward
+	outBuf   []api.KvPage
+	maskBits []bool
 
 	// Grants: the pages one growth step allocates, and a multi-token
 	// extension's input and output slots, alive until the step frees them.
@@ -125,11 +135,13 @@ type workingSets interface {
 }
 
 // grants is a session's allocation into a caller's buffer: Alloc.Pages and
-// Alloc.Embeds on q with the handles appended to dst. The engine's sessions
-// have it; without it a context appends what its Alloc returns.
+// Alloc.Embeds on q with the handles appended to dst, and Tokenizer.Encode
+// on q with the ids appended to dst. The engine's sessions have it; without
+// it a context appends what its Alloc or Tokenizer returns.
 type grants interface {
 	AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error)
 	AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) ([]api.Embed, error)
+	AppendTokens(q *inferlet.Queue, dst []int, text string) ([]int, error)
 }
 
 // allocPages appends n pages allocated on the context's queue to dst.
@@ -156,6 +168,24 @@ func (c *Context) allocEmbeds(dst []api.Embed, n int) ([]api.Embed, error) {
 	return append(dst, embs...), nil
 }
 
+// tokenize appends the ids of text to Tokens.
+func (c *Context) tokenize(text string) error {
+	if c.grants == nil {
+		ids, err := c.Encode(text)
+		if err != nil {
+			return err
+		}
+		c.Tokens = append(c.Tokens, ids...)
+		return nil
+	}
+	toks, err := c.grants.AppendTokens(c.Q, c.Tokens, text)
+	if err != nil {
+		return err
+	}
+	c.Tokens = toks
+	return nil
+}
+
 // takeWorkingSet starts the context on a set from its session's free list,
 // or on a new empty one when the list has none to give.
 func (c *Context) takeWorkingSet() {
@@ -176,7 +206,8 @@ func (c *Context) putWorkingSet() {
 		*ws = workingSet{
 			entries: c.entries[:0], pend: c.pend[:0], attn: c.attn[:0],
 			posBuf: c.posBuf[:0], tokBuf: c.tokBuf[:0], outBuf: c.outBuf[:0],
-			grant: c.grant[:0], inBuf: c.inBuf[:0], outEmb: c.outEmb[:0],
+			maskBits: c.maskBits[:0],
+			grant:    c.grant[:0], inBuf: c.inBuf[:0], outEmb: c.outEmb[:0],
 		}
 		c.sets.PutWorkingSet(ws)
 	}
@@ -349,13 +380,28 @@ func (c *Context) Vocabs() ([][]byte, error) {
 	return f.Get()
 }
 
-// Fill tokenizes text and prefills it into the context.
+// Fill tokenizes text into the stream and accepts it like FillTokens.
 func (c *Context) Fill(text string) error {
-	toks, err := c.Encode(text)
-	if err != nil {
+	from := len(c.Tokens)
+	if err := c.tokenize(text); err != nil {
 		return err
 	}
-	return c.FillTokens(toks)
+	return c.filled(from)
+}
+
+// FillPadded is Fill clamped or padded with id 0 to exactly n tokens, so a
+// workload's token budget does not depend on its text.
+func (c *Context) FillPadded(text string, n int) error {
+	from := len(c.Tokens)
+	c.Tokens = slices.Grow(c.Tokens, n)
+	if err := c.tokenize(text); err != nil {
+		return err
+	}
+	c.Tokens = c.Tokens[:min(len(c.Tokens), from+n)]
+	for len(c.Tokens) < from+n {
+		c.Tokens = append(c.Tokens, 0)
+	}
+	return c.filled(from)
 }
 
 // FillTokens accepts toks into the context. Like Append it leaves them
@@ -364,17 +410,28 @@ func (c *Context) Fill(text string) error {
 // stream page-aligned issues its embed + forward at once, carrying the
 // pending tokens: that is a module prefill (a spec, an exported prefix), and
 // merging those into one long call would make it ride alone in the batch
-// former instead of beside decode steps.
+// former instead of beside decode steps. A fill whose forward fails leaves
+// the stream as it was.
 func (c *Context) FillTokens(toks []int) error {
-	if len(toks) == 0 {
+	from := len(c.Tokens)
+	c.Tokens = append(c.Tokens, toks...)
+	return c.filled(from)
+}
+
+// filled accepts Tokens[from:], just written, as pending (see FillTokens).
+func (c *Context) filled(from int) error {
+	if len(c.Tokens) == from {
 		return nil
 	}
-	if (c.slots+len(c.pend)+len(toks))%c.Model.PageSize == 0 {
-		_, err := c.extend(toks, true, 1, false)
+	pend := len(c.pend)
+	c.pend = append(c.pend, c.Tokens[from:]...)
+	if (c.slots+len(c.pend))%c.Model.PageSize != 0 {
+		return nil
+	}
+	if err := c.Flush(); err != nil {
+		c.Tokens, c.pend = c.Tokens[:from], c.pend[:pend]
 		return err
 	}
-	c.pend = append(c.pend, toks...)
-	c.Tokens = append(c.Tokens, toks...)
 	return nil
 }
 
@@ -577,7 +634,13 @@ func (c *Context) Truncate(n int) error {
 		return err
 	}
 	c.pos = n
-	c.Tokens = c.Tokens[:n]
+	if n < c.lent {
+		// A lent view reaches past n: clip, so the next append copies
+		// instead of writing into it.
+		c.Tokens, c.lent = c.Tokens[:n:n], n
+	} else {
+		c.Tokens = c.Tokens[:n]
+	}
 	c.hasOut = false // outputs referred to the rejected tail
 	return nil
 }
@@ -599,7 +662,8 @@ func (c *Context) MaskSlots(from, to int, masked bool) error {
 			continue
 		}
 		if bits == nil {
-			bits = make([]bool, ps)
+			bits = slices.Grow(c.maskBits[:0], ps)[:ps]
+			c.maskBits = bits
 		}
 		for i := range bits {
 			slot := lo + i
@@ -626,8 +690,8 @@ func (c *Context) MaskRange(from, to int, masked bool) error {
 // numbering is preserved.
 func (c *Context) ReleaseMaskedPages(fullyMaskedRanges [][2]int) (int, error) {
 	ps := c.Model.PageSize
-	freed := 0
-	var toFree []api.KvPage
+	// The attention cache is the scratch list: freeing a page clears it.
+	toFree := c.attn[:0]
 	for p := 0; p < len(c.entries); p++ {
 		if !c.entries[p].live || !c.entries[p].owned {
 			continue
@@ -649,14 +713,12 @@ func (c *Context) ReleaseMaskedPages(fullyMaskedRanges [][2]int) (int, error) {
 		c.entries[p].live = false
 		c.attnOK = false
 		toFree = append(toFree, c.entries[p].h)
-		freed++
 	}
-	if len(toFree) > 0 {
-		if err := c.alloc.FreePages(toFree); err != nil {
-			return freed, err
-		}
+	if len(toFree) == 0 {
+		return 0, nil
 	}
-	return freed, nil
+	c.attn = toFree
+	return len(toFree), c.alloc.FreePages(toFree)
 }
 
 // GenOpts parameterizes Generate.
@@ -673,15 +735,16 @@ type GenOpts struct {
 	OnToken func(tok int)
 }
 
-// GenResult reports a Generate run.
+// GenResult reports a Generate run. Tokens is lent (see Context): read it,
+// or append to it, which copies; do not write into it.
 type GenResult struct {
 	Tokens []int
 	Text   string
 }
 
-// presizeCap bounds what Generate reserves up front for its output and the
-// token history: a generous MaxTokens must not cost its full size when
-// generation stops early.
+// presizeCap bounds what Generate reserves up front for the token history:
+// a generous MaxTokens must not cost its full size when generation stops
+// early.
 const presizeCap = 256
 
 // Generate decodes autoregressively until a stop condition. The last
@@ -695,48 +758,59 @@ func (c *Context) Generate(opts GenOpts) (GenResult, error) {
 	if sampler == nil {
 		sampler = Greedy{}
 	}
-	// Size the bookkeeping for the whole run once, not per doubling; past
+	// Size the history for the whole run once, not per doubling; past
 	// presizeCap tokens it grows as usual.
-	n := min(opts.MaxTokens, presizeCap)
-	out := make([]int, 0, n)
-	c.Tokens = slices.Grow(c.Tokens, n)
-	for len(out) < opts.MaxTokens {
+	c.Tokens = slices.Grow(c.Tokens, min(opts.MaxTokens, presizeCap))
+	from := len(c.Tokens)
+	for len(c.Tokens)-from < opts.MaxTokens {
 		dist, err := c.NextDist()
 		if err != nil {
 			return GenResult{}, err
 		}
-		var done bool
-		if out, done, err = c.accept(&opts, out, sampler.Next(dist)); err != nil {
+		done, err := c.accept(&opts, from, sampler.Next(dist))
+		if err != nil {
 			return GenResult{}, err
 		}
 		if done {
 			break
 		}
 	}
-	text, err := c.DecodeText(out)
-	if err != nil {
-		return GenResult{}, err
-	}
-	return GenResult{Tokens: out, Text: text}, nil
+	return c.result(from)
 }
 
-// accept takes one sampled token into a generation whose tokens so far are
-// out: a stop token ends it unadded; any other token is added, reported,
+// accept takes one sampled token into a generation that began at Tokens'
+// length from: a stop token ends it unadded; any other token is reported,
 // shown to OnToken and appended to the context, after which Stop may end
 // it. Generate and ParallelGenerate share it.
-func (c *Context) accept(opts *GenOpts, out []int, tok int) (_ []int, done bool, err error) {
+func (c *Context) accept(opts *GenOpts, from int, tok int) (done bool, err error) {
 	if slices.Contains(opts.StopTokens, tok) {
-		return out, true, nil
+		return true, nil
 	}
-	out = append(out, tok)
 	c.S.ReportOutputTokens(1)
 	if opts.OnToken != nil {
 		opts.OnToken(tok)
 	}
 	if err := c.Append(tok); err != nil {
-		return out, true, err
+		return true, err
 	}
-	return out, opts.Stop != nil && opts.Stop(out), nil
+	return opts.Stop != nil && opts.Stop(c.lend(from)), nil
+}
+
+// lend returns Tokens[from:] as a read-only view (see Context).
+func (c *Context) lend(from int) []int {
+	end := len(c.Tokens)
+	c.lent = max(c.lent, end)
+	return c.Tokens[from:end:end]
+}
+
+// result reports the generation that began at Tokens' length from.
+func (c *Context) result(from int) (GenResult, error) {
+	toks := c.lend(from)
+	text, err := c.DecodeText(toks)
+	if err != nil {
+		return GenResult{}, err
+	}
+	return GenResult{Tokens: toks, Text: text}, nil
 }
 
 // DecodeText detokenizes ids through the model's vocabulary.

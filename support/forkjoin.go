@@ -15,37 +15,43 @@ import (
 // the support library (§6.3) without any engine support.
 //
 // samplers[i] drives branch i (nil entries default to Greedy). Branches
-// stop individually on their opts; the call returns when all stop.
+// stop individually on their opts; the call returns when all stop. Each
+// result's Tokens is lent by its branch's context, as Generate's is.
 func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenResult, error) {
 	n := len(ctxs)
 	if opts.MaxTokens <= 0 {
 		opts.MaxTokens = 64
 	}
-	outs := make([][]int, n)
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
+	type branch struct {
+		from   int // the branch's generation is ctxs[i].Tokens[from:]
+		active bool
+		fut    inferlet.Result[api.Dist] // this step's request
+	}
+	branches := make([]branch, n)
+	for i, c := range ctxs {
+		branches[i] = branch{from: len(c.Tokens), active: true}
 	}
 	remaining := n
 	for step := 0; step < opts.MaxTokens && remaining > 0; step++ {
 		// Phase 1: issue all pending forwards and distribution requests.
-		futs := make([]inferlet.Result[api.Dist], n)
 		for i, c := range ctxs {
-			if !active[i] {
+			b := &branches[i]
+			if !b.active {
 				continue
 			}
 			f, err := c.nextDist()
 			if err != nil {
 				return nil, err
 			}
-			futs[i] = f
+			b.fut = f
 		}
 		// Phase 2: await, sample, and accept the tokens.
 		for i, c := range ctxs {
-			if !active[i] {
+			b := &branches[i]
+			if !b.active {
 				continue
 			}
-			dist, err := futs[i].Get()
+			dist, err := b.fut.Get()
 			if err != nil {
 				return nil, err
 			}
@@ -55,23 +61,23 @@ func ParallelGenerate(ctxs []*Context, opts GenOpts, samplers []Sampler) ([]GenR
 			} else if opts.Sampler != nil {
 				s = opts.Sampler
 			}
-			var done bool
-			if outs[i], done, err = c.accept(&opts, outs[i], s.Next(dist)); err != nil {
+			done, err := c.accept(&opts, b.from, s.Next(dist))
+			if err != nil {
 				return nil, err
 			}
 			if done {
-				active[i] = false
+				b.active = false
 				remaining--
 			}
 		}
 	}
 	results := make([]GenResult, n)
 	for i, c := range ctxs {
-		text, err := c.DecodeText(outs[i])
+		res, err := c.result(branches[i].from)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = GenResult{Tokens: outs[i], Text: text}
+		results[i] = res
 	}
 	return results, nil
 }

@@ -45,9 +45,9 @@ func (s *poisonSession) TakeWorkingSet() any {
 	return ws
 }
 
-// AppendKvPages and AppendEmbeds pass the engine session's allocation into
-// the context's buffers through, so the contexts under test take their
-// pages and embeds as the engine's do.
+// AppendKvPages, AppendEmbeds and AppendTokens pass the engine session's
+// allocation into the context's buffers through, so the contexts under test
+// take their pages, embeds and tokens as the engine's do.
 func (s *poisonSession) AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error) {
 	return s.Session.(grants).AppendKvPages(q, dst, n)
 }
@@ -56,10 +56,15 @@ func (s *poisonSession) AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) 
 	return s.Session.(grants).AppendEmbeds(q, dst, n)
 }
 
+func (s *poisonSession) AppendTokens(q *inferlet.Queue, dst []int, text string) ([]int, error) {
+	return s.Session.(grants).AppendTokens(q, dst, text)
+}
+
 // grants is the engine session's allocation into a caller's buffer.
 type grants interface {
 	AppendKvPages(q *inferlet.Queue, dst []api.KvPage, n int) ([]api.KvPage, error)
 	AppendEmbeds(q *inferlet.Queue, dst []api.Embed, n int) ([]api.Embed, error)
+	AppendTokens(q *inferlet.Queue, dst []int, text string) ([]int, error)
 }
 
 func (s *poisonSession) PutWorkingSet(ws any) {
@@ -436,13 +441,14 @@ func BenchmarkContextSession(b *testing.B) {
 
 // TestContextAllocations pins what a warm context's life allocates
 // (contextLife): the context; the token history (the fill's append,
-// Generate's one resize); Generate's token list and its text. Nothing comes
+// Generate's one resize); Generate's text. Generate's tokens are a view of
+// the history, not a list of their own. Nothing comes
 // from the working set: the page list, the attention and output lists, the
 // step scratch and the buffers the allocator appends to (the prefill's
 // input slots, the pages of each growth step; the decode slots live in the
 // context) are the ones the context before handed back.
 func TestContextAllocations(t *testing.T) {
-	want := 5.0
+	want := 4.0
 	if raceBuild {
 		// The race detector's instrumentation keeps the temporary of
 		// slices.Grow's append(s, make(...)...), which the compiler
